@@ -1,9 +1,9 @@
 //! Contention micro-benchmark: multi-threaded YCSB-A put/get over the
-//! sharded metadata/cache + scatter-gather replication path against the
-//! pre-existing single-global-lock + serial-replication path.
+//! sharded metadata/cache/key-lock structures against the same write path
+//! on a single global lock shard.
 //!
-//! Uses the disk-model backend: replica service times are where the batch
-//! path overlaps work, so the delta is visible even on a single-CPU host.
+//! Uses the disk-model backend, whose sleeping drives let client threads
+//! overlap even on a single-CPU host.
 use criterion::{criterion_group, criterion_main, Criterion};
 use pesos_bench::{run_workload_with, Config};
 use pesos_core::ExecutionMode;
@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
         backend: BackendKind::Hdd,
     };
     for threads in [4usize, 8] {
-        group.bench_function(format!("before-single-lock-serial-{threads}t"), |b| {
+        group.bench_function(format!("single-lock-{threads}t"), |b| {
             b.iter(|| {
                 run_workload_with(
                     config,
@@ -30,14 +30,13 @@ fn bench(c: &mut Criterion) {
                     true,
                     |c| {
                         c.lock_shards = 1;
-                        c.serial_replication = true;
                         c.syscall_threads = 16;
                     },
                     |_, _| {},
                 )
             })
         });
-        group.bench_function(format!("after-sharded-batched-{threads}t"), |b| {
+        group.bench_function(format!("sharded-{threads}t"), |b| {
             b.iter(|| {
                 run_workload_with(
                     config,

@@ -158,8 +158,8 @@ pub fn run_workload(
 }
 
 /// Like [`run_workload`] but lets the caller adjust the controller
-/// configuration (lock shards, serial replication, ...) before bootstrap —
-/// the hook the before/after comparisons are built on.
+/// configuration (lock shards, syscall threads, ...) before bootstrap —
+/// the hook the contention comparison is built on.
 #[allow(clippy::too_many_arguments)]
 pub fn run_workload_with(
     config: Config,
@@ -231,7 +231,6 @@ pub fn fig3_throughput(scale: Scale) -> Vec<DataPoint> {
             BackendKind::Memory => (scale.ops(), scale.records()),
             BackendKind::Hdd => ((scale.ops() / 16).max(200), (scale.records() / 16).max(100)),
         };
-        let mut busiest: Option<Summary> = None;
         for &clients in &scale.clients_sweep() {
             let summary = run_workload(config, 1, 1, clients, records, ops, 1024, true, |_, _| {});
             let point = DataPoint {
@@ -242,17 +241,6 @@ pub fn fig3_throughput(scale: Scale) -> Vec<DataPoint> {
             };
             print_point(&point);
             out.push(point);
-            busiest = Some(summary);
-        }
-        // Before/after delta against the pre-batch single-lock path at the
-        // largest client count (simulator configs only — the disk model's
-        // IOP ceiling hides lock contention).
-        if config.backend == BackendKind::Memory {
-            let clients = *scale.clients_sweep().last().unwrap();
-            let before = run_workload_before(config, 1, 1, clients, records, ops);
-            if let Some(after) = &busiest {
-                print_delta(&config.label(), &before, after);
-            }
         }
     }
     print_payload_passes();
@@ -396,7 +384,6 @@ pub fn fig7_replication(scale: Scale) -> Vec<DataPoint> {
     let mut out = Vec::new();
     print_header("Figure 7: replication to all disks (simulator)", "disks");
     for config in Config::simulator_only() {
-        let mut widest: Option<Summary> = None;
         let clients = *scale.clients_sweep().last().unwrap();
         for disks in 1..=4usize {
             let summary = run_workload(
@@ -418,47 +405,12 @@ pub fn fig7_replication(scale: Scale) -> Vec<DataPoint> {
             };
             print_point(&point);
             out.push(point);
-            widest = Some(summary);
-        }
-        // Before/after delta at the widest replication factor: serial
-        // replica writes vs the scatter-gather batch.
-        let before = run_workload_before(config, 4, 4, clients, scale.records(), scale.ops());
-        if let Some(after) = &widest {
-            print_delta(&config.label(), &before, after);
         }
     }
     // The replication figure is where the one-copy wire path matters most:
     // every replica's frame borrows the same sealed payload buffer.
     print_payload_passes();
     out
-}
-
-/// Runs one workload in the pre-batch "before" configuration: one global
-/// lock shard and serial, blocking replication.
-#[allow(clippy::too_many_arguments)]
-fn run_workload_before(
-    config: Config,
-    drives: usize,
-    replication: usize,
-    clients: usize,
-    records: usize,
-    ops: usize,
-) -> Summary {
-    run_workload_with(
-        config,
-        drives,
-        replication,
-        clients,
-        records,
-        ops,
-        1024,
-        true,
-        |c| {
-            c.lock_shards = 1;
-            c.serial_replication = true;
-        },
-        |_, _| {},
-    )
 }
 
 /// Prints the payload-pass count of a 64 KiB put — how many times the
@@ -496,39 +448,37 @@ pub fn print_payload_passes() {
     );
 }
 
-fn print_delta(label: &str, before: &Summary, after: &Summary) {
+fn print_delta(label: &str, single: &Summary, sharded: &Summary) {
     // µs per operation derived from sustained throughput — the number the
     // ROADMAP's digest-pipeline work tracks (the seed sat at ~70 µs/op on
     // the in-memory backend, CPU-bound in SHA-256).
     let us_per_op = |s: &Summary| 1e6 / s.throughput_ops().max(f64::MIN_POSITIVE);
     println!(
-        "{label:<22} before {:>10.2} KIOP/s ({:>7.2} µs/op)   after {:>10.2} KIOP/s ({:>7.2} µs/op)   speedup {:>5.2}x",
-        before.throughput_kiops(),
-        us_per_op(before),
-        after.throughput_kiops(),
-        us_per_op(after),
-        after.throughput_ops() / before.throughput_ops().max(f64::MIN_POSITIVE),
+        "{label:<22} single-lock {:>10.2} KIOP/s ({:>7.2} µs/op)   sharded {:>10.2} KIOP/s ({:>7.2} µs/op)   speedup {:>5.2}x",
+        single.throughput_kiops(),
+        us_per_op(single),
+        sharded.throughput_kiops(),
+        us_per_op(sharded),
+        sharded.throughput_ops() / single.throughput_ops().max(f64::MIN_POSITIVE),
     );
 }
 
-/// Contention micro-benchmark: multi-threaded YCSB-A put/get throughput of
-/// the sharded + scatter-gather path against the pre-existing single-lock +
-/// serial-replication path, on a replicated deployment.
+/// Contention micro-benchmark: multi-threaded YCSB-A put/get throughput
+/// with the metadata map, object cache and key-lock registry split over
+/// the default lock shards against the same path on one global lock shard
+/// (`lock_shards = 1`), on a replicated deployment. The write path is the
+/// same in both columns — one atomic batch per replica per put.
 ///
-/// Both backends are swept: the disk model is where batched replication
-/// pays off even on a single CPU (replica service times overlap instead of
-/// queueing behind each other), while the in-memory simulator isolates lock
-/// contention and therefore only separates the paths when real hardware
-/// parallelism is available.
+/// Both backends are swept: on the disk model replica service times
+/// overlap whatever the sharding, so the columns stay close; the in-memory
+/// simulator isolates lock contention and separates them when real
+/// hardware parallelism is available.
 pub fn contention(scale: Scale) -> Vec<DataPoint> {
     let (drives, replication) = (3, 2);
     // The disk model caps at ~1 kIOP/s per drive; keep its op counts small.
     let (ops, records) = ((scale.ops() / 16).max(200), (scale.records() / 16).max(100));
     let mut out = Vec::new();
-    print_header(
-        "Contention: single-lock serial (before) vs sharded batched (after)",
-        "threads",
-    );
+    print_header("Contention: one lock shard vs sharded", "threads");
     for backend in [BackendKind::Hdd, BackendKind::Memory] {
         let config = Config {
             mode: ExecutionMode::Sgx,
@@ -539,7 +489,7 @@ pub fn contention(scale: Scale) -> Vec<DataPoint> {
             BackendKind::Memory => (scale.ops(), scale.records()),
         };
         for &threads in &[1usize, 2, 4, 8] {
-            let before = run_workload_with(
+            let single = run_workload_with(
                 config,
                 drives,
                 replication,
@@ -550,12 +500,11 @@ pub fn contention(scale: Scale) -> Vec<DataPoint> {
                 true,
                 |c| {
                     c.lock_shards = 1;
-                    c.serial_replication = true;
                     c.syscall_threads = 16;
                 },
                 |_, _| {},
             );
-            let after = run_workload_with(
+            let sharded = run_workload_with(
                 config,
                 drives,
                 replication,
@@ -569,7 +518,7 @@ pub fn contention(scale: Scale) -> Vec<DataPoint> {
                 },
                 |_, _| {},
             );
-            for (label, summary) in [("before", &before), ("after", &after)] {
+            for (label, summary) in [("single-lock", &single), ("sharded", &sharded)] {
                 let point = DataPoint {
                     config: format!("{label} ({})", config.label()),
                     x: threads as f64,
@@ -581,8 +530,8 @@ pub fn contention(scale: Scale) -> Vec<DataPoint> {
             }
             print_delta(
                 &format!("{} {threads} threads", config.label()),
-                &before,
-                &after,
+                &single,
+                &sharded,
             );
         }
     }

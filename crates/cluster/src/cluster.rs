@@ -2078,9 +2078,11 @@ impl ControllerCluster {
     /// mid-drain fault re-drives only the groups the fault actually
     /// interrupted — a settled group's keys are gone from the source, so
     /// the fresh listing simply no longer produces work for it. The memo
-    /// never overrides the listing: `delete_object` tolerates individual
-    /// replica-delete failures, so a "cleanly pulled" key can still leave
-    /// a drive-resident source copy that read-throughs resurrect, and the
+    /// never overrides the listing: `delete_object` reports a faulting
+    /// replica (the pull then fails and parks the key as pending-delete),
+    /// but a replica that was *offline* for the delete keeps its copy
+    /// unnoticed, so a "cleanly pulled" key can still leave a
+    /// drive-resident source copy that read-throughs resurrect, and the
     /// drive-authoritative listing is the only witness. Every listed key
     /// is therefore pulled regardless of the memo, and memo entries the
     /// listing contradicts are evicted. Settled groups the listing
@@ -2145,7 +2147,7 @@ impl ControllerCluster {
         }
         // Cross-check the settled-group memo against the listing. A memo
         // entry whose group still surfaces in the listing is optimistic —
-        // a tolerated replica-delete failure left a drive-resident copy —
+        // a replica the delete never reached kept a drive-resident copy —
         // so evict it and let the pull below finish the job. The entries
         // the listing confirms are the drain's checkpoint payoff: groups a
         // retry does not have to re-drive.

@@ -41,10 +41,6 @@ pub struct ControllerConfig {
     /// object cache splits its byte budget across shards, so the largest
     /// cacheable object is `object_cache_bytes / lock_shards`.
     pub lock_shards: usize,
-    /// Write replicas one after another through the blocking syscall path
-    /// instead of as one scatter-gather batch. Only useful as the "before"
-    /// configuration in benchmarks and equivalence tests.
-    pub serial_replication: bool,
     /// Record per-operation latency histograms and hot-key counters
     /// (atomics only — no locks on the request path). On by default;
     /// benchmarks flip it off to measure the recording overhead.
@@ -69,7 +65,6 @@ impl Default for ControllerConfig {
             syscall_threads: 4,
             session_expiry_secs: 600,
             lock_shards: 16,
-            serial_replication: false,
             telemetry: true,
         }
     }
@@ -182,7 +177,6 @@ mod tests {
     fn sharding_defaults() {
         let c = ControllerConfig::default();
         assert!(c.lock_shards >= 1);
-        assert!(!c.serial_replication);
         assert!(c.telemetry);
     }
 }

@@ -51,6 +51,9 @@ type ShardedTxOutcomes = crate::sharded::ShardedFifoMap<TxOutcome>;
 struct PreparedWrite {
     key_hash: u64,
     content_hash: pesos_crypto::Digest,
+    /// The prepare phase's metadata lookup found no record on the drives,
+    /// so the commit's put need not ask them again.
+    known_absent: bool,
 }
 
 /// A transaction that passed validation with all of its locks held — the
@@ -353,8 +356,12 @@ impl PesosController {
 
         // One key hash and one content hash for the whole request: both are
         // reused by the policy check and then handed down into the store.
+        // One metadata lookup too: a drive fault fails the request here
+        // (it is never read as "no object yet"), and an authoritative
+        // "absent" travels down to the store so a create does not ask the
+        // drives again under the key lock.
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup_metadata(&key)?;
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
@@ -378,8 +385,14 @@ impl PesosController {
         // the same expected_version) cannot both land — one gets a
         // VersionConflict instead of a blind overwrite.
         let cas = Self::cas_version(&applied, expected_version, next_version);
-        self.store
-            .put_object_full(key, &value, policy_id, cas, Some(new_hash))
+        self.store.put_object_full(
+            key,
+            &value,
+            policy_id,
+            cas,
+            Some(new_hash),
+            current.is_none(),
+        )
     }
 
     /// Stores an object asynchronously; returns the operation identifier the
@@ -402,7 +415,8 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.async_accepted);
 
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup_metadata(&key)?;
+        let known_absent = current.is_none();
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
@@ -429,7 +443,14 @@ impl PesosController {
         let key = key.key().to_string();
         self.scheduler.spawn(move || {
             let key = HashedKey::from_parts(&key, key_hash);
-            let outcome = match store.put_object_full(key, &value, policy_id, cas, Some(new_hash)) {
+            let outcome = match store.put_object_full(
+                key,
+                &value,
+                policy_id,
+                cas,
+                Some(new_hash),
+                known_absent,
+            ) {
                 Ok(version) => AsyncResult::Completed {
                     version: Some(version),
                 },
@@ -678,8 +699,10 @@ impl PesosController {
             .collect();
         let read_keys: Vec<HashedKey<'_>> =
             prepared.reads().iter().map(|k| HashedKey::new(k)).collect();
+        let mut known_absent = Vec::with_capacity(write_keys.len());
         for (key, hash) in write_keys.iter().zip(&write_hashes) {
-            let current = store.get_metadata(key);
+            let current = store.lookup_metadata(key)?;
+            known_absent.push(current.is_none());
             let next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
             self.check_policy(
                 Operation::Update,
@@ -711,9 +734,11 @@ impl PesosController {
         let write_plan = write_keys
             .iter()
             .zip(&write_hashes)
-            .map(|(key, hash)| PreparedWrite {
+            .zip(known_absent)
+            .map(|((key, hash), known_absent)| PreparedWrite {
                 key_hash: key.hash(),
                 content_hash: *hash,
+                known_absent,
             })
             .collect();
         Ok((read_values, write_plan))
@@ -745,6 +770,7 @@ impl PesosController {
                 None,
                 None,
                 Some(plan.content_hash),
+                plan.known_absent,
             ) {
                 Ok(v) => v,
                 Err(e) => {
@@ -1073,6 +1099,53 @@ mod tests {
         assert_eq!(version, 0);
         c.delete("alice", "greeting", &[]).unwrap();
         assert!(c.get("alice", "greeting", &[]).is_err());
+    }
+
+    #[test]
+    fn a_create_on_a_cold_controller_reads_the_drives_once() {
+        // One drive, so one raced metadata read is one drive GET. The
+        // request's lookup asks the drives; the store's re-validation under
+        // the key lock must not ask again.
+        let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
+        let client = c.register_client("alice");
+        let ops = || {
+            let stats = c.store().drives().get(0).unwrap().info().stats;
+            (stats.gets, stats.puts)
+        };
+        let before = ops();
+        assert_eq!(
+            c.put(&client, "fresh", b"v0".to_vec(), None, None, &[])
+                .unwrap(),
+            0
+        );
+        assert_eq!(
+            ops(),
+            (before.0 + 1, before.1 + 1),
+            "create: 1 read, 1 batch"
+        );
+        // An update is served from the in-enclave map: no read at all.
+        let before = ops();
+        assert_eq!(
+            c.put(&client, "fresh", b"v1".to_vec(), None, None, &[])
+                .unwrap(),
+            1
+        );
+        assert_eq!(ops(), (before.0, before.1 + 1), "update: 1 batch");
+        // The asynchronous and transactional creates thread the same
+        // lookup down.
+        let before = ops();
+        let op = c
+            .put_async(&client, "fresh-async", b"v".to_vec(), None, None, &[])
+            .unwrap();
+        c.drain_async();
+        assert!(matches!(
+            c.poll_result(&client, op),
+            Some(AsyncResult::Completed { version: Some(0) })
+        ));
+        let tx = c.create_tx(&client).unwrap();
+        c.add_write(&client, tx, "fresh-tx", b"v".to_vec()).unwrap();
+        c.commit_tx(&client, tx).unwrap();
+        assert_eq!(ops(), (before.0 + 2, before.1 + 2));
     }
 
     #[test]

@@ -53,14 +53,20 @@ impl ObjectMetadata {
         }
     }
 
-    /// Records a new version, trimming history beyond the retention bound.
-    pub fn record_version(&mut self, meta: VersionMeta) {
-        self.latest_version = meta.version;
-        self.versions.push(meta);
-        if self.versions.len() > MAX_VERSION_HISTORY {
-            let excess = self.versions.len() - MAX_VERSION_HISTORY;
-            self.versions.drain(0..excess);
+    /// Records a version, filing it in version order (replicated applies
+    /// can arrive out of order), and returns the versions trimmed beyond
+    /// the retention bound, oldest first. A trimmed version's data object
+    /// is unreferenced from here on; the store deletes it in the same batch
+    /// that persists this record.
+    pub fn record_version(&mut self, meta: VersionMeta) -> Vec<u64> {
+        let at = self.versions.partition_point(|v| v.version < meta.version);
+        self.versions.insert(at, meta);
+        let excess = self.versions.len().saturating_sub(MAX_VERSION_HISTORY);
+        let trimmed = self.versions.drain(..excess).map(|v| v.version).collect();
+        if let Some(latest) = self.versions.last() {
+            self.latest_version = latest.version;
         }
+        trimmed
     }
 
     /// Looks up the facts for a specific version.
@@ -296,6 +302,29 @@ mod tests {
     fn history_is_bounded() {
         let mut m = ObjectMetadata::new("k");
         for v in 0..(MAX_VERSION_HISTORY as u64 + 50) {
+            let trimmed = m.record_version(VersionMeta {
+                version: v,
+                size: v,
+                value_hash: vec![],
+                policy_hash: vec![],
+            });
+            // Exactly the version that fell off the front is reported.
+            let expected: Vec<u64> = v
+                .checked_sub(MAX_VERSION_HISTORY as u64)
+                .into_iter()
+                .collect();
+            assert_eq!(trimmed, expected);
+        }
+        assert_eq!(m.versions.len(), MAX_VERSION_HISTORY);
+        assert_eq!(m.latest_version, MAX_VERSION_HISTORY as u64 + 49);
+        // The oldest entries were trimmed.
+        assert!(m.version(0).is_none());
+    }
+
+    #[test]
+    fn out_of_order_versions_are_filed_in_place() {
+        let mut m = ObjectMetadata::new("k");
+        for v in [1u64, 0, 3, 2] {
             m.record_version(VersionMeta {
                 version: v,
                 size: v,
@@ -303,10 +332,9 @@ mod tests {
                 policy_hash: vec![],
             });
         }
-        assert_eq!(m.versions.len(), MAX_VERSION_HISTORY);
-        assert_eq!(m.latest_version, MAX_VERSION_HISTORY as u64 + 49);
-        // The oldest entries were trimmed.
-        assert!(m.version(0).is_none());
+        let order: Vec<u64> = m.versions.iter().map(|v| v.version).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(m.latest_version, 3);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! without a disk round trip and supports content-based policy checks
 //! (`objSays`) with fast lookups (paper §3.1, §4.2). The cache is bounded by
 //! a byte budget chosen to stay inside the EPC and evicts approximately
-//! least-frequently-used entries.
+//! least-frequently-used entries, breaking frequency ties by key so the
+//! victim — and with it which later reads miss — is a function of the
+//! request sequence alone, not of hash-map iteration order.
 //!
 //! The byte budget is split across N independently locked LFU shards
 //! (selected with [`crate::placement::key_hash`], the same hash replica
@@ -139,7 +141,7 @@ impl ObjectCache {
             let victim = inner
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.frequency)
+                .min_by_key(|(k, e)| (e.frequency, k.as_str()))
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
@@ -229,6 +231,29 @@ mod tests {
         assert!(cache.get("hot").is_some());
         assert!(cache.stats().evictions >= 1);
         assert!(cache.stats().used_bytes <= 350);
+    }
+
+    #[test]
+    fn equal_frequency_victims_are_chosen_by_key() {
+        // Six equally cold entries fill the budget; each further insert
+        // must evict the smallest key, whatever order the map iterates in.
+        for round in 0..8 {
+            let cache = ObjectCache::new(6 * 102);
+            let mut names: Vec<String> = (0..6).map(|i| format!("k{i}")).collect();
+            // Insertion order varies per round; the victims must not.
+            names.rotate_left(round % 6);
+            for name in &names {
+                cache.put(name.as_str(), Arc::new(vec![0; 100]), 1);
+            }
+            cache.put("n0", Arc::new(vec![0; 100]), 1);
+            assert!(cache.get("k0").is_none(), "round {round}");
+            cache.put("n1", Arc::new(vec![0; 100]), 1);
+            assert!(cache.get("k1").is_none(), "round {round}");
+            for survivor in ["k2", "k3", "k4", "k5"] {
+                assert!(cache.get(survivor).is_some(), "round {round}: {survivor}");
+            }
+            assert_eq!(cache.stats().evictions, 2);
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use pesos_crypto::hmac::HmacKey;
 use crate::drive::KineticDrive;
 use crate::error::KineticError;
 use crate::protocol::{
-    AccountSpec, Command, CommandBody, Envelope, MessageType, Payload, StatusCode, VectoredEnvelope,
+    AccountSpec, BatchOp, Command, CommandBody, Envelope, MessageType, Payload, StatusCode,
+    VectoredEnvelope,
 };
 
 /// Configuration of a client session.
@@ -279,6 +280,16 @@ impl KineticClient {
         }
     }
 
+    /// Applies `ops` (at most [`crate::protocol::MAX_BATCH_OPS`]) as one
+    /// atomic batch: one authenticated frame, one drive round trip, every
+    /// sub-operation applied or none. A rejected batch reports the failing
+    /// sub-operation's status code.
+    pub fn batch(&self, ops: Vec<BatchOp>) -> Result<(), KineticError> {
+        let mut cmd = self.next_command(MessageType::Batch);
+        cmd.body.batch = ops;
+        Self::check_success(self.exchange(cmd)?).map(|_| ())
+    }
+
     /// Returns up to `max` keys in `[start, end]`.
     ///
     /// `max == 0` means "no results" and yields an empty listing — the
@@ -439,6 +450,53 @@ mod tests {
                 code: StatusCode::VersionMismatch,
                 ..
             }
+        ));
+    }
+
+    #[test]
+    fn batch_lands_entirely_or_not_at_all() {
+        let (drive, client) = connected();
+        client
+            .batch(vec![
+                BatchOp::put_forced(b"o/k/0".to_vec(), b"data".to_vec(), b"v"),
+                BatchOp::put_forced(b"m/k".to_vec(), b"meta".to_vec(), b"v"),
+            ])
+            .unwrap();
+        assert_eq!(client.get(b"o/k/0").unwrap().0, b"data");
+        assert_eq!(client.get(b"m/k").unwrap().0, b"meta");
+        // A failing precondition in the last sub-operation rejects the
+        // whole batch with that sub-operation's status.
+        let err = client
+            .batch(vec![
+                BatchOp::delete_forced(b"o/k/0".to_vec()),
+                BatchOp::Put {
+                    key: b"m/k".to_vec(),
+                    value: b"meta2".into(),
+                    db_version: b"stale".to_vec(),
+                    new_version: b"v2".to_vec(),
+                    force: false,
+                },
+            ])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            KineticError::Rejected {
+                code: StatusCode::VersionMismatch,
+                ..
+            }
+        ));
+        assert_eq!(drive.key_count(), 2);
+        assert_eq!(client.get(b"o/k/0").unwrap().0, b"data");
+        // Over the cap: typed InvalidRequest, enforced by the drive.
+        let many: Vec<BatchOp> = (0..=crate::protocol::MAX_BATCH_OPS)
+            .map(|i| BatchOp::delete_forced(vec![i as u8]))
+            .collect();
+        assert!(matches!(
+            client.batch(many),
+            Err(KineticError::Rejected {
+                code: StatusCode::InvalidRequest,
+                ..
+            })
         ));
     }
 

@@ -21,7 +21,8 @@ use crate::engine::{DriveEngine, EngineStats, StoredEntry};
 use crate::error::KineticError;
 use crate::fault::{FaultCounts, FaultDecision, FaultInjector, FaultPlan};
 use crate::protocol::{
-    AccountSpec, Command, Envelope, MessageType, ResponseStatus, StatusCode, VectoredEnvelope,
+    AccountSpec, BatchOp, Command, Envelope, MessageType, ResponseStatus, StatusCode,
+    VectoredEnvelope, MAX_BATCH_OPS,
 };
 
 /// Permission bits for drive operations.
@@ -555,6 +556,7 @@ impl KineticDrive {
             MessageType::Put => self.op_put(account, command),
             MessageType::Get => self.op_get(account, command),
             MessageType::Delete => self.op_delete(account, command),
+            MessageType::Batch => self.op_batch(account, command),
             MessageType::GetKeyRange => self.op_range(account, command),
             MessageType::Security => self.op_security(account, command),
             MessageType::Setup => self.op_setup(account, command),
@@ -634,6 +636,42 @@ impl KineticDrive {
         match result {
             Ok(()) => Command::response_to(command, StatusCode::Success, ""),
             Err(e) => Command::response_to(command, e.status_code(), e.to_string()),
+        }
+    }
+
+    /// An atomic batch: checked as a whole (shape, then the permission
+    /// every sub-operation needs), charged as *one* media operation — one
+    /// seek, rotation and controller overhead, transfer over the summed
+    /// sub-operation bytes, which is how the drive's LevelDB commits a
+    /// `WriteBatch` — and applied all-or-nothing under one engine lock.
+    fn op_batch(&self, account: &Account, command: &Command) -> Command {
+        let ops = &command.body.batch;
+        if ops.is_empty() || ops.len() > MAX_BATCH_OPS {
+            return Command::response_to(
+                command,
+                StatusCode::InvalidRequest,
+                format!(
+                    "batch carries {} sub-operations (allowed 1..={MAX_BATCH_OPS})",
+                    ops.len()
+                ),
+            );
+        }
+        if ops.iter().any(BatchOp::is_put) && !account.allows(Permission::Write) {
+            return Self::deny(command, "write");
+        }
+        if !ops.iter().all(BatchOp::is_put) && !account.allows(Permission::Delete) {
+            return Self::deny(command, "delete");
+        }
+        self.backend
+            .charge_io(ops.iter().map(BatchOp::io_bytes).sum());
+        let result = self.engine.lock().batch(ops);
+        match result {
+            Ok(()) => Command::response_to(command, StatusCode::Success, ""),
+            Err((index, e)) => Command::response_to(
+                command,
+                e.status_code(),
+                format!("batch sub-operation {index}: {e}"),
+            ),
         }
     }
 
@@ -1082,6 +1120,193 @@ mod tests {
             got.body.value.as_arc(),
             payload.as_arc()
         ));
+    }
+
+    fn batch_command(ops: Vec<BatchOp>) -> Command {
+        let mut cmd = Command::request(MessageType::Batch);
+        cmd.body.batch = ops;
+        cmd
+    }
+
+    #[test]
+    fn batch_executes_on_frame_and_vectored_paths_alike() {
+        // The serialized path (full two-pass HMAC over the frame bytes,
+        // batch list included) and the vectored path run the same batch
+        // handler and agree on the response.
+        let key = HmacKey::new(b"asdfasdf");
+        let ops = |tag: &str| {
+            vec![
+                BatchOp::put_forced(format!("o/{tag}").into_bytes(), b"data".to_vec(), b"1"),
+                BatchOp::put_forced(format!("m/{tag}").into_bytes(), b"meta".to_vec(), b"1"),
+                BatchOp::delete_forced(b"o/absent".to_vec()),
+            ]
+        };
+        let d = drive();
+        let via_frame = roundtrip(&d, &batch_command(ops("frame")));
+        let via_env = d
+            .handle_envelope(&Envelope::seal_vectored(1, &key, batch_command(ops("env"))))
+            .into_command();
+        assert_eq!(via_frame.status.code, StatusCode::Success);
+        assert_eq!(via_env.status, via_frame.status);
+        for tag in ["frame", "env"] {
+            assert_eq!(
+                d.peek(format!("o/{tag}").as_bytes()).unwrap().value,
+                b"data"
+            );
+            assert_eq!(
+                d.peek(format!("m/{tag}").as_bytes()).unwrap().value,
+                b"meta"
+            );
+        }
+        // A tampered batch frame fails authentication before anything runs.
+        let mut frame = admin_envelope(&d, &batch_command(ops("tampered")));
+        let last = frame.len() - 1;
+        frame[last] ^= 0x1;
+        let env = Envelope::decode(&d.handle_frame(&frame)).unwrap();
+        let resp = Command::decode(&env.command_bytes).unwrap();
+        assert_eq!(resp.status.code, StatusCode::HmacFailure);
+        assert!(d.peek(b"o/tampered").is_none());
+        // Two batches served, each one media operation.
+        let stats = d.info().stats;
+        assert_eq!((stats.puts, stats.deletes, stats.batched_ops), (2, 0, 6));
+    }
+
+    #[test]
+    fn batch_is_all_or_nothing_and_reports_the_failing_sub_op() {
+        let d = drive();
+        let resp = roundtrip(
+            &d,
+            &batch_command(vec![
+                BatchOp::put_forced(b"first".to_vec(), b"v".to_vec(), b"1"),
+                BatchOp::Put {
+                    key: b"second".to_vec(),
+                    value: b"v".into(),
+                    db_version: b"not-there".to_vec(),
+                    new_version: b"1".to_vec(),
+                    force: false,
+                },
+            ]),
+        );
+        assert_eq!(resp.status.code, StatusCode::VersionMismatch);
+        assert!(resp.status.message.contains("sub-operation 1"));
+        assert_eq!(d.key_count(), 0, "sub-operation 0 must not have landed");
+    }
+
+    #[test]
+    fn batch_shape_and_permissions_enforced() {
+        let d = drive();
+        // Empty and over-cap batches are typed InvalidRequest.
+        let resp = roundtrip(&d, &batch_command(Vec::new()));
+        assert_eq!(resp.status.code, StatusCode::InvalidRequest);
+        let too_many = (0..=MAX_BATCH_OPS)
+            .map(|i| BatchOp::put_forced(vec![i as u8], b"v".to_vec(), b"1"))
+            .collect::<Vec<_>>();
+        let resp = roundtrip(&d, &batch_command(too_many.clone()));
+        assert_eq!(resp.status.code, StatusCode::InvalidRequest);
+        assert_eq!(d.key_count(), 0);
+        let resp = roundtrip(&d, &batch_command(too_many[..MAX_BATCH_OPS].to_vec()));
+        assert_eq!(resp.status.code, StatusCode::Success);
+        assert_eq!(d.key_count(), MAX_BATCH_OPS);
+
+        // A write-only identity may batch PUTs, but one DELETE in the list
+        // needs the Delete permission; a delete-only identity may not PUT.
+        let mut sec = Command::request(MessageType::Security);
+        sec.body.security_accounts = vec![
+            AccountSpec {
+                identity: 1,
+                secret: b"asdfasdf".to_vec(),
+                permissions: Permission::all(),
+            },
+            AccountSpec {
+                identity: 2,
+                secret: b"writer".to_vec(),
+                permissions: Permission::Write.bit(),
+            },
+            AccountSpec {
+                identity: 3,
+                secret: b"deleter".to_vec(),
+                permissions: Permission::Delete.bit(),
+            },
+        ];
+        assert_eq!(roundtrip(&d, &sec).status.code, StatusCode::Success);
+        let as_identity = |identity: i64, secret: &[u8], ops: Vec<BatchOp>| {
+            let frame = Envelope::seal(identity, secret, &batch_command(ops)).encode();
+            let env = Envelope::decode(&d.handle_frame(&frame)).unwrap();
+            Command::decode(&env.command_bytes).unwrap().status.code
+        };
+        let put = BatchOp::put_forced(b"w".to_vec(), b"v".to_vec(), b"1");
+        let delete = BatchOp::delete_forced(b"w".to_vec());
+        assert_eq!(
+            as_identity(2, b"writer", vec![put.clone()]),
+            StatusCode::Success
+        );
+        assert_eq!(
+            as_identity(2, b"writer", vec![put.clone(), delete.clone()]),
+            StatusCode::NotAuthorized
+        );
+        assert_eq!(
+            as_identity(3, b"deleter", vec![put, delete.clone()]),
+            StatusCode::NotAuthorized
+        );
+        assert!(d.peek(b"w").is_some());
+        assert_eq!(
+            as_identity(3, b"deleter", vec![delete]),
+            StatusCode::Success
+        );
+        assert!(d.peek(b"w").is_none());
+    }
+
+    #[test]
+    fn hdd_charges_a_batch_as_one_media_operation() {
+        let model = HddModel {
+            avg_seek: std::time::Duration::from_millis(10),
+            rpm: 7200,
+            transfer_rate: 100 * 1024 * 1024,
+            controller_overhead: std::time::Duration::ZERO,
+        };
+        let mut config = DriveConfig::hdd("kd-hdd");
+        config.hdd_model = Some(model);
+        let d = KineticDrive::new(config);
+        let op = |i: u8| BatchOp::put_forced(vec![i], vec![i; 64], b"1");
+
+        // Ten single-op batches pay ten seeks; one ten-op batch pays one.
+        let start = std::time::Instant::now();
+        for i in 0..10u8 {
+            let resp = roundtrip(&d, &batch_command(vec![op(i)]));
+            assert_eq!(resp.status.code, StatusCode::Success);
+        }
+        let separate = start.elapsed();
+        let start = std::time::Instant::now();
+        let resp = roundtrip(&d, &batch_command((10..20u8).map(op).collect()));
+        let batched = start.elapsed();
+        assert_eq!(resp.status.code, StatusCode::Success);
+        assert!(batched >= model.service_time(10 * 65));
+        assert!(
+            batched * 2 < separate,
+            "ten-op batch took {batched:?} against {separate:?} for ten one-op batches"
+        );
+        assert_eq!(d.info().stats.puts, 11);
+    }
+
+    #[test]
+    fn vectored_batch_stores_the_shared_payload_buffers() {
+        use crate::protocol::Payload;
+        let d = drive();
+        let key = HmacKey::new(b"asdfasdf");
+        let data: Payload = vec![7u8; 4096].into();
+        let meta: Payload = vec![9u8; 128].into();
+        let batch = batch_command(vec![
+            BatchOp::put_forced(b"o/k".to_vec(), data.clone(), b"1"),
+            BatchOp::put_forced(b"m/k".to_vec(), meta.clone(), b"1"),
+        ]);
+        let resp = d.handle_envelope(&Envelope::seal_vectored(1, &key, batch));
+        assert_eq!(resp.command().status.code, StatusCode::Success);
+        for (stored_key, payload) in [(b"o/k", &data), (b"m/k", &meta)] {
+            assert!(std::sync::Arc::ptr_eq(
+                d.peek(stored_key).unwrap().value.as_arc(),
+                payload.as_arc()
+            ));
+        }
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! The engine here keeps the same externally visible semantics: byte-string
 //! keys ordered lexicographically, versioned entries with compare-and-swap
 //! semantics on PUT and DELETE (unless `force` is set), inclusive range
-//! scans, and capacity accounting against the advertised drive size.
+//! scans, capacity accounting against the advertised drive size, and the
+//! atomic batch ([`DriveEngine::batch`]) — LevelDB's `WriteBatch`: an
+//! ordered list of PUTs and DELETEs that lands entirely or not at all.
 
 use std::collections::BTreeMap;
 
 use crate::error::KineticError;
-use crate::protocol::Payload;
+use crate::protocol::{BatchOp, Payload};
 
 /// A stored entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,20 +23,28 @@ pub struct StoredEntry {
 }
 
 /// Counters describing engine activity.
+///
+/// `puts`, `gets` and `deletes` count *media operations* — one per command
+/// the engine serves, which is also one actuator charge on the HDD model.
+/// A batch is one media operation however many sub-operations it carries:
+/// it counts once under `puts` if it writes anything, else once under
+/// `deletes`, and its sub-operations are tallied in `batched_ops`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Number of keys currently stored.
     pub keys: u64,
     /// Total bytes of keys and values currently stored.
     pub used_bytes: u64,
-    /// Total PUT operations served.
+    /// Total PUT operations served (including batches that write).
     pub puts: u64,
     /// Total GET operations served.
     pub gets: u64,
-    /// Total DELETE operations served.
+    /// Total DELETE operations served (including delete-only batches).
     pub deletes: u64,
     /// Total range scans served.
     pub scans: u64,
+    /// Total sub-operations carried by the batches served.
+    pub batched_ops: u64,
 }
 
 /// The versioned key-value engine.
@@ -112,7 +122,20 @@ impl DriveEngine {
         force: bool,
     ) -> Result<(), KineticError> {
         self.stats.puts += 1;
-        let value: Payload = value.into();
+        self.apply_put(key, value.into(), expected_version, new_version, force)
+            .map(|_| ())
+    }
+
+    /// The PUT itself, without the served-operation tally; returns the
+    /// entry it replaced so a batch can undo it.
+    fn apply_put(
+        &mut self,
+        key: &[u8],
+        value: Payload,
+        expected_version: &[u8],
+        new_version: Vec<u8>,
+        force: bool,
+    ) -> Result<Option<StoredEntry>, KineticError> {
         let existing = self.entries.get(key);
         if !force {
             let actual = existing.map(|e| e.version.as_slice()).unwrap_or(&[]);
@@ -134,14 +157,13 @@ impl DriveEngine {
         }
 
         self.used_bytes = projected;
-        self.entries.insert(
+        Ok(self.entries.insert(
             key.to_vec(),
             StoredEntry {
                 value,
                 version: new_version,
             },
-        );
-        Ok(())
+        ))
     }
 
     /// Retrieves the entry stored under `key`.
@@ -158,6 +180,17 @@ impl DriveEngine {
         force: bool,
     ) -> Result<(), KineticError> {
         self.stats.deletes += 1;
+        self.apply_delete(key, expected_version, force).map(|_| ())
+    }
+
+    /// The DELETE itself, without the served-operation tally; returns the
+    /// entry it removed so a batch can undo it.
+    fn apply_delete(
+        &mut self,
+        key: &[u8],
+        expected_version: &[u8],
+        force: bool,
+    ) -> Result<StoredEntry, KineticError> {
         let existing = self.entries.get(key).ok_or(KineticError::NotFound)?;
         if !force && existing.version != expected_version {
             return Err(KineticError::VersionMismatch {
@@ -165,9 +198,63 @@ impl DriveEngine {
                 actual: existing.version.clone(),
             });
         }
-        let size = Self::entry_size(key, &existing.value);
-        self.entries.remove(key);
-        self.used_bytes -= size;
+        let removed = self.entries.remove(key).ok_or(KineticError::NotFound)?;
+        self.used_bytes -= Self::entry_size(key, &removed.value);
+        Ok(removed)
+    }
+
+    /// Applies `ops` in order, all or nothing.
+    ///
+    /// Each sub-operation runs its standalone precondition (CAS unless
+    /// forced, capacity) against the state the earlier sub-operations left;
+    /// the first failure undoes every earlier one and is returned with its
+    /// index, so the engine is exactly as before the call. Callers hold the
+    /// engine exclusively (`&mut self` — the drive's engine lock), so no
+    /// reader can observe a half-applied list. A forced DELETE of a missing
+    /// key is a no-op rather than `NotFound` (see [`BatchOp`]).
+    pub fn batch(&mut self, ops: &[BatchOp]) -> Result<(), (usize, KineticError)> {
+        if ops.iter().any(BatchOp::is_put) {
+            self.stats.puts += 1;
+        } else {
+            self.stats.deletes += 1;
+        }
+        self.stats.batched_ops += ops.len() as u64;
+
+        let used_before = self.used_bytes;
+        let mut undo: Vec<(&[u8], Option<StoredEntry>)> = Vec::with_capacity(ops.len());
+        for (index, op) in ops.iter().enumerate() {
+            let replaced = match op {
+                BatchOp::Put {
+                    key,
+                    value,
+                    db_version,
+                    new_version,
+                    force,
+                } => self.apply_put(key, value.clone(), db_version, new_version.clone(), *force),
+                BatchOp::Delete {
+                    key,
+                    db_version,
+                    force,
+                } => match self.apply_delete(key, db_version, *force) {
+                    Ok(removed) => Ok(Some(removed)),
+                    Err(KineticError::NotFound) if *force => Ok(None),
+                    Err(e) => Err(e),
+                },
+            };
+            match replaced {
+                Ok(replaced) => undo.push((op.key(), replaced)),
+                Err(e) => {
+                    for (key, replaced) in undo.into_iter().rev() {
+                        match replaced {
+                            Some(entry) => self.entries.insert(key.to_vec(), entry),
+                            None => self.entries.remove(key),
+                        };
+                    }
+                    self.used_bytes = used_before;
+                    return Err((index, e));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -308,6 +395,122 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.used_bytes(), 0);
         assert_eq!(e.get(&[0]), Err(KineticError::NotFound));
+    }
+
+    fn put_op(key: &[u8], value: &[u8], db_version: &[u8], new_version: &[u8]) -> BatchOp {
+        BatchOp::Put {
+            key: key.to_vec(),
+            value: value.into(),
+            db_version: db_version.to_vec(),
+            new_version: new_version.to_vec(),
+            force: false,
+        }
+    }
+
+    #[test]
+    fn batch_applies_in_order_and_later_ops_see_earlier_ones() {
+        let mut e = engine();
+        e.put(b"old", b"x".to_vec(), b"", b"1".to_vec(), false)
+            .unwrap();
+        e.batch(&[
+            put_op(b"a", b"v1", b"", b"1"),
+            // CAS against the version the first sub-operation just stored.
+            put_op(b"a", b"v2", b"1", b"2"),
+            BatchOp::Delete {
+                key: b"old".to_vec(),
+                db_version: b"1".to_vec(),
+                force: false,
+            },
+            // Forced delete of a key that was never there: a no-op.
+            BatchOp::delete_forced(b"never".to_vec()),
+        ])
+        .unwrap();
+        assert_eq!(e.get(b"a").unwrap().value, b"v2");
+        assert_eq!(e.get(b"old"), Err(KineticError::NotFound));
+        assert_eq!(e.len(), 1);
+    }
+
+    #[test]
+    fn failing_cas_in_a_later_sub_op_leaves_earlier_ones_unapplied() {
+        let mut e = engine();
+        e.put(b"keep", b"original".to_vec(), b"", b"1".to_vec(), false)
+            .unwrap();
+        e.put(b"gone", b"doomed".to_vec(), b"", b"1".to_vec(), false)
+            .unwrap();
+        let used = e.used_bytes();
+        let err = e
+            .batch(&[
+                put_op(b"new", b"value", b"", b"1"),
+                BatchOp::put_forced(b"keep".to_vec(), b"overwritten".to_vec(), b"2"),
+                BatchOp::delete_forced(b"gone".to_vec()),
+                put_op(b"keep", b"cas", b"wrong", b"3"),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, (3, KineticError::VersionMismatch { .. })));
+        // Exactly the pre-batch state: nothing created, overwritten or
+        // deleted, and the capacity accounting restored.
+        assert_eq!(e.get(b"new"), Err(KineticError::NotFound));
+        let keep = e.get(b"keep").unwrap();
+        assert_eq!(
+            (keep.value, keep.version),
+            (b"original".into(), b"1".to_vec())
+        );
+        assert_eq!(e.get(b"gone").unwrap().value, b"doomed");
+        assert_eq!(e.used_bytes(), used);
+        // An unforced delete of a missing key still fails the batch.
+        let err = e
+            .batch(&[BatchOp::Delete {
+                key: b"missing".to_vec(),
+                db_version: Vec::new(),
+                force: false,
+            }])
+            .unwrap_err();
+        assert_eq!(err, (0, KineticError::NotFound));
+    }
+
+    #[test]
+    fn batch_capacity_accounting_is_exact() {
+        let mut e = DriveEngine::new(40);
+        e.put(b"a", vec![0u8; 10], b"", b"1".to_vec(), false)
+            .unwrap();
+        e.put(b"b", vec![0u8; 10], b"", b"1".to_vec(), false)
+            .unwrap();
+        assert_eq!(e.used_bytes(), 22);
+        // Overwrite `a` smaller and delete `b` in one batch.
+        e.batch(&[
+            BatchOp::put_forced(b"a".to_vec(), vec![0u8; 4], b"2"),
+            BatchOp::delete_forced(b"b".to_vec()),
+        ])
+        .unwrap();
+        assert_eq!(e.used_bytes(), 5);
+        // A sub-operation that would overflow fails the whole batch.
+        let err = e
+            .batch(&[
+                BatchOp::put_forced(b"c".to_vec(), vec![0u8; 20], b"1"),
+                BatchOp::put_forced(b"d".to_vec(), vec![0u8; 20], b"1"),
+            ])
+            .unwrap_err();
+        assert_eq!(err, (1, KineticError::NoSpace));
+        assert_eq!(e.used_bytes(), 5);
+        assert_eq!(e.len(), 1);
+    }
+
+    #[test]
+    fn batch_counts_as_one_media_operation() {
+        let mut e = engine();
+        e.batch(&[
+            put_op(b"a", b"v", b"", b"1"),
+            put_op(b"b", b"v", b"", b"1"),
+            BatchOp::delete_forced(b"x".to_vec()),
+        ])
+        .unwrap();
+        e.batch(&[
+            BatchOp::delete_forced(b"a".to_vec()),
+            BatchOp::delete_forced(b"b".to_vec()),
+        ])
+        .unwrap();
+        let s = e.stats();
+        assert_eq!((s.puts, s.deletes, s.batched_ops), (1, 1, 5));
     }
 
     #[test]

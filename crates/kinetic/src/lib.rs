@@ -16,9 +16,10 @@
 //!   gather chunks around a borrowed payload, sealed with one streaming
 //!   frame HMAC, so the in-process exchange moves object payloads without
 //!   copying or re-hashing them (the module docs carry the wire-format and
-//!   security argument).
+//!   security argument), plus the atomic batch ([`BatchOp`]): an ordered
+//!   PUT/DELETE list in one authenticated frame.
 //! * [`engine`] — the key-value engine inside a drive (versioned entries,
-//!   range scans, capacity accounting).
+//!   range scans, capacity accounting, all-or-nothing batches).
 //! * [`backend`] — the timing model: an in-memory *simulator* backend
 //!   (the paper's "Sim" configuration, mirroring the Java Kinetic
 //!   simulator) and an *HDD* backend that charges seek/rotational/transfer
@@ -53,6 +54,6 @@ pub use engine::{DriveEngine, EngineStats, StoredEntry};
 pub use error::KineticError;
 pub use fault::{FaultCounts, FaultDecision, FaultInjector, FaultPlan};
 pub use protocol::{
-    AccountSpec, Command, CommandBody, Envelope, MessageType, Payload, ResponseStatus, StatusCode,
-    VectoredCommand, VectoredEnvelope,
+    AccountSpec, BatchOp, Command, CommandBody, Envelope, MessageType, Payload, ResponseStatus,
+    StatusCode, VectoredCommand, VectoredEnvelope, MAX_BATCH_OPS,
 };

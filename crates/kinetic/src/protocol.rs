@@ -13,7 +13,9 @@
 //! body    := key (1) | value (2) | db_version (3) | new_version (4) | force (5)
 //!          | range_start (6) | range_end (7) | max_returned (8) | p2p_target (9)
 //!          | setup_new_cluster_version (10) | setup_erase (11) | log_type (12)
-//!          | security_accounts (13, repeated nested)
+//!          | security_accounts (13, repeated nested) | batch (14, repeated nested)
+//! batch op := kind (1) | key (2) | value (3, PUT only) | db_version (4)
+//!          | new_version (5, PUT only) | force (6)
 //! ```
 //!
 //! Only the fields the Pesos controller actually uses are modelled, but the
@@ -32,12 +34,23 @@
 //! (`key`, ranges, strings, booleans) keep presence-by-non-emptiness: for
 //! them, empty and absent genuinely mean the same thing.
 //!
+//! # Atomic batches
+//!
+//! [`MessageType::Batch`] carries an ordered list of up to
+//! [`MAX_BATCH_OPS`] PUT/DELETE sub-operations ([`BatchOp`]) in one
+//! authenticated frame — the single-frame in-process equivalent of the real
+//! protocol's `START_BATCH … END_BATCH` sequence. The drive applies the
+//! list all-or-nothing (see [`crate::engine::DriveEngine::batch`]) and
+//! answers with one response; the frame HMAC covers every sub-operation on
+//! both the vectored and the serialized path, because the list is just one
+//! more repeated body field.
+//!
 //! # Vectored frames
 //!
-//! [`Command::encode_vectored`] splits the command encoding into three
-//! chunks — everything before the payload bytes, the *borrowed* payload
-//! ([`Payload`] reference-count bump, no copy), everything after — whose
-//! concatenation is byte-identical to [`Command::encode`] (pinned by a
+//! [`Command::encode_vectored`] splits the command encoding into owned
+//! chunks interleaved with the *borrowed* payloads (the body value and
+//! every batch PUT's value: [`Payload`] reference-count bumps, no copies),
+//! whose concatenation is byte-identical to [`Command::encode`] (pinned by a
 //! property test; the legacy monolithic encoder is kept untouched precisely
 //! to serve as that oracle). [`Envelope::seal_vectored`] computes the frame
 //! HMAC in one streaming pass over the chunk sequence with the session's
@@ -106,6 +119,8 @@ pub enum MessageType {
     Flush,
     /// A response message.
     Response,
+    /// An atomic list of PUT/DELETE sub-operations ([`BatchOp`]).
+    Batch,
 }
 
 impl MessageType {
@@ -122,6 +137,7 @@ impl MessageType {
             MessageType::PeerToPeerPush => 9,
             MessageType::Flush => 10,
             MessageType::Response => 11,
+            MessageType::Batch => 12,
         }
     }
 
@@ -138,6 +154,7 @@ impl MessageType {
             9 => MessageType::PeerToPeerPush,
             10 => MessageType::Flush,
             11 => MessageType::Response,
+            12 => MessageType::Batch,
             other => {
                 return Err(KineticError::Malformed(format!(
                     "unknown message type {other}"
@@ -321,6 +338,163 @@ impl std::fmt::Debug for Payload {
     }
 }
 
+/// Most sub-operations one [`MessageType::Batch`] may carry (the limit the
+/// Kinetic simulator advertises). A constant of the protocol, enforced by
+/// the drive; callers with more work chunk at it.
+pub const MAX_BATCH_OPS: usize = 15;
+
+/// One sub-operation of an atomic [`MessageType::Batch`].
+///
+/// Preconditions are those of the standalone commands — `db_version` must
+/// equal the stored version (empty = "no entry") unless `force` is set —
+/// with one difference: a *forced* DELETE of a missing key succeeds instead
+/// of reporting `NotFound`, because inside an all-or-nothing list "remove
+/// it if it is there" must not abort the writes that ride along.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchOp {
+    /// Store `value` under `key`.
+    Put {
+        /// Object key.
+        key: Vec<u8>,
+        /// Object value (shared, never copied on the vectored path).
+        value: Payload,
+        /// Expected stored version.
+        db_version: Vec<u8>,
+        /// Version to store.
+        new_version: Vec<u8>,
+        /// Ignore the version precondition.
+        force: bool,
+    },
+    /// Remove `key`.
+    Delete {
+        /// Object key.
+        key: Vec<u8>,
+        /// Expected stored version.
+        db_version: Vec<u8>,
+        /// Ignore the version precondition (and a missing key).
+        force: bool,
+    },
+}
+
+impl BatchOp {
+    const KIND_PUT: u64 = 1;
+    const KIND_DELETE: u64 = 2;
+
+    /// An unconditional PUT storing `value` at `new_version`.
+    pub fn put_forced(key: Vec<u8>, value: impl Into<Payload>, new_version: &[u8]) -> Self {
+        BatchOp::Put {
+            key,
+            value: value.into(),
+            db_version: Vec::new(),
+            new_version: new_version.to_vec(),
+            force: true,
+        }
+    }
+
+    /// An unconditional DELETE (a missing key is fine).
+    pub fn delete_forced(key: Vec<u8>) -> Self {
+        BatchOp::Delete {
+            key,
+            db_version: Vec::new(),
+            force: true,
+        }
+    }
+
+    /// The key the sub-operation addresses.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            BatchOp::Put { key, .. } | BatchOp::Delete { key, .. } => key,
+        }
+    }
+
+    /// True for a PUT.
+    pub fn is_put(&self) -> bool {
+        matches!(self, BatchOp::Put { .. })
+    }
+
+    /// Key plus value bytes: what the sub-operation moves to or from the
+    /// media (the unit the HDD model's transfer time is charged over).
+    pub fn io_bytes(&self) -> usize {
+        match self {
+            BatchOp::Put { key, value, .. } => key.len() + value.len(),
+            BatchOp::Delete { key, .. } => key.len(),
+        }
+    }
+
+    /// Monolithic sub-message encoding (the [`Command::encode`] side).
+    fn encode(&self) -> FieldWriter {
+        let mut w = FieldWriter::new();
+        match self {
+            BatchOp::Put {
+                key,
+                value,
+                db_version,
+                new_version,
+                force,
+            } => {
+                w.uint64(1, Self::KIND_PUT)
+                    .bytes(2, key)
+                    .bytes(3, value)
+                    .bytes(4, db_version)
+                    .bytes(5, new_version);
+                if *force {
+                    w.boolean(6, true);
+                }
+            }
+            BatchOp::Delete {
+                key,
+                db_version,
+                force,
+            } => {
+                w.uint64(1, Self::KIND_DELETE)
+                    .bytes(2, key)
+                    .bytes(4, db_version);
+                if *force {
+                    w.boolean(6, true);
+                }
+            }
+        }
+        w
+    }
+
+    fn decode(data: &[u8]) -> Result<Self, KineticError> {
+        let (mut kind, mut force) = (0, false);
+        let (mut key, mut db_version, mut new_version) = (Vec::new(), Vec::new(), Vec::new());
+        let mut value = Payload::new();
+        for f in FieldReader::new(data)
+            .collect_fields()
+            .map_err(|e| KineticError::Malformed(e.to_string()))?
+        {
+            match f.number {
+                1 => kind = f.value,
+                2 => key = f.data.to_vec(),
+                3 => value = f.data.into(),
+                4 => db_version = f.data.to_vec(),
+                5 => new_version = f.data.to_vec(),
+                6 => force = f.as_bool(),
+                _ => {}
+            }
+        }
+        match kind {
+            Self::KIND_PUT => Ok(BatchOp::Put {
+                key,
+                value,
+                db_version,
+                new_version,
+                force,
+            }),
+            Self::KIND_DELETE => Ok(BatchOp::Delete {
+                key,
+                db_version,
+                force,
+            }),
+            other => Err(KineticError::Malformed(format!(
+                "unknown batch sub-operation kind {other}"
+            ))),
+        }
+    }
+}
+
 /// The body of a command; which fields are meaningful depends on the type.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommandBody {
@@ -350,6 +524,8 @@ pub struct CommandBody {
     pub log_type: String,
     /// Account definitions for `Security`.
     pub security_accounts: Vec<AccountSpec>,
+    /// Sub-operations of a `Batch`, in application order.
+    pub batch: Vec<BatchOp>,
 }
 
 /// A protocol command (request or response).
@@ -470,6 +646,9 @@ impl Command {
                 .uint64(3, account.permissions as u64);
             body.message(13, &acc);
         }
+        for op in &b.batch {
+            body.message(14, &op.encode());
+        }
 
         let mut status = FieldWriter::new();
         status.uint64(1, self.status.code.to_u64());
@@ -560,6 +739,7 @@ impl Command {
                                 }
                                 cmd.body.security_accounts.push(spec);
                             }
+                            14 => cmd.body.batch.push(BatchOp::decode(f.data)?),
                             _ => {}
                         }
                     }
@@ -591,11 +771,11 @@ impl Command {
         Ok(cmd)
     }
 
-    /// Encodes the command as scatter-gather chunks: everything before the
-    /// payload bytes, the payload itself as a *borrowed* [`Payload`]
-    /// (reference-count bump, no copy), and everything after.
+    /// Encodes the command as scatter-gather chunks: owned byte runs
+    /// interleaved with the *borrowed* payloads — the body value and every
+    /// batch PUT's value ([`Payload`] reference-count bumps, no copies).
     ///
-    /// The concatenation `head || value || tail` is byte-identical to
+    /// The concatenation of the chunks is byte-identical to
     /// [`Command::encode`] — the legacy monolithic encoder is deliberately
     /// kept as an independent implementation so the property tests can use
     /// it as the equivalence oracle. This method is written against the raw
@@ -616,39 +796,85 @@ impl Command {
         if !b.key.is_empty() {
             body_head.bytes(1, &b.key);
         }
-        // Body fields that follow the value, in field order (the same
-        // unconditional-presence rules as `encode`; see the module docs).
-        let mut body_tail = FieldWriter::new();
-        body_tail.bytes(3, &b.db_version).bytes(4, &b.new_version);
+        // Body fields between the value and the batch list, in field order
+        // (the same unconditional-presence rules as `encode`; see the
+        // module docs).
+        let mut body_mid = FieldWriter::new();
+        body_mid.bytes(3, &b.db_version).bytes(4, &b.new_version);
         if b.force {
-            body_tail.boolean(5, true);
+            body_mid.boolean(5, true);
         }
         if !b.range_start.is_empty() {
-            body_tail.bytes(6, &b.range_start);
+            body_mid.bytes(6, &b.range_start);
         }
         if !b.range_end.is_empty() {
-            body_tail.bytes(7, &b.range_end);
+            body_mid.bytes(7, &b.range_end);
         }
-        body_tail.uint64(8, b.max_returned as u64);
+        body_mid.uint64(8, b.max_returned as u64);
         if !b.p2p_target.is_empty() {
-            body_tail.string(9, &b.p2p_target);
+            body_mid.string(9, &b.p2p_target);
         }
         if let Some(v) = b.setup_new_cluster_version {
-            body_tail.uint64(10, v);
+            body_mid.uint64(10, v);
         }
         if b.setup_erase {
-            body_tail.boolean(11, true);
+            body_mid.boolean(11, true);
         }
         if !b.log_type.is_empty() {
-            body_tail.string(12, &b.log_type);
+            body_mid.string(12, &b.log_type);
         }
         for account in &b.security_accounts {
             let mut acc = FieldWriter::new();
             acc.sint64(1, account.identity)
                 .bytes(2, &account.secret)
                 .uint64(3, account.permissions as u64);
-            body_tail.message(13, &acc);
+            body_mid.message(13, &acc);
         }
+        // Each batch sub-operation as the owned bytes around its value:
+        // `before` opens with the sub-message's own tag and (arithmetically
+        // computed) length and ends with the value field's tag and length
+        // prefix, so the borrowed payload is exactly the bytes in between.
+        let batch: Vec<(Vec<u8>, Option<&Payload>, Vec<u8>)> = b
+            .batch
+            .iter()
+            .map(|op| {
+                let (mut before, mut after) = (FieldWriter::new(), FieldWriter::new());
+                let (value, force) = match op {
+                    BatchOp::Put {
+                        key,
+                        value,
+                        db_version,
+                        new_version,
+                        force,
+                    } => {
+                        before.uint64(1, BatchOp::KIND_PUT).bytes(2, key);
+                        after.bytes(4, db_version).bytes(5, new_version);
+                        (Some(value), *force)
+                    }
+                    BatchOp::Delete {
+                        key,
+                        db_version,
+                        force,
+                    } => {
+                        before.uint64(1, BatchOp::KIND_DELETE).bytes(2, key);
+                        after.bytes(4, db_version);
+                        (None, *force)
+                    }
+                };
+                if force {
+                    after.boolean(6, true);
+                }
+                let mut fields = before.finish();
+                if let Some(value) = value {
+                    length_delimited_tag(&mut fields, 3, value.len());
+                }
+                let value_len = value.map_or(0, |v| v.len());
+                let mut before = Vec::with_capacity(fields.len() + 8);
+                length_delimited_tag(&mut before, 14, fields.len() + value_len + after.len());
+                before.extend_from_slice(&fields);
+                (before, value, after.finish())
+            })
+            .collect();
 
         let mut status = FieldWriter::new();
         status.uint64(1, self.status.code.to_u64());
@@ -656,64 +882,120 @@ impl Command {
             status.string(2, &self.status.message);
         }
 
-        // The value field's own tag and length prefix sit at the end of the
-        // head chunk, so the borrowed payload slice is the entire middle
-        // chunk. The body message length covers head fields, the value
-        // field (tag + length prefix + bytes) and tail fields; it is
-        // computed arithmetically — nothing here touches the payload bytes.
+        // The body length, like each sub-message's, is computed
+        // arithmetically; nothing here touches payload bytes.
         let mut value_prefix = Vec::with_capacity(8);
         length_delimited_tag(&mut value_prefix, 2, b.value.len());
-        let body_len = body_head.len() + value_prefix.len() + b.value.len() + body_tail.len();
+        let batch_len: usize = batch
+            .iter()
+            .map(|(before, value, after)| before.len() + value.map_or(0, |v| v.len()) + after.len())
+            .sum();
+        let body_len =
+            body_head.len() + value_prefix.len() + b.value.len() + body_mid.len() + batch_len;
 
-        let mut head = Vec::with_capacity(header.len() + body_head.len() + value_prefix.len() + 16);
-        length_delimited_tag(&mut head, 1, header.len());
-        head.extend_from_slice(header.as_bytes());
-        length_delimited_tag(&mut head, 2, body_len);
-        head.extend_from_slice(body_head.as_bytes());
-        head.extend_from_slice(&value_prefix);
-
-        let mut tail = body_tail.finish();
-        let status_bytes = status.finish();
-        length_delimited_tag(&mut tail, 3, status_bytes.len());
-        tail.extend_from_slice(&status_bytes);
-
-        VectoredCommand {
-            head,
-            value: b.value.clone(),
-            tail,
+        let mut out = ChunkWriter::default();
+        length_delimited_tag(&mut out.pending, 1, header.len());
+        out.pending.extend_from_slice(header.as_bytes());
+        length_delimited_tag(&mut out.pending, 2, body_len);
+        out.pending.extend_from_slice(body_head.as_bytes());
+        out.pending.extend_from_slice(&value_prefix);
+        out.shared(&b.value);
+        out.pending.extend_from_slice(body_mid.as_bytes());
+        for (before, value, after) in &batch {
+            out.pending.extend_from_slice(before);
+            if let Some(value) = value {
+                out.shared(value);
+            }
+            out.pending.extend_from_slice(after);
         }
+        length_delimited_tag(&mut out.pending, 3, status.len());
+        out.pending.extend_from_slice(status.as_bytes());
+        VectoredCommand {
+            chunks: out.finish(),
+        }
+    }
+}
+
+/// One run of a [`VectoredCommand`]: bytes the encoder produced, or a
+/// payload it only borrowed.
+#[derive(Debug, Clone)]
+enum Chunk {
+    Owned(Vec<u8>),
+    Shared(Payload),
+}
+
+impl Chunk {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared(payload) => payload,
+        }
+    }
+}
+
+/// Accumulates owned bytes into `pending` and closes the run whenever a
+/// shared payload is spliced in.
+#[derive(Default)]
+struct ChunkWriter {
+    chunks: Vec<Chunk>,
+    pending: Vec<u8>,
+}
+
+impl ChunkWriter {
+    fn shared(&mut self, payload: &Payload) {
+        // An empty payload contributes no bytes; keeping the run open saves
+        // a chunk on every payload-free command.
+        if payload.is_empty() {
+            return;
+        }
+        if !self.pending.is_empty() {
+            self.chunks
+                .push(Chunk::Owned(std::mem::take(&mut self.pending)));
+        }
+        self.chunks.push(Chunk::Shared(payload.clone()));
+    }
+
+    fn finish(mut self) -> Vec<Chunk> {
+        if !self.pending.is_empty() {
+            self.chunks.push(Chunk::Owned(self.pending));
+        }
+        self.chunks
     }
 }
 
 /// A command encoded as scatter-gather chunks.
 ///
-/// `head || value || tail` is the exact byte sequence [`Command::encode`]
-/// produces; the `value` chunk is the shared [`Payload`] buffer, never
-/// copied. Produced by [`Command::encode_vectored`].
+/// The concatenation of the chunks is the exact byte sequence
+/// [`Command::encode`] produces; every non-empty payload (the body value,
+/// each batch PUT's value) is its own chunk holding the shared [`Payload`]
+/// buffer, never a copy. Produced by [`Command::encode_vectored`].
 #[derive(Debug, Clone)]
 pub struct VectoredCommand {
-    /// Header message, body tag and length, body fields before the value,
-    /// and the value field's tag and length prefix.
-    head: Vec<u8>,
-    /// The payload bytes (field 2 of the body), shared by reference count.
-    value: Payload,
-    /// Body fields after the value, and the status message.
-    tail: Vec<u8>,
+    chunks: Vec<Chunk>,
 }
 
 impl VectoredCommand {
     /// The chunk sequence, in frame order.
-    pub fn chunks(&self) -> [&[u8]; 3] {
-        [&self.head, &self.value, &self.tail]
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(Chunk::as_slice)
+    }
+
+    /// The borrowed payload buffers among the chunks, in frame order.
+    #[cfg(test)]
+    fn shared_payloads(&self) -> impl Iterator<Item = &Payload> {
+        self.chunks.iter().filter_map(|chunk| match chunk {
+            Chunk::Shared(payload) => Some(payload),
+            Chunk::Owned(_) => None,
+        })
     }
 
     /// Total encoded length of the command.
     pub fn encoded_len(&self) -> usize {
-        self.head.len() + self.value.len() + self.tail.len()
+        self.chunks().map(<[u8]>::len).sum()
     }
 
     /// Materializes the contiguous command encoding (one copy of every
-    /// chunk, including the payload). Only needed when command bytes must
+    /// chunk, including the payloads). Only needed when command bytes must
     /// actually leave the process; equality with [`Command::encode`] is
     /// pinned by property test.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -843,7 +1125,7 @@ impl Envelope {
 #[derive(Debug, Clone)]
 pub struct VectoredEnvelope {
     identity: i64,
-    /// HMAC-SHA256 over `head || value || tail` — the same tag the legacy
+    /// HMAC-SHA256 over the concatenated chunks — the same tag the legacy
     /// [`Envelope::seal_with`] computes over `command_bytes`.
     hmac: Digest,
     /// The inner digest of that HMAC (`sha256(ipad-block || frame bytes)`),
@@ -893,7 +1175,7 @@ impl VectoredEnvelope {
         let mut w = FieldWriter::with_capacity(self.frame.encoded_len() + 48);
         w.sint64(1, self.identity)
             .bytes(2, &self.hmac)
-            .bytes_from_parts(3, &self.frame.chunks());
+            .bytes_from_parts(3, &self.frame.chunks().collect::<Vec<_>>());
         w.finish()
     }
 }
@@ -1073,6 +1355,29 @@ mod tests {
         let mut resp = Command::response_to(&sample_command(), StatusCode::NotFound, "missing");
         resp.body.value = b"payload".into();
         shapes.push(resp);
+        let mut batch = Command::request(MessageType::Batch);
+        batch.connection_id = 9;
+        batch.body.batch = vec![
+            BatchOp::put_forced(b"o/k/1".to_vec(), vec![7u8; 300], b"pesos"),
+            BatchOp::Put {
+                key: b"m/k".to_vec(),
+                value: Payload::new(),
+                db_version: b"v1".to_vec(),
+                new_version: Vec::new(),
+                force: false,
+            },
+            BatchOp::delete_forced(b"o/k/0".to_vec()),
+            BatchOp::Delete {
+                key: Vec::new(),
+                db_version: b"v3".to_vec(),
+                force: false,
+            },
+        ];
+        shapes.push(batch.clone());
+        // A batch may ride next to a body value; both stay borrowed.
+        batch.body.value = b"body".into();
+        batch.body.batch.truncate(1);
+        shapes.push(batch);
         shapes
     }
 
@@ -1083,12 +1388,37 @@ mod tests {
             let vectored = cmd.encode_vectored();
             assert_eq!(vectored.to_bytes(), legacy, "{:?}", cmd.message_type);
             assert_eq!(vectored.encoded_len(), legacy.len());
-            // The middle chunk is the payload buffer itself, not a copy.
-            assert!(Arc::ptr_eq(
-                cmd.body.value.as_arc(),
-                vectored.value.as_arc()
-            ));
+            // Every non-empty payload travels as the buffer itself, not a
+            // copy: the body value first, then each batch PUT's value.
+            let batch_values = cmd.body.batch.iter().filter_map(|op| match op {
+                BatchOp::Put { value, .. } => Some(value),
+                BatchOp::Delete { .. } => None,
+            });
+            let expected: Vec<&Payload> = std::iter::once(&cmd.body.value)
+                .chain(batch_values)
+                .filter(|p| !p.is_empty())
+                .collect();
+            let shared: Vec<&Payload> = vectored.shared_payloads().collect();
+            assert_eq!(shared.len(), expected.len());
+            for (got, want) in shared.iter().zip(&expected) {
+                assert!(Arc::ptr_eq(got.as_arc(), want.as_arc()));
+            }
         }
+    }
+
+    #[test]
+    fn batch_command_round_trip() {
+        for cmd in command_shapes()
+            .into_iter()
+            .filter(|c| c.message_type == MessageType::Batch)
+        {
+            let decoded = Command::decode(&cmd.encode()).unwrap();
+            assert_eq!(decoded, cmd);
+        }
+        // An unknown sub-operation kind is malformed, not silently skipped.
+        let mut bogus = FieldWriter::new();
+        bogus.uint64(1, 9).bytes(2, b"k");
+        assert!(BatchOp::decode(&bogus.finish()).is_err());
     }
 
     #[test]
@@ -1143,6 +1473,7 @@ mod tests {
             MessageType::PeerToPeerPush,
             MessageType::Flush,
             MessageType::Response,
+            MessageType::Batch,
         ] {
             assert_eq!(MessageType::from_u64(t.to_u64()).unwrap(), t);
         }

@@ -93,59 +93,61 @@ proptest! {
     }
 
     #[test]
-    fn batched_and_serial_replication_leave_identical_drive_state(
+    fn replicated_mutations_leave_exactly_the_modelled_drive_state(
         ops in proptest::collection::vec((0usize..5, 0u8..3, proptest::collection::vec(any::<u8>(), 1..48)), 1..12)
     ) {
-        // Replay one random put/overwrite/delete sequence against two
-        // controllers that differ only in the replication path, then
-        // require every drive pair to hold byte-identical raw state.
-        let controller_for = |serial: bool| {
-            let mut config = ControllerConfig::native_simulator(3);
-            config.replication_factor = 2;
-            config.serial_replication = serial;
-            if serial {
-                config.lock_shards = 1;
+        // Replay one random put/overwrite/delete sequence against a
+        // replicated controller and a tiny reference model (key -> values
+        // since the last delete), then require every drive to hold exactly
+        // the modelled key set — each live key's versions and its record on
+        // its placement drives, nothing anywhere else — with replicas
+        // byte-identical and every version reading back its plaintext.
+        let mut config = ControllerConfig::native_simulator(3);
+        config.replication_factor = 2;
+        let controller = PesosController::new(config).expect("bootstrap");
+        let client = controller.register_client("replayer");
+        let mut model: std::collections::BTreeMap<String, Vec<Vec<u8>>> = Default::default();
+        for (key_index, op, value) in &ops {
+            let key = format!("obj/{key_index}");
+            if op % 3 == 2 {
+                let deleted = controller.delete(&client, &key, &[]);
+                prop_assert_eq!(deleted.is_ok(), model.remove(&key).is_some());
+            } else {
+                let versions = model.entry(key.clone()).or_default();
+                let version = controller
+                    .put(&client, &key, value.clone(), None, None, &[])
+                    .unwrap();
+                prop_assert_eq!(version, versions.len() as u64);
+                versions.push(value.clone());
             }
-            PesosController::new(config).expect("bootstrap")
-        };
-        let serial = controller_for(true);
-        let batched = controller_for(false);
-        let mut versions_written: Vec<(String, u64)> = Vec::new();
-        for c in [&serial, &batched] {
-            let client = c.register_client("replayer");
-            for (key_index, op, value) in &ops {
-                let key = format!("obj/{key_index}");
-                match op % 3 {
-                    2 => {
-                        let _ = c.delete(&client, &key, &[]);
-                    }
-                    _ => {
-                        let version = c
-                            .put(&client, &key, value.clone(), None, None, &[])
-                            .unwrap();
-                        versions_written.push((key, version));
-                    }
+        }
+
+        let store = controller.store();
+        let mut expected: Vec<std::collections::BTreeSet<Vec<u8>>> = vec![Default::default(); 3];
+        for (key, versions) in &model {
+            for drive in pesos::core::placement(key, 3, 2) {
+                expected[drive].insert(pesos::core::metadata::meta_key(key));
+                for version in 0..versions.len() as u64 {
+                    expected[drive].insert(pesos::core::metadata::data_key(key, version));
                 }
             }
         }
-        let serial_store = serial.store();
-        let batched_store = batched.store();
-        for (a, b) in serial_store.drives().iter().zip(batched_store.drives().iter()) {
-            prop_assert_eq!(a.key_count(), b.key_count(), "drive key counts diverged");
+        for (drive, expected) in store.drives().iter().zip(&expected) {
+            prop_assert_eq!(drive.key_count(), expected.len(), "stray or missing keys on {}", drive.id());
+            for raw_key in expected {
+                prop_assert!(drive.peek(raw_key).is_some(), "{} lacks {:?}", drive.id(), String::from_utf8_lossy(raw_key));
+            }
         }
-        for (key, version) in &versions_written {
-            let raw_key = pesos::core::metadata::data_key(key, *version);
-            for (a, b) in serial_store.drives().iter().zip(batched_store.drives().iter()) {
-                match (a.peek(&raw_key), b.peek(&raw_key)) {
-                    (Some(x), Some(y)) => {
-                        prop_assert_eq!(&x.value, &y.value, "replica bytes diverged for {} v{}", key, version);
-                        prop_assert_eq!(&x.version, &y.version);
-                    }
-                    (None, None) => {}
-                    other => return Err(TestCaseError::fail(format!(
-                        "presence mismatch for {key} v{version}: {other:?}"
-                    ))),
-                }
+        for (key, versions) in &model {
+            let replicas = pesos::core::placement(key, 3, 2);
+            for (version, value) in versions.iter().enumerate() {
+                let raw_key = pesos::core::metadata::data_key(key, version as u64);
+                let copies: Vec<_> = replicas
+                    .iter()
+                    .map(|&d| store.drives().get(d).unwrap().peek(&raw_key).unwrap())
+                    .collect();
+                prop_assert!(copies.windows(2).all(|w| w[0] == w[1]), "replica bytes diverged for {} v{}", key, version);
+                prop_assert_eq!(&store.get_object_version(key.as_str(), version as u64).unwrap(), value);
             }
         }
     }
