@@ -51,9 +51,9 @@ type ShardedTxOutcomes = crate::sharded::ShardedFifoMap<TxOutcome>;
 struct PreparedWrite {
     key_hash: u64,
     content_hash: pesos_crypto::Digest,
-    /// The prepare phase's metadata lookup found no record on the drives,
-    /// so the commit's put need not ask them again.
-    known_absent: bool,
+    /// Set when the prepare phase's metadata lookup found no record on the
+    /// drives, so the commit's put need not ask them again.
+    known_absent: Option<crate::store::Absent>,
 }
 
 /// A transaction that passed validation with all of its locks held — the
@@ -361,7 +361,7 @@ impl PesosController {
         // "absent" travels down to the store so a create does not ask the
         // drives again under the key lock.
         let key = key.into();
-        let current = self.store.lookup_metadata(&key)?;
+        let (current, known_absent) = self.store.lookup_for_put(&key)?;
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
@@ -385,14 +385,8 @@ impl PesosController {
         // the same expected_version) cannot both land — one gets a
         // VersionConflict instead of a blind overwrite.
         let cas = Self::cas_version(&applied, expected_version, next_version);
-        self.store.put_object_full(
-            key,
-            &value,
-            policy_id,
-            cas,
-            Some(new_hash),
-            current.is_none(),
-        )
+        self.store
+            .put_object_full(key, &value, policy_id, cas, Some(new_hash), known_absent)
     }
 
     /// Stores an object asynchronously; returns the operation identifier the
@@ -415,8 +409,7 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.async_accepted);
 
         let key = key.into();
-        let current = self.store.lookup_metadata(&key)?;
-        let known_absent = current.is_none();
+        let (current, known_absent) = self.store.lookup_for_put(&key)?;
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
@@ -701,8 +694,8 @@ impl PesosController {
             prepared.reads().iter().map(|k| HashedKey::new(k)).collect();
         let mut known_absent = Vec::with_capacity(write_keys.len());
         for (key, hash) in write_keys.iter().zip(&write_hashes) {
-            let current = store.lookup_metadata(key)?;
-            known_absent.push(current.is_none());
+            let (current, absent) = store.lookup_for_put(key)?;
+            known_absent.push(absent);
             let next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
             self.check_policy(
                 Operation::Update,

@@ -53,7 +53,7 @@
 //! controller's drives — put, replicated apply, import, delete — updates it
 //! under the key's write lock. A key the map does not hold is therefore
 //! either absent or untouched since this controller started, and only the
-//! drives can tell which: [`PesosStore::lookup_metadata`] asks them, under
+//! drives can tell which: `PesosStore::lookup_for_put` asks them, under
 //! the key lock, keeping a drive *fault* an error (it is never read as
 //! "absent"). Once a request has been told "absent", no later drive read
 //! can add anything: had the key been created since, the creator would
@@ -63,6 +63,15 @@
 //! one drive read and one batch, where it used to cost two reads and two
 //! writes. Nothing is cached to make this work: there is no negative
 //! entry to invalidate, only the map that was already authoritative.
+//!
+//! One transition does *not* pass through the map: a delete that fails
+//! forgets the key (the drives are the witness of what it left behind)
+//! while a replica may still hold the record. An "absent" answered before
+//! such a delete says nothing about the drives after it, so the answer is
+//! an `Absent` token stamped with the store's count of failed deletes,
+//! and a put whose token is older than the current count asks the drives
+//! again under the key lock. Failed deletes are rare, so the count is one
+//! store-wide number rather than per-key state.
 //!
 //! Hot shared state is lock-sharded: the metadata map and the object cache
 //! split their entries over N independently locked shards selected by the
@@ -84,6 +93,7 @@
 //! these invariants.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -178,6 +188,14 @@ impl KeyLocks {
     }
 }
 
+/// The drives' authoritative answer that a key has no record, as one
+/// request learned it from [`PesosStore::lookup_for_put`]; handing it to
+/// the put spares the second drive read (module docs, "Asking the drives
+/// about absence once"). It carries the store's failed-delete count at the
+/// time of the answer and stops being trusted once that count has moved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Absent(u64);
+
 /// The storage layer of one controller instance.
 pub struct PesosStore {
     drives: DriveSet,
@@ -188,6 +206,11 @@ pub struct PesosStore {
     metadata: ShardedMetadata,
     key_locks: KeyLocks,
     replication_factor: usize,
+    /// Deletes that reported failure so far. Such a delete forgets the key
+    /// although a replica may still hold its record, which voids every
+    /// [`Absent`] answered before it. Read and bumped under key locks only,
+    /// which order the accesses that matter (same key).
+    failed_deletes: AtomicU64,
     asyscall: Arc<AsyscallInterface>,
     enclave: Arc<Enclave>,
     /// Typed completion pools, one per kinetic result type, backing both
@@ -224,6 +247,7 @@ impl PesosStore {
             metadata: ShardedMetadata::new(options.lock_shards),
             key_locks: KeyLocks::new(options.lock_shards),
             replication_factor: options.replication_factor,
+            failed_deletes: AtomicU64::new(0),
             asyscall,
             enclave,
             batch_pool: CompletionPool::new(pool_capacity),
@@ -294,12 +318,13 @@ impl PesosStore {
     /// drive engine. The simulated enclave-boundary copy is charged here,
     /// over every payload byte and once per replica, because the cost model
     /// still pays for the bytes leaving the enclave even though the
-    /// in-process simulation elides the physical copy. `ops` must respect
-    /// [`MAX_BATCH_OPS`]; the drive rejects longer lists.
+    /// in-process simulation elides the physical copy. The list itself is
+    /// shared too: every replica's command holds the same `Arc`. `ops` must
+    /// respect [`MAX_BATCH_OPS`]; the drive rejects longer lists.
     fn replicated_batch(
         &self,
         placement_key: &HashedKey<'_>,
-        ops: &[BatchOp],
+        ops: Arc<[BatchOp]>,
     ) -> Result<(), PesosError> {
         let targets = self.targets_for(placement_key);
         if targets.is_empty() {
@@ -315,19 +340,13 @@ impl PesosStore {
         for _ in &targets {
             self.enclave.charge_boundary_copy(payload_bytes);
         }
-        let ops: Arc<[BatchOp]> = ops.into();
         let set = self.asyscall.submit_batch_pooled(
             &self.batch_pool,
             targets.iter().map(|&index| {
                 // pesos-lint: allow(panic_freedom, "drive indices come from targets_for, which is bounded by the client list")
                 let client = Arc::clone(&self.clients[index]);
-                // Each replica's copy of the list (keys copied, payloads
-                // shared) is made on the service thread that sends and then
-                // frees it; copying here, on the submitting thread, cost 8 %
-                // of peak RSS on the disk workload (allocator arenas
-                // fragment under cross-thread frees).
                 let ops = Arc::clone(&ops);
-                move || client.batch(ops.to_vec())
+                move || client.batch(ops)
             }),
         )?;
         for result in set.join()? {
@@ -396,7 +415,10 @@ impl PesosStore {
         let id = policy.id();
         let bytes = policy.to_bytes();
         let hex = id.to_hex();
-        self.replicated_batch(&HashedKey::new(&hex), &[stored(policy_key(&hex), bytes)])?;
+        self.replicated_batch(
+            &HashedKey::new(&hex),
+            [stored(policy_key(&hex), bytes)].into(),
+        )?;
         self.policy_cache.insert(policy);
         Ok(id)
     }
@@ -426,37 +448,41 @@ impl PesosStore {
     /// Returns the metadata for `key`, reading through to the drives on a
     /// cold start. Drive faults collapse into `None`; mutation paths, which
     /// must not mistake an unreachable drive for an absent record, use
-    /// [`PesosStore::lookup_metadata`].
+    /// `lookup_for_put`.
     pub fn get_metadata<'a>(&self, key: impl Into<HashedKey<'a>>) -> Option<ObjectMetadata> {
-        self.lookup_metadata(key).ok().flatten()
+        self.lookup_for_put(key).ok().and_then(|(meta, _)| meta)
     }
 
-    /// Like [`PesosStore::get_metadata`] but keeps drive faults as errors:
-    /// `Ok(None)` means the drives *answered* that no record exists — the
-    /// authoritative "absent" a request may hand to its put (module docs,
-    /// "Asking the drives about absence once").
+    /// The one metadata lookup of a write request: the record, or — when
+    /// the drives *answered* that none exists — the [`Absent`] token the
+    /// request hands to its put (exactly one of the two is `Some`). Unlike
+    /// [`PesosStore::get_metadata`] it keeps a drive fault an error.
     ///
     /// The read-through (drive read + map fill) runs under the key write
     /// lock: filling without it could insert metadata a concurrent delete
     /// or newer put has already superseded, resurrecting deleted objects
     /// or rolling versions back. The warm path (map hit) stays lock-free.
-    pub fn lookup_metadata<'a>(
+    pub(crate) fn lookup_for_put<'a>(
         &self,
         key: impl Into<HashedKey<'a>>,
-    ) -> Result<Option<ObjectMetadata>, PesosError> {
+    ) -> Result<(Option<ObjectMetadata>, Option<Absent>), PesosError> {
         let key = key.into();
         if let Some(m) = self.metadata.get(&key) {
-            return Ok(Some(m));
+            return Ok((Some(m), None));
         }
         let key_lock = self.key_locks.lock_for(&key);
         let fill_guard = key_lock.lock();
+        let asked_at = Absent(self.failed_deletes.load(Ordering::Relaxed));
         let out = self.load_metadata_checked(&key);
         drop(fill_guard);
         self.key_locks.release_if_unused(&key, &key_lock);
-        out
+        Ok(match out? {
+            Some(meta) => (Some(meta), None),
+            None => (None, Some(asked_at)),
+        })
     }
 
-    /// The read-through body of [`PesosStore::lookup_metadata`]; the caller
+    /// The read-through body of [`PesosStore::lookup_for_put`]; the caller
     /// must hold `key`'s write lock, which makes the drive read
     /// authoritative (no delete or put can run concurrently for this key).
     /// `Ok(None)` means the drives *answered* and no record exists, never
@@ -507,7 +533,7 @@ impl PesosStore {
         value: &[u8],
         policy_id: Option<PolicyId>,
     ) -> Result<u64, PesosError> {
-        self.put_object_full(key, value, policy_id, None, None, false)
+        self.put_object_full(key, value, policy_id, None, None, None)
     }
 
     /// Like [`PesosStore::put_object`] but with compare-and-swap semantics:
@@ -523,7 +549,7 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
     ) -> Result<u64, PesosError> {
-        self.put_object_full(key, value, policy_id, expected_version, None, false)
+        self.put_object_full(key, value, policy_id, expected_version, None, None)
     }
 
     /// The full put path: compare-and-swap, an optional precomputed content
@@ -538,11 +564,11 @@ impl PesosStore {
     /// it breaks `objHash` policies and permanently defeats the get-path
     /// cache revalidation for that version.
     ///
-    /// `known_absent` is equally trusted: it states that this request's
-    /// [`PesosStore::lookup_metadata`] returned `Ok(None)`. The
-    /// re-validation under the key lock then consults the in-enclave map
-    /// only — a racing creator would have filled it — instead of asking
-    /// the drives a second time (module docs).
+    /// `known_absent` is what this request's [`PesosStore::lookup_for_put`]
+    /// returned for `key`. While no delete has failed since, the
+    /// re-validation under the key lock consults the in-enclave map only —
+    /// a racing creator would have filled it — instead of asking the
+    /// drives a second time (module docs).
     pub(crate) fn put_object_full<'a>(
         &self,
         key: impl Into<HashedKey<'a>>,
@@ -550,16 +576,17 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         value_hash: Option<pesos_crypto::Digest>,
-        known_absent: bool,
+        known_absent: Option<Absent>,
     ) -> Result<u64, PesosError> {
         let key = key.into();
         let key_lock = self.key_locks.lock_for(&key);
         let _write_guard = key_lock.lock();
 
-        let current = if known_absent {
-            self.metadata.get(&key)
-        } else {
-            self.load_metadata_checked(&key)?
+        let current = match known_absent {
+            Some(Absent(asked_at)) if asked_at == self.failed_deletes.load(Ordering::Relaxed) => {
+                self.metadata.get(&key)
+            }
+            _ => self.load_metadata_checked(&key)?,
         };
         let meta = current.unwrap_or_else(|| ObjectMetadata::new(key.key()));
         let new_version = if meta.versions.is_empty() {
@@ -620,7 +647,7 @@ impl PesosStore {
                 .into_iter()
                 .map(|old| BatchOp::delete_forced(data_key(key.key(), old))),
         );
-        self.replicated_batch(key, &ops)?;
+        self.replicated_batch(key, ops.into())?;
         self.metadata.insert(key, meta.clone());
         Ok(meta)
     }
@@ -744,7 +771,9 @@ impl PesosStore {
     /// Either way the in-enclave map and cache forget the key, so the
     /// drives are the witness from here on — a retry finds the surviving
     /// record and finishes, or finds nothing and reports `ObjectNotFound`,
-    /// which callers finishing an interrupted delete treat as done.
+    /// which callers finishing an interrupted delete treat as done. A
+    /// failed delete also voids every outstanding [`Absent`]: the map no
+    /// longer vouches for this key, so puts in flight re-read the drives.
     pub fn delete_object<'a>(&self, key: impl Into<HashedKey<'a>>) -> Result<(), PesosError> {
         let key = key.into();
         let key_lock = self.key_locks.lock_for(&key);
@@ -759,13 +788,16 @@ impl PesosStore {
             .collect();
         let mut outcome = Ok(());
         for chunk in ops.chunks(MAX_BATCH_OPS) {
-            let deleted = self.replicated_batch(&key, chunk);
+            let deleted = self.replicated_batch(&key, chunk.into());
             if outcome.is_ok() {
                 outcome = deleted;
             }
         }
         self.metadata.remove(&key);
         self.object_cache.invalidate(&key);
+        if outcome.is_err() {
+            self.failed_deletes.fetch_add(1, Ordering::Relaxed);
+        }
         drop(write_guard);
         self.key_locks.release_if_unused(&key, &key_lock);
         outcome
@@ -786,7 +818,7 @@ impl PesosStore {
             .load_metadata_checked(&key)?
             .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
         meta.policy_id = Some(policy_id);
-        self.replicated_batch(&key, &[stored(meta_key(key.key()), meta.to_bytes())])?;
+        self.replicated_batch(&key, [stored(meta_key(key.key()), meta.to_bytes())].into())?;
         self.metadata.insert(&key, meta);
         Ok(())
     }
@@ -969,7 +1001,7 @@ impl PesosStore {
             )))
             .collect();
         for chunk in ops.chunks(MAX_BATCH_OPS) {
-            self.replicated_batch(&key, chunk)?;
+            self.replicated_batch(&key, chunk.into())?;
         }
         self.metadata.insert(&key, export.meta.clone());
         drop(write_guard);
@@ -1370,15 +1402,50 @@ mod tests {
         // second finds the key in the map and lands version 1 — without
         // either asking the drives a second time.
         let s = store(1, 1);
-        assert!(s.lookup_metadata("raced").unwrap().is_none());
-        assert!(s.lookup_metadata("raced").unwrap().is_none());
+        let absent = [(); 2].map(|()| s.lookup_for_put("raced").unwrap().1);
+        assert!(absent.iter().all(Option::is_some));
         assert_eq!(drive_ops(&s).1, 2, "one miss-read per lookup");
-        let put = |value: &[u8]| s.put_object_full("raced", value, None, None, None, true);
-        assert_eq!(put(b"first").unwrap(), 0);
-        assert_eq!(put(b"second").unwrap(), 1);
+        let put =
+            |value: &[u8], absent| s.put_object_full("raced", value, None, None, None, absent);
+        assert_eq!(put(b"first", absent[0]).unwrap(), 0);
+        assert_eq!(put(b"second", absent[1]).unwrap(), 1);
         assert_eq!(drive_ops(&s), (2, 2, 0), "puts must not re-read");
         assert_eq!(&**s.get_object("raced").unwrap().0, b"second");
         assert_eq!(s.get_object_version("raced", 0).unwrap(), b"first");
+    }
+
+    #[test]
+    fn a_failed_delete_voids_an_earlier_absent_answer() {
+        // A slow creator learns "absent"; meanwhile the key is created,
+        // updated, and a delete fails with the drive unreachable — the map
+        // forgets the key although the drive still holds v0 and v1. The
+        // creator's put must not trust its answer and restart at 0 over
+        // the acknowledged versions.
+        let s = store(1, 1);
+        let (_, absent) = s.lookup_for_put("k").unwrap();
+        assert!(absent.is_some());
+        assert_eq!(s.put_object("k", b"v0", None).unwrap(), 0);
+        assert_eq!(s.put_object("k", b"v1", None).unwrap(), 1);
+        s.drives().get(0).unwrap().set_online(false);
+        assert!(s.delete_object("k").is_err());
+        s.drives().get(0).unwrap().set_online(true);
+        assert_eq!(
+            s.put_object_full("k", b"v2", None, None, None, absent)
+                .unwrap(),
+            2
+        );
+        assert_eq!(s.get_object_version("k", 1).unwrap(), b"v1");
+        assert_eq!(s.get_metadata("k").unwrap().versions.len(), 3);
+        // Answers given after the failure are trusted again.
+        s.delete_object("k").unwrap();
+        let (_, absent) = s.lookup_for_put("k").unwrap();
+        let reads = drive_ops(&s).1;
+        assert_eq!(
+            s.put_object_full("k", b"again", None, None, None, absent)
+                .unwrap(),
+            0
+        );
+        assert_eq!(drive_ops(&s).1, reads, "a fresh answer spares the re-read");
     }
 
     #[test]
@@ -1388,7 +1455,7 @@ mod tests {
         // A cold controller over the same drive state: empty map.
         s.metadata.remove("present");
         s.drives().get(0).unwrap().set_online(false);
-        assert!(s.lookup_metadata("present").is_err());
+        assert!(s.lookup_for_put("present").is_err());
         assert!(s.get_metadata("present").is_none());
         // A put must fail rather than restart the version sequence.
         assert!(s.put_object("present", b"clobber", None).is_err());
@@ -1595,23 +1662,16 @@ mod tests {
 
     #[test]
     fn completion_pools_recycle_on_the_drive_path() {
-        // A cell is recycled only if the service thread has already let go
-        // of it when the waiter returns — a race the waiter usually wins,
-        // but not on a host busy running the other tests. So the claim is
-        // checked per round of 50 puts and must hold in one of them.
         let s = store(1, 1);
-        let mut last = s.completion_pool_stats();
-        let recycled = (0..20).any(|round| {
-            for i in 0..50 {
-                let key = format!("pooled/{round}/{i}");
-                s.put_object(&key, b"v", None).unwrap();
-            }
-            let now = s.completion_pool_stats();
-            let (reused, allocated) = (now.reused - last.reused, now.allocated - last.allocated);
-            last = now;
-            reused > allocated
-        });
-        assert!(recycled, "drive-path completions barely recycled: {last:?}");
+        for i in 0..50 {
+            let key = format!("pooled/{i}");
+            s.put_object(&key, b"v", None).unwrap();
+        }
+        let stats = s.completion_pool_stats();
+        assert!(
+            stats.reused > stats.allocated,
+            "drive-path completions barely recycled: {stats:?}"
+        );
     }
 
     #[test]

@@ -1124,7 +1124,7 @@ mod tests {
 
     fn batch_command(ops: Vec<BatchOp>) -> Command {
         let mut cmd = Command::request(MessageType::Batch);
-        cmd.body.batch = ops;
+        cmd.body.batch = ops.into();
         cmd
     }
 

@@ -524,8 +524,10 @@ pub struct CommandBody {
     pub log_type: String,
     /// Account definitions for `Security`.
     pub security_accounts: Vec<AccountSpec>,
-    /// Sub-operations of a `Batch`, in application order.
-    pub batch: Vec<BatchOp>,
+    /// Sub-operations of a `Batch`, in application order. Shared, not
+    /// owned: a replicated write hands the same list to every replica's
+    /// command, so fan-out costs a reference-count bump per drive.
+    pub batch: Arc<[BatchOp]>,
 }
 
 /// A protocol command (request or response).
@@ -646,7 +648,7 @@ impl Command {
                 .uint64(3, account.permissions as u64);
             body.message(13, &acc);
         }
-        for op in &b.batch {
+        for op in b.batch.iter() {
             body.message(14, &op.encode());
         }
 
@@ -673,6 +675,7 @@ impl Command {
 
         let mut cmd = Command::request(MessageType::Noop);
         let mut saw_header = false;
+        let mut batch = Vec::new();
 
         for field in fields {
             match field.number {
@@ -739,7 +742,7 @@ impl Command {
                                 }
                                 cmd.body.security_accounts.push(spec);
                             }
-                            14 => cmd.body.batch.push(BatchOp::decode(f.data)?),
+                            14 => batch.push(BatchOp::decode(f.data)?),
                             _ => {}
                         }
                     }
@@ -768,6 +771,7 @@ impl Command {
         if !saw_header {
             return Err(malformed("missing command header"));
         }
+        cmd.body.batch = batch.into();
         Ok(cmd)
     }
 
@@ -1357,7 +1361,7 @@ mod tests {
         shapes.push(resp);
         let mut batch = Command::request(MessageType::Batch);
         batch.connection_id = 9;
-        batch.body.batch = vec![
+        batch.body.batch = [
             BatchOp::put_forced(b"o/k/1".to_vec(), vec![7u8; 300], b"pesos"),
             BatchOp::Put {
                 key: b"m/k".to_vec(),
@@ -1372,11 +1376,12 @@ mod tests {
                 db_version: b"v3".to_vec(),
                 force: false,
             },
-        ];
+        ]
+        .into();
         shapes.push(batch.clone());
         // A batch may ride next to a body value; both stay borrowed.
         batch.body.value = b"body".into();
-        batch.body.batch.truncate(1);
+        batch.body.batch = batch.body.batch[..1].into();
         shapes.push(batch);
         shapes
     }

@@ -114,6 +114,7 @@ fn arbitrary_command(seed: u64) -> Command {
     } else {
         g.next() as usize % 3
     };
+    let mut batch = Vec::with_capacity(batch_ops);
     for _ in 0..batch_ops {
         let op = if g.flag() {
             BatchOp::Put {
@@ -131,8 +132,9 @@ fn arbitrary_command(seed: u64) -> Command {
                 force: g.flag(),
             }
         };
-        b.batch.push(op);
+        batch.push(op);
     }
+    b.batch = batch.into();
 
     cmd.status = ResponseStatus {
         code: CODES[(g.next() as usize) % CODES.len()],
@@ -215,7 +217,7 @@ proptest! {
             })
             .collect();
         let mut cmd = Command::request(MessageType::Batch);
-        cmd.body.batch = ops;
+        cmd.body.batch = ops.into();
         let key = HmacKey::new(b"asdfasdf");
 
         let via_bytes = KineticDrive::new(DriveConfig::simulator("kd-bytes"));

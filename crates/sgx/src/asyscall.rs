@@ -155,34 +155,49 @@ impl<T> Completion<T> {
 /// Writes a body's result into its completion cell; marks the cell
 /// abandoned if the body is dropped without running.
 struct CompletionFiller<T> {
-    state: Arc<CompletionState<T>>,
-    filled: bool,
+    /// The producer's reference to the cell; `None` once delivered.
+    state: Option<Arc<CompletionState<T>>>,
 }
 
 impl<T> CompletionFiller<T> {
+    fn new(state: &Arc<CompletionState<T>>) -> Self {
+        CompletionFiller {
+            state: Some(Arc::clone(state)),
+        }
+    }
+
     fn fill(mut self, value: T) {
+        self.deliver(|cell| cell.value = Some(value));
+    }
+
+    /// Records the outcome and wakes the waiter, exactly once.
+    ///
+    /// The producer's reference is dropped *before* the batch hears of the
+    /// completion: a pool recycles a cell only when the waiter finds itself
+    /// the last holder, and a batch waiter cannot wake before
+    /// `notify_batch`, so on the scatter-gather path every delivered cell
+    /// is recycled rather than whenever the waiter loses the race against
+    /// this thread's release. (A single-call waiter sleeps on the cell's
+    /// own condvar, which cannot be signalled without holding the cell;
+    /// there the race, and the occasional discarded cell, remains.)
+    fn deliver(&mut self, record: impl FnOnce(&mut CompletionCell<T>)) {
+        let Some(state) = self.state.take() else {
+            return;
+        };
         let batch = {
-            let mut cell = self.state.cell.lock();
-            cell.value = Some(value);
+            let mut cell = state.cell.lock();
+            record(&mut cell);
             cell.batch.take()
         };
-        self.filled = true;
-        self.state.cv.notify_all();
+        state.cv.notify_all();
+        drop(state);
         notify_batch(batch);
     }
 }
 
 impl<T> Drop for CompletionFiller<T> {
     fn drop(&mut self) {
-        if !self.filled {
-            let batch = {
-                let mut cell = self.state.cell.lock();
-                cell.abandoned = true;
-                cell.batch.take()
-            };
-            self.state.cv.notify_all();
-            notify_batch(batch);
-        }
+        self.deliver(|cell| cell.abandoned = true);
     }
 }
 
@@ -195,8 +210,9 @@ impl<T> Drop for CompletionFiller<T> {
 pub struct CompletionPoolStats {
     /// Calls served from a recycled completion cell.
     pub reused: u64,
-    /// Calls that had to allocate a fresh cell (pool empty, or the service
-    /// thread was still releasing its reference when the waiter finished).
+    /// Calls that had to allocate a fresh cell (pool empty, or — single
+    /// calls only — the service thread was still releasing its reference
+    /// when the waiter finished).
     pub allocated: u64,
 }
 
@@ -534,10 +550,7 @@ impl AsyscallInterface {
         F: FnOnce() -> T + Send + 'static,
     {
         let state = CompletionState::new(batch);
-        let mut filler = Some(CompletionFiller {
-            state: Arc::clone(&state),
-            filled: false,
-        });
+        let mut filler = Some(CompletionFiller::new(&state));
         self.enqueue(Box::new(move || {
             // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
             filler.take().expect("body run twice").fill(body());
@@ -583,10 +596,7 @@ impl AsyscallInterface {
         F: FnOnce() -> T + Send + 'static,
     {
         let state = pool.acquire();
-        let mut filler = Some(CompletionFiller {
-            state: Arc::clone(&state),
-            filled: false,
-        });
+        let mut filler = Some(CompletionFiller::new(&state));
         self.enqueue(Box::new(move || {
             // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
             filler.take().expect("body run twice").fill(body());
@@ -656,10 +666,7 @@ impl AsyscallInterface {
         for (index, body) in bodies.into_iter().enumerate() {
             let state = pool.acquire();
             state.set_batch(Arc::clone(&core), index);
-            let mut filler = Some(CompletionFiller {
-                state: Arc::clone(&state),
-                filled: false,
-            });
+            let mut filler = Some(CompletionFiller::new(&state));
             self.enqueue(Box::new(move || {
                 // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
                 filler.take().expect("body run twice").fill(body());
@@ -961,6 +968,28 @@ mod tests {
         }
         let stats = pool.stats();
         assert_eq!(stats.reused + stats.allocated, submitted);
+    }
+
+    #[test]
+    fn pooled_batches_recycle_every_delivered_cell() {
+        // Unlike a single call, a batch waiter wakes only after the
+        // producer has let go of the cell, so recycling is exact: the first
+        // round allocates one cell per body and no later round allocates.
+        let i = iface();
+        let pool: CompletionPool<usize> = CompletionPool::new(4);
+        for round in 0..50 {
+            let set = i
+                .submit_batch_pooled(&pool, (0..3).map(|k| move || round + k))
+                .unwrap();
+            assert_eq!(set.join().unwrap(), vec![round, round + 1, round + 2]);
+        }
+        assert_eq!(
+            pool.stats(),
+            CompletionPoolStats {
+                reused: 147,
+                allocated: 3
+            }
+        );
     }
 
     #[test]
