@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pesos_crypto::sha256::sha256_scalar;
 use pesos_crypto::{sha256, AeadKey, HmacKey, HmacSha256, Sha256};
 use pesos_kinetic::{Command, Envelope, MessageType};
 use pesos_policy::{compile, Operation, RequestContext, StaticObjectView};
@@ -64,12 +65,20 @@ fn seal_uncached(enc_key: &[u8; 32], mac_key: &[u8; 32], nonce: &[u8; 12], data:
 fn bench(c: &mut Criterion) {
     let payload = vec![7u8; 1024];
 
+    // 64 KiB is the size where the payload passes are the operation: the
+    // bulk compression loop and the two-lane keystream kernel run long.
+    let large = vec![7u8; 64 * 1024];
+
     c.bench_function("sha256_1kib", |b| b.iter(|| sha256(&payload)));
+    c.bench_function("sha256_64kib", |b| b.iter(|| sha256(&large)));
 
     let key = AeadKey::new(&[1u8; 32]);
     let nonce = pesos_crypto::aead::counter_nonce(1, 1);
     c.bench_function("aead_seal_1kib", |b| {
         b.iter(|| key.seal(&nonce, b"k", &payload))
+    });
+    c.bench_function("aead_seal_64kib", |b| {
+        b.iter(|| key.seal_to_bytes(&nonce, b"k", &large))
     });
 
     let hmac_key = HmacKey::new(b"session-secret-0123456789abcdef");
@@ -162,11 +171,16 @@ fn wire_frame_deltas() {
 
 /// Prints the before/after µs-per-op deltas of the digest-pipeline overhaul
 /// on a short-message MAC (the four per-exchange envelope HMACs), a 1 KiB
-/// MAC, and a 1 KiB AEAD seal.
+/// MAC and a 1 KiB AEAD seal, and of the dispatched SHA-256 backend over
+/// the scalar rounds on 64 KiB.
 ///
 /// Skipped under `--test`: CI's smoke run only proves the harness executes,
 /// and deltas timed on a loaded runner would be noise anyway.
 fn digest_pipeline_deltas() {
+    // Both backends run even in smoke mode: the dispatched digest must be
+    // the scalar oracle's.
+    let large = vec![7u8; 64 * 1024];
+    assert_eq!(sha256(&large), sha256_scalar(&large));
     if criterion::test_mode() {
         println!("\n== digest pipeline deltas skipped (--test smoke mode) ==");
         return;
@@ -209,6 +223,19 @@ fn digest_pipeline_deltas() {
         black_box(aead.seal(&nonce, b"", &payload));
     });
     delta("aead_seal_1kib", before, after);
+
+    // The portable rounds against whatever this CPU dispatched to.
+    let before = us_per_op(500, || {
+        black_box(sha256_scalar(&large));
+    });
+    let after = us_per_op(500, || {
+        black_box(sha256(&large));
+    });
+    delta(
+        &format!("sha256_64kib scalar/{}", pesos_crypto::sha256::backend()),
+        before,
+        after,
+    );
 }
 
 criterion_group!(benches, bench);

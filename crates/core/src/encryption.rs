@@ -9,7 +9,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pesos_crypto::{AeadKey, CryptoError};
+use pesos_crypto::{AeadKey, CryptoError, NONCE_LEN, TAG_LEN};
+
+/// Stream identifier of object nonces ("OBJE").
+const OBJECT_NONCE_STREAM: u32 = 0x4f42_4a45;
 
 /// Encrypts and decrypts object payloads.
 pub struct ObjectCrypter {
@@ -42,24 +45,23 @@ impl ObjectCrypter {
 
     /// Encrypts `plaintext` for storage as `object_key` at `version`.
     ///
-    /// When encryption is disabled the plaintext is passed through with a
-    /// one-byte marker so that [`ObjectCrypter::unseal`] stays symmetric.
+    /// The stored layout is `marker (1) || nonce || tag || ciphertext`,
+    /// built in one buffer: the plaintext is copied once and encrypted
+    /// where it lies. When encryption is disabled the plaintext is passed
+    /// through behind a zero marker so that [`ObjectCrypter::unseal`] stays
+    /// symmetric.
     pub fn seal(&self, object_key: &str, version: u64, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + NONCE_LEN + TAG_LEN + plaintext.len());
         if !self.enabled {
-            let mut out = Vec::with_capacity(plaintext.len() + 1);
             out.push(0u8);
             out.extend_from_slice(plaintext);
             return out;
         }
         let seq = self.counter.fetch_add(1, Ordering::Relaxed);
-        let nonce = pesos_crypto::aead::counter_nonce(0x4f424a45, seq);
-        let mut out = Vec::with_capacity(plaintext.len() + 64);
+        let nonce = pesos_crypto::aead::counter_nonce(OBJECT_NONCE_STREAM, seq);
         out.push(1u8);
-        out.extend_from_slice(&self.key.seal_to_bytes(
-            &nonce,
-            &Self::aad(object_key, version),
-            plaintext,
-        ));
+        self.key
+            .seal_into(&mut out, &nonce, &Self::aad(object_key, version), plaintext);
         out
     }
 
@@ -70,13 +72,11 @@ impl ObjectCrypter {
         version: u64,
         stored: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        match stored.first() {
-            // pesos-lint: allow(panic_freedom, "the match on stored.first() guarantees at least one byte")
-            Some(0) => Ok(stored[1..].to_vec()),
-            Some(1) => self
+        match stored.split_first() {
+            Some((0, plain)) => Ok(plain.to_vec()),
+            Some((1, sealed)) => self
                 .key
-                // pesos-lint: allow(panic_freedom, "the match on stored.first() guarantees at least one byte")
-                .open_from_bytes(&stored[1..], &Self::aad(object_key, version)),
+                .open_from_bytes(sealed, &Self::aad(object_key, version)),
             _ => Err(CryptoError::InvalidEncoding("empty stored object".into())),
         }
     }
@@ -92,6 +92,28 @@ mod tests {
         let stored = c.seal("users/alice", 3, b"profile");
         assert_ne!(&stored[1..], b"profile");
         assert_eq!(c.unseal("users/alice", 3, &stored).unwrap(), b"profile");
+    }
+
+    #[test]
+    fn stored_layout_matches_marker_plus_boxed_layout() {
+        // The layout the drives held before `seal` built it in place:
+        // marker byte, then `SealedBox::to_bytes` of the boxed seal.
+        let master = [9u8; 32];
+        let aead = AeadKey::new(&master);
+        let lengths = [0usize, 1, 31, 32, 33, 1024, 65_536];
+        let c = ObjectCrypter::new(&master, true);
+        for (seq, len) in (1u64..).zip(lengths) {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 7 + 5) as u8).collect();
+            let nonce = pesos_crypto::aead::counter_nonce(OBJECT_NONCE_STREAM, seq);
+            let mut old_layout = vec![1u8];
+            old_layout.extend(
+                aead.seal(&nonce, &ObjectCrypter::aad("users/alice", 3), &plain)
+                    .to_bytes(),
+            );
+            let stored = c.seal("users/alice", 3, &plain);
+            assert_eq!(stored, old_layout, "len {len}");
+            assert_eq!(c.unseal("users/alice", 3, &stored).unwrap(), plain);
+        }
     }
 
     #[test]

@@ -14,20 +14,28 @@
 
 use crate::error::CryptoError;
 use crate::hmac::HmacKey;
-use crate::sha256::Sha256;
+use crate::sha256::{digest_padded_block, digest_padded_block_pair};
 use crate::{ct_eq, KEY_LEN, NONCE_LEN, TAG_LEN};
+
+/// Offset of the 8 counter bytes in a keystream block, after key and nonce.
+const COUNTER_AT: usize = KEY_LEN + NONCE_LEN;
+/// Length of the message a keystream block hashes: key, nonce, counter.
+const KEYSTREAM_MSG_LEN: usize = COUNTER_AT + 8;
+/// Offset of the ciphertext in the `nonce || tag || ciphertext` layout.
+const BODY_AT: usize = NONCE_LEN + TAG_LEN;
 
 /// A symmetric AEAD key with derived encryption and MAC subkeys.
 ///
-/// Both subkeys are stored pre-scheduled: the encryption key as a [`Sha256`]
-/// midstate that has already absorbed the 32 key bytes (cloned once per
-/// nonce, then once per counter block), and the MAC key as an [`HmacKey`]
-/// whose ipad/opad compressions are done once at construction instead of
-/// once per seal/open.
+/// Both subkeys are stored pre-scheduled: the encryption key as the padded
+/// SHA-256 block every keystream block hashes, with only nonce and counter
+/// left to fill in, and the MAC key as an [`HmacKey`] whose ipad/opad
+/// compressions are done once at construction instead of once per
+/// seal/open.
 #[derive(Clone)]
 pub struct AeadKey {
-    /// SHA-256 midstate with the derived encryption key absorbed.
-    enc_mid: Sha256,
+    /// `enc_key || 0^12 || 0^8 || 0x80 || 0.. || bit length`: the one-block
+    /// SHA-256 message `key || nonce || counter`, already padded.
+    keystream_block: [u8; 64],
     /// HMAC key schedule for the derived MAC key.
     mac_key: HmacKey,
 }
@@ -55,10 +63,12 @@ impl AeadKey {
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         let enc_key = crate::hkdf::derive_key32(key, b"aead-enc");
         let mac_key = crate::hkdf::derive_key32(key, b"aead-mac");
-        let mut enc_mid = Sha256::new();
-        enc_mid.update(&enc_key);
+        let mut keystream_block = [0u8; 64];
+        keystream_block[..KEY_LEN].copy_from_slice(&enc_key);
+        keystream_block[KEYSTREAM_MSG_LEN] = 0x80;
+        keystream_block[56..].copy_from_slice(&(8 * KEYSTREAM_MSG_LEN as u64).to_be_bytes());
         AeadKey {
-            enc_mid,
+            keystream_block,
             mac_key: HmacKey::new(&mac_key),
         }
     }
@@ -89,49 +99,93 @@ impl AeadKey {
     /// Returns [`CryptoError::AuthenticationFailed`] if the tag does not
     /// verify (wrong key, modified ciphertext, or mismatched `aad`).
     pub fn open(&self, boxed: &SealedBox, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let expected = self.compute_tag(&boxed.nonce, aad, &boxed.ciphertext);
-        if !ct_eq(&expected, &boxed.tag) {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        let mut plaintext = boxed.ciphertext.clone();
-        self.apply_keystream(&boxed.nonce, &mut plaintext);
-        Ok(plaintext)
+        self.open_borrowed(
+            Sealed {
+                nonce: &boxed.nonce,
+                tag: &boxed.tag,
+                ciphertext: &boxed.ciphertext,
+            },
+            aad,
+        )
     }
 
-    /// Convenience: encrypt with a caller-supplied RNG-derived nonce and
-    /// return the wire encoding.
+    /// Encrypts `plaintext` and appends the wire encoding
+    /// `nonce || tag || ciphertext` to `out`.
+    ///
+    /// The layout is built in place — the plaintext is copied once, behind
+    /// whatever header the caller already wrote to `out`, encrypted where it
+    /// lies and MACed as a slice — and is byte-identical to
+    /// [`AeadKey::seal`] followed by [`SealedBox::to_bytes`].
+    pub fn seal_into(
+        &self,
+        out: &mut Vec<u8>,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+    ) {
+        let start = out.len();
+        out.reserve(BODY_AT + plaintext.len());
+        out.extend_from_slice(nonce);
+        out.extend_from_slice(&[0u8; TAG_LEN]);
+        out.extend_from_slice(plaintext);
+        let (header, body) = out[start..].split_at_mut(BODY_AT);
+        self.apply_keystream(nonce, body);
+        header[NONCE_LEN..].copy_from_slice(&self.compute_tag(nonce, aad, body));
+    }
+
+    /// Convenience: encrypt and return the wire encoding.
     pub fn seal_to_bytes(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        self.seal(nonce, aad, plaintext).to_bytes()
+        let mut out = Vec::new();
+        self.seal_into(&mut out, nonce, aad, plaintext);
+        out
     }
 
     /// Convenience: parse the wire encoding and decrypt.
+    ///
+    /// The tag is verified over the borrowed ciphertext; only then is the
+    /// ciphertext copied, once, into the buffer that becomes the plaintext.
     pub fn open_from_bytes(&self, data: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let boxed = SealedBox::from_bytes(data)?;
-        self.open(&boxed, aad)
+        self.open_borrowed(Sealed::parse(data)?, aad)
+    }
+
+    fn open_borrowed(&self, sealed: Sealed<'_>, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let expected = self.compute_tag(sealed.nonce, aad, sealed.ciphertext);
+        if !ct_eq(&expected, sealed.tag) {
+            return Err(CryptoError::AuthenticationFailed);
+        }
+        let mut plaintext = sealed.ciphertext.to_vec();
+        self.apply_keystream(sealed.nonce, &mut plaintext);
+        Ok(plaintext)
     }
 
     /// XORs the keystream for `nonce` into `data` in place.
     ///
-    /// Each 32-byte keystream block is `sha256(key || nonce || counter)`.
-    /// The key (32 bytes) and nonce (12 bytes) are absorbed once into a
-    /// midstate; every counter block clones the midstate and appends only
-    /// its 8 counter bytes, so the per-block cost is the single compression
-    /// the construction fundamentally requires.
+    /// Each 32-byte keystream block is `sha256(key || nonce || counter)`: a
+    /// 52-byte message, so one compression of one padded block from the
+    /// initial state. The padded block is the key's template with the nonce
+    /// written in once; per block only the 8 counter bytes change. Blocks
+    /// are produced two counters at a time so the hardware backend can
+    /// overlap the two compressions, and XORed 64 bytes at a time. The
+    /// number of compressions is exactly `ceil(len / 32)`, as it was when
+    /// every block went through `update` and `finalize`.
     fn apply_keystream(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        let mut key_nonce_mid = self.enc_mid.clone();
-        key_nonce_mid.update(nonce);
+        let mut even = self.keystream_block;
+        even[KEY_LEN..COUNTER_AT].copy_from_slice(nonce);
+        let mut odd = even;
+        let set_counter = |block: &mut [u8; 64], counter: u64| {
+            block[COUNTER_AT..KEYSTREAM_MSG_LEN].copy_from_slice(&counter.to_be_bytes());
+        };
+
         let mut counter: u64 = 0;
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let mut h = key_nonce_mid.clone();
-            h.update(&counter.to_be_bytes());
-            let block = h.finalize();
-            let take = (data.len() - offset).min(block.len());
-            for i in 0..take {
-                data[offset + i] ^= block[i];
+        for chunk in data.chunks_mut(64) {
+            set_counter(&mut even, counter);
+            if chunk.len() > 32 {
+                set_counter(&mut odd, counter + 1);
+                xor_into(chunk, &digest_padded_block_pair(&even, &odd));
+            } else {
+                xor_into(chunk, &digest_padded_block(&even));
             }
-            offset += take;
-            counter += 1;
+            counter += 2;
         }
     }
 
@@ -151,10 +205,39 @@ impl AeadKey {
     }
 }
 
+/// XORs `keystream` into `data`, which is at most as long.
+fn xor_into(data: &mut [u8], keystream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(keystream) {
+        *d ^= k;
+    }
+}
+
+/// The parts of a sealed payload, borrowed from wherever they lie.
+struct Sealed<'a> {
+    nonce: &'a [u8; NONCE_LEN],
+    tag: &'a [u8; TAG_LEN],
+    ciphertext: &'a [u8],
+}
+
+impl<'a> Sealed<'a> {
+    /// Splits the `nonce || tag || ciphertext` layout without copying.
+    fn parse(data: &'a [u8]) -> Result<Self, CryptoError> {
+        let too_short =
+            || CryptoError::InvalidEncoding(format!("sealed box too short: {} bytes", data.len()));
+        let (nonce, rest) = data.split_first_chunk().ok_or_else(too_short)?;
+        let (tag, ciphertext) = rest.split_first_chunk().ok_or_else(too_short)?;
+        Ok(Sealed {
+            nonce,
+            tag,
+            ciphertext,
+        })
+    }
+}
+
 impl SealedBox {
     /// Serializes as `nonce || tag || ciphertext`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(NONCE_LEN + TAG_LEN + self.ciphertext.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.nonce);
         out.extend_from_slice(&self.tag);
         out.extend_from_slice(&self.ciphertext);
@@ -163,26 +246,17 @@ impl SealedBox {
 
     /// Parses the `nonce || tag || ciphertext` layout.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CryptoError> {
-        if data.len() < NONCE_LEN + TAG_LEN {
-            return Err(CryptoError::InvalidEncoding(format!(
-                "sealed box too short: {} bytes",
-                data.len()
-            )));
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&data[..NONCE_LEN]);
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&data[NONCE_LEN..NONCE_LEN + TAG_LEN]);
+        let sealed = Sealed::parse(data)?;
         Ok(SealedBox {
-            nonce,
-            tag,
-            ciphertext: data[NONCE_LEN + TAG_LEN..].to_vec(),
+            nonce: *sealed.nonce,
+            tag: *sealed.tag,
+            ciphertext: sealed.ciphertext.to_vec(),
         })
     }
 
     /// Total serialized length in bytes.
     pub fn encoded_len(&self) -> usize {
-        NONCE_LEN + TAG_LEN + self.ciphertext.len()
+        BODY_AT + self.ciphertext.len()
     }
 }
 
@@ -205,6 +279,7 @@ pub fn counter_nonce(stream: u32, seq: u64) -> [u8; NONCE_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::Sha256;
 
     fn key() -> AeadKey {
         AeadKey::new(&[7u8; KEY_LEN])
@@ -273,36 +348,32 @@ mod tests {
         assert_ne!(a.ciphertext, b.ciphertext);
     }
 
+    /// Sizes that straddle the 32-byte keystream block, the 64-byte pair
+    /// and the single-block tail of the two-lane kernel.
+    const LENGTHS: [usize; 12] = [0, 1, 31, 32, 33, 63, 64, 65, 127, 1024, 4096 + 17, 65_536];
+
     #[test]
-    fn midstate_keystream_matches_uncached_reference() {
-        // The production path clones a key+nonce midstate per counter
-        // block; this reference recomputes sha256(key || nonce || counter)
-        // from scratch for every block, which is what the pre-midstate
-        // implementation did. Ciphertexts and tags must be byte-identical
-        // across payload sizes spanning block boundaries.
+    fn keystream_kernel_matches_uncached_reference() {
+        // The production path patches a counter into a pre-padded block and
+        // compresses two counters at a time; this reference recomputes
+        // sha256(key || nonce || counter) from scratch through the public
+        // hasher for every 32-byte block. Ciphertexts and tags must be
+        // byte-identical across payload sizes spanning block boundaries.
         let master = [7u8; KEY_LEN];
         let enc_key = crate::hkdf::derive_key32(&master, b"aead-enc");
         let mac_key = crate::hkdf::derive_key32(&master, b"aead-mac");
         let k = AeadKey::new(&master);
-        for (seq, len) in [(1u64, 0usize), (2, 1), (3, 31), (4, 32), (5, 33), (6, 1024)] {
-            let nonce = counter_nonce(9, seq);
+        for (seq, len) in LENGTHS.into_iter().enumerate() {
+            let nonce = counter_nonce(9, seq as u64);
             let plaintext: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
 
             let mut expected = plaintext.clone();
-            let mut counter: u64 = 0;
-            let mut offset = 0usize;
-            while offset < expected.len() {
+            for (counter, chunk) in expected.chunks_mut(32).enumerate() {
                 let mut h = Sha256::new();
                 h.update(&enc_key);
                 h.update(&nonce);
-                h.update(&counter.to_be_bytes());
-                let block = h.finalize();
-                let take = (expected.len() - offset).min(block.len());
-                for i in 0..take {
-                    expected[offset + i] ^= block[i];
-                }
-                offset += take;
-                counter += 1;
+                h.update(&(counter as u64).to_be_bytes());
+                xor_into(chunk, &h.finalize());
             }
 
             let sealed = k.seal(&nonce, b"aad", &plaintext);
@@ -317,6 +388,25 @@ mod tests {
             mac.update(&(expected.len() as u64).to_be_bytes());
             let full = mac.finalize();
             assert_eq!(sealed.tag[..], full[..TAG_LEN], "len {len}");
+        }
+    }
+
+    #[test]
+    fn in_place_layout_matches_boxed_layout() {
+        // `seal_into` builds `nonce || tag || ciphertext` in one buffer
+        // behind the caller's header; the boxed path assembles the same
+        // bytes from three owned parts. Both must open to the plaintext.
+        let k = key();
+        for (seq, len) in LENGTHS.into_iter().enumerate() {
+            let nonce = counter_nonce(4, seq as u64);
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+            let boxed = k.seal(&nonce, b"name", &plaintext).to_bytes();
+            let mut in_place = vec![0xee];
+            k.seal_into(&mut in_place, &nonce, b"name", &plaintext);
+            assert_eq!(in_place[0], 0xee, "len {len}");
+            assert_eq!(in_place[1..], boxed[..], "len {len}");
+            assert_eq!(k.seal_to_bytes(&nonce, b"name", &plaintext), boxed);
+            assert_eq!(k.open_from_bytes(&boxed, b"name").unwrap(), plaintext);
         }
     }
 

@@ -4,7 +4,11 @@
 //! scheme in [`crate::keys`]: addition, subtraction, multiplication with a
 //! 512-bit intermediate, modular reduction, modular exponentiation and
 //! modular inverse. The implementation favours clarity over speed — signing
-//! and verification are not on the object-store fast path.
+//! and verification are not on the object-store fast path — except that
+//! reduction modulo the signature prime itself uses its pseudo-Mersenne
+//! shape: a controller bootstrap is about ten modular exponentiations, and
+//! bit-serial division under each of their ~380 multiplications made it
+//! 24 ms.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -169,9 +173,23 @@ impl U256 {
         Ordering::Equal
     }
 
-    /// Reduces a 512-bit value (eight LE limbs) modulo `m` using binary long
-    /// division.
+    /// Reduces a 512-bit value (eight LE limbs) modulo `m`.
+    ///
+    /// The signature modulus [`prime_p`] — the modulus of every `mul_mod`
+    /// inside a signing or verifying `pow_mod` — takes the pseudo-Mersenne
+    /// fold; any other modulus takes binary long division.
     pub fn reduce_wide(wide: &[u64; 8], m: &U256) -> U256 {
+        if *m == PRIME_P {
+            reduce_wide_prime_p(wide)
+        } else {
+            U256::reduce_wide_bitwise(wide, m)
+        }
+    }
+
+    /// Reduces a 512-bit value modulo any non-zero `m` by binary long division:
+    /// 512 shift-and-subtract steps. The general path, and the oracle the
+    /// [`prime_p`] fold is tested against.
+    fn reduce_wide_bitwise(wide: &[u64; 8], m: &U256) -> U256 {
         assert!(!m.is_zero(), "modulus must be non-zero");
         // Find the highest set bit of the 512-bit value.
         let mut high_bit: Option<u32> = None;
@@ -297,14 +315,49 @@ impl U256 {
     }
 }
 
+/// `2^256 - PRIME_P`: what `2^256` is congruent to modulo [`prime_p`].
+const PRIME_P_FOLD: u64 = 189;
+
+const PRIME_P: U256 = U256 {
+    limbs: [u64::MAX - (PRIME_P_FOLD - 1), u64::MAX, u64::MAX, u64::MAX],
+};
+
+/// `lo + hi * 189` as four limbs and the carry out of them.
+fn fold_prime_p(lo: &[u64; 4], hi: &[u64; 4]) -> ([u64; 4], u64) {
+    let mut out = [0u64; 4];
+    let mut carry: u128 = 0;
+    for i in 0..4 {
+        let cur = lo[i] as u128 + hi[i] as u128 * PRIME_P_FOLD as u128 + carry;
+        out[i] = cur as u64;
+        carry = cur >> 64;
+    }
+    (out, carry as u64)
+}
+
+/// Reduces a 512-bit value modulo `p = 2^256 - 189`.
+///
+/// `hi * 2^256 + lo` is congruent to `hi * 189 + lo`, which fits 256 bits
+/// plus a carry limb of at most 189; folding that limb the same way leaves
+/// a value below `2^256 + 189^2` — 256 bits and a carry of at most one,
+/// and in either case less than `2p` — so one conditional subtraction
+/// (wrapping when the carry is set, exactly as in `add_mod`) finishes.
+fn reduce_wide_prime_p(wide: &[u64; 8]) -> U256 {
+    let lo = [wide[0], wide[1], wide[2], wide[3]];
+    let hi = [wide[4], wide[5], wide[6], wide[7]];
+    let (folded, top) = fold_prime_p(&lo, &hi);
+    let (folded, carry) = fold_prime_p(&folded, &[top, 0, 0, 0]);
+    let folded = U256 { limbs: folded };
+    if carry != 0 || folded.cmp_u256(&PRIME_P) != Ordering::Less {
+        folded.overflowing_sub(PRIME_P).0
+    } else {
+        folded
+    }
+}
+
 /// The 256-bit prime modulus used by the signature scheme: `2^256 - 189`,
 /// the largest prime below `2^256`.
 pub fn prime_p() -> U256 {
-    let (p, _) = U256 {
-        limbs: [u64::MAX, u64::MAX, u64::MAX, u64::MAX],
-    }
-    .overflowing_sub(U256::from_u64(188));
-    p
+    PRIME_P
 }
 
 /// The exponent group order used by the signature scheme, `p - 1`.
@@ -387,6 +440,50 @@ mod tests {
         let p_minus_1 = group_order();
         for a in [2u64, 3, 65537, 1_000_003] {
             assert_eq!(U256::from_u64(a).pow_mod(&p_minus_1, &p), U256::ONE);
+        }
+    }
+
+    #[test]
+    fn prime_p_fold_matches_long_division() {
+        use rand::{Rng, SeedableRng};
+        let p = prime_p();
+        let check = |wide: [u64; 8]| {
+            let folded = U256::reduce_wide(&wide, &p);
+            assert_eq!(folded, U256::reduce_wide_bitwise(&wide, &p), "{wide:x?}");
+            assert_eq!(folded.cmp_u256(&p), Ordering::Less);
+        };
+
+        // Edge values around the modulus, in the low half, the high half
+        // and both; all-ones exercises the carry out of the second fold.
+        let widen = |lo: U256, hi: U256| -> [u64; 8] {
+            let mut wide = [0u64; 8];
+            wide[..4].copy_from_slice(&lo.limbs);
+            wide[4..].copy_from_slice(&hi.limbs);
+            wide
+        };
+        let ones = U256 {
+            limbs: [u64::MAX; 4],
+        };
+        let edges = [
+            U256::ZERO,
+            U256::ONE,
+            p.overflowing_sub(U256::ONE).0,
+            p,
+            p.overflowing_add(U256::ONE).0,
+            ones,
+        ];
+        for lo in edges {
+            for hi in edges {
+                check(widen(lo, hi));
+            }
+        }
+        // The largest product `mul_mod` can form from reduced operands.
+        let p_minus_1 = group_order();
+        check(p_minus_1.widening_mul(p_minus_1));
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(189);
+        for _ in 0..2000 {
+            check(std::array::from_fn(|_| rng.gen()));
         }
     }
 

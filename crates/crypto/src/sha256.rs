@@ -1,43 +1,49 @@
 //! SHA-256 implementation (FIPS 180-4).
 //!
 //! Used for object fingerprints (`objHash`), policy identifiers, enclave
-//! measurements, HMAC and key derivation. The implementation is a direct,
-//! dependency-free transcription of the standard and is validated against
-//! the published test vectors in the unit tests below.
+//! measurements, HMAC and key derivation. The scalar implementation is a
+//! direct, dependency-free transcription of the standard, validated against
+//! the published test vectors; on x86-64 CPUs with the SHA extensions the
+//! same function runs on `sha256rnds2` instead, chosen once at run time and
+//! held to the scalar rounds by the differential tests below (see the
+//! crate-level "Backends" section).
 //!
 //! # Midstates
 //!
 //! [`Sha256`] is `Clone`, and a clone is an exact snapshot of the chaining
 //! state plus any buffered partial block. Code that repeatedly hashes a
-//! common prefix (an HMAC pad block, an AEAD key+nonce header) absorbs the
-//! prefix once, keeps the hasher as a *midstate*, and clones it per use —
+//! common prefix (an HMAC pad block) absorbs the prefix once, keeps the hasher as a *midstate*, and clones it per use —
 //! each clone costs a 100-byte memcpy instead of re-absorbing (and for
-//! block-aligned prefixes, re-compressing) the prefix. `HmacKey` and the
-//! AEAD keystream are built on this; the digests produced through midstates
-//! are byte-identical to hashing from scratch, which the property tests
-//! assert.
+//! block-aligned prefixes, re-compressing) the prefix. `HmacKey` is built
+//! on this; the digests produced through midstates are byte-identical to
+//! hashing from scratch, which the property tests assert.
 
 /// A SHA-256 digest (32 bytes).
 pub type Digest = [u8; 32];
 
 /// Process-wide compression-function counter.
 ///
-/// Every 64-byte compression anywhere in the process increments one relaxed
-/// atomic. Tests put a hard budget on the number of SHA-256 compressions an
-/// operation is allowed to spend, so digest-count regressions (hashing the
-/// same bytes twice, redoing an HMAC key schedule) fail CI instead of
-/// silently costing microseconds — and the cluster's `/stats/digests` gauge
-/// reports the running total. One uncontended relaxed `fetch_add` per
-/// 64-byte compression is noise next to the compression itself, so the
-/// counter is always on; the legacy `count-ops` feature remains declared
-/// for compatibility but no longer gates anything.
+/// Every 64-byte compression anywhere in the process is tallied in one
+/// relaxed atomic. Tests put a hard budget on the number of SHA-256
+/// compressions an operation is allowed to spend, so digest-count
+/// regressions (hashing the same bytes twice, redoing an HMAC key schedule)
+/// fail CI instead of silently costing microseconds — and the cluster's
+/// `/stats/digests` gauge reports the running total.
+///
+/// The counter is always on and always exact, but it is bumped once per
+/// backend call by that call's block count, not once per block: with a
+/// hardware compression at ~45 ns, a `fetch_add` per block on one shared
+/// cache line is no longer noise — two clients hashing on two cores bounce
+/// the line between them and it shows up as a third of a large put's crypto
+/// time. One add per run of blocks keeps the line quiet and the total
+/// identical.
 pub mod ops {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static COMPRESSIONS: AtomicU64 = AtomicU64::new(0);
 
-    pub(super) fn record() {
-        COMPRESSIONS.fetch_add(1, Ordering::Relaxed);
+    pub(super) fn add(blocks: usize) {
+        COMPRESSIONS.fetch_add(blocks as u64, Ordering::Relaxed);
     }
 
     /// Total compressions executed since process start (or the last
@@ -62,6 +68,8 @@ const K: [u32; 64] = [
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
+
+const BLOCK_LEN: usize = 64;
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -111,26 +119,26 @@ impl Sha256 {
 
         // Fill a partially full buffer first.
         if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(input.len());
+            let take = (BLOCK_LEN - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+            if self.buffer_len == BLOCK_LEN {
+                compress_blocks(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
 
-        // Compress full blocks directly from the input slice — no staging
-        // copy through `self.buffer`.
-        let mut blocks = input.chunks_exact(64);
-        for block in &mut blocks {
-            self.compress(block.try_into().expect("chunk is 64 bytes"));
+        // Hand the whole run of full blocks to the backend in one call,
+        // straight from the input slice: the chaining state stays in
+        // registers across blocks and the counter is bumped once.
+        let full = input.len() - input.len() % BLOCK_LEN;
+        if full > 0 {
+            compress_blocks(&mut self.state, &input[..full]);
         }
 
         // Stash the remainder.
-        let rest = blocks.remainder();
+        let rest = &input[full..];
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
             self.buffer_len = rest.len();
@@ -144,25 +152,96 @@ impl Sha256 {
         // Assemble the terminator, zero padding and length entirely on the
         // stack: one block if the buffered data leaves room for the 8-byte
         // length, two otherwise.
-        let mut pad = [0u8; 128];
+        let mut pad = [0u8; 2 * BLOCK_LEN];
         pad[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
         pad[self.buffer_len] = 0x80;
-        let total = if self.buffer_len < 56 { 64 } else { 128 };
+        let total = if self.buffer_len < 56 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
         pad[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(pad[..64].try_into().expect("first padding block"));
-        if total == 128 {
-            self.compress(pad[64..].try_into().expect("second padding block"));
-        }
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        compress_blocks(&mut self.state, &pad[..total]);
+        state_to_digest(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        ops::record();
+fn state_to_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Runs the compression function over every 64-byte block of `blocks`
+/// (whose length must be a non-zero multiple of 64) on the fastest backend
+/// this CPU has, and tallies the blocks once.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(!blocks.is_empty() && blocks.len().is_multiple_of(BLOCK_LEN));
+    ops::add(blocks.len() / BLOCK_LEN);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hw) = shani::ShaNi::detect() {
+        return hw.compress(state, blocks);
+    }
+    compress_scalar(state, blocks);
+}
+
+/// Digest of a one-block message whose padding the caller already wrote:
+/// `block` is compressed once from the initial state.
+///
+/// The AEAD keystream hashes `key ‖ nonce ‖ counter` (52 bytes) per 32
+/// bytes of output; the padded block differs only in the counter, so the
+/// caller keeps it as a template instead of re-padding through
+/// [`Sha256::finalize`].
+pub(crate) fn digest_padded_block(block: &[u8; BLOCK_LEN]) -> Digest {
+    let mut state = H0;
+    compress_blocks(&mut state, block);
+    state_to_digest(&state)
+}
+
+/// [`digest_padded_block`] of `a` followed by that of `b`, as one 64-byte
+/// string. The hardware backend runs the two independent compressions
+/// interleaved in one routine, so the second can hide behind the first's
+/// instruction latency where the CPU's SHA unit is pipelined.
+pub(crate) fn digest_padded_block_pair(a: &[u8; BLOCK_LEN], b: &[u8; BLOCK_LEN]) -> [u8; 64] {
+    let [state_a, state_b] = compress_pair(&H0, a, b);
+    let mut out = [0u8; 64];
+    out[..32].copy_from_slice(&state_to_digest(&state_a));
+    out[32..].copy_from_slice(&state_to_digest(&state_b));
+    out
+}
+
+/// Compresses `a` and `b`, each from the chaining state `state`, and returns
+/// the two resulting states.
+fn compress_pair(state: &[u32; 8], a: &[u8; BLOCK_LEN], b: &[u8; BLOCK_LEN]) -> [[u32; 8]; 2] {
+    ops::add(2);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hw) = shani::ShaNi::detect() {
+        return hw.compress_pair(state, a, b);
+    }
+    let mut out = [*state; 2];
+    compress_scalar(&mut out[0], a);
+    compress_scalar(&mut out[1], b);
+    out
+}
+
+/// Name of the compression backend this process dispatches to: `"sha-ni"`
+/// or `"scalar"`. Reporting only — nothing selects a backend but the CPU.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if shani::ShaNi::detect().is_some() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// The portable compression function: a direct transcription of FIPS 180-4
+/// §6.2.2 over every 64-byte block of `blocks`. It is the only path on
+/// CPUs without SHA extensions and the oracle the hardware backend is
+/// tested against. Does not touch the [`ops`] counter.
+pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -176,7 +255,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -198,14 +277,188 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// SHA-256 on the x86 SHA extensions (`sha256rnds2` / `sha256msg1` /
+/// `sha256msg2`). All `unsafe` in this crate lives here: the two calls from
+/// [`ShaNi`]'s methods into the `#[target_feature]` kernels.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{BLOCK_LEN, K};
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Proof that this CPU has every instruction set the kernels below are
+    /// compiled for. The field is private and [`ShaNi::detect`] is the only
+    /// constructor, so holding a value is the guard for the `unsafe` calls.
+    #[derive(Clone, Copy)]
+    pub(super) struct ShaNi(());
+
+    impl ShaNi {
+        /// `Some` when the CPU advertises SHA, SSSE3 and SSE4.1. Probed once
+        /// per process; afterwards one load.
+        pub(super) fn detect() -> Option<ShaNi> {
+            static DETECTED: OnceLock<bool> = OnceLock::new();
+            DETECTED
+                .get_or_init(|| {
+                    is_x86_feature_detected!("sha")
+                        && is_x86_feature_detected!("ssse3")
+                        && is_x86_feature_detected!("sse4.1")
+                })
+                .then_some(ShaNi(()))
+        }
+
+        pub(super) fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+            // SAFETY: `self` exists only if `detect` saw the `sha`, `ssse3`
+            // and `sse4.1` features (SSE2 is baseline on x86-64), which is
+            // all `compress_blocks` requires. It reads `blocks` and `state`
+            // through the references it is given, within their lengths.
+            unsafe { compress_blocks(state, blocks) }
+        }
+
+        pub(super) fn compress_pair(
+            self,
+            state: &[u32; 8],
+            a: &[u8; BLOCK_LEN],
+            b: &[u8; BLOCK_LEN],
+        ) -> [[u32; 8]; 2] {
+            // SAFETY: as in `compress` — the features `compress_two` is
+            // compiled for were detected when `self` was made.
+            unsafe { compress_two(state, a, b) }
+        }
+    }
+
+    /// Chaining state in the register layout `sha256rnds2` works on.
+    #[derive(Clone, Copy)]
+    struct Lanes {
+        abef: __m128i,
+        cdgh: __m128i,
+    }
+
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn load_state(state: &[u32; 8]) -> Lanes {
+        let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+        Lanes {
+            abef: _mm_set_epi32(a, b, e, f),
+            cdgh: _mm_set_epi32(c, d, g, h),
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn store_state(lanes: Lanes) -> [u32; 8] {
+        let Lanes { abef, cdgh } = lanes;
+        [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ]
+    }
+
+    /// The four message-schedule vectors of one block, as big-endian words.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn load_block(block: &[u8; BLOCK_LEN]) -> [__m128i; 4] {
+        let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let mut w = [_mm_setzero_si128(); 4];
+        for (v, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
+            let le = u128::from_le_bytes(bytes.try_into().expect("chunk is 16 bytes"));
+            // Compiles to one unaligned 16-byte load.
+            *v = _mm_shuffle_epi8(_mm_set_epi64x((le >> 64) as i64, le as i64), swap);
+        }
+        w
+    }
+
+    /// Round constants `K[4i..4i + 4]`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn k4(i: usize) -> __m128i {
+        let k = &K[4 * i..4 * i + 4];
+        _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32)
+    }
+
+    /// Four rounds on one lane with schedule vector `w` (K not yet added).
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds4(lanes: &mut Lanes, w: __m128i, i: usize) {
+        let wk = _mm_add_epi32(w, k4(i));
+        lanes.cdgh = _mm_sha256rnds2_epu32(lanes.cdgh, lanes.abef, wk);
+        lanes.abef = _mm_sha256rnds2_epu32(lanes.abef, lanes.cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// Next schedule vector `W[t..t + 4]` from the previous four.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn schedule(w: &[__m128i; 4]) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w[0], w[1]);
+        let w_minus_7 = _mm_alignr_epi8::<4>(w[3], w[2]);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_minus_7), w[3])
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        let mut lanes = load_state(state);
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            let block: &[u8; BLOCK_LEN] = block.try_into().expect("chunk is one block");
+            let saved = lanes;
+            let mut w = load_block(block);
+            for i in 0..16 {
+                if i >= 4 {
+                    let next = schedule(&w);
+                    w = [w[1], w[2], w[3], next];
+                }
+                rounds4(&mut lanes, w[i.min(3)], i);
+            }
+            lanes.abef = _mm_add_epi32(lanes.abef, saved.abef);
+            lanes.cdgh = _mm_add_epi32(lanes.cdgh, saved.cdgh);
+        }
+        *state = store_state(lanes);
+    }
+
+    /// One compression of `a` and one of `b`, both from `state`, in one
+    /// routine: each lane is a serial chain of 32 `sha256rnds2`, the two
+    /// chains are independent, and four rounds of one alternate with four
+    /// of the other so a pipelined SHA unit can overlap them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_two(
+        state: &[u32; 8],
+        a: &[u8; BLOCK_LEN],
+        b: &[u8; BLOCK_LEN],
+    ) -> [[u32; 8]; 2] {
+        let saved = load_state(state);
+        let (mut lanes_a, mut lanes_b) = (saved, saved);
+        let (mut wa, mut wb) = (load_block(a), load_block(b));
+        for i in 0..16 {
+            if i >= 4 {
+                let (next_a, next_b) = (schedule(&wa), schedule(&wb));
+                wa = [wa[1], wa[2], wa[3], next_a];
+                wb = [wb[1], wb[2], wb[3], next_b];
+            }
+            rounds4(&mut lanes_a, wa[i.min(3)], i);
+            rounds4(&mut lanes_b, wb[i.min(3)], i);
+        }
+        for lanes in [&mut lanes_a, &mut lanes_b] {
+            lanes.abef = _mm_add_epi32(lanes.abef, saved.abef);
+            lanes.cdgh = _mm_add_epi32(lanes.cdgh, saved.cdgh);
+        }
+        [store_state(lanes_a), store_state(lanes_b)]
     }
 }
 
@@ -214,6 +467,32 @@ pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// SHA-256 of `data` on the portable scalar rounds, whatever the CPU has.
+///
+/// The oracle the dispatched path is held to, by this crate's differential
+/// tests and by the bench harness's scalar-vs-dispatched line. It pads by
+/// hand and shares nothing with [`Sha256`] but the scalar rounds. Nothing in
+/// the system calls it to choose a backend.
+pub fn sha256_scalar(data: &[u8]) -> Digest {
+    let full = data.len() - data.len() % BLOCK_LEN;
+    let rest = &data[full..];
+    let mut tail = [0u8; 2 * BLOCK_LEN];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 {
+        BLOCK_LEN
+    } else {
+        2 * BLOCK_LEN
+    };
+    tail[tail_len - 8..tail_len].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+
+    ops::add((full + tail_len) / BLOCK_LEN);
+    let mut state = H0;
+    compress_scalar(&mut state, &data[..full]);
+    compress_scalar(&mut state, &tail[..tail_len]);
+    state_to_digest(&state)
 }
 
 /// Computes the SHA-256 digest of the concatenation of several slices.
@@ -229,32 +508,8 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 mod tests {
     use super::*;
     use crate::hex_encode;
-
-    #[test]
-    fn empty_vector() {
-        assert_eq!(
-            hex_encode(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn abc_vector() {
-        assert_eq!(
-            hex_encode(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn two_block_vector() {
-        assert_eq!(
-            hex_encode(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn million_a_vector() {
@@ -300,6 +555,98 @@ mod tests {
                     "prefix {prefix_len} suffix {suffix_len}"
                 );
             }
+        }
+    }
+
+    fn random_bytes(rng: &mut impl Rng, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        rng.fill(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn reports_selected_backend() {
+        println!("sha256 backend: {}", backend());
+        assert!(["sha-ni", "scalar"].contains(&backend()));
+    }
+
+    #[test]
+    fn fips_vectors_through_the_scalar_oracle() {
+        for (message, digest) in [
+            (
+                b"".as_slice(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc".as_slice(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".as_slice(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            assert_eq!(hex_encode(&sha256_scalar(message)), digest);
+            assert_eq!(hex_encode(&sha256(message)), digest);
+        }
+    }
+
+    #[test]
+    fn dispatched_compression_matches_scalar_on_random_states() {
+        // Random chaining states, not just H0: the state shuffles in and
+        // out of the hardware register layout are what this pins. Runs of
+        // one to five blocks cover the bulk loop's carry between blocks.
+        let mut rng = StdRng::seed_from_u64(256);
+        for case in 0..512 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let blocks = random_bytes(&mut rng, BLOCK_LEN * (1 + case % 5));
+
+            let (mut dispatched, mut scalar) = (state, state);
+            compress_blocks(&mut dispatched, &blocks);
+            compress_scalar(&mut scalar, &blocks);
+            assert_eq!(dispatched, scalar, "case {case}");
+
+            let a: &[u8; BLOCK_LEN] = blocks[..BLOCK_LEN].try_into().unwrap();
+            let b: &[u8; BLOCK_LEN] = blocks[blocks.len() - BLOCK_LEN..].try_into().unwrap();
+            let mut expected = [state; 2];
+            compress_scalar(&mut expected[0], a);
+            compress_scalar(&mut expected[1], b);
+            assert_eq!(compress_pair(&state, a, b), expected, "pair, case {case}");
+        }
+    }
+
+    #[test]
+    fn dispatched_digests_match_scalar_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(300);
+        let data = random_bytes(&mut rng, 64 * 1024);
+        for len in (0..=300).chain([64 * 1024]) {
+            let expected = sha256_scalar(&data[..len]);
+            assert_eq!(sha256(&data[..len]), expected, "one-shot, len {len}");
+
+            let split = if len == 0 { 0 } else { rng.gen_range(0..len) };
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..len]);
+            assert_eq!(h.finalize(), expected, "len {len} split at {split}");
+        }
+    }
+
+    #[test]
+    fn padded_block_digests_match_the_hasher() {
+        // A 52-byte message padded by hand, as the AEAD keystream does.
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..64 {
+            let mut blocks = [[0u8; BLOCK_LEN]; 2];
+            for block in &mut blocks {
+                rng.fill(&mut block[..52]);
+                block[52] = 0x80;
+                block[56..].copy_from_slice(&(52u64 * 8).to_be_bytes());
+            }
+            let [a, b] = blocks;
+            assert_eq!(digest_padded_block(&a), sha256(&a[..52]));
+            let pair = digest_padded_block_pair(&a, &b);
+            assert_eq!(pair[..32], sha256(&a[..52]));
+            assert_eq!(pair[32..], sha256(&b[..52]));
         }
     }
 

@@ -22,6 +22,7 @@
 use pesos_crypto::bigint::{group_order, prime_p, U256};
 use pesos_crypto::{
     aead::counter_nonce, hkdf_sha256, AeadKey, Certificate, KeyPair, Signature, TrustStore,
+    NONCE_LEN, TAG_LEN,
 };
 use rand::Rng;
 
@@ -277,11 +278,10 @@ impl SecureEndpoint {
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let nonce = counter_nonce(0x5345414c, self.send_seq);
         let aad = self.send_seq.to_be_bytes();
-        let sealed = self.send_key.seal(&nonce, &aad, plaintext);
         self.send_seq += 1;
-        let mut out = Vec::with_capacity(sealed.encoded_len() + 8);
+        let mut out = Vec::with_capacity(aad.len() + NONCE_LEN + TAG_LEN + plaintext.len());
         out.extend_from_slice(&aad);
-        out.extend_from_slice(&sealed.to_bytes());
+        self.send_key.seal_into(&mut out, &nonce, &aad, plaintext);
         out
     }
 
