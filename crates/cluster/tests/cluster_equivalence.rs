@@ -103,7 +103,7 @@ fn assert_drives_identical(cluster: &ControllerCluster, single: &PesosController
         // Version payloads, as recorded by the single controller.
         if let Some(meta) = single.store().get_metadata(key.as_str()) {
             let owner_drive = controllers[owner].store().drives().get(0).unwrap();
-            for v in &meta.versions {
+            for v in meta.versions.iter() {
                 let raw = data_key(&key, v.version);
                 assert_eq!(
                     owner_drive.peek(&raw).map(|e| e.value),

@@ -104,14 +104,13 @@ pub mod lock_order {
     pub const REPLICATION_WORKERS: u16 = 82;
     /// Submission scheduler / thread-pool internals.
     pub const SCHEDULER: u16 = 85;
-    /// Asyscall free-slot list.
+    /// Asyscall completion-pool free lists.
     pub const ASYSCALL_FREE: u16 = 88;
-    /// Asyscall slot bodies (sharded, index = slot).
-    pub const ASYSCALL_SLOT: u16 = 90;
-    /// Asyscall scatter-gather batch completion queues.
-    pub const ASYSCALL_BATCH: u16 = 91;
-    /// Asyscall completion cells.
-    pub const COMPLETION_CELL: u16 = 92;
+    /// Asyscall slow-path park mutexes (service sleepers and table-full
+    /// submitters per interface, the waiter per batch). The hand-off
+    /// itself runs on atomics; these are taken only to sleep or to wake a
+    /// sleeper, never nested.
+    pub const ASYSCALL_PARK: u16 = 92;
     /// SGX shield sealing state.
     pub const SHIELD: u16 = 94;
     /// Drive fault-injector handle.
@@ -159,9 +158,7 @@ pub mod lock_order {
         (REPLICATION_WORKERS, "REPLICATION_WORKERS"),
         (SCHEDULER, "SCHEDULER"),
         (ASYSCALL_FREE, "ASYSCALL_FREE"),
-        (ASYSCALL_SLOT, "ASYSCALL_SLOT"),
-        (ASYSCALL_BATCH, "ASYSCALL_BATCH"),
-        (COMPLETION_CELL, "COMPLETION_CELL"),
+        (ASYSCALL_PARK, "ASYSCALL_PARK"),
         (SHIELD, "SHIELD"),
         (DRIVE_FAULT, "DRIVE_FAULT"),
         (FAULT_RNG, "FAULT_RNG"),

@@ -874,6 +874,8 @@ impl PesosController {
             .with("epc_page_faults", StatsNode::leaf(epc.page_faults))
             .with("asyscalls_submitted", StatsNode::leaf(asyscall.submitted))
             .with("asyscall_slot_waits", StatsNode::leaf(asyscall.slot_waits))
+            .with("asyscall_parks", StatsNode::leaf(asyscall.parks))
+            .with("asyscall_spin_hits", StatsNode::leaf(asyscall.spin_hits))
             .with("asyscall_batches", StatsNode::leaf(asyscall.batches));
         StatsNode::dir()
             .with(

@@ -7,6 +7,8 @@
 //! `objPolicy`, `currVersion` and `objId` predicates consult.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use pesos_policy::PolicyId;
@@ -17,17 +19,54 @@ use crate::error::PesosError;
 /// How many historical version entries are retained per object.
 pub const MAX_VERSION_HISTORY: usize = 128;
 
+/// A digest of at most 32 bytes held inline, empty when there is none (an
+/// object without a policy). A version history is copied with every record
+/// it belongs to, so its digests must not be heap allocations of their own.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct InlineDigest {
+    len: u8,
+    bytes: [u8; 32],
+}
+
+impl InlineDigest {
+    /// The digest holding `bytes`, or `None` if they are more than 32.
+    pub fn new(bytes: &[u8]) -> Option<Self> {
+        let mut digest = InlineDigest::default();
+        digest.bytes.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        digest.len = bytes.len() as u8;
+        Some(digest)
+    }
+
+    /// The digest's bytes (none, or up to 32).
+    pub fn as_slice(&self) -> &[u8] {
+        self.bytes.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl From<[u8; 32]> for InlineDigest {
+    fn from(bytes: [u8; 32]) -> Self {
+        InlineDigest { len: 32, bytes }
+    }
+}
+
+impl fmt::Debug for InlineDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// Facts about one stored version.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionMeta {
     /// The version number.
     pub version: u64,
     /// Size of the plaintext value in bytes.
     pub size: u64,
     /// SHA-256 of the plaintext value.
-    pub value_hash: Vec<u8>,
-    /// Hash (identifier) of the policy associated at this version.
-    pub policy_hash: Vec<u8>,
+    pub value_hash: InlineDigest,
+    /// Hash (identifier) of the policy associated at this version; empty
+    /// when the object has no policy.
+    pub policy_hash: InlineDigest,
 }
 
 /// The metadata record for one object key.
@@ -40,8 +79,10 @@ pub struct ObjectMetadata {
     /// Identifier of the associated policy, if any.
     pub policy_id: Option<PolicyId>,
     /// Per-version facts, most recent last, bounded to
-    /// [`MAX_VERSION_HISTORY`] entries.
-    pub versions: Vec<VersionMeta>,
+    /// [`MAX_VERSION_HISTORY`] entries. Shared between the copies of a
+    /// record (every get hands one out); [`ObjectMetadata::record_version`]
+    /// replaces the list instead of changing it.
+    pub versions: Arc<[VersionMeta]>,
 }
 
 impl ObjectMetadata {
@@ -60,9 +101,13 @@ impl ObjectMetadata {
     /// that persists this record.
     pub fn record_version(&mut self, meta: VersionMeta) -> Vec<u64> {
         let at = self.versions.partition_point(|v| v.version < meta.version);
-        self.versions.insert(at, meta);
-        let excess = self.versions.len().saturating_sub(MAX_VERSION_HISTORY);
-        let trimmed = self.versions.drain(..excess).map(|v| v.version).collect();
+        let excess = (self.versions.len() + 1).saturating_sub(MAX_VERSION_HISTORY);
+        let (before, after) = self.versions.split_at(at);
+        let filed = before.iter().chain(std::iter::once(&meta)).chain(after);
+        let trimmed = filed.clone().take(excess).map(|v| v.version).collect();
+        // The iterator knows its length, so the new list is allocated at
+        // its final size.
+        self.versions = filed.skip(excess).copied().collect();
         if let Some(latest) = self.versions.last() {
             self.latest_version = latest.version;
         }
@@ -87,12 +132,12 @@ impl ObjectMetadata {
         if let Some(id) = &self.policy_id {
             w.bytes(3, &id.0);
         }
-        for v in &self.versions {
+        for v in self.versions.iter() {
             let mut vw = FieldWriter::new();
             vw.uint64(1, v.version)
                 .uint64(2, v.size)
-                .bytes(3, &v.value_hash)
-                .bytes(4, &v.policy_hash);
+                .bytes(3, v.value_hash.as_slice())
+                .bytes(4, v.policy_hash.as_slice());
             w.message(4, &vw);
         }
         w.finish()
@@ -105,6 +150,7 @@ impl ObjectMetadata {
             .collect_fields()
             .map_err(|e| corrupt(&e.to_string()))?;
         let mut meta = ObjectMetadata::default();
+        let mut versions = Vec::new();
         for f in fields {
             match f.number {
                 1 => {
@@ -124,11 +170,13 @@ impl ObjectMetadata {
                     }
                 }
                 4 => {
+                    let digest =
+                        |data| InlineDigest::new(data).ok_or_else(|| corrupt("digest length"));
                     let mut v = VersionMeta {
                         version: 0,
                         size: 0,
-                        value_hash: Vec::new(),
-                        policy_hash: Vec::new(),
+                        value_hash: InlineDigest::default(),
+                        policy_hash: InlineDigest::default(),
                     };
                     for vf in FieldReader::new(f.data)
                         .collect_fields()
@@ -137,12 +185,12 @@ impl ObjectMetadata {
                         match vf.number {
                             1 => v.version = vf.value,
                             2 => v.size = vf.value,
-                            3 => v.value_hash = vf.data.to_vec(),
-                            4 => v.policy_hash = vf.data.to_vec(),
+                            3 => v.value_hash = digest(vf.data)?,
+                            4 => v.policy_hash = digest(vf.data)?,
                             _ => {}
                         }
                     }
-                    meta.versions.push(v);
+                    versions.push(v);
                 }
                 _ => {}
             }
@@ -150,6 +198,7 @@ impl ObjectMetadata {
         if meta.key.is_empty() {
             return Err(corrupt("missing key"));
         }
+        meta.versions = versions.into();
         Ok(meta)
     }
 }
@@ -270,14 +319,14 @@ mod tests {
         m.record_version(VersionMeta {
             version: 0,
             size: 10,
-            value_hash: vec![1; 32],
-            policy_hash: vec![2; 32],
+            value_hash: [1; 32].into(),
+            policy_hash: [2; 32].into(),
         });
         m.record_version(VersionMeta {
             version: 1,
             size: 20,
-            value_hash: vec![3; 32],
-            policy_hash: vec![2; 32],
+            value_hash: [3; 32].into(),
+            policy_hash: [2; 32].into(),
         });
         m
     }
@@ -305,8 +354,8 @@ mod tests {
             let trimmed = m.record_version(VersionMeta {
                 version: v,
                 size: v,
-                value_hash: vec![],
-                policy_hash: vec![],
+                value_hash: InlineDigest::default(),
+                policy_hash: InlineDigest::default(),
             });
             // Exactly the version that fell off the front is reported.
             let expected: Vec<u64> = v
@@ -328,13 +377,61 @@ mod tests {
             m.record_version(VersionMeta {
                 version: v,
                 size: v,
-                value_hash: vec![],
-                policy_hash: vec![],
+                value_hash: InlineDigest::default(),
+                policy_hash: InlineDigest::default(),
             });
         }
         let order: Vec<u64> = m.versions.iter().map(|v| v.version).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(m.latest_version, 3);
+    }
+
+    #[test]
+    fn copies_share_the_history_until_one_records_a_version() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.versions, &copy.versions));
+        copy.record_version(VersionMeta {
+            version: 2,
+            size: 30,
+            value_hash: [4; 32].into(),
+            policy_hash: [2; 32].into(),
+        });
+        assert_eq!(copy.versions.len(), 3);
+        assert_eq!(original, sample());
+    }
+
+    #[test]
+    fn a_version_older_than_a_full_history_is_trimmed_itself() {
+        let mut m = ObjectMetadata::new("k");
+        for v in 1..=MAX_VERSION_HISTORY as u64 {
+            m.record_version(VersionMeta {
+                version: v,
+                size: v,
+                value_hash: InlineDigest::default(),
+                policy_hash: InlineDigest::default(),
+            });
+        }
+        let before = m.clone();
+        let trimmed = m.record_version(VersionMeta {
+            version: 0,
+            size: 0,
+            value_hash: InlineDigest::default(),
+            policy_hash: InlineDigest::default(),
+        });
+        assert_eq!(trimmed, vec![0]);
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn digests_longer_than_32_bytes_are_corrupt() {
+        assert!(InlineDigest::new(&[0; 33]).is_none());
+        let mut version = FieldWriter::new();
+        version.uint64(1, 0).uint64(2, 1).bytes(3, &[9; 33]);
+        let mut record = FieldWriter::new();
+        record.string(1, "k");
+        record.message(4, &version);
+        assert!(ObjectMetadata::from_bytes(&record.finish()).is_err());
     }
 
     #[test]

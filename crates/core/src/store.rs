@@ -627,7 +627,7 @@ impl PesosStore {
         let sealed = self.crypter.seal(key.key(), version, value);
         let policy_hash = policy_id
             .or(meta.policy_id)
-            .map(|p| p.0.to_vec())
+            .map(|p| p.0.into())
             .unwrap_or_default();
         if policy_id.is_some() {
             meta.policy_id = policy_id;
@@ -635,7 +635,7 @@ impl PesosStore {
         let trimmed = meta.record_version(VersionMeta {
             version,
             size: value.len() as u64,
-            value_hash: value_hash.to_vec(),
+            value_hash: value_hash.into(),
             policy_hash,
         });
         let mut ops = vec![
@@ -730,7 +730,7 @@ impl PesosStore {
             let still_latest = self.metadata.get(&key).is_some_and(|m| {
                 m.latest_version == version
                     && m.version(version)
-                        .is_some_and(|v| v.value_hash == value_hash)
+                        .is_some_and(|v| v.value_hash.as_slice() == value_hash)
             });
             if still_latest {
                 self.object_cache.put(&key, Arc::clone(&value), version);
@@ -959,7 +959,7 @@ impl PesosStore {
             }
         };
         let mut versions = Vec::with_capacity(meta.versions.len());
-        for v in &meta.versions {
+        for v in meta.versions.iter() {
             let stored = self.replicated_get(&key, Arc::from(data_key(key.key(), v.version)))?;
             let plain = self
                 .crypter
@@ -1055,13 +1055,14 @@ impl ObjectStoreView for StoreView<'_> {
     fn object_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
         self.store
             .get_metadata(key)
-            .and_then(|m| m.version(version).map(|v| v.value_hash.clone()))
+            .and_then(|m| m.version(version).map(|v| v.value_hash.as_slice().to_vec()))
     }
 
     fn policy_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
-        self.store
-            .get_metadata(key)
-            .and_then(|m| m.version(version).map(|v| v.policy_hash.clone()))
+        self.store.get_metadata(key).and_then(|m| {
+            m.version(version)
+                .map(|v| v.policy_hash.as_slice().to_vec())
+        })
     }
 
     fn object_tuples(&self, key: &str, version: u64) -> Vec<Tuple> {
@@ -1312,8 +1313,8 @@ mod tests {
                 meta.record_version(VersionMeta {
                     version: version as u64,
                     size: v.plain.len() as u64,
-                    value_hash: pesos_crypto::sha256(&v.plain).to_vec(),
-                    policy_hash: Vec::new(),
+                    value_hash: pesos_crypto::sha256(&v.plain).into(),
+                    policy_hash: Default::default(),
                 });
             }
             for drive in crate::placement::placement(key, 3, 2) {

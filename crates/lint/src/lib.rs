@@ -776,28 +776,10 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
     ),
     (
         "sgx/src/asyscall.rs",
-        "body",
+        "park",
         Family {
-            rank: ranks::ASYSCALL_SLOT,
-            name: "ASYSCALL_SLOT",
-            sharded: true,
-        },
-    ),
-    (
-        "sgx/src/asyscall.rs",
-        "finished",
-        Family {
-            rank: ranks::ASYSCALL_BATCH,
-            name: "ASYSCALL_BATCH",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/asyscall.rs",
-        "cell",
-        Family {
-            rank: ranks::COMPLETION_CELL,
-            name: "COMPLETION_CELL",
+            rank: ranks::ASYSCALL_PARK,
+            name: "ASYSCALL_PARK",
             sharded: false,
         },
     ),

@@ -5,51 +5,202 @@
 //! therefore Pesos, instead places system-call arguments into shared-memory
 //! *slots*, enqueues the slot index on a *submission queue*, and lets
 //! untrusted *service threads* outside the enclave execute the call and push
-//! the result onto a *return queue* (paper §4.6, "I/O interface").
+//! the result onto a *return queue* (paper §4.6, "I/O interface"). The point
+//! of the design is that neither side pays a kernel transition per call: the
+//! service threads *poll* the submission queue and the enclave thread picks
+//! the result off the return queue. This module keeps that property: on the
+//! fast path a hand-off takes no lock and makes no system call, and a thread
+//! goes to sleep only after the other side has stayed silent for about as
+//! long as the sleep itself would cost.
 //!
-//! # Slot table
+//! # Slots and the submission ring
 //!
-//! The shared-memory slots are modelled faithfully by a preallocated slot
-//! table: a submission claims a free slot (blocking — and counting a
-//! `slot_waits` — only when every slot is genuinely occupied), parks the
-//! call body in it, and enqueues just the slot index. Service threads pop
-//! indices, execute the body out of the slot, and only then return the slot
-//! to the free list, so the table bounds the number of in-flight calls
-//! exactly like the fixed slot array in the real system. No queue buffer is
-//! allocated per call; the only per-call allocations are the boxed body and
-//! the completion cell it reports into.
+//! The slot table is preallocated and bounds the calls in flight. Each slot
+//! is a `Handoff`: one atomic state word and the parked body.
 //!
-//! # Completions and scatter-gather batches
+//! ```text
+//! FREE --claim--> CLAIMED --body written--> QUEUED --taken--> RUNNING --body returned--> FREE
+//!      submitter           submitter                service            service
+//! ```
 //!
-//! Three submission flavours are built on the same path:
+//! Every transition that grants access to the body is a compare-and-swap on
+//! the word, so at most one thread owns the body at a time; the slot stays
+//! `RUNNING` for the call's whole execution, like the real shared-memory
+//! slot. A submitter claims by scanning the table from a rotating start; if
+//! no slot is `FREE` it counts one `slot_waits` and sleeps until a service
+//! thread frees one.
 //!
-//! * [`AsyscallInterface::submit`] — the synchronous wrapper Scone exposes
-//!   to the application; enqueues and parks until the result arrives.
-//! * [`AsyscallInterface::submit_async`] — returns a [`Completion`] the
+//! The index of a `QUEUED` slot travels to the service threads through a
+//! bounded multi-producer multi-consumer `Ring` (per-cell sequence
+//! numbers, after Vyukov) with at least as many cells as there are slots,
+//! so it never holds more indices than it has cells.
+//!
+//! # Completions
+//!
+//! Every submission, single or scatter-gather, reports into one `Batch`:
+//! `n` lanes, each a result cell (again a `Handoff`) and an *entry word*.
+//! Entries record completion order: the `i`-th call to finish writes its
+//! result into its own cell and then publishes its index in entry `i`.
+//!
+//! ```text
+//! entry:  PENDING (0) --filler swaps in index + 1--> DONE          [| PARKED, set by the waiter]
+//! ```
+//!
+//! A call whose body was dropped unrun or panicked publishes the same way
+//! with its cell left empty: `DONE` over an empty cell reads as
+//! [`SgxError::SyscallInterfaceClosed`]. The waiter owns the set, reads
+//! entries in order and takes each result out of the cell the entry names,
+//! which is what gives [`CompletionSet::next_completed`] completion order,
+//! first-success races and a first-error-wins `join` without a queue.
+//!
+//! Three submission flavours share that path:
+//!
+//! * [`AsyscallInterface::submit`]: the synchronous wrapper Scone exposes
+//!   to the application; a batch of one, joined at once.
+//! * [`AsyscallInterface::submit_async`]: returns a [`Completion`] the
 //!   caller joins later, letting one enclave thread keep many calls in
 //!   flight.
-//! * [`AsyscallInterface::submit_batch`] — the scatter-gather path: N
+//! * [`AsyscallInterface::submit_batch`]: the scatter-gather path: N
 //!   bodies are enqueued back-to-back and a [`CompletionSet`] hands back
-//!   results *in completion order*, so callers can join all of them
+//!   results in completion order, so callers can join all of them
 //!   (replicated writes) or take the first success and leave the rest to
 //!   finish in the background (raced replicated reads).
+//!
+//! The `_pooled` variants take the `Batch` from a [`CompletionPool`] and
+//! return it once every result has been delivered, so the only allocation
+//! left per call is the boxed body.
+//!
+//! # The two park protocols
+//!
+//! Both are the same announce-then-recheck handshake, and every word they
+//! use is read and written `SeqCst`, so all of these accesses fall into one
+//! total order that both threads agree on.
+//!
+//! *Waiter and filler* (one entry word). The filler writes the result,
+//! swaps `index + 1` into the entry and looks at what it displaced: only if
+//! the `PARKED` bit was there does it take the batch's park mutex and
+//! signal the condvar. The waiter, when it gives up spinning, takes the
+//! park mutex first, then sets `PARKED` with a `fetch_or` and looks at what
+//! *it* displaced: if the entry was already `DONE` it does not sleep. The
+//! swap and the `fetch_or` are ordered one way or the other. Swap first:
+//! the waiter sees `DONE`. `fetch_or` first: the filler sees `PARKED`, and
+//! because the waiter holds the mutex from before the `fetch_or` until the
+//! condvar wait releases it, the filler's signal cannot fall into the gap
+//! before the sleep.
+//!
+//! *Submitter and service threads* (the ring, the poller token, the sleeper
+//! count and the wake tickets). A service thread that finds the ring empty
+//! either takes the *poller token* and polls for a bounded time, or goes to
+//! sleep: it gives the token back if it held it, takes the interface's
+//! park mutex, adds itself to the sleeper count, pops the ring once more,
+//! and only then waits. A sleeper resumes when it can take a *wake
+//! ticket*, issued under the same mutex (so a spurious wake-up cannot
+//! consume a signal meant for someone else); from issue to resumption the
+//! sleeper counts as `waking`.
+//!
+//! A submitter pushes its index and then *hands the call over*: it does not
+//! return to its caller before one of these holds.
+//!
+//! * The call was taken (the ring's head passed the push's position). This
+//!   is what the submitter waits for while some thread holds the token,
+//!   for at most `WAKE_COST`: the holder is awake, polling or inside a
+//!   short body, and comes back to the ring.
+//! * The token was free, was given back, or the wait ran out, and the
+//!   submitter *signalled*: it read the `waking` count and, if that
+//!   promised too few threads, the sleeper count, and issued a ticket to a
+//!   sleeper if there was one. The token holder is never counted here: it
+//!   may be inside a body that does not end.
+//!
+//! So a queued call whose submitter has left has a ticket holder coming
+//! for the ring, or no service thread was asleep. In the second case each
+//! of them is running a body and pops when it returns, or is about to
+//! announce itself, and its re-check pop comes after the announcement,
+//! which comes after the submitter's read of the count, which comes after
+//! the push. A holder that gives the token back does so *before* the
+//! re-check pop of its sleep, so a submitter that saw the token held and
+//! then free is ordered before that pop as well. A thread that comes for
+//! the ring may take an older call and leave this one: it then signals in
+//! its turn before it runs the body, unless it held the token when it
+//! popped. (Calls queued under a held token still have their submitters
+//! watching; those queued before were signalled for, and the ticket holder
+//! on its way signals when it arrives.) Hence no queued call ever depends
+//! on a running body coming to an end while a service thread sleeps:
+//! bodies that wait for one another get a thread each, whether or not
+//! anyone waits on their completions.
+//!
+//! Table-full submitters use the same handshake on a waiter count: a
+//! service thread frees the slot, then reads the count, and signals only
+//! if someone announced.
+//!
+//! # Who is woken, who polls, who spins
+//!
+//! Sleeping and being woken costs a thread two kernel entries and, when
+//! the waker sits on another core, the latency of bringing a halted core
+//! back: tens of microseconds on the virtual hosts this runs on
+//! (`WAKE_COST`), against call bodies that are often a tenth of that.
+//! The service threads measure every body they run and keep a running
+//! mean; everything below is decided from that mean, the length of the
+//! ring, and what the waits themselves observe. Nothing is configured.
+//!
+//! * **One hot thread for short bodies.** While the mean says one thread
+//!   clears what is queued sooner than a sleeper could wake up
+//!   (`queued × mean ≤ WAKE_COST`), one ticket at a time is enough, and a
+//!   thread that holds the token, or finds it free when it takes work,
+//!   keeps it through the body it runs: submitters wait for it instead of
+//!   waking a second thread, so two clients keep one service thread hot
+//!   rather than waking two in turn. Once bodies are long, every queued
+//!   call wants a thread of its own, as through a channel: the holder lets
+//!   go of the token before it runs a body and each push wakes a sleeper.
+//! * **Pollers.** A service thread polls only while the mean is below
+//!   `WAKE_COST`, and for at most that long.
+//! * **Spinning waiters.** A waiter spins only while the mean is below
+//!   `WAKE_COST` (a workload of long calls, a disk-model drive or a
+//!   64 KiB write, parks at once instead of paying a spin per call first),
+//!   only while a service thread is awake (if all sleep, its call waits
+//!   for a wake-up anyway), and for at most `WAKE_COST`, so it never
+//!   loses more than it could have won.
+//! * **Every active wait gives way.** A hand-over, a waiter's spin and a
+//!   poll all yield the core between two checks, so that on a busy host
+//!   the thread being waited for can run; with a core to spare a yield
+//!   returns in a fraction of a microsecond. A yield that took long
+//!   (`YIELD_CONTENDED`) means the core went to somebody else. A waiter or
+//!   poller then checks once more and sleeps, because a sleeper is woken
+//!   ahead of a thread that keeps yielding; a hand-over just looks again,
+//!   since the thread that got the core is most likely the holder.
+//!
+//! With `available_parallelism() == 1` neither side spins: the thread being
+//! waited for can only run once the waiting thread gets off the core, so
+//! every hand-off sleeps at once, as it would through a channel. The token
+//! is never taken, so every push signals, and the protocols above are
+//! otherwise unchanged.
 //!
 //! The calling thread would normally switch to another user-level thread
 //! while waiting; that interleaving is provided by
 //! [`crate::scheduler::UserScheduler`].
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cost::{CostEvent, ModeCost};
 use crate::error::SgxError;
 
 type SyscallBody = Box<dyn FnOnce() + Send + 'static>;
+
+/// About what one sleep/wake pair costs across cores on the reference
+/// host. Bounds every active wait (a submitter's hand-over, a waiter's
+/// spin on its completion, a service thread's poll of an empty ring) and
+/// the backlog one service thread is left to clear alone, and is the mean
+/// body run time above which nobody waits actively at all: waiting out a
+/// body costs less than a wake-up only while the body is the shorter of
+/// the two.
+const WAKE_COST: Duration = Duration::from_micros(40);
+/// A yield that takes longer than this gave the core to somebody: the
+/// host has no core to spare for spinning right now.
+const YIELD_CONTENDED: Duration = Duration::from_micros(3);
 
 /// Counters describing the interface's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,76 +215,441 @@ pub struct AsyscallStats {
     pub batches: u64,
     /// Highest number of call bodies ever executing concurrently.
     pub max_concurrency: u64,
+    /// Times a thread went to sleep in the hand-off: a service thread with
+    /// no work, or a submitter waiting for a completion or a free slot.
+    pub parks: u64,
+    /// Waits that ended while the thread was still spinning or polling,
+    /// on either side, and so cost no sleep.
+    pub spin_hits: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Completion cells
+// Handoff: one value passed between threads under an atomic state word
 // ---------------------------------------------------------------------------
 
-struct CompletionCell<T> {
-    value: Option<T>,
-    /// Set when the body was dropped without running (interface shut down).
-    abandoned: bool,
-    /// Present while this completion belongs to a batch; the finished index
-    /// is pushed to the core so the set can observe completion order. Lives
-    /// inside the cell (rather than the immutable state) so a pooled cell
-    /// can be re-linked to a new batch on reuse.
-    batch: Option<(Arc<BatchCore>, usize)>,
-}
+/// The module's only unsafe code, kept apart so that nothing outside these
+/// few functions can reach the state word or the value behind it.
+mod handoff {
+    use std::cell::UnsafeCell;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
-struct CompletionState<T> {
-    cell: Mutex<CompletionCell<T>>,
-    cv: Condvar,
-}
+    const FREE: u8 = 0;
+    const CLAIMED: u8 = 1;
+    const QUEUED: u8 = 2;
+    const RUNNING: u8 = 3;
 
-impl<T> CompletionState<T> {
-    fn new(batch: Option<(Arc<BatchCore>, usize)>) -> Arc<Self> {
-        Arc::new(CompletionState {
-            cell: Mutex::with_rank(
-                parking_lot::lock_order::COMPLETION_CELL,
-                CompletionCell {
-                    value: None,
-                    abandoned: false,
-                    batch,
-                },
-            ),
-            cv: Condvar::new(),
-        })
+    /// A place for one value that one thread puts in and another takes out
+    /// through a shared reference, with ownership of the value following the
+    /// state word: `FREE → CLAIMED → QUEUED → RUNNING → FREE`.
+    pub(super) struct Handoff<T> {
+        state: AtomicU8,
+        value: UnsafeCell<Option<T>>,
     }
 
-    /// Returns a recycled cell to its pristine state so a pool can hand it
-    /// to the next call.
-    fn reset(&self) {
-        let mut cell = self.cell.lock();
-        cell.value = None;
-        cell.abandoned = false;
-        cell.batch = None;
+    // SAFETY: `value` is reached only inside `put` and `take`, each of which
+    // first wins a compare-and-swap on `state` that no other thread can win
+    // until the winner stores the next state (see the two blocks below), so no
+    // two threads ever touch `value` at once. The value itself crosses threads,
+    // hence `T: Send`.
+    unsafe impl<T: Send> Sync for Handoff<T> {}
+
+    /// Keeps a [`Handoff`] occupied (`RUNNING`) after its value was taken;
+    /// dropping it makes the place `FREE` again.
+    pub(super) struct Occupied<'a>(&'a AtomicU8);
+
+    impl Drop for Occupied<'_> {
+        fn drop(&mut self) {
+            self.0.store(FREE, Ordering::SeqCst);
+        }
     }
 
-    /// Links a (pooled) cell to a batch before submission.
-    fn set_batch(&self, core: Arc<BatchCore>, index: usize) {
-        self.cell.lock().batch = Some((core, index));
-    }
-
-    /// Waits until the call finishes and takes its result out of the cell.
-    fn take_result(&self) -> Result<T, SgxError> {
-        let mut cell = self.cell.lock();
-        loop {
-            if let Some(value) = cell.value.take() {
-                return Ok(value);
+    impl<T> Handoff<T> {
+        pub(super) fn new() -> Self {
+            Handoff {
+                state: AtomicU8::new(FREE),
+                value: UnsafeCell::new(None),
             }
-            if cell.abandoned {
-                return Err(SgxError::SyscallInterfaceClosed);
+        }
+
+        /// Claims the place if it is `FREE` and parks `value` in it; hands the
+        /// value back if the place is taken.
+        pub(super) fn put(&self, value: T) -> Result<(), T> {
+            if self
+                .state
+                .compare_exchange(FREE, CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                return Err(value);
             }
-            self.cv.wait(&mut cell);
+            // SAFETY: this thread moved the word FREE → CLAIMED. `put` enters
+            // only from FREE and `take` only from QUEUED, so until the store
+            // below no other thread passes its compare-and-swap, and the
+            // previous owner finished with `value` before it stored FREE.
+            unsafe { *self.value.get() = Some(value) };
+            self.state.store(QUEUED, Ordering::SeqCst);
+            Ok(())
+        }
+
+        /// Takes the parked value if there is one. The place stays occupied
+        /// until the returned guard is dropped.
+        pub(super) fn take(&self) -> Option<(T, Occupied<'_>)> {
+            self.state
+                .compare_exchange(QUEUED, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
+                .ok()?;
+            let occupied = Occupied(&self.state);
+            // SAFETY: this thread moved the word QUEUED → RUNNING, which only
+            // one thread can do per `put`, and no `put` passes its
+            // compare-and-swap until `occupied` stores FREE. The writer's store
+            // of QUEUED, which the swap read, orders its write before this read.
+            let value = unsafe { (*self.value.get()).take() };
+            value.map(|value| (value, occupied))
         }
     }
 }
 
-fn notify_batch(batch: Option<(Arc<BatchCore>, usize)>) {
-    if let Some((core, index)) = batch {
-        core.finished.lock().push_back(index);
-        core.cv.notify_all();
+use handoff::Handoff;
+
+// ---------------------------------------------------------------------------
+// Ring: the submission queue of slot indices
+// ---------------------------------------------------------------------------
+
+/// Keeps the two ends of the ring off each other's cache line.
+#[repr(align(64))]
+struct Padded<T>(T);
+
+struct RingCell {
+    /// `position` when the cell is free for the push at `position`,
+    /// `position + 1` once that push has stored `index`, and
+    /// `position + capacity` after the matching pop.
+    sequence: AtomicUsize,
+    index: AtomicUsize,
+}
+
+/// Bounded multi-producer multi-consumer queue of slot indices.
+struct Ring {
+    cells: Box<[RingCell]>,
+    mask: usize,
+    head: Padded<AtomicUsize>,
+    tail: Padded<AtomicUsize>,
+}
+
+impl Ring {
+    /// A ring with room for at least `capacity` indices.
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(2).next_power_of_two();
+        Ring {
+            cells: (0..capacity)
+                .map(|position| RingCell {
+                    sequence: AtomicUsize::new(position),
+                    index: AtomicUsize::new(0),
+                })
+                .collect(),
+            mask: capacity - 1,
+            head: Padded(AtomicUsize::new(0)),
+            tail: Padded(AtomicUsize::new(0)),
+        }
+    }
+
+    fn cell(&self, position: usize) -> &RingCell {
+        // pesos-lint: allow(panic_freedom, "cells.len() is mask + 1, a power of two, so position & mask is in range")
+        &self.cells[position & self.mask]
+    }
+
+    /// Appends `index` and returns its position in the queue. The slot
+    /// table admits no more calls than the ring has cells, so a full ring
+    /// only means a pop of an earlier lap has claimed its cell and not yet
+    /// released it; the push waits that out.
+    fn push(&self, index: usize) -> usize {
+        let mut position = self.tail.0.load(Ordering::SeqCst);
+        loop {
+            let cell = self.cell(position);
+            let sequence = cell.sequence.load(Ordering::SeqCst);
+            if sequence == position {
+                match self.tail.0.compare_exchange_weak(
+                    position,
+                    position.wrapping_add(1),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                ) {
+                    Ok(_) => {
+                        cell.index.store(index, Ordering::SeqCst);
+                        cell.sequence
+                            .store(position.wrapping_add(1), Ordering::SeqCst);
+                        return position;
+                    }
+                    Err(current) => position = current,
+                }
+            } else {
+                if (sequence.wrapping_sub(position) as isize) < 0 {
+                    std::thread::yield_now();
+                }
+                position = self.tail.0.load(Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Removes the oldest index, if any push has completed.
+    fn pop(&self) -> Option<usize> {
+        let mut position = self.head.0.load(Ordering::SeqCst);
+        loop {
+            let cell = self.cell(position);
+            let sequence = cell.sequence.load(Ordering::SeqCst);
+            let ready = position.wrapping_add(1);
+            if sequence == ready {
+                match self.head.0.compare_exchange_weak(
+                    position,
+                    ready,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                ) {
+                    Ok(_) => {
+                        let index = cell.index.load(Ordering::SeqCst);
+                        cell.sequence.store(
+                            position.wrapping_add(self.mask).wrapping_add(1),
+                            Ordering::SeqCst,
+                        );
+                        return Some(index);
+                    }
+                    Err(current) => position = current,
+                }
+            } else if (sequence.wrapping_sub(ready) as isize) < 0 {
+                return None;
+            } else {
+                position = self.head.0.load(Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Whether the index pushed at `position` has been popped. The queue
+    /// is first-in first-out, so everything pushed before it has been too.
+    fn taken(&self, position: usize) -> bool {
+        (self.head.0.load(Ordering::SeqCst).wrapping_sub(position) as isize) > 0
+    }
+
+    /// How many indices are queued, give or take pushes and pops in
+    /// progress: good for a scheduling decision, never for a wake-up
+    /// argument (those re-check with `pop`).
+    fn len(&self) -> usize {
+        let head = self.head.0.load(Ordering::SeqCst);
+        self.tail.0.load(Ordering::SeqCst).wrapping_sub(head)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batches: result cells and completion-order entries
+// ---------------------------------------------------------------------------
+
+/// Set in an entry by a waiter that is about to sleep on it.
+const PARKED: u32 = 1 << 31;
+
+struct Lane<T> {
+    /// `0` while pending, then the finished call's index plus one;
+    /// [`PARKED`] may be set on top by the waiter.
+    entry: AtomicU32,
+    cell: Handoff<T>,
+}
+
+/// What one submission (a single call or a scatter-gather batch) reports
+/// into: a result cell per call and the order in which calls finished.
+struct Batch<T> {
+    /// Entries published so far; each filler claims the next.
+    finished: AtomicU32,
+    lanes: Box<[Lane<T>]>,
+    /// Slow path only: the waiter sleeps here after it set [`PARKED`].
+    park: Mutex<()>,
+    done: Condvar,
+}
+
+impl<T> Batch<T> {
+    fn new(calls: usize) -> Arc<Self> {
+        Arc::new(Batch {
+            finished: AtomicU32::new(0),
+            lanes: (0..calls)
+                .map(|_| Lane {
+                    entry: AtomicU32::new(0),
+                    cell: Handoff::new(),
+                })
+                .collect(),
+            park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, ()),
+            done: Condvar::new(),
+        })
+    }
+
+    /// Readies a recycled batch for `calls` new calls. Every result of its
+    /// last use was delivered (the pool takes nothing else back), so every
+    /// filler has published and every cell is empty; a filler that is still
+    /// between its publish and its signal can at worst wake the next
+    /// waiter once for nothing.
+    fn rearm(&self, calls: usize) {
+        self.finished.store(0, Ordering::SeqCst);
+        for lane in self.lanes.iter().take(calls) {
+            lane.entry.store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// Publishes call `index` as the next one finished and wakes the
+    /// waiter if it sleeps on that entry.
+    fn publish(&self, index: u32) {
+        let position = self.finished.fetch_add(1, Ordering::SeqCst);
+        let Some(lane) = self.lanes.get(position as usize) else {
+            return;
+        };
+        if lane.entry.swap(index + 1, Ordering::SeqCst) & PARKED != 0 {
+            // The waiter set PARKED under this mutex and holds it until its
+            // condvar wait begins; passing through it puts the signal after
+            // that point.
+            drop(self.park.lock());
+            self.done.notify_one();
+        }
+    }
+
+    /// Waits until entry `position` is published and returns the index of
+    /// the call that finished there: spinning first while `shared` says a
+    /// spin can pay, then asleep.
+    fn await_entry(&self, position: usize, shared: &Shared) -> Option<usize> {
+        let entry = &self.lanes.get(position)?.entry;
+        let finished = |word: u32| (word & !PARKED).checked_sub(1).map(|index| index as usize);
+        if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
+            return Some(index);
+        }
+        if shared.spin_can_pay() {
+            let start = Instant::now();
+            while shared.service_awake() && start.elapsed() < WAKE_COST {
+                let contended = relax();
+                if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
+                    shared.spin_hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(index);
+                }
+                if contended {
+                    break;
+                }
+            }
+        }
+        let mut guard = self.park.lock();
+        let mut word = entry.fetch_or(PARKED, Ordering::SeqCst);
+        if finished(word).is_none() {
+            shared.parks.fetch_add(1, Ordering::Relaxed);
+        }
+        loop {
+            if let Some(index) = finished(word) {
+                return Some(index);
+            }
+            self.done.wait(&mut guard);
+            word = entry.load(Ordering::SeqCst);
+        }
+    }
+}
+
+/// One step of an active wait: yields the core, so that a thread being
+/// waited for can run if the two share one. Returns whether the yield
+/// found the core contended.
+fn relax() -> bool {
+    let start = Instant::now();
+    std::thread::yield_now();
+    start.elapsed() > YIELD_CONTENDED
+}
+
+/// Writes a body's result into its cell and publishes the call as
+/// finished; publishes it with the cell empty if the body is dropped
+/// without running or unwinds.
+struct CompletionFiller<T> {
+    batch: Arc<Batch<T>>,
+    index: u32,
+}
+
+impl<T> CompletionFiller<T> {
+    fn fill(self, value: T) {
+        if let Some(lane) = self.batch.lanes.get(self.index as usize) {
+            // The cell is empty: one filler per lane, and a recycled batch
+            // had every result taken.
+            let _ = lane.cell.put(value);
+        }
+        // Dropping `self` publishes.
+    }
+}
+
+impl<T> Drop for CompletionFiller<T> {
+    fn drop(&mut self) {
+        self.batch.publish(self.index);
+    }
+}
+
+/// A joinable set of completions produced by one submission.
+///
+/// When produced by [`AsyscallInterface::submit_batch_pooled`] the set
+/// carries its pool and returns its completion cells once every result has
+/// been delivered; a set dropped earlier (a raced read that stopped at the
+/// first success) keeps its cells out of circulation, because calls are
+/// still going to write into them, and the pool allocates replacements on
+/// demand, so correctness never depends on recycling.
+pub struct CompletionSet<'p, T> {
+    batch: Arc<Batch<T>>,
+    calls: usize,
+    delivered: usize,
+    pool: Option<&'p CompletionPool<T>>,
+    shared: Arc<Shared>,
+}
+
+impl<T> CompletionSet<'_, T> {
+    /// Number of calls in the batch.
+    pub fn len(&self) -> usize {
+        self.calls
+    }
+
+    /// Whether the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.calls == 0
+    }
+
+    /// Blocks until the next not-yet-delivered call finishes, returning its
+    /// submission index and result. Returns `None` once every call has been
+    /// delivered.
+    ///
+    /// Results come back in *completion order*, which is what lets callers
+    /// race a batch and stop at the first usable result.
+    pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
+        if self.delivered == self.calls {
+            return None;
+        }
+        let index = self.batch.await_entry(self.delivered, &self.shared)?;
+        self.delivered += 1;
+        let result = self
+            .batch
+            .lanes
+            .get(index)
+            .and_then(|lane| lane.cell.take())
+            .map(|(value, _)| value)
+            .ok_or(SgxError::SyscallInterfaceClosed);
+        if self.delivered == self.calls {
+            if let Some(pool) = self.pool {
+                pool.release(Arc::clone(&self.batch));
+            }
+        }
+        Some((index, result))
+    }
+
+    /// Joins the whole batch, returning results in submission order.
+    ///
+    /// The first abandoned call (interface shut down mid-batch) aborts the
+    /// join: first error wins.
+    pub fn join(mut self) -> Result<Vec<T>, SgxError> {
+        let mut out: Vec<Option<T>> = (0..self.calls).map(|_| None).collect();
+        while let Some((index, result)) = self.next_completed() {
+            if let Some(place) = out.get_mut(index) {
+                *place = Some(result?);
+            }
+        }
+        out.into_iter()
+            .collect::<Option<Vec<T>>>()
+            .ok_or(SgxError::SyscallInterfaceClosed)
+    }
+
+    /// The single result of a one-call set.
+    fn wait_single(mut self) -> Result<T, SgxError> {
+        match self.next_completed() {
+            Some((_, result)) => result,
+            None => Err(SgxError::SyscallInterfaceClosed),
+        }
     }
 }
 
@@ -141,63 +657,14 @@ fn notify_batch(batch: Option<(Arc<BatchCore>, usize)>) {
 ///
 /// Returned by [`AsyscallInterface::submit_async`]; join it with
 /// [`Completion::wait`].
-pub struct Completion<T> {
-    state: Arc<CompletionState<T>>,
+pub struct Completion<T: 'static> {
+    set: CompletionSet<'static, T>,
 }
 
 impl<T> Completion<T> {
     /// Blocks until the call finishes and returns its result.
     pub fn wait(self) -> Result<T, SgxError> {
-        self.state.take_result()
-    }
-}
-
-/// Writes a body's result into its completion cell; marks the cell
-/// abandoned if the body is dropped without running.
-struct CompletionFiller<T> {
-    /// The producer's reference to the cell; `None` once delivered.
-    state: Option<Arc<CompletionState<T>>>,
-}
-
-impl<T> CompletionFiller<T> {
-    fn new(state: &Arc<CompletionState<T>>) -> Self {
-        CompletionFiller {
-            state: Some(Arc::clone(state)),
-        }
-    }
-
-    fn fill(mut self, value: T) {
-        self.deliver(|cell| cell.value = Some(value));
-    }
-
-    /// Records the outcome and wakes the waiter, exactly once.
-    ///
-    /// The producer's reference is dropped *before* the batch hears of the
-    /// completion: a pool recycles a cell only when the waiter finds itself
-    /// the last holder, and a batch waiter cannot wake before
-    /// `notify_batch`, so on the scatter-gather path every delivered cell
-    /// is recycled rather than whenever the waiter loses the race against
-    /// this thread's release. (A single-call waiter sleeps on the cell's
-    /// own condvar, which cannot be signalled without holding the cell;
-    /// there the race, and the occasional discarded cell, remains.)
-    fn deliver(&mut self, record: impl FnOnce(&mut CompletionCell<T>)) {
-        let Some(state) = self.state.take() else {
-            return;
-        };
-        let batch = {
-            let mut cell = state.cell.lock();
-            record(&mut cell);
-            cell.batch.take()
-        };
-        state.cv.notify_all();
-        drop(state);
-        notify_batch(batch);
-    }
-}
-
-impl<T> Drop for CompletionFiller<T> {
-    fn drop(&mut self) {
-        self.deliver(|cell| cell.abandoned = true);
+        self.set.wait_single()
     }
 }
 
@@ -210,39 +677,40 @@ impl<T> Drop for CompletionFiller<T> {
 pub struct CompletionPoolStats {
     /// Calls served from a recycled completion cell.
     pub reused: u64,
-    /// Calls that had to allocate a fresh cell (pool empty, or — single
-    /// calls only — the service thread was still releasing its reference
-    /// when the waiter finished).
+    /// Calls that had to allocate a fresh cell (pool empty, or the
+    /// recycled set was too small for the batch).
     pub allocated: u64,
 }
 
-/// A typed pool of reusable completion cells for [`AsyscallInterface::submit_with_pool`]
-/// and [`AsyscallInterface::submit_async_pooled`].
+/// A typed pool of reusable completion cells for [`AsyscallInterface::submit_with_pool`],
+/// [`AsyscallInterface::submit_async_pooled`] and
+/// [`AsyscallInterface::submit_batch_pooled`].
 ///
-/// `submit`/`submit_async` allocate one `Arc` completion cell per call; on
-/// the storage hot path that is one heap allocation per drive exchange. A
-/// caller that issues many calls of the same result type (the kinetic
-/// client's PUT/GET/DELETE wrappers) holds one pool per type instead: cells
-/// are recycled after the waiter collects the result, so a steady-state
-/// workload allocates only up to the pool capacity once and then runs
-/// allocation-free — the slot-table discipline Scone applies to syscall
-/// arguments, applied to completions.
+/// `submit`/`submit_async`/`submit_batch` allocate their completion cells
+/// per submission; on the storage hot path that is a heap allocation per
+/// drive exchange. A caller that issues many calls of the same result type
+/// (the store's replicated batch and raced get) holds one pool per type
+/// instead: the cells of a submission (with the entries that order them)
+/// are recycled as one unit after the waiter has collected every result, so
+/// a steady-state workload allocates up to the pool capacity once and then
+/// runs allocation-free: the slot-table discipline Scone applies to
+/// syscall arguments, applied to completions.
 ///
-/// A cell is only recycled when the waiter observes itself as the last
-/// holder; if the service thread is still mid-release the cell is dropped
-/// instead (counted under `allocated` on the next call), so a recycled cell
-/// can never be written by a straggling producer.
+/// Recycling is exact: a submission whose results were all delivered always
+/// goes back. By then every call has published, and publishing is the last
+/// thing a call does to its cell, so the next user cannot meet a straggling
+/// producer.
 pub struct CompletionPool<T> {
     capacity: usize,
-    free: Mutex<Vec<Arc<CompletionState<T>>>>,
+    free: Mutex<Vec<Arc<Batch<T>>>>,
     reused: AtomicU64,
     allocated: AtomicU64,
 }
 
 impl<T> CompletionPool<T> {
-    /// Creates a pool retaining at most `capacity` idle cells (at least
-    /// one). A natural capacity is the interface's slot count — more cells
-    /// than slots can never be in flight.
+    /// Creates a pool retaining at most `capacity` idle submissions' worth
+    /// of cells (at least one). A natural capacity is the interface's slot
+    /// count: more submissions than slots can never be in flight.
     pub fn new(capacity: usize) -> Self {
         CompletionPool {
             capacity: capacity.max(1),
@@ -260,24 +728,26 @@ impl<T> CompletionPool<T> {
         }
     }
 
-    fn acquire(&self) -> Arc<CompletionState<T>> {
-        if let Some(state) = self.free.lock().pop() {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-            state.reset();
-            return state;
+    /// Cells for a submission of `calls` calls.
+    fn acquire(&self, calls: usize) -> Arc<Batch<T>> {
+        let recycled = self.free.lock().pop();
+        match recycled {
+            Some(batch) if batch.lanes.len() >= calls => {
+                self.reused.fetch_add(calls as u64, Ordering::Relaxed);
+                batch.rearm(calls);
+                batch
+            }
+            _ => {
+                self.allocated.fetch_add(calls as u64, Ordering::Relaxed);
+                Batch::new(calls)
+            }
         }
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        CompletionState::new(None)
     }
 
-    fn release(&self, state: Arc<CompletionState<T>>) {
-        // Recycle only when the filler's clone is gone: a unique reference
-        // proves no producer can touch the cell again.
-        if Arc::strong_count(&state) == 1 {
-            let mut free = self.free.lock();
-            if free.len() < self.capacity {
-                free.push(state);
-            }
+    fn release(&self, batch: Arc<Batch<T>>) {
+        let mut free = self.free.lock();
+        if free.len() < self.capacity {
+            free.push(batch);
         }
     }
 }
@@ -285,102 +755,14 @@ impl<T> CompletionPool<T> {
 /// Handle to one in-flight pooled call; joining it returns its completion
 /// cell to the pool.
 pub struct PooledCompletion<'a, T> {
-    state: Arc<CompletionState<T>>,
-    pool: &'a CompletionPool<T>,
+    set: CompletionSet<'a, T>,
 }
 
 impl<T> PooledCompletion<'_, T> {
     /// Blocks until the call finishes, returns its result and recycles the
     /// completion cell.
     pub fn wait(self) -> Result<T, SgxError> {
-        let result = self.state.take_result();
-        self.pool.release(self.state);
-        result
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batches
-// ---------------------------------------------------------------------------
-
-struct BatchCore {
-    finished: Mutex<VecDeque<usize>>,
-    cv: Condvar,
-}
-
-/// A joinable set of completions produced by one scatter-gather batch.
-///
-/// When produced by [`AsyscallInterface::submit_batch_pooled`] the set
-/// carries its pool and recycles each completion cell as it is delivered;
-/// cells never delivered (a raced read dropped the set early, or the set
-/// itself is dropped) simply fall out of circulation — the pool allocates
-/// replacements on demand, so correctness never depends on recycling.
-pub struct CompletionSet<'p, T> {
-    completions: Vec<Option<Arc<CompletionState<T>>>>,
-    core: Arc<BatchCore>,
-    delivered: usize,
-    pool: Option<&'p CompletionPool<T>>,
-}
-
-impl<T> CompletionSet<'_, T> {
-    /// Number of calls in the batch.
-    pub fn len(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.completions.is_empty()
-    }
-
-    /// Blocks until the next not-yet-delivered call finishes, returning its
-    /// submission index and result. Returns `None` once every call has been
-    /// delivered.
-    ///
-    /// Results come back in *completion order*, which is what lets callers
-    /// race a batch and stop at the first usable result.
-    pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
-        if self.delivered == self.completions.len() {
-            return None;
-        }
-        let index = {
-            let mut finished = self.core.finished.lock();
-            loop {
-                if let Some(index) = finished.pop_front() {
-                    break index;
-                }
-                self.core.cv.wait(&mut finished);
-            }
-        };
-        self.delivered += 1;
-        // pesos-lint: allow(panic_freedom, "the queue delivers only indices this batch issued")
-        let state = self.completions[index]
-            .take()
-            // pesos-lint: allow(panic_freedom, "the queue delivers each completion index exactly once")
-            .expect("completion index delivered twice");
-        // The cell is already filled (or abandoned); this cannot block.
-        let result = state.take_result();
-        if let Some(pool) = self.pool {
-            pool.release(state);
-        }
-        Some((index, result))
-    }
-
-    /// Joins the whole batch, returning results in submission order.
-    ///
-    /// The first abandoned call (interface shut down mid-batch) aborts the
-    /// join — first error wins.
-    pub fn join(mut self) -> Result<Vec<T>, SgxError> {
-        let mut out: Vec<Option<T>> = (0..self.completions.len()).map(|_| None).collect();
-        while let Some((index, result)) = self.next_completed() {
-            // pesos-lint: allow(panic_freedom, "index was issued by this batch, bounded by completions.len()")
-            out[index] = Some(result?);
-        }
-        Ok(out
-            .into_iter()
-            // pesos-lint: allow(panic_freedom, "next_completed drained every index before returning None")
-            .map(|v| v.expect("missing result"))
-            .collect())
+        self.set.wait_single()
     }
 }
 
@@ -388,52 +770,359 @@ impl<T> CompletionSet<'_, T> {
 // The interface
 // ---------------------------------------------------------------------------
 
-/// One shared-memory system-call slot: holds the parked call body from
-/// submission until a service thread picks it up.
-struct Slot {
-    body: Mutex<Option<SyscallBody>>,
+/// What the interface's park mutex guards: the service threads asleep and
+/// the wake tickets issued to them and not yet taken.
+#[derive(Default)]
+struct Parking {
+    sleeping: usize,
+    tickets: usize,
+}
+
+/// How a service thread's sleep ended.
+enum Woken {
+    /// The re-check before sleeping found this slot index.
+    Work(usize),
+    /// Somebody issued this sleeper a wake ticket because work is queued.
+    Signalled,
+    Closed,
 }
 
 struct Shared {
-    slots: Vec<Slot>,
-    free: Mutex<Vec<usize>>,
-    free_cv: Condvar,
+    /// The shared-memory system-call slots: each holds the parked call
+    /// body from submission until a service thread takes it, and stays
+    /// occupied until the body has run.
+    slots: Box<[Handoff<SyscallBody>]>,
+    ring: Ring,
+    /// Where the next claim starts its scan of the slot table.
+    claim_from: AtomicUsize,
+    /// Whether this host has a second core for a waiting thread to spin on.
+    spin: bool,
+    /// The poller token: set while one service thread holds it, polling
+    /// the ring or running a short body it took while polling.
+    token: AtomicBool,
+    /// Mirrors `Parking::sleeping` for the lock-free check in `signal_work`.
+    sleepers: AtomicUsize,
+    /// How many service threads there are.
+    threads: usize,
+    /// Sleepers that hold a wake ticket and have not resumed yet.
+    waking: AtomicUsize,
+    /// Submitters asleep (or about to be) because the slot table is full.
+    slot_waiters: AtomicUsize,
+    park: Mutex<Parking>,
+    work: Condvar,
+    slot_freed: Condvar,
+    closed: AtomicBool,
+    /// Running mean of body run times in nanoseconds.
+    mean_run_ns: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
     slot_waits: AtomicU64,
     batches: AtomicU64,
     active: AtomicUsize,
     max_concurrency: AtomicU64,
+    parks: AtomicU64,
+    spin_hits: AtomicU64,
 }
 
 impl Shared {
-    /// Claims a free slot, blocking while the table is full. The wait is
-    /// counted at the moment the submitter actually blocks, so `slot_waits`
-    /// is exact under contention (the old decoupled `is_full()` pre-check
-    /// undercounted).
-    fn acquire_slot(&self) -> usize {
-        let mut free = self.free.lock();
-        if let Some(index) = free.pop() {
-            return index;
-        }
-        self.slot_waits.fetch_add(1, Ordering::Relaxed);
-        loop {
-            if let Some(index) = free.pop() {
-                return index;
+    /// Parks `body` in the first free slot from a rotating start, handing
+    /// it back if the whole table is occupied.
+    fn try_claim(&self, mut body: SyscallBody) -> Result<usize, SyscallBody> {
+        let start = self.claim_from.fetch_add(1, Ordering::Relaxed);
+        let count = self.slots.len();
+        for step in 0..count {
+            let index = start.wrapping_add(step) % count;
+            let Some(slot) = self.slots.get(index) else {
+                continue;
+            };
+            match slot.put(body) {
+                Ok(()) => return Ok(index),
+                Err(returned) => body = returned,
             }
-            self.free_cv.wait(&mut free);
+        }
+        Err(body)
+    }
+
+    /// Parks `body` in a slot, sleeping while the table is full. The wait
+    /// is counted when the submitter finds no free slot, so `slot_waits`
+    /// is exact under contention.
+    fn claim(&self, body: SyscallBody) -> usize {
+        let mut body = match self.try_claim(body) {
+            Ok(index) => return index,
+            Err(body) => body,
+        };
+        self.slot_waits.fetch_add(1, Ordering::Relaxed);
+        self.slot_waiters.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.park.lock();
+        let index = loop {
+            match self.try_claim(body) {
+                Ok(index) => break index,
+                Err(returned) => body = returned,
+            }
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            self.slot_freed.wait(&mut guard);
+        };
+        self.slot_waiters.fetch_sub(1, Ordering::SeqCst);
+        index
+    }
+
+    /// Issues a wake ticket to one sleeping service thread, if there is
+    /// one. From here until it resumes that thread counts as `waking`.
+    fn wake_sleeper(&self) {
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut parking = self.park.lock();
+        if parking.sleeping == 0 {
+            return;
+        }
+        parking.sleeping -= 1;
+        parking.tickets += 1;
+        self.sleepers.store(parking.sleeping, Ordering::SeqCst);
+        self.waking.fetch_add(1, Ordering::SeqCst);
+        drop(parking);
+        self.work.notify_one();
+    }
+
+    /// Whether one service thread clears `queued` calls sooner than a
+    /// sleeper could wake up to help, going by the mean body run time.
+    fn one_thread_suffices(&self, queued: usize) -> bool {
+        self.mean_run_ns
+            .load(Ordering::Relaxed)
+            .saturating_mul(queued as u64)
+            <= WAKE_COST.as_nanos() as u64
+    }
+
+    /// Wakes a sleeper unless enough of them hold a ticket and are on
+    /// their way already: one while bodies are short, one per queued call
+    /// once they are not. The token holder is not counted. Whoever calls
+    /// this is about to stop looking at the ring, and the holder may be
+    /// inside a body that never ends.
+    fn signal_work(&self) {
+        let queued = self.ring.len();
+        if queued == 0 {
+            return;
+        }
+        let wanted = if self.one_thread_suffices(queued) {
+            1
+        } else {
+            queued
+        };
+        if self.waking.load(Ordering::SeqCst) < wanted {
+            self.wake_sleeper();
         }
     }
 
-    fn release_slot(&self, index: usize) {
-        self.free.lock().push(index);
-        self.free_cv.notify_one();
+    /// Sees the call queued at `position` into the hands of a service
+    /// thread. A token holder is awake and comes back to the ring after at
+    /// most the short body it is inside, so the submitter gives it as long
+    /// as a wake-up would cost to take the call; failing that, or with no
+    /// holder, it signals. On return the call has been taken, or a sleeper
+    /// is on its way, or every service thread is awake.
+    fn hand_over(&self, position: usize) {
+        if self.token.load(Ordering::SeqCst) {
+            let start = Instant::now();
+            let mut waited = false;
+            while !self.ring.taken(position) {
+                if !self.token.load(Ordering::SeqCst) || start.elapsed() >= WAKE_COST {
+                    return self.signal_work();
+                }
+                // A yield that found the core wanted most likely gave it
+                // to the holder: look again rather than give up.
+                relax();
+                waited = true;
+            }
+            if waited {
+                self.spin_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
+        }
+        self.signal_work();
+    }
+
+    /// Called by a service thread that has just taken work, with `holding`
+    /// saying whether it held the token when it did. A thread that holds
+    /// it, or finds it free, keeps it through the body it is about to run
+    /// if it expects to be back polling, queue cleared, sooner than a woken
+    /// sleeper could be here; otherwise it lets go.
+    ///
+    /// Calls queued under a held token are watched by their submitters
+    /// (`hand_over`). The rest were left to whoever was awake or waking,
+    /// which may be this thread, now about to stop looking: unless it was
+    /// the holder all along, it signals for what it leaves queued.
+    fn settle_token(&self, holding: &mut bool) {
+        let held = *holding;
+        let queued = self.ring.len();
+        let have = held || self.take_token();
+        *holding = have && self.one_thread_suffices(queued + 1);
+        if have && !*holding {
+            self.token.store(false, Ordering::SeqCst);
+        }
+        if !held {
+            self.signal_work();
+        }
+    }
+
+    /// Polls the ring, token in hand, until work arrives, the budget runs
+    /// out, a yield shows that somebody else wants the core, or the
+    /// interface closes.
+    fn poll(&self) -> Option<usize> {
+        let start = Instant::now();
+        let mut contended = false;
+        while !self.closed.load(Ordering::SeqCst) {
+            if let Some(index) = self.ring.pop() {
+                self.spin_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(index);
+            }
+            if contended || start.elapsed() >= WAKE_COST {
+                return None;
+            }
+            contended = relax();
+        }
+        None
+    }
+
+    /// Goes to sleep until issued a wake ticket: announces itself,
+    /// re-checks the ring and the closed flag, and only then waits.
+    fn sleep(&self) -> Woken {
+        let mut parking = self.park.lock();
+        parking.sleeping += 1;
+        self.sleepers.store(parking.sleeping, Ordering::SeqCst);
+        let early = match self.ring.pop() {
+            Some(index) => Some(Woken::Work(index)),
+            None if self.closed.load(Ordering::SeqCst) => Some(Woken::Closed),
+            None => None,
+        };
+        if let Some(early) = early {
+            parking.sleeping -= 1;
+            self.sleepers.store(parking.sleeping, Ordering::SeqCst);
+            return early;
+        }
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        loop {
+            self.work.wait(&mut parking);
+            if parking.tickets > 0 {
+                parking.tickets -= 1;
+                self.waking.fetch_sub(1, Ordering::SeqCst);
+                return Woken::Signalled;
+            }
+            if self.closed.load(Ordering::SeqCst) {
+                parking.sleeping -= 1;
+                self.sleepers.store(parking.sleeping, Ordering::SeqCst);
+                return Woken::Closed;
+            }
+        }
+    }
+
+    /// Takes the poller token if it is free and this host spins at all.
+    fn take_token(&self) -> bool {
+        self.spin
+            && !self.token.load(Ordering::SeqCst)
+            && self
+                .token
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+    }
+
+    /// The next slot index for a service thread to run, or `None` once the
+    /// interface is closed. `holding` is whether this thread holds the
+    /// poller token, on entry and on return.
+    fn next_work(&self, holding: &mut bool) -> Option<usize> {
+        loop {
+            if self.closed.load(Ordering::SeqCst) {
+                if std::mem::take(holding) {
+                    self.token.store(false, Ordering::SeqCst);
+                }
+                return None;
+            }
+            let mut found = self.ring.pop();
+            if found.is_none() && self.spin_can_pay() {
+                *holding = *holding || self.take_token();
+                if *holding {
+                    found = self.poll();
+                }
+            }
+            if let Some(index) = found {
+                self.settle_token(holding);
+                return Some(index);
+            }
+            if std::mem::take(holding) {
+                // Give the token back before the sleep's re-check, so a
+                // submitter that saw it held is covered by that re-check.
+                self.token.store(false, Ordering::SeqCst);
+            }
+            match self.sleep() {
+                Woken::Work(index) => {
+                    self.settle_token(holding);
+                    return Some(index);
+                }
+                Woken::Signalled => {}
+                Woken::Closed => return None,
+            }
+        }
+    }
+
+    /// Runs the body parked in slot `index` and frees the slot.
+    fn run(&self, index: usize) {
+        let Some((body, occupied)) = self.slots.get(index).and_then(Handoff::take) else {
+            return;
+        };
+        let active = self.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
+        self.max_concurrency.fetch_max(active, Ordering::SeqCst);
+        let start = Instant::now();
+        // Contain a panicking body: its completion filler is dropped during
+        // the unwind (waiters see the call as abandoned), and the slot and
+        // this service thread both survive instead of leaking.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        let run_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // mean += (sample - mean) / 8; a lost update between two service
+        // threads loses one sample of a statistic.
+        let mean = self.mean_run_ns.load(Ordering::Relaxed);
+        self.mean_run_ns
+            .store(mean - mean / 8 + run_ns / 8, Ordering::Relaxed);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        // The slot stayed occupied for the call's whole lifetime, like the
+        // real shared-memory slot.
+        drop(occupied);
+        if self.slot_waiters.load(Ordering::SeqCst) > 0 {
+            drop(self.park.lock());
+            self.slot_freed.notify_one();
+        }
+        if outcome.is_err() {
+            eprintln!("asyscall: system-call body panicked; call abandoned");
+        }
+    }
+
+    /// Whether a waiter may spin at all: a second core exists and bodies
+    /// have lately been short enough to be worth waiting out.
+    fn spin_can_pay(&self) -> bool {
+        self.spin && self.one_thread_suffices(1)
+    }
+
+    /// Whether some service thread is awake to make a waiter's spin end:
+    /// polling, running a body, or on its way between the two. A sleeper
+    /// that was signalled but has not resumed does not count: waiting for
+    /// it is waiting for a wake-up.
+    fn service_awake(&self) -> bool {
+        self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst) < self.threads
+    }
+
+    /// Closes the interface: service threads exit after the body they are
+    /// running, and bodies still queued are dropped unrun, which abandons
+    /// their waiters.
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        while let Some(index) = self.ring.pop() {
+            drop(self.slots.get(index).and_then(Handoff::take));
+        }
+        drop(self.park.lock());
+        self.work.notify_all();
     }
 }
 
 /// The asynchronous system-call interface.
 pub struct AsyscallInterface {
-    tx: Sender<usize>,
     shared: Arc<Shared>,
     cost: ModeCost,
     workers: Vec<JoinHandle<()>>,
@@ -445,62 +1134,41 @@ impl AsyscallInterface {
     /// calls).
     pub fn new(service_threads: usize, slots: usize, cost: ModeCost) -> Self {
         let slots = slots.max(1);
-        // The queue itself is unbounded; admission control is the slot
-        // table, exactly as in the modelled system.
-        let (tx, rx): (Sender<usize>, Receiver<usize>) = unbounded();
+        let threads = service_threads.max(1);
         let shared = Arc::new(Shared {
-            slots: (0..slots)
-                .map(|i| Slot {
-                    body: Mutex::with_rank_indexed(
-                        parking_lot::lock_order::ASYSCALL_SLOT,
-                        i as u32,
-                        None,
-                    ),
-                })
-                .collect(),
-            free: Mutex::with_rank(
-                parking_lot::lock_order::ASYSCALL_FREE,
-                (0..slots).rev().collect(),
-            ),
-            free_cv: Condvar::new(),
+            slots: (0..slots).map(|_| Handoff::new()).collect(),
+            ring: Ring::new(slots),
+            claim_from: AtomicUsize::new(0),
+            spin: std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1),
+            token: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            threads,
+            waking: AtomicUsize::new(0),
+            slot_waiters: AtomicUsize::new(0),
+            park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, Parking::default()),
+            work: Condvar::new(),
+            slot_freed: Condvar::new(),
+            closed: AtomicBool::new(false),
+            mean_run_ns: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             slot_waits: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             max_concurrency: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            spin_hits: AtomicU64::new(0),
         });
 
         let mut workers = Vec::new();
-        for i in 0..service_threads.max(1) {
-            let rx = rx.clone();
+        for i in 0..threads {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("asyscall-{i}"))
                 .spawn(move || {
-                    while let Ok(slot_index) = rx.recv() {
-                        // pesos-lint: allow(panic_freedom, "the queue carries only acquired slot indices")
-                        let body = shared.slots[slot_index]
-                            .body
-                            .lock()
-                            .take()
-                            // pesos-lint: allow(panic_freedom, "the body is stored before the slot index is queued")
-                            .expect("queued slot without body");
-                        let active = shared.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
-                        shared.max_concurrency.fetch_max(active, Ordering::SeqCst);
-                        // Contain a panicking body: its completion filler is
-                        // dropped during the unwind (waiters see the call as
-                        // abandoned), and the slot and this service thread
-                        // both survive instead of leaking.
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-                        shared.active.fetch_sub(1, Ordering::SeqCst);
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                        // Slot stays occupied for the call's whole lifetime,
-                        // like the real shared-memory slot.
-                        shared.release_slot(slot_index);
-                        if outcome.is_err() {
-                            eprintln!("asyscall: system-call body panicked; call abandoned");
-                        }
+                    let mut holding = false;
+                    while let Some(index) = shared.next_work(&mut holding) {
+                        shared.run(index);
                     }
                 })
                 // pesos-lint: allow(panic_freedom, "service-thread spawn failure at construction is fatal initialization")
@@ -509,7 +1177,6 @@ impl AsyscallInterface {
         }
 
         AsyscallInterface {
-            tx,
             shared,
             cost,
             workers,
@@ -521,41 +1188,44 @@ impl AsyscallInterface {
         self.shared.slots.len()
     }
 
-    fn enqueue(&self, body: SyscallBody) -> Result<(), SgxError> {
+    fn enqueue(&self, body: SyscallBody) {
         self.cost.charge(CostEvent::AsyncSyscall);
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        let slot_index = self.shared.acquire_slot();
-        // pesos-lint: allow(panic_freedom, "slot_index was just acquired from this slot table")
-        *self.shared.slots[slot_index].body.lock() = Some(body);
-        match self.tx.send(slot_index) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                // Interface closed: reclaim the slot and drop the body (its
-                // completion filler reports the abandonment).
-                // pesos-lint: allow(panic_freedom, "slot_index was just acquired from this slot table")
-                drop(self.shared.slots[slot_index].body.lock().take());
-                self.shared.release_slot(slot_index);
-                Err(SgxError::SyscallInterfaceClosed)
-            }
-        }
+        let index = self.shared.claim(body);
+        let position = self.shared.ring.push(index);
+        self.shared.hand_over(position);
     }
 
-    fn submit_completion<T, F>(
+    /// Enqueues `bodies` as one submission reporting into one set of
+    /// cells.
+    fn submit_set<'p, T, F>(
         &self,
-        body: F,
-        batch: Option<(Arc<BatchCore>, usize)>,
-    ) -> Result<Completion<T>, SgxError>
+        pool: Option<&'p CompletionPool<T>>,
+        bodies: impl ExactSizeIterator<Item = F>,
+    ) -> CompletionSet<'p, T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let state = CompletionState::new(batch);
-        let mut filler = Some(CompletionFiller::new(&state));
-        self.enqueue(Box::new(move || {
-            // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
-            filler.take().expect("body run twice").fill(body());
-        }))?;
-        Ok(Completion { state })
+        let calls = bodies.len();
+        let batch = match pool {
+            Some(pool) if calls > 0 => pool.acquire(calls),
+            _ => Batch::new(calls),
+        };
+        for (index, body) in bodies.enumerate() {
+            let filler = CompletionFiller {
+                batch: Arc::clone(&batch),
+                index: index as u32,
+            };
+            self.enqueue(Box::new(move || filler.fill(body())));
+        }
+        CompletionSet {
+            batch,
+            calls,
+            delivered: 0,
+            pool,
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Submits a "system call" and blocks until its result is available.
@@ -563,7 +1233,7 @@ impl AsyscallInterface {
     /// This mirrors the synchronous wrapper Scone exposes to the
     /// application: the enclave-side cost of slot handling is charged, the
     /// body runs on an untrusted service thread, and the calling thread
-    /// parks until the return queue delivers the result.
+    /// waits until the return queue delivers the result.
     pub fn submit<T, F>(&self, body: F) -> Result<T, SgxError>
     where
         T: Send + 'static,
@@ -580,7 +1250,9 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_completion(body, None)
+        Ok(Completion {
+            set: self.submit_set(None, std::iter::once(body)),
+        })
     }
 
     /// Like [`AsyscallInterface::submit_async`] but the completion cell
@@ -595,13 +1267,9 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let state = pool.acquire();
-        let mut filler = Some(CompletionFiller::new(&state));
-        self.enqueue(Box::new(move || {
-            // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
-            filler.take().expect("body run twice").fill(body());
-        }))?;
-        Ok(PooledCompletion { state, pool })
+        Ok(PooledCompletion {
+            set: self.submit_set(Some(pool), std::iter::once(body)),
+        })
     }
 
     /// Synchronous pooled submission: [`AsyscallInterface::submit`] without
@@ -617,37 +1285,25 @@ impl AsyscallInterface {
     /// Submits N call bodies as one scatter-gather batch and returns the
     /// joinable [`CompletionSet`].
     ///
-    /// The bodies start executing as service threads become free — several
-    /// at once when the pool allows — which is what turns serial
+    /// The bodies start executing as service threads become free (several
+    /// at once when the pool allows), which is what turns serial
     /// replication loops into parallel fan-out.
     pub fn submit_batch<T, F, I>(&self, bodies: I) -> Result<CompletionSet<'static, T>, SgxError>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
         I: IntoIterator<Item = F>,
+        I::IntoIter: ExactSizeIterator,
     {
-        let core = Arc::new(BatchCore {
-            finished: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_BATCH, VecDeque::new()),
-            cv: Condvar::new(),
-        });
-        let mut completions = Vec::new();
-        for (index, body) in bodies.into_iter().enumerate() {
-            let completion = self.submit_completion(body, Some((Arc::clone(&core), index)))?;
-            completions.push(Some(completion.state));
-        }
+        let set = self.submit_set(None, bodies.into_iter());
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(CompletionSet {
-            completions,
-            core,
-            delivered: 0,
-            pool: None,
-        })
+        Ok(set)
     }
 
-    /// Like [`AsyscallInterface::submit_batch`] but every completion cell
-    /// comes from `pool` and returns to it as the set delivers results —
-    /// the scatter-gather hot path (replicated puts, raced gets, batched
-    /// deletes) runs allocation-free in steady state.
+    /// Like [`AsyscallInterface::submit_batch`] but the completion cells
+    /// come from `pool` and return to it once the set has delivered every
+    /// result: the scatter-gather hot path (replicated puts, raced gets,
+    /// batched deletes) runs allocation-free in steady state.
     pub fn submit_batch_pooled<'p, T, F, I>(
         &self,
         pool: &'p CompletionPool<T>,
@@ -657,29 +1313,11 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
         I: IntoIterator<Item = F>,
+        I::IntoIter: ExactSizeIterator,
     {
-        let core = Arc::new(BatchCore {
-            finished: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_BATCH, VecDeque::new()),
-            cv: Condvar::new(),
-        });
-        let mut completions = Vec::new();
-        for (index, body) in bodies.into_iter().enumerate() {
-            let state = pool.acquire();
-            state.set_batch(Arc::clone(&core), index);
-            let mut filler = Some(CompletionFiller::new(&state));
-            self.enqueue(Box::new(move || {
-                // pesos-lint: allow(panic_freedom, "the filler closure runs exactly once per enqueue")
-                filler.take().expect("body run twice").fill(body());
-            }))?;
-            completions.push(Some(state));
-        }
+        let set = self.submit_set(Some(pool), bodies.into_iter());
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(CompletionSet {
-            completions,
-            core,
-            delivered: 0,
-            pool: Some(pool),
-        })
+        Ok(set)
     }
 
     /// Submits a "system call" without waiting for its completion.
@@ -690,7 +1328,8 @@ impl AsyscallInterface {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.enqueue(Box::new(body))
+        self.enqueue(Box::new(body));
+        Ok(())
     }
 
     /// Returns activity counters.
@@ -701,15 +1340,26 @@ impl AsyscallInterface {
             slot_waits: self.shared.slot_waits.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
             max_concurrency: self.shared.max_concurrency.load(Ordering::SeqCst),
+            parks: self.shared.parks.load(Ordering::Relaxed),
+            spin_hits: self.shared.spin_hits.load(Ordering::Relaxed),
         }
     }
 
     /// Shuts the interface down, waiting for service threads to exit.
     pub fn shutdown(mut self) {
-        drop(self.tx);
+        self.shared.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+/// Closes the interface without joining: the service threads exit on their
+/// own once woken, and waiters on calls that never ran see
+/// [`SgxError::SyscallInterfaceClosed`].
+impl Drop for AsyscallInterface {
+    fn drop(&mut self) {
+        self.shared.close();
     }
 }
 
@@ -988,6 +1638,26 @@ mod tests {
             CompletionPoolStats {
                 reused: 147,
                 allocated: 3
+            }
+        );
+    }
+
+    #[test]
+    fn pooled_single_calls_recycle_every_cell() {
+        // The single-call twin of the test above: a call publishes its
+        // completion as the last thing it does to the cell, so the waiter
+        // never meets a producer still letting go, and one cell serves
+        // every sequential call.
+        let i = iface();
+        let pool: CompletionPool<u64> = CompletionPool::new(4);
+        for k in 0..200u64 {
+            assert_eq!(i.submit_with_pool(&pool, move || k * 3).unwrap(), k * 3);
+        }
+        assert_eq!(
+            pool.stats(),
+            CompletionPoolStats {
+                reused: 199,
+                allocated: 1
             }
         );
     }

@@ -68,11 +68,12 @@ fn main() {
     // Per-partition cost accounting: one logical enclave per controller.
     for report in cluster.cost_report() {
         println!(
-            "partition {} [{:#018x}..]: {} requests, {} syscalls",
+            "partition {} [{:#018x}..]: {} requests, {} syscalls ({} hand-off sleeps)",
             report.partition,
             report.range.start,
             report.metrics.requests,
-            report.asyscall.submitted
+            report.asyscall.submitted,
+            report.asyscall.parks
         );
     }
 }
