@@ -158,8 +158,8 @@ impl ControllerCluster {
     /// attribute tree `/stats` serves; `top` bounds `groups/hot`. Each
     /// partition's subtree embeds the controller's own
     /// [`pesos_core::PesosController::stats_tree`] (its `metrics/`,
-    /// `latency/` and `sgx/` directories) alongside the cluster-level
-    /// range, request and replication gauges.
+    /// `latency/`, `sgx/` and `store/` directories) alongside the
+    /// cluster-level range, request and replication gauges.
     pub fn stats_tree(&self, top: usize) -> StatsNode {
         let snapshot = self.telemetry_snapshot(top);
         let controllers: Vec<Arc<pesos_core::PesosController>> = self.controllers();

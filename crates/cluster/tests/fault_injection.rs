@@ -337,22 +337,76 @@ fn torn_batch_reply_fails_the_put_and_the_next_request_converges() {
     assert_eq!(&*c.get("alice", "doc", &[]).unwrap().0, b"acked v1");
     assert_eq!(c.get_version("alice", "doc", 0, &[]).unwrap(), b"acked v0");
 
-    // -- a create (cold map: one metadata read, then the batch) ----------
-    // The seeded plan must let the read through and tear the batch; which
-    // seeds do is a property of the generator, so search a few.
-    let torn_create = (0..64u64).find_map(|seed| {
-        let c = fresh();
-        drive_of(&c).inject_faults(FaultPlan::torn_replies(seed, 0.5));
-        let failed = put(&c, "new", b"torn v0").is_err();
-        drive_of(&c).clear_faults();
-        (failed && latest_on_drive(&c, "new") == Some(0)).then_some(c)
-    });
-    let c = torn_create.expect("no seed in 0..64 tears exactly the batch reply");
-    // Nothing was acknowledged, so nothing may be cached as present; the
-    // next requests read through to the drive and continue from there.
+    // -- a create (cold map: the put is one compare-on-absent batch) -----
+    let c = fresh();
+    drive_of(&c).inject_faults(FaultPlan::torn_replies(1, 1.0));
+    assert!(put(&c, "new", b"torn v0").is_err());
+    drive_of(&c).clear_faults();
+    assert_eq!(latest_on_drive(&c, "new"), Some(0));
+    // Nothing was acknowledged, so nothing may be cached as present. The
+    // retry is a create again; the drive refuses it, and the put continues
+    // over the version the torn one left.
     assert_eq!(c.store().resident_object_count(), 0);
-    assert_eq!(&*c.get("alice", "new", &[]).unwrap().0, b"torn v0");
     assert_eq!(put(&c, "new", b"acked v1").unwrap(), 1);
+    assert_eq!(c.store().create_stats().refusals, 1);
     assert_eq!(&*c.get("alice", "new", &[]).unwrap().0, b"acked v1");
+    assert_eq!(c.get_version("alice", "new", 0, &[]).unwrap(), b"torn v0");
     assert_eq!(latest_on_drive(&c, "new"), Some(1));
+}
+
+/// A backup's first write of a key is the same compare-on-absent batch as
+/// the primary's: replication costs each backup drive one batch per
+/// create and not one read, nothing is ever refused on a healthy cluster,
+/// and a promoted backup continues every key at latest + 1.
+#[test]
+fn backups_create_without_asking_and_a_promotion_continues_over_them() {
+    const KEYS: usize = 24;
+    let mut config = ClusterConfig::native_simulator(2, 1);
+    config.backups_per_partition = 1;
+    let cluster = ControllerCluster::new(config).unwrap();
+    cluster.register_client("alice");
+    let key = |i: usize| format!("cold{i}.obj");
+    // (GETs, batches) served by all of a controller set's drives.
+    let drive_ops = |controllers: &[Arc<PesosController>]| {
+        controllers
+            .iter()
+            .flat_map(|c| c.store().drives().iter().map(|d| d.info().stats))
+            .fold((0, 0), |acc, s| (acc.0 + s.gets, acc.1 + s.puts))
+    };
+    let refusals = |controllers: &[Arc<PesosController>]| -> u64 {
+        controllers
+            .iter()
+            .map(|c| c.store().create_stats().refusals)
+            .sum()
+    };
+
+    let primaries = cluster.controllers();
+    let before = drive_ops(&primaries);
+    for i in 0..KEYS {
+        let version = cluster.put("alice", &key(i), b"v0".to_vec(), None, None, &[]);
+        assert_eq!(version.unwrap(), 0);
+    }
+    assert_eq!(drive_ops(&primaries), (before.0, before.1 + KEYS as u64));
+
+    // Kill both primaries; the promotion replays whatever tail the
+    // shippers had not delivered, so the promoted backups hold every key.
+    for partition in 0..2 {
+        cluster.fail_controller(partition).unwrap();
+    }
+    let promoted = cluster.controllers();
+    assert!(promoted
+        .iter()
+        .all(|p| primaries.iter().all(|old| !Arc::ptr_eq(p, old))));
+    assert_eq!(drive_ops(&promoted), (before.0, before.1 + KEYS as u64));
+    assert_eq!(refusals(&primaries) + refusals(&promoted), 0);
+
+    for i in 0..KEYS {
+        let version = cluster.put("alice", &key(i), b"v1".to_vec(), None, None, &[]);
+        assert_eq!(version.unwrap(), 1, "{}", key(i));
+        assert_eq!(
+            cluster.get_version("alice", &key(i), 0, &[]).unwrap(),
+            b"v0"
+        );
+    }
+    assert_eq!(refusals(&promoted), 0);
 }

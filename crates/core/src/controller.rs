@@ -51,9 +51,6 @@ type ShardedTxOutcomes = crate::sharded::ShardedFifoMap<TxOutcome>;
 struct PreparedWrite {
     key_hash: u64,
     content_hash: pesos_crypto::Digest,
-    /// Set when the prepare phase's metadata lookup found no record on the
-    /// drives, so the commit's put need not ask them again.
-    known_absent: Option<crate::store::Absent>,
 }
 
 /// A transaction that passed validation with all of its locks held — the
@@ -262,7 +259,10 @@ impl PesosController {
     ) -> Result<Option<Arc<pesos_policy::CompiledPolicy>>, PesosError> {
         let Some(meta) = meta else {
             // No object yet: creation is governed by the policy supplied with
-            // the put (if any); there is nothing to check here.
+            // the put (if any); there is nothing to check here. Callers pass
+            // `None` only for an absence the drives confirm: an
+            // authoritative `PesosStore::lookup` that answered, or — `put` —
+            // a create the drives must accept before the decision stands.
             return Ok(None);
         };
         let Some(policy_id) = meta.policy_id else {
@@ -356,37 +356,53 @@ impl PesosController {
 
         // One key hash and one content hash for the whole request: both are
         // reused by the policy check and then handed down into the store.
-        // One metadata lookup too: a drive fault fails the request here
-        // (it is never read as "no object yet"), and an authoritative
-        // "absent" travels down to the store so a create does not ask the
-        // drives again under the key lock.
+        // The drives are not asked about the key: what the in-enclave map
+        // holds is the record, and for a key it does not hold the decision
+        // below is provisional — the store creates compare-on-absent, and
+        // if a record exists after all (cold controller, failed delete,
+        // racing creator) hands it back with nothing written, so the policy
+        // is evaluated a second time, against the real record (so the loop
+        // below runs at most twice). A cold restart can never turn a
+        // policy-denied update into a create.
         let key = key.into();
-        let (current, known_absent) = self.store.lookup_for_put(&key)?;
-        let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
-        let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
-        let applied = self.check_policy(
-            Operation::Update,
-            &key,
-            current.as_ref(),
-            client_id,
-            certificates,
-            Some(next_version),
-            Some(new_hash.to_vec()),
-        )?;
+        let mut current = self.store.resident_metadata(&key);
+        loop {
+            let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
+            let next_version = expected_version.unwrap_or(default_next);
+            let applied = self.check_policy(
+                Operation::Update,
+                &key,
+                current.as_ref(),
+                client_id,
+                certificates,
+                Some(next_version),
+                Some(new_hash.to_vec()),
+            )?;
 
-        if let Some(id) = &policy_id {
-            // The referenced policy must exist before it can be attached.
-            self.store.load_policy(id)?;
+            if let Some(id) = &policy_id {
+                // The referenced policy must exist before it can be attached.
+                self.store.load_policy(id)?;
+            }
+            // The policy check above ran outside the store's key lock; the
+            // store re-validates the version under it, so two racing writers
+            // that both passed a version-constraining policy (or both
+            // supplied the same expected_version) cannot both land — one
+            // gets a VersionConflict instead of a blind overwrite.
+            let cas = Self::cas_version(&applied, expected_version, next_version);
+            if current.is_some() {
+                return self
+                    .store
+                    .put_object_full(&key, &value, policy_id, cas, Some(new_hash));
+            }
+            match self
+                .store
+                .create_object(&key, &value, policy_id, cas, new_hash)?
+            {
+                Ok(version) => return Ok(version),
+                Err(record) => current = Some(record),
+            }
         }
-        // The policy check above ran outside the store's key lock; the
-        // store re-validates the version under it, so two racing writers
-        // that both passed a version-constraining policy (or both supplied
-        // the same expected_version) cannot both land — one gets a
-        // VersionConflict instead of a blind overwrite.
-        let cas = Self::cas_version(&applied, expected_version, next_version);
-        self.store
-            .put_object_full(key, &value, policy_id, cas, Some(new_hash), known_absent)
     }
 
     /// Stores an object asynchronously; returns the operation identifier the
@@ -408,8 +424,12 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.writes);
         ControllerMetrics::bump(&self.metrics.async_accepted);
 
+        // The acknowledgement (and, in a cluster, the replication log
+        // record) precedes the write, so the decision cannot be provisional
+        // as in `put`: ask the drives now. The deferred write is still
+        // compare-on-absent while the map does not hold the key.
         let key = key.into();
-        let (current, known_absent) = self.store.lookup_for_put(&key)?;
+        let current = self.store.lookup(&key)?;
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
         let new_hash = pesos_crypto::sha256(&value);
@@ -436,14 +456,7 @@ impl PesosController {
         let key = key.key().to_string();
         self.scheduler.spawn(move || {
             let key = HashedKey::from_parts(&key, key_hash);
-            let outcome = match store.put_object_full(
-                key,
-                &value,
-                policy_id,
-                cas,
-                Some(new_hash),
-                known_absent,
-            ) {
+            let outcome = match store.put_object_full(key, &value, policy_id, cas, Some(new_hash)) {
                 Ok(version) => AsyncResult::Completed {
                     version: Some(version),
                 },
@@ -469,7 +482,7 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.requests);
         ControllerMetrics::bump(&self.metrics.reads);
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup(&key)?;
         self.check_policy(
             Operation::Read,
             &key,
@@ -496,7 +509,7 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.requests);
         ControllerMetrics::bump(&self.metrics.reads);
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup(&key)?;
         self.check_policy(
             Operation::Read,
             &key,
@@ -521,7 +534,7 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.requests);
         ControllerMetrics::bump(&self.metrics.deletes);
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup(&key)?;
         self.check_policy(
             Operation::Delete,
             &key,
@@ -547,7 +560,7 @@ impl PesosController {
         self.require_session(client_id)?;
         ControllerMetrics::bump(&self.metrics.requests);
         let key = key.into();
-        let current = self.store.get_metadata(&key);
+        let current = self.store.lookup(&key)?;
         self.check_policy(
             Operation::Update,
             &key,
@@ -692,10 +705,11 @@ impl PesosController {
             .collect();
         let read_keys: Vec<HashedKey<'_>> =
             prepared.reads().iter().map(|k| HashedKey::new(k)).collect();
-        let mut known_absent = Vec::with_capacity(write_keys.len());
+        // A prepare promises versions it must be able to write, so every
+        // lookup here is authoritative; the commit's writes are still
+        // compare-on-absent while the map does not hold their key.
         for (key, hash) in write_keys.iter().zip(&write_hashes) {
-            let (current, absent) = store.lookup_for_put(key)?;
-            known_absent.push(absent);
+            let current = store.lookup(key)?;
             let next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
             self.check_policy(
                 Operation::Update,
@@ -708,7 +722,7 @@ impl PesosController {
             )?;
         }
         for key in &read_keys {
-            let current = store.get_metadata(key);
+            let current = store.lookup(key)?;
             self.check_policy(
                 Operation::Read,
                 key,
@@ -727,11 +741,9 @@ impl PesosController {
         let write_plan = write_keys
             .iter()
             .zip(&write_hashes)
-            .zip(known_absent)
-            .map(|((key, hash), known_absent)| PreparedWrite {
+            .map(|(key, hash)| PreparedWrite {
                 key_hash: key.hash(),
                 content_hash: *hash,
-                known_absent,
             })
             .collect();
         Ok((read_values, write_plan))
@@ -763,7 +775,6 @@ impl PesosController {
                 None,
                 None,
                 Some(plan.content_hash),
-                plan.known_absent,
             ) {
                 Ok(v) => v,
                 Err(e) => {
@@ -877,6 +888,14 @@ impl PesosController {
             .with("asyscall_parks", StatsNode::leaf(asyscall.parks))
             .with("asyscall_spin_hits", StatsNode::leaf(asyscall.spin_hits))
             .with("asyscall_batches", StatsNode::leaf(asyscall.batches));
+        // Creates the drives contradicted (`PesosStore::create_stats`): a
+        // restart is a burst of refusals that decays as the map fills; a
+        // rollback on a healthy cluster means replicas disagree on whether
+        // a key exists.
+        let creates = self.store.create_stats();
+        let store = StatsNode::dir()
+            .with("create_refusals", StatsNode::leaf(creates.refusals))
+            .with("create_rollbacks", StatsNode::leaf(creates.rollbacks));
         StatsNode::dir()
             .with(
                 "resident_objects",
@@ -885,6 +904,7 @@ impl PesosController {
             .with("metrics", metrics)
             .with("latency", pesos_telemetry::ops_node(&self.metrics.ops))
             .with("sgx", sgx)
+            .with("store", store)
     }
 
     /// Restarts this controller's telemetry window (latency histograms).
@@ -1097,10 +1117,10 @@ mod tests {
     }
 
     #[test]
-    fn a_create_on_a_cold_controller_reads_the_drives_once() {
-        // One drive, so one raced metadata read is one drive GET. The
-        // request's lookup asks the drives; the store's re-validation under
-        // the key lock must not ask again.
+    fn a_create_asks_the_drives_nothing() {
+        // One drive, so one raced metadata read is one drive GET and one
+        // batch is one drive PUT. A synchronous create consults the map
+        // only; its existence check rides in the batch.
         let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
         let client = c.register_client("alice");
         let ops = || {
@@ -1113,12 +1133,8 @@ mod tests {
                 .unwrap(),
             0
         );
-        assert_eq!(
-            ops(),
-            (before.0 + 1, before.1 + 1),
-            "create: 1 read, 1 batch"
-        );
-        // An update is served from the in-enclave map: no read at all.
+        assert_eq!(ops(), (before.0, before.1 + 1), "create: 0 reads, 1 batch");
+        // An update is served from the in-enclave map: no read either.
         let before = ops();
         assert_eq!(
             c.put(&client, "fresh", b"v1".to_vec(), None, None, &[])
@@ -1126,8 +1142,9 @@ mod tests {
             1
         );
         assert_eq!(ops(), (before.0, before.1 + 1), "update: 1 batch");
-        // The asynchronous and transactional creates thread the same
-        // lookup down.
+        // The asynchronous and the transactional create promise before
+        // they write, so each keeps its one authoritative lookup; the
+        // write itself is still one (conditional) batch.
         let before = ops();
         let op = c
             .put_async(&client, "fresh-async", b"v".to_vec(), None, None, &[])
@@ -1137,10 +1154,17 @@ mod tests {
             c.poll_result(&client, op),
             Some(AsyncResult::Completed { version: Some(0) })
         ));
+        assert_eq!(
+            ops(),
+            (before.0 + 1, before.1 + 1),
+            "async: 1 read, 1 batch"
+        );
+        let before = ops();
         let tx = c.create_tx(&client).unwrap();
         c.add_write(&client, tx, "fresh-tx", b"v".to_vec()).unwrap();
         c.commit_tx(&client, tx).unwrap();
-        assert_eq!(ops(), (before.0 + 2, before.1 + 2));
+        assert_eq!(ops(), (before.0 + 1, before.1 + 1), "tx: 1 read, 1 batch");
+        assert_eq!(c.store().create_stats(), Default::default());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use request::{ClientRequest, ClientResponse};
 pub use result_buffer::{AsyncResult, ResultBuffer};
 pub use session::{SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};
-pub use store::{ObjectExport, PesosStore, StoreOptions};
+pub use store::{CreateStats, ObjectExport, PesosStore, StoreOptions};
 pub use transaction::{PreparedTransaction, TransactionManager, TxOutcome, TxWrite};
 
 pub use pesos_kinetic::{DriveConfig, DriveSet, KineticDrive};

@@ -15,10 +15,12 @@
 //! the sub-operations the mutation needs (the sealed object, the metadata
 //! record, the DELETE of any version the history just trimmed) travel as
 //! *one* Kinetic batch per replica, and the per-replica batches go out as
-//! one [`AsyscallInterface::submit_batch_pooled`] that is joined once,
-//! first error wins. A put therefore costs one asyscall hand-off and one
-//! drive round trip per replica, and a replication factor of N costs that
-//! one round trip, not N sequential ones.
+//! one [`AsyscallInterface::submit_batch_pooled`] that is joined once
+//! (`PesosStore::batch_on` keeps each replica's own answer; every path but
+//! a create reads them first error wins). A put therefore costs one
+//! asyscall hand-off and one drive round trip per replica, and a
+//! replication factor of N costs that one round trip, not N sequential
+//! ones.
 //!
 //! What the batch buys is per-replica atomicity: a drive applies the list
 //! all-or-nothing, so on any one replica an object's data and its metadata
@@ -46,32 +48,58 @@
 //! over every payload byte of the batch); it is the *only* per-replica
 //! payload cost left on the write path.
 //!
-//! # Asking the drives about absence once
+//! # A first write is compare-on-absent
 //!
 //! The in-enclave metadata map ([`ShardedMetadata`]) never evicts, and
 //! every transition of a key between absent and present on this
 //! controller's drives — put, replicated apply, import, delete — updates it
 //! under the key's write lock. A key the map does not hold is therefore
 //! either absent or untouched since this controller started, and only the
-//! drives can tell which: `PesosStore::lookup_for_put` asks them, under
-//! the key lock, keeping a drive *fault* an error (it is never read as
-//! "absent"). Once a request has been told "absent", no later drive read
-//! can add anything: had the key been created since, the creator would
-//! have put it into the map. So the controller looks a key up once per
-//! request and hands "the drives said absent" down to the put, whose
-//! re-validation under the key lock consults the map only — a create costs
-//! one drive read and one batch, where it used to cost two reads and two
-//! writes. Nothing is cached to make this work: there is no negative
-//! entry to invalidate, only the map that was already authoritative.
+//! drives can tell which. The store does not ask them first: under the key
+//! lock, **a key the map does not hold is written compare-on-absent** —
+//! the sealed object and the metadata record travel as
+//! [`BatchOp::put_if_absent`] sub-operations of the usual one batch per
+//! replica, and each drive makes the existence check atomically with the
+//! write. A create therefore costs what an update costs: one hand-off, one
+//! actuator service per replica, no read.
 //!
-//! One transition does *not* pass through the map: a delete that fails
-//! forgets the key (the drives are the witness of what it left behind)
-//! while a replica may still hold the record. An "absent" answered before
-//! such a delete says nothing about the drives after it, so the answer is
-//! an `Absent` token stamped with the store's count of failed deletes,
-//! and a put whose token is older than the current count asks the drives
-//! again under the key lock. Failed deletes are rare, so the count is one
-//! store-wide number rather than per-key state.
+//! * **Every replica accepts.** The create is done; the map is advanced.
+//! * **A replica refuses** (`VersionMismatch`: it holds something under
+//!   `o/<key>/0` or `m/<key>`). A record exists that the map did not know —
+//!   a cold controller after a restart or promotion, or a failed delete,
+//!   which forgets the key while a replica may keep the record. The create
+//!   is rolled back on the replicas that *positively acknowledged* it, by
+//!   one forced DELETE batch of exactly the two keys it wrote: acceptance
+//!   is that drive's own testimony that both were absent there, so the
+//!   undo is exact. Then the authoritative path runs, still under the key
+//!   lock: `PesosStore::load_metadata_checked` reads the record, and the
+//!   write proceeds as an update over it — or, for the controller's
+//!   synchronous put, goes back to the controller as a typed refusal
+//!   ([`PesosStore::create_object`]) so the real record's policy is
+//!   evaluated before anything is written: "no record, nothing to check"
+//!   is provisional until the drives accept. A refusal whose re-read
+//!   finds no readable record (an orphaned `o/<key>/0`, or an unreadable
+//!   `m/<key>`) fails the request; nothing is ever forced over it.
+//! * **A replica faults beside a refusal.** The one residual: a dropped
+//!   request may sit on a genuine record and a torn reply may hide an
+//!   acceptance, so a faulting replica is never rolled back. The request
+//!   fails with the fault and a replica that accepted keeps its copy —
+//!   the same class as "a put landed on a subset of its replicas" above,
+//!   with the same repair: the map is not advanced, so the next write to
+//!   the key is refused by that replica, finds the surviving record and
+//!   lands over it. A rollback that itself faults is this case too.
+//!
+//! Paths that *promise* before they write keep an authoritative lookup
+//! ([`PesosStore::lookup`], which keeps a drive *fault* an error and never
+//! reads it as "absent") where the promise is made: an asynchronous put at
+//! acceptance and a transaction at prepare. Their later write still goes
+//! conditional while the map misses, and a refusal there re-reads and
+//! proceeds inside the store. A put whose expected version can only be an
+//! update (`Some(v)`, `v > 0`) on a key the map does not hold asks the
+//! drives what it builds on instead of attempting a create. Nothing is
+//! cached to make any of this work: there is no negative entry to
+//! invalidate and no token to void, only the map that was already
+//! authoritative and the drive's own compare-and-swap.
 //!
 //! Hot shared state is lock-sharded: the metadata map and the object cache
 //! split their entries over N independently locked shards selected by the
@@ -97,7 +125,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pesos_kinetic::{BatchOp, DriveSet, KineticClient, KineticError, Payload, MAX_BATCH_OPS};
+use pesos_kinetic::{
+    BatchOp, DriveSet, KineticClient, KineticError, Payload, StatusCode, MAX_BATCH_OPS,
+};
 use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, Tuple};
 use pesos_sgx::{AsyscallInterface, CompletionPool, Enclave};
 
@@ -188,13 +218,17 @@ impl KeyLocks {
     }
 }
 
-/// The drives' authoritative answer that a key has no record, as one
-/// request learned it from [`PesosStore::lookup_for_put`]; handing it to
-/// the put spares the second drive read (module docs, "Asking the drives
-/// about absence once"). It carries the store's failed-delete count at the
-/// time of the answer and stops being trusted once that count has moved.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Absent(u64);
+/// How often the drives contradicted the in-enclave map about a key's
+/// absence (module docs, "A first write is compare-on-absent").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CreateStats {
+    /// Creates a replica refused because it already held the key. A
+    /// restart shows up as a burst that decays as the map fills.
+    pub refusals: u64,
+    /// Refused creates that had landed on another replica and were undone
+    /// there: replicas that disagree on whether the key exists.
+    pub rollbacks: u64,
+}
 
 /// The storage layer of one controller instance.
 pub struct PesosStore {
@@ -206,11 +240,9 @@ pub struct PesosStore {
     metadata: ShardedMetadata,
     key_locks: KeyLocks,
     replication_factor: usize,
-    /// Deletes that reported failure so far. Such a delete forgets the key
-    /// although a replica may still hold its record, which voids every
-    /// [`Absent`] answered before it. Read and bumped under key locks only,
-    /// which order the accesses that matter (same key).
-    failed_deletes: AtomicU64,
+    /// [`CreateStats`] counters (statistics only, hence relaxed).
+    create_refusals: AtomicU64,
+    create_rollbacks: AtomicU64,
     asyscall: Arc<AsyscallInterface>,
     enclave: Arc<Enclave>,
     /// Typed completion pools, one per kinetic result type, backing both
@@ -247,7 +279,8 @@ impl PesosStore {
             metadata: ShardedMetadata::new(options.lock_shards),
             key_locks: KeyLocks::new(options.lock_shards),
             replication_factor: options.replication_factor,
-            failed_deletes: AtomicU64::new(0),
+            create_refusals: AtomicU64::new(0),
+            create_rollbacks: AtomicU64::new(0),
             asyscall,
             enclave,
             batch_pool: CompletionPool::new(pool_capacity),
@@ -287,6 +320,14 @@ impl PesosStore {
         }
     }
 
+    /// Refused and rolled-back creates so far.
+    pub fn create_stats(&self) -> CreateStats {
+        CreateStats {
+            refusals: self.create_refusals.load(Ordering::Relaxed),
+            rollbacks: self.create_rollbacks.load(Ordering::Relaxed),
+        }
+    }
+
     /// EPC usage counters of the enclave this store runs in. Each
     /// controller instance owns one logical enclave, so a cluster
     /// deployment reads per-partition SGX cost from here.
@@ -308,11 +349,24 @@ impl PesosStore {
     }
 
     /// Applies `ops` as one atomic Kinetic batch on every placement target
-    /// of `placement_key` — the single write primitive every mutation path
-    /// is built on.
+    /// of `placement_key`, first error wins.
+    fn replicated_batch(
+        &self,
+        placement_key: &HashedKey<'_>,
+        ops: Arc<[BatchOp]>,
+    ) -> Result<(), PesosError> {
+        for result in self.batch_on(&self.targets_for(placement_key), ops)? {
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Applies `ops` as one atomic Kinetic batch on each of the drives
+    /// `targets` — the single write primitive every mutation path is built
+    /// on — and returns each drive's own answer, in `targets` order.
     ///
     /// The per-replica batches are enqueued as one scatter-gather
-    /// submission and joined once (first error wins); payloads are shared
+    /// submission and joined once; payloads are shared
     /// buffers, so each replica costs reference-count bumps, not copies —
     /// the vectored kinetic frames keep it that way all the way into the
     /// drive engine. The simulated enclave-boundary copy is charged here,
@@ -321,12 +375,11 @@ impl PesosStore {
     /// in-process simulation elides the physical copy. The list itself is
     /// shared too: every replica's command holds the same `Arc`. `ops` must
     /// respect [`MAX_BATCH_OPS`]; the drive rejects longer lists.
-    fn replicated_batch(
+    fn batch_on(
         &self,
-        placement_key: &HashedKey<'_>,
+        targets: &[usize],
         ops: Arc<[BatchOp]>,
-    ) -> Result<(), PesosError> {
-        let targets = self.targets_for(placement_key);
+    ) -> Result<Vec<Result<(), KineticError>>, PesosError> {
         if targets.is_empty() {
             return Err(PesosError::Backend("no online drives".into()));
         }
@@ -337,7 +390,7 @@ impl PesosStore {
                 BatchOp::Delete { .. } => 0,
             })
             .sum();
-        for _ in &targets {
+        for _ in targets {
             self.enclave.charge_boundary_copy(payload_bytes);
         }
         let set = self.asyscall.submit_batch_pooled(
@@ -349,10 +402,7 @@ impl PesosStore {
                 move || client.batch(ops)
             }),
         )?;
-        for result in set.join()? {
-            result.map_err(PesosError::from)?;
-        }
-        Ok(())
+        Ok(set.join()?)
     }
 
     /// Reads `backend_key` from the replicas of `placement_key`.
@@ -446,50 +496,55 @@ impl PesosStore {
     // ------------------------------------------------------------------
 
     /// Returns the metadata for `key`, reading through to the drives on a
-    /// cold start. Drive faults collapse into `None`; mutation paths, which
-    /// must not mistake an unreachable drive for an absent record, use
-    /// `lookup_for_put`.
+    /// cold start, best effort: a drive fault or an unreadable record
+    /// collapses into `None`. Request paths, which must not mistake an
+    /// unreachable drive for an absent record (and "no record" for "no
+    /// policy"), use [`PesosStore::lookup`].
     pub fn get_metadata<'a>(&self, key: impl Into<HashedKey<'a>>) -> Option<ObjectMetadata> {
-        self.lookup_for_put(key).ok().and_then(|(meta, _)| meta)
+        self.lookup(key).ok().flatten()
     }
 
-    /// The one metadata lookup of a write request: the record, or — when
-    /// the drives *answered* that none exists — the [`Absent`] token the
-    /// request hands to its put (exactly one of the two is `Some`). Unlike
-    /// [`PesosStore::get_metadata`] it keeps a drive fault an error.
+    /// The record the in-enclave map holds for `key`, without asking the
+    /// drives. `None` says nothing about them (module docs).
+    pub(crate) fn resident_metadata(&self, key: &HashedKey<'_>) -> Option<ObjectMetadata> {
+        self.metadata.get(key)
+    }
+
+    /// The authoritative metadata lookup of a request: the record, or
+    /// `None` when the drives *answered* that none exists. Unlike
+    /// [`PesosStore::get_metadata`] it keeps a drive fault (and an
+    /// unreadable record) an error.
     ///
     /// The read-through (drive read + map fill) runs under the key write
     /// lock: filling without it could insert metadata a concurrent delete
     /// or newer put has already superseded, resurrecting deleted objects
     /// or rolling versions back. The warm path (map hit) stays lock-free.
-    pub(crate) fn lookup_for_put<'a>(
+    pub(crate) fn lookup<'a>(
         &self,
         key: impl Into<HashedKey<'a>>,
-    ) -> Result<(Option<ObjectMetadata>, Option<Absent>), PesosError> {
+    ) -> Result<Option<ObjectMetadata>, PesosError> {
         let key = key.into();
         if let Some(m) = self.metadata.get(&key) {
-            return Ok((Some(m), None));
+            return Ok(Some(m));
         }
         let key_lock = self.key_locks.lock_for(&key);
         let fill_guard = key_lock.lock();
-        let asked_at = Absent(self.failed_deletes.load(Ordering::Relaxed));
         let out = self.load_metadata_checked(&key);
         drop(fill_guard);
         self.key_locks.release_if_unused(&key, &key_lock);
-        Ok(match out? {
-            Some(meta) => (Some(meta), None),
-            None => (None, Some(asked_at)),
-        })
+        out
     }
 
-    /// The read-through body of [`PesosStore::lookup_for_put`]; the caller
-    /// must hold `key`'s write lock, which makes the drive read
-    /// authoritative (no delete or put can run concurrently for this key).
-    /// `Ok(None)` means the drives *answered* and no record exists, never
-    /// that they could not be asked. Every mutation path relies on this — a
-    /// put that mistook an unreachable drive for an absent record would
-    /// restart the version sequence over a live object, and a delete or
-    /// export would report a still-resident object as settled.
+    /// The read-through body of [`PesosStore::lookup`]; the caller must
+    /// hold `key`'s write lock, which makes the drive read authoritative
+    /// (no delete or put can run concurrently for this key). `Ok(None)`
+    /// means the drives *answered* and hold nothing under `m/<key>`, never
+    /// that they could not be asked or that what they hold could not be
+    /// read. Every request path relies on this — a put that mistook an
+    /// unreachable drive or a corrupt record for an absent one would
+    /// restart the version sequence over a live object without evaluating
+    /// its policy, a read would serve it unchecked, and a delete or export
+    /// would report a still-resident object as settled.
     fn load_metadata_checked(
         &self,
         key: &HashedKey<'_>,
@@ -499,16 +554,20 @@ impl PesosStore {
         }
         match self.replicated_get(key, Arc::from(meta_key(key.key()))) {
             Ok(bytes) => {
-                let Ok(meta) = ObjectMetadata::from_bytes(&bytes) else {
-                    return Ok(None);
-                };
                 // A record whose embedded key differs from the key it was
-                // stored under is corrupt drive state: caching it would
-                // file it in `key`'s shard under the embedded name, where
-                // no lookup or removal would ever find it again.
-                if meta.key != key.key() {
-                    return Ok(None);
-                }
+                // stored under is as corrupt as one that does not decode:
+                // caching it would file it in `key`'s shard under the
+                // embedded name, where no lookup or removal would ever
+                // find it again.
+                let meta = ObjectMetadata::from_bytes(&bytes)
+                    .ok()
+                    .filter(|meta| meta.key == key.key())
+                    .ok_or_else(|| {
+                        PesosError::Backend(format!(
+                            "the drives hold an unreadable metadata record for {:?}",
+                            key.key()
+                        ))
+                    })?;
                 self.metadata.insert(key, meta.clone());
                 Ok(Some(meta))
             }
@@ -533,7 +592,7 @@ impl PesosStore {
         value: &[u8],
         policy_id: Option<PolicyId>,
     ) -> Result<u64, PesosError> {
-        self.put_object_full(key, value, policy_id, None, None, None)
+        self.put_object_full(key, value, policy_id, None, None)
     }
 
     /// Like [`PesosStore::put_object`] but with compare-and-swap semantics:
@@ -549,11 +608,11 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
     ) -> Result<u64, PesosError> {
-        self.put_object_full(key, value, policy_id, expected_version, None, None)
+        self.put_object_full(key, value, policy_id, expected_version, None)
     }
 
-    /// The full put path: compare-and-swap, an optional precomputed content
-    /// digest, and what the request already learned about the key.
+    /// The full put path: compare-and-swap and an optional precomputed
+    /// content digest.
     ///
     /// The controller already hashes every put payload for the policy
     /// check's `objHash` predicate; passing that digest here keeps the
@@ -564,11 +623,10 @@ impl PesosStore {
     /// it breaks `objHash` policies and permanently defeats the get-path
     /// cache revalidation for that version.
     ///
-    /// `known_absent` is what this request's [`PesosStore::lookup_for_put`]
-    /// returned for `key`. While no delete has failed since, the
-    /// re-validation under the key lock consults the in-enclave map only —
-    /// a racing creator would have filled it — instead of asking the
-    /// drives a second time (module docs).
+    /// A key the map does not hold is created compare-on-absent; if the
+    /// drives refuse, the put lands as an update over the record they hold
+    /// (module docs). Callers whose decision depended on there being no
+    /// record use [`PesosStore::create_object`] instead.
     pub(crate) fn put_object_full<'a>(
         &self,
         key: impl Into<HashedKey<'a>>,
@@ -576,24 +634,22 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         value_hash: Option<pesos_crypto::Digest>,
-        known_absent: Option<Absent>,
     ) -> Result<u64, PesosError> {
         let key = key.into();
         let key_lock = self.key_locks.lock_for(&key);
         let _write_guard = key_lock.lock();
 
-        let current = match known_absent {
-            Some(Absent(asked_at)) if asked_at == self.failed_deletes.load(Ordering::Relaxed) => {
-                self.metadata.get(&key)
+        let value_hash = value_hash.unwrap_or_else(|| pesos_crypto::sha256(value));
+        let meta = match self.metadata.get(&key) {
+            Some(meta) => meta,
+            None => {
+                match self.create_version(&key, value, policy_id, expected_version, value_hash)? {
+                    Ok(()) => return Ok(0),
+                    Err(meta) => meta,
+                }
             }
-            _ => self.load_metadata_checked(&key)?,
         };
-        let meta = current.unwrap_or_else(|| ObjectMetadata::new(key.key()));
-        let new_version = if meta.versions.is_empty() {
-            0
-        } else {
-            meta.latest_version + 1
-        };
+        let new_version = meta.latest_version + 1;
         if let Some(expected) = expected_version {
             if expected != new_version {
                 return Err(PesosError::VersionConflict {
@@ -602,12 +658,109 @@ impl PesosStore {
                 });
             }
         }
-
-        let value_hash = value_hash.unwrap_or_else(|| pesos_crypto::sha256(value));
         self.write_version(&key, meta, new_version, value, policy_id, value_hash)?;
         self.object_cache
             .put(key, Arc::new(value.to_vec()), new_version);
         Ok(new_version)
+    }
+
+    /// Creates `key` at version 0 — and nothing else: when a record exists
+    /// after all (a racing creator filled the map, or the drives refused
+    /// the create) it is handed back as `Err` with nothing written, so a
+    /// caller that decided on "no record, no policy" re-decides against
+    /// the real one. Parameters as for [`PesosStore::put_object_full`].
+    pub(crate) fn create_object(
+        &self,
+        key: &HashedKey<'_>,
+        value: &[u8],
+        policy_id: Option<PolicyId>,
+        expected_version: Option<u64>,
+        value_hash: pesos_crypto::Digest,
+    ) -> Result<Result<u64, ObjectMetadata>, PesosError> {
+        let key_lock = self.key_locks.lock_for(key);
+        let _write_guard = key_lock.lock();
+        if let Some(meta) = self.metadata.get(key) {
+            return Ok(Err(meta));
+        }
+        let created = self.create_version(key, value, policy_id, expected_version, value_hash)?;
+        Ok(created.map(|()| 0))
+    }
+
+    /// The first write of a key the map does not hold, compare-on-absent
+    /// (module docs). The caller holds `key`'s write lock and has seen the
+    /// map miss. On `Ok(())` version 0 is on every replica, in the map and
+    /// in the cache; on `Err(record)` the drives hold `record`, which is
+    /// now in the map, and nothing of the attempt is left behind.
+    fn create_version(
+        &self,
+        key: &HashedKey<'_>,
+        value: &[u8],
+        policy_id: Option<PolicyId>,
+        expected_version: Option<u64>,
+        value_hash: pesos_crypto::Digest,
+    ) -> Result<Result<(), ObjectMetadata>, PesosError> {
+        // A put that can only be an update asks what it builds on instead.
+        if let Some(expected) = expected_version.filter(|&v| v != 0) {
+            return match self.load_metadata_checked(key)? {
+                Some(meta) => Ok(Err(meta)),
+                None => Err(PesosError::VersionConflict { expected, got: 0 }),
+            };
+        }
+
+        let mut meta = ObjectMetadata::new(key.key());
+        let ops: Arc<[BatchOp]> = self
+            .version_ops(
+                key,
+                &mut meta,
+                0,
+                value,
+                policy_id,
+                value_hash,
+                stored_if_absent,
+            )
+            .into();
+        let targets = self.targets_for(key);
+        let results = self.batch_on(&targets, Arc::clone(&ops))?;
+
+        let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
+        let errors = || results.iter().filter_map(|r| r.as_ref().err());
+        if !errors().any(is_refusal) {
+            for result in results {
+                result?;
+            }
+            self.metadata.insert(key, meta);
+            self.object_cache.put(key, Arc::new(value.to_vec()), 0);
+            return Ok(Ok(()));
+        }
+
+        self.create_refusals.fetch_add(1, Ordering::Relaxed);
+        // A replica that faulted beside the refusal may or may not hold the
+        // create, on top of a record or not: nothing can be undone safely.
+        if let Some(fault) = errors().find(|e| !is_refusal(e)) {
+            return Err(fault.clone().into());
+        }
+        let accepted: Vec<usize> = targets
+            .iter()
+            .zip(&results)
+            .filter_map(|(&drive, result)| result.is_ok().then_some(drive))
+            .collect();
+        if !accepted.is_empty() {
+            self.create_rollbacks.fetch_add(1, Ordering::Relaxed);
+            let undo = ops
+                .iter()
+                .map(|op| BatchOp::delete_forced(op.key().to_vec()))
+                .collect();
+            for result in self.batch_on(&accepted, undo)? {
+                result?;
+            }
+        }
+        match self.load_metadata_checked(key)? {
+            Some(meta) => Ok(Err(meta)),
+            None => Err(PesosError::Backend(format!(
+                "a drive refused to create {:?} but none holds a record for it",
+                key.key()
+            ))),
+        }
     }
 
     /// Seals `value` as `version` of `key`, records it in `meta`, and lands
@@ -624,6 +777,29 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         value_hash: pesos_crypto::Digest,
     ) -> Result<ObjectMetadata, PesosError> {
+        let ops = self.version_ops(
+            key, &mut meta, version, value, policy_id, value_hash, stored,
+        );
+        self.replicated_batch(key, ops.into())?;
+        self.metadata.insert(key, meta.clone());
+        Ok(meta)
+    }
+
+    /// The sub-operations that add `version` to `key`: records the version
+    /// in `meta` and returns the sealed object and the updated record, each
+    /// built by `put`, plus the forced DELETE of every version the history
+    /// bound just trimmed.
+    #[allow(clippy::too_many_arguments)]
+    fn version_ops(
+        &self,
+        key: &HashedKey<'_>,
+        meta: &mut ObjectMetadata,
+        version: u64,
+        value: &[u8],
+        policy_id: Option<PolicyId>,
+        value_hash: pesos_crypto::Digest,
+        put: fn(Vec<u8>, Vec<u8>) -> BatchOp,
+    ) -> Vec<BatchOp> {
         let sealed = self.crypter.seal(key.key(), version, value);
         let policy_hash = policy_id
             .or(meta.policy_id)
@@ -639,17 +815,15 @@ impl PesosStore {
             policy_hash,
         });
         let mut ops = vec![
-            stored(data_key(key.key(), version), sealed),
-            stored(meta_key(key.key()), meta.to_bytes()),
+            put(data_key(key.key(), version), sealed),
+            put(meta_key(key.key()), meta.to_bytes()),
         ];
         ops.extend(
             trimmed
                 .into_iter()
                 .map(|old| BatchOp::delete_forced(data_key(key.key(), old))),
         );
-        self.replicated_batch(key, ops.into())?;
-        self.metadata.insert(key, meta.clone());
-        Ok(meta)
+        ops
     }
 
     /// Applies a write shipped through a partition replication log.
@@ -677,9 +851,21 @@ impl PesosStore {
         let key_lock = self.key_locks.lock_for(&key);
         let _write_guard = key_lock.lock();
 
-        let meta = self
-            .load_metadata_checked(&key)?
-            .unwrap_or_else(|| ObjectMetadata::new(key.key()));
+        let value_hash = pesos_crypto::sha256(value);
+        let meta = match self.metadata.get(&key) {
+            Some(meta) => meta,
+            // A record that skips ahead of version 0 (racing appenders, see
+            // above) asks the drives what it builds on.
+            None if version.is_some_and(|v| v != 0) => self
+                .load_metadata_checked(&key)?
+                .unwrap_or_else(|| ObjectMetadata::new(key.key())),
+            // A backup's first write of a key takes the same
+            // compare-on-absent path as the primary's.
+            None => match self.create_version(&key, value, policy_id, None, value_hash)? {
+                Ok(()) => return Ok(0),
+                Err(meta) => meta,
+            },
+        };
         let next_free = if meta.versions.is_empty() {
             0
         } else {
@@ -690,7 +876,6 @@ impl PesosStore {
             return Ok(version);
         }
 
-        let value_hash = pesos_crypto::sha256(value);
         let meta = self.write_version(&key, meta, version, value, policy_id, value_hash)?;
         if version == meta.latest_version {
             self.object_cache
@@ -709,7 +894,7 @@ impl PesosStore {
             return Ok((value, version));
         }
         let meta = self
-            .get_metadata(&key)
+            .lookup(&key)?
             .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
         let version = meta.latest_version;
         let value = self.get_object_version(&key, version)?;
@@ -771,9 +956,10 @@ impl PesosStore {
     /// Either way the in-enclave map and cache forget the key, so the
     /// drives are the witness from here on — a retry finds the surviving
     /// record and finishes, or finds nothing and reports `ObjectNotFound`,
-    /// which callers finishing an interrupted delete treat as done. A
-    /// failed delete also voids every outstanding [`Absent`]: the map no
-    /// longer vouches for this key, so puts in flight re-read the drives.
+    /// which callers finishing an interrupted delete treat as done. A put
+    /// that re-creates the key meanwhile is compare-on-absent like any
+    /// first write, so a replica that kept the record refuses it and the
+    /// put lands over the surviving versions instead of restarting at 0.
     pub fn delete_object<'a>(&self, key: impl Into<HashedKey<'a>>) -> Result<(), PesosError> {
         let key = key.into();
         let key_lock = self.key_locks.lock_for(&key);
@@ -795,9 +981,6 @@ impl PesosStore {
         }
         self.metadata.remove(&key);
         self.object_cache.invalidate(&key);
-        if outcome.is_err() {
-            self.failed_deletes.fetch_add(1, Ordering::Relaxed);
-        }
         drop(write_guard);
         self.key_locks.release_if_unused(&key, &key_lock);
         outcome
@@ -1010,10 +1193,20 @@ impl PesosStore {
     }
 }
 
-/// The store's PUT sub-operation: unconditional (the key lock, not the
-/// drive's compare-and-swap, orders writers) under a fixed entry version.
+/// The entry version every stored key carries: the key lock, not a version
+/// sequence on the drive, orders writers, so the drive's compare-and-swap
+/// only ever has to tell "an entry" from "no entry".
+const ENTRY_VERSION: &[u8] = b"pesos";
+
+/// The store's PUT sub-operation for a key the map vouches for (or one
+/// whose state does not matter): unconditional.
 fn stored(backend_key: Vec<u8>, value: impl Into<Payload>) -> BatchOp {
-    BatchOp::put_forced(backend_key, value, b"pesos")
+    BatchOp::put_forced(backend_key, value, ENTRY_VERSION)
+}
+
+/// The PUT sub-operation of a first write: compare-on-absent.
+fn stored_if_absent(backend_key: Vec<u8>, value: impl Into<Payload>) -> BatchOp {
+    BatchOp::put_if_absent(backend_key, value, ENTRY_VERSION)
 }
 
 /// One object read out of a store for migration: its metadata record and
@@ -1244,23 +1437,18 @@ mod tests {
     #[test]
     fn replicated_put_issues_replica_writes_as_one_batch() {
         let s = store(3, 3);
-        // A create: one raced metadata read (the authoritative "absent"),
-        // then one scatter-gather submission carrying one atomic Kinetic
-        // batch — sealed object + metadata record — to each replica.
-        let before = (s.asyscall_stats(), drive_ops(&s));
-        s.put_object("batched", b"payload", None).unwrap();
-        let after = (s.asyscall_stats(), drive_ops(&s));
-        assert_eq!(after.0.batches, before.0.batches + 2);
-        assert_eq!(after.0.submitted, before.0.submitted + 6);
-        assert_eq!(after.1, (before.1 .0 + 3, before.1 .1 + 3, before.1 .2));
-        // An update is exactly one submission: one drive round trip per
-        // replica, no read.
-        let before = after;
-        s.put_object("batched", b"payload2", None).unwrap();
-        let after = (s.asyscall_stats(), drive_ops(&s));
-        assert_eq!(after.0.batches, before.0.batches + 1);
-        assert_eq!(after.0.submitted, before.0.submitted + 3);
-        assert_eq!(after.1, (before.1 .0 + 3, before.1 .1, before.1 .2));
+        // A create and an update cost the same: exactly one scatter-gather
+        // submission carrying one atomic Kinetic batch — sealed object +
+        // metadata record — to each replica, and no read (the create's
+        // existence check rides in the batch as compare-on-absent).
+        for value in [b"payload".as_slice(), b"payload2"] {
+            let before = (s.asyscall_stats(), drive_ops(&s));
+            s.put_object("batched", value, None).unwrap();
+            let after = (s.asyscall_stats(), drive_ops(&s));
+            assert_eq!(after.0.batches, before.0.batches + 1);
+            assert_eq!(after.0.submitted, before.0.submitted + 3);
+            assert_eq!(after.1, (before.1 .0 + 3, before.1 .1, before.1 .2));
+        }
         for d in s.drives().iter() {
             for v in 0..2 {
                 assert!(d.peek(&data_key("batched", v)).is_some());
@@ -1398,55 +1586,62 @@ mod tests {
 
     #[test]
     fn racing_creators_ask_the_drives_once_each_and_get_versions_0_and_1() {
-        // Two requests both learn "absent" from the drives before either
-        // writes. The first to take the key lock creates version 0; the
-        // second finds the key in the map and lands version 1 — without
-        // either asking the drives a second time.
-        let s = store(1, 1);
-        let absent = [(); 2].map(|()| s.lookup_for_put("raced").unwrap().1);
-        assert!(absent.iter().all(Option::is_some));
-        assert_eq!(drive_ops(&s).1, 2, "one miss-read per lookup");
-        let put =
-            |value: &[u8], absent| s.put_object_full("raced", value, None, None, None, absent);
-        assert_eq!(put(b"first", absent[0]).unwrap(), 0);
-        assert_eq!(put(b"second", absent[1]).unwrap(), 1);
-        assert_eq!(drive_ops(&s), (2, 2, 0), "puts must not re-read");
-        assert_eq!(&**s.get_object("raced").unwrap().0, b"second");
-        assert_eq!(s.get_object_version("raced", 0).unwrap(), b"first");
+        // Both writers find the map empty for the key; whoever takes the
+        // key lock first creates version 0 compare-on-absent, the other
+        // finds the key in the map and lands version 1. One batch each, no
+        // GET, and the drive never had to refuse anything.
+        let s = Arc::new(store(1, 1));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let mut versions: Vec<u64> = [b"first".as_slice(), b"second"]
+            .into_iter()
+            .map(|value| {
+                let (s, barrier) = (Arc::clone(&s), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    s.put_object("raced", value, None).unwrap()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        versions.sort_unstable();
+        assert_eq!(versions, [0, 1]);
+        assert_eq!(drive_ops(&s), (2, 0, 0), "one batch each, no read");
+        assert_eq!(s.create_stats(), CreateStats::default());
+        assert_eq!(s.get_metadata("raced").unwrap().versions.len(), 2);
     }
 
     #[test]
-    fn a_failed_delete_voids_an_earlier_absent_answer() {
-        // A slow creator learns "absent"; meanwhile the key is created,
-        // updated, and a delete fails with the drive unreachable — the map
-        // forgets the key although the drive still holds v0 and v1. The
-        // creator's put must not trust its answer and restart at 0 over
-        // the acknowledged versions.
+    fn a_failed_delete_cannot_restart_a_key_at_version_0() {
+        // The key is created and updated, then a delete fails with the
+        // drive unreachable — the map forgets the key although the drive
+        // still holds v0 and v1. A creator that saw the map miss must not
+        // restart at 0 over the acknowledged versions: the drive refuses
+        // its create and the put lands at v2 over v0 and v1.
         let s = store(1, 1);
-        let (_, absent) = s.lookup_for_put("k").unwrap();
-        assert!(absent.is_some());
         assert_eq!(s.put_object("k", b"v0", None).unwrap(), 0);
         assert_eq!(s.put_object("k", b"v1", None).unwrap(), 1);
         s.drives().get(0).unwrap().set_online(false);
         assert!(s.delete_object("k").is_err());
         s.drives().get(0).unwrap().set_online(true);
+        assert!(s.resident_metadata(&HashedKey::new("k")).is_none());
+        assert_eq!(s.put_object("k", b"v2", None).unwrap(), 2);
         assert_eq!(
-            s.put_object_full("k", b"v2", None, None, None, absent)
-                .unwrap(),
-            2
+            s.create_stats(),
+            CreateStats {
+                refusals: 1,
+                rollbacks: 0
+            }
         );
         assert_eq!(s.get_object_version("k", 1).unwrap(), b"v1");
         assert_eq!(s.get_metadata("k").unwrap().versions.len(), 3);
-        // Answers given after the failure are trusted again.
+        // After a delete that worked, a create is one batch and no read.
         s.delete_object("k").unwrap();
-        let (_, absent) = s.lookup_for_put("k").unwrap();
-        let reads = drive_ops(&s).1;
-        assert_eq!(
-            s.put_object_full("k", b"again", None, None, None, absent)
-                .unwrap(),
-            0
-        );
-        assert_eq!(drive_ops(&s).1, reads, "a fresh answer spares the re-read");
+        let before = drive_ops(&s);
+        assert_eq!(s.put_object("k", b"again", None).unwrap(), 0);
+        assert_eq!(drive_ops(&s), (before.0 + 1, before.1, before.2));
+        assert_eq!(s.create_stats().refusals, 1);
     }
 
     #[test]
@@ -1456,8 +1651,13 @@ mod tests {
         // A cold controller over the same drive state: empty map.
         s.metadata.remove("present");
         s.drives().get(0).unwrap().set_online(false);
-        assert!(s.lookup_for_put("present").is_err());
+        assert!(matches!(s.lookup("present"), Err(PesosError::Backend(_))));
         assert!(s.get_metadata("present").is_none());
+        s.object_cache.invalidate("present");
+        assert!(matches!(
+            s.get_object("present"),
+            Err(PesosError::Backend(_))
+        ));
         // A put must fail rather than restart the version sequence.
         assert!(s.put_object("present", b"clobber", None).is_err());
         s.drives().get(0).unwrap().set_online(true);

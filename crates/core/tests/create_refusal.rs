@@ -1,0 +1,503 @@
+//! The compare-on-absent create when the drives contradict the in-enclave
+//! map, and every request path when a drive cannot answer.
+//!
+//! A key the map does not hold is written compare-on-absent (see the
+//! `store` module docs). These tests put a record on the drives that the
+//! store does not know — a second store over the same drives (a restart),
+//! or a delete that failed with the drives unreachable — and pin what
+//! happens next: the refusal is rolled back exactly where it had landed,
+//! the write continues over the real record, the real record's policy is
+//! evaluated before anything is written, a fault beside a refusal fails
+//! the request and undoes nothing, and a drive that cannot answer is never
+//! read as "no object, no policy". What the drives hold afterwards is
+//! compared byte for byte against a reference model of the store's layout.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use pesos_core::metadata::{data_key, meta_key, policy_key};
+use pesos_core::{
+    placement, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata, PesosController,
+    PesosError, PesosStore, StoreOptions, VersionMeta,
+};
+use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive};
+use pesos_policy::PolicyId;
+use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, ExecutionMode, SgxCostModel};
+
+const MASTER_KEY: [u8; 32] = [1u8; 32];
+
+fn drives(count: usize) -> Vec<Arc<KineticDrive>> {
+    (0..count)
+        .map(|i| Arc::new(KineticDrive::new(DriveConfig::simulator(format!("kd-{i}")))))
+        .collect()
+}
+
+fn admin(drive: &Arc<KineticDrive>) -> KineticClient {
+    KineticClient::connect(Arc::clone(drive), ClientConfig::factory_default()).unwrap()
+}
+
+/// A store over `drives` that has never seen them: empty map, empty
+/// caches — what a restarted or promoted controller starts from. Returns
+/// the reference crypter that seals in lock-step with the store's (nonces
+/// are a per-crypter sequence).
+fn cold_store(drives: &[Arc<KineticDrive>], replication: usize) -> (PesosStore, ObjectCrypter) {
+    let cost = pesos_sgx::cost::ModeCost::new(ExecutionMode::Native, SgxCostModel::zero());
+    let store = PesosStore::new(
+        DriveSet::from_drives(drives.to_vec()),
+        drives.iter().map(|d| Arc::new(admin(d))).collect(),
+        ObjectCrypter::new(&MASTER_KEY, true),
+        StoreOptions {
+            object_cache_bytes: 1024 * 1024,
+            policy_cache_capacity: 16,
+            replication_factor: replication,
+            lock_shards: 4,
+        },
+        Arc::new(AsyscallInterface::new(2, 16, cost)),
+        Arc::new(Enclave::create(EnclaveConfig::default(), cost).unwrap()),
+    );
+    (store, ObjectCrypter::new(&MASTER_KEY, true))
+}
+
+/// The reference drive model: what each drive must hold, byte for byte,
+/// and nothing else.
+struct Model(Vec<BTreeMap<Vec<u8>, Vec<u8>>>);
+
+impl Model {
+    fn new(drive_count: usize) -> Self {
+        Model(vec![BTreeMap::new(); drive_count])
+    }
+
+    /// The metadata record of `key` after `versions` (version, plaintext)
+    /// were stored under `policy`.
+    fn record(key: &str, versions: &[(u64, &[u8])], policy: Option<PolicyId>) -> Vec<u8> {
+        let mut meta = ObjectMetadata::new(key);
+        meta.policy_id = policy;
+        for &(version, plain) in versions {
+            meta.record_version(VersionMeta {
+                version,
+                size: plain.len() as u64,
+                value_hash: pesos_crypto::sha256(plain).into(),
+                policy_hash: policy.map(|p| p.0.into()).unwrap_or_default(),
+            });
+        }
+        meta.to_bytes()
+    }
+
+    fn assert_matches(&self, drives: &[Arc<KineticDrive>]) {
+        for (drive, expected) in drives.iter().zip(&self.0) {
+            for (backend_key, bytes) in expected {
+                let name = String::from_utf8_lossy(backend_key);
+                let stored = drive
+                    .peek(backend_key)
+                    .unwrap_or_else(|| panic!("{} lacks {name}", drive.id()));
+                assert!(
+                    stored.value == *bytes,
+                    "{} holds other bytes for {name}",
+                    drive.id()
+                );
+            }
+            assert_eq!(
+                drive.key_count(),
+                expected.len(),
+                "{} holds keys the model does not",
+                drive.id()
+            );
+        }
+    }
+}
+
+fn deletes_served(drive: &KineticDrive) -> u64 {
+    drive.info().stats.deletes
+}
+
+const ONE_REFUSAL: CreateStats = CreateStats {
+    refusals: 1,
+    rollbacks: 0,
+};
+
+// ----------------------------------------------------------------------
+// Store level: refusal, rollback, faults
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
+    let drives = drives(2);
+    let mut model = Model::new(2);
+
+    // v0 lands on drive 0 alone: drive 1 is away.
+    let (first, seals) = cold_store(&drives, 2);
+    drives[1].set_online(false);
+    assert_eq!(first.put_object("k", b"v0", None).unwrap(), 0);
+    drives[1].set_online(true);
+    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"v0"));
+    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+    model.assert_matches(&drives);
+
+    // A restarted store creates "k": drive 0 refuses, drive 1 accepts and
+    // is rolled back — one forced DELETE batch there, none on drive 0 —
+    // then the put proceeds as an update over v0 on both.
+    let (second, seals) = cold_store(&drives, 2);
+    assert_eq!(second.put_object("k", b"v1", None).unwrap(), 1);
+    assert_eq!(
+        second.create_stats(),
+        CreateStats {
+            refusals: 1,
+            rollbacks: 1
+        }
+    );
+    assert_eq!(deletes_served(&drives[0]), 0);
+    assert_eq!(deletes_served(&drives[1]), 1);
+    // The refused attempt sealed its value as version 0 and left those
+    // bytes nowhere.
+    let _refused_attempt = seals.seal("k", 0, b"v1");
+    let record = Model::record("k", &[(0, b"v0"), (1, b"v1")], None);
+    let sealed = seals.seal("k", 1, b"v1");
+    for drive in &mut model.0 {
+        drive.insert(data_key("k", 1), sealed.clone());
+        drive.insert(meta_key("k"), record.clone());
+    }
+    model.assert_matches(&drives);
+    assert_eq!(second.get_object_version("k", 0).unwrap(), b"v0");
+    assert_eq!(&**second.get_object("k").unwrap().0, b"v1");
+}
+
+#[test]
+fn a_fault_beside_a_refusal_fails_the_request_and_deletes_nothing() {
+    let drives = drives(2);
+    let (first, seals) = cold_store(&drives, 2);
+    drives[1].set_online(false);
+    first.put_object("k", b"v0", None).unwrap();
+    drives[1].set_online(true);
+    let mut model = Model::new(2);
+    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"v0"));
+    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+
+    // Drive 0 refuses; drive 1 drops every request. A dropped request may
+    // sit on a genuine record, so nothing is undone anywhere.
+    let (second, _) = cold_store(&drives, 2);
+    drives[1].inject_faults(FaultPlan::errors(7, 1.0));
+    assert!(matches!(
+        second.put_object("k", b"v1", None),
+        Err(PesosError::Backend(_))
+    ));
+    drives[1].clear_faults();
+    assert_eq!(second.create_stats(), ONE_REFUSAL);
+    assert_eq!(deletes_served(&drives[0]) + deletes_served(&drives[1]), 0);
+    assert_eq!(second.resident_object_count(), 0);
+    model.assert_matches(&drives);
+
+    // With the fault gone the same put is the rollback case and lands.
+    assert_eq!(second.put_object("k", b"v1", None).unwrap(), 1);
+    assert_eq!(second.get_object_version("k", 0).unwrap(), b"v0");
+}
+
+#[test]
+fn a_torn_reply_on_an_accepted_create_then_a_retry_lands_v1_over_v0() {
+    let drives = drives(1);
+    let (store, seals) = cold_store(&drives, 1);
+    drives[0].inject_faults(FaultPlan::torn_replies(3, 1.0));
+    assert!(store.put_object("k", b"torn", None).is_err());
+    drives[0].clear_faults();
+    // The create landed whole; the store was told it did not.
+    assert_eq!(store.resident_object_count(), 0);
+    assert_eq!(store.put_object("k", b"retry", None).unwrap(), 1);
+    assert_eq!(store.create_stats(), ONE_REFUSAL);
+
+    let mut model = Model::new(1);
+    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"torn"));
+    let _refused_attempt = seals.seal("k", 0, b"retry");
+    model.0[0].insert(data_key("k", 1), seals.seal("k", 1, b"retry"));
+    model.0[0].insert(
+        meta_key("k"),
+        Model::record("k", &[(0, b"torn"), (1, b"retry")], None),
+    );
+    model.assert_matches(&drives);
+    assert_eq!(store.get_object_version("k", 0).unwrap(), b"torn");
+}
+
+#[test]
+fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
+    let drives = drives(2);
+    let (backup, seals) = cold_store(&drives, 2);
+    assert_eq!(
+        backup
+            .apply_replicated_put("k", b"v0", None, Some(0))
+            .unwrap(),
+        0
+    );
+    assert_eq!(backup.create_stats(), CreateStats::default());
+    let mut model = Model::new(2);
+    let sealed = seals.seal("k", 0, b"v0");
+    for drive in &mut model.0 {
+        drive.insert(data_key("k", 0), sealed.clone());
+        drive.insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+    }
+    model.assert_matches(&drives);
+
+    // Warm replay: answered from the map. Cold replay (the backup was
+    // restarted before the tail was acknowledged): every replica refuses,
+    // nothing had landed so nothing is rolled back, and the record the
+    // drives hold already lists version 0.
+    backup
+        .apply_replicated_put("k", b"v0", None, Some(0))
+        .unwrap();
+    let (restarted, _) = cold_store(&drives, 2);
+    assert_eq!(
+        restarted
+            .apply_replicated_put("k", b"v0", None, Some(0))
+            .unwrap(),
+        0
+    );
+    assert_eq!(restarted.create_stats(), ONE_REFUSAL);
+    assert_eq!(deletes_served(&drives[0]) + deletes_served(&drives[1]), 0);
+    model.assert_matches(&drives);
+    // The log continues where it was.
+    assert_eq!(
+        restarted
+            .apply_replicated_put("k", b"v1", None, None)
+            .unwrap(),
+        1
+    );
+}
+
+// ----------------------------------------------------------------------
+// Store level: an unreadable record is not "absent"
+// ----------------------------------------------------------------------
+
+#[test]
+fn an_unreadable_record_fails_every_path_and_is_never_written_over() {
+    let other = Model::record("someone-else", &[(0, b"x")], None);
+    for corrupt in [b"\xff\xfe not a record".to_vec(), other] {
+        let drives = drives(1);
+        let (first, _) = cold_store(&drives, 1);
+        first.put_object("k", b"v0", None).unwrap();
+        let sealed_v0 = drives[0].peek(&data_key("k", 0)).unwrap().value;
+        admin(&drives[0])
+            .put(&meta_key("k"), corrupt.clone(), b"", b"pesos", true)
+            .unwrap();
+
+        let (cold, _) = cold_store(&drives, 1);
+        let unreadable = |r: Result<(), PesosError>| match r {
+            Err(PesosError::Backend(why)) => assert!(why.contains("unreadable"), "{why}"),
+            other => panic!("expected the unreadable-record error, got {other:?}"),
+        };
+        unreadable(cold.put_object("k", b"clobber", None).map(drop));
+        unreadable(
+            cold.put_object_cas("k", b"clobber", None, Some(3))
+                .map(drop),
+        );
+        unreadable(
+            cold.apply_replicated_put("k", b"clobber", None, None)
+                .map(drop),
+        );
+        unreadable(cold.get_object("k").map(drop));
+        unreadable(cold.delete_object("k"));
+        unreadable(cold.attach_policy("k", PolicyId([9u8; 32])));
+        unreadable(cold.export_object("k").map(drop));
+        // Best effort stays best effort.
+        assert!(cold.get_metadata("k").is_none());
+
+        // Nothing was written over it, nothing was deleted: the refused
+        // creates never landed (one replica, so nothing to roll back).
+        assert_eq!(drives[0].key_count(), 2);
+        assert!(drives[0].peek(&data_key("k", 0)).unwrap().value == sealed_v0);
+        assert!(drives[0].peek(&meta_key("k")).unwrap().value == corrupt);
+        assert_eq!(cold.create_stats().rollbacks, 0);
+        assert_eq!(deletes_served(&drives[0]), 0);
+    }
+}
+
+#[test]
+fn a_refused_create_with_no_record_behind_it_fails() {
+    // An orphaned `o/<key>/0` (the tail of an interrupted multi-batch
+    // import) makes the drive refuse the create while no record exists.
+    // The store does not guess: it fails rather than force a write.
+    let drives = drives(1);
+    admin(&drives[0])
+        .put(&data_key("k", 0), b"orphan".to_vec(), b"", b"pesos", true)
+        .unwrap();
+    let (store, _) = cold_store(&drives, 1);
+    assert!(matches!(
+        store.put_object("k", b"v0", None),
+        Err(PesosError::Backend(_))
+    ));
+    assert_eq!(drives[0].key_count(), 1);
+    assert!(drives[0].peek(&data_key("k", 0)).unwrap().value == b"orphan");
+}
+
+// ----------------------------------------------------------------------
+// Controller level: the policy stays closed
+// ----------------------------------------------------------------------
+
+const ACL: &str = "read :- sessionKeyIs(\"alice\")\n\
+                   update :- sessionKeyIs(\"alice\")\n\
+                   delete :- sessionKeyIs(\"alice\")";
+
+/// Makes `key` cold on `c` while the drives keep it: a delete that fails
+/// with every drive unreachable forgets the key (the drives are the
+/// witness of what it left behind) and deletes nothing.
+fn forget(c: &PesosController, key: &str) {
+    for drive in c.store().drives().iter() {
+        drive.set_online(false);
+    }
+    assert!(c.store().delete_object(key).is_err());
+    for drive in c.store().drives().iter() {
+        drive.set_online(true);
+    }
+}
+
+#[test]
+fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
+    let mut config = ControllerConfig::native_simulator(3);
+    config.replication_factor = 2;
+    // Unencrypted objects are `0x00 ‖ plaintext` on the drives, so the
+    // model needs no key material.
+    config.encrypt_objects = false;
+    let c = PesosController::new(config).unwrap();
+    let drives: Vec<_> = c.store().drives().iter().cloned().collect();
+    c.register_client("alice");
+    c.register_client("eve");
+    let acl = c.put_policy("alice", ACL).unwrap();
+    c.put("alice", "doc", b"v0".to_vec(), Some(acl), None, &[])
+        .unwrap();
+    c.put("alice", "doc", b"v1".to_vec(), None, None, &[])
+        .unwrap();
+
+    let plain = |value: &[u8]| [&[0u8], value].concat();
+    let mut model = Model::new(3);
+    let hex = acl.to_hex();
+    for drive in placement(hex.as_str(), 3, 2) {
+        model.0[drive].insert(
+            policy_key(&hex),
+            c.store().load_policy(&acl).unwrap().to_bytes(),
+        );
+    }
+    let mut versions: Vec<(u64, &[u8])> = vec![(0, b"v0"), (1, b"v1")];
+    let expect = |model: &mut Model, versions: &[(u64, &[u8])]| {
+        for drive in placement("doc", 3, 2) {
+            for &(version, value) in versions {
+                model.0[drive].insert(data_key("doc", version), plain(value));
+            }
+            model.0[drive].insert(meta_key("doc"), Model::record("doc", versions, Some(acl)));
+        }
+    };
+    expect(&mut model, &versions);
+    model.assert_matches(&drives);
+
+    // Restart. The denied client's put finds no record in the map; its
+    // "nothing to check" is provisional, the drives refuse the create, and
+    // the real record's policy denies it. Nothing moved on any replica.
+    forget(&c, "doc");
+    assert!(matches!(
+        c.put("eve", "doc", b"stolen".to_vec(), None, None, &[]),
+        Err(PesosError::PolicyDenied(_))
+    ));
+    assert_eq!(c.store().create_stats(), ONE_REFUSAL);
+    model.assert_matches(&drives);
+    // Supplying a policy of her own, or claiming the create explicitly,
+    // changes nothing.
+    let open = c
+        .put_policy("eve", "update :- sessionKeyIs(\"eve\")")
+        .unwrap();
+    for drive in placement(open.to_hex().as_str(), 3, 2) {
+        model.0[drive].insert(
+            policy_key(&open.to_hex()),
+            c.store().load_policy(&open).unwrap().to_bytes(),
+        );
+    }
+    forget(&c, "doc");
+    for expected_version in [None, Some(0), Some(2)] {
+        assert!(matches!(
+            c.put(
+                "eve",
+                "doc",
+                b"stolen".to_vec(),
+                Some(open),
+                expected_version,
+                &[]
+            ),
+            Err(PesosError::PolicyDenied(_))
+        ));
+        forget(&c, "doc");
+    }
+    model.assert_matches(&drives);
+
+    // The allowed client's put lands at latest + 1 over the history.
+    assert_eq!(
+        c.put("alice", "doc", b"v2".to_vec(), None, None, &[])
+            .unwrap(),
+        2
+    );
+    versions.push((2, b"v2"));
+    expect(&mut model, &versions);
+    model.assert_matches(&drives);
+    assert_eq!(c.store().create_stats().rollbacks, 0);
+    assert_eq!(c.get_version("alice", "doc", 0, &[]).unwrap(), b"v0");
+}
+
+#[test]
+fn a_drive_fault_is_never_read_as_no_object_no_policy() {
+    let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
+    let drive = Arc::clone(c.store().drives().get(0).unwrap());
+    c.register_client("alice");
+    c.register_client("eve");
+    let acl = c.put_policy("alice", ACL).unwrap();
+    c.put("alice", "doc", b"secret".to_vec(), Some(acl), None, &[])
+        .unwrap();
+
+    // Every attempt starts cold, with the drive dropping half of what it
+    // is asked. The only acceptable outcomes are the denial (the lookup
+    // was answered) and the fault (it was not).
+    drive.inject_faults(FaultPlan::errors(11, 0.5));
+    let (mut denied, mut faulted) = (0, 0);
+    let mut closed = |outcome: Result<(), PesosError>| match outcome {
+        Err(PesosError::PolicyDenied(_)) => denied += 1,
+        Err(PesosError::Backend(_)) => faulted += 1,
+        other => panic!("a denied client's request ended as {other:?}"),
+    };
+    for attempt in 0..400 {
+        forget(&c, "doc");
+        closed(match attempt % 4 {
+            0 => c.get("eve", "doc", &[]).map(drop),
+            1 => c.get_version("eve", "doc", 0, &[]).map(drop),
+            2 => c.attach_policy("eve", "doc", acl, &[]),
+            _ => {
+                let tx = c.create_tx("eve").unwrap();
+                c.add_read("eve", tx, "doc").unwrap();
+                c.commit_tx("eve", tx).map(drop)
+            }
+        });
+    }
+    for _ in 0..50 {
+        forget(&c, "doc");
+        closed(c.delete("eve", "doc", &[]));
+    }
+    drive.clear_faults();
+    assert!(
+        denied > 0 && faulted > 0,
+        "{denied} denied, {faulted} faulted"
+    );
+    assert_eq!(deletes_served(&drive), 0);
+    assert_eq!(&**c.get("alice", "doc", &[]).unwrap().0, b"secret");
+}
+
+#[test]
+fn a_refusal_at_commit_proceeds_inside_the_store() {
+    // Prepare asks the drives when it promises (so does `put_async`, whose
+    // deferred write runs through the same store call). If the key appears
+    // behind the map's back before the write runs (here: a put the map
+    // then forgets through a failed delete), the write is refused,
+    // re-reads, and lands over what is there.
+    let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
+    c.register_client("alice");
+    let tx = c.create_tx("alice").unwrap();
+    c.add_write("alice", tx, "k", b"from the tx".to_vec())
+        .unwrap();
+    let prepared = c.prepare_commit("alice", tx).unwrap();
+    c.store().put_object("k", b"v0", None).unwrap();
+    forget(&c, "k");
+    assert_eq!(c.commit_prepared(prepared).unwrap().write_versions, [1]);
+    assert_eq!(c.store().create_stats(), ONE_REFUSAL);
+    assert_eq!(c.get_version("alice", "k", 0, &[]).unwrap(), b"v0");
+    assert_eq!(&**c.get("alice", "k", &[]).unwrap().0, b"from the tx");
+}

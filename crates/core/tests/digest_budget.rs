@@ -15,12 +15,13 @@
 //! of every drive exchange became one outer compression instead of a full
 //! re-hash — the frame is hashed once, at seal time) and the one atomic
 //! Kinetic batch per mutation (a put is two authenticated frames — batch
-//! request and response — where data PUT + metadata PUT were four, and a
-//! create reads the drives once, not twice). Measured:
+//! request and response — where data PUT + metadata PUT were four) and the
+//! compare-on-absent create (the existence check rides in the batch, so a
+//! create no longer pays a metadata read exchange: 20 → 14). Measured:
 //!
 //! | operation              | before | PR 2 | PR 4 |  now | reduction |
 //! |------------------------|-------:|-----:|-----:|-----:|----------:|
-//! | put (1-block value)    |    108 |   41 |   31 |   20 |     5.4×  |
+//! | put (1-block value)    |    108 |   41 |   31 |   14 |     7.7×  |
 //! | get (object-cache hit) |      2 |    1 |    1 |    1 |     2.0×  |
 //! | put (64 KiB value)     |   7275 | 6184 | 5150 | 5139 | 6.04 → 5.02 payload passes |
 //! | kinetic PUT exchange   |     16 |    8 |    7 |    7 |     2.3×  |
@@ -63,10 +64,11 @@ fn put_and_get_compression_budgets() {
     // check, HMAC key schedule redone on all twelve exchange MACs); 41
     // after the PR 2 midstate caches; 31 with the folded frame HMACs
     // (every exchange's verify side is one outer compression); 20 with
-    // one atomic batch per mutation — this create is one metadata read
-    // exchange plus one batch exchange, where it was two reads and two
-    // PUTs. The budget of 24 sits below the two-PUT number, so a second
-    // drive round trip or a second lookup fails it.
+    // one atomic batch per mutation (one metadata read exchange plus one
+    // batch exchange, where it was two reads and two PUTs); 14 now that
+    // the create is compare-on-absent — one batch exchange and nothing
+    // else. The budget of 16 sits below the read-then-batch number, so any
+    // lookup or second drive round trip on a create fails it.
     let (version, small_put) = measured(|| {
         c.put(&client, "obj/small", b"v".to_vec(), None, None, &[])
             .unwrap()
@@ -74,9 +76,35 @@ fn put_and_get_compression_budgets() {
     assert_eq!(version, 0);
     println!("put(1-block value): {small_put} compressions");
     assert!(
-        small_put <= 24,
-        "small put spent {small_put} compressions (budget 24; measured 20, \
-         31 with two PUT exchanges per put, 108 pre-overhaul)"
+        small_put <= 16,
+        "small put spent {small_put} compressions (budget 16; measured 14, \
+         20 with a metadata read before the batch, 108 pre-overhaul)"
+    );
+
+    // -- the same create, refused and re-driven --------------------------
+    // The drive holds a record the map forgot (a delete that failed with
+    // the drive away), so the create is refused, the record is read and
+    // the put lands as an update. That is the worst a put can cost, and it
+    // is the sum of two things already pinned: the create that was wasted
+    // (14: hashes, seal, one batch exchange) and what every cold put used
+    // to pay (20: metadata read exchange, seal, batch exchange) — 34, with
+    // the key and content hashes shared and a two-version record to MAC.
+    // A third exchange, or a policy re-check that re-hashes, fails it.
+    let drive = c.store().drives().get(0).unwrap();
+    drive.set_online(false);
+    assert!(c.store().delete_object("obj/small").is_err());
+    drive.set_online(true);
+    let (version, refused_put) = measured(|| {
+        c.put(&client, "obj/small", b"w".to_vec(), None, None, &[])
+            .unwrap()
+    });
+    assert_eq!(version, 1);
+    assert_eq!(c.store().create_stats().refusals, 1);
+    println!("put(1-block value, refused then re-driven): {refused_put} compressions");
+    assert!(
+        refused_put <= 36,
+        "refused-then-re-driven create spent {refused_put} compressions \
+         (budget 36; measured 34 = a wasted create at 14 + a read-then-update at 20)"
     );
 
     // -- cached get ----------------------------------------------------

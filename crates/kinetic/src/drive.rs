@@ -1289,6 +1289,58 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_conditional_batch_applies_nothing_and_is_still_charged() {
+        let model = HddModel {
+            avg_seek: std::time::Duration::from_millis(10),
+            rpm: 7200,
+            transfer_rate: 100 * 1024 * 1024,
+            controller_overhead: std::time::Duration::ZERO,
+        };
+        let mut config = DriveConfig::hdd("kd-hdd");
+        config.hdd_model = Some(model);
+        let d = KineticDrive::new(config);
+        let create = |data: &[u8]| {
+            batch_command(vec![
+                BatchOp::put_if_absent(b"o/k/0".to_vec(), data.to_vec(), b"1"),
+                BatchOp::put_if_absent(b"m/k".to_vec(), b"record".to_vec(), b"1"),
+            ])
+        };
+        // Nothing under either key: the create lands.
+        assert_eq!(
+            roundtrip(&d, &create(b"first")).status.code,
+            StatusCode::Success
+        );
+        let before = d.info();
+
+        // The record exists now: the same create is refused as a whole, and
+        // so is one whose data key is free but whose record key is not
+        // (sub-operation 0 had already been applied when 1 was refused).
+        let start = std::time::Instant::now();
+        let resp = roundtrip(&d, &create(b"second"));
+        assert!(start.elapsed() >= model.service_time(0));
+        assert_eq!(resp.status.code, StatusCode::VersionMismatch);
+        assert!(resp.status.message.contains("sub-operation 0"));
+        let resp = roundtrip(
+            &d,
+            &batch_command(vec![
+                BatchOp::put_if_absent(b"o/k/1".to_vec(), vec![0u8; 512], b"1"),
+                BatchOp::put_if_absent(b"m/k".to_vec(), b"other".to_vec(), b"1"),
+            ]),
+        );
+        assert_eq!(resp.status.code, StatusCode::VersionMismatch);
+        assert!(resp.status.message.contains("sub-operation 1"));
+
+        let after = d.info();
+        assert_eq!(d.peek(b"o/k/0").unwrap().value, b"first");
+        assert_eq!(d.peek(b"m/k").unwrap().value, b"record");
+        assert!(d.peek(b"o/k/1").is_none());
+        assert_eq!(after.used_bytes, before.used_bytes);
+        assert_eq!(d.key_count(), 2);
+        // Refused or not, each batch was one media operation.
+        assert_eq!(after.stats.puts, before.stats.puts + 2);
+    }
+
+    #[test]
     fn vectored_batch_stores_the_shared_payload_buffers() {
         use crate::protocol::Payload;
         let d = drive();

@@ -391,6 +391,20 @@ impl BatchOp {
         }
     }
 
+    /// A compare-and-swap PUT against "no entry": stores `value` at
+    /// `new_version` only if the drive holds nothing under `key`, and
+    /// otherwise fails the whole batch with `VersionMismatch`. The
+    /// existence check and the write are one step under the engine lock.
+    pub fn put_if_absent(key: Vec<u8>, value: impl Into<Payload>, new_version: &[u8]) -> Self {
+        BatchOp::Put {
+            key,
+            value: value.into(),
+            db_version: Vec::new(),
+            new_version: new_version.to_vec(),
+            force: false,
+        }
+    }
+
     /// An unconditional DELETE (a missing key is fine).
     pub fn delete_forced(key: Vec<u8>) -> Self {
         BatchOp::Delete {
