@@ -7,9 +7,7 @@
 //! numbers depend on the host; the *shapes* — who wins and by roughly what
 //! factor — are what EXPERIMENTS.md records against the paper.
 //!
-//! The `reproduce` binary drives these functions; `cargo bench` runs
-//! Criterion micro-benchmarks built on the same code paths with small
-//! operation counts.
+//! The `reproduce` binary drives these functions.
 
 use std::sync::Arc;
 
@@ -429,7 +427,7 @@ pub fn print_payload_passes() {
     // Warm the session/metadata paths, then measure a small put (the
     // fixed per-op overhead) and a 64 KiB put.
     controller
-        .put(&client, "warm", b"w".to_vec(), None, None, &[])
+        .put(&client, "warm", b"w", None, None, &[])
         .unwrap();
     let measure = |key: &str, value: Vec<u8>| {
         let before = pesos_crypto::sha256::ops::compressions();
@@ -595,13 +593,13 @@ pub fn fig11_controller_scaling(scale: Scale) -> Vec<DataPoint> {
 }
 
 /// Figure 12: rebalance drain throughput — keys/s moved when a controller
-/// joins, serial key-at-a-time drain vs the parallel scatter-gather drain,
+/// joins, at drain width 1 vs width 8 (`ClusterConfig::drain_concurrency`),
 /// at 1, 2 and 4 source controllers.
 ///
 /// The disk model is where the comparison is honest on any host: each
-/// export/import/delete pays simulated drive service time, so the parallel
+/// export/import/delete pays simulated drive service time, so the wide
 /// drain's overlapped pulls finish the migration several times faster while
-/// the serial drain queues them end to end. The load-aware split moves
+/// width 1 queues them end to end. The load-aware split moves
 /// roughly half the most loaded partition's *keys* (not half its hash
 /// range), so the moved count is stable across runs.
 pub fn fig12_rebalance_drain(scale: Scale) -> Vec<DataPoint> {
@@ -617,7 +615,7 @@ pub fn fig12_rebalance_drain(scale: Scale) -> Vec<DataPoint> {
         Scale::Full => 768,
     };
     for controllers in [1usize, 2, 4] {
-        for (label, concurrency) in [("serial drain", 1usize), ("parallel drain", 8)] {
+        for (label, concurrency) in [("drain width 1", 1usize), ("drain width 8", 8)] {
             let mut controller_config = ControllerConfig::sgx_disk(1);
             controller_config.syscall_threads = 8;
             let mut cluster_config = ClusterConfig::with_controller(controllers, controller_config);

@@ -31,6 +31,33 @@ pub mod stats;
 /// shared secret is enough to catch corruption and cross-channel mixups.
 const REPLICATION_SECRET: &[u8] = b"pesos-cluster-replication-log";
 
+/// Bounded-lag backpressure for replication: when the slowest backup falls
+/// more than this many log records behind, acknowledgements to new writes
+/// on that partition block until it catches up (or the stall cap expires —
+/// see `replication::APPEND_STALL_CAP`).
+const REPLICATION_MAX_LAG: u64 = 256;
+
+/// Placement-group delimiter for cluster routing: a key routes by the hash
+/// of its prefix up to the *first* occurrence of this character (full key
+/// when the key contains none or starts with it). `'.'` makes `<key>`,
+/// `<key>.log` and `<key>.v2` co-route, so object-referencing policies
+/// (`objSays` over `<key>.log`, MAL-style) evaluate against one partition's
+/// store on any topology. Routing-only: drive placement, caches and lock
+/// shards keep using the full-key hash.
+const ROUTING_DELIMITER: Option<char> = Some('.');
+
+/// Maximum attempts for retryable operations: requests that hit a failed
+/// controller (retried against the promoted backup), demand pulls, and
+/// migration settles.
+const RETRY_ATTEMPTS: u32 = 4;
+/// First backoff of the capped exponential retry schedule.
+const RETRY_BASE_MICROS: u64 = 1_000;
+/// Upper bound on any single retry backoff.
+const RETRY_CAP_MICROS: u64 = 50_000;
+/// Seed of the jitter generator the retry schedule draws from
+/// (deterministic via the workspace's seeded rand shim).
+const RETRY_JITTER_SEED: u64 = 0x5EED;
+
 /// Static configuration of a controller cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -40,19 +67,9 @@ pub struct ClusterConfig {
     /// own enclave, drives and caches from a copy of this (one logical
     /// enclave per controller, so SGX costs are accounted per partition).
     pub controller: ControllerConfig,
-    /// Placement-group delimiter for cluster routing: a key routes by the
-    /// hash of its prefix up to the *first* occurrence of this character
-    /// (full key when the key contains none, starts with it, or the
-    /// delimiter is `None`). The default `'.'` makes `<key>`, `<key>.log`
-    /// and `<key>.v2` co-route, so object-referencing policies (`objSays`
-    /// over `<key>.log`, MAL-style) evaluate against one partition's store
-    /// on any topology. Routing-only: drive placement, caches and lock
-    /// shards keep using the full-key hash.
-    pub routing_delimiter: Option<char>,
-    /// Bounded concurrency of the migration drain loop: how many keys move
-    /// in flight at once when a topology change drains a hash range.
-    /// `1` restores the serial key-at-a-time drain (the benchmark "before"
-    /// configuration).
+    /// Width of the migration drain: how many placement groups move in
+    /// flight at once when a topology change drains a hash range (the
+    /// x-axis of `reproduce fig12`).
     pub drain_concurrency: usize,
     /// Backup controllers per partition. `0` (the default) disables
     /// replication entirely: no backup instances, no op logs, and
@@ -61,38 +78,17 @@ pub struct ClusterConfig {
     /// streams its op log to `n` backups and can fail over onto the
     /// freshest one.
     pub backups_per_partition: usize,
-    /// Bounded-lag backpressure for replication: when the slowest backup
-    /// falls more than this many log records behind, acknowledgements to
-    /// new writes on that partition block until it catches up (or the
-    /// stall cap expires — see `replication::APPEND_STALL_CAP`).
-    pub replication_max_lag: u64,
-    /// Maximum attempts for retryable operations: requests that hit a
-    /// failed controller (retried against the promoted backup), demand
-    /// pulls, and migration settles. `1` disables retry.
-    pub retry_attempts: u32,
-    /// First backoff of the capped exponential retry schedule.
-    pub retry_base: Duration,
-    /// Upper bound on any single retry backoff.
-    pub retry_cap: Duration,
-    /// Seed of the jitter generator the retry schedule draws from
-    /// (deterministic via the workspace's seeded rand shim).
-    pub retry_jitter_seed: u64,
 }
 
 impl ClusterConfig {
-    /// Default routing/drain knobs around an explicit controller template.
+    /// Default drain width and no backups around an explicit controller
+    /// template.
     pub fn with_controller(controllers: usize, controller: ControllerConfig) -> Self {
         ClusterConfig {
             controllers,
             controller,
-            routing_delimiter: Some('.'),
             drain_concurrency: 4,
             backups_per_partition: 0,
-            replication_max_lag: 256,
-            retry_attempts: 4,
-            retry_base: Duration::from_millis(1),
-            retry_cap: Duration::from_millis(50),
-            retry_jitter_seed: 0x5EED,
         }
     }
 
@@ -131,11 +127,6 @@ impl ClusterConfig {
         if self.drain_concurrency == 0 {
             return Err(PesosError::BadRequest(
                 "drain_concurrency must be at least 1".into(),
-            ));
-        }
-        if self.retry_attempts == 0 {
-            return Err(PesosError::BadRequest(
-                "retry_attempts must be at least 1 (1 = no retry)".into(),
             ));
         }
         self.controller.validate()
@@ -183,39 +174,28 @@ struct RoutingState {
     migrations: Vec<Arc<Migration>>,
 }
 
+/// The controller owning partition `index` of `table`, or the typed
+/// refusal for an index the table does not have.
+fn controller_at(
+    table: &PartitionTable,
+    index: usize,
+) -> Result<&Arc<PesosController>, PesosError> {
+    table.controller(index).ok_or_else(|| {
+        PesosError::BadRequest(format!(
+            "no partition {index} (cluster has {})",
+            table.len()
+        ))
+    })
+}
+
 /// Bounded map from cluster-level async operation ids to the controller
 /// that accepted the operation and its local id — the same bounded
 /// dense-id retention pattern as the transaction-outcome map, so it shares
 /// [`ShardedFifoMap`].
 type AsyncOps = ShardedFifoMap<(Arc<PesosController>, u64)>;
 
-/// Per-partition cost accounting: each controller instance runs its own
-/// logical enclave, and this report reads its EPC and asynchronous-syscall
-/// counters alongside the partition's hash range.
-#[derive(Debug, Clone)]
-pub struct PartitionCostReport {
-    /// Partition index in the current table.
-    pub partition: usize,
-    /// The hash range the partition owns.
-    pub range: HashRange,
-    /// Hex enclave measurement of the partition's controller.
-    pub measurement: String,
-    /// EPC usage of the partition's enclave.
-    pub epc: pesos_sgx::EpcStats,
-    /// Asynchronous-syscall interface counters of the partition.
-    pub asyscall: pesos_sgx::AsyscallStats,
-    /// Request counters of the partition's controller.
-    pub metrics: pesos_core::metrics::MetricsSnapshot,
-    /// Objects resident on the partition (in-memory metadata count) — one
-    /// of the two load inputs the rebalancer weighs.
-    pub resident_objects: usize,
-    /// Cluster-wide retry counters (identical on every row — retries are
-    /// accounted at the routing layer, not per partition).
-    pub retries: RetryStats,
-}
-
-/// Cluster-wide counters of the capped-exponential retry paths, exposed
-/// through [`ControllerCluster::cost_report`].
+/// Cluster-wide counters of the capped-exponential retry paths, read
+/// through [`ControllerCluster::telemetry_snapshot`] and `/stats/retries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Demand pulls attempted (first tries included).
@@ -296,15 +276,12 @@ const HOT_GROUP_SLOTS: usize = 4096;
 /// request counts, so a partition that was hot long ago does not keep
 /// attracting splits forever (and a joiner starting at zero is compared
 /// fairly against partitions that predate it).
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionLoad {
-    /// Partition index in the current table.
-    pub partition: usize,
+struct PartitionLoad {
     /// Objects resident on the partition (in-memory metadata count).
-    pub resident_objects: usize,
+    resident_objects: usize,
     /// Requests the partition's controller has served since the last
     /// topology change (lifetime count before the first one).
-    pub requests: u64,
+    requests: u64,
 }
 
 impl PartitionLoad {
@@ -312,7 +289,7 @@ impl PartitionLoad {
     /// requests. Both approximate demand; their sum prefers partitions that
     /// are large *or* hot, and a partition heavy on either axis attracts
     /// the next split.
-    pub fn weight(&self) -> u64 {
+    fn weight(&self) -> u64 {
         self.resident_objects as u64 + self.requests
     }
 }
@@ -348,20 +325,21 @@ impl PartitionLoad {
 ///
 /// # Online rebalancing
 ///
-/// [`ControllerCluster::add_controller`] splits the widest partition's
-/// range; [`ControllerCluster::remove_controller`] merges a partition into
-/// its neighbour. Both install the new routing state (table + migration
+/// [`ControllerCluster::add_controller`] splits the most loaded
+/// partition's range at a load-weighted point;
+/// [`ControllerCluster::remove_controller`] merges a partition into its
+/// lighter neighbour. Both install the new routing state (table + migration
 /// record, atomically) while holding the ops gate's write side, so no
 /// request straddles the swap; the source's scheduled asynchronous writes
 /// are flushed under that same write hold, so an acknowledged `put_async`
 /// can never land after a demand pull has already moved its key. The
-/// moved range then drains key by key:
-/// each object is exported from the source, imported at the destination
-/// and only then deleted at the source (all under per-key write locks and
-/// a striped migration lock), so a failed import can never lose an
-/// object; concurrent requests to a not-yet-moved key pull it on demand
-/// through the same striped locks. Traffic to every other range never
-/// blocks.
+/// moved range then drains one placement group per drain slot
+/// ([`ClusterConfig::drain_concurrency`] in flight): each object is
+/// exported from the source, imported at the destination and only then
+/// deleted at the source (all under per-key write locks and a striped
+/// migration lock), so a failed import can never lose an object;
+/// concurrent requests to a not-yet-moved key pull it on demand through
+/// the same striped locks. Traffic to every other range never blocks.
 pub struct ControllerCluster {
     routing: RwLock<Arc<RoutingState>>,
     /// Reader side held by every operation across its routing snapshot;
@@ -372,29 +350,23 @@ pub struct ControllerCluster {
     /// Serializes topology changes.
     rebalance: Mutex<()>,
     /// Striped per-key locks serializing demand pulls and the drain loop
-    /// during a migration. Arc'd so parallel drain bodies can carry the
+    /// during a migration. Arc'd so drain bodies can carry the
     /// stripes into the scatter-gather asyscall closures.
     migration_locks: Arc<Sharded<Mutex<()>>>,
-    /// Placement-group delimiter for routing (see
-    /// [`ClusterConfig::routing_delimiter`]).
-    delimiter: Option<char>,
-    /// Bounded drain concurrency (see
-    /// [`ClusterConfig::drain_concurrency`]); 1 = serial drain.
+    /// Width of the drain (see [`ClusterConfig::drain_concurrency`]).
     drain_concurrency: usize,
     /// Per-controller request-counter snapshots taken at the last topology
-    /// change; [`ControllerCluster::partition_loads`] reports the delta,
-    /// so rebalance decisions weigh *recent* traffic instead of lifetime
-    /// history (matched by `Arc` identity; a controller absent from the
-    /// baseline — i.e. before the first topology change — counts from
-    /// zero).
+    /// change; `loads_of` reports the delta, so rebalance decisions weigh
+    /// *recent* traffic instead of lifetime history (matched by `Arc`
+    /// identity; a controller absent from the baseline — i.e. before the
+    /// first topology change — counts from zero).
     request_baseline: Mutex<Vec<(Arc<PesosController>, u64)>>,
     /// Dedicated asynchronous-syscall interface driving the migration
     /// drain's scatter-gather batches, created lazily on the first drain
-    /// (a cluster that never rebalances spawns no extra threads) and only
-    /// when `drain_concurrency` exceeds 1. Deliberately *not* the source
-    /// store's interface: drain bodies issue nested store I/O, and running
-    /// them on the same service threads those submissions need would be a
-    /// starvation deadlock.
+    /// (a cluster that never rebalances spawns no extra threads).
+    /// Deliberately *not* the source store's interface: drain bodies issue
+    /// nested store I/O, and running them on the same service threads
+    /// those submissions need would be a starvation deadlock.
     drain: std::sync::OnceLock<Arc<pesos_sgx::AsyscallInterface>>,
     /// Every client registered through the cluster, for re-homing sessions
     /// onto joining controllers.
@@ -411,15 +383,11 @@ pub struct ControllerCluster {
     /// Per-primary replication state, matched by `Arc` identity. Empty
     /// when [`ClusterConfig::backups_per_partition`] is 0.
     replicas: RwLock<Vec<(Arc<PesosController>, Arc<ReplicaSet>)>>,
-    /// Whether replication was configured at all; checked before touching
-    /// the `replicas` lock so a replication-free cluster pays nothing on
-    /// the request path.
-    replication_on: bool,
+    /// Backups every partition (joiners included) is given; 0 means
+    /// replication was never configured, checked before touching the
+    /// `replicas` lock so a replication-free cluster pays nothing on the
+    /// request path.
     backups_per_partition: usize,
-    replication_max_lag: u64,
-    retry_attempts: u32,
-    retry_base: Duration,
-    retry_cap: Duration,
     /// Jitter source for the retry schedule (seeded, so stress runs are
     /// reproducible).
     retry_rng: Mutex<StdRng>,
@@ -441,11 +409,8 @@ impl ControllerCluster {
             controllers
                 .iter()
                 .map(|primary| {
-                    let set = Self::spawn_replica_set(
-                        &config.controller,
-                        config.backups_per_partition,
-                        config.replication_max_lag,
-                    )?;
+                    let set =
+                        Self::spawn_replica_set(&config.controller, config.backups_per_partition)?;
                     Ok((Arc::clone(primary), set))
                 })
                 .collect::<Result<Vec<_>, PesosError>>()?
@@ -467,7 +432,6 @@ impl ControllerCluster {
             migration_locks: Arc::new(Sharded::new_indexed(shards, |i| {
                 Mutex::with_rank_indexed(lock_order::MIGRATION_STRIPE, i, ())
             })),
-            delimiter: config.routing_delimiter,
             drain_concurrency: config.drain_concurrency,
             drain: std::sync::OnceLock::new(),
             request_baseline: Mutex::with_rank(lock_order::REQUEST_BASELINE, Vec::new()),
@@ -478,15 +442,10 @@ impl ControllerCluster {
             next_async_id: AtomicU64::new(1),
             template: config.controller,
             replicas: RwLock::with_rank(lock_order::REPLICA_REGISTRY, replicas),
-            replication_on: config.backups_per_partition > 0,
             backups_per_partition: config.backups_per_partition,
-            replication_max_lag: config.replication_max_lag,
-            retry_attempts: config.retry_attempts,
-            retry_base: config.retry_base,
-            retry_cap: config.retry_cap,
             retry_rng: Mutex::with_rank(
                 lock_order::RETRY_RNG,
-                StdRng::seed_from_u64(config.retry_jitter_seed),
+                StdRng::seed_from_u64(RETRY_JITTER_SEED),
             ),
             retries: RetryCounters::default(),
             telemetry: ClusterTelemetry {
@@ -503,18 +462,21 @@ impl ControllerCluster {
     fn spawn_replica_set(
         template: &ControllerConfig,
         count: usize,
-        max_lag: u64,
     ) -> Result<Arc<ReplicaSet>, PesosError> {
         let backups = (0..count)
             .map(|_| PesosController::new(template.clone()).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ReplicaSet::spawn(REPLICATION_SECRET, backups, max_lag))
+        Ok(ReplicaSet::spawn(
+            REPLICATION_SECRET,
+            backups,
+            REPLICATION_MAX_LAG,
+        ))
     }
 
     /// The replication log of the partition `controller` is primary of,
     /// if replication is on and the partition still has one.
     fn replica_set_of(&self, controller: &Arc<PesosController>) -> Option<Arc<ReplicaSet>> {
-        if !self.replication_on {
+        if self.backups_per_partition == 0 {
             return None;
         }
         self.replicas
@@ -535,17 +497,31 @@ impl ControllerCluster {
         }
     }
 
-    /// One capped-exponential backoff pause with seeded jitter: attempt
-    /// `n` sleeps a uniform draw from `[d/2, d]` where `d = base·2ⁿ`
-    /// capped at [`ClusterConfig::retry_cap`].
-    fn retry_pause(&self, attempt: u32) {
-        let base = (self.retry_base.as_micros() as u64).max(1);
-        let cap = (self.retry_cap.as_micros() as u64).max(1);
-        let exp = base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        let ceiling = exp.min(cap);
-        let floor = (ceiling / 2).max(1);
-        let jitter = self.retry_rng.lock().gen_range(floor..ceiling + 1);
-        std::thread::sleep(Duration::from_micros(jitter));
+    /// Runs `attempt` up to [`RETRY_ATTEMPTS`] times: an error `retryable`
+    /// accepts is counted on `retried` and followed by one
+    /// capped-exponential backoff pause with seeded jitter — the pause
+    /// after attempt `n` is a uniform draw from `[d/2, d]` where
+    /// `d = RETRY_BASE_MICROS·2ⁿ` capped at [`RETRY_CAP_MICROS`]. The last
+    /// attempt's result is returned as is. Whatever `attempt` acquires it
+    /// releases before the pause.
+    fn with_retries<R>(
+        &self,
+        retried: &WindowedCounter,
+        retryable: impl Fn(&PesosError) -> bool,
+        mut attempt: impl FnMut() -> Result<R, PesosError>,
+    ) -> Result<R, PesosError> {
+        for n in 0..RETRY_ATTEMPTS - 1 {
+            match attempt() {
+                Err(e) if retryable(&e) => {}
+                done => return done,
+            }
+            retried.add(1);
+            let exp = RETRY_BASE_MICROS.saturating_mul(1u64.checked_shl(n).unwrap_or(u64::MAX));
+            let ceiling = exp.min(RETRY_CAP_MICROS);
+            let jitter = self.retry_rng.lock().gen_range(ceiling / 2..ceiling + 1);
+            std::thread::sleep(Duration::from_micros(jitter));
+        }
+        attempt()
     }
 
     /// Number of partitions (= controller instances) in the current table.
@@ -571,46 +547,13 @@ impl ControllerCluster {
         self.routing
             .read()
             .table
-            .index_of(HashedKey::new(key).routing_hash(self.delimiter))
+            .index_of(Self::routing_hash(&HashedKey::new(key)))
     }
 
-    /// Per-partition cost report: one logical enclave per controller
-    /// instance, read out alongside the partition's hash range.
-    pub fn cost_report(&self) -> Vec<PartitionCostReport> {
-        let routing = self.routing.read().clone();
-        let retries = self.retries.snapshot();
-        routing
-            .table
-            .partitions()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| PartitionCostReport {
-                partition: i,
-                range: routing.table.range(i),
-                measurement: p.controller.report().measurement.clone(),
-                epc: p.controller.store().epc_stats(),
-                asyscall: p.controller.store().asyscall_stats(),
-                metrics: p.controller.metrics(),
-                resident_objects: p.controller.store().resident_object_count(),
-                retries,
-            })
-            .collect()
-    }
-
-    /// Cluster-wide retry counters (also on every [`PartitionCostReport`]
-    /// row).
-    pub fn retry_stats(&self) -> RetryStats {
-        self.retries.snapshot()
-    }
-
-    /// Per-partition load (resident objects + request counters) under the
-    /// current table — the accounting [`ControllerCluster::add_controller`]
-    /// and [`ControllerCluster::remove_controller`] rebalance by.
-    pub fn partition_loads(&self) -> Vec<PartitionLoad> {
-        let routing = self.routing.read().clone();
-        self.loads_of(&routing.table)
-    }
-
+    /// Per-partition load (resident objects + request counters) under
+    /// `table` — the accounting [`ControllerCluster::add_controller`] and
+    /// [`ControllerCluster::remove_controller`] rebalance by, served per
+    /// partition by [`ControllerCluster::telemetry_snapshot`].
     fn loads_of(&self, table: &PartitionTable) -> Vec<PartitionLoad> {
         let baseline = self.request_baseline.lock();
         let base_for = |controller: &Arc<PesosController>| {
@@ -623,9 +566,7 @@ impl ControllerCluster {
         table
             .partitions()
             .iter()
-            .enumerate()
-            .map(|(i, p)| PartitionLoad {
-                partition: i,
+            .map(|p| PartitionLoad {
                 resident_objects: p.controller.store().resident_object_count(),
                 requests: p
                     .controller
@@ -715,8 +656,7 @@ impl ControllerCluster {
     /// The cluster's logical time (partition 0's clock; all clocks are set
     /// together through [`ControllerCluster::set_time`]).
     pub fn now(&self) -> u64 {
-        // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-        self.routing.read().table.partitions()[0].controller.now()
+        self.routing.read().table.first().now()
     }
 
     /// Expires idle sessions on every controller; returns the count from
@@ -736,8 +676,7 @@ impl ControllerCluster {
         // the client at the cluster layer forever and resurrect its
         // session on the next joining controller — authenticated on one
         // partition, rejected on all others.
-        // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-        let probe = &routing.table.partitions()[0].controller;
+        let probe = routing.table.first();
         self.clients.lock().retain(|id| probe.has_session(id));
         first.unwrap_or(0)
     }
@@ -754,11 +693,11 @@ impl ControllerCluster {
     // Routing internals
     // ------------------------------------------------------------------
 
-    /// The placement-group routing hash of `key` under this cluster's
-    /// delimiter (cached on the `HashedKey`, so repeated consultations on
-    /// one request cost nothing).
-    fn routing_hash(&self, key: &HashedKey<'_>) -> u64 {
-        key.routing_hash(self.delimiter)
+    /// The placement-group routing hash of `key` under
+    /// [`ROUTING_DELIMITER`] (cached on the `HashedKey`, so repeated
+    /// consultations on one request cost nothing).
+    fn routing_hash(key: &HashedKey<'_>) -> u64 {
+        key.routing_hash(ROUTING_DELIMITER)
     }
 
     /// Records a keyed operation against its placement group's hot
@@ -770,8 +709,8 @@ impl ControllerCluster {
     fn observe(&self, kind: OpKind, key: &HashedKey<'_>) -> OpTimer<'_> {
         if self.telemetry.enabled() {
             self.telemetry.hot.record(
-                self.routing_hash(key),
-                pesos_core::routing_prefix(key.key(), self.delimiter),
+                Self::routing_hash(key),
+                pesos_core::routing_prefix(key.key(), ROUTING_DELIMITER),
             );
         }
         self.telemetry.ops.timer(kind, self.telemetry.enabled())
@@ -795,41 +734,16 @@ impl ControllerCluster {
         key: &HashedKey<'_>,
         mut f: impl FnMut(&RoutingState, &Arc<PesosController>) -> Result<R, PesosError>,
     ) -> Result<R, PesosError> {
-        let mut attempt = 0u32;
-        loop {
-            let result = {
+        self.with_retries(
+            &self.retries.request_retries,
+            |e| matches!(e, PesosError::Unavailable(_)),
+            || {
                 let _gate = self.ops_gate.read();
                 let routing = self.routing.read().clone();
-                match self.pull_if_migrating(&routing, key) {
-                    Ok(()) => f(&routing, routing.table.route(self.routing_hash(key))),
-                    Err(e) => Err(e),
-                }
-            };
-            match result {
-                Err(PesosError::Unavailable(_)) if attempt + 1 < self.retry_attempts => {
-                    self.retries.request_retries.add(1);
-                    self.retry_pause(attempt);
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Single-shot variant of [`ControllerCluster::with_owner`] for the
-    /// paths that move their value into the operation (a retry would have
-    /// nothing left to send). Used when replication is off — without a
-    /// backup to promote there is nowhere useful to retry a put anyway,
-    /// and this keeps the replication-free put path copy-free.
-    fn with_owner_once<R>(
-        &self,
-        key: &HashedKey<'_>,
-        f: impl FnOnce(&RoutingState, &Arc<PesosController>) -> Result<R, PesosError>,
-    ) -> Result<R, PesosError> {
-        let _gate = self.ops_gate.read();
-        let routing = self.routing.read().clone();
-        self.pull_if_migrating(&routing, key)?;
-        f(&routing, routing.table.route(self.routing_hash(key)))
+                self.pull_if_migrating(&routing, key)?;
+                f(&routing, routing.table.route(Self::routing_hash(key)))
+            },
+        )
     }
 
     /// If `key` lies in a migrating range, ensure it — and every other
@@ -851,17 +765,15 @@ impl ControllerCluster {
         key: &HashedKey<'_>,
     ) -> Result<(), PesosError> {
         for migration in &routing.migrations {
-            if !migration.range.contains(self.routing_hash(key)) {
+            if !migration.range.contains(Self::routing_hash(key)) {
                 continue;
             }
-            if self.delimiter.is_some() {
-                let prefix = pesos_core::routing_prefix(key.key(), self.delimiter);
-                if migration.settled_groups.lock().contains(prefix) {
-                    // The whole group (this key included) is known to have
-                    // left the source, and the source receives no new
-                    // writes for the moved range — nothing to pull.
-                    continue;
-                }
+            let prefix = pesos_core::routing_prefix(key.key(), ROUTING_DELIMITER);
+            if migration.settled_groups.lock().contains(prefix) {
+                // The whole group (this key included) is known to have
+                // left the source, and the source receives no new
+                // writes for the moved range — nothing to pull.
+                continue;
             }
             self.demand_pull(migration, key)?;
             self.pull_group_siblings(migration, key);
@@ -871,26 +783,21 @@ impl ControllerCluster {
 
     /// A demand pull with capped-exponential-backoff retry: transient
     /// source/destination faults (an injected drive error, a torn reply)
-    /// are retried up to [`ClusterConfig::retry_attempts`] times instead
-    /// of failing the triggering request on the first fault. The pull is
+    /// are retried (see [`ControllerCluster::with_retries`]) instead of
+    /// failing the triggering request on the first fault. The pull is
     /// idempotent (it re-checks destination state under the striped key
     /// lock), so retrying after *any* error is safe: either the key ends
     /// up moved or the migration record stays active and the key remains
     /// reachable at the source.
     fn demand_pull(&self, migration: &Migration, key: &HashedKey<'_>) -> Result<(), PesosError> {
-        let mut attempt = 0u32;
-        loop {
-            self.retries.demand_pull_attempts.add(1);
-            match Self::pull_key(&self.migration_locks, migration, key) {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt + 1 >= self.retry_attempts => return Err(e),
-                Err(_) => {
-                    self.retries.demand_pull_retries.add(1);
-                    self.retry_pause(attempt);
-                    attempt += 1;
-                }
-            }
-        }
+        self.with_retries(
+            &self.retries.demand_pull_retries,
+            |_| true,
+            || {
+                self.retries.demand_pull_attempts.add(1);
+                Self::pull_key(&self.migration_locks, migration, key)
+            },
+        )
     }
 
     /// Pulls the placement-group siblings of `key` (same routing prefix,
@@ -909,10 +816,7 @@ impl ControllerCluster {
     /// independently guarantees the migration never retires with anything
     /// left behind.
     fn pull_group_siblings(&self, migration: &Migration, key: &HashedKey<'_>) {
-        if self.delimiter.is_none() {
-            return; // every key is its own group
-        }
-        let prefix = pesos_core::routing_prefix(key.key(), self.delimiter);
+        let prefix = pesos_core::routing_prefix(key.key(), ROUTING_DELIMITER);
         let settled = (|| -> Result<(), PesosError> {
             // One bounded prefix scan over the source's metadata
             // namespace; the string prefix over-matches (`doc` also finds
@@ -922,7 +826,7 @@ impl ControllerCluster {
             let siblings = migration.src.store().list_keys_with_prefix(prefix)?;
             for sibling in siblings {
                 if sibling == key.key()
-                    || pesos_core::routing_prefix(&sibling, self.delimiter) != prefix
+                    || pesos_core::routing_prefix(&sibling, ROUTING_DELIMITER) != prefix
                 {
                     continue;
                 }
@@ -938,7 +842,7 @@ impl ControllerCluster {
                 .iter()
                 .filter(|k| {
                     k.as_str() != key.key()
-                        && pesos_core::routing_prefix(k, self.delimiter) == prefix
+                        && pesos_core::routing_prefix(k, ROUTING_DELIMITER) == prefix
                 })
                 .cloned()
                 .collect();
@@ -957,7 +861,7 @@ impl ControllerCluster {
     /// migration locks, so a demand pull and the drain loop cannot move the
     /// same key twice; the object itself moves under both stores' per-key
     /// write locks. An associated function (locks passed in) so the
-    /// parallel drain can carry the stripes into its `'static`
+    /// drain can carry the stripes into its `'static`
     /// scatter-gather closures.
     fn pull_key(
         locks: &Sharded<Mutex<()>>,
@@ -965,36 +869,24 @@ impl ControllerCluster {
         key: &HashedKey<'_>,
     ) -> Result<(), PesosError> {
         let _stripe = locks.get(key).lock();
-        if migration.moved_pending_delete.lock().contains(key.key()) {
-            // The object already reached the destination; only the
-            // source-side delete is outstanding. Never re-export here —
-            // the destination may legitimately have no metadata because
-            // the client deleted the object there, and re-importing the
-            // stale source copy would resurrect it. A prior partial
-            // delete may have already cleared the source, so NotFound
-            // counts as done.
+        // Two states leave only the source-side delete to do. Pending: the
+        // object reached the destination and its source delete errored.
+        // Never re-export then — the destination may legitimately have no
+        // metadata because the client deleted the object there, and
+        // re-importing the stale source copy would resurrect it. Or the
+        // destination holds the key: usually the source copy is gone too,
+        // but an import whose *reply* was torn by a drive fault lands the
+        // object while reporting failure, and the retry gets here with the
+        // stale source copy still present.
+        let pending = migration.moved_pending_delete.lock().contains(key.key());
+        if pending || migration.dst.store().get_metadata(key).is_some() {
+            // A prior partial delete may have already cleared the source,
+            // so NotFound counts as done.
             return match migration.src.store().delete_object(key) {
                 Ok(()) | Err(PesosError::ObjectNotFound(_)) => {
-                    migration.moved_pending_delete.lock().remove(key.key());
-                    if let Some(set) = &migration.src_set {
-                        set.append(LogRecord::Delete {
-                            key: key.key().to_string(),
-                        });
+                    if pending {
+                        migration.moved_pending_delete.lock().remove(key.key());
                     }
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            };
-        }
-        if migration.dst.store().get_metadata(key).is_some() {
-            // Already at the destination. Usually the source copy is gone
-            // too, but an import whose *reply* was torn by a drive fault
-            // lands the object while reporting failure — the retry takes
-            // this branch with the stale source copy still present, so
-            // finish the source-side delete here (NotFound means there
-            // was nothing left to do).
-            return match migration.src.store().delete_object(key) {
-                Ok(()) | Err(PesosError::ObjectNotFound(_)) => {
                     if let Some(set) = &migration.src_set {
                         set.append(LogRecord::Delete {
                             key: key.key().to_string(),
@@ -1053,15 +945,15 @@ impl ControllerCluster {
     /// drain fully pulled the group, unless a delete is still pending for
     /// one of its members (a concurrent demand pull can park one between
     /// our last pull and here; the group then settles on a later pass).
-    /// An associated function so the parallel drain's `'static` bodies can
+    /// An associated function so the drain's `'static` bodies can
     /// call it. The two migration-state locks are taken one after the
     /// other, never nested.
-    fn checkpoint_group(migration: &Migration, delimiter: Option<char>, prefix: &str) {
+    fn checkpoint_group(migration: &Migration, prefix: &str) {
         let has_pending = migration
             .moved_pending_delete
             .lock()
             .iter()
-            .any(|k| pesos_core::routing_prefix(k, delimiter) == prefix);
+            .any(|k| pesos_core::routing_prefix(k, ROUTING_DELIMITER) == prefix);
         if !has_pending {
             migration.settled_groups.lock().insert(prefix.to_string());
         }
@@ -1154,13 +1046,8 @@ impl ControllerCluster {
         // Broadcast the compiled *body* into every partition's log: a
         // promoted backup must evaluate policies with no surviving peer to
         // copy them from.
-        if self.replication_on {
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            if let Ok(policy) = routing.table.partitions()[0]
-                .controller
-                .store()
-                .load_policy(&id)
-            {
+        if self.backups_per_partition > 0 {
+            if let Ok(policy) = routing.table.first().store().load_policy(&id) {
                 let bytes: Payload = policy.to_bytes().into();
                 for partition in routing.table.partitions() {
                     self.append_for(&partition.controller, || LogRecord::PolicyInstall {
@@ -1172,40 +1059,23 @@ impl ControllerCluster {
         Ok(id)
     }
 
-    /// Stores an object on its owning partition.
+    /// Stores an object on its owning partition. The value is borrowed all
+    /// the way into the owner's store; the one copy a replicated put makes
+    /// is the log record's shared buffer, built only when the partition
+    /// has a log.
     // pesos-lint: invariant(acked_logged)
     pub fn put(
         &self,
         client_id: &str,
         key: &str,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
     ) -> Result<u64, PesosError> {
         let key = HashedKey::new(key);
+        let value = value.as_ref();
         let _timer = self.observe(OpKind::Put, &key);
-        if !self.replication_on {
-            // Replication-free fast path: the value moves straight into
-            // the owner, copy-free, exactly as before replication existed.
-            return self.with_owner_once(&key, |routing, owner| {
-                if let Some(id) = &policy_id {
-                    self.ensure_policy(routing, owner, id)?;
-                }
-                owner.put(
-                    client_id,
-                    &key,
-                    value,
-                    policy_id,
-                    expected_version,
-                    certificates,
-                )
-            });
-        }
-        // Replicated path: the value becomes a shared buffer once; each
-        // attempt hands the owner its own copy and, on success, the log
-        // record ships the shared buffer itself (no further copies).
-        let payload: Payload = value.into();
         self.with_owner(&key, |routing, owner| {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
@@ -1213,14 +1083,14 @@ impl ControllerCluster {
             let version = owner.put(
                 client_id,
                 &key,
-                payload.to_vec(),
+                value,
                 policy_id,
                 expected_version,
                 certificates,
             )?;
             self.append_for(owner, || LogRecord::Put {
                 key: key.key().to_string(),
-                value: payload.clone(),
+                value: value.into(),
                 policy_id,
                 version: Some(version),
             });
@@ -1246,27 +1116,9 @@ impl ControllerCluster {
         // Times acceptance (the synchronous half of the async put), like
         // the controller's own put_async histogram.
         let _timer = self.observe(OpKind::PutAsync, &key);
-        if !self.replication_on {
-            return self.with_owner_once(&key, |routing, owner| {
-                if let Some(id) = &policy_id {
-                    self.ensure_policy(routing, owner, id)?;
-                }
-                let local_op = owner.put_async(
-                    client_id,
-                    &key,
-                    value,
-                    policy_id,
-                    expected_version,
-                    certificates,
-                )?;
-                let cluster_op = self.next_async_id.fetch_add(1, Ordering::SeqCst);
-                self.async_ops
-                    .insert(cluster_op, (Arc::clone(owner), local_op));
-                // pesos-lint: allow(acked_logged, "replication is off on this path: no log exists to append to")
-                Ok(cluster_op)
-            });
-        }
-        let payload: Payload = value.into();
+        // Shared, not copied: the accepting owner's scheduler keeps one
+        // reference, and a retried attempt offers the same buffer again.
+        let value = Arc::new(value);
         self.with_owner(&key, |routing, owner| {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
@@ -1274,7 +1126,7 @@ impl ControllerCluster {
             let local_op = owner.put_async(
                 client_id,
                 &key,
-                payload.to_vec(),
+                Arc::clone(&value),
                 policy_id,
                 expected_version,
                 certificates,
@@ -1287,7 +1139,7 @@ impl ControllerCluster {
             // where success pins it to exactly the expected version.
             self.append_for(owner, || LogRecord::Put {
                 key: key.key().to_string(),
-                value: payload.clone(),
+                value: value.as_slice().into(),
                 policy_id,
                 version: expected_version,
             });
@@ -1451,18 +1303,18 @@ impl ControllerCluster {
         struct Branch {
             reads: Vec<(usize, String)>,
             writes: Vec<(usize, TxWrite)>,
-            /// Shared copies of the write values, captured at staging
-            /// (before the values move into the branch transactions) so
-            /// the post-commit log records can ship them by reference.
-            /// Empty when replication is off.
-            payloads: Vec<Payload>,
+            /// One shared copy of each write's value for the post-commit
+            /// log records, taken at staging because the value itself
+            /// moves into the branch transaction. Stays empty for a
+            /// partition that has no log.
+            logged: Vec<Payload>,
         }
         let mut branches: BTreeMap<usize, Branch> = BTreeMap::new();
         for (position, key) in tx.reads.iter().enumerate() {
             let hashed = HashedKey::new(key);
             self.pull_if_migrating(&routing, &hashed)?;
             branches
-                .entry(routing.table.index_of(self.routing_hash(&hashed)))
+                .entry(routing.table.index_of(Self::routing_hash(&hashed)))
                 .or_default()
                 .reads
                 .push((position, key.clone()));
@@ -1471,7 +1323,7 @@ impl ControllerCluster {
             let hashed = HashedKey::new(&write.key);
             self.pull_if_migrating(&routing, &hashed)?;
             branches
-                .entry(routing.table.index_of(self.routing_hash(&hashed)))
+                .entry(routing.table.index_of(Self::routing_hash(&hashed)))
                 .or_default()
                 .writes
                 .push((position, write));
@@ -1484,54 +1336,39 @@ impl ControllerCluster {
         // order that keeps concurrent coordinators deadlock-free. Any
         // staging failure aborts every local transaction created so far,
         // not just the failing branch's, so nothing lingers in the
-        // participants' transaction buffers. Write payloads move into the
+        // participants' transaction buffers. Write values move into the
         // branch transactions (the merge below only needs each write's
-        // position), so staging copies no value bytes.
-        let participants: Vec<(Arc<PesosController>, u64, usize)> = {
-            let mut out: Vec<(Arc<PesosController>, u64, usize)> =
-                Vec::with_capacity(branches.len());
-            let mut failure: Option<PesosError> = None;
-            'staging: for (&partition, branch) in branches.iter_mut() {
-                // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-                let controller = Arc::clone(&routing.table.partitions()[partition].controller);
-                let local = match controller.create_tx(client_id) {
-                    Ok(local) => local,
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                };
-                out.push((Arc::clone(&controller), local, partition));
-                for (_, key) in &branch.reads {
-                    if let Err(e) = controller.add_read(client_id, local, key) {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                }
-                for i in 0..branch.writes.len() {
-                    // pesos-lint: allow(panic_freedom, "loop index bounded by writes.len()")
-                    let value = std::mem::take(&mut branch.writes[i].1.value);
-                    if self.replication_on {
-                        // One copy into a shared buffer, paid only when a
-                        // log record will ship it after commit.
-                        branch.payloads.push(value.clone().into());
-                    }
-                    // pesos-lint: allow(panic_freedom, "loop index bounded by writes.len()")
-                    let key = &branch.writes[i].1.key;
-                    if let Err(e) = controller.add_write(client_id, local, key, value) {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                }
+        // position), so staging copies no value bytes except the log's.
+        let mut participants: Vec<(Arc<PesosController>, u64, Branch)> =
+            Vec::with_capacity(branches.len());
+        let staged = branches
+            .into_iter()
+            .try_for_each(|(partition, mut branch)| {
+                let controller = Arc::clone(controller_at(&routing.table, partition)?);
+                let local = controller.create_tx(client_id)?;
+                let has_log = self.replica_set_of(&controller).is_some();
+                let ops = branch
+                    .reads
+                    .iter()
+                    .try_for_each(|(_, key)| controller.add_read(client_id, local, key))
+                    .and_then(|()| {
+                        branch.writes.iter_mut().try_for_each(|(_, write)| {
+                            if has_log {
+                                branch.logged.push(write.value.as_slice().into());
+                            }
+                            let value = std::mem::take(&mut write.value);
+                            controller.add_write(client_id, local, &write.key, value)
+                        })
+                    });
+                participants.push((controller, local, branch));
+                ops
+            });
+        if let Err(e) = staged {
+            for (controller, local, _) in &participants {
+                let _ = controller.abort_tx(client_id, *local);
             }
-            if let Some(e) = failure {
-                for (controller, local, _) in &out {
-                    let _ = controller.abort_tx(client_id, *local);
-                }
-                return Err(e);
-            }
-            out
-        };
+            return Err(e);
+        }
 
         // Phase one: prepare every branch; first failure aborts them all.
         let mut prepared = Vec::with_capacity(participants.len());
@@ -1539,9 +1376,8 @@ impl ControllerCluster {
             match controller.prepare_commit(client_id, *local) {
                 Ok(p) => prepared.push(p),
                 Err(e) => {
-                    for (slot, p) in prepared.into_iter().enumerate() {
-                        // pesos-lint: allow(panic_freedom, "slot enumerates prepared, which is a prefix of participants")
-                        participants[slot].0.abort_prepared(p);
+                    for (p, (controller, _, _)) in prepared.into_iter().zip(&participants) {
+                        controller.abort_prepared(p);
                     }
                     // Branches after the failing one were never prepared;
                     // their local transactions were consumed by nothing, so
@@ -1558,38 +1394,36 @@ impl ControllerCluster {
         // order the client added the operations.
         let mut read_values: Vec<Option<Vec<u8>>> = vec![None; read_count];
         let mut write_versions: Vec<Option<u64>> = vec![None; write_count];
-        for (p, (controller, _, partition)) in prepared.into_iter().zip(participants.iter()) {
-            // pesos-lint: allow(panic_freedom, "partition keys come from iterating this branches map")
-            let branch = &branches[partition];
+        for (p, (controller, _, branch)) in prepared.into_iter().zip(&participants) {
             let outcome = controller.commit_prepared(p)?;
             // Applied branch writes enter the partition's log with their
             // committed versions, before the outcome (the client-visible
             // acknowledgement) is assembled below.
-            if self.replication_on {
-                for (((_, write), payload), version) in branch
-                    .writes
-                    .iter()
-                    .zip(&branch.payloads)
-                    .zip(&outcome.write_versions)
-                {
-                    self.append_for(controller, || LogRecord::Put {
-                        key: write.key.clone(),
-                        value: payload.clone(),
-                        policy_id: write
-                            .policy_id
-                            .as_deref()
-                            .and_then(|hex| parse_policy_id(hex).ok()),
-                        version: Some(*version),
-                    });
-                }
+            for (((_, write), payload), version) in branch
+                .writes
+                .iter()
+                .zip(&branch.logged)
+                .zip(&outcome.write_versions)
+            {
+                self.append_for(controller, || LogRecord::Put {
+                    key: write.key.clone(),
+                    value: payload.clone(),
+                    policy_id: write
+                        .policy_id
+                        .as_deref()
+                        .and_then(|hex| parse_policy_id(hex).ok()),
+                    version: Some(*version),
+                });
             }
             for ((position, _), value) in branch.reads.iter().zip(outcome.read_values) {
-                // pesos-lint: allow(panic_freedom, "positions were assigned by enumerate over vectors sized to the operation counts")
-                read_values[*position] = Some(value);
+                if let Some(slot) = read_values.get_mut(*position) {
+                    *slot = Some(value);
+                }
             }
             for ((position, _), version) in branch.writes.iter().zip(outcome.write_versions) {
-                // pesos-lint: allow(panic_freedom, "positions were assigned by enumerate over vectors sized to the operation counts")
-                write_versions[*position] = Some(version);
+                if let Some(slot) = write_versions.get_mut(*position) {
+                    *slot = Some(version);
+                }
             }
         }
         // Every buffered operation was routed to exactly one branch and
@@ -1613,8 +1447,7 @@ impl ControllerCluster {
         // file its (empty) outcome on the first partition so a committed
         // transaction is always queryable, as on a single controller.
         if participants.is_empty() {
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            let first = &routing.table.partitions()[0].controller;
+            let first = routing.table.first();
             first.record_tx_outcome(tx_id, outcome.clone());
             self.append_for(first, || LogRecord::TxOutcome {
                 tx_id,
@@ -1655,34 +1488,33 @@ impl ControllerCluster {
     // Online rebalancing
     // ------------------------------------------------------------------
 
-    /// The drain's dedicated scatter-gather interface: `None` for the
-    /// serial configuration, otherwise created (with its service threads)
-    /// on first use and reused by every later drain.
-    fn drain_interface(&self) -> Option<&Arc<pesos_sgx::AsyscallInterface>> {
-        if self.drain_concurrency <= 1 {
-            return None;
-        }
-        Some(self.drain.get_or_init(|| {
+    /// The drain's dedicated scatter-gather interface, created (with its
+    /// `drain_concurrency` service threads and slots) on first use and
+    /// reused by every later drain.
+    fn drain_interface(&self) -> &Arc<pesos_sgx::AsyscallInterface> {
+        self.drain.get_or_init(|| {
             Arc::new(pesos_sgx::AsyscallInterface::new(
                 self.drain_concurrency,
                 self.drain_concurrency,
                 pesos_sgx::cost::ModeCost::new(self.template.mode, self.template.cost_model),
             ))
-        }))
+        })
     }
 
     /// The split target for a joining controller: the partition with the
     /// highest load weight (resident objects + served requests), tie-broken
     /// toward the widest hash range. Partitions whose range is a single
     /// hash cannot split and are skipped.
-    fn most_loaded_splittable(&self, table: &PartitionTable) -> usize {
-        let loads = self.loads_of(table);
-        (0..table.len())
-            .filter(|&i| table.range(i).width() >= 2)
-            // pesos-lint: allow(panic_freedom, "loads_of returns one load per partition")
-            .max_by_key(|&i| (loads[i].weight(), table.range(i).width()))
-            // pesos-lint: allow(panic_freedom, "unreachable: every partition owning a single hash would need 2^64 partitions")
-            .expect("a table always has a splittable partition")
+    fn most_loaded_splittable(&self, table: &PartitionTable) -> Result<usize, PesosError> {
+        self.loads_of(table)
+            .iter()
+            .enumerate()
+            .map(|(i, load)| (i, load.weight(), table.range(i).width()))
+            .filter(|&(_, _, width)| width >= 2)
+            .max_by_key(|&(_, weight, width)| (weight, width))
+            .map(|(i, _, _)| i)
+            // Every partition owning a single hash would need 2^64 of them.
+            .ok_or_else(|| PesosError::Backend("no partition left to split".into()))
     }
 
     /// The weighted split point for partition `index`: the op-weighted
@@ -1708,7 +1540,7 @@ impl ControllerCluster {
             .store()
             .resident_keys()
             .iter()
-            .map(|key| pesos_core::routing_hash(key, self.delimiter))
+            .map(|key| pesos_core::routing_hash(key, ROUTING_DELIMITER))
             .filter(|hash| range.contains(*hash))
             .collect();
         if hashes.len() < 2 {
@@ -1750,7 +1582,7 @@ impl ControllerCluster {
 
     /// Adds a controller built from the cluster's configuration template,
     /// splitting the most loaded partition's hash range at a load-weighted
-    /// split point (see [`ControllerCluster::partition_loads`]). Returns
+    /// split point (resident objects + windowed requests). Returns
     /// the new partition count once the moved range is fully drained;
     /// concurrent traffic keeps serving throughout (requests into the
     /// moving range demand-pull their keys).
@@ -1780,12 +1612,8 @@ impl ControllerCluster {
         // The joiner gets its own backups before it can accept traffic, so
         // every write it acknowledges is covered by its log from the
         // first request.
-        if self.replication_on {
-            let set = Self::spawn_replica_set(
-                &config,
-                self.backups_per_partition,
-                self.replication_max_lag,
-            )?;
+        if self.backups_per_partition > 0 {
+            let set = Self::spawn_replica_set(&config, self.backups_per_partition)?;
             self.replicas.write().push((Arc::clone(&controller), set));
         }
         // Re-home sessions, policies and the logical clock before any
@@ -1803,59 +1631,15 @@ impl ControllerCluster {
         // balance quality, never correctness.)
         let (target, split_start, src) = {
             let routing = self.routing.read();
-            let target = self.most_loaded_splittable(&routing.table);
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            let src = Arc::clone(&routing.table.partitions()[target].controller);
+            let target = self.most_loaded_splittable(&routing.table)?;
+            let src = Arc::clone(controller_at(&routing.table, target)?);
             let split_start = self.weighted_split_point(&routing.table, target, &src);
             (target, split_start, src)
         };
-        // Pre-flush the source's scheduled asynchronous writes outside the
-        // gate so the race-closing flush under it (below) is short.
-        src.drain_async();
-
-        let migration = {
-            // Quiesce: holding the gate's write side means no operation is
-            // in flight across the swap — every request either completed
-            // under the old routing state or starts under the new one
-            // (table + migration record together), so a demand pull can
-            // never race a write still executing against the old owner.
-            let _quiesced = self.ops_gate.write();
-            // Acknowledged put_asyncs execute on the source's scheduler
-            // workers *outside* the gate; flush them before the swap makes
-            // demand pulls possible, or a pull could export stale state,
-            // move it, and let the late write recreate the key at a source
-            // the router no longer consults — losing a write already
-            // reported Completed. No new async work can be accepted while
-            // the write side is held, and after the swap the moved range's
-            // writes go to the destination, so this flush is complete.
-            src.drain_async();
-            let mut routing = self.routing.write();
-            let old = routing.clone();
-            let (table, moved) = old
-                .table
-                .split_at(target, split_start, Arc::clone(&controller));
-            let migration = Arc::new(Migration {
-                range: moved,
-                src: Arc::clone(&src),
-                dst: Arc::clone(&controller),
-                keys_moved: AtomicU64::new(0),
-                moved_pending_delete: Mutex::with_rank(
-                    lock_order::MIGRATION_STATE,
-                    BTreeSet::new(),
-                ),
-                settled_groups: Mutex::with_rank(lock_order::MIGRATION_STATE, BTreeSet::new()),
-                src_set: self.replica_set_of(&src),
-                dst_set: self.replica_set_of(&controller),
-            });
-            let mut migrations = Vec::with_capacity(old.migrations.len() + 1);
-            migrations.extend(old.migrations.iter().cloned());
-            migrations.push(Arc::clone(&migration));
-            // New topology, new load window: the next rebalance decision
-            // weighs traffic from here on, not lifetime history.
-            self.reset_request_baseline(&table);
-            *routing = Arc::new(RoutingState { table, migrations });
-            migration
-        };
+        let migration = self.install_migration(&src, |table| {
+            let (table, moved) = table.split_at(target, split_start, Arc::clone(&controller));
+            (table, moved, target + 1)
+        })?;
         // Second re-homing pass: a register_client or put_policy that
         // raced the first pass iterated the old table (without the joiner)
         // but finished before the quiesce with its entry recorded;
@@ -1871,8 +1655,8 @@ impl ControllerCluster {
 
     /// Removes the controller owning partition `index`, merging its hash
     /// range (and draining its keys) into the *lighter* of its two
-    /// neighbouring partitions (by [`PartitionLoad::weight`]; partition 0
-    /// and the last partition have only one neighbour). The removed
+    /// neighbouring partitions (by load weight; partition 0 and the last
+    /// partition have only one neighbour). The removed
     /// controller keeps running until its last in-flight request and the
     /// drain complete, then drops out of the table. On a drain error the
     /// merged topology stays installed with the migration record active
@@ -1884,19 +1668,14 @@ impl ControllerCluster {
         // before the settle is sound — settling never alters the table).
         {
             let routing = self.routing.read();
-            let len = routing.table.len();
-            if len <= 1 {
+            if routing.table.len() <= 1 {
                 return Err(PesosError::BadRequest(
                     "cannot remove the last controller: a 1-controller cluster has no \
                      neighbour partition to absorb its hash range"
                         .into(),
                 ));
             }
-            if index >= len {
-                return Err(PesosError::BadRequest(format!(
-                    "no partition {index} (cluster has {len})",
-                )));
-            }
+            controller_at(&routing.table, index)?;
         }
         // Settle any migration an earlier topology change left unsettled
         // (see add_controller_with); removing a pending migration's
@@ -1904,66 +1683,21 @@ impl ControllerCluster {
         // A settle that still fails after its retries refuses the removal
         // with a typed error instead of surfacing the raw drain fault.
         self.settle_pending_or_refuse("remove a controller")?;
-        // Choose the neighbour and pre-flush outside the gate (the
-        // rebalance lock keeps the table stable, so none of it can go
-        // stale).
+        // Choose the neighbour (the rebalance lock keeps the table stable,
+        // so the choice cannot go stale): the lighter one, the lower on a
+        // tie; a neighbour the table does not have weighs the maximum and
+        // is never chosen over the one it does have.
         let (src, neighbour) = {
             let routing = self.routing.read();
-            let len = routing.table.len();
-            let neighbour = if index == 0 {
-                1
-            } else if index == len - 1 {
-                index - 1
-            } else {
-                let loads = self.loads_of(&routing.table);
-                // pesos-lint: allow(panic_freedom, "index is strictly interior: 0 and len-1 are handled by the arms above")
-                if loads[index + 1].weight() < loads[index - 1].weight() {
-                    index + 1
-                } else {
-                    index - 1
-                }
+            let loads = self.loads_of(&routing.table);
+            let weight = |i: usize| loads.get(i).map_or(u64::MAX, PartitionLoad::weight);
+            let neighbour = match index.checked_sub(1) {
+                Some(below) if weight(below) <= weight(index + 1) => below,
+                _ => index + 1,
             };
-            (
-                // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-                Arc::clone(&routing.table.partitions()[index].controller),
-                neighbour,
-            )
+            (Arc::clone(controller_at(&routing.table, index)?), neighbour)
         };
-        src.drain_async();
-        let migration = {
-            // Same quiesce discipline as add_controller_with: no operation
-            // straddles the swap, and the departing controller's scheduled
-            // asynchronous writes are flushed under the gate so a demand
-            // pull can never outrun a pending acknowledged write.
-            let _quiesced = self.ops_gate.write();
-            src.drain_async();
-            let mut routing = self.routing.write();
-            let old = routing.clone();
-            let (table, moved, absorbed_by) = old.table.merge_into(index, neighbour);
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            let dst = Arc::clone(&table.partitions()[absorbed_by].controller);
-            let migration = Arc::new(Migration {
-                range: moved,
-                src: Arc::clone(&src),
-                dst: Arc::clone(&dst),
-                keys_moved: AtomicU64::new(0),
-                moved_pending_delete: Mutex::with_rank(
-                    lock_order::MIGRATION_STATE,
-                    BTreeSet::new(),
-                ),
-                settled_groups: Mutex::with_rank(lock_order::MIGRATION_STATE, BTreeSet::new()),
-                src_set: self.replica_set_of(&src),
-                dst_set: self.replica_set_of(&dst),
-            });
-            let mut migrations = Vec::with_capacity(old.migrations.len() + 1);
-            migrations.extend(old.migrations.iter().cloned());
-            migrations.push(Arc::clone(&migration));
-            // New topology, new load window: the next rebalance decision
-            // weighs traffic from here on, not lifetime history.
-            self.reset_request_baseline(&table);
-            *routing = Arc::new(RoutingState { table, migrations });
-            migration
-        };
+        let migration = self.install_migration(&src, |table| table.merge_into(index, neighbour))?;
         self.settle_migration(&migration)?;
         // The removed partition's replica set has nothing left to guard:
         // its primary is off the table and fully drained. Stop the
@@ -1976,6 +1710,56 @@ impl ControllerCluster {
                 .retain(|(primary, _)| !Arc::ptr_eq(primary, &src));
         }
         Ok(())
+    }
+
+    /// The routing-swap half of every topology change: quiesce, flush the
+    /// source, install the new table together with the migration record,
+    /// restart the load window. `retable` builds the new table from the
+    /// current one and names the moved hash range and the partition of the
+    /// new table that takes it over from `src`.
+    fn install_migration(
+        &self,
+        src: &Arc<PesosController>,
+        retable: impl FnOnce(&PartitionTable) -> (PartitionTable, HashRange, usize),
+    ) -> Result<Arc<Migration>, PesosError> {
+        // Pre-flush the source's scheduled asynchronous writes outside the
+        // gate so the race-closing flush under it (below) is short.
+        src.drain_async();
+        // Quiesce: holding the gate's write side means no operation is
+        // in flight across the swap — every request either completed
+        // under the old routing state or starts under the new one
+        // (table + migration record together), so a demand pull can
+        // never race a write still executing against the old owner.
+        let _quiesced = self.ops_gate.write();
+        // Acknowledged put_asyncs execute on the source's scheduler
+        // workers *outside* the gate; flush them before the swap makes
+        // demand pulls possible, or a pull could export stale state,
+        // move it, and let the late write recreate the key at a source
+        // the router no longer consults — losing a write already
+        // reported Completed. No new async work can be accepted while
+        // the write side is held, and after the swap the moved range's
+        // writes go to the destination, so this flush is complete.
+        src.drain_async();
+        let mut routing = self.routing.write();
+        let (table, moved, absorbed_by) = retable(&routing.table);
+        let dst = Arc::clone(controller_at(&table, absorbed_by)?);
+        let migration = Arc::new(Migration {
+            range: moved,
+            src: Arc::clone(src),
+            src_set: self.replica_set_of(src),
+            dst_set: self.replica_set_of(&dst),
+            dst,
+            keys_moved: AtomicU64::new(0),
+            moved_pending_delete: Mutex::with_rank(lock_order::MIGRATION_STATE, BTreeSet::new()),
+            settled_groups: Mutex::with_rank(lock_order::MIGRATION_STATE, BTreeSet::new()),
+        });
+        let mut migrations = routing.migrations.clone();
+        migrations.push(Arc::clone(&migration));
+        // New topology, new load window: the next rebalance decision
+        // weighs traffic from here on, not lifetime history.
+        self.reset_request_baseline(&table);
+        *routing = Arc::new(RoutingState { table, migrations });
+        Ok(migration)
     }
 
     /// Re-drives the drain of any migration an earlier topology change
@@ -1999,18 +1783,11 @@ impl ControllerCluster {
             let Some(migration) = self.routing.read().migrations.first().cloned() else {
                 return Ok(());
             };
-            let mut attempt = 0u32;
-            loop {
-                match self.settle_migration(&migration) {
-                    Ok(()) => break,
-                    Err(e) if attempt + 1 >= self.retry_attempts => return Err(e),
-                    Err(_) => {
-                        self.retries.settle_retries.add(1);
-                        self.retry_pause(attempt);
-                        attempt += 1;
-                    }
-                }
-            }
+            self.with_retries(
+                &self.retries.settle_retries,
+                |_| true,
+                || self.settle_migration(&migration),
+            )?;
         }
     }
 
@@ -2062,15 +1839,15 @@ impl ControllerCluster {
     /// Each listed key is hashed exactly once — the full-key hash and (for
     /// suffixed keys) the routing-prefix hash — and both the range check
     /// and the pull reuse that work; `tests/digest_budget.rs` in
-    /// `pesos-core` pins the drain's per-key digest budget. With
-    /// [`ClusterConfig::drain_concurrency`] above 1 the pulls are batched
-    /// through the cluster's dedicated scatter-gather asyscall interface,
-    /// so up to that many placement groups are in flight at once (the slot
-    /// table is the admission control); each in-flight pull still
-    /// serializes with demand pulls of the same key through the striped
-    /// migration locks, so every drain invariant — export under the
-    /// source's key lock, delete only after a successful import,
-    /// `moved_pending_delete` settlement — is exactly the serial path's.
+    /// `pesos-core` pins the drain's per-key digest budget. The pulls are
+    /// batched through the cluster's dedicated scatter-gather asyscall
+    /// interface, so up to [`ClusterConfig::drain_concurrency`] placement
+    /// groups are in flight at once (the slot table is the admission
+    /// control); each in-flight pull still serializes with demand pulls of
+    /// the same key through the striped migration locks, so every drain
+    /// invariant — export under the source's key lock, delete only after a
+    /// successful import, `moved_pending_delete` settlement — is exactly a
+    /// demand pull's.
     ///
     /// The drain checkpoints group by group into the migration's
     /// settled-group memo: a group whose members all pulled cleanly (and
@@ -2095,10 +1872,7 @@ impl ControllerCluster {
         let mut keys: Vec<(String, u64)> = Vec::new();
         for key in migration.src.store().list_keys()? {
             let hashed = HashedKey::new(&key);
-            if migration
-                .range
-                .contains(hashed.routing_hash(self.delimiter))
-            {
+            if migration.range.contains(Self::routing_hash(&hashed)) {
                 let hash = hashed.hash();
                 keys.push((key, hash));
             }
@@ -2135,11 +1909,10 @@ impl ControllerCluster {
             }
         }
 
-        // Bucket the work into placement groups (each key is its own
-        // group without a delimiter).
+        // Bucket the work into placement groups.
         let mut groups: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
         for (key, hash) in keys {
-            let prefix = pesos_core::routing_prefix(&key, self.delimiter);
+            let prefix = pesos_core::routing_prefix(&key, ROUTING_DELIMITER);
             groups
                 .entry(prefix.to_string())
                 .or_default()
@@ -2157,28 +1930,16 @@ impl ControllerCluster {
             self.telemetry.drain_group_skips.add(settled.len() as u64);
         }
 
-        let Some(iface) = self.drain_interface() else {
-            // Serial drain (drain_concurrency = 1): key at a time, group
-            // by group, checkpointing each completed group.
-            for (prefix, members) in &groups {
-                for (key, hash) in members {
-                    let hashed = HashedKey::from_parts(key, *hash);
-                    Self::pull_key(&self.migration_locks, migration, &hashed)?;
-                }
-                Self::checkpoint_group(migration, self.delimiter, prefix);
-            }
-            return Ok(());
-        };
-        // Parallel drain: one body per placement group, fanned out through
-        // the drain interface. Submission itself is bounded by the
-        // interface's slot table, so at most `drain_concurrency` groups
-        // are in flight; every body runs to completion even after an error
-        // (a pull is idempotent and identical to a demand pull), and the
-        // first error is reported so the migration record stays active for
-        // a retry — with every *completed* group checkpointed, so the
-        // retry re-drives only the interrupted ones.
-        let delimiter = self.delimiter;
-        let mut set = iface
+        // One body per placement group, fanned out through the drain
+        // interface. Submission itself is bounded by the interface's slot
+        // table, so at most `drain_concurrency` groups are in flight;
+        // every body runs to completion even after an error (a pull is
+        // idempotent and identical to a demand pull), and the first error
+        // is reported so the migration record stays active for a retry —
+        // with every *completed* group checkpointed, so the retry
+        // re-drives only the interrupted ones.
+        let mut set = self
+            .drain_interface()
             .submit_batch(groups.into_iter().map(|(prefix, members)| {
                 let migration = Arc::clone(migration);
                 let locks = Arc::clone(&self.migration_locks);
@@ -2187,7 +1948,7 @@ impl ControllerCluster {
                         let hashed = HashedKey::from_parts(key, *hash);
                         Self::pull_key(&locks, &migration, &hashed)?;
                     }
-                    Self::checkpoint_group(&migration, delimiter, &prefix);
+                    Self::checkpoint_group(&migration, &prefix);
                     Ok(())
                 }
             }))
@@ -2221,14 +1982,7 @@ impl ControllerCluster {
     /// [`ControllerCluster::fail_controller`] promotes a backup.
     pub fn kill_controller(&self, index: usize) -> Result<(), PesosError> {
         let routing = self.routing.read().clone();
-        let len = routing.table.len();
-        if index >= len {
-            return Err(PesosError::BadRequest(format!(
-                "no partition {index} (cluster has {len})",
-            )));
-        }
-        // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-        let controller = &routing.table.partitions()[index].controller;
+        let controller = controller_at(&routing.table, index)?;
         controller.set_failed(true);
         for drive in controller.store().drives().iter() {
             drive.set_online(false);
@@ -2260,14 +2014,7 @@ impl ControllerCluster {
         let _topology = self.rebalance.lock();
         let (failed, set) = {
             let routing = self.routing.read();
-            let len = routing.table.len();
-            if index >= len {
-                return Err(PesosError::BadRequest(format!(
-                    "no partition {index} (cluster has {len})",
-                )));
-            }
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            let failed = Arc::clone(&routing.table.partitions()[index].controller);
+            let failed = Arc::clone(controller_at(&routing.table, index)?);
             for migration in &routing.migrations {
                 if Arc::ptr_eq(&migration.src, &failed) || Arc::ptr_eq(&migration.dst, &failed) {
                     return Err(PesosError::MigrationPending(format!(
@@ -2349,7 +2096,7 @@ impl ControllerCluster {
                     ReplicaSet::spawn(
                         REPLICATION_SECRET,
                         promotion.survivors.clone(),
-                        self.replication_max_lag,
+                        REPLICATION_MAX_LAG,
                     ),
                 ));
             }
@@ -2380,6 +2127,19 @@ impl ControllerCluster {
     ) -> Result<ClientResponse, PesosError> {
         let rest: &RestRequest = &request.rest;
         let certs = &request.certificates;
+        let tx_id = || {
+            rest.tx_id
+                .ok_or(PesosError::BadRequest("missing tx id".into()))
+        };
+        // A transaction's outcome on the wire: its write versions.
+        let versions = |outcome: TxOutcome| {
+            let versions: Vec<String> = outcome
+                .write_versions
+                .iter()
+                .map(|v| v.to_string())
+                .collect();
+            RestResponse::ok(versions.join(",").into_bytes())
+        };
         match rest.method {
             RestMethod::Status => {
                 // Healthy only if every partition answers.
@@ -2463,7 +2223,7 @@ impl ControllerCluster {
                     let version = self.put(
                         client_id,
                         &rest.key,
-                        rest.value.clone(),
+                        &rest.value,
                         policy_id,
                         rest.expected_version,
                         certs,
@@ -2510,50 +2270,19 @@ impl ControllerCluster {
                 Ok(RestResponse::ok(tx.to_string().into_bytes()))
             }
             RestMethod::AddRead => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.add_read(client_id, tx, &rest.key)?;
+                self.add_read(client_id, tx_id()?, &rest.key)?;
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::AddWrite => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.add_write(client_id, tx, &rest.key, rest.value.clone())?;
+                self.add_write(client_id, tx_id()?, &rest.key, rest.value.clone())?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CommitTx => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                let outcome = self.commit_tx(client_id, tx)?;
-                let versions: Vec<String> = outcome
-                    .write_versions
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
-                Ok(RestResponse::ok(versions.join(",").into_bytes()))
-            }
+            RestMethod::CommitTx => self.commit_tx(client_id, tx_id()?).map(versions),
             RestMethod::AbortTx => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.abort_tx(client_id, tx)?;
+                self.abort_tx(client_id, tx_id()?)?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CheckResults => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                let outcome = self.check_results(client_id, tx)?;
-                let versions: Vec<String> = outcome
-                    .write_versions
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
-                Ok(RestResponse::ok(versions.join(",").into_bytes()))
-            }
+            RestMethod::CheckResults => self.check_results(client_id, tx_id()?).map(versions),
             RestMethod::Stats => {
                 self.require_client(client_id)?;
                 let (path, query) = pesos_telemetry::split_query(&rest.key);
@@ -2669,7 +2398,7 @@ impl RequestEndpoint for ControllerCluster {
         let _gate = self.ops_gate.read();
         let routing = self.routing.read().clone();
         for migration in &routing.migrations {
-            if migration.range.contains(self.routing_hash(&hashed)) {
+            if migration.range.contains(Self::routing_hash(&hashed)) {
                 let _stripe = self.migration_locks.get(&hashed).lock();
                 if migration.moved_pending_delete.lock().contains(key) {
                     // Only the stale source copy's delete is outstanding;
@@ -2691,7 +2420,7 @@ impl RequestEndpoint for ControllerCluster {
         }
         routing
             .table
-            .route(self.routing_hash(&hashed))
+            .route(Self::routing_hash(&hashed))
             .store()
             .get_metadata(&hashed)
             .map(|m| m.latest_version)
@@ -2715,6 +2444,21 @@ mod tests {
         let mut config = ClusterConfig::native_simulator(controllers, 1);
         config.backups_per_partition = backups;
         ControllerCluster::new(config).unwrap()
+    }
+
+    /// Two keys under `prefix` guaranteed to live on different partitions.
+    fn keys_on_two_partitions(c: &ControllerCluster, prefix: &str) -> (String, String) {
+        let first = format!("{prefix}/0");
+        let other = (1..64)
+            .map(|i| format!("{prefix}/{i}"))
+            .find(|key| c.partition_of(key) != c.partition_of(&first))
+            .expect("two partitions");
+        (first, other)
+    }
+
+    /// The rebalancer's load weight, from the snapshot the operator reads.
+    fn weight(partition: &stats::PartitionTelemetry) -> u64 {
+        partition.resident_objects as u64 + partition.requests
     }
 
     #[test]
@@ -2789,7 +2533,7 @@ mod tests {
             c.put(
                 "alice",
                 &format!("doc/{i}"),
-                b"secret".to_vec(),
+                b"secret",
                 Some(acl),
                 None,
                 &[],
@@ -2809,23 +2553,9 @@ mod tests {
     fn cross_partition_transaction_commits_atomically() {
         let c = cluster(4);
         c.register_client("alice");
-        // Pick keys guaranteed to live on different partitions.
-        let keys: Vec<String> = (0..64).map(|i| format!("acct/{i}")).collect();
-        let (a, b) = {
-            let mut found = None;
-            'outer: for x in &keys {
-                for y in &keys {
-                    if c.partition_of(x) != c.partition_of(y) {
-                        found = Some((x.clone(), y.clone()));
-                        break 'outer;
-                    }
-                }
-            }
-            found.expect("two partitions")
-        };
-        c.put("alice", &a, b"100".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &b, b"0".to_vec(), None, None, &[]).unwrap();
+        let (a, b) = keys_on_two_partitions(&c, "acct");
+        c.put("alice", &a, b"100", None, None, &[]).unwrap();
+        c.put("alice", &b, b"0", None, None, &[]).unwrap();
 
         let tx = c.create_tx("alice").unwrap();
         assert_ne!(tx & CLUSTER_TX_BIT, 0);
@@ -2854,22 +2584,9 @@ mod tests {
             )
             .unwrap();
         // One open key and one alice-only key on different partitions.
-        let keys: Vec<String> = (0..64).map(|i| format!("mix/{i}")).collect();
-        let (open_key, locked_key) = {
-            let mut found = None;
-            'outer: for x in &keys {
-                for y in &keys {
-                    if c.partition_of(x) != c.partition_of(y) {
-                        found = Some((x.clone(), y.clone()));
-                        break 'outer;
-                    }
-                }
-            }
-            found.expect("two partitions")
-        };
-        c.put("bob", &open_key, b"v0".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &locked_key, b"v0".to_vec(), Some(acl), None, &[])
+        let (open_key, locked_key) = keys_on_two_partitions(&c, "mix");
+        c.put("bob", &open_key, b"v0", None, None, &[]).unwrap();
+        c.put("alice", &locked_key, b"v0", Some(acl), None, &[])
             .unwrap();
 
         // Bob's transaction touches both; the locked partition's policy
@@ -2887,10 +2604,8 @@ mod tests {
         assert_eq!(&**c.get("alice", &locked_key, &[]).unwrap().0, b"v0");
         assert!(c.check_results("bob", tx).is_err());
         // The partitions stay fully usable after the abort (locks freed).
-        c.put("bob", &open_key, b"v1".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &locked_key, b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("bob", &open_key, b"v1", None, None, &[]).unwrap();
+        c.put("alice", &locked_key, b"v1", None, None, &[]).unwrap();
     }
 
     #[test]
@@ -2898,23 +2613,24 @@ mod tests {
         let c = cluster(2);
         c.register_client("alice");
         for i in 0..24 {
-            c.put("alice", &format!("win/{i}"), b"x".to_vec(), None, None, &[])
+            c.put("alice", &format!("win/{i}"), b"x", None, None, &[])
                 .unwrap();
         }
-        assert!(c.partition_loads().iter().any(|l| l.requests > 0));
+        let loads = || c.telemetry_snapshot(0).partitions;
+        assert!(loads().iter().any(|l| l.requests > 0));
         // A topology change snapshots the counters: the next decision must
         // weigh traffic served after it, not lifetime history (a long-idle
         // but formerly hot partition would otherwise attract every split).
         c.add_controller().unwrap();
         assert!(
-            c.partition_loads().iter().all(|l| l.requests == 0),
+            loads().iter().all(|l| l.requests == 0),
             "request window did not restart at the topology change"
         );
         // Fresh traffic counts again, against the new baseline.
         let (_, _) = c.get("alice", "win/0", &[]).unwrap();
-        assert!(c.partition_loads().iter().any(|l| l.requests > 0));
+        assert!(loads().iter().any(|l| l.requests > 0));
         // Resident counts are unaffected by the windowing.
-        let resident: usize = c.partition_loads().iter().map(|l| l.resident_objects).sum();
+        let resident: usize = loads().iter().map(|l| l.resident_objects).sum();
         assert_eq!(resident, 24);
     }
 
@@ -2979,8 +2695,7 @@ mod tests {
             .count();
         assert!(new_partition_keys > 0, "split moved no keys");
         // Version history survives the migration.
-        c.put("alice", &keys[0], b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", &keys[0], b"v1", None, None, &[]).unwrap();
         assert_eq!(c.get("alice", &keys[0], &[]).unwrap().1, 1);
     }
 
@@ -3028,8 +2743,7 @@ mod tests {
         let c = cluster(2);
         c.register_client("alice");
         c.set_time(0);
-        c.put("alice", "pre/expiry", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "pre/expiry", b"x", None, None, &[]).unwrap();
         // Advance past the session expiry and expire everywhere.
         c.set_time(100_000);
         assert_eq!(c.expire_sessions(), 1);
@@ -3044,29 +2758,15 @@ mod tests {
         c.add_controller().unwrap();
         for i in 0..32 {
             assert!(matches!(
-                c.put(
-                    "alice",
-                    &format!("post/{i}"),
-                    b"x".to_vec(),
-                    None,
-                    None,
-                    &[]
-                ),
+                c.put("alice", &format!("post/{i}"), b"x", None, None, &[]),
                 Err(PesosError::NoSession(_))
             ));
         }
         // Re-registering restores service on every partition.
         c.register_client("alice");
         for i in 0..32 {
-            c.put(
-                "alice",
-                &format!("back/{i}"),
-                b"x".to_vec(),
-                None,
-                None,
-                &[],
-            )
-            .unwrap();
+            c.put("alice", &format!("back/{i}"), b"x", None, None, &[])
+                .unwrap();
         }
     }
 
@@ -3094,15 +2794,8 @@ mod tests {
             ClientRequest::new(RestRequest::new(RestMethod::GetPolicy, acl.to_hex())),
         );
         assert_eq!(resp.status, RestStatus::Ok);
-        c.put(
-            "alice",
-            "late/doc",
-            b"secret".to_vec(),
-            Some(acl),
-            None,
-            &[],
-        )
-        .unwrap();
+        c.put("alice", "late/doc", b"secret", Some(acl), None, &[])
+            .unwrap();
         assert!(matches!(
             c.get("eve", "late/doc", &[]),
             Err(PesosError::PolicyDenied(_))
@@ -3119,15 +2812,8 @@ mod tests {
         // Alice can operate on keys owned by the new partition without
         // re-registering: her session was mirrored during the join.
         for i in 0..32 {
-            c.put(
-                "alice",
-                &format!("post-join/{i}"),
-                b"x".to_vec(),
-                None,
-                None,
-                &[],
-            )
-            .unwrap();
+            c.put("alice", &format!("post-join/{i}"), b"x", None, None, &[])
+                .unwrap();
         }
         let second = &c.controllers()[1];
         assert!(
@@ -3240,7 +2926,7 @@ mod tests {
             assert_eq!(c.partition_of(base), c.partition_of(&log), "{base}");
             assert_eq!(c.partition_of(base), c.partition_of(&v2), "{base}");
             for key in [base, log.as_str(), v2.as_str()] {
-                c.put("alice", key, key.as_bytes().to_vec(), None, None, &[])
+                c.put("alice", key, key.as_bytes(), None, None, &[])
                     .unwrap();
             }
         }
@@ -3311,8 +2997,7 @@ mod tests {
         // And they can still be deleted and re-created afterwards.
         c.delete("alice", ".", &[]).unwrap();
         assert!(c.get("alice", ".", &[]).is_err());
-        c.put("alice", ".", b"again".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", ".", b"again", None, None, &[]).unwrap();
         assert_eq!(&**c.get("alice", ".", &[]).unwrap().0, b"again");
     }
 
@@ -3335,14 +3020,14 @@ mod tests {
             };
         }
         for key in heavy_keys.iter().chain(&light_keys) {
-            c.put("alice", key, b"x".to_vec(), None, None, &[]).unwrap();
+            c.put("alice", key, b"x", None, None, &[]).unwrap();
         }
-        let before = c.partition_loads();
-        assert!(before[0].weight() > before[1].weight());
+        let before = c.telemetry_snapshot(0).partitions;
+        assert!(weight(&before[0]) > weight(&before[1]));
         assert_eq!(before[0].resident_objects, 120);
 
         c.add_controller().unwrap();
-        let after = c.partition_loads();
+        let after = c.telemetry_snapshot(0).partitions;
         assert_eq!(after.len(), 3);
         // The joiner split partition 0 (the heavy one): it was inserted
         // right after it, partition 1's (old light partition, now index 2)
@@ -3373,14 +3058,13 @@ mod tests {
             let p = c.partition_of(&key);
             if placed[p] < counts[p] {
                 placed[p] += 1;
-                c.put("alice", &key, b"x".to_vec(), None, None, &[])
-                    .unwrap();
+                c.put("alice", &key, b"x", None, None, &[]).unwrap();
             }
         }
-        let before = c.partition_loads();
-        assert!(before[2].weight() < before[0].weight());
+        let before = c.telemetry_snapshot(0).partitions;
+        assert!(weight(&before[2]) < weight(&before[0]));
         c.remove_controller(1).unwrap();
-        let after = c.partition_loads();
+        let after = c.telemetry_snapshot(0).partitions;
         assert_eq!(after.len(), 2);
         assert_eq!(
             after[0].resident_objects, counts[0],
@@ -3394,7 +3078,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_covers_every_partition() {
+    fn telemetry_snapshot_covers_every_partition() {
         let c = cluster(3);
         c.register_client("alice");
         for i in 0..12 {
@@ -3408,16 +3092,25 @@ mod tests {
             )
             .unwrap();
         }
-        let report = c.cost_report();
-        assert_eq!(report.len(), 3);
-        let total: u128 = report.iter().map(|p| p.range.width()).sum();
+        let partitions = c.telemetry_snapshot(0).partitions;
+        assert_eq!(partitions.len(), 3);
+        // The ranges tile the hash space.
+        let total: u128 = partitions.iter().map(|p| p.range.width()).sum();
         assert_eq!(total, u64::MAX as u128 + 1);
-        for p in &report {
-            assert!(!p.measurement.is_empty());
+        for pair in partitions.windows(2) {
+            assert_eq!(pair[0].range.end + 1, pair[1].range.start);
         }
         // The request counters across partitions account for the traffic.
-        let requests: u64 = report.iter().map(|p| p.metrics.requests).sum();
+        let requests: u64 = partitions.iter().map(|p| p.requests).sum();
         assert!(requests >= 12);
+        let resident: usize = partitions.iter().map(|p| p.resident_objects).sum();
+        assert_eq!(resident, 12);
+        // Each partition's enclave costs are served beside them.
+        let tree = c.stats_tree(0);
+        for p in &partitions {
+            let path = format!("partitions/{}/sgx/epc_peak_bytes", p.partition);
+            assert!(pesos_telemetry::serve(&tree, &path, false).is_some());
+        }
     }
 
     #[test]
@@ -3447,7 +3140,7 @@ mod tests {
             Err(PesosError::Unavailable(_))
         ));
         c.get("alice", &alive, &[]).unwrap();
-        let retried = c.retry_stats().request_retries;
+        let retried = c.telemetry_snapshot(0).retries.request_retries;
         assert!(retried > 0, "unavailable range should have retried");
         // Promotion brings the range back with every acknowledged write.
         let promotion = c.fail_controller(0).unwrap();
@@ -3457,8 +3150,44 @@ mod tests {
             assert_eq!(&**value, key.as_bytes());
         }
         // And the promoted partition accepts new writes.
-        c.put("alice", &dead, b"after failover".to_vec(), None, None, &[])
+        c.put("alice", &dead, b"after failover", None, None, &[])
             .unwrap();
+    }
+
+    #[test]
+    fn killed_partition_without_backups_is_unavailable_for_every_op() {
+        let c = cluster(2);
+        c.register_client("alice");
+        let key = (0..64)
+            .map(|i| format!("nb/{i}"))
+            .find(|k| c.partition_of(k) == 0)
+            .expect("some key routes to partition 0");
+        c.put("alice", &key, b"v", None, None, &[]).unwrap();
+        c.kill_controller(0).unwrap();
+        // Nothing can be promoted, so each operation spends its whole
+        // retry schedule and then reports the partition unavailable —
+        // writes exactly like reads.
+        let mut done = 0u64;
+        let mut check = |name: &str, result: Result<(), PesosError>| {
+            assert!(
+                matches!(result, Err(PesosError::Unavailable(_))),
+                "{name} into a killed partition must be Unavailable, got {result:?}"
+            );
+            done += 1;
+            assert_eq!(
+                c.telemetry_snapshot(0).retries.request_retries,
+                done * u64::from(RETRY_ATTEMPTS - 1),
+                "{name} did not run the capped retry schedule"
+            );
+        };
+        check("put", c.put("alice", &key, b"w", None, None, &[]).map(drop));
+        check(
+            "put_async",
+            c.put_async("alice", &key, b"w".to_vec(), None, None, &[])
+                .map(drop),
+        );
+        check("get", c.get("alice", &key, &[]).map(drop));
+        check("delete", c.delete("alice", &key, &[]));
     }
 
     #[test]
@@ -3472,14 +3201,11 @@ mod tests {
                 "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")",
             )
             .unwrap();
-        c.put("alice", "k", b"v0".to_vec(), Some(acl), None, &[])
-            .unwrap();
+        c.put("alice", "k", b"v0", Some(acl), None, &[]).unwrap();
         // CAS put (expected_version names the version this write creates):
         // the log record carries the exact committed version.
-        c.put("alice", "k", b"v1".to_vec(), None, Some(1), &[])
-            .unwrap();
-        c.put("alice", "gone", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "k", b"v1", None, Some(1), &[]).unwrap();
+        c.put("alice", "gone", b"x", None, None, &[]).unwrap();
         c.delete("alice", "gone", &[]).unwrap();
         c.kill_controller(0).unwrap();
         c.fail_controller(0).unwrap();
@@ -3583,7 +3309,10 @@ mod tests {
             }
             other => panic!("expected MigrationPending, got {other:?}"),
         }
-        assert!(c.retry_stats().settle_retries > 0, "settle never retried");
+        assert!(
+            c.telemetry_snapshot(0).retries.settle_retries > 0,
+            "settle never retried"
+        );
         // Repair the drive: the operator settle path drains and the
         // removal goes through.
         source.store().drives().get(0).unwrap().set_online(true);
@@ -3637,30 +3366,25 @@ mod tests {
     }
 
     #[test]
-    fn retry_counters_ride_the_cost_report_on_every_row() {
+    fn retry_counters_ride_the_telemetry_snapshot() {
         let c = replicated_cluster(2, 1);
         c.register_client("alice");
         let key = (0..64)
             .map(|i| format!("rc/{i}"))
             .find(|k| c.partition_of(k) == 0)
             .expect("some key routes to partition 0");
-        c.put("alice", &key, b"v".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", &key, b"v", None, None, &[]).unwrap();
+        assert_eq!(c.telemetry_snapshot(0).retries, RetryStats::default());
         c.kill_controller(0).unwrap();
         let _ = c.get("alice", &key, &[]);
         c.fail_controller(0).unwrap();
-        let report = c.cost_report();
-        assert!(report.iter().all(|p| p.retries == report[0].retries));
-        assert!(report[0].retries.request_retries > 0);
-    }
-
-    #[test]
-    fn replication_config_validates() {
-        let mut config = ClusterConfig::native_simulator(1, 1);
-        config.retry_attempts = 0;
-        assert!(matches!(
-            ControllerCluster::new(config),
-            Err(PesosError::BadRequest(_))
-        ));
+        let retries = c.telemetry_snapshot(0).retries;
+        assert!(retries.request_retries > 0);
+        // `/stats/retries` serves the same reading.
+        let served = pesos_telemetry::serve(&c.stats_tree(0), "retries/request_retries", false);
+        assert_eq!(
+            served.as_deref().map(str::trim),
+            Some(retries.request_retries.to_string().as_str())
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! instance with its own logical enclave, drives and caches — and routes
 //! every request by the object key's *routing hash*: the placement hash
 //! ([`pesos_core::HashedKey`]) of the key's placement group, its prefix up
-//! to the first [`ClusterConfig::routing_delimiter`] (the full key when
-//! the key contains none). Sibling objects — `<key>`, `<key>.log`,
+//! to the first `'.'` (the full key when the key contains none). Sibling
+//! objects — `<key>`, `<key>.log`,
 //! `<key>.v2` — therefore always land on one partition, so a policy that
 //! references another object (`objSays` over `<key>.log`, MAL-style)
 //! evaluates against the owning partition's store on *any* topology. Keys
@@ -28,8 +28,7 @@
 //!   rejection aborts the whole thing before a single write) and its
 //!   outcome is queryable from any router.
 //! * [`cluster`] — the cluster itself: request routing, session mirroring,
-//!   REST dispatch, per-partition SGX cost reporting, and *online*,
-//!   load-aware topology change — `add_controller` splits the most loaded
+//!   REST dispatch, and *online*, load-aware topology change — `add_controller` splits the most loaded
 //!   partition at a weighted split point and `remove_controller` merges
 //!   into the lighter neighbour, migrating only the affected hash range:
 //!   the moved keys drain with bounded parallelism
@@ -53,7 +52,7 @@ pub mod router;
 pub mod twopc;
 
 pub use cluster::stats::{MigrationTelemetry, PartitionTelemetry, TelemetrySnapshot};
-pub use cluster::{ClusterConfig, ControllerCluster, PartitionCostReport, RetryStats};
+pub use cluster::{ClusterConfig, ControllerCluster, RetryStats};
 pub use replication::{LogRecord, Promotion, ReplicaSet, ReplicationStats};
 pub use router::{HashRange, Partition, PartitionTable};
 pub use twopc::CLUSTER_TX_BIT;

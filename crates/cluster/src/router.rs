@@ -9,9 +9,9 @@
 //! binary search.
 //!
 //! Contiguous ranges (rather than modulo assignment) are what make online
-//! topology change cheap: adding a controller splits one existing range in
-//! half and migrates only the keys in the moved half; removing one merges
-//! its range into a neighbour. Every other partition is untouched.
+//! topology change cheap: adding a controller splits one existing range
+//! and migrates only the keys in the moved part; removing one merges its
+//! range into a neighbour. Every other partition is untouched.
 
 use std::sync::Arc;
 
@@ -96,6 +96,18 @@ impl PartitionTable {
         &self.partitions
     }
 
+    /// The controller owning partition 0 — total, because no constructor
+    /// builds an empty table.
+    pub fn first(&self) -> &Arc<PesosController> {
+        // pesos-lint: allow(panic_freedom, "a PartitionTable always holds partition 0 covering hash 0; no constructor builds an empty table")
+        &self.partitions[0].controller
+    }
+
+    /// The controller owning partition `index`, if the table has one.
+    pub fn controller(&self, index: usize) -> Option<&Arc<PesosController>> {
+        self.partitions.get(index).map(|p| &p.controller)
+    }
+
     /// The hash range owned by partition `index`.
     pub fn range(&self, index: usize) -> HashRange {
         HashRange {
@@ -119,29 +131,6 @@ impl PartitionTable {
     pub fn route(&self, hash: u64) -> &Arc<PesosController> {
         // pesos-lint: allow(panic_freedom, "index_of always returns a valid index: partition 0 starts at hash 0")
         &self.partitions[self.index_of(hash)].controller
-    }
-
-    /// Index of the partition owning the widest hash range — the fallback
-    /// split target when no load information exists (an empty cluster).
-    pub fn widest(&self) -> usize {
-        (0..self.partitions.len())
-            .max_by_key(|&i| self.range(i).width())
-            // pesos-lint: allow(panic_freedom, "a PartitionTable always holds partition 0 covering hash 0; no constructor builds an empty table")
-            .expect("table is never empty")
-    }
-
-    /// Splits partition `index` in half, assigning the upper half to
-    /// `controller`. Returns the new table and the hash range that moved
-    /// (the keys the migration must drain from the old owner).
-    pub fn split(
-        &self,
-        index: usize,
-        controller: Arc<PesosController>,
-    ) -> (PartitionTable, HashRange) {
-        let range = self.range(index);
-        assert!(range.width() >= 2, "cannot split a single-hash partition");
-        let upper_start = range.start + ((range.end - range.start) / 2) + 1;
-        self.split_at(index, upper_start, controller)
     }
 
     /// Splits partition `index` at an explicit hash boundary: the new
@@ -193,14 +182,6 @@ impl PartitionTable {
         // pesos-lint: allow(panic_freedom, "index asserted against partitions.len() above")
         partitions[index].controller = controller;
         PartitionTable { partitions }
-    }
-
-    /// Removes partition `index`, merging its range into a neighbour (the
-    /// predecessor, or the successor for partition 0). Returns the new
-    /// table, the hash range that moved, and the index *in the new table*
-    /// of the partition that absorbed it.
-    pub fn merge_out(&self, index: usize) -> (PartitionTable, HashRange, usize) {
-        self.merge_into(index, if index == 0 { 1 } else { index - 1 })
     }
 
     /// Removes partition `index`, merging its range into the adjacent
@@ -259,6 +240,12 @@ mod tests {
             let table = PartitionTable::even(controllers(n));
             assert_eq!(table.len(), n);
             assert_eq!(table.partitions()[0].start, 0);
+            assert!(Arc::ptr_eq(
+                table.first(),
+                table.controller(0).expect("partition 0")
+            ));
+            assert!(table.controller(n - 1).is_some());
+            assert!(table.controller(n).is_none());
             let total: u128 = (0..n).map(|i| table.range(i).width()).sum();
             assert_eq!(total, u64::MAX as u128 + 1);
             for i in 1..n {
@@ -291,7 +278,9 @@ mod tests {
     fn split_moves_the_upper_half_only() {
         let table = PartitionTable::even(controllers(2));
         let before_other = table.range(0);
-        let (split, moved) = table.split(1, controller());
+        let range = table.range(1);
+        let midpoint = range.start + (range.end - range.start) / 2 + 1;
+        let (split, moved) = table.split_at(1, midpoint, controller());
         assert_eq!(split.len(), 3);
         // Partition 0 untouched; the moved range is the upper half of the
         // old partition 1 and is now owned by the new controller.
@@ -308,8 +297,8 @@ mod tests {
     #[test]
     fn merge_out_preserves_contiguity_for_any_index() {
         let table = PartitionTable::even(controllers(3));
-        for index in 0..3 {
-            let (merged, moved, absorbed_by) = table.merge_out(index);
+        for (index, neighbour) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            let (merged, moved, absorbed_by) = table.merge_into(index, neighbour);
             assert_eq!(merged.len(), 2);
             assert_eq!(moved, table.range(index));
             assert_eq!(merged.partitions()[0].start, 0);
@@ -404,13 +393,5 @@ mod tests {
         ));
         let probe = table.range(1).start;
         assert!(Arc::ptr_eq(swapped.route(probe), &promoted));
-    }
-
-    #[test]
-    fn widest_prefers_the_largest_range() {
-        let table = PartitionTable::even(controllers(2));
-        let (split, _) = table.split(0, controller());
-        // Ranges now: quarter, quarter, half — partition 2 is widest.
-        assert_eq!(split.widest(), 2);
     }
 }

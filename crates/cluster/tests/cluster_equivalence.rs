@@ -8,7 +8,9 @@
 //! other), and afterwards the drive state must match byte for byte: each
 //! key's metadata record and version payloads on its owning partition's
 //! drive equal the single controller's, and no other partition holds the
-//! key.
+//! key. The cluster then grows and shrinks by one controller, at a drain
+//! width of 1 or 4, and the comparison must hold again: a drain moves
+//! records, never rewrites them, whatever its width.
 //!
 //! Object encryption is disabled for the byte-level comparison: the AEAD
 //! nonce is drawn from a per-controller counter, so ciphertexts depend on
@@ -33,9 +35,10 @@ fn single_config(encrypt: bool) -> ControllerConfig {
     config
 }
 
-fn build_pair(encrypt: bool) -> (ControllerCluster, PesosController) {
-    let cluster =
-        ControllerCluster::new(ClusterConfig::with_controller(4, single_config(encrypt))).unwrap();
+fn build_pair(encrypt: bool, drain_concurrency: usize) -> (ControllerCluster, PesosController) {
+    let mut config = ClusterConfig::with_controller(4, single_config(encrypt));
+    config.drain_concurrency = drain_concurrency;
+    let cluster = ControllerCluster::new(config).unwrap();
     let single = PesosController::new(single_config(encrypt)).unwrap();
     cluster.register_client("client");
     single.register_client("client");
@@ -126,12 +129,16 @@ fn assert_drives_identical(cluster: &ControllerCluster, single: &PesosController
 proptest! {
     #[test]
     fn cluster_and_single_controller_leave_identical_drive_state(
-        ops in proptest::collection::vec((0u8..3, 0usize..KEYSPACE, any::<u8>()), 1..32)
+        ops in proptest::collection::vec((0u8..3, 0usize..KEYSPACE, any::<u8>()), 1..32),
+        wide in 0usize..2,
     ) {
-        let (cluster, single) = build_pair(false);
+        let (cluster, single) = build_pair(false, [1, 4][wide]);
         for op in ops {
             apply_both(&cluster, &single, op)?;
         }
+        assert_drives_identical(&cluster, &single);
+        cluster.add_controller().unwrap();
+        cluster.remove_controller(0).unwrap();
         assert_drives_identical(&cluster, &single);
     }
 }
@@ -140,7 +147,7 @@ proptest! {
 fn logical_equivalence_holds_with_encryption_enabled() {
     // Ciphertext bytes differ (per-controller nonce counters); plaintext
     // reads and version numbering must still be identical.
-    let (cluster, single) = build_pair(true);
+    let (cluster, single) = build_pair(true, 4);
     let script: Vec<(u8, usize, u8)> = (0..60)
         .map(|i| ((i % 5) as u8, (i * 7) % KEYSPACE, i as u8))
         .collect();

@@ -115,15 +115,13 @@ fn objsays_policy_reads_sibling_log_across_topology_churn() {
         .put(
             alice,
             &record,
-            b"blood type: 0+".to_vec(),
+            b"blood type: 0+",
             Some(mal_policy),
             None,
             &[],
         )
         .unwrap();
-    cluster
-        .put(alice, &log, b"".to_vec(), None, None, &[])
-        .unwrap();
+    cluster.put(alice, &log, b"", None, None, &[]).unwrap();
 
     // Unlogged access is denied; the announced access is granted.
     assert!(matches!(

@@ -261,7 +261,7 @@ fn kill_and_promote_loses_no_acknowledged_write_under_faulty_mixed_traffic() {
     assert_eq!(&*b, b"tx-b");
 
     // The failover retried requests and the counters surfaced it.
-    assert!(cluster.retry_stats().request_retries > 0);
+    assert!(cluster.telemetry_snapshot(0).retries.request_retries > 0);
 }
 
 /// Replication degrades gracefully: with two backups, two successive

@@ -310,9 +310,8 @@ fn torn_batch_reply_fails_the_put_and_the_next_request_converges() {
         c
     };
     let drive_of = |c: &PesosController| Arc::clone(c.store().drives().get(0).unwrap());
-    let put = |c: &PesosController, key: &str, value: &[u8]| {
-        c.put("alice", key, value.to_vec(), None, None, &[])
-    };
+    let put =
+        |c: &PesosController, key: &str, value: &[u8]| c.put("alice", key, value, None, None, &[]);
     let latest_on_drive = |c: &PesosController, key: &str| {
         let record = drive_of(c).peek(&pesos_core::metadata::meta_key(key))?;
         let meta = pesos_core::ObjectMetadata::from_bytes(&record.value).unwrap();
@@ -383,7 +382,7 @@ fn backups_create_without_asking_and_a_promotion_continues_over_them() {
     let primaries = cluster.controllers();
     let before = drive_ops(&primaries);
     for i in 0..KEYS {
-        let version = cluster.put("alice", &key(i), b"v0".to_vec(), None, None, &[]);
+        let version = cluster.put("alice", &key(i), b"v0", None, None, &[]);
         assert_eq!(version.unwrap(), 0);
     }
     assert_eq!(drive_ops(&primaries), (before.0, before.1 + KEYS as u64));
@@ -401,7 +400,7 @@ fn backups_create_without_asking_and_a_promotion_continues_over_them() {
     assert_eq!(refusals(&primaries) + refusals(&promoted), 0);
 
     for i in 0..KEYS {
-        let version = cluster.put("alice", &key(i), b"v1".to_vec(), None, None, &[]);
+        let version = cluster.put("alice", &key(i), b"v1", None, None, &[]);
         assert_eq!(version.unwrap(), 1, "{}", key(i));
         assert_eq!(
             cluster.get_version("alice", &key(i), 0, &[]).unwrap(),

@@ -32,7 +32,17 @@ enum Expected {
 
 #[test]
 fn rebalance_under_concurrent_traffic_loses_and_resurrects_nothing() {
-    let cluster = Arc::new(ControllerCluster::new(ClusterConfig::native_simulator(2, 1)).unwrap());
+    // Width 1 is the same drain with one slot, not another code path; both
+    // must hold the invariants.
+    for drain_concurrency in [1, 4] {
+        rebalance_under_concurrent_traffic(drain_concurrency);
+    }
+}
+
+fn rebalance_under_concurrent_traffic(drain_concurrency: usize) {
+    let mut config = ClusterConfig::native_simulator(2, 1);
+    config.drain_concurrency = drain_concurrency;
+    let cluster = Arc::new(ControllerCluster::new(config).unwrap());
     for w in 0..WRITERS {
         cluster.register_client(&format!("writer-{w}"));
     }

@@ -339,12 +339,14 @@ impl PesosController {
     /// Like every typed object operation, `key` accepts either a bare
     /// `&str` (hashed here, once) or an already-hashed [`HashedKey`] — the
     /// cluster router hashes the key to pick a partition and hands the same
-    /// hash down, so routing adds zero digests.
+    /// hash down, so routing adds zero digests. The value is only ever read
+    /// (hashed, sealed, sent), so it is borrowed: an owned `Vec<u8>`, a
+    /// `&[u8]` and a shared buffer all pass without a copy.
     pub fn put<'a>(
         &self,
         client_id: &str,
         key: impl Into<HashedKey<'a>>,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
@@ -365,7 +367,8 @@ impl PesosController {
         // below runs at most twice). A cold restart can never turn a
         // policy-denied update into a create.
         let key = key.into();
-        let new_hash = pesos_crypto::sha256(&value);
+        let value = value.as_ref();
+        let new_hash = pesos_crypto::sha256(value);
         let mut current = self.store.resident_metadata(&key);
         loop {
             let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
@@ -393,11 +396,11 @@ impl PesosController {
             if current.is_some() {
                 return self
                     .store
-                    .put_object_full(&key, &value, policy_id, cas, Some(new_hash));
+                    .put_object_full(&key, value, policy_id, cas, Some(new_hash));
             }
             match self
                 .store
-                .create_object(&key, &value, policy_id, cas, new_hash)?
+                .create_object(&key, value, policy_id, cas, new_hash)?
             {
                 Ok(version) => return Ok(version),
                 Err(record) => current = Some(record),
@@ -407,12 +410,15 @@ impl PesosController {
 
     /// Stores an object asynchronously; returns the operation identifier the
     /// client can poll. The policy check happens synchronously before the
-    /// request is acknowledged, as in the paper's request flow.
+    /// request is acknowledged, as in the paper's request flow. The value
+    /// outlives the call on a scheduler worker, so it is taken shared: a
+    /// `Vec<u8>` moves in without a copy, and a caller that may have to
+    /// offer the same value again (the cluster's retry) keeps its `Arc`.
     pub fn put_async<'a>(
         &self,
         client_id: &str,
         key: impl Into<HashedKey<'a>>,
-        value: Vec<u8>,
+        value: impl Into<Arc<Vec<u8>>>,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
@@ -432,6 +438,7 @@ impl PesosController {
         let current = self.store.lookup(&key)?;
         let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
         let next_version = expected_version.unwrap_or(default_next);
+        let value: Arc<Vec<u8>> = value.into();
         let new_hash = pesos_crypto::sha256(&value);
         let applied = self.check_policy(
             Operation::Update,
@@ -974,7 +981,7 @@ impl PesosController {
                     let version = self.put(
                         client_id,
                         &rest.key,
-                        rest.value.clone(),
+                        &rest.value,
                         policy_id,
                         rest.expected_version,
                         certs,
@@ -1106,7 +1113,7 @@ mod tests {
         let c = controller();
         c.register_client("alice");
         let v = c
-            .put("alice", "greeting", b"hello".to_vec(), None, None, &[])
+            .put("alice", "greeting", b"hello", None, None, &[])
             .unwrap();
         assert_eq!(v, 0);
         let (value, version) = c.get("alice", "greeting", &[]).unwrap();
@@ -1128,19 +1135,11 @@ mod tests {
             (stats.gets, stats.puts)
         };
         let before = ops();
-        assert_eq!(
-            c.put(&client, "fresh", b"v0".to_vec(), None, None, &[])
-                .unwrap(),
-            0
-        );
+        assert_eq!(c.put(&client, "fresh", b"v0", None, None, &[]).unwrap(), 0);
         assert_eq!(ops(), (before.0, before.1 + 1), "create: 0 reads, 1 batch");
         // An update is served from the in-enclave map: no read either.
         let before = ops();
-        assert_eq!(
-            c.put(&client, "fresh", b"v1".to_vec(), None, None, &[])
-                .unwrap(),
-            1
-        );
+        assert_eq!(c.put(&client, "fresh", b"v1", None, None, &[]).unwrap(), 1);
         assert_eq!(ops(), (before.0, before.1 + 1), "update: 1 batch");
         // The asynchronous and the transactional create promise before
         // they write, so each keeps its one authoritative lookup; the
@@ -1180,7 +1179,7 @@ mod tests {
     fn failed_controller_refuses_sessioned_operations() {
         let c = controller();
         c.register_client("alice");
-        c.put("alice", "k", b"v".to_vec(), None, None, &[]).unwrap();
+        c.put("alice", "k", b"v", None, None, &[]).unwrap();
         c.set_failed(true);
         assert!(c.is_failed());
         assert!(matches!(
@@ -1188,7 +1187,7 @@ mod tests {
             Err(PesosError::Unavailable(_))
         ));
         assert!(matches!(
-            c.put("alice", "k", b"w".to_vec(), None, None, &[]),
+            c.put("alice", "k", b"w", None, None, &[]),
             Err(PesosError::Unavailable(_))
         ));
         // Direct store access (replication appliers) keeps working.
@@ -1211,18 +1210,17 @@ mod tests {
                  delete :- sessionKeyIs(\"admin\")",
             )
             .unwrap();
-        c.put("alice", "doc", b"v0".to_vec(), Some(policy), None, &[])
+        c.put("alice", "doc", b"v0", Some(policy), None, &[])
             .unwrap();
 
         // Bob can read but not update.
         assert!(c.get("bob", "doc", &[]).is_ok());
         assert!(matches!(
-            c.put("bob", "doc", b"v1".to_vec(), None, None, &[]),
+            c.put("bob", "doc", b"v1", None, None, &[]),
             Err(PesosError::PolicyDenied(_))
         ));
         // Alice can update; only admin can delete.
-        c.put("alice", "doc", b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "doc", b"v1", None, None, &[]).unwrap();
         assert!(c.delete("alice", "doc", &[]).is_err());
         c.delete("admin", "doc", &[]).unwrap();
         assert!(c.metrics().policy_denials >= 2);
@@ -1242,22 +1240,15 @@ mod tests {
             .unwrap();
         // Create at version 0.
         let v = c
-            .put(
-                "writer",
-                "versioned",
-                b"v0".to_vec(),
-                Some(policy),
-                Some(0),
-                &[],
-            )
+            .put("writer", "versioned", b"v0", Some(policy), Some(0), &[])
             .unwrap();
         assert_eq!(v, 0);
         // Correct increment accepted, wrong one rejected.
         assert!(c
-            .put("writer", "versioned", b"v1".to_vec(), None, Some(1), &[])
+            .put("writer", "versioned", b"v1", None, Some(1), &[])
             .is_ok());
         assert!(c
-            .put("writer", "versioned", b"v3".to_vec(), None, Some(3), &[])
+            .put("writer", "versioned", b"v3", None, Some(3), &[])
             .is_err());
         // History read.
         assert_eq!(c.get_version("writer", "versioned", 0, &[]).unwrap(), b"v0");
@@ -1290,9 +1281,9 @@ mod tests {
         let acl = c
             .put_policy("alice", "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")\ndelete :- sessionKeyIs(\"alice\")")
             .unwrap();
-        c.put("alice", "account/a", b"100".to_vec(), Some(acl), None, &[])
+        c.put("alice", "account/a", b"100", Some(acl), None, &[])
             .unwrap();
-        c.put("alice", "account/b", b"0".to_vec(), Some(acl), None, &[])
+        c.put("alice", "account/b", b"0", Some(acl), None, &[])
             .unwrap();
 
         // Alice transfers atomically.
@@ -1425,8 +1416,7 @@ mod tests {
         let id = c.register_client_with_certificate(&cert).unwrap();
         assert_eq!(id, pesos_crypto::hex_encode(&kp.public().to_bytes()));
         // The registered identity can operate.
-        c.put(&id, "carol-obj", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put(&id, "carol-obj", b"x", None, None, &[]).unwrap();
         // A tampered certificate is rejected.
         let mut bad = cert.clone();
         bad.subject = "client:mallory".into();

@@ -358,10 +358,8 @@ fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
     c.register_client("alice");
     c.register_client("eve");
     let acl = c.put_policy("alice", ACL).unwrap();
-    c.put("alice", "doc", b"v0".to_vec(), Some(acl), None, &[])
-        .unwrap();
-    c.put("alice", "doc", b"v1".to_vec(), None, None, &[])
-        .unwrap();
+    c.put("alice", "doc", b"v0", Some(acl), None, &[]).unwrap();
+    c.put("alice", "doc", b"v1", None, None, &[]).unwrap();
 
     let plain = |value: &[u8]| [&[0u8], value].concat();
     let mut model = Model::new(3);
@@ -389,7 +387,7 @@ fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
     // the real record's policy denies it. Nothing moved on any replica.
     forget(&c, "doc");
     assert!(matches!(
-        c.put("eve", "doc", b"stolen".to_vec(), None, None, &[]),
+        c.put("eve", "doc", b"stolen", None, None, &[]),
         Err(PesosError::PolicyDenied(_))
     ));
     assert_eq!(c.store().create_stats(), ONE_REFUSAL);
@@ -408,14 +406,7 @@ fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
     forget(&c, "doc");
     for expected_version in [None, Some(0), Some(2)] {
         assert!(matches!(
-            c.put(
-                "eve",
-                "doc",
-                b"stolen".to_vec(),
-                Some(open),
-                expected_version,
-                &[]
-            ),
+            c.put("eve", "doc", b"stolen", Some(open), expected_version, &[]),
             Err(PesosError::PolicyDenied(_))
         ));
         forget(&c, "doc");
@@ -423,11 +414,7 @@ fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
     model.assert_matches(&drives);
 
     // The allowed client's put lands at latest + 1 over the history.
-    assert_eq!(
-        c.put("alice", "doc", b"v2".to_vec(), None, None, &[])
-            .unwrap(),
-        2
-    );
+    assert_eq!(c.put("alice", "doc", b"v2", None, None, &[]).unwrap(), 2);
     versions.push((2, b"v2"));
     expect(&mut model, &versions);
     model.assert_matches(&drives);
@@ -442,7 +429,7 @@ fn a_drive_fault_is_never_read_as_no_object_no_policy() {
     c.register_client("alice");
     c.register_client("eve");
     let acl = c.put_policy("alice", ACL).unwrap();
-    c.put("alice", "doc", b"secret".to_vec(), Some(acl), None, &[])
+    c.put("alice", "doc", b"secret", Some(acl), None, &[])
         .unwrap();
 
     // Every attempt starts cold, with the drive dropping half of what it

@@ -54,8 +54,7 @@ fn put_and_get_compression_budgets() {
 
     // Warm the session/metadata paths so the measured op is the steady
     // state, not the cold bootstrap.
-    c.put(&client, "warm", b"w".to_vec(), None, None, &[])
-        .unwrap();
+    c.put(&client, "warm", b"w", None, None, &[]).unwrap();
     let _ = c.get(&client, "warm", &[]).unwrap();
 
     // -- put of a small (one-block) value ------------------------------
@@ -69,10 +68,8 @@ fn put_and_get_compression_budgets() {
     // the create is compare-on-absent — one batch exchange and nothing
     // else. The budget of 16 sits below the read-then-batch number, so any
     // lookup or second drive round trip on a create fails it.
-    let (version, small_put) = measured(|| {
-        c.put(&client, "obj/small", b"v".to_vec(), None, None, &[])
-            .unwrap()
-    });
+    let (version, small_put) =
+        measured(|| c.put(&client, "obj/small", b"v", None, None, &[]).unwrap());
     assert_eq!(version, 0);
     println!("put(1-block value): {small_put} compressions");
     assert!(
@@ -94,10 +91,8 @@ fn put_and_get_compression_budgets() {
     drive.set_online(false);
     assert!(c.store().delete_object("obj/small").is_err());
     drive.set_online(true);
-    let (version, refused_put) = measured(|| {
-        c.put(&client, "obj/small", b"w".to_vec(), None, None, &[])
-            .unwrap()
-    });
+    let (version, refused_put) =
+        measured(|| c.put(&client, "obj/small", b"w", None, None, &[]).unwrap());
     assert_eq!(version, 1);
     assert_eq!(c.store().create_stats().refusals, 1);
     println!("put(1-block value, refused then re-driven): {refused_put} compressions");
@@ -153,12 +148,11 @@ fn rebalance_drain_compression_budget() {
     let _serial = MEASURE_LOCK.lock().unwrap();
     use pesos_cluster::{ClusterConfig, ControllerCluster};
 
-    // Two partitions, serial drain (drain_concurrency = 1) so the count is
-    // deterministic; removing partition 1 drains every one of its resident
-    // keys through export → import → delete.
-    let mut config = ClusterConfig::native_simulator(2, 1);
-    config.drain_concurrency = 1;
-    let cluster = ControllerCluster::new(config).unwrap();
+    // Two partitions at the default drain width (the compression counter
+    // is process-wide, so drain bodies on the drain's own threads count);
+    // removing partition 1 drains every one of its resident keys through
+    // export → import → delete.
+    let cluster = ControllerCluster::new(ClusterConfig::native_simulator(2, 1)).unwrap();
     cluster.register_client("budget");
     const KEYS: usize = 48;
     for i in 0..KEYS {
@@ -169,11 +163,9 @@ fn rebalance_drain_compression_budget() {
         } else {
             format!("drain/k{i}")
         };
-        cluster
-            .put("budget", &key, b"v".to_vec(), None, None, &[])
-            .unwrap();
+        cluster.put("budget", &key, b"v", None, None, &[]).unwrap();
     }
-    let moved = cluster.partition_loads()[1].resident_objects;
+    let moved = cluster.telemetry_snapshot(0).partitions[1].resident_objects;
     assert!(moved > 0, "no keys landed on the drained partition");
 
     let (_, drained) = measured(|| cluster.remove_controller(1).unwrap());

@@ -636,8 +636,8 @@ const GLOBAL_FAMILIES: &[(&str, Family)] = &[
     ),
 ];
 
-/// Receiver field names that identify a family only inside a given file
-/// (matched by path suffix), because the name is reused across files.
+/// Receiver field names that identify a family only inside a given module
+/// (see [`in_scope`]), because the name is reused across files.
 const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
     (
         "cluster/src/cluster.rs",
@@ -831,9 +831,19 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
     ),
 ];
 
+/// Whether `file` belongs to the module a scope names by its root file:
+/// that file itself (matched by path suffix) or any file of the module's
+/// directory — `cluster/src/cluster.rs` also scopes
+/// `cluster/src/cluster/migration.rs`, so splitting a module into
+/// sub-modules cannot silently unrank its locks.
+fn in_scope(file: &str, scope: &str) -> bool {
+    let directory = scope.strip_suffix(".rs").unwrap_or(scope);
+    file.ends_with(scope) || file.contains(&format!("{directory}/"))
+}
+
 fn family_for(file: &str, ident: &str) -> Option<Family> {
-    for (suffix, name, family) in SCOPED_FAMILIES {
-        if ident == *name && file.ends_with(suffix) {
+    for (scope, name, family) in SCOPED_FAMILIES {
+        if ident == *name && in_scope(file, scope) {
             return Some(*family);
         }
     }

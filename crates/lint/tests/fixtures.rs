@@ -4,10 +4,15 @@
 use pesos_lint::{lint_source, Finding, Options, Pass};
 
 fn lint_fixture(name: &str, opts: &Options) -> Vec<Finding> {
+    lint_fixture_as(name, &format!("fixtures/{name}"), opts)
+}
+
+/// Lints fixture `name` as if it lived at `file`: the reported path drives
+/// path-scoped family lookup.
+fn lint_fixture_as(name: &str, file: &str, opts: &Options) -> Vec<Finding> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).expect("fixture readable");
-    // The relative name drives path-scoped family lookup.
-    lint_source(&format!("fixtures/{name}"), &source, opts)
+    lint_source(file, &source, opts)
 }
 
 fn as_pass_lines(findings: &[Finding]) -> Vec<(Pass, u32)> {
@@ -25,6 +30,34 @@ fn lock_hierarchy_fixture() {
     assert!(findings[0].message.contains("OPS_GATE"));
     assert!(findings[0].message.contains("ROUTING_STATE"));
     assert!(findings[1].message.contains("MIGRATION_STRIPE"));
+}
+
+#[test]
+fn scoped_families_resolve_in_sub_modules_of_their_scope() {
+    let opts = Options::without_panic_freedom();
+    // `clients`/`policies` are ranked only inside the cluster module; a
+    // file of its directory is inside it, like the module's root file.
+    for file in [
+        "crates/cluster/src/cluster.rs",
+        "crates/cluster/src/cluster/migration.rs",
+    ] {
+        let findings = lint_fixture_as("scoped_submodule.rs", file, &opts);
+        assert_eq!(
+            as_pass_lines(&findings),
+            vec![(Pass::LockHierarchy, 14)],
+            "{file}: {findings:#?}"
+        );
+        assert!(findings[0].message.contains("CLUSTER_CLIENTS"));
+        assert!(findings[0].message.contains("CLUSTER_POLICIES"));
+    }
+    // Outside the scope the same names are some other struct's fields.
+    for file in [
+        "fixtures/scoped_submodule.rs",
+        "crates/cluster/src/clusterish.rs",
+    ] {
+        let findings = lint_fixture_as("scoped_submodule.rs", file, &opts);
+        assert!(findings.is_empty(), "{file}: {findings:#?}");
+    }
 }
 
 #[test]

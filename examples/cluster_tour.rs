@@ -6,6 +6,8 @@
 //! ```
 
 use pesos::cluster::{ClusterConfig, ControllerCluster};
+use pesos::core::ClientRequest;
+use pesos::wire::{RestMethod, RestRequest};
 
 fn main() {
     // Three controllers, each a full Pesos instance with its own simulated
@@ -65,15 +67,20 @@ fn main() {
         );
     }
 
-    // Per-partition cost accounting: one logical enclave per controller.
-    for report in cluster.cost_report() {
+    // Per-partition cost accounting, one logical enclave per controller,
+    // read the way an operator does: GET /stats/partitions/<i>/...
+    let stat = |path: String| {
+        let request = RestRequest::new(RestMethod::Stats, path);
+        let response = cluster.handle(&alice, ClientRequest::new(request));
+        String::from_utf8_lossy(&response.value).trim().to_string()
+    };
+    for i in 0..partitions {
         println!(
-            "partition {} [{:#018x}..]: {} requests, {} syscalls ({} hand-off sleeps)",
-            report.partition,
-            report.range.start,
-            report.metrics.requests,
-            report.asyscall.submitted,
-            report.asyscall.parks
+            "/stats/partitions/{i}: range from {}, {} requests, {} syscalls ({} hand-off sleeps)",
+            stat(format!("partitions/{i}/range/start")),
+            stat(format!("partitions/{i}/requests")),
+            stat(format!("partitions/{i}/sgx/asyscalls_submitted")),
+            stat(format!("partitions/{i}/sgx/asyscall_parks")),
         );
     }
 }

@@ -30,21 +30,14 @@ fn main() {
         .put(
             &alice,
             "medical/record-7",
-            b"blood type: 0+".to_vec(),
+            b"blood type: 0+",
             Some(mal_policy),
             None,
             &[],
         )
         .expect("create record");
     controller
-        .put(
-            &alice,
-            "medical/record-7.log",
-            b"".to_vec(),
-            None,
-            None,
-            &[],
-        )
+        .put(&alice, "medical/record-7.log", b"", None, None, &[])
         .expect("create log");
 
     // Reading without announcing the access in the log is denied.
@@ -57,7 +50,7 @@ fn main() {
         .put(
             &alice,
             "medical/record-7.log",
-            entry.as_bytes().to_vec(),
+            entry.as_bytes(),
             None,
             None,
             &[],

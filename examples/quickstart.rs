@@ -35,7 +35,7 @@ fn main() {
         .put(
             &alice,
             "greetings/hello",
-            b"hello pesos".to_vec(),
+            b"hello pesos",
             Some(policy),
             None,
             &[],
@@ -50,14 +50,7 @@ fn main() {
     println!("bob read            : {}", String::from_utf8_lossy(&value));
 
     // ...but not overwrite it.
-    let denied = controller.put(
-        &bob,
-        "greetings/hello",
-        b"defaced".to_vec(),
-        None,
-        None,
-        &[],
-    );
+    let denied = controller.put(&bob, "greetings/hello", b"defaced", None, None, &[]);
     println!("bob update denied   : {}", denied.is_err());
 
     println!("metrics             : {:?}", controller.metrics());

@@ -37,7 +37,7 @@ fn main() {
         .put(
             &archivist,
             "capsule/1977",
-            b"sealed until release".to_vec(),
+            b"sealed until release",
             Some(policy),
             None,
             &[],
@@ -56,7 +56,7 @@ fn main() {
     let attempt = controller.put(
         &archivist,
         "capsule/1977",
-        b"opened".to_vec(),
+        b"opened",
         None,
         None,
         &[endorsement.clone(), too_early],
@@ -71,7 +71,7 @@ fn main() {
         .put(
             &archivist,
             "capsule/1977",
-            b"opened".to_vec(),
+            b"opened",
             None,
             None,
             &[endorsement, after],

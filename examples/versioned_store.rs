@@ -28,7 +28,7 @@ fn main() {
             .put(
                 &writer,
                 "doc/report",
-                text.as_bytes().to_vec(),
+                text.as_bytes(),
                 Some(policy),
                 Some(expected),
                 &[],
@@ -38,16 +38,9 @@ fn main() {
     }
 
     // A stale or skipped version number is rejected by the policy.
-    let stale = controller.put(
-        &writer,
-        "doc/report",
-        b"rollback".to_vec(),
-        None,
-        Some(1),
-        &[],
-    );
+    let stale = controller.put(&writer, "doc/report", b"rollback", None, Some(1), &[]);
     println!("stale update rejected: {}", stale.is_err());
-    let skip = controller.put(&writer, "doc/report", b"skip".to_vec(), None, Some(7), &[]);
+    let skip = controller.put(&writer, "doc/report", b"skip", None, Some(7), &[]);
     println!("skipped version rejected: {}", skip.is_err());
 
     // History reads: the corruption-forensics workflow from the paper.

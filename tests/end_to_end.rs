@@ -25,20 +25,11 @@ fn full_stack_acl_enforcement_under_sgx_mode() {
              delete :- sessionKeyIs(\"alice\")",
         )
         .unwrap();
-    c.put(
-        &alice,
-        "shared/doc",
-        b"v0".to_vec(),
-        Some(policy),
-        None,
-        &[],
-    )
-    .unwrap();
+    c.put(&alice, "shared/doc", b"v0", Some(policy), None, &[])
+        .unwrap();
 
     assert!(c.get(&bob, "shared/doc", &[]).is_ok());
-    assert!(c
-        .put(&bob, "shared/doc", b"nope".to_vec(), None, None, &[])
-        .is_err());
+    assert!(c.put(&bob, "shared/doc", b"nope", None, None, &[]).is_err());
     assert!(c.delete(&bob, "shared/doc", &[]).is_err());
     assert!(c.delete(&alice, "shared/doc", &[]).is_ok());
 }
@@ -52,7 +43,7 @@ fn data_is_encrypted_and_replicated_across_drives() {
     c.put(
         &alice,
         "secret/report",
-        b"top secret contents".to_vec(),
+        b"top secret contents",
         None,
         None,
         &[],
@@ -102,10 +93,8 @@ fn rest_interface_round_trips_through_http_encoding() {
 fn transactions_are_atomic_across_objects_and_threads() {
     let c = Arc::new(sgx_controller(1));
     let alice = c.register_client("alice");
-    c.put(&alice, "bank/a", b"1000".to_vec(), None, None, &[])
-        .unwrap();
-    c.put(&alice, "bank/b", b"0".to_vec(), None, None, &[])
-        .unwrap();
+    c.put(&alice, "bank/a", b"1000", None, None, &[]).unwrap();
+    c.put(&alice, "bank/b", b"0", None, None, &[]).unwrap();
 
     let mut handles = Vec::new();
     for i in 0..4 {
@@ -150,16 +139,9 @@ fn mandatory_access_logging_enforced_end_to_end() {
              delete :- sessionKeyIs(\"alice\")",
         )
         .unwrap();
-    c.put(
-        &alice,
-        "records/1",
-        b"payload".to_vec(),
-        Some(policy),
-        None,
-        &[],
-    )
-    .unwrap();
-    c.put(&alice, "records/1.log", b"".to_vec(), None, None, &[])
+    c.put(&alice, "records/1", b"payload", Some(policy), None, &[])
+        .unwrap();
+    c.put(&alice, "records/1.log", b"", None, None, &[])
         .unwrap();
 
     // Unlogged access denied; logged access allowed.
@@ -167,7 +149,7 @@ fn mandatory_access_logging_enforced_end_to_end() {
     c.put(
         &alice,
         "records/1.log",
-        b"read(\"records/1\",0,\"alice\")\n".to_vec(),
+        b"read(\"records/1\",0,\"alice\")\n",
         None,
         None,
         &[],
