@@ -938,12 +938,23 @@ fn collect_allows(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) -> 
 }
 
 /// Marks every token inside `#[cfg(test)]` / `#[test]` items, so the
-/// panic-freedom pass skips test code.
+/// panic-freedom pass skips test code. A file that opens with the inner
+/// attribute `#![cfg(test)]` — a test module moved out of its parent's
+/// file, where the outer attribute stays behind on the `mod` line — is
+/// test code throughout.
 fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let sig: Vec<usize> = (0..tokens.len())
         .filter(|&i| tokens[i].kind != Kind::Comment)
         .collect();
+    let opening: Vec<&str> = sig
+        .iter()
+        .take(8)
+        .map(|&i| tokens[i].text.as_str())
+        .collect();
+    if opening == ["#", "!", "[", "cfg", "(", "test", ")", "]"] {
+        return vec![true; tokens.len()];
+    }
     let mut s = 0usize;
     while s < sig.len() {
         let i = sig[s];

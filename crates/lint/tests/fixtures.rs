@@ -91,6 +91,12 @@ fn panic_freedom_fixture() {
 }
 
 #[test]
+fn a_file_under_inner_cfg_test_is_test_code() {
+    let findings = lint_fixture("test_module_file.rs", &Options::all());
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
 fn acked_logged_fixture() {
     let findings = lint_fixture("acked_logged.rs", &Options::all());
     assert_eq!(
