@@ -18,23 +18,35 @@
 //! single-controller store layout (and everything sealed or MAC'd) is
 //! untouched by how the cluster routes.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! * [`router`] — contiguous hash-range partitioning and the immutable
 //!   routing table.
-//! * [`twopc`] — cluster transaction buffering; commits run a two-phase
-//!   protocol over the controllers' prepared-transaction hooks, so a
-//!   transaction spanning partitions is atomic (any partition's policy
-//!   rejection aborts the whole thing before a single write) and its
-//!   outcome is queryable from any router.
-//! * [`cluster`] — the cluster itself: request routing, session mirroring,
-//!   REST dispatch, and *online*, load-aware topology change — `add_controller` splits the most loaded
-//!   partition at a weighted split point and `remove_controller` merges
-//!   into the lighter neighbour, migrating only the affected hash range:
-//!   the moved keys drain with bounded parallelism
-//!   ([`ClusterConfig::drain_concurrency`]) under per-key write locks
-//!   while concurrent traffic keeps serving (requests into the moving
-//!   range demand-pull their key's whole placement group).
+//! * [`twopc`] — cluster transaction buffering and the tagged cluster
+//!   transaction ids.
+//! * [`cluster`] — the cluster itself: configuration, the routing snapshot
+//!   and [`ControllerCluster`] with its constructor and session mirroring,
+//!   and one private sub-module per lock-rank band:
+//!   * `cluster::routing` — the ops gate and routing snapshot every
+//!     routed operation (put, get, delete, policy attach/install) runs
+//!     under, with the capped retry that lands it on a promoted backup.
+//!   * `cluster::migration` — *online*, load-aware topology change:
+//!     `add_controller` splits the most loaded partition at a weighted
+//!     split point and `remove_controller` merges into the lighter
+//!     neighbour, migrating only the affected hash range; the moved keys
+//!     drain [`ClusterConfig::drain_concurrency`] placement groups at a
+//!     time under per-key write locks while concurrent traffic keeps
+//!     serving (requests into the moving range demand-pull their key's
+//!     whole placement group).
+//!   * `cluster::tx` — the two-phase commit over the controllers'
+//!     prepared-transaction hooks, so a transaction spanning partitions
+//!     is atomic (any partition's policy rejection aborts the whole thing
+//!     before a single write) and its outcome is queryable from any
+//!     router.
+//!   * `cluster::failover` — the per-partition replica sets, the
+//!     acked ⇒ logged append and [`ControllerCluster::fail_controller`].
+//!   * `cluster::rest` — REST dispatch and the
+//!     [`pesos_core::RequestEndpoint`] implementation.
 //! * [`cluster::stats`] — the `/stats` observability surface: cluster and
 //!   per-partition latency histograms, windowed hot-group counters (which
 //!   also feed the hot-key-weighted split point), replication and
