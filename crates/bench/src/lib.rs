@@ -5,7 +5,7 @@
 //! replication factors, unique-policy counts, MAL log granularities) over
 //! the same four configurations (Native/Pesos × Simulator/Disk). Absolute
 //! numbers depend on the host; the *shapes* — who wins and by roughly what
-//! factor — are what EXPERIMENTS.md records against the paper.
+//! factor — are what is compared against the paper.
 //!
 //! The `reproduce` binary drives these functions.
 

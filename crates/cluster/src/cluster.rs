@@ -182,6 +182,8 @@ fn controller_at(
 /// dense-id retention pattern as the transaction-outcome map, so it shares
 /// [`ShardedFifoMap`].
 type AsyncOps = ShardedFifoMap<(Arc<PesosController>, u64)>;
+/// Ids retained: what one controller's result buffer holds (paper: 2048).
+const ASYNC_OPS_CAPACITY: usize = 2048;
 
 /// Cluster-wide counters of the capped-exponential retry paths, read
 /// through [`ControllerCluster::telemetry_snapshot`] and `/stats/retries`.
@@ -427,7 +429,7 @@ impl ControllerCluster {
             clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
             tx: ClusterTxManager::new(),
-            async_ops: AsyncOps::new(shards, config.controller.result_buffer_capacity),
+            async_ops: AsyncOps::new(shards, ASYNC_OPS_CAPACITY),
             next_async_id: AtomicU64::new(1),
             template: config.controller,
             replicas: RwLock::with_rank(lock_order::REPLICA_REGISTRY, replicas),

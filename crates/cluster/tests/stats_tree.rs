@@ -86,6 +86,14 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
     assert_eq!(leaf(&cluster, "ops/get/count"), 12);
     assert!(leaf(&cluster, "ops/get/p50_us") <= leaf(&cluster, "ops/get/max_us"));
     assert!(leaf(&cluster, "groups/total_ops") >= 24);
+    // `?top=` travels inside the request key and bounds the hot-group
+    // listing (twelve groups were touched above; the default serves all).
+    let hot = stats(&cluster, "groups/hot?top=3&flat").unwrap();
+    assert_eq!(hot.lines().count(), 3, "{hot}");
+    assert_eq!(
+        stats(&cluster, "groups/hot?flat").unwrap().lines().count(),
+        12
+    );
     let digests_before = leaf(&cluster, "digests/compressions");
     assert!(digests_before > 0);
 

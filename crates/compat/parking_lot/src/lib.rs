@@ -50,7 +50,7 @@ pub mod lock_order {
     //!   store state (acked ⇒ logged appends run at the tail of a
     //!   mutation, with no store locks released yet) and before any of the
     //!   I/O plumbing;
-    //! * the asynchronous syscall layer, the shield, and the drive
+    //! * the asynchronous syscall layer and the drive
     //!   internals sit at the bottom: they are leaf subsystems that must
     //!   never call back up into cluster or store locks.
 
@@ -111,8 +111,6 @@ pub mod lock_order {
     /// itself runs on atomics; these are taken only to sleep or to wake a
     /// sleeper, never nested.
     pub const ASYSCALL_PARK: u16 = 92;
-    /// SGX shield sealing state.
-    pub const SHIELD: u16 = 94;
     /// Drive fault-injector handle.
     pub const DRIVE_FAULT: u16 = 96;
     /// Fault-injector RNG.
@@ -159,7 +157,6 @@ pub mod lock_order {
         (SCHEDULER, "SCHEDULER"),
         (ASYSCALL_FREE, "ASYSCALL_FREE"),
         (ASYSCALL_PARK, "ASYSCALL_PARK"),
-        (SHIELD, "SHIELD"),
         (DRIVE_FAULT, "DRIVE_FAULT"),
         (FAULT_RNG, "FAULT_RNG"),
         (FAULT_COUNTERS, "FAULT_COUNTERS"),

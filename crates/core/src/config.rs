@@ -24,17 +24,11 @@ pub struct ControllerConfig {
     pub policy_cache_capacity: usize,
     /// Budget of the object cache in bytes (paper: bounded well below EPC).
     pub object_cache_bytes: usize,
-    /// Number of asynchronous results retained per controller (paper: 2048).
-    pub result_buffer_capacity: usize,
     /// Number of committed-transaction outcomes retained for
     /// `check_results` polling; the oldest are evicted beyond this bound.
     pub tx_outcome_capacity: usize,
-    /// Worker threads handling requests inside the enclave.
-    pub worker_threads: usize,
     /// Untrusted system-call service threads.
     pub syscall_threads: usize,
-    /// Session soft-state expiry in seconds.
-    pub session_expiry_secs: u64,
     /// Lock shards for the in-enclave metadata map and object cache.
     /// Sessions operating on keys that hash to different shards never
     /// contend; 1 reproduces the old single-global-lock behaviour. The
@@ -59,11 +53,8 @@ impl Default for ControllerConfig {
             encrypt_objects: true,
             policy_cache_capacity: 50_000,
             object_cache_bytes: 16 * 1024 * 1024,
-            result_buffer_capacity: 2048,
             tx_outcome_capacity: 2048,
-            worker_threads: 4,
             syscall_threads: 4,
-            session_expiry_secs: 600,
             lock_shards: 16,
             telemetry: true,
         }
@@ -149,7 +140,6 @@ mod tests {
         let n = ControllerConfig::native_disk(2);
         assert_eq!(n.mode, ExecutionMode::Native);
         assert_eq!(n.drive_backend, BackendKind::Hdd);
-        assert_eq!(ControllerConfig::default().result_buffer_capacity, 2048);
         assert_eq!(ControllerConfig::default().policy_cache_capacity, 50_000);
     }
 

@@ -76,6 +76,13 @@ impl PreparedCommit<'_> {
     }
 }
 
+/// Asynchronous results retained per controller (paper: 2048).
+const RESULT_BUFFER_CAPACITY: usize = 2048;
+/// Enclave hardware threads that run `put_async` bodies.
+const WORKER_THREADS: usize = 4;
+/// Session soft-state expiry in seconds.
+const SESSION_EXPIRY_SECS: u64 = 600;
+
 /// The Pesos controller.
 pub struct PesosController {
     config: ControllerConfig,
@@ -115,10 +122,10 @@ impl PesosController {
             outcome.enclave,
         ));
         Ok(PesosController {
-            sessions: SessionManager::with_shards(config.session_expiry_secs, config.lock_shards),
+            sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, config.lock_shards),
             transactions: TransactionManager::new(),
-            results: Arc::new(ResultBuffer::new(config.result_buffer_capacity)),
-            scheduler: UserScheduler::new(config.worker_threads),
+            results: Arc::new(ResultBuffer::new(RESULT_BUFFER_CAPACITY)),
+            scheduler: UserScheduler::new(WORKER_THREADS),
             metrics: ControllerMetrics::new(),
             clock: AtomicU64::new(1),
             report: outcome.report,

@@ -1,17 +1,17 @@
 //! The Kinetic client library used by the Pesos controller.
 //!
 //! Mirrors the (adapted) Seagate C client the paper describes: a session per
-//! drive with per-message HMAC authentication, synchronous operations for
-//! the request/response fast path, and an asynchronous interface in which
-//! requests are placed into a bounded ring of in-flight operations and
-//! serviced by a small thread pool, decoupling request submission from
-//! response collection (paper §3.1 "Kinetic library" and §4.3).
+//! drive with per-message HMAC authentication and synchronous
+//! request/response operations (paper §3.1 "Kinetic library" and §4.3).
+//! Asynchrony lives one layer up, in the SGX asyscall interface (paper
+//! §4.6, `pesos_sgx::asyscall`): the store submits each of these calls as
+//! a system-call body, so a session owns no thread and no queue.
 //!
 //! The "network" between client and drive is the in-process
 //! [`KineticDrive::handle_envelope`] call, exchanging vectored frames
-//! ([`VectoredEnvelope`]): the authenticated envelopes are structurally and
+//! ([`crate::VectoredEnvelope`]): the authenticated envelopes are structurally and
 //! cryptographically identical to the byte frames a real deployment would
-//! put on the wire (materializing one with [`VectoredEnvelope::encode`]
+//! put on the wire (materializing one with [`crate::VectoredEnvelope::encode`]
 //! yields exactly those bytes, property-tested), but in process the payload
 //! crosses as a shared buffer and the frame tag is checked with the folded
 //! outer-transform verification — see the [`crate::protocol`] docs.
@@ -19,14 +19,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use pesos_crypto::hmac::HmacKey;
 
 use crate::drive::KineticDrive;
 use crate::error::KineticError;
 use crate::protocol::{
     AccountSpec, BatchOp, Command, CommandBody, Envelope, MessageType, Payload, StatusCode,
-    VectoredEnvelope,
 };
 
 /// Configuration of a client session.
@@ -38,10 +36,6 @@ pub struct ClientConfig {
     pub secret: Vec<u8>,
     /// The cluster version expected by the drive.
     pub cluster_version: u64,
-    /// Number of service threads handling asynchronous operations.
-    pub service_threads: usize,
-    /// Capacity of the in-flight operation ring.
-    pub ring_capacity: usize,
 }
 
 impl ClientConfig {
@@ -51,8 +45,6 @@ impl ClientConfig {
             identity: 1,
             secret: b"asdfasdf".to_vec(),
             cluster_version: 0,
-            service_threads: 2,
-            ring_capacity: 64,
         }
     }
 
@@ -62,50 +54,24 @@ impl ClientConfig {
             identity,
             secret,
             cluster_version,
-            service_threads: 2,
-            ring_capacity: 64,
         }
     }
 }
 
-/// Completion handle for an asynchronous operation.
-pub struct AsyncHandle {
-    rx: Receiver<Result<Command, KineticError>>,
-}
-
-impl AsyncHandle {
-    /// Blocks until the operation completes.
-    pub fn wait(self) -> Result<Command, KineticError> {
-        self.rx
-            .recv()
-            .unwrap_or(Err(KineticError::ConnectionClosed))
-    }
-
-    /// Returns the result if it is already available.
-    pub fn try_get(&self) -> Option<Result<Command, KineticError>> {
-        self.rx.try_recv().ok()
-    }
-}
-
-type Job = (VectoredEnvelope, Sender<Result<Command, KineticError>>);
-
 /// A client session bound to one drive.
 ///
-/// The HMAC key schedule for the session secret is run once at connect time
-/// and shared with the service threads. Per exchange the client pays one
-/// streaming MAC pass to seal the request (cached midstates, vectored
-/// chunks) and a single outer compression to verify the response tag; the
-/// request-side re-hash happens on the drive — in this simulation also as
-/// one outer compression, since the chunks cross the boundary by reference
-/// (protocol module docs).
+/// The HMAC key schedule for the session secret is run once at connect
+/// time. Per exchange the client pays one streaming MAC pass to seal the
+/// request (cached midstates, vectored chunks) and a single outer
+/// compression to verify the response tag; the request-side re-hash happens
+/// on the drive — in this simulation also as one outer compression, since
+/// the chunks cross the boundary by reference (protocol module docs).
 pub struct KineticClient {
     drive: Arc<KineticDrive>,
     config: ClientConfig,
     mac_key: HmacKey,
     connection_id: u64,
     sequence: AtomicU64,
-    job_tx: Sender<Job>,
-    in_flight: Arc<AtomicU64>,
 }
 
 /// The HMAC key for the empty secret, used to authenticate error responses
@@ -122,36 +88,13 @@ impl KineticClient {
     /// handshake/unsolicited status message of the real protocol.
     pub fn connect(drive: Arc<KineticDrive>, config: ClientConfig) -> Result<Self, KineticError> {
         let connection_id = rand::random::<u64>() | 1;
-        let (job_tx, job_rx): (Sender<Job>, Receiver<Job>) = bounded(config.ring_capacity.max(1));
-        let in_flight = Arc::new(AtomicU64::new(0));
         let mac_key = HmacKey::new(&config.secret);
-
-        for i in 0..config.service_threads.max(1) {
-            let rx = job_rx.clone();
-            let drive = Arc::clone(&drive);
-            let mac_key = mac_key.clone();
-            let in_flight = Arc::clone(&in_flight);
-            std::thread::Builder::new()
-                .name(format!("kinetic-svc-{}-{i}", drive.id()))
-                .spawn(move || {
-                    while let Ok((envelope, done)) = rx.recv() {
-                        let result = Self::exchange_envelope(&drive, &mac_key, &envelope);
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        let _ = done.send(result);
-                    }
-                })
-                // pesos-lint: allow(panic_freedom, "service-thread spawn failure at construction is fatal initialization, not request handling")
-                .expect("spawn kinetic service thread");
-        }
-
         let client = KineticClient {
             drive,
             config,
             mac_key,
             connection_id,
             sequence: AtomicU64::new(1),
-            job_tx,
-            in_flight,
         };
         // Credential validation round trip.
         client.noop()?;
@@ -168,11 +111,6 @@ impl KineticClient {
         self.drive.id()
     }
 
-    /// Number of asynchronous operations currently in flight.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
     fn next_command(&self, message_type: MessageType) -> Command {
         let mut cmd = Command::request(message_type);
         cmd.connection_id = self.connection_id;
@@ -185,24 +123,16 @@ impl KineticClient {
     /// frame path: no wire bytes are materialized, payloads cross by shared
     /// buffer, and the response tag is checked with the folded
     /// outer-transform verification.
-    fn exchange_envelope(
-        drive: &KineticDrive,
-        mac_key: &HmacKey,
-        envelope: &VectoredEnvelope,
-    ) -> Result<Command, KineticError> {
-        let response = drive.handle_envelope(envelope);
+    fn exchange(&self, command: Command) -> Result<Command, KineticError> {
+        let envelope = Envelope::seal_vectored(self.config.identity, &self.mac_key, command);
+        let response = self.drive.handle_envelope(&envelope);
         // Responses are authenticated with the session secret; an error
         // response produced before authentication uses an empty secret.
-        if response.verified_by(mac_key) || response.verified_by(empty_secret_key()) {
+        if response.verified_by(&self.mac_key) || response.verified_by(empty_secret_key()) {
             Ok(response.into_command())
         } else {
             Err(KineticError::AuthenticationFailed)
         }
-    }
-
-    fn exchange(&self, command: Command) -> Result<Command, KineticError> {
-        let envelope = Envelope::seal_vectored(self.config.identity, &self.mac_key, command);
-        Self::exchange_envelope(&self.drive, &self.mac_key, &envelope)
     }
 
     fn check_success(response: Command) -> Result<Command, KineticError> {
@@ -357,53 +287,6 @@ impl KineticClient {
         String::from_utf8(resp.body.value.to_vec())
             .map_err(|_| KineticError::Malformed("log not UTF-8".into()))
     }
-
-    /// Submits a PUT asynchronously; completion is reported via the handle.
-    pub fn put_async(
-        &self,
-        key: &[u8],
-        value: impl Into<Payload>,
-        expected_version: &[u8],
-        new_version: &[u8],
-        force: bool,
-    ) -> Result<AsyncHandle, KineticError> {
-        let mut cmd = self.next_command(MessageType::Put);
-        cmd.body = CommandBody {
-            key: key.to_vec(),
-            value: value.into(),
-            db_version: expected_version.to_vec(),
-            new_version: new_version.to_vec(),
-            force,
-            ..CommandBody::default()
-        };
-        self.submit_async(cmd)
-    }
-
-    /// Submits a DELETE asynchronously.
-    pub fn delete_async(
-        &self,
-        key: &[u8],
-        expected_version: &[u8],
-        force: bool,
-    ) -> Result<AsyncHandle, KineticError> {
-        let mut cmd = self.next_command(MessageType::Delete);
-        cmd.body.key = key.to_vec();
-        cmd.body.db_version = expected_version.to_vec();
-        cmd.body.force = force;
-        self.submit_async(cmd)
-    }
-
-    fn submit_async(&self, command: Command) -> Result<AsyncHandle, KineticError> {
-        // Sealed on the submitting thread (the vectored seal is the only
-        // full pass over the frame); the service thread just exchanges it.
-        let envelope = Envelope::seal_vectored(self.config.identity, &self.mac_key, command);
-        let (done_tx, done_rx) = bounded(1);
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.job_tx
-            .send((envelope, done_tx))
-            .map_err(|_| KineticError::ConnectionClosed)?;
-        Ok(AsyncHandle { rx: done_rx })
-    }
 }
 
 #[cfg(test)]
@@ -518,41 +401,6 @@ mod tests {
         assert_eq!(client.get(b"empty/missing"), Err(KineticError::NotFound));
         client.delete(b"empty/object", b"v1", false).unwrap();
         assert_eq!(client.get(b"empty/object"), Err(KineticError::NotFound));
-    }
-
-    #[test]
-    fn async_put_completes() {
-        let (drive, client) = connected();
-        let handles: Vec<AsyncHandle> = (0..20)
-            .map(|i| {
-                client
-                    .put_async(
-                        format!("async/{i}").as_bytes(),
-                        vec![i as u8; 64],
-                        b"",
-                        b"1",
-                        false,
-                    )
-                    .unwrap()
-            })
-            .collect();
-        for h in handles {
-            let resp = h.wait().unwrap();
-            assert_eq!(resp.status.code, StatusCode::Success);
-        }
-        assert_eq!(drive.key_count(), 20);
-        assert_eq!(client.in_flight(), 0);
-    }
-
-    #[test]
-    fn async_delete_completes() {
-        let (_drive, client) = connected();
-        client
-            .put(b"gone", b"v".to_vec(), b"", b"1", false)
-            .unwrap();
-        let h = client.delete_async(b"gone", b"", true).unwrap();
-        assert_eq!(h.wait().unwrap().status.code, StatusCode::Success);
-        assert_eq!(client.get(b"gone"), Err(KineticError::NotFound));
     }
 
     #[test]

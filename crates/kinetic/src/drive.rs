@@ -372,15 +372,6 @@ impl KineticDrive {
         }
     }
 
-    /// Looks up the secret for an identity (used by the client library when
-    /// the caller owns the drive's credentials).
-    pub fn account_secret(&self, identity: i64) -> Option<Vec<u8>> {
-        self.security
-            .read()
-            .account(identity)
-            .map(|a| a.secret.clone())
-    }
-
     /// Processes one authenticated protocol frame and returns the encoded,
     /// authenticated response frame.
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
@@ -807,13 +798,13 @@ mod tests {
         KineticDrive::new(DriveConfig::simulator("kd-test"))
     }
 
-    fn admin_envelope(drive: &KineticDrive, command: &Command) -> Vec<u8> {
-        let secret = drive.account_secret(1).unwrap();
-        Envelope::seal(1, &secret, command).encode()
+    /// A frame sealed under the factory-default account (identity 1).
+    fn admin_envelope(command: &Command) -> Vec<u8> {
+        Envelope::seal(1, b"asdfasdf", command).encode()
     }
 
     fn roundtrip(drive: &KineticDrive, command: &Command) -> Command {
-        let frame = admin_envelope(drive, command);
+        let frame = admin_envelope(command);
         let resp_frame = drive.handle_frame(&frame);
         let env = Envelope::decode(&resp_frame).unwrap();
         Command::decode(&env.command_bytes).unwrap()
@@ -1035,8 +1026,7 @@ mod tests {
         // The vectored fast path and the serialized frame path must agree
         // on the response for the same request.
         let d = drive();
-        let secret = d.account_secret(1).unwrap();
-        let key = HmacKey::new(&secret);
+        let key = HmacKey::new(b"asdfasdf");
 
         let mut put = Command::request(MessageType::Put);
         put.body.key = b"vec".to_vec();
@@ -1159,7 +1149,7 @@ mod tests {
             );
         }
         // A tampered batch frame fails authentication before anything runs.
-        let mut frame = admin_envelope(&d, &batch_command(ops("tampered")));
+        let mut frame = admin_envelope(&batch_command(ops("tampered")));
         let last = frame.len() - 1;
         frame[last] ^= 0x1;
         let env = Envelope::decode(&d.handle_frame(&frame)).unwrap();

@@ -29,9 +29,8 @@
 //!   certificate + admin operations (security, setup/erase, getlog) + the
 //!   peer-to-peer copy API.
 //! * [`client`] — the client library used by the controller: session setup,
-//!   per-message HMAC authentication, synchronous and asynchronous
-//!   operations with a bounded ring of in-flight requests serviced by a
-//!   thread pool.
+//!   per-message HMAC authentication, synchronous operations (the SGX
+//!   asyscall interface above it supplies the asynchrony).
 //! * [`cluster`] — a named set of drives, as configured for one controller.
 //! * [`fault`] — deterministic fault injection (dropped requests, torn
 //!   replies, added latency) driven by a seeded generator, used by the
@@ -47,7 +46,7 @@ pub mod fault;
 pub mod protocol;
 
 pub use backend::{BackendKind, DriveBackend, HddModel};
-pub use client::{AsyncHandle, ClientConfig, KineticClient};
+pub use client::{ClientConfig, KineticClient};
 pub use cluster::DriveSet;
 pub use drive::{AccessControl, Account, DriveConfig, KineticDrive, Permission};
 pub use engine::{DriveEngine, EngineStats, StoredEntry};

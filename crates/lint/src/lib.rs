@@ -3,7 +3,7 @@
 //! The compiler cannot see the invariants Pesos' concurrency and security
 //! arguments rest on, so this crate checks them lexically — a small
 //! hand-written Rust lexer (the build environment has no registry, so no
-//! `syn`) plus per-function token analyzers. Four passes:
+//! `syn`) plus per-function token analyzers. Five passes:
 //!
 //! 1. **lock-hierarchy** (`lock_hierarchy`) — the workspace declares one
 //!    global lock-acquisition order in [`parking_lot::lock_order`] (the
@@ -27,6 +27,14 @@
 //!    append a replication-log record before every `Ok(...)` it can
 //!    return: an acknowledgement that escapes without a log append is a
 //!    lost write after failover.
+//! 5. **unreached-module** (`unreached_module`) — the enforcement layer is
+//!    meant to be small enough to read, so a `pub mod m;` of a linted
+//!    crate's `lib.rs` must be *reached*: one of `m`'s top-level `pub`
+//!    names, or the path `m::` (bare, or under `crate::`/`self::`/
+//!    `super::`/the crate's own name), is named in some `.rs` file outside
+//!    `m`'s own (crates, root tests, examples, the benchmark package). A `pub
+//!    use` in a linted `lib.rs` is a re-export, not a use. This is a name
+//!    census over the whole tree, so it runs only in [`lint_workspace`].
 //!
 //! # Suppressions
 //!
@@ -48,7 +56,7 @@
 //! innermost): cluster topology → ops gate → routing state → cluster
 //! registries → migration stripes/state → key registry/key locks → the
 //! sharded metadata/cache/session maps → transaction tables → the
-//! replication log → scheduler/asyscall internals → shield → drive
+//! replication log → scheduler/asyscall internals → drive
 //! internals → backend actuator. The lexical pass recognises receivers
 //! by field name (a curated table below, path-scoped where a name such
 //! as `shards` or `inner` is reused across files); an unrecognised
@@ -71,6 +79,7 @@ pub enum Pass {
     GuardAcrossIo,
     PanicFreedom,
     AckedLogged,
+    UnreachedModule,
     /// A malformed suppression comment (empty reason, unknown pass).
     BadAllow,
 }
@@ -83,6 +92,7 @@ impl Pass {
             Pass::GuardAcrossIo => "guard_across_io",
             Pass::PanicFreedom => "panic_freedom",
             Pass::AckedLogged => "acked_logged",
+            Pass::UnreachedModule => "unreached_module",
             Pass::BadAllow => "bad_allow",
         }
     }
@@ -93,6 +103,7 @@ impl Pass {
             "guard_across_io" => Pass::GuardAcrossIo,
             "panic_freedom" => Pass::PanicFreedom,
             "acked_logged" => Pass::AckedLogged,
+            "unreached_module" => Pass::UnreachedModule,
             _ => return None,
         })
     }
@@ -453,6 +464,7 @@ enum Directive {
 /// allow      := "allow(" slug "," '"' reason '"' ")"
 /// invariant  := "invariant(" name ")"
 /// slug       := lock_hierarchy | guard_across_io | panic_freedom | acked_logged
+///             | unreached_module
 /// ```
 fn parse_directive(comment: &str) -> Option<Directive> {
     let idx = comment.find("pesos-lint:")?;
@@ -575,14 +587,6 @@ const GLOBAL_FAMILIES: &[(&str, Family)] = &[
         Family {
             rank: ranks::MIGRATION_STATE,
             name: "MIGRATION_STATE",
-            sharded: false,
-        },
-    ),
-    (
-        "idle_lock",
-        Family {
-            rank: ranks::SCHEDULER,
-            name: "SCHEDULER",
             sharded: false,
         },
     ),
@@ -766,6 +770,15 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
         },
     ),
     (
+        "sgx/src/scheduler.rs",
+        "queue",
+        Family {
+            rank: ranks::SCHEDULER,
+            name: "SCHEDULER",
+            sharded: false,
+        },
+    ),
+    (
         "sgx/src/asyscall.rs",
         "free",
         Family {
@@ -780,24 +793,6 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
         Family {
             rank: ranks::ASYSCALL_PARK,
             name: "ASYSCALL_PARK",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/shield.rs",
-        "store",
-        Family {
-            rank: ranks::SHIELD,
-            name: "SHIELD",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/shield.rs",
-        "counters",
-        Family {
-            rank: ranks::SHIELD,
-            name: "SHIELD",
             sharded: false,
         },
     ),
@@ -1536,6 +1531,169 @@ fn acked_logged_pass(file: &str, tokens: &[Token], allows: &Allows, findings: &m
     }
 }
 
+/// Directories (workspace-relative) whose `.rs` files count as users in
+/// the unreached-module census.
+const CENSUS_DIRS: &[&str] = &[
+    "crates",
+    "src",
+    "tests",
+    "examples",
+    "benchmark/src",
+    "benchmark/tests",
+];
+
+/// The non-comment tokens of a file, each with its brace depth.
+fn with_depth(tokens: &[Token]) -> Vec<(usize, &Token)> {
+    let mut depth = 0usize;
+    let mut out = Vec::new();
+    for t in tokens.iter().filter(|t| t.kind != Kind::Comment) {
+        if t.text == "}" {
+            depth = depth.saturating_sub(1);
+        }
+        out.push((depth, t));
+        if t.text == "{" {
+            depth += 1;
+        }
+    }
+    out
+}
+
+/// Names of the top-level `pub` types, traits, consts, statics and free
+/// functions of a module file (`pub(crate)` and narrower are skipped).
+fn public_names(tokens: &[Token]) -> Vec<String> {
+    let sig = with_depth(tokens);
+    let text = |i: usize| sig.get(i).map_or("", |(_, t)| t.text.as_str());
+    let mut names = Vec::new();
+    for i in 0..sig.len() {
+        if sig[i].0 != 0 || text(i) != "pub" || text(i + 1) == "(" {
+            continue;
+        }
+        // `pub const fn f` / `pub unsafe fn f` name a function; `pub
+        // const N` names a constant.
+        let mut j = i + 1;
+        while matches!(text(j), "const" | "unsafe" | "async")
+            && matches!(text(j + 1), "fn" | "unsafe" | "async")
+        {
+            j += 1;
+        }
+        let is_item = matches!(
+            text(j),
+            "struct" | "enum" | "union" | "type" | "trait" | "const" | "static" | "fn"
+        );
+        if is_item && sig.get(j + 1).is_some_and(|(_, t)| t.kind == Kind::Ident) {
+            names.push(text(j + 1).to_string());
+        }
+    }
+    names
+}
+
+/// Unreached-module (pass 5). See the crate docs for the rule.
+fn unreached_module_pass(
+    root: &std::path::Path,
+    findings: &mut Vec<Finding>,
+) -> std::io::Result<()> {
+    let mut paths = Vec::new();
+    for dir in CENSUS_DIRS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs_files(&dir, &mut paths)?;
+        }
+    }
+    let mut files: Vec<(String, Vec<Token>)> = Vec::new();
+    for path in paths {
+        files.push((relative(root, &path), lex(&std::fs::read_to_string(&path)?)));
+    }
+    let lib_of = |krate: &str| format!("crates/{krate}/src/lib.rs");
+
+    // ident (or `ident::` / `qualifier::ident::` for a path prefix) -> files
+    // that name it.
+    let mut named_in: HashMap<String, Vec<usize>> = HashMap::new();
+    for (id, (rel, tokens)) in files.iter().enumerate() {
+        let linted_lib = LINTED_CRATES.iter().any(|(k, _)| *rel == lib_of(k));
+        let sig = with_depth(tokens);
+        let mut in_reexport = false;
+        for (i, (_, t)) in sig.iter().enumerate() {
+            let next = sig.get(i + 1).map_or("", |(_, n)| n.text.as_str());
+            if linted_lib && t.text == "pub" && next == "use" {
+                in_reexport = true;
+            } else if t.text == ";" {
+                in_reexport = false;
+            }
+            if in_reexport || t.kind != Kind::Ident {
+                continue;
+            }
+            let mut note = |name: String| {
+                let seen = named_in.entry(name).or_default();
+                if seen.last() != Some(&id) {
+                    seen.push(id);
+                }
+            };
+            note(t.text.clone());
+            if next == "::" {
+                // `crate::m::` and a bare `m::` name this workspace's `m`;
+                // `other::m::` is kept apart so that another crate's
+                // module of the same name is not a use.
+                let qualifier = match i.checked_sub(2).map(|q| sig[q].1) {
+                    Some(q) if sig[i - 1].1.text == "::" => q.text.as_str(),
+                    _ => "",
+                };
+                match qualifier {
+                    "" | "crate" | "self" | "super" => note(format!("{}::", t.text)),
+                    q => note(format!("{q}::{}::", t.text)),
+                }
+            }
+        }
+    }
+
+    for (krate, _) in LINTED_CRATES {
+        let lib = lib_of(krate);
+        let Some((_, lib_tokens)) = files.iter().find(|(rel, _)| *rel == lib) else {
+            continue;
+        };
+        let allows = collect_allows(&lib, lib_tokens, &mut Vec::new());
+        let sig = with_depth(lib_tokens);
+        for w in sig.windows(4) {
+            let [(0, p), (_, m), (_, name), (_, end)] = w else {
+                continue;
+            };
+            if p.text != "pub" || m.text != "mod" || name.kind != Kind::Ident || end.text != ";" {
+                continue;
+            }
+            let module = &name.text;
+            let stem = format!("crates/{krate}/src/{module}");
+            let own =
+                |rel: &str| rel == format!("{stem}.rs") || rel.starts_with(&format!("{stem}/"));
+            let root_file = [format!("{stem}.rs"), format!("{stem}/mod.rs")];
+            let mut names = vec![
+                format!("{module}::"),
+                format!("{krate}::{module}::"),
+                format!("pesos_{krate}::{module}::"),
+            ];
+            for (rel, tokens) in &files {
+                if root_file.contains(rel) {
+                    names.extend(public_names(tokens));
+                }
+            }
+            let reached = names.iter().any(|n| {
+                named_in
+                    .get(n)
+                    .is_some_and(|ids| ids.iter().any(|&id| !own(&files[id].0)))
+            });
+            if !reached && !allows.permits(Pass::UnreachedModule, name.line) {
+                findings.push(Finding {
+                    pass: Pass::UnreachedModule,
+                    file: lib.clone(),
+                    line: name.line,
+                    message: format!(
+                        "module `{krate}::{module}` is named by nothing outside its own file(s) but a re-export: no request, test, example or benchmark reaches it"
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -1593,16 +1751,20 @@ pub fn lint_workspace(root: &std::path::Path) -> std::io::Result<Vec<Finding>> {
         files.sort();
         for path in files {
             let source = std::fs::read_to_string(&path)?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            findings.extend(lint_source(&rel, &source, &opts));
+            findings.extend(lint_source(&relative(root, &path), &source, &opts));
         }
     }
+    unreached_module_pass(root, &mut findings)?;
     findings.sort_by_key(|f| (f.file.clone(), f.line));
     Ok(findings)
+}
+
+/// `path` relative to the workspace root, with `/` separators.
+fn relative(root: &std::path::Path, path: &std::path::Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
 }
 
 fn collect_rs_files(

@@ -108,6 +108,21 @@ fn acked_logged_fixture() {
 }
 
 #[test]
+fn unreached_module_fixture() {
+    // A miniature workspace: `reached_fixture` is named by `tests/uses.rs`,
+    // `reexported_fixture` only by the `pub use` in `lib.rs` and itself.
+    let root = format!("{}/tests/fixtures/unreached", env!("CARGO_MANIFEST_DIR"));
+    let findings = pesos_lint::lint_workspace(std::path::Path::new(&root)).expect("fixture lints");
+    assert_eq!(
+        as_pass_lines(&findings),
+        vec![(Pass::UnreachedModule, 3)],
+        "{findings:#?}"
+    );
+    assert_eq!(findings[0].file, "crates/wire/src/lib.rs");
+    assert!(findings[0].message.contains("wire::reexported_fixture"));
+}
+
+#[test]
 fn fixture_files_report_their_path() {
     let findings = lint_fixture("panic_freedom.rs", &Options::all());
     assert!(findings

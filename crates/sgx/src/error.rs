@@ -7,8 +7,6 @@ use std::fmt;
 pub enum SgxError {
     /// The requested allocation does not fit the enclave heap.
     OutOfEnclaveMemory { requested: usize, available: usize },
-    /// An address passed to `free` was not allocated.
-    InvalidFree { offset: usize },
     /// Attestation failed (unknown measurement, bad signature, ...).
     AttestationFailed(String),
     /// The enclave was configured with invalid parameters.
@@ -29,7 +27,6 @@ impl fmt::Display for SgxError {
                 f,
                 "out of enclave memory: requested {requested} bytes, {available} available"
             ),
-            SgxError::InvalidFree { offset } => write!(f, "invalid free at offset {offset}"),
             SgxError::AttestationFailed(msg) => write!(f, "attestation failed: {msg}"),
             SgxError::InvalidConfig(msg) => write!(f, "invalid enclave config: {msg}"),
             SgxError::SyscallInterfaceClosed => write!(f, "syscall interface closed"),

@@ -4,9 +4,8 @@
 //! framework: remote attestation gates secret provisioning, system calls are
 //! submitted asynchronously through shared-memory queues to avoid enclave
 //! exits, user-level threads are multiplexed onto enclave hardware threads,
-//! memory is served from a pre-allocated region by a bitmap allocator, and
-//! everything must fit into the ~96 MiB of usable Enclave Page Cache (EPC)
-//! or pay a steep paging penalty.
+//! and everything must fit into the ~96 MiB of usable Enclave Page Cache
+//! (EPC) or pay a steep paging penalty.
 //!
 //! Real SGX hardware is not available in this reproduction, so this crate
 //! simulates the *mechanism and the cost profile* rather than the hardware
@@ -22,23 +21,21 @@
 //!   (slots + submission/return queues + untrusted service threads).
 //! * [`scheduler`] — user-level task scheduling on a bounded number of
 //!   enclave threads.
-//! * [`allocator`] — the bitmap page allocator that emulates `mmap`/`munmap`
-//!   inside the pre-allocated enclave heap.
 //! * [`attestation`] — enclave quotes, the attestation service and secret
 //!   provisioning used during the Pesos bootstrap.
-//! * [`shield`] — the Scone file shield that transparently encrypts data
-//!   crossing the enclave boundary.
+//!
+//! Unmodelled: Scone's file shield and its in-enclave bitmap `mmap`
+//! allocator. The controller keeps its state in Rust collections and seals
+//! objects itself before they reach a drive, so nothing on the request path
+//! crossed either.
 
-pub mod allocator;
 pub mod asyscall;
 pub mod attestation;
 pub mod cost;
 pub mod enclave;
 pub mod error;
 pub mod scheduler;
-pub mod shield;
 
-pub use allocator::BitmapAllocator;
 pub use asyscall::{
     AsyscallInterface, AsyscallStats, CompletionPool, CompletionPoolStats, PooledCompletion,
 };
@@ -47,4 +44,3 @@ pub use cost::{CostEvent, ExecutionMode, SgxCostModel};
 pub use enclave::{Enclave, EnclaveConfig, EnclaveMeasurement, EpcStats};
 pub use error::SgxError;
 pub use scheduler::UserScheduler;
-pub use shield::FileShield;

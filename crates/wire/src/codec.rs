@@ -323,34 +323,6 @@ impl<'a> FieldReader<'a> {
     }
 }
 
-/// Writes a length-prefixed frame (4-byte big-endian length then payload),
-/// the outer framing used by the Kinetic protocol and the secure channel.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Reads a length-prefixed frame from `input`, returning the payload and the
-/// total number of bytes consumed, or `Ok(None)` if the frame is incomplete.
-pub fn read_frame(input: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
-    if input.len() < 4 {
-        return Ok(None);
-    }
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&input[..4]);
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > 64 * 1024 * 1024 {
-        return Err(WireError::LengthOutOfBounds {
-            length: len as u64,
-            remaining: input.len() - 4,
-        });
-    }
-    if input.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((&input[4..4 + len], 4 + len)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,33 +454,5 @@ mod tests {
         let encoded = vec![0x0b];
         let mut r = FieldReader::new(&encoded);
         assert_eq!(r.next_field(), Err(WireError::InvalidWireType(3)));
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload one");
-        write_frame(&mut buf, b"two");
-        let (p1, n1) = read_frame(&buf).unwrap().unwrap();
-        assert_eq!(p1, b"payload one");
-        let (p2, n2) = read_frame(&buf[n1..]).unwrap().unwrap();
-        assert_eq!(p2, b"two");
-        assert_eq!(n1 + n2, buf.len());
-    }
-
-    #[test]
-    fn incomplete_frame_returns_none() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello");
-        assert!(read_frame(&buf[..3]).unwrap().is_none());
-        assert!(read_frame(&buf[..buf.len() - 1]).unwrap().is_none());
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_be_bytes());
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&buf).is_err());
     }
 }

@@ -13,16 +13,8 @@ pub enum WireError {
     InvalidWireType(u8),
     /// A length prefix exceeded the remaining input or a sanity bound.
     LengthOutOfBounds { length: u64, remaining: usize },
-    /// The HTTP request or response was malformed.
-    MalformedHttp(String),
-    /// A REST request was missing a required parameter.
-    MissingParameter(&'static str),
     /// A REST parameter had an invalid value.
     InvalidParameter(String),
-    /// The secure-channel handshake failed.
-    HandshakeFailed(String),
-    /// A record failed authentication or decryption.
-    RecordRejected(String),
     /// A field that must be UTF-8 was not.
     InvalidUtf8,
 }
@@ -36,11 +28,7 @@ impl fmt::Display for WireError {
             WireError::LengthOutOfBounds { length, remaining } => {
                 write!(f, "length {length} exceeds remaining {remaining} bytes")
             }
-            WireError::MalformedHttp(msg) => write!(f, "malformed HTTP: {msg}"),
-            WireError::MissingParameter(p) => write!(f, "missing parameter: {p}"),
             WireError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            WireError::HandshakeFailed(msg) => write!(f, "handshake failed: {msg}"),
-            WireError::RecordRejected(msg) => write!(f, "record rejected: {msg}"),
             WireError::InvalidUtf8 => write!(f, "invalid UTF-8"),
         }
     }
@@ -62,11 +50,7 @@ mod tests {
                 length: 10,
                 remaining: 5,
             },
-            WireError::MalformedHttp("x".into()),
-            WireError::MissingParameter("key"),
             WireError::InvalidParameter("y".into()),
-            WireError::HandshakeFailed("z".into()),
-            WireError::RecordRejected("w".into()),
             WireError::InvalidUtf8,
         ];
         for c in cases {

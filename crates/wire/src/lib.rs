@@ -1,28 +1,24 @@
 //! Wire formats for the Pesos secure object store.
 //!
-//! Three independent pieces live here:
+//! Two independent pieces live here:
 //!
 //! * [`codec`] — a protobuf-compatible varint/field encoding used by the
 //!   Kinetic drive protocol (the real drives speak Google Protocol Buffers;
 //!   we hand-roll the subset we need so the substrate has no external
 //!   dependencies).
-//! * [`http`] and [`rest`] — the minimal HTTP/1.1 handling and REST request
-//!   model the Pesos controller exposes to clients (the original prototype
-//!   embeds the Mongoose web server for the same purpose).
-//! * [`channel`] — the mutually authenticated, encrypted channel used both
-//!   between clients and the controller and between the controller and the
-//!   Kinetic drives. It performs a signed ephemeral key exchange and then
-//!   protects records with the AEAD from `pesos-crypto`, mirroring the role
-//!   TLS plays in the paper.
+//! * [`rest`] — the typed REST request/response model the Pesos controller
+//!   exposes to clients (the original prototype embeds the Mongoose web
+//!   server for the same purpose).
+//!
+//! Unmodelled: HTTP/1.1 framing of those REST messages and the TLS-like
+//! channel that terminates inside the enclave. Clients here call the
+//! dispatchers in process with typed requests, so nothing on the request
+//! path crossed either.
 
-pub mod channel;
 pub mod codec;
 pub mod error;
-pub mod http;
 pub mod rest;
 
-pub use channel::{ChannelConfig, SecureChannel, SecureEndpoint};
 pub use codec::{FieldReader, FieldWriter, WireType};
 pub use error::WireError;
-pub use http::{HttpRequest, HttpResponse, StatusCode};
 pub use rest::{RestMethod, RestRequest, RestResponse, RestStatus};

@@ -6,14 +6,14 @@
 //! controller acknowledges immediately with an operation identifier that the
 //! client can later poll with [`RestMethod::PollResult`].
 //!
-//! This module defines the typed request/response structures and their
-//! mapping onto [`crate::http`] messages, so that both the in-process
-//! benchmark client and an on-the-wire client speak exactly the same format.
+//! This module defines the typed request/response structures that both REST
+//! dispatchers (`PesosController::handle_rest`, `ControllerCluster::handle_rest`)
+//! take and return. Their HTTP framing is unmodelled: no request path
+//! crossed it.
 
 use std::fmt;
 
 use crate::error::WireError;
-use crate::http::{percent_decode, percent_encode, HttpRequest, HttpResponse, StatusCode};
 
 /// The operations exposed by the Pesos REST API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ pub enum RestMethod {
     Status,
     /// Read the hierarchical telemetry tree; the key carries the stats
     /// path (and optional query), e.g. `partitions/3/replication/lag` or
-    /// `groups/hot?top=16`. On the wire this maps to `GET /stats/<path>`.
+    /// `groups/hot?top=16`; the dispatcher parses it.
     Stats,
 }
 
@@ -207,112 +207,6 @@ impl RestRequest {
         self.expected_version = Some(version);
         self
     }
-
-    /// Converts into an HTTP request (`POST /objects/<key>?method=...`;
-    /// stats reads become `GET /stats/<path>`).
-    pub fn to_http(&self) -> HttpRequest {
-        if self.method == RestMethod::Stats {
-            // The key is the stats path plus optional query. Split the
-            // query off so it travels as a real HTTP query string (the
-            // path side percent-encodes `?`, which would glue it to the
-            // last segment).
-            let (path, query) = match self.key.split_once('?') {
-                Some((p, q)) => (p, Some(q)),
-                None => (self.key.as_str(), None),
-            };
-            // Encode per segment: `/` is the tree separator, not key data.
-            let encoded = path
-                .trim_start_matches('/')
-                .split('/')
-                .map(percent_encode)
-                .collect::<Vec<_>>()
-                .join("/");
-            let mut url = format!("/stats/{encoded}");
-            if let Some(q) = query {
-                url.push('?');
-                url.push_str(q);
-            }
-            return HttpRequest::get(url);
-        }
-        let mut path = format!(
-            "/objects/{}?method={}",
-            percent_encode(&self.key),
-            self.method.as_str()
-        );
-        if let Some(policy) = &self.policy_id {
-            path.push_str(&format!("&policy={}", percent_encode(policy)));
-        }
-        if self.asynchronous {
-            path.push_str("&async=1");
-        }
-        if let Some(tx) = self.tx_id {
-            path.push_str(&format!("&tx={tx}"));
-        }
-        if let Some(v) = self.expected_version {
-            path.push_str(&format!("&version={v}"));
-        }
-        HttpRequest::post(path, self.value.clone())
-    }
-
-    /// Parses an HTTP request back into a typed REST request.
-    pub fn from_http(req: &HttpRequest) -> Result<Self, WireError> {
-        if req.method != "POST" && req.method != "GET" {
-            return Err(WireError::MalformedHttp(format!(
-                "unsupported HTTP method {}",
-                req.method
-            )));
-        }
-        if let Some(stats_path) = req.path_only().strip_prefix("/stats") {
-            // `GET /stats/<path>?<query>`: the decoded path plus the raw
-            // query (still meaningful to the stats tree: top=, flat=)
-            // becomes the request key.
-            let mut key = percent_decode(stats_path.trim_start_matches('/'));
-            if let Some((_, query)) = req.path.split_once('?') {
-                key.push('?');
-                key.push_str(query);
-            }
-            return Ok(RestRequest::new(RestMethod::Stats, key));
-        }
-
-        let params = req.query_params();
-        let method_str = params
-            .get("method")
-            .ok_or(WireError::MissingParameter("method"))?;
-        let method = RestMethod::parse(method_str)?;
-
-        let path = req.path_only();
-        let key = path
-            .strip_prefix("/objects/")
-            .map(percent_decode)
-            .unwrap_or_default();
-
-        let policy_id = params.get("policy").cloned().filter(|p| !p.is_empty());
-        let asynchronous = params.get("async").map(|v| v == "1").unwrap_or(false);
-        let tx_id = match params.get("tx") {
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| WireError::InvalidParameter(format!("bad tx id {v:?}")))?,
-            ),
-            None => None,
-        };
-        let expected_version = match params.get("version") {
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| WireError::InvalidParameter(format!("bad version {v:?}")))?,
-            ),
-            None => None,
-        };
-
-        Ok(RestRequest {
-            method,
-            key,
-            value: req.body.clone(),
-            policy_id,
-            asynchronous,
-            tx_id,
-            expected_version,
-        })
-    }
 }
 
 /// Outcome classification of a REST operation.
@@ -335,32 +229,6 @@ pub enum RestStatus {
 }
 
 impl RestStatus {
-    /// Maps to the HTTP status code used on the wire.
-    pub fn http_status(self) -> StatusCode {
-        match self {
-            RestStatus::Ok => StatusCode::Ok,
-            RestStatus::Accepted => StatusCode::Accepted,
-            RestStatus::PolicyDenied => StatusCode::Forbidden,
-            RestStatus::NotFound => StatusCode::NotFound,
-            RestStatus::Conflict => StatusCode::Conflict,
-            RestStatus::BadRequest => StatusCode::BadRequest,
-            RestStatus::BackendError => StatusCode::InternalError,
-        }
-    }
-
-    /// Maps an HTTP status back to a REST status.
-    pub fn from_http(status: StatusCode) -> Self {
-        match status {
-            StatusCode::Ok => RestStatus::Ok,
-            StatusCode::Accepted => RestStatus::Accepted,
-            StatusCode::Forbidden => RestStatus::PolicyDenied,
-            StatusCode::NotFound => RestStatus::NotFound,
-            StatusCode::Conflict => RestStatus::Conflict,
-            StatusCode::BadRequest => RestStatus::BadRequest,
-            StatusCode::InternalError | StatusCode::Unavailable => RestStatus::BackendError,
-        }
-    }
-
     /// True if the operation succeeded (including async acceptance).
     pub fn is_success(self) -> bool {
         matches!(self, RestStatus::Ok | RestStatus::Accepted)
@@ -426,47 +294,6 @@ impl RestResponse {
         self.version = Some(version);
         self
     }
-
-    /// Converts into an HTTP response.
-    pub fn to_http(&self) -> HttpResponse {
-        let mut resp = HttpResponse::new(self.status.http_status(), self.value.clone());
-        if let Some(op) = self.operation_id {
-            resp = resp.header("x-pesos-operation", op.to_string());
-        }
-        if let Some(v) = self.version {
-            resp = resp.header("x-pesos-version", v.to_string());
-        }
-        if let Some(d) = &self.detail {
-            resp = resp.header("x-pesos-detail", d.clone());
-        }
-        resp
-    }
-
-    /// Parses an HTTP response back into a typed REST response.
-    pub fn from_http(resp: &HttpResponse) -> Result<Self, WireError> {
-        let status = RestStatus::from_http(resp.status);
-        let operation_id = match resp.headers.get("x-pesos-operation") {
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| WireError::InvalidParameter(format!("bad operation id {v:?}")))?,
-            ),
-            None => None,
-        };
-        let version = match resp.headers.get("x-pesos-version") {
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| WireError::InvalidParameter(format!("bad version {v:?}")))?,
-            ),
-            None => None,
-        };
-        Ok(RestResponse {
-            status,
-            value: resp.body.clone(),
-            operation_id,
-            version,
-            detail: resp.headers.get("x-pesos-detail").cloned(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -500,28 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_request_maps_to_get_stats_path() {
-        let req = RestRequest::new(RestMethod::Stats, "partitions/3/replication/lag");
-        let http = req.to_http();
-        assert_eq!(http.method, "GET");
-        assert_eq!(http.path, "/stats/partitions/3/replication/lag");
-        let parsed =
-            RestRequest::from_http(&HttpRequest::parse(&http.to_bytes()).unwrap()).unwrap();
-        assert_eq!(parsed, req);
-    }
-
-    #[test]
-    fn stats_query_survives_the_http_mapping() {
-        let req = RestRequest::new(RestMethod::Stats, "groups/hot?top=16");
-        let http = req.to_http();
-        assert_eq!(http.path, "/stats/groups/hot?top=16");
-        let parsed = RestRequest::from_http(&http).unwrap();
-        assert_eq!(parsed, req);
-        // A hand-typed request with no typed round trip behind it.
-        let direct = HttpRequest::get("/stats");
-        let parsed = RestRequest::from_http(&direct).unwrap();
-        assert_eq!(parsed.method, RestMethod::Stats);
-        assert_eq!(parsed.key, "");
+    fn stats_key_carries_path_and_query_verbatim() {
+        // The dispatcher, not this model, splits `path?query`: the typed
+        // request must hand it over untouched.
+        let req = RestRequest::new(RestMethod::Stats, "groups/hot?top=16&flat");
+        assert_eq!(req.key, "groups/hot?top=16&flat");
+        assert!(req.value.is_empty());
         assert!(!RestMethod::Stats.is_write());
     }
 
@@ -532,86 +343,5 @@ mod tests {
         assert!(RestMethod::Delete.supports_async());
         assert!(!RestMethod::Get.supports_async());
         assert!(!RestMethod::PollResult.supports_async());
-    }
-
-    #[test]
-    fn request_http_round_trip() {
-        let req = RestRequest::put("users/alice", b"profile data".to_vec())
-            .with_policy("acl-policy-3")
-            .asynchronous()
-            .with_version(7);
-        let http = req.to_http();
-        let parsed =
-            RestRequest::from_http(&HttpRequest::parse(&http.to_bytes()).unwrap()).unwrap();
-        assert_eq!(parsed, req);
-    }
-
-    #[test]
-    fn request_with_tx_round_trip() {
-        let req = RestRequest::new(RestMethod::AddWrite, "k1").in_tx(99);
-        let parsed = RestRequest::from_http(&req.to_http()).unwrap();
-        assert_eq!(parsed.tx_id, Some(99));
-        assert_eq!(parsed.method, RestMethod::AddWrite);
-    }
-
-    #[test]
-    fn request_missing_method_rejected() {
-        let http = HttpRequest::post("/objects/key", vec![]);
-        assert_eq!(
-            RestRequest::from_http(&http),
-            Err(WireError::MissingParameter("method"))
-        );
-    }
-
-    #[test]
-    fn request_bad_params_rejected() {
-        let http = HttpRequest::post("/objects/key?method=put&tx=abc", vec![]);
-        assert!(RestRequest::from_http(&http).is_err());
-        let http = HttpRequest::post("/objects/key?method=put&version=xyz", vec![]);
-        assert!(RestRequest::from_http(&http).is_err());
-    }
-
-    #[test]
-    fn key_with_special_characters_round_trips() {
-        let req = RestRequest::get("dir/with space/αβγ");
-        let parsed = RestRequest::from_http(&req.to_http()).unwrap();
-        assert_eq!(parsed.key, "dir/with space/αβγ");
-    }
-
-    #[test]
-    fn response_round_trips() {
-        let cases = vec![
-            RestResponse::ok(b"payload".to_vec()).with_version(3),
-            RestResponse::accepted(42),
-            RestResponse::failure(RestStatus::PolicyDenied, "update permission denied"),
-            RestResponse::failure(RestStatus::NotFound, "no such object"),
-        ];
-        for resp in cases {
-            let http = resp.to_http();
-            let parsed =
-                RestResponse::from_http(&HttpResponse::parse(&http.to_bytes()).unwrap()).unwrap();
-            assert_eq!(parsed.status, resp.status);
-            assert_eq!(parsed.value, resp.value);
-            assert_eq!(parsed.operation_id, resp.operation_id);
-            assert_eq!(parsed.version, resp.version);
-        }
-    }
-
-    #[test]
-    fn status_mapping_is_consistent() {
-        for s in [
-            RestStatus::Ok,
-            RestStatus::Accepted,
-            RestStatus::PolicyDenied,
-            RestStatus::NotFound,
-            RestStatus::Conflict,
-            RestStatus::BadRequest,
-            RestStatus::BackendError,
-        ] {
-            assert_eq!(RestStatus::from_http(s.http_status()), s);
-        }
-        assert!(RestStatus::Ok.is_success());
-        assert!(RestStatus::Accepted.is_success());
-        assert!(!RestStatus::PolicyDenied.is_success());
     }
 }

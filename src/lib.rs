@@ -5,7 +5,7 @@
 //! crate:
 //!
 //! * [`crypto`] — hashes, AEAD, signatures, certificates (simulation grade).
-//! * [`wire`] — protobuf-style codec, HTTP/REST model, secure channel.
+//! * [`wire`] — protobuf-style codec and the typed REST model.
 //! * [`sgx`] — the SGX/Scone enclave simulator (attestation, async
 //!   syscalls, EPC accounting, cost model).
 //! * [`kinetic`] — the Kinetic drive substrate (protocol, drive engine,
@@ -15,8 +15,8 @@
 //! * [`core`] — the Pesos controller itself.
 //! * [`ycsb`] — YCSB-style workloads and the measurement harness.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and the experiment index.
+//! `examples/quickstart.rs` is the shortest end-to-end tour; `ROADMAP.md`
+//! holds the architecture notes.
 
 pub use pesos_cluster as cluster;
 pub use pesos_core as core;

@@ -71,22 +71,19 @@ fn data_is_encrypted_and_replicated_across_drives() {
 }
 
 #[test]
-fn rest_interface_round_trips_through_http_encoding() {
+fn rest_dispatch_answers_typed_requests() {
     let c = sgx_controller(1);
     let alice = c.register_client("alice");
 
-    // Serialize the REST request through the actual HTTP wire format and
-    // parse it back before handling, as an on-the-wire client would.
-    let rest = RestRequest::put("wire/object", b"wire payload".to_vec());
-    let http_bytes = rest.to_http().to_bytes();
-    let parsed =
-        RestRequest::from_http(&pesos::wire::HttpRequest::parse(&http_bytes).expect("http parse"))
-            .expect("rest parse");
-    let resp = c.handle(&alice, ClientRequest::new(parsed));
+    let put = RestRequest::put("wire/object", b"wire payload".to_vec());
+    let resp = c.handle(&alice, ClientRequest::new(put));
     assert_eq!(resp.status, RestStatus::Ok);
+    assert_eq!(resp.version, Some(0));
 
     let resp = c.handle(&alice, ClientRequest::new(RestRequest::get("wire/object")));
+    assert_eq!(resp.status, RestStatus::Ok);
     assert_eq!(resp.value, b"wire payload");
+    assert_eq!(resp.version, Some(0));
 }
 
 #[test]
