@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pesos_crypto::Certificate;
-use pesos_policy::{Operation, PolicyId, RequestContext, Value};
+use pesos_policy::{Operation, PolicyId, Request, ValueRef};
 use pesos_sgx::UserScheduler;
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
 use pesos_wire::{RestMethod, RestRequest, RestResponse, RestStatus};
@@ -262,7 +262,7 @@ impl PesosController {
         client_id: &str,
         certificates: &[Certificate],
         next_version: Option<u64>,
-        new_object_hash: Option<Vec<u8>>,
+        new_object_hash: Option<&[u8; 32]>,
     ) -> Result<Option<Arc<pesos_policy::CompiledPolicy>>, PesosError> {
         let Some(meta) = meta else {
             // No object yet: creation is governed by the policy supplied with
@@ -277,31 +277,28 @@ impl PesosController {
         };
         let policy = self.store.load_policy(&policy_id)?;
 
+        // The request as the evaluator sees it, borrowed from what this
+        // call already holds; the log's name is only built for a policy
+        // that mentions the `LOG` handle.
         let key = key.key();
-        let mut ctx = RequestContext::new(operation)
-            .with_session_key(client_id)
-            .with_now(self.now())
-            .bind(pesos_policy::parser::THIS_VAR, Value::Str(key.to_string()))
-            .bind(
-                pesos_policy::parser::LOG_VAR,
-                Value::Str(format!("{key}{LOG_SUFFIX}")),
-            );
-        if let Some(v) = next_version {
-            ctx = ctx.with_next_version(v);
-        }
-        if let Some(h) = new_object_hash {
-            ctx = ctx.with_new_object_hash(h);
-        }
-        if let Some(session) = self.sessions.get(client_id) {
-            if let Some(nonce) = session.issued_nonce {
-                ctx = ctx.with_freshness_nonce(nonce);
-            }
-        }
-        for cert in certificates {
-            ctx = ctx.with_certificate(cert.clone());
-        }
-
-        let decision = policy.evaluate(operation, &ctx, &self.store.view());
+        let log_key = policy.log_slot.map(|_| format!("{key}{LOG_SUFFIX}"));
+        let nonce = self.sessions.issued_nonce(client_id);
+        let request = Request {
+            session_key: Some(client_id),
+            certificates,
+            now: self.now(),
+            freshness_nonce: nonce.as_deref(),
+            next_version,
+            new_object_hash: new_object_hash.map(|hash| hash.as_slice()),
+            this: Some(ValueRef::Str(key)),
+            log: log_key.as_deref().map(ValueRef::Str),
+            bindings: &[],
+        };
+        // A lookup the drives could not answer is no decision at all:
+        // neither a grant nor a denial, the backend's failure.
+        let decision = policy
+            .evaluate_request(operation, &request, &self.store.view())
+            .map_err(|fault| PesosError::Backend(format!("policy check: {fault}")))?;
         if decision.allowed {
             Ok(Some(policy))
         } else {
@@ -387,7 +384,7 @@ impl PesosController {
                 client_id,
                 certificates,
                 Some(next_version),
-                Some(new_hash.to_vec()),
+                Some(&new_hash),
             )?;
 
             if let Some(id) = &policy_id {
@@ -454,7 +451,7 @@ impl PesosController {
             client_id,
             certificates,
             Some(next_version),
-            Some(new_hash.to_vec()),
+            Some(&new_hash),
         )?;
         if let Some(id) = &policy_id {
             self.store.load_policy(id)?;
@@ -732,7 +729,7 @@ impl PesosController {
                 client_id,
                 &[],
                 Some(next),
-                Some(hash.to_vec()),
+                Some(hash),
             )?;
         }
         for key in &read_keys {
@@ -1201,6 +1198,27 @@ mod tests {
         assert!(c.store().get_object("k").is_ok());
         c.set_failed(false);
         assert_eq!(&**c.get("alice", "k", &[]).unwrap().0, b"v");
+    }
+
+    #[test]
+    fn a_policy_that_could_never_hold_is_refused_at_install() {
+        let c = controller();
+        c.register_client("alice");
+        // `T` is compared before anything can have bound it; the evaluator
+        // used to install this and deny every request.
+        let source = "read :- sessionKeyIs(\"alice\")\nupdate :- le(T, 100)";
+        let refused = pesos_policy::compile(source).unwrap_err();
+        assert!(matches!(
+            &refused,
+            pesos_policy::PolicyError::UnboundVariable { variable, span, .. }
+                if variable == "T" && &source[span.start..span.end] == "le(T, 100)"
+        ));
+        assert_eq!(
+            c.put_policy("alice", source),
+            Err(PesosError::BadRequest(format!("policy error: {refused}")))
+        );
+        // Nothing was stored under the id the policy would have had.
+        assert_eq!(c.store().policy_cache_stats().entries, 0);
     }
 
     #[test]

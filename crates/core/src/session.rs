@@ -118,6 +118,13 @@ impl SessionManager {
         self.shard(client_id).lock().get(client_id).cloned()
     }
 
+    /// The freshness nonce most recently issued to `client_id`, if any
+    /// (nothing else of the session is copied).
+    pub fn issued_nonce(&self, client_id: &str) -> Option<Vec<u8>> {
+        let sessions = self.shard(client_id).lock();
+        sessions.get(client_id)?.issued_nonce.clone()
+    }
+
     /// Whether a session exists for `client_id` (no clone, no touch).
     pub fn contains(&self, client_id: &str) -> bool {
         self.shard(client_id).lock().contains_key(client_id)

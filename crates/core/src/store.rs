@@ -120,6 +120,7 @@
 //! twice. The compression-count budgets in `tests/digest_budget.rs` pin
 //! these invariants.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -128,7 +129,7 @@ use parking_lot::Mutex;
 use pesos_kinetic::{
     BatchOp, DriveSet, KineticClient, KineticError, Payload, StatusCode, MAX_BATCH_OPS,
 };
-use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, Tuple};
+use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, ViewFault};
 use pesos_sgx::{AsyscallInterface, CompletionPool, Enclave};
 
 use crate::config::ControllerConfig;
@@ -1006,9 +1007,12 @@ impl PesosStore {
         Ok(())
     }
 
-    /// Returns a read-only view adapter usable by the policy interpreter.
+    /// Returns a read-only view adapter for one policy evaluation.
     pub fn view(&self) -> StoreView<'_> {
-        StoreView { store: self }
+        StoreView {
+            store: self,
+            seen: RefCell::new(Vec::new()),
+        }
     }
 
     /// Number of objects resident in the in-enclave metadata map.
@@ -1225,57 +1229,115 @@ pub struct ObjectExport {
     pub versions: Vec<(u64, Vec<u8>)>,
 }
 
-/// Adapter exposing the store as an [`ObjectStoreView`] for policy checks.
+/// Adapter exposing the store as an [`ObjectStoreView`] for one policy
+/// evaluation.
+///
+/// Every fact of a key is answered from one metadata lookup: the view
+/// remembers the records (and the absences) it has looked up, so an
+/// evaluation sees each key as it was when first asked and pays for it
+/// once. That is also why a view must not outlive its evaluation.
+///
+/// A lookup the drives could not answer is a [`ViewFault`], never an
+/// absence: a fault under an `objSays` must not read as "no such tuple".
 pub struct StoreView<'a> {
     store: &'a PesosStore,
+    seen: RefCell<Vec<Seen>>,
+}
+
+/// What a view has learnt about one key.
+struct Seen {
+    /// The key's placement hash, computed once for the lookups that follow.
+    hash: u64,
+    /// The record, or the key the drives answered they hold none for.
+    record: Result<ObjectMetadata, String>,
+}
+
+fn view_fault(error: PesosError) -> ViewFault {
+    ViewFault(match error {
+        PesosError::Backend(message) => message,
+        other => other.to_string(),
+    })
+}
+
+impl StoreView<'_> {
+    /// Reads from the record of `key` (`None` if there is none), looking it
+    /// up on first use.
+    fn record<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&HashedKey<'_>, Option<&ObjectMetadata>) -> T,
+    ) -> Result<T, ViewFault> {
+        let mut seen = self.seen.borrow_mut();
+        let mut fresh = None;
+        let known = seen.iter().find(|seen| match &seen.record {
+            Ok(meta) => meta.key == key,
+            Err(absent) => absent == key,
+        });
+        let entry = match known {
+            Some(entry) => entry,
+            None => {
+                let hashed = HashedKey::new(key);
+                let record = self.store.lookup(&hashed).map_err(view_fault)?;
+                &*fresh.insert(Seen {
+                    hash: hashed.hash(),
+                    record: record.ok_or_else(|| key.to_string()),
+                })
+            }
+        };
+        let hashed = HashedKey::from_parts(key, entry.hash);
+        let out = read(&hashed, entry.record.as_ref().ok());
+        seen.extend(fresh);
+        Ok(out)
+    }
+
+    fn version_fact<T>(
+        &self,
+        key: &str,
+        version: u64,
+        read: impl FnOnce(&VersionMeta) -> T,
+    ) -> Result<Option<T>, ViewFault> {
+        self.record(key, |_, meta| meta?.version(version).map(read))
+    }
 }
 
 impl ObjectStoreView for StoreView<'_> {
-    fn exists(&self, key: &str) -> bool {
-        self.store.get_metadata(key).is_some()
+    fn current_version(&self, key: &str) -> Result<Option<u64>, ViewFault> {
+        self.record(key, |_, meta| meta.map(|m| m.latest_version))
     }
 
-    fn current_version(&self, key: &str) -> Option<u64> {
-        self.store.get_metadata(key).map(|m| m.latest_version)
+    fn object_size(&self, key: &str, version: u64) -> Result<Option<u64>, ViewFault> {
+        self.version_fact(key, version, |v| v.size)
     }
 
-    fn object_size(&self, key: &str, version: u64) -> Option<u64> {
-        self.store
-            .get_metadata(key)
-            .and_then(|m| m.version(version).map(|v| v.size))
+    fn object_hash(&self, key: &str, version: u64) -> Result<Option<Vec<u8>>, ViewFault> {
+        self.version_fact(key, version, |v| v.value_hash.as_slice().to_vec())
     }
 
-    fn object_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
-        self.store
-            .get_metadata(key)
-            .and_then(|m| m.version(version).map(|v| v.value_hash.as_slice().to_vec()))
+    fn policy_hash(&self, key: &str, version: u64) -> Result<Option<Vec<u8>>, ViewFault> {
+        self.version_fact(key, version, |v| v.policy_hash.as_slice().to_vec())
     }
 
-    fn policy_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
-        self.store.get_metadata(key).and_then(|m| {
-            m.version(version)
-                .map(|v| v.policy_hash.as_slice().to_vec())
-        })
-    }
-
-    fn object_tuples(&self, key: &str, version: u64) -> Vec<Tuple> {
-        // Objects accessed during policy evaluation are cached so that
-        // content-based policies avoid repeated disk reads (paper §4.2).
-        let contents = if let Some((cached, cached_version)) = self.store.object_cache.get(key) {
-            if cached_version == version {
-                Some((*cached).clone())
-            } else {
-                self.store.get_object_version(key, version).ok()
+    fn object_contents(&self, key: &str, version: u64) -> Result<Option<Arc<Vec<u8>>>, ViewFault> {
+        self.record(key, |key, meta| {
+            // A version the record does not list has no contents to ask
+            // the drives for.
+            if meta.and_then(|m| m.version(version)).is_none() {
+                return Ok(None);
             }
-        } else {
-            self.store.get_object_version(key, version).ok()
-        };
-        match contents {
-            Some(bytes) => std::str::from_utf8(&bytes)
-                .map(|text| text.lines().filter_map(Tuple::parse).collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        }
+            // Objects accessed during policy evaluation are served from the
+            // object cache, so that content-based policies avoid repeated
+            // disk reads (paper §4.2); the cached bytes are lent, not copied.
+            if let Some((cached, cached_version)) = self.store.object_cache.get(key) {
+                if cached_version == version {
+                    return Ok(Some(cached));
+                }
+            }
+            match self.store.get_object_version(key, version) {
+                Ok(contents) => Ok(Some(Arc::new(contents))),
+                Err(PesosError::ObjectNotFound(_)) => Ok(None),
+                Err(fault) => Err(view_fault(fault)),
+            }
+        })?
     }
 }
 
@@ -1695,17 +1757,26 @@ mod tests {
         s.put_object("doc.log", b"read(\"doc\",0,\"alice\")", None)
             .unwrap();
         let view = s.view();
-        assert!(view.exists("doc"));
-        assert!(!view.exists("nope"));
-        assert_eq!(view.current_version("doc"), Some(0));
-        assert_eq!(view.object_size("doc", 0), Some(11));
+        assert_eq!(view.exists("doc"), Ok(true));
+        assert_eq!(view.exists("nope"), Ok(false));
+        assert_eq!(view.current_version("doc"), Ok(Some(0)));
+        assert_eq!(view.object_size("doc", 0), Ok(Some(11)));
         assert_eq!(
-            view.object_hash("doc", 0).unwrap(),
+            view.object_hash("doc", 0).unwrap().unwrap(),
             pesos_crypto::sha256(b"hello world").to_vec()
         );
-        let tuples = view.object_tuples("doc.log", 0);
-        assert_eq!(tuples.len(), 1);
-        assert_eq!(tuples[0].name, "read");
+        // The cached contents are lent, not copied.
+        let contents = view.object_contents("doc.log", 0).unwrap().unwrap();
+        let (cached, _) = s.object_cache.get("doc.log").unwrap();
+        assert!(Arc::ptr_eq(&contents, &cached));
+        assert_eq!(&**contents, b"read(\"doc\",0,\"alice\")");
+        assert_eq!(view.object_contents("doc.log", 7), Ok(None));
+
+        // A view is one evaluation's snapshot of each key it has asked
+        // about; the next view sees the store as it is then.
+        s.put_object("doc", b"v1", None).unwrap();
+        assert_eq!(view.current_version("doc"), Ok(Some(0)));
+        assert_eq!(s.view().current_version("doc"), Ok(Some(1)));
     }
 
     #[test]

@@ -468,6 +468,73 @@ fn a_drive_fault_is_never_read_as_no_object_no_policy() {
     assert_eq!(&**c.get("alice", "doc", &[]).unwrap().0, b"secret");
 }
 
+/// A policy that reads its log: a drive that cannot produce the log
+/// version the check needs leaves the check without an answer. At the
+/// parent commit the view read the fault as "no tuples" and denied.
+#[test]
+fn a_drive_fault_under_an_objsays_lookup_is_a_backend_error_not_a_decision() {
+    let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
+    let drive = Arc::clone(c.store().drives().get(0).unwrap());
+    for client in ["alice", "bob", "eve"] {
+        c.register_client(client);
+    }
+    // `pinned` names the log version it reads; `searched` walks back from
+    // the latest. Bob's grant is in version 0 — once version 1 is written
+    // the object cache no longer holds it — Alice's in the cached latest.
+    let pinned = "read :- sessionKeyIs(U) and objSays(LOG, 0, 'grant'(U))\n\
+                  update :- sessionKeyIs(\"alice\")";
+    let searched = "read :- sessionKeyIs(U) and objSays(LOG, V, 'grant'(U))\n\
+                    update :- sessionKeyIs(\"alice\")";
+    for (key, policy) in [("pinned", pinned), ("searched", searched)] {
+        let policy = c.put_policy("alice", policy).unwrap();
+        let log = format!("{key}.log");
+        c.put("alice", log.as_str(), b"grant(\"bob\")", None, None, &[])
+            .unwrap();
+        c.put("alice", log.as_str(), b"grant(\"alice\")", None, None, &[])
+            .unwrap();
+        c.put("alice", key, b"secret", Some(policy), None, &[])
+            .unwrap();
+    }
+    let read = |client: &str, key: &str| c.get(client, key, &[]).map(drop);
+    let healthy = |c: &PesosController| {
+        assert_eq!(c.get("bob", "pinned", &[]).map(drop), Ok(()));
+        assert_eq!(c.get("bob", "searched", &[]).map(drop), Ok(()));
+        for key in ["pinned", "searched"] {
+            assert!(matches!(
+                c.get("eve", key, &[]),
+                Err(PesosError::PolicyDenied(_))
+            ));
+        }
+    };
+    healthy(&c);
+
+    drive.inject_faults(FaultPlan::errors(5, 1.0));
+    // Whoever's answer lies in the uncached version gets neither a grant
+    // nor a denial...
+    for (client, key) in [
+        ("bob", "pinned"),
+        ("eve", "pinned"),
+        ("bob", "searched"),
+        ("eve", "searched"),
+    ] {
+        assert!(
+            matches!(read(client, key), Err(PesosError::Backend(_))),
+            "{client} reading {key}: {:?}",
+            read(client, key)
+        );
+    }
+    // ...and a check the cached version settles needs no drive at all.
+    assert_eq!(read("alice", "searched"), Ok(()));
+    // So does one that never learns whether the log exists.
+    forget(&c, "searched.log");
+    assert!(matches!(
+        read("alice", "searched"),
+        Err(PesosError::Backend(_))
+    ));
+    drive.clear_faults();
+    healthy(&c);
+}
+
 #[test]
 fn a_refusal_at_commit_proceeds_inside_the_store() {
     // Prepare asks the drives when it promises (so does `put_async`, whose

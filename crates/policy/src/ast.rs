@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::context::Operation;
+use crate::error::Span;
 use crate::value::Value;
 
 /// An argument expression.
@@ -54,6 +55,8 @@ pub struct PredicateCall {
     pub name: String,
     /// Argument expressions.
     pub args: Vec<Expr>,
+    /// Where the call stands in the source text.
+    pub span: Span,
 }
 
 /// A conjunction of predicates; all must hold.
@@ -144,6 +147,7 @@ mod tests {
         let call = PredicateCall {
             name: "eq".into(),
             args: vec![Expr::Literal(Value::Int(1)), Expr::Literal(Value::Int(1))],
+            span: Span::default(),
         };
         ast.permissions.insert(
             Operation::Read,

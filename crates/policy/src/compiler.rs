@@ -9,6 +9,12 @@
 //! for storage on the Kinetic drives and is identified by the SHA-256 of
 //! that encoding ([`PolicyId`]), which is also what the `objPolicy`
 //! predicate compares against.
+//!
+//! Whenever a policy is loaded — compiled from text or decoded from its
+//! stored bytes — the mode analysis (`program.rs`) turns that stored form
+//! into the typed instructions the evaluator runs. The instructions are
+//! derived, never stored: bytes and identifiers depend only on the form
+//! above.
 
 use std::collections::BTreeMap;
 
@@ -16,9 +22,10 @@ use pesos_wire::codec::{FieldReader, FieldWriter};
 
 use crate::ast::{Expr, PolicyAst};
 use crate::context::Operation;
-use crate::error::PolicyError;
+use crate::error::{PolicyError, Span};
 use crate::parser::{parse, LOG_VAR, THIS_VAR};
 use crate::predicates::Predicate;
+use crate::program::{self, Program};
 use crate::value::{Tuple, Value};
 
 /// Identifier of a compiled policy: the SHA-256 of its binary encoding.
@@ -79,17 +86,22 @@ pub struct CompiledCondition {
     pub conjunctions: Vec<CompiledConjunction>,
 }
 
+/// Conditions per operation.
+pub(crate) type Permissions = BTreeMap<Operation, CompiledCondition>;
+
 /// A fully compiled policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledPolicy {
     /// Conditions per operation.
-    pub permissions: BTreeMap<Operation, CompiledCondition>,
+    pub permissions: Permissions,
     /// Interned variable names; index = variable slot.
     pub variables: Vec<String>,
     /// Slot of the `THIS` handle, if referenced.
     pub this_slot: Option<u16>,
     /// Slot of the `LOG` handle, if referenced.
     pub log_slot: Option<u16>,
+    /// What the evaluator runs: `permissions` after mode analysis.
+    pub(crate) program: Program,
 }
 
 /// Compiles policy source text.
@@ -100,8 +112,19 @@ pub fn compile(source: &str) -> Result<CompiledPolicy, PolicyError> {
 
 /// Compiles an already parsed policy.
 pub fn compile_ast(ast: &PolicyAst) -> Result<CompiledPolicy, PolicyError> {
+    let (permissions, variables, spans) = intern(ast)?;
+    CompiledPolicy::load(permissions, variables, &spans)
+}
+
+/// The stored form of `ast` — predicate names resolved, arities checked,
+/// variables interned — and the source range of each predicate call in
+/// visiting order.
+pub(crate) fn intern(
+    ast: &PolicyAst,
+) -> Result<(Permissions, Vec<String>, Vec<Span>), PolicyError> {
     let mut variables: Vec<String> = Vec::new();
     let mut permissions = BTreeMap::new();
+    let mut spans = Vec::new();
 
     for (op, condition) in &ast.permissions {
         let mut compiled_condition = CompiledCondition::default();
@@ -118,27 +141,13 @@ pub fn compile_ast(ast: &PolicyAst) -> Result<CompiledPolicy, PolicyError> {
                 compiled_conjunction
                     .predicates
                     .push(CompiledPredicate { predicate, args });
+                spans.push(call.span);
             }
             compiled_condition.conjunctions.push(compiled_conjunction);
         }
         permissions.insert(*op, compiled_condition);
     }
-
-    let this_slot = variables
-        .iter()
-        .position(|v| v == THIS_VAR)
-        .map(|i| i as u16);
-    let log_slot = variables
-        .iter()
-        .position(|v| v == LOG_VAR)
-        .map(|i| i as u16);
-
-    Ok(CompiledPolicy {
-        permissions,
-        variables,
-        this_slot,
-        log_slot,
-    })
+    Ok((permissions, variables, spans))
 }
 
 fn intern_var(name: &str, variables: &mut Vec<String>) -> u16 {
@@ -167,6 +176,31 @@ fn intern_expr(expr: &Expr, variables: &mut Vec<String>) -> CompiledExpr {
 }
 
 impl CompiledPolicy {
+    /// A policy from its stored form: locates the handles and runs the mode
+    /// analysis, which refuses a conjunction that could never hold.
+    fn load(
+        permissions: Permissions,
+        variables: Vec<String>,
+        spans: &[Span],
+    ) -> Result<Self, PolicyError> {
+        let slot_of = |name: &str| {
+            variables
+                .iter()
+                .position(|v| v == name)
+                .and_then(|i| u16::try_from(i).ok())
+        };
+        let this_slot = slot_of(THIS_VAR);
+        let log_slot = slot_of(LOG_VAR);
+        let program = program::analyse(&permissions, &variables, [this_slot, log_slot], spans)?;
+        Ok(CompiledPolicy {
+            permissions,
+            variables,
+            this_slot,
+            log_slot,
+            program,
+        })
+    }
+
     /// Number of variable slots the evaluation environment needs.
     pub fn slot_count(&self) -> usize {
         self.variables.len()
@@ -290,20 +324,7 @@ impl CompiledPolicy {
             }
         }
 
-        let this_slot = variables
-            .iter()
-            .position(|v| v == THIS_VAR)
-            .map(|i| i as u16);
-        let log_slot = variables
-            .iter()
-            .position(|v| v == LOG_VAR)
-            .map(|i| i as u16);
-        Ok(CompiledPolicy {
-            permissions,
-            variables,
-            this_slot,
-            log_slot,
-        })
+        CompiledPolicy::load(permissions, variables, &[])
     }
 }
 
@@ -347,7 +368,14 @@ fn decode_expr(data: &[u8]) -> Result<CompiledExpr, PolicyError> {
     for f in &fields {
         match f.number {
             1 => return decode_value(f.data).map(CompiledExpr::Literal),
-            2 => return Ok(CompiledExpr::Var((f.value - 1) as u16)),
+            2 => {
+                return f
+                    .value
+                    .checked_sub(1)
+                    .and_then(|slot| u16::try_from(slot).ok())
+                    .map(CompiledExpr::Var)
+                    .ok_or_else(|| PolicyError::CorruptBinary("variable slot".into()))
+            }
             3 => add_lhs = Some(decode_expr(f.data)?),
             4 => add_rhs = Some(decode_expr(f.data)?),
             5 => {

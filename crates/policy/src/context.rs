@@ -1,10 +1,14 @@
-//! Request context and object views consumed by the policy interpreter.
+//! Request context and object views consumed by the policy evaluator.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pesos_crypto::Certificate;
 
-use crate::value::{Tuple, Value};
+use crate::error::ViewFault;
+use crate::interpreter::ObjectStoreView;
+use crate::parser::{LOG_VAR, THIS_VAR};
+use crate::value::{Value, ValueRef};
 
 /// The operation a permission clause governs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +43,39 @@ impl Operation {
     }
 }
 
-/// Everything the interpreter may consult about the *request* being checked.
+/// Everything the evaluator may consult about the *request* being checked,
+/// borrowed from wherever the caller already holds it: building one copies
+/// nothing. [`RequestContext`] is the owning builder for callers that have
+/// nothing to borrow from.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Request<'a> {
+    /// Identity of the authenticated session (hex key fingerprint or any
+    /// stable identifier the controller chooses).
+    pub session_key: Option<&'a str>,
+    /// Certificates presented alongside the request (`certificateSays`).
+    pub certificates: &'a [Certificate],
+    /// The controller's current time (seconds), used for certificate
+    /// validity and freshness checks.
+    pub now: u64,
+    /// Freshness nonce previously issued by Pesos for time queries.
+    pub freshness_nonce: Option<&'a [u8]>,
+    /// The version number supplied with a put/update request
+    /// (`nextVersion`).
+    pub next_version: Option<u64>,
+    /// Hash of the incoming object value (the "next" version's hash).
+    pub new_object_hash: Option<&'a [u8]>,
+    /// The `THIS` handle: the accessed object's key.
+    pub this: Option<ValueRef<'a>>,
+    /// The `LOG` handle: the key of the object's log. Only a policy with a
+    /// [`crate::CompiledPolicy::log_slot`] reads it.
+    pub log: Option<ValueRef<'a>>,
+    /// Any other pre-bound variables, by name. The mode analysis knows only
+    /// the two handles as bound on entry, so a name given here is compared
+    /// where the policy would otherwise capture it.
+    pub bindings: &'a [(String, Value)],
+}
+
+/// The owning form of a [`Request`], built up call by call.
 #[derive(Debug, Clone, Default)]
 pub struct RequestContext {
     /// The operation being attempted.
@@ -59,8 +95,12 @@ pub struct RequestContext {
     pub next_version: Option<u64>,
     /// Hash of the incoming object value (the "next" version's hash).
     pub new_object_hash: Option<Vec<u8>>,
-    /// Pre-bound variables, e.g. `THIS` → accessed key, `LOG` → log key.
-    pub bindings: BTreeMap<String, Value>,
+    /// The `THIS` handle, if bound.
+    pub this: Option<Value>,
+    /// The `LOG` handle, if bound.
+    pub log: Option<Value>,
+    /// Other pre-bound variables, by name.
+    pub bindings: Vec<(String, Value)>,
 }
 
 impl RequestContext {
@@ -102,9 +142,20 @@ impl RequestContext {
         self
     }
 
-    /// Pre-binds a variable (e.g. `THIS`).
-    pub fn bind(mut self, name: impl Into<String>, value: Value) -> Self {
-        self.bindings.insert(name.into(), value);
+    /// Pre-binds a variable: one of the handles `THIS` and `LOG`, or any
+    /// other name (see [`Request::bindings`]). Binding a name again replaces
+    /// its value.
+    pub fn bind(mut self, name: impl AsRef<str>, value: Value) -> Self {
+        let name = name.as_ref();
+        if name == THIS_VAR {
+            self.this = Some(value);
+        } else if name == LOG_VAR {
+            self.log = Some(value);
+        } else if let Some(bound) = self.bindings.iter_mut().find(|(n, _)| n == name) {
+            bound.1 = value;
+        } else {
+            self.bindings.push((name.to_string(), value));
+        }
         self
     }
 
@@ -112,6 +163,21 @@ impl RequestContext {
     pub fn with_freshness_nonce(mut self, nonce: Vec<u8>) -> Self {
         self.freshness_nonce = Some(nonce);
         self
+    }
+
+    /// The borrowed form the evaluator takes.
+    pub fn as_request(&self) -> Request<'_> {
+        Request {
+            session_key: self.session_key.as_deref(),
+            certificates: &self.certificates,
+            now: self.now,
+            freshness_nonce: self.freshness_nonce.as_deref(),
+            next_version: self.next_version,
+            new_object_hash: self.new_object_hash.as_deref(),
+            this: self.this.as_ref().map(Value::as_ref),
+            log: self.log.as_ref().map(Value::as_ref),
+            bindings: &self.bindings,
+        }
     }
 }
 
@@ -124,18 +190,16 @@ pub struct ObjectFacts {
     pub hash: Vec<u8>,
     /// Hash of the policy associated with the object.
     pub policy_hash: Vec<u8>,
-    /// Tuples parsed from the object contents (for `objSays`).
-    pub tuples: Vec<Tuple>,
+    /// The object contents (`objSays` reads its lines as tuples).
+    pub contents: Arc<Vec<u8>>,
 }
 
-/// A simple in-memory [`crate::interpreter::ObjectStoreView`] used by tests,
-/// examples and the controller's object-cache adapter.
+/// A simple in-memory [`ObjectStoreView`] used by tests and examples; it
+/// never faults.
 #[derive(Debug, Clone, Default)]
 pub struct StaticObjectView {
-    /// Latest version per key.
-    pub latest: BTreeMap<String, u64>,
-    /// Facts per (key, version).
-    pub facts: BTreeMap<(String, u64), ObjectFacts>,
+    /// Facts per key and version; a key's latest version is its highest.
+    pub objects: BTreeMap<String, BTreeMap<u64, ObjectFacts>>,
 }
 
 impl StaticObjectView {
@@ -144,23 +208,16 @@ impl StaticObjectView {
         Self::default()
     }
 
-    /// Records `facts` as version `version` of `key`, updating the latest
-    /// version if needed.
+    /// Records `facts` as version `version` of `key`.
     pub fn insert(&mut self, key: impl Into<String>, version: u64, facts: ObjectFacts) {
-        let key = key.into();
-        let latest = self.latest.entry(key.clone()).or_insert(version);
-        if version > *latest {
-            *latest = version;
-        }
-        self.facts.insert((key, version), facts);
+        self.objects
+            .entry(key.into())
+            .or_default()
+            .insert(version, facts);
     }
 
-    /// Convenience: records an object version from its raw contents, parsing
-    /// newline-separated tuples for `objSays`.
+    /// Convenience: records an object version from its raw contents.
     pub fn insert_contents(&mut self, key: impl Into<String>, version: u64, contents: &[u8]) {
-        let tuples = std::str::from_utf8(contents)
-            .map(|text| text.lines().filter_map(Tuple::parse).collect())
-            .unwrap_or_default();
         self.insert(
             key,
             version,
@@ -168,49 +225,42 @@ impl StaticObjectView {
                 size: contents.len() as u64,
                 hash: pesos_crypto::sha256(contents).to_vec(),
                 policy_hash: Vec::new(),
-                tuples,
+                contents: Arc::new(contents.to_vec()),
             },
         );
     }
+
+    fn facts(&self, key: &str, version: u64) -> Option<&ObjectFacts> {
+        self.objects.get(key)?.get(&version)
+    }
 }
 
-impl crate::interpreter::ObjectStoreView for StaticObjectView {
-    fn exists(&self, key: &str) -> bool {
-        self.latest.contains_key(key)
+impl ObjectStoreView for StaticObjectView {
+    fn current_version(&self, key: &str) -> Result<Option<u64>, ViewFault> {
+        let versions = self.objects.get(key);
+        Ok(versions.and_then(|v| v.keys().next_back().copied()))
     }
 
-    fn current_version(&self, key: &str) -> Option<u64> {
-        self.latest.get(key).copied()
+    fn object_size(&self, key: &str, version: u64) -> Result<Option<u64>, ViewFault> {
+        Ok(self.facts(key, version).map(|f| f.size))
     }
 
-    fn object_size(&self, key: &str, version: u64) -> Option<u64> {
-        self.facts.get(&(key.to_string(), version)).map(|f| f.size)
+    fn object_hash(&self, key: &str, version: u64) -> Result<Option<Vec<u8>>, ViewFault> {
+        Ok(self.facts(key, version).map(|f| f.hash.clone()))
     }
 
-    fn object_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
-        self.facts
-            .get(&(key.to_string(), version))
-            .map(|f| f.hash.clone())
+    fn policy_hash(&self, key: &str, version: u64) -> Result<Option<Vec<u8>>, ViewFault> {
+        Ok(self.facts(key, version).map(|f| f.policy_hash.clone()))
     }
 
-    fn policy_hash(&self, key: &str, version: u64) -> Option<Vec<u8>> {
-        self.facts
-            .get(&(key.to_string(), version))
-            .map(|f| f.policy_hash.clone())
-    }
-
-    fn object_tuples(&self, key: &str, version: u64) -> Vec<Tuple> {
-        self.facts
-            .get(&(key.to_string(), version))
-            .map(|f| f.tuples.clone())
-            .unwrap_or_default()
+    fn object_contents(&self, key: &str, version: u64) -> Result<Option<Arc<Vec<u8>>>, ViewFault> {
+        Ok(self.facts(key, version).map(|f| Arc::clone(&f.contents)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpreter::ObjectStoreView;
 
     #[test]
     fn operation_parsing() {
@@ -232,18 +282,20 @@ mod tests {
             b"read(\"obj\",0,\"alice\")\nwrite(\"obj\",0,\"bob\")",
         );
 
-        assert!(view.exists("obj"));
-        assert!(!view.exists("other"));
-        assert_eq!(view.current_version("obj"), Some(1));
-        assert_eq!(view.object_size("obj", 0), Some(5));
+        assert_eq!(view.exists("obj"), Ok(true));
+        assert_eq!(view.exists("other"), Ok(false));
+        assert_eq!(view.current_version("obj"), Ok(Some(1)));
+        assert_eq!(view.object_size("obj", 0), Ok(Some(5)));
         assert_eq!(
-            view.object_hash("obj", 0).unwrap(),
+            view.object_hash("obj", 0).unwrap().unwrap(),
             pesos_crypto::sha256(b"hello").to_vec()
         );
-        let tuples = view.object_tuples("obj", 1);
+        let contents = view.object_contents("obj", 1).unwrap().unwrap();
+        let text = std::str::from_utf8(&contents).unwrap();
+        let tuples: Vec<_> = text.lines().filter_map(crate::Tuple::parse).collect();
         assert_eq!(tuples.len(), 2);
         assert_eq!(tuples[0].name, "read");
-        assert!(view.object_tuples("obj", 9).is_empty());
+        assert_eq!(view.object_contents("obj", 9), Ok(None));
     }
 
     #[test]
@@ -258,6 +310,13 @@ mod tests {
         assert_eq!(ctx.operation, Some(Operation::Update));
         assert_eq!(ctx.session_key.as_deref(), Some("alice"));
         assert_eq!(ctx.next_version, Some(3));
-        assert_eq!(ctx.bindings.get("THIS"), Some(&Value::Str("obj".into())));
+        assert_eq!(ctx.this, Some(Value::Str("obj".into())));
+        let request = ctx.as_request();
+        assert_eq!(request.session_key, Some("alice"));
+        assert_eq!(request.this, Some(ValueRef::Str("obj")));
+        assert_eq!(request.log, None);
+        // Any other name is kept by name; binding it again replaces it.
+        let ctx = ctx.bind("X", Value::Int(1)).bind("X", Value::Int(2));
+        assert_eq!(ctx.bindings, vec![("X".to_string(), Value::Int(2))]);
     }
 }

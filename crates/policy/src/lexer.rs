@@ -7,7 +7,7 @@
 //! connectives in both ASCII (`and`, `or`, `&`, `|`) and Unicode (`∧`, `∨`)
 //! spellings, parentheses, commas and `+` for version arithmetic.
 
-use crate::error::PolicyError;
+use crate::error::{PolicyError, Span};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,145 +38,99 @@ pub enum Token {
 
 /// Tokenizes policy text.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, PolicyError> {
-    let chars: Vec<char> = input.chars().collect();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
+    Ok(tokenize_spanned(input)?
+        .into_iter()
+        .map(|(token, _)| token)
+        .collect())
+}
 
-    while i < chars.len() {
-        // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '%' | '#' => {
-                // Comment to end of line.
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '&' => {
-                tokens.push(Token::And);
-                i += 1;
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                if i < chars.len() && chars[i] == '&' {
-                    i += 1;
-                }
-            }
-            '|' => {
-                tokens.push(Token::Or);
-                i += 1;
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                if i < chars.len() && chars[i] == '|' {
-                    i += 1;
-                }
-            }
-            '∧' => {
-                tokens.push(Token::And);
-                i += 1;
-            }
-            '∨' => {
-                tokens.push(Token::Or);
-                i += 1;
-            }
+/// Tokenizes policy text, keeping each token's byte range so that a later
+/// stage can point at the source.
+pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, Span)>, PolicyError> {
+    let mut tokens = Vec::new();
+    let mut rest = input;
+    // The offset of `rest` in `input`. Every cut below is at an offset
+    // `find` reported or one character's own length, so none splits a
+    // character.
+    let at = |rest: &str| input.len() - rest.len();
+
+    while let Some(c) = rest.chars().next() {
+        let start = at(rest);
+        // How many bytes of `rest` the token takes, and the token (none for
+        // whitespace and comments).
+        let (len, token) = match c {
+            ' ' | '\t' | '\r' | '\n' => (1, None),
+            '%' | '#' => (rest.find('\n').unwrap_or(rest.len()), None),
+            '(' => (1, Some(Token::LParen)),
+            ')' => (1, Some(Token::RParen)),
+            ',' => (1, Some(Token::Comma)),
+            '+' => (1, Some(Token::Plus)),
+            '&' => (leading(rest, |c| c == '&').min(2), Some(Token::And)),
+            '|' => (leading(rest, |c| c == '|').min(2), Some(Token::Or)),
+            '∧' => (c.len_utf8(), Some(Token::And)),
+            '∨' => (c.len_utf8(), Some(Token::Or)),
+            ':' if rest.starts_with(":-") => (2, Some(Token::Turnstile)),
             ':' => {
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                if i + 1 < chars.len() && chars[i + 1] == '-' {
-                    tokens.push(Token::Turnstile);
-                    i += 2;
-                } else {
-                    return Err(PolicyError::LexError {
-                        position: i,
-                        message: "expected ':-'".to_string(),
-                    });
-                }
+                return Err(PolicyError::LexError {
+                    position: start,
+                    message: "expected ':-'".to_string(),
+                })
             }
             '"' | '\'' => {
-                let quote = c;
-                let start = i + 1;
-                let mut j = start;
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                while j < chars.len() && chars[j] != quote {
-                    j += 1;
-                }
-                if j >= chars.len() {
-                    return Err(PolicyError::LexError {
-                        position: i,
-                        message: "unterminated string literal".to_string(),
-                    });
-                }
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                tokens.push(Token::Str(chars[start..j].iter().collect()));
-                i = j + 1;
+                let body = rest.get(1..).unwrap_or_default();
+                let close = body.find(c).ok_or_else(|| PolicyError::LexError {
+                    position: start,
+                    message: "unterminated string literal".to_string(),
+                })?;
+                let text = body.get(..close).unwrap_or_default();
+                (close + 2, Some(Token::Str(text.to_string())))
             }
             '-' | '0'..='9' => {
-                let start = i;
-                let mut j = i;
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                if chars[j] == '-' {
-                    j += 1;
-                }
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                while j < chars.len() && chars[j].is_ascii_digit() {
-                    j += 1;
-                }
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                let text: String = chars[start..j].iter().collect();
+                let sign = usize::from(c == '-');
+                let digits = leading(rest.get(sign..).unwrap_or_default(), |c| c.is_ascii_digit());
+                let text = rest.get(..sign + digits).unwrap_or_default();
                 let value = text.parse::<i64>().map_err(|_| PolicyError::LexError {
                     position: start,
                     message: format!("invalid integer {text:?}"),
                 })?;
-                tokens.push(Token::Int(value));
-                i = j;
+                (text.len(), Some(Token::Int(value)))
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < chars.len()
-                    // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                    && (chars[j].is_alphanumeric() || chars[j] == '_' || chars[j] == '-')
-                {
-                    j += 1;
-                }
-                // pesos-lint: allow(panic_freedom, "scan index is guarded by the enclosing length check")
-                let word: String = chars[start..j].iter().collect();
-                i = j;
-                match word.to_ascii_lowercase().as_str() {
-                    "and" => tokens.push(Token::And),
-                    "or" => tokens.push(Token::Or),
-                    _ => {
-                        if word.chars().next().is_some_and(char::is_uppercase) {
-                            tokens.push(Token::Variable(word));
-                        } else {
-                            tokens.push(Token::Ident(word));
-                        }
-                    }
-                }
+                let len = leading(rest, |c| c.is_alphanumeric() || c == '_' || c == '-');
+                let word = rest.get(..len).unwrap_or_default();
+                let token = match word.to_ascii_lowercase().as_str() {
+                    "and" => Token::And,
+                    "or" => Token::Or,
+                    _ if c.is_uppercase() => Token::Variable(word.to_string()),
+                    _ => Token::Ident(word.to_string()),
+                };
+                (len, Some(token))
             }
             other => {
                 return Err(PolicyError::LexError {
-                    position: i,
+                    position: start,
                     message: format!("unexpected character {other:?}"),
                 })
             }
+        };
+        if let Some(token) = token {
+            tokens.push((
+                token,
+                Span {
+                    start,
+                    end: start + len,
+                },
+            ));
         }
+        rest = rest.get(len..).unwrap_or_default();
     }
     Ok(tokens)
+}
+
+/// Length in bytes of the longest prefix of `text` whose characters all
+/// satisfy `keep`.
+fn leading(text: &str, keep: impl Fn(char) -> bool) -> usize {
+    text.find(|c| !keep(c)).unwrap_or(text.len())
 }
 
 #[cfg(test)]
@@ -258,5 +212,34 @@ mod tests {
         let tokens = tokenize("objId(THIS, o)").unwrap();
         assert_eq!(tokens[2], Token::Variable("THIS".into()));
         assert_eq!(tokens[4], Token::Ident("o".into()));
+    }
+
+    #[test]
+    fn spans_are_byte_ranges_of_the_source() {
+        let source = "read :- eq(X, \"é\") ∧ ge(N, -12) % done";
+        let spanned = tokenize_spanned(source).unwrap();
+        let text: Vec<_> = spanned
+            .iter()
+            .map(|(_, span)| &source[span.start..span.end])
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "read", ":-", "eq", "(", "X", ",", "\"é\"", ")", "∧", "ge", "(", "N", ",", "-12",
+                ")"
+            ]
+        );
+        assert_eq!(
+            tokenize("a(X) &&& b(Y)")
+                .unwrap()
+                .iter()
+                .filter(|t| **t == Token::And)
+                .count(),
+            2
+        );
+        assert!(matches!(
+            tokenize("eq(1, 2) @"),
+            Err(PolicyError::LexError { position: 9, .. })
+        ));
     }
 }

@@ -21,8 +21,8 @@
 
 use crate::ast::{Condition, Conjunction, Expr, PolicyAst, PredicateCall};
 use crate::context::Operation;
-use crate::error::PolicyError;
-use crate::lexer::{tokenize, Token};
+use crate::error::{PolicyError, Span};
+use crate::lexer::{tokenize_spanned, Token};
 use crate::value::Value;
 
 /// Special variable bound to the accessed object's key.
@@ -32,12 +32,12 @@ pub const LOG_VAR: &str = "LOG";
 
 /// Parses policy source text into an AST.
 pub fn parse(input: &str) -> Result<PolicyAst, PolicyError> {
-    let tokens = tokenize(input)?;
+    let tokens = tokenize_spanned(input)?;
     Parser { tokens, pos: 0 }.parse_policy()
 }
 
 struct Parser {
-    tokens: Vec<Token>,
+    tokens: Vec<(Token, Span)>,
     pos: usize,
 }
 
@@ -49,16 +49,32 @@ impl Parser {
         }
     }
 
+    fn token(&self, pos: usize) -> Option<&Token> {
+        self.tokens.get(pos).map(|(token, _)| token)
+    }
+
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.token(self.pos)
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self.peek().cloned();
         if t.is_some() {
             self.pos += 1;
         }
         t
+    }
+
+    /// The source range from the token at `first` to the last one consumed.
+    fn span_since(&self, first: usize) -> Span {
+        let edge = |pos: usize| self.tokens.get(pos).map(|(_, span)| *span);
+        match (edge(first), self.pos.checked_sub(1).and_then(edge)) {
+            (Some(first), Some(last)) => Span {
+                start: first.start,
+                end: last.end,
+            },
+            _ => Span::default(),
+        }
     }
 
     fn expect(&mut self, expected: &Token) -> Result<(), PolicyError> {
@@ -99,7 +115,7 @@ impl Parser {
     fn at_clause_boundary(&self) -> bool {
         // A clause ends when the next tokens are `<permission> :-` or input
         // is exhausted.
-        match (self.tokens.get(self.pos), self.tokens.get(self.pos + 1)) {
+        match (self.token(self.pos), self.token(self.pos + 1)) {
             (Some(Token::Ident(name)), Some(Token::Turnstile)) => Operation::parse(name).is_some(),
             (None, _) => true,
             _ => false,
@@ -143,6 +159,7 @@ impl Parser {
     }
 
     fn parse_predicate(&mut self) -> Result<PredicateCall, PolicyError> {
+        let first = self.pos;
         let name = match self.next() {
             Some(Token::Ident(name)) => name,
             other => return Err(self.error(format!("expected predicate name, found {other:?}"))),
@@ -157,7 +174,11 @@ impl Parser {
             }
         }
         self.expect(&Token::RParen)?;
-        Ok(PredicateCall { name, args })
+        Ok(PredicateCall {
+            name,
+            args,
+            span: self.span_since(first),
+        })
     }
 
     fn parse_expr(&mut self) -> Result<Expr, PolicyError> {

@@ -29,42 +29,14 @@ impl Tuple {
     ///
     /// Arguments are parsed as integers when possible and strings otherwise;
     /// nested tuples are not supported in the textual form. This is the
-    /// format Pesos expects for the content of `objSays` log objects.
+    /// format Pesos expects for the content of `objSays` log objects; the
+    /// grammar itself is [`TupleText`]'s, this only copies what it found.
     pub fn parse(text: &str) -> Option<Tuple> {
-        let text = text.trim();
-        let open = text.find('(')?;
-        if !text.ends_with(')') {
-            return None;
-        }
-        // pesos-lint: allow(panic_freedom, "open is an index find() returned on this string")
-        let name = text[..open].trim();
-        if name.is_empty() {
-            return None;
-        }
-        // pesos-lint: allow(panic_freedom, "bounded by the find of the opening paren and the ends_with close-paren check")
-        let inner = &text[open + 1..text.len() - 1];
-        let args = if inner.trim().is_empty() {
-            Vec::new()
-        } else {
-            inner
-                .split(',')
-                .map(|a| {
-                    let a = a.trim();
-                    let unquoted = a
-                        .strip_prefix('"')
-                        .and_then(|s| s.strip_suffix('"'))
-                        .or_else(|| a.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')));
-                    match unquoted {
-                        Some(s) => Value::Str(s.to_string()),
-                        None => match a.parse::<i64>() {
-                            Ok(i) => Value::Int(i),
-                            Err(_) => Value::Str(a.to_string()),
-                        },
-                    }
-                })
-                .collect()
-        };
-        Some(Tuple::new(name, args))
+        let text = TupleText::parse(text)?;
+        Some(Tuple::new(
+            text.name,
+            text.args().map(ValueRef::to_value).collect(),
+        ))
     }
 
     /// Renders the tuple in the textual log format accepted by
@@ -86,6 +58,93 @@ impl Tuple {
     }
 }
 
+/// One line of a log object, split in place: the tuple's name and its
+/// argument list as slices of the line. `objSays` compares a pattern against
+/// this without building a [`Tuple`]; nothing is allocated until a value is
+/// captured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TupleText<'a> {
+    /// Tuple name.
+    pub name: &'a str,
+    /// The text between the outermost parentheses.
+    inner: &'a str,
+}
+
+impl<'a> TupleText<'a> {
+    /// Splits `name(arg, arg, ...)`; `None` for a line that is not a tuple.
+    pub fn parse(line: &'a str) -> Option<Self> {
+        let (name, rest) = cut(trim(line), b'(')?;
+        let inner = rest.strip_suffix(')')?;
+        let name = trim(name);
+        (!name.is_empty()).then_some(TupleText { name, inner })
+    }
+
+    /// The text of each argument, untrimmed.
+    fn fields(&self) -> Fields<'a> {
+        Fields((!trim(self.inner).is_empty()).then_some(self.inner))
+    }
+
+    /// Number of arguments.
+    pub fn arity(&self) -> usize {
+        match trim(self.inner) {
+            "" => 0,
+            inner => 1 + inner.bytes().filter(|b| *b == b',').count(),
+        }
+    }
+
+    /// The arguments in order: a quoted field is a string, a field that
+    /// reads as an integer is one, anything else is a string as written.
+    pub fn args(&self) -> impl Iterator<Item = ValueRef<'a>> {
+        self.fields().map(|field| {
+            let field = trim(field);
+            let unquoted = field
+                .strip_prefix('"')
+                .and_then(|s| s.strip_suffix('"'))
+                .or_else(|| field.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')));
+            match unquoted {
+                Some(text) => ValueRef::Str(text),
+                None => field.parse().map_or(ValueRef::Str(field), ValueRef::Int),
+            }
+        })
+    }
+}
+
+/// [`str::trim`], which walks in from both ends by character; nearly every
+/// line, name and field this sees has nothing to trim, and two byte tests
+/// tell.
+fn trim(text: &str) -> &str {
+    let bytes = text.as_bytes();
+    match (bytes.first(), bytes.last()) {
+        (Some(first), Some(last)) if first.is_ascii_graphic() && last.is_ascii_graphic() => text,
+        _ => text.trim(),
+    }
+}
+
+/// `text` before and after the first `at` (an ASCII byte, so both cuts fall
+/// on character boundaries). The lines this runs over are a few dozen bytes:
+/// a plain byte loop, not a searcher set up per call.
+fn cut(text: &str, at: u8) -> Option<(&str, &str)> {
+    let index = text.bytes().position(|b| b == at)?;
+    Some((text.get(..index)?, text.get(index + 1..)?))
+}
+
+/// The comma-separated fields of a tuple's argument text.
+struct Fields<'a>(Option<&'a str>);
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let (field, rest) = match cut(rest, b',') {
+            Some((field, rest)) => (field, Some(rest)),
+            None => (rest, None),
+        };
+        self.0 = rest;
+        Some(field)
+    }
+}
+
 /// A policy-language value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
@@ -104,22 +163,26 @@ pub enum Value {
 }
 
 impl Value {
+    /// A borrowed view of the value.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Hash(h) => ValueRef::Hash(h),
+            Value::PubKey(k) => ValueRef::PubKey(k),
+            Value::Tuple(t) => ValueRef::Tuple(t),
+            Value::Null => ValueRef::Null,
+        }
+    }
+
     /// Attempts to view the value as an integer, coercing numeric strings.
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Str(s) => s.trim().parse().ok(),
-            _ => None,
-        }
+        self.as_ref().as_int()
     }
 
     /// Attempts to view the value as a string slice (strings and keys).
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            Value::PubKey(k) => Some(k),
-            _ => None,
-        }
+        self.as_ref().as_str()
     }
 
     /// True if this is [`Value::Null`].
@@ -127,27 +190,93 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Loose equality used by unification: integers compare with numeric
-    /// strings, public keys compare with equal strings, everything else
-    /// requires identical variants.
+    /// Loose equality used by unification; see [`ValueRef::loosely_equals`].
     pub fn loosely_equals(&self, other: &Value) -> bool {
+        self.as_ref().loosely_equals(other.as_ref())
+    }
+}
+
+/// A [`Value`] that borrows its text and bytes: what the evaluator compares
+/// and keeps in its binding slots, so a session key, an object key, a policy
+/// literal or a field of a log line is looked at where it already lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// A 64-bit signed integer.
+    Int(i64),
+    /// A string.
+    Str(&'a str),
+    /// A hash.
+    Hash(&'a [u8]),
+    /// A public key, as its hex fingerprint.
+    PubKey(&'a str),
+    /// A tuple.
+    Tuple(&'a Tuple),
+    /// The absent value.
+    Null,
+}
+
+impl<'a> ValueRef<'a> {
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+            ValueRef::Hash(h) => Value::Hash(h.to_vec()),
+            ValueRef::PubKey(k) => Value::PubKey(k.to_string()),
+            ValueRef::Tuple(t) => Value::Tuple(Box::new(t.clone())),
+            ValueRef::Null => Value::Null,
+        }
+    }
+
+    /// Attempts to view the value as an integer, coercing numeric strings.
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(i) => Some(i),
+            ValueRef::Str(s) => s.trim().parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// Attempts to view the value as a string slice (strings and keys).
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) | ValueRef::PubKey(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Loose equality used by unification: integers compare with numeric
+    /// strings, public keys compare with equal strings, a hash compares
+    /// with its lowercase hex spelling, everything else requires identical
+    /// variants.
+    pub fn loosely_equals(self, other: ValueRef<'_>) -> bool {
         if self == other {
             return true;
         }
         match (self, other) {
-            (Value::Int(_), Value::Str(_)) | (Value::Str(_), Value::Int(_)) => {
-                match (self.as_int(), other.as_int()) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => false,
-                }
+            (ValueRef::Int(_), ValueRef::Str(_)) | (ValueRef::Str(_), ValueRef::Int(_)) => {
+                matches!((self.as_int(), other.as_int()), (Some(a), Some(b)) if a == b)
             }
-            (Value::PubKey(a), Value::Str(b)) | (Value::Str(b), Value::PubKey(a)) => a == b,
-            (Value::Hash(h), Value::Str(s)) | (Value::Str(s), Value::Hash(h)) => {
-                pesos_crypto::hex_encode(h) == *s
+            (ValueRef::PubKey(a), ValueRef::Str(b)) | (ValueRef::Str(b), ValueRef::PubKey(a)) => {
+                a == b
+            }
+            (ValueRef::Hash(h), ValueRef::Str(s)) | (ValueRef::Str(s), ValueRef::Hash(h)) => {
+                is_hex_of(s, h)
             }
             _ => false,
         }
     }
+}
+
+/// Whether `text` is the lowercase hex spelling of `bytes`, compared in
+/// place.
+fn is_hex_of(text: &str, bytes: &[u8]) -> bool {
+    let nibbles = bytes.iter().flat_map(|b| [b >> 4, b & 0x0f]);
+    text.len() == bytes.len() * 2
+        && text
+            .chars()
+            .zip(nibbles)
+            .all(|(c, nibble)| char::from_digit(nibble.into(), 16) == Some(c))
 }
 
 impl fmt::Display for Value {
@@ -241,5 +370,83 @@ mod tests {
         assert_eq!(Value::Str("x".into()).to_string(), "\"x\"");
         assert_eq!(Value::Null.to_string(), "null");
         assert!(Value::Hash(vec![1, 2]).to_string().starts_with('#'));
+    }
+
+    #[test]
+    fn tuple_text_splits_a_line_in_place() {
+        let line = "  write ( \"obj-1\" , 4, 'al,ice', plain , -7 )  ";
+        let text = TupleText::parse(line).unwrap();
+        assert_eq!(text.name, "write");
+        // The split is on every comma, quoted or not, as it always was.
+        assert_eq!(text.arity(), 6);
+        let args: Vec<_> = text.args().collect();
+        assert_eq!(
+            args,
+            vec![
+                ValueRef::Str("obj-1"),
+                ValueRef::Int(4),
+                ValueRef::Str("'al"),
+                ValueRef::Str("ice'"),
+                ValueRef::Str("plain"),
+                ValueRef::Int(-7),
+            ]
+        );
+        // Every string borrows from the line.
+        let within = |s: &str| line.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        assert!(within(text.name));
+        assert!(args.iter().filter_map(|a| a.as_str()).all(within));
+
+        for (line, arity) in [
+            ("empty()", 0),
+            ("blank(  )", 0),
+            ("one(,)", 2),
+            ("t(\u{a0}x\u{a0})", 1),
+        ] {
+            let text = TupleText::parse(line).unwrap();
+            assert_eq!(text.arity(), arity, "{line}");
+            assert_eq!(text.args().count(), arity, "{line}");
+        }
+        assert_eq!(
+            TupleText::parse("t(\u{a0}x\u{a0})").unwrap().args().next(),
+            Some(ValueRef::Str("x"))
+        );
+        for garbage in ["", "no-parens", "(just args)", "open(1,2", ")(", "a)("] {
+            assert_eq!(TupleText::parse(garbage), None, "{garbage:?}");
+        }
+    }
+
+    #[test]
+    fn borrowed_values_compare_like_owned_ones() {
+        let values = [
+            Value::Int(5),
+            Value::Str("5".into()),
+            Value::Str(" 5 ".into()),
+            Value::Str("abcd".into()),
+            Value::Str("ABCD".into()),
+            Value::PubKey("abcd".into()),
+            Value::Hash(vec![0xab, 0xcd]),
+            Value::Hash(vec![]),
+            Value::Str(String::new()),
+            Value::Tuple(Box::new(Tuple::new("t", vec![Value::Int(5)]))),
+            Value::Tuple(Box::new(Tuple::new("t", vec![Value::Str("5".into())]))),
+            Value::Null,
+        ];
+        for a in &values {
+            assert_eq!(a.as_ref().to_value(), *a);
+            for b in &values {
+                // A hash equals exactly its lowercase hex spelling.
+                let expected = match (a, b) {
+                    (Value::Hash(h), Value::Str(s)) | (Value::Str(s), Value::Hash(h)) => {
+                        pesos_crypto::hex_encode(h) == *s
+                    }
+                    _ => a.loosely_equals(b),
+                };
+                assert_eq!(a.as_ref().loosely_equals(b.as_ref()), expected, "{a} ~ {b}");
+                assert_eq!(a.loosely_equals(b), b.loosely_equals(a), "{a} ~ {b}");
+            }
+        }
+        assert!(Value::Hash(vec![0xab, 0xcd]).loosely_equals(&Value::Str("abcd".into())));
+        assert!(!Value::Hash(vec![0xab, 0xcd]).loosely_equals(&Value::Str("ABCD".into())));
+        assert!(Value::Hash(vec![]).loosely_equals(&Value::Str(String::new())));
     }
 }
