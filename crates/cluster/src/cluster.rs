@@ -346,12 +346,6 @@ pub struct ControllerCluster {
     migration_locks: Arc<Sharded<Mutex<()>>>,
     /// Width of the drain (see [`ClusterConfig::drain_concurrency`]).
     drain_concurrency: usize,
-    /// Per-controller request-counter snapshots taken at the last topology
-    /// change; `loads_of` reports the delta, so rebalance decisions weigh
-    /// *recent* traffic instead of lifetime history (matched by `Arc`
-    /// identity; a controller absent from the baseline — i.e. before the
-    /// first topology change — counts from zero).
-    request_baseline: Mutex<Vec<(Arc<PesosController>, u64)>>,
     /// Dedicated asynchronous-syscall interface driving the migration
     /// drain's scatter-gather batches, created lazily on the first drain
     /// (a cluster that never rebalances spawns no extra threads).
@@ -425,7 +419,6 @@ impl ControllerCluster {
             })),
             drain_concurrency: config.drain_concurrency,
             drain: std::sync::OnceLock::new(),
-            request_baseline: Mutex::with_rank(lock_order::REQUEST_BASELINE, Vec::new()),
             clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
             tx: ClusterTxManager::new(),
@@ -476,9 +469,11 @@ impl ControllerCluster {
 
     /// Restarts every windowed telemetry reading — the `/stats/reset`
     /// hook: cluster and per-controller latency histograms, hot-group
-    /// counters, retry counters, drain-skip tally and the partition load
-    /// window. Lifetime-style gauges (replication lag, resident objects,
-    /// digest compressions, migration progress) are unaffected.
+    /// counters, retry counters and the drain-skip tally. Lifetime-style
+    /// gauges (replication lag, resident objects, digest compressions,
+    /// migration progress) are unaffected, and so is the partition load
+    /// window (`partitions/<i>/requests`): it is the rebalancer's input
+    /// and restarts at a topology change, not when somebody reads stats.
     pub fn reset_window(&self) {
         self.telemetry.ops.reset_window();
         self.telemetry.hot.reset_window();
@@ -488,7 +483,6 @@ impl ControllerCluster {
         for partition in routing.table.partitions() {
             partition.controller.reset_telemetry_window();
         }
-        self.reset_request_baseline(&routing.table);
     }
 
     /// Switches telemetry recording (latency histograms, hot-group

@@ -236,38 +236,24 @@ impl ControllerCluster {
     /// [`ControllerCluster::remove_controller`] rebalance by, served per
     /// partition by [`ControllerCluster::telemetry_snapshot`].
     pub(super) fn loads_of(&self, table: &PartitionTable) -> Vec<PartitionLoad> {
-        let baseline = self.request_baseline.lock();
-        let base_for = |controller: &Arc<PesosController>| {
-            baseline
-                .iter()
-                .find(|(c, _)| Arc::ptr_eq(c, controller))
-                .map(|(_, requests)| *requests)
-                .unwrap_or(0)
-        };
         table
             .partitions()
             .iter()
             .map(|p| PartitionLoad {
                 resident_objects: p.controller.store().resident_object_count(),
-                requests: p
-                    .controller
-                    .metrics()
-                    .requests
-                    .saturating_sub(base_for(&p.controller)),
+                requests: p.controller.request_load().windowed(),
             })
             .collect()
     }
 
-    /// Restarts the load window: snapshots every current controller's
-    /// request counter so the next rebalance decision weighs only traffic
-    /// served after this topology change. Called under the rebalance lock
-    /// right after a table swap.
+    /// Restarts the load window of every controller in `table`, so the
+    /// next rebalance decision weighs only traffic served after this
+    /// topology change. Called under the rebalance lock right after a
+    /// table swap.
     pub(super) fn reset_request_baseline(&self, table: &PartitionTable) {
-        *self.request_baseline.lock() = table
-            .partitions()
-            .iter()
-            .map(|p| (Arc::clone(&p.controller), p.controller.metrics().requests))
-            .collect();
+        for partition in table.partitions() {
+            partition.controller.request_load().reset_window();
+        }
         // New topology, new hot window too: the split point this change
         // consumed was computed *before* this call, and the next one
         // should weigh traffic under the new table only — mirroring the

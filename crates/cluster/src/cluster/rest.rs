@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
+use pesos_core::request::{poll_response, tx_outcome_response};
 use pesos_core::{
-    parse_policy_id, AsyncResult, ClientRequest, ClientResponse, HashedKey, PesosError,
-    RequestEndpoint, TxOutcome,
+    parse_policy_id, ClientRequest, ClientResponse, HashedKey, PesosError, RequestEndpoint,
 };
 use pesos_crypto::Certificate;
 use pesos_policy::PolicyId;
@@ -32,19 +32,6 @@ impl ControllerCluster {
     ) -> Result<ClientResponse, PesosError> {
         let rest: &RestRequest = &request.rest;
         let certs = &request.certificates;
-        let tx_id = || {
-            rest.tx_id
-                .ok_or(PesosError::BadRequest("missing tx id".into()))
-        };
-        // A transaction's outcome on the wire: its write versions.
-        let versions = |outcome: TxOutcome| {
-            let versions: Vec<String> = outcome
-                .write_versions
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
-            RestResponse::ok(versions.join(",").into_bytes())
-        };
         match rest.method {
             RestMethod::Status => {
                 // Healthy only if every partition answers.
@@ -63,9 +50,7 @@ impl ControllerCluster {
                 ))
             }
             RestMethod::PutPolicy => {
-                let source = String::from_utf8(rest.value.clone())
-                    .map_err(|_| PesosError::BadRequest("policy text must be UTF-8".into()))?;
-                let id = self.put_policy(client_id, &source)?;
+                let id = self.put_policy(client_id, request.policy_source()?)?;
                 Ok(RestResponse::ok(id.to_hex().into_bytes()))
             }
             RestMethod::GetPolicy => {
@@ -101,19 +86,12 @@ impl ControllerCluster {
                 Ok(RestResponse::ok(policy.to_bytes()))
             }
             RestMethod::AttachPolicy => {
-                let id = parse_policy_id(
-                    rest.policy_id
-                        .as_deref()
-                        .ok_or(PesosError::BadRequest("missing policy id".into()))?,
-                )?;
+                let id = request.required_policy_id()?;
                 self.attach_policy(client_id, &rest.key, id, certs)?;
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::Put | RestMethod::Update => {
-                let policy_id = match rest.policy_id.as_deref() {
-                    Some(hex) => Some(parse_policy_id(hex)?),
-                    None => None,
-                };
+                let policy_id = request.policy_id()?;
                 if rest.asynchronous {
                     let op = self.put_async(
                         client_id,
@@ -151,43 +129,31 @@ impl ControllerCluster {
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::PollResult => {
-                let op_id: u64 = rest
-                    .key
-                    .parse()
-                    .map_err(|_| PesosError::BadRequest("operation id must be numeric".into()))?;
-                match self.poll_result(client_id, op_id) {
-                    Some(AsyncResult::Completed { version }) => {
-                        let mut resp = RestResponse::ok_empty();
-                        if let Some(v) = version {
-                            resp = resp.with_version(v);
-                        }
-                        Ok(resp)
-                    }
-                    Some(AsyncResult::Pending) => Ok(RestResponse::accepted(op_id)),
-                    Some(AsyncResult::Failed { reason }) => {
-                        Ok(RestResponse::failure(RestStatus::BackendError, reason))
-                    }
-                    None => Err(PesosError::ObjectNotFound(format!("operation {op_id}"))),
-                }
+                let op_id = request.operation_id()?;
+                poll_response(op_id, self.poll_result(client_id, op_id))
             }
             RestMethod::CreateTx => {
                 let tx = self.create_tx(client_id)?;
                 Ok(RestResponse::ok(tx.to_string().into_bytes()))
             }
             RestMethod::AddRead => {
-                self.add_read(client_id, tx_id()?, &rest.key)?;
+                self.add_read(client_id, request.tx_id()?, &rest.key)?;
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::AddWrite => {
-                self.add_write(client_id, tx_id()?, &rest.key, rest.value.clone())?;
+                self.add_write(client_id, request.tx_id()?, &rest.key, rest.value.clone())?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CommitTx => self.commit_tx(client_id, tx_id()?).map(versions),
+            RestMethod::CommitTx => self
+                .commit_tx(client_id, request.tx_id()?)
+                .map(tx_outcome_response),
             RestMethod::AbortTx => {
-                self.abort_tx(client_id, tx_id()?)?;
+                self.abort_tx(client_id, request.tx_id()?)?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CheckResults => self.check_results(client_id, tx_id()?).map(versions),
+            RestMethod::CheckResults => self
+                .check_results(client_id, request.tx_id()?)
+                .map(tx_outcome_response),
             RestMethod::Stats => {
                 self.require_client(client_id)?;
                 let (path, query) = pesos_telemetry::split_query(&rest.key);

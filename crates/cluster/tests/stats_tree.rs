@@ -200,12 +200,18 @@ fn stats_reset_clears_windows_but_not_lifetime_counters() {
     assert!(leaf(&cluster, "groups/total_ops") >= 16);
     let digests = leaf(&cluster, "digests/compressions");
     assert!(digests > 0);
+    let load = || leaf(&cluster, "partitions/0/requests") + leaf(&cluster, "partitions/1/requests");
+    let load_before = load();
+    assert!(load_before >= 16);
 
     let response = cluster.handle(
         CLIENT,
         ClientRequest::new(RestRequest::new(RestMethod::Stats, "reset")),
     );
     assert_eq!(response.status, RestStatus::Ok);
+    // The load window is the rebalancer's input: reading stats, or
+    // resetting them, does not restart it (a topology change does).
+    assert_eq!(load(), load_before);
 
     assert_eq!(leaf(&cluster, "ops/put/count"), 0);
     assert_eq!(leaf(&cluster, "ops/get/count"), 0);

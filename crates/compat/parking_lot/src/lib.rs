@@ -70,8 +70,6 @@ pub mod lock_order {
     pub const REPLICA_REGISTRY: u16 = 35;
     /// Retry/backoff RNG.
     pub const RETRY_RNG: u16 = 36;
-    /// Load-baseline sampler inside the rebalancer.
-    pub const REQUEST_BASELINE: u16 = 37;
     /// Migration stripe locks (sharded, index = stripe).
     pub const MIGRATION_STRIPE: u16 = 40;
     /// Migration bookkeeping (moved/pending-delete sets).
@@ -111,20 +109,13 @@ pub mod lock_order {
     /// itself runs on atomics; these are taken only to sleep or to wake a
     /// sleeper, never nested.
     pub const ASYSCALL_PARK: u16 = 92;
-    /// Drive fault-injector handle.
+    /// Drive fault injector (its generator and counters sit behind this
+    /// one mutex).
     pub const DRIVE_FAULT: u16 = 96;
-    /// Fault-injector RNG.
-    pub const FAULT_RNG: u16 = 97;
-    /// Fault-injector trigger counters.
-    pub const FAULT_COUNTERS: u16 = 98;
     /// Kinetic drive storage engine.
     pub const DRIVE_ENGINE: u16 = 100;
     /// Kinetic drive security/ACL table.
     pub const DRIVE_SECURITY: u16 = 102;
-    /// Kinetic drive cluster-version cell.
-    pub const DRIVE_CLUSTER_VERSION: u16 = 104;
-    /// Kinetic drive online/offline flag.
-    pub const DRIVE_ONLINE: u16 = 106;
     /// Simulated disk actuator behind the drive engine.
     pub const BACKEND_ACTUATOR: u16 = 110;
 
@@ -138,7 +129,6 @@ pub mod lock_order {
         (CLUSTER_POLICIES, "CLUSTER_POLICIES"),
         (REPLICA_REGISTRY, "REPLICA_REGISTRY"),
         (RETRY_RNG, "RETRY_RNG"),
-        (REQUEST_BASELINE, "REQUEST_BASELINE"),
         (MIGRATION_STRIPE, "MIGRATION_STRIPE"),
         (MIGRATION_STATE, "MIGRATION_STATE"),
         (KEY_REGISTRY, "KEY_REGISTRY"),
@@ -158,12 +148,8 @@ pub mod lock_order {
         (ASYSCALL_FREE, "ASYSCALL_FREE"),
         (ASYSCALL_PARK, "ASYSCALL_PARK"),
         (DRIVE_FAULT, "DRIVE_FAULT"),
-        (FAULT_RNG, "FAULT_RNG"),
-        (FAULT_COUNTERS, "FAULT_COUNTERS"),
         (DRIVE_ENGINE, "DRIVE_ENGINE"),
         (DRIVE_SECURITY, "DRIVE_SECURITY"),
-        (DRIVE_CLUSTER_VERSION, "DRIVE_CLUSTER_VERSION"),
-        (DRIVE_ONLINE, "DRIVE_ONLINE"),
         (BACKEND_ACTUATOR, "BACKEND_ACTUATOR"),
     ];
 

@@ -112,8 +112,9 @@ pub fn bootstrap(config: &ControllerConfig) -> Result<BootstrapOutcome, PesosErr
     service.expect_measurement(enclave.measurement());
 
     let mut report_data = [0u8; 64];
-    // pesos-lint: allow(panic_freedom, "report_data is a fixed 64-byte array and sha256 yields 32 bytes")
-    report_data[..32].copy_from_slice(&pesos_crypto::sha256(b"pesos-provisioning-key"));
+    if let Some(head) = report_data.first_chunk_mut() {
+        *head = pesos_crypto::sha256(b"pesos-provisioning-key");
+    }
     let quote = quoting.quote(&enclave, report_data);
     let sealed = service
         .provision(&quote)

@@ -15,7 +15,7 @@ use pesos_crypto::Certificate;
 use pesos_policy::{Operation, PolicyId, Request, ValueRef};
 use pesos_sgx::UserScheduler;
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
-use pesos_wire::{RestMethod, RestRequest, RestResponse, RestStatus};
+use pesos_wire::{RestMethod, RestRequest, RestResponse};
 use rand::RngCore;
 
 use crate::bootstrap::{bootstrap, BootstrapReport};
@@ -24,7 +24,9 @@ use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
 use crate::metrics::ControllerMetrics;
 use crate::placement::HashedKey;
-use crate::request::{ClientRequest, ClientResponse};
+use crate::request::{
+    parse_policy_id, poll_response, tx_outcome_response, ClientRequest, ClientResponse,
+};
 use crate::result_buffer::{AsyncResult, ResultBuffer};
 use crate::session::SessionManager;
 use crate::store::PesosStore;
@@ -126,7 +128,7 @@ impl PesosController {
             transactions: TransactionManager::new(),
             results: Arc::new(ResultBuffer::new(RESULT_BUFFER_CAPACITY)),
             scheduler: UserScheduler::new(WORKER_THREADS),
-            metrics: ControllerMetrics::new(),
+            metrics: ControllerMetrics::default(),
             clock: AtomicU64::new(1),
             report: outcome.report,
             tx_outcomes: ShardedTxOutcomes::new(config.lock_shards, config.tx_outcome_capacity),
@@ -152,9 +154,15 @@ impl PesosController {
         &self.store
     }
 
-    /// A snapshot of the controller metrics.
+    /// A snapshot of the controller metrics (lifetime totals).
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
         self.metrics.snapshot()
+    }
+
+    /// The request counter. Its window is the load a cluster rebalances by,
+    /// restarted at a topology change and not by a telemetry reset.
+    pub fn request_load(&self) -> &pesos_telemetry::WindowedCounter {
+        &self.metrics.requests
     }
 
     /// Sets the controller's logical time (seconds). Time-based policies and
@@ -302,7 +310,7 @@ impl PesosController {
         if decision.allowed {
             Ok(Some(policy))
         } else {
-            ControllerMetrics::bump(&self.metrics.policy_denials);
+            self.metrics.policy_denials.add(1);
             Err(PesosError::PolicyDenied(decision.reason))
         }
     }
@@ -333,7 +341,7 @@ impl PesosController {
     pub fn put_policy(&self, client_id: &str, source: &str) -> Result<PolicyId, PesosError> {
         let _timer = self.op_timer(OpKind::PutPolicy);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.add(1);
         self.store.put_policy(source)
     }
 
@@ -357,8 +365,8 @@ impl PesosController {
     ) -> Result<u64, PesosError> {
         let _timer = self.op_timer(OpKind::Put);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
-        ControllerMetrics::bump(&self.metrics.writes);
+        self.metrics.requests.add(1);
+        self.metrics.writes.add(1);
 
         // One key hash and one content hash for the whole request: both are
         // reused by the policy check and then handed down into the store.
@@ -430,9 +438,9 @@ impl PesosController {
         // Times acceptance (policy check + enqueue), not the deferred write.
         let _timer = self.op_timer(OpKind::PutAsync);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
-        ControllerMetrics::bump(&self.metrics.writes);
-        ControllerMetrics::bump(&self.metrics.async_accepted);
+        self.metrics.requests.add(1);
+        self.metrics.writes.add(1);
+        self.metrics.async_accepted.add(1);
 
         // The acknowledgement (and, in a cluster, the replication log
         // record) precedes the write, so the decision cannot be provisional
@@ -490,8 +498,8 @@ impl PesosController {
     ) -> Result<(Arc<Vec<u8>>, u64), PesosError> {
         let _timer = self.op_timer(OpKind::Get);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
-        ControllerMetrics::bump(&self.metrics.reads);
+        self.metrics.requests.add(1);
+        self.metrics.reads.add(1);
         let key = key.into();
         let current = self.store.lookup(&key)?;
         self.check_policy(
@@ -517,8 +525,8 @@ impl PesosController {
     ) -> Result<Vec<u8>, PesosError> {
         let _timer = self.op_timer(OpKind::GetVersion);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
-        ControllerMetrics::bump(&self.metrics.reads);
+        self.metrics.requests.add(1);
+        self.metrics.reads.add(1);
         let key = key.into();
         let current = self.store.lookup(&key)?;
         self.check_policy(
@@ -542,8 +550,8 @@ impl PesosController {
     ) -> Result<(), PesosError> {
         let _timer = self.op_timer(OpKind::Delete);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
-        ControllerMetrics::bump(&self.metrics.deletes);
+        self.metrics.requests.add(1);
+        self.metrics.deletes.add(1);
         let key = key.into();
         let current = self.store.lookup(&key)?;
         self.check_policy(
@@ -569,7 +577,7 @@ impl PesosController {
     ) -> Result<(), PesosError> {
         let _timer = self.op_timer(OpKind::AttachPolicy);
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.add(1);
         let key = key.into();
         let current = self.store.lookup(&key)?;
         self.check_policy(
@@ -635,7 +643,7 @@ impl PesosController {
     /// Aborts a transaction.
     pub fn abort_tx(&self, client_id: &str, tx_id: u64) -> Result<(), PesosError> {
         self.require_session(client_id)?;
-        ControllerMetrics::bump(&self.metrics.tx_aborted);
+        self.metrics.tx_aborted.add(1);
         self.transactions.abort(tx_id, client_id)
     }
 
@@ -673,7 +681,7 @@ impl PesosController {
         let prepared = match self.transactions.prepare(tx_id, client_id) {
             Ok(p) => p,
             Err(e) => {
-                ControllerMetrics::bump(&self.metrics.tx_aborted);
+                self.metrics.tx_aborted.add(1);
                 return Err(e);
             }
         };
@@ -686,7 +694,7 @@ impl PesosController {
             }),
             Err(e) => {
                 // Dropping `prepared` releases the locks.
-                ControllerMetrics::bump(&self.metrics.tx_aborted);
+                self.metrics.tx_aborted.add(1);
                 Err(e)
             }
         }
@@ -789,14 +797,14 @@ impl PesosController {
             ) {
                 Ok(v) => v,
                 Err(e) => {
-                    ControllerMetrics::bump(&self.metrics.tx_aborted);
+                    self.metrics.tx_aborted.add(1);
                     return Err(e);
                 }
             };
             outcome.write_versions.push(version);
         }
         drop(prepared); // release the VLL locks
-        ControllerMetrics::bump(&self.metrics.tx_committed);
+        self.metrics.tx_committed.add(1);
         self.tx_outcomes.insert(tx_id, outcome.clone());
         Ok(outcome)
     }
@@ -805,7 +813,7 @@ impl PesosController {
     /// any write (used by the cluster coordinator when a sibling
     /// partition's branch failed to prepare).
     pub fn abort_prepared(&self, prepared: PreparedCommit<'_>) {
-        ControllerMetrics::bump(&self.metrics.tx_aborted);
+        self.metrics.tx_aborted.add(1);
         drop(prepared);
     }
 
@@ -919,7 +927,7 @@ impl PesosController {
     }
 
     /// Restarts this controller's telemetry window (latency histograms).
-    /// Lifetime request counters are unaffected.
+    /// The request counters and the load window are unaffected.
     pub fn reset_telemetry_window(&self) {
         self.metrics.ops.reset_window();
     }
@@ -932,7 +940,7 @@ impl PesosController {
     pub fn handle(&self, client_id: &str, request: ClientRequest) -> ClientResponse {
         match self.dispatch(client_id, &request) {
             Ok(response) => response,
-            Err(e) => error_response(e),
+            Err(e) => e.rest_response(),
         }
     }
 
@@ -946,9 +954,7 @@ impl PesosController {
         match rest.method {
             RestMethod::Status => Ok(RestResponse::ok(b"pesos: ok".to_vec())),
             RestMethod::PutPolicy => {
-                let source = String::from_utf8(rest.value.clone())
-                    .map_err(|_| PesosError::BadRequest("policy text must be UTF-8".into()))?;
-                let id = self.put_policy(client_id, &source)?;
+                let id = self.put_policy(client_id, request.policy_source()?)?;
                 Ok(RestResponse::ok(id.to_hex().into_bytes()))
             }
             RestMethod::GetPolicy => {
@@ -958,19 +964,12 @@ impl PesosController {
                 Ok(RestResponse::ok(policy.to_bytes()))
             }
             RestMethod::AttachPolicy => {
-                let id = parse_policy_id(
-                    rest.policy_id
-                        .as_deref()
-                        .ok_or(PesosError::BadRequest("missing policy id".into()))?,
-                )?;
+                let id = request.required_policy_id()?;
                 self.attach_policy(client_id, &rest.key, id, certs)?;
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::Put | RestMethod::Update => {
-                let policy_id = match rest.policy_id.as_deref() {
-                    Some(hex) => Some(parse_policy_id(hex)?),
-                    None => None,
-                };
+                let policy_id = request.policy_id()?;
                 if rest.asynchronous {
                     let op = self.put_async(
                         client_id,
@@ -1008,74 +1007,31 @@ impl PesosController {
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::PollResult => {
-                let op_id: u64 = rest
-                    .key
-                    .parse()
-                    .map_err(|_| PesosError::BadRequest("operation id must be numeric".into()))?;
-                match self.poll_result(client_id, op_id) {
-                    Some(AsyncResult::Completed { version }) => {
-                        let mut resp = RestResponse::ok_empty();
-                        if let Some(v) = version {
-                            resp = resp.with_version(v);
-                        }
-                        Ok(resp)
-                    }
-                    Some(AsyncResult::Pending) => Ok(RestResponse::accepted(op_id)),
-                    Some(AsyncResult::Failed { reason }) => {
-                        Ok(RestResponse::failure(RestStatus::BackendError, reason))
-                    }
-                    None => Err(PesosError::ObjectNotFound(format!("operation {op_id}"))),
-                }
+                let op_id = request.operation_id()?;
+                poll_response(op_id, self.poll_result(client_id, op_id))
             }
             RestMethod::CreateTx => {
                 let tx = self.create_tx(client_id)?;
                 Ok(RestResponse::ok(tx.to_string().into_bytes()))
             }
             RestMethod::AddRead => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.add_read(client_id, tx, &rest.key)?;
+                self.add_read(client_id, request.tx_id()?, &rest.key)?;
                 Ok(RestResponse::ok_empty())
             }
             RestMethod::AddWrite => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.add_write(client_id, tx, &rest.key, rest.value.clone())?;
+                self.add_write(client_id, request.tx_id()?, &rest.key, rest.value.clone())?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CommitTx => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                let outcome = self.commit_tx(client_id, tx)?;
-                let versions: Vec<String> = outcome
-                    .write_versions
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
-                Ok(RestResponse::ok(versions.join(",").into_bytes()))
-            }
+            RestMethod::CommitTx => self
+                .commit_tx(client_id, request.tx_id()?)
+                .map(tx_outcome_response),
             RestMethod::AbortTx => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                self.abort_tx(client_id, tx)?;
+                self.abort_tx(client_id, request.tx_id()?)?;
                 Ok(RestResponse::ok_empty())
             }
-            RestMethod::CheckResults => {
-                let tx = rest
-                    .tx_id
-                    .ok_or(PesosError::BadRequest("missing tx id".into()))?;
-                let outcome = self.check_results(client_id, tx)?;
-                let versions: Vec<String> = outcome
-                    .write_versions
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
-                Ok(RestResponse::ok(versions.join(",").into_bytes()))
-            }
+            RestMethod::CheckResults => self
+                .check_results(client_id, request.tx_id()?)
+                .map(tx_outcome_response),
             RestMethod::Stats => {
                 self.require_session(client_id)?;
                 let (path, query) = pesos_telemetry::split_query(&rest.key);
@@ -1092,21 +1048,10 @@ impl PesosController {
     }
 }
 
-/// Parses the hex policy-id form used on the REST surface; shared by the
-/// controller's dispatcher and the cluster router so both reject malformed
-/// ids identically.
-pub fn parse_policy_id(hex: &str) -> Result<PolicyId, PesosError> {
-    PolicyId::from_hex(hex)
-        .ok_or_else(|| PesosError::BadRequest(format!("invalid policy id {hex:?}")))
-}
-
-fn error_response(e: PesosError) -> RestResponse {
-    e.rest_response()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pesos_wire::RestStatus;
 
     fn controller() -> PesosController {
         PesosController::new(ControllerConfig::native_simulator(1)).unwrap()

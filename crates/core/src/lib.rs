@@ -35,7 +35,7 @@ pub mod transaction;
 
 pub use bootstrap::BootstrapReport;
 pub use config::ControllerConfig;
-pub use controller::{parse_policy_id, PesosController, PreparedCommit};
+pub use controller::{PesosController, PreparedCommit};
 pub use encryption::ObjectCrypter;
 pub use endpoint::RequestEndpoint;
 pub use error::PesosError;
@@ -43,7 +43,7 @@ pub use metadata::{ObjectMetadata, ShardedMetadata, VersionMeta};
 pub use metrics::ControllerMetrics;
 pub use object_cache::ObjectCache;
 pub use placement::{key_hash, placement, routing_hash, routing_prefix, HashedKey};
-pub use request::{ClientRequest, ClientResponse};
+pub use request::{parse_policy_id, ClientRequest, ClientResponse};
 pub use result_buffer::{AsyncResult, ResultBuffer};
 pub use session::{SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};

@@ -1,28 +1,28 @@
 //! Controller-level metrics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pesos_telemetry::{OpHistograms, WindowedCounter};
 
-use pesos_telemetry::OpHistograms;
-
-/// Atomic counters describing controller activity.
+/// Counters describing controller activity, always on. Reports read the
+/// lifetime totals; only `requests` has its window used.
 #[derive(Debug, Default)]
 pub struct ControllerMetrics {
-    /// Total requests handled.
-    pub requests: AtomicU64,
+    /// Total requests handled. Its window is the cluster rebalancer's load
+    /// window: restarted at a topology change and by nothing else.
+    pub requests: WindowedCounter,
     /// Read (GET) operations.
-    pub reads: AtomicU64,
+    pub reads: WindowedCounter,
     /// Write (PUT/UPDATE) operations.
-    pub writes: AtomicU64,
+    pub writes: WindowedCounter,
     /// Delete operations.
-    pub deletes: AtomicU64,
+    pub deletes: WindowedCounter,
     /// Operations denied by a policy.
-    pub policy_denials: AtomicU64,
+    pub policy_denials: WindowedCounter,
     /// Asynchronous operations accepted.
-    pub async_accepted: AtomicU64,
+    pub async_accepted: WindowedCounter,
     /// Transactions committed.
-    pub tx_committed: AtomicU64,
+    pub tx_committed: WindowedCounter,
     /// Transactions aborted.
-    pub tx_aborted: AtomicU64,
+    pub tx_aborted: WindowedCounter,
     /// Per-operation latency histograms (µs), windowed.
     pub ops: OpHistograms,
 }
@@ -49,27 +49,17 @@ pub struct MetricsSnapshot {
 }
 
 impl ControllerMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments a counter by one.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
+    /// Takes a consistent-enough snapshot of the lifetime totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            policy_denials: self.policy_denials.load(Ordering::Relaxed),
-            async_accepted: self.async_accepted.load(Ordering::Relaxed),
-            tx_committed: self.tx_committed.load(Ordering::Relaxed),
-            tx_aborted: self.tx_aborted.load(Ordering::Relaxed),
+            requests: self.requests.lifetime(),
+            reads: self.reads.lifetime(),
+            writes: self.writes.lifetime(),
+            deletes: self.deletes.lifetime(),
+            policy_denials: self.policy_denials.lifetime(),
+            async_accepted: self.async_accepted.lifetime(),
+            tx_committed: self.tx_committed.lifetime(),
+            tx_aborted: self.tx_aborted.lifetime(),
         }
     }
 }
@@ -80,10 +70,10 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let m = ControllerMetrics::new();
-        ControllerMetrics::bump(&m.requests);
-        ControllerMetrics::bump(&m.requests);
-        ControllerMetrics::bump(&m.policy_denials);
+        let m = ControllerMetrics::default();
+        m.requests.add(1);
+        m.requests.add(1);
+        m.policy_denials.add(1);
         let s = m.snapshot();
         assert_eq!(s.requests, 2);
         assert_eq!(s.policy_denials, 1);

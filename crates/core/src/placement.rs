@@ -16,11 +16,9 @@ use pesos_crypto::sha256;
 /// this same value, so state for one key always lives behind the same
 /// shard index regardless of the structure consulted.
 pub fn key_hash(key: &str) -> u64 {
-    let digest = sha256(key.as_bytes());
-    let mut h = [0u8; 8];
-    // pesos-lint: allow(panic_freedom, "sha256 digests are 32 bytes")
-    h.copy_from_slice(&digest[..8]);
-    u64::from_be_bytes(h)
+    sha256(key.as_bytes())
+        .first_chunk()
+        .map_or(0, |prefix| u64::from_be_bytes(*prefix))
 }
 
 /// The *placement group* of a key: its directory-style prefix up to (and
@@ -34,13 +32,9 @@ pub fn key_hash(key: &str) -> u64 {
 /// store on any topology: with the default `'.'` delimiter, `<key>`,
 /// `<key>.log` and `<key>.v2` all share the group `<key>`.
 pub fn routing_prefix(key: &str, delimiter: Option<char>) -> &str {
-    let Some(delimiter) = delimiter else {
-        return key;
-    };
-    match key.find(delimiter) {
-        Some(0) | None => key,
-        // pesos-lint: allow(panic_freedom, "at is an index find() returned on this key")
-        Some(at) => &key[..at],
+    match delimiter.and_then(|d| key.split_once(d)) {
+        Some((prefix, _)) if !prefix.is_empty() => prefix,
+        _ => key,
     }
 }
 
@@ -246,17 +240,15 @@ pub fn placement_available<'a>(
     } else {
         let mut mask = vec![false; drive_count];
         for &idx in online {
-            if idx < drive_count {
-                // pesos-lint: allow(panic_freedom, "mask is sized to drive_count and idx is guarded above")
-                mask[idx] = true;
+            if let Some(slot) = mask.get_mut(idx) {
+                *slot = true;
             }
         }
         Mask::Large(mask)
     };
     let is_online = |idx: usize| match &mask {
         Mask::Small(m) => m & (1 << idx) != 0,
-        // pesos-lint: allow(panic_freedom, "is_online is only called with drive indices below drive_count")
-        Mask::Large(v) => v[idx],
+        Mask::Large(v) => v.get(idx).copied().unwrap_or(false),
     };
 
     let mut out = Vec::with_capacity(factor);

@@ -5,9 +5,18 @@
 //! certificates the client presents with the request. [`ClientRequest`]
 //! bundles the two, and [`ClientResponse`] is the REST response together
 //! with the operation identifier bookkeeping the controller adds.
+//!
+//! The parameter validation and response shaping a REST method needs
+//! whoever dispatches it (a controller, the cluster router) live here too,
+//! so the two reject and answer identically by construction.
 
 use pesos_crypto::Certificate;
-use pesos_wire::{RestRequest, RestResponse};
+use pesos_policy::PolicyId;
+use pesos_wire::{RestRequest, RestResponse, RestStatus};
+
+use crate::error::PesosError;
+use crate::result_buffer::AsyncResult;
+use crate::transaction::TxOutcome;
 
 /// A request as seen by the controller's request handler.
 #[derive(Debug, Clone)]
@@ -32,6 +41,42 @@ impl ClientRequest {
         self.certificates.push(cert);
         self
     }
+
+    /// The transaction handle a transaction method must carry.
+    pub fn tx_id(&self) -> Result<u64, PesosError> {
+        self.rest
+            .tx_id
+            .ok_or(PesosError::BadRequest("missing tx id".into()))
+    }
+
+    /// The policy-id parameter, parsed, if the request carries one.
+    pub fn policy_id(&self) -> Result<Option<PolicyId>, PesosError> {
+        self.rest
+            .policy_id
+            .as_deref()
+            .map(parse_policy_id)
+            .transpose()
+    }
+
+    /// The policy id a method that cannot do without one must carry.
+    pub fn required_policy_id(&self) -> Result<PolicyId, PesosError> {
+        self.policy_id()?
+            .ok_or(PesosError::BadRequest("missing policy id".into()))
+    }
+
+    /// The asynchronous-operation id `PollResult` addresses (its key).
+    pub fn operation_id(&self) -> Result<u64, PesosError> {
+        self.rest
+            .key
+            .parse()
+            .map_err(|_| PesosError::BadRequest("operation id must be numeric".into()))
+    }
+
+    /// The policy text `PutPolicy` installs (its value).
+    pub fn policy_source(&self) -> Result<&str, PesosError> {
+        std::str::from_utf8(&self.rest.value)
+            .map_err(|_| PesosError::BadRequest("policy text must be UTF-8".into()))
+    }
 }
 
 impl From<RestRequest> for ClientRequest {
@@ -42,6 +87,34 @@ impl From<RestRequest> for ClientRequest {
 
 /// The controller's response type (alias of the REST response).
 pub type ClientResponse = RestResponse;
+
+/// Parses the hex policy-id form used on the REST surface.
+pub fn parse_policy_id(hex: &str) -> Result<PolicyId, PesosError> {
+    PolicyId::from_hex(hex)
+        .ok_or_else(|| PesosError::BadRequest(format!("invalid policy id {hex:?}")))
+}
+
+/// A transaction's outcome on the wire: its write versions, comma-joined.
+pub fn tx_outcome_response(outcome: TxOutcome) -> RestResponse {
+    let versions: Vec<String> = outcome.write_versions.iter().map(u64::to_string).collect();
+    RestResponse::ok(versions.join(",").into_bytes())
+}
+
+/// The answer to a `PollResult` for operation `op_id`: done (with the
+/// version written, if any), still pending, failed, or unknown.
+pub fn poll_response(op_id: u64, result: Option<AsyncResult>) -> Result<RestResponse, PesosError> {
+    match result {
+        Some(AsyncResult::Completed { version: Some(v) }) => {
+            Ok(RestResponse::ok_empty().with_version(v))
+        }
+        Some(AsyncResult::Completed { version: None }) => Ok(RestResponse::ok_empty()),
+        Some(AsyncResult::Pending) => Ok(RestResponse::accepted(op_id)),
+        Some(AsyncResult::Failed { reason }) => {
+            Ok(RestResponse::failure(RestStatus::BackendError, reason))
+        }
+        None => Err(PesosError::ObjectNotFound(format!("operation {op_id}"))),
+    }
+}
 
 #[cfg(test)]
 mod tests {

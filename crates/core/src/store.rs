@@ -336,17 +336,18 @@ impl PesosStore {
         self.enclave.epc_stats()
     }
 
-    fn online_indices(&self) -> Vec<usize> {
-        self.drives.online_indices()
-    }
-
-    fn targets_for(&self, key: &HashedKey<'_>) -> Vec<usize> {
-        placement_available(
-            key,
-            self.clients.len(),
-            self.replication_factor,
-            &self.online_indices(),
-        )
+    /// The sessions to the online placement targets of `key`, in placement
+    /// order. The placement function is sized by the client list; were the
+    /// two ever to disagree, that is a backend fault, not an index panic.
+    fn targets_for(&self, key: &HashedKey<'_>) -> Result<Vec<&Arc<KineticClient>>, PesosError> {
+        let online = self.drives.online_indices();
+        placement_available(key, self.clients.len(), self.replication_factor, &online)
+            .into_iter()
+            .map(|index| {
+                let missing = || PesosError::Backend(format!("no session for drive index {index}"));
+                self.clients.get(index).ok_or_else(missing)
+            })
+            .collect()
     }
 
     /// Applies `ops` as one atomic Kinetic batch on every placement target
@@ -356,7 +357,7 @@ impl PesosStore {
         placement_key: &HashedKey<'_>,
         ops: Arc<[BatchOp]>,
     ) -> Result<(), PesosError> {
-        for result in self.batch_on(&self.targets_for(placement_key), ops)? {
+        for result in self.batch_on(&self.targets_for(placement_key)?, ops)? {
             result?;
         }
         Ok(())
@@ -378,7 +379,7 @@ impl PesosStore {
     /// respect [`MAX_BATCH_OPS`]; the drive rejects longer lists.
     fn batch_on(
         &self,
-        targets: &[usize],
+        targets: &[&Arc<KineticClient>],
         ops: Arc<[BatchOp]>,
     ) -> Result<Vec<Result<(), KineticError>>, PesosError> {
         if targets.is_empty() {
@@ -396,9 +397,8 @@ impl PesosStore {
         }
         let set = self.asyscall.submit_batch_pooled(
             &self.batch_pool,
-            targets.iter().map(|&index| {
-                // pesos-lint: allow(panic_freedom, "drive indices come from targets_for, which is bounded by the client list")
-                let client = Arc::clone(&self.clients[index]);
+            targets.iter().map(|&client| {
+                let client = Arc::clone(client);
                 let ops = Arc::clone(&ops);
                 move || client.batch(ops)
             }),
@@ -416,7 +416,7 @@ impl PesosStore {
         placement_key: &HashedKey<'_>,
         backend_key: Arc<[u8]>,
     ) -> Result<Payload, PesosError> {
-        let targets = self.targets_for(placement_key);
+        let targets = self.targets_for(placement_key)?;
         let not_found = || PesosError::ObjectNotFound(placement_key.key().to_string());
         if targets.is_empty() {
             return Err(PesosError::Backend("no online drives".into()));
@@ -424,9 +424,8 @@ impl PesosStore {
 
         let mut set = self.asyscall.submit_batch_pooled(
             &self.get_pool,
-            targets.iter().map(|&index| {
-                // pesos-lint: allow(panic_freedom, "drive indices come from targets_for, which is bounded by the client list")
-                let client = Arc::clone(&self.clients[index]);
+            targets.iter().map(|&client| {
+                let client = Arc::clone(client);
                 let key = Arc::clone(&backend_key);
                 move || client.get(&key)
             }),
@@ -720,7 +719,7 @@ impl PesosStore {
                 stored_if_absent,
             )
             .into();
-        let targets = self.targets_for(key);
+        let targets = self.targets_for(key)?;
         let results = self.batch_on(&targets, Arc::clone(&ops))?;
 
         let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
@@ -740,7 +739,7 @@ impl PesosStore {
         if let Some(fault) = errors().find(|e| !is_refusal(e)) {
             return Err(fault.clone().into());
         }
-        let accepted: Vec<usize> = targets
+        let accepted: Vec<&Arc<KineticClient>> = targets
             .iter()
             .zip(&results)
             .filter_map(|(&drive, result)| result.is_ok().then_some(drive))
@@ -1061,7 +1060,7 @@ impl PesosStore {
     /// finds the referenced objects a policy may consult.
     pub fn list_keys_with_prefix(&self, prefix: &str) -> Result<Vec<String>, PesosError> {
         const BATCH: u32 = 512;
-        let online = self.online_indices();
+        let online = self.drives.online_indices();
         if online.len() != self.clients.len() {
             return Err(PesosError::Backend(format!(
                 "cannot list keys authoritatively: {} of {} drives offline",
@@ -1070,7 +1069,8 @@ impl PesosStore {
             )));
         }
         let mut keys = std::collections::BTreeSet::new();
-        for &index in &online {
+        // Every drive is online, so every session is scanned.
+        for client in &self.clients {
             let mut start: Vec<u8> = format!("m/{prefix}").into_bytes();
             // Object keys are UTF-8 and therefore never contain the byte
             // 0xff, so appending it to the scan prefix forms an inclusive
@@ -1082,8 +1082,7 @@ impl PesosStore {
                 end
             };
             loop {
-                // pesos-lint: allow(panic_freedom, "drive indices come from targets_for, which is bounded by the client list")
-                let client = Arc::clone(&self.clients[index]);
+                let client = Arc::clone(client);
                 let range_start = start.clone();
                 let range_end = end.clone();
                 let batch = self

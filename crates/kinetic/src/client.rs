@@ -17,11 +17,11 @@
 //! outer-transform verification — see the [`crate::protocol`] docs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pesos_crypto::hmac::HmacKey;
 
-use crate::drive::KineticDrive;
+use crate::drive::{empty_secret_key, KineticDrive};
 use crate::error::KineticError;
 use crate::protocol::{
     AccountSpec, BatchOp, Command, CommandBody, Envelope, MessageType, Payload, StatusCode,
@@ -72,13 +72,6 @@ pub struct KineticClient {
     mac_key: HmacKey,
     connection_id: u64,
     sequence: AtomicU64,
-}
-
-/// The HMAC key for the empty secret, used to authenticate error responses
-/// produced before the drive could identify the caller.
-fn empty_secret_key() -> &'static HmacKey {
-    static KEY: OnceLock<HmacKey> = OnceLock::new();
-    KEY.get_or_init(|| HmacKey::new(&[]))
 }
 
 impl KineticClient {
@@ -240,26 +233,17 @@ impl KineticClient {
         let resp = Self::check_success(self.exchange(cmd)?)?;
         // Length-prefixed keys (see the drive's range handler): safe for
         // keys containing any byte.
-        let bytes = &resp.body.value;
+        let mut rest: &[u8] = &resp.body.value;
         let mut keys = Vec::new();
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            if offset + 4 > bytes.len() {
-                return Err(KineticError::Malformed(
-                    "truncated key-range length prefix".into(),
-                ));
-            }
-            let mut len_bytes = [0u8; 4];
-            // pesos-lint: allow(panic_freedom, "length prefix bounds-checked against bytes.len() above")
-            len_bytes.copy_from_slice(&bytes[offset..offset + 4]);
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            offset += 4;
-            if offset + len > bytes.len() {
-                return Err(KineticError::Malformed("truncated key-range entry".into()));
-            }
-            // pesos-lint: allow(panic_freedom, "entry length bounds-checked against bytes.len() above")
-            keys.push(bytes[offset..offset + len].to_vec());
-            offset += len;
+        while !rest.is_empty() {
+            let (len, tail) = rest.split_first_chunk::<4>().ok_or_else(|| {
+                KineticError::Malformed("truncated key-range length prefix".into())
+            })?;
+            let (key, tail) = tail
+                .split_at_checked(u32::from_be_bytes(*len) as usize)
+                .ok_or_else(|| KineticError::Malformed("truncated key-range entry".into()))?;
+            keys.push(key.to_vec());
+            rest = tail;
         }
         Ok(keys)
     }

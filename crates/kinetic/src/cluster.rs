@@ -3,13 +3,11 @@
 //! The paper's controller uses a static configuration of drives (dynamic
 //! membership via consistent hashing is listed as future work); the
 //! [`DriveSet`] mirrors that: an ordered list of drives addressable by index
-//! (for the replication placement function) and by identifier, plus helpers
-//! for cluster-wide administration and the drive-to-drive copy API.
+//! (for the replication placement function) and by identifier.
 
 use std::sync::Arc;
 
 use crate::drive::KineticDrive;
-use crate::error::KineticError;
 
 /// An ordered collection of drives.
 #[derive(Clone, Default)]
@@ -72,23 +70,6 @@ impl DriveSet {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Copies `keys` from the drive `source_id` directly to `target_id`
-    /// using the P2P push API.
-    pub fn p2p_push(
-        &self,
-        source_id: &str,
-        target_id: &str,
-        keys: &[Vec<u8>],
-    ) -> Result<usize, KineticError> {
-        let source = self
-            .by_id(source_id)
-            .ok_or_else(|| KineticError::DriveUnavailable(source_id.to_string()))?;
-        let target = self
-            .by_id(target_id)
-            .ok_or_else(|| KineticError::DriveUnavailable(target_id.to_string()))?;
-        source.push_to(target, keys)
-    }
 }
 
 #[cfg(test)]
@@ -127,27 +108,6 @@ mod tests {
         assert_eq!(s.online_indices(), vec![0, 1, 2]);
         s.get(1).unwrap().set_online(false);
         assert_eq!(s.online_indices(), vec![0, 2]);
-    }
-
-    #[test]
-    fn p2p_push_between_members() {
-        let s = set(2);
-        let source = s.get(0).unwrap();
-        // Store directly through the engine-peek path via a client-less put.
-        source.execute(
-            &crate::drive::Account::new(1, b"asdfasdf".to_vec(), crate::drive::Permission::all()),
-            &{
-                let mut c = crate::protocol::Command::request(crate::protocol::MessageType::Put);
-                c.body.key = b"obj".to_vec();
-                c.body.value = b"data".into();
-                c.body.new_version = b"1".to_vec();
-                c
-            },
-        );
-        let copied = s.p2p_push("kd-00", "kd-01", &[b"obj".to_vec()]).unwrap();
-        assert_eq!(copied, 1);
-        assert!(s.get(1).unwrap().peek(b"obj").is_some());
-        assert!(s.p2p_push("nope", "kd-01", &[]).is_err());
     }
 
     #[test]

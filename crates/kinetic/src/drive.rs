@@ -6,11 +6,19 @@
 //! the well-known demo identity `1` / secret `asdfasdf` that Pesos removes
 //! at bootstrap), a unique device certificate that lets the controller
 //! detect whole-drive replacement, and the administrative operations
-//! (`Security`, `Setup`, `GetLog`) plus the peer-to-peer copy API.
+//! (`Security`, `Setup`, `GetLog`).
 //!
-//! The drive processes authenticated protocol envelopes
-//! ([`KineticDrive::handle_frame`]); the client library in [`crate::client`]
-//! produces and consumes those envelopes.
+//! A request reaches the drive in one of two frame forms — received bytes
+//! ([`KineticDrive::handle_frame`]) or the in-process vectored envelope the
+//! client library in [`crate::client`] exchanges
+//! ([`KineticDrive::handle_envelope`]) — and both are served by one body:
+//! online check, one fault draw, account lookup, the form's own tag check,
+//! execution, reply. The forms differ only in how a frame is opened (the
+//! private `Frame` trait) and in whether the sealed reply is materialized.
+
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use pesos_crypto::hmac::HmacKey;
@@ -81,8 +89,9 @@ impl Permission {
 /// and cached, so the two MACs the drive computes per exchange (request
 /// verify, response seal) clone a midstate instead of redoing the schedule.
 /// All fields are private so the secret and its cached key schedule cannot
-/// drift apart: changing credentials means building a new `Account`.
-#[derive(Clone)]
+/// drift apart: changing credentials means building a new `Account`. The
+/// drive holds and hands out accounts behind an `Arc`, so serving an
+/// exchange copies neither the secret nor the midstates.
 pub struct Account {
     /// Numeric identity presented in envelopes.
     identity: i64,
@@ -155,7 +164,7 @@ impl Eq for Account {}
 /// The security configuration of a drive.
 #[derive(Debug, Clone, Default)]
 pub struct AccessControl {
-    accounts: Vec<Account>,
+    accounts: Vec<Arc<Account>>,
 }
 
 impl AccessControl {
@@ -163,18 +172,25 @@ impl AccessControl {
     /// permissions, exactly what Pesos must remove at bootstrap.
     pub fn factory_default() -> Self {
         AccessControl {
-            accounts: vec![Account::new(1, b"asdfasdf".to_vec(), Permission::all())],
+            accounts: vec![Arc::new(Account::new(
+                1,
+                b"asdfasdf".to_vec(),
+                Permission::all(),
+            ))],
         }
     }
 
     /// Replaces all accounts.
     pub fn replace(&mut self, accounts: Vec<Account>) {
-        self.accounts = accounts;
+        self.accounts = accounts.into_iter().map(Arc::new).collect();
     }
 
     /// Looks up an account by identity.
-    pub fn account(&self, identity: i64) -> Option<&Account> {
-        self.accounts.iter().find(|a| a.identity == identity)
+    pub fn account(&self, identity: i64) -> Option<Arc<Account>> {
+        self.accounts
+            .iter()
+            .find(|a| a.identity == identity)
+            .cloned()
     }
 
     /// Number of configured accounts.
@@ -246,18 +262,80 @@ pub struct DriveInfo {
     pub accounts: usize,
 }
 
+/// The HMAC key for the empty secret: replies the drive produces before it
+/// could identify the caller (offline, dropped, malformed, unknown identity)
+/// are sealed under it, and the client accepts it for exactly those. One
+/// key schedule per process, shared by both sides.
+pub(crate) fn empty_secret_key() -> &'static HmacKey {
+    static KEY: OnceLock<HmacKey> = OnceLock::new();
+    KEY.get_or_init(|| HmacKey::new(&[]))
+}
+
+/// A request frame in either of its two forms, as far as serving it goes:
+/// who claims to have sent it, and the command once its tag checks out.
+trait Frame {
+    fn identity(&self) -> i64;
+
+    /// Verifies the frame tag under the claimed account's key schedule and
+    /// yields the command.
+    fn open(&self, key: &HmacKey) -> Result<Cow<'_, Command>, KineticError>;
+}
+
+/// In process the chunks and the inner digest travel in one immutable
+/// structure, so the folded check — one compression under the drive's own
+/// key schedule — suffices and the command is borrowed, payload and all
+/// (protocol module docs).
+impl Frame for &VectoredEnvelope {
+    fn identity(&self) -> i64 {
+        VectoredEnvelope::identity(self)
+    }
+
+    fn open(&self, key: &HmacKey) -> Result<Cow<'_, Command>, KineticError> {
+        if self.verified_by(key) {
+            Ok(Cow::Borrowed(self.command()))
+        } else {
+            Err(KineticError::AuthenticationFailed)
+        }
+    }
+}
+
+/// Received bytes crossed the serialized trust boundary: the full two-pass
+/// HMAC over the command bytes, then the decode.
+impl Frame for Envelope {
+    fn identity(&self) -> i64 {
+        self.identity
+    }
+
+    fn open(&self, key: &HmacKey) -> Result<Cow<'_, Command>, KineticError> {
+        self.open_with(key).map(Cow::Owned)
+    }
+}
+
+/// A best-effort error reply: sealed under the caller's key schedule if the
+/// drive got as far as knowing it, under [`empty_secret_key`] otherwise.
+fn refusal(account: Option<&Account>, err: KineticError) -> VectoredEnvelope {
+    let mut command = Command::request(MessageType::Response);
+    command.status = ResponseStatus {
+        code: err.status_code(),
+        message: err.to_string(),
+    };
+    let key = account.map_or(empty_secret_key(), Account::mac_key);
+    Envelope::seal_vectored(0, key, command)
+}
+
 /// A simulated Kinetic drive.
 pub struct KineticDrive {
     config: DriveConfig,
     engine: Mutex<DriveEngine>,
     backend: DriveBackend,
     security: RwLock<AccessControl>,
-    cluster_version: RwLock<u64>,
+    cluster_version: AtomicU64,
     device_keys: KeyPair,
     device_certificate: Certificate,
     /// Simulated availability flag (failure injection).
-    online: RwLock<bool>,
-    /// Optional deterministic fault source (see [`crate::fault`]).
+    online: AtomicBool,
+    /// Optional deterministic fault source (see [`crate::fault`]). This
+    /// mutex is what serialises the injector's generator and counters.
     fault: Mutex<Option<FaultInjector>>,
 }
 
@@ -287,14 +365,11 @@ impl KineticDrive {
                 parking_lot::lock_order::DRIVE_SECURITY,
                 AccessControl::factory_default(),
             ),
-            cluster_version: RwLock::with_rank(
-                parking_lot::lock_order::DRIVE_CLUSTER_VERSION,
-                config.cluster_version,
-            ),
+            cluster_version: AtomicU64::new(config.cluster_version),
             device_keys,
             device_certificate,
             config,
-            online: RwLock::with_rank(parking_lot::lock_order::DRIVE_ONLINE, true),
+            online: AtomicBool::new(true),
             fault: Mutex::with_rank(parking_lot::lock_order::DRIVE_FAULT, None),
         }
     }
@@ -317,12 +392,12 @@ impl KineticDrive {
 
     /// Simulates unplugging the drive; subsequent requests fail.
     pub fn set_online(&self, online: bool) {
-        *self.online.write() = online;
+        self.online.store(online, Ordering::SeqCst);
     }
 
     /// True if the drive is reachable.
     pub fn is_online(&self) -> bool {
-        *self.online.read()
+        self.online.load(Ordering::SeqCst)
     }
 
     /// Attaches a deterministic fault plan; subsequent requests may be
@@ -345,20 +420,27 @@ impl KineticDrive {
             .unwrap_or_default()
     }
 
+    /// The one fault draw of an exchange. The decision is drawn and counted
+    /// under the injector's lock, in arrival order; the plan's latency is
+    /// slept after the lock is released, so a slow drive delays each
+    /// exchange by `latency` instead of queueing them behind one sleeper.
     fn fault_decision(&self) -> FaultDecision {
-        match self.fault.lock().as_ref() {
-            Some(injector) => injector.decide(),
-            None => FaultDecision::Pass,
+        let (decision, latency) = match self.fault.lock().as_mut() {
+            Some(injector) => (injector.decide(), injector.plan().latency),
+            None => return FaultDecision::Pass,
+        };
+        if let Some(latency) = latency {
+            std::thread::sleep(latency);
         }
+        decision
     }
 
     /// Returns device information (the `GetLog` payload).
     pub fn info(&self) -> DriveInfo {
-        // Read the standalone cells before locking the engine: guards
+        // Read the security table before locking the engine: guards
         // created inside one struct literal all live to the end of the
         // statement, and the drive-internal lock order is engine →
-        // security → cluster_version.
-        let cluster_version = *self.cluster_version.read();
+        // security.
         let accounts = self.security.read().len();
         let engine = self.engine.lock();
         DriveInfo {
@@ -367,33 +449,17 @@ impl KineticDrive {
             used_bytes: engine.used_bytes(),
             utilization: engine.utilization(),
             stats: engine.stats(),
-            cluster_version,
+            cluster_version: self.cluster_version.load(Ordering::SeqCst),
             accounts,
         }
     }
 
-    /// Processes one authenticated protocol frame and returns the encoded,
-    /// authenticated response frame.
+    /// Processes one authenticated protocol frame received as bytes and
+    /// returns the encoded, authenticated response frame. This is the
+    /// serialized trust boundary: the input is decoded and its tag checked
+    /// with the full two-pass HMAC before anything runs.
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        match self.handle_frame_inner(frame) {
-            Ok(response) => response,
-            Err((identity_key, err)) => {
-                // Best-effort error response; authenticate it if we know the
-                // caller's key schedule, otherwise send it with an empty
-                // secret.
-                let key = identity_key.unwrap_or_else(|| Box::new(HmacKey::new(&[])));
-                Envelope::seal_with(0, &key, &Self::error_response(&err)).encode()
-            }
-        }
-    }
-
-    fn error_response(err: &KineticError) -> Command {
-        let mut resp = Command::request(MessageType::Response);
-        resp.status = ResponseStatus {
-            code: err.status_code(),
-            message: err.to_string(),
-        };
-        resp
+        self.serve(Envelope::decode(frame)).encode()
     }
 
     /// Processes one authenticated vectored frame — the in-process fast
@@ -409,125 +475,52 @@ impl KineticDrive {
     /// bytes path; see the protocol module docs for why the full re-hash is
     /// unnecessary inside one process.
     pub fn handle_envelope(&self, envelope: &VectoredEnvelope) -> VectoredEnvelope {
-        match self.handle_envelope_inner(envelope) {
-            Ok(response) => response,
-            Err((identity_key, err)) => {
-                let key = identity_key.unwrap_or_else(|| Box::new(HmacKey::new(&[])));
-                Envelope::seal_vectored(0, &key, Self::error_response(&err))
-            }
-        }
+        self.serve(Ok(envelope))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn handle_envelope_inner(
-        &self,
-        envelope: &VectoredEnvelope,
-    ) -> Result<VectoredEnvelope, (Option<Box<HmacKey>>, KineticError)> {
+    /// Serves one exchange, whichever form the request arrived in. A frame
+    /// that failed to decode is reported where decoding sits in the order
+    /// of events: after the online check and the fault draw, so every
+    /// exchange that reaches an online drive consumes exactly one draw.
+    fn serve<F: Frame>(&self, frame: Result<F, KineticError>) -> VectoredEnvelope {
+        let id = &self.config.id;
+        let unavailable = KineticError::DriveUnavailable;
         if !self.is_online() {
-            return Err((
-                None,
-                KineticError::DriveUnavailable(format!("drive {} offline", self.config.id)),
-            ));
+            return refusal(None, unavailable(format!("drive {id} offline")));
         }
         let decision = self.fault_decision();
         if decision == FaultDecision::DropRequest {
-            return Err((
-                None,
-                KineticError::DriveUnavailable(format!(
-                    "injected fault: drive {} dropped the request",
-                    self.config.id
-                )),
-            ));
+            let what = format!("injected fault: drive {id} dropped the request");
+            return refusal(None, unavailable(what));
         }
-        let account = {
-            let security = self.security.read();
-            security.account(envelope.identity()).cloned()
+        let frame = match frame {
+            Ok(frame) => frame,
+            Err(err) => return refusal(None, err),
         };
-        let account = account.ok_or_else(|| {
-            (
-                None,
-                KineticError::NotAuthorized(format!("unknown identity {}", envelope.identity())),
-            )
-        })?;
-        if !envelope.verified_by(account.mac_key()) {
-            return Err((
-                Some(Box::new(account.mac_key().clone())),
-                KineticError::AuthenticationFailed,
-            ));
-        }
-        let response = self.execute(&account, envelope.command());
+        let identity = frame.identity();
+        let Some(account) = self.security.read().account(identity) else {
+            let err = KineticError::NotAuthorized(format!("unknown identity {identity}"));
+            return refusal(None, err);
+        };
+        let command = match frame.open(account.mac_key()) {
+            Ok(command) => command,
+            Err(err) => return refusal(Some(&account), err),
+        };
+        let response = self.execute(&account, &command);
         if decision == FaultDecision::TearReply {
             // The operation ran; the caller is told it did not. Recovery
             // code must treat this exactly like a dropped request.
-            return Err((
-                Some(Box::new(account.mac_key().clone())),
-                KineticError::DriveUnavailable(format!(
-                    "injected fault: drive {} tore the reply",
-                    self.config.id
-                )),
-            ));
+            let what = format!("injected fault: drive {id} tore the reply");
+            return refusal(Some(&account), unavailable(what));
         }
-        Ok(Envelope::seal_vectored(
-            envelope.identity(),
-            account.mac_key(),
-            response,
-        ))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn handle_frame_inner(
-        &self,
-        frame: &[u8],
-    ) -> Result<Vec<u8>, (Option<Box<HmacKey>>, KineticError)> {
-        if !self.is_online() {
-            return Err((
-                None,
-                KineticError::DriveUnavailable(format!("drive {} offline", self.config.id)),
-            ));
-        }
-        let decision = self.fault_decision();
-        if decision == FaultDecision::DropRequest {
-            return Err((
-                None,
-                KineticError::DriveUnavailable(format!(
-                    "injected fault: drive {} dropped the request",
-                    self.config.id
-                )),
-            ));
-        }
-        let envelope = Envelope::decode(frame).map_err(|e| (None, e))?;
-        let account = {
-            let security = self.security.read();
-            security.account(envelope.identity).cloned()
-        };
-        let account = account.ok_or_else(|| {
-            (
-                None,
-                KineticError::NotAuthorized(format!("unknown identity {}", envelope.identity)),
-            )
-        })?;
-        let command = envelope
-            .open_with(account.mac_key())
-            .map_err(|e| (Some(Box::new(account.mac_key().clone())), e))?;
-
-        let response = self.execute(&account, &command);
-        if decision == FaultDecision::TearReply {
-            return Err((
-                Some(Box::new(account.mac_key().clone())),
-                KineticError::DriveUnavailable(format!(
-                    "injected fault: drive {} tore the reply",
-                    self.config.id
-                )),
-            ));
-        }
-        Ok(Envelope::seal_with(envelope.identity, account.mac_key(), &response).encode())
+        Envelope::seal_vectored(identity, account.mac_key(), response)
     }
 
     /// Executes an already authenticated command for `account`.
-    pub fn execute(&self, account: &Account, command: &Command) -> Command {
+    fn execute(&self, account: &Account, command: &Command) -> Command {
         // Cluster version must match for data operations (admin Setup may
         // change it).
-        let current_cluster = *self.cluster_version.read();
+        let current_cluster = self.cluster_version.load(Ordering::SeqCst);
         if command.cluster_version != current_cluster
             && command.message_type != MessageType::Setup
             && command.message_type != MessageType::GetLog
@@ -556,7 +549,7 @@ impl KineticDrive {
             MessageType::PeerToPeerPush => Command::response_to(
                 command,
                 StatusCode::NotAttempted,
-                "peer-to-peer push must be mediated by the cluster layer",
+                "peer-to-peer push is not modelled",
             ),
             MessageType::Response => Command::response_to(
                 command,
@@ -723,7 +716,7 @@ impl KineticDrive {
             return Self::deny(command, "setup");
         }
         if let Some(v) = command.body.setup_new_cluster_version {
-            *self.cluster_version.write() = v;
+            self.cluster_version.store(v, Ordering::SeqCst);
         }
         if command.body.setup_erase {
             self.engine.lock().erase();
@@ -749,33 +742,6 @@ impl KineticDrive {
         .into_bytes()
         .into();
         resp
-    }
-
-    /// Copies the given keys directly to `target`, standing in for the
-    /// drive-to-drive P2P push API (used by replication repair).
-    ///
-    /// Returns the number of keys copied; missing keys are skipped.
-    pub fn push_to(&self, target: &KineticDrive, keys: &[Vec<u8>]) -> Result<usize, KineticError> {
-        if !self.is_online() {
-            return Err(KineticError::DriveUnavailable(self.config.id.clone()));
-        }
-        if !target.is_online() {
-            return Err(KineticError::DriveUnavailable(target.config.id.clone()));
-        }
-        let mut copied = 0;
-        for key in keys {
-            let entry = { self.engine.lock().get(key) };
-            if let Ok(entry) = entry {
-                self.backend.charge_io(key.len() + entry.value.len());
-                target.backend.charge_io(key.len() + entry.value.len());
-                target
-                    .engine
-                    .lock()
-                    .put(key, entry.value, &[], entry.version, true)?;
-                copied += 1;
-            }
-        }
-        Ok(copied)
     }
 
     /// Direct engine access for tests and recovery tooling: reads a key
@@ -1365,30 +1331,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_push_copies_objects() {
-        let source = drive();
-        let target = KineticDrive::new(DriveConfig::simulator("kd-target"));
-        let mut put = Command::request(MessageType::Put);
-        put.body.key = b"replicate-me".to_vec();
-        put.body.value = b"payload".into();
-        put.body.new_version = b"3".to_vec();
-        roundtrip(&source, &put);
-
-        let copied = source
-            .push_to(&target, &[b"replicate-me".to_vec(), b"missing".to_vec()])
-            .unwrap();
-        assert_eq!(copied, 1);
-        let entry = target.peek(b"replicate-me").unwrap();
-        assert_eq!(entry.value, b"payload");
-        assert_eq!(entry.version, b"3");
-
-        target.set_online(false);
-        assert!(source
-            .push_to(&target, &[b"replicate-me".to_vec()])
-            .is_err());
-    }
-
-    #[test]
     fn injected_drop_fails_request_without_executing() {
         let d = drive();
         d.inject_faults(FaultPlan::errors(11, 1.0));
@@ -1421,6 +1363,79 @@ mod tests {
         assert!(d.fault_counts().torn >= 1);
         d.clear_faults();
         assert_eq!(d.peek(b"torn").unwrap().value, b"v");
+    }
+
+    #[test]
+    fn both_frame_forms_draw_the_same_faults_and_answer_alike() {
+        // One serve path behind both entry points: the same seed and the
+        // same command sequence give the same per-request outcome and the
+        // same fault counts whether the requests arrive as bytes or as
+        // vectored envelopes — one draw per exchange, in one place.
+        let plan = FaultPlan {
+            seed: 29,
+            error_rate: 0.3,
+            torn_reply_rate: 0.2,
+            latency: None,
+        };
+        let admin = HmacKey::new(b"asdfasdf");
+        let stranger = HmacKey::new(b"not-the-secret");
+        let sequence: Vec<(i64, &HmacKey, Command)> = (0..96u8)
+            .map(|i| {
+                let key = vec![b'k', i % 8];
+                let mut cmd = match i % 4 {
+                    0 | 1 => {
+                        let mut put = Command::request(MessageType::Put);
+                        put.body.value = vec![i; 16].into();
+                        put.body.new_version = vec![i];
+                        put.body.force = true;
+                        put
+                    }
+                    2 => Command::request(MessageType::Get),
+                    _ => {
+                        let mut delete = Command::request(MessageType::Delete);
+                        delete.body.force = true;
+                        delete
+                    }
+                };
+                cmd.body.key = key;
+                cmd.sequence = u64::from(i);
+                // Unauthenticated and unknown callers consume a draw too.
+                match i % 16 {
+                    7 => (1, &stranger, cmd),
+                    11 => (99, &admin, cmd),
+                    _ => (1, &admin, cmd),
+                }
+            })
+            .collect();
+
+        let via_bytes = drive();
+        via_bytes.inject_faults(plan);
+        let bytes_outcomes: Vec<Command> = sequence
+            .iter()
+            .map(|(identity, key, cmd)| {
+                let frame = Envelope::seal_with(*identity, key, cmd).encode();
+                let reply = Envelope::decode(&via_bytes.handle_frame(&frame)).unwrap();
+                Command::decode(&reply.command_bytes).unwrap()
+            })
+            .collect();
+        let via_envelopes = drive();
+        via_envelopes.inject_faults(plan);
+        let envelope_outcomes: Vec<Command> = sequence
+            .iter()
+            .map(|(identity, key, cmd)| {
+                via_envelopes
+                    .handle_envelope(&Envelope::seal_vectored(*identity, key, cmd.clone()))
+                    .into_command()
+            })
+            .collect();
+
+        assert_eq!(bytes_outcomes, envelope_outcomes);
+        let counts = via_bytes.fault_counts();
+        assert_eq!(counts, via_envelopes.fault_counts());
+        assert!(counts.dropped > 0 && counts.torn > 0, "{counts:?}");
+        for k in 0..8u8 {
+            assert_eq!(via_bytes.peek(&[b'k', k]), via_envelopes.peek(&[b'k', k]));
+        }
     }
 
     #[test]

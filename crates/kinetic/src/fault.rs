@@ -15,8 +15,10 @@
 //!   case: the caller cannot distinguish it from a dropped request, so
 //!   every recovery path must tolerate "failed" operations that actually
 //!   happened.
-//! * **Latency** — every injected decision can add a fixed service delay,
-//!   modelling a degraded or overloaded drive.
+//! * **Latency** — every exchange can be charged a fixed service delay,
+//!   modelling a degraded or overloaded drive. The drive sleeps it per
+//!   exchange, outside the injector's lock, so concurrent exchanges are
+//!   each delayed rather than queued behind one another.
 //!
 //! The injector sits at the drive's authenticated-frame entry points, after
 //! the online check and before account lookup, so it covers every operation
@@ -25,7 +27,6 @@
 
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,18 +79,19 @@ pub enum FaultDecision {
     TearReply,
 }
 
-/// A seeded fault source attached to a drive.
+/// A seeded fault source attached to a drive. Plain state: the drive's
+/// `DRIVE_FAULT` mutex around it is what serialises draws and counts.
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: Mutex<StdRng>,
-    injected: Mutex<FaultCounts>,
+    rng: StdRng,
+    injected: FaultCounts,
 }
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
             .field("plan", &self.plan)
-            .field("injected", &*self.injected.lock())
+            .field("injected", &self.injected)
             .finish()
     }
 }
@@ -107,14 +109,8 @@ impl FaultInjector {
     /// Creates an injector for `plan`.
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            rng: Mutex::with_rank(
-                parking_lot::lock_order::FAULT_RNG,
-                StdRng::seed_from_u64(plan.seed),
-            ),
-            injected: Mutex::with_rank(
-                parking_lot::lock_order::FAULT_COUNTERS,
-                FaultCounts::default(),
-            ),
+            rng: StdRng::seed_from_u64(plan.seed),
+            injected: FaultCounts::default(),
             plan,
         }
     }
@@ -126,28 +122,23 @@ impl FaultInjector {
 
     /// Counters for the faults produced so far.
     pub fn counts(&self) -> FaultCounts {
-        *self.injected.lock()
+        self.injected
     }
 
-    /// Draws the next injection decision and sleeps for the configured
-    /// latency. Decisions consume the generator in a fixed order (drop
-    /// first, then tear), so a plan's fault sequence is reproducible
-    /// whatever the rates are.
-    pub fn decide(&self) -> FaultDecision {
-        let (drop, tear) = {
-            let mut rng = self.rng.lock();
-            let drop = self.plan.error_rate > 0.0 && rng.gen_bool(self.plan.error_rate);
-            let tear = self.plan.torn_reply_rate > 0.0 && rng.gen_bool(self.plan.torn_reply_rate);
-            (drop, tear)
-        };
-        if let Some(latency) = self.plan.latency {
-            std::thread::sleep(latency);
-        }
+    /// Draws and counts the next injection decision. Decisions consume the
+    /// generator in a fixed order (drop first, then tear), so a plan's
+    /// fault sequence is reproducible whatever the rates are. Charging the
+    /// plan's latency is the caller's job, once it no longer holds the
+    /// lock this injector sits behind.
+    pub fn decide(&mut self) -> FaultDecision {
+        let plan = self.plan;
+        let drop = plan.error_rate > 0.0 && self.rng.gen_bool(plan.error_rate);
+        let tear = plan.torn_reply_rate > 0.0 && self.rng.gen_bool(plan.torn_reply_rate);
         if drop {
-            self.injected.lock().dropped += 1;
+            self.injected.dropped += 1;
             FaultDecision::DropRequest
         } else if tear {
-            self.injected.lock().torn += 1;
+            self.injected.torn += 1;
             FaultDecision::TearReply
         } else {
             FaultDecision::Pass
@@ -167,8 +158,8 @@ mod tests {
             torn_reply_rate: 0.2,
             latency: None,
         };
-        let a = FaultInjector::new(plan);
-        let b = FaultInjector::new(plan);
+        let mut a = FaultInjector::new(plan);
+        let mut b = FaultInjector::new(plan);
         let da: Vec<_> = (0..64).map(|_| a.decide()).collect();
         let db: Vec<_> = (0..64).map(|_| b.decide()).collect();
         assert_eq!(da, db);
@@ -177,7 +168,7 @@ mod tests {
 
     #[test]
     fn zero_rates_always_pass() {
-        let inj = FaultInjector::new(FaultPlan {
+        let mut inj = FaultInjector::new(FaultPlan {
             seed: 1,
             error_rate: 0.0,
             torn_reply_rate: 0.0,
@@ -191,7 +182,7 @@ mod tests {
 
     #[test]
     fn rates_produce_both_fault_classes() {
-        let inj = FaultInjector::new(FaultPlan {
+        let mut inj = FaultInjector::new(FaultPlan {
             seed: 42,
             error_rate: 0.4,
             torn_reply_rate: 0.4,
@@ -207,15 +198,36 @@ mod tests {
 
     #[test]
     fn latency_is_charged() {
-        let inj = FaultInjector::new(FaultPlan {
+        // Per exchange, by the drive the plan is attached to, and slept
+        // after the fault lock is released: four exchanges started together
+        // each pay 30 ms, not 30, 60, 90 and 120.
+        use crate::{Command, DriveConfig, Envelope, KineticDrive, MessageType, StatusCode};
+        let latency = Duration::from_millis(30);
+        let drive = KineticDrive::new(DriveConfig::simulator("kd-slow"));
+        drive.inject_faults(FaultPlan {
             seed: 3,
             error_rate: 0.0,
             torn_reply_rate: 0.0,
-            latency: Some(Duration::from_millis(5)),
+            latency: Some(latency),
         });
+        let key = pesos_crypto::hmac::HmacKey::new(b"asdfasdf");
+        let start_line = std::sync::Barrier::new(4);
         let start = std::time::Instant::now();
-        inj.decide();
-        inj.decide();
-        assert!(start.elapsed() >= Duration::from_millis(10));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start_line.wait();
+                    let noop = Command::request(MessageType::Noop);
+                    let resp = drive.handle_envelope(&Envelope::seal_vectored(1, &key, noop));
+                    assert_eq!(resp.command().status.code, StatusCode::Success);
+                });
+            }
+        });
+        let elapsed = start.elapsed();
+        assert!(elapsed >= latency, "latency not charged: {elapsed:?}");
+        assert!(
+            elapsed < latency * 3,
+            "four concurrent exchanges took {elapsed:?}: serialised behind one sleeper"
+        );
     }
 }

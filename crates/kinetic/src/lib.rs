@@ -17,7 +17,12 @@
 //!   frame HMAC, so the in-process exchange moves object payloads without
 //!   copying or re-hashing them (the module docs carry the wire-format and
 //!   security argument), plus the atomic batch ([`BatchOp`]): an ordered
-//!   PUT/DELETE list in one authenticated frame.
+//!   PUT/DELETE list in one authenticated frame. The vectored encoder is
+//!   the only one in a shipped build; the monolithic one it replaced
+//!   (`Command::encode`, `BatchOp::encode`, `Envelope::{seal, seal_with,
+//!   encode}`) exists under `cfg(test)` alone, as the oracle of the
+//!   in-crate wire-equivalence properties. The byte *decode* path is
+//!   shipped and public.
 //! * [`engine`] — the key-value engine inside a drive (versioned entries,
 //!   range scans, capacity accounting, all-or-nothing batches).
 //! * [`backend`] — the timing model: an in-memory *simulator* backend
@@ -26,8 +31,11 @@
 //!   latency and throttles to roughly 1 kIOP/s per spindle (the paper's
 //!   "Disk" configuration).
 //! * [`drive`] — a full drive: engine + backend + accounts/ACLs + device
-//!   certificate + admin operations (security, setup/erase, getlog) + the
-//!   peer-to-peer copy API.
+//!   certificate + admin operations (security, setup/erase, getlog). One
+//!   serve path answers a request in either frame form;
+//!   [`KineticDrive::handle_frame`] is the serialized trust boundary
+//!   (received bytes are decoded and fully re-hashed before anything
+//!   runs), [`KineticDrive::handle_envelope`] the in-process exchange.
 //! * [`client`] — the client library used by the controller: session setup,
 //!   per-message HMAC authentication, synchronous operations (the SGX
 //!   asyscall interface above it supplies the asynchrony).
@@ -35,6 +43,10 @@
 //! * [`fault`] — deterministic fault injection (dropped requests, torn
 //!   replies, added latency) driven by a seeded generator, used by the
 //!   failover and migration test suites.
+//!
+//! Unmodelled: drive-to-drive copy. A `PeerToPeerPush` is answered
+//! `NotAttempted` and nothing moves data between drives except a
+//! controller reading from one and writing to another.
 
 pub mod backend;
 pub mod client;
@@ -44,6 +56,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod protocol;
+mod wire_equivalence;
 
 pub use backend::{BackendKind, DriveBackend, HddModel};
 pub use client::{ClientConfig, KineticClient};

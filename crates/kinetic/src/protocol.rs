@@ -49,12 +49,11 @@
 //!
 //! [`Command::encode_vectored`] splits the command encoding into owned
 //! chunks interleaved with the *borrowed* payloads (the body value and
-//! every batch PUT's value: [`Payload`] reference-count bumps, no copies),
-//! whose concatenation is byte-identical to [`Command::encode`] (pinned by a
-//! property test; the legacy monolithic encoder is kept untouched precisely
-//! to serve as that oracle). [`Envelope::seal_vectored`] computes the frame
-//! HMAC in one streaming pass over the chunk sequence with the session's
-//! cached [`HmacKey`] midstates and yields a [`VectoredEnvelope`];
+//! every batch PUT's value: [`Payload`] reference-count bumps, no copies).
+//! It is the only encoder in a shipped build. [`Envelope::seal_vectored`]
+//! computes the frame HMAC in one streaming pass over the chunk sequence
+//! with the session's cached [`HmacKey`] midstates and yields a
+//! [`VectoredEnvelope`];
 //! [`VectoredEnvelope::encode`] is a scatter-gather writer that gathers the
 //! chunks straight into the output frame, so materializing a wire frame
 //! copies the payload exactly once. On the in-process client↔drive path the
@@ -62,10 +61,24 @@
 //! [`crate::drive::KineticDrive::handle_envelope`] and the payload travels
 //! from the sealing controller into the drive engine as one shared buffer.
 //!
+//! ## The test-only oracle
+//!
+//! The monolithic encoder the vectored one replaced — `Command::encode`,
+//! `BatchOp::encode`, `Envelope::{seal, seal_with}` and `Envelope::encode`
+//! — is compiled under `#[cfg(test)]` only. It is kept untouched, written
+//! against `FieldWriter` where the vectored encoder uses raw varints, as an
+//! independent implementation for the in-crate equivalence properties
+//! (`wire_equivalence`): same command bytes, same tags, same frames, same
+//! drive responses. Nothing outside this crate's tests can call it. The
+//! byte *decode* path ([`Envelope::decode`], [`Envelope::open_with`],
+//! [`Command::decode`]) is public and shipped: it is what checks input
+//! that arrives as bytes.
+//!
 //! ## HMAC over the concatenation, folded verification
 //!
-//! The frame HMAC authenticates the concatenation of the chunks — the same
-//! bytes the legacy path MACs, so tags and wire frames are byte-identical.
+//! The frame HMAC authenticates the concatenation of the chunks — the
+//! bytes a monolithic encoder would MAC, so tags and wire frames are the
+//! ones a real deployment puts on the wire.
 //! Because HMAC is `outer(inner(message))`, sealing records the inner
 //! digest next to the tag, and an in-process receiver verifies with
 //! [`HmacKey::verify_inner`]: one compression re-running the outer
@@ -75,10 +88,11 @@
 //! process the chunks and the digest travel in the same immutable structure
 //! and cannot desynchronize, which is exactly the trusted-boundary story —
 //! in a real deployment the re-hash happens on the drive's own processor,
-//! not on the controller's. Any frame that crosses a *serialized* boundary
-//! ([`Envelope::decode`] on received bytes) is still verified with the full
-//! two-pass [`Envelope::open_with`], so tampered or wrong-secret byte
-//! frames are rejected exactly as before.
+//! not on the controller's. The *serialized* trust boundary is
+//! [`crate::drive::KineticDrive::handle_frame`]: a frame received as bytes
+//! goes through [`Envelope::decode`] and the full two-pass
+//! [`Envelope::open_with`], so tampered or wrong-secret byte frames are
+//! rejected before anything runs.
 
 use std::sync::Arc;
 
@@ -435,7 +449,9 @@ impl BatchOp {
         }
     }
 
-    /// Monolithic sub-message encoding (the [`Command::encode`] side).
+    /// Monolithic sub-message encoding (the [`Command::encode`] side of the
+    /// test-only oracle).
+    #[cfg(test)]
     fn encode(&self) -> FieldWriter {
         let mut w = FieldWriter::new();
         match self {
@@ -611,8 +627,11 @@ impl Command {
         }
     }
 
-    /// Encodes the command (without the outer authenticated envelope).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encodes the command (without the outer authenticated envelope):
+    /// the monolithic encoder, kept as the test-only equivalence oracle
+    /// for [`Command::encode_vectored`] (module docs).
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut header = FieldWriter::new();
         header
             .uint64(1, self.connection_id)
@@ -793,12 +812,12 @@ impl Command {
     /// interleaved with the *borrowed* payloads — the body value and every
     /// batch PUT's value ([`Payload`] reference-count bumps, no copies).
     ///
-    /// The concatenation of the chunks is byte-identical to
-    /// [`Command::encode`] — the legacy monolithic encoder is deliberately
-    /// kept as an independent implementation so the property tests can use
-    /// it as the equivalence oracle. This method is written against the raw
-    /// varint primitives rather than sharing helpers with `encode`, so a
-    /// bug cannot hide in code common to both.
+    /// The concatenation of the chunks is byte-identical to the monolithic
+    /// `Command::encode`, which is kept under `cfg(test)` as an independent
+    /// implementation so the property tests can use it as the equivalence
+    /// oracle. This method is written against the raw varint primitives
+    /// rather than sharing helpers with it, so a bug cannot hide in code
+    /// common to both.
     pub fn encode_vectored(&self) -> VectoredCommand {
         let mut header = FieldWriter::new();
         header
@@ -815,8 +834,8 @@ impl Command {
             body_head.bytes(1, &b.key);
         }
         // Body fields between the value and the batch list, in field order
-        // (the same unconditional-presence rules as `encode`; see the
-        // module docs).
+        // (value, versions and the page limit are emitted even when
+        // empty/zero; see the module docs on field presence).
         let mut body_mid = FieldWriter::new();
         body_mid.bytes(3, &b.db_version).bytes(4, &b.new_version);
         if b.force {
@@ -983,10 +1002,10 @@ impl ChunkWriter {
 
 /// A command encoded as scatter-gather chunks.
 ///
-/// The concatenation of the chunks is the exact byte sequence
-/// [`Command::encode`] produces; every non-empty payload (the body value,
-/// each batch PUT's value) is its own chunk holding the shared [`Payload`]
-/// buffer, never a copy. Produced by [`Command::encode_vectored`].
+/// The concatenation of the chunks is the command's wire encoding; every
+/// non-empty payload (the body value, each batch PUT's value) is its own
+/// chunk holding the shared [`Payload`] buffer, never a copy. Produced by
+/// [`Command::encode_vectored`].
 #[derive(Debug, Clone)]
 pub struct VectoredCommand {
     chunks: Vec<Chunk>,
@@ -1014,8 +1033,7 @@ impl VectoredCommand {
 
     /// Materializes the contiguous command encoding (one copy of every
     /// chunk, including the payloads). Only needed when command bytes must
-    /// actually leave the process; equality with [`Command::encode`] is
-    /// pinned by property test.
+    /// actually leave the process.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         for chunk in self.chunks() {
@@ -1037,17 +1055,17 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Wraps and authenticates a command.
-    ///
-    /// Runs the full HMAC key schedule for `secret`; sessions holding a
-    /// precomputed [`HmacKey`] should use [`Envelope::seal_with`], which
-    /// produces byte-identical envelopes without redoing the schedule.
-    pub fn seal(identity: i64, secret: &[u8], command: &Command) -> Self {
+    /// Wraps and authenticates a command, running the full HMAC key
+    /// schedule for `secret` (test-only oracle, module docs).
+    #[cfg(test)]
+    pub(crate) fn seal(identity: i64, secret: &[u8], command: &Command) -> Self {
         Envelope::seal_with(identity, &HmacKey::new(secret), command)
     }
 
-    /// Wraps and authenticates a command with a precomputed key schedule.
-    pub fn seal_with(identity: i64, key: &HmacKey, command: &Command) -> Self {
+    /// Wraps and authenticates a command with a precomputed key schedule
+    /// over the monolithic encoding (test-only oracle, module docs).
+    #[cfg(test)]
+    pub(crate) fn seal_with(identity: i64, key: &HmacKey, command: &Command) -> Self {
         let command_bytes = command.encode();
         let hmac = key.mac(&command_bytes).to_vec();
         Envelope {
@@ -1060,9 +1078,9 @@ impl Envelope {
     /// Wraps and authenticates a command as a [`VectoredEnvelope`]: the
     /// frame HMAC is computed in one streaming pass over the vectored
     /// chunk sequence (cached `key` midstates, payload borrowed, no
-    /// intermediate `command_bytes` buffer), folding the legacy path's
-    /// separate encode and MAC passes — and, via the recorded inner digest,
-    /// the in-process receiver's re-hash — into that single pass.
+    /// intermediate `command_bytes` buffer), folding separate encode and
+    /// MAC passes — and, via the recorded inner digest, the in-process
+    /// receiver's re-hash — into that single pass.
     pub fn seal_vectored(identity: i64, key: &HmacKey, command: Command) -> VectoredEnvelope {
         let frame = command.encode_vectored();
         let mut hasher = key.hasher();
@@ -1093,8 +1111,10 @@ impl Envelope {
         Command::decode(&self.command_bytes)
     }
 
-    /// Encodes the envelope for transmission.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encodes the envelope for transmission (test-only oracle for
+    /// [`VectoredEnvelope::encode`], module docs).
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = FieldWriter::new();
         w.sint64(1, self.identity)
             .bytes(2, &self.hmac)
@@ -1137,14 +1157,14 @@ impl Envelope {
 /// Created by [`Envelope::seal_vectored`]. The command travels alongside
 /// its encoded chunks (the payload is the same shared [`Payload`] buffer in
 /// both), so the in-process receiver neither re-decodes nor copies
-/// anything. [`VectoredEnvelope::encode`] materializes the byte-identical
-/// legacy frame when bytes are actually needed. See the module docs for the
+/// anything. [`VectoredEnvelope::encode`] materializes the wire frame when
+/// bytes are actually needed. See the module docs for the
 /// folded-verification security argument and its trust boundary.
 #[derive(Debug, Clone)]
 pub struct VectoredEnvelope {
     identity: i64,
-    /// HMAC-SHA256 over the concatenated chunks — the same tag the legacy
-    /// [`Envelope::seal_with`] computes over `command_bytes`.
+    /// HMAC-SHA256 over the concatenated chunks, i.e. over the
+    /// `command_bytes` of the frame once materialized.
     hmac: Digest,
     /// The inner digest of that HMAC (`sha256(ipad-block || frame bytes)`),
     /// recorded at seal time so an in-process receiver can verify the tag
@@ -1187,7 +1207,7 @@ impl VectoredEnvelope {
     /// The scatter-gather frame writer: materializes the wire frame by
     /// gathering identity, tag and the command chunks straight into one
     /// output buffer — the payload is copied exactly once, here, and
-    /// nowhere else on the encode path. Byte-identical to
+    /// nowhere else on the encode path. Byte-identical to the oracle's
     /// `Envelope::seal_with(..).encode()` (property-tested).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = FieldWriter::with_capacity(self.frame.encoded_len() + 48);

@@ -3,19 +3,22 @@
 //!
 //! `Command::encode` and `Envelope::seal_with`/`Envelope::encode` are kept
 //! as deliberately independent implementations — the monolithic encoders
-//! the vectored path replaced — precisely so they can serve as the
-//! equivalence oracle here: for arbitrary commands, the scatter-gather
+//! the vectored path replaced, compiled under `cfg(test)` only, which is
+//! why these properties live inside the crate — precisely so they can serve
+//! as the equivalence oracle here: for arbitrary commands, the scatter-gather
 //! writer must produce the same command bytes, the same frame HMAC and the
 //! same materialized frame, and the frame must still decode and verify
 //! through the legacy byte path. Both encoders carry the batch list, and a
 //! batch executes identically whether it reaches the drive as bytes
 //! (`handle_frame`) or as a vectored envelope (`handle_envelope`).
 
-use pesos_crypto::HmacKey;
-use pesos_kinetic::{
+#![cfg(test)]
+
+use crate::{
     AccountSpec, BatchOp, Command, DriveConfig, Envelope, KineticDrive, MessageType, Payload,
     ResponseStatus, StatusCode, MAX_BATCH_OPS,
 };
+use pesos_crypto::HmacKey;
 use proptest::prelude::*;
 
 /// Small deterministic expander turning one seed into an arbitrary command

@@ -559,14 +559,6 @@ const GLOBAL_FAMILIES: &[(&str, Family)] = &[
         },
     ),
     (
-        "request_baseline",
-        Family {
-            rank: ranks::REQUEST_BASELINE,
-            name: "REQUEST_BASELINE",
-            sharded: false,
-        },
-    ),
-    (
         "migration_locks",
         Family {
             rank: ranks::MIGRATION_STRIPE,
@@ -607,34 +599,10 @@ const GLOBAL_FAMILIES: &[(&str, Family)] = &[
         },
     ),
     (
-        "cluster_version",
-        Family {
-            rank: ranks::DRIVE_CLUSTER_VERSION,
-            name: "DRIVE_CLUSTER_VERSION",
-            sharded: false,
-        },
-    ),
-    (
-        "online",
-        Family {
-            rank: ranks::DRIVE_ONLINE,
-            name: "DRIVE_ONLINE",
-            sharded: false,
-        },
-    ),
-    (
         "actuator",
         Family {
             rank: ranks::BACKEND_ACTUATOR,
             name: "BACKEND_ACTUATOR",
-            sharded: false,
-        },
-    ),
-    (
-        "injected",
-        Family {
-            rank: ranks::FAULT_COUNTERS,
-            name: "FAULT_COUNTERS",
             sharded: false,
         },
     ),
@@ -802,15 +770,6 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
         Family {
             rank: ranks::DRIVE_FAULT,
             name: "DRIVE_FAULT",
-            sharded: false,
-        },
-    ),
-    (
-        "kinetic/src/fault.rs",
-        "rng",
-        Family {
-            rank: ranks::FAULT_RNG,
-            name: "FAULT_RNG",
             sharded: false,
         },
     ),

@@ -52,10 +52,9 @@ impl ShardKey for str {
 
 impl ShardKey for crate::PolicyId {
     fn shard_hint(&self) -> u64 {
-        let mut bytes = [0u8; 8];
-        // pesos-lint: allow(panic_freedom, "PolicyId is 32 bytes")
-        bytes.copy_from_slice(&self.0[..8]);
-        u64::from_be_bytes(bytes)
+        self.0
+            .first_chunk()
+            .map_or(0, |prefix| u64::from_be_bytes(*prefix))
     }
 }
 

@@ -142,18 +142,18 @@ mod pesos_wire_encode {
         }
     }
 
+    /// Reads fields off the front of what is left of the input.
     pub struct Reader<'a> {
-        data: &'a [u8],
-        pos: usize,
+        rest: &'a [u8],
     }
     impl<'a> Reader<'a> {
         pub fn new(data: &'a [u8]) -> Self {
-            Reader { data, pos: 0 }
+            Reader { rest: data }
         }
         pub fn u32(&mut self) -> Option<u32> {
-            let b = self.raw(4)?;
-            // pesos-lint: allow(panic_freedom, "raw(4) returned a slice of exactly four bytes")
-            Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+            let (b, rest) = self.rest.split_first_chunk()?;
+            self.rest = rest;
+            Some(u32::from_be_bytes(*b))
         }
         pub fn bytes(&mut self) -> Option<Vec<u8>> {
             let len = self.u32()? as usize;
@@ -163,12 +163,8 @@ mod pesos_wire_encode {
             String::from_utf8(self.bytes()?).ok()
         }
         pub fn raw(&mut self, len: usize) -> Option<&'a [u8]> {
-            if self.pos + len > self.data.len() {
-                return None;
-            }
-            // pesos-lint: allow(panic_freedom, "bounds-checked against data.len() above")
-            let out = &self.data[self.pos..self.pos + len];
-            self.pos += len;
+            let (out, rest) = self.rest.split_at_checked(len)?;
+            self.rest = rest;
             Some(out)
         }
     }

@@ -55,11 +55,8 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Compiled to a no-op with the `disabled` feature.
+    /// Records one sample.
     pub fn record(&self, value: u64) {
-        if !crate::compiled_in() {
-            return;
-        }
         if let Some(bucket) = self.buckets.get(bucket_of(value)) {
             bucket.fetch_add(1, Ordering::Relaxed);
         }

@@ -100,12 +100,8 @@ impl HotKeyTracker {
 
     /// Counts one operation against the group with routing hash `hash`;
     /// `name` is the group's routing prefix, copied only if this record
-    /// claims a fresh slot. Compiled to a no-op with the `disabled`
-    /// feature.
+    /// claims a fresh slot.
     pub fn record(&self, hash: u64, name: &str) {
-        if !crate::compiled_in() {
-            return;
-        }
         let tag = Self::tag_of(hash);
         for i in 0..PROBE {
             let index = (tag.wrapping_add(i) & self.mask) as usize;

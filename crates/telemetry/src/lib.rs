@@ -46,9 +46,6 @@
 //! /stats/ops/put/p99_us                   cluster-level put p99 (µs)
 //! /stats/reset                            restart the windows
 //! ```
-//!
-//! Compiling with the `disabled` feature turns every recording path into
-//! a no-op (the tree still serves, reading all zeros).
 
 mod hist;
 mod hotkey;
@@ -60,11 +57,6 @@ pub use tree::{query_param, serve, split_query, StatsNode};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Whether recording is compiled in (false with the `disabled` feature).
-pub const fn compiled_in() -> bool {
-    cfg!(not(feature = "disabled"))
-}
 
 /// The request-path operations latency histograms are kept for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +153,7 @@ impl OpHistograms {
     /// against.
     pub fn timer(&self, kind: OpKind, enabled: bool) -> OpTimer<'_> {
         OpTimer {
-            pending: (enabled && compiled_in()).then(|| (self, kind, Instant::now())),
+            pending: enabled.then(|| (self, kind, Instant::now())),
         }
     }
 
@@ -241,11 +233,9 @@ impl WindowedCounter {
         Self::default()
     }
 
-    /// Adds `n` (no-op with the `disabled` feature).
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if compiled_in() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The count since the last [`WindowedCounter::reset_window`].
