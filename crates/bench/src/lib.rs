@@ -937,7 +937,6 @@ pub fn fig15_telemetry_overhead(scale: Scale) -> Vec<DataPoint> {
     for _rep in 0..reps {
         let mut controller_config = ControllerConfig::native_simulator(1);
         controller_config.syscall_threads = 4;
-        controller_config.telemetry = true;
         let cluster = Arc::new(
             ControllerCluster::new(ClusterConfig::with_controller(2, controller_config))
                 .expect("cluster bootstrap"),

@@ -235,10 +235,9 @@ impl RetryCounters {
 /// checkpoint gauges. Atomics only: recording on the request path takes
 /// no lock.
 struct ClusterTelemetry {
-    /// Runtime off-switch, seeded from
-    /// [`pesos_core::ControllerConfig::telemetry`] and flipped without a
-    /// restart via [`ControllerCluster::set_telemetry_enabled`]; the
-    /// overhead benchmark's "off" side.
+    /// Runtime off-switch: on from the start, flipped without a restart
+    /// via [`ControllerCluster::set_telemetry_enabled`]; the overhead
+    /// benchmark's "off" side.
     enabled: AtomicBool,
     ops: OpHistograms,
     hot: HotKeyTracker,
@@ -403,7 +402,6 @@ impl ControllerCluster {
             Vec::new()
         };
         let shards = config.controller.lock_shards;
-        let telemetry_on = config.controller.telemetry;
         Ok(ControllerCluster {
             routing: RwLock::with_rank(
                 lock_order::ROUTING_STATE,
@@ -433,7 +431,7 @@ impl ControllerCluster {
             ),
             retries: RetryCounters::default(),
             telemetry: ClusterTelemetry {
-                enabled: AtomicBool::new(telemetry_on),
+                enabled: AtomicBool::new(true),
                 ops: OpHistograms::new(),
                 hot: HotKeyTracker::new(HOT_GROUP_SLOTS),
                 drain_group_skips: WindowedCounter::new(),
@@ -489,8 +487,7 @@ impl ControllerCluster {
     /// counters) on or off cluster-wide at runtime — the cluster flag and
     /// every current partition controller flip together, without a
     /// restart or a request-path lock. Counters keep their values across
-    /// an off/on cycle; controllers that join later follow their own
-    /// [`pesos_core::ControllerConfig::telemetry`] seed.
+    /// an off/on cycle; controllers that join later start out recording.
     pub fn set_telemetry_enabled(&self, on: bool) {
         self.telemetry.enabled.store(on, Ordering::Relaxed);
         for partition in self.routing.read().table.partitions() {

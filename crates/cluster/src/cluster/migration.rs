@@ -269,7 +269,10 @@ impl ControllerCluster {
             Arc::new(pesos_sgx::AsyscallInterface::new(
                 self.drain_concurrency,
                 self.drain_concurrency,
-                pesos_sgx::cost::ModeCost::new(self.template.mode, self.template.cost_model),
+                pesos_sgx::cost::ModeCost::new(
+                    self.template.mode,
+                    pesos_sgx::SgxCostModel::default(),
+                ),
             ))
         })
     }

@@ -77,7 +77,7 @@ pub struct MigrationTelemetry {
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Whether recording is enabled
-    /// ([`pesos_core::ControllerConfig::telemetry`]).
+    /// ([`ControllerCluster::set_telemetry_enabled`]).
     pub enabled: bool,
     /// Per-partition gauges, in partition order.
     pub partitions: Vec<PartitionTelemetry>,

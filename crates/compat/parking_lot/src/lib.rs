@@ -102,8 +102,6 @@ pub mod lock_order {
     pub const REPLICATION_WORKERS: u16 = 82;
     /// Submission scheduler / thread-pool internals.
     pub const SCHEDULER: u16 = 85;
-    /// Asyscall completion-pool free lists.
-    pub const ASYSCALL_FREE: u16 = 88;
     /// Asyscall slow-path park mutexes (service sleepers and table-full
     /// submitters per interface, the waiter per batch). The hand-off
     /// itself runs on atomics; these are taken only to sleep or to wake a
@@ -145,7 +143,6 @@ pub mod lock_order {
         (REPLICATION_LOG, "REPLICATION_LOG"),
         (REPLICATION_WORKERS, "REPLICATION_WORKERS"),
         (SCHEDULER, "SCHEDULER"),
-        (ASYSCALL_FREE, "ASYSCALL_FREE"),
         (ASYSCALL_PARK, "ASYSCALL_PARK"),
         (DRIVE_FAULT, "DRIVE_FAULT"),
         (DRIVE_ENGINE, "DRIVE_ENGINE"),

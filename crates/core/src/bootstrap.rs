@@ -14,7 +14,7 @@ use pesos_kinetic::protocol::AccountSpec;
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, KineticClient, KineticDrive, Permission};
 use pesos_sgx::attestation::{AttestationService, ProvisionedSecrets, QuotingEnclave};
 use pesos_sgx::cost::ModeCost;
-use pesos_sgx::{AsyscallInterface, Enclave};
+use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, SgxCostModel};
 
 use crate::config::ControllerConfig;
 use crate::error::PesosError;
@@ -74,10 +74,10 @@ pub fn admin_secret_for(secrets: &ProvisionedSecrets, drive_id: &str) -> Vec<u8>
 /// simulator creates them here).
 pub fn bootstrap(config: &ControllerConfig) -> Result<BootstrapOutcome, PesosError> {
     config.validate()?;
-    let cost = ModeCost::new(config.mode, config.cost_model);
+    let cost = ModeCost::new(config.mode, SgxCostModel::default());
 
     // 1. Load the enclave and compute its measurement.
-    let enclave = Arc::new(Enclave::create(config.enclave.clone(), cost)?);
+    let enclave = Arc::new(Enclave::create(EnclaveConfig::default(), cost)?);
     let asyscall = Arc::new(AsyscallInterface::new(
         config.syscall_threads,
         config.syscall_threads * 8,

@@ -1,17 +1,14 @@
 //! Controller configuration.
 
 use pesos_kinetic::backend::BackendKind;
-use pesos_sgx::{EnclaveConfig, ExecutionMode, SgxCostModel};
+use pesos_sgx::ExecutionMode;
 
 /// Static configuration of one Pesos controller instance.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Whether the controller runs natively or inside the simulated enclave.
+    /// Whether the controller runs natively or inside the simulated
+    /// enclave, where the default SGX cost model is charged.
     pub mode: ExecutionMode,
-    /// The SGX cost model applied in [`ExecutionMode::Sgx`].
-    pub cost_model: SgxCostModel,
-    /// Enclave parameters (measurement inputs, heap size, threads).
-    pub enclave: EnclaveConfig,
     /// Number of Kinetic drives to create/attach.
     pub drive_count: usize,
     /// Timing backend used by the drives.
@@ -35,18 +32,12 @@ pub struct ControllerConfig {
     /// object cache splits its byte budget across shards, so the largest
     /// cacheable object is `object_cache_bytes / lock_shards`.
     pub lock_shards: usize,
-    /// Record per-operation latency histograms and hot-key counters
-    /// (atomics only — no locks on the request path). On by default;
-    /// benchmarks flip it off to measure the recording overhead.
-    pub telemetry: bool,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             mode: ExecutionMode::Sgx,
-            cost_model: SgxCostModel::default(),
-            enclave: EnclaveConfig::default(),
             drive_count: 1,
             drive_backend: BackendKind::Memory,
             replication_factor: 1,
@@ -56,7 +47,6 @@ impl Default for ControllerConfig {
             tx_outcome_capacity: 2048,
             syscall_threads: 4,
             lock_shards: 16,
-            telemetry: true,
         }
     }
 }
@@ -77,7 +67,6 @@ impl ControllerConfig {
     pub fn native_simulator(drives: usize) -> Self {
         ControllerConfig {
             mode: ExecutionMode::Native,
-            cost_model: SgxCostModel::zero(),
             drive_count: drives,
             drive_backend: BackendKind::Memory,
             ..ControllerConfig::default()
@@ -98,7 +87,6 @@ impl ControllerConfig {
     pub fn native_disk(drives: usize) -> Self {
         ControllerConfig {
             mode: ExecutionMode::Native,
-            cost_model: SgxCostModel::zero(),
             drive_count: drives,
             drive_backend: BackendKind::Hdd,
             ..ControllerConfig::default()
@@ -167,6 +155,5 @@ mod tests {
     fn sharding_defaults() {
         let c = ControllerConfig::default();
         assert!(c.lock_shards >= 1);
-        assert!(c.telemetry);
     }
 }

@@ -102,8 +102,8 @@ pub struct PesosController {
     /// layer can fail over to a backup; direct store access (replication
     /// appliers, recovery tooling) is unaffected.
     failed: AtomicBool,
-    /// Runtime switch for per-operation latency recording. Seeded from
-    /// [`ControllerConfig::telemetry`]; flipped without a restart via
+    /// Runtime switch for per-operation latency recording: on from the
+    /// start, flipped without a restart via
     /// [`PesosController::set_telemetry_enabled`].
     telemetry_enabled: AtomicBool,
 }
@@ -133,7 +133,7 @@ impl PesosController {
             report: outcome.report,
             tx_outcomes: ShardedTxOutcomes::new(config.lock_shards, config.tx_outcome_capacity),
             failed: AtomicBool::new(false),
-            telemetry_enabled: AtomicBool::new(config.telemetry),
+            telemetry_enabled: AtomicBool::new(true),
             store,
             config,
         })
@@ -1194,6 +1194,82 @@ mod tests {
         assert!(c.delete("alice", "doc", &[]).is_err());
         c.delete("admin", "doc", &[]).unwrap();
         assert!(c.metrics().policy_denials >= 2);
+    }
+
+    #[test]
+    fn a_replica_fault_is_never_read_as_no_policy() {
+        use crate::metadata::{data_key, meta_key};
+        use pesos_kinetic::FaultPlan;
+        let c = PesosController::new(ControllerConfig {
+            replication_factor: 2,
+            ..ControllerConfig::native_simulator(3)
+        })
+        .unwrap();
+        c.register_client("alice");
+        c.register_client("mallory");
+        let policy = c
+            .put_policy(
+                "alice",
+                "read :- sessionKeyIs(\"alice\")\n\
+                 update :- sessionKeyIs(\"alice\")\n\
+                 delete :- sessionKeyIs(\"alice\")",
+            )
+            .unwrap();
+        let drives = c.store().drives();
+        let home = crate::placement::placement("acked", 3, 2);
+        // Acknowledged with the second replica away: the object lives on
+        // the first drive and on the third.
+        drives.get(home[1]).unwrap().set_online(false);
+        c.put("alice", "acked", b"v0", Some(policy), None, &[])
+            .unwrap();
+        // A cold controller (a delete that reached no drive forgets the
+        // key), every drive back.
+        drives.iter().for_each(|d| d.set_online(false));
+        assert!(c.store().delete_object("acked").is_err());
+        drives.iter().for_each(|d| d.set_online(true));
+        let on_drives = || -> Vec<_> {
+            drives
+                .iter()
+                .map(|d| {
+                    let bytes = |key| d.peek(key).map(|entry| entry.value);
+                    (
+                        d.key_count(),
+                        bytes(&meta_key("acked")),
+                        bytes(&data_key("acked", 0)),
+                    )
+                })
+                .collect()
+        };
+        let before = on_drives();
+
+        // The replica that holds the record faults; the second one answers
+        // that it holds nothing. That is no licence to skip the policy.
+        drives
+            .get(home[0])
+            .unwrap()
+            .inject_faults(FaultPlan::errors(7, 1.0));
+        let accepted = c.put_async("mallory", "acked", b"mine".to_vec(), None, None, &[]);
+        c.drain_async();
+        assert!(
+            matches!(accepted, Err(PesosError::Backend(_))),
+            "{accepted:?}"
+        );
+        assert!(matches!(
+            c.get("mallory", "acked", &[]),
+            Err(PesosError::Backend(_))
+        ));
+        assert!(matches!(
+            c.delete("mallory", "acked", &[]),
+            Err(PesosError::Backend(_))
+        ));
+        assert_eq!(on_drives(), before);
+
+        drives.get(home[0]).unwrap().clear_faults();
+        assert!(matches!(
+            c.put_async("mallory", "acked", b"mine".to_vec(), None, None, &[]),
+            Err(PesosError::PolicyDenied(_))
+        ));
+        assert_eq!(&**c.get("alice", "acked", &[]).unwrap().0, b"v0");
     }
 
     #[test]

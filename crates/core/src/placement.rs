@@ -198,70 +198,29 @@ pub fn placement<'a>(
     drive_count: usize,
     replication_factor: usize,
 ) -> Vec<usize> {
+    placement_available(key, drive_count, replication_factor, |_| true)
+}
+
+/// Like [`placement`] but skips the drives `is_online` reports offline,
+/// extending the probe sequence so the replication factor is preserved when
+/// possible. `is_online` is asked once per probed slot, in probe order, and
+/// not at all past the slot that completes the set.
+pub fn placement_available<'a>(
+    key: impl Into<HashedKey<'a>>,
+    drive_count: usize,
+    replication_factor: usize,
+    is_online: impl Fn(usize) -> bool,
+) -> Vec<usize> {
     if drive_count == 0 {
         return Vec::new();
     }
     let factor = replication_factor.clamp(1, drive_count);
     let primary = (key.into().hash() % drive_count as u64) as usize;
-    (0..factor).map(|i| (primary + i) % drive_count).collect()
-}
-
-/// Like [`placement`] but skips drives reported offline, extending the probe
-/// sequence so the replication factor is preserved when possible.
-pub fn placement_available<'a>(
-    key: impl Into<HashedKey<'a>>,
-    drive_count: usize,
-    replication_factor: usize,
-    online: &[usize],
-) -> Vec<usize> {
-    if drive_count == 0 || online.is_empty() {
-        return Vec::new();
-    }
-    let factor = replication_factor.clamp(1, drive_count);
-    let primary = (key.into().hash() % drive_count as u64) as usize;
-
-    // One O(drives) membership mask instead of an `online.contains` linear
-    // scan per probed slot (which made the probe loop quadratic in the
-    // drive count when most drives were offline). Realistic cluster sizes
-    // fit a stack bitmask, keeping this per-request path allocation-free;
-    // only very large clusters pay for a heap-allocated mask.
-    enum Mask {
-        Small(u128),
-        Large(Vec<bool>),
-    }
-    let mask = if drive_count <= 128 {
-        let mut mask: u128 = 0;
-        for &idx in online {
-            if idx < drive_count {
-                mask |= 1 << idx;
-            }
-        }
-        Mask::Small(mask)
-    } else {
-        let mut mask = vec![false; drive_count];
-        for &idx in online {
-            if let Some(slot) = mask.get_mut(idx) {
-                *slot = true;
-            }
-        }
-        Mask::Large(mask)
-    };
-    let is_online = |idx: usize| match &mask {
-        Mask::Small(m) => m & (1 << idx) != 0,
-        Mask::Large(v) => v.get(idx).copied().unwrap_or(false),
-    };
-
-    let mut out = Vec::with_capacity(factor);
-    for offset in 0..drive_count {
-        let idx = (primary + offset) % drive_count;
-        if is_online(idx) {
-            out.push(idx);
-            if out.len() == factor {
-                break;
-            }
-        }
-    }
-    out
+    (0..drive_count)
+        .map(|offset| (primary + offset) % drive_count)
+        .filter(|&index| is_online(index))
+        .take(factor)
+        .collect()
 }
 
 #[cfg(test)]
@@ -327,8 +286,8 @@ mod tests {
             // from the bare key.
             assert_eq!(placement(&hashed, 5, 3), placement(key, 5, 3));
             assert_eq!(
-                placement_available(&hashed, 5, 3, &[0, 2, 4]),
-                placement_available(key, 5, 3, &[0, 2, 4])
+                placement_available(&hashed, 5, 3, |i| i.is_multiple_of(2)),
+                placement_available(key, 5, 3, |i| i.is_multiple_of(2))
             );
         }
     }
@@ -395,13 +354,13 @@ mod tests {
 
     #[test]
     fn placement_available_scales_to_many_drives() {
-        // 2000 drives with only a sparse tail online: the boolean mask keeps
-        // this O(drives); the old per-probe `contains` scan was O(drives²).
+        // 2000 drives with only a sparse tail online: one question per
+        // probed slot keeps the walk O(drives).
         let drive_count = 2000;
-        let online: Vec<usize> = (0..drive_count).filter(|i| i % 37 == 0).collect();
+        let online = |idx: usize| idx.is_multiple_of(37);
         for i in 0..50 {
             let key = format!("obj/{i}");
-            let p = placement_available(&key, drive_count, 3, &online);
+            let p = placement_available(&key, drive_count, 3, online);
             assert_eq!(p.len(), 3);
             assert!(p.iter().all(|idx| idx % 37 == 0));
             // The probe order is preserved: each selected drive is the next
@@ -414,26 +373,27 @@ mod tests {
                 .collect();
             assert_eq!(p, expected);
         }
-        // Out-of-range indices in the online list are ignored, not a panic.
-        assert_eq!(
-            placement_available("k", 4, 2, &[1, 9999]),
-            placement_available("k", 4, 2, &[1])
-        );
+        // The walk stops asking at the slot that completes the set.
+        let asked = Cell::new(0);
+        let p = placement_available("k", 4, 2, |_| {
+            asked.set(asked.get() + 1);
+            true
+        });
+        assert_eq!((p.len(), asked.get()), (2, 2));
     }
 
     #[test]
     fn failure_falls_through_to_next_available() {
         let all = placement("obj", 4, 2);
         // Take the primary offline.
-        let online: Vec<usize> = (0..4).filter(|i| *i != all[0]).collect();
-        let p = placement_available("obj", 4, 2, &online);
+        let p = placement_available("obj", 4, 2, |i| i != all[0]);
         assert_eq!(p.len(), 2);
         assert!(!p.contains(&all[0]));
         assert_eq!(p[0], (all[0] + 1) % 4);
 
         // With only one drive online the factor degrades gracefully.
-        let p = placement_available("obj", 4, 3, &[2]);
+        let p = placement_available("obj", 4, 3, |i| i == 2);
         assert_eq!(p, vec![2]);
-        assert!(placement_available("obj", 4, 2, &[]).is_empty());
+        assert!(placement_available("obj", 4, 2, |_| false).is_empty());
     }
 }

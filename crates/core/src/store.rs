@@ -15,7 +15,7 @@
 //! the sub-operations the mutation needs (the sealed object, the metadata
 //! record, the DELETE of any version the history just trimmed) travel as
 //! *one* Kinetic batch per replica, and the per-replica batches go out as
-//! one [`AsyscallInterface::submit_batch_pooled`] that is joined once
+//! one [`AsyscallInterface::submit_batch`] that is joined once
 //! (`PesosStore::batch_on` keeps each replica's own answer; every path but
 //! a create reads them first error wins). A put therefore costs one
 //! asyscall hand-off and one drive round trip per replica, and a
@@ -130,7 +130,7 @@ use pesos_kinetic::{
     BatchOp, DriveSet, KineticClient, KineticError, Payload, StatusCode, MAX_BATCH_OPS,
 };
 use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, ViewFault};
-use pesos_sgx::{AsyscallInterface, CompletionPool, Enclave};
+use pesos_sgx::{AsyscallInterface, Enclave};
 
 use crate::config::ControllerConfig;
 use crate::encryption::ObjectCrypter;
@@ -217,6 +217,18 @@ impl KeyLocks {
             shard.remove(key.key());
         }
     }
+
+    /// Runs `body` under `key`'s write lock and afterwards drops the key's
+    /// registry entry if nobody else holds it. `body` computes the whole
+    /// outcome, so there is no exit that skips the release.
+    fn locked_then_released<T>(&self, key: &HashedKey<'_>, body: impl FnOnce() -> T) -> T {
+        let key_lock = self.lock_for(key);
+        let guard = key_lock.lock();
+        let out = body();
+        drop(guard);
+        self.release_if_unused(key, &key_lock);
+        out
+    }
 }
 
 /// How often the drives contradicted the in-enclave map about a key's
@@ -246,12 +258,6 @@ pub struct PesosStore {
     create_rollbacks: AtomicU64,
     asyscall: Arc<AsyscallInterface>,
     enclave: Arc<Enclave>,
-    /// Typed completion pools, one per kinetic result type, backing both
-    /// the single-call and scatter-gather drive paths: steady-state traffic
-    /// recycles completion cells instead of allocating one `Arc` per call
-    /// (cells a raced read abandons mid-flight are simply replaced).
-    batch_pool: CompletionPool<Result<(), KineticError>>,
-    get_pool: CompletionPool<Result<(Payload, Vec<u8>), KineticError>>,
 }
 
 impl PesosStore {
@@ -265,9 +271,6 @@ impl PesosStore {
         asyscall: Arc<AsyscallInterface>,
         enclave: Arc<Enclave>,
     ) -> Self {
-        // A pool can never need more cells than the slot table allows calls
-        // in flight.
-        let pool_capacity = asyscall.slots();
         PesosStore {
             drives,
             clients,
@@ -284,8 +287,6 @@ impl PesosStore {
             create_rollbacks: AtomicU64::new(0),
             asyscall,
             enclave,
-            batch_pool: CompletionPool::new(pool_capacity),
-            get_pool: CompletionPool::new(pool_capacity),
         }
     }
 
@@ -311,16 +312,6 @@ impl PesosStore {
         self.asyscall.stats()
     }
 
-    /// Recycling statistics of the typed completion pools (batch, get),
-    /// summed.
-    pub fn completion_pool_stats(&self) -> pesos_sgx::CompletionPoolStats {
-        let (b, g) = (self.batch_pool.stats(), self.get_pool.stats());
-        pesos_sgx::CompletionPoolStats {
-            reused: b.reused + g.reused,
-            allocated: b.allocated + g.allocated,
-        }
-    }
-
     /// Refused and rolled-back creates so far.
     pub fn create_stats(&self) -> CreateStats {
         CreateStats {
@@ -337,11 +328,17 @@ impl PesosStore {
     }
 
     /// The sessions to the online placement targets of `key`, in placement
-    /// order. The placement function is sized by the client list; were the
+    /// order and never none: with every drive offline there is nobody to
+    /// ask. The placement function is sized by the client list; were the
     /// two ever to disagree, that is a backend fault, not an index panic.
     fn targets_for(&self, key: &HashedKey<'_>) -> Result<Vec<&Arc<KineticClient>>, PesosError> {
-        let online = self.drives.online_indices();
-        placement_available(key, self.clients.len(), self.replication_factor, &online)
+        let is_online = |index| self.drives.get(index).is_some_and(|d| d.is_online());
+        let targets =
+            placement_available(key, self.clients.len(), self.replication_factor, is_online);
+        if targets.is_empty() {
+            return Err(PesosError::Backend("no online drives".into()));
+        }
+        targets
             .into_iter()
             .map(|index| {
                 let missing = || PesosError::Backend(format!("no session for drive index {index}"));
@@ -382,9 +379,6 @@ impl PesosStore {
         targets: &[&Arc<KineticClient>],
         ops: Arc<[BatchOp]>,
     ) -> Result<Vec<Result<(), KineticError>>, PesosError> {
-        if targets.is_empty() {
-            return Err(PesosError::Backend("no online drives".into()));
-        }
         let payload_bytes: usize = ops
             .iter()
             .map(|op| match op {
@@ -395,14 +389,11 @@ impl PesosStore {
         for _ in targets {
             self.enclave.charge_boundary_copy(payload_bytes);
         }
-        let set = self.asyscall.submit_batch_pooled(
-            &self.batch_pool,
-            targets.iter().map(|&client| {
-                let client = Arc::clone(client);
-                let ops = Arc::clone(&ops);
-                move || client.batch(ops)
-            }),
-        )?;
+        let set = self.asyscall.submit_batch(targets.iter().map(|&client| {
+            let client = Arc::clone(client);
+            let ops = Arc::clone(&ops);
+            move || client.batch(ops)
+        }))?;
         Ok(set.join()?)
     }
 
@@ -410,41 +401,31 @@ impl PesosStore {
     ///
     /// All reachable replicas are raced through one scatter-gather batch;
     /// the first successful completion wins and the remaining reads drain
-    /// in the background.
+    /// in the background. `ObjectNotFound` is the answer only when *every*
+    /// replica answered that it holds nothing: a replica that faulted may
+    /// be the one that holds the entry, so a fault beside a `NotFound` is
+    /// the fault.
     fn replicated_get(
         &self,
         placement_key: &HashedKey<'_>,
         backend_key: Arc<[u8]>,
     ) -> Result<Payload, PesosError> {
         let targets = self.targets_for(placement_key)?;
-        let not_found = || PesosError::ObjectNotFound(placement_key.key().to_string());
-        if targets.is_empty() {
-            return Err(PesosError::Backend("no online drives".into()));
-        }
-
-        let mut set = self.asyscall.submit_batch_pooled(
-            &self.get_pool,
-            targets.iter().map(|&client| {
-                let client = Arc::clone(client);
-                let key = Arc::clone(&backend_key);
-                move || client.get(&key)
-            }),
-        )?;
-        let mut saw_not_found = false;
-        let mut last_err: Option<PesosError> = None;
+        let mut set = self.asyscall.submit_batch(targets.iter().map(|&client| {
+            let client = Arc::clone(client);
+            let key = Arc::clone(&backend_key);
+            move || client.get(&key)
+        }))?;
+        let mut fault = None;
         while let Some((_index, result)) = set.next_completed() {
             match result {
                 Ok(Ok((value, _version))) => return Ok(value),
-                Ok(Err(KineticError::NotFound)) => saw_not_found = true,
-                Ok(Err(e)) => last_err = Some(PesosError::Backend(e.to_string())),
-                Err(e) => last_err = Some(PesosError::Backend(e.to_string())),
+                Ok(Err(KineticError::NotFound)) => {}
+                Ok(Err(e)) => fault = Some(PesosError::Backend(e.to_string())),
+                Err(e) => fault = Some(PesosError::Backend(e.to_string())),
             }
         }
-        if saw_not_found {
-            Err(not_found())
-        } else {
-            Err(last_err.unwrap_or_else(|| PesosError::Backend("no online drives".into())))
-        }
+        Err(fault.unwrap_or_else(|| PesosError::ObjectNotFound(placement_key.key().to_string())))
     }
 
     // ------------------------------------------------------------------
@@ -527,12 +508,8 @@ impl PesosStore {
         if let Some(m) = self.metadata.get(&key) {
             return Ok(Some(m));
         }
-        let key_lock = self.key_locks.lock_for(&key);
-        let fill_guard = key_lock.lock();
-        let out = self.load_metadata_checked(&key);
-        drop(fill_guard);
-        self.key_locks.release_if_unused(&key, &key_lock);
-        out
+        self.key_locks
+            .locked_then_released(&key, || self.load_metadata_checked(&key))
     }
 
     /// The read-through body of [`PesosStore::lookup`]; the caller must
@@ -910,18 +887,16 @@ impl PesosStore {
             // the expensive part; only the metadata comparison needs the
             // lock.
             let value_hash = pesos_crypto::sha256(&value);
-            let key_lock = self.key_locks.lock_for(&key);
-            let fill_guard = key_lock.lock();
-            let still_latest = self.metadata.get(&key).is_some_and(|m| {
-                m.latest_version == version
-                    && m.version(version)
-                        .is_some_and(|v| v.value_hash.as_slice() == value_hash)
+            self.key_locks.locked_then_released(&key, || {
+                let still_latest = self.metadata.get(&key).is_some_and(|m| {
+                    m.latest_version == version
+                        && m.version(version)
+                            .is_some_and(|v| v.value_hash.as_slice() == value_hash)
+                });
+                if still_latest {
+                    self.object_cache.put(&key, Arc::clone(&value), version);
+                }
             });
-            if still_latest {
-                self.object_cache.put(&key, Arc::clone(&value), version);
-            }
-            drop(fill_guard);
-            self.key_locks.release_if_unused(&key, &key_lock);
         }
         Ok((value, version))
     }
@@ -955,35 +930,35 @@ impl PesosStore {
     /// migration would retire with a stale source copy still readable.
     /// Either way the in-enclave map and cache forget the key, so the
     /// drives are the witness from here on — a retry finds the surviving
-    /// record and finishes, or finds nothing and reports `ObjectNotFound`,
-    /// which callers finishing an interrupted delete treat as done. A put
-    /// that re-creates the key meanwhile is compare-on-absent like any
-    /// first write, so a replica that kept the record refuses it and the
-    /// put lands over the surviving versions instead of restarting at 0.
+    /// record and finishes, or every replica answers that it holds none and
+    /// the retry reports `ObjectNotFound`, which callers finishing an
+    /// interrupted delete treat as done (a replica that faults instead of
+    /// answering fails the retry too: it may be the one that kept the
+    /// record). A put that re-creates the key meanwhile is compare-on-absent
+    /// like any first write, so a replica that kept the record refuses it
+    /// and the put lands over the surviving versions instead of restarting
+    /// at 0.
     pub fn delete_object<'a>(&self, key: impl Into<HashedKey<'a>>) -> Result<(), PesosError> {
         let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let write_guard = key_lock.lock();
-
-        let meta = self
-            .load_metadata_checked(&key)?
-            .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
-        let ops: Vec<BatchOp> = std::iter::once(meta_key(key.key()))
-            .chain(meta.versions.iter().map(|v| data_key(key.key(), v.version)))
-            .map(BatchOp::delete_forced)
-            .collect();
-        let mut outcome = Ok(());
-        for chunk in ops.chunks(MAX_BATCH_OPS) {
-            let deleted = self.replicated_batch(&key, chunk.into());
-            if outcome.is_ok() {
-                outcome = deleted;
+        self.key_locks.locked_then_released(&key, || {
+            let meta = self
+                .load_metadata_checked(&key)?
+                .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
+            let ops: Vec<BatchOp> = std::iter::once(meta_key(key.key()))
+                .chain(meta.versions.iter().map(|v| data_key(key.key(), v.version)))
+                .map(BatchOp::delete_forced)
+                .collect();
+            let mut outcome = Ok(());
+            for chunk in ops.chunks(MAX_BATCH_OPS) {
+                let deleted = self.replicated_batch(&key, chunk.into());
+                if outcome.is_ok() {
+                    outcome = deleted;
+                }
             }
-        }
-        self.metadata.remove(&key);
-        self.object_cache.invalidate(&key);
-        drop(write_guard);
-        self.key_locks.release_if_unused(&key, &key_lock);
-        outcome
+            self.metadata.remove(&key);
+            self.object_cache.invalidate(&key);
+            outcome
+        })
     }
 
     /// Associates `policy_id` with an existing object without changing its
@@ -1060,11 +1035,10 @@ impl PesosStore {
     /// finds the referenced objects a policy may consult.
     pub fn list_keys_with_prefix(&self, prefix: &str) -> Result<Vec<String>, PesosError> {
         const BATCH: u32 = 512;
-        let online = self.drives.online_indices();
-        if online.len() != self.clients.len() {
+        let offline = self.drives.iter().filter(|d| !d.is_online()).count();
+        if offline != 0 {
             return Err(PesosError::Backend(format!(
-                "cannot list keys authoritatively: {} of {} drives offline",
-                self.clients.len() - online.len(),
+                "cannot list keys authoritatively: {offline} of {} drives offline",
                 self.clients.len()
             )));
         }
@@ -1124,38 +1098,21 @@ impl PesosStore {
         key: impl Into<HashedKey<'a>>,
     ) -> Result<Option<ObjectExport>, PesosError> {
         let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let write_guard = key_lock.lock();
-
-        let meta = match self.load_metadata_checked(&key) {
-            Ok(Some(meta)) => meta,
-            // The drives answered: there is genuinely nothing to export.
-            // A drive *fault* stays an error — reporting it as "never
-            // existed" would let a migration pull settle a key whose
+        self.key_locks.locked_then_released(&key, || {
+            // `None` is the drives' answer that there is genuinely nothing
+            // to export. A drive *fault* stays an error — reporting it as
+            // "never existed" would let a migration pull settle a key whose
             // record simply could not be read.
-            Ok(None) => {
-                drop(write_guard);
-                self.key_locks.release_if_unused(&key, &key_lock);
+            let Some(meta) = self.load_metadata_checked(&key)? else {
                 return Ok(None);
-            }
-            Err(e) => {
-                drop(write_guard);
-                self.key_locks.release_if_unused(&key, &key_lock);
-                return Err(e);
-            }
-        };
-        let mut versions = Vec::with_capacity(meta.versions.len());
-        for v in meta.versions.iter() {
-            let stored = self.replicated_get(&key, Arc::from(data_key(key.key(), v.version)))?;
-            let plain = self
-                .crypter
-                .unseal(key.key(), v.version, &stored)
-                .map_err(|e| PesosError::Backend(format!("decryption failed: {e}")))?;
-            versions.push((v.version, plain));
-        }
-        drop(write_guard);
-        self.key_locks.release_if_unused(&key, &key_lock);
-        Ok(Some(ObjectExport { meta, versions }))
+            };
+            let versions = meta
+                .versions
+                .iter()
+                .map(|v| Ok((v.version, self.get_object_version(&key, v.version)?)))
+                .collect::<Result<_, PesosError>>()?;
+            Ok(Some(ObjectExport { meta, versions }))
+        })
     }
 
     /// Applies an [`ObjectExport`] produced by another store: re-seals every
@@ -1169,30 +1126,27 @@ impl PesosStore {
     /// with versions missing.
     pub fn import_object(&self, export: &ObjectExport) -> Result<(), PesosError> {
         let key = HashedKey::new(&export.meta.key);
-        let key_lock = self.key_locks.lock_for(&key);
-        let write_guard = key_lock.lock();
-
-        let ops: Vec<BatchOp> = export
-            .versions
-            .iter()
-            .map(|(version, plain)| {
-                stored(
-                    data_key(key.key(), *version),
-                    self.crypter.seal(key.key(), *version, plain),
-                )
-            })
-            .chain(std::iter::once(stored(
-                meta_key(key.key()),
-                export.meta.to_bytes(),
-            )))
-            .collect();
-        for chunk in ops.chunks(MAX_BATCH_OPS) {
-            self.replicated_batch(&key, chunk.into())?;
-        }
-        self.metadata.insert(&key, export.meta.clone());
-        drop(write_guard);
-        self.key_locks.release_if_unused(&key, &key_lock);
-        Ok(())
+        self.key_locks.locked_then_released(&key, || {
+            let ops: Vec<BatchOp> = export
+                .versions
+                .iter()
+                .map(|(version, plain)| {
+                    stored(
+                        data_key(key.key(), *version),
+                        self.crypter.seal(key.key(), *version, plain),
+                    )
+                })
+                .chain(std::iter::once(stored(
+                    meta_key(key.key()),
+                    export.meta.to_bytes(),
+                )))
+                .collect();
+            for chunk in ops.chunks(MAX_BATCH_OPS) {
+                self.replicated_batch(&key, chunk.into())?;
+            }
+            self.metadata.insert(&key, export.meta.clone());
+            Ok(())
+        })
     }
 }
 
@@ -1932,17 +1886,101 @@ mod tests {
     }
 
     #[test]
-    fn completion_pools_recycle_on_the_drive_path() {
-        let s = store(1, 1);
-        for i in 0..50 {
-            let key = format!("pooled/{i}");
-            s.put_object(&key, b"v", None).unwrap();
+    fn a_replica_fault_beside_not_found_is_the_fault() {
+        use pesos_kinetic::FaultPlan;
+        let s = store(3, 2);
+        let home = crate::placement::placement("acked", 3, 2);
+        // With the second replica offline the probe extends to the third
+        // drive: the acknowledged put lands on the first and the third.
+        s.drives().get(home[1]).unwrap().set_online(false);
+        assert_eq!(s.put_object("acked", b"v0", None).unwrap(), 0);
+        s.drives().get(home[1]).unwrap().set_online(true);
+        // A cold controller: the map and the cache have forgotten the key.
+        s.metadata.remove("acked");
+        s.object_cache.invalidate("acked");
+        // The targets are the first two again. The one that holds the
+        // record faults; the other answers, truthfully, that it has none.
+        let holder = s.drives().get(home[0]).unwrap();
+        holder.inject_faults(FaultPlan::errors(7, 1.0));
+        assert!(matches!(s.lookup("acked"), Err(PesosError::Backend(_))));
+        assert!(matches!(s.get_object("acked"), Err(PesosError::Backend(_))));
+        assert!(matches!(
+            s.delete_object("acked"),
+            Err(PesosError::Backend(_))
+        ));
+        holder.clear_faults();
+        assert_eq!(s.lookup("acked").unwrap().unwrap().latest_version, 0);
+        // Absence is still absence when every replica says so.
+        assert!(matches!(s.lookup("never-written"), Ok(None)));
+    }
+
+    #[test]
+    fn faulted_export_and_import_leave_no_key_lock_behind() {
+        use pesos_kinetic::FaultPlan;
+        let registry_is_empty = |s: &PesosStore| {
+            s.key_locks
+                .shard(&HashedKey::new("moved"))
+                .lock()
+                .is_empty()
+        };
+        let src = store(1, 1);
+        src.put_object("moved", b"v0", None).unwrap();
+        // A put keeps its key registered; an export that worked does not.
+        let export = src.export_object("moved").unwrap().unwrap();
+        assert!(registry_is_empty(&src));
+        // The record comes from the map, the version read faults.
+        src.drives()
+            .get(0)
+            .unwrap()
+            .inject_faults(FaultPlan::errors(7, 1.0));
+        assert!(matches!(
+            src.export_object("moved"),
+            Err(PesosError::Backend(_))
+        ));
+        assert!(registry_is_empty(&src));
+
+        let dst = store(1, 1);
+        dst.drives()
+            .get(0)
+            .unwrap()
+            .inject_faults(FaultPlan::errors(7, 1.0));
+        assert!(dst.import_object(&export).is_err());
+        assert!(registry_is_empty(&dst));
+    }
+
+    #[test]
+    fn targets_walk_the_probe_sequence_over_online_drives() {
+        let s = store(4, 2);
+        let key = HashedKey::new("walked");
+        let sessions = |indices: &[usize]| -> Vec<*const KineticClient> {
+            indices
+                .iter()
+                .map(|&i| Arc::as_ptr(&s.clients[i]))
+                .collect()
+        };
+        let targets = || -> Result<Vec<*const KineticClient>, PesosError> {
+            Ok(s.targets_for(&key)?.into_iter().map(Arc::as_ptr).collect())
+        };
+        // All online: the sessions of `placement()`, in order.
+        let home = crate::placement::placement(&key, 4, 2);
+        assert_eq!(targets().unwrap(), sessions(&home));
+        // Primary offline: the probe extends by one, the factor holds.
+        s.drives().get(home[0]).unwrap().set_online(false);
+        assert_eq!(targets().unwrap(), sessions(&[home[1], (home[1] + 1) % 4]));
+        // Nobody online: nobody to ask, for a write or a read.
+        for drive in s.drives().iter() {
+            drive.set_online(false);
         }
-        let stats = s.completion_pool_stats();
-        assert!(
-            stats.reused > stats.allocated,
-            "drive-path completions barely recycled: {stats:?}"
-        );
+        for failed in [
+            targets().map(drop),
+            s.put_object(&key, b"v", None).map(drop),
+            s.get_object(&key).map(drop),
+        ] {
+            assert!(
+                matches!(&failed, Err(PesosError::Backend(why)) if why == "no online drives"),
+                "{failed:?}"
+            );
+        }
     }
 
     #[test]

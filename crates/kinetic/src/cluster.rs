@@ -60,16 +60,6 @@ impl DriveSet {
     pub fn ids(&self) -> Vec<String> {
         self.drives.iter().map(|d| d.id().to_string()).collect()
     }
-
-    /// Indices of drives that are currently reachable.
-    pub fn online_indices(&self) -> Vec<usize> {
-        self.drives
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_online())
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -105,9 +95,10 @@ mod tests {
     #[test]
     fn online_tracking() {
         let s = set(3);
-        assert_eq!(s.online_indices(), vec![0, 1, 2]);
+        let online = || s.iter().map(|d| d.is_online()).collect::<Vec<_>>();
+        assert_eq!(online(), [true, true, true]);
         s.get(1).unwrap().set_online(false);
-        assert_eq!(s.online_indices(), vec![0, 2]);
+        assert_eq!(online(), [true, false, true]);
     }
 
     #[test]
@@ -115,6 +106,6 @@ mod tests {
         let s = DriveSet::new();
         assert!(s.is_empty());
         assert!(s.get(0).is_none());
-        assert!(s.online_indices().is_empty());
+        assert_eq!(s.iter().count(), 0);
     }
 }

@@ -14,7 +14,7 @@
 //!    sharded family without ordered indices.
 //! 2. **guard-across-I/O** (`guard_across_io`) — no lock guard may be
 //!    lexically live across a drive-I/O submission
-//!    (`submit`/`submit_async`/`submit_batch`/… or a drive
+//!    (`submit`/`submit_batch` or a drive
 //!    `exchange`/`handle_envelope`): the submission parks the thread on a
 //!    completion, so a held guard turns drive latency into lock hold
 //!    time (or a deadlock when the service path needs the same lock).
@@ -748,15 +748,6 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
     ),
     (
         "sgx/src/asyscall.rs",
-        "free",
-        Family {
-            rank: ranks::ASYSCALL_FREE,
-            name: "ASYSCALL_FREE",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/asyscall.rs",
         "park",
         Family {
             rank: ranks::ASYSCALL_PARK,
@@ -810,16 +801,7 @@ fn family_for(file: &str, ident: &str) -> Option<Family> {
 }
 
 /// Method names that submit drive I/O and park on completion.
-const IO_CALLS: &[&str] = &[
-    "submit",
-    "submit_async",
-    "submit_batch",
-    "submit_with_pool",
-    "submit_batch_pooled",
-    "submit_async_pooled",
-    "handle_envelope",
-    "exchange",
-];
+const IO_CALLS: &[&str] = &["submit", "submit_batch", "handle_envelope", "exchange"];
 
 // ---------------------------------------------------------------------------
 // Analysis

@@ -24,7 +24,7 @@ impl S {
 
     fn temporary_dies_at_statement_end(&self) {
         let snapshot = self.ops_gate.read().clone();
-        self.asyscall.submit_async(move || drop(snapshot));
+        self.asyscall.submit_batch([move || drop(snapshot)]);
     }
 
     fn allowed(&self) {

@@ -53,22 +53,20 @@
 //! which is what gives [`CompletionSet::next_completed`] completion order,
 //! first-success races and a first-error-wins `join` without a queue.
 //!
-//! Three submission flavours share that path:
+//! There are two entry points and one handle:
 //!
 //! * [`AsyscallInterface::submit`]: the synchronous wrapper Scone exposes
 //!   to the application; a batch of one, joined at once.
-//! * [`AsyscallInterface::submit_async`]: returns a [`Completion`] the
-//!   caller joins later, letting one enclave thread keep many calls in
-//!   flight.
 //! * [`AsyscallInterface::submit_batch`]: the scatter-gather path: N
 //!   bodies are enqueued back-to-back and a [`CompletionSet`] hands back
 //!   results in completion order, so callers can join all of them
-//!   (replicated writes) or take the first success and leave the rest to
-//!   finish in the background (raced replicated reads).
+//!   (replicated writes), take the first success and leave the rest to
+//!   finish in the background (raced replicated reads), keep a call in
+//!   flight while they do something else (a batch of one, joined later),
+//!   or drop the set and let the calls run unobserved.
 //!
-//! The `_pooled` variants take the `Batch` from a [`CompletionPool`] and
-//! return it once every result has been delivered, so the only allocation
-//! left per call is the boxed body.
+//! The only allocations per submission are its `Batch` and the boxed
+//! bodies.
 //!
 //! # The two park protocols
 //!
@@ -475,18 +473,6 @@ impl<T> Batch<T> {
         })
     }
 
-    /// Readies a recycled batch for `calls` new calls. Every result of its
-    /// last use was delivered (the pool takes nothing else back), so every
-    /// filler has published and every cell is empty; a filler that is still
-    /// between its publish and its signal can at worst wake the next
-    /// waiter once for nothing.
-    fn rearm(&self, calls: usize) {
-        self.finished.store(0, Ordering::SeqCst);
-        for lane in self.lanes.iter().take(calls) {
-            lane.entry.store(0, Ordering::SeqCst);
-        }
-    }
-
     /// Publishes call `index` as the next one finished and wakes the
     /// waiter if it sleeps on that entry.
     fn publish(&self, index: u32) {
@@ -560,8 +546,7 @@ struct CompletionFiller<T> {
 impl<T> CompletionFiller<T> {
     fn fill(self, value: T) {
         if let Some(lane) = self.batch.lanes.get(self.index as usize) {
-            // The cell is empty: one filler per lane, and a recycled batch
-            // had every result taken.
+            // The cell is empty: there is one filler per lane.
             let _ = lane.cell.put(value);
         }
         // Dropping `self` publishes.
@@ -576,29 +561,25 @@ impl<T> Drop for CompletionFiller<T> {
 
 /// A joinable set of completions produced by one submission.
 ///
-/// When produced by [`AsyscallInterface::submit_batch_pooled`] the set
-/// carries its pool and returns its completion cells once every result has
-/// been delivered; a set dropped earlier (a raced read that stopped at the
-/// first success) keeps its cells out of circulation, because calls are
-/// still going to write into them, and the pool allocates replacements on
-/// demand, so correctness never depends on recycling.
-pub struct CompletionSet<'p, T> {
+/// A set dropped before every result was delivered (a raced read that
+/// stopped at the first success, a call nobody waits on) leaves its calls
+/// running: they write into cells the set's `Batch` keeps alive until the
+/// last of them has published.
+pub struct CompletionSet<T> {
     batch: Arc<Batch<T>>,
-    calls: usize,
     delivered: usize,
-    pool: Option<&'p CompletionPool<T>>,
     shared: Arc<Shared>,
 }
 
-impl<T> CompletionSet<'_, T> {
+impl<T> CompletionSet<T> {
     /// Number of calls in the batch.
     pub fn len(&self) -> usize {
-        self.calls
+        self.batch.lanes.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.calls == 0
+        self.batch.lanes.is_empty()
     }
 
     /// Blocks until the next not-yet-delivered call finishes, returning its
@@ -608,9 +589,7 @@ impl<T> CompletionSet<'_, T> {
     /// Results come back in *completion order*, which is what lets callers
     /// race a batch and stop at the first usable result.
     pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
-        if self.delivered == self.calls {
-            return None;
-        }
+        // No lane past the last call: `None` once all are delivered.
         let index = self.batch.await_entry(self.delivered, &self.shared)?;
         self.delivered += 1;
         let result = self
@@ -620,11 +599,6 @@ impl<T> CompletionSet<'_, T> {
             .and_then(|lane| lane.cell.take())
             .map(|(value, _)| value)
             .ok_or(SgxError::SyscallInterfaceClosed);
-        if self.delivered == self.calls {
-            if let Some(pool) = self.pool {
-                pool.release(Arc::clone(&self.batch));
-            }
-        }
         Some((index, result))
     }
 
@@ -633,7 +607,7 @@ impl<T> CompletionSet<'_, T> {
     /// The first abandoned call (interface shut down mid-batch) aborts the
     /// join: first error wins.
     pub fn join(mut self) -> Result<Vec<T>, SgxError> {
-        let mut out: Vec<Option<T>> = (0..self.calls).map(|_| None).collect();
+        let mut out: Vec<Option<T>> = (0..self.len()).map(|_| None).collect();
         while let Some((index, result)) = self.next_completed() {
             if let Some(place) = out.get_mut(index) {
                 *place = Some(result?);
@@ -650,119 +624,6 @@ impl<T> CompletionSet<'_, T> {
             Some((_, result)) => result,
             None => Err(SgxError::SyscallInterfaceClosed),
         }
-    }
-}
-
-/// Handle to one in-flight asynchronous system call.
-///
-/// Returned by [`AsyscallInterface::submit_async`]; join it with
-/// [`Completion::wait`].
-pub struct Completion<T: 'static> {
-    set: CompletionSet<'static, T>,
-}
-
-impl<T> Completion<T> {
-    /// Blocks until the call finishes and returns its result.
-    pub fn wait(self) -> Result<T, SgxError> {
-        self.set.wait_single()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Typed completion pools
-// ---------------------------------------------------------------------------
-
-/// Counters describing a pool's recycling behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompletionPoolStats {
-    /// Calls served from a recycled completion cell.
-    pub reused: u64,
-    /// Calls that had to allocate a fresh cell (pool empty, or the
-    /// recycled set was too small for the batch).
-    pub allocated: u64,
-}
-
-/// A typed pool of reusable completion cells for [`AsyscallInterface::submit_with_pool`],
-/// [`AsyscallInterface::submit_async_pooled`] and
-/// [`AsyscallInterface::submit_batch_pooled`].
-///
-/// `submit`/`submit_async`/`submit_batch` allocate their completion cells
-/// per submission; on the storage hot path that is a heap allocation per
-/// drive exchange. A caller that issues many calls of the same result type
-/// (the store's replicated batch and raced get) holds one pool per type
-/// instead: the cells of a submission (with the entries that order them)
-/// are recycled as one unit after the waiter has collected every result, so
-/// a steady-state workload allocates up to the pool capacity once and then
-/// runs allocation-free: the slot-table discipline Scone applies to
-/// syscall arguments, applied to completions.
-///
-/// Recycling is exact: a submission whose results were all delivered always
-/// goes back. By then every call has published, and publishing is the last
-/// thing a call does to its cell, so the next user cannot meet a straggling
-/// producer.
-pub struct CompletionPool<T> {
-    capacity: usize,
-    free: Mutex<Vec<Arc<Batch<T>>>>,
-    reused: AtomicU64,
-    allocated: AtomicU64,
-}
-
-impl<T> CompletionPool<T> {
-    /// Creates a pool retaining at most `capacity` idle submissions' worth
-    /// of cells (at least one). A natural capacity is the interface's slot
-    /// count: more submissions than slots can never be in flight.
-    pub fn new(capacity: usize) -> Self {
-        CompletionPool {
-            capacity: capacity.max(1),
-            free: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_FREE, Vec::new()),
-            reused: AtomicU64::new(0),
-            allocated: AtomicU64::new(0),
-        }
-    }
-
-    /// Recycling counters.
-    pub fn stats(&self) -> CompletionPoolStats {
-        CompletionPoolStats {
-            reused: self.reused.load(Ordering::Relaxed),
-            allocated: self.allocated.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Cells for a submission of `calls` calls.
-    fn acquire(&self, calls: usize) -> Arc<Batch<T>> {
-        let recycled = self.free.lock().pop();
-        match recycled {
-            Some(batch) if batch.lanes.len() >= calls => {
-                self.reused.fetch_add(calls as u64, Ordering::Relaxed);
-                batch.rearm(calls);
-                batch
-            }
-            _ => {
-                self.allocated.fetch_add(calls as u64, Ordering::Relaxed);
-                Batch::new(calls)
-            }
-        }
-    }
-
-    fn release(&self, batch: Arc<Batch<T>>) {
-        let mut free = self.free.lock();
-        if free.len() < self.capacity {
-            free.push(batch);
-        }
-    }
-}
-
-/// Handle to one in-flight pooled call; joining it returns its completion
-/// cell to the pool.
-pub struct PooledCompletion<'a, T> {
-    set: CompletionSet<'a, T>,
-}
-
-impl<T> PooledCompletion<'_, T> {
-    /// Blocks until the call finishes, returns its result and recycles the
-    /// completion cell.
-    pub fn wait(self) -> Result<T, SgxError> {
-        self.set.wait_single()
     }
 }
 
@@ -1198,20 +1059,12 @@ impl AsyscallInterface {
 
     /// Enqueues `bodies` as one submission reporting into one set of
     /// cells.
-    fn submit_set<'p, T, F>(
-        &self,
-        pool: Option<&'p CompletionPool<T>>,
-        bodies: impl ExactSizeIterator<Item = F>,
-    ) -> CompletionSet<'p, T>
+    fn submit_set<T, F>(&self, bodies: impl ExactSizeIterator<Item = F>) -> CompletionSet<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let calls = bodies.len();
-        let batch = match pool {
-            Some(pool) if calls > 0 => pool.acquire(calls),
-            _ => Batch::new(calls),
-        };
+        let batch = Batch::new(bodies.len());
         for (index, body) in bodies.enumerate() {
             let filler = CompletionFiller {
                 batch: Arc::clone(&batch),
@@ -1221,9 +1074,7 @@ impl AsyscallInterface {
         }
         CompletionSet {
             batch,
-            calls,
             delivered: 0,
-            pool,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -1239,97 +1090,28 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_async(body)?.wait()
-    }
-
-    /// Submits a "system call" without waiting; the returned [`Completion`]
-    /// is joined later, so one enclave thread can keep many calls in
-    /// flight.
-    pub fn submit_async<T, F>(&self, body: F) -> Result<Completion<T>, SgxError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        Ok(Completion {
-            set: self.submit_set(None, std::iter::once(body)),
-        })
-    }
-
-    /// Like [`AsyscallInterface::submit_async`] but the completion cell
-    /// comes from (and returns to) `pool` instead of being allocated per
-    /// call.
-    pub fn submit_async_pooled<'a, T, F>(
-        &self,
-        pool: &'a CompletionPool<T>,
-        body: F,
-    ) -> Result<PooledCompletion<'a, T>, SgxError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        Ok(PooledCompletion {
-            set: self.submit_set(Some(pool), std::iter::once(body)),
-        })
-    }
-
-    /// Synchronous pooled submission: [`AsyscallInterface::submit`] without
-    /// the per-call completion allocation.
-    pub fn submit_with_pool<T, F>(&self, pool: &CompletionPool<T>, body: F) -> Result<T, SgxError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.submit_async_pooled(pool, body)?.wait()
+        self.submit_set(std::iter::once(body)).wait_single()
     }
 
     /// Submits N call bodies as one scatter-gather batch and returns the
     /// joinable [`CompletionSet`].
     ///
-    /// The bodies start executing as service threads become free (several
-    /// at once when the pool allows), which is what turns serial
-    /// replication loops into parallel fan-out.
-    pub fn submit_batch<T, F, I>(&self, bodies: I) -> Result<CompletionSet<'static, T>, SgxError>
+    /// The bodies start executing as service threads become free, several
+    /// at once when several are, which is what turns serial replication
+    /// loops into parallel fan-out. The call returns once the bodies are
+    /// handed over: the caller overlaps its own work with them until it
+    /// asks the set, and a set that is dropped leaves them to finish
+    /// unobserved.
+    pub fn submit_batch<T, F, I>(&self, bodies: I) -> Result<CompletionSet<T>, SgxError>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
         I: IntoIterator<Item = F>,
         I::IntoIter: ExactSizeIterator,
     {
-        let set = self.submit_set(None, bodies.into_iter());
+        let set = self.submit_set(bodies.into_iter());
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
         Ok(set)
-    }
-
-    /// Like [`AsyscallInterface::submit_batch`] but the completion cells
-    /// come from `pool` and return to it once the set has delivered every
-    /// result: the scatter-gather hot path (replicated puts, raced gets,
-    /// batched deletes) runs allocation-free in steady state.
-    pub fn submit_batch_pooled<'p, T, F, I>(
-        &self,
-        pool: &'p CompletionPool<T>,
-        bodies: I,
-    ) -> Result<CompletionSet<'p, T>, SgxError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        I: IntoIterator<Item = F>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let set = self.submit_set(Some(pool), bodies.into_iter());
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(set)
-    }
-
-    /// Submits a "system call" without waiting for its completion.
-    ///
-    /// Used for fire-and-forget writes when the caller tracks completion via
-    /// the Pesos result buffer instead.
-    pub fn submit_detached<F>(&self, body: F) -> Result<(), SgxError>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.enqueue(Box::new(body));
-        Ok(())
     }
 
     /// Returns activity counters.
@@ -1416,14 +1198,15 @@ mod tests {
 
     #[test]
     fn detached_submission_completes() {
+        // A set nobody keeps: the calls run all the same.
         let i = iface();
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..10 {
             let c = Arc::clone(&counter);
-            i.submit_detached(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            drop(
+                i.submit_batch([move || c.fetch_add(1, Ordering::SeqCst)])
+                    .unwrap(),
+            );
         }
         // Wait for completion.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -1455,16 +1238,16 @@ mod tests {
         let i = iface();
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
-        let completion = i
-            .submit_async(move || {
+        let pending = i
+            .submit_batch([move || {
                 g.wait();
                 7
-            })
+            }])
             .unwrap();
         // The caller reaches this point while the body is still blocked,
-        // proving submit_async does not wait.
+        // proving submit_batch does not wait.
         gate.wait();
-        assert_eq!(completion.wait().unwrap(), 7);
+        assert_eq!(pending.join().unwrap(), vec![7]);
     }
 
     #[test]
@@ -1536,9 +1319,9 @@ mod tests {
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
         let blocker = i
-            .submit_async(move || {
+            .submit_batch([move || {
                 g.wait();
-            })
+            }])
             .unwrap();
         // Wait until the blocker actually occupies the slot.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -1563,7 +1346,7 @@ mod tests {
         for s in submitters {
             s.join().unwrap();
         }
-        blocker.wait().unwrap();
+        blocker.join().unwrap();
         // No extra waits were recorded while the queue drained.
         assert_eq!(i.stats().slot_waits, 3);
     }
@@ -1577,11 +1360,8 @@ mod tests {
             1,
             ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
         );
-        let boom = i.submit_async(|| panic!("boom"));
-        assert!(matches!(
-            boom.unwrap().wait(),
-            Err(SgxError::SyscallInterfaceClosed)
-        ));
+        let boom: Result<(), _> = i.submit(|| panic!("boom"));
+        assert_eq!(boom, Err(SgxError::SyscallInterfaceClosed));
         for k in 0..4 {
             assert_eq!(i.submit(move || k).unwrap(), k);
         }
@@ -1593,118 +1373,5 @@ mod tests {
         let set = i.submit_batch(std::iter::empty::<fn() -> u32>()).unwrap();
         assert!(set.is_empty());
         assert_eq!(set.join().unwrap(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn pooled_submission_recycles_completion_cells() {
-        let i = iface();
-        let pool: CompletionPool<u64> = CompletionPool::new(8);
-        // The waiter occasionally races the service thread's final Arc drop
-        // (the cell is then discarded rather than recycled) — arbitrarily
-        // often on a loaded machine — so submit until recycling has been
-        // observed enough times rather than asserting a fixed ratio.
-        let mut submitted = 0u64;
-        while pool.stats().reused < 100 {
-            assert_eq!(
-                i.submit_with_pool(&pool, move || submitted * 2).unwrap(),
-                submitted * 2
-            );
-            submitted += 1;
-            assert!(
-                submitted < 100_000,
-                "pool never recycled: {:?} after {submitted} calls",
-                pool.stats()
-            );
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.reused + stats.allocated, submitted);
-    }
-
-    #[test]
-    fn pooled_batches_recycle_every_delivered_cell() {
-        // Unlike a single call, a batch waiter wakes only after the
-        // producer has let go of the cell, so recycling is exact: the first
-        // round allocates one cell per body and no later round allocates.
-        let i = iface();
-        let pool: CompletionPool<usize> = CompletionPool::new(4);
-        for round in 0..50 {
-            let set = i
-                .submit_batch_pooled(&pool, (0..3).map(|k| move || round + k))
-                .unwrap();
-            assert_eq!(set.join().unwrap(), vec![round, round + 1, round + 2]);
-        }
-        assert_eq!(
-            pool.stats(),
-            CompletionPoolStats {
-                reused: 147,
-                allocated: 3
-            }
-        );
-    }
-
-    #[test]
-    fn pooled_single_calls_recycle_every_cell() {
-        // The single-call twin of the test above: a call publishes its
-        // completion as the last thing it does to the cell, so the waiter
-        // never meets a producer still letting go, and one cell serves
-        // every sequential call.
-        let i = iface();
-        let pool: CompletionPool<u64> = CompletionPool::new(4);
-        for k in 0..200u64 {
-            assert_eq!(i.submit_with_pool(&pool, move || k * 3).unwrap(), k * 3);
-        }
-        assert_eq!(
-            pool.stats(),
-            CompletionPoolStats {
-                reused: 199,
-                allocated: 1
-            }
-        );
-    }
-
-    #[test]
-    fn pooled_async_overlaps_and_returns_results() {
-        let i = iface();
-        let pool: CompletionPool<usize> = CompletionPool::new(4);
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&gate);
-        let pending = i
-            .submit_async_pooled(&pool, move || {
-                g.wait();
-                9
-            })
-            .unwrap();
-        gate.wait();
-        assert_eq!(pending.wait().unwrap(), 9);
-    }
-
-    #[test]
-    fn pool_capacity_bounds_idle_cells() {
-        let i = iface();
-        let pool: CompletionPool<()> = CompletionPool::new(2);
-        // Sequential calls never hold more than one cell at a time, so the
-        // free list stays within capacity; this mainly proves release does
-        // not grow the list unboundedly.
-        for _ in 0..20 {
-            i.submit_with_pool(&pool, || ()).unwrap();
-        }
-        assert!(pool.free.lock().len() <= 2);
-    }
-
-    #[test]
-    fn pooled_wait_reports_shutdown_as_abandoned() {
-        let i = AsyscallInterface::new(
-            1,
-            1,
-            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
-        );
-        let pool: CompletionPool<u32> = CompletionPool::new(2);
-        let boom = i.submit_async_pooled(&pool, || panic!("boom")).unwrap();
-        assert!(matches!(boom.wait(), Err(SgxError::SyscallInterfaceClosed)));
-        // The abandoned cell is reset before reuse; later calls see clean
-        // state.
-        for k in 0..4u32 {
-            assert_eq!(i.submit_with_pool(&pool, move || k).unwrap(), k);
-        }
     }
 }

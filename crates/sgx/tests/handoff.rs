@@ -7,7 +7,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use pesos_sgx::asyscall::{AsyscallInterface, CompletionPool};
+use pesos_sgx::asyscall::{AsyscallInterface, CompletionSet};
 use pesos_sgx::cost::ModeCost;
 use pesos_sgx::{ExecutionMode, SgxCostModel, SgxError};
 
@@ -17,6 +17,13 @@ fn interface(threads: usize, slots: usize) -> AsyscallInterface {
         slots,
         ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
     )
+}
+
+/// Waits for the one call of a set that `submit_batch` was given one body
+/// for: a call kept in flight while its submitter does something else.
+fn wait_one<T>(mut pending: CompletionSet<T>) -> Result<T, SgxError> {
+    let (_, result) = pending.next_completed().expect("a set of one call");
+    result
 }
 
 fn multicore() -> bool {
@@ -88,11 +95,9 @@ fn no_wakeup_is_lost_under_mixed_load() {
         // Fewer slots than submitters' calls in flight, so the table-full
         // sleep is exercised along with both park protocols.
         let iface = Arc::new(interface(2, 4));
-        let pool: Arc<CompletionPool<u64>> = Arc::new(CompletionPool::new(4));
         let submitters: Vec<_> = (0..SUBMITTERS)
             .map(|id| {
                 let iface = Arc::clone(&iface);
-                let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     let mut rng = Rng(0x5eed_0000 + id);
                     let mut sum = 0u64;
@@ -100,7 +105,7 @@ fn no_wakeup_is_lost_under_mixed_load() {
                         busy(rng.pause());
                         let work = rng.pause();
                         let tag = id * ROUNDS + round;
-                        match rng.next() % 4 {
+                        match rng.next() % 3 {
                             0 => {
                                 sum += iface
                                     .submit(move || {
@@ -110,38 +115,27 @@ fn no_wakeup_is_lost_under_mixed_load() {
                                     .unwrap();
                             }
                             1 => {
-                                sum += iface
-                                    .submit_with_pool(&pool, move || {
-                                        busy(work);
-                                        tag
-                                    })
-                                    .unwrap();
-                            }
-                            2 => {
                                 let pending = iface
-                                    .submit_async(move || {
+                                    .submit_batch([move || {
                                         busy(work);
                                         tag
-                                    })
+                                    }])
                                     .unwrap();
                                 busy(rng.pause());
-                                sum += pending.wait().unwrap();
+                                sum += wait_one(pending).unwrap();
                             }
                             _ => {
                                 let set = iface
-                                    .submit_batch_pooled(
-                                        &pool,
-                                        (0..3u32).map(|part| {
-                                            move || {
-                                                busy(work / 3);
-                                                if part == 0 {
-                                                    tag
-                                                } else {
-                                                    0
-                                                }
+                                    .submit_batch((0..3u32).map(|part| {
+                                        move || {
+                                            busy(work / 3);
+                                            if part == 0 {
+                                                tag
+                                            } else {
+                                                0
                                             }
-                                        }),
-                                    )
+                                        }
+                                    }))
                                     .unwrap();
                                 sum += set.join().unwrap().iter().sum::<u64>();
                             }
@@ -269,16 +263,11 @@ fn calls_nobody_waits_on_never_depend_on_a_running_body() {
             let mut set = None;
             match (round / 3) % 3 {
                 0 => set = Some(iface.submit_batch([body(), body()]).unwrap()),
-                1 => pending.extend([body(), body()].map(|b| iface.submit_async(b).unwrap())),
-                _ => {
-                    for body in [body(), body()] {
-                        iface
-                            .submit_detached(move || {
-                                body();
-                            })
-                            .unwrap();
-                    }
-                }
+                1 => pending.extend([body(), body()].map(|b| iface.submit_batch([b]).unwrap())),
+                // Nobody keeps the sets: the calls run unobserved.
+                _ => [body(), body()]
+                    .into_iter()
+                    .for_each(|b| drop(iface.submit_batch([b]).unwrap())),
             }
             started_rx.recv().unwrap();
             started_rx.recv().unwrap();
@@ -286,7 +275,7 @@ fn calls_nobody_waits_on_never_depend_on_a_running_body() {
                 assert_eq!(set.join().unwrap(), vec![round, round]);
             }
             for call in pending {
-                assert_eq!(call.wait(), Ok(round));
+                assert_eq!(wait_one(call), Ok(round));
             }
         }
     });
@@ -307,7 +296,9 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
         let iface = interface(1, 8);
         let (started_tx, started_rx) = channel();
         let (release_tx, release_rx) = channel();
-        let running = iface.submit_async(blocker(started_tx, release_rx)).unwrap();
+        let running = iface
+            .submit_batch([blocker(started_tx, release_rx)])
+            .unwrap();
         started_rx.recv().unwrap();
 
         // The only service thread is inside the blocker: these stay queued.
@@ -316,7 +307,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
             .map(|_| {
                 let ran = Arc::clone(&ran);
                 iface
-                    .submit_async(move || ran.fetch_add(1, Ordering::SeqCst))
+                    .submit_batch([move || ran.fetch_add(1, Ordering::SeqCst)])
                     .unwrap()
             })
             .collect();
@@ -330,7 +321,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
         let waiters: Vec<_> = queued
             .by_ref()
             .take(2)
-            .map(|pending| std::thread::spawn(move || pending.wait()))
+            .map(|pending| std::thread::spawn(move || wait_one(pending)))
             .collect();
         let deadline = Instant::now() + Duration::from_secs(5);
         while iface.stats().parks < parks_before + 2 && Instant::now() < deadline {
@@ -346,7 +337,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
         }
         // Calls nobody was waiting on yet were abandoned all the same.
         for pending in queued {
-            assert_eq!(pending.wait(), Err(SgxError::SyscallInterfaceClosed));
+            assert_eq!(wait_one(pending), Err(SgxError::SyscallInterfaceClosed));
         }
         assert_eq!(
             ran.load(Ordering::SeqCst),
@@ -356,7 +347,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
 
         // The call that was running finishes normally.
         release_tx.send(()).unwrap();
-        assert_eq!(running.wait(), Ok(7));
+        assert_eq!(wait_one(running), Ok(7));
     });
 }
 
@@ -370,13 +361,15 @@ fn close_while_a_submitter_spins() {
             let iface = interface(1, 4);
             let (started_tx, started_rx) = channel();
             let (release_tx, release_rx) = channel();
-            let running = iface.submit_async(blocker(started_tx, release_rx)).unwrap();
+            let running = iface
+                .submit_batch([blocker(started_tx, release_rx)])
+                .unwrap();
             started_rx.recv().unwrap();
-            let queued = iface.submit_async(|| 1u32).unwrap();
+            let queued = iface.submit_batch([|| 1u32]).unwrap();
             let (waiting_tx, waiting_rx) = channel();
             let waiter = std::thread::spawn(move || {
                 let _ = waiting_tx.send(());
-                queued.wait()
+                wait_one(queued)
             });
             // Close right as the waiter enters its spin.
             waiting_rx.recv().unwrap();
@@ -386,7 +379,7 @@ fn close_while_a_submitter_spins() {
                 Err(SgxError::SyscallInterfaceClosed)
             );
             release_tx.send(()).unwrap();
-            assert_eq!(running.wait(), Ok(7));
+            assert_eq!(wait_one(running), Ok(7));
         }
     });
 }
@@ -396,10 +389,9 @@ fn panicking_body_frees_its_slot_and_abandons_its_waiter() {
     under_watchdog(Duration::from_secs(60), || {
         // One slot, one service thread: a leak of either hangs the rest.
         let iface = interface(1, 1);
-        let pool: CompletionPool<u32> = CompletionPool::new(2);
         let bodies: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
-        let mut set = iface.submit_batch_pooled(&pool, bodies).unwrap();
+        let mut set = iface.submit_batch(bodies).unwrap();
         let mut seen = Vec::new();
         while let Some((index, result)) = set.next_completed() {
             seen.push((index, result));
@@ -412,13 +404,9 @@ fn panicking_body_frees_its_slot_and_abandons_its_waiter() {
                 (2, Ok(3))
             ]
         );
-        // The set was delivered in full, panicked call included, so its
-        // cells went back to the pool and come out clean.
-        let set = iface
-            .submit_batch_pooled(&pool, (0..3u32).map(|k| move || k))
-            .unwrap();
+        // Slot and service thread both survived the panic.
+        let set = iface.submit_batch((0..3u32).map(|k| move || k)).unwrap();
         assert_eq!(set.join().unwrap(), vec![0, 1, 2]);
-        assert_eq!(pool.stats().reused, 3);
         assert_eq!(iface.submit(|| 9).unwrap(), 9);
     });
 }

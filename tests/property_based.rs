@@ -242,10 +242,11 @@ proptest! {
             pesos::core::placement(&hashed, drives, factor),
             pesos::core::placement(key.as_str(), drives, factor)
         );
-        // placement_available through the membership mask equals a naive
+        // placement_available over an online predicate equals a naive
         // linear-scan reference for arbitrary online subsets.
-        let online: Vec<usize> = (0..drives).filter(|i| online_mask & (1 << (i % 64)) != 0).collect();
-        let got = pesos::core::placement::placement_available(&hashed, drives, factor, &online);
+        let is_online = |i: usize| online_mask & (1 << (i % 64)) != 0;
+        let online: Vec<usize> = (0..drives).filter(|&i| is_online(i)).collect();
+        let got = pesos::core::placement::placement_available(&hashed, drives, factor, is_online);
         let expected = {
             if online.is_empty() {
                 Vec::new()
