@@ -416,10 +416,10 @@ pub fn fig7_replication(scale: Scale) -> Vec<DataPoint> {
 ///
 /// The vectored wire frames folded the drive-side frame-HMAC re-hash into
 /// the seal's single streaming pass, taking the total from 6.04 to 5.03
-/// hash passes (marginal passes over the payload itself: 6.00 → 5.00; the
-/// remaining floor is content hash + two keystream passes + AEAD MAC +
-/// the one frame-HMAC seal). The process-wide compression counter is
-/// always on, so this measures live.
+/// hash passes; sealing with AES-128-GCM instead of the SHA-256 keystream
+/// and tag took it to 2.01 (the floor: content hash + the one frame-HMAC
+/// seal; the AES-GCM pass hashes nothing). The process-wide compression
+/// counter is always on, so this measures live.
 pub fn print_payload_passes() {
     let controller =
         Arc::new(PesosController::new(ControllerConfig::native_simulator(1)).expect("bootstrap"));
@@ -440,7 +440,8 @@ pub fn print_payload_passes() {
     let large = measure("passes/large", vec![7u8; 64 * 1024]);
     println!(
         "payload passes per 64 KiB put: {:.2} total ({:.2} marginal over the payload) \
-         — was 6.04 / 6.00 before the vectored wire frames, 7.10 at the seed",
+         — was 5.03 with the SHA-256 stand-in cipher, 6.04 before the vectored \
+         wire frames, 7.10 at the seed",
         large as f64 / 1024.0,
         large.saturating_sub(small) as f64 / 1024.0,
     );

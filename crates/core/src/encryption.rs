@@ -2,23 +2,59 @@
 //!
 //! Pesos encrypts every object with AES-GCM before it leaves the enclave for
 //! a Kinetic drive (paper §2.2); the evaluation measures the overhead at
-//! roughly 1.5 % for 1 KiB objects. The [`ObjectCrypter`] derives a per-key
-//! AEAD key from the provisioned storage master secret and binds the object
-//! key and version as associated data so ciphertexts cannot be replayed
-//! under a different name or version by the untrusted provider.
+//! roughly 1.5 % for 1 KiB objects. The [`ObjectCrypter`] seals with
+//! AES-128-GCM under a key derived from the provisioned storage master
+//! secret and binds the object key and version as associated data, so
+//! ciphertexts cannot be replayed under a different name or version by the
+//! untrusted provider.
+//!
+//! # Nonces
+//!
+//! Every controller of a deployment is provisioned the same master secret,
+//! and a restarted controller starts from nothing, so no counter can keep
+//! nonces unique across them — and GCM under a repeated (key, nonce) pair
+//! leaks the XOR of two plaintexts and the hash subkey that forges tags.
+//! The nonce is therefore synthetic, a function of what is sealed:
+//!
+//! ```text
+//! nonce = HMAC-SHA256(nonce subkey, object key ‖ version ‖ SHA-256(plaintext))[..12]
+//! ```
+//!
+//! with the nonce subkey derived from the master secret apart from the AES
+//! key. The version (8 bytes) and the digest (32) have fixed lengths, so
+//! the concatenation determines all three inputs. Two seals share a nonce
+//! only if they share the object key, version and content — then they
+//! share the associated data too and produce identical bytes, which tells
+//! an observer nothing new — or on a 96-bit collision of the MAC. The
+//! construction needs no RNG and no state: a sealed object depends only on
+//! (master secret, object key, version, plaintext), whichever controller
+//! sealed it.
+//!
+//! The digest is the content hash the store already computes for the
+//! version record (`objHash`); [`ObjectCrypter::seal`] computes it itself.
+//!
+//! # Stored layout
+//!
+//! `marker (1) ‖ payload`. Marker 0 is a plaintext object (encryption off);
+//! marker 2 is `nonce (12) ‖ tag (16) ‖ ciphertext`. Marker 1 was the
+//! SHA-256 stand-in cipher this repository used before AES-GCM; such an
+//! object is refused, never opened.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pesos_crypto::aead::synthetic_nonce;
+use pesos_crypto::{AeadKey, CryptoError, Digest, HmacKey, NONCE_LEN, TAG_LEN};
 
-use pesos_crypto::{AeadKey, CryptoError, NONCE_LEN, TAG_LEN};
-
-/// Stream identifier of object nonces ("OBJE").
-const OBJECT_NONCE_STREAM: u32 = 0x4f42_4a45;
+/// Marker of an object stored in the clear.
+const PLAINTEXT: u8 = 0;
+/// Marker of an object sealed by the retired SHA-256 stand-in cipher.
+const RETIRED_STAND_IN: u8 = 1;
+/// Marker of an AES-128-GCM sealed object.
+const AES_GCM: u8 = 2;
 
 /// Encrypts and decrypts object payloads.
 pub struct ObjectCrypter {
     key: AeadKey,
+    nonce_key: HmacKey,
     enabled: bool,
-    counter: AtomicU64,
 }
 
 impl ObjectCrypter {
@@ -26,8 +62,11 @@ impl ObjectCrypter {
     pub fn new(master_key: &[u8; 32], enabled: bool) -> Self {
         ObjectCrypter {
             key: AeadKey::new(master_key),
+            nonce_key: HmacKey::new(&pesos_crypto::hkdf::derive_key32(
+                master_key,
+                b"object-nonce",
+            )),
             enabled,
-            counter: AtomicU64::new(1),
         }
     }
 
@@ -45,21 +84,39 @@ impl ObjectCrypter {
 
     /// Encrypts `plaintext` for storage as `object_key` at `version`.
     ///
-    /// The stored layout is `marker (1) || nonce || tag || ciphertext`,
-    /// built in one buffer: the plaintext is copied once and encrypted
-    /// where it lies. When encryption is disabled the plaintext is passed
-    /// through behind a zero marker so that [`ObjectCrypter::unseal`] stays
-    /// symmetric.
+    /// The stored layout (module docs) is built in one buffer: the
+    /// plaintext is copied once and encrypted where it lies. When
+    /// encryption is disabled the plaintext is passed through behind a
+    /// zero marker so that [`ObjectCrypter::unseal`] stays symmetric.
     pub fn seal(&self, object_key: &str, version: u64, plaintext: &[u8]) -> Vec<u8> {
+        self.seal_hashed(object_key, version, plaintext, None)
+    }
+
+    /// [`ObjectCrypter::seal`] with the plaintext's SHA-256 supplied by the
+    /// store, which computed it for the version record; `None` computes it
+    /// here. Crate-private because the digest is trusted: one that does not
+    /// match the plaintext could give two contents the same nonce.
+    pub(crate) fn seal_hashed(
+        &self,
+        object_key: &str,
+        version: u64,
+        plaintext: &[u8],
+        content_hash: Option<&Digest>,
+    ) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + NONCE_LEN + TAG_LEN + plaintext.len());
         if !self.enabled {
-            out.push(0u8);
+            out.push(PLAINTEXT);
             out.extend_from_slice(plaintext);
             return out;
         }
-        let seq = self.counter.fetch_add(1, Ordering::Relaxed);
-        let nonce = pesos_crypto::aead::counter_nonce(OBJECT_NONCE_STREAM, seq);
-        out.push(1u8);
+        let content_hash = content_hash
+            .copied()
+            .unwrap_or_else(|| pesos_crypto::sha256(plaintext));
+        let nonce = synthetic_nonce(
+            &self.nonce_key,
+            &[object_key.as_bytes(), &version.to_be_bytes(), &content_hash],
+        );
+        out.push(AES_GCM);
         self.key
             .seal_into(&mut out, &nonce, &Self::aad(object_key, version), plaintext);
         out
@@ -73,11 +130,17 @@ impl ObjectCrypter {
         stored: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
         match stored.split_first() {
-            Some((0, plain)) => Ok(plain.to_vec()),
-            Some((1, sealed)) => self
+            Some((&PLAINTEXT, plain)) => Ok(plain.to_vec()),
+            Some((&AES_GCM, sealed)) => self
                 .key
                 .open_from_bytes(sealed, &Self::aad(object_key, version)),
-            _ => Err(CryptoError::InvalidEncoding("empty stored object".into())),
+            Some((&RETIRED_STAND_IN, _)) => Err(CryptoError::InvalidEncoding(
+                "object sealed by the retired SHA-256 stand-in cipher (marker 1)".into(),
+            )),
+            Some((marker, _)) => Err(CryptoError::InvalidEncoding(format!(
+                "unknown stored-object marker {marker}"
+            ))),
+            None => Err(CryptoError::InvalidEncoding("empty stored object".into())),
         }
     }
 }
@@ -96,24 +159,60 @@ mod tests {
 
     #[test]
     fn stored_layout_matches_marker_plus_boxed_layout() {
-        // The layout the drives held before `seal` built it in place:
-        // marker byte, then `SealedBox::to_bytes` of the boxed seal.
+        // The layout from the public primitives: marker 2, then the boxed
+        // seal under the nonce the module docs define.
         let master = [9u8; 32];
         let aead = AeadKey::new(&master);
+        let nonce_key = HmacKey::new(&pesos_crypto::hkdf::derive_key32(&master, b"object-nonce"));
         let lengths = [0usize, 1, 31, 32, 33, 1024, 65_536];
         let c = ObjectCrypter::new(&master, true);
-        for (seq, len) in (1u64..).zip(lengths) {
+        for len in lengths {
             let plain: Vec<u8> = (0..len).map(|i| (i * 7 + 5) as u8).collect();
-            let nonce = pesos_crypto::aead::counter_nonce(OBJECT_NONCE_STREAM, seq);
-            let mut old_layout = vec![1u8];
-            old_layout.extend(
+            let nonce = synthetic_nonce(
+                &nonce_key,
+                &[
+                    b"users/alice",
+                    &3u64.to_be_bytes(),
+                    &pesos_crypto::sha256(&plain),
+                ],
+            );
+            let mut expected = vec![AES_GCM];
+            expected.extend(
                 aead.seal(&nonce, &ObjectCrypter::aad("users/alice", 3), &plain)
                     .to_bytes(),
             );
             let stored = c.seal("users/alice", 3, &plain);
-            assert_eq!(stored, old_layout, "len {len}");
+            assert_eq!(stored, expected, "len {len}");
+            let digest = pesos_crypto::sha256(&plain);
+            assert_eq!(
+                c.seal_hashed("users/alice", 3, &plain, Some(&digest)),
+                expected
+            );
             assert_eq!(c.unseal("users/alice", 3, &stored).unwrap(), plain);
         }
+    }
+
+    #[test]
+    fn crypters_sharing_a_master_key_never_share_a_nonce_across_contents() {
+        // Two controllers provisioned the same master key (a cluster, or a
+        // store and its restart) seal different contents at the same key
+        // and version: the nonces must differ. The same inputs seal to the
+        // same bytes on both, so a replica or a re-import is byte-identical.
+        let (a, b) = (
+            ObjectCrypter::new(&[9u8; 32], true),
+            ObjectCrypter::new(&[9u8; 32], true),
+        );
+        let nonce = |stored: &[u8]| stored[1..1 + NONCE_LEN].to_vec();
+        let first = a.seal("users/alice", 3, b"profile v1");
+        let second = b.seal("users/alice", 3, b"profile v2");
+        assert_ne!(nonce(&first), nonce(&second));
+        assert_ne!(
+            nonce(&first),
+            nonce(&a.seal("users/alice", 4, b"profile v1"))
+        );
+        assert_ne!(nonce(&first), nonce(&a.seal("users/bob", 3, b"profile v1")));
+        assert_eq!(b.seal("users/alice", 3, b"profile v1"), first);
+        assert_eq!(a.seal("users/alice", 3, b"profile v2"), second);
     }
 
     #[test]
@@ -141,6 +240,22 @@ mod tests {
         stored[last] ^= 1;
         assert!(c.unseal("k", 0, &stored).is_err());
         assert!(c.unseal("k", 0, &[]).is_err());
+    }
+
+    #[test]
+    fn stand_in_and_unknown_markers_are_refused_unopened() {
+        let c = ObjectCrypter::new(&[9u8; 32], true);
+        let mut stored = c.seal("k", 0, b"data");
+        for marker in [RETIRED_STAND_IN, 3, 0xff] {
+            stored[0] = marker;
+            assert!(
+                matches!(
+                    c.unseal("k", 0, &stored),
+                    Err(CryptoError::InvalidEncoding(_))
+                ),
+                "marker {marker}"
+            );
+        }
     }
 
     #[test]

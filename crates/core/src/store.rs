@@ -777,7 +777,9 @@ impl PesosStore {
         value_hash: pesos_crypto::Digest,
         put: fn(Vec<u8>, Vec<u8>) -> BatchOp,
     ) -> Vec<BatchOp> {
-        let sealed = self.crypter.seal(key.key(), version, value);
+        let sealed = self
+            .crypter
+            .seal_hashed(key.key(), version, value, Some(&value_hash));
         let policy_hash = policy_id
             .or(meta.policy_id)
             .map(|p| p.0.into())
@@ -1479,8 +1481,8 @@ mod tests {
         // record on exactly its placement drives, with exactly the bytes
         // the crypter and the record encoding produce — and nothing else.
         let s = store(3, 2);
-        // The reference crypter seals in the same order the store does
-        // (nonces are a per-crypter sequence), so the bytes are comparable.
+        // A sealed object depends only on the master key, object key,
+        // version and plaintext, so a second crypter predicts the bytes.
         let crypter = ObjectCrypter::new(&[1u8; 32], true);
         struct Version {
             plain: Vec<u8>,

@@ -37,12 +37,10 @@ fn admin(drive: &Arc<KineticDrive>) -> KineticClient {
 }
 
 /// A store over `drives` that has never seen them: empty map, empty
-/// caches — what a restarted or promoted controller starts from. Returns
-/// the reference crypter that seals in lock-step with the store's (nonces
-/// are a per-crypter sequence).
-fn cold_store(drives: &[Arc<KineticDrive>], replication: usize) -> (PesosStore, ObjectCrypter) {
+/// caches — what a restarted or promoted controller starts from.
+fn cold_store(drives: &[Arc<KineticDrive>], replication: usize) -> PesosStore {
     let cost = pesos_sgx::cost::ModeCost::new(ExecutionMode::Native, SgxCostModel::zero());
-    let store = PesosStore::new(
+    PesosStore::new(
         DriveSet::from_drives(drives.to_vec()),
         drives.iter().map(|d| Arc::new(admin(d))).collect(),
         ObjectCrypter::new(&MASTER_KEY, true),
@@ -54,8 +52,13 @@ fn cold_store(drives: &[Arc<KineticDrive>], replication: usize) -> (PesosStore, 
         },
         Arc::new(AsyscallInterface::new(2, 16, cost)),
         Arc::new(Enclave::create(EnclaveConfig::default(), cost).unwrap()),
-    );
-    (store, ObjectCrypter::new(&MASTER_KEY, true))
+    )
+}
+
+/// The bytes any store under `MASTER_KEY` writes for `plain` as `version`
+/// of `key`: sealing is a pure function of those four.
+fn sealed(key: &str, version: u64, plain: &[u8]) -> Vec<u8> {
+    ObjectCrypter::new(&MASTER_KEY, true).seal(key, version, plain)
 }
 
 /// The reference drive model: what each drive must hold, byte for byte,
@@ -125,18 +128,18 @@ fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
     let mut model = Model::new(2);
 
     // v0 lands on drive 0 alone: drive 1 is away.
-    let (first, seals) = cold_store(&drives, 2);
+    let first = cold_store(&drives, 2);
     drives[1].set_online(false);
     assert_eq!(first.put_object("k", b"v0", None).unwrap(), 0);
     drives[1].set_online(true);
-    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"v0"));
+    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
     model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
     model.assert_matches(&drives);
 
     // A restarted store creates "k": drive 0 refuses, drive 1 accepts and
     // is rolled back — one forced DELETE batch there, none on drive 0 —
     // then the put proceeds as an update over v0 on both.
-    let (second, seals) = cold_store(&drives, 2);
+    let second = cold_store(&drives, 2);
     assert_eq!(second.put_object("k", b"v1", None).unwrap(), 1);
     assert_eq!(
         second.create_stats(),
@@ -147,13 +150,10 @@ fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
     );
     assert_eq!(deletes_served(&drives[0]), 0);
     assert_eq!(deletes_served(&drives[1]), 1);
-    // The refused attempt sealed its value as version 0 and left those
-    // bytes nowhere.
-    let _refused_attempt = seals.seal("k", 0, b"v1");
     let record = Model::record("k", &[(0, b"v0"), (1, b"v1")], None);
-    let sealed = seals.seal("k", 1, b"v1");
+    let v1 = sealed("k", 1, b"v1");
     for drive in &mut model.0 {
-        drive.insert(data_key("k", 1), sealed.clone());
+        drive.insert(data_key("k", 1), v1.clone());
         drive.insert(meta_key("k"), record.clone());
     }
     model.assert_matches(&drives);
@@ -164,17 +164,17 @@ fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
 #[test]
 fn a_fault_beside_a_refusal_fails_the_request_and_deletes_nothing() {
     let drives = drives(2);
-    let (first, seals) = cold_store(&drives, 2);
+    let first = cold_store(&drives, 2);
     drives[1].set_online(false);
     first.put_object("k", b"v0", None).unwrap();
     drives[1].set_online(true);
     let mut model = Model::new(2);
-    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"v0"));
+    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
     model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
 
     // Drive 0 refuses; drive 1 drops every request. A dropped request may
     // sit on a genuine record, so nothing is undone anywhere.
-    let (second, _) = cold_store(&drives, 2);
+    let second = cold_store(&drives, 2);
     drives[1].inject_faults(FaultPlan::errors(7, 1.0));
     assert!(matches!(
         second.put_object("k", b"v1", None),
@@ -194,7 +194,7 @@ fn a_fault_beside_a_refusal_fails_the_request_and_deletes_nothing() {
 #[test]
 fn a_torn_reply_on_an_accepted_create_then_a_retry_lands_v1_over_v0() {
     let drives = drives(1);
-    let (store, seals) = cold_store(&drives, 1);
+    let store = cold_store(&drives, 1);
     drives[0].inject_faults(FaultPlan::torn_replies(3, 1.0));
     assert!(store.put_object("k", b"torn", None).is_err());
     drives[0].clear_faults();
@@ -204,9 +204,8 @@ fn a_torn_reply_on_an_accepted_create_then_a_retry_lands_v1_over_v0() {
     assert_eq!(store.create_stats(), ONE_REFUSAL);
 
     let mut model = Model::new(1);
-    model.0[0].insert(data_key("k", 0), seals.seal("k", 0, b"torn"));
-    let _refused_attempt = seals.seal("k", 0, b"retry");
-    model.0[0].insert(data_key("k", 1), seals.seal("k", 1, b"retry"));
+    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"torn"));
+    model.0[0].insert(data_key("k", 1), sealed("k", 1, b"retry"));
     model.0[0].insert(
         meta_key("k"),
         Model::record("k", &[(0, b"torn"), (1, b"retry")], None),
@@ -218,7 +217,7 @@ fn a_torn_reply_on_an_accepted_create_then_a_retry_lands_v1_over_v0() {
 #[test]
 fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
     let drives = drives(2);
-    let (backup, seals) = cold_store(&drives, 2);
+    let backup = cold_store(&drives, 2);
     assert_eq!(
         backup
             .apply_replicated_put("k", b"v0", None, Some(0))
@@ -227,9 +226,9 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
     );
     assert_eq!(backup.create_stats(), CreateStats::default());
     let mut model = Model::new(2);
-    let sealed = seals.seal("k", 0, b"v0");
+    let v0 = sealed("k", 0, b"v0");
     for drive in &mut model.0 {
-        drive.insert(data_key("k", 0), sealed.clone());
+        drive.insert(data_key("k", 0), v0.clone());
         drive.insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
     }
     model.assert_matches(&drives);
@@ -241,7 +240,7 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
     backup
         .apply_replicated_put("k", b"v0", None, Some(0))
         .unwrap();
-    let (restarted, _) = cold_store(&drives, 2);
+    let restarted = cold_store(&drives, 2);
     assert_eq!(
         restarted
             .apply_replicated_put("k", b"v0", None, Some(0))
@@ -269,14 +268,14 @@ fn an_unreadable_record_fails_every_path_and_is_never_written_over() {
     let other = Model::record("someone-else", &[(0, b"x")], None);
     for corrupt in [b"\xff\xfe not a record".to_vec(), other] {
         let drives = drives(1);
-        let (first, _) = cold_store(&drives, 1);
+        let first = cold_store(&drives, 1);
         first.put_object("k", b"v0", None).unwrap();
         let sealed_v0 = drives[0].peek(&data_key("k", 0)).unwrap().value;
         admin(&drives[0])
             .put(&meta_key("k"), corrupt.clone(), b"", b"pesos", true)
             .unwrap();
 
-        let (cold, _) = cold_store(&drives, 1);
+        let cold = cold_store(&drives, 1);
         let unreadable = |r: Result<(), PesosError>| match r {
             Err(PesosError::Backend(why)) => assert!(why.contains("unreadable"), "{why}"),
             other => panic!("expected the unreadable-record error, got {other:?}"),
@@ -316,7 +315,7 @@ fn a_refused_create_with_no_record_behind_it_fails() {
     admin(&drives[0])
         .put(&data_key("k", 0), b"orphan".to_vec(), b"", b"pesos", true)
         .unwrap();
-    let (store, _) = cold_store(&drives, 1);
+    let store = cold_store(&drives, 1);
     assert!(matches!(
         store.put_object("k", b"v0", None),
         Err(PesosError::Backend(_))

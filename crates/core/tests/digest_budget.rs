@@ -10,26 +10,28 @@
 //! Baselines were measured on the pre-overhaul tree (commit `355f48f`) with
 //! the same counter patched in; the budgets below are the current
 //! measurements plus ~10–25 % slack. The "PR 2" column is the digest-
-//! pipeline overhaul (cached HMAC/keystream midstates), the "now" column
+//! pipeline overhaul (cached HMAC/keystream midstates), the "PR 24" column
 //! adds the vectored wire frames with folded frame HMACs (the verify side
 //! of every drive exchange became one outer compression instead of a full
 //! re-hash — the frame is hashed once, at seal time) and the one atomic
 //! Kinetic batch per mutation (a put is two authenticated frames — batch
 //! request and response — where data PUT + metadata PUT were four) and the
 //! compare-on-absent create (the existence check rides in the batch, so a
-//! create no longer pays a metadata read exchange: 20 → 14). Measured:
+//! create no longer pays a metadata read exchange: 20 → 14). The "now"
+//! column seals with AES-128-GCM: no keystream or tag hashing, one HMAC
+//! for the synthetic nonce. Measured:
 //!
-//! | operation              | before | PR 2 | PR 4 |  now | reduction |
-//! |------------------------|-------:|-----:|-----:|-----:|----------:|
-//! | put (1-block value)    |    108 |   41 |   31 |   14 |     7.7×  |
-//! | get (object-cache hit) |      2 |    1 |    1 |    1 |     2.0×  |
-//! | put (64 KiB value)     |   7275 | 6184 | 5150 | 5139 | 6.04 → 5.02 payload passes |
-//! | kinetic PUT exchange   |     16 |    8 |    7 |    7 |     2.3×  |
-//! | rebalance drain / key  |      — |    — |  ~50 |  ~40 |     1.25× |
+//! | operation              | before | PR 2 | PR 4 | PR 24 |  now | reduction |
+//! |------------------------|-------:|-----:|-----:|------:|-----:|----------:|
+//! | put (1-block value)    |    108 |   41 |   31 |    14 |   13 |     8.3×  |
+//! | get (object-cache hit) |      2 |    1 |    1 |     1 |    1 |     2.0×  |
+//! | put (64 KiB value)     |   7275 | 6184 | 5150 |  5133 | 2061 | 7.10 → 2.01 payload passes |
+//! | kinetic PUT exchange   |     16 |    8 |    7 |     7 |    7 |     2.3×  |
+//! | rebalance drain / key  |      — |    — |  ~50 |   ~40 |  ~37 |     1.35× |
 
 use std::sync::Mutex;
 
-use pesos_core::{ControllerConfig, PesosController};
+use pesos_core::{ControllerConfig, ObjectCrypter, PesosController};
 use pesos_crypto::sha256::ops;
 
 /// The counter is process-wide, so measurements must not interleave.
@@ -66,16 +68,18 @@ fn put_and_get_compression_budgets() {
     // one atomic batch per mutation (one metadata read exchange plus one
     // batch exchange, where it was two reads and two PUTs); 14 now that
     // the create is compare-on-absent — one batch exchange and nothing
-    // else. The budget of 16 sits below the read-then-batch number, so any
-    // lookup or second drive round trip on a create fails it.
+    // else; 13 with AES-GCM, whose seal is one nonce HMAC (2) where the
+    // stand-in spent a keystream block and a tag HMAC (3). The budget of 15
+    // sits below the read-then-batch number, so any lookup or second drive
+    // round trip on a create fails it.
     let (version, small_put) =
         measured(|| c.put(&client, "obj/small", b"v", None, None, &[]).unwrap());
     assert_eq!(version, 0);
     println!("put(1-block value): {small_put} compressions");
     assert!(
-        small_put <= 16,
-        "small put spent {small_put} compressions (budget 16; measured 14, \
-         20 with a metadata read before the batch, 108 pre-overhaul)"
+        small_put <= 15,
+        "small put spent {small_put} compressions (budget 15; measured 13, \
+         19 with a metadata read before the batch, 108 pre-overhaul)"
     );
 
     // -- the same create, refused and re-driven --------------------------
@@ -83,10 +87,11 @@ fn put_and_get_compression_budgets() {
     // the drive away), so the create is refused, the record is read and
     // the put lands as an update. That is the worst a put can cost, and it
     // is the sum of two things already pinned: the create that was wasted
-    // (14: hashes, seal, one batch exchange) and what every cold put used
-    // to pay (20: metadata read exchange, seal, batch exchange) — 34, with
-    // the key and content hashes shared and a two-version record to MAC.
-    // A third exchange, or a policy re-check that re-hashes, fails it.
+    // (13: hashes, seal, one batch exchange) and what every cold put used
+    // to pay (19: metadata read exchange, seal, batch exchange) — 32, with
+    // the key and content hashes shared and a two-version record to MAC
+    // (34 with the stand-in's costlier seals). A third exchange, or a
+    // policy re-check that re-hashes, fails it.
     let drive = c.store().drives().get(0).unwrap();
     drive.set_online(false);
     assert!(c.store().delete_object("obj/small").is_err());
@@ -97,9 +102,9 @@ fn put_and_get_compression_budgets() {
     assert_eq!(c.store().create_stats().refusals, 1);
     println!("put(1-block value, refused then re-driven): {refused_put} compressions");
     assert!(
-        refused_put <= 36,
+        refused_put <= 34,
         "refused-then-re-driven create spent {refused_put} compressions \
-         (budget 36; measured 34 = a wasted create at 14 + a read-then-update at 20)"
+         (budget 34; measured 32 = a wasted create at 13 + a read-then-update at 19)"
     );
 
     // -- cached get ----------------------------------------------------
@@ -115,15 +120,14 @@ fn put_and_get_compression_budgets() {
 
     // -- put of a large value: every pass over the payload is accounted --
     // A 64 KiB value costs 1024 compressions per full hash pass. The
-    // payload crosses the digest pipeline five times now: one content hash
-    // (controller, shared with the store), two keystream passes (32-byte
-    // blocks at one compression each), the AEAD MAC, and the single
-    // streaming frame-HMAC pass of the vectored seal — the drive's verify
-    // re-hash folded into one outer compression, which took the measured
-    // count from 6184 (6.04 passes) to 5150 (5.03). The floor with the
-    // seal pass kept is 5.005 passes (content + 2× keystream + AEAD MAC +
-    // seal); anything past ~5.2 means a full verify pass or a duplicate
-    // digest came back.
+    // payload crosses the digest pipeline twice now: one content hash
+    // (controller, shared with the store and the seal's nonce) and the
+    // single streaming frame-HMAC pass of the vectored seal — the drive's
+    // verify re-hash folded into one outer compression. AES-GCM hashes
+    // nothing; the stand-in it replaced made three more passes (two
+    // keystream, one tag MAC: 5133 compressions, 5.01 passes). Anything past
+    // ~2.2 means a full verify pass, a keystream or a duplicate digest came
+    // back.
     let value = vec![7u8; 64 * 1024];
     let passes = |count: u64| count as f64 / 1024.0;
     let (_, large_put) = measured(|| {
@@ -135,12 +139,41 @@ fn put_and_get_compression_budgets() {
         passes(large_put)
     );
     assert!(
-        passes(large_put) < 5.2,
+        passes(large_put) < 2.2,
         "64 KiB put spent {:.2} payload passes — a verify-side re-hash or \
-         duplicate digest came back (budget < 5.2 passes; measured 5.03, \
-         6.04 before the folded frame HMACs, 7.10 pre-overhaul)",
+         duplicate digest came back (budget < 2.2 passes; measured 2.01, \
+         5.01 with the SHA-256 stand-in cipher, 7.10 pre-overhaul)",
         passes(large_put)
     );
+}
+
+#[test]
+fn object_seal_spends_the_content_hash_and_the_nonce_hmac() {
+    let _serial = MEASURE_LOCK.lock().unwrap();
+    // Exact, not a budget: AES-GCM hashes nothing, so sealing costs the
+    // SHA-256 of the plaintext (which the store passes in instead, having
+    // computed it for the version record) plus one HMAC over
+    // key ‖ version ‖ digest for the nonce. Opening costs nothing.
+    let crypter = ObjectCrypter::new(&[3u8; 32], true);
+    let blocks = |n: usize| (n as u64 + 9).div_ceil(64);
+    let value = vec![5u8; 65_536];
+    for key in [
+        "k",
+        "users/alice/profile",
+        "a/key/long/enough/to/need/a/second/block",
+    ] {
+        for len in [0, 1, 1024, 65_536] {
+            let (sealed, spent) = measured(|| crypter.seal(key, 3, &value[..len]));
+            let nonce_hmac = blocks(64 + key.len() + 8 + 32) - 1 + 1;
+            assert_eq!(
+                spent,
+                blocks(len) + nonce_hmac,
+                "seal of {len} under {key:?}"
+            );
+            let (_, spent) = measured(|| crypter.unseal(key, 3, &sealed).unwrap());
+            assert_eq!(spent, 0, "unseal of {len} under {key:?}");
+        }
+    }
 }
 
 #[test]
@@ -174,9 +207,10 @@ fn rebalance_drain_compression_budget() {
         "rebalance drain: {drained} compressions for {moved} moved keys \
          ({per_key:.1}/key)"
     );
-    // Measured ~40/key (~50 before imports and deletes became one atomic
-    // batch each): the object move itself (export's raced metadata+data
-    // reads and unseal, import's re-seal and its single batch of data +
+    // Measured ~37/key (~40 with the SHA-256 stand-in cipher, ~50 before
+    // imports and deletes became one atomic batch each): the object move
+    // itself (export's raced metadata+data reads and unseal, import's
+    // re-seal — content hash and nonce HMAC — and its single batch of data +
     // metadata, the source-side delete batch — each drive exchange at the
     // pinned ≤ 7 compressions plus the batch's few extra frame blocks)
     // plus, amortized, the one key hash per listed key (the routing-prefix
@@ -184,9 +218,9 @@ fn rebalance_drain_compression_budget() {
     // the weighted-load accounting. Re-hashing keys per structure or
     // re-verifying frames during the drain blows well past the budget.
     assert!(
-        per_key <= 48.0,
+        per_key <= 44.0,
         "drain spent {per_key:.1} compressions per moved key \
-         (budget 48; measured ~40) — a per-key re-hash, a full \
+         (budget 44; measured ~37) — a per-key re-hash, a full \
          frame-verify pass or a second exchange per import/delete crept \
          into the migration path"
     );

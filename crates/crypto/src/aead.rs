@@ -1,43 +1,34 @@
 //! Authenticated encryption with associated data (AEAD).
 //!
 //! Pesos encrypts every object with AES-128-GCM before it is written to a
-//! Kinetic disk, and uses the same primitive for the secure-channel record
-//! layer. This module provides the stand-in: an encrypt-then-MAC scheme
-//! built from the in-crate SHA-256 — a counter-mode keystream generated by
-//! hashing `(key, nonce, counter)` blocks, authenticated with HMAC-SHA256
-//! over `aad || ciphertext || lengths`, truncated to a 16-byte tag.
+//! Kinetic disk (paper §2.2). [`AeadKey`] is that cipher: standard
+//! AES-128-GCM (NIST SP 800-38D) with a 96-bit nonce and a full 16-byte
+//! tag, on AES-NI and PCLMULQDQ where the CPU has them and on a portable
+//! transcription of the standards elsewhere (the crate-level "Backends"
+//! section). Sealing and opening spend no SHA-256 compressions.
 //!
-//! The construction has the same interface and asymptotic cost profile as
-//! AES-GCM (one pass to encrypt, one pass to authenticate) which is what the
-//! paper's encryption-overhead experiment measures. It is not intended to be
-//! cryptographically strong; see the crate-level security notice.
+//! GCM fails badly under a repeated (key, nonce) pair: the two keystreams
+//! cancel, and the two tags give away the hash subkey, after which tags
+//! can be forged. Every caller must therefore make nonces unique per key.
+//! The object store does so with [`synthetic_nonce`], a MAC of everything
+//! the sealed bytes depend on; [`counter_nonce`] suits only keys that seal
+//! a known, non-repeating sequence.
 
 use crate::error::CryptoError;
+use crate::gcm::Gcm;
 use crate::hmac::HmacKey;
-use crate::sha256::{digest_padded_block, digest_padded_block_pair};
 use crate::{ct_eq, KEY_LEN, NONCE_LEN, TAG_LEN};
 
-/// Offset of the 8 counter bytes in a keystream block, after key and nonce.
-const COUNTER_AT: usize = KEY_LEN + NONCE_LEN;
-/// Length of the message a keystream block hashes: key, nonce, counter.
-const KEYSTREAM_MSG_LEN: usize = COUNTER_AT + 8;
+pub use crate::gcm::backend;
+
 /// Offset of the ciphertext in the `nonce || tag || ciphertext` layout.
 const BODY_AT: usize = NONCE_LEN + TAG_LEN;
 
-/// A symmetric AEAD key with derived encryption and MAC subkeys.
-///
-/// Both subkeys are stored pre-scheduled: the encryption key as the padded
-/// SHA-256 block every keystream block hashes, with only nonce and counter
-/// left to fill in, and the MAC key as an [`HmacKey`] whose ipad/opad
-/// compressions are done once at construction instead of once per
-/// seal/open.
+/// A symmetric AEAD key: an expanded AES-128-GCM key (round keys and the
+/// powers of the hash subkey), computed once at construction.
 #[derive(Clone)]
 pub struct AeadKey {
-    /// `enc_key || 0^12 || 0^8 || 0x80 || 0.. || bit length`: the one-block
-    /// SHA-256 message `key || nonce || counter`, already padded.
-    keystream_block: [u8; 64],
-    /// HMAC key schedule for the derived MAC key.
-    mac_key: HmacKey,
+    gcm: Gcm,
 }
 
 /// An encrypted payload: nonce, ciphertext and authentication tag.
@@ -51,25 +42,21 @@ pub struct SealedBox {
     pub nonce: [u8; NONCE_LEN],
     /// The encrypted payload.
     pub ciphertext: Vec<u8>,
-    /// The truncated HMAC authentication tag.
+    /// The GCM authentication tag.
     pub tag: [u8; TAG_LEN],
 }
 
 impl AeadKey {
     /// Creates an AEAD key from 32 bytes of keying material.
     ///
-    /// Independent encryption and MAC subkeys are derived internally so a
-    /// single provisioned key can be used safely for both purposes.
+    /// The AES-128 key is derived from it, so one provisioned secret can
+    /// also feed other derivations (nonce subkeys) without reuse.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let enc_key = crate::hkdf::derive_key32(key, b"aead-enc");
-        let mac_key = crate::hkdf::derive_key32(key, b"aead-mac");
-        let mut keystream_block = [0u8; 64];
-        keystream_block[..KEY_LEN].copy_from_slice(&enc_key);
-        keystream_block[KEYSTREAM_MSG_LEN] = 0x80;
-        keystream_block[56..].copy_from_slice(&(8 * KEYSTREAM_MSG_LEN as u64).to_be_bytes());
+        let derived = crate::hkdf::derive_key32(key, b"aead-aes-128-gcm");
+        let mut aes_key = [0u8; 16];
+        aes_key.copy_from_slice(&derived[..16]);
         AeadKey {
-            keystream_block,
-            mac_key: HmacKey::new(&mac_key),
+            gcm: Gcm::new(&aes_key),
         }
     }
 
@@ -81,12 +68,11 @@ impl AeadKey {
 
     /// Encrypts `plaintext` with the given `nonce` and associated data.
     ///
-    /// The nonce must be unique per key; the controller uses a per-object
-    /// monotonically increasing counter combined with random bytes.
+    /// The nonce must never repeat under this key for different inputs
+    /// (module docs).
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> SealedBox {
         let mut ciphertext = plaintext.to_vec();
-        self.apply_keystream(nonce, &mut ciphertext);
-        let tag = self.compute_tag(nonce, aad, &ciphertext);
+        let tag = self.gcm.encrypt(nonce, aad, &mut ciphertext);
         SealedBox {
             nonce: *nonce,
             ciphertext,
@@ -113,8 +99,8 @@ impl AeadKey {
     /// `nonce || tag || ciphertext` to `out`.
     ///
     /// The layout is built in place — the plaintext is copied once, behind
-    /// whatever header the caller already wrote to `out`, encrypted where it
-    /// lies and MACed as a slice — and is byte-identical to
+    /// whatever header the caller already wrote to `out`, and encrypted
+    /// and hashed where it lies — and is byte-identical to
     /// [`AeadKey::seal`] followed by [`SealedBox::to_bytes`].
     pub fn seal_into(
         &self,
@@ -129,8 +115,7 @@ impl AeadKey {
         out.extend_from_slice(&[0u8; TAG_LEN]);
         out.extend_from_slice(plaintext);
         let (header, body) = out[start..].split_at_mut(BODY_AT);
-        self.apply_keystream(nonce, body);
-        header[NONCE_LEN..].copy_from_slice(&self.compute_tag(nonce, aad, body));
+        header[NONCE_LEN..].copy_from_slice(&self.gcm.encrypt(nonce, aad, body));
     }
 
     /// Convenience: encrypt and return the wire encoding.
@@ -141,74 +126,21 @@ impl AeadKey {
     }
 
     /// Convenience: parse the wire encoding and decrypt.
-    ///
-    /// The tag is verified over the borrowed ciphertext; only then is the
-    /// ciphertext copied, once, into the buffer that becomes the plaintext.
     pub fn open_from_bytes(&self, data: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
         self.open_borrowed(Sealed::parse(data)?, aad)
     }
 
+    /// The ciphertext is copied once, into the buffer that becomes the
+    /// plaintext, and decrypted and hashed there in one pass; the buffer
+    /// is returned only if the tag over the ciphertext verifies, and
+    /// dropped otherwise.
     fn open_borrowed(&self, sealed: Sealed<'_>, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let expected = self.compute_tag(sealed.nonce, aad, sealed.ciphertext);
+        let mut plaintext = sealed.ciphertext.to_vec();
+        let expected = self.gcm.decrypt(sealed.nonce, aad, &mut plaintext);
         if !ct_eq(&expected, sealed.tag) {
             return Err(CryptoError::AuthenticationFailed);
         }
-        let mut plaintext = sealed.ciphertext.to_vec();
-        self.apply_keystream(sealed.nonce, &mut plaintext);
         Ok(plaintext)
-    }
-
-    /// XORs the keystream for `nonce` into `data` in place.
-    ///
-    /// Each 32-byte keystream block is `sha256(key || nonce || counter)`: a
-    /// 52-byte message, so one compression of one padded block from the
-    /// initial state. The padded block is the key's template with the nonce
-    /// written in once; per block only the 8 counter bytes change. Blocks
-    /// are produced two counters at a time so the hardware backend can
-    /// overlap the two compressions, and XORed 64 bytes at a time. The
-    /// number of compressions is exactly `ceil(len / 32)`, as it was when
-    /// every block went through `update` and `finalize`.
-    fn apply_keystream(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        let mut even = self.keystream_block;
-        even[KEY_LEN..COUNTER_AT].copy_from_slice(nonce);
-        let mut odd = even;
-        let set_counter = |block: &mut [u8; 64], counter: u64| {
-            block[COUNTER_AT..KEYSTREAM_MSG_LEN].copy_from_slice(&counter.to_be_bytes());
-        };
-
-        let mut counter: u64 = 0;
-        for chunk in data.chunks_mut(64) {
-            set_counter(&mut even, counter);
-            if chunk.len() > 32 {
-                set_counter(&mut odd, counter + 1);
-                xor_into(chunk, &digest_padded_block_pair(&even, &odd));
-            } else {
-                xor_into(chunk, &digest_padded_block(&even));
-            }
-            counter += 2;
-        }
-    }
-
-    /// Computes the truncated authentication tag over nonce, AAD, ciphertext
-    /// and their lengths (to prevent boundary-shifting attacks).
-    fn compute_tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-        let mut mac = self.mac_key.hasher();
-        mac.update(nonce);
-        mac.update(aad);
-        mac.update(ciphertext);
-        mac.update(&(aad.len() as u64).to_be_bytes());
-        mac.update(&(ciphertext.len() as u64).to_be_bytes());
-        let full = mac.finalize();
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
-        tag
-    }
-}
-
-/// XORs `keystream` into `data`, which is at most as long.
-fn xor_into(data: &mut [u8], keystream: &[u8]) {
-    for (d, k) in data.iter_mut().zip(keystream) {
-        *d ^= k;
     }
 }
 
@@ -268,7 +200,11 @@ pub fn random_nonce<R: rand::Rng>(rng: &mut R) -> [u8; NONCE_LEN] {
 }
 
 /// Builds a deterministic nonce from a 64-bit sequence number and 32-bit
-/// stream identifier; used by the secure-channel record layer.
+/// stream identifier.
+///
+/// For single-use keys only, or keys whose one holder never reuses a
+/// `(stream, seq)`: two sealers that share a key and count from the same
+/// start repeat nonces, which GCM does not survive (module docs).
 pub fn counter_nonce(stream: u32, seq: u64) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[..4].copy_from_slice(&stream.to_be_bytes());
@@ -276,10 +212,30 @@ pub fn counter_nonce(stream: u32, seq: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
+/// A nonce derived from what is sealed: the first 12 bytes of
+/// HMAC-SHA256 under `key` over the concatenated `parts`.
+///
+/// Deterministic and stateful nowhere, so any number of sealers sharing
+/// the AEAD key agree without coordination. Give `parts` everything the
+/// sealed bytes depend on — the plaintext or a collision-resistant digest
+/// of it, and the associated data — encoded so no two inputs concatenate
+/// alike. A nonce then repeats only for identical inputs, which seal to
+/// identical bytes and reveal nothing but their equality, or on a 96-bit
+/// collision of the MAC. `key` must be independent of the AEAD key.
+/// Costs exactly one HMAC over the parts.
+pub fn synthetic_nonce(key: &HmacKey, parts: &[&[u8]]) -> [u8; NONCE_LEN] {
+    let mut mac = key.hasher();
+    for part in parts {
+        mac.update(part);
+    }
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce.copy_from_slice(&mac.finalize()[..NONCE_LEN]);
+    nonce
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::Sha256;
 
     fn key() -> AeadKey {
         AeadKey::new(&[7u8; KEY_LEN])
@@ -348,48 +304,9 @@ mod tests {
         assert_ne!(a.ciphertext, b.ciphertext);
     }
 
-    /// Sizes that straddle the 32-byte keystream block, the 64-byte pair
-    /// and the single-block tail of the two-lane kernel.
-    const LENGTHS: [usize; 12] = [0, 1, 31, 32, 33, 63, 64, 65, 127, 1024, 4096 + 17, 65_536];
-
-    #[test]
-    fn keystream_kernel_matches_uncached_reference() {
-        // The production path patches a counter into a pre-padded block and
-        // compresses two counters at a time; this reference recomputes
-        // sha256(key || nonce || counter) from scratch through the public
-        // hasher for every 32-byte block. Ciphertexts and tags must be
-        // byte-identical across payload sizes spanning block boundaries.
-        let master = [7u8; KEY_LEN];
-        let enc_key = crate::hkdf::derive_key32(&master, b"aead-enc");
-        let mac_key = crate::hkdf::derive_key32(&master, b"aead-mac");
-        let k = AeadKey::new(&master);
-        for (seq, len) in LENGTHS.into_iter().enumerate() {
-            let nonce = counter_nonce(9, seq as u64);
-            let plaintext: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
-
-            let mut expected = plaintext.clone();
-            for (counter, chunk) in expected.chunks_mut(32).enumerate() {
-                let mut h = Sha256::new();
-                h.update(&enc_key);
-                h.update(&nonce);
-                h.update(&(counter as u64).to_be_bytes());
-                xor_into(chunk, &h.finalize());
-            }
-
-            let sealed = k.seal(&nonce, b"aad", &plaintext);
-            assert_eq!(sealed.ciphertext, expected, "len {len}");
-
-            // The tag must equal the uncached HMAC reference too.
-            let mut mac = crate::hmac::HmacSha256::new(&mac_key);
-            mac.update(&nonce);
-            mac.update(b"aad");
-            mac.update(&expected);
-            mac.update(&(b"aad".len() as u64).to_be_bytes());
-            mac.update(&(expected.len() as u64).to_be_bytes());
-            let full = mac.finalize();
-            assert_eq!(sealed.tag[..], full[..TAG_LEN], "len {len}");
-        }
-    }
+    /// Sizes that straddle the 16-byte block, the four-block GHASH group
+    /// and the eight-block counter group of the hardware kernel.
+    const LENGTHS: [usize; 12] = [0, 1, 15, 16, 17, 63, 64, 65, 127, 1024, 4096 + 17, 65_536];
 
     #[test]
     fn in_place_layout_matches_boxed_layout() {

@@ -1,8 +1,7 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 //!
-//! Used by the AEAD construction (encrypt-then-MAC), the secure channel
-//! record layer, the Kinetic protocol envelopes and key-confirmation
-//! messages during attestation.
+//! Used for the AEAD's synthetic nonces, the Kinetic protocol envelopes,
+//! key derivation and key-confirmation messages during attestation.
 //!
 //! # Cached key schedules
 //!
@@ -13,7 +12,7 @@
 //! every subsequent MAC under the same key clones the midstates (a memcpy)
 //! instead of redoing the schedule. Callers that MAC many messages under one
 //! key (the Kinetic session layer does four MACs per drive exchange, the
-//! AEAD one per seal/open) should hold an `HmacKey`. The one-shot
+//! object store one nonce per seal) should hold an `HmacKey`. The one-shot
 //! [`HmacSha256::mac`] remains for ad-hoc keys and produces byte-identical
 //! tags, which the equivalence tests assert.
 

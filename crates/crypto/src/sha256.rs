@@ -187,45 +187,6 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     compress_scalar(state, blocks);
 }
 
-/// Digest of a one-block message whose padding the caller already wrote:
-/// `block` is compressed once from the initial state.
-///
-/// The AEAD keystream hashes `key ‖ nonce ‖ counter` (52 bytes) per 32
-/// bytes of output; the padded block differs only in the counter, so the
-/// caller keeps it as a template instead of re-padding through
-/// [`Sha256::finalize`].
-pub(crate) fn digest_padded_block(block: &[u8; BLOCK_LEN]) -> Digest {
-    let mut state = H0;
-    compress_blocks(&mut state, block);
-    state_to_digest(&state)
-}
-
-/// [`digest_padded_block`] of `a` followed by that of `b`, as one 64-byte
-/// string. The hardware backend runs the two independent compressions
-/// interleaved in one routine, so the second can hide behind the first's
-/// instruction latency where the CPU's SHA unit is pipelined.
-pub(crate) fn digest_padded_block_pair(a: &[u8; BLOCK_LEN], b: &[u8; BLOCK_LEN]) -> [u8; 64] {
-    let [state_a, state_b] = compress_pair(&H0, a, b);
-    let mut out = [0u8; 64];
-    out[..32].copy_from_slice(&state_to_digest(&state_a));
-    out[32..].copy_from_slice(&state_to_digest(&state_b));
-    out
-}
-
-/// Compresses `a` and `b`, each from the chaining state `state`, and returns
-/// the two resulting states.
-fn compress_pair(state: &[u32; 8], a: &[u8; BLOCK_LEN], b: &[u8; BLOCK_LEN]) -> [[u32; 8]; 2] {
-    ops::add(2);
-    #[cfg(target_arch = "x86_64")]
-    if let Some(hw) = shani::ShaNi::detect() {
-        return hw.compress_pair(state, a, b);
-    }
-    let mut out = [*state; 2];
-    compress_scalar(&mut out[0], a);
-    compress_scalar(&mut out[1], b);
-    out
-}
-
 /// Name of the compression backend this process dispatches to: `"sha-ni"`
 /// or `"scalar"`. Reporting only — nothing selects a backend but the CPU.
 pub fn backend() -> &'static str {
@@ -284,8 +245,8 @@ pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 }
 
 /// SHA-256 on the x86 SHA extensions (`sha256rnds2` / `sha256msg1` /
-/// `sha256msg2`). All `unsafe` in this crate lives here: the two calls from
-/// [`ShaNi`]'s methods into the `#[target_feature]` kernels.
+/// `sha256msg2`). All `unsafe` of the hash lives here: the call from
+/// [`ShaNi::compress`] into the `#[target_feature]` kernel.
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use super::{BLOCK_LEN, K};
@@ -318,17 +279,6 @@ mod shani {
             // all `compress_blocks` requires. It reads `blocks` and `state`
             // through the references it is given, within their lengths.
             unsafe { compress_blocks(state, blocks) }
-        }
-
-        pub(super) fn compress_pair(
-            self,
-            state: &[u32; 8],
-            a: &[u8; BLOCK_LEN],
-            b: &[u8; BLOCK_LEN],
-        ) -> [[u32; 8]; 2] {
-            // SAFETY: as in `compress` — the features `compress_two` is
-            // compiled for were detected when `self` was made.
-            unsafe { compress_two(state, a, b) }
         }
     }
 
@@ -426,39 +376,6 @@ mod shani {
             lanes.cdgh = _mm_add_epi32(lanes.cdgh, saved.cdgh);
         }
         *state = store_state(lanes);
-    }
-
-    /// One compression of `a` and one of `b`, both from `state`, in one
-    /// routine: each lane is a serial chain of 32 `sha256rnds2`, the two
-    /// chains are independent, and four rounds of one alternate with four
-    /// of the other so a pipelined SHA unit can overlap them.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub(super) unsafe fn compress_two(
-        state: &[u32; 8],
-        a: &[u8; BLOCK_LEN],
-        b: &[u8; BLOCK_LEN],
-    ) -> [[u32; 8]; 2] {
-        let saved = load_state(state);
-        let (mut lanes_a, mut lanes_b) = (saved, saved);
-        let (mut wa, mut wb) = (load_block(a), load_block(b));
-        for i in 0..16 {
-            if i >= 4 {
-                let (next_a, next_b) = (schedule(&wa), schedule(&wb));
-                wa = [wa[1], wa[2], wa[3], next_a];
-                wb = [wb[1], wb[2], wb[3], next_b];
-            }
-            rounds4(&mut lanes_a, wa[i.min(3)], i);
-            rounds4(&mut lanes_b, wb[i.min(3)], i);
-        }
-        for lanes in [&mut lanes_a, &mut lanes_b] {
-            lanes.abef = _mm_add_epi32(lanes.abef, saved.abef);
-            lanes.cdgh = _mm_add_epi32(lanes.cdgh, saved.cdgh);
-        }
-        [store_state(lanes_a), store_state(lanes_b)]
     }
 }
 
@@ -605,13 +522,6 @@ mod tests {
             compress_blocks(&mut dispatched, &blocks);
             compress_scalar(&mut scalar, &blocks);
             assert_eq!(dispatched, scalar, "case {case}");
-
-            let a: &[u8; BLOCK_LEN] = blocks[..BLOCK_LEN].try_into().unwrap();
-            let b: &[u8; BLOCK_LEN] = blocks[blocks.len() - BLOCK_LEN..].try_into().unwrap();
-            let mut expected = [state; 2];
-            compress_scalar(&mut expected[0], a);
-            compress_scalar(&mut expected[1], b);
-            assert_eq!(compress_pair(&state, a, b), expected, "pair, case {case}");
         }
     }
 
@@ -628,25 +538,6 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..len]);
             assert_eq!(h.finalize(), expected, "len {len} split at {split}");
-        }
-    }
-
-    #[test]
-    fn padded_block_digests_match_the_hasher() {
-        // A 52-byte message padded by hand, as the AEAD keystream does.
-        let mut rng = StdRng::seed_from_u64(52);
-        for _ in 0..64 {
-            let mut blocks = [[0u8; BLOCK_LEN]; 2];
-            for block in &mut blocks {
-                rng.fill(&mut block[..52]);
-                block[52] = 0x80;
-                block[56..].copy_from_slice(&(52u64 * 8).to_be_bytes());
-            }
-            let [a, b] = blocks;
-            assert_eq!(digest_padded_block(&a), sha256(&a[..52]));
-            let pair = digest_padded_block_pair(&a, &b);
-            assert_eq!(pair[..32], sha256(&a[..52]));
-            assert_eq!(pair[32..], sha256(&b[..52]));
         }
     }
 

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use pesos_crypto::{AeadKey, KeyPair, PublicKey, Signature};
+use pesos_crypto::{AeadKey, HmacKey, KeyPair, PublicKey, Signature};
 
 use crate::enclave::{Enclave, EnclaveMeasurement};
 use crate::error::SgxError;
@@ -226,12 +226,18 @@ impl AttestationService {
     /// Verifies the quote and, on success, returns the secrets encrypted
     /// under a key derived from the quote's report data (which the enclave
     /// chose, so only it can decrypt).
+    ///
+    /// Report data can repeat (bootstrap fixes it), so the key can seal
+    /// more than once: the nonce is derived from the payload under a
+    /// second key from the same report data, and repeats only when the
+    /// sealed bytes do.
     pub fn provision(&self, quote: &EnclaveQuote) -> Result<Vec<u8>, SgxError> {
         self.verify_quote(quote)?;
         let key = pesos_crypto::hkdf::derive_key32(&quote.report_data, b"provisioning");
-        let aead = AeadKey::new(&key);
-        let nonce = pesos_crypto::aead::counter_nonce(0x50524f56, 0);
-        Ok(aead.seal_to_bytes(&nonce, b"pesos-provisioning", &self.secrets.to_bytes()))
+        let nonce_key = pesos_crypto::hkdf::derive_key32(&quote.report_data, b"provisioning-nonce");
+        let payload = self.secrets.to_bytes();
+        let nonce = pesos_crypto::aead::synthetic_nonce(&HmacKey::new(&nonce_key), &[&payload]);
+        Ok(AeadKey::new(&key).seal_to_bytes(&nonce, b"pesos-provisioning", &payload))
     }
 
     /// Enclave-side helper: decrypts a provisioning payload using the report
@@ -299,6 +305,30 @@ mod tests {
         let payload = service.provision(&quote).unwrap();
         let recovered = AttestationService::unseal_provisioned(&report_data, &payload).unwrap();
         assert_eq!(recovered, secrets());
+    }
+
+    #[test]
+    fn provisioning_nonce_follows_the_payload() {
+        // Bootstrap fixes the report data, so two services with different
+        // secrets seal under one key: they must not share a nonce.
+        let enclave = enclave();
+        let qe = QuotingEnclave::new(b"machine-1");
+        let quote = qe.quote(&enclave, [5u8; 64]);
+        let provision = |secrets: ProvisionedSecrets| {
+            let mut service = AttestationService::new(secrets);
+            service.trust_platform(qe.platform_public_key());
+            service.expect_measurement(enclave.measurement());
+            service.provision(&quote).unwrap()
+        };
+        let mut other = secrets();
+        other.storage_master_key = [10u8; 32];
+        let (a, b) = (provision(secrets()), provision(other.clone()));
+        assert_ne!(a[..12], b[..12]);
+        assert_eq!(provision(secrets()), a);
+        assert_eq!(
+            AttestationService::unseal_provisioned(&[5u8; 64], &b).unwrap(),
+            other
+        );
     }
 
     #[test]
