@@ -32,8 +32,12 @@ pub mod lock_order {
     //! every lock it already holds; two locks of the same rank may nest
     //! only if both carry an explicit shard index and the indices are
     //! strictly increasing. This is the same table `pesos-lint`'s static
-    //! lock-hierarchy pass enforces lexically; the runtime checker here
-    //! witnesses it dynamically in the stress suites.
+    //! lock-hierarchy pass enforces lexically: the lint keeps no copy, it
+    //! reads each lock's rank name where the lock is built (the first
+    //! argument of `with_rank`/`with_rank_indexed`) and looks it up in
+    //! [`NAMES`], so a lock built with plain `new` is unranked to both
+    //! checkers. The runtime checker here witnesses the order dynamically
+    //! in the stress suites.
     //!
     //! Rationale for the ordering (outermost first):
     //!
@@ -117,8 +121,9 @@ pub mod lock_order {
     /// Simulated disk actuator behind the drive engine.
     pub const BACKEND_ACTUATOR: u16 = 110;
 
-    /// Every named rank, for diagnostics and for `pesos-lint`'s shared
-    /// table. Sorted ascending.
+    /// Every named rank, for diagnostics and for `pesos-lint`, which
+    /// resolves the rank names its constructor sites give here. Sorted
+    /// ascending.
     pub const NAMES: &[(u16, &str)] = &[
         (CLUSTER_TOPOLOGY, "CLUSTER_TOPOLOGY"),
         (OPS_GATE, "OPS_GATE"),

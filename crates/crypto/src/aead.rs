@@ -192,13 +192,6 @@ impl SealedBox {
     }
 }
 
-/// Generates a random nonce using the supplied RNG.
-pub fn random_nonce<R: rand::Rng>(rng: &mut R) -> [u8; NONCE_LEN] {
-    let mut nonce = [0u8; NONCE_LEN];
-    rng.fill(&mut nonce[..]);
-    nonce
-}
-
 /// Builds a deterministic nonce from a 64-bit sequence number and 32-bit
 /// stream identifier.
 ///

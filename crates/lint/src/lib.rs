@@ -8,10 +8,11 @@
 //! 1. **lock-hierarchy** (`lock_hierarchy`) — the workspace declares one
 //!    global lock-acquisition order in [`parking_lot::lock_order`] (the
 //!    same rank table the shim's opt-in runtime checker enforces). This
-//!    pass maps known lock-field names to ranks and flags any lexically
-//!    nested `.lock()`/`.read()`/`.write()` whose rank is not strictly
-//!    above every guard still live, or that takes two locks of one
-//!    sharded family without ordered indices.
+//!    pass reads each lock field's rank from the `with_rank` constructor
+//!    that builds it ("The lock-rank table" below) and flags any
+//!    lexically nested `.lock()`/`.read()`/`.write()` whose rank is not
+//!    strictly above every guard still live, or that takes two locks of
+//!    one sharded family without ordered indices.
 //! 2. **guard-across-I/O** (`guard_across_io`) — no lock guard may be
 //!    lexically live across a drive-I/O submission
 //!    (`submit`/`submit_batch` or a drive
@@ -57,16 +58,26 @@
 //! registries → migration stripes/state → key registry/key locks → the
 //! sharded metadata/cache/session maps → transaction tables → the
 //! replication log → scheduler/asyscall internals → drive
-//! internals → backend actuator. The lexical pass recognises receivers
-//! by field name (a curated table below, path-scoped where a name such
-//! as `shards` or `inner` is reused across files); an unrecognised
-//! receiver is unchecked here but still witnessed by the runtime
-//! checker when the `lock_order` feature is on.
+//! internals → backend actuator. The lint keeps no table of its own:
+//! [`lint_workspace`] first lexes every linted file and reads each
+//! non-test `with_rank(…)` or `with_rank_indexed(…)` call. The
+//! struct-literal field the call initializes gets the rank its first
+//! argument names, sharded exactly when it is built `_indexed`; a rank
+//! name `lock_order` does not declare is a finding, and a call that
+//! initializes no field is skipped. A field name resolves throughout the
+//! crate that constructs it, unless that crate constructs the name at two
+//! ranks (`shards` in `core` and in `policy`): then it resolves only
+//! inside each constructing file's module (see [`in_scope`]).
+//! [`lint_source`] reads the constructors of its one file. A receiver the
+//! table does not name is unchecked here; if its lock is ranked all the
+//! same (the per-key locks `KeyLocks::lock_for` builds in a closure) the
+//! runtime checker still witnesses it when the `lock_order` feature is
+//! on.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use parking_lot::lock_order as ranks;
+use parking_lot::lock_order::{rank_name, NAMES};
 
 // ---------------------------------------------------------------------------
 // Findings
@@ -133,34 +144,6 @@ impl fmt::Display for Finding {
             "{}:{}: [{}] {}",
             self.file, self.line, self.pass, self.message
         )
-    }
-}
-
-/// Per-file analysis switches.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    pub lock_hierarchy: bool,
-    pub guard_across_io: bool,
-    /// Only request-path crates enforce panic-freedom.
-    pub panic_freedom: bool,
-    pub acked_logged: bool,
-}
-
-impl Options {
-    pub fn all() -> Options {
-        Options {
-            lock_hierarchy: true,
-            guard_across_io: true,
-            panic_freedom: true,
-            acked_logged: true,
-        }
-    }
-
-    pub fn without_panic_freedom() -> Options {
-        Options {
-            panic_freedom: false,
-            ..Options::all()
-        }
     }
 }
 
@@ -501,303 +484,168 @@ fn parse_directive(comment: &str) -> Option<Directive> {
 }
 
 // ---------------------------------------------------------------------------
-// The lock-family table
+// The lock-rank table, read from the constructors
 // ---------------------------------------------------------------------------
 
-/// Whether a family is sharded (same-rank nesting legal only with ordered
-/// indices, which a lexical pass cannot prove — so same-family nesting is
-/// always reported and must be allow-annotated where the indices are
-/// provably ordered).
-#[derive(Debug, Clone, Copy)]
+/// The rank a `with_rank` constructor gives a lock field, and whether the
+/// family is sharded (built `with_rank_indexed`: same-rank nesting legal
+/// only with ordered indices, which a lexical pass cannot prove — so
+/// same-family nesting is always reported and must be allow-annotated
+/// where the indices are provably ordered).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Family {
     rank: u16,
-    name: &'static str,
     sharded: bool,
 }
 
-/// Receiver field names that unambiguously identify a lock family in any
-/// file.
-const GLOBAL_FAMILIES: &[(&str, Family)] = &[
-    (
-        "rebalance",
-        Family {
-            rank: ranks::CLUSTER_TOPOLOGY,
-            name: "CLUSTER_TOPOLOGY",
-            sharded: false,
-        },
-    ),
-    (
-        "ops_gate",
-        Family {
-            rank: ranks::OPS_GATE,
-            name: "OPS_GATE",
-            sharded: false,
-        },
-    ),
-    (
-        "routing",
-        Family {
-            rank: ranks::ROUTING_STATE,
-            name: "ROUTING_STATE",
-            sharded: false,
-        },
-    ),
-    (
-        "replicas",
-        Family {
-            rank: ranks::REPLICA_REGISTRY,
-            name: "REPLICA_REGISTRY",
-            sharded: false,
-        },
-    ),
-    (
-        "retry_rng",
-        Family {
-            rank: ranks::RETRY_RNG,
-            name: "RETRY_RNG",
-            sharded: false,
-        },
-    ),
-    (
-        "migration_locks",
-        Family {
-            rank: ranks::MIGRATION_STRIPE,
-            name: "MIGRATION_STRIPE",
-            sharded: true,
-        },
-    ),
-    (
-        "moved_pending_delete",
-        Family {
-            rank: ranks::MIGRATION_STATE,
-            name: "MIGRATION_STATE",
-            sharded: false,
-        },
-    ),
-    (
-        "settled_groups",
-        Family {
-            rank: ranks::MIGRATION_STATE,
-            name: "MIGRATION_STATE",
-            sharded: false,
-        },
-    ),
-    (
-        "engine",
-        Family {
-            rank: ranks::DRIVE_ENGINE,
-            name: "DRIVE_ENGINE",
-            sharded: false,
-        },
-    ),
-    (
-        "security",
-        Family {
-            rank: ranks::DRIVE_SECURITY,
-            name: "DRIVE_SECURITY",
-            sharded: false,
-        },
-    ),
-    (
-        "actuator",
-        Family {
-            rank: ranks::BACKEND_ACTUATOR,
-            name: "BACKEND_ACTUATOR",
-            sharded: false,
-        },
-    ),
-];
-
-/// Receiver field names that identify a family only inside a given module
-/// (see [`in_scope`]), because the name is reused across files.
-const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
-    (
-        "cluster/src/cluster.rs",
-        "clients",
-        Family {
-            rank: ranks::CLUSTER_CLIENTS,
-            name: "CLUSTER_CLIENTS",
-            sharded: false,
-        },
-    ),
-    (
-        "cluster/src/cluster.rs",
-        "policies",
-        Family {
-            rank: ranks::CLUSTER_POLICIES,
-            name: "CLUSTER_POLICIES",
-            sharded: false,
-        },
-    ),
-    (
-        "cluster/src/replication.rs",
-        "inner",
-        Family {
-            rank: ranks::REPLICATION_LOG,
-            name: "REPLICATION_LOG",
-            sharded: false,
-        },
-    ),
-    (
-        "cluster/src/replication.rs",
-        "workers",
-        Family {
-            rank: ranks::REPLICATION_WORKERS,
-            name: "REPLICATION_WORKERS",
-            sharded: false,
-        },
-    ),
-    (
-        "cluster/src/twopc.rs",
-        "open",
-        Family {
-            rank: ranks::CLUSTER_TX,
-            name: "CLUSTER_TX",
-            sharded: false,
-        },
-    ),
-    (
-        "core/src/store.rs",
-        "shards",
-        Family {
-            rank: ranks::KEY_REGISTRY,
-            name: "KEY_REGISTRY",
-            sharded: true,
-        },
-    ),
-    (
-        "core/src/metadata.rs",
-        "shards",
-        Family {
-            rank: ranks::METADATA_SHARD,
-            name: "METADATA_SHARD",
-            sharded: true,
-        },
-    ),
-    (
-        "core/src/object_cache.rs",
-        "shards",
-        Family {
-            rank: ranks::OBJECT_CACHE_SHARD,
-            name: "OBJECT_CACHE_SHARD",
-            sharded: true,
-        },
-    ),
-    (
-        "core/src/session.rs",
-        "shards",
-        Family {
-            rank: ranks::SESSION_SHARD,
-            name: "SESSION_SHARD",
-            sharded: true,
-        },
-    ),
-    (
-        "policy/src/cache.rs",
-        "shards",
-        Family {
-            rank: ranks::POLICY_CACHE_SHARD,
-            name: "POLICY_CACHE_SHARD",
-            sharded: true,
-        },
-    ),
-    (
-        "policy/src/sharded.rs",
-        "shards",
-        Family {
-            rank: ranks::FIFO_SHARD,
-            name: "FIFO_SHARD",
-            sharded: true,
-        },
-    ),
-    (
-        "core/src/transaction.rs",
-        "transactions",
-        Family {
-            rank: ranks::TX_TABLE,
-            name: "TX_TABLE",
-            sharded: false,
-        },
-    ),
-    (
-        "core/src/transaction.rs",
-        "locks",
-        Family {
-            rank: ranks::TX_LOCKS,
-            name: "TX_LOCKS",
-            sharded: false,
-        },
-    ),
-    (
-        "core/src/result_buffer.rs",
-        "inner",
-        Family {
-            rank: ranks::RESULT_BUFFER,
-            name: "RESULT_BUFFER",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/scheduler.rs",
-        "queue",
-        Family {
-            rank: ranks::SCHEDULER,
-            name: "SCHEDULER",
-            sharded: false,
-        },
-    ),
-    (
-        "sgx/src/asyscall.rs",
-        "park",
-        Family {
-            rank: ranks::ASYSCALL_PARK,
-            name: "ASYSCALL_PARK",
-            sharded: false,
-        },
-    ),
-    (
-        "kinetic/src/drive.rs",
-        "fault",
-        Family {
-            rank: ranks::DRIVE_FAULT,
-            name: "DRIVE_FAULT",
-            sharded: false,
-        },
-    ),
-    // Fixture scope: lets the fixture tests exercise path-scoped lookups.
-    (
-        "fixtures/lock_hierarchy.rs",
-        "log_inner",
-        Family {
-            rank: ranks::REPLICATION_LOG,
-            name: "REPLICATION_LOG",
-            sharded: false,
-        },
-    ),
-];
-
-/// Whether `file` belongs to the module a scope names by its root file:
-/// that file itself (matched by path suffix) or any file of the module's
-/// directory — `cluster/src/cluster.rs` also scopes
-/// `cluster/src/cluster/migration.rs`, so splitting a module into
-/// sub-modules cannot silently unrank its locks.
-fn in_scope(file: &str, scope: &str) -> bool {
-    let directory = scope.strip_suffix(".rs").unwrap_or(scope);
-    file.ends_with(scope) || file.contains(&format!("{directory}/"))
+/// One constructor site: the struct-literal field a `with_rank` call
+/// initializes, in `file`.
+struct RankSite {
+    file: String,
+    field: String,
+    family: Family,
 }
 
-fn family_for(file: &str, ident: &str) -> Option<Family> {
-    for (scope, name, family) in SCOPED_FAMILIES {
-        if ident == *name && in_scope(file, scope) {
-            return Some(*family);
+/// Field name → family, derived from the constructor sites of the files
+/// given to [`RankTable::add_file`].
+#[derive(Default)]
+struct RankTable {
+    sites: Vec<RankSite>,
+}
+
+impl RankTable {
+    /// Reads every non-test `with_rank(…)`/`with_rank_indexed(…)` call of
+    /// one file. A rank name `lock_order` does not declare is a finding; a
+    /// call that initializes no struct-literal field is skipped.
+    fn add_file(&mut self, file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
+        let mask = test_code_mask(tokens);
+        let sig: Vec<usize> = (0..tokens.len())
+            .filter(|&i| tokens[i].kind != Kind::Comment)
+            .collect();
+        let text = |s: usize| sig.get(s).map_or("", |&i| tokens[i].text.as_str());
+        for s in 1..sig.len() {
+            let call = text(s);
+            if !matches!(call, "with_rank" | "with_rank_indexed")
+                || text(s - 1) != "::"
+                || text(s + 1) != "("
+                || mask[sig[s]]
+            {
+                continue;
+            }
+            // The rank is the last segment of the first argument's path.
+            let mut rank_at = s + 2;
+            while text(rank_at + 1) == "::" {
+                rank_at += 2;
+            }
+            let rank_ident = text(rank_at);
+            let Some(&(rank, _)) = NAMES.iter().find(|(_, name)| *name == rank_ident) else {
+                findings.push(Finding {
+                    pass: Pass::LockHierarchy,
+                    file: file.to_string(),
+                    line: tokens[sig[s]].line,
+                    message: format!(
+                        "{call}() names rank `{rank_ident}`, which lock_order does not declare"
+                    ),
+                });
+                continue;
+            };
+            if let Some(field) = initialized_field(&sig, tokens, s) {
+                self.sites.push(RankSite {
+                    file: file.to_string(),
+                    field,
+                    family: Family {
+                        rank,
+                        sharded: call == "with_rank_indexed",
+                    },
+                });
+            }
         }
     }
-    for (name, family) in GLOBAL_FAMILIES {
-        if ident == *name {
-            return Some(*family);
+
+    /// The family a receiver ident names in `file`. A field resolves
+    /// throughout the crate that constructs it; a name that crate
+    /// constructs at two ranks resolves only in each constructing file's
+    /// module.
+    fn family(&self, file: &str, ident: &str) -> Option<Family> {
+        let sites: Vec<&RankSite> = self
+            .sites
+            .iter()
+            .filter(|site| site.field == ident && crate_of(&site.file) == crate_of(file))
+            .collect();
+        let first = sites.first()?;
+        if sites.iter().all(|site| site.family == first.family) {
+            return Some(first.family);
+        }
+        sites
+            .iter()
+            .find(|site| in_scope(file, &site.file))
+            .map(|site| site.family)
+    }
+}
+
+/// `crates/<name>` for a file under `crates/<name>/src/`; a file outside
+/// any `src/` tree is a crate of its own.
+fn crate_of(file: &str) -> &str {
+    file.split_once("/src/").map_or(file, |(krate, _)| krate)
+}
+
+/// Whether `file` belongs to the module whose root file is `scope`: that
+/// file itself or any file of the module's directory —
+/// `cluster/src/cluster.rs` also scopes `cluster/src/cluster/migration.rs`,
+/// so splitting a module into sub-modules cannot silently unrank its locks.
+fn in_scope(file: &str, scope: &str) -> bool {
+    let directory = scope.strip_suffix(".rs").unwrap_or(scope);
+    file == scope || file.starts_with(&format!("{directory}/"))
+}
+
+/// The struct-literal field whose initializer holds the call at `call`:
+/// walks back out of the groups that wrap it (`migration_locks:
+/// Arc::new(Sharded::new_indexed(n, |i| Mutex::with_rank_indexed(…)))`)
+/// to the `field:` that opens the expression. `None` when the call
+/// initializes no field (a `let`, a static, a closure handed to a method).
+fn initialized_field(sig: &[usize], tokens: &[Token], call: usize) -> Option<String> {
+    let text = |s: usize| tokens[sig[s]].text.as_str();
+    let mut s = call;
+    while s > 0 {
+        s -= 1;
+        match text(s) {
+            ")" | "]" | "}" => s = matching_open(sig, tokens, s),
+            // A closure body is part of the expression; any other block
+            // (a function body, a match arm) ends the search.
+            "{" if s == 0 || text(s - 1) != "|" => return None,
+            ";" | "=" | "=>" => return None,
+            ":" if s >= 2
+                && tokens[sig[s - 1]].kind == Kind::Ident
+                && matches!(text(s - 2), "{" | ",") =>
+            {
+                return Some(text(s - 1).to_string());
+            }
+            _ => {}
         }
     }
     None
+}
+
+/// The position of the bracket that opens the group `close` ends.
+fn matching_open(sig: &[usize], tokens: &[Token], close: usize) -> usize {
+    let close_text = tokens[sig[close]].text.as_str();
+    let open_text = match close_text {
+        ")" => "(",
+        "]" => "[",
+        _ => "{",
+    };
+    let mut depth = 1usize;
+    let mut s = close;
+    while s > 0 && depth > 0 {
+        s -= 1;
+        let t = tokens[sig[s]].text.as_str();
+        if t == close_text {
+            depth += 1;
+        } else if t == open_text {
+            depth -= 1;
+        }
+    }
+    s
 }
 
 /// Method names that submit drive I/O and park on completion.
@@ -996,7 +844,7 @@ struct LiveGuard {
 fn lock_passes(
     file: &str,
     tokens: &[Token],
-    opts: &Options,
+    table: &RankTable,
     allows: &Allows,
     findings: &mut Vec<Finding>,
 ) {
@@ -1122,29 +970,30 @@ fn lock_passes(
             && s + 2 < sig.len()
             && tok(s + 1).text == "("
             && tok(s + 2).text == ")";
-        if is_acquire && opts.lock_hierarchy {
+        if is_acquire {
             let receiver = receiver_idents(&sig, tokens, s - 1);
-            let family = receiver.iter().find_map(|ident| family_for(file, ident));
+            let family = receiver.iter().find_map(|ident| table.family(file, ident));
             if let Some(new) = family {
                 for held in &guards {
                     let Some(old) = held.family else { continue };
                     let inverted = old.rank > new.rank;
-                    let same_family = old.rank == new.rank && old.name == new.name;
+                    let same_family = old.rank == new.rank;
                     if (inverted || same_family) && !allows.permits(Pass::LockHierarchy, t.line) {
                         let message = if inverted {
                             format!(
                                 "acquires {}({}) while holding {}({}) from line {}: inverts the declared lock hierarchy",
-                                new.name, new.rank, old.name, old.rank, held.line
+                                rank_name(new.rank), new.rank, rank_name(old.rank), old.rank, held.line
                             )
                         } else if new.sharded {
                             format!(
                                 "nests two {} locks (line {} and here); sharded families may nest only with ordered indices",
-                                new.name, held.line
+                                rank_name(new.rank), held.line
                             )
                         } else {
                             format!(
                                 "reacquires {} while already holding it (line {}); self-deadlock",
-                                new.name, held.line
+                                rank_name(new.rank),
+                                held.line
                             )
                         };
                         findings.push(Finding {
@@ -1180,14 +1029,14 @@ fn lock_passes(
             && tok(s - 1).text == "."
             && s + 1 < sig.len()
             && tok(s + 1).text == "(";
-        if is_io && opts.guard_across_io {
+        if is_io {
             for held in &guards {
                 if allows.permits(Pass::GuardAcrossIo, t.line) {
                     break;
                 }
                 let family = held
                     .family
-                    .map(|f| f.name.to_string())
+                    .map(|f| rank_name(f.rank).to_string())
                     .unwrap_or_else(|| format!("`{}`", held.label));
                 findings.push(Finding {
                     pass: Pass::GuardAcrossIo,
@@ -1219,19 +1068,7 @@ fn receiver_idents(sig: &[usize], tokens: &[Token], dot: usize) -> Vec<String> {
         let t = &tokens[sig[s]];
         match t.text.as_str() {
             ")" | "]" => {
-                // Balance backwards.
-                let open = if t.text == ")" { "(" } else { "[" };
-                let close = t.text.clone();
-                let mut depth = 1usize;
-                while s > 0 && depth > 0 {
-                    s -= 1;
-                    let u = &tokens[sig[s]];
-                    if u.text == close {
-                        depth += 1;
-                    } else if u.text == open {
-                        depth -= 1;
-                    }
-                }
+                s = matching_open(sig, tokens, s);
                 continue; // the token before the open paren is next
             }
             _ if t.kind == Kind::Ident => {
@@ -1639,22 +1476,32 @@ fn unreached_module_pass(
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Lints one source file. `file` is used for path-scoped family lookup
-/// and in findings; it should be workspace-relative.
-pub fn lint_source(file: &str, source: &str, opts: &Options) -> Vec<Finding> {
-    let tokens = lex(source);
+/// Lints one source file, reading lock ranks from its own constructors.
+/// `file` is used for path-scoped family lookup and in findings; it
+/// should be workspace-relative. `request_path` turns panic-freedom on.
+pub fn lint_source(file: &str, source: &str, request_path: bool) -> Vec<Finding> {
+    lint_files(&[(file.to_string(), lex(source), request_path)])
+}
+
+/// Passes 1–4 over lexed files, each with its crate's request-path flag.
+/// Lock ranks are read from the constructors of every file before any
+/// file is linted.
+fn lint_files(files: &[(String, Vec<Token>, bool)]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let allows = collect_allows(file, &tokens, &mut findings);
-    if opts.lock_hierarchy || opts.guard_across_io {
-        lock_passes(file, &tokens, opts, &allows, &mut findings);
+    let mut table = RankTable::default();
+    for (file, tokens, _) in files {
+        table.add_file(file, tokens, &mut findings);
     }
-    if opts.panic_freedom {
-        panic_freedom_pass(file, &tokens, &allows, &mut findings);
+    for (file, tokens, request_path) in files {
+        let allows = collect_allows(file, tokens, &mut findings);
+        lock_passes(file, tokens, &table, &allows, &mut findings);
+        if *request_path {
+            panic_freedom_pass(file, tokens, &allows, &mut findings);
+        }
+        acked_logged_pass(file, tokens, &allows, &mut findings);
     }
-    if opts.acked_logged {
-        acked_logged_pass(file, &tokens, &allows, &mut findings);
-    }
-    findings.sort_by(|a, b| (a.line, a.pass.slug()).cmp(&(b.line, b.pass.slug())));
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.pass.slug()).cmp(&(&b.file, b.line, b.pass.slug())));
     findings
 }
 
@@ -1676,28 +1523,30 @@ pub const LINTED_CRATES: &[(&str, bool)] = &[
 /// Lints every workspace crate under `root` (the directory holding the
 /// workspace `Cargo.toml`). Returns findings sorted by file and line.
 pub fn lint_workspace(root: &std::path::Path) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+    let mut findings = lint_files(&lex_linted_crates(root)?);
+    unreached_module_pass(root, &mut findings)?;
+    findings.sort_by_key(|f| (f.file.clone(), f.line));
+    Ok(findings)
+}
+
+/// Every `.rs` file of the linted crates' `src/` trees, workspace-relative
+/// and lexed, with its crate's request-path flag.
+fn lex_linted_crates(root: &std::path::Path) -> std::io::Result<Vec<(String, Vec<Token>, bool)>> {
+    let mut files = Vec::new();
     for (krate, request_path) in LINTED_CRATES {
         let src = root.join("crates").join(krate).join("src");
         if !src.is_dir() {
             continue;
         }
-        let opts = if *request_path {
-            Options::all()
-        } else {
-            Options::without_panic_freedom()
-        };
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        files.sort();
-        for path in files {
-            let source = std::fs::read_to_string(&path)?;
-            findings.extend(lint_source(&relative(root, &path), &source, &opts));
+        let mut paths = Vec::new();
+        collect_rs_files(&src, &mut paths)?;
+        paths.sort();
+        for path in paths {
+            let tokens = lex(&std::fs::read_to_string(&path)?);
+            files.push((relative(root, &path), tokens, *request_path));
         }
     }
-    unreached_module_pass(root, &mut findings)?;
-    findings.sort_by_key(|f| (f.file.clone(), f.line));
-    Ok(findings)
+    Ok(files)
 }
 
 /// `path` relative to the workspace root, with `/` separators.
@@ -1797,10 +1646,69 @@ mod tests {
 
     #[test]
     fn unranked_receivers_are_unchecked() {
-        let src = "fn f() { let a = self.mystery.lock(); let b = self.ops_gate.read(); }";
+        let src = "fn new() -> S { S { ops_gate: RwLock::with_rank(lock_order::OPS_GATE, ()) } }
+                   fn f() { let a = self.mystery.lock(); let b = self.ops_gate.read(); }";
         // `mystery` is unknown -> no hierarchy finding even though a guard
         // is live when ops_gate is taken.
-        let findings = lint_source("x.rs", src, &Options::without_panic_freedom());
+        let findings = lint_source("x.rs", src, false);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn a_constructor_ranks_the_field_its_initializer_opens() {
+        let src = "fn new() -> C { C {
+                migration_locks: Arc::new(Sharded::new_indexed(n, |i| {
+                    Mutex::with_rank_indexed(lock_order::MIGRATION_STRIPE, i, ())
+                })),
+                routing: RwLock::with_rank(lock_order::ROUTING_STATE, Arc::new(State { table, n: 1 })),
+            } }
+            fn lock_for(&self) -> Arc<Mutex<()>> {
+                self.map.lock().entry(k).or_insert_with(|| Arc::new(Mutex::with_rank(lock_order::KEY_LOCK, ())))
+            }";
+        let mut table = RankTable::default();
+        table.add_file("x.rs", &lex(src), &mut Vec::new());
+        let sites: Vec<(&str, &str, bool)> = table
+            .sites
+            .iter()
+            .map(|site| {
+                (
+                    site.field.as_str(),
+                    rank_name(site.family.rank),
+                    site.family.sharded,
+                )
+            })
+            .collect();
+        // The per-key lock initializes no field: skipped.
+        assert_eq!(
+            sites,
+            [
+                ("migration_locks", "MIGRATION_STRIPE", true),
+                ("routing", "ROUTING_STATE", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn every_rank_but_the_per_key_lock_is_read_from_a_field() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(manifest).expect("workspace root");
+        let mut findings = Vec::new();
+        let mut table = RankTable::default();
+        for (file, tokens, _) in lex_linted_crates(&root).expect("workspace lexes") {
+            table.add_file(&file, &tokens, &mut findings);
+        }
+        assert!(findings.is_empty(), "{findings:?}");
+        // A ranked lock rebuilt with plain `new` drops out of this list.
+        // `KEY_LOCK` is built in `KeyLocks::lock_for`'s closure and
+        // initializes no field; only the runtime checker sees it.
+        let unread: Vec<&str> = NAMES
+            .iter()
+            .filter(|&&(rank, _)| {
+                rank != parking_lot::lock_order::KEY_LOCK
+                    && !table.sites.iter().any(|site| site.family.rank == rank)
+            })
+            .map(|&(_, name)| name)
+            .collect();
+        assert!(unread.is_empty(), "no constructor ranks a field {unread:?}");
     }
 }

@@ -1,10 +1,10 @@
-//! `pesos-lint` binary: lints the workspace's request-path crates.
+//! `pesos-lint` binary: lints the workspace's request-path crates and
+//! exits 1 on any finding.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p pesos-lint            # report findings, exit 0
-//! cargo run -p pesos-lint -- --check # exit 1 if any finding (CI mode)
+//! cargo run -p pesos-lint
 //! ```
 //!
 //! The workspace root is located by walking up from the current
@@ -13,7 +13,6 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let check = std::env::args().any(|a| a == "--check");
     let cwd = match std::env::current_dir() {
         Ok(d) => d,
         Err(err) => {
@@ -46,10 +45,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("pesos-lint: {} finding(s)", findings.len());
-        if check {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
+        ExitCode::FAILURE
     }
 }

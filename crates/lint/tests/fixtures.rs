@@ -1,18 +1,13 @@
 //! Fixture tests: each pass runs over a small source file with known
 //! violations and the findings must match exactly — pass, file, and line.
 
-use pesos_lint::{lint_source, Finding, Options, Pass};
+use pesos_lint::{lint_source, Finding, Pass};
 
-fn lint_fixture(name: &str, opts: &Options) -> Vec<Finding> {
-    lint_fixture_as(name, &format!("fixtures/{name}"), opts)
-}
-
-/// Lints fixture `name` as if it lived at `file`: the reported path drives
-/// path-scoped family lookup.
-fn lint_fixture_as(name: &str, file: &str, opts: &Options) -> Vec<Finding> {
+/// Lints fixture `name`; `request_path` turns panic-freedom on.
+fn lint_fixture(name: &str, request_path: bool) -> Vec<Finding> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).expect("fixture readable");
-    lint_source(file, &source, opts)
+    lint_source(&format!("fixtures/{name}"), &source, request_path)
 }
 
 fn as_pass_lines(findings: &[Finding]) -> Vec<(Pass, u32)> {
@@ -21,7 +16,7 @@ fn as_pass_lines(findings: &[Finding]) -> Vec<(Pass, u32)> {
 
 #[test]
 fn lock_hierarchy_fixture() {
-    let findings = lint_fixture("lock_hierarchy.rs", &Options::without_panic_freedom());
+    let findings = lint_fixture("lock_hierarchy.rs", false);
     assert_eq!(
         as_pass_lines(&findings),
         vec![(Pass::LockHierarchy, 14), (Pass::LockHierarchy, 25)],
@@ -33,36 +28,41 @@ fn lock_hierarchy_fixture() {
 }
 
 #[test]
-fn scoped_families_resolve_in_sub_modules_of_their_scope() {
-    let opts = Options::without_panic_freedom();
-    // `clients`/`policies` are ranked only inside the cluster module; a
-    // file of its directory is inside it, like the module's root file.
-    for file in [
-        "crates/cluster/src/cluster.rs",
-        "crates/cluster/src/cluster/migration.rs",
-    ] {
-        let findings = lint_fixture_as("scoped_submodule.rs", file, &opts);
-        assert_eq!(
-            as_pass_lines(&findings),
-            vec![(Pass::LockHierarchy, 14)],
-            "{file}: {findings:#?}"
-        );
-        assert!(findings[0].message.contains("CLUSTER_CLIENTS"));
-        assert!(findings[0].message.contains("CLUSTER_POLICIES"));
-    }
-    // Outside the scope the same names are some other struct's fields.
-    for file in [
-        "fixtures/scoped_submodule.rs",
-        "crates/cluster/src/clusterish.rs",
-    ] {
-        let findings = lint_fixture_as("scoped_submodule.rs", file, &opts);
-        assert!(findings.is_empty(), "{file}: {findings:#?}");
-    }
+fn lock_ranks_are_read_from_constructors() {
+    // A miniature workspace: `cluster` builds `gate` and `table` in
+    // `state.rs`; `core` builds `shards` at two ranks, in `metadata.rs` and
+    // in `cache.rs`, and `registry` once.
+    let root = format!("{}/tests/fixtures/ranks", env!("CARGO_MANIFEST_DIR"));
+    let findings = pesos_lint::lint_workspace(std::path::Path::new(&root)).expect("fixture lints");
+    let found: Vec<(&str, Pass, u32)> = findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.pass, f.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            // A field built in one file resolves in another of its crate
+            // (and not in another crate: `core/src/requests.rs` is clean).
+            ("crates/cluster/src/requests.rs", Pass::LockHierarchy, 6),
+            // An unknown rank name is a finding.
+            ("crates/cluster/src/state.rs", Pass::LockHierarchy, 9),
+            // A name built at two ranks resolves per sub-module and per
+            // file.
+            ("crates/core/src/cache/evict.rs", Pass::LockHierarchy, 8),
+            ("crates/core/src/metadata.rs", Pass::LockHierarchy, 17),
+        ],
+        "{findings:#?}"
+    );
+    let message = |i: usize| findings[i].message.as_str();
+    assert!(message(0).contains("OPS_GATE") && message(0).contains("ROUTING_STATE"));
+    assert!(message(1).contains("NOT_A_RANK"));
+    assert!(message(2).contains("KEY_REGISTRY") && message(2).contains("OBJECT_CACHE_SHARD"));
+    assert!(message(3).contains("two METADATA_SHARD locks"));
 }
 
 #[test]
 fn guard_across_io_fixture() {
-    let findings = lint_fixture("guard_across_io.rs", &Options::without_panic_freedom());
+    let findings = lint_fixture("guard_across_io.rs", false);
     assert_eq!(
         as_pass_lines(&findings),
         vec![(Pass::GuardAcrossIo, 9), (Pass::GuardAcrossIo, 14)],
@@ -74,7 +74,7 @@ fn guard_across_io_fixture() {
 
 #[test]
 fn panic_freedom_fixture() {
-    let findings = lint_fixture("panic_freedom.rs", &Options::all());
+    let findings = lint_fixture("panic_freedom.rs", true);
     assert_eq!(
         as_pass_lines(&findings),
         vec![
@@ -92,13 +92,13 @@ fn panic_freedom_fixture() {
 
 #[test]
 fn a_file_under_inner_cfg_test_is_test_code() {
-    let findings = lint_fixture("test_module_file.rs", &Options::all());
+    let findings = lint_fixture("test_module_file.rs", true);
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]
 fn acked_logged_fixture() {
-    let findings = lint_fixture("acked_logged.rs", &Options::all());
+    let findings = lint_fixture("acked_logged.rs", true);
     assert_eq!(
         as_pass_lines(&findings),
         vec![(Pass::AckedLogged, 15), (Pass::BadAllow, 34)],
@@ -124,7 +124,7 @@ fn unreached_module_fixture() {
 
 #[test]
 fn fixture_files_report_their_path() {
-    let findings = lint_fixture("panic_freedom.rs", &Options::all());
+    let findings = lint_fixture("panic_freedom.rs", true);
     assert!(findings
         .iter()
         .all(|f| f.file == "fixtures/panic_freedom.rs"));

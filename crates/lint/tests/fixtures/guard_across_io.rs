@@ -32,4 +32,13 @@ impl S {
         // pesos-lint: allow(guard_across_io, "the batch must be joined under the gate by design")
         self.asyscall.submit_batch(work);
     }
+
+    // `ops_gate` is ranked where it is built; `queue` is not, so line 14's
+    // message names the receiver.
+    fn new() -> S {
+        S {
+            ops_gate: parking_lot::RwLock::with_rank(lock_order::OPS_GATE, ()),
+            queue: parking_lot::Mutex::new(Vec::new()),
+        }
+    }
 }

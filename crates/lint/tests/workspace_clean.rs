@@ -1,6 +1,6 @@
 //! The live workspace must stay lint-clean: every finding is either fixed
 //! or explicitly allow-annotated with a reason. This is the same gate CI
-//! runs via `cargo run -p pesos-lint -- --check`.
+//! runs via `cargo run -p pesos-lint`.
 
 #[test]
 fn workspace_has_no_unallowlisted_findings() {

@@ -104,12 +104,6 @@ impl<L> Sharded<L> {
         &self.shards[(key.shard_hint() % self.shards.len() as u64) as usize]
     }
 
-    /// The shard at `index` (for callers that precomputed the index).
-    pub fn by_index(&self, index: usize) -> &L {
-        // pesos-lint: allow(panic_freedom, "by_index callers precomputed the index from this shard count")
-        &self.shards[index]
-    }
-
     /// Iterates over every shard (aggregate statistics, sweeps).
     pub fn iter(&self) -> std::slice::Iter<'_, L> {
         self.shards.iter()
@@ -242,7 +236,7 @@ mod tests {
         assert_eq!(sharded.shard_count(), 1);
         assert_eq!(
             sharded.get("anything") as *const _,
-            sharded.by_index(0) as *const _
+            sharded.get(&7u64) as *const _
         );
         // Zero shards is clamped to one.
         let clamped: Sharded<Mutex<u32>> = Sharded::new(0, || Mutex::new(0));
