@@ -12,7 +12,7 @@
 //!   backoff while its partition is unavailable.
 //! * `migration` (migration stripes and state, ranks 40–45) — no key is
 //!   lost, resurrected or observed half-moved by a topology change.
-//! * `tx` (cluster transaction table, ranks 70–76) — every branch
+//! * `tx` (open-transaction and VLL lock tables, ranks 72–74) — every branch
 //!   prepares before any branch commits.
 //! * `failover` (replica registry and logs, ranks 35 and 80–82) — an
 //!   acknowledged write is in the partition's log before the ack escapes.

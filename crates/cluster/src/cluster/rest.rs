@@ -1,11 +1,13 @@
 //! REST dispatch and the [`RequestEndpoint`] surface: both translate a
-//! client call into the routed operations of the sibling modules.
+//! client call into the routed operations of the sibling modules. This is
+//! the workspace's only REST dispatcher; a client of a single controller
+//! reaches it through a one-partition cluster.
 
 use std::sync::Arc;
 
-use pesos_core::request::{poll_response, tx_outcome_response};
 use pesos_core::{
-    parse_policy_id, ClientRequest, ClientResponse, HashedKey, PesosError, RequestEndpoint,
+    parse_policy_id, AsyncResult, ClientRequest, ClientResponse, HashedKey, PesosError,
+    RequestEndpoint, TxOutcome,
 };
 use pesos_crypto::Certificate;
 use pesos_policy::PolicyId;
@@ -34,19 +36,14 @@ impl ControllerCluster {
         let certs = &request.certificates;
         match rest.method {
             RestMethod::Status => {
-                // Healthy only if every partition answers.
-                for controller in self.controllers() {
-                    let response = controller.handle(
-                        client_id,
-                        ClientRequest::new(RestRequest::new(RestMethod::Status, "")),
-                    );
-                    if response.status != RestStatus::Ok {
-                        return Ok(response);
-                    }
+                // Healthy only if every partition's primary is up.
+                let routing = self.routing.read().clone();
+                let partitions = routing.table.partitions();
+                if let Some(down) = partitions.iter().position(|p| p.controller.is_failed()) {
+                    return Err(PesosError::Unavailable(format!("partition {down} is down")));
                 }
                 Ok(RestResponse::ok(
-                    format!("pesos cluster: ok ({} partitions)", self.partition_count())
-                        .into_bytes(),
+                    format!("pesos cluster: ok ({} partitions)", partitions.len()).into_bytes(),
                 ))
             }
             RestMethod::PutPolicy => {
@@ -170,6 +167,28 @@ impl ControllerCluster {
                     .ok_or_else(|| PesosError::ObjectNotFound(format!("stats path {path:?}")))
             }
         }
+    }
+}
+
+/// A transaction's outcome on the wire: its write versions, comma-joined.
+fn tx_outcome_response(outcome: TxOutcome) -> RestResponse {
+    let versions: Vec<String> = outcome.write_versions.iter().map(u64::to_string).collect();
+    RestResponse::ok(versions.join(",").into_bytes())
+}
+
+/// The answer to a `PollResult` for operation `op_id`: done (with the
+/// version written, if any), still pending, failed, or unknown.
+fn poll_response(op_id: u64, result: Option<AsyncResult>) -> Result<RestResponse, PesosError> {
+    match result {
+        Some(AsyncResult::Completed { version: Some(v) }) => {
+            Ok(RestResponse::ok_empty().with_version(v))
+        }
+        Some(AsyncResult::Completed { version: None }) => Ok(RestResponse::ok_empty()),
+        Some(AsyncResult::Pending) => Ok(RestResponse::accepted(op_id)),
+        Some(AsyncResult::Failed { reason }) => {
+            Ok(RestResponse::failure(RestStatus::BackendError, reason))
+        }
+        None => Err(PesosError::ObjectNotFound(format!("operation {op_id}"))),
     }
 }
 

@@ -221,6 +221,37 @@ fn empty_transaction_commit_is_still_queryable() {
 }
 
 #[test]
+fn a_cross_partition_commit_spends_one_outcome_slot_per_participant() {
+    // One shard of eight slots per controller: eight commits across both
+    // partitions fill each participant's map exactly once over.
+    let c = ControllerCluster::new(ClusterConfig::with_controller(
+        2,
+        ControllerConfig {
+            lock_shards: 1,
+            tx_outcome_capacity: 8,
+            ..ControllerConfig::native_simulator(1)
+        },
+    ))
+    .unwrap();
+    c.register_client("alice");
+    let (a, b) = keys_on_two_partitions(&c, "slot");
+    let mut ids = Vec::new();
+    for i in 0..8u8 {
+        let tx = c.create_tx("alice").unwrap();
+        c.add_write("alice", tx, &a, vec![i]).unwrap();
+        c.add_write("alice", tx, &b, vec![i]).unwrap();
+        c.commit_tx("alice", tx).unwrap();
+        ids.push(tx);
+    }
+    for tx in &ids {
+        assert!(c.check_results("alice", *tx).is_ok(), "tx {tx:#x} evicted");
+    }
+    for controller in c.controllers() {
+        assert!(ids.iter().all(|tx| controller.tx_outcome(*tx).is_some()));
+    }
+}
+
+#[test]
 fn async_puts_poll_through_cluster_scoped_ids() {
     let c = cluster(3);
     c.register_client("alice");
@@ -485,9 +516,45 @@ fn rest_dispatch_routes_through_the_cluster() {
         .unwrap()
         .contains("3 partitions"));
 
-    // Missing object is NotFound, same mapping as the controller.
+    // A malformed policy id is a bad request.
+    let resp = c.handle(
+        "alice",
+        ClientRequest::new(RestRequest::put("x", vec![]).with_policy("zz-not-hex")),
+    );
+    assert_eq!(resp.status, RestStatus::BadRequest);
+
+    // Missing object is NotFound.
     let resp = c.handle("alice", ClientRequest::new(RestRequest::get("missing")));
     assert_eq!(resp.status, RestStatus::NotFound);
+}
+
+#[test]
+fn status_is_unavailable_while_a_routed_primary_is_down() {
+    let status = |c: &ControllerCluster| {
+        c.handle(
+            "alice",
+            ClientRequest::new(RestRequest::new(RestMethod::Status, "")),
+        )
+    };
+    // No backups: the killed partition stays down, and Status names it.
+    let c = cluster(2);
+    c.register_client("alice");
+    assert_eq!(status(&c).status, RestStatus::Ok);
+    c.kill_controller(1).unwrap();
+    let resp = status(&c);
+    assert_eq!(resp.status, RestStatus::BackendError);
+    assert!(
+        resp.detail.as_deref().unwrap_or("").contains("partition 1"),
+        "{:?}",
+        resp.detail
+    );
+    // One backup: promotion puts a live primary back on the range.
+    let c = replicated_cluster(2, 1);
+    c.register_client("alice");
+    c.kill_controller(0).unwrap();
+    assert_eq!(status(&c).status, RestStatus::BackendError);
+    c.fail_controller(0).unwrap();
+    assert_eq!(status(&c).status, RestStatus::Ok);
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! Cross-partition transactions (cluster transaction table, lock ranks
-//! 70–76): operations buffer here and commit in two phases, every branch
-//! preparing — in ascending partition order — before any branch commits.
+//! Cross-partition transactions (the open-transaction table and the
+//! controllers' VLL lock tables, lock ranks 72–74): operations buffer here
+//! and commit in two phases, every branch preparing — in ascending
+//! partition order — before any branch commits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pesos_core::{parse_policy_id, HashedKey, PesosController, PesosError, TxOutcome, TxWrite};
+use pesos_core::{HashedKey, PesosController, PesosError, PreparedCommit, TxOutcome, TxWrite};
 use pesos_kinetic::Payload;
 use pesos_telemetry::OpKind;
 
@@ -46,7 +47,6 @@ impl ControllerCluster {
             TxWrite {
                 key: key.to_string(),
                 value,
-                policy_id: None,
             },
         )
     }
@@ -76,92 +76,79 @@ impl ControllerCluster {
 
         // Settle any in-flight migration for the touched keys first, so
         // every branch prepares against the partition that owns the key
-        // under this snapshot.
+        // under this snapshot. Each branch remembers where its operations
+        // sat in the client's order, for the merge below.
         #[derive(Default)]
         struct Branch {
-            reads: Vec<(usize, String)>,
-            writes: Vec<(usize, TxWrite)>,
-            /// One shared copy of each write's value for the post-commit
-            /// log records, taken at staging because the value itself
-            /// moves into the branch transaction. Stays empty for a
-            /// partition that has no log.
-            logged: Vec<Payload>,
+            reads: Vec<String>,
+            read_positions: Vec<usize>,
+            writes: Vec<TxWrite>,
+            write_positions: Vec<usize>,
         }
+        let read_count = tx.reads.len();
+        let write_count = tx.writes.len();
         let mut branches: BTreeMap<usize, Branch> = BTreeMap::new();
-        for (position, key) in tx.reads.iter().enumerate() {
-            let hashed = HashedKey::new(key);
+        for (position, key) in tx.reads.into_iter().enumerate() {
+            let hashed = HashedKey::new(&key);
             self.pull_if_migrating(&routing, &hashed)?;
-            branches
+            let branch = branches
                 .entry(routing.table.index_of(Self::routing_hash(&hashed)))
-                .or_default()
-                .reads
-                .push((position, key.clone()));
+                .or_default();
+            branch.reads.push(key);
+            branch.read_positions.push(position);
         }
         for (position, write) in tx.writes.into_iter().enumerate() {
             let hashed = HashedKey::new(&write.key);
             self.pull_if_migrating(&routing, &hashed)?;
-            branches
+            let branch = branches
                 .entry(routing.table.index_of(Self::routing_hash(&hashed)))
-                .or_default()
-                .writes
-                .push((position, write));
+                .or_default();
+            branch.writes.push(write);
+            branch.write_positions.push(position);
         }
-        let read_count = tx.reads.len();
-        let write_count: usize = branches.values().map(|b| b.writes.len()).sum();
 
-        // Open one local branch transaction per participant. BTreeMap
-        // iteration gives ascending partition order — the global prepare
-        // order that keeps concurrent coordinators deadlock-free. Any
-        // staging failure aborts every local transaction created so far,
-        // not just the failing branch's, so nothing lingers in the
-        // participants' transaction buffers. Write values move into the
-        // branch transactions (the merge below only needs each write's
-        // position), so staging copies no value bytes except the log's.
-        let mut participants: Vec<(Arc<PesosController>, u64, Branch)> =
-            Vec::with_capacity(branches.len());
-        let staged = branches
-            .into_iter()
-            .try_for_each(|(partition, mut branch)| {
-                let controller = Arc::clone(controller_at(&routing.table, partition)?);
-                let local = controller.create_tx(client_id)?;
-                let has_log = self.replica_set_of(&controller).is_some();
-                let ops = branch
-                    .reads
+        // Phase one: prepare every branch. BTreeMap iteration gives
+        // ascending partition order — the global prepare order that keeps
+        // concurrent coordinators deadlock-free. Each branch's reads and
+        // writes move into its prepare whole; the first failure aborts the
+        // branches already prepared, and nothing else was staged anywhere.
+        struct Participant<'a> {
+            controller: &'a Arc<PesosController>,
+            prepared: PreparedCommit<'a>,
+            read_positions: Vec<usize>,
+            write_positions: Vec<usize>,
+            /// Each write's key and one shared copy of its value for the
+            /// post-commit log records, taken before the value moves into
+            /// the prepare. Empty for a partition that has no log.
+            logged: Vec<(String, Payload)>,
+        }
+        let prepare = |partition: usize, branch: Branch| {
+            let controller = controller_at(&routing.table, partition)?;
+            let logged = match self.replica_set_of(controller) {
+                Some(_) => branch
+                    .writes
                     .iter()
-                    .try_for_each(|(_, key)| controller.add_read(client_id, local, key))
-                    .and_then(|()| {
-                        branch.writes.iter_mut().try_for_each(|(_, write)| {
-                            if has_log {
-                                branch.logged.push(write.value.as_slice().into());
-                            }
-                            let value = std::mem::take(&mut write.value);
-                            controller.add_write(client_id, local, &write.key, value)
-                        })
-                    });
-                participants.push((controller, local, branch));
-                ops
-            });
-        if let Err(e) = staged {
-            for (controller, local, _) in &participants {
-                let _ = controller.abort_tx(client_id, *local);
-            }
-            return Err(e);
-        }
-
-        // Phase one: prepare every branch; first failure aborts them all.
-        let mut prepared = Vec::with_capacity(participants.len());
-        for (index, (controller, local, _)) in participants.iter().enumerate() {
-            match controller.prepare_commit(client_id, *local) {
-                Ok(p) => prepared.push(p),
+                    .map(|w| (w.key.clone(), w.value.as_slice().into()))
+                    .collect(),
+                None => Vec::new(),
+            };
+            controller
+                .prepare_commit(client_id, branch.reads, branch.writes)
+                .map(|prepared| Participant {
+                    controller,
+                    prepared,
+                    read_positions: branch.read_positions,
+                    write_positions: branch.write_positions,
+                    logged,
+                })
+        };
+        let mut participants: Vec<Participant<'_>> = Vec::with_capacity(branches.len());
+        for (partition, branch) in branches {
+            match prepare(partition, branch) {
+                Ok(participant) => participants.push(participant),
                 Err(e) => {
-                    for (p, (controller, _, _)) in prepared.into_iter().zip(&participants) {
-                        controller.abort_prepared(p);
-                    }
-                    // Branches after the failing one were never prepared;
-                    // their local transactions were consumed by nothing, so
-                    // abort them to free the buffered state.
-                    for (controller, local, _) in participants.iter().skip(index + 1) {
-                        let _ = controller.abort_tx(client_id, *local);
+                    for p in participants {
+                        p.controller.abort_prepared(p.prepared);
                     }
                     return Err(e);
                 }
@@ -172,37 +159,31 @@ impl ControllerCluster {
         // order the client added the operations.
         let mut read_values: Vec<Option<Vec<u8>>> = vec![None; read_count];
         let mut write_versions: Vec<Option<u64>> = vec![None; write_count];
-        for (p, (controller, _, branch)) in prepared.into_iter().zip(&participants) {
-            let outcome = controller.commit_prepared(p)?;
+        let mut committed = Vec::with_capacity(participants.len());
+        for p in participants {
+            let outcome = p.controller.commit_prepared(p.prepared)?;
             // Applied branch writes enter the partition's log with their
             // committed versions, before the outcome (the client-visible
             // acknowledgement) is assembled below.
-            for (((_, write), payload), version) in branch
-                .writes
-                .iter()
-                .zip(&branch.logged)
-                .zip(&outcome.write_versions)
-            {
-                self.append_for(controller, || LogRecord::Put {
-                    key: write.key.clone(),
-                    value: payload.clone(),
-                    policy_id: write
-                        .policy_id
-                        .as_deref()
-                        .and_then(|hex| parse_policy_id(hex).ok()),
+            for ((key, value), version) in p.logged.into_iter().zip(&outcome.write_versions) {
+                self.append_for(p.controller, || LogRecord::Put {
+                    key,
+                    value,
+                    policy_id: None,
                     version: Some(*version),
                 });
             }
-            for ((position, _), value) in branch.reads.iter().zip(outcome.read_values) {
-                if let Some(slot) = read_values.get_mut(*position) {
+            for (position, value) in p.read_positions.into_iter().zip(outcome.read_values) {
+                if let Some(slot) = read_values.get_mut(position) {
                     *slot = Some(value);
                 }
             }
-            for ((position, _), version) in branch.writes.iter().zip(outcome.write_versions) {
-                if let Some(slot) = write_versions.get_mut(*position) {
+            for (position, version) in p.write_positions.into_iter().zip(outcome.write_versions) {
+                if let Some(slot) = write_versions.get_mut(position) {
                     *slot = Some(version);
                 }
             }
+            committed.push(p.controller);
         }
         // Every buffered operation was routed to exactly one branch and
         // every branch outcome was merged above, so a gap is a routing
@@ -219,12 +200,13 @@ impl ControllerCluster {
                 .map(|v| v.ok_or_else(merge_gap))
                 .collect::<Result<_, PesosError>>()?,
         };
-        // File the merged outcome on every participant under the cluster
-        // id, so check_results finds it no matter which partition is asked.
-        // A transaction with no buffered operations has no participants;
-        // file its (empty) outcome on the first partition so a committed
-        // transaction is always queryable, as on a single controller.
-        if participants.is_empty() {
+        // File the merged outcome on every participant under the
+        // transaction id — the one outcome slot each participant spends on
+        // it — so check_results finds it no matter which partition is
+        // asked. A transaction with no buffered operations has no
+        // participants; file its (empty) outcome on the first partition so
+        // a committed transaction is always queryable.
+        if committed.is_empty() {
             let first = routing.table.first();
             first.record_tx_outcome(tx_id, outcome.clone());
             self.append_for(first, || LogRecord::TxOutcome {
@@ -235,7 +217,7 @@ impl ControllerCluster {
         // The outcome map is replicated too: a promoted backup resolves
         // in-doubt cluster transactions from its copy, so check_results
         // keeps answering after a participant fails over.
-        for (controller, _, _) in &participants {
+        for controller in committed {
             controller.record_tx_outcome(tx_id, outcome.clone());
             self.append_for(controller, || LogRecord::TxOutcome {
                 tx_id,
@@ -247,8 +229,15 @@ impl ControllerCluster {
 
     /// Returns the outcome of a previously committed cluster transaction,
     /// queryable from any router: every partition is consulted until one
-    /// has the retained outcome. Retention is bounded per controller, with
-    /// the same caveats as [`PesosController::check_results`].
+    /// has the retained outcome.
+    ///
+    /// Retention is bounded per controller
+    /// ([`pesos_core::ControllerConfig::tx_outcome_capacity`]): a
+    /// [`PesosError::ResultUnavailable`] here means the outcome is not
+    /// retained — the transaction id is unknown, aborted, or committed long
+    /// enough ago that its outcome was evicted. It must not be read as
+    /// proof the transaction did not commit; the authoritative commit
+    /// signal is [`ControllerCluster::commit_tx`]'s return value.
     pub fn check_results(&self, client_id: &str, tx_id: u64) -> Result<TxOutcome, PesosError> {
         self.require_client(client_id)?;
         let routing = self.routing.read().clone();

@@ -22,8 +22,8 @@
 //!
 //! * [`router`] — contiguous hash-range partitioning and the immutable
 //!   routing table.
-//! * [`twopc`] — cluster transaction buffering and the tagged cluster
-//!   transaction ids.
+//! * [`twopc`] — the workspace's one open-transaction table and the
+//!   tagged transaction ids.
 //! * [`cluster`] — the cluster itself: configuration, the routing snapshot
 //!   and [`ControllerCluster`] with its constructor and session mirroring,
 //!   and one private sub-module per lock-rank band:
@@ -45,7 +45,8 @@
 //!     router.
 //!   * `cluster::failover` — the per-partition replica sets, the
 //!     acked ⇒ logged append and [`ControllerCluster::fail_controller`].
-//!   * `cluster::rest` — REST dispatch and the
+//!   * `cluster::rest` — the one REST dispatcher (a single controller
+//!     serves REST as a one-partition cluster) and the
 //!     [`pesos_core::RequestEndpoint`] implementation.
 //! * [`cluster::stats`] — the `/stats` observability surface: cluster and
 //!   per-partition latency histograms, windowed hot-group counters (which

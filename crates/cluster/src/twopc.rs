@@ -1,19 +1,16 @@
-//! Cluster-level transaction buffering for the two-phase commit.
+//! The open-transaction table: the one place a transaction's reads and
+//! writes are buffered before it commits.
 //!
-//! A cluster transaction buffers reads and writes exactly like a
-//! single-controller transaction, but the keys may span partitions. At
-//! commit time the cluster groups the buffered operations by owning
-//! partition, opens one *branch* transaction per participant and runs the
-//! two-phase protocol over the controllers'
-//! [`pesos_core::PesosController::prepare_commit`] /
-//! [`pesos_core::PesosController::commit_prepared`] hooks (see the cluster
-//! module for the protocol itself).
+//! The keys of a transaction may span partitions. At commit time the
+//! cluster takes the buffered operations out of this table, groups them by
+//! owning partition and hands each participant its *branch* whole through
+//! [`pesos_core::PesosController::prepare_commit`]; the controllers keep no
+//! buffer of their own, only the VLL locks the branch holds until
+//! [`pesos_core::PesosController::commit_prepared`] (see the cluster module
+//! for the protocol itself).
 //!
-//! Cluster transaction identifiers carry [`CLUSTER_TX_BIT`] so they can
-//! never collide with any controller's own dense transaction ids inside the
-//! per-controller outcome maps — the merged outcome of a cross-partition
-//! transaction is filed under the cluster id on every participant, which is
-//! what makes it queryable from any router.
+//! The merged outcome is filed under the transaction id on every
+//! participant, which is what makes it queryable from any router.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use pesos_core::{PesosError, TxWrite};
 
-/// High tag bit of every cluster-assigned transaction id.
+/// High tag bit of every transaction id. Only these ids are filed in the
+/// controllers' outcome maps; the tag is the form of the ids clients hold.
 pub const CLUSTER_TX_BIT: u64 = 1 << 63;
 
 /// A buffered, not-yet-committed cluster transaction.
@@ -137,7 +135,6 @@ mod tests {
             TxWrite {
                 key: "b".into(),
                 value: vec![1],
-                policy_id: None,
             },
         )
         .unwrap();

@@ -90,16 +90,13 @@ pub mod lock_order {
     pub const POLICY_CACHE_SHARD: u16 = 64;
     /// Session-table shards (sharded, index = shard).
     pub const SESSION_SHARD: u16 = 66;
-    /// Generic sharded FIFO maps (sharded, index = shard).
+    /// Generic sharded FIFO maps: transaction outcomes, async results,
+    /// cluster async-op routes (sharded, index = shard).
     pub const FIFO_SHARD: u16 = 68;
-    /// Controller transaction table.
-    pub const TX_TABLE: u16 = 70;
-    /// Controller transaction key-intent registry.
+    /// Controller VLL lock table (`TransactionManager::locks`).
     pub const TX_LOCKS: u16 = 72;
-    /// Cluster 2PC open-transaction buffer.
+    /// Cluster 2PC open-transaction buffer, the only one in the workspace.
     pub const CLUSTER_TX: u16 = 74;
-    /// Controller result buffer (committed-outcome retention).
-    pub const RESULT_BUFFER: u16 = 76;
     /// Replication log mutex (`ReplicaSet::inner`).
     pub const REPLICATION_LOG: u16 = 80;
     /// Replication shipper worker-handle registry.
@@ -141,10 +138,8 @@ pub mod lock_order {
         (POLICY_CACHE_SHARD, "POLICY_CACHE_SHARD"),
         (SESSION_SHARD, "SESSION_SHARD"),
         (FIFO_SHARD, "FIFO_SHARD"),
-        (TX_TABLE, "TX_TABLE"),
         (TX_LOCKS, "TX_LOCKS"),
         (CLUSTER_TX, "CLUSTER_TX"),
-        (RESULT_BUFFER, "RESULT_BUFFER"),
         (REPLICATION_LOG, "REPLICATION_LOG"),
         (REPLICATION_WORKERS, "REPLICATION_WORKERS"),
         (SCHEDULER, "SCHEDULER"),

@@ -21,13 +21,14 @@ pub struct ControllerConfig {
     pub policy_cache_capacity: usize,
     /// Budget of the object cache in bytes (paper: bounded well below EPC).
     pub object_cache_bytes: usize,
-    /// Number of committed-transaction outcomes retained for
-    /// `check_results` polling; the oldest are evicted beyond this bound.
+    /// Number of committed-transaction outcomes retained for the cluster's
+    /// `check_results`; the oldest are evicted beyond this bound.
     pub tx_outcome_capacity: usize,
     /// Untrusted system-call service threads.
     pub syscall_threads: usize,
-    /// Lock shards for the in-enclave metadata map and object cache.
-    /// Sessions operating on keys that hash to different shards never
+    /// Lock shards for the in-enclave metadata map and object cache (and
+    /// the session table, the transaction-outcome map and the async result
+    /// buffer). Sessions operating on keys that hash to different shards never
     /// contend; 1 reproduces the old single-global-lock behaviour. The
     /// object cache splits its byte budget across shards, so the largest
     /// cacheable object is `object_cache_bytes / lock_shards`.

@@ -1,12 +1,18 @@
-//! The Pesos controller: request handling and unified policy enforcement.
+//! The Pesos controller: the partition engine and its unified policy
+//! enforcement.
 //!
-//! Every client operation flows through [`PesosController::handle`] (or the
-//! typed convenience methods it is built from): the session is looked up,
-//! the object's associated policy is fetched (policy cache → drive), the
-//! policy interpreter decides, and only then is the storage layer invoked —
-//! the single enforcement layer the paper argues for. Asynchronous writes
-//! are acknowledged immediately with an operation identifier and executed on
+//! Every typed operation runs the same steps: the session is looked up, the
+//! object's associated policy is fetched (policy cache → drive), the policy
+//! interpreter decides, and only then is the storage layer invoked — the
+//! single enforcement layer the paper argues for. Asynchronous writes are
+//! acknowledged immediately with an operation identifier and executed on
 //! enclave worker threads; their results land in the bounded result buffer.
+//!
+//! Transactions reach a controller as one branch at a time, already
+//! buffered: [`PesosController::prepare_commit`] locks and validates it,
+//! [`PesosController::commit_prepared`] applies it. REST requests and the
+//! transaction buffer live one layer up, in `pesos_cluster`; a client of a
+//! single controller uses a one-partition `ControllerCluster`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +21,6 @@ use pesos_crypto::Certificate;
 use pesos_policy::{Operation, PolicyId, Request, ValueRef};
 use pesos_sgx::UserScheduler;
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
-use pesos_wire::{RestMethod, RestRequest, RestResponse};
 use rand::RngCore;
 
 use crate::bootstrap::{bootstrap, BootstrapReport};
@@ -24,9 +29,6 @@ use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
 use crate::metrics::ControllerMetrics;
 use crate::placement::HashedKey;
-use crate::request::{
-    parse_policy_id, poll_response, tx_outcome_response, ClientRequest, ClientResponse,
-};
 use crate::result_buffer::{AsyncResult, ResultBuffer};
 use crate::session::SessionManager;
 use crate::store::PesosStore;
@@ -44,8 +46,8 @@ pub const LOG_SUFFIX: &str = ".log";
 /// Outcomes hold full copies of every value the transaction read, so
 /// retention is bounded like the async result buffer: each shard keeps its
 /// most recent commits and evicts the oldest beyond its share of the
-/// capacity. A client polling `check_results` for an evicted transaction
-/// gets the same not-found error as for an unknown one.
+/// capacity. A client asking the cluster's `check_results` for an evicted
+/// transaction gets the same not-found error as for an unknown one.
 type ShardedTxOutcomes = crate::sharded::ShardedFifoMap<TxOutcome>;
 
 /// One write of a prepared transaction, with everything the commit phase
@@ -66,16 +68,8 @@ struct PreparedWrite {
 /// the locks without writing (the abort metric is then not bumped).
 pub struct PreparedCommit<'a> {
     prepared: crate::transaction::PreparedTransaction<'a>,
-    tx_id: u64,
     read_values: Vec<Vec<u8>>,
     write_plan: Vec<PreparedWrite>,
-}
-
-impl PreparedCommit<'_> {
-    /// The transaction identifier this prepared state belongs to.
-    pub fn tx_id(&self) -> u64 {
-        self.tx_id
-    }
 }
 
 /// Asynchronous results retained per controller (paper: 2048).
@@ -126,7 +120,10 @@ impl PesosController {
         Ok(PesosController {
             sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, config.lock_shards),
             transactions: TransactionManager::new(),
-            results: Arc::new(ResultBuffer::new(RESULT_BUFFER_CAPACITY)),
+            results: Arc::new(ResultBuffer::new(
+                config.lock_shards,
+                RESULT_BUFFER_CAPACITY,
+            )),
             scheduler: UserScheduler::new(WORKER_THREADS),
             metrics: ControllerMetrics::default(),
             clock: AtomicU64::new(1),
@@ -608,63 +605,10 @@ impl PesosController {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begins a transaction and returns its handle.
-    pub fn create_tx(&self, client_id: &str) -> Result<u64, PesosError> {
-        self.require_session(client_id)?;
-        Ok(self.transactions.create(client_id))
-    }
-
-    /// Adds a read to a transaction.
-    pub fn add_read(&self, client_id: &str, tx_id: u64, key: &str) -> Result<(), PesosError> {
-        self.require_session(client_id)?;
-        self.transactions.add_read(tx_id, client_id, key)
-    }
-
-    /// Adds a write to a transaction.
-    pub fn add_write(
-        &self,
-        client_id: &str,
-        tx_id: u64,
-        key: &str,
-        value: Vec<u8>,
-    ) -> Result<(), PesosError> {
-        self.require_session(client_id)?;
-        self.transactions.add_write(
-            tx_id,
-            client_id,
-            TxWrite {
-                key: key.to_string(),
-                value,
-                policy_id: None,
-            },
-        )
-    }
-
-    /// Aborts a transaction.
-    pub fn abort_tx(&self, client_id: &str, tx_id: u64) -> Result<(), PesosError> {
-        self.require_session(client_id)?;
-        self.metrics.tx_aborted.add(1);
-        self.transactions.abort(tx_id, client_id)
-    }
-
-    /// Commits a transaction with full policy enforcement on every buffered
-    /// read and write. All writes are applied atomically with respect to
-    /// other transactions on the same keys.
-    ///
-    /// This is [`PesosController::prepare_commit`] followed immediately by
-    /// [`PesosController::commit_prepared`] — the single-controller
-    /// degenerate case of the two-phase protocol the cluster layer runs
-    /// across partitions.
-    pub fn commit_tx(&self, client_id: &str, tx_id: u64) -> Result<TxOutcome, PesosError> {
-        let _timer = self.op_timer(OpKind::CommitTx);
-        let prepared = self.prepare_commit(client_id, tx_id)?;
-        self.commit_prepared(prepared)
-    }
-
-    /// Phase one of a two-phase commit: takes the transaction's VLL locks,
-    /// runs every policy check and executes every buffered read — all the
-    /// validation that can abort the transaction — without applying any
-    /// write.
+    /// Phase one of a two-phase commit: takes the VLL locks of a branch
+    /// that reads `reads` and writes `writes`, runs every policy check and
+    /// executes every read — all the validation that can abort the
+    /// transaction — without applying any write.
     ///
     /// On success the locks stay held inside the returned
     /// [`PreparedCommit`]; a distributed coordinator prepares every
@@ -675,20 +619,14 @@ impl PesosController {
     pub fn prepare_commit(
         &self,
         client_id: &str,
-        tx_id: u64,
+        reads: Vec<String>,
+        writes: Vec<TxWrite>,
     ) -> Result<PreparedCommit<'_>, PesosError> {
         self.require_session(client_id)?;
-        let prepared = match self.transactions.prepare(tx_id, client_id) {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.tx_aborted.add(1);
-                return Err(e);
-            }
-        };
+        let prepared = self.transactions.prepare(reads, writes);
         match self.validate_prepared(client_id, &prepared) {
             Ok((read_values, write_plan)) => Ok(PreparedCommit {
                 prepared,
-                tx_id,
                 read_values,
                 write_plan,
             }),
@@ -769,16 +707,16 @@ impl PesosController {
     }
 
     /// Phase two of a two-phase commit: applies the prepared writes under
-    /// the locks taken in phase one, records the outcome under the
-    /// transaction id and releases the locks.
+    /// the locks taken in phase one, releases the locks and returns the
+    /// branch's outcome. Filing it is the coordinator's business
+    /// ([`PesosController::record_tx_outcome`]): only the merged outcome is
+    /// one a client can ask for.
     ///
     /// A failure here is a backend failure (validation already passed in
-    /// phase one); writes applied before the failing one remain, exactly as
-    /// in the pre-split commit path.
+    /// phase one); writes applied before the failing one remain.
     pub fn commit_prepared(&self, prepared: PreparedCommit<'_>) -> Result<TxOutcome, PesosError> {
         let PreparedCommit {
             prepared,
-            tx_id,
             read_values,
             write_plan,
         } = prepared;
@@ -805,7 +743,6 @@ impl PesosController {
         }
         drop(prepared); // release the VLL locks
         self.metrics.tx_committed.add(1);
-        self.tx_outcomes.insert(tx_id, outcome.clone());
         Ok(outcome)
     }
 
@@ -817,40 +754,19 @@ impl PesosController {
         drop(prepared);
     }
 
-    /// Files `outcome` under `tx_id` in the bounded outcome map, as if the
-    /// transaction had committed locally.
-    ///
-    /// Used by the cluster coordinator to make a *cross-partition*
-    /// transaction's merged outcome queryable through
-    /// [`PesosController::check_results`] on every participant (cluster
-    /// transaction ids carry a high tag bit, so they can never collide with
-    /// this controller's own dense ids).
+    /// Files `outcome` under `tx_id` in the bounded outcome map (see
+    /// [`ShardedTxOutcomes`]). The cluster coordinator files a
+    /// transaction's merged outcome on every participant, and a backup
+    /// files it again when it applies the replicated record, so any router
+    /// can answer `check_results` for it.
     pub fn record_tx_outcome(&self, tx_id: u64, outcome: TxOutcome) {
         self.tx_outcomes.insert(tx_id, outcome);
     }
 
-    /// The retained outcome for `tx_id`, if any — the session-less lookup
-    /// backing [`PesosController::check_results`]; the cluster router uses
-    /// it after enforcing its own session check.
+    /// The retained outcome for `tx_id`, if any. Session-less: the cluster
+    /// enforces its own session check first.
     pub fn tx_outcome(&self, tx_id: u64) -> Option<TxOutcome> {
         self.tx_outcomes.get(tx_id)
-    }
-
-    /// Returns the outcome of a previously committed transaction.
-    ///
-    /// Retention is bounded (see [`ShardedTxOutcomes`]): a
-    /// [`PesosError::ResultUnavailable`] here means the outcome is not
-    /// retained — the transaction id is unknown, aborted, or committed long
-    /// enough ago that its outcome was evicted. It must not be read as
-    /// proof the transaction did not commit; the authoritative commit
-    /// signal is [`PesosController::commit_tx`]'s return value.
-    pub fn check_results(&self, client_id: &str, tx_id: u64) -> Result<TxOutcome, PesosError> {
-        self.require_session(client_id)?;
-        self.tx_outcomes.get(tx_id).ok_or_else(|| {
-            PesosError::ResultUnavailable(format!(
-                "no retained results for tx {tx_id} (unknown, aborted, or evicted)"
-            ))
-        })
     }
 
     // ------------------------------------------------------------------
@@ -882,9 +798,7 @@ impl PesosController {
     /// This controller's stats subtree: request counters, per-operation
     /// latency histograms, and store occupancy/SGX gauges. The cluster
     /// router mounts one of these per partition under
-    /// `/stats/partitions/<i>`; a standalone controller serves it directly
-    /// via [`RestMethod::Stats`]. See `pesos_telemetry` for the path
-    /// grammar.
+    /// `/stats/partitions/<i>`. See `pesos_telemetry` for the path grammar.
     pub fn stats_tree(&self) -> StatsNode {
         let m = self.metrics.snapshot();
         let metrics = StatsNode::dir()
@@ -931,130 +845,21 @@ impl PesosController {
     pub fn reset_telemetry_window(&self) {
         self.metrics.ops.reset_window();
     }
-
-    // ------------------------------------------------------------------
-    // REST dispatch
-    // ------------------------------------------------------------------
-
-    /// Handles a REST request for an authenticated client.
-    pub fn handle(&self, client_id: &str, request: ClientRequest) -> ClientResponse {
-        match self.dispatch(client_id, &request) {
-            Ok(response) => response,
-            Err(e) => e.rest_response(),
-        }
-    }
-
-    fn dispatch(
-        &self,
-        client_id: &str,
-        request: &ClientRequest,
-    ) -> Result<ClientResponse, PesosError> {
-        let rest: &RestRequest = &request.rest;
-        let certs = &request.certificates;
-        match rest.method {
-            RestMethod::Status => Ok(RestResponse::ok(b"pesos: ok".to_vec())),
-            RestMethod::PutPolicy => {
-                let id = self.put_policy(client_id, request.policy_source()?)?;
-                Ok(RestResponse::ok(id.to_hex().into_bytes()))
-            }
-            RestMethod::GetPolicy => {
-                self.require_session(client_id)?;
-                let id = parse_policy_id(&rest.key)?;
-                let policy = self.store.load_policy(&id)?;
-                Ok(RestResponse::ok(policy.to_bytes()))
-            }
-            RestMethod::AttachPolicy => {
-                let id = request.required_policy_id()?;
-                self.attach_policy(client_id, &rest.key, id, certs)?;
-                Ok(RestResponse::ok_empty())
-            }
-            RestMethod::Put | RestMethod::Update => {
-                let policy_id = request.policy_id()?;
-                if rest.asynchronous {
-                    let op = self.put_async(
-                        client_id,
-                        &rest.key,
-                        rest.value.clone(),
-                        policy_id,
-                        rest.expected_version,
-                        certs,
-                    )?;
-                    Ok(RestResponse::accepted(op))
-                } else {
-                    let version = self.put(
-                        client_id,
-                        &rest.key,
-                        &rest.value,
-                        policy_id,
-                        rest.expected_version,
-                        certs,
-                    )?;
-                    Ok(RestResponse::ok_empty().with_version(version))
-                }
-            }
-            RestMethod::Get => match rest.expected_version {
-                Some(version) => {
-                    let value = self.get_version(client_id, &rest.key, version, certs)?;
-                    Ok(RestResponse::ok(value).with_version(version))
-                }
-                None => {
-                    let (value, version) = self.get(client_id, &rest.key, certs)?;
-                    Ok(RestResponse::ok((*value).clone()).with_version(version))
-                }
-            },
-            RestMethod::Delete => {
-                self.delete(client_id, &rest.key, certs)?;
-                Ok(RestResponse::ok_empty())
-            }
-            RestMethod::PollResult => {
-                let op_id = request.operation_id()?;
-                poll_response(op_id, self.poll_result(client_id, op_id))
-            }
-            RestMethod::CreateTx => {
-                let tx = self.create_tx(client_id)?;
-                Ok(RestResponse::ok(tx.to_string().into_bytes()))
-            }
-            RestMethod::AddRead => {
-                self.add_read(client_id, request.tx_id()?, &rest.key)?;
-                Ok(RestResponse::ok_empty())
-            }
-            RestMethod::AddWrite => {
-                self.add_write(client_id, request.tx_id()?, &rest.key, rest.value.clone())?;
-                Ok(RestResponse::ok_empty())
-            }
-            RestMethod::CommitTx => self
-                .commit_tx(client_id, request.tx_id()?)
-                .map(tx_outcome_response),
-            RestMethod::AbortTx => {
-                self.abort_tx(client_id, request.tx_id()?)?;
-                Ok(RestResponse::ok_empty())
-            }
-            RestMethod::CheckResults => self
-                .check_results(client_id, request.tx_id()?)
-                .map(tx_outcome_response),
-            RestMethod::Stats => {
-                self.require_session(client_id)?;
-                let (path, query) = pesos_telemetry::split_query(&rest.key);
-                if path.trim_matches('/') == "reset" {
-                    self.reset_telemetry_window();
-                    return Ok(RestResponse::ok_empty());
-                }
-                let flat = pesos_telemetry::query_param(query, "flat").is_some();
-                pesos_telemetry::serve(&self.stats_tree(), path, flat)
-                    .map(|body| RestResponse::ok(body.into_bytes()))
-                    .ok_or_else(|| PesosError::ObjectNotFound(format!("stats path {path:?}")))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pesos_wire::RestStatus;
 
     fn controller() -> PesosController {
         PesosController::new(ControllerConfig::native_simulator(1)).unwrap()
+    }
+
+    fn write(key: &str, value: &[u8]) -> TxWrite {
+        TxWrite {
+            key: key.into(),
+            value: value.to_vec(),
+        }
     }
 
     #[test]
@@ -1108,9 +913,10 @@ mod tests {
             "async: 1 read, 1 batch"
         );
         let before = ops();
-        let tx = c.create_tx(&client).unwrap();
-        c.add_write(&client, tx, "fresh-tx", b"v".to_vec()).unwrap();
-        c.commit_tx(&client, tx).unwrap();
+        let prepared = c
+            .prepare_commit(&client, Vec::new(), vec![write("fresh-tx", b"v")])
+            .unwrap();
+        c.commit_prepared(prepared).unwrap();
         assert_eq!(ops(), (before.0 + 1, before.1 + 1), "tx: 1 read, 1 batch");
         assert_eq!(c.store().create_stats(), Default::default());
     }
@@ -1333,22 +1139,20 @@ mod tests {
             .unwrap();
 
         // Alice transfers atomically.
-        let tx = c.create_tx("alice").unwrap();
-        c.add_read("alice", tx, "account/a").unwrap();
-        c.add_write("alice", tx, "account/a", b"50".to_vec())
+        let prepared = c
+            .prepare_commit(
+                "alice",
+                vec!["account/a".into()],
+                vec![write("account/a", b"50"), write("account/b", b"50")],
+            )
             .unwrap();
-        c.add_write("alice", tx, "account/b", b"50".to_vec())
-            .unwrap();
-        let outcome = c.commit_tx("alice", tx).unwrap();
+        let outcome = c.commit_prepared(prepared).unwrap();
         assert_eq!(outcome.write_versions.len(), 2);
         assert_eq!(outcome.read_values[0], b"100");
-        assert_eq!(c.check_results("alice", tx).unwrap(), outcome);
 
         // Bob's transaction is denied by the policy and aborts atomically.
-        let tx = c.create_tx("bob").unwrap();
-        c.add_write("bob", tx, "account/a", b"0".to_vec()).unwrap();
         assert!(matches!(
-            c.commit_tx("bob", tx),
+            c.prepare_commit("bob", Vec::new(), vec![write("account/a", b"0")]),
             Err(PesosError::PolicyDenied(_))
         ));
         let (value, _) = c.get("alice", "account/a", &[]).unwrap();
@@ -1364,93 +1168,17 @@ mod tests {
         config.lock_shards = 2;
         let c = PesosController::new(config).unwrap();
         c.register_client("alice");
-        let mut ids = Vec::new();
-        for i in 0..40u32 {
-            let tx = c.create_tx("alice").unwrap();
-            c.add_write("alice", tx, &format!("k{i}"), b"v".to_vec())
+        for i in 0..40u64 {
+            let prepared = c
+                .prepare_commit("alice", Vec::new(), vec![write(&format!("k{i}"), b"v")])
                 .unwrap();
-            c.commit_tx("alice", tx).unwrap();
-            ids.push(tx);
+            let outcome = c.commit_prepared(prepared).unwrap();
+            c.record_tx_outcome(i, outcome);
         }
         // Recent outcomes are retrievable; the oldest were evicted to keep
         // retention bounded (4 per shard here).
-        assert!(c.check_results("alice", *ids.last().unwrap()).is_ok());
-        assert!(c.check_results("alice", ids[0]).is_err());
-    }
-
-    #[test]
-    fn rest_dispatch_round_trip() {
-        let c = controller();
-        c.register_client("alice");
-
-        // Install a policy over REST.
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(RestRequest {
-                method: RestMethod::PutPolicy,
-                key: "acl".into(),
-                value: b"read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")\ndelete :- sessionKeyIs(\"alice\")".to_vec(),
-                policy_id: None,
-                asynchronous: false,
-                tx_id: None,
-                expected_version: None,
-            }),
-        );
-        assert_eq!(resp.status, RestStatus::Ok);
-        let policy_hex = String::from_utf8(resp.value).unwrap();
-
-        // Put with the policy attached.
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(
-                RestRequest::put("users/alice", b"profile".to_vec())
-                    .with_policy(policy_hex.clone()),
-            ),
-        );
-        assert_eq!(resp.status, RestStatus::Ok);
-        assert_eq!(resp.version, Some(0));
-
-        // Read it back.
-        let resp = c.handle("alice", ClientRequest::new(RestRequest::get("users/alice")));
-        assert_eq!(resp.status, RestStatus::Ok);
-        assert_eq!(resp.value, b"profile");
-
-        // An unauthorized client is denied.
-        c.register_client("eve");
-        let resp = c.handle("eve", ClientRequest::new(RestRequest::get("users/alice")));
-        assert_eq!(resp.status, RestStatus::PolicyDenied);
-
-        // Async put over REST and poll.
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(RestRequest::put("users/alice", b"v2".to_vec()).asynchronous()),
-        );
-        assert_eq!(resp.status, RestStatus::Accepted);
-        let op = resp.operation_id.unwrap();
-        c.drain_async();
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(RestRequest::new(RestMethod::PollResult, op.to_string())),
-        );
-        assert_eq!(resp.status, RestStatus::Ok);
-
-        // Unknown policy id is a bad request.
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(RestRequest::put("x", vec![]).with_policy("zz-not-hex")),
-        );
-        assert_eq!(resp.status, RestStatus::BadRequest);
-
-        // Missing object is NotFound.
-        let resp = c.handle("alice", ClientRequest::new(RestRequest::get("missing")));
-        assert_eq!(resp.status, RestStatus::NotFound);
-
-        // Status endpoint.
-        let resp = c.handle(
-            "alice",
-            ClientRequest::new(RestRequest::new(RestMethod::Status, "")),
-        );
-        assert_eq!(resp.status, RestStatus::Ok);
+        assert_eq!(c.tx_outcome(39).unwrap().write_versions, [0]);
+        assert!(c.tx_outcome(0).is_none());
     }
 
     #[test]

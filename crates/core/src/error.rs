@@ -64,9 +64,7 @@ impl fmt::Display for PesosError {
 }
 
 impl PesosError {
-    /// The REST status this error maps to on the wire; shared by the
-    /// controller's dispatcher and the cluster router so a request answered
-    /// by either layer reports failures identically.
+    /// The REST status this error maps to on the wire.
     pub fn rest_status(&self) -> pesos_wire::RestStatus {
         use pesos_wire::RestStatus;
         match self {

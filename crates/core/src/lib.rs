@@ -3,7 +3,8 @@
 //! This crate ties the substrates together into the system the paper
 //! describes (§3–§4): a controller that runs inside an (simulated) SGX
 //! enclave, takes exclusive control of a set of Kinetic drives at bootstrap,
-//! accepts REST requests from authenticated clients, enforces the per-object
+//! serves authenticated clients (over REST through `pesos_cluster`, which a
+//! single controller joins as a one-partition cluster), enforces the per-object
 //! policies compiled by `pesos-policy` on every access, encrypts objects
 //! before they reach the drives, caches objects and policies within the EPC
 //! budget, offers an asynchronous request interface with a bounded result

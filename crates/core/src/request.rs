@@ -6,17 +6,15 @@
 //! bundles the two, and [`ClientResponse`] is the REST response together
 //! with the operation identifier bookkeeping the controller adds.
 //!
-//! The parameter validation and response shaping a REST method needs
-//! whoever dispatches it (a controller, the cluster router) live here too,
-//! so the two reject and answer identically by construction.
+//! The parameter validation a REST method needs lives here too, as
+//! [`ClientRequest`] accessors; the one dispatcher that uses them, and
+//! shapes the responses, is `pesos_cluster`'s.
 
 use pesos_crypto::Certificate;
 use pesos_policy::PolicyId;
-use pesos_wire::{RestRequest, RestResponse, RestStatus};
+use pesos_wire::{RestRequest, RestResponse};
 
 use crate::error::PesosError;
-use crate::result_buffer::AsyncResult;
-use crate::transaction::TxOutcome;
 
 /// A request as seen by the controller's request handler.
 #[derive(Debug, Clone)]
@@ -92,28 +90,6 @@ pub type ClientResponse = RestResponse;
 pub fn parse_policy_id(hex: &str) -> Result<PolicyId, PesosError> {
     PolicyId::from_hex(hex)
         .ok_or_else(|| PesosError::BadRequest(format!("invalid policy id {hex:?}")))
-}
-
-/// A transaction's outcome on the wire: its write versions, comma-joined.
-pub fn tx_outcome_response(outcome: TxOutcome) -> RestResponse {
-    let versions: Vec<String> = outcome.write_versions.iter().map(u64::to_string).collect();
-    RestResponse::ok(versions.join(",").into_bytes())
-}
-
-/// The answer to a `PollResult` for operation `op_id`: done (with the
-/// version written, if any), still pending, failed, or unknown.
-pub fn poll_response(op_id: u64, result: Option<AsyncResult>) -> Result<RestResponse, PesosError> {
-    match result {
-        Some(AsyncResult::Completed { version: Some(v) }) => {
-            Ok(RestResponse::ok_empty().with_version(v))
-        }
-        Some(AsyncResult::Completed { version: None }) => Ok(RestResponse::ok_empty()),
-        Some(AsyncResult::Pending) => Ok(RestResponse::accepted(op_id)),
-        Some(AsyncResult::Failed { reason }) => {
-            Ok(RestResponse::failure(RestStatus::BackendError, reason))
-        }
-        None => Err(PesosError::ObjectNotFound(format!("operation {op_id}"))),
-    }
 }
 
 #[cfg(test)]

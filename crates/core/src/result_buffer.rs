@@ -5,11 +5,15 @@
 //! stored here for the client to poll. Because enclave memory is scarce,
 //! only the results of the most recent operations are retained (2048 by
 //! default), and older ones are discarded (paper §4.1).
+//!
+//! Operation ids are dense, so the buffer is a [`ShardedFifoMap`]: the
+//! identity shard-index function spreads concurrent `put_async` callers
+//! over the shards, and with a capacity the shard count divides it retains
+//! exactly the most recent `capacity` operations.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use crate::sharded::ShardedFifoMap;
 
 /// The state of an asynchronous operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,33 +27,20 @@ pub enum AsyncResult {
     Failed { reason: String },
 }
 
-struct Inner {
-    results: HashMap<u64, (String, AsyncResult)>,
-    order: VecDeque<u64>,
-    discarded: u64,
-}
-
-/// A bounded buffer of asynchronous operation results.
+/// A bounded buffer of asynchronous operation results, each kept with the
+/// client that owns it.
 pub struct ResultBuffer {
-    capacity: usize,
     next_id: AtomicU64,
-    inner: Mutex<Inner>,
+    results: ShardedFifoMap<(String, AsyncResult)>,
 }
 
 impl ResultBuffer {
-    /// Creates a buffer retaining at most `capacity` results.
-    pub fn new(capacity: usize) -> Self {
+    /// Creates a buffer over `shards` lock shards retaining at most
+    /// `capacity` results.
+    pub fn new(shards: usize, capacity: usize) -> Self {
         ResultBuffer {
-            capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
-            inner: Mutex::with_rank(
-                parking_lot::lock_order::RESULT_BUFFER,
-                Inner {
-                    results: HashMap::new(),
-                    order: VecDeque::new(),
-                    discarded: 0,
-                },
-            ),
+            results: ShardedFifoMap::new(shards, capacity),
         }
     }
 
@@ -57,28 +48,16 @@ impl ResultBuffer {
     /// operation identifier.
     pub fn register(&self, client: &str) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let mut inner = self.inner.lock();
-        inner
-            .results
+        self.results
             .insert(id, (client.to_string(), AsyncResult::Pending));
-        inner.order.push_back(id);
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.results.remove(&old);
-                inner.discarded += 1;
-            }
-        }
         id
     }
 
-    /// Records the completion of operation `id`.
+    /// Records the completion of operation `id`. If the entry was already
+    /// discarded the result is dropped, exactly as the paper describes for
+    /// results older than the retention bound.
     pub fn complete(&self, id: u64, result: AsyncResult) {
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.results.get_mut(&id) {
-            entry.1 = result;
-        }
-        // If the entry was already discarded the result is dropped, exactly
-        // as the paper describes for results older than the retention bound.
+        self.results.update(id, |entry| entry.1 = result);
     }
 
     /// Polls the result of operation `id` for `client`.
@@ -86,27 +65,20 @@ impl ResultBuffer {
     /// Returns `None` if the operation is unknown (never existed, discarded,
     /// or owned by a different client).
     pub fn poll(&self, client: &str, id: u64) -> Option<AsyncResult> {
-        let inner = self.inner.lock();
-        inner
-            .results
-            .get(&id)
+        self.results
+            .get(id)
             .filter(|(owner, _)| owner == client)
-            .map(|(_, r)| r.clone())
+            .map(|(_, result)| result)
     }
 
     /// Number of results currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().results.len()
+        self.results.len()
     }
 
     /// True if no results are retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of results discarded because of the retention bound.
-    pub fn discarded(&self) -> u64 {
-        self.inner.lock().discarded
+        self.results.is_empty()
     }
 }
 
@@ -116,7 +88,7 @@ mod tests {
 
     #[test]
     fn register_complete_poll_cycle() {
-        let buf = ResultBuffer::new(16);
+        let buf = ResultBuffer::new(4, 16);
         let id = buf.register("alice");
         assert_eq!(buf.poll("alice", id), Some(AsyncResult::Pending));
         buf.complete(id, AsyncResult::Completed { version: Some(3) });
@@ -128,7 +100,7 @@ mod tests {
 
     #[test]
     fn results_are_scoped_to_the_owning_client() {
-        let buf = ResultBuffer::new(16);
+        let buf = ResultBuffer::new(4, 16);
         let id = buf.register("alice");
         assert!(buf.poll("bob", id).is_none());
         assert!(buf.poll("alice", 999).is_none());
@@ -136,14 +108,18 @@ mod tests {
 
     #[test]
     fn old_results_are_discarded_beyond_capacity() {
-        let buf = ResultBuffer::new(4);
+        let buf = ResultBuffer::new(2, 4);
         let first = buf.register("c");
+        let mut last = first;
         for _ in 0..10 {
-            buf.register("c");
+            last = buf.register("c");
         }
         assert_eq!(buf.len(), 4);
         assert!(buf.poll("c", first).is_none());
-        assert_eq!(buf.discarded(), 7);
+        // Dense ids over evenly dividing shards: exactly the last four.
+        for id in last - 3..=last {
+            assert_eq!(buf.poll("c", id), Some(AsyncResult::Pending));
+        }
         // Completing a discarded operation is a no-op rather than an error.
         buf.complete(
             first,
@@ -152,11 +128,12 @@ mod tests {
             },
         );
         assert!(buf.poll("c", first).is_none());
+        assert_eq!(buf.len(), 4);
     }
 
     #[test]
     fn failures_are_reported() {
-        let buf = ResultBuffer::new(8);
+        let buf = ResultBuffer::new(4, 8);
         let id = buf.register("alice");
         buf.complete(
             id,

@@ -1,20 +1,21 @@
-//! ACID multi-object transactions (VLL-variant lock manager).
+//! The VLL lock table behind ACID multi-object transactions.
 //!
 //! Pesos wraps atomic updates to multiple objects in transactions and uses a
 //! modified VLL locking algorithm (paper §4.4): a transaction tries to lock
 //! all of its keys before executing; if every lock is free it executes
 //! immediately, otherwise it waits in a queue and VLL's ordering guarantees
 //! that by the time it reaches the front all of its keys are unlocked.
-//! Distributed transactions are explicitly out of scope, and
-//! non-transactional accesses to the same keys are permitted (their outcome
+//! Non-transactional accesses to the same keys are permitted (their outcome
 //! relative to a concurrent transaction is unspecified, as in the paper).
+//!
+//! This module holds only the locks. A transaction's reads and writes are
+//! buffered by the cluster (`pesos_cluster::twopc`), which hands each
+//! partition its branch whole to `PesosController::prepare_commit`; the
+//! branch lives in the [`PreparedTransaction`] guard from then on.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Condvar, Mutex};
-
-use crate::error::PesosError;
 
 /// A buffered transactional write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,8 +24,6 @@ pub struct TxWrite {
     pub key: String,
     /// New value.
     pub value: Vec<u8>,
-    /// Policy to associate, encoded as the hex policy id.
-    pub policy_id: Option<String>,
 }
 
 /// The outcome of a committed transaction.
@@ -36,27 +35,20 @@ pub struct TxOutcome {
     pub read_values: Vec<Vec<u8>>,
 }
 
-#[derive(Debug, Default)]
-struct Transaction {
-    owner: String,
-    reads: Vec<String>,
-    writes: Vec<TxWrite>,
-}
-
 #[derive(Default)]
 struct LockTable {
     /// Exclusive/shared lock counters per key (VLL keeps these in a small
     /// per-key structure rather than the database tuple itself).
     exclusive: HashMap<String, u64>,
     shared: HashMap<String, u64>,
-    /// Queue of blocked transaction ids, oldest first.
+    /// Tickets of blocked transactions, oldest first.
     queue: VecDeque<u64>,
+    /// The next ticket; only a transaction that has to wait draws one.
+    next_ticket: u64,
 }
 
-/// The transaction manager.
+/// The VLL lock table.
 pub struct TransactionManager {
-    next_id: AtomicU64,
-    transactions: Mutex<HashMap<u64, Transaction>>,
     locks: Mutex<LockTable>,
     unblocked: Condvar,
 }
@@ -68,82 +60,17 @@ impl Default for TransactionManager {
 }
 
 impl TransactionManager {
-    /// Creates an empty manager.
+    /// Creates an empty lock table.
     pub fn new() -> Self {
         TransactionManager {
-            next_id: AtomicU64::new(1),
-            transactions: Mutex::with_rank(parking_lot::lock_order::TX_TABLE, HashMap::new()),
             locks: Mutex::with_rank(parking_lot::lock_order::TX_LOCKS, LockTable::default()),
             unblocked: Condvar::new(),
         }
     }
 
-    /// Begins a transaction for `owner` and returns its handle.
-    pub fn create(&self, owner: &str) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.transactions.lock().insert(
-            id,
-            Transaction {
-                owner: owner.to_string(),
-                ..Transaction::default()
-            },
-        );
-        id
-    }
-
-    /// Number of open (not yet committed or aborted) transactions.
-    pub fn open_count(&self) -> usize {
-        self.transactions.lock().len()
-    }
-
-    fn with_tx<R>(
-        &self,
-        id: u64,
-        owner: &str,
-        f: impl FnOnce(&mut Transaction) -> R,
-    ) -> Result<R, PesosError> {
-        let mut txs = self.transactions.lock();
-        let tx = txs
-            .get_mut(&id)
-            .ok_or_else(|| PesosError::TransactionAborted(format!("unknown transaction {id}")))?;
-        if tx.owner != owner {
-            return Err(PesosError::TransactionAborted(
-                "transaction owned by a different client".into(),
-            ));
-        }
-        Ok(f(tx))
-    }
-
-    /// Adds a read to the transaction.
-    pub fn add_read(&self, id: u64, owner: &str, key: &str) -> Result<(), PesosError> {
-        self.with_tx(id, owner, |tx| tx.reads.push(key.to_string()))
-    }
-
-    /// Adds a write to the transaction.
-    pub fn add_write(&self, id: u64, owner: &str, write: TxWrite) -> Result<(), PesosError> {
-        self.with_tx(id, owner, |tx| tx.writes.push(write))
-    }
-
-    /// Aborts and discards the transaction.
-    pub fn abort(&self, id: u64, owner: &str) -> Result<(), PesosError> {
-        let mut txs = self.transactions.lock();
-        match txs.get(&id) {
-            Some(tx) if tx.owner == owner => {
-                txs.remove(&id);
-                Ok(())
-            }
-            Some(_) => Err(PesosError::TransactionAborted(
-                "transaction owned by a different client".into(),
-            )),
-            None => Err(PesosError::TransactionAborted(format!(
-                "unknown transaction {id}"
-            ))),
-        }
-    }
-
-    /// Takes ownership of the transaction and acquires all of its locks
-    /// (waiting VLL-style if any are busy), returning a guard that holds
-    /// them until it is dropped.
+    /// Acquires the locks of a transaction that reads `reads` and writes
+    /// `writes` (waiting VLL-style if any are busy), returning a guard that
+    /// holds them, and the branch itself, until it is dropped.
     ///
     /// This is the first phase of a two-phase commit: a distributed
     /// coordinator prepares one branch per participant, and only when every
@@ -155,62 +82,25 @@ impl TransactionManager {
     /// managers must prepare them in one globally consistent order (the
     /// cluster layer uses ascending partition index); VLL's queue prevents
     /// cycles within one manager but not across managers.
-    pub fn prepare(&self, id: u64, owner: &str) -> Result<PreparedTransaction<'_>, PesosError> {
-        let tx = {
-            let mut txs = self.transactions.lock();
-            match txs.remove(&id) {
-                Some(tx) if tx.owner == owner => tx,
-                Some(tx) => {
-                    // Wrong owner: put the transaction back untouched.
-                    txs.insert(id, tx);
-                    return Err(PesosError::TransactionAborted(
-                        "transaction owned by a different client".into(),
-                    ));
-                }
-                None => {
-                    return Err(PesosError::TransactionAborted(format!(
-                        "unknown transaction {id}"
-                    )))
-                }
-            }
-        };
-
-        self.acquire_locks(id, &tx);
-        Ok(PreparedTransaction {
+    pub fn prepare(&self, reads: Vec<String>, writes: Vec<TxWrite>) -> PreparedTransaction<'_> {
+        let prepared = PreparedTransaction {
             manager: self,
-            tx: Some(tx),
-        })
+            reads,
+            writes,
+        };
+        self.acquire_locks(&prepared);
+        prepared
     }
 
-    /// Commits the transaction: acquires all locks (waiting VLL-style if any
-    /// are busy), runs `apply` with the buffered reads and writes, releases
-    /// the locks and returns the outcome produced by `apply`.
-    pub fn commit<F>(&self, id: u64, owner: &str, apply: F) -> Result<TxOutcome, PesosError>
-    where
-        F: FnOnce(&[String], &[TxWrite]) -> Result<TxOutcome, PesosError>,
-    {
-        let prepared = self.prepare(id, owner)?;
-        apply(prepared.reads(), prepared.writes())
-        // `prepared` drops here, releasing the locks.
+    fn keys_free(table: &LockTable, tx: &PreparedTransaction<'_>) -> bool {
+        let held = |locks: &HashMap<String, u64>, key: &str| locks.get(key).is_some_and(|&c| c > 0);
+        tx.writes
+            .iter()
+            .all(|w| !held(&table.exclusive, &w.key) && !held(&table.shared, &w.key))
+            && tx.reads.iter().all(|r| !held(&table.exclusive, r))
     }
 
-    fn keys_free(table: &LockTable, tx: &Transaction) -> bool {
-        for key in &tx.writes {
-            if table.exclusive.get(&key.key).copied().unwrap_or(0) > 0
-                || table.shared.get(&key.key).copied().unwrap_or(0) > 0
-            {
-                return false;
-            }
-        }
-        for key in &tx.reads {
-            if table.exclusive.get(key).copied().unwrap_or(0) > 0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn acquire_locks(&self, id: u64, tx: &Transaction) {
+    fn acquire_locks(&self, tx: &PreparedTransaction<'_>) {
         let mut table = self.locks.lock();
         if Self::keys_free(&table, tx) && table.queue.is_empty() {
             Self::grab(&mut table, tx);
@@ -218,9 +108,11 @@ impl TransactionManager {
         }
         // Blocked: wait until we are at the front of the queue and our keys
         // are free (VLL guarantees this eventually holds).
-        table.queue.push_back(id);
+        let ticket = table.next_ticket;
+        table.next_ticket += 1;
+        table.queue.push_back(ticket);
         loop {
-            let at_front = table.queue.front() == Some(&id);
+            let at_front = table.queue.front() == Some(&ticket);
             if at_front && Self::keys_free(&table, tx) {
                 table.queue.pop_front();
                 Self::grab(&mut table, tx);
@@ -230,7 +122,7 @@ impl TransactionManager {
         }
     }
 
-    fn grab(table: &mut LockTable, tx: &Transaction) {
+    fn grab(table: &mut LockTable, tx: &PreparedTransaction<'_>) {
         for w in &tx.writes {
             *table.exclusive.entry(w.key.clone()).or_insert(0) += 1;
         }
@@ -239,7 +131,7 @@ impl TransactionManager {
         }
     }
 
-    fn release_locks(&self, tx: &Transaction) {
+    fn release_locks(&self, tx: &PreparedTransaction<'_>) {
         let mut table = self.locks.lock();
         for w in &tx.writes {
             if let Some(c) = table.exclusive.get_mut(&w.key) {
@@ -262,35 +154,25 @@ impl TransactionManager {
 /// panic or early return cannot strand a VLL queue.
 pub struct PreparedTransaction<'a> {
     manager: &'a TransactionManager,
-    tx: Option<Transaction>,
+    reads: Vec<String>,
+    writes: Vec<TxWrite>,
 }
 
 impl PreparedTransaction<'_> {
-    /// The buffered read keys, in the order they were added.
-    ///
-    /// `tx` is `None` only after `Drop` took it, which cannot overlap a
-    /// live borrow; the empty fallback keeps the accessor panic-free.
+    /// The read keys, in the order they were added.
     pub fn reads(&self) -> &[String] {
-        match &self.tx {
-            Some(tx) => &tx.reads,
-            None => &[],
-        }
+        &self.reads
     }
 
-    /// The buffered writes, in the order they were added.
+    /// The writes, in the order they were added.
     pub fn writes(&self) -> &[TxWrite] {
-        match &self.tx {
-            Some(tx) => &tx.writes,
-            None => &[],
-        }
+        &self.writes
     }
 }
 
 impl Drop for PreparedTransaction<'_> {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            self.manager.release_locks(&tx);
-        }
+        self.manager.release_locks(self);
     }
 }
 
@@ -299,84 +181,33 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn create_add_commit_flow() {
-        let mgr = TransactionManager::new();
-        let id = mgr.create("alice");
-        mgr.add_write(
-            id,
-            "alice",
-            TxWrite {
-                key: "a".into(),
-                value: b"1".to_vec(),
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        mgr.add_read(id, "alice", "b").unwrap();
-        let outcome = mgr
-            .commit(id, "alice", |reads, writes| {
-                assert_eq!(reads, &["b".to_string()]);
-                assert_eq!(writes.len(), 1);
-                Ok(TxOutcome {
-                    write_versions: vec![0],
-                    read_values: vec![b"existing".to_vec()],
-                })
-            })
-            .unwrap();
-        assert_eq!(outcome.write_versions, vec![0]);
-        assert_eq!(mgr.open_count(), 0);
-        // Committing twice fails.
-        assert!(mgr
-            .commit(id, "alice", |_, _| Ok(TxOutcome::default()))
-            .is_err());
+    fn write(key: &str, value: Vec<u8>) -> TxWrite {
+        TxWrite {
+            key: key.into(),
+            value,
+        }
     }
 
     #[test]
-    fn ownership_is_enforced() {
+    fn prepare_hands_back_the_branch() {
         let mgr = TransactionManager::new();
-        let id = mgr.create("alice");
-        assert!(mgr.add_read(id, "bob", "x").is_err());
-        assert!(mgr.abort(id, "bob").is_err());
-        assert!(mgr
-            .commit(id, "bob", |_, _| Ok(TxOutcome::default()))
-            .is_err());
-        mgr.abort(id, "alice").unwrap();
-        assert!(mgr.abort(id, "alice").is_err());
+        let prepared = mgr.prepare(vec!["b".into()], vec![write("a", b"1".to_vec())]);
+        assert_eq!(prepared.reads(), &["b".to_string()]);
+        assert_eq!(prepared.writes(), &[write("a", b"1".to_vec())]);
+        // A read lock is shared: a second reader of `b` does not queue
+        // behind the first.
+        let reader = mgr.prepare(vec!["b".into()], Vec::new());
+        assert_eq!(reader.reads().len(), 1);
     }
 
     #[test]
-    fn failed_apply_propagates_and_releases_locks() {
+    fn a_dropped_prepare_releases_its_locks() {
         let mgr = TransactionManager::new();
-        let id = mgr.create("c");
-        mgr.add_write(
-            id,
-            "c",
-            TxWrite {
-                key: "k".into(),
-                value: vec![],
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        let err = mgr
-            .commit(id, "c", |_, _| Err(PesosError::PolicyDenied("no".into())))
-            .unwrap_err();
-        assert!(matches!(err, PesosError::PolicyDenied(_)));
-        // A later transaction on the same key is not blocked forever.
-        let id2 = mgr.create("c");
-        mgr.add_write(
-            id2,
-            "c",
-            TxWrite {
-                key: "k".into(),
-                value: vec![],
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        mgr.commit(id2, "c", |_, _| Ok(TxOutcome::default()))
-            .unwrap();
+        // Prepared and dropped without writing: the abort path.
+        drop(mgr.prepare(vec!["r".into()], vec![write("k", vec![])]));
+        // A later transaction on the same keys, with the roles swapped, is
+        // not blocked forever.
+        drop(mgr.prepare(vec!["k".into()], vec![write("r", vec![])]));
     }
 
     #[test]
@@ -388,26 +219,12 @@ mod tests {
             let mgr = Arc::clone(&mgr);
             let counter = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {
-                let id = mgr.create("worker");
-                mgr.add_write(
-                    id,
-                    "worker",
-                    TxWrite {
-                        key: "shared-counter".into(),
-                        value: vec![t],
-                        policy_id: None,
-                    },
-                )
-                .unwrap();
-                mgr.commit(id, "worker", |_, writes| {
-                    // Critical section: no other transaction holding the key
-                    // may interleave here.
-                    let mut guard = counter.lock();
-                    guard.push(writes[0].value[0]);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    Ok(TxOutcome::default())
-                })
-                .unwrap();
+                let prepared = mgr.prepare(Vec::new(), vec![write("shared-counter", vec![t])]);
+                // Critical section: no other transaction holding the key
+                // may interleave here.
+                let mut guard = counter.lock();
+                guard.push(prepared.writes()[0].value[0]);
+                std::thread::sleep(std::time::Duration::from_millis(1));
             }));
         }
         for h in handles {
@@ -419,73 +236,34 @@ mod tests {
     #[test]
     fn prepared_transactions_hold_locks_until_dropped() {
         let mgr = Arc::new(TransactionManager::new());
-        let a = mgr.create("c");
-        mgr.add_write(
-            a,
-            "c",
-            TxWrite {
-                key: "contested".into(),
-                value: vec![1],
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        let prepared = mgr.prepare(a, "c").unwrap();
+        let prepared = mgr.prepare(Vec::new(), vec![write("contested", vec![1])]);
         assert_eq!(prepared.writes().len(), 1);
         assert!(prepared.reads().is_empty());
         // A second transaction on the same key blocks until the prepared
-        // guard is dropped (abort path: no apply ever ran).
-        let b = mgr.create("c");
-        mgr.add_write(
-            b,
-            "c",
-            TxWrite {
-                key: "contested".into(),
-                value: vec![2],
-                policy_id: None,
-            },
-        )
-        .unwrap();
+        // guard is dropped (abort path: no write ever ran). A reader of it
+        // queues the same way.
         let mgr2 = Arc::clone(&mgr);
-        let handle =
-            std::thread::spawn(move || mgr2.commit(b, "c", |_, _| Ok(TxOutcome::default())));
+        let writer = std::thread::spawn(move || {
+            drop(mgr2.prepare(Vec::new(), vec![write("contested", vec![2])]));
+        });
+        let mgr3 = Arc::clone(&mgr);
+        let reader =
+            std::thread::spawn(move || drop(mgr3.prepare(vec!["contested".into()], Vec::new())));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!handle.is_finished(), "locks released before drop");
+        assert!(!writer.is_finished(), "locks released before drop");
+        assert!(!reader.is_finished(), "a read passed a held write lock");
         drop(prepared);
-        handle.join().unwrap().unwrap();
-        // Preparing an unknown or foreign transaction fails like commit.
-        assert!(mgr.prepare(a, "c").is_err());
-        let c = mgr.create("owner");
-        assert!(mgr.prepare(c, "other").is_err());
+        writer.join().unwrap();
+        reader.join().unwrap();
     }
 
     #[test]
     fn disjoint_transactions_do_not_block_each_other() {
-        let mgr = Arc::new(TransactionManager::new());
-        let a = mgr.create("x");
-        mgr.add_write(
-            a,
-            "x",
-            TxWrite {
-                key: "key-a".into(),
-                value: vec![],
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        let b = mgr.create("x");
-        mgr.add_write(
-            b,
-            "x",
-            TxWrite {
-                key: "key-b".into(),
-                value: vec![],
-                policy_id: None,
-            },
-        )
-        .unwrap();
-        // Commit b while a is still open: must not deadlock.
-        mgr.commit(b, "x", |_, _| Ok(TxOutcome::default())).unwrap();
-        mgr.commit(a, "x", |_, _| Ok(TxOutcome::default())).unwrap();
+        let mgr = TransactionManager::new();
+        let a = mgr.prepare(Vec::new(), vec![write("key-a", vec![])]);
+        // Prepare b while a is still held: must not deadlock.
+        let b = mgr.prepare(Vec::new(), vec![write("key-b", vec![])]);
+        drop(b);
+        drop(a);
     }
 }

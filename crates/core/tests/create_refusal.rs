@@ -18,7 +18,7 @@ use std::sync::Arc;
 use pesos_core::metadata::{data_key, meta_key, policy_key};
 use pesos_core::{
     placement, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata, PesosController,
-    PesosError, PesosStore, StoreOptions, VersionMeta,
+    PesosError, PesosStore, StoreOptions, TxWrite, VersionMeta,
 };
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive};
 use pesos_policy::PolicyId;
@@ -447,11 +447,10 @@ fn a_drive_fault_is_never_read_as_no_object_no_policy() {
             0 => c.get("eve", "doc", &[]).map(drop),
             1 => c.get_version("eve", "doc", 0, &[]).map(drop),
             2 => c.attach_policy("eve", "doc", acl, &[]),
-            _ => {
-                let tx = c.create_tx("eve").unwrap();
-                c.add_read("eve", tx, "doc").unwrap();
-                c.commit_tx("eve", tx).map(drop)
-            }
+            _ => c
+                .prepare_commit("eve", vec!["doc".into()], Vec::new())
+                .and_then(|prepared| c.commit_prepared(prepared))
+                .map(drop),
         });
     }
     for _ in 0..50 {
@@ -543,10 +542,11 @@ fn a_refusal_at_commit_proceeds_inside_the_store() {
     // re-reads, and lands over what is there.
     let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();
     c.register_client("alice");
-    let tx = c.create_tx("alice").unwrap();
-    c.add_write("alice", tx, "k", b"from the tx".to_vec())
-        .unwrap();
-    let prepared = c.prepare_commit("alice", tx).unwrap();
+    let write = TxWrite {
+        key: "k".into(),
+        value: b"from the tx".to_vec(),
+    };
+    let prepared = c.prepare_commit("alice", Vec::new(), vec![write]).unwrap();
     c.store().put_object("k", b"v0", None).unwrap();
     forget(&c, "k");
     assert_eq!(c.commit_prepared(prepared).unwrap().write_versions, [1]);

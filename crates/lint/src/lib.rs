@@ -56,7 +56,8 @@
 //! Ranks live in `parking_lot::lock_order` (ascending = outermost to
 //! innermost): cluster topology → ops gate → routing state → cluster
 //! registries → migration stripes/state → key registry/key locks → the
-//! sharded metadata/cache/session maps → transaction tables → the
+//! sharded metadata/cache/session maps → the VLL lock table and the
+//! open-transaction table → the
 //! replication log → scheduler/asyscall internals → drive
 //! internals → backend actuator. The lint keeps no table of its own:
 //! [`lint_workspace`] first lexes every linted file and reads each

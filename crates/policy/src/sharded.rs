@@ -122,8 +122,9 @@ impl<'a, L> IntoIterator for &'a Sharded<L> {
 /// Bounded, sharded map keyed by dense `u64` identifiers with per-shard
 /// FIFO eviction.
 ///
-/// The retention pattern shared by transaction-outcome maps and the
-/// cluster's async-operation routing table: identifiers are dense sequence
+/// The retention pattern shared by transaction-outcome maps, the
+/// controller's async result buffer and the cluster's async-operation
+/// routing table: identifiers are dense sequence
 /// numbers (the identity shard-index function spreads them evenly), each
 /// shard keeps its most recent insertions, and the oldest entries beyond
 /// the shard's share of the capacity are evicted. A lookup of an evicted
@@ -176,6 +177,12 @@ impl<V: Clone> ShardedFifoMap<V> {
                 shard.entries.remove(&evicted);
             }
         }
+    }
+
+    /// Runs `f` on the retained entry for `id`, if any. Never inserts: an
+    /// evicted or unknown `id` stays absent and `f` does not run.
+    pub fn update<R>(&self, id: u64, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        self.shards.get(&id).lock().entries.get_mut(&id).map(f)
     }
 
     /// Returns a clone of the retained entry for `id`, if any.
@@ -262,6 +269,12 @@ mod tests {
         assert_eq!(map.get(2), Some("c"));
         assert_eq!(map.len(), 2);
         assert!(!map.is_empty());
+        // An update reaches a retained entry and never inserts one.
+        assert_eq!(map.update(2, |v| std::mem::replace(v, "d")), Some("c"));
+        assert_eq!(map.get(2), Some("d"));
+        assert_eq!(map.update(3, |_| ()), None);
+        assert_eq!(map.get(3), None);
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! controller acknowledges immediately with an operation identifier that the
 //! client can later poll with [`RestMethod::PollResult`].
 //!
-//! This module defines the typed request/response structures that both REST
-//! dispatchers (`PesosController::handle_rest`, `ControllerCluster::handle_rest`)
-//! take and return. Their HTTP framing is unmodelled: no request path
-//! crossed it.
+//! This module defines the typed request/response structures the REST
+//! dispatcher (`ControllerCluster::handle`) takes and returns. Their HTTP
+//! framing is unmodelled: no request path crossed it.
 
 use std::fmt;
 

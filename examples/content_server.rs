@@ -1,23 +1,25 @@
 //! Content server (paper §5.1): per-object access-control lists over the
-//! REST interface, including asynchronous writes and result polling.
+//! REST interface, including asynchronous writes and result polling. One
+//! controller serves it, as a one-partition cluster: the cluster is where
+//! REST requests are dispatched.
 //!
 //! ```text
 //! cargo run --example content_server
 //! ```
 
 use pesos::core::{ClientRequest, RestMethod, RestRequest, RestStatus};
-use pesos::{ControllerConfig, PesosController};
+use pesos::{ClusterConfig, ControllerCluster};
 
 fn main() {
-    let controller =
-        PesosController::new(ControllerConfig::sgx_simulator(1)).expect("bootstrap failed");
-    let alice = controller.register_client("alice");
-    let bob = controller.register_client("bob");
-    let admin = controller.register_client("admin");
+    let server =
+        ControllerCluster::new(ClusterConfig::sgx_simulator(1, 1)).expect("bootstrap failed");
+    let alice = server.register_client("alice");
+    let bob = server.register_client("bob");
+    let admin = server.register_client("admin");
 
     // The §5.1 example policy: Alice and Bob read, only Alice updates, only
     // the administrator deletes.
-    let resp = controller.handle(
+    let resp = server.handle(
         &alice,
         ClientRequest::new(RestRequest {
             method: RestMethod::PutPolicy,
@@ -37,7 +39,7 @@ fn main() {
     println!("policy id: {policy_hex}");
 
     // Alice uploads content asynchronously.
-    let resp = controller.handle(
+    let resp = server.handle(
         &alice,
         ClientRequest::new(
             RestRequest::put("site/index.html", b"<h1>Pesos content server</h1>".to_vec())
@@ -47,8 +49,8 @@ fn main() {
     );
     assert_eq!(resp.status, RestStatus::Accepted);
     let op = resp.operation_id.unwrap();
-    controller.drain_async();
-    let resp = controller.handle(
+    server.drain_async();
+    let resp = server.handle(
         &alice,
         ClientRequest::new(RestRequest::new(RestMethod::PollResult, op.to_string())),
     );
@@ -58,14 +60,14 @@ fn main() {
     );
 
     // Bob fetches the page; Eve (unknown identity with a session) is denied.
-    let resp = controller.handle(
+    let resp = server.handle(
         &bob,
         ClientRequest::new(RestRequest::get("site/index.html")),
     );
     println!("bob GET -> {:?} ({} bytes)", resp.status, resp.value.len());
 
-    let eve = controller.register_client("eve");
-    let resp = controller.handle(
+    let eve = server.register_client("eve");
+    let resp = server.handle(
         &eve,
         ClientRequest::new(RestRequest::get("site/index.html")),
     );
@@ -76,12 +78,12 @@ fn main() {
     );
 
     // Bob cannot replace the page, the administrator can delete it.
-    let resp = controller.handle(
+    let resp = server.handle(
         &bob,
         ClientRequest::new(RestRequest::put("site/index.html", b"defaced".to_vec())),
     );
     println!("bob PUT -> {:?}", resp.status);
-    let resp = controller.handle(
+    let resp = server.handle(
         &admin,
         ClientRequest::new(RestRequest::delete("site/index.html")),
     );

@@ -5,10 +5,16 @@ use std::sync::Arc;
 
 use pesos::core::ClientRequest;
 use pesos::wire::{RestRequest, RestStatus};
-use pesos::{ControllerConfig, PesosController};
+use pesos::{ClusterConfig, ControllerCluster, ControllerConfig, PesosController};
 
 fn sgx_controller(drives: usize) -> PesosController {
     PesosController::new(ControllerConfig::sgx_simulator(drives)).expect("bootstrap")
+}
+
+/// A single controller as its clients reach it for REST and transactions:
+/// a cluster of one partition.
+fn sgx_cluster_of_one(drives: usize) -> ControllerCluster {
+    ControllerCluster::new(ClusterConfig::sgx_simulator(1, drives)).expect("bootstrap")
 }
 
 #[test]
@@ -72,7 +78,7 @@ fn data_is_encrypted_and_replicated_across_drives() {
 
 #[test]
 fn rest_dispatch_answers_typed_requests() {
-    let c = sgx_controller(1);
+    let c = sgx_cluster_of_one(1);
     let alice = c.register_client("alice");
 
     let put = RestRequest::put("wire/object", b"wire payload".to_vec());
@@ -88,7 +94,7 @@ fn rest_dispatch_answers_typed_requests() {
 
 #[test]
 fn transactions_are_atomic_across_objects_and_threads() {
-    let c = Arc::new(sgx_controller(1));
+    let c = Arc::new(sgx_cluster_of_one(1));
     let alice = c.register_client("alice");
     c.put(&alice, "bank/a", b"1000", None, None, &[]).unwrap();
     c.put(&alice, "bank/b", b"0", None, None, &[]).unwrap();
@@ -119,7 +125,7 @@ fn transactions_are_atomic_across_objects_and_threads() {
     let (_, vb) = c.get(&alice, "bank/b", &[]).unwrap();
     assert_eq!(va, 4);
     assert_eq!(vb, 4);
-    assert_eq!(c.metrics().tx_committed, 4);
+    assert_eq!(c.controllers()[0].metrics().tx_committed, 4);
 }
 
 #[test]
