@@ -7,15 +7,17 @@
 //! behaviour lives in one sub-module per lock-rank band, each owning one
 //! invariant:
 //!
-//! * `routing` (ops gate and routing state, ranks 20–37) — every routed
+//! * `routing` (ops gate and routing state, ranks 20–36) — every routed
 //!   operation runs entirely under one topology, retried with capped
 //!   backoff while its partition is unavailable.
 //! * `migration` (migration stripes and state, ranks 40–45) — no key is
 //!   lost, resurrected or observed half-moved by a topology change.
 //! * `tx` (open-transaction and VLL lock tables, ranks 72–74) — every branch
 //!   prepares before any branch commits.
-//! * `failover` (replica registry and logs, ranks 35 and 80–82) — an
-//!   acknowledged write is in the partition's log before the ack escapes.
+//! * `failover` (the partitions' logs, ranks 80–82) — an acknowledged
+//!   write is in the partition's log before the ack escapes. Each log
+//!   rides in its partition's routing-table entry, so the snapshot that
+//!   routed a write is also how the write reaches its log.
 //! * `rest` — REST dispatch and the [`pesos_core::RequestEndpoint`]
 //!   surface over the operations above.
 //! * [`stats`] — the `/stats` observability surface.
@@ -32,8 +34,7 @@ use pesos_telemetry::{HotKeyTracker, OpHistograms, WindowedCounter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::replication::ReplicaSet;
-use crate::router::{HashRange, PartitionTable};
+use crate::router::{HashRange, Partition, PartitionTable};
 use crate::twopc::ClusterTxManager;
 
 mod failover;
@@ -122,11 +123,14 @@ impl ClusterConfig {
     }
 }
 
-/// An in-progress hash-range migration between two controllers.
+/// An in-progress hash-range migration between two partitions. Each side
+/// carries its log: a pull appends its import (and any policy copied
+/// alongside it) to the destination's, and its source-side delete to the
+/// source's, so both sides' backups follow the move.
 struct Migration {
     range: HashRange,
-    src: Arc<PesosController>,
-    dst: Arc<PesosController>,
+    src: Partition,
+    dst: Partition,
     /// Objects this migration has imported at the destination (drain and
     /// demand pulls combined) — the `/stats` drain-progress gauge.
     keys_moved: AtomicU64,
@@ -144,14 +148,6 @@ struct Migration {
     /// into an in-memory lookup instead of a per-request source prefix
     /// scan.
     settled_groups: Mutex<BTreeSet<String>>,
-    /// The source partition's replication log, when replication is on:
-    /// a pull's source-side delete is appended so the source's backups
-    /// drop the moved object too.
-    src_set: Option<Arc<ReplicaSet>>,
-    /// The destination partition's replication log: a pull's import (and
-    /// any policy copied alongside it) is appended so the destination's
-    /// backups receive the moved object.
-    dst_set: Option<Arc<ReplicaSet>>,
 }
 
 /// One immutable snapshot of everything a request needs to route: the
@@ -163,13 +159,10 @@ struct RoutingState {
     migrations: Vec<Arc<Migration>>,
 }
 
-/// The controller owning partition `index` of `table`, or the typed
-/// refusal for an index the table does not have.
-fn controller_at(
-    table: &PartitionTable,
-    index: usize,
-) -> Result<&Arc<PesosController>, PesosError> {
-    table.controller(index).ok_or_else(|| {
+/// Partition `index` of `table`, or the typed refusal for an index the
+/// table does not have.
+fn partition_at(table: &PartitionTable, index: usize) -> Result<&Partition, PesosError> {
+    table.partition(index).ok_or_else(|| {
         PesosError::BadRequest(format!(
             "no partition {index} (cluster has {})",
             table.len()
@@ -364,13 +357,8 @@ pub struct ControllerCluster {
     async_ops: AsyncOps,
     next_async_id: AtomicU64,
     template: ControllerConfig,
-    /// Per-primary replication state, matched by `Arc` identity. Empty
-    /// when [`ClusterConfig::backups_per_partition`] is 0.
-    replicas: RwLock<Vec<(Arc<PesosController>, Arc<ReplicaSet>)>>,
-    /// Backups every partition (joiners included) is given; 0 means
-    /// replication was never configured, checked before touching the
-    /// `replicas` lock so a replication-free cluster pays nothing on the
-    /// request path.
+    /// Backups a joining partition's log is spawned with (see
+    /// [`ClusterConfig::backups_per_partition`]); read nowhere else.
     backups_per_partition: usize,
     /// Jitter source for the retry schedule (seeded, so stress runs are
     /// reproducible).
@@ -386,27 +374,19 @@ impl ControllerCluster {
     /// partitions the hash space evenly over them.
     pub fn new(config: ClusterConfig) -> Result<Self, PesosError> {
         config.validate()?;
-        let controllers: Vec<Arc<PesosController>> = (0..config.controllers)
-            .map(|_| PesosController::new(config.controller.clone()).map(Arc::new))
-            .collect::<Result<_, _>>()?;
-        let replicas = if config.backups_per_partition > 0 {
-            controllers
-                .iter()
-                .map(|primary| {
-                    let set =
-                        Self::spawn_replica_set(&config.controller, config.backups_per_partition)?;
-                    Ok((Arc::clone(primary), set))
-                })
-                .collect::<Result<Vec<_>, PesosError>>()?
-        } else {
-            Vec::new()
-        };
+        let owners = (0..config.controllers)
+            .map(|_| {
+                let controller = Arc::new(PesosController::new(config.controller.clone())?);
+                let log = Self::spawn_log(&config.controller, config.backups_per_partition)?;
+                Ok((controller, log))
+            })
+            .collect::<Result<Vec<_>, PesosError>>()?;
         let shards = config.controller.lock_shards;
         Ok(ControllerCluster {
             routing: RwLock::with_rank(
                 lock_order::ROUTING_STATE,
                 Arc::new(RoutingState {
-                    table: PartitionTable::even(controllers),
+                    table: PartitionTable::even_with_logs(owners),
                     migrations: Vec::new(),
                 }),
             ),
@@ -423,7 +403,6 @@ impl ControllerCluster {
             async_ops: AsyncOps::new(shards, ASYNC_OPS_CAPACITY),
             next_async_id: AtomicU64::new(1),
             template: config.controller,
-            replicas: RwLock::with_rank(lock_order::REPLICA_REGISTRY, replicas),
             backups_per_partition: config.backups_per_partition,
             retry_rng: Mutex::with_rank(
                 lock_order::RETRY_RNG,
@@ -523,7 +502,7 @@ impl ControllerCluster {
     /// The cluster's logical time (partition 0's clock; all clocks are set
     /// together through [`ControllerCluster::set_time`]).
     pub fn now(&self) -> u64 {
-        self.routing.read().table.first().now()
+        self.routing.read().table.first().controller.now()
     }
 
     /// Expires idle sessions on every controller; returns the count from
@@ -543,7 +522,7 @@ impl ControllerCluster {
         // the client at the cluster layer forever and resurrect its
         // session on the next joining controller — authenticated on one
         // partition, rejected on all others.
-        let probe = routing.table.first();
+        let probe = &routing.table.first().controller;
         self.clients.lock().retain(|id| probe.has_session(id));
         first.unwrap_or(0)
     }
@@ -559,11 +538,15 @@ impl ControllerCluster {
 
 impl Drop for ControllerCluster {
     fn drop(&mut self) {
-        // Join every replica set's shipper threads; a still-running
-        // shipper holds Arcs to its backups and would outlive the cluster
-        // retrying against stores nobody can observe anymore.
-        for (_, set) in self.replicas.get_mut().iter() {
-            set.stop();
+        // Join every log's shipper threads; a still-running shipper holds
+        // Arcs to its backups and would outlive the cluster retrying
+        // against stores nobody can observe anymore. A removal that never
+        // settled keeps its source partition (and log) only in its
+        // migration record.
+        let routing = self.routing.get_mut();
+        let migrating = routing.migrations.iter().map(|m| &m.src);
+        for partition in routing.table.partitions().iter().chain(migrating) {
+            partition.stop_log();
         }
     }
 }

@@ -1,14 +1,18 @@
-//! Replication and failover (replica registry, rank 35, and the logs it
-//! indexes, ranks 80–82): every acknowledged mutation is appended to its
-//! partition's log before the ack escapes, so promoting the freshest
-//! backup under the gate's write side loses no acknowledged write.
+//! Replication and failover (the partitions' logs, ranks 80–82): every
+//! acknowledged mutation is appended to its partition's log before the ack
+//! escapes, so promoting the freshest backup under the gate's write side
+//! loses no acknowledged write. A log lives in its partition's
+//! routing-table entry ([`crate::router::Partition::log`]): a write reaches
+//! it through the routing snapshot that routed the write, and a promotion
+//! swaps owner and log in one table swap.
 
 use std::sync::Arc;
 
 use pesos_core::{ControllerConfig, PesosController, PesosError};
 
-use super::{controller_at, ControllerCluster, RoutingState};
-use crate::replication::{LogRecord, Promotion, ReplicaSet};
+use super::{partition_at, ControllerCluster, RoutingState};
+use crate::replication::{Promotion, ReplicaSet};
+use crate::router::Partition;
 
 /// Key of the per-partition replication log HMAC. Log frames never leave
 /// the process (each replica set ships only to its own backups), so one
@@ -22,51 +26,25 @@ const REPLICATION_SECRET: &[u8] = b"pesos-cluster-replication-log";
 const REPLICATION_MAX_LAG: u64 = 256;
 
 impl ControllerCluster {
-    /// Builds `count` backup controllers from the template and starts a
-    /// replica set shipping to them.
-    pub(super) fn spawn_replica_set(
+    /// Builds `backups` backup controllers from the template and starts a
+    /// log shipping to them; `None` when `backups` is 0 (replication off).
+    /// Every partition's log is spawned here or re-seeded from a
+    /// promotion's survivors.
+    pub(super) fn spawn_log(
         template: &ControllerConfig,
-        count: usize,
-    ) -> Result<Arc<ReplicaSet>, PesosError> {
-        let backups = (0..count)
+        backups: usize,
+    ) -> Result<Option<Arc<ReplicaSet>>, PesosError> {
+        if backups == 0 {
+            return Ok(None);
+        }
+        let backups = (0..backups)
             .map(|_| PesosController::new(template.clone()).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ReplicaSet::spawn(
+        Ok(Some(ReplicaSet::spawn(
             REPLICATION_SECRET,
             backups,
             REPLICATION_MAX_LAG,
-        ))
-    }
-
-    /// The replication log of the partition `controller` is primary of,
-    /// if replication is on and the partition still has one.
-    pub(super) fn replica_set_of(
-        &self,
-        controller: &Arc<PesosController>,
-    ) -> Option<Arc<ReplicaSet>> {
-        if self.backups_per_partition == 0 {
-            return None;
-        }
-        self.replicas
-            .read()
-            .iter()
-            .find(|(primary, _)| Arc::ptr_eq(primary, controller))
-            .map(|(_, set)| Arc::clone(set))
-    }
-
-    /// Appends a log record to `controller`'s replication log, if it has
-    /// one. The record is built lazily so a replication-free cluster pays
-    /// no allocation on the request path. Callers invoke this *before*
-    /// releasing the acknowledgement to the client (everything runs under
-    /// the ops-gate read side), preserving the "acked ⇒ logged" invariant.
-    pub(super) fn append_for(
-        &self,
-        controller: &Arc<PesosController>,
-        record: impl FnOnce() -> LogRecord,
-    ) {
-        if let Some(set) = self.replica_set_of(controller) {
-            set.append(record());
-        }
+        )))
     }
 
     /// Simulates a crash of partition `index`'s controller: it refuses
@@ -76,7 +54,7 @@ impl ControllerCluster {
     /// [`ControllerCluster::fail_controller`] promotes a backup.
     pub fn kill_controller(&self, index: usize) -> Result<(), PesosError> {
         let routing = self.routing.read().clone();
-        let controller = controller_at(&routing.table, index)?;
+        let controller = &partition_at(&routing.table, index)?.controller;
         controller.set_failed(true);
         for drive in controller.store().drives().iter() {
             drive.set_online(false);
@@ -106,70 +84,73 @@ impl ControllerCluster {
     /// the surviving backups that re-seed its next replica set.
     pub fn fail_controller(&self, index: usize) -> Result<Promotion, PesosError> {
         let _topology = self.rebalance.lock();
-        let (failed, set) = {
+        let failed = {
             let routing = self.routing.read();
-            let failed = Arc::clone(controller_at(&routing.table, index)?);
+            let failed = partition_at(&routing.table, index)?.clone();
             for migration in &routing.migrations {
-                if Arc::ptr_eq(&migration.src, &failed) || Arc::ptr_eq(&migration.dst, &failed) {
+                let moves_out = Arc::ptr_eq(&migration.src.controller, &failed.controller);
+                if moves_out || Arc::ptr_eq(&migration.dst.controller, &failed.controller) {
                     return Err(PesosError::MigrationPending(format!(
                         "cannot fail over partition {index}: a pending migration still \
                          moves keys {} it; settle it first",
-                        if Arc::ptr_eq(&migration.src, &failed) {
-                            "out of"
-                        } else {
-                            "into"
-                        },
+                        if moves_out { "out of" } else { "into" },
                     )));
                 }
             }
-            let set = self.replica_set_of(&failed).ok_or_else(|| {
-                PesosError::Unavailable(format!(
-                    "partition {index} has no backups to promote \
-                     (backups_per_partition is 0 or they were lost)"
-                ))
-            })?;
-            (failed, set)
+            failed
         };
+        let log = failed.log.as_ref().ok_or_else(|| {
+            PesosError::Unavailable(format!(
+                "partition {index} has no backups to promote \
+                 (replication is off or they were lost)"
+            ))
+        })?;
         // From here the partition is failed even if it was still healthy
         // (operator-initiated failover): new requests into its range get
         // Unavailable and retry into the promoted backup.
-        failed.set_failed(true);
+        failed.controller.set_failed(true);
         // Stop the shippers *outside* the gate: stop() joins threads that
         // may be mid-retry against a faulting backup, and holding the gate
         // across that join would stall every partition's traffic. Appends
         // from requests still in flight keep enqueueing after stop() —
         // promotion replays the retained queue, so they are not lost.
-        set.stop();
+        log.stop();
         let promotion = {
             // Quiesce: after this acquire no request is in flight, so the
             // log is final — every acknowledged write's record is either
             // applied on a backup or sitting in the retained tail.
             let _quiesced = self.ops_gate.write();
-            let promotion = set.promote()?;
-            let promoted = Arc::clone(&promotion.promoted);
+            let promotion = log.promote()?;
+            // The promoted primary's new log is seeded from the backups
+            // that also caught up during promotion. With no survivor the
+            // partition runs unreplicated until the operator adds
+            // capacity: its entry carries no log.
+            let promoted = Partition {
+                start: failed.start,
+                controller: Arc::clone(&promotion.promoted),
+                log: (!promotion.survivors.is_empty()).then(|| {
+                    ReplicaSet::spawn(
+                        REPLICATION_SECRET,
+                        promotion.survivors.clone(),
+                        REPLICATION_MAX_LAG,
+                    )
+                }),
+            };
             // Re-home what the log does not carry: sessions, any policy
             // installed before this partition had its backups (none today,
-            // but copy_policies_to is idempotent and cheap), and the
-            // logical clock (read from any surviving partition — clocks
-            // are set together).
-            let now = {
-                let routing = self.routing.read();
-                routing
-                    .table
-                    .partitions()
-                    .iter()
-                    .find(|p| !Arc::ptr_eq(&p.controller, &failed))
-                    .map(|p| p.controller.now())
-                    .unwrap_or_else(|| failed.now())
-            };
-            promoted.set_time(now);
-            for client in self.clients.lock().iter() {
-                promoted.register_client(client);
-            }
-            self.copy_policies_to(&promoted)?;
+            // but re-homing is idempotent and cheap), and the logical clock
+            // (set together on every partition, the failed one included).
+            // Nothing routes to the new log before the swap below: on a
+            // failed re-home stop it rather than leave its shippers running
+            // behind no partition.
+            promoted.controller.set_time(failed.controller.now());
+            self.rehome(&promoted)
+                .inspect_err(|_| promoted.stop_log())?;
             let mut routing = self.routing.write();
             let old = routing.clone();
-            let table = old.table.with_controller(index, Arc::clone(&promoted));
+            let table = old
+                .table
+                .with_controller(index, promoted.controller, promoted.log);
             // New owner, new load window — same rule as every other
             // topology change.
             self.reset_request_baseline(&table);
@@ -177,23 +158,6 @@ impl ControllerCluster {
                 table,
                 migrations: old.migrations.clone(),
             });
-            drop(routing);
-            // The promoted primary's new replica set is seeded from the
-            // backups that also caught up during promotion. With no
-            // survivor the partition runs unreplicated until the operator
-            // adds capacity — append_for simply finds no set.
-            let mut replicas = self.replicas.write();
-            replicas.retain(|(primary, _)| !Arc::ptr_eq(primary, &failed));
-            if !promotion.survivors.is_empty() {
-                replicas.push((
-                    Arc::clone(&promoted),
-                    ReplicaSet::spawn(
-                        REPLICATION_SECRET,
-                        promotion.survivors.clone(),
-                        REPLICATION_MAX_LAG,
-                    ),
-                ));
-            }
             promotion
         };
         Ok(promotion)

@@ -13,9 +13,9 @@ use pesos_core::sharded::Sharded;
 use pesos_core::{ControllerConfig, HashedKey, PesosController, PesosError};
 
 use super::routing::ROUTING_DELIMITER;
-use super::{controller_at, ControllerCluster, Migration, PartitionLoad, RoutingState};
+use super::{partition_at, ControllerCluster, Migration, PartitionLoad, RoutingState};
 use crate::replication::LogRecord;
-use crate::router::{HashRange, PartitionTable};
+use crate::router::{HashRange, Partition, PartitionTable};
 
 impl ControllerCluster {
     /// If `key` lies in a migrating range, ensure it — and every other
@@ -95,8 +95,8 @@ impl ControllerCluster {
             // `docs/x`), so filter to true group members. Keys already
             // moved (or pending only their source delete) are settled
             // cheaply by `pull_key`.
-            let siblings = migration.src.store().list_keys_with_prefix(prefix)?;
-            for sibling in siblings {
+            let source = migration.src.controller.store();
+            for sibling in source.list_keys_with_prefix(prefix)? {
                 if sibling == key.key()
                     || pesos_core::routing_prefix(&sibling, ROUTING_DELIMITER) != prefix
                 {
@@ -151,51 +151,46 @@ impl ControllerCluster {
         // object while reporting failure, and the retry gets here with the
         // stale source copy still present.
         let pending = migration.moved_pending_delete.lock().contains(key.key());
-        if pending || migration.dst.store().get_metadata(key).is_some() {
+        let (src, dst) = (&migration.src, &migration.dst);
+        if pending || dst.controller.store().get_metadata(key).is_some() {
             // A prior partial delete may have already cleared the source,
             // so NotFound counts as done.
-            return match migration.src.store().delete_object(key) {
+            return match src.controller.store().delete_object(key) {
                 Ok(()) | Err(PesosError::ObjectNotFound(_)) => {
                     if pending {
                         migration.moved_pending_delete.lock().remove(key.key());
                     }
-                    if let Some(set) = &migration.src_set {
-                        set.append(LogRecord::Delete {
-                            key: key.key().to_string(),
-                        });
-                    }
+                    src.append(|| LogRecord::Delete {
+                        key: key.key().to_string(),
+                    });
                     Ok(())
                 }
                 Err(e) => Err(e),
             };
         }
-        let Some(export) = migration.src.store().export_object(key)? else {
+        let Some(export) = src.controller.store().export_object(key)? else {
             return Ok(()); // never existed (or deleted after moving)
         };
         // The destination must be able to enforce the object's policy.
         if let Some(policy_id) = export.meta.policy_id {
-            if migration.dst.store().load_policy(&policy_id).is_err() {
-                if let Ok(policy) = migration.src.store().load_policy(&policy_id) {
-                    if let Some(set) = &migration.dst_set {
-                        set.append(LogRecord::PolicyInstall {
-                            bytes: policy.to_bytes().into(),
-                        });
-                    }
-                    migration.dst.store().store_compiled_policy(policy)?;
+            if dst.controller.store().load_policy(&policy_id).is_err() {
+                if let Ok(policy) = src.controller.store().load_policy(&policy_id) {
+                    dst.append(|| LogRecord::PolicyInstall {
+                        bytes: policy.to_bytes().into(),
+                    });
+                    dst.controller.store().store_compiled_policy(policy)?;
                 }
             }
         }
-        migration.dst.store().import_object(&export)?;
+        dst.controller.store().import_object(&export)?;
         migration.keys_moved.fetch_add(1, Ordering::Relaxed);
         // The destination's backups receive the moved object through the
         // destination's log; the source's drop it through the source's.
-        if let Some(set) = &migration.dst_set {
-            set.append(LogRecord::Import(Box::new(export)));
-        }
+        dst.append(|| LogRecord::Import(Box::new(export)));
         // Only once the destination durably holds the object does the
         // source copy go away: a failed import leaves the source
         // authoritative and the pull retryable, never a lost object.
-        if let Err(e) = migration.src.store().delete_object(key) {
+        if let Err(e) = src.controller.store().delete_object(key) {
             // The move succeeded but the stale source copy survives;
             // remember it so retries (drain loop or demand pulls) finish
             // the delete without ever re-exporting it.
@@ -205,11 +200,9 @@ impl ControllerCluster {
                 .insert(key.key().to_string());
             return Err(e);
         }
-        if let Some(set) = &migration.src_set {
-            set.append(LogRecord::Delete {
-                key: key.key().to_string(),
-            });
-        }
+        src.append(|| LogRecord::Delete {
+            key: key.key().to_string(),
+        });
         Ok(())
     }
 
@@ -384,47 +377,45 @@ impl ControllerCluster {
         // off-table controller once the newer record retires. Re-drive
         // pending drains first; if the fault persists, refuse the change.
         self.settle_pending_or_refuse("add a controller")?;
-        let controller = Arc::new(PesosController::new(config.clone())?);
-        // The joiner gets its own backups before it can accept traffic, so
-        // every write it acknowledges is covered by its log from the
-        // first request.
-        if self.backups_per_partition > 0 {
-            let set = Self::spawn_replica_set(&config, self.backups_per_partition)?;
-            self.replicas.write().push((Arc::clone(&controller), set));
-        }
-        // Re-home sessions, policies and the logical clock before any
-        // traffic can route to the new partition.
-        controller.set_time(self.now());
-        for client in self.clients.lock().iter() {
-            controller.register_client(client);
-        }
-        self.copy_policies_to(&controller)?;
-
         // The split source and point: the rebalance lock keeps the table
         // stable, so the most-loaded partition and the weighted split
         // point computed here are exactly what the swap below installs.
         // (Loads keep moving under concurrent traffic; that only shifts
         // balance quality, never correctness.)
-        let (target, split_start, src) = {
+        let (target, src, split_start) = {
             let routing = self.routing.read();
             let target = self.most_loaded_splittable(&routing.table)?;
-            let src = Arc::clone(controller_at(&routing.table, target)?);
-            let split_start = self.weighted_split_point(&routing.table, target, &src);
-            (target, split_start, src)
+            let src = partition_at(&routing.table, target)?.clone();
+            let split_start = self.weighted_split_point(&routing.table, target, &src.controller);
+            (target, src, split_start)
         };
-        let migration = self.install_migration(&src, |table| {
-            let (table, moved) = table.split_at(target, split_start, Arc::clone(&controller));
-            (table, moved, target + 1)
-        })?;
+        // The joiner gets its own backups before it can accept traffic, so
+        // every write it acknowledges is covered by its log from the
+        // first request.
+        let joiner = Partition {
+            start: split_start,
+            controller: Arc::new(PesosController::new(config.clone())?),
+            log: Self::spawn_log(&config, self.backups_per_partition)?,
+        };
+        // Re-home sessions, policies and the logical clock before any
+        // traffic can route to the new partition.
+        joiner.controller.set_time(self.now());
+        // A joiner that never enters the table stops its log, whose
+        // shippers would otherwise outlive the cluster.
+        let migration = self
+            .rehome(&joiner)
+            .and_then(|()| {
+                self.install_migration(&src, |table| {
+                    let (table, moved) = table.split_at(target, joiner.clone());
+                    (table, moved, target + 1)
+                })
+            })
+            .inspect_err(|_| joiner.stop_log())?;
         // Second re-homing pass: a register_client or put_policy that
         // raced the first pass iterated the old table (without the joiner)
         // but finished before the quiesce with its entry recorded;
-        // registering and copying again here is idempotent and closes
-        // that gap.
-        for client in self.clients.lock().iter() {
-            controller.register_client(client);
-        }
-        self.copy_policies_to(&controller)?;
+        // re-homing again here is idempotent and closes that gap.
+        self.rehome(&joiner)?;
         self.settle_migration(&migration)?;
         Ok(self.partition_count())
     }
@@ -451,7 +442,7 @@ impl ControllerCluster {
                         .into(),
                 ));
             }
-            controller_at(&routing.table, index)?;
+            partition_at(&routing.table, index)?;
         }
         // Settle any migration an earlier topology change left unsettled
         // (see add_controller_with); removing a pending migration's
@@ -471,21 +462,20 @@ impl ControllerCluster {
                 Some(below) if weight(below) <= weight(index + 1) => below,
                 _ => index + 1,
             };
-            (Arc::clone(controller_at(&routing.table, index)?), neighbour)
+            (partition_at(&routing.table, index)?.clone(), neighbour)
         };
         let migration = self.install_migration(&src, |table| table.merge_into(index, neighbour))?;
-        self.settle_migration(&migration)?;
-        // The removed partition's replica set has nothing left to guard:
-        // its primary is off the table and fully drained. Stop the
-        // shippers and drop the entry (the log itself shipped every drain
-        // delete, so the backups are already empty of the moved range).
-        if let Some(set) = self.replica_set_of(&src) {
-            set.stop();
-            self.replicas
-                .write()
-                .retain(|(primary, _)| !Arc::ptr_eq(primary, &src));
+        self.settle_migration(&migration)
+    }
+
+    /// Registers every cluster client and copies every installed policy
+    /// onto `joiner` — a partition about to take over a range (a split's
+    /// new half or a promoted backup). Idempotent.
+    pub(super) fn rehome(&self, joiner: &Partition) -> Result<(), PesosError> {
+        for client in self.clients.lock().iter() {
+            joiner.controller.register_client(client);
         }
-        Ok(())
+        self.copy_policies_to(joiner)
     }
 
     /// The routing-swap half of every topology change: quiesce, flush the
@@ -495,12 +485,12 @@ impl ControllerCluster {
     /// new table that takes it over from `src`.
     fn install_migration(
         &self,
-        src: &Arc<PesosController>,
+        src: &Partition,
         retable: impl FnOnce(&PartitionTable) -> (PartitionTable, HashRange, usize),
     ) -> Result<Arc<Migration>, PesosError> {
         // Pre-flush the source's scheduled asynchronous writes outside the
         // gate so the race-closing flush under it (below) is short.
-        src.drain_async();
+        src.controller.drain_async();
         // Quiesce: holding the gate's write side means no operation is
         // in flight across the swap — every request either completed
         // under the old routing state or starts under the new one
@@ -515,15 +505,13 @@ impl ControllerCluster {
         // reported Completed. No new async work can be accepted while
         // the write side is held, and after the swap the moved range's
         // writes go to the destination, so this flush is complete.
-        src.drain_async();
+        src.controller.drain_async();
         let mut routing = self.routing.write();
         let (table, moved, absorbed_by) = retable(&routing.table);
-        let dst = Arc::clone(controller_at(&table, absorbed_by)?);
+        let dst = partition_at(&table, absorbed_by)?.clone();
         let migration = Arc::new(Migration {
             range: moved,
-            src: Arc::clone(src),
-            src_set: self.replica_set_of(src),
-            dst_set: self.replica_set_of(&dst),
+            src: src.clone(),
             dst,
             keys_moved: AtomicU64::new(0),
             moved_pending_delete: Mutex::with_rank(lock_order::MIGRATION_STATE, BTreeSet::new()),
@@ -589,6 +577,11 @@ impl ControllerCluster {
     /// stays installed, so the un-moved keys remain reachable through the
     /// demand-pull path — the safe direction; retiring it early would
     /// strand them at a source the router no longer consults.
+    ///
+    /// Retiring a removal's record also stops the removed partition's log,
+    /// whichever settle retires it: that partition left the table at the
+    /// swap and is now fully drained, and its log shipped every drain
+    /// delete, so its backups hold nothing of the moved range.
     fn settle_migration(&self, migration: &Arc<Migration>) -> Result<(), PesosError> {
         self.drain_migration(migration)?;
         let mut routing = self.routing.write();
@@ -603,6 +596,12 @@ impl ControllerCluster {
             table: old.table.clone(),
             migrations,
         });
+        drop(routing);
+        let src = &migration.src;
+        let stays = |p: &Partition| Arc::ptr_eq(&p.controller, &src.controller);
+        if !old.table.partitions().iter().any(stays) {
+            src.stop_log();
+        }
         Ok(())
     }
 
@@ -646,7 +645,7 @@ impl ControllerCluster {
         // space); the full-key hash travels with the key into the pull so
         // no layer re-digests it.
         let mut keys: Vec<(String, u64)> = Vec::new();
-        for key in migration.src.store().list_keys()? {
+        for key in migration.src.controller.store().list_keys()? {
             let hashed = HashedKey::new(&key);
             if migration.range.contains(Self::routing_hash(&hashed)) {
                 let hash = hashed.hash();

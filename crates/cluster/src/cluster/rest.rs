@@ -285,14 +285,15 @@ impl RequestEndpoint for ControllerCluster {
                     // resurrect a client delete).
                     return migration
                         .dst
+                        .controller
                         .store()
                         .get_metadata(&hashed)
                         .map(|m| m.latest_version);
                 }
-                if let Some(meta) = migration.dst.store().get_metadata(&hashed) {
+                if let Some(meta) = migration.dst.controller.store().get_metadata(&hashed) {
                     return Some(meta.latest_version);
                 }
-                if let Some(meta) = migration.src.store().get_metadata(&hashed) {
+                if let Some(meta) = migration.src.controller.store().get_metadata(&hashed) {
                     return Some(meta.latest_version);
                 }
             }
@@ -300,6 +301,7 @@ impl RequestEndpoint for ControllerCluster {
         routing
             .table
             .route(Self::routing_hash(&hashed))
+            .controller
             .store()
             .get_metadata(&hashed)
             .map(|m| m.latest_version)

@@ -1,6 +1,7 @@
-//! Request routing (ops gate and routing state, lock ranks 20–37): every
+//! Request routing (ops gate and routing state, lock ranks 20–36): every
 //! routed operation takes the gate's read side, one routing snapshot and
-//! its owner, so it runs entirely under one topology; an operation that
+//! its owner partition — controller and log together — so it runs
+//! entirely under one topology and logs to its owner's log; an operation that
 //! finds its partition unavailable retries with capped backoff, releasing
 //! the gate across each pause.
 
@@ -8,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pesos_core::{AsyncResult, HashedKey, PesosController, PesosError};
+use pesos_core::{AsyncResult, HashedKey, PesosError};
 use pesos_crypto::Certificate;
 use pesos_kinetic::Payload;
 use pesos_policy::PolicyId;
@@ -17,6 +18,7 @@ use rand::Rng;
 
 use super::{ControllerCluster, RoutingState};
 use crate::replication::LogRecord;
+use crate::router::Partition;
 
 /// Placement-group delimiter for cluster routing: a key routes by the hash
 /// of its prefix up to the *first* occurrence of this character (full key
@@ -63,7 +65,7 @@ impl ControllerCluster {
         self.telemetry.ops.timer(kind, self.telemetry.enabled())
     }
 
-    /// Routes `key` to its owning controller under a consistent routing
+    /// Routes `key` to its owning partition under a consistent routing
     /// snapshot, demand-pulling the key (and its placement-group siblings)
     /// out of an in-flight migration's source first if necessary. The
     /// closure also receives the snapshot, for callers that need more of
@@ -79,7 +81,7 @@ impl ControllerCluster {
     fn with_owner<R>(
         &self,
         key: &HashedKey<'_>,
-        mut f: impl FnMut(&RoutingState, &Arc<PesosController>) -> Result<R, PesosError>,
+        mut f: impl FnMut(&RoutingState, &Partition) -> Result<R, PesosError>,
     ) -> Result<R, PesosError> {
         self.with_retries(
             &self.retries.request_retries,
@@ -120,68 +122,65 @@ impl ControllerCluster {
         attempt()
     }
 
-    /// Makes sure `controller` can resolve `policy_id`, copying the policy
+    /// Makes sure `owner` can resolve `policy_id`, copying the policy
     /// from any other partition if needed (policies are broadcast on
     /// install, but a controller that joined later only receives them
     /// on demand).
     fn ensure_policy(
         &self,
         routing: &RoutingState,
-        controller: &Arc<PesosController>,
+        owner: &Partition,
         policy_id: &PolicyId,
     ) -> Result<(), PesosError> {
-        if controller.store().load_policy(policy_id).is_ok() {
+        if owner.controller.store().load_policy(policy_id).is_ok() {
             return Ok(());
         }
-        if self.copy_policy_from_peers(routing, controller, policy_id)? {
+        if self.copy_policy_from_peers(routing, owner, policy_id)? {
             Ok(())
         } else {
             Err(PesosError::PolicyNotFound(policy_id.to_hex()))
         }
     }
 
-    /// Copies `policy_id` onto `controller` from whichever other partition
-    /// holds it; returns whether a copy was found.
+    /// Copies `policy_id` onto `to` (and into its log) from whichever
+    /// other partition holds it; returns whether a copy was found.
     fn copy_policy_from_peers(
         &self,
         routing: &RoutingState,
-        controller: &Arc<PesosController>,
+        to: &Partition,
         policy_id: &PolicyId,
     ) -> Result<bool, PesosError> {
         for partition in routing.table.partitions() {
-            if Arc::ptr_eq(&partition.controller, controller) {
+            if Arc::ptr_eq(&partition.controller, &to.controller) {
                 continue;
             }
             if let Ok(policy) = partition.controller.store().load_policy(policy_id) {
-                self.append_for(controller, || LogRecord::PolicyInstall {
+                to.append(|| LogRecord::PolicyInstall {
                     bytes: policy.to_bytes().into(),
                 });
-                controller.store().store_compiled_policy(policy)?;
+                to.controller.store().store_compiled_policy(policy)?;
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// Copies every cluster-installed policy onto `controller`, loading
-    /// each from whichever partition still holds it. Used when a
-    /// controller joins: policies are broadcast at install time, so a
-    /// joiner must catch up on the ones installed before it existed —
-    /// otherwise removing the last original holder would lose them.
-    pub(super) fn copy_policies_to(
-        &self,
-        controller: &Arc<PesosController>,
-    ) -> Result<(), PesosError> {
+    /// Copies every cluster-installed policy onto `to`, loading each from
+    /// whichever partition still holds it. Used when a controller joins:
+    /// policies are broadcast at install time, so a joiner must catch up
+    /// on the ones installed before it existed — otherwise removing the
+    /// last original holder would lose them.
+    pub(super) fn copy_policies_to(&self, to: &Partition) -> Result<(), PesosError> {
         let routing = self.routing.read().clone();
         // Snapshot the id set rather than iterating under the registry
         // mutex: each copy runs policy loads and replicated stores (drive
         // I/O), and no lock guard may live across the submit path.
         let ids: Vec<PolicyId> = self.policies.lock().iter().copied().collect();
         for id in &ids {
-            if controller.store().load_policy(id).is_ok() {
+            if to.controller.store().load_policy(id).is_ok() {
                 continue;
             }
-            self.copy_policy_from_peers(&routing, controller, id)?;
+            self.copy_policy_from_peers(&routing, to, id)?;
         }
         Ok(())
     }
@@ -206,14 +205,12 @@ impl ControllerCluster {
         // Broadcast the compiled *body* into every partition's log: a
         // promoted backup must evaluate policies with no surviving peer to
         // copy them from.
-        if self.backups_per_partition > 0 {
-            if let Ok(policy) = routing.table.first().store().load_policy(&id) {
-                let bytes: Payload = policy.to_bytes().into();
-                for partition in routing.table.partitions() {
-                    self.append_for(&partition.controller, || LogRecord::PolicyInstall {
-                        bytes: bytes.clone(),
-                    });
-                }
+        if let Ok(policy) = routing.table.first().controller.store().load_policy(&id) {
+            let bytes: Payload = policy.to_bytes().into();
+            for partition in routing.table.partitions() {
+                partition.append(|| LogRecord::PolicyInstall {
+                    bytes: bytes.clone(),
+                });
             }
         }
         Ok(id)
@@ -240,7 +237,7 @@ impl ControllerCluster {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
             }
-            let version = owner.put(
+            let version = owner.controller.put(
                 client_id,
                 &key,
                 value,
@@ -248,7 +245,7 @@ impl ControllerCluster {
                 expected_version,
                 certificates,
             )?;
-            self.append_for(owner, || LogRecord::Put {
+            owner.append(|| LogRecord::Put {
                 key: key.key().to_string(),
                 value: value.into(),
                 policy_id,
@@ -283,7 +280,7 @@ impl ControllerCluster {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
             }
-            let local_op = owner.put_async(
+            let local_op = owner.controller.put_async(
                 client_id,
                 &key,
                 Arc::clone(&value),
@@ -297,7 +294,7 @@ impl ControllerCluster {
             // yet. The version is the primary scheduler's to assign (the
             // backup self-assigns in log order), except for CAS writes
             // where success pins it to exactly the expected version.
-            self.append_for(owner, || LogRecord::Put {
+            owner.append(|| LogRecord::Put {
                 key: key.key().to_string(),
                 value: value.as_slice().into(),
                 policy_id,
@@ -305,7 +302,7 @@ impl ControllerCluster {
             });
             let cluster_op = self.next_async_id.fetch_add(1, Ordering::SeqCst);
             self.async_ops
-                .insert(cluster_op, (Arc::clone(owner), local_op));
+                .insert(cluster_op, (Arc::clone(&owner.controller), local_op));
             Ok(cluster_op)
         })
     }
@@ -325,7 +322,9 @@ impl ControllerCluster {
     ) -> Result<(Arc<Vec<u8>>, u64), PesosError> {
         let key = HashedKey::new(key);
         let _timer = self.observe(OpKind::Get, &key);
-        self.with_owner(&key, |_, owner| owner.get(client_id, &key, certificates))
+        self.with_owner(&key, |_, owner| {
+            owner.controller.get(client_id, &key, certificates)
+        })
     }
 
     /// Retrieves a specific stored version from the owning partition.
@@ -339,7 +338,9 @@ impl ControllerCluster {
         let key = HashedKey::new(key);
         let _timer = self.observe(OpKind::GetVersion, &key);
         self.with_owner(&key, |_, owner| {
-            owner.get_version(client_id, &key, version, certificates)
+            owner
+                .controller
+                .get_version(client_id, &key, version, certificates)
         })
     }
 
@@ -354,8 +355,8 @@ impl ControllerCluster {
         let key = HashedKey::new(key);
         let _timer = self.observe(OpKind::Delete, &key);
         self.with_owner(&key, |_, owner| {
-            owner.delete(client_id, &key, certificates)?;
-            self.append_for(owner, || LogRecord::Delete {
+            owner.controller.delete(client_id, &key, certificates)?;
+            owner.append(|| LogRecord::Delete {
                 key: key.key().to_string(),
             });
             Ok(())
@@ -375,8 +376,10 @@ impl ControllerCluster {
         let _timer = self.observe(OpKind::AttachPolicy, &key);
         self.with_owner(&key, |routing, owner| {
             self.ensure_policy(routing, owner, &policy_id)?;
-            owner.attach_policy(client_id, &key, policy_id, certificates)?;
-            self.append_for(owner, || LogRecord::AttachPolicy {
+            owner
+                .controller
+                .attach_policy(client_id, &key, policy_id, certificates)?;
+            owner.append(|| LogRecord::AttachPolicy {
                 key: key.key().to_string(),
                 policy_id,
             });

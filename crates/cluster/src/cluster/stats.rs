@@ -25,11 +25,10 @@
 //! migration state) are acquired one at a time, never nested.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use pesos_telemetry::{histogram_node, HistogramSnapshot, HotGroup, OpKind, StatsNode};
 
-use super::{ControllerCluster, RetryStats};
+use super::{ControllerCluster, RetryStats, RoutingState};
 use crate::replication::ReplicationStats;
 use crate::router::HashRange;
 
@@ -109,7 +108,12 @@ impl ControllerCluster {
     /// Takes a point-in-time [`TelemetrySnapshot`]; `top` bounds the
     /// hot-group listing. No request-path lock is held while sampling.
     pub fn telemetry_snapshot(&self, top: usize) -> TelemetrySnapshot {
-        let routing = self.routing.read().clone();
+        self.telemetry_of(&self.routing.read().clone(), top)
+    }
+
+    /// [`ControllerCluster::telemetry_snapshot`] under one given routing
+    /// snapshot.
+    fn telemetry_of(&self, routing: &RoutingState, top: usize) -> TelemetrySnapshot {
         let loads = self.loads_of(&routing.table);
         let partitions = routing
             .table
@@ -121,7 +125,7 @@ impl ControllerCluster {
                 range: routing.table.range(i),
                 resident_objects: p.controller.store().resident_object_count(),
                 requests: loads.get(i).map(|l| l.requests).unwrap_or(0),
-                replication: self.replica_set_of(&p.controller).map(|set| set.stats()),
+                replication: p.log.as_ref().map(|log| log.stats()),
             })
             .collect();
         // One MIGRATION_STATE-ranked guard per statement: taken as
@@ -159,19 +163,18 @@ impl ControllerCluster {
     /// partition's subtree embeds the controller's own
     /// [`pesos_core::PesosController::stats_tree`] (its `metrics/`,
     /// `latency/`, `sgx/` and `store/` directories) alongside the
-    /// cluster-level range, request and replication gauges.
+    /// cluster-level range, request and replication gauges — all read
+    /// from one routing snapshot, so a concurrent topology change can never
+    /// pair one partition's range with another partition's controller.
     pub fn stats_tree(&self, top: usize) -> StatsNode {
-        let snapshot = self.telemetry_snapshot(top);
-        let controllers: Vec<Arc<pesos_core::PesosController>> = self.controllers();
+        let routing = self.routing.read().clone();
+        let snapshot = self.telemetry_of(&routing, top);
 
         let mut partitions = StatsNode::dir();
-        for p in &snapshot.partitions {
+        for (p, partition) in snapshot.partitions.iter().zip(routing.table.partitions()) {
             // Start from the controller's own tree so partition paths
             // reach its metrics/latency/sgx attributes directly.
-            let mut node = controllers
-                .get(p.partition)
-                .map(|c| c.stats_tree())
-                .unwrap_or_else(StatsNode::dir);
+            let mut node = partition.controller.stats_tree();
             node.insert(
                 "range",
                 StatsNode::dir()

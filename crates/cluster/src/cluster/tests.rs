@@ -891,6 +891,51 @@ fn acked_async_writes_survive_failover() {
 }
 
 #[test]
+fn a_joined_partition_fails_over_with_every_acknowledged_write() {
+    let c = replicated_cluster(2, 1);
+    c.register_client("alice");
+    let before = c.controllers();
+    c.add_controller().unwrap();
+    let joined = c
+        .controllers()
+        .iter()
+        .position(|new| !before.iter().any(|old| Arc::ptr_eq(new, old)))
+        .expect("the joiner is in the table");
+    let key_on = |partition: usize, tag: &str| {
+        (0..256)
+            .map(|i| format!("{tag}/{i}"))
+            .find(|k| c.partition_of(k) == partition)
+            .expect("a key on the partition")
+    };
+    // A sync put, an acknowledged put_async and a cross-partition commit,
+    // all into the joiner's range.
+    let sync_key = key_on(joined, "sync");
+    let async_key = key_on(joined, "async");
+    let (tx_in, tx_out) = (key_on(joined, "tx"), key_on((joined + 1) % 3, "tx"));
+    let version = c.put("alice", &sync_key, b"sync", None, None, &[]).unwrap();
+    c.put_async("alice", &async_key, b"async".to_vec(), None, None, &[])
+        .unwrap();
+    let tx = c.create_tx("alice").unwrap();
+    c.add_write("alice", tx, &tx_in, b"in".to_vec()).unwrap();
+    c.add_write("alice", tx, &tx_out, b"out".to_vec()).unwrap();
+    let outcome = c.commit_tx("alice", tx).unwrap();
+
+    c.kill_controller(joined).unwrap();
+    let promotion = c.fail_controller(joined).unwrap();
+    let promoted = Arc::clone(&c.controllers()[joined]);
+    assert!(Arc::ptr_eq(&promotion.promoted, &promoted));
+    let (value, got) = c.get("alice", &sync_key, &[]).unwrap();
+    assert_eq!((&**value, got), (&b"sync"[..], version));
+    assert_eq!(&**c.get("alice", &async_key, &[]).unwrap().0, b"async");
+    assert_eq!(&**c.get("alice", &tx_in, &[]).unwrap().0, b"in");
+    assert_eq!(&**c.get("alice", &tx_out, &[]).unwrap().0, b"out");
+    // The outcome survives on the promoted backup itself, not only on the
+    // other participant.
+    assert_eq!(promoted.tx_outcome(tx), Some(outcome.clone()));
+    assert_eq!(c.check_results("alice", tx).unwrap(), outcome);
+}
+
+#[test]
 fn failover_resolves_in_doubt_transactions_from_the_replicated_outcome_map() {
     let c = replicated_cluster(1, 1);
     c.register_client("alice");
@@ -986,6 +1031,10 @@ fn fail_controller_refuses_while_a_migration_involves_the_partition() {
     }
     // Strand a migration: break the source drive mid-removal.
     let controllers = c.controllers();
+    let removed_log = c.routing.read().table.partitions()[0]
+        .log
+        .clone()
+        .expect("replicated partition has a log");
     controllers[0]
         .store()
         .drives()
@@ -1004,6 +1053,14 @@ fn fail_controller_refuses_while_a_migration_involves_the_partition() {
         .unwrap()
         .set_online(true);
     c.settle_pending_migrations().unwrap();
+    // The retry settled the removal, so the removed primary's log was
+    // stopped: its shipper threads have exited and dropped their handles,
+    // and nothing in the cluster holds it any more.
+    assert_eq!(
+        Arc::strong_count(&removed_log),
+        1,
+        "the removed primary's log still runs after its removal settled"
+    );
 }
 
 #[test]

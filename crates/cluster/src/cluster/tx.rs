@@ -4,14 +4,14 @@
 //! partition order — before any branch commits.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use pesos_core::{HashedKey, PesosController, PesosError, PreparedCommit, TxOutcome, TxWrite};
+use pesos_core::{HashedKey, PesosError, PreparedCommit, TxOutcome, TxWrite};
 use pesos_kinetic::Payload;
 use pesos_telemetry::OpKind;
 
-use super::{controller_at, ControllerCluster};
+use super::{partition_at, ControllerCluster};
 use crate::replication::LogRecord;
+use crate::router::Partition;
 
 impl ControllerCluster {
     /// Begins a cluster transaction.
@@ -113,7 +113,7 @@ impl ControllerCluster {
         // writes move into its prepare whole; the first failure aborts the
         // branches already prepared, and nothing else was staged anywhere.
         struct Participant<'a> {
-            controller: &'a Arc<PesosController>,
+            partition: &'a Partition,
             prepared: PreparedCommit<'a>,
             read_positions: Vec<usize>,
             write_positions: Vec<usize>,
@@ -123,8 +123,8 @@ impl ControllerCluster {
             logged: Vec<(String, Payload)>,
         }
         let prepare = |partition: usize, branch: Branch| {
-            let controller = controller_at(&routing.table, partition)?;
-            let logged = match self.replica_set_of(controller) {
+            let partition = partition_at(&routing.table, partition)?;
+            let logged = match partition.log {
                 Some(_) => branch
                     .writes
                     .iter()
@@ -132,10 +132,11 @@ impl ControllerCluster {
                     .collect(),
                 None => Vec::new(),
             };
-            controller
+            partition
+                .controller
                 .prepare_commit(client_id, branch.reads, branch.writes)
                 .map(|prepared| Participant {
-                    controller,
+                    partition,
                     prepared,
                     read_positions: branch.read_positions,
                     write_positions: branch.write_positions,
@@ -148,7 +149,7 @@ impl ControllerCluster {
                 Ok(participant) => participants.push(participant),
                 Err(e) => {
                     for p in participants {
-                        p.controller.abort_prepared(p.prepared);
+                        p.partition.controller.abort_prepared(p.prepared);
                     }
                     return Err(e);
                 }
@@ -161,12 +162,12 @@ impl ControllerCluster {
         let mut write_versions: Vec<Option<u64>> = vec![None; write_count];
         let mut committed = Vec::with_capacity(participants.len());
         for p in participants {
-            let outcome = p.controller.commit_prepared(p.prepared)?;
+            let outcome = p.partition.controller.commit_prepared(p.prepared)?;
             // Applied branch writes enter the partition's log with their
             // committed versions, before the outcome (the client-visible
             // acknowledgement) is assembled below.
             for ((key, value), version) in p.logged.into_iter().zip(&outcome.write_versions) {
-                self.append_for(p.controller, || LogRecord::Put {
+                p.partition.append(|| LogRecord::Put {
                     key,
                     value,
                     policy_id: None,
@@ -183,7 +184,7 @@ impl ControllerCluster {
                     *slot = Some(version);
                 }
             }
-            committed.push(p.controller);
+            committed.push(p.partition);
         }
         // Every buffered operation was routed to exactly one branch and
         // every branch outcome was merged above, so a gap is a routing
@@ -205,21 +206,17 @@ impl ControllerCluster {
         // it — so check_results finds it no matter which partition is
         // asked. A transaction with no buffered operations has no
         // participants; file its (empty) outcome on the first partition so
-        // a committed transaction is always queryable.
+        // a committed transaction is always queryable. The outcome map is
+        // replicated too: a promoted backup resolves in-doubt cluster
+        // transactions from its copy, so check_results keeps answering
+        // after a participant fails over.
         if committed.is_empty() {
-            let first = routing.table.first();
-            first.record_tx_outcome(tx_id, outcome.clone());
-            self.append_for(first, || LogRecord::TxOutcome {
-                tx_id,
-                outcome: outcome.clone(),
-            });
+            committed.push(routing.table.first());
         }
-        // The outcome map is replicated too: a promoted backup resolves
-        // in-doubt cluster transactions from its copy, so check_results
-        // keeps answering after a participant fails over.
-        for controller in committed {
+        for partition in committed {
+            let controller = &partition.controller;
             controller.record_tx_outcome(tx_id, outcome.clone());
-            self.append_for(controller, || LogRecord::TxOutcome {
+            partition.append(|| LogRecord::TxOutcome {
                 tx_id,
                 outcome: outcome.clone(),
             });

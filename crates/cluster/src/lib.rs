@@ -21,7 +21,8 @@
 //! The pieces:
 //!
 //! * [`router`] — contiguous hash-range partitioning and the immutable
-//!   routing table.
+//!   routing table, whose entry for each partition holds its controller
+//!   and its replication log: the one record of who serves a partition.
 //! * [`twopc`] — the workspace's one open-transaction table and the
 //!   tagged transaction ids.
 //! * [`cluster`] — the cluster itself: configuration, the routing snapshot
@@ -43,8 +44,10 @@
 //!     is atomic (any partition's policy rejection aborts the whole thing
 //!     before a single write) and its outcome is queryable from any
 //!     router.
-//!   * `cluster::failover` — the per-partition replica sets, the
-//!     acked ⇒ logged append and [`ControllerCluster::fail_controller`].
+//!   * `cluster::failover` — spawning each partition's log and
+//!     [`ControllerCluster::fail_controller`]; a write reaches its log
+//!     through the routing snapshot that routed it (`Partition::append`,
+//!     acked ⇒ logged).
 //!   * `cluster::rest` — the one REST dispatcher (a single controller
 //!     serves REST as a one-partition cluster) and the
 //!     [`pesos_core::RequestEndpoint`] implementation.

@@ -1,10 +1,12 @@
 //! Primary/backup partition replication: per-partition op logs shipped to
 //! backup controllers over the vectored frame encode.
 //!
-//! Every partition primary owns a [`ReplicaSet`]: an ordered op log of the
-//! writes it has acknowledged (puts, deletes, policy installs, migration
-//! imports/deletes, committed 2PC branch outcomes), shipped to one or more
-//! backup controllers by dedicated shipper threads. The design invariants:
+//! Every partition primary owns a [`ReplicaSet`], carried in the
+//! partition's routing-table entry ([`crate::router::Partition::log`]): an
+//! ordered op log of the writes it has acknowledged (puts, deletes, policy
+//! installs, migration imports/deletes, committed 2PC branch outcomes),
+//! shipped to one or more backup controllers by dedicated shipper threads.
+//! The design invariants:
 //!
 //! * **Acked ⇒ logged.** A record is appended before the acknowledgement
 //!   that covers it escapes the cluster layer, so the log (retained tail +
@@ -396,7 +398,9 @@ pub struct ReplicaSet {
     /// Shippers with an empty queue wait here.
     work: Condvar,
     stopping: AtomicBool,
-    backups: Vec<BackupLink>,
+    /// One link per backup, each shared with the shipper thread that
+    /// feeds it.
+    backups: Vec<Arc<BackupLink>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Appends that hit the bounded-lag backpressure and waited (however
     /// briefly) — the `/stats` shipper-stall gauge.
@@ -427,26 +431,23 @@ impl ReplicaSet {
             stopping: AtomicBool::new(false),
             backups: backups
                 .into_iter()
-                .map(|controller| BackupLink {
-                    controller,
-                    applied: AtomicU64::new(0),
+                .map(|controller| {
+                    Arc::new(BackupLink {
+                        controller,
+                        applied: AtomicU64::new(0),
+                    })
                 })
                 .collect(),
             workers: Mutex::with_rank(parking_lot::lock_order::REPLICATION_WORKERS, Vec::new()),
             stalls: AtomicU64::new(0),
         });
         let mut workers = set.workers.lock();
-        for index in 0..set.backups.len() {
-            let set = Arc::clone(&set);
-            workers.push(std::thread::spawn(move || set.run_shipper(index)));
+        for link in &set.backups {
+            let (set, link) = (Arc::clone(&set), Arc::clone(link));
+            workers.push(std::thread::spawn(move || set.run_shipper(&link)));
         }
         drop(workers);
         set
-    }
-
-    /// Number of backups.
-    pub fn backup_count(&self) -> usize {
-        self.backups.len()
     }
 
     /// Sequence number of the next record to be appended (== records
@@ -527,9 +528,7 @@ impl ReplicaSet {
         LogRecord::from_command(frame.command())?.apply(backup)
     }
 
-    fn run_shipper(&self, index: usize) {
-        // pesos-lint: allow(panic_freedom, "one shipper thread is spawned per backup index")
-        let link = &self.backups[index];
+    fn run_shipper(&self, link: &BackupLink) {
         loop {
             let batch: Vec<Arc<VectoredEnvelope>> = {
                 let mut state = self.inner.lock();
@@ -596,11 +595,12 @@ impl ReplicaSet {
         }
     }
 
-    /// Index of the backup with the most applied records (the freshest),
-    /// or `None` if the set has no backups.
-    pub fn freshest(&self) -> Option<usize> {
-        // pesos-lint: allow(panic_freedom, "loop index bounded by backups.len()")
-        (0..self.backups.len()).max_by_key(|&i| self.backups[i].applied.load(Ordering::Acquire))
+    /// The backup with the most applied records (the freshest), or `None`
+    /// if the set has no backups.
+    fn freshest(&self) -> Option<&Arc<BackupLink>> {
+        self.backups
+            .iter()
+            .max_by_key(|b| b.applied.load(Ordering::Acquire))
     }
 
     /// Promotes the freshest backup: replays the retained, unapplied log
@@ -635,7 +635,8 @@ impl ReplicaSet {
         };
         let mut replayed = 0u64;
         let mut survivors = Vec::new();
-        for (index, link) in self.backups.iter().enumerate() {
+        for link in &self.backups {
+            let is_chosen = Arc::ptr_eq(link, chosen);
             let applied = link.applied.load(Ordering::Acquire);
             let tail: Vec<&QueuedFrame> = snapshot.iter().filter(|f| f.seq >= applied).collect();
             let mut caught_up = true;
@@ -643,11 +644,11 @@ impl ReplicaSet {
                 match Self::apply_frame(&self.key, &link.controller, &frame.frame) {
                     Ok(()) => {
                         link.applied.store(frame.seq + 1, Ordering::Release);
-                        if index == chosen {
+                        if is_chosen {
                             replayed += 1;
                         }
                     }
-                    Err(e) if index == chosen => {
+                    Err(e) if is_chosen => {
                         return Err(PesosError::Unavailable(format!(
                             "promotion replay failed at record {}: {e}",
                             frame.seq
@@ -659,13 +660,12 @@ impl ReplicaSet {
                     }
                 }
             }
-            if caught_up && index != chosen {
+            if caught_up && !is_chosen {
                 survivors.push(Arc::clone(&link.controller));
             }
         }
         Ok(Promotion {
-            // pesos-lint: allow(panic_freedom, "chosen by max_by_key over 0..backups.len()")
-            promoted: Arc::clone(&self.backups[chosen].controller),
+            promoted: Arc::clone(&chosen.controller),
             replayed,
             survivors,
         })

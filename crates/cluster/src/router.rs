@@ -12,10 +12,15 @@
 //! topology change cheap: adding a controller splits one existing range
 //! and migrates only the keys in the moved part; removing one merges its
 //! range into a neighbour. Every other partition is untouched.
+//! A partition carries its owner's replication log, so the snapshot that
+//! routes a write also names its log: no second lookup can pair an owner
+//! with another partition's log.
 
 use std::sync::Arc;
 
 use pesos_core::PesosController;
+
+use crate::replication::{LogRecord, ReplicaSet};
 
 /// An inclusive range `[start, end]` of the `u64` key-hash space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +44,8 @@ impl HashRange {
     }
 }
 
-/// One partition: a contiguous hash range owned by one controller.
+/// One partition: a contiguous hash range owned by one controller, and
+/// the log that controller's acknowledged writes are replicated through.
 #[derive(Clone)]
 pub struct Partition {
     /// Inclusive lower bound of the owned range (the upper bound is the
@@ -47,6 +53,28 @@ pub struct Partition {
     pub start: u64,
     /// The controller instance owning the range.
     pub controller: Arc<PesosController>,
+    /// The partition's replication log; `None` when the cluster runs
+    /// without backups, or a promotion left no backup to ship to.
+    pub log: Option<Arc<ReplicaSet>>,
+}
+
+impl Partition {
+    /// Appends a record to the partition's log, if it has one. The record
+    /// is built lazily, so a partition without a log pays no allocation.
+    /// Callers append *before* the acknowledgement escapes (everything
+    /// runs under the ops gate's read side): acked ⇒ logged.
+    pub(crate) fn append(&self, record: impl FnOnce() -> LogRecord) {
+        if let Some(log) = &self.log {
+            log.append(record());
+        }
+    }
+
+    /// Stops the partition's log, if it has one ([`ReplicaSet::stop`]).
+    pub(crate) fn stop_log(&self) {
+        if let Some(log) = &self.log {
+            log.stop();
+        }
+    }
 }
 
 /// The routing table: partitions ordered by range start, jointly covering
@@ -62,20 +90,26 @@ pub struct PartitionTable {
 
 impl PartitionTable {
     /// Builds a table assigning each controller an (almost) equal share of
-    /// the hash space, in the given order. The first partition always
-    /// starts at 0.
+    /// the hash space, in the given order, with no replication logs. The
+    /// first partition always starts at 0.
     pub fn even(controllers: Vec<Arc<PesosController>>) -> Self {
-        assert!(
-            !controllers.is_empty(),
-            "a table needs at least one partition"
-        );
-        let n = controllers.len() as u128;
-        let partitions = controllers
+        Self::even_with_logs(controllers.into_iter().map(|c| (c, None)).collect())
+    }
+
+    /// [`PartitionTable::even`] over `(controller, log)` owners: each
+    /// partition carries its controller's replication log.
+    pub(crate) fn even_with_logs(
+        owners: Vec<(Arc<PesosController>, Option<Arc<ReplicaSet>>)>,
+    ) -> Self {
+        assert!(!owners.is_empty(), "a table needs at least one partition");
+        let n = owners.len() as u128;
+        let partitions = owners
             .into_iter()
             .enumerate()
-            .map(|(i, controller)| Partition {
+            .map(|(i, (controller, log))| Partition {
                 start: ((i as u128 * (u64::MAX as u128 + 1)) / n) as u64,
                 controller,
+                log,
             })
             .collect();
         PartitionTable { partitions }
@@ -96,16 +130,15 @@ impl PartitionTable {
         &self.partitions
     }
 
-    /// The controller owning partition 0 — total, because no constructor
-    /// builds an empty table.
-    pub fn first(&self) -> &Arc<PesosController> {
+    /// Partition 0 — total, because no constructor builds an empty table.
+    pub fn first(&self) -> &Partition {
         // pesos-lint: allow(panic_freedom, "a PartitionTable always holds partition 0 covering hash 0; no constructor builds an empty table")
-        &self.partitions[0].controller
+        &self.partitions[0]
     }
 
-    /// The controller owning partition `index`, if the table has one.
-    pub fn controller(&self, index: usize) -> Option<&Arc<PesosController>> {
-        self.partitions.get(index).map(|p| &p.controller)
+    /// Partition `index`, if the table has one.
+    pub fn partition(&self, index: usize) -> Option<&Partition> {
+        self.partitions.get(index)
     }
 
     /// The hash range owned by partition `index`.
@@ -127,26 +160,23 @@ impl PartitionTable {
         self.partitions.partition_point(|p| p.start <= hash) - 1
     }
 
-    /// The controller owning `hash`.
-    pub fn route(&self, hash: u64) -> &Arc<PesosController> {
+    /// The partition owning `hash`.
+    pub fn route(&self, hash: u64) -> &Partition {
         // pesos-lint: allow(panic_freedom, "index_of always returns a valid index: partition 0 starts at hash 0")
-        &self.partitions[self.index_of(hash)].controller
+        &self.partitions[self.index_of(hash)]
     }
 
-    /// Splits partition `index` at an explicit hash boundary: the new
-    /// controller takes `[split_start, end]` and the old owner keeps
-    /// `[start, split_start - 1]`. Returns the new table and the moved
-    /// range. `split_start` must lie strictly inside the range (above its
-    /// start), so both halves are non-empty hash ranges; the load-aware
-    /// rebalancer derives it from the resident keys' routing hashes, which
-    /// keeps whole placement groups (equal routing hash) on one side.
-    pub fn split_at(
-        &self,
-        index: usize,
-        split_start: u64,
-        controller: Arc<PesosController>,
-    ) -> (PartitionTable, HashRange) {
+    /// Splits partition `index` at the joiner's start: the joiner takes
+    /// `[joiner.start, end]` and the old owner keeps
+    /// `[start, joiner.start - 1]`. Returns the new table and the moved
+    /// range. The split point must lie strictly inside the range (above
+    /// its start), so both halves are non-empty hash ranges; the
+    /// load-aware rebalancer derives it from the resident keys' routing
+    /// hashes, which keeps whole placement groups (equal routing hash) on
+    /// one side.
+    pub fn split_at(&self, index: usize, joiner: Partition) -> (PartitionTable, HashRange) {
         let range = self.range(index);
+        let split_start = joiner.start;
         assert!(
             range.start < split_start && split_start <= range.end,
             "split point {split_start} outside ({}, {}]",
@@ -158,29 +188,26 @@ impl PartitionTable {
             end: range.end,
         };
         let mut partitions = self.partitions.clone();
-        partitions.insert(
-            index + 1,
-            Partition {
-                start: split_start,
-                controller,
-            },
-        );
+        partitions.insert(index + 1, joiner);
         (PartitionTable { partitions }, moved)
     }
 
     /// Returns a table identical to this one except that partition `index`
-    /// is owned by `controller` — the routing half of a failover promotion.
-    /// No hash range moves: the promoted backup answers for exactly the
-    /// range the failed primary owned.
+    /// is owned by `controller` with `log` — the routing half of a
+    /// failover promotion. No hash range moves: the promoted backup
+    /// answers for exactly the range the failed primary owned.
     pub fn with_controller(
         &self,
         index: usize,
         controller: Arc<PesosController>,
+        log: Option<Arc<ReplicaSet>>,
     ) -> PartitionTable {
         assert!(index < self.partitions.len(), "no partition {index}");
         let mut partitions = self.partitions.clone();
         // pesos-lint: allow(panic_freedom, "index asserted against partitions.len() above")
-        partitions[index].controller = controller;
+        let partition = &mut partitions[index];
+        partition.controller = controller;
+        partition.log = log;
         PartitionTable { partitions }
     }
 
@@ -234,6 +261,15 @@ mod tests {
         (0..n).map(|_| controller()).collect()
     }
 
+    /// A log-less joiner taking over from hash `start`.
+    fn joiner(start: u64) -> Partition {
+        Partition {
+            start,
+            controller: controller(),
+            log: None,
+        }
+    }
+
     #[test]
     fn even_table_covers_the_space_contiguously() {
         for n in 1..=5 {
@@ -241,11 +277,12 @@ mod tests {
             assert_eq!(table.len(), n);
             assert_eq!(table.partitions()[0].start, 0);
             assert!(Arc::ptr_eq(
-                table.first(),
-                table.controller(0).expect("partition 0")
+                &table.first().controller,
+                &table.partition(0).expect("partition 0").controller
             ));
-            assert!(table.controller(n - 1).is_some());
-            assert!(table.controller(n).is_none());
+            assert!(table.partitions().iter().all(|p| p.log.is_none()));
+            assert!(table.partition(n - 1).is_some());
+            assert!(table.partition(n).is_none());
             let total: u128 = (0..n).map(|i| table.range(i).width()).sum();
             assert_eq!(total, u64::MAX as u128 + 1);
             for i in 1..n {
@@ -262,7 +299,7 @@ mod tests {
             let index = table.index_of(hash);
             assert!(table.range(index).contains(hash));
             assert!(Arc::ptr_eq(
-                table.route(hash),
+                &table.route(hash).controller,
                 &table.partitions()[index].controller
             ));
         }
@@ -280,7 +317,7 @@ mod tests {
         let before_other = table.range(0);
         let range = table.range(1);
         let midpoint = range.start + (range.end - range.start) / 2 + 1;
-        let (split, moved) = table.split_at(1, midpoint, controller());
+        let (split, moved) = table.split_at(1, joiner(midpoint));
         assert_eq!(split.len(), 3);
         // Partition 0 untouched; the moved range is the upper half of the
         // old partition 1 and is now owned by the new controller.
@@ -321,7 +358,7 @@ mod tests {
         let range = table.range(1);
         // An asymmetric split point: a quarter into the range.
         let split_start = range.start + (range.end - range.start) / 4;
-        let (split, moved) = table.split_at(1, split_start, controller());
+        let (split, moved) = table.split_at(1, joiner(split_start));
         assert_eq!(split.len(), 3);
         assert_eq!(
             moved,
@@ -341,7 +378,7 @@ mod tests {
         let total: u128 = (0..3).map(|i| split.range(i).width()).sum();
         assert_eq!(total, u64::MAX as u128 + 1);
         // Boundary: splitting at the range's end moves a single hash.
-        let (_, moved) = table.split_at(1, range.end, controller());
+        let (_, moved) = table.split_at(1, joiner(range.end));
         assert_eq!(moved.width(), 1);
     }
 
@@ -381,7 +418,7 @@ mod tests {
     fn with_controller_swaps_the_owner_without_moving_ranges() {
         let table = PartitionTable::even(controllers(3));
         let promoted = controller();
-        let swapped = table.with_controller(1, Arc::clone(&promoted));
+        let swapped = table.with_controller(1, Arc::clone(&promoted), None);
         assert_eq!(swapped.len(), 3);
         for i in 0..3 {
             assert_eq!(swapped.range(i), table.range(i));
@@ -392,6 +429,6 @@ mod tests {
             &table.partitions()[0].controller
         ));
         let probe = table.range(1).start;
-        assert!(Arc::ptr_eq(swapped.route(probe), &promoted));
+        assert!(Arc::ptr_eq(&swapped.route(probe).controller, &promoted));
     }
 }

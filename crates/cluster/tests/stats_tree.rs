@@ -1,12 +1,15 @@
 //! The `/stats` observability surface, end to end through REST dispatch:
 //! path resolution, flat/tree renderings, monotone counters across
-//! topology churn (add/remove/fail), the hot-key-weighted split point,
-//! and window-reset semantics (`/stats/reset`).
+//! topology churn (add/remove/fail), whole partitions under concurrent
+//! churn, the hot-key-weighted split point, and window-reset semantics
+//! (`/stats/reset`).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pesos_cluster::{ClusterConfig, ControllerCluster};
 use pesos_core::ClientRequest;
+use pesos_telemetry::StatsNode;
 use pesos_wire::{RestMethod, RestRequest, RestStatus};
 
 const CLIENT: &str = "alice";
@@ -130,6 +133,49 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
     let gets_before = leaf(&cluster, "ops/get/count");
     cluster.get(CLIENT, "churn0.obj", &[]).unwrap();
     assert_eq!(leaf(&cluster, "ops/get/count"), gets_before + 1);
+}
+
+#[test]
+fn every_rendered_partition_is_whole_under_concurrent_churn() {
+    // One render reads one routing snapshot: a partition's range and its
+    // controller's own subtree (metrics, latency, sgx) always come from
+    // the same table, however the topology moves while it renders.
+    let cluster = build(2, 1);
+    for i in 0..16 {
+        put(&cluster, &format!("whole{i}.obj"));
+    }
+    let done = Arc::new(AtomicBool::new(false));
+    let churn = {
+        let (cluster, done) = (Arc::clone(&cluster), Arc::clone(&done));
+        std::thread::spawn(move || {
+            for _ in 0..12 {
+                cluster.add_controller().unwrap();
+                cluster
+                    .remove_controller(cluster.partition_count() - 1)
+                    .unwrap();
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+    let mut renders = 0u64;
+    while !done.load(Ordering::Acquire) || renders == 0 {
+        let tree = cluster.stats_tree(0);
+        let Some(StatsNode::Dir(partitions)) = tree.resolve("partitions") else {
+            panic!("no partitions directory");
+        };
+        assert!(!partitions.is_empty());
+        for (index, node) in partitions {
+            for path in ["range/start", "metrics/requests"] {
+                assert!(
+                    node.resolve(path).is_some(),
+                    "partitions/{index} rendered without {path}"
+                );
+            }
+        }
+        renders += 1;
+    }
+    churn.join().unwrap();
+    assert!(renders > 0);
 }
 
 #[test]

@@ -44,8 +44,9 @@ pub mod lock_order {
     //! * topology changes serialize on the cluster rebalance mutex before
     //!   anything else (`CLUSTER_TOPOLOGY`);
     //! * every request holds the ops-gate read side (`OPS_GATE`), under
-    //!   which it may consult routing (`ROUTING_STATE`) and the cluster
-    //!   registries;
+    //!   which it may consult routing (`ROUTING_STATE`) and the cluster's
+    //!   client and policy registries — a partition's replication log is
+    //!   not registered anywhere but rides in its routing-table entry;
     //! * demand-pulls take a migration stripe (`MIGRATION_STRIPE`) and then
     //!   operate on stores, which serialize per key (`KEY_REGISTRY` →
     //!   `KEY_LOCK`) before touching the sharded metadata/cache/session
@@ -70,8 +71,6 @@ pub mod lock_order {
     pub const CLUSTER_CLIENTS: u16 = 32;
     /// Cluster-wide policy id registry.
     pub const CLUSTER_POLICIES: u16 = 33;
-    /// Replica-set registry `RwLock` (partition → `ReplicaSet`).
-    pub const REPLICA_REGISTRY: u16 = 35;
     /// Retry/backoff RNG.
     pub const RETRY_RNG: u16 = 36;
     /// Migration stripe locks (sharded, index = stripe).
@@ -127,7 +126,6 @@ pub mod lock_order {
         (ROUTING_STATE, "ROUTING_STATE"),
         (CLUSTER_CLIENTS, "CLUSTER_CLIENTS"),
         (CLUSTER_POLICIES, "CLUSTER_POLICIES"),
-        (REPLICA_REGISTRY, "REPLICA_REGISTRY"),
         (RETRY_RNG, "RETRY_RNG"),
         (MIGRATION_STRIPE, "MIGRATION_STRIPE"),
         (MIGRATION_STATE, "MIGRATION_STATE"),

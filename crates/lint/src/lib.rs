@@ -25,8 +25,8 @@
 //!    flagged outside `#[cfg(test)]` code.
 //! 4. **acked ⇒ logged** (`acked_logged`) — a mutation handler marked
 //!    with `// pesos-lint: invariant(acked_logged)` must lexically
-//!    append a replication-log record before every `Ok(...)` it can
-//!    return: an acknowledgement that escapes without a log append is a
+//!    append a replication-log record (a `.append(…)` call) before every
+//!    `Ok(...)` it can return: an acknowledgement that escapes without a log append is a
 //!    lost write after failover.
 //! 5. **unreached-module** (`unreached_module`) — the enforcement layer is
 //!    meant to be small enough to read, so a `pub mod m;` of a linted
@@ -55,7 +55,7 @@
 //!
 //! Ranks live in `parking_lot::lock_order` (ascending = outermost to
 //! innermost): cluster topology → ops gate → routing state → cluster
-//! registries → migration stripes/state → key registry/key locks → the
+//! client/policy registries → migration stripes/state → key registry/key locks → the
 //! sharded metadata/cache/session maps → the VLL lock table and the
 //! open-transaction table → the
 //! replication log → scheduler/asyscall internals → drive
@@ -1242,15 +1242,16 @@ fn acked_logged_pass(file: &str, tokens: &[Token], allows: &Allows, findings: &m
         }
         let body = &sig[body_open..=body_close];
 
-        // Append sites: `append_for(...)` or `.append(...)`.
+        // Append sites: `.append(...)`.
         let append_positions: Vec<usize> = body
             .iter()
             .enumerate()
             .filter(|&(p, &j)| {
                 let t = &tokens[j];
                 t.kind == Kind::Ident
-                    && (t.text == "append_for"
-                        || (t.text == "append" && p > 0 && tokens[body[p - 1]].text == "."))
+                    && t.text == "append"
+                    && p > 0
+                    && tokens[body[p - 1]].text == "."
             })
             .map(|(p, _)| p)
             .collect();

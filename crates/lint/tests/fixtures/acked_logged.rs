@@ -21,7 +21,7 @@ impl Handler {
             Ok(v) => v,
             Err(e) => return Err(e),
         };
-        self.append_for(&self.owner, record(outcome));
+        self.owner.append(|| record(outcome));
         Ok(())
     }
 
