@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use pesos_core::{ObjectExport, ObjectMetadata, PesosController, PesosError, TxOutcome};
+use pesos_core::{MetadataHead, ObjectExport, PesosController, PesosError, TxOutcome};
 use pesos_crypto::hmac::HmacKey;
 use pesos_kinetic::{Command, Envelope, MessageType, Payload, VectoredEnvelope};
 use pesos_policy::{CompiledPolicy, PolicyId};
@@ -161,6 +161,9 @@ impl LogRecord {
             LogRecord::Import(export) => {
                 header.uint64(1, KIND_IMPORT);
                 header.bytes(6, &export.meta.to_bytes());
+                for segment in export.meta.versions.segments() {
+                    header.bytes(7, &export.meta.segment_bytes(segment));
+                }
                 let mut body = FieldWriter::new();
                 for (version, plaintext) in &export.versions {
                     let mut v = FieldWriter::new();
@@ -201,6 +204,7 @@ impl LogRecord {
         let mut policy_id = None;
         let mut tx_id = 0u64;
         let mut meta_bytes: &[u8] = &[];
+        let mut segments: Vec<&[u8]> = Vec::new();
         for f in &fields {
             match f.number {
                 1 => kind = f.value,
@@ -220,6 +224,7 @@ impl LogRecord {
                 }
                 5 => tx_id = f.value,
                 6 => meta_bytes = f.data,
+                7 => segments.push(f.data),
                 _ => {}
             }
         }
@@ -239,8 +244,9 @@ impl LogRecord {
                 bytes: cmd.body.value.clone(),
             }),
             KIND_IMPORT => {
-                let meta =
-                    ObjectMetadata::from_bytes(meta_bytes).map_err(|e| corrupt(&e.to_string()))?;
+                let meta = MetadataHead::from_bytes(meta_bytes)
+                    .and_then(|head| head.assemble(&segments))
+                    .map_err(|e| corrupt(&e.to_string()))?;
                 let mut versions = Vec::new();
                 for f in FieldReader::new(&cmd.body.value)
                     .collect_fields()
@@ -694,7 +700,16 @@ mod tests {
     fn records_round_trip_through_the_vectored_frame_encode() {
         let key = HmacKey::new(b"log-secret");
         let value: Payload = b"the acknowledged value".to_vec().into();
+        // An import of a history long enough to have sealed segments: the
+        // record carries the head and every segment.
+        let source = controller();
+        for v in 0..20u8 {
+            source.store().put_object("acct/h", &[v], None).unwrap();
+        }
+        let export = source.store().export_object("acct/h").unwrap().unwrap();
+        assert_eq!(export.meta.versions.segments().count(), 2);
         let records = vec![
+            LogRecord::Import(Box::new(export)),
             LogRecord::Put {
                 key: "acct/a".into(),
                 value: value.clone(),
@@ -781,6 +796,10 @@ mod tests {
                     assert_eq!(t1, t2);
                     assert_eq!(o1.write_versions, o2.write_versions);
                     assert_eq!(o1.read_values, o2.read_values);
+                }
+                (LogRecord::Import(e1), LogRecord::Import(e2)) => {
+                    assert_eq!(e1.meta, e2.meta);
+                    assert_eq!(e1.versions, e2.versions);
                 }
                 (a, b) => panic!("kind mismatch: {a:?} vs {b:?}"),
             }

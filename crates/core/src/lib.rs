@@ -40,7 +40,7 @@ pub use controller::{PesosController, PreparedCommit};
 pub use encryption::ObjectCrypter;
 pub use endpoint::RequestEndpoint;
 pub use error::PesosError;
-pub use metadata::{ObjectMetadata, ShardedMetadata, VersionMeta};
+pub use metadata::{MetadataHead, ObjectMetadata, ShardedMetadata, VersionMeta};
 pub use metrics::ControllerMetrics;
 pub use object_cache::ObjectCache;
 pub use placement::{key_hash, placement, routing_hash, routing_prefix, HashedKey};

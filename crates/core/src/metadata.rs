@@ -5,6 +5,40 @@
 //! (paper §1, §3.3). The metadata record is persisted on the Kinetic drives
 //! next to the object data and is what the `objSize`, `objHash`,
 //! `objPolicy`, `currVersion` and `objId` predicates consult.
+//!
+//! # A head plus sealed segments
+//!
+//! A put must not rewrite the history it extends, so a record is stored in
+//! two parts:
+//!
+//! * the **head**, under `m/<key>` ([`ObjectMetadata::to_bytes`]): the key,
+//!   the latest version, the policy id, the *open tail* of fewer than
+//!   [`SEGMENT_LEN`] version facts, and the first version of each sealed
+//!   segment. Every put rewrites it, and it stays small.
+//! * **sealed segments**, under `h/<key>/<first version>`
+//!   ([`ObjectMetadata::segment_bytes`]): full runs of [`SEGMENT_LEN`]
+//!   facts the tail hands over when it fills. A segment is written once,
+//!   by the put that seals it, and deleted whole, together with the data of
+//!   every version it lists, by the put that trims it. A replicated apply
+//!   that files a late version into a sealed segment rewrites that segment.
+//!
+//! Both parts ride in the mutation's one atomic batch per replica (`store`
+//! module docs). There is one decoder and no layout flag: a head that
+//! lists no segments is exactly the record as it was stored before
+//! segments existed. A history shorter than [`SEGMENT_LEN`] is therefore
+//! stored byte for byte as then, and an older record of up to 128 versions
+//! reads as a head whose versions are all still open; later puts seal them
+//! a segment at a time.
+//!
+//! **Retention** trims one segment at a time, facts and data together:
+//! [`MAX_VERSION_HISTORY`] is the guaranteed minimum, and a key keeps
+//! between 128 and 135 versions (`MAX_VERSION_HISTORY + SEGMENT_LEN - 1`).
+//!
+//! A record that decodes but contradicts itself — versions out of order or
+//! repeated, a latest version other than the last one listed, a segment
+//! that is short, belongs to another key or does not start where the head
+//! says — is as corrupt as one that does not decode: a put over it would be
+//! assigned a version the record already lists and overwrite its bytes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -12,12 +46,17 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use pesos_policy::PolicyId;
-use pesos_wire::codec::{FieldReader, FieldWriter};
+use pesos_wire::codec::{varint_len, FieldReader, FieldWriter};
 
 use crate::error::PesosError;
 
-/// How many historical version entries are retained per object.
+/// How many versions an object retains at least. The history is trimmed a
+/// whole sealed segment at a time, so it holds between this and
+/// `MAX_VERSION_HISTORY + SEGMENT_LEN - 1` versions (module docs).
 pub const MAX_VERSION_HISTORY: usize = 128;
+
+/// Version facts per sealed history segment (module docs).
+pub const SEGMENT_LEN: usize = 8;
 
 /// A digest of at most 32 bytes held inline, empty when there is none (an
 /// object without a policy). A version history is copied with every record
@@ -69,6 +108,83 @@ pub struct VersionMeta {
     pub policy_hash: InlineDigest,
 }
 
+/// A key's retained version facts in ascending version order: the sealed
+/// segments, then the open tail (module docs). Copies of a record share
+/// both halves (every get hands one out): [`ObjectMetadata::record_version`]
+/// replaces the tail, and the segment list only when a segment seals,
+/// changes or is trimmed, so a put copies a few facts, not the history.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct History {
+    sealed: Arc<[Arc<[VersionMeta]>]>,
+    tail: Arc<[VersionMeta]>,
+}
+
+impl History {
+    /// Every retained version's facts, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &VersionMeta> + '_ {
+        self.sealed
+            .iter()
+            .flat_map(|s| s.iter())
+            .chain(self.tail.iter())
+    }
+
+    /// How many versions are retained.
+    pub fn len(&self) -> usize {
+        self.sealed.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
+    }
+
+    /// Whether no version is retained.
+    pub fn is_empty(&self) -> bool {
+        self.sealed.is_empty() && self.tail.is_empty()
+    }
+
+    /// The oldest retained version's facts.
+    pub fn first(&self) -> Option<&VersionMeta> {
+        self.iter().next()
+    }
+
+    /// The latest retained version's facts.
+    pub fn last(&self) -> Option<&VersionMeta> {
+        self.iter().next_back()
+    }
+
+    /// The sealed segments, oldest first. Each is stored under the version
+    /// of its first fact.
+    pub fn segments(&self) -> impl Iterator<Item = &[VersionMeta]> + Clone + '_ {
+        self.sealed.iter().map(|s| &**s)
+    }
+
+    /// The facts of `version`, found by bisecting the segment starts and
+    /// then the one run that can hold it.
+    pub fn get(&self, version: u64) -> Option<&VersionMeta> {
+        let starts_at_or_before =
+            |run: &[VersionMeta]| run.first().is_some_and(|f| f.version <= version);
+        let run = if starts_at_or_before(&self.tail) {
+            &*self.tail
+        } else {
+            let after = self.sealed.partition_point(|s| starts_at_or_before(s));
+            self.sealed.get(after.checked_sub(1)?)?
+        };
+        let at = run.binary_search_by_key(&version, |v| v.version).ok()?;
+        run.get(at)
+    }
+}
+
+/// What [`ObjectMetadata::record_version`] changed besides the head: the
+/// writes and deletes that ride in the batch persisting the new head.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HistoryChange {
+    /// The sealed segment the version filled or was filed into, to be
+    /// (re)written under the version of its first fact.
+    pub written: Option<Arc<[VersionMeta]>>,
+    /// First versions of stored segments that are gone: trimmed, or re-keyed
+    /// because a version older than their first fact was filed into them.
+    pub dropped: Vec<u64>,
+    /// Versions the retention bound trimmed, oldest first. Their data
+    /// objects are unreferenced from here on.
+    pub trimmed: Vec<u64>,
+}
+
 /// The metadata record for one object key.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectMetadata {
@@ -78,11 +194,9 @@ pub struct ObjectMetadata {
     pub latest_version: u64,
     /// Identifier of the associated policy, if any.
     pub policy_id: Option<PolicyId>,
-    /// Per-version facts, most recent last, bounded to
-    /// [`MAX_VERSION_HISTORY`] entries. Shared between the copies of a
-    /// record (every get hands one out); [`ObjectMetadata::record_version`]
-    /// replaces the list instead of changing it.
-    pub versions: Arc<[VersionMeta]>,
+    /// Per-version facts, most recent last; retention as
+    /// [`MAX_VERSION_HISTORY`] says.
+    pub versions: History,
 }
 
 impl ObjectMetadata {
@@ -95,28 +209,86 @@ impl ObjectMetadata {
     }
 
     /// Records a version, filing it in version order (replicated applies
-    /// can arrive out of order), and returns the versions trimmed beyond
-    /// the retention bound, oldest first. A trimmed version's data object
-    /// is unreferenced from here on; the store deletes it in the same batch
-    /// that persists this record.
-    pub fn record_version(&mut self, meta: VersionMeta) -> Vec<u64> {
-        let at = self.versions.partition_point(|v| v.version < meta.version);
-        let excess = (self.versions.len() + 1).saturating_sub(MAX_VERSION_HISTORY);
-        let (before, after) = self.versions.split_at(at);
-        let filed = before.iter().chain(std::iter::once(&meta)).chain(after);
-        let trimmed = filed.clone().take(excess).map(|v| v.version).collect();
-        // The iterator knows its length, so the new list is allocated at
-        // its final size.
-        self.versions = filed.skip(excess).copied().collect();
-        if let Some(latest) = self.versions.last() {
+    /// can arrive out of order), and returns what the drives must change
+    /// besides the head. A tail that reaches [`SEGMENT_LEN`] facts seals
+    /// its oldest run into a segment; a version older than the last sealed
+    /// fact is filed into its segment. Then, if the history without its
+    /// oldest segment still holds [`MAX_VERSION_HISTORY`] versions, that
+    /// segment is trimmed. A version older than a history already at the
+    /// bound is trimmed itself, and the record does not change.
+    pub fn record_version(&mut self, meta: VersionMeta) -> HistoryChange {
+        let mut change = HistoryChange::default();
+        let history = &mut self.versions;
+        let oldest = history.first().map(|v| v.version);
+        if history.len() >= MAX_VERSION_HISTORY && oldest.is_some_and(|o| meta.version < o) {
+            change.trimmed.push(meta.version);
+            return change;
+        }
+
+        // The new segment list, built only when it changes.
+        let mut sealed: Option<Vec<Arc<[VersionMeta]>>> = None;
+        let last_sealed = history.sealed.last().and_then(|s| s.last());
+        if last_sealed.is_some_and(|last| meta.version < last.version) {
+            // Into the last segment starting at or before it, or else the
+            // first, which then starts at it under a new key.
+            let mut list = history.sealed.to_vec();
+            let after =
+                list.partition_point(|s| s.first().is_some_and(|f| f.version <= meta.version));
+            if let Some(segment) = list.get_mut(after.saturating_sub(1)) {
+                if let Some(first) = segment.first().filter(|f| meta.version < f.version) {
+                    change.dropped.push(first.version);
+                }
+                *segment = filed(segment, meta).collect();
+                change.written = Some(Arc::clone(segment));
+            }
+            sealed = Some(list);
+        } else if history.tail.len() + 1 < SEGMENT_LEN {
+            history.tail = filed(&history.tail, meta).collect();
+        } else {
+            let run: Vec<VersionMeta> = filed(&history.tail, meta).collect();
+            let (full, rest) = run.split_at(SEGMENT_LEN);
+            let segment: Arc<[VersionMeta]> = full.into();
+            let mut list = history.sealed.to_vec();
+            list.push(Arc::clone(&segment));
+            change.written = Some(segment);
+            sealed = Some(list);
+            history.tail = rest.into();
+        }
+
+        let segments = sealed.as_deref().unwrap_or(&history.sealed);
+        let total = segments.iter().map(|s| s.len()).sum::<usize>() + history.tail.len();
+        let trim = segments
+            .first()
+            .filter(|s| total - s.len() >= MAX_VERSION_HISTORY)
+            .cloned();
+        if let Some(trim) = trim {
+            let mut list = sealed.unwrap_or_else(|| history.sealed.to_vec());
+            list.retain(|s| !Arc::ptr_eq(s, &trim));
+            sealed = Some(list);
+            change.trimmed = trim.iter().map(|v| v.version).collect();
+            // A segment this very put made never reached the drives.
+            if change
+                .written
+                .as_ref()
+                .is_some_and(|w| Arc::ptr_eq(w, &trim))
+            {
+                change.written = None;
+            } else if let Some(first) = trim.first() {
+                change.dropped.push(first.version);
+            }
+        }
+        if let Some(list) = sealed {
+            history.sealed = list.into();
+        }
+        if let Some(latest) = history.last() {
             self.latest_version = latest.version;
         }
-        trimmed
+        change
     }
 
     /// Looks up the facts for a specific version.
     pub fn version(&self, version: u64) -> Option<&VersionMeta> {
-        self.versions.iter().rev().find(|v| v.version == version)
+        self.versions.get(version)
     }
 
     /// Facts of the latest version.
@@ -124,83 +296,245 @@ impl ObjectMetadata {
         self.versions.last()
     }
 
-    /// Serializes the record for storage on a drive.
+    /// The head stored under `m/<key>`, encoded in one pass into a buffer
+    /// allocated at its final size: key, latest version, policy id, the
+    /// open tail's facts, then the first version of each sealed segment
+    /// (field 5, absent while none is sealed).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = FieldWriter::new();
-        w.string(1, &self.key);
-        w.uint64(2, self.latest_version);
+        let starts = self.versions.segments().filter_map(|s| s.first());
+        let len = field_len(self.key.len())
+            + 1
+            + varint_len(self.latest_version)
+            + self.policy_id.map_or(0, |id| field_len(id.0.len()))
+            + facts_len(&self.versions.tail)
+            + starts
+                .clone()
+                .map(|f| 1 + varint_len(f.version))
+                .sum::<usize>();
+        let mut w = FieldWriter::with_capacity(len);
+        w.string(1, &self.key).uint64(2, self.latest_version);
         if let Some(id) = &self.policy_id {
             w.bytes(3, &id.0);
         }
-        for v in self.versions.iter() {
-            let mut vw = FieldWriter::new();
-            vw.uint64(1, v.version)
-                .uint64(2, v.size)
-                .bytes(3, v.value_hash.as_slice())
-                .bytes(4, v.policy_hash.as_slice());
-            w.message(4, &vw);
+        write_facts(&mut w, &self.versions.tail);
+        for first in starts {
+            w.uint64(5, first.version);
         }
         w.finish()
     }
 
-    /// Parses a stored record.
+    /// The bytes stored under `h/<key>/<first version>` for `segment`, one
+    /// of this record's sealed segments: the key, then the facts.
+    pub fn segment_bytes(&self, segment: &[VersionMeta]) -> Vec<u8> {
+        let mut w = FieldWriter::with_capacity(field_len(self.key.len()) + facts_len(segment));
+        w.string(1, &self.key);
+        write_facts(&mut w, segment);
+        w.finish()
+    }
+
+    /// Parses a stored record that lists no sealed segments (a history of
+    /// fewer than [`SEGMENT_LEN`] versions, or one stored before segments
+    /// existed). A head that lists segments needs them:
+    /// [`MetadataHead::assemble`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, PesosError> {
-        let corrupt = |m: &str| PesosError::Backend(format!("corrupt metadata: {m}"));
-        let fields = FieldReader::new(data)
-            .collect_fields()
-            .map_err(|e| corrupt(&e.to_string()))?;
-        let mut meta = ObjectMetadata::default();
-        let mut versions = Vec::new();
-        for f in fields {
+        MetadataHead::from_bytes(data)?.assemble::<&[u8]>(&[])
+    }
+}
+
+/// A head as read from a drive: the record without its sealed segments,
+/// and the first version of each segment it lists.
+#[derive(Debug)]
+pub struct MetadataHead {
+    record: ObjectMetadata,
+    segments: Vec<u64>,
+}
+
+impl MetadataHead {
+    /// Decodes the bytes stored under `m/<key>`.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, PesosError> {
+        let fields = Fields::parse(data)?;
+        Ok(MetadataHead {
+            record: ObjectMetadata {
+                key: fields.key,
+                latest_version: fields.latest_version,
+                policy_id: fields.policy_id,
+                versions: History {
+                    sealed: Arc::new([]),
+                    tail: fields.facts.into(),
+                },
+            },
+            segments: fields.segments,
+        })
+    }
+
+    /// The key the head names.
+    pub fn key(&self) -> &str {
+        &self.record.key
+    }
+
+    /// The first version of each sealed segment the head lists, in order.
+    pub fn segments(&self) -> &[u64] {
+        &self.segments
+    }
+
+    /// The whole record: this head completed by the stored bytes of its
+    /// segments, in the order [`MetadataHead::segments`] lists them.
+    /// Anything that contradicts the head or itself is corrupt (module
+    /// docs).
+    pub fn assemble<B: AsRef<[u8]>>(self, segments: &[B]) -> Result<ObjectMetadata, PesosError> {
+        let MetadataHead {
+            mut record,
+            segments: starts,
+        } = self;
+        if starts.len() != segments.len() {
+            return Err(corrupt(&format!(
+                "the head lists {} segments, {} given",
+                starts.len(),
+                segments.len()
+            )));
+        }
+        let sealed = starts
+            .iter()
+            .zip(segments)
+            .map(|(&start, bytes)| {
+                let segment = Fields::parse(bytes.as_ref())?;
+                if segment.key != record.key {
+                    return Err(corrupt("a segment of another key"));
+                }
+                if segment.facts.len() < SEGMENT_LEN {
+                    return Err(corrupt("a short segment"));
+                }
+                if segment.facts.first().map(|f| f.version) != Some(start) {
+                    return Err(corrupt("a segment that does not start where the head says"));
+                }
+                Ok(segment.facts.into())
+            })
+            .collect::<Result<Vec<Arc<[VersionMeta]>>, PesosError>>()?;
+        record.versions.sealed = sealed.into();
+        let history = &record.versions;
+        if !history
+            .iter()
+            .zip(history.iter().skip(1))
+            .all(|(a, b)| a.version < b.version)
+        {
+            return Err(corrupt("versions not strictly ascending"));
+        }
+        if history.last().map(|v| v.version) != Some(record.latest_version) {
+            return Err(corrupt("latest version is not the last one listed"));
+        }
+        Ok(record)
+    }
+}
+
+/// `run` with `meta` filed in version order; the iterator knows its
+/// length, so the list it is collected into is allocated at its final size.
+fn filed(run: &[VersionMeta], meta: VersionMeta) -> impl Iterator<Item = VersionMeta> + '_ {
+    let (before, after) = run.split_at(run.partition_point(|v| v.version < meta.version));
+    before
+        .iter()
+        .copied()
+        .chain(std::iter::once(meta))
+        .chain(after.iter().copied())
+}
+
+/// The fields of a head or a segment.
+struct Fields {
+    key: String,
+    latest_version: u64,
+    policy_id: Option<PolicyId>,
+    facts: Vec<VersionMeta>,
+    segments: Vec<u64>,
+}
+
+impl Fields {
+    fn parse(data: &[u8]) -> Result<Self, PesosError> {
+        let mut fields = Fields {
+            key: String::new(),
+            latest_version: 0,
+            policy_id: None,
+            facts: Vec::new(),
+            segments: Vec::new(),
+        };
+        for f in FieldReader::new(data) {
+            let f = f.map_err(|e| corrupt(&e.to_string()))?;
             match f.number {
                 1 => {
-                    meta.key = f
+                    fields.key = f
                         .as_str()
                         .map_err(|_| corrupt("key not UTF-8"))?
                         .to_string()
                 }
-                2 => meta.latest_version = f.value,
+                2 => fields.latest_version = f.value,
                 3 => {
-                    if f.data.len() == 32 {
-                        let mut id = [0u8; 32];
-                        id.copy_from_slice(f.data);
-                        meta.policy_id = Some(PolicyId(id));
-                    } else {
-                        return Err(corrupt("policy id length"));
-                    }
+                    let id = f.data.try_into().map_err(|_| corrupt("policy id length"))?;
+                    fields.policy_id = Some(PolicyId(id));
                 }
-                4 => {
-                    let digest =
-                        |data| InlineDigest::new(data).ok_or_else(|| corrupt("digest length"));
-                    let mut v = VersionMeta {
-                        version: 0,
-                        size: 0,
-                        value_hash: InlineDigest::default(),
-                        policy_hash: InlineDigest::default(),
-                    };
-                    for vf in FieldReader::new(f.data)
-                        .collect_fields()
-                        .map_err(|e| corrupt(&e.to_string()))?
-                    {
-                        match vf.number {
-                            1 => v.version = vf.value,
-                            2 => v.size = vf.value,
-                            3 => v.value_hash = digest(vf.data)?,
-                            4 => v.policy_hash = digest(vf.data)?,
-                            _ => {}
-                        }
-                    }
-                    versions.push(v);
-                }
+                4 => fields.facts.push(decode_fact(f.data)?),
+                5 => fields.segments.push(f.value),
                 _ => {}
             }
         }
-        if meta.key.is_empty() {
+        if fields.key.is_empty() {
             return Err(corrupt("missing key"));
         }
-        meta.versions = versions.into();
-        Ok(meta)
+        Ok(fields)
     }
+}
+
+fn corrupt(m: &str) -> PesosError {
+    PesosError::Backend(format!("corrupt metadata: {m}"))
+}
+
+/// The encoded length of a field with a one-byte tag and a `len`-byte
+/// length-delimited payload.
+fn field_len(len: usize) -> usize {
+    1 + varint_len(len as u64) + len
+}
+
+/// The length of `v`'s nested version message: four one-byte tags, two
+/// varints and two length-delimited digests.
+fn fact_len(v: &VersionMeta) -> usize {
+    2 + varint_len(v.version)
+        + varint_len(v.size)
+        + field_len(v.value_hash.as_slice().len())
+        + field_len(v.policy_hash.as_slice().len())
+}
+
+fn facts_len(facts: &[VersionMeta]) -> usize {
+    facts.iter().map(|v| field_len(fact_len(v))).sum()
+}
+
+/// Writes each fact as a field-4 nested message, in place.
+fn write_facts(w: &mut FieldWriter, facts: &[VersionMeta]) {
+    for v in facts {
+        w.message_in_place(4, fact_len(v), |w| {
+            w.uint64(1, v.version)
+                .uint64(2, v.size)
+                .bytes(3, v.value_hash.as_slice())
+                .bytes(4, v.policy_hash.as_slice());
+        });
+    }
+}
+
+fn decode_fact(data: &[u8]) -> Result<VersionMeta, PesosError> {
+    let digest = |data| InlineDigest::new(data).ok_or_else(|| corrupt("digest length"));
+    let mut v = VersionMeta {
+        version: 0,
+        size: 0,
+        value_hash: InlineDigest::default(),
+        policy_hash: InlineDigest::default(),
+    };
+    for f in FieldReader::new(data) {
+        let f = f.map_err(|e| corrupt(&e.to_string()))?;
+        match f.number {
+            1 => v.version = f.value,
+            2 => v.size = f.value,
+            3 => v.value_hash = digest(f.data)?,
+            4 => v.policy_hash = digest(f.data)?,
+            _ => {}
+        }
+    }
+    Ok(v)
 }
 
 /// The in-enclave metadata map, sharded to keep concurrent sessions on
@@ -304,6 +638,12 @@ pub fn meta_key(key: &str) -> Vec<u8> {
     format!("m/{key}").into_bytes()
 }
 
+/// Backend key under which the sealed history segment of `key` whose first
+/// fact is `first_version` is stored.
+pub fn segment_key(key: &str, first_version: u64) -> Vec<u8> {
+    format!("h/{key}/{first_version:020}").into_bytes()
+}
+
 /// Backend key under which a compiled policy is stored.
 pub fn policy_key(id_hex: &str) -> Vec<u8> {
     format!("p/{id_hex}").into_bytes()
@@ -312,6 +652,21 @@ pub fn policy_key(id_hex: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn fact(version: u64) -> VersionMeta {
+        VersionMeta {
+            version,
+            size: version,
+            value_hash: InlineDigest::default(),
+            policy_hash: InlineDigest::default(),
+        }
+    }
+
+    fn facts(versions: impl IntoIterator<Item = u64>) -> Vec<VersionMeta> {
+        versions.into_iter().map(fact).collect()
+    }
 
     fn sample() -> ObjectMetadata {
         let mut m = ObjectMetadata::new("users/alice");
@@ -331,9 +686,56 @@ mod tests {
         m
     }
 
+    fn oracle_fact(v: &VersionMeta) -> FieldWriter {
+        let mut vw = FieldWriter::new();
+        vw.uint64(1, v.version)
+            .uint64(2, v.size)
+            .bytes(3, v.value_hash.as_slice())
+            .bytes(4, v.policy_hash.as_slice());
+        vw
+    }
+
+    /// The nested encoder the one-pass one replaced (a `FieldWriter` per
+    /// version), kept as the oracle of the stored bytes: `meta`'s head
+    /// fields over `facts`. Over a whole history it is the record as
+    /// stored before segments existed.
+    fn oracle_bytes(meta: &ObjectMetadata, facts: &[VersionMeta]) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        w.string(1, &meta.key);
+        w.uint64(2, meta.latest_version);
+        if let Some(id) = &meta.policy_id {
+            w.bytes(3, &id.0);
+        }
+        for v in facts {
+            w.message(4, &oracle_fact(v));
+        }
+        w.finish()
+    }
+
+    /// A head: the oracle's record over the open tail, then the segments'
+    /// first versions.
+    fn oracle_head(meta: &ObjectMetadata) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        for segment in meta.versions.segments() {
+            w.uint64(5, segment[0].version);
+        }
+        [oracle_bytes(meta, &meta.versions.tail), w.finish()].concat()
+    }
+
+    /// A segment: the key, then the facts.
+    fn oracle_segment(key: &str, facts: &[VersionMeta]) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        w.string(1, key);
+        for v in facts {
+            w.message(4, &oracle_fact(v));
+        }
+        w.finish()
+    }
+
     #[test]
     fn round_trip() {
         let m = sample();
+        assert_eq!(m.to_bytes(), oracle_bytes(&m, &m.versions.tail));
         let decoded = ObjectMetadata::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(decoded, m);
     }
@@ -345,41 +747,57 @@ mod tests {
         assert_eq!(m.version(0).unwrap().size, 10);
         assert_eq!(m.latest().unwrap().size, 20);
         assert!(m.version(9).is_none());
+        // Across sealed segments and the tail.
+        let mut m = ObjectMetadata::new("k");
+        for v in (0..60).map(|v| v * 2) {
+            m.record_version(fact(v));
+        }
+        for v in 0..130 {
+            assert_eq!(
+                m.version(v).map(|f| f.version),
+                (v % 2 == 0 && v < 120).then_some(v)
+            );
+        }
     }
 
     #[test]
     fn history_is_bounded() {
         let mut m = ObjectMetadata::new("k");
-        for v in 0..(MAX_VERSION_HISTORY as u64 + 50) {
-            let trimmed = m.record_version(VersionMeta {
-                version: v,
-                size: v,
-                value_hash: InlineDigest::default(),
-                policy_hash: InlineDigest::default(),
-            });
-            // Exactly the version that fell off the front is reported.
-            let expected: Vec<u64> = v
-                .checked_sub(MAX_VERSION_HISTORY as u64)
-                .into_iter()
-                .collect();
-            assert_eq!(trimmed, expected);
+        let puts = MAX_VERSION_HISTORY as u64 + 50;
+        let whole = (MAX_VERSION_HISTORY + SEGMENT_LEN) as u64;
+        for v in 0..puts {
+            let change = m.record_version(fact(v));
+            // A whole segment falls off the front, exactly when a put seals
+            // one that leaves the bound's 128 versions behind it.
+            let n = v + 1;
+            let expected: Vec<u64> = if n % SEGMENT_LEN as u64 == 0 && n >= whole {
+                (n - whole..n - MAX_VERSION_HISTORY as u64).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(change.trimmed, expected, "put {v}");
+            let len = m.versions.len();
+            assert!(
+                len >= (n as usize).min(MAX_VERSION_HISTORY),
+                "put {v}: {len}"
+            );
+            assert!(len < MAX_VERSION_HISTORY + SEGMENT_LEN, "put {v}: {len}");
         }
-        assert_eq!(m.versions.len(), MAX_VERSION_HISTORY);
-        assert_eq!(m.latest_version, MAX_VERSION_HISTORY as u64 + 49);
+        assert_eq!(m.versions.len(), MAX_VERSION_HISTORY + 2);
+        assert_eq!(m.latest_version, puts - 1);
         // The oldest entries were trimmed.
         assert!(m.version(0).is_none());
+        assert_eq!(
+            m.versions.first().unwrap().version,
+            puts - MAX_VERSION_HISTORY as u64 - 2
+        );
     }
 
     #[test]
     fn out_of_order_versions_are_filed_in_place() {
         let mut m = ObjectMetadata::new("k");
         for v in [1u64, 0, 3, 2] {
-            m.record_version(VersionMeta {
-                version: v,
-                size: v,
-                value_hash: InlineDigest::default(),
-                policy_hash: InlineDigest::default(),
-            });
+            m.record_version(fact(v));
         }
         let order: Vec<u64> = m.versions.iter().map(|v| v.version).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
@@ -387,10 +805,44 @@ mod tests {
     }
 
     #[test]
+    fn a_put_writes_a_segment_once_and_a_late_version_rewrites_its_own() {
+        let mut m = ObjectMetadata::new("k");
+        for v in [0, 1, 2, 4, 5, 6, 7] {
+            assert_eq!(m.record_version(fact(v)), HistoryChange::default());
+        }
+        // The eighth fact seals the run; the tail starts over.
+        let change = m.record_version(fact(8));
+        assert_eq!(
+            change.written.as_deref(),
+            Some(&facts([0, 1, 2, 4, 5, 6, 7, 8])[..])
+        );
+        assert!(change.dropped.is_empty() && change.trimmed.is_empty());
+        assert!(m.versions.tail.is_empty());
+        for v in 9..=20 {
+            m.record_version(fact(v));
+        }
+        // A late version is filed into the segment it belongs in, which is
+        // rewritten under the same key; the head does not change.
+        let head = m.to_bytes();
+        let change = m.record_version(fact(3));
+        assert_eq!(change.written.as_deref(), Some(&facts(0..=8)[..]));
+        assert!(change.dropped.is_empty() && change.trimmed.is_empty());
+        assert_eq!(m.to_bytes(), head);
+        // One older than the first segment re-keys it.
+        let mut m = ObjectMetadata::new("k");
+        for v in 1..=8 {
+            m.record_version(fact(v));
+        }
+        let change = m.record_version(fact(0));
+        assert_eq!(change.written.as_deref(), Some(&facts(0..=8)[..]));
+        assert_eq!(change.dropped, [1]);
+    }
+
+    #[test]
     fn copies_share_the_history_until_one_records_a_version() {
         let original = sample();
         let mut copy = original.clone();
-        assert!(Arc::ptr_eq(&original.versions, &copy.versions));
+        assert!(Arc::ptr_eq(&original.versions.tail, &copy.versions.tail));
         copy.record_version(VersionMeta {
             version: 2,
             size: 30,
@@ -399,28 +851,77 @@ mod tests {
         });
         assert_eq!(copy.versions.len(), 3);
         assert_eq!(original, sample());
+        // A put that seals nothing copies the tail only: the segments and
+        // their list stay shared with every earlier copy.
+        for v in 3..8 {
+            copy.record_version(fact(v));
+        }
+        let sealed = copy.clone();
+        copy.record_version(fact(8));
+        assert!(Arc::ptr_eq(&sealed.versions.sealed, &copy.versions.sealed));
+        assert_eq!(copy.versions.segments().count(), 1);
     }
 
     #[test]
     fn a_version_older_than_a_full_history_is_trimmed_itself() {
         let mut m = ObjectMetadata::new("k");
         for v in 1..=MAX_VERSION_HISTORY as u64 {
-            m.record_version(VersionMeta {
-                version: v,
-                size: v,
-                value_hash: InlineDigest::default(),
-                policy_hash: InlineDigest::default(),
-            });
+            m.record_version(fact(v));
         }
         let before = m.clone();
-        let trimmed = m.record_version(VersionMeta {
-            version: 0,
-            size: 0,
-            value_hash: InlineDigest::default(),
-            policy_hash: InlineDigest::default(),
-        });
-        assert_eq!(trimmed, vec![0]);
+        let change = m.record_version(fact(0));
+        assert_eq!(
+            change,
+            HistoryChange {
+                trimmed: vec![0],
+                ..HistoryChange::default()
+            }
+        );
         assert_eq!(m, before);
+    }
+
+    #[test]
+    fn a_record_that_contradicts_itself_is_corrupt() {
+        let m = sample();
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                ObjectMetadata::from_bytes(bytes),
+                Err(PesosError::Backend(_))
+            )
+        };
+        let mut stale = m.clone();
+        stale.latest_version = 0;
+        assert!(corrupt(&stale.to_bytes()));
+        let (v0, v1) = (*m.version(0).unwrap(), *m.version(1).unwrap());
+        assert!(corrupt(&oracle_bytes(&stale, &[v1, v0])));
+        assert!(corrupt(&oracle_bytes(&m, &[v1, v1])));
+        assert!(corrupt(&ObjectMetadata::new("k").to_bytes()));
+    }
+
+    #[test]
+    fn a_head_names_its_segments_and_assembly_checks_them() {
+        let mut m = ObjectMetadata::new("k");
+        for v in 0..20 {
+            m.record_version(fact(v));
+        }
+        let segments: Vec<Vec<u8>> = m.versions.segments().map(|s| m.segment_bytes(s)).collect();
+        let head = || MetadataHead::from_bytes(&m.to_bytes()).unwrap();
+        assert_eq!(head().key(), "k");
+        assert_eq!(head().segments(), [0, 8]);
+        assert_eq!(head().assemble(&segments).unwrap(), m);
+        // A head that lists segments is not a whole record by itself.
+        assert!(ObjectMetadata::from_bytes(&m.to_bytes()).is_err());
+        let other = ObjectMetadata::new("other");
+        for bad in [
+            vec![segments[0].clone()],
+            vec![segments[1].clone(), segments[0].clone()],
+            vec![other.segment_bytes(&facts(0..8)), segments[1].clone()],
+            vec![m.segment_bytes(&facts(0..7)), segments[1].clone()],
+            vec![m.segment_bytes(&facts(0..=8)), segments[1].clone()],
+            vec![b"\xff\xfe".to_vec(), segments[1].clone()],
+        ] {
+            assert!(matches!(head().assemble(&bad), Err(PesosError::Backend(_))));
+        }
     }
 
     #[test]
@@ -446,10 +947,97 @@ mod tests {
             .unwrap()
             .starts_with("o/a/"));
         assert_eq!(meta_key("a"), b"m/a".to_vec());
+        assert_eq!(segment_key("a", 8), b"h/a/00000000000000000008".to_vec());
         assert!(String::from_utf8(policy_key("ff00"))
             .unwrap()
             .starts_with("p/"));
         // Zero-padded versions sort correctly as byte strings.
         assert!(data_key("a", 2) < data_key("a", 10));
+    }
+
+    proptest! {
+        #[test]
+        fn the_codec_matches_its_oracle_and_a_head_reassembles(
+            count in 0u64..300,
+            arrival in proptest::collection::vec(any::<u8>(), 300..301),
+            legacy in 0u64..129,
+            policy in any::<bool>(),
+        ) {
+            let policy_id = policy.then_some(PolicyId([7; 32]));
+            let fact = |version: u64| VersionMeta {
+                version,
+                size: version * 3,
+                value_hash: [version as u8; 32].into(),
+                policy_hash: policy_id.map(|p| p.0.into()).unwrap_or_default(),
+            };
+            // A record stored before segments existed, by the oracle: it
+            // reads as a head with every version open.
+            let legacy = legacy.min(count);
+            let mut meta = ObjectMetadata::new("k/ey");
+            meta.policy_id = policy_id;
+            let old: Vec<VersionMeta> = (0..legacy).map(fact).collect();
+            if let Some(last) = old.last() {
+                meta.latest_version = last.version;
+                meta = ObjectMetadata::from_bytes(&oracle_bytes(&meta, &old)).unwrap();
+                prop_assert!(meta.versions.segments().next().is_none());
+                prop_assert!(meta.versions.iter().eq(old.iter()));
+            }
+            // The rest arrive with neighbours swapped (racing appenders)
+            // and some held back by up to 20 places.
+            let mut order: Vec<u64> = (legacy..count).collect();
+            for (i, &draw) in arrival.iter().enumerate().take(order.len()) {
+                match draw % 16 {
+                    0..=3 if i + 1 < order.len() => order.swap(i, i + 1),
+                    4 => {
+                        let late = order.remove(i);
+                        order.insert((i + 1 + usize::from(draw) % 20).min(order.len()), late);
+                    }
+                    _ => {}
+                }
+            }
+
+            let mut retained: BTreeSet<u64> = (0..legacy).collect();
+            // What the drives hold under `h/`: first version -> bytes.
+            let mut stored: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            for &v in &order {
+                let change = meta.record_version(fact(v));
+                retained.insert(v);
+                for t in &change.trimmed {
+                    prop_assert!(retained.remove(t), "version {} trimmed but not retained", t);
+                }
+                for d in &change.dropped {
+                    prop_assert!(stored.remove(d).is_some(), "segment {} dropped but not stored", d);
+                }
+                if let Some(written) = &change.written {
+                    stored.insert(written[0].version, meta.segment_bytes(written));
+                }
+                prop_assert!(meta.versions.iter().map(|f| f.version).eq(retained.iter().copied()));
+
+                // The change names exactly the segment writes and deletes
+                // that keep the drives equal to the record, and every byte
+                // is the oracle's.
+                let expected: BTreeMap<u64, Vec<u8>> = meta
+                    .versions
+                    .segments()
+                    .map(|s| (s[0].version, oracle_segment(&meta.key, s)))
+                    .collect();
+                prop_assert_eq!(&stored, &expected);
+                prop_assert_eq!(meta.to_bytes(), oracle_head(&meta));
+                let head = MetadataHead::from_bytes(&meta.to_bytes()).unwrap();
+                let segments: Vec<&Vec<u8>> = head.segments().iter().map(|s| &stored[s]).collect();
+                prop_assert_eq!(&head.assemble(&segments).unwrap(), &meta);
+
+                // Retention: at least the bound once anything was trimmed,
+                // and never a whole segment more than it.
+                let len = meta.versions.len();
+                if change.trimmed.iter().any(|&t| t != v) {
+                    prop_assert!(len >= MAX_VERSION_HISTORY, "{} retained after a trim", len);
+                }
+                if let Some(oldest) = meta.versions.segments().next() {
+                    prop_assert!(len - oldest.len() < MAX_VERSION_HISTORY);
+                }
+                prop_assert!(meta.versions.segments().all(|s| s.len() >= SEGMENT_LEN));
+            }
+        }
     }
 }

@@ -12,9 +12,14 @@
 //!
 //! Every mutation — put, replicated apply, import, delete, policy attach —
 //! reaches the drives through one function, `PesosStore::replicated_batch`:
-//! the sub-operations the mutation needs (the sealed object, the metadata
-//! record, the DELETE of any version the history just trimmed) travel as
-//! *one* Kinetic batch per replica, and the per-replica batches go out as
+//! the sub-operations the mutation needs travel as *one* Kinetic batch per
+//! replica. A put writes what changed (`metadata` module docs, "A head plus
+//! sealed segments"): the sealed object and the small metadata head always,
+//! the history segment the version filled (or, for a late replicated
+//! version, was filed into) when there is one, and the DELETE of a segment
+//! the history bound trimmed together with the data of each version it
+//! listed. The largest, a put that seals one segment and trims another, is
+//! 12 sub-operations. The per-replica batches go out as
 //! one [`AsyscallInterface::submit_batch`] that is joined once
 //! (`PesosStore::batch_on` keeps each replica's own answer; every path but
 //! a create reads them first error wins). A put therefore costs one
@@ -23,14 +28,17 @@
 //! ones.
 //!
 //! What the batch buys is per-replica atomicity: a drive applies the list
-//! all-or-nothing, so on any one replica an object's data and its metadata
-//! record land together or not at all — no version the record lists is
-//! missing its bytes, no bytes sit unreferenced, and a trimmed version's
-//! data disappears in the same step that drops it from the record.
-//! Mutations larger than [`MAX_BATCH_OPS`] (importing or deleting an object
-//! with a long history) are cut into several batches with the metadata
-//! record placed so the object is never half-visible: last on import,
-//! first on delete. What it does not buy is atomicity *across* replicas —
+//! all-or-nothing, so on any one replica an object's data, its head and its
+//! segments land together or not at all — no version the record lists is
+//! missing its bytes or its facts, no bytes sit unreferenced, and a trimmed
+//! segment and its versions' data disappear in the same step that drops
+//! them from the head. Mutations larger than [`MAX_BATCH_OPS`] (importing
+//! or deleting an object with a long history) are cut into several batches
+//! with the head placed so the object is never half-visible: last on
+//! import, first on delete. A cold read-through reads the head, then every
+//! segment it lists in one more scatter-gather submission; a listed segment
+//! that is missing or unreadable makes the record unreadable. What it does
+//! not buy is atomicity *across* replicas —
 //! a drive fault can land a put on a subset of them; the put then reports
 //! failure, the in-enclave map is not advanced, and the next write
 //! overwrites the divergent replica.
@@ -136,7 +144,8 @@ use crate::config::ControllerConfig;
 use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
 use crate::metadata::{
-    data_key, meta_key, policy_key, ObjectMetadata, ShardedMetadata, VersionMeta,
+    data_key, meta_key, policy_key, segment_key, MetadataHead, ObjectMetadata, ShardedMetadata,
+    VersionMeta,
 };
 use crate::object_cache::ObjectCache;
 use crate::placement::{placement_available, HashedKey};
@@ -410,16 +419,46 @@ impl PesosStore {
         placement_key: &HashedKey<'_>,
         backend_key: Arc<[u8]>,
     ) -> Result<Payload, PesosError> {
+        self.replicated_read(placement_key, move |client| {
+            client.get(&backend_key).map(|(value, _version)| value)
+        })
+    }
+
+    /// Reads every one of `backend_keys` from one replica of
+    /// `placement_key`: the same race as [`PesosStore::replicated_get`], in
+    /// one scatter-gather submission, where each replica's call reads the
+    /// keys in turn and the first replica to produce all of them wins.
+    fn replicated_get_all(
+        &self,
+        placement_key: &HashedKey<'_>,
+        backend_keys: Vec<Vec<u8>>,
+    ) -> Result<Vec<Payload>, PesosError> {
+        let backend_keys: Arc<[Vec<u8>]> = backend_keys.into();
+        self.replicated_read(placement_key, move |client| {
+            backend_keys
+                .iter()
+                .map(|key| client.get(key).map(|(value, _version)| value))
+                .collect()
+        })
+    }
+
+    /// Races `read` over the replicas of `placement_key` (see
+    /// [`PesosStore::replicated_get`]).
+    fn replicated_read<T: Send + 'static>(
+        &self,
+        placement_key: &HashedKey<'_>,
+        read: impl Fn(&KineticClient) -> Result<T, KineticError> + Clone + Send + 'static,
+    ) -> Result<T, PesosError> {
         let targets = self.targets_for(placement_key)?;
         let mut set = self.asyscall.submit_batch(targets.iter().map(|&client| {
             let client = Arc::clone(client);
-            let key = Arc::clone(&backend_key);
-            move || client.get(&key)
+            let read = read.clone();
+            move || read(&client)
         }))?;
         let mut fault = None;
         while let Some((_index, result)) = set.next_completed() {
             match result {
-                Ok(Ok((value, _version))) => return Ok(value),
+                Ok(Ok(value)) => return Ok(value),
                 Ok(Err(KineticError::NotFound)) => {}
                 Ok(Err(e)) => fault = Some(PesosError::Backend(e.to_string())),
                 Err(e) => fault = Some(PesosError::Backend(e.to_string())),
@@ -529,28 +568,40 @@ impl PesosStore {
         if let Some(m) = self.metadata.get(key) {
             return Ok(Some(m));
         }
-        match self.replicated_get(key, Arc::from(meta_key(key.key()))) {
-            Ok(bytes) => {
-                // A record whose embedded key differs from the key it was
-                // stored under is as corrupt as one that does not decode:
-                // caching it would file it in `key`'s shard under the
-                // embedded name, where no lookup or removal would ever
-                // find it again.
-                let meta = ObjectMetadata::from_bytes(&bytes)
-                    .ok()
-                    .filter(|meta| meta.key == key.key())
-                    .ok_or_else(|| {
-                        PesosError::Backend(format!(
-                            "the drives hold an unreadable metadata record for {:?}",
-                            key.key()
-                        ))
-                    })?;
-                self.metadata.insert(key, meta.clone());
-                Ok(Some(meta))
+        let head = match self.replicated_get(key, Arc::from(meta_key(key.key()))) {
+            Ok(bytes) => bytes,
+            Err(PesosError::ObjectNotFound(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let unreadable = || {
+            PesosError::Backend(format!(
+                "the drives hold an unreadable metadata record for {:?}",
+                key.key()
+            ))
+        };
+        // A record whose embedded key differs from the key it was stored
+        // under is as corrupt as one that does not decode: caching it would
+        // file it in `key`'s shard under the embedded name, where no lookup
+        // or removal would ever find it again.
+        let head = MetadataHead::from_bytes(&head)
+            .ok()
+            .filter(|head| head.key() == key.key())
+            .ok_or_else(unreadable)?;
+        // The sealed segments the head lists, all in one submission; one
+        // the drives answer they do not hold is as unreadable as the head.
+        let segments = match head.segments() {
+            [] => Vec::new(),
+            firsts => {
+                let keys = firsts.iter().map(|&f| segment_key(key.key(), f)).collect();
+                match self.replicated_get_all(key, keys) {
+                    Err(PesosError::ObjectNotFound(_)) => return Err(unreadable()),
+                    read => read?,
+                }
             }
-            Err(PesosError::ObjectNotFound(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
+        };
+        let meta = head.assemble(&segments).map_err(|_| unreadable())?;
+        self.metadata.insert(key, meta.clone());
+        Ok(Some(meta))
     }
 
     // ------------------------------------------------------------------
@@ -741,10 +792,18 @@ impl PesosStore {
     }
 
     /// Seals `value` as `version` of `key`, records it in `meta`, and lands
-    /// the sealed object, the updated record and the DELETE of every
-    /// version the history bound just trimmed as one atomic batch per
-    /// replica; only then is the in-enclave map advanced. The caller holds
-    /// `key`'s write lock. Returns the record as persisted.
+    /// the sealed object, the new head, the history segment the version
+    /// sealed or changed, and the DELETE of every segment and version the
+    /// history bound just trimmed as one atomic batch per replica; only
+    /// then is the in-enclave map advanced. The caller holds `key`'s write
+    /// lock. Returns the record as persisted.
+    ///
+    /// The largest such batch, a put that seals a segment and trims one,
+    /// is 12 sub-operations. Only a trimmed segment that late versions
+    /// swelled past [`MAX_BATCH_OPS`] makes more; the surplus DELETEs of
+    /// data the new head no longer lists then follow in batches of their
+    /// own, so an interruption leaves unreferenced data, never a head
+    /// listing a missing version.
     fn write_version(
         &self,
         key: &HashedKey<'_>,
@@ -754,18 +813,23 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         value_hash: pesos_crypto::Digest,
     ) -> Result<ObjectMetadata, PesosError> {
-        let ops = self.version_ops(
+        let mut ops = self.version_ops(
             key, &mut meta, version, value, policy_id, value_hash, stored,
         );
+        let surplus = ops.split_off(ops.len().min(MAX_BATCH_OPS));
         self.replicated_batch(key, ops.into())?;
+        for chunk in surplus.chunks(MAX_BATCH_OPS) {
+            self.replicated_batch(key, chunk.into())?;
+        }
         self.metadata.insert(key, meta.clone());
         Ok(meta)
     }
 
     /// The sub-operations that add `version` to `key`: records the version
-    /// in `meta` and returns the sealed object and the updated record, each
-    /// built by `put`, plus the forced DELETE of every version the history
-    /// bound just trimmed.
+    /// in `meta` and returns the sealed object, the new head and the
+    /// history segment the version sealed or changed, each built by `put`,
+    /// then the forced DELETE of every segment the history dropped and of
+    /// every version the history bound just trimmed.
     #[allow(clippy::too_many_arguments)]
     fn version_ops(
         &self,
@@ -787,7 +851,7 @@ impl PesosStore {
         if policy_id.is_some() {
             meta.policy_id = policy_id;
         }
-        let trimmed = meta.record_version(VersionMeta {
+        let change = meta.record_version(VersionMeta {
             version,
             size: value.len() as u64,
             value_hash: value_hash.into(),
@@ -798,7 +862,20 @@ impl PesosStore {
             put(meta_key(key.key()), meta.to_bytes()),
         ];
         ops.extend(
-            trimmed
+            change
+                .written
+                .as_deref()
+                .and_then(|segment| segment_put(meta, segment, put)),
+        );
+        ops.extend(
+            change
+                .dropped
+                .into_iter()
+                .map(|first| BatchOp::delete_forced(segment_key(key.key(), first))),
+        );
+        ops.extend(
+            change
+                .trimmed
                 .into_iter()
                 .map(|old| BatchOp::delete_forced(data_key(key.key(), old))),
         );
@@ -917,12 +994,13 @@ impl PesosStore {
             .map_err(|e| PesosError::Backend(format!("decryption failed: {e}")))
     }
 
-    /// Deletes `key` (its metadata record and all retained versions).
+    /// Deletes `key` (its metadata head, its sealed history segments and
+    /// all retained versions).
     ///
     /// The DELETEs travel as atomic batches of at most [`MAX_BATCH_OPS`],
-    /// the one carrying the metadata record first: a crash or fault midway
-    /// leaves the object invisible (unreferenced data at worst), never a
-    /// record pointing at missing versions. Every batch is joined before
+    /// the head first: a crash or fault midway leaves the object invisible
+    /// (unreferenced segments and data at worst), never a head pointing at
+    /// missing segments or versions. Every batch is joined before
     /// the key lock is released, so a put that re-creates the key
     /// afterwards can never race a still-queued delete.
     ///
@@ -946,7 +1024,9 @@ impl PesosStore {
             let meta = self
                 .load_metadata_checked(&key)?
                 .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
+            let segments = meta.versions.segments().filter_map(|s| s.first());
             let ops: Vec<BatchOp> = std::iter::once(meta_key(key.key()))
+                .chain(segments.map(|f| segment_key(key.key(), f.version)))
                 .chain(meta.versions.iter().map(|v| data_key(key.key(), v.version)))
                 .map(BatchOp::delete_forced)
                 .collect();
@@ -1119,16 +1199,18 @@ impl PesosStore {
 
     /// Applies an [`ObjectExport`] produced by another store: re-seals every
     /// version under this store's placement and persists the metadata
-    /// record verbatim (same version numbers, policy association and
-    /// content hashes), all under the key's write lock.
+    /// record verbatim (same version numbers, policy association, content
+    /// hashes and segment boundaries, so the same head and segment bytes),
+    /// all under the key's write lock.
     ///
-    /// The PUTs travel as atomic batches of at most [`MAX_BATCH_OPS`], the
-    /// one carrying the metadata record last: an import interrupted midway
-    /// leaves unreferenced data a retry overwrites, never a visible object
-    /// with versions missing.
+    /// The PUTs travel as atomic batches of at most [`MAX_BATCH_OPS`]:
+    /// data, then segments, then the head last. An import interrupted
+    /// midway leaves unreferenced data a retry overwrites, never a visible
+    /// object with versions missing.
     pub fn import_object(&self, export: &ObjectExport) -> Result<(), PesosError> {
         let key = HashedKey::new(&export.meta.key);
         self.key_locks.locked_then_released(&key, || {
+            let meta = &export.meta;
             let ops: Vec<BatchOp> = export
                 .versions
                 .iter()
@@ -1138,9 +1220,14 @@ impl PesosStore {
                         self.crypter.seal(key.key(), *version, plain),
                     )
                 })
+                .chain(
+                    meta.versions
+                        .segments()
+                        .filter_map(|s| segment_put(meta, s, stored)),
+                )
                 .chain(std::iter::once(stored(
                     meta_key(key.key()),
-                    export.meta.to_bytes(),
+                    meta.to_bytes(),
                 )))
                 .collect();
             for chunk in ops.chunks(MAX_BATCH_OPS) {
@@ -1168,6 +1255,20 @@ fn stored_if_absent(backend_key: Vec<u8>, value: impl Into<Payload>) -> BatchOp 
     BatchOp::put_if_absent(backend_key, value, ENTRY_VERSION)
 }
 
+/// The PUT, built by `put`, of `segment`, a sealed segment of `meta`'s
+/// history, under `h/<key>/<its first version>`.
+fn segment_put(
+    meta: &ObjectMetadata,
+    segment: &[VersionMeta],
+    put: fn(Vec<u8>, Vec<u8>) -> BatchOp,
+) -> Option<BatchOp> {
+    let first = segment.first()?.version;
+    Some(put(
+        segment_key(&meta.key, first),
+        meta.segment_bytes(segment),
+    ))
+}
+
 /// One object read out of a store for migration: its metadata record and
 /// the plaintext of every retained version.
 ///
@@ -1178,7 +1279,8 @@ fn stored_if_absent(backend_key: Vec<u8>, value: impl Into<Payload>) -> BatchOp 
 /// moving an object between its own drives.
 #[derive(Debug, Clone)]
 pub struct ObjectExport {
-    /// The metadata record, persisted verbatim at the destination.
+    /// The metadata record, persisted verbatim at the destination: the
+    /// same head and sealed segments.
     pub meta: ObjectMetadata,
     /// `(version, plaintext)` for every retained version, oldest first.
     pub versions: Vec<(u64, Vec<u8>)>,
@@ -1552,8 +1654,12 @@ mod tests {
 
     #[test]
     fn trimmed_versions_are_deleted_with_the_put_that_trims_them() {
-        use crate::metadata::MAX_VERSION_HISTORY;
+        use crate::metadata::{MAX_VERSION_HISTORY, SEGMENT_LEN};
         const PUTS: u64 = 300;
+        // 300 puts seal 37 segments and trim the oldest 21, a segment at a
+        // time: the history keeps the 16 sealed since and a tail of 4.
+        const SEGMENTS: usize = MAX_VERSION_HISTORY / SEGMENT_LEN;
+        const RETAINED: usize = MAX_VERSION_HISTORY + PUTS as usize % SEGMENT_LEN;
         let src = store(2, 2);
         for v in 0..PUTS {
             assert_eq!(
@@ -1562,11 +1668,13 @@ mod tests {
                 v
             );
         }
-        // Exactly the retained history plus the record, on every replica.
+        // Exactly the retained history, its segments and the head, on
+        // every replica.
+        let oldest = PUTS - RETAINED as u64;
         for d in src.drives().iter() {
-            assert_eq!(d.key_count(), MAX_VERSION_HISTORY + 1, "{}", d.id());
+            assert_eq!(d.key_count(), RETAINED + SEGMENTS + 1, "{}", d.id());
+            assert!(d.peek(&segment_key("hot", oldest)).is_some());
         }
-        let oldest = PUTS - MAX_VERSION_HISTORY as u64;
         assert!(matches!(
             src.get_object_version("hot", oldest - 1),
             Err(PesosError::ObjectNotFound(_))
@@ -1576,23 +1684,44 @@ mod tests {
             format!("value {oldest}").into_bytes()
         );
 
-        // Export -> import carries exactly the retained history (several
-        // MAX_BATCH_OPS chunks, the record in the last one)...
+        // A cold read-through reloads the same record: the head, then every
+        // segment it lists in one more submission.
+        let warm = src.get_metadata("hot").unwrap();
+        src.metadata.remove("hot");
+        let batches = src.asyscall_stats().batches;
+        assert_eq!(src.lookup("hot").unwrap(), Some(warm.clone()));
+        assert_eq!(src.asyscall_stats().batches, batches + 2);
+
+        // Export -> import -> export carries exactly the retained history
+        // and its segment boundaries (several MAX_BATCH_OPS chunks, the
+        // head in the last one), and the drives hold the same head and
+        // segment bytes on both sides...
         let export = src.export_object("hot").unwrap().unwrap();
-        assert_eq!(export.versions.len(), MAX_VERSION_HISTORY);
+        assert_eq!(export.versions.len(), RETAINED);
+        assert_eq!(export.meta, warm);
         let dst = store(1, 1);
         dst.import_object(&export).unwrap();
-        assert_eq!(
-            dst.drives().get(0).unwrap().key_count(),
-            MAX_VERSION_HISTORY + 1
-        );
+        let again = dst.export_object("hot").unwrap().unwrap();
+        assert_eq!(again.meta, export.meta);
+        assert_eq!(again.versions, export.versions);
+        let dst_drive = dst.drives().get(0).unwrap();
+        let firsts = warm.versions.segments().map(|s| s[0].version);
+        for backend_key in firsts
+            .map(|f| segment_key("hot", f))
+            .chain([meta_key("hot")])
+        {
+            for d in src.drives().iter() {
+                assert_eq!(
+                    dst_drive.peek(&backend_key).map(|e| e.value),
+                    d.peek(&backend_key).map(|e| e.value)
+                );
+            }
+        }
+        assert_eq!(dst_drive.key_count(), RETAINED + SEGMENTS + 1);
         assert_eq!(dst.put_object("hot", b"next", None).unwrap(), PUTS);
-        assert_eq!(
-            dst.drives().get(0).unwrap().key_count(),
-            MAX_VERSION_HISTORY + 1
-        );
-        // ...and a delete (record in the first chunk) leaves no orphan on
-        // either side.
+        assert_eq!(dst_drive.key_count(), RETAINED + SEGMENTS + 2);
+        // ...and a delete (head in the first chunk) leaves no orphan, data
+        // or segment, on either side.
         for s in [&src, &dst] {
             s.delete_object("hot").unwrap();
             for d in s.drives().iter() {

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pesos_core::metadata::{data_key, meta_key, policy_key};
+use pesos_core::metadata::{data_key, meta_key, policy_key, segment_key};
 use pesos_core::{
     placement, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata, PesosController,
     PesosError, PesosStore, StoreOptions, TxWrite, VersionMeta,
@@ -23,6 +23,7 @@ use pesos_core::{
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive};
 use pesos_policy::PolicyId;
 use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, ExecutionMode, SgxCostModel};
+use pesos_wire::FieldWriter;
 
 const MASTER_KEY: [u8; 32] = [1u8; 32];
 
@@ -84,6 +85,35 @@ impl Model {
             });
         }
         meta.to_bytes()
+    }
+
+    /// Everything the drives hold for `key` after `arrivals` (version,
+    /// plaintext) were filed in that order without a policy: the retained
+    /// versions, the sealed history segments and the head.
+    fn history(key: &str, arrivals: &[(u64, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut meta = ObjectMetadata::new(key);
+        for (version, plain) in arrivals {
+            meta.record_version(VersionMeta {
+                version: *version,
+                size: plain.len() as u64,
+                value_hash: pesos_crypto::sha256(plain).into(),
+                policy_hash: Default::default(),
+            });
+        }
+        let plain: BTreeMap<u64, &Vec<u8>> = arrivals.iter().map(|(v, p)| (*v, p)).collect();
+        let data = meta.versions.iter().map(|v| {
+            (
+                data_key(key, v.version),
+                sealed(key, v.version, plain[&v.version]),
+            )
+        });
+        let segments = meta
+            .versions
+            .segments()
+            .map(|s| (segment_key(key, s[0].version), meta.segment_bytes(s)));
+        data.chain(segments)
+            .chain([(meta_key(key), meta.to_bytes())])
+            .collect()
     }
 
     fn assert_matches(&self, drives: &[Arc<KineticDrive>]) {
@@ -260,6 +290,159 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
 }
 
 // ----------------------------------------------------------------------
+// Store level: a history of sealed segments
+// ----------------------------------------------------------------------
+
+fn value(version: u64) -> Vec<u8> {
+    format!("value {version}").into_bytes()
+}
+
+#[test]
+fn a_cold_store_reloads_a_segmented_history_and_deletes_all_of_it() {
+    let drives = drives(2);
+    let first = cold_store(&drives, 2);
+    let arrivals: Vec<(u64, Vec<u8>)> = (0..300).map(|v| (v, value(v))).collect();
+    for (v, plain) in &arrivals {
+        assert_eq!(first.put_object("hot", plain, None).unwrap(), *v);
+    }
+    let mut model = Model::new(2);
+    for drive in &mut model.0 {
+        drive.extend(Model::history("hot", &arrivals));
+    }
+    model.assert_matches(&drives);
+
+    // A restarted store reads the head and its segments and holds the very
+    // record the first one does; its next put lands on top of it.
+    let cold = cold_store(&drives, 2);
+    let record = first.get_metadata("hot").unwrap();
+    assert_eq!(cold.get_metadata("hot"), Some(record.clone()));
+    let oldest = record.versions.first().unwrap().version;
+    assert_eq!(
+        cold.get_object_version("hot", oldest).unwrap(),
+        value(oldest)
+    );
+    assert_eq!(cold.put_object("hot", &value(300), None).unwrap(), 300);
+
+    // A delete leaves nothing behind: no data, no segment, no head.
+    cold.delete_object("hot").unwrap();
+    for drive in &drives {
+        assert_eq!(drive.key_count(), 0, "{} kept orphans", drive.id());
+    }
+}
+
+#[test]
+fn a_late_replicated_version_rewrites_exactly_its_sealed_segment() {
+    // Racing appenders inverted version 3 behind 4..19 in the log: 0..=8
+    // without 3 sealed into the segment at 0, 9..=16 into the one at 9.
+    let drives = drives(1);
+    let backup = cold_store(&drives, 1);
+    let mut arrivals: Vec<(u64, Vec<u8>)> =
+        (0..20).filter(|&v| v != 3).map(|v| (v, value(v))).collect();
+    for (v, plain) in &arrivals {
+        backup
+            .apply_replicated_put("hot", plain, None, Some(*v))
+            .unwrap();
+    }
+    let untouched = drives[0].peek(&segment_key("hot", 9)).unwrap().value;
+    let (puts, deletes) = (drives[0].info().stats.puts, deletes_served(&drives[0]));
+
+    // Version 3 is filed into the segment at 0, rewritten in the one batch
+    // that stores the data; nothing else moves.
+    assert_eq!(
+        backup
+            .apply_replicated_put("hot", &value(3), None, Some(3))
+            .unwrap(),
+        3
+    );
+    assert_eq!(drives[0].info().stats.puts, puts + 1);
+    assert_eq!(deletes_served(&drives[0]), deletes);
+    arrivals.push((3, value(3)));
+    let mut model = Model::new(1);
+    model.0[0].extend(Model::history("hot", &arrivals));
+    model.assert_matches(&drives);
+    assert!(drives[0].peek(&segment_key("hot", 9)).unwrap().value == untouched);
+    let segment = cold_store(&drives, 1).get_metadata("hot").unwrap();
+    let first: Vec<u64> = segment
+        .versions
+        .segments()
+        .next()
+        .unwrap()
+        .iter()
+        .map(|v| v.version)
+        .collect();
+    assert_eq!(first, (0..=8).collect::<Vec<_>>());
+}
+
+#[test]
+fn trimming_a_segment_swollen_by_late_versions_spills_its_surplus_deletes() {
+    // Four late versions swell the segment at 0 to 12 facts. The put that
+    // seals the segment at 132 then trims it: data + head + new segment +
+    // the old segment's DELETE + 12 data DELETEs is one more sub-operation
+    // than a batch holds, and the last DELETE follows in a batch of its own.
+    let drives = drives(1);
+    let backup = cold_store(&drives, 1);
+    let order = [0].into_iter().chain(5..12).chain(1..5).chain(12..140);
+    let arrivals: Vec<(u64, Vec<u8>)> = order.map(|v| (v, value(v))).collect();
+    for (v, plain) in &arrivals[..arrivals.len() - 1] {
+        backup
+            .apply_replicated_put("hot", plain, None, Some(*v))
+            .unwrap();
+    }
+    let (puts, deletes) = (drives[0].info().stats.puts, deletes_served(&drives[0]));
+    assert_eq!(
+        backup
+            .apply_replicated_put("hot", &value(139), None, Some(139))
+            .unwrap(),
+        139
+    );
+    // One batch with the writes, one with the DELETE that did not fit.
+    assert_eq!(drives[0].info().stats.puts, puts + 1);
+    assert_eq!(deletes_served(&drives[0]), deletes + 1);
+    let mut model = Model::new(1);
+    model.0[0].extend(Model::history("hot", &arrivals));
+    model.assert_matches(&drives);
+    let record = cold_store(&drives, 1).get_metadata("hot").unwrap();
+    assert_eq!(record.versions.first().unwrap().version, 12);
+}
+
+#[test]
+fn a_missing_or_foreign_segment_is_an_unreadable_record() {
+    let drives = drives(1);
+    let first = cold_store(&drives, 1);
+    for v in 0..20 {
+        first.put_object("hot", &value(v), None).unwrap();
+    }
+    let at_8 = drives[0].peek(&segment_key("hot", 8)).unwrap().value;
+    let at_0 = drives[0].peek(&segment_key("hot", 0)).unwrap().value;
+    let admin = admin(&drives[0]);
+    // Missing, then the segment at 0 filed under 8: each time the head
+    // names what the drives cannot produce.
+    admin
+        .delete(&segment_key("hot", 8), b"pesos", true)
+        .unwrap();
+    for _ in 0..2 {
+        let cold = cold_store(&drives, 1);
+        match cold.put_object("hot", b"clobber", None) {
+            Err(PesosError::Backend(why)) => assert!(why.contains("unreadable"), "{why}"),
+            other => panic!("expected the unreadable-record error, got {other:?}"),
+        }
+        assert!(cold.get_metadata("hot").is_none());
+        admin
+            .put(&segment_key("hot", 8), at_0.clone(), b"", b"pesos", true)
+            .unwrap();
+    }
+    admin
+        .put(&segment_key("hot", 8), at_8, b"", b"pesos", true)
+        .unwrap();
+    assert_eq!(
+        cold_store(&drives, 1)
+            .put_object("hot", b"v20", None)
+            .unwrap(),
+        20
+    );
+}
+
+// ----------------------------------------------------------------------
 // Store level: an unreadable record is not "absent"
 // ----------------------------------------------------------------------
 
@@ -303,6 +486,47 @@ fn an_unreadable_record_fails_every_path_and_is_never_written_over() {
         assert!(drives[0].peek(&meta_key("k")).unwrap().value == corrupt);
         assert_eq!(cold.create_stats().rollbacks, 0);
         assert_eq!(deletes_served(&drives[0]), 0);
+    }
+}
+
+#[test]
+fn a_record_that_contradicts_itself_is_unreadable_and_never_written_over() {
+    // Records that decode but disagree with themselves: the latest version
+    // is not the last one listed, or the list runs backwards. Either way a
+    // put trusting field 2 would be assigned version 3, which the record
+    // already lists, and force its bytes over the retained `o/k/…03`.
+    let drives = drives(1);
+    let first = cold_store(&drives, 1);
+    for v in 0..6u8 {
+        first.put_object("k", &[v], None).unwrap();
+    }
+    let meta = first.get_metadata("k").unwrap();
+    let record = |latest: u64, order: &[u64]| {
+        let mut w = FieldWriter::new();
+        w.string(1, "k").uint64(2, latest);
+        for &v in order {
+            let fact = meta.version(v).unwrap();
+            let mut vw = FieldWriter::new();
+            vw.uint64(1, fact.version)
+                .uint64(2, fact.size)
+                .bytes(3, fact.value_hash.as_slice())
+                .bytes(4, fact.policy_hash.as_slice());
+            w.message(4, &vw);
+        }
+        w.finish()
+    };
+    let sealed_v3 = drives[0].peek(&data_key("k", 3)).unwrap().value;
+    for contradiction in [record(2, &[0, 1, 2, 3, 4, 5]), record(2, &[5, 4, 3, 2])] {
+        admin(&drives[0])
+            .put(&meta_key("k"), contradiction, b"", b"pesos", true)
+            .unwrap();
+        let cold = cold_store(&drives, 1);
+        match cold.put_object("k", b"clobber", None) {
+            Err(PesosError::Backend(why)) => assert!(why.contains("unreadable"), "{why}"),
+            other => panic!("expected the unreadable-record error, got {other:?}"),
+        }
+        assert!(drives[0].peek(&data_key("k", 3)).unwrap().value == sealed_v3);
+        assert_eq!(drives[0].key_count(), 7);
     }
 }
 

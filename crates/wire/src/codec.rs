@@ -71,6 +71,11 @@ pub fn read_varint(input: &[u8]) -> Result<(u64, usize), WireError> {
     Err(WireError::UnexpectedEof)
 }
 
+/// The number of bytes [`write_varint`] spends on `value`.
+pub fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Zigzag-encodes a signed integer (protobuf `sint64`).
 pub fn zigzag_encode(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
@@ -170,6 +175,26 @@ impl FieldWriter {
     /// Writes a nested message field.
     pub fn message(&mut self, field: u32, inner: &FieldWriter) -> &mut Self {
         self.bytes(field, &inner.buf)
+    }
+
+    /// Writes a nested message field of `len` bytes in place: `write`
+    /// appends the inner fields straight to this writer's buffer, so the
+    /// encoding equals [`FieldWriter::message`]'s without building the
+    /// inner message in a writer of its own. `len` must be exactly what
+    /// `write` appends: a wrong length would be stored as a message that
+    /// decodes as something else, so a mismatch is a bug and panics.
+    pub fn message_in_place(
+        &mut self,
+        field: u32,
+        len: usize,
+        write: impl FnOnce(&mut Self),
+    ) -> &mut Self {
+        self.tag(field, WireType::LengthDelimited);
+        write_varint(&mut self.buf, len as u64);
+        let start = self.buf.len();
+        write(self);
+        assert_eq!(self.buf.len() - start, len, "nested length mismatch");
+        self
     }
 
     /// Consumes the writer and returns the encoded bytes.
@@ -314,12 +339,22 @@ impl<'a> FieldReader<'a> {
     }
 
     /// Collects all fields into a vector (convenience for small messages).
-    pub fn collect_fields(mut self) -> Result<Vec<Field<'a>>, WireError> {
-        let mut out = Vec::new();
-        while let Some(f) = self.next_field()? {
-            out.push(f);
+    pub fn collect_fields(self) -> Result<Vec<Field<'a>>, WireError> {
+        self.collect()
+    }
+}
+
+/// The fields in order, then `None`; a malformed field is yielded as the
+/// last item, as an error.
+impl<'a> Iterator for FieldReader<'a> {
+    type Item = Result<Field<'a>, WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let next = self.next_field().transpose();
+        if matches!(next, Some(Err(_))) {
+            self.offset = self.input.len();
         }
-        Ok(out)
+        next
     }
 }
 
@@ -433,6 +468,46 @@ mod tests {
         let inner_fields = FieldReader::new(fields[0].data).collect_fields().unwrap();
         assert_eq!(inner_fields[0].as_str().unwrap(), "nested");
         assert_eq!(inner_fields[1].value, 7);
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoding() {
+        for shift in 0..64 {
+            for v in [(1u64 << shift) - 1, 1u64 << shift, (1u64 << shift) + 1] {
+                let mut buf = Vec::new();
+                write_varint(&mut buf, v);
+                assert_eq!(varint_len(v), buf.len(), "{v}");
+            }
+        }
+        assert_eq!(varint_len(u64::MAX), 10);
+    }
+
+    #[test]
+    fn message_in_place_matches_a_nested_writer() {
+        let mut inner = FieldWriter::new();
+        inner.string(1, "nested").uint64(2, 300);
+        let mut nested = FieldWriter::new();
+        nested.message(4, &inner).uint64(5, 1);
+        let mut in_place = FieldWriter::new();
+        in_place
+            .message_in_place(4, inner.len(), |w| {
+                w.string(1, "nested").uint64(2, 300);
+            })
+            .uint64(5, 1);
+        assert_eq!(in_place.finish(), nested.finish());
+    }
+
+    #[test]
+    fn reader_iterates_and_stops_after_an_error() {
+        let mut w = FieldWriter::new();
+        w.uint64(1, 7).bytes(2, &[1, 2, 3]);
+        let mut encoded = w.finish();
+        encoded.push(0x0b); // wire type 3
+        encoded.push(0x08);
+        let items: Vec<_> = FieldReader::new(&encoded).collect();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[1].as_ref().unwrap().data, &[1, 2, 3]);
+        assert_eq!(items[2], Err(WireError::InvalidWireType(3)));
     }
 
     #[test]

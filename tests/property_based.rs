@@ -99,8 +99,9 @@ proptest! {
         // Replay one random put/overwrite/delete sequence against a
         // replicated controller and a tiny reference model (key -> values
         // since the last delete), then require every drive to hold exactly
-        // the modelled key set — each live key's versions and its record on
-        // its placement drives, nothing anywhere else — with replicas
+        // the modelled key set — each live key's versions, its head and its
+        // sealed history segments on its placement drives, nothing anywhere
+        // else — with replicas
         // byte-identical and every version reading back its plaintext.
         let mut config = ControllerConfig::native_simulator(3);
         config.replication_factor = 2;
@@ -129,6 +130,11 @@ proptest! {
                 expected[drive].insert(pesos::core::metadata::meta_key(key));
                 for version in 0..versions.len() as u64 {
                     expected[drive].insert(pesos::core::metadata::data_key(key, version));
+                }
+                // Every full run of SEGMENT_LEN versions is a sealed segment.
+                let sealed = versions.len() / pesos::core::metadata::SEGMENT_LEN;
+                for first in (0..sealed).map(|s| (s * pesos::core::metadata::SEGMENT_LEN) as u64) {
+                    expected[drive].insert(pesos::core::metadata::segment_key(key, first));
                 }
             }
         }
