@@ -30,6 +30,7 @@ use parking_lot::{lock_order, Mutex, RwLock};
 use pesos_core::sharded::{Sharded, ShardedFifoMap};
 use pesos_core::{ControllerConfig, HashedKey, PesosController, PesosError};
 use pesos_policy::PolicyId;
+use pesos_sgx::{HostPool, PoolStats};
 use pesos_telemetry::{HotKeyTracker, OpHistograms, WindowedCounter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -338,6 +339,10 @@ pub struct ControllerCluster {
     migration_locks: Arc<Sharded<Mutex<()>>>,
     /// Width of the drain (see [`ClusterConfig::drain_concurrency`]).
     drain_concurrency: usize,
+    /// The host I/O pool every controller of the cluster submits to:
+    /// primaries, their backups and joiners alike, so one hot service
+    /// thread serves them all (`pesos_sgx::asyscall`, "One host pool").
+    pool: Arc<HostPool>,
     /// Dedicated asynchronous-syscall interface driving the migration
     /// drain's scatter-gather batches, created lazily on the first drain
     /// (a cluster that never rebalances spawns no extra threads).
@@ -374,10 +379,17 @@ impl ControllerCluster {
     /// partitions the hash space evenly over them.
     pub fn new(config: ClusterConfig) -> Result<Self, PesosError> {
         config.validate()?;
+        // Room for the slots of as many members again: joiners bring
+        // theirs too.
+        let members = config.controllers * (1 + config.backups_per_partition);
+        let pool = HostPool::new(2 * members * config.controller.syscall_slots());
         let owners = (0..config.controllers)
             .map(|_| {
-                let controller = Arc::new(PesosController::new(config.controller.clone())?);
-                let log = Self::spawn_log(&config.controller, config.backups_per_partition)?;
+                let controller = Arc::new(PesosController::with_pool(
+                    config.controller.clone(),
+                    &pool,
+                )?);
+                let log = Self::spawn_log(&config.controller, config.backups_per_partition, &pool)?;
                 Ok((controller, log))
             })
             .collect::<Result<Vec<_>, PesosError>>()?;
@@ -396,6 +408,7 @@ impl ControllerCluster {
                 Mutex::with_rank_indexed(lock_order::MIGRATION_STRIPE, i, ())
             })),
             drain_concurrency: config.drain_concurrency,
+            pool,
             drain: std::sync::OnceLock::new(),
             clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
@@ -416,6 +429,13 @@ impl ControllerCluster {
                 drain_group_skips: WindowedCounter::new(),
             },
         })
+    }
+
+    /// The counters of the host I/O pool every controller of the cluster
+    /// submits to (each controller's own submissions are in its
+    /// `asyscall_stats`).
+    pub fn host_pool_stats(&self) -> PoolStats {
+        self.pool.stats()
     }
 
     /// Number of partitions (= controller instances) in the current table.

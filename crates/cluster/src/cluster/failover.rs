@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use pesos_core::{ControllerConfig, PesosController, PesosError};
+use pesos_sgx::HostPool;
 
 use super::{partition_at, ControllerCluster, RoutingState};
 use crate::replication::{Promotion, ReplicaSet};
@@ -26,19 +27,20 @@ const REPLICATION_SECRET: &[u8] = b"pesos-cluster-replication-log";
 const REPLICATION_MAX_LAG: u64 = 256;
 
 impl ControllerCluster {
-    /// Builds `backups` backup controllers from the template and starts a
-    /// log shipping to them; `None` when `backups` is 0 (replication off).
-    /// Every partition's log is spawned here or re-seeded from a
-    /// promotion's survivors.
+    /// Builds `backups` backup controllers from the template on the host
+    /// `pool` and starts a log shipping to them; `None` when `backups` is 0
+    /// (replication off). Every partition's log is spawned here or
+    /// re-seeded from a promotion's survivors, which are already on it.
     pub(super) fn spawn_log(
         template: &ControllerConfig,
         backups: usize,
+        pool: &Arc<HostPool>,
     ) -> Result<Option<Arc<ReplicaSet>>, PesosError> {
         if backups == 0 {
             return Ok(None);
         }
         let backups = (0..backups)
-            .map(|_| PesosController::new(template.clone()).map(Arc::new))
+            .map(|_| PesosController::with_pool(template.clone(), pool).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Some(ReplicaSet::spawn(
             REPLICATION_SECRET,

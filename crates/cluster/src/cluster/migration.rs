@@ -394,8 +394,8 @@ impl ControllerCluster {
         // first request.
         let joiner = Partition {
             start: split_start,
-            controller: Arc::new(PesosController::new(config.clone())?),
-            log: Self::spawn_log(&config, self.backups_per_partition)?,
+            controller: Arc::new(PesosController::with_pool(config.clone(), &self.pool)?),
+            log: Self::spawn_log(&config, self.backups_per_partition, &self.pool)?,
         };
         // Re-home sessions, policies and the logical clock before any
         // traffic can route to the new partition.

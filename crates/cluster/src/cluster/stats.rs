@@ -17,6 +17,7 @@
 //! /stats/partitions/0/replication/lag     slowest-backup lag, bare value
 //! /stats/groups/hot?top=16                the 16 hottest placement groups
 //! /stats/ops/put/p99_us                   cluster-level put p99 (µs)
+//! /stats/host_pool/parks                  service-thread sleeps, all members
 //! /stats/reset                            restart the telemetry windows
 //! ```
 //!
@@ -26,6 +27,7 @@
 
 use std::sync::atomic::Ordering;
 
+use pesos_sgx::{AsyscallStats, PoolStats};
 use pesos_telemetry::{histogram_node, HistogramSnapshot, HotGroup, OpKind, StatsNode};
 
 use super::{ControllerCluster, RetryStats, RoutingState};
@@ -102,6 +104,9 @@ pub struct TelemetrySnapshot {
     pub digest_compressions: u64,
     /// Open (buffered, not yet committed or aborted) cluster transactions.
     pub open_txs: usize,
+    /// The host I/O pool's service-side counters
+    /// ([`ControllerCluster::host_pool_stats`]).
+    pub host_pool: PoolStats,
 }
 
 impl ControllerCluster {
@@ -155,6 +160,7 @@ impl ControllerCluster {
             drain_group_skips: self.telemetry.drain_group_skips.windowed(),
             digest_compressions: pesos_crypto::sha256::ops::compressions(),
             open_txs: self.tx.open_count(),
+            host_pool: self.host_pool_stats(),
         }
     }
 
@@ -187,6 +193,9 @@ impl ControllerCluster {
                 for (j, a) in r.applied.iter().enumerate() {
                     applied.insert(j.to_string(), StatsNode::leaf(a));
                 }
+                let backups = |count: fn(&AsyscallStats) -> u64| -> u64 {
+                    r.backup_asyscalls.iter().map(count).sum()
+                };
                 node.insert(
                     "replication",
                     StatsNode::dir()
@@ -194,7 +203,19 @@ impl ControllerCluster {
                         .with("appended", StatsNode::leaf(r.appended))
                         .with("lag", StatsNode::leaf(r.max_lag()))
                         .with("stalls", StatsNode::leaf(r.stalls))
-                        .with("applied", applied),
+                        .with("applied", applied)
+                        .with(
+                            "backup_asyscalls_submitted",
+                            StatsNode::leaf(backups(|a| a.submitted)),
+                        )
+                        .with(
+                            "backup_asyscall_batches",
+                            StatsNode::leaf(backups(|a| a.batches)),
+                        )
+                        .with(
+                            "backup_asyscall_parks",
+                            StatsNode::leaf(backups(|a| a.parks)),
+                        ),
                 );
             }
             partitions.insert(p.partition.to_string(), node);
@@ -269,6 +290,19 @@ impl ControllerCluster {
                     ),
             )
             .with("migrations", migrations)
+            .with(
+                "host_pool",
+                StatsNode::dir()
+                    .with("threads", StatsNode::leaf(snapshot.host_pool.threads))
+                    .with("slots", StatsNode::leaf(snapshot.host_pool.slots))
+                    .with("completed", StatsNode::leaf(snapshot.host_pool.completed))
+                    .with(
+                        "max_concurrency",
+                        StatsNode::leaf(snapshot.host_pool.max_concurrency),
+                    )
+                    .with("parks", StatsNode::leaf(snapshot.host_pool.parks))
+                    .with("spin_hits", StatsNode::leaf(snapshot.host_pool.spin_hits)),
+            )
             .with(
                 "digests",
                 StatsNode::dir().with(

@@ -1085,3 +1085,126 @@ fn retry_counters_ride_the_telemetry_snapshot() {
         Some(retries.request_retries.to_string().as_str())
     );
 }
+
+/// Every controller of a cluster, backups and a native joiner included,
+/// submits to one host pool: the members' own submissions add up to the
+/// calls the pool completed, and a joiner keeps the mode its own config
+/// names (the cost model it charges), beside SGX members.
+#[test]
+fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
+    let mut config = ClusterConfig::sgx_simulator(2, 1);
+    config.backups_per_partition = 1;
+    let c = ControllerCluster::new(config).unwrap();
+    let pool = c.host_pool_stats();
+    assert_eq!(
+        pool.threads,
+        4 * 4,
+        "two primaries and two backups, 4 threads each"
+    );
+    assert_eq!(
+        c.add_controller_with(ControllerConfig::native_simulator(1))
+            .unwrap(),
+        3
+    );
+    assert_eq!(
+        c.host_pool_stats().threads,
+        6 * 4,
+        "the joiner and its backup"
+    );
+
+    c.register_client("alice");
+    for i in 0..96 {
+        let key = format!("pool/{i}");
+        c.put("alice", &key, format!("v{i}").into_bytes(), None, None, &[])
+            .unwrap();
+        assert_eq!(
+            &**c.get("alice", &key, &[]).unwrap().0,
+            format!("v{i}").as_bytes()
+        );
+    }
+    let caught_up = || {
+        c.telemetry_snapshot(0)
+            .partitions
+            .iter()
+            .filter_map(|p| p.replication.as_ref())
+            .all(|r| r.max_lag() == 0)
+    };
+    // Every member's submissions, primaries first, then their backups.
+    let submitted = || -> u64 {
+        let snapshot = c.telemetry_snapshot(0);
+        let primaries: u64 = c
+            .controllers()
+            .iter()
+            .map(|p| p.store().asyscall_stats().submitted)
+            .sum();
+        let backups: u64 = snapshot
+            .partitions
+            .iter()
+            .filter_map(|p| p.replication.as_ref())
+            .flat_map(|r| r.backup_asyscalls.iter().map(|a| a.submitted))
+            .sum();
+        primaries + backups
+    };
+    // Replicated reads leave their losing replicas to finish behind them,
+    // and the backups apply on their own schedule: wait for both to settle.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !(caught_up() && c.host_pool_stats().completed == submitted()) {
+        assert!(std::time::Instant::now() < deadline, "pool never settled");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    let snapshot = c.telemetry_snapshot(0);
+    let mut modes = Vec::new();
+    for (partition, controller) in snapshot.partitions.iter().zip(c.controllers()) {
+        assert!(controller.store().asyscall_stats().submitted > 0);
+        // A partition's backups are built from its primary's config.
+        for backup in &partition.replication.as_ref().unwrap().backup_asyscalls {
+            assert!(backup.submitted > 0);
+        }
+        modes.push(controller.config().mode);
+    }
+    use pesos_core::ExecutionMode::{Native, Sgx};
+    assert_eq!(modes, [Sgx, Sgx, Native]);
+}
+
+/// A member that leaves gives its service threads back: rounds of adding
+/// and removing a controller (with its backup) and a failover end with the
+/// pool back at the threads its members bring.
+#[test]
+fn the_host_pool_gives_back_the_threads_of_members_that_leave() {
+    let mut config = ClusterConfig::sgx_simulator(2, 1);
+    config.backups_per_partition = 1;
+    let per_member = config.controller.syscall_threads;
+    let c = ControllerCluster::new(config).unwrap();
+    let start = c.host_pool_stats().threads;
+    assert_eq!(start, 4 * per_member);
+    c.register_client("alice");
+    for round in 0..6 {
+        let partitions = c.add_controller().unwrap();
+        c.put("alice", &format!("round/{round}"), b"v", None, None, &[])
+            .unwrap();
+        c.remove_controller(partitions - 1).unwrap();
+    }
+    let settles_at = |threads: usize| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while c.host_pool_stats().threads != threads {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "pool kept {} threads, expected {threads}",
+                c.host_pool_stats().threads
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+    settles_at(start);
+    // A failover drops the failed primary; its one backup takes over and
+    // runs unreplicated.
+    c.fail_controller(0).unwrap();
+    settles_at(start - per_member);
+    for round in 0..6 {
+        assert_eq!(
+            &**c.get("alice", &format!("round/{round}"), &[]).unwrap().0,
+            b"v"
+        );
+    }
+}

@@ -102,10 +102,10 @@ pub mod lock_order {
     pub const REPLICATION_WORKERS: u16 = 82;
     /// Submission scheduler / thread-pool internals.
     pub const SCHEDULER: u16 = 85;
-    /// Asyscall slow-path park mutexes (service sleepers and table-full
-    /// submitters per interface, the waiter per batch). The hand-off
-    /// itself runs on atomics; these are taken only to sleep or to wake a
-    /// sleeper, never nested.
+    /// Asyscall slow-path park mutexes (service sleepers, table-full
+    /// submitters and service-thread handles per host pool, the waiter per
+    /// batch). The hand-off itself runs on atomics; these are taken only to
+    /// sleep, to wake a sleeper or to add a member's threads, never nested.
     pub const ASYSCALL_PARK: u16 = 92;
     /// Drive fault injector (its generator and counters sit behind this
     /// one mutex).

@@ -14,7 +14,7 @@ use pesos_kinetic::protocol::AccountSpec;
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, KineticClient, KineticDrive, Permission};
 use pesos_sgx::attestation::{AttestationService, ProvisionedSecrets, QuotingEnclave};
 use pesos_sgx::cost::ModeCost;
-use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, SgxCostModel};
+use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, HostPool, SgxCostModel};
 
 use crate::config::ControllerConfig;
 use crate::error::PesosError;
@@ -30,7 +30,8 @@ pub const PESOS_CLUSTER_VERSION: u64 = 1;
 pub struct BootstrapOutcome {
     /// The simulated enclave.
     pub enclave: Arc<Enclave>,
-    /// The asynchronous system-call interface.
+    /// The enclave's asynchronous system-call interface: its submission
+    /// side of the host pool it was bootstrapped on.
     pub asyscall: Arc<AsyscallInterface>,
     /// The provisioned runtime secrets.
     pub secrets: ProvisionedSecrets,
@@ -71,18 +72,18 @@ pub fn admin_secret_for(secrets: &ProvisionedSecrets, drive_id: &str) -> Vec<u8>
 
 /// Runs the full bootstrap for `config`, creating the drives in the process
 /// (in a real deployment the drives already exist on the network; the
-/// simulator creates them here).
-pub fn bootstrap(config: &ControllerConfig) -> Result<BootstrapOutcome, PesosError> {
+/// simulator creates them here). The enclave joins the host I/O `pool`
+/// with `config.syscall_threads` service threads and their slots.
+pub fn bootstrap(
+    config: &ControllerConfig,
+    pool: &Arc<HostPool>,
+) -> Result<BootstrapOutcome, PesosError> {
     config.validate()?;
     let cost = ModeCost::new(config.mode, SgxCostModel::default());
 
     // 1. Load the enclave and compute its measurement.
     let enclave = Arc::new(Enclave::create(EnclaveConfig::default(), cost)?);
-    let asyscall = Arc::new(AsyscallInterface::new(
-        config.syscall_threads,
-        config.syscall_threads * 8,
-        cost,
-    ));
+    let asyscall = Arc::new(pool.join(config.syscall_threads, config.syscall_slots(), cost));
 
     // 2. Remote attestation against the attestation service, which holds the
     //    runtime secrets. In this reproduction the service is instantiated
@@ -201,7 +202,7 @@ mod tests {
     #[test]
     fn bootstrap_takes_exclusive_control() {
         let config = ControllerConfig::native_simulator(2);
-        let outcome = bootstrap(&config).unwrap();
+        let outcome = bootstrap(&config, &HostPool::new(config.syscall_slots())).unwrap();
         assert_eq!(outcome.drives.len(), 2);
         assert_eq!(outcome.clients.len(), 2);
         assert_eq!(outcome.report.drives.len(), 2);
@@ -223,7 +224,7 @@ mod tests {
     fn bootstrap_rejects_invalid_config() {
         let mut config = ControllerConfig::native_simulator(1);
         config.replication_factor = 5;
-        assert!(bootstrap(&config).is_err());
+        assert!(bootstrap(&config, &HostPool::new(1)).is_err());
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl ControllerConfig {
         }
     }
 
+    /// The system-call slots the controller brings to its host I/O pool:
+    /// eight per service thread.
+    pub fn syscall_slots(&self) -> usize {
+        self.syscall_threads * 8
+    }
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), crate::error::PesosError> {
         if self.drive_count == 0 {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use pesos_crypto::Certificate;
 use pesos_policy::{Operation, PolicyId, Request, ValueRef};
-use pesos_sgx::UserScheduler;
+use pesos_sgx::{HostPool, UserScheduler};
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
 use rand::RngCore;
 
@@ -104,9 +104,20 @@ pub struct PesosController {
 
 impl PesosController {
     /// Bootstraps a controller: attestation, secret provisioning, exclusive
-    /// drive takeover, cache construction.
+    /// drive takeover, cache construction. The controller is the only
+    /// member of a host I/O pool of its own.
     pub fn new(config: ControllerConfig) -> Result<Self, PesosError> {
-        let outcome = bootstrap(&config)?;
+        let pool = HostPool::new(config.syscall_slots());
+        Self::with_pool(config, &pool)
+    }
+
+    /// Like [`PesosController::new`], but the enclave submits its I/O to
+    /// `pool`, which it joins with its own service threads and slots. A
+    /// cluster builds every controller it runs on one pool, so one hot
+    /// service thread serves them all (`pesos_sgx::asyscall`, "One host
+    /// pool"); each controller still charges its own cost model.
+    pub fn with_pool(config: ControllerConfig, pool: &Arc<HostPool>) -> Result<Self, PesosError> {
+        let outcome = bootstrap(&config, pool)?;
         let crypter =
             ObjectCrypter::new(&outcome.secrets.storage_master_key, config.encrypt_objects);
         let store = Arc::new(PesosStore::new(

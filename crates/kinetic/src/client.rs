@@ -80,7 +80,10 @@ impl KineticClient {
     /// A `Noop` is exchanged to validate the credentials, mirroring the
     /// handshake/unsolicited status message of the real protocol.
     pub fn connect(drive: Arc<KineticDrive>, config: ClientConfig) -> Result<Self, KineticError> {
-        let connection_id = rand::random::<u64>() | 1;
+        // Random but with the top bit set, so its varint is always ten
+        // bytes: every frame of every session is then the same length, and
+        // so is the SHA-256 work of sealing and checking it.
+        let connection_id = rand::random::<u64>() | 1 << 63 | 1;
         let mac_key = HmacKey::new(&config.secret);
         let client = KineticClient {
             drive,
@@ -291,6 +294,20 @@ mod tests {
         let mut cfg = ClientConfig::factory_default();
         cfg.secret = b"wrong".to_vec();
         assert!(KineticClient::connect(drive, cfg).is_err());
+    }
+
+    #[test]
+    fn every_session_frames_a_command_at_the_same_length() {
+        let (drive, first) = connected();
+        let length = first.next_command(MessageType::Noop).encode().len();
+        for _ in 0..32 {
+            let client =
+                KineticClient::connect(Arc::clone(&drive), ClientConfig::factory_default())
+                    .unwrap();
+            assert!(client.connection_id >= 1 << 63);
+            let command = client.next_command(MessageType::Noop);
+            assert_eq!(command.encode().len(), length);
+        }
     }
 
     #[test]

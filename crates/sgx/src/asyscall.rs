@@ -89,7 +89,7 @@
 //! *Submitter and service threads* (the ring, the poller token, the sleeper
 //! count and the wake tickets). A service thread that finds the ring empty
 //! either takes the *poller token* and polls for a bounded time, or goes to
-//! sleep: it gives the token back if it held it, takes the interface's
+//! sleep: it gives the token back if it held it, takes the pool's
 //! park mutex, adds itself to the sleeper count, pops the ring once more,
 //! and only then waits. A sleeper resumes when it can take a *wake
 //! ticket*, issued under the same mutex (so a spurious wake-up cannot
@@ -172,6 +172,44 @@
 //! is never taken, so every push signals, and the protocols above are
 //! otherwise unchanged.
 //!
+//! # One host pool
+//!
+//! Everything above (slots, ring, service threads, both park protocols) is
+//! the host side, a [`HostPool`]. An enclave's [`AsyscallInterface`] is its
+//! submission side of one: the enclave's cost model and its own counters
+//! (`submitted`, `batches`, `slot_waits`, and its submitters' parks and
+//! spin hits). A single controller builds a pool of its own
+//! ([`AsyscallInterface::new`]). A cluster builds one pool for every
+//! controller it runs, primaries and backups alike, and each
+//! [joins](HostPool::join) it with its own service threads and slots, so
+//! the pool has as many of both as the private pools would have had
+//! together (up to the slot capacity the pool was built with).
+//!
+//! The reason is the premise of this module: a service thread is cheap only
+//! while it is hot, and it stays hot only while calls arrive within
+//! `WAKE_COST` of each other. Eight enclaves with a pool each see a call
+//! every ~100 µs apiece and park between calls, paying a cross-core wake-up
+//! per hand-off; one pool sees all of their calls and keeps one thread
+//! polling. Each member still charges its own cost model, so a native
+//! member of a cluster of SGX members charges nothing. The pool's own
+//! counters ([`PoolStats`]: completions, peak concurrency, service-thread
+//! parks and poll hits) are pool-wide. A member that leaves (its interface
+//! dropped) gives its service threads back: that many threads exit instead
+//! of taking more work, though never the pool's last, so a cluster that
+//! adds and removes controllers does not gain threads. A retiring thread
+//! signals for what is queued before it exits, as any thread about to stop
+//! looking at the ring does, so the hand-over rules above still hold for
+//! the threads that remain. Its slots stay in the table, which the pool's
+//! capacity bounds. On a shared 2-vCPU host one set-up of the benchmark's
+//! four-partition replicated cluster went from 30–36 k voluntary context
+//! switches to 2–4 k with one pool (and shippers that wake per batch of
+//! records, `pesos_cluster::replication`).
+//!
+//! Sharing keeps the rule every pool already had: a call body must never
+//! wait on another call of its own pool, whose service threads may all be
+//! running bodies that wait the same way. The cluster's migration drain,
+//! whose bodies do store I/O, has a pool of its own for that reason.
+//!
 //! The calling thread would normally switch to another user-level thread
 //! while waiting; that interleaving is provided by
 //! [`crate::scheduler::UserScheduler`].
@@ -200,24 +238,28 @@ const WAKE_COST: Duration = Duration::from_micros(40);
 /// host has no core to spare for spinning right now.
 const YIELD_CONTENDED: Duration = Duration::from_micros(3);
 
-/// Counters describing the interface's activity.
+/// Counters describing one interface's activity. Everything is counted on
+/// the submitting enclave's side except `completed` and `max_concurrency`,
+/// which are the host pool's ([`PoolStats`]) and so cover every member.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyscallStats {
-    /// Calls submitted by enclave threads.
+    /// Calls submitted by this enclave's threads.
     pub submitted: u64,
-    /// Calls completed by service threads.
+    /// Calls completed by the host pool's service threads, for any member.
     pub completed: u64,
     /// Times a submitter had to wait because all slots were busy.
     pub slot_waits: u64,
     /// Scatter-gather batches submitted via `submit_batch`.
     pub batches: u64,
-    /// Highest number of call bodies ever executing concurrently.
+    /// Highest number of call bodies ever executing concurrently in the
+    /// host pool.
     pub max_concurrency: u64,
-    /// Times a thread went to sleep in the hand-off: a service thread with
-    /// no work, or a submitter waiting for a completion or a free slot.
+    /// Times a submitter went to sleep in the hand-off, waiting for a
+    /// completion or a free slot. The service threads' sleeps are the
+    /// pool's ([`PoolStats::parks`]).
     pub parks: u64,
-    /// Waits that ended while the thread was still spinning or polling,
-    /// on either side, and so cost no sleep.
+    /// Submitter waits that ended while the thread was still spinning, and
+    /// so cost no sleep.
     pub spin_hits: u64,
 }
 
@@ -490,9 +532,10 @@ impl<T> Batch<T> {
     }
 
     /// Waits until entry `position` is published and returns the index of
-    /// the call that finished there: spinning first while `shared` says a
-    /// spin can pay, then asleep.
-    fn await_entry(&self, position: usize, shared: &Shared) -> Option<usize> {
+    /// the call that finished there: spinning first while the host pool
+    /// says a spin can pay, then asleep. The waits are `submitter`'s.
+    fn await_entry(&self, position: usize, submitter: &Submitter) -> Option<usize> {
+        let shared = &*submitter.shared;
         let entry = &self.lanes.get(position)?.entry;
         let finished = |word: u32| (word & !PARKED).checked_sub(1).map(|index| index as usize);
         if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
@@ -503,7 +546,7 @@ impl<T> Batch<T> {
             while shared.service_awake() && start.elapsed() < WAKE_COST {
                 let contended = relax();
                 if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
-                    shared.spin_hits.fetch_add(1, Ordering::Relaxed);
+                    submitter.spin_hits.fetch_add(1, Ordering::Relaxed);
                     return Some(index);
                 }
                 if contended {
@@ -514,7 +557,7 @@ impl<T> Batch<T> {
         let mut guard = self.park.lock();
         let mut word = entry.fetch_or(PARKED, Ordering::SeqCst);
         if finished(word).is_none() {
-            shared.parks.fetch_add(1, Ordering::Relaxed);
+            submitter.parks.fetch_add(1, Ordering::Relaxed);
         }
         loop {
             if let Some(index) = finished(word) {
@@ -568,7 +611,7 @@ impl<T> Drop for CompletionFiller<T> {
 pub struct CompletionSet<T> {
     batch: Arc<Batch<T>>,
     delivered: usize,
-    shared: Arc<Shared>,
+    submitter: Arc<Submitter>,
 }
 
 impl<T> CompletionSet<T> {
@@ -590,7 +633,7 @@ impl<T> CompletionSet<T> {
     /// race a batch and stop at the first usable result.
     pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
         // No lane past the last call: `None` once all are delivered.
-        let index = self.batch.await_entry(self.delivered, &self.shared)?;
+        let index = self.batch.await_entry(self.delivered, &self.submitter)?;
         self.delivered += 1;
         let result = self
             .batch
@@ -631,12 +674,16 @@ impl<T> CompletionSet<T> {
 // The interface
 // ---------------------------------------------------------------------------
 
-/// What the interface's park mutex guards: the service threads asleep and
-/// the wake tickets issued to them and not yet taken.
+/// What the host pool's park mutex guards: the service threads asleep, the
+/// wake tickets issued to them and not yet taken, the service threads that
+/// members which left have given back and that have not exited yet, and
+/// the handles of the service threads, for [`HostPool`]'s shutdown.
 #[derive(Default)]
 struct Parking {
     sleeping: usize,
     tickets: usize,
+    retiring: usize,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// How a service thread's sleep ended.
@@ -648,11 +695,15 @@ enum Woken {
     Closed,
 }
 
+/// The host side: slots, ring, service threads and the park protocol.
 struct Shared {
     /// The shared-memory system-call slots: each holds the parked call
     /// body from submission until a service thread takes it, and stays
-    /// occupied until the body has run.
+    /// occupied until the body has run. Allocated at the pool's capacity;
+    /// only the first `slot_count` are in use.
     slots: Box<[Handoff<SyscallBody>]>,
+    /// Slots the members have brought so far (at most `slots.len()`).
+    slot_count: AtomicUsize,
     ring: Ring,
     /// Where the next claim starts its scan of the slot table.
     claim_from: AtomicUsize,
@@ -664,7 +715,9 @@ struct Shared {
     /// Mirrors `Parking::sleeping` for the lock-free check in `signal_work`.
     sleepers: AtomicUsize,
     /// How many service threads there are.
-    threads: usize,
+    threads: AtomicUsize,
+    /// Mirrors `Parking::retiring` for the lock-free check in `next_work`.
+    retiring: AtomicUsize,
     /// Sleepers that hold a wake ticket and have not resumed yet.
     waking: AtomicUsize,
     /// Submitters asleep (or about to be) because the slot table is full.
@@ -675,13 +728,12 @@ struct Shared {
     closed: AtomicBool,
     /// Running mean of body run times in nanoseconds.
     mean_run_ns: AtomicU64,
-    submitted: AtomicU64,
     completed: AtomicU64,
-    slot_waits: AtomicU64,
-    batches: AtomicU64,
     active: AtomicUsize,
     max_concurrency: AtomicU64,
+    /// Times a service thread went to sleep with no work.
     parks: AtomicU64,
+    /// Polls of the ring that found work.
     spin_hits: AtomicU64,
 }
 
@@ -690,7 +742,7 @@ impl Shared {
     /// it back if the whole table is occupied.
     fn try_claim(&self, mut body: SyscallBody) -> Result<usize, SyscallBody> {
         let start = self.claim_from.fetch_add(1, Ordering::Relaxed);
-        let count = self.slots.len();
+        let count = self.slot_count.load(Ordering::SeqCst);
         for step in 0..count {
             let index = start.wrapping_add(step) % count;
             let Some(slot) = self.slots.get(index) else {
@@ -702,29 +754,6 @@ impl Shared {
             }
         }
         Err(body)
-    }
-
-    /// Parks `body` in a slot, sleeping while the table is full. The wait
-    /// is counted when the submitter finds no free slot, so `slot_waits`
-    /// is exact under contention.
-    fn claim(&self, body: SyscallBody) -> usize {
-        let mut body = match self.try_claim(body) {
-            Ok(index) => return index,
-            Err(body) => body,
-        };
-        self.slot_waits.fetch_add(1, Ordering::Relaxed);
-        self.slot_waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.park.lock();
-        let index = loop {
-            match self.try_claim(body) {
-                Ok(index) => break index,
-                Err(returned) => body = returned,
-            }
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            self.slot_freed.wait(&mut guard);
-        };
-        self.slot_waiters.fetch_sub(1, Ordering::SeqCst);
-        index
     }
 
     /// Issues a wake ticket to one sleeping service thread, if there is
@@ -772,33 +801,6 @@ impl Shared {
         if self.waking.load(Ordering::SeqCst) < wanted {
             self.wake_sleeper();
         }
-    }
-
-    /// Sees the call queued at `position` into the hands of a service
-    /// thread. A token holder is awake and comes back to the ring after at
-    /// most the short body it is inside, so the submitter gives it as long
-    /// as a wake-up would cost to take the call; failing that, or with no
-    /// holder, it signals. On return the call has been taken, or a sleeper
-    /// is on its way, or every service thread is awake.
-    fn hand_over(&self, position: usize) {
-        if self.token.load(Ordering::SeqCst) {
-            let start = Instant::now();
-            let mut waited = false;
-            while !self.ring.taken(position) {
-                if !self.token.load(Ordering::SeqCst) || start.elapsed() >= WAKE_COST {
-                    return self.signal_work();
-                }
-                // A yield that found the core wanted most likely gave it
-                // to the holder: look again rather than give up.
-                relax();
-                waited = true;
-            }
-            if waited {
-                self.spin_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        self.signal_work();
     }
 
     /// Called by a service thread that has just taken work, with `holding`
@@ -890,9 +892,14 @@ impl Shared {
     /// poller token, on entry and on return.
     fn next_work(&self, holding: &mut bool) -> Option<usize> {
         loop {
-            if self.closed.load(Ordering::SeqCst) {
+            let closed = self.closed.load(Ordering::SeqCst);
+            if closed || self.retire() {
                 if std::mem::take(holding) {
                     self.token.store(false, Ordering::SeqCst);
+                }
+                if !closed {
+                    // This thread stops looking at the ring for good.
+                    self.signal_work();
                 }
                 return None;
             }
@@ -955,6 +962,39 @@ impl Shared {
         }
     }
 
+    /// Gives back `threads` service threads: as many threads as are awake
+    /// or woken here exit instead of taking more work, but never the last
+    /// one. What the last one would owe is forgiven, so a member that joins
+    /// later keeps every thread it brings.
+    fn give_back(&self, threads: usize) {
+        let mut parking = self.park.lock();
+        let running = self.threads.load(Ordering::SeqCst);
+        parking.retiring = (parking.retiring + threads).min(running.saturating_sub(1));
+        self.retiring.store(parking.retiring, Ordering::SeqCst);
+        drop(parking);
+        for _ in 0..threads {
+            self.wake_sleeper();
+        }
+    }
+
+    /// Whether the calling service thread is to exit, given back by a
+    /// member that left; it then no longer counts among the threads. A
+    /// pool keeps at least one thread, so calls a departed member left
+    /// queued still run.
+    fn retire(&self) -> bool {
+        if self.retiring.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        let mut parking = self.park.lock();
+        if parking.retiring == 0 || self.threads.load(Ordering::SeqCst) <= 1 {
+            return false;
+        }
+        parking.retiring -= 1;
+        self.retiring.store(parking.retiring, Ordering::SeqCst);
+        self.threads.fetch_sub(1, Ordering::SeqCst);
+        true
+    }
+
     /// Whether a waiter may spin at all: a second core exists and bodies
     /// have lately been short enough to be worth waiting out.
     fn spin_can_pay(&self) -> bool {
@@ -966,10 +1006,11 @@ impl Shared {
     /// that was signalled but has not resumed does not count: waiting for
     /// it is waiting for a wake-up.
     fn service_awake(&self) -> bool {
-        self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst) < self.threads
+        self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst)
+            < self.threads.load(Ordering::SeqCst)
     }
 
-    /// Closes the interface: service threads exit after the body they are
+    /// Closes the pool: service threads exit after the body they are
     /// running, and bodies still queued are dropped unrun, which abandons
     /// their waiters.
     fn close(&self) {
@@ -982,50 +1023,97 @@ impl Shared {
     }
 }
 
-/// The asynchronous system-call interface.
-pub struct AsyscallInterface {
+/// The host side of the interface: the untrusted service threads, the slot
+/// table and the submission ring that any number of enclaves submit to.
+///
+/// A pool starts with no service threads and no slots; each member that
+/// [joins](HostPool::join) brings its own. A member that leaves gives its
+/// threads back (they exit once idle, down to one) and leaves its slots in
+/// the table, which the capacity bounds. The pool closes when the last
+/// handle to it (the pool's owner and every member's [`AsyscallInterface`])
+/// is dropped.
+pub struct HostPool {
     shared: Arc<Shared>,
-    cost: ModeCost,
-    workers: Vec<JoinHandle<()>>,
 }
 
-impl AsyscallInterface {
-    /// Creates the interface with `service_threads` untrusted worker threads
-    /// and `slots` system-call slots (the maximum number of in-flight
-    /// calls).
-    pub fn new(service_threads: usize, slots: usize, cost: ModeCost) -> Self {
-        let slots = slots.max(1);
-        let threads = service_threads.max(1);
-        let shared = Arc::new(Shared {
-            slots: (0..slots).map(|_| Handoff::new()).collect(),
-            ring: Ring::new(slots),
-            claim_from: AtomicUsize::new(0),
-            spin: std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1),
-            token: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            threads,
-            waking: AtomicUsize::new(0),
-            slot_waiters: AtomicUsize::new(0),
-            park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, Parking::default()),
-            work: Condvar::new(),
-            slot_freed: Condvar::new(),
-            closed: AtomicBool::new(false),
-            mean_run_ns: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            slot_waits: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
-            max_concurrency: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            spin_hits: AtomicU64::new(0),
-        });
+/// Counters of a [`HostPool`]'s service side, summed over every member.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Service threads running: those the members brought, less those
+    /// that members which left gave back and that have exited.
+    pub threads: usize,
+    /// System-call slots the members have brought (up to the capacity).
+    pub slots: usize,
+    /// Calls completed by service threads.
+    pub completed: u64,
+    /// Highest number of call bodies ever executing concurrently.
+    pub max_concurrency: u64,
+    /// Times a service thread went to sleep with no work.
+    pub parks: u64,
+    /// Polls of an empty ring that ended with work, and so cost no sleep.
+    pub spin_hits: u64,
+}
 
+impl HostPool {
+    /// An empty pool with room for `capacity` system-call slots. Members
+    /// joining once the table is full bring service threads only.
+    pub fn new(capacity: usize) -> Arc<HostPool> {
+        let capacity = capacity.max(1);
+        Arc::new(HostPool {
+            shared: Arc::new(Shared {
+                slots: (0..capacity).map(|_| Handoff::new()).collect(),
+                slot_count: AtomicUsize::new(0),
+                ring: Ring::new(capacity),
+                claim_from: AtomicUsize::new(0),
+                spin: std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1),
+                token: AtomicBool::new(false),
+                sleepers: AtomicUsize::new(0),
+                threads: AtomicUsize::new(0),
+                retiring: AtomicUsize::new(0),
+                waking: AtomicUsize::new(0),
+                slot_waiters: AtomicUsize::new(0),
+                park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, Parking::default()),
+                work: Condvar::new(),
+                slot_freed: Condvar::new(),
+                closed: AtomicBool::new(false),
+                mean_run_ns: AtomicU64::new(0),
+                completed: AtomicU64::new(0),
+                active: AtomicUsize::new(0),
+                max_concurrency: AtomicU64::new(0),
+                parks: AtomicU64::new(0),
+                spin_hits: AtomicU64::new(0),
+            }),
+        })
+    }
+
+    /// Adds a member: grows the pool by `service_threads` threads and
+    /// `slots` slots, and returns the member's submission side, which
+    /// charges the member's own `cost`.
+    pub fn join(
+        self: &Arc<Self>,
+        service_threads: usize,
+        slots: usize,
+        cost: ModeCost,
+    ) -> AsyscallInterface {
+        let shared = &self.shared;
+        let capacity = shared.slots.len();
+        let _ = shared
+            .slot_count
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |count| {
+                Some((count + slots.max(1)).min(capacity))
+            });
+        if shared.slot_waiters.load(Ordering::SeqCst) > 0 {
+            drop(shared.park.lock());
+            shared.slot_freed.notify_all();
+        }
         let mut workers = Vec::new();
-        for i in 0..threads {
-            let shared = Arc::clone(&shared);
+        for _ in 0..service_threads.max(1) {
+            // Counted before it starts: a new thread is awake until it
+            // first sleeps.
+            let index = shared.threads.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(shared);
             let handle = std::thread::Builder::new()
-                .name(format!("asyscall-{i}"))
+                .name(format!("asyscall-{index}"))
                 .spawn(move || {
                     let mut holding = false;
                     while let Some(index) = shared.next_work(&mut holding) {
@@ -1036,25 +1124,160 @@ impl AsyscallInterface {
                 .expect("spawn asyscall service thread");
             workers.push(handle);
         }
-
+        let mut parking = shared.park.lock();
+        // Threads given back have exited or will: their handles detach.
+        parking.workers.retain(|worker| !worker.is_finished());
+        parking.workers.extend(workers);
+        drop(parking);
         AsyscallInterface {
-            shared,
+            pool: Arc::clone(self),
+            threads: service_threads.max(1),
+            submitter: Arc::new(Submitter {
+                shared: Arc::clone(shared),
+                submitted: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                slot_waits: AtomicU64::new(0),
+                parks: AtomicU64::new(0),
+                spin_hits: AtomicU64::new(0),
+            }),
             cost,
-            workers,
         }
     }
 
-    /// Number of configured system-call slots.
+    /// Returns the service side's counters.
+    pub fn stats(&self) -> PoolStats {
+        let shared = &self.shared;
+        PoolStats {
+            threads: shared.threads.load(Ordering::SeqCst),
+            slots: shared.slot_count.load(Ordering::SeqCst),
+            completed: shared.completed.load(Ordering::Relaxed),
+            max_concurrency: shared.max_concurrency.load(Ordering::SeqCst),
+            parks: shared.parks.load(Ordering::Relaxed),
+            spin_hits: shared.spin_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Closes the pool and waits for its service threads to exit.
+    fn shutdown(self) {
+        self.shared.close();
+        let workers = std::mem::take(&mut self.shared.park.lock().workers);
+        for worker in workers {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// Closes the pool without joining: the service threads exit on their own
+/// once woken, and waiters on calls that never ran see
+/// [`SgxError::SyscallInterfaceClosed`].
+impl Drop for HostPool {
+    fn drop(&mut self) {
+        self.shared.close();
+    }
+}
+
+/// One enclave's submission side: its counters, and the pool it submits to.
+struct Submitter {
+    shared: Arc<Shared>,
+    submitted: AtomicU64,
+    batches: AtomicU64,
+    slot_waits: AtomicU64,
+    /// Times one of this enclave's threads slept waiting for a completion
+    /// or a free slot.
+    parks: AtomicU64,
+    /// This enclave's waits that ended while it was still spinning.
+    spin_hits: AtomicU64,
+}
+
+impl Submitter {
+    /// Parks `body` in a slot, sleeping while the table is full. The wait
+    /// is counted when the submitter finds no free slot, so `slot_waits`
+    /// is exact under contention.
+    fn claim(&self, body: SyscallBody) -> usize {
+        let shared = &*self.shared;
+        let mut body = match shared.try_claim(body) {
+            Ok(index) => return index,
+            Err(body) => body,
+        };
+        self.slot_waits.fetch_add(1, Ordering::Relaxed);
+        shared.slot_waiters.fetch_add(1, Ordering::SeqCst);
+        let mut guard = shared.park.lock();
+        let index = loop {
+            match shared.try_claim(body) {
+                Ok(index) => break index,
+                Err(returned) => body = returned,
+            }
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            shared.slot_freed.wait(&mut guard);
+        };
+        shared.slot_waiters.fetch_sub(1, Ordering::SeqCst);
+        index
+    }
+
+    /// Sees the call queued at `position` into the hands of a service
+    /// thread. A token holder is awake and comes back to the ring after at
+    /// most the short body it is inside, so the submitter gives it as long
+    /// as a wake-up would cost to take the call; failing that, or with no
+    /// holder, it signals. On return the call has been taken, or a sleeper
+    /// is on its way, or every service thread is awake.
+    fn hand_over(&self, position: usize) {
+        let shared = &*self.shared;
+        if shared.token.load(Ordering::SeqCst) {
+            let start = Instant::now();
+            let mut waited = false;
+            while !shared.ring.taken(position) {
+                if !shared.token.load(Ordering::SeqCst) || start.elapsed() >= WAKE_COST {
+                    return shared.signal_work();
+                }
+                // A yield that found the core wanted most likely gave it
+                // to the holder: look again rather than give up.
+                relax();
+                waited = true;
+            }
+            if waited {
+                self.spin_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
+        }
+        shared.signal_work();
+    }
+}
+
+/// The asynchronous system-call interface of one enclave: its submission
+/// side of a [`HostPool`].
+pub struct AsyscallInterface {
+    pool: Arc<HostPool>,
+    /// Service threads this member brought, given back when it leaves.
+    threads: usize,
+    submitter: Arc<Submitter>,
+    cost: ModeCost,
+}
+
+impl AsyscallInterface {
+    /// Creates the interface on a pool of its own, with `service_threads`
+    /// untrusted worker threads and `slots` system-call slots (the maximum
+    /// number of in-flight calls).
+    pub fn new(service_threads: usize, slots: usize, cost: ModeCost) -> Self {
+        HostPool::new(slots).join(service_threads, slots, cost)
+    }
+
+    /// The host pool this interface submits to.
+    pub fn pool(&self) -> &Arc<HostPool> {
+        &self.pool
+    }
+
+    /// Number of system-call slots in the host pool.
     pub fn slots(&self) -> usize {
-        self.shared.slots.len()
+        self.pool.stats().slots
     }
 
     fn enqueue(&self, body: SyscallBody) {
         self.cost.charge(CostEvent::AsyncSyscall);
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        let index = self.shared.claim(body);
-        let position = self.shared.ring.push(index);
-        self.shared.hand_over(position);
+        let submitter = &*self.submitter;
+        submitter.submitted.fetch_add(1, Ordering::Relaxed);
+        let index = submitter.claim(body);
+        let position = submitter.shared.ring.push(index);
+        submitter.hand_over(position);
     }
 
     /// Enqueues `bodies` as one submission reporting into one set of
@@ -1075,7 +1298,7 @@ impl AsyscallInterface {
         CompletionSet {
             batch,
             delivered: 0,
-            shared: Arc::clone(&self.shared),
+            submitter: Arc::clone(&self.submitter),
         }
     }
 
@@ -1110,38 +1333,44 @@ impl AsyscallInterface {
         I::IntoIter: ExactSizeIterator,
     {
         let set = self.submit_set(bodies.into_iter());
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
+        self.submitter.batches.fetch_add(1, Ordering::Relaxed);
         Ok(set)
     }
 
-    /// Returns activity counters.
+    /// Returns this interface's counters; `completed` and
+    /// `max_concurrency` are the host pool's.
     pub fn stats(&self) -> AsyscallStats {
+        let submitter = &*self.submitter;
+        let pool = self.pool.stats();
         AsyscallStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            slot_waits: self.shared.slot_waits.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            max_concurrency: self.shared.max_concurrency.load(Ordering::SeqCst),
-            parks: self.shared.parks.load(Ordering::Relaxed),
-            spin_hits: self.shared.spin_hits.load(Ordering::Relaxed),
+            submitted: submitter.submitted.load(Ordering::Relaxed),
+            completed: pool.completed,
+            slot_waits: submitter.slot_waits.load(Ordering::Relaxed),
+            batches: submitter.batches.load(Ordering::Relaxed),
+            max_concurrency: pool.max_concurrency,
+            parks: submitter.parks.load(Ordering::Relaxed),
+            spin_hits: submitter.spin_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Shuts the interface down, waiting for service threads to exit.
-    pub fn shutdown(mut self) {
-        self.shared.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    /// Leaves the host pool; the last member to leave a pool nobody else
+    /// holds shuts it down and waits for its service threads to exit.
+    pub fn shutdown(self) {
+        let pool = Arc::clone(&self.pool);
+        drop(self);
+        if let Ok(pool) = Arc::try_unwrap(pool) {
+            pool.shutdown();
         }
     }
 }
 
-/// Closes the interface without joining: the service threads exit on their
-/// own once woken, and waiters on calls that never ran see
-/// [`SgxError::SyscallInterfaceClosed`].
+/// Leaves the host pool, giving back the member's service threads. The
+/// last handle to the pool closes it instead.
 impl Drop for AsyscallInterface {
     fn drop(&mut self) {
-        self.shared.close();
+        if Arc::strong_count(&self.pool) > 1 {
+            self.pool.shared.give_back(self.threads);
+        }
     }
 }
 
@@ -1365,6 +1594,73 @@ mod tests {
         for k in 0..4 {
             assert_eq!(i.submit(move || k).unwrap(), k);
         }
+    }
+
+    #[test]
+    fn members_share_the_pool_and_count_their_own_submissions() {
+        let pool = HostPool::new(64);
+        let sgx = pool.join(
+            2,
+            16,
+            ModeCost::new(ExecutionMode::Sgx, SgxCostModel::default()),
+        );
+        let native = pool.join(
+            1,
+            8,
+            ModeCost::new(ExecutionMode::Native, SgxCostModel::default()),
+        );
+        assert_eq!((pool.stats().threads, pool.stats().slots), (3, 24));
+        for k in 0..10u64 {
+            assert_eq!(sgx.submit(move || k).unwrap(), k);
+        }
+        let set = native.submit_batch((0..4u32).map(|k| move || k)).unwrap();
+        assert_eq!(set.join().unwrap(), vec![0, 1, 2, 3]);
+        let (a, b) = (sgx.stats(), native.stats());
+        assert_eq!((a.submitted, a.batches), (10, 0));
+        assert_eq!((b.submitted, b.batches), (4, 1));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while pool.stats().completed < 14 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.stats().completed, 14);
+        // A member leaving keeps the pool open for the others and gives its
+        // threads back once they are idle.
+        sgx.shutdown();
+        assert_eq!(native.submit(|| 5).unwrap(), 5);
+        let threads_become = |n: usize| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while pool.stats().threads != n {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "threads never reached {n}"
+                );
+                std::thread::yield_now();
+            }
+        };
+        threads_become(1);
+        // Slots stop at the capacity and stay when a member leaves.
+        let big = pool.join(
+            1,
+            100,
+            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
+        );
+        assert_eq!((pool.stats().threads, big.slots()), (2, 64));
+        // Once every member has left, one thread stays for calls they left
+        // queued.
+        let late = big.submit_batch((0..8u32).map(|k| move || k)).unwrap();
+        drop((native, big));
+        assert_eq!(late.join().unwrap(), (0..8).collect::<Vec<_>>());
+        threads_become(1);
+        // The thread that stayed owes nothing: a later member keeps all of
+        // its own.
+        let next = pool.join(
+            2,
+            8,
+            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
+        );
+        assert_eq!(next.submit(|| 6).unwrap(), 6);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(pool.stats().threads, 3);
     }
 
     #[test]

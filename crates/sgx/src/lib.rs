@@ -36,7 +36,7 @@ pub mod enclave;
 pub mod error;
 pub mod scheduler;
 
-pub use asyscall::{AsyscallInterface, AsyscallStats};
+pub use asyscall::{AsyscallInterface, AsyscallStats, HostPool, PoolStats};
 pub use attestation::{AttestationService, EnclaveQuote, ProvisionedSecrets};
 pub use cost::{CostEvent, ExecutionMode, SgxCostModel};
 pub use enclave::{Enclave, EnclaveConfig, EnclaveMeasurement, EpcStats};

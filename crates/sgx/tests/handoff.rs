@@ -26,6 +26,13 @@ fn wait_one<T>(mut pending: CompletionSet<T>) -> Result<T, SgxError> {
     result
 }
 
+/// Sleeps and spin hits on both sides of the hand-off: the interface's
+/// submitters and its pool's service threads.
+fn parks_and_hits(iface: &AsyscallInterface) -> (u64, u64) {
+    let (mine, pool) = (iface.stats(), iface.pool().stats());
+    (mine.parks + pool.parks, mine.spin_hits + pool.spin_hits)
+}
+
 fn multicore() -> bool {
     std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1)
 }
@@ -170,7 +177,7 @@ fn short_calls_rarely_park_and_long_calls_always_do() {
             for _ in 0..100 {
                 iface.submit(|| ()).unwrap();
             }
-            let before = iface.stats();
+            let before = parks_and_hits(&iface);
             let submitters: Vec<_> = (0..2)
                 .map(|_| {
                     let iface = Arc::clone(&iface);
@@ -184,11 +191,8 @@ fn short_calls_rarely_park_and_long_calls_always_do() {
             for s in submitters {
                 s.join().unwrap();
             }
-            let after = iface.stats();
-            let (parks, hits) = (
-                after.parks - before.parks,
-                after.spin_hits - before.spin_hits,
-            );
+            let after = parks_and_hits(&iface);
+            let (parks, hits) = (after.0 - before.0, after.1 - before.1);
             assert!(
                 parks < 2 * CALLS / 10,
                 "{parks} sleeps for {} back-to-back empty calls",
@@ -200,7 +204,7 @@ fn short_calls_rarely_park_and_long_calls_always_do() {
         // A body that sleeps 1 ms outlasts every budget: each call costs its
         // submitter a sleep, and after the first few no spin at all.
         const SLOW: u64 = 40;
-        let before = iface.stats();
+        let before = parks_and_hits(&iface).0;
         let cpu_before = thread_cpu_ns();
         for _ in 0..SLOW {
             iface
@@ -208,12 +212,8 @@ fn short_calls_rarely_park_and_long_calls_always_do() {
                 .unwrap();
         }
         let cpu_after = thread_cpu_ns();
-        let after = iface.stats();
-        assert!(
-            after.parks - before.parks >= SLOW,
-            "{} sleeps for {SLOW} calls of 1 ms",
-            after.parks - before.parks
-        );
+        let parks = parks_and_hits(&iface).0 - before;
+        assert!(parks >= SLOW, "{parks} sleeps for {SLOW} calls of 1 ms");
         if let (Some(start), Some(end)) = (cpu_before, cpu_after) {
             // 40 ms of waiting; had the submitter spun through it (or even
             // through its 40 µs budget on every call plus the wake-ups) it
