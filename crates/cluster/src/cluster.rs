@@ -63,11 +63,11 @@ pub struct ClusterConfig {
     /// x-axis of `reproduce fig12`).
     pub drain_concurrency: usize,
     /// Backup controllers per partition. `0` (the default) disables
-    /// replication entirely: no backup instances, no op logs, and
+    /// replication entirely: no backup instances, no logs, and
     /// [`ControllerCluster::fail_controller`] refuses — exactly the
     /// pre-replication behavior. With `n > 0` every partition primary
-    /// streams its op log to `n` backups and can fail over onto the
-    /// freshest one.
+    /// streams the drive batches it writes to `n` backups and can fail
+    /// over onto the freshest one.
     pub backups_per_partition: usize,
 }
 
@@ -389,7 +389,12 @@ impl ControllerCluster {
                     config.controller.clone(),
                     &pool,
                 )?);
-                let log = Self::spawn_log(&config.controller, config.backups_per_partition, &pool)?;
+                let log = Self::spawn_log(
+                    &controller,
+                    &config.controller,
+                    config.backups_per_partition,
+                    &pool,
+                )?;
                 Ok((controller, log))
             })
             .collect::<Result<Vec<_>, PesosError>>()?;

@@ -1,10 +1,11 @@
-//! Replication and failover (the partitions' logs, ranks 80–82): every
-//! acknowledged mutation is appended to its partition's log before the ack
-//! escapes, so promoting the freshest backup under the gate's write side
-//! loses no acknowledged write. A log lives in its partition's
-//! routing-table entry ([`crate::router::Partition::log`]): a write reaches
-//! it through the routing snapshot that routed the write, and a promotion
-//! swaps owner and log in one table swap.
+//! Replication and failover (the partitions' logs, ranks 80–82): a
+//! partition primary's store appends every drive batch it acknowledges to
+//! the partition's log before the ack escapes, so promoting the freshest
+//! backup under the gate's write side loses no acknowledged write. A log
+//! lives in its partition's routing-table entry
+//! ([`crate::router::Partition::log`]) and is attached to the primary's
+//! store where it is spawned; a promotion swaps owner and log in one table
+//! swap.
 
 use std::sync::Arc;
 
@@ -28,10 +29,12 @@ const REPLICATION_MAX_LAG: u64 = 256;
 
 impl ControllerCluster {
     /// Builds `backups` backup controllers from the template on the host
-    /// `pool` and starts a log shipping to them; `None` when `backups` is 0
-    /// (replication off). Every partition's log is spawned here or
-    /// re-seeded from a promotion's survivors, which are already on it.
+    /// `pool` and starts `primary`'s log shipping to them; `None` when
+    /// `backups` is 0 (replication off). Every partition's log is spawned
+    /// here or re-seeded from a promotion's survivors, which are already
+    /// on it.
     pub(super) fn spawn_log(
+        primary: &PesosController,
         template: &ControllerConfig,
         backups: usize,
         pool: &Arc<HostPool>,
@@ -42,11 +45,9 @@ impl ControllerCluster {
         let backups = (0..backups)
             .map(|_| PesosController::with_pool(template.clone(), pool).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(ReplicaSet::spawn(
-            REPLICATION_SECRET,
-            backups,
-            REPLICATION_MAX_LAG,
-        )))
+        let log = ReplicaSet::spawn(REPLICATION_SECRET, backups, REPLICATION_MAX_LAG);
+        primary.store().attach_log(&log);
+        Ok(Some(log))
     }
 
     /// Simulates a crash of partition `index`'s controller: it refuses
@@ -68,7 +69,7 @@ impl ControllerCluster {
     ///
     /// The promotion runs under the ops gate's write side with the same
     /// flush-under-gate discipline as a rebalance: every request either
-    /// completed (and appended its log record) before the gate flips or
+    /// completed (and appended its batches) before the gate flips or
     /// starts against the promoted backup after it, and every async put it
     /// accepted has completed (and appended) or failed — so the retained
     /// log tail replayed into the backup covers every acknowledged write,
@@ -85,6 +86,14 @@ impl ControllerCluster {
     /// Returns the promotion record: the controller now serving the
     /// partition, how many retained records were replayed into it, and
     /// the surviving backups that re-seed its next replica set.
+    ///
+    /// A backup only wrote its primary's drive batches, so the promoted
+    /// controller starts *cold*: its metadata map is empty and its
+    /// partition's `resident_objects` is 0, refilling as keys are touched
+    /// (the first write of each key is refused as a create and re-reads
+    /// the record, `/stats/partitions/<i>/store/create_refusals`). Until it
+    /// refills, a split of this partition falls back to the midpoint of
+    /// its range.
     pub fn fail_controller(&self, index: usize) -> Result<Promotion, PesosError> {
         let _topology = self.rebalance.lock();
         let failed = {
@@ -151,6 +160,13 @@ impl ControllerCluster {
             promoted.controller.set_time(failed.controller.now());
             self.rehome(&promoted)
                 .inspect_err(|_| promoted.stop_log())?;
+            // Attached only now: a store keeps the first log attached to
+            // it, so a failed re-home must leave it without one for the
+            // retried failover's log. What the re-home wrote (a policy the
+            // backup lacked) is re-homed again by any later promotion.
+            if let Some(log) = &promoted.log {
+                promoted.controller.store().attach_log(log);
+            }
             let mut routing = self.routing.write();
             let old = routing.clone();
             let table = old

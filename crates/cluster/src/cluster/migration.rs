@@ -14,7 +14,6 @@ use pesos_core::{ControllerConfig, HashedKey, PesosController, PesosError};
 
 use super::routing::ROUTING_DELIMITER;
 use super::{partition_at, ControllerCluster, Migration, PartitionLoad, RoutingState};
-use crate::replication::LogRecord;
 use crate::router::{HashRange, Partition, PartitionTable};
 
 impl ControllerCluster {
@@ -160,9 +159,6 @@ impl ControllerCluster {
                     if pending {
                         migration.moved_pending_delete.lock().remove(key.key());
                     }
-                    src.append(|| LogRecord::Delete {
-                        key: key.key().to_string(),
-                    });
                     Ok(())
                 }
                 Err(e) => Err(e),
@@ -175,18 +171,15 @@ impl ControllerCluster {
         if let Some(policy_id) = export.meta.policy_id {
             if dst.controller.store().load_policy(&policy_id).is_err() {
                 if let Ok(policy) = src.controller.store().load_policy(&policy_id) {
-                    dst.append(|| LogRecord::PolicyInstall {
-                        bytes: policy.to_bytes().into(),
-                    });
                     dst.controller.store().store_compiled_policy(policy)?;
                 }
             }
         }
+        // The destination's backups receive the moved object through the
+        // destination's log; the source's drop it through the source's:
+        // each store logs the batches it writes.
         dst.controller.store().import_object(&export)?;
         migration.keys_moved.fetch_add(1, Ordering::Relaxed);
-        // The destination's backups receive the moved object through the
-        // destination's log; the source's drop it through the source's.
-        dst.append(|| LogRecord::Import(Box::new(export)));
         // Only once the destination durably holds the object does the
         // source copy go away: a failed import leaves the source
         // authoritative and the pull retryable, never a lost object.
@@ -200,9 +193,6 @@ impl ControllerCluster {
                 .insert(key.key().to_string());
             return Err(e);
         }
-        src.append(|| LogRecord::Delete {
-            key: key.key().to_string(),
-        });
         Ok(())
     }
 
@@ -392,10 +382,11 @@ impl ControllerCluster {
         // The joiner gets its own backups before it can accept traffic, so
         // every write it acknowledges is covered by its log from the
         // first request.
+        let controller = Arc::new(PesosController::with_pool(config.clone(), &self.pool)?);
         let joiner = Partition {
             start: split_start,
-            controller: Arc::new(PesosController::with_pool(config.clone(), &self.pool)?),
-            log: Self::spawn_log(&config, self.backups_per_partition, &self.pool)?,
+            log: Self::spawn_log(&controller, &config, self.backups_per_partition, &self.pool)?,
+            controller,
         };
         // Re-home sessions, policies and the logical clock before any
         // traffic can route to the new partition.

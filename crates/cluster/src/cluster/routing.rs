@@ -11,13 +11,11 @@ use std::time::Duration;
 
 use pesos_core::{AsyncResult, HashedKey, PesosError};
 use pesos_crypto::Certificate;
-use pesos_kinetic::Payload;
 use pesos_policy::PolicyId;
 use pesos_telemetry::{OpKind, OpTimer, WindowedCounter};
 use rand::Rng;
 
 use super::{ControllerCluster, RoutingState};
-use crate::replication::LogRecord;
 use crate::router::Partition;
 
 /// Placement-group delimiter for cluster routing: a key routes by the hash
@@ -142,8 +140,8 @@ impl ControllerCluster {
         }
     }
 
-    /// Copies `policy_id` onto `to` (and into its log) from whichever
-    /// other partition holds it; returns whether a copy was found.
+    /// Copies `policy_id` onto `to` from whichever other partition holds
+    /// it (`to`'s store logs the write); returns whether a copy was found.
     fn copy_policy_from_peers(
         &self,
         routing: &RoutingState,
@@ -155,9 +153,6 @@ impl ControllerCluster {
                 continue;
             }
             if let Ok(policy) = partition.controller.store().load_policy(policy_id) {
-                to.append(|| LogRecord::PolicyInstall {
-                    bytes: policy.to_bytes().into(),
-                });
                 to.controller.store().store_compiled_policy(policy)?;
                 return Ok(true);
             }
@@ -187,8 +182,9 @@ impl ControllerCluster {
 
     /// Installs a policy on every controller and returns its identifier
     /// (compilation is deterministic, so every instance derives the same
-    /// id).
-    // pesos-lint: invariant(acked_logged)
+    /// id). Each partition's store logs the compiled body it writes: a
+    /// promoted backup evaluates policies with no surviving peer to copy
+    /// them from.
     pub fn put_policy(&self, client_id: &str, source: &str) -> Result<PolicyId, PesosError> {
         let _timer = self
             .telemetry
@@ -202,25 +198,12 @@ impl ControllerCluster {
         }
         let id = id.ok_or_else(|| PesosError::Backend("cluster has no partitions".into()))?;
         self.policies.lock().insert(id);
-        // Broadcast the compiled *body* into every partition's log: a
-        // promoted backup must evaluate policies with no surviving peer to
-        // copy them from.
-        if let Ok(policy) = routing.table.first().controller.store().load_policy(&id) {
-            let bytes: Payload = policy.to_bytes().into();
-            for partition in routing.table.partitions() {
-                partition.append(|| LogRecord::PolicyInstall {
-                    bytes: bytes.clone(),
-                });
-            }
-        }
         Ok(id)
     }
 
     /// Stores an object on its owning partition. The value is borrowed all
-    /// the way into the owner's store; the one copy a replicated put makes
-    /// is the log record's shared buffer, built only when the partition
-    /// has a log.
-    // pesos-lint: invariant(acked_logged)
+    /// the way into the owner's store, whose drive batch — the sealed
+    /// object, shared — is what the partition's log ships.
     pub fn put(
         &self,
         client_id: &str,
@@ -237,21 +220,14 @@ impl ControllerCluster {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
             }
-            let version = owner.controller.put(
+            owner.controller.put(
                 client_id,
                 &key,
                 value,
                 policy_id,
                 expected_version,
                 certificates,
-            )?;
-            owner.append(|| LogRecord::Put {
-                key: key.key().to_string(),
-                value: value.into(),
-                policy_id,
-                version,
-            });
-            Ok(version)
+            )
         })
     }
 
@@ -259,9 +235,9 @@ impl ControllerCluster {
     /// returned operation id is cluster-scoped and pollable through
     /// [`ControllerCluster::poll_result`] regardless of later topology
     /// changes (the mapping pins the accepting controller).
-    /// The write is the owner's put, run later and logged when it completes
-    /// ([`log_completed_put`]): the id acknowledges a queued write, and one
-    /// the owner had not run when it failed polls `Failed`.
+    /// The write is the owner's put, run later and logged when it completes:
+    /// the id acknowledges a queued write, and one the owner had not run
+    /// when it failed polls `Failed`.
     pub fn put_async(
         &self,
         client_id: &str,
@@ -289,7 +265,6 @@ impl ControllerCluster {
                 policy_id,
                 expected_version,
                 certificates,
-                log_completed_put(owner, &key, &value, policy_id),
             )?;
             let cluster_op = self.next_async_id.fetch_add(1, Ordering::SeqCst);
             self.async_ops
@@ -336,7 +311,6 @@ impl ControllerCluster {
     }
 
     /// Deletes an object from its owning partition.
-    // pesos-lint: invariant(acked_logged)
     pub fn delete(
         &self,
         client_id: &str,
@@ -346,16 +320,11 @@ impl ControllerCluster {
         let key = HashedKey::new(key);
         let _timer = self.observe(OpKind::Delete, &key);
         self.with_owner(&key, |_, owner| {
-            owner.controller.delete(client_id, &key, certificates)?;
-            owner.append(|| LogRecord::Delete {
-                key: key.key().to_string(),
-            });
-            Ok(())
+            owner.controller.delete(client_id, &key, certificates)
         })
     }
 
     /// Attaches an existing policy to an object on its owning partition.
-    // pesos-lint: invariant(acked_logged)
     pub fn attach_policy(
         &self,
         client_id: &str,
@@ -369,12 +338,7 @@ impl ControllerCluster {
             self.ensure_policy(routing, owner, &policy_id)?;
             owner
                 .controller
-                .attach_policy(client_id, &key, policy_id, certificates)?;
-            owner.append(|| LogRecord::AttachPolicy {
-                key: key.key().to_string(),
-                policy_id,
-            });
-            Ok(())
+                .attach_policy(client_id, &key, policy_id, certificates)
         })
     }
 
@@ -383,27 +347,5 @@ impl ControllerCluster {
         for partition in self.routing.read().table.partitions() {
             partition.controller.drain_async();
         }
-    }
-}
-
-/// The completion hook of a cluster `put_async`: appends the put, at the
-/// version the store assigned, to the accepting partition's log before the
-/// owner files the result a poll reads. A failover flushes the failed
-/// owner's scheduler before it replays the log, so no record is missed.
-// pesos-lint: invariant(acked_logged)
-fn log_completed_put(
-    owner: &Partition,
-    key: &HashedKey<'_>,
-    value: &Arc<Vec<u8>>,
-    policy_id: Option<PolicyId>,
-) -> impl FnOnce(u64) + Send + 'static {
-    let (owner, key, value) = (owner.clone(), key.key().to_string(), Arc::clone(value));
-    move |version| {
-        owner.append(|| LogRecord::Put {
-            key,
-            value: value.as_slice().into(),
-            policy_id,
-            version,
-        })
     }
 }

@@ -5,6 +5,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pesos_core::{AsyncResult, ClientRequest, PesosError};
+use pesos_telemetry::StatsNode;
 use pesos_wire::{RestMethod, RestRequest, RestStatus};
 
 use super::routing::RETRY_ATTEMPTS;
@@ -843,24 +844,122 @@ fn failover_preserves_versions_deletes_and_policies() {
         )
         .unwrap();
     c.put("alice", "k", b"v0", Some(acl), None, &[]).unwrap();
-    // CAS put (expected_version names the version this write creates):
-    // the log record carries the exact committed version.
+    // CAS put (expected_version names the version this write creates).
     c.put("alice", "k", b"v1", None, Some(1), &[]).unwrap();
     c.put("alice", "gone", b"x", None, None, &[]).unwrap();
     c.delete("alice", "gone", &[]).unwrap();
     c.kill_controller(0).unwrap();
     c.fail_controller(0).unwrap();
+    // The backup wrote its primary's batches and nothing else: promoted,
+    // it is a cold controller over the primary's drives.
+    let promoted = Arc::clone(&c.controllers()[0]);
+    assert_eq!(promoted.store().resident_object_count(), 0);
+    // Cold, it still fails closed: eve's put finds no record in the map,
+    // the drives refuse the create, and the record's policy — its body
+    // replicated with the log — denies her. Nothing moves on any drive.
+    let drives = || -> Vec<Vec<_>> {
+        let store = promoted.store();
+        (0..store.drives().len())
+            .map(|i| {
+                let drive = store.drives().get(i).unwrap();
+                let keys = store.drive_keys(i).unwrap();
+                keys.into_iter().map(|key| drive.peek(&key)).collect()
+            })
+            .collect()
+    };
+    let before = drives();
+    assert!(matches!(
+        c.put("eve", "k", b"stolen", None, None, &[]),
+        Err(PesosError::PolicyDenied(_))
+    ));
+    assert_eq!(drives(), before);
+    let refusals = c.stats_tree(0);
+    match refusals.resolve("partitions/0/store/create_refusals") {
+        Some(StatsNode::Leaf(n)) => assert!(n.parse::<u64>().unwrap() > 0),
+        other => panic!("no create_refusals leaf: {other:?}"),
+    }
     assert_eq!(c.get_version("alice", "k", 0, &[]).unwrap(), b"v0");
     let (value, version) = c.get("alice", "k", &[]).unwrap();
     assert_eq!(&**value, b"v1");
     assert_eq!(version, 1);
+    // A CAS at latest + 1 continues the history.
+    assert_eq!(c.put("alice", "k", b"v2", None, Some(2), &[]).unwrap(), 2);
     assert!(matches!(
         c.get("alice", "gone", &[]),
         Err(PesosError::ObjectNotFound(_))
     ));
-    // The policy body replicated with the log: the promoted backup
-    // enforces it with no surviving peer to copy from.
     assert!(c.get("eve", "k", &[]).is_err());
+}
+
+/// A backup's drives end equal to its primary's, byte for byte, after a
+/// mixed history: sync and async writers sharing keys, CAS puts,
+/// cross-partition commits, one split and one merge (the split source's
+/// drain deletes reach its backup through its log), then a delete, a
+/// policy attach and a history long enough to trim segments.
+#[test]
+fn a_backups_drives_equal_its_primarys() {
+    let c = Arc::new(replicated_cluster(2, 1));
+    c.register_client("alice");
+    let acl = c
+        .put_policy(
+            "alice",
+            "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")\n\
+             delete :- sessionKeyIs(\"alice\")",
+        )
+        .unwrap();
+    let key = |i: usize| format!("eq/{}", i % 24);
+    let writer = |sync: bool| {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || {
+            for i in 0..96 {
+                let value = format!("{sync}-{i}").into_bytes();
+                if sync {
+                    c.put("alice", &key(i), value, None, None, &[]).unwrap();
+                } else {
+                    c.put_async("alice", &key(i), value, None, None, &[])
+                        .unwrap();
+                }
+            }
+        })
+    };
+    let writers = [writer(true), writer(false)];
+    for i in 0..8 {
+        let cas = format!("cas/{i}");
+        c.put("alice", &cas, b"v0", None, Some(0), &[]).unwrap();
+        c.put("alice", &cas, b"v1", Some(acl), Some(1), &[])
+            .unwrap();
+        let tx = c.create_tx("alice").unwrap();
+        c.add_write("alice", tx, &format!("tx/{i}/a"), b"a".to_vec())
+            .unwrap();
+        c.add_write("alice", tx, &format!("tx/{i}/b"), b"b".to_vec())
+            .unwrap();
+        c.commit_tx("alice", tx).unwrap();
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+    let before = c.controllers();
+    c.add_controller().unwrap();
+    let joiner = c
+        .controllers()
+        .iter()
+        .position(|new| !before.iter().any(|old| Arc::ptr_eq(new, old)))
+        .expect("the joiner is in the table");
+    c.remove_controller(joiner).unwrap();
+    c.delete("alice", "cas/3", &[]).unwrap();
+    c.attach_policy("alice", "cas/4", acl, &[]).unwrap();
+    for v in 0..140u32 {
+        c.put("alice", "hot", v.to_be_bytes(), None, None, &[])
+            .unwrap();
+    }
+    c.drain_async();
+    let routing = c.routing.read().clone();
+    assert_eq!(routing.table.len(), 2);
+    for partition in routing.table.partitions() {
+        let log = partition.log.as_ref().expect("a replicated partition");
+        assert!(partition.controller.store().resident_object_count() > 0);
+        log.assert_backups_equal(&partition.controller);
+    }
 }
 
 #[test]

@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 
 use pesos_core::{HashedKey, PesosError, PreparedCommit, TxOutcome, TxWrite};
-use pesos_kinetic::Payload;
 use pesos_telemetry::OpKind;
 
 use super::{partition_at, ControllerCluster};
@@ -117,21 +116,9 @@ impl ControllerCluster {
             prepared: PreparedCommit<'a>,
             read_positions: Vec<usize>,
             write_positions: Vec<usize>,
-            /// Each write's key and one shared copy of its value for the
-            /// post-commit log records, taken before the value moves into
-            /// the prepare. Empty for a partition that has no log.
-            logged: Vec<(String, Payload)>,
         }
         let prepare = |partition: usize, branch: Branch| {
             let partition = partition_at(&routing.table, partition)?;
-            let logged = match partition.log {
-                Some(_) => branch
-                    .writes
-                    .iter()
-                    .map(|w| (w.key.clone(), w.value.as_slice().into()))
-                    .collect(),
-                None => Vec::new(),
-            };
             partition
                 .controller
                 .prepare_commit(client_id, branch.reads, branch.writes)
@@ -140,7 +127,6 @@ impl ControllerCluster {
                     prepared,
                     read_positions: branch.read_positions,
                     write_positions: branch.write_positions,
-                    logged,
                 })
         };
         let mut participants: Vec<Participant<'_>> = Vec::with_capacity(branches.len());
@@ -157,23 +143,14 @@ impl ControllerCluster {
         }
 
         // Phase two: apply every branch and merge outcomes back into the
-        // order the client added the operations.
+        // order the client added the operations. Each branch's writes enter
+        // its partition's log as its store writes them, before the outcome
+        // (the client-visible acknowledgement) is assembled below.
         let mut read_values: Vec<Option<Vec<u8>>> = vec![None; read_count];
         let mut write_versions: Vec<Option<u64>> = vec![None; write_count];
         let mut committed = Vec::with_capacity(participants.len());
         for p in participants {
             let outcome = p.partition.controller.commit_prepared(p.prepared)?;
-            // Applied branch writes enter the partition's log with their
-            // committed versions, before the outcome (the client-visible
-            // acknowledgement) is assembled below.
-            for ((key, value), version) in p.logged.into_iter().zip(&outcome.write_versions) {
-                p.partition.append(|| LogRecord::Put {
-                    key,
-                    value,
-                    policy_id: None,
-                    version: *version,
-                });
-            }
             for (position, value) in p.read_positions.into_iter().zip(outcome.read_values) {
                 if let Some(slot) = read_values.get_mut(position) {
                     *slot = Some(value);
@@ -214,12 +191,13 @@ impl ControllerCluster {
             committed.push(routing.table.first());
         }
         for partition in committed {
-            let controller = &partition.controller;
-            controller.record_tx_outcome(tx_id, outcome.clone());
-            partition.append(|| LogRecord::TxOutcome {
-                tx_id,
-                outcome: outcome.clone(),
-            });
+            partition
+                .controller
+                .record_tx_outcome(tx_id, outcome.clone());
+            if let Some(log) = &partition.log {
+                let outcome = outcome.clone();
+                log.append(LogRecord::TxOutcome { tx_id, outcome });
+            }
         }
         Ok(outcome)
     }

@@ -30,8 +30,7 @@
 //!   and one private sub-module per lock-rank band:
 //!   * `cluster::routing` — the ops gate and routing snapshot every
 //!     routed operation (put, get, delete, policy attach/install) runs
-//!     under, with the capped retry that lands it on a promoted backup; an
-//!     async put is logged when it completes.
+//!     under, with the capped retry that lands it on a promoted backup.
 //!   * `cluster::migration` — *online*, load-aware topology change:
 //!     `add_controller` splits the most loaded partition at a weighted
 //!     split point and `remove_controller` merges into the lighter
@@ -45,10 +44,8 @@
 //!     is atomic (any partition's policy rejection aborts the whole thing
 //!     before a single write) and its outcome is queryable from any
 //!     router.
-//!   * `cluster::failover` — spawning each partition's log and
-//!     [`ControllerCluster::fail_controller`]; a write reaches its log
-//!     through the routing snapshot that routed it (`Partition::append`,
-//!     acked ⇒ logged).
+//!   * `cluster::failover` — spawning each partition's log, attached to
+//!     its primary's store, and [`ControllerCluster::fail_controller`].
 //!   * `cluster::rest` — the one REST dispatcher (a single controller
 //!     serves REST as a one-partition cluster) and the
 //!     [`pesos_core::RequestEndpoint`] implementation.
@@ -57,9 +54,9 @@
 //!   also feed the hot-key-weighted split point), replication and
 //!   migration gauges, served as a hierarchical attribute tree over the
 //!   REST dispatch and as the [`TelemetrySnapshot`] API.
-//! * [`replication`] — primary/backup partitions: each primary streams a
-//!   per-partition op log to backup controllers over the vectored frame
-//!   encode with bounded-lag backpressure, and
+//! * [`replication`] — primary/backup partitions: each primary's store
+//!   streams the drive batches it writes to backup controllers over the
+//!   vectored frame encode with bounded-lag backpressure, and
 //!   [`ControllerCluster::fail_controller`] promotes the freshest backup
 //!   under the ops-gate write side without losing an acknowledged write.
 

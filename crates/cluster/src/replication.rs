@@ -1,46 +1,54 @@
-//! Primary/backup partition replication: per-partition op logs shipped to
-//! backup controllers over the vectored frame encode.
+//! Primary/backup partition replication: per-partition logs of drive
+//! batches shipped to backup controllers over the vectored frame encode.
 //!
 //! Every partition primary owns a [`ReplicaSet`], carried in the
 //! partition's routing-table entry ([`crate::router::Partition::log`]): an
-//! ordered op log of the writes it has acknowledged (puts, deletes, policy
-//! installs, migration imports/deletes, committed 2PC branch outcomes),
-//! shipped to one or more backup controllers by dedicated shipper threads.
-//! The design invariants:
+//! ordered log of what the primary acknowledged, shipped to one or more
+//! backup controllers by dedicated shipper threads. Everything the
+//! primary's store writes is already sealed and authenticated when it
+//! reaches a drive, so the log carries the drive batches themselves: the
+//! primary's store appends each batch every replica accepted
+//! ([`pesos_core::BatchLog`]) — its puts, deletes, policy installs and
+//! attaches, migration imports — and a backup's store writes it again,
+//! forced, to its own drives ([`pesos_core::PesosStore::apply_batch`]).
+//! The cluster appends the one thing no drive holds: the outcome of a
+//! committed cluster transaction. The design invariants:
 //!
-//! * **Acked ⇒ logged.** A record is appended before the acknowledgement
-//!   that covers it escapes (an async put's: its completion, filed for the
-//!   poll), so the log (retained tail + backup state) always covers every
-//!   acknowledged write. Failover replays the retained tail, which is why
-//!   a promotion loses nothing.
+//! * **Acked ⇒ logged.** A batch is appended under its key's write lock,
+//!   before the write it belongs to returns (an async put's: before its
+//!   completion is filed for the poll), so the log (retained tail + backup
+//!   state) always covers every acknowledged write. Failover replays the
+//!   retained tail, which is why a promotion loses nothing.
 //! * **Log order = seal order.** Records are sealed into vectored frames
 //!   under the log mutex, so a frame's sequence number is its total order;
-//!   backups apply strictly in that order. Every put record carries the
-//!   version the primary assigned: re-application (a replayed tail) is
-//!   idempotent, and two writers' records on one key file by version.
+//!   backups apply strictly in that order. Appends under the key lock make
+//!   each key's log order its write order, so a record needs no version:
+//!   a backup's drives pass through exactly the states its primary's did,
+//!   and re-applying a forced batch (a replayed tail) writes the same bytes
+//!   again.
 //! * **Bounded lag.** The retained tail is capped: when the slowest backup
 //!   falls more than `max_lag` records behind, appenders block — explicit
 //!   backpressure instead of unbounded memory growth. The wait is itself
-//!   bounded ([`APPEND_STALL_CAP`]) so a dead backup degrades to an
+//!   bounded in time ([`APPEND_STALL_CAP`]) so a dead backup degrades to an
 //!   unbounded tail rather than wedging the write path (and with it the
 //!   ops gate a failover needs).
-//! * **Frames, not calls.** Log records travel as authenticated
-//!   [`VectoredEnvelope`] frames: the payload chunk *is* the acknowledged
-//!   value buffer (shared by reference count), sealed with one streaming
+//! * **Frames, not calls.** A batch record travels as an authenticated
+//!   [`VectoredEnvelope`] frame holding a Kinetic `Batch` command: its
+//!   sub-operations are the list the primary's drives received (shared by
+//!   reference count, sealed payloads included), sealed with one streaming
 //!   frame HMAC and checked with the folded one-compression verification —
 //!   the identical encode/verify path the kinetic wire layer uses, so
-//!   shipping a log record costs one seal and no payload copies, and the
-//!   backup does not hash the frame again to check it. The backup's store
-//!   does hash the value once, for the content hash its version metadata
-//!   records: the primary's digest is not shipped, and a backup trusts no
-//!   digest it did not compute.
+//!   shipping a record costs one seal and no payload copies. A backup
+//!   seals, hashes content and decides nothing, and keeps no metadata map:
+//!   a promoted backup starts as a cold store over drives equal to its
+//!   primary's.
 //! * **Batched wake-ups.** A shipper wakes once [`SHIP_BATCH`] records have
 //!   queued for its backup, or once the first of fewer has waited
 //!   [`SHIP_LINGER`]; an append wakes the shippers only at those two
 //!   moments. Woken once per record, a shipper's backup submitted its I/O
 //!   in bursts too sparse to keep the host pool's service thread hot, and
-//!   each hand-off paid a cross-core wake-up. Applying a batch's puts as
-//!   one store call and one submission was measured as well and bought
+//!   each hand-off paid a cross-core wake-up. Applying a batch of records
+//!   as one store call and one submission was measured as well and bought
 //!   nothing beyond this.
 
 use std::collections::VecDeque;
@@ -50,10 +58,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use pesos_core::{MetadataHead, ObjectExport, PesosController, PesosError, TxOutcome};
+use pesos_core::{BatchLog, PesosController, PesosError, TxOutcome};
 use pesos_crypto::hmac::HmacKey;
-use pesos_kinetic::{Command, Envelope, MessageType, Payload, VectoredEnvelope};
-use pesos_policy::{CompiledPolicy, PolicyId};
+use pesos_kinetic::{BatchOp, Command, Envelope, MessageType, VectoredEnvelope};
 use pesos_sgx::AsyscallStats;
 use pesos_wire::{FieldReader, FieldWriter};
 
@@ -79,44 +86,19 @@ const APPLY_RETRY: Duration = Duration::from_millis(2);
 /// gate with it, making the failover that would fix things impossible.
 const APPEND_STALL_CAP: Duration = Duration::from_secs(2);
 
-/// One replicated operation, as carried by the log.
+/// One replicated record, as carried by the log.
 #[derive(Debug, Clone)]
 pub enum LogRecord {
-    /// A stored object version, logged once the primary's store has
-    /// assigned it (sync, CAS and asynchronous puts, committed 2PC
-    /// writes).
-    Put {
-        /// Object key.
+    /// A drive batch every replica of the primary accepted, as its store
+    /// built it: the backup writes the same sub-operations, forced, to the
+    /// replicas of the same placement key.
+    Batch {
+        /// The key whose placement picked the batch's drives (an object
+        /// key, or a policy id's hex).
         key: String,
-        /// The acknowledged value (shared buffer — shipped by reference).
-        value: Payload,
-        /// Policy to associate, when the write carried one.
-        policy_id: Option<PolicyId>,
-        /// The version the primary assigned.
-        version: u64,
+        /// The sub-operations, shared with the primary's drive commands.
+        ops: Arc<[BatchOp]>,
     },
-    /// All versions of an object were deleted.
-    Delete {
-        /// Object key.
-        key: String,
-    },
-    /// A policy was associated with an existing object.
-    AttachPolicy {
-        /// Object key.
-        key: String,
-        /// The policy now in force.
-        policy_id: PolicyId,
-    },
-    /// A compiled policy body was installed (broadcast or copied on
-    /// demand). Backups need the bodies, not just the identifiers, so a
-    /// promoted backup can evaluate policies without any surviving peer.
-    PolicyInstall {
-        /// The serialized compiled policy.
-        bytes: Payload,
-    },
-    /// A whole object (all retained versions plus metadata) arrived via
-    /// migration import.
-    Import(Box<ObjectExport>),
     /// A cluster transaction's outcome was filed on this partition — the
     /// replicated outcome map failover uses to resolve in-doubt
     /// transactions.
@@ -128,70 +110,23 @@ pub enum LogRecord {
     },
 }
 
-const KIND_PUT: u64 = 1;
-const KIND_DELETE: u64 = 2;
-const KIND_ATTACH: u64 = 3;
-const KIND_POLICY: u64 = 4;
-const KIND_IMPORT: u64 = 5;
-const KIND_TX_OUTCOME: u64 = 6;
-
 impl LogRecord {
-    /// Encodes the record as a kinetic command: the record header rides in
-    /// `body.key`, the bulk bytes ride in `body.value` (for puts, the
-    /// acknowledged value buffer itself), and the log sequence number in
-    /// `sequence`. The command is then sealed with
-    /// [`Envelope::seal_vectored`] — the wire layer's scatter-gather
-    /// encode — so the value chunk is never copied into a contiguous
-    /// frame.
+    /// Encodes the record as a kinetic command carrying the log sequence
+    /// number in `sequence`: a batch as a `Batch` command over the shared
+    /// sub-operation list, an outcome as a `Put` whose key is the
+    /// transaction id and whose value lists the outcome's fields. The
+    /// command is then sealed with [`Envelope::seal_vectored`] — the wire
+    /// layer's scatter-gather encode — so no payload is copied into a
+    /// contiguous frame.
     fn into_command(self, seq: u64) -> Command {
-        let mut header = FieldWriter::new();
-        let value: Payload = match self {
-            LogRecord::Put {
-                key,
-                value,
-                policy_id,
-                version,
-            } => {
-                header.uint64(1, KIND_PUT);
-                header.string(2, &key);
-                header.uint64(3, version);
-                if let Some(id) = policy_id {
-                    header.bytes(4, &id.0);
-                }
-                value
-            }
-            LogRecord::Delete { key } => {
-                header.uint64(1, KIND_DELETE);
-                header.string(2, &key);
-                Payload::default()
-            }
-            LogRecord::AttachPolicy { key, policy_id } => {
-                header.uint64(1, KIND_ATTACH);
-                header.string(2, &key);
-                header.bytes(4, &policy_id.0);
-                Payload::default()
-            }
-            LogRecord::PolicyInstall { bytes } => {
-                header.uint64(1, KIND_POLICY);
-                bytes
-            }
-            LogRecord::Import(export) => {
-                header.uint64(1, KIND_IMPORT);
-                header.bytes(6, &export.meta.to_bytes());
-                for segment in export.meta.versions.segments() {
-                    header.bytes(7, &export.meta.segment_bytes(segment));
-                }
-                let mut body = FieldWriter::new();
-                for (version, plaintext) in &export.versions {
-                    let mut v = FieldWriter::new();
-                    v.uint64(1, *version).bytes(2, plaintext);
-                    body.message(1, &v);
-                }
-                body.finish().into()
+        let mut cmd = match self {
+            LogRecord::Batch { key, ops } => {
+                let mut cmd = Command::request(MessageType::Batch);
+                cmd.body.key = key.into_bytes();
+                cmd.body.batch = ops;
+                cmd
             }
             LogRecord::TxOutcome { tx_id, outcome } => {
-                header.uint64(1, KIND_TX_OUTCOME);
-                header.uint64(5, tx_id);
                 let mut body = FieldWriter::new();
                 for v in &outcome.write_versions {
                     body.uint64(1, *v);
@@ -199,149 +134,14 @@ impl LogRecord {
                 for r in &outcome.read_values {
                     body.bytes(2, r);
                 }
-                body.finish().into()
+                let mut cmd = Command::request(MessageType::Put);
+                cmd.body.key = tx_id.to_be_bytes().to_vec();
+                cmd.body.value = body.finish().into();
+                cmd
             }
         };
-        let mut cmd = Command::request(MessageType::Put);
         cmd.sequence = seq;
-        cmd.body.key = header.finish();
-        cmd.body.value = value;
         cmd
-    }
-
-    /// Decodes a record from a verified log frame's command.
-    fn from_command(cmd: &Command) -> Result<LogRecord, PesosError> {
-        let corrupt = |m: &str| PesosError::Backend(format!("corrupt replication record: {m}"));
-        let fields = FieldReader::new(&cmd.body.key)
-            .collect_fields()
-            .map_err(|e| corrupt(&e.to_string()))?;
-        let mut kind = 0u64;
-        let mut key = String::new();
-        let mut version = None;
-        let mut policy_id = None;
-        let mut tx_id = 0u64;
-        let mut meta_bytes: &[u8] = &[];
-        let mut segments: Vec<&[u8]> = Vec::new();
-        for f in &fields {
-            match f.number {
-                1 => kind = f.value,
-                2 => {
-                    key = f
-                        .as_str()
-                        .map_err(|_| corrupt("key not UTF-8"))?
-                        .to_string()
-                }
-                3 => version = Some(f.value),
-                4 => {
-                    let id: [u8; 32] = f
-                        .data
-                        .try_into()
-                        .map_err(|_| corrupt("policy id not 32 bytes"))?;
-                    policy_id = Some(PolicyId(id));
-                }
-                5 => tx_id = f.value,
-                6 => meta_bytes = f.data,
-                7 => segments.push(f.data),
-                _ => {}
-            }
-        }
-        match kind {
-            KIND_PUT => Ok(LogRecord::Put {
-                key,
-                value: cmd.body.value.clone(),
-                policy_id,
-                version: version.ok_or_else(|| corrupt("put without version"))?,
-            }),
-            KIND_DELETE => Ok(LogRecord::Delete { key }),
-            KIND_ATTACH => Ok(LogRecord::AttachPolicy {
-                key,
-                policy_id: policy_id.ok_or_else(|| corrupt("attach without policy id"))?,
-            }),
-            KIND_POLICY => Ok(LogRecord::PolicyInstall {
-                bytes: cmd.body.value.clone(),
-            }),
-            KIND_IMPORT => {
-                let meta = MetadataHead::from_bytes(meta_bytes)
-                    .and_then(|head| head.assemble(&segments))
-                    .map_err(|e| corrupt(&e.to_string()))?;
-                let mut versions = Vec::new();
-                for f in FieldReader::new(&cmd.body.value)
-                    .collect_fields()
-                    .map_err(|e| corrupt(&e.to_string()))?
-                {
-                    if f.number != 1 {
-                        continue;
-                    }
-                    let mut version = 0;
-                    let mut plaintext = Vec::new();
-                    for vf in FieldReader::new(f.data)
-                        .collect_fields()
-                        .map_err(|e| corrupt(&e.to_string()))?
-                    {
-                        match vf.number {
-                            1 => version = vf.value,
-                            2 => plaintext = vf.data.to_vec(),
-                            _ => {}
-                        }
-                    }
-                    versions.push((version, plaintext));
-                }
-                Ok(LogRecord::Import(Box::new(ObjectExport { meta, versions })))
-            }
-            KIND_TX_OUTCOME => {
-                let mut outcome = TxOutcome::default();
-                for f in FieldReader::new(&cmd.body.value)
-                    .collect_fields()
-                    .map_err(|e| corrupt(&e.to_string()))?
-                {
-                    match f.number {
-                        1 => outcome.write_versions.push(f.value),
-                        2 => outcome.read_values.push(f.data.to_vec()),
-                        _ => {}
-                    }
-                }
-                Ok(LogRecord::TxOutcome { tx_id, outcome })
-            }
-            other => Err(corrupt(&format!("unknown record kind {other}"))),
-        }
-    }
-
-    /// Applies the record to a backup controller's store, in log order.
-    fn apply(self, backup: &PesosController) -> Result<(), PesosError> {
-        match self {
-            LogRecord::Put {
-                key,
-                value,
-                policy_id,
-                version,
-            } => backup
-                .store()
-                .apply_replicated_put(key.as_str(), &value, policy_id, version)
-                .map(|_| ()),
-            // Deletes and attaches tolerate a missing object: the primary
-            // may have acked the op against state that a later record in a
-            // replayed tail already superseded.
-            LogRecord::Delete { key } => match backup.store().delete_object(key.as_str()) {
-                Ok(()) | Err(PesosError::ObjectNotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            LogRecord::AttachPolicy { key, policy_id } => {
-                match backup.store().attach_policy(key.as_str(), policy_id) {
-                    Ok(()) | Err(PesosError::ObjectNotFound(_)) => Ok(()),
-                    Err(e) => Err(e),
-                }
-            }
-            LogRecord::PolicyInstall { bytes } => {
-                let policy = CompiledPolicy::from_bytes(&bytes)?;
-                backup.store().store_compiled_policy(Arc::new(policy))?;
-                Ok(())
-            }
-            LogRecord::Import(export) => backup.store().import_object(&export),
-            LogRecord::TxOutcome { tx_id, outcome } => {
-                backup.record_tx_outcome(tx_id, outcome);
-                Ok(())
-            }
-        }
     }
 }
 
@@ -413,7 +213,7 @@ impl std::fmt::Debug for Promotion {
     }
 }
 
-/// A partition's replication state: the retained op log, its backups, and
+/// A partition's replication state: the retained log, its backups, and
 /// the shipper threads moving frames between them.
 pub struct ReplicaSet {
     key: HmacKey,
@@ -517,20 +317,22 @@ impl ReplicaSet {
     /// apply in.
     pub fn append(&self, record: LogRecord) {
         let mut state = self.inner.lock();
-        let mut stalled = Duration::ZERO;
+        let mut stalled_since = None;
         // Block when *this* append would push the slowest backup more than
         // `max_lag` records behind (so the retained tail never exceeds the
-        // bound through the front door).
+        // bound through the front door). Every shipped batch notifies
+        // `space`, so the cap is measured in time, not in wake-ups: a slow
+        // but live backup must not let an appender through early.
         while !self.stopping.load(Ordering::Acquire)
             && state.next_seq.saturating_sub(self.min_applied()) >= self.max_lag
-            && stalled < APPEND_STALL_CAP
         {
-            // Bounded wait: a backup that stopped applying entirely must
-            // not wedge the write path (see APPEND_STALL_CAP).
-            self.space.wait_for(&mut state, Duration::from_millis(50));
-            stalled += Duration::from_millis(50);
+            let since = *stalled_since.get_or_insert_with(Instant::now);
+            let Some(left) = APPEND_STALL_CAP.checked_sub(since.elapsed()) else {
+                break;
+            };
+            self.space.wait_for(&mut state, left);
         }
-        if stalled > Duration::ZERO {
+        if stalled_since.is_some() {
             self.stalls.fetch_add(1, Ordering::Relaxed);
         }
         let seq = state.next_seq;
@@ -555,7 +357,8 @@ impl ReplicaSet {
         }
     }
 
-    /// Verifies and applies one frame to one backup.
+    /// Verifies one frame and applies its record to one backup: a batch
+    /// through the backup's store, an outcome into its outcome map.
     fn apply_frame(
         key: &HmacKey,
         backup: &PesosController,
@@ -566,7 +369,33 @@ impl ReplicaSet {
                 "replication frame failed authentication".to_string(),
             ));
         }
-        LogRecord::from_command(frame.command())?.apply(backup)
+        let corrupt = |m: &str| PesosError::Backend(format!("corrupt replication record: {m}"));
+        let cmd = frame.command();
+        match cmd.message_type {
+            MessageType::Batch => {
+                let key = std::str::from_utf8(&cmd.body.key);
+                let key = key.map_err(|_| corrupt("key not UTF-8"))?;
+                backup.store().apply_batch(key, &cmd.body.batch)
+            }
+            MessageType::Put => {
+                let tx_id = cmd.body.key.as_slice().try_into().map(u64::from_be_bytes);
+                let tx_id = tx_id.map_err(|_| corrupt("transaction id not 8 bytes"))?;
+                let mut outcome = TxOutcome::default();
+                for f in FieldReader::new(&cmd.body.value)
+                    .collect_fields()
+                    .map_err(|e| corrupt(&e.to_string()))?
+                {
+                    match f.number {
+                        1 => outcome.write_versions.push(f.value),
+                        2 => outcome.read_values.push(f.data.to_vec()),
+                        _ => {}
+                    }
+                }
+                backup.record_tx_outcome(tx_id, outcome);
+                Ok(())
+            }
+            other => Err(corrupt(&format!("unexpected command {other:?}"))),
+        }
     }
 
     /// Waits until `link`'s backup has records to apply and returns their
@@ -733,6 +562,13 @@ impl ReplicaSet {
     }
 }
 
+impl BatchLog for ReplicaSet {
+    fn append(&self, placement_key: &str, ops: &Arc<[BatchOp]>) {
+        let (key, ops) = (placement_key.to_string(), Arc::clone(ops));
+        ReplicaSet::append(self, LogRecord::Batch { key, ops });
+    }
+}
+
 impl Drop for ReplicaSet {
     fn drop(&mut self) {
         // Shippers hold an Arc to the set, so by the time Drop runs they
@@ -743,234 +579,212 @@ impl Drop for ReplicaSet {
 }
 
 #[cfg(test)]
+impl ReplicaSet {
+    /// Waits until every backup applied every record, then asserts each
+    /// holds `primary`'s drives byte for byte.
+    pub(crate) fn assert_backups_equal(&self, primary: &PesosController) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while self.stats().max_lag() > 0 {
+            assert!(Instant::now() < deadline, "a backup stalled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for link in &self.backups {
+            assert_same_drives(primary, &link.controller);
+        }
+    }
+}
+
+/// Asserts that `a` and `b` hold, drive by drive, the same backend keys
+/// (listed with a paginated `GetKeyRange`) with byte-identical entries.
+#[cfg(test)]
+fn assert_same_drives(a: &PesosController, b: &PesosController) {
+    let drives = a.store().drives().len();
+    assert_eq!(drives, b.store().drives().len());
+    let names = |keys: &[Vec<u8>]| -> Vec<String> {
+        keys.iter()
+            .map(|k| String::from_utf8_lossy(k).into_owned())
+            .collect()
+    };
+    for index in 0..drives {
+        let keys = a.store().drive_keys(index).unwrap();
+        let other = b.store().drive_keys(index).unwrap();
+        assert_eq!(names(&keys), names(&other), "drive {index}");
+        let (da, db) = (
+            a.store().drives().get(index).unwrap(),
+            b.store().drives().get(index).unwrap(),
+        );
+        for key in &keys {
+            assert_eq!(
+                da.peek(key),
+                db.peek(key),
+                "drive {index}: {}",
+                String::from_utf8_lossy(key)
+            );
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pesos_core::ControllerConfig;
-    use pesos_kinetic::FaultPlan;
+    use pesos_kinetic::{FaultPlan, Payload};
 
     fn controller() -> Arc<PesosController> {
         Arc::new(PesosController::new(ControllerConfig::native_simulator(1)).unwrap())
     }
 
+    /// A controller whose store appends to `set`, as a partition
+    /// primary's does.
+    fn primary_of(set: &Arc<ReplicaSet>) -> Arc<PesosController> {
+        let primary = controller();
+        primary.store().attach_log(set);
+        primary
+    }
+
+    /// A one-put batch record of a raw drive key.
+    fn batch(key: &str, value: &[u8]) -> LogRecord {
+        LogRecord::Batch {
+            key: key.into(),
+            ops: [BatchOp::put_forced(key.into(), value.to_vec(), b"pesos")].into(),
+        }
+    }
+
+    /// Waits until every backup of `set` applied `records`.
+    fn wait_applied(set: &ReplicaSet, records: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while set.min_applied() < records {
+            assert!(Instant::now() < deadline, "shipper stalled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
     fn records_round_trip_through_the_vectored_frame_encode() {
         let key = HmacKey::new(b"log-secret");
-        let value: Payload = b"the acknowledged value".to_vec().into();
-        // An import of a history long enough to have sealed segments: the
-        // record carries the head and every segment.
-        let source = controller();
-        for v in 0..20u8 {
-            source.store().put_object("acct/h", &[v], None).unwrap();
-        }
-        let export = source.store().export_object("acct/h").unwrap().unwrap();
-        assert_eq!(export.meta.versions.segments().count(), 2);
-        let records = vec![
-            LogRecord::Import(Box::new(export)),
-            LogRecord::Put {
+        let ops: Arc<[BatchOp]> = [
+            BatchOp::put_if_absent(b"o/acct/a/0".to_vec(), b"sealed".to_vec(), b"pesos"),
+            BatchOp::put_forced(b"m/acct/a".to_vec(), b"head".to_vec(), b"pesos"),
+            BatchOp::delete_forced(b"o/acct/a/7".to_vec()),
+        ]
+        .into();
+        let outcome = TxOutcome {
+            write_versions: vec![1, 2],
+            read_values: vec![b"r0".to_vec(), b"".to_vec()],
+        };
+        let records = [
+            LogRecord::Batch {
                 key: "acct/a".into(),
-                value: value.clone(),
-                policy_id: Some(PolicyId([7u8; 32])),
-                version: 3,
-            },
-            LogRecord::Put {
-                key: "acct/b".into(),
-                value: value.clone(),
-                policy_id: None,
-                version: 0,
-            },
-            LogRecord::Delete {
-                key: "acct/gone".into(),
-            },
-            LogRecord::AttachPolicy {
-                key: "acct/a".into(),
-                policy_id: PolicyId([9u8; 32]),
+                ops,
             },
             LogRecord::TxOutcome {
                 tx_id: 42,
-                outcome: TxOutcome {
-                    write_versions: vec![1, 2],
-                    read_values: vec![b"r0".to_vec(), b"".to_vec()],
-                },
+                outcome: outcome.clone(),
             },
         ];
+        let backup = controller();
         for (i, record) in records.into_iter().enumerate() {
-            let frame = Envelope::seal_vectored(
-                REPLICATION_IDENTITY,
-                &key,
-                record.clone().into_command(i as u64),
-            );
+            let frame =
+                Envelope::seal_vectored(REPLICATION_IDENTITY, &key, record.into_command(i as u64));
             assert!(frame.verified_by(&key));
-            assert!(!frame.verified_by(&HmacKey::new(b"wrong")));
             assert_eq!(frame.command().sequence, i as u64);
-            let decoded = LogRecord::from_command(frame.command()).unwrap();
-            match (record, decoded) {
-                (
-                    LogRecord::Put {
-                        key: k1,
-                        value: v1,
-                        policy_id: p1,
-                        version: s1,
-                    },
-                    LogRecord::Put {
-                        key: k2,
-                        value: v2,
-                        policy_id: p2,
-                        version: s2,
-                    },
-                ) => {
-                    assert_eq!(k1, k2);
-                    assert_eq!(v1, v2);
-                    assert_eq!(p1, p2);
-                    assert_eq!(s1, s2);
-                }
-                (LogRecord::Delete { key: k1 }, LogRecord::Delete { key: k2 }) => {
-                    assert_eq!(k1, k2)
-                }
-                (
-                    LogRecord::AttachPolicy {
-                        key: k1,
-                        policy_id: p1,
-                    },
-                    LogRecord::AttachPolicy {
-                        key: k2,
-                        policy_id: p2,
-                    },
-                ) => {
-                    assert_eq!(k1, k2);
-                    assert_eq!(p1, p2);
-                }
-                (
-                    LogRecord::TxOutcome {
-                        tx_id: t1,
-                        outcome: o1,
-                    },
-                    LogRecord::TxOutcome {
-                        tx_id: t2,
-                        outcome: o2,
-                    },
-                ) => {
-                    assert_eq!(t1, t2);
-                    assert_eq!(o1.write_versions, o2.write_versions);
-                    assert_eq!(o1.read_values, o2.read_values);
-                }
-                (LogRecord::Import(e1), LogRecord::Import(e2)) => {
-                    assert_eq!(e1.meta, e2.meta);
-                    assert_eq!(e1.versions, e2.versions);
-                }
-                (a, b) => panic!("kind mismatch: {a:?} vs {b:?}"),
-            }
+            // The wire bytes carry the same command.
+            let opened = Envelope::decode(&frame.encode()).unwrap().open_with(&key);
+            assert_eq!(&opened.unwrap(), frame.command());
+            let wrong = HmacKey::new(b"wrong");
+            assert!(ReplicaSet::apply_frame(&wrong, &backup, &frame).is_err());
+            ReplicaSet::apply_frame(&key, &backup, &frame).unwrap();
         }
+        // The batch landed forced, the outcome in the outcome map.
+        let drive = backup.store().drives().get(0).unwrap();
+        let value = |k: &[u8]| drive.peek(k).map(|e| e.value.to_vec());
+        assert_eq!(value(b"o/acct/a/0"), Some(b"sealed".to_vec()));
+        assert_eq!(value(b"m/acct/a"), Some(b"head".to_vec()));
+        assert_eq!(backup.tx_outcome(42), Some(outcome));
     }
 
-    /// The drive-side names any record of `key` up to `max_version` can
-    /// live under.
-    fn candidate_entries(key: &str, max_version: u64) -> Vec<Vec<u8>> {
-        let mut raw = vec![format!("m/{key}").into_bytes()];
-        for v in 0..=max_version {
-            raw.push(format!("o/{key}/{v:020}").into_bytes());
-            raw.push(format!("h/{key}/{v:020}").into_bytes());
-        }
-        raw
+    /// Forwards every batch to the log and keeps a copy of it.
+    struct Tee {
+        log: Arc<ReplicaSet>,
+        batches: std::sync::Mutex<Vec<(String, Arc<[BatchOp]>)>>,
     }
 
-    /// Asserts the two controllers hold the same metadata map and, drive
-    /// by drive, byte-identical entries and nothing else.
-    fn assert_identical_state(a: &PesosController, b: &PesosController, max_version: u64) {
-        let mut keys = a.store().resident_keys();
-        let mut other = b.store().resident_keys();
-        keys.sort();
-        other.sort();
-        assert_eq!(keys, other);
-        for key in &keys {
-            assert_eq!(
-                a.store().get_metadata(key.as_str()),
-                b.store().get_metadata(key.as_str())
-            );
-        }
-        for (da, db) in a.store().drives().iter().zip(b.store().drives().iter()) {
-            let mut present = 0;
-            for key in &keys {
-                for raw in candidate_entries(key, max_version) {
-                    let entry = da.peek(&raw);
-                    assert_eq!(entry, db.peek(&raw), "{}", String::from_utf8_lossy(&raw));
-                    present += usize::from(entry.is_some());
-                }
-            }
-            assert_eq!((present, present), (da.key_count(), db.key_count()));
+    impl BatchLog for Tee {
+        fn append(&self, placement_key: &str, ops: &Arc<[BatchOp]>) {
+            let batch = (placement_key.to_string(), Arc::clone(ops));
+            self.batches.lock().unwrap().push(batch);
+            BatchLog::append(&*self.log, placement_key, ops);
         }
     }
 
     /// A backup its shipper feeds in batches ends exactly where one fed
-    /// the same records one call at a time ends, while both backups' drives
-    /// drop a quarter of their requests: a record that fails is retried
-    /// until it lands, and one that half landed applies again as a no-op.
-    /// The log mixes puts with a delete, a put that arrives after a later
-    /// version of its key, a key written twenty times in a row, and creates
-    /// of keys the drives hold but the map forgot, which the drives refuse.
+    /// the same records one call at a time ends — and where the primary
+    /// that wrote them ends — while both backups' drives drop a quarter of
+    /// their requests: a record that fails is retried until it lands, and
+    /// one that half landed applies again as a no-op. The primary's history
+    /// mixes creates and updates, a delete, a key written long enough to
+    /// seal and trim segments, a policy install and attach, and creates of
+    /// keys its drives hold but its map forgot, which the drives refuse:
+    /// the refused attempt and its rollback are never logged, and the
+    /// backups refuse nothing.
     #[test]
     fn a_shipper_under_faults_leaves_a_backup_as_direct_applies_do() {
-        const ROUNDS: u64 = 12;
         let config = ControllerConfig::native_simulator(2);
-        let shipped = Arc::new(PesosController::new(config.clone()).unwrap());
-        let direct = Arc::new(PesosController::new(config).unwrap());
-        for backup in [&shipped, &direct] {
-            let store = backup.store();
-            for c in 0..4 {
-                store
-                    .put_object(format!("cold{c}").as_str(), b"old", None)
-                    .unwrap();
-            }
-            // Forget them: the delete fails with the drives offline, and
-            // the map drops the keys while the drives keep them.
-            store.drives().iter().for_each(|d| d.set_online(false));
-            for c in 0..4 {
-                assert!(store.delete_object(format!("cold{c}").as_str()).is_err());
-            }
-            store.drives().iter().for_each(|d| d.set_online(true));
-            assert_eq!(store.resident_object_count(), 0);
-        }
-
-        let put = |key: &str, version: u64| LogRecord::Put {
-            key: key.into(),
-            value: format!("{key}@{version}").into_bytes().into(),
-            policy_id: None,
-            version,
-        };
-        let mut log = Vec::new();
-        for round in 0..ROUNDS {
-            for k in 0..40 {
-                // k7 skips round 5's version and files it late, in round 6.
-                if (k, round) != (7, 5) {
-                    log.push(put(&format!("k{k}"), round));
-                }
-            }
-            match round {
-                0 => (0..4).for_each(|c| log.push(put(&format!("cold{c}"), 0))),
-                1 => (0..4).for_each(|c| log.push(put(&format!("cold{c}"), 1))),
-                3 => log.push(LogRecord::Delete { key: "k5".into() }),
-                6 => log.push(put("k7", 5)),
-                7 => (0..20).for_each(|v| log.push(put("hot", v))),
-                _ => {}
-            }
-        }
-
+        let [primary, shipped, direct] =
+            [(); 3].map(|()| Arc::new(PesosController::new(config.clone()).unwrap()));
+        let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&shipped)], 4096);
+        let tee = Arc::new(Tee {
+            log: Arc::clone(&set),
+            batches: std::sync::Mutex::new(Vec::new()),
+        });
         for (seed, backup) in [(10, &shipped), (20, &direct)] {
             for (i, drive) in (0..).zip(backup.store().drives().iter()) {
                 drive.inject_faults(FaultPlan::errors(seed + i, 0.25));
             }
         }
-        let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&shipped)], 4096);
-        for record in &log {
-            set.append(record.clone());
+        let store = primary.store();
+        store.attach_log(&tee);
+        for c in 0..4 {
+            store
+                .put_object(format!("cold{c}").as_str(), b"old", None)
+                .unwrap();
         }
-        for record in &log {
-            while record.clone().apply(&direct).is_err() {}
+        // Forget the keys: the delete fails with the drives offline, and
+        // the map drops them while the drives keep them.
+        store.drives().iter().for_each(|d| d.set_online(false));
+        for c in 0..4 {
+            assert!(store.delete_object(format!("cold{c}").as_str()).is_err());
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while set.min_applied() < log.len() as u64 {
-            assert!(std::time::Instant::now() < deadline, "shipper stalled");
-            std::thread::sleep(Duration::from_millis(5));
+        store.drives().iter().for_each(|d| d.set_online(true));
+
+        let policy = store.put_policy("read :- sessionKeyIs(\"a\")").unwrap();
+        for round in 0..12u64 {
+            for k in 0..40 {
+                let key = format!("k{k}");
+                store
+                    .put_object(key.as_str(), format!("{key}@{round}").as_bytes(), None)
+                    .unwrap();
+            }
+            match round {
+                0 => (0..4).for_each(|c| {
+                    let key = format!("cold{c}");
+                    assert_eq!(store.put_object(key.as_str(), b"new", None).unwrap(), 1);
+                }),
+                3 => store.delete_object("k5").unwrap(),
+                6 => store.attach_policy("k7", policy).unwrap(),
+                7 => (0..150).for_each(|v| {
+                    store.put_object("hot", &[v as u8], None).unwrap();
+                }),
+                _ => {}
+            }
         }
+        assert_eq!(store.create_stats().refusals, 4);
+
+        let log = std::mem::take(&mut *tee.batches.lock().unwrap());
+        for (key, ops) in &log {
+            while direct.store().apply_batch(key, ops).is_err() {}
+        }
+        wait_applied(&set, log.len() as u64);
         set.stop();
         let faults = |backup: &PesosController| -> u64 {
             backup
@@ -987,49 +801,55 @@ mod tests {
                 .drives()
                 .iter()
                 .for_each(|d| d.clear_faults());
-            assert!(backup.store().create_stats().refusals >= 4);
+            assert_eq!(backup.store().create_stats(), Default::default());
+            assert_eq!(backup.store().resident_object_count(), 0);
         }
-        assert_identical_state(&shipped, &direct, 20);
+        assert_same_drives(&shipped, &direct);
+        assert_same_drives(&primary, &shipped);
     }
 
     #[test]
     fn put_payload_ships_by_reference_not_copy() {
-        // The value chunk inside the sealed frame is the same allocation
-        // the record carried — the PR 4 scatter-gather promise, now doing
-        // log-shipping duty.
+        // The sub-operation list and every sealed value inside the frame
+        // are the allocations the primary's drives received: the vectored
+        // encode copies no payload into a log frame.
         let key = HmacKey::new(b"log-secret");
         let value: Payload = vec![5u8; 4096].into();
-        let record = LogRecord::Put {
+        let ops: Arc<[BatchOp]> = [BatchOp::put_forced(
+            b"o/big/0".to_vec(),
+            value.clone(),
+            b"pesos",
+        )]
+        .into();
+        let record = LogRecord::Batch {
             key: "big".into(),
-            value: value.clone(),
-            policy_id: None,
-            version: 0,
+            ops: Arc::clone(&ops),
         };
         let frame = Envelope::seal_vectored(REPLICATION_IDENTITY, &key, record.into_command(0));
-        assert!(Arc::ptr_eq(
-            frame.command().body.value.as_arc(),
-            value.as_arc()
-        ));
+        assert!(Arc::ptr_eq(&frame.command().body.batch, &ops));
+        match &frame.command().body.batch[0] {
+            BatchOp::Put { value: shipped, .. } => {
+                assert!(Arc::ptr_eq(shipped.as_arc(), value.as_arc()))
+            }
+            other => panic!("expected the put, got {other:?}"),
+        }
     }
 
     #[test]
     fn shipping_applies_in_order_and_trims() {
         let backup = controller();
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1024);
+        let primary = primary_of(&set);
         for i in 0..20u64 {
-            set.append(LogRecord::Put {
-                key: "seq/k".into(),
-                value: format!("v{i}").into_bytes().into(),
-                policy_id: None,
-                version: i,
-            });
+            primary
+                .store()
+                .put_object("seq/k", format!("v{i}").as_bytes(), None)
+                .unwrap();
         }
-        // Wait for the shipper to drain.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while set.min_applied() < 20 {
-            assert!(std::time::Instant::now() < deadline, "shipper stalled");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_applied(&set, 20);
+        // The backup wrote the batches only: a cold read finds the
+        // primary's record on its drives.
+        assert_eq!(backup.store().resident_object_count(), 0);
         let (value, version) = backup.store().get_object("seq/k").unwrap();
         assert_eq!(version, 19);
         assert_eq!(&**value, b"v19");
@@ -1038,6 +858,7 @@ mod tests {
             b"v0"
         );
         set.stop();
+        assert!(set.inner.lock().queue.len() < 20);
     }
 
     #[test]
@@ -1046,17 +867,11 @@ mod tests {
         // Take the backup's drive offline so nothing applies.
         backup.store().drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 4);
-        for i in 0..4u64 {
-            set.append(LogRecord::Put {
-                key: "bp/k".into(),
-                value: b"v".to_vec().into(),
-                policy_id: None,
-                version: i,
-            });
+        for i in 0..4u8 {
+            set.append(batch("bp/k", &[i]));
         }
         // The lag bound is hit: the next append must block until the
         // backup applies (we bring the drive back from another thread).
-        let set2 = Arc::clone(&set);
         let unblocker = std::thread::spawn({
             let backup = Arc::clone(&backup);
             move || {
@@ -1064,18 +879,52 @@ mod tests {
                 backup.store().drives().get(0).unwrap().set_online(true);
             }
         });
-        let start = std::time::Instant::now();
-        set2.append(LogRecord::Put {
-            key: "bp/k".into(),
-            value: b"v".to_vec().into(),
-            policy_id: None,
-            version: 4,
-        });
+        let start = Instant::now();
+        set.append(batch("bp/k", b"v"));
         assert!(
             start.elapsed() >= Duration::from_millis(100),
             "append should have blocked on backpressure"
         );
         unblocker.join().unwrap();
+        set.stop();
+    }
+
+    /// Every shipped batch notifies the appenders: a backup that is alive
+    /// but cannot keep up wakes a blocked append many times, and the stall
+    /// cap still runs its full length.
+    #[test]
+    fn the_append_stall_is_capped_by_time_not_by_wake_ups() {
+        let backup = controller();
+        backup
+            .store()
+            .drives()
+            .iter()
+            .for_each(|d| d.set_online(false));
+        let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1);
+        set.append(batch("cap/k", b"v0"));
+        let done = Arc::new(AtomicBool::new(false));
+        let appender = std::thread::spawn({
+            let (set, done) = (Arc::clone(&set), Arc::clone(&done));
+            move || {
+                let start = Instant::now();
+                set.append(batch("cap/k", b"v1"));
+                done.store(true, Ordering::Release);
+                start.elapsed()
+            }
+        });
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(1) {
+            set.space.notify_all();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            !done.load(Ordering::Acquire),
+            "the append left before the stall cap"
+        );
+        let waited = appender.join().unwrap();
+        assert!(waited >= APPEND_STALL_CAP, "waited {waited:?}");
+        assert!(start.elapsed() < APPEND_STALL_CAP + Duration::from_secs(1));
+        assert_eq!(set.stats().stalls, 1);
         set.stop();
     }
 
@@ -1085,13 +934,12 @@ mod tests {
         // Offline drive: records queue but never apply.
         backup.store().drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1024);
+        let primary = primary_of(&set);
         for i in 0..10u64 {
-            set.append(LogRecord::Put {
-                key: "tail/k".into(),
-                value: format!("v{i}").into_bytes().into(),
-                policy_id: None,
-                version: i,
-            });
+            primary
+                .store()
+                .put_object("tail/k", format!("v{i}").as_bytes(), None)
+                .unwrap();
         }
         set.stop();
         // The crash is over for the backup's drives; promotion replays
@@ -1103,6 +951,7 @@ mod tests {
         let (value, version) = backup.store().get_object("tail/k").unwrap();
         assert_eq!(version, 9);
         assert_eq!(&**value, b"v9");
+        assert_same_drives(&primary, &backup);
     }
 
     #[test]
@@ -1112,17 +961,13 @@ mod tests {
         // The stale backup cannot apply anything.
         stale.store().drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&stale), Arc::clone(&fresh)], 1024);
-        for i in 0..8u64 {
-            set.append(LogRecord::Put {
-                key: "pick/k".into(),
-                value: b"v".to_vec().into(),
-                policy_id: None,
-                version: i,
-            });
+        let primary = primary_of(&set);
+        for i in 0..8u8 {
+            primary.store().put_object("pick/k", &[i], None).unwrap();
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         while set.backups[1].applied.load(Ordering::Acquire) < 8 {
-            assert!(std::time::Instant::now() < deadline, "fresh backup stalled");
+            assert!(Instant::now() < deadline, "fresh backup stalled");
             std::thread::sleep(Duration::from_millis(5));
         }
         set.stop();

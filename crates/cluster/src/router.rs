@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use pesos_core::PesosController;
 
-use crate::replication::{LogRecord, ReplicaSet};
+use crate::replication::ReplicaSet;
 
 /// An inclusive range `[start, end]` of the `u64` key-hash space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,8 @@ impl HashRange {
 }
 
 /// One partition: a contiguous hash range owned by one controller, and
-/// the log that controller's acknowledged writes are replicated through.
+/// the log that controller's acknowledged writes are replicated through
+/// (attached to its store where the log is spawned).
 #[derive(Clone)]
 pub struct Partition {
     /// Inclusive lower bound of the owned range (the upper bound is the
@@ -59,16 +60,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Appends a record to the partition's log, if it has one. The record
-    /// is built lazily, so a partition without a log pays no allocation.
-    /// Callers append *before* the acknowledgement escapes (everything
-    /// runs under the ops gate's read side): acked ⇒ logged.
-    pub(crate) fn append(&self, record: impl FnOnce() -> LogRecord) {
-        if let Some(log) = &self.log {
-            log.append(record());
-        }
-    }
-
     /// Stops the partition's log, if it has one ([`ReplicaSet::stop`]).
     pub(crate) fn stop_log(&self) {
         if let Some(log) = &self.log {

@@ -353,10 +353,11 @@ fn torn_batch_reply_fails_the_put_and_the_next_request_converges() {
     assert_eq!(latest_on_drive(&c, "new"), Some(1));
 }
 
-/// A backup's first write of a key is the same compare-on-absent batch as
-/// the primary's: replication costs each backup drive one batch per
-/// create and not one read, nothing is ever refused on a healthy cluster,
-/// and a promoted backup continues every key at latest + 1.
+/// A backup writes the batch its primary's drives accepted: replication
+/// costs each backup drive one batch per create and not one read, and
+/// nothing is refused while the primaries serve. A promoted backup is a
+/// cold controller over those drives: its first write of each key is
+/// refused as a create, re-reads the record and continues at latest + 1.
 #[test]
 fn backups_create_without_asking_and_a_promotion_continues_over_them() {
     const KEYS: usize = 24;
@@ -407,5 +408,10 @@ fn backups_create_without_asking_and_a_promotion_continues_over_them() {
             b"v0"
         );
     }
-    assert_eq!(refusals(&promoted), 0);
+    assert_eq!(refusals(&promoted), KEYS as u64);
+    let rollbacks: u64 = promoted
+        .iter()
+        .map(|c| c.store().create_stats().rollbacks)
+        .sum();
+    assert_eq!(rollbacks, 0);
 }

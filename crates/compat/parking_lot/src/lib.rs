@@ -96,7 +96,8 @@ pub mod lock_order {
     pub const TX_LOCKS: u16 = 72;
     /// Cluster 2PC open-transaction buffer, the only one in the workspace.
     pub const CLUSTER_TX: u16 = 74;
-    /// Replication log mutex (`ReplicaSet::inner`).
+    /// Replication log mutex (`ReplicaSet::inner`); a primary's store
+    /// appends to it under the key lock of the write.
     pub const REPLICATION_LOG: u16 = 80;
     /// Replication shipper worker-handle registry.
     pub const REPLICATION_WORKERS: u16 = 82;

@@ -495,9 +495,10 @@ impl PesosController {
 
     /// Stores an object asynchronously: [`PesosController::put`], decided
     /// now (the map only, no drive read) and written later on a scheduler
-    /// worker, which calls `on_complete` with the assigned version once the
-    /// key lock is released and before the result is filed. Returns the
-    /// operation identifier the client polls.
+    /// worker. Returns the operation identifier the client polls. On a
+    /// partition primary the write's batch is appended to the partition's
+    /// log before the result is filed, so a poll that reads `Completed`
+    /// reads a logged write.
     ///
     /// "Accepted" means queued: a write still queued when the controller
     /// fails never runs, and its poll answers `Failed` with the
@@ -508,7 +509,6 @@ impl PesosController {
     /// The value is taken shared: a `Vec<u8>` moves in without a copy, and
     /// a caller that may offer it again (the cluster's retry) keeps its
     /// `Arc`.
-    #[allow(clippy::too_many_arguments)]
     pub fn put_async<'a>(
         &self,
         client_id: &str,
@@ -517,7 +517,6 @@ impl PesosController {
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
-        on_complete: impl FnOnce(u64) + Send + 'static,
     ) -> Result<u64, PesosError> {
         // Times acceptance (the decision + enqueue), not the deferred write.
         let _timer = self.op_timer(OpKind::PutAsync);
@@ -545,7 +544,7 @@ impl PesosController {
             } else {
                 put.write(&store, &metrics, &key, &value, decision)
             };
-            let outcome = match written.inspect(|&version| on_complete(version)) {
+            let outcome = match written {
                 Ok(version) => AsyncResult::Completed {
                     version: Some(version),
                 },
@@ -903,15 +902,7 @@ mod tests {
         // An asynchronous create is the synchronous one, run later.
         let before = ops();
         let op = c
-            .put_async(
-                &client,
-                "fresh-async",
-                b"v".to_vec(),
-                None,
-                None,
-                &[],
-                |_| {},
-            )
+            .put_async(&client, "fresh-async", b"v".to_vec(), None, None, &[])
             .unwrap();
         c.drain_async();
         assert!(matches!(
@@ -1067,25 +1058,14 @@ mod tests {
             .get(home[0])
             .unwrap()
             .inject_faults(FaultPlan::errors(7, 1.0));
+        let log = Arc::new(crate::store::CapturedLog::default());
+        c.store().attach_log(&log);
         let polled = |c: &PesosController| {
-            let completed = Arc::new(AtomicBool::new(false));
-            let hook = Arc::clone(&completed);
             let op = c
-                .put_async(
-                    "mallory",
-                    "acked",
-                    b"mine".to_vec(),
-                    None,
-                    None,
-                    &[],
-                    move |_| hook.store(true, Ordering::SeqCst),
-                )
+                .put_async("mallory", "acked", b"mine".to_vec(), None, None, &[])
                 .unwrap();
             c.drain_async();
-            assert!(
-                !completed.load(Ordering::SeqCst),
-                "a failed write ran its completion hook"
-            );
+            assert!(log.0.lock().is_empty(), "a failed write was logged");
             c.poll_result("mallory", op)
         };
         let fault = PesosError::Backend(String::new()).to_string();
@@ -1154,26 +1134,25 @@ mod tests {
     fn async_put_and_poll() {
         let c = controller();
         c.register_client("alice");
-        let completed = Arc::new(AtomicU64::new(u64::MAX));
-        let hook = Arc::clone(&completed);
+        let log = Arc::new(crate::store::CapturedLog::default());
+        c.store().attach_log(&log);
         let op = c
-            .put_async(
-                "alice",
-                "async-obj",
-                b"payload".to_vec(),
-                None,
-                None,
-                &[],
-                move |version| hook.store(version, Ordering::SeqCst),
-            )
+            .put_async("alice", "async-obj", b"payload".to_vec(), None, None, &[])
             .unwrap();
         c.drain_async();
         match c.poll_result("alice", op) {
             Some(AsyncResult::Completed { version }) => assert_eq!(version, Some(0)),
             other => panic!("unexpected async result {other:?}"),
         }
-        // The completion hook saw the version the store assigned.
-        assert_eq!(completed.load(Ordering::SeqCst), 0);
+        // Completed ⇒ logged: the write's one batch, version 0 included.
+        let logged = log.0.lock();
+        assert_eq!(logged.len(), 1);
+        assert_eq!(logged[0].0, "async-obj");
+        assert!(logged[0]
+            .1
+            .iter()
+            .any(|op| op.key() == crate::metadata::data_key("async-obj", 0)));
+        drop(logged);
         // Other clients cannot see the result.
         assert!(c.poll_result("bob", op).is_none());
         let (value, _) = c.get("alice", "async-obj", &[]).unwrap();
@@ -1195,16 +1174,8 @@ mod tests {
         // queued when the controller fails.
         let ops: Vec<u64> = (0..=WORKER_THREADS)
             .map(|i| {
-                c.put_async(
-                    "alice",
-                    format!("k{i}").as_str(),
-                    vec![1],
-                    None,
-                    None,
-                    &[],
-                    |_| {},
-                )
-                .unwrap()
+                c.put_async("alice", format!("k{i}").as_str(), vec![1], None, None, &[])
+                    .unwrap()
             })
             .collect();
         let puts = drive.info().stats.puts;

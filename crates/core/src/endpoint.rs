@@ -118,7 +118,6 @@ impl RequestEndpoint for PesosController {
         expected_version: Option<u64>,
         certificates: &[Certificate],
     ) -> Result<u64, PesosError> {
-        // A single controller has no log to append a completion to.
         PesosController::put_async(
             self,
             client_id,
@@ -127,7 +126,6 @@ impl RequestEndpoint for PesosController {
             policy_id,
             expected_version,
             certificates,
-            |_| {},
         )
     }
 

@@ -19,8 +19,9 @@
 //!   ([`ObjectMetadata::segment_bytes`]): full runs of [`SEGMENT_LEN`]
 //!   facts the tail hands over when it fills. A segment is written once,
 //!   by the put that seals it, and deleted whole, together with the data of
-//!   every version it lists, by the put that trims it. A replicated apply
-//!   that files a late version into a sealed segment rewrites that segment.
+//!   every version it lists, by the put that trims it. Versions arrive in
+//!   order: a put records `latest + 1`, and a backup never records at all
+//!   (it writes the batches its primary wrote).
 //!
 //! Both parts ride in the mutation's one atomic batch per replica (`store`
 //! module docs). There is one decoder and no layout flag: a head that
@@ -174,12 +175,11 @@ impl History {
 /// writes and deletes that ride in the batch persisting the new head.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistoryChange {
-    /// The sealed segment the version filled or was filed into, to be
-    /// (re)written under the version of its first fact.
+    /// The segment the version sealed, to be written under the version of
+    /// its first fact.
     pub written: Option<Arc<[VersionMeta]>>,
-    /// First versions of stored segments that are gone: trimmed, or re-keyed
-    /// because a version older than their first fact was filed into them.
-    pub dropped: Vec<u64>,
+    /// First version of the stored segment the retention bound trimmed.
+    pub dropped: Option<u64>,
     /// Versions the retention bound trimmed, oldest first. Their data
     /// objects are unreferenced from here on.
     pub trimmed: Vec<u64>,
@@ -208,44 +208,27 @@ impl ObjectMetadata {
         }
     }
 
-    /// Records a version, filing it in version order (replicated applies
-    /// can arrive out of order), and returns what the drives must change
-    /// besides the head. A tail that reaches [`SEGMENT_LEN`] facts seals
-    /// its oldest run into a segment; a version older than the last sealed
-    /// fact is filed into its segment. Then, if the history without its
-    /// oldest segment still holds [`MAX_VERSION_HISTORY`] versions, that
-    /// segment is trimmed. A version older than a history already at the
-    /// bound is trimmed itself, and the record does not change.
+    /// Records the next version (`latest + 1`, or the first of a new
+    /// record) and returns what the drives must change besides the head. A
+    /// tail that reaches [`SEGMENT_LEN`] facts seals its oldest run into a
+    /// segment. Then, if the history without its oldest segment still holds
+    /// [`MAX_VERSION_HISTORY`] versions, that segment is trimmed.
     pub fn record_version(&mut self, meta: VersionMeta) -> HistoryChange {
+        debug_assert!(
+            self.versions
+                .last()
+                .is_none_or(|last| last.version < meta.version),
+            "versions are recorded in order"
+        );
         let mut change = HistoryChange::default();
         let history = &mut self.versions;
-        let oldest = history.first().map(|v| v.version);
-        if history.len() >= MAX_VERSION_HISTORY && oldest.is_some_and(|o| meta.version < o) {
-            change.trimmed.push(meta.version);
-            return change;
-        }
-
+        let run = history.tail.iter().copied().chain(std::iter::once(meta));
         // The new segment list, built only when it changes.
         let mut sealed: Option<Vec<Arc<[VersionMeta]>>> = None;
-        let last_sealed = history.sealed.last().and_then(|s| s.last());
-        if last_sealed.is_some_and(|last| meta.version < last.version) {
-            // Into the last segment starting at or before it, or else the
-            // first, which then starts at it under a new key.
-            let mut list = history.sealed.to_vec();
-            let after =
-                list.partition_point(|s| s.first().is_some_and(|f| f.version <= meta.version));
-            if let Some(segment) = list.get_mut(after.saturating_sub(1)) {
-                if let Some(first) = segment.first().filter(|f| meta.version < f.version) {
-                    change.dropped.push(first.version);
-                }
-                *segment = filed(segment, meta).collect();
-                change.written = Some(Arc::clone(segment));
-            }
-            sealed = Some(list);
-        } else if history.tail.len() + 1 < SEGMENT_LEN {
-            history.tail = filed(&history.tail, meta).collect();
+        if history.tail.len() + 1 < SEGMENT_LEN {
+            history.tail = run.collect();
         } else {
-            let run: Vec<VersionMeta> = filed(&history.tail, meta).collect();
+            let run: Vec<VersionMeta> = run.collect();
             let (full, rest) = run.split_at(SEGMENT_LEN);
             let segment: Arc<[VersionMeta]> = full.into();
             let mut list = history.sealed.to_vec();
@@ -266,23 +249,22 @@ impl ObjectMetadata {
             list.retain(|s| !Arc::ptr_eq(s, &trim));
             sealed = Some(list);
             change.trimmed = trim.iter().map(|v| v.version).collect();
-            // A segment this very put made never reached the drives.
+            // A segment this very put sealed (out of a legacy tail longer
+            // than the bound) never reached the drives.
             if change
                 .written
                 .as_ref()
                 .is_some_and(|w| Arc::ptr_eq(w, &trim))
             {
                 change.written = None;
-            } else if let Some(first) = trim.first() {
-                change.dropped.push(first.version);
+            } else {
+                change.dropped = trim.first().map(|f| f.version);
             }
         }
         if let Some(list) = sealed {
             history.sealed = list.into();
         }
-        if let Some(latest) = history.last() {
-            self.latest_version = latest.version;
-        }
+        self.latest_version = meta.version;
         change
     }
 
@@ -424,17 +406,6 @@ impl MetadataHead {
         }
         Ok(record)
     }
-}
-
-/// `run` with `meta` filed in version order; the iterator knows its
-/// length, so the list it is collected into is allocated at its final size.
-fn filed(run: &[VersionMeta], meta: VersionMeta) -> impl Iterator<Item = VersionMeta> + '_ {
-    let (before, after) = run.split_at(run.partition_point(|v| v.version < meta.version));
-    before
-        .iter()
-        .copied()
-        .chain(std::iter::once(meta))
-        .chain(after.iter().copied())
 }
 
 /// The fields of a head or a segment.
@@ -794,48 +765,20 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_versions_are_filed_in_place() {
+    fn a_put_writes_a_segment_once() {
         let mut m = ObjectMetadata::new("k");
-        for v in [1u64, 0, 3, 2] {
-            m.record_version(fact(v));
-        }
-        let order: Vec<u64> = m.versions.iter().map(|v| v.version).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        assert_eq!(m.latest_version, 3);
-    }
-
-    #[test]
-    fn a_put_writes_a_segment_once_and_a_late_version_rewrites_its_own() {
-        let mut m = ObjectMetadata::new("k");
-        for v in [0, 1, 2, 4, 5, 6, 7] {
+        for v in 0..7 {
             assert_eq!(m.record_version(fact(v)), HistoryChange::default());
         }
         // The eighth fact seals the run; the tail starts over.
-        let change = m.record_version(fact(8));
-        assert_eq!(
-            change.written.as_deref(),
-            Some(&facts([0, 1, 2, 4, 5, 6, 7, 8])[..])
-        );
-        assert!(change.dropped.is_empty() && change.trimmed.is_empty());
+        let change = m.record_version(fact(7));
+        assert_eq!(change.written.as_deref(), Some(&facts(0..8)[..]));
+        assert!(change.dropped.is_none() && change.trimmed.is_empty());
         assert!(m.versions.tail.is_empty());
-        for v in 9..=20 {
-            m.record_version(fact(v));
+        // The next seven only rewrite the head.
+        for v in 8..15 {
+            assert_eq!(m.record_version(fact(v)), HistoryChange::default());
         }
-        // A late version is filed into the segment it belongs in, which is
-        // rewritten under the same key; the head does not change.
-        let head = m.to_bytes();
-        let change = m.record_version(fact(3));
-        assert_eq!(change.written.as_deref(), Some(&facts(0..=8)[..]));
-        assert!(change.dropped.is_empty() && change.trimmed.is_empty());
-        assert_eq!(m.to_bytes(), head);
-        // One older than the first segment re-keys it.
-        let mut m = ObjectMetadata::new("k");
-        for v in 1..=8 {
-            m.record_version(fact(v));
-        }
-        let change = m.record_version(fact(0));
-        assert_eq!(change.written.as_deref(), Some(&facts(0..=8)[..]));
-        assert_eq!(change.dropped, [1]);
     }
 
     #[test]
@@ -860,24 +803,6 @@ mod tests {
         copy.record_version(fact(8));
         assert!(Arc::ptr_eq(&sealed.versions.sealed, &copy.versions.sealed));
         assert_eq!(copy.versions.segments().count(), 1);
-    }
-
-    #[test]
-    fn a_version_older_than_a_full_history_is_trimmed_itself() {
-        let mut m = ObjectMetadata::new("k");
-        for v in 1..=MAX_VERSION_HISTORY as u64 {
-            m.record_version(fact(v));
-        }
-        let before = m.clone();
-        let change = m.record_version(fact(0));
-        assert_eq!(
-            change,
-            HistoryChange {
-                trimmed: vec![0],
-                ..HistoryChange::default()
-            }
-        );
-        assert_eq!(m, before);
     }
 
     #[test]
@@ -959,7 +884,6 @@ mod tests {
         #[test]
         fn the_codec_matches_its_oracle_and_a_head_reassembles(
             count in 0u64..300,
-            arrival in proptest::collection::vec(any::<u8>(), 300..301),
             legacy in 0u64..129,
             policy in any::<bool>(),
         ) {
@@ -982,31 +906,17 @@ mod tests {
                 prop_assert!(meta.versions.segments().next().is_none());
                 prop_assert!(meta.versions.iter().eq(old.iter()));
             }
-            // The rest arrive with neighbours swapped (racing appenders)
-            // and some held back by up to 20 places.
-            let mut order: Vec<u64> = (legacy..count).collect();
-            for (i, &draw) in arrival.iter().enumerate().take(order.len()) {
-                match draw % 16 {
-                    0..=3 if i + 1 < order.len() => order.swap(i, i + 1),
-                    4 => {
-                        let late = order.remove(i);
-                        order.insert((i + 1 + usize::from(draw) % 20).min(order.len()), late);
-                    }
-                    _ => {}
-                }
-            }
-
             let mut retained: BTreeSet<u64> = (0..legacy).collect();
             // What the drives hold under `h/`: first version -> bytes.
             let mut stored: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-            for &v in &order {
+            for v in legacy..count {
                 let change = meta.record_version(fact(v));
                 retained.insert(v);
                 for t in &change.trimmed {
                     prop_assert!(retained.remove(t), "version {} trimmed but not retained", t);
                 }
-                for d in &change.dropped {
-                    prop_assert!(stored.remove(d).is_some(), "segment {} dropped but not stored", d);
+                if let Some(d) = change.dropped {
+                    prop_assert!(stored.remove(&d).is_some(), "segment {} dropped but not stored", d);
                 }
                 if let Some(written) = &change.written {
                     stored.insert(written[0].version, meta.segment_bytes(written));
@@ -1030,7 +940,7 @@ mod tests {
                 // Retention: at least the bound once anything was trimmed,
                 // and never a whole segment more than it.
                 let len = meta.versions.len();
-                if change.trimmed.iter().any(|&t| t != v) {
+                if !change.trimmed.is_empty() {
                     prop_assert!(len >= MAX_VERSION_HISTORY, "{} retained after a trim", len);
                 }
                 if let Some(oldest) = meta.versions.segments().next() {

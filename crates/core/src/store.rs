@@ -10,17 +10,17 @@
 //!
 //! # One atomic batch per mutation
 //!
-//! Every mutation — put, replicated apply, import, delete, policy attach —
-//! reaches the drives through one function, `PesosStore::replicated_batch`:
-//! the sub-operations the mutation needs travel as *one* Kinetic batch per
-//! replica. A put writes what changed (`metadata` module docs, "A head plus
-//! sealed segments"): the sealed object and the small metadata head always,
-//! the history segment the version filled (or, for a late replicated
-//! version, was filed into) when there is one, and the DELETE of a segment
-//! the history bound trimmed together with the data of each version it
-//! listed. The largest, a put that seals one segment and trims another, is
-//! 12 sub-operations. The per-replica batches go out as
-//! one [`AsyscallInterface::submit_batch`] that is joined once
+//! Every mutation — put, import, delete, policy install or attach, a
+//! backup's apply — reaches the drives through one function,
+//! `PesosStore::replicated_batch`: the sub-operations the mutation needs
+//! travel as *one* Kinetic batch per replica. A put writes what changed
+//! (`metadata` module docs, "A head plus sealed segments"): the sealed
+//! object and the small metadata head always, the history segment the
+//! version filled when there is one, and the DELETE of a segment the
+//! history bound trimmed together with the data of each version it listed.
+//! The largest, a put that seals one segment and trims another, is 12
+//! sub-operations, within [`MAX_BATCH_OPS`]. The per-replica batches go
+//! out as one [`AsyscallInterface::submit_batch`] that is joined once
 //! (`PesosStore::batch_on` keeps each replica's own answer; every path but
 //! a create reads them first error wins). A put therefore costs one
 //! asyscall hand-off and one drive round trip per replica, and a
@@ -43,6 +43,22 @@
 //! failure, the in-enclave map is not advanced, and the next write
 //! overwrites the divergent replica.
 //!
+//! # A backup writes what its primary wrote
+//!
+//! Everything a batch carries is already sealed and authenticated, so a
+//! replica of this store needs the batches its drives accepted, not a
+//! second enclave deriving them again. A partition's primary has a
+//! [`BatchLog`] attached ([`PesosStore::attach_log`]): each batch every
+//! replica accepted is appended to it, under the key lock its caller
+//! already holds, so one key's records are in its write order. A create's
+//! rollback and a batch some replica failed were never acknowledged and
+//! are never appended. A backup's store applies each record with
+//! [`PesosStore::apply_batch`] — every sub-operation forced, no policy
+//! check, hashing, sealing, metadata or cache update — so its map stays
+//! empty and a promoted backup is a *cold* store over drives equal to its
+//! primary's: a key its map does not hold is written compare-on-absent
+//! (next section), which is what makes that safe.
+//!
 //! Replicated reads race the replicas through the same scatter-gather
 //! machinery and return the first successful completion, leaving the
 //! stragglers to finish in the background. Object payloads travel as shared
@@ -60,15 +76,15 @@
 //!
 //! The in-enclave metadata map ([`ShardedMetadata`]) never evicts, and
 //! every transition of a key between absent and present on this
-//! controller's drives — put, replicated apply, import, delete — updates it
-//! under the key's write lock. A key the map does not hold is therefore
-//! either absent or untouched since this controller started, and only the
-//! drives can tell which. The store does not ask them first: under the key
-//! lock, **a key the map does not hold is written compare-on-absent** —
-//! the sealed object and the metadata record travel as
-//! [`BatchOp::put_if_absent`] sub-operations of the usual one batch per
-//! replica, and each drive makes the existence check atomically with the
-//! write. A create therefore costs what an update costs: one hand-off, one
+//! controller's drives — put, import, delete — updates it under the key's
+//! write lock. A key the map does not hold is therefore either absent or
+//! untouched since this controller started to serve (a backup's applies
+//! precede that), and only the drives can tell which. The store does not
+//! ask them first: under the key lock, **a key the map does not hold is
+//! written compare-on-absent** — the sealed object and the metadata record
+//! travel as [`BatchOp::put_if_absent`] sub-operations of the usual one
+//! batch per replica, and each drive makes the existence check atomically
+//! with the write. A create therefore costs what an update costs: one hand-off, one
 //! actuator service per replica, no read.
 //!
 //! * **Every replica accepts.** The create is done; the map is advanced.
@@ -132,7 +148,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 use pesos_kinetic::{
@@ -253,6 +269,15 @@ pub struct CreateStats {
     pub rollbacks: u64,
 }
 
+/// Where a partition primary's store appends every batch all its replicas
+/// accepted (module docs, "A backup writes what its primary wrote"). The
+/// cluster's replication log implements it.
+pub trait BatchLog: Send + Sync {
+    /// Logs `ops`, accepted by every replica of `placement_key`. Called
+    /// under the key's write lock, before the write is acknowledged.
+    fn append(&self, placement_key: &str, ops: &Arc<[BatchOp]>);
+}
+
 /// The storage layer of one controller instance.
 pub struct PesosStore {
     drives: DriveSet,
@@ -268,6 +293,9 @@ pub struct PesosStore {
     create_rollbacks: AtomicU64,
     asyscall: Arc<AsyscallInterface>,
     enclave: Arc<Enclave>,
+    /// The log of the partition this store is primary of, set once. Weak:
+    /// the routing table owns a log, not the controller writing to it.
+    log: OnceLock<Weak<dyn BatchLog>>,
 }
 
 impl PesosStore {
@@ -297,7 +325,16 @@ impl PesosStore {
             create_rollbacks: AtomicU64::new(0),
             asyscall,
             enclave,
+            log: OnceLock::new(),
         }
+    }
+
+    /// Attaches the log every batch all replicas accept is appended to
+    /// from now on. A store is primary of at most one partition in its
+    /// life, so only the first attachment takes effect.
+    pub fn attach_log<L: BatchLog + 'static>(&self, log: &Arc<L>) {
+        let log: Weak<L> = Arc::downgrade(log);
+        let _ = self.log.set(log);
     }
 
     /// The drive set backing the store.
@@ -358,16 +395,41 @@ impl PesosStore {
     }
 
     /// Applies `ops` as one atomic Kinetic batch on every placement target
-    /// of `placement_key`, first error wins.
+    /// of `placement_key`, first error wins, and appends the batch to the
+    /// attached log once every replica accepted it.
+    // pesos-lint: invariant(acked_logged)
     fn replicated_batch(
         &self,
         placement_key: &HashedKey<'_>,
         ops: Arc<[BatchOp]>,
     ) -> Result<(), PesosError> {
-        for result in self.batch_on(&self.targets_for(placement_key)?, ops)? {
+        for result in self.batch_on(&self.targets_for(placement_key)?, Arc::clone(&ops))? {
             result?;
         }
+        self.append(placement_key, &ops);
         Ok(())
+    }
+
+    /// Appends `ops`, accepted by every replica, to the attached log; a
+    /// store without one pays the `OnceLock` read.
+    fn append(&self, placement_key: &HashedKey<'_>, ops: &Arc<[BatchOp]>) {
+        if let Some(log) = self.log.get().and_then(Weak::upgrade) {
+            log.append(placement_key.key(), ops);
+        }
+    }
+
+    /// Applies a batch a primary's store appended to its log, every
+    /// sub-operation forced (module docs, "A backup writes what its primary
+    /// wrote"): a replayed tail or a retry writes the same bytes again.
+    pub fn apply_batch(&self, placement_key: &str, ops: &[BatchOp]) -> Result<(), PesosError> {
+        let forced = ops
+            .iter()
+            .map(|op| match op {
+                BatchOp::Put { key, value, .. } => stored(key.clone(), value.clone()),
+                BatchOp::Delete { key, .. } => BatchOp::delete_forced(key.clone()),
+            })
+            .collect();
+        self.replicated_batch(&HashedKey::new(placement_key), forced)
     }
 
     /// Applies `ops` as one atomic Kinetic batch on each of the drives
@@ -669,7 +731,7 @@ impl PesosStore {
         let _write_guard = key_lock.lock();
 
         let value_hash = value_hash.unwrap_or_else(|| pesos_crypto::sha256(value));
-        let meta = match self.metadata.get(&key) {
+        let mut meta = match self.metadata.get(&key) {
             Some(meta) => meta,
             None => {
                 match self.create_version(&key, value, policy_id, expected_version, value_hash)? {
@@ -687,7 +749,20 @@ impl PesosStore {
                 });
             }
         }
-        self.write_version(&key, meta, new_version, value, policy_id, value_hash)?;
+        // The sealed object, the new head, the segment the version sealed
+        // and the DELETEs of what the history bound trimmed land as one
+        // batch per replica; only then is the map advanced.
+        let ops = self.version_ops(
+            &key,
+            &mut meta,
+            new_version,
+            value,
+            policy_id,
+            value_hash,
+            stored,
+        );
+        self.replicated_batch(&key, ops.into())?;
+        self.metadata.insert(&key, meta);
         self.object_cache
             .put(key, Arc::new(value.to_vec()), new_version);
         Ok(new_version)
@@ -717,9 +792,10 @@ impl PesosStore {
 
     /// The first write of a key the map does not hold, compare-on-absent
     /// (module docs). The caller holds `key`'s write lock and has seen the
-    /// map miss. On `Ok(())` version 0 is on every replica, in the map and
-    /// in the cache; on `Err(record)` the drives hold `record`, which is
-    /// now in the map, and nothing of the attempt is left behind.
+    /// map miss. On `Ok(())` version 0 is on every replica, in the log, in
+    /// the map and in the cache; on `Err(record)` the drives hold `record`,
+    /// which is now in the map, and nothing of the attempt is left behind.
+    // pesos-lint: invariant(acked_logged)
     fn create_version(
         &self,
         key: &HashedKey<'_>,
@@ -730,10 +806,10 @@ impl PesosStore {
     ) -> Result<Result<(), ObjectMetadata>, PesosError> {
         // A put that can only be an update asks what it builds on instead.
         if let Some(expected) = expected_version.filter(|&v| v != 0) {
-            return match self.load_metadata_checked(key)? {
-                Some(meta) => Ok(Err(meta)),
-                None => Err(PesosError::VersionConflict { expected, got: 0 }),
-            };
+            let record = self.load_metadata_checked(key)?;
+            return record
+                .map(Err)
+                .ok_or(PesosError::VersionConflict { expected, got: 0 });
         }
 
         let mut meta = ObjectMetadata::new(key.key());
@@ -754,6 +830,7 @@ impl PesosStore {
         let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
         let errors = || results.iter().filter_map(|r| r.as_ref().err());
         if errors().next().is_none() {
+            self.append(key, &ops);
             self.metadata.insert(key, meta);
             self.object_cache.put(key, Arc::new(value.to_vec()), 0);
             return Ok(Ok(()));
@@ -793,45 +870,11 @@ impl PesosStore {
         }
     }
 
-    /// Seals `value` as `version` of `key`, records it in `meta`, and lands
-    /// the sealed object, the new head, the history segment the version
-    /// sealed or changed, and the DELETE of every segment and version the
-    /// history bound just trimmed as one atomic batch per replica; only
-    /// then is the in-enclave map advanced. The caller holds `key`'s write
-    /// lock. Returns the record as persisted.
-    ///
-    /// The largest such batch, a put that seals a segment and trims one,
-    /// is 12 sub-operations. Only a trimmed segment that late versions
-    /// swelled past [`MAX_BATCH_OPS`] makes more; the surplus DELETEs of
-    /// data the new head no longer lists then follow in batches of their
-    /// own, so an interruption leaves unreferenced data, never a head
-    /// listing a missing version.
-    fn write_version(
-        &self,
-        key: &HashedKey<'_>,
-        mut meta: ObjectMetadata,
-        version: u64,
-        value: &[u8],
-        policy_id: Option<PolicyId>,
-        value_hash: pesos_crypto::Digest,
-    ) -> Result<ObjectMetadata, PesosError> {
-        let mut ops = self.version_ops(
-            key, &mut meta, version, value, policy_id, value_hash, stored,
-        );
-        let surplus = ops.split_off(ops.len().min(MAX_BATCH_OPS));
-        self.replicated_batch(key, ops.into())?;
-        for chunk in surplus.chunks(MAX_BATCH_OPS) {
-            self.replicated_batch(key, chunk.into())?;
-        }
-        self.metadata.insert(key, meta.clone());
-        Ok(meta)
-    }
-
     /// The sub-operations that add `version` to `key`: records the version
     /// in `meta` and returns the sealed object, the new head and the
-    /// history segment the version sealed or changed, each built by `put`,
-    /// then the forced DELETE of every segment the history dropped and of
-    /// every version the history bound just trimmed.
+    /// history segment the version sealed, each built by `put`, then the
+    /// forced DELETE of the segment the history bound just trimmed and of
+    /// every version it listed — at most 12 sub-operations.
     #[allow(clippy::too_many_arguments)]
     fn version_ops(
         &self,
@@ -882,55 +925,6 @@ impl PesosStore {
                 .map(|old| BatchOp::delete_forced(data_key(key.key(), old))),
         );
         ops
-    }
-
-    /// Applies a write shipped through a partition replication log.
-    ///
-    /// Unlike [`PesosStore::put_object`] this path performs no policy work
-    /// and invents no version: the record lands at exactly the version the
-    /// primary's store assigned (every put is logged once it has one).
-    /// Re-applying a version that is already recorded is a no-op, which
-    /// makes replaying an unacked log tail during promotion idempotent.
-    /// Two writers on one key append in whatever order they release its
-    /// lock, so the version index, not the arrival order, is authoritative
-    /// ([`ObjectMetadata::record_version`] files each version in its
-    /// place).
-    pub fn apply_replicated_put<'a>(
-        &self,
-        key: impl Into<HashedKey<'a>>,
-        value: &[u8],
-        policy_id: Option<PolicyId>,
-        version: u64,
-    ) -> Result<u64, PesosError> {
-        let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let _write_guard = key_lock.lock();
-
-        let value_hash = pesos_crypto::sha256(value);
-        let meta = match self.metadata.get(&key) {
-            Some(meta) => meta,
-            // A record that skips ahead of version 0 asks the drives what
-            // it builds on.
-            None if version != 0 => self
-                .load_metadata_checked(&key)?
-                .unwrap_or_else(|| ObjectMetadata::new(key.key())),
-            // A backup's first write of a key takes the same
-            // compare-on-absent path as the primary's.
-            None => match self.create_version(&key, value, policy_id, None, value_hash)? {
-                Ok(()) => return Ok(0),
-                Err(meta) => meta,
-            },
-        };
-        if meta.version(version).is_some() {
-            return Ok(version);
-        }
-
-        let meta = self.write_version(&key, meta, version, value, policy_id, value_hash)?;
-        if version == meta.latest_version {
-            self.object_cache
-                .put(key, Arc::new(value.to_vec()), version);
-        }
-        Ok(version)
     }
 
     /// Retrieves the latest version of `key`.
@@ -1109,7 +1103,6 @@ impl PesosStore {
     /// requested key shares its routing prefix, so one bounded prefix scan
     /// finds the referenced objects a policy may consult.
     pub fn list_keys_with_prefix(&self, prefix: &str) -> Result<Vec<String>, PesosError> {
-        const BATCH: u32 = 512;
         let offline = self.drives.iter().filter(|d| !d.is_online()).count();
         if offline != 0 {
             return Err(PesosError::Backend(format!(
@@ -1120,41 +1113,63 @@ impl PesosStore {
         let mut keys = std::collections::BTreeSet::new();
         // Every drive is online, so every session is scanned.
         for client in &self.clients {
-            let mut start: Vec<u8> = format!("m/{prefix}").into_bytes();
+            let start: Vec<u8> = format!("m/{prefix}").into_bytes();
             // Object keys are UTF-8 and therefore never contain the byte
             // 0xff, so appending it to the scan prefix forms an inclusive
             // upper bound covering exactly the keys that start with
             // `prefix` (the whole "m/…" namespace for the empty prefix).
-            let end = {
-                let mut end = start.clone();
-                end.push(0xff);
-                end
-            };
-            loop {
-                let client = Arc::clone(client);
-                let range_start = start.clone();
-                let range_end = end.clone();
-                let batch = self
-                    .asyscall
-                    .submit(move || client.key_range(&range_start, &range_end, BATCH))?
-                    .map_err(|e| PesosError::Backend(e.to_string()))?;
-                let len = batch.len();
-                for raw in batch {
-                    if let Some(stripped) = raw.strip_prefix(b"m/") {
-                        if let Ok(key) = std::str::from_utf8(stripped) {
-                            keys.insert(key.to_string());
-                        }
+            let end = [start.as_slice(), &[0xff]].concat();
+            for raw in self.scan(client, start, &end)? {
+                if let Some(stripped) = raw.strip_prefix(b"m/") {
+                    if let Ok(key) = std::str::from_utf8(stripped) {
+                        keys.insert(key.to_string());
                     }
-                    // The next page starts just after the last key seen.
-                    start = raw;
-                    start.push(0);
-                }
-                if len < BATCH as usize {
-                    break;
                 }
             }
         }
         Ok(keys.into_iter().collect())
+    }
+
+    /// Every backend key drive `index` holds — heads, segments, data and
+    /// policies — by the same paginated scan as [`PesosStore::list_keys`]:
+    /// how a replica's drives are compared with its primary's.
+    pub fn drive_keys(&self, index: usize) -> Result<Vec<Vec<u8>>, PesosError> {
+        let client = self
+            .clients
+            .get(index)
+            .ok_or_else(|| PesosError::Backend(format!("no session for drive index {index}")))?;
+        // Backend keys start with an ASCII namespace letter.
+        self.scan(client, Vec::new(), &[0xff])
+    }
+
+    /// The keys `client`'s drive holds in `[start, end]`, one
+    /// `GetKeyRange` page at a time through the asynchronous system-call
+    /// interface.
+    fn scan(
+        &self,
+        client: &Arc<KineticClient>,
+        mut start: Vec<u8>,
+        end: &[u8],
+    ) -> Result<Vec<Vec<u8>>, PesosError> {
+        const PAGE: u32 = 512;
+        let mut keys = Vec::new();
+        loop {
+            let (client, range_start, range_end) = (Arc::clone(client), start, end.to_vec());
+            let page = self
+                .asyscall
+                .submit(move || client.key_range(&range_start, &range_end, PAGE))?
+                .map_err(|e| PesosError::Backend(e.to_string()))?;
+            let full = page.len() == PAGE as usize;
+            // The next page starts just after the last key seen.
+            start = page
+                .last()
+                .map(|last| [last.as_slice(), &[0]].concat())
+                .unwrap_or_default();
+            keys.extend(page);
+            if !full {
+                return Ok(keys);
+            }
+        }
     }
 
     /// Reads one object out for migration — metadata plus the plaintext of
@@ -1391,6 +1406,20 @@ impl ObjectStoreView for StoreView<'_> {
     }
 }
 
+/// A test log: the batches a store appended, in order.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CapturedLog(pub(crate) Mutex<Vec<(String, Arc<[BatchOp]>)>>);
+
+#[cfg(test)]
+impl BatchLog for CapturedLog {
+    fn append(&self, placement_key: &str, ops: &Arc<[BatchOp]>) {
+        self.0
+            .lock()
+            .push((placement_key.to_string(), Arc::clone(ops)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1442,36 +1471,64 @@ mod tests {
         ));
     }
 
+    /// Asserts `a`'s drives hold exactly `b`'s entries, byte for byte.
+    fn assert_same_drives(a: &PesosStore, b: &PesosStore) {
+        for index in 0..a.drives().len() {
+            let keys = a.drive_keys(index).unwrap();
+            assert_eq!(keys, b.drive_keys(index).unwrap());
+            let (da, db) = (
+                a.drives().get(index).unwrap(),
+                b.drives().get(index).unwrap(),
+            );
+            for key in &keys {
+                assert_eq!(da.peek(key), db.peek(key));
+            }
+        }
+    }
+
     #[test]
     fn replicated_apply_mirrors_primary_versions_idempotently() {
-        let primary = store(1, 1);
-        let backup = store(1, 1);
-        // Every record carries the version the primary assigned, and the
-        // backup mirrors it exactly.
-        for value in [b"v0".as_slice(), b"v1", b"v2"] {
-            let v = primary.put_object("acct/a", value, None).unwrap();
-            backup
-                .apply_replicated_put("acct/a", value, None, v)
+        let primary = store(3, 2);
+        let log = Arc::new(CapturedLog::default());
+        primary.attach_log(&log);
+        let policy = primary
+            .put_policy("read :- sessionKeyIs(\"alice\")")
+            .unwrap();
+        // Long enough to seal and trim history segments.
+        for v in 0..140u32 {
+            primary
+                .put_object("acct/a", &v.to_be_bytes(), None)
                 .unwrap();
         }
-        assert_eq!(&**backup.get_object("acct/a").unwrap().0, b"v2");
-        assert_eq!(backup.get_object_version("acct/a", 0).unwrap(), b"v0");
-        // Replaying a tail is a no-op, not a version bump.
-        backup
-            .apply_replicated_put("acct/a", b"v2", None, 2)
-            .unwrap();
-        assert_eq!(backup.get_object("acct/a").unwrap().1, 2);
-        // Two writers on one key append in either order; the backup
-        // converges on the version index.
-        backup
-            .apply_replicated_put("acct/b", b"late", None, 1)
-            .unwrap();
-        backup
-            .apply_replicated_put("acct/b", b"early", None, 0)
-            .unwrap();
-        let (value, version) = backup.get_object("acct/b").unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(&**value, b"late");
+        primary.put_object("acct/b", b"b0", Some(policy)).unwrap();
+        primary.put_object("acct/c", b"c0", None).unwrap();
+        primary.attach_policy("acct/c", policy).unwrap();
+        primary.delete_object("acct/b").unwrap();
+        let records = std::mem::take(&mut *log.0.lock());
+
+        // The backup writes every batch as the primary's drives received
+        // it, and decides, seals and caches nothing.
+        let backup = store(3, 2);
+        for (key, ops) in &records {
+            backup.apply_batch(key, ops).unwrap();
+        }
+        assert_same_drives(&primary, &backup);
+        assert_eq!(backup.resident_object_count(), 0);
+        // Replaying the log is a no-op, not a second history.
+        for (key, ops) in &records {
+            backup.apply_batch(key, ops).unwrap();
+        }
+        assert_same_drives(&primary, &backup);
+        // Read cold, the backup serves the primary's record.
+        assert_eq!(
+            backup.get_metadata("acct/a"),
+            primary.get_metadata("acct/a")
+        );
+        assert_eq!(
+            backup.get_object("acct/a").unwrap(),
+            (Arc::new(139u32.to_be_bytes().to_vec()), 139)
+        );
+        assert_eq!(backup.load_policy(&policy).unwrap().id(), policy);
     }
 
     #[test]

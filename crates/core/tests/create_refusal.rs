@@ -17,10 +17,12 @@ use std::sync::Arc;
 
 use pesos_core::metadata::{data_key, meta_key, policy_key, segment_key};
 use pesos_core::{
-    placement, AsyncResult, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata,
+    placement, AsyncResult, BatchLog, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata,
     PesosController, PesosError, PesosStore, StoreOptions, TxWrite, VersionMeta,
 };
-use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive};
+use pesos_kinetic::{
+    BatchOp, ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive,
+};
 use pesos_policy::PolicyId;
 use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, ExecutionMode, SgxCostModel};
 use pesos_wire::FieldWriter;
@@ -88,7 +90,7 @@ impl Model {
     }
 
     /// Everything the drives hold for `key` after `arrivals` (version,
-    /// plaintext) were filed in that order without a policy: the retained
+    /// plaintext) were put in that order without a policy: the retained
     /// versions, the sealed history segments and the head.
     fn history(key: &str, arrivals: &[(u64, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut meta = ObjectMetadata::new(key);
@@ -136,6 +138,24 @@ impl Model {
                 drive.id()
             );
         }
+    }
+}
+
+/// The batches a store appended to its log, as a partition primary's
+/// store appends them.
+#[derive(Default)]
+struct Captured(std::sync::Mutex<Vec<(String, Arc<[BatchOp]>)>>);
+
+impl BatchLog for Captured {
+    fn append(&self, placement_key: &str, ops: &Arc<[BatchOp]>) {
+        let record = (placement_key.to_string(), Arc::clone(ops));
+        self.0.lock().unwrap().push(record);
+    }
+}
+
+impl Captured {
+    fn take(&self) -> Vec<(String, Arc<[BatchOp]>)> {
+        std::mem::take(&mut *self.0.lock().unwrap())
     }
 }
 
@@ -283,10 +303,20 @@ fn a_torn_reply_on_an_accepted_create_then_a_retry_lands_v1_over_v0() {
 
 #[test]
 fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
+    // The primary's create is compare-on-absent and logged once; a backup
+    // applies it forced, so applying it again — warm, or on a backup
+    // restarted in between — refuses nothing and changes nothing.
+    let primary = cold_store(&drives(2), 2);
+    let log = Arc::new(Captured::default());
+    primary.attach_log(&log);
+    assert_eq!(primary.put_object("k", b"v0", None).unwrap(), 0);
+    let records = log.take();
+    assert_eq!(records.len(), 1);
+    let (key, ops) = &records[0];
+
     let drives = drives(2);
     let backup = cold_store(&drives, 2);
-    assert_eq!(backup.apply_replicated_put("k", b"v0", None, 0).unwrap(), 0);
-    assert_eq!(backup.create_stats(), CreateStats::default());
+    backup.apply_batch(key, ops).unwrap();
     let mut model = Model::new(2);
     let v0 = sealed("k", 0, b"v0");
     for drive in &mut model.0 {
@@ -294,25 +324,19 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
         drive.insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
     }
     model.assert_matches(&drives);
-
-    // Warm replay: answered from the map. Cold replay (the backup was
-    // restarted before the tail was acknowledged): every replica refuses,
-    // nothing had landed so nothing is rolled back, and the record the
-    // drives hold already lists version 0.
-    backup.apply_replicated_put("k", b"v0", None, 0).unwrap();
+    backup.apply_batch(key, ops).unwrap();
     let restarted = cold_store(&drives, 2);
-    assert_eq!(
-        restarted.apply_replicated_put("k", b"v0", None, 0).unwrap(),
-        0
-    );
-    assert_eq!(restarted.create_stats(), ONE_REFUSAL);
+    restarted.apply_batch(key, ops).unwrap();
+    for store in [&backup, &restarted] {
+        assert_eq!(store.create_stats(), CreateStats::default());
+        assert_eq!(store.resident_object_count(), 0);
+    }
     assert_eq!(deletes_served(&drives[0]) + deletes_served(&drives[1]), 0);
     model.assert_matches(&drives);
-    // The log continues where it was.
-    assert_eq!(
-        restarted.apply_replicated_put("k", b"v1", None, 1).unwrap(),
-        1
-    );
+    // Promoted, the backup is a cold store over the primary's record: its
+    // first put is refused as a create and lands at version 1.
+    assert_eq!(restarted.put_object("k", b"v1", None).unwrap(), 1);
+    assert_eq!(restarted.create_stats(), ONE_REFUSAL);
 }
 
 // ----------------------------------------------------------------------
@@ -354,78 +378,6 @@ fn a_cold_store_reloads_a_segmented_history_and_deletes_all_of_it() {
     for drive in &drives {
         assert_eq!(drive.key_count(), 0, "{} kept orphans", drive.id());
     }
-}
-
-#[test]
-fn a_late_replicated_version_rewrites_exactly_its_sealed_segment() {
-    // Version 3 was appended behind 4..19 (two writers on one key append
-    // in whichever order they release its lock): 0..=8
-    // without 3 sealed into the segment at 0, 9..=16 into the one at 9.
-    let drives = drives(1);
-    let backup = cold_store(&drives, 1);
-    let mut arrivals: Vec<(u64, Vec<u8>)> =
-        (0..20).filter(|&v| v != 3).map(|v| (v, value(v))).collect();
-    for (v, plain) in &arrivals {
-        backup.apply_replicated_put("hot", plain, None, *v).unwrap();
-    }
-    let untouched = drives[0].peek(&segment_key("hot", 9)).unwrap().value;
-    let (puts, deletes) = (drives[0].info().stats.puts, deletes_served(&drives[0]));
-
-    // Version 3 is filed into the segment at 0, rewritten in the one batch
-    // that stores the data; nothing else moves.
-    assert_eq!(
-        backup
-            .apply_replicated_put("hot", &value(3), None, 3)
-            .unwrap(),
-        3
-    );
-    assert_eq!(drives[0].info().stats.puts, puts + 1);
-    assert_eq!(deletes_served(&drives[0]), deletes);
-    arrivals.push((3, value(3)));
-    let mut model = Model::new(1);
-    model.0[0].extend(Model::history("hot", &arrivals));
-    model.assert_matches(&drives);
-    assert!(drives[0].peek(&segment_key("hot", 9)).unwrap().value == untouched);
-    let segment = cold_store(&drives, 1).get_metadata("hot").unwrap();
-    let first: Vec<u64> = segment
-        .versions
-        .segments()
-        .next()
-        .unwrap()
-        .iter()
-        .map(|v| v.version)
-        .collect();
-    assert_eq!(first, (0..=8).collect::<Vec<_>>());
-}
-
-#[test]
-fn trimming_a_segment_swollen_by_late_versions_spills_its_surplus_deletes() {
-    // Four late versions swell the segment at 0 to 12 facts. The put that
-    // seals the segment at 132 then trims it: data + head + new segment +
-    // the old segment's DELETE + 12 data DELETEs is one more sub-operation
-    // than a batch holds, and the last DELETE follows in a batch of its own.
-    let drives = drives(1);
-    let backup = cold_store(&drives, 1);
-    let order = [0].into_iter().chain(5..12).chain(1..5).chain(12..140);
-    let arrivals: Vec<(u64, Vec<u8>)> = order.map(|v| (v, value(v))).collect();
-    for (v, plain) in &arrivals[..arrivals.len() - 1] {
-        backup.apply_replicated_put("hot", plain, None, *v).unwrap();
-    }
-    let (puts, deletes) = (drives[0].info().stats.puts, deletes_served(&drives[0]));
-    assert_eq!(
-        backup
-            .apply_replicated_put("hot", &value(139), None, 139)
-            .unwrap(),
-        139
-    );
-    // One batch with the writes, one with the DELETE that did not fit.
-    assert_eq!(drives[0].info().stats.puts, puts + 1);
-    assert_eq!(deletes_served(&drives[0]), deletes + 1);
-    let mut model = Model::new(1);
-    model.0[0].extend(Model::history("hot", &arrivals));
-    model.assert_matches(&drives);
-    let record = cold_store(&drives, 1).get_metadata("hot").unwrap();
-    assert_eq!(record.versions.first().unwrap().version, 12);
 }
 
 #[test]
@@ -489,10 +441,6 @@ fn an_unreadable_record_fails_every_path_and_is_never_written_over() {
         unreadable(cold.put_object("k", b"clobber", None).map(drop));
         unreadable(
             cold.put_object_cas("k", b"clobber", None, Some(3))
-                .map(drop),
-        );
-        unreadable(
-            cold.apply_replicated_put("k", b"clobber", None, 0)
                 .map(drop),
         );
         unreadable(cold.get_object("k").map(drop));
@@ -641,24 +589,13 @@ fn a_cold_controller_cannot_turn_a_denied_update_into_a_create() {
     // The asynchronous put is the same put run later: accepted on the same
     // provisional decision, denied on the poll.
     forget(&c, "doc");
-    let completed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let hook = Arc::clone(&completed);
+    let log = Arc::new(Captured::default());
+    c.store().attach_log(&log);
     let op = c
-        .put_async(
-            "eve",
-            "doc",
-            b"stolen".to_vec(),
-            None,
-            None,
-            &[],
-            move |_| hook.store(true, std::sync::atomic::Ordering::SeqCst),
-        )
+        .put_async("eve", "doc", b"stolen".to_vec(), None, None, &[])
         .unwrap();
     c.drain_async();
-    assert!(
-        !completed.load(std::sync::atomic::Ordering::SeqCst),
-        "a denied write ran its completion hook"
-    );
+    assert!(log.take().is_empty(), "a denied write was logged");
     let denied = PesosError::PolicyDenied(String::new()).to_string();
     assert!(matches!(
         c.poll_result("eve", op),
