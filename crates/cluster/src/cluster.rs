@@ -62,12 +62,12 @@ pub struct ClusterConfig {
     /// flight at once when a topology change drains a hash range (the
     /// x-axis of `reproduce fig12`).
     pub drain_concurrency: usize,
-    /// Backup controllers per partition. `0` (the default) disables
-    /// replication entirely: no backup instances, no logs, and
+    /// Backup stores per partition. `0` (the default) disables
+    /// replication entirely: no backup stores, no logs, and
     /// [`ControllerCluster::fail_controller`] refuses — exactly the
     /// pre-replication behavior. With `n > 0` every partition primary
-    /// streams the drive batches it writes to `n` backups and can fail
-    /// over onto the freshest one.
+    /// streams the drive batches it writes to `n` backup stores and can
+    /// fail over onto the freshest one, whose controller is built then.
     pub backups_per_partition: usize,
 }
 

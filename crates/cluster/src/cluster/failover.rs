@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use pesos_core::bootstrap::bootstrap;
 use pesos_core::{ControllerConfig, PesosController, PesosError};
 use pesos_sgx::HostPool;
 
@@ -28,11 +29,12 @@ const REPLICATION_SECRET: &[u8] = b"pesos-cluster-replication-log";
 const REPLICATION_MAX_LAG: u64 = 256;
 
 impl ControllerCluster {
-    /// Builds `backups` backup controllers from the template on the host
+    /// Bootstraps `backups` backup stores from the template on the host
     /// `pool` and starts `primary`'s log shipping to them; `None` when
-    /// `backups` is 0 (replication off). Every partition's log is spawned
-    /// here or re-seeded from a promotion's survivors, which are already
-    /// on it.
+    /// `backups` is 0 (replication off). A backup is a store and nothing
+    /// more until a promotion builds its controller. Every partition's log
+    /// is spawned here or re-seeded from a promotion's survivors, which
+    /// are already on it.
     pub(super) fn spawn_log(
         primary: &PesosController,
         template: &ControllerConfig,
@@ -43,7 +45,7 @@ impl ControllerCluster {
             return Ok(None);
         }
         let backups = (0..backups)
-            .map(|_| PesosController::with_pool(template.clone(), pool).map(Arc::new))
+            .map(|_| bootstrap(template, pool).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         let log = ReplicaSet::spawn(REPLICATION_SECRET, backups, REPLICATION_MAX_LAG);
         primary.store().attach_log(&log);
@@ -65,7 +67,10 @@ impl ControllerCluster {
         Ok(())
     }
 
-    /// Fails partition `index` over onto the freshest of its backups.
+    /// Fails partition `index` over onto the freshest of its backup
+    /// stores, building the controller that serves the partition over it
+    /// from the failed controller's config (the one the backup was
+    /// bootstrapped from).
     ///
     /// The promotion runs under the ops gate's write side with the same
     /// flush-under-gate discipline as a rebalance: every request either
@@ -83,9 +88,9 @@ impl ControllerCluster {
     /// ([`PesosError::Unavailable`]) when the partition has no backups or
     /// the freshest backup cannot apply the log tail.
     ///
-    /// Returns the promotion record: the controller now serving the
-    /// partition, how many retained records were replayed into it, and
-    /// the surviving backups that re-seed its next replica set.
+    /// Returns the promotion record: the store now serving the partition,
+    /// how many retained records were replayed into it, and the surviving
+    /// backup stores that re-seed its next replica set.
     ///
     /// A backup only wrote its primary's drive batches, so the promoted
     /// controller starts *cold*: its metadata map is empty and its
@@ -123,9 +128,10 @@ impl ControllerCluster {
         failed.controller.set_failed(true);
         // Stop the shippers *outside* the gate: stop() joins threads that
         // may be mid-retry against a faulting backup, and holding the gate
-        // across that join would stall every partition's traffic. Appends
-        // from requests still in flight keep enqueueing after stop() —
-        // promotion replays the retained queue, so they are not lost.
+        // across that join would stall every partition's traffic (promote
+        // stops the set again, joining nothing). Appends from requests
+        // still in flight keep enqueueing after stop() — promotion replays
+        // the retained queue, so they are not lost.
         log.stop();
         let promotion = {
             // Quiesce: after this acquire no request is in flight, after
@@ -139,9 +145,13 @@ impl ControllerCluster {
             // that also caught up during promotion. With no survivor the
             // partition runs unreplicated until the operator adds
             // capacity: its entry carries no log.
+            let controller = PesosController::with_store(
+                failed.controller.config().clone(),
+                Arc::clone(&promotion.promoted),
+            );
             let promoted = Partition {
                 start: failed.start,
-                controller: Arc::clone(&promotion.promoted),
+                controller: Arc::new(controller),
                 log: (!promotion.survivors.is_empty()).then(|| {
                     ReplicaSet::spawn(
                         REPLICATION_SECRET,

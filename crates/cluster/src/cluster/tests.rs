@@ -223,13 +223,12 @@ fn empty_transaction_commit_is_still_queryable() {
 
 #[test]
 fn a_cross_partition_commit_spends_one_outcome_slot_per_participant() {
-    // One shard of eight slots per controller: eight commits across both
+    // One shard per store: TX_OUTCOME_CAPACITY commits across both
     // partitions fill each participant's map exactly once over.
     let c = ControllerCluster::new(ClusterConfig::with_controller(
         2,
         ControllerConfig {
             lock_shards: 1,
-            tx_outcome_capacity: 8,
             ..ControllerConfig::native_simulator(1)
         },
     ))
@@ -237,10 +236,12 @@ fn a_cross_partition_commit_spends_one_outcome_slot_per_participant() {
     c.register_client("alice");
     let (a, b) = keys_on_two_partitions(&c, "slot");
     let mut ids = Vec::new();
-    for i in 0..8u8 {
+    for i in 0..pesos_core::TX_OUTCOME_CAPACITY {
         let tx = c.create_tx("alice").unwrap();
-        c.add_write("alice", tx, &a, vec![i]).unwrap();
-        c.add_write("alice", tx, &b, vec![i]).unwrap();
+        c.add_write("alice", tx, &a, i.to_be_bytes().to_vec())
+            .unwrap();
+        c.add_write("alice", tx, &b, i.to_be_bytes().to_vec())
+            .unwrap();
         c.commit_tx("alice", tx).unwrap();
         ids.push(tx);
     }
@@ -248,7 +249,8 @@ fn a_cross_partition_commit_spends_one_outcome_slot_per_participant() {
         assert!(c.check_results("alice", *tx).is_ok(), "tx {tx:#x} evicted");
     }
     for controller in c.controllers() {
-        assert!(ids.iter().all(|tx| controller.tx_outcome(*tx).is_some()));
+        let store = controller.store();
+        assert!(ids.iter().all(|tx| store.tx_outcome(*tx).is_some()));
     }
 }
 
@@ -786,7 +788,10 @@ fn killed_partition_is_unavailable_until_promoted() {
     assert!(retried > 0, "unavailable range should have retried");
     // Promotion brings the range back with every acknowledged write.
     let promotion = c.fail_controller(0).unwrap();
-    assert!(!Arc::ptr_eq(&promotion.promoted, &c.controllers()[1]));
+    assert!(!Arc::ptr_eq(
+        &promotion.promoted,
+        c.controllers()[1].store()
+    ));
     for key in &keys {
         let (value, _) = c.get("alice", key, &[]).unwrap();
         assert_eq!(&**value, key.as_bytes());
@@ -958,7 +963,7 @@ fn a_backups_drives_equal_its_primarys() {
     for partition in routing.table.partitions() {
         let log = partition.log.as_ref().expect("a replicated partition");
         assert!(partition.controller.store().resident_object_count() > 0);
-        log.assert_backups_equal(&partition.controller);
+        log.assert_backups_equal(partition.controller.store());
     }
 }
 
@@ -1026,19 +1031,42 @@ fn a_joined_partition_fails_over_with_every_acknowledged_write() {
     c.add_write("alice", tx, &tx_out, b"out".to_vec()).unwrap();
     let outcome = c.commit_tx("alice", tx).unwrap();
 
+    let failed = Arc::clone(&c.controllers()[joined]);
     c.kill_controller(joined).unwrap();
     let promotion = c.fail_controller(joined).unwrap();
+    // The partition's controller was built at promotion, over the backup
+    // store the log wrote: drives of its own, up while the failed
+    // primary's are down. (A device certificate is a function of the
+    // drive id, and every store names its drives kd-00.., so two stores'
+    // reports cannot tell them apart.)
     let promoted = Arc::clone(&c.controllers()[joined]);
-    assert!(Arc::ptr_eq(&promotion.promoted, &promoted));
+    assert!(!Arc::ptr_eq(&promoted, &failed));
+    assert!(Arc::ptr_eq(&promotion.promoted, promoted.store()));
+    let drives = |c: &PesosController| c.store().drives().iter().cloned().collect::<Vec<_>>();
+    let (now, before) = (drives(&promoted), drives(&failed));
+    assert!(now
+        .iter()
+        .all(|d| d.is_online() && !before.iter().any(|b| Arc::ptr_eq(d, b))));
+    assert!(before.iter().all(|d| !d.is_online()));
     let (value, got) = c.get("alice", &sync_key, &[]).unwrap();
     assert_eq!((&**value, got), (&b"sync"[..], version));
     assert_eq!(&**c.get("alice", &async_key, &[]).unwrap().0, b"async");
     assert_eq!(&**c.get("alice", &tx_in, &[]).unwrap().0, b"in");
     assert_eq!(&**c.get("alice", &tx_out, &[]).unwrap().0, b"out");
-    // The outcome survives on the promoted backup itself, not only on the
-    // other participant.
-    assert_eq!(promoted.tx_outcome(tx), Some(outcome.clone()));
+    // The outcome survives on the promoted backup's store itself, not only
+    // on the other participant.
+    assert_eq!(promoted.store().tx_outcome(tx), Some(outcome.clone()));
     assert_eq!(c.check_results("alice", tx).unwrap(), outcome);
+    // The promoted controller is whole: its scheduler runs an async put.
+    let op = c
+        .put_async("alice", &async_key, b"promoted".to_vec(), None, None, &[])
+        .unwrap();
+    c.drain_async();
+    assert!(matches!(
+        c.poll_result("alice", op),
+        Some(AsyncResult::Completed { .. })
+    ));
+    assert_eq!(&**c.get("alice", &async_key, &[]).unwrap().0, b"promoted");
 }
 
 #[test]

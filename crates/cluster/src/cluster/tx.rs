@@ -193,6 +193,7 @@ impl ControllerCluster {
         for partition in committed {
             partition
                 .controller
+                .store()
                 .record_tx_outcome(tx_id, outcome.clone());
             if let Some(log) = &partition.log {
                 let outcome = outcome.clone();
@@ -206,8 +207,8 @@ impl ControllerCluster {
     /// queryable from any router: every partition is consulted until one
     /// has the retained outcome.
     ///
-    /// Retention is bounded per controller
-    /// ([`pesos_core::ControllerConfig::tx_outcome_capacity`]): a
+    /// Retention is bounded per partition
+    /// ([`pesos_core::TX_OUTCOME_CAPACITY`]): a
     /// [`PesosError::ResultUnavailable`] here means the outcome is not
     /// retained — the transaction id is unknown, aborted, or committed long
     /// enough ago that its outcome was evicted. It must not be read as
@@ -217,7 +218,7 @@ impl ControllerCluster {
         self.require_client(client_id)?;
         let routing = self.routing.read().clone();
         for partition in routing.table.partitions() {
-            if let Some(outcome) = partition.controller.tx_outcome(tx_id) {
+            if let Some(outcome) = partition.controller.store().tx_outcome(tx_id) {
                 return Ok(outcome);
             }
         }

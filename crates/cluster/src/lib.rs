@@ -55,10 +55,11 @@
 //!   migration gauges, served as a hierarchical attribute tree over the
 //!   REST dispatch and as the [`TelemetrySnapshot`] API.
 //! * [`replication`] — primary/backup partitions: each primary's store
-//!   streams the drive batches it writes to backup controllers over the
+//!   streams the drive batches it writes to backup stores over the
 //!   vectored frame encode with bounded-lag backpressure, and
 //!   [`ControllerCluster::fail_controller`] promotes the freshest backup
-//!   under the ops-gate write side without losing an acknowledged write.
+//!   under the ops-gate write side, building its controller then, without
+//!   losing an acknowledged write.
 
 pub mod cluster;
 pub mod replication;

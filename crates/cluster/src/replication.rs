@@ -1,10 +1,13 @@
 //! Primary/backup partition replication: per-partition logs of drive
-//! batches shipped to backup controllers over the vectored frame encode.
+//! batches shipped to backup stores over the vectored frame encode.
 //!
 //! Every partition primary owns a [`ReplicaSet`], carried in the
 //! partition's routing-table entry ([`crate::router::Partition::log`]): an
 //! ordered log of what the primary acknowledged, shipped to one or more
-//! backup controllers by dedicated shipper threads. Everything the
+//! backup stores by dedicated shipper threads. A backup is a bare
+//! [`PesosStore`] — enclave, drives and its share of the host pool, no
+//! sessions, scheduler or result buffer — until a promotion builds the
+//! controller that serves the partition over it. Everything the
 //! primary's store writes is already sealed and authenticated when it
 //! reaches a drive, so the log carries the drive batches themselves: the
 //! primary's store appends each batch every replica accepted
@@ -39,9 +42,9 @@
 //!   frame HMAC and checked with the folded one-compression verification —
 //!   the identical encode/verify path the kinetic wire layer uses, so
 //!   shipping a record costs one seal and no payload copies. A backup
-//!   seals, hashes content and decides nothing, and keeps no metadata map:
-//!   a promoted backup starts as a cold store over drives equal to its
-//!   primary's.
+//!   store seals, hashes content and decides nothing, and keeps no
+//!   metadata map: a promoted backup starts as a cold store over drives
+//!   equal to its primary's.
 //! * **Batched wake-ups.** A shipper wakes once [`SHIP_BATCH`] records have
 //!   queued for its backup, or once the first of fewer has waited
 //!   [`SHIP_LINGER`]; an append wakes the shippers only at those two
@@ -58,7 +61,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use pesos_core::{BatchLog, PesosController, PesosError, TxOutcome};
+use pesos_core::{BatchLog, PesosError, PesosStore, TxOutcome};
 use pesos_crypto::hmac::HmacKey;
 use pesos_kinetic::{BatchOp, Command, Envelope, MessageType, VectoredEnvelope};
 use pesos_sgx::AsyscallStats;
@@ -159,7 +162,7 @@ struct LogState {
 }
 
 struct BackupLink {
-    controller: Arc<PesosController>,
+    store: Arc<PesosStore>,
     /// Number of records this backup has applied (== next unapplied seq).
     applied: AtomicU64,
 }
@@ -192,16 +195,17 @@ impl ReplicationStats {
     }
 }
 
-/// The outcome of promoting a backup out of a stopped replica set.
+/// The outcome of promoting a backup out of a replica set.
 pub struct Promotion {
-    /// The backup now serving the partition, with the full log applied.
-    pub promoted: Arc<PesosController>,
+    /// The backup store now serving the partition, with the full log
+    /// applied.
+    pub promoted: Arc<PesosStore>,
     /// How many retained records were replayed into it during promotion.
     pub replayed: u64,
     /// Remaining backups that were also brought fully up to date; they
     /// re-seed the promoted partition's next replica set. A backup whose
     /// replay failed (its own store is faulting) is dropped.
-    pub survivors: Vec<Arc<PesosController>>,
+    pub survivors: Vec<Arc<PesosStore>>,
 }
 
 impl std::fmt::Debug for Promotion {
@@ -237,11 +241,7 @@ impl ReplicaSet {
     /// Creates a replica set over `backups` and starts one shipper thread
     /// per backup. `secret` keys the log frames' HMAC; `max_lag` bounds
     /// how far the slowest backup may fall behind before appends block.
-    pub fn spawn(
-        secret: &[u8],
-        backups: Vec<Arc<PesosController>>,
-        max_lag: u64,
-    ) -> Arc<ReplicaSet> {
+    pub fn spawn(secret: &[u8], backups: Vec<Arc<PesosStore>>, max_lag: u64) -> Arc<ReplicaSet> {
         let set = Arc::new(ReplicaSet {
             key: HmacKey::new(secret),
             max_lag: max_lag.max(1),
@@ -257,9 +257,9 @@ impl ReplicaSet {
             stopping: AtomicBool::new(false),
             backups: backups
                 .into_iter()
-                .map(|controller| {
+                .map(|store| {
                     Arc::new(BackupLink {
-                        controller,
+                        store,
                         applied: AtomicU64::new(0),
                     })
                 })
@@ -295,7 +295,7 @@ impl ReplicaSet {
             backup_asyscalls: self
                 .backups
                 .iter()
-                .map(|b| b.controller.store().asyscall_stats())
+                .map(|b| b.store.asyscall_stats())
                 .collect(),
         }
     }
@@ -361,7 +361,7 @@ impl ReplicaSet {
     /// through the backup's store, an outcome into its outcome map.
     fn apply_frame(
         key: &HmacKey,
-        backup: &PesosController,
+        backup: &PesosStore,
         frame: &VectoredEnvelope,
     ) -> Result<(), PesosError> {
         if !frame.verified_by(key) {
@@ -375,7 +375,7 @@ impl ReplicaSet {
             MessageType::Batch => {
                 let key = std::str::from_utf8(&cmd.body.key);
                 let key = key.map_err(|_| corrupt("key not UTF-8"))?;
-                backup.store().apply_batch(key, &cmd.body.batch)
+                backup.apply_batch(key, &cmd.body.batch)
             }
             MessageType::Put => {
                 let tx_id = cmd.body.key.as_slice().try_into().map(u64::from_be_bytes);
@@ -445,7 +445,7 @@ impl ReplicaSet {
                 // retried until it lands or the set stops: dropping a
                 // record would silently fork the backup from the log.
                 loop {
-                    match Self::apply_frame(&self.key, &link.controller, &frame) {
+                    match Self::apply_frame(&self.key, &link.store, &frame) {
                         Ok(()) => break,
                         Err(_) if self.stopping.load(Ordering::Acquire) => return,
                         Err(_) => std::thread::sleep(APPLY_RETRY),
@@ -493,16 +493,13 @@ impl ReplicaSet {
             .max_by_key(|b| b.applied.load(Ordering::Acquire))
     }
 
-    /// Promotes the freshest backup: replays the retained, unapplied log
-    /// tail into it (and, best-effort, into every other backup), returning
-    /// the fully caught-up controller. Must be called after
-    /// [`ReplicaSet::stop`]; fails only if the chosen backup's own store
-    /// cannot apply the tail.
+    /// Promotes the freshest backup: stops the set ([`ReplicaSet::stop`]),
+    /// then replays the retained, unapplied log tail into it (and,
+    /// best-effort, into every other backup), returning the fully
+    /// caught-up store. Fails only if the chosen backup's store cannot
+    /// apply the tail.
     pub fn promote(&self) -> Result<Promotion, PesosError> {
-        assert!(
-            self.stopping.load(Ordering::Acquire),
-            "promote requires a stopped replica set"
-        );
+        self.stop();
         let chosen = self
             .freshest()
             .ok_or_else(|| PesosError::Unavailable("partition has no backup".to_string()))?;
@@ -510,8 +507,10 @@ impl ReplicaSet {
         // replaying: the log mutex (rank REPLICATION_LOG) sits *above* the
         // stores' key locks in the workspace lock hierarchy, so holding it
         // across apply_frame (which takes the backup store's key locks)
-        // would invert the order. The set is stopped and the caller holds
-        // the ops-gate write side, so the queue cannot change under us.
+        // would invert the order. The set is stopped, so no shipper moves
+        // a backup's applied count; a record appended after the snapshot
+        // is the caller's to keep out (the cluster holds the ops gate's
+        // write side).
         let snapshot: Vec<QueuedFrame> = {
             let state = self.inner.lock();
             state
@@ -531,7 +530,7 @@ impl ReplicaSet {
             let tail: Vec<&QueuedFrame> = snapshot.iter().filter(|f| f.seq >= applied).collect();
             let mut caught_up = true;
             for frame in tail {
-                match Self::apply_frame(&self.key, &link.controller, &frame.frame) {
+                match Self::apply_frame(&self.key, &link.store, &frame.frame) {
                     Ok(()) => {
                         link.applied.store(frame.seq + 1, Ordering::Release);
                         if is_chosen {
@@ -551,11 +550,11 @@ impl ReplicaSet {
                 }
             }
             if caught_up && !is_chosen {
-                survivors.push(Arc::clone(&link.controller));
+                survivors.push(Arc::clone(&link.store));
             }
         }
         Ok(Promotion {
-            promoted: Arc::clone(&chosen.controller),
+            promoted: Arc::clone(&chosen.store),
             replayed,
             survivors,
         })
@@ -582,14 +581,14 @@ impl Drop for ReplicaSet {
 impl ReplicaSet {
     /// Waits until every backup applied every record, then asserts each
     /// holds `primary`'s drives byte for byte.
-    pub(crate) fn assert_backups_equal(&self, primary: &PesosController) {
+    pub(crate) fn assert_backups_equal(&self, primary: &PesosStore) {
         let deadline = Instant::now() + Duration::from_secs(60);
         while self.stats().max_lag() > 0 {
             assert!(Instant::now() < deadline, "a backup stalled");
             std::thread::sleep(Duration::from_millis(5));
         }
         for link in &self.backups {
-            assert_same_drives(primary, &link.controller);
+            assert_same_drives(primary, &link.store);
         }
     }
 }
@@ -597,21 +596,21 @@ impl ReplicaSet {
 /// Asserts that `a` and `b` hold, drive by drive, the same backend keys
 /// (listed with a paginated `GetKeyRange`) with byte-identical entries.
 #[cfg(test)]
-fn assert_same_drives(a: &PesosController, b: &PesosController) {
-    let drives = a.store().drives().len();
-    assert_eq!(drives, b.store().drives().len());
+fn assert_same_drives(a: &PesosStore, b: &PesosStore) {
+    let drives = a.drives().len();
+    assert_eq!(drives, b.drives().len());
     let names = |keys: &[Vec<u8>]| -> Vec<String> {
         keys.iter()
             .map(|k| String::from_utf8_lossy(k).into_owned())
             .collect()
     };
     for index in 0..drives {
-        let keys = a.store().drive_keys(index).unwrap();
-        let other = b.store().drive_keys(index).unwrap();
+        let keys = a.drive_keys(index).unwrap();
+        let other = b.drive_keys(index).unwrap();
         assert_eq!(names(&keys), names(&other), "drive {index}");
         let (da, db) = (
-            a.store().drives().get(index).unwrap(),
-            b.store().drives().get(index).unwrap(),
+            a.drives().get(index).unwrap(),
+            b.drives().get(index).unwrap(),
         );
         for key in &keys {
             assert_eq!(
@@ -629,16 +628,22 @@ mod tests {
     use super::*;
     use pesos_core::ControllerConfig;
     use pesos_kinetic::{FaultPlan, Payload};
+    use pesos_sgx::HostPool;
 
-    fn controller() -> Arc<PesosController> {
-        Arc::new(PesosController::new(ControllerConfig::native_simulator(1)).unwrap())
+    /// A store bootstrapped from `config` on a host pool of its own.
+    fn store_of(config: &ControllerConfig) -> Arc<PesosStore> {
+        let pool = HostPool::new(config.syscall_slots());
+        Arc::new(pesos_core::bootstrap::bootstrap(config, &pool).unwrap())
     }
 
-    /// A controller whose store appends to `set`, as a partition
-    /// primary's does.
-    fn primary_of(set: &Arc<ReplicaSet>) -> Arc<PesosController> {
-        let primary = controller();
-        primary.store().attach_log(set);
+    fn store() -> Arc<PesosStore> {
+        store_of(&ControllerConfig::native_simulator(1))
+    }
+
+    /// A store that appends to `set`, as a partition primary's does.
+    fn primary_of(set: &Arc<ReplicaSet>) -> Arc<PesosStore> {
+        let primary = store();
+        primary.attach_log(set);
         primary
     }
 
@@ -682,7 +687,7 @@ mod tests {
                 outcome: outcome.clone(),
             },
         ];
-        let backup = controller();
+        let backup = store();
         for (i, record) in records.into_iter().enumerate() {
             let frame =
                 Envelope::seal_vectored(REPLICATION_IDENTITY, &key, record.into_command(i as u64));
@@ -696,7 +701,7 @@ mod tests {
             ReplicaSet::apply_frame(&key, &backup, &frame).unwrap();
         }
         // The batch landed forced, the outcome in the outcome map.
-        let drive = backup.store().drives().get(0).unwrap();
+        let drive = backup.drives().get(0).unwrap();
         let value = |k: &[u8]| drive.peek(k).map(|e| e.value.to_vec());
         assert_eq!(value(b"o/acct/a/0"), Some(b"sealed".to_vec()));
         assert_eq!(value(b"m/acct/a"), Some(b"head".to_vec()));
@@ -730,19 +735,18 @@ mod tests {
     #[test]
     fn a_shipper_under_faults_leaves_a_backup_as_direct_applies_do() {
         let config = ControllerConfig::native_simulator(2);
-        let [primary, shipped, direct] =
-            [(); 3].map(|()| Arc::new(PesosController::new(config.clone()).unwrap()));
+        let [primary, shipped, direct] = [(); 3].map(|()| store_of(&config));
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&shipped)], 4096);
         let tee = Arc::new(Tee {
             log: Arc::clone(&set),
             batches: std::sync::Mutex::new(Vec::new()),
         });
         for (seed, backup) in [(10, &shipped), (20, &direct)] {
-            for (i, drive) in (0..).zip(backup.store().drives().iter()) {
+            for (i, drive) in (0..).zip(backup.drives().iter()) {
                 drive.inject_faults(FaultPlan::errors(seed + i, 0.25));
             }
         }
-        let store = primary.store();
+        let store = &primary;
         store.attach_log(&tee);
         for c in 0..4 {
             store
@@ -782,13 +786,12 @@ mod tests {
 
         let log = std::mem::take(&mut *tee.batches.lock().unwrap());
         for (key, ops) in &log {
-            while direct.store().apply_batch(key, ops).is_err() {}
+            while direct.apply_batch(key, ops).is_err() {}
         }
         wait_applied(&set, log.len() as u64);
         set.stop();
-        let faults = |backup: &PesosController| -> u64 {
+        let faults = |backup: &PesosStore| -> u64 {
             backup
-                .store()
                 .drives()
                 .iter()
                 .map(|d| d.fault_counts().dropped)
@@ -796,13 +799,9 @@ mod tests {
         };
         assert!(faults(&shipped) > 0 && faults(&direct) > 0);
         for backup in [&shipped, &direct] {
-            backup
-                .store()
-                .drives()
-                .iter()
-                .for_each(|d| d.clear_faults());
-            assert_eq!(backup.store().create_stats(), Default::default());
-            assert_eq!(backup.store().resident_object_count(), 0);
+            backup.drives().iter().for_each(|d| d.clear_faults());
+            assert_eq!(backup.create_stats(), Default::default());
+            assert_eq!(backup.resident_object_count(), 0);
         }
         assert_same_drives(&shipped, &direct);
         assert_same_drives(&primary, &shipped);
@@ -837,35 +836,31 @@ mod tests {
 
     #[test]
     fn shipping_applies_in_order_and_trims() {
-        let backup = controller();
+        let backup = store();
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1024);
         let primary = primary_of(&set);
         for i in 0..20u64 {
             primary
-                .store()
                 .put_object("seq/k", format!("v{i}").as_bytes(), None)
                 .unwrap();
         }
         wait_applied(&set, 20);
         // The backup wrote the batches only: a cold read finds the
         // primary's record on its drives.
-        assert_eq!(backup.store().resident_object_count(), 0);
-        let (value, version) = backup.store().get_object("seq/k").unwrap();
+        assert_eq!(backup.resident_object_count(), 0);
+        let (value, version) = backup.get_object("seq/k").unwrap();
         assert_eq!(version, 19);
         assert_eq!(&**value, b"v19");
-        assert_eq!(
-            backup.store().get_object_version("seq/k", 0).unwrap(),
-            b"v0"
-        );
+        assert_eq!(backup.get_object_version("seq/k", 0).unwrap(), b"v0");
         set.stop();
         assert!(set.inner.lock().queue.len() < 20);
     }
 
     #[test]
     fn backpressure_blocks_appends_until_the_backup_catches_up() {
-        let backup = controller();
+        let backup = store();
         // Take the backup's drive offline so nothing applies.
-        backup.store().drives().get(0).unwrap().set_online(false);
+        backup.drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 4);
         for i in 0..4u8 {
             set.append(batch("bp/k", &[i]));
@@ -876,7 +871,7 @@ mod tests {
             let backup = Arc::clone(&backup);
             move || {
                 std::thread::sleep(Duration::from_millis(150));
-                backup.store().drives().get(0).unwrap().set_online(true);
+                backup.drives().get(0).unwrap().set_online(true);
             }
         });
         let start = Instant::now();
@@ -894,12 +889,8 @@ mod tests {
     /// cap still runs its full length.
     #[test]
     fn the_append_stall_is_capped_by_time_not_by_wake_ups() {
-        let backup = controller();
-        backup
-            .store()
-            .drives()
-            .iter()
-            .for_each(|d| d.set_online(false));
+        let backup = store();
+        backup.drives().iter().for_each(|d| d.set_online(false));
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1);
         set.append(batch("cap/k", b"v0"));
         let done = Arc::new(AtomicBool::new(false));
@@ -930,40 +921,59 @@ mod tests {
 
     #[test]
     fn promote_replays_the_unapplied_tail() {
-        let backup = controller();
+        let backup = store();
         // Offline drive: records queue but never apply.
-        backup.store().drives().get(0).unwrap().set_online(false);
+        backup.drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1024);
         let primary = primary_of(&set);
         for i in 0..10u64 {
             primary
-                .store()
                 .put_object("tail/k", format!("v{i}").as_bytes(), None)
                 .unwrap();
         }
         set.stop();
         // The crash is over for the backup's drives; promotion replays
         // everything the shipper never delivered.
-        backup.store().drives().get(0).unwrap().set_online(true);
+        backup.drives().get(0).unwrap().set_online(true);
         let promotion = set.promote().unwrap();
         assert!(Arc::ptr_eq(&promotion.promoted, &backup));
         assert!(promotion.replayed >= 1);
-        let (value, version) = backup.store().get_object("tail/k").unwrap();
+        let (value, version) = backup.get_object("tail/k").unwrap();
         assert_eq!(version, 9);
         assert_eq!(&**value, b"v9");
         assert_same_drives(&primary, &backup);
     }
 
+    /// Promotion stops a set that is still shipping itself: whatever the
+    /// shipper did not deliver before it was joined is replayed.
+    #[test]
+    fn promote_stops_a_running_set_and_replays_its_tail() {
+        let backup = store();
+        backup.drives().get(0).unwrap().set_online(false);
+        let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&backup)], 1024);
+        let primary = primary_of(&set);
+        for i in 0..10u64 {
+            primary
+                .put_object("running/k", format!("v{i}").as_bytes(), None)
+                .unwrap();
+        }
+        backup.drives().get(0).unwrap().set_online(true);
+        let promotion = set.promote().unwrap();
+        assert!(Arc::ptr_eq(&promotion.promoted, &backup));
+        assert_eq!(set.stats().applied, [10]);
+        assert_same_drives(&primary, &backup);
+    }
+
     #[test]
     fn promote_picks_the_freshest_backup() {
-        let fresh = controller();
-        let stale = controller();
+        let fresh = store();
+        let stale = store();
         // The stale backup cannot apply anything.
-        stale.store().drives().get(0).unwrap().set_online(false);
+        stale.drives().get(0).unwrap().set_online(false);
         let set = ReplicaSet::spawn(b"s", vec![Arc::clone(&stale), Arc::clone(&fresh)], 1024);
         let primary = primary_of(&set);
         for i in 0..8u8 {
-            primary.store().put_object("pick/k", &[i], None).unwrap();
+            primary.put_object("pick/k", &[i], None).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.backups[1].applied.load(Ordering::Acquire) < 8 {

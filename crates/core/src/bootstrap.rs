@@ -1,5 +1,5 @@
-//! Controller bootstrap: attestation, secret provisioning and exclusive
-//! drive takeover.
+//! Store bootstrap: attestation, secret provisioning and exclusive drive
+//! takeover. A controller is built over the store it produces.
 //!
 //! The paper's workflow (§1, §3.1): when Pesos starts, the attestation
 //! service verifies that the controller runs on the correct hardware and
@@ -14,10 +14,12 @@ use pesos_kinetic::protocol::AccountSpec;
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, KineticClient, KineticDrive, Permission};
 use pesos_sgx::attestation::{AttestationService, ProvisionedSecrets, QuotingEnclave};
 use pesos_sgx::cost::ModeCost;
-use pesos_sgx::{AsyscallInterface, Enclave, EnclaveConfig, HostPool, SgxCostModel};
+use pesos_sgx::{Enclave, EnclaveConfig, HostPool, SgxCostModel};
 
 use crate::config::ControllerConfig;
+use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
+use crate::store::{PesosStore, StoreOptions};
 
 /// The Pesos administrative identity installed on every drive.
 pub const PESOS_ADMIN_IDENTITY: i64 = 100;
@@ -26,24 +28,8 @@ pub const PESOS_ADMIN_IDENTITY: i64 = 100;
 /// the factory configuration are rejected outright.
 pub const PESOS_CLUSTER_VERSION: u64 = 1;
 
-/// Everything the bootstrap produces for the controller.
-pub struct BootstrapOutcome {
-    /// The simulated enclave.
-    pub enclave: Arc<Enclave>,
-    /// The enclave's asynchronous system-call interface: its submission
-    /// side of the host pool it was bootstrapped on.
-    pub asyscall: Arc<AsyscallInterface>,
-    /// The provisioned runtime secrets.
-    pub secrets: ProvisionedSecrets,
-    /// The drives now exclusively owned by this controller.
-    pub drives: DriveSet,
-    /// Authenticated admin clients, one per drive (same order).
-    pub clients: Vec<Arc<KineticClient>>,
-    /// Summary for logging/auditing.
-    pub report: BootstrapReport,
-}
-
-/// Human-readable summary of the bootstrap.
+/// Human-readable summary of the bootstrap, as a store reports it
+/// ([`crate::PesosStore::report`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BootstrapReport {
     /// Hex enclave measurement that was attested.
@@ -72,12 +58,13 @@ pub fn admin_secret_for(secrets: &ProvisionedSecrets, drive_id: &str) -> Vec<u8>
 
 /// Runs the full bootstrap for `config`, creating the drives in the process
 /// (in a real deployment the drives already exist on the network; the
-/// simulator creates them here). The enclave joins the host I/O `pool`
-/// with `config.syscall_threads` service threads and their slots.
+/// simulator creates them here), and returns the store over them. The
+/// enclave joins the host I/O `pool` with `config.syscall_threads` service
+/// threads and their slots.
 pub fn bootstrap(
     config: &ControllerConfig,
     pool: &Arc<HostPool>,
-) -> Result<BootstrapOutcome, PesosError> {
+) -> Result<PesosStore, PesosError> {
     config.validate()?;
     let cost = ModeCost::new(config.mode, SgxCostModel::default());
 
@@ -126,7 +113,6 @@ pub fn bootstrap(
     // 3. Create/attach the drives and take exclusive control of each.
     let mut drives = DriveSet::new();
     let mut clients = Vec::new();
-    let mut device_certificates = Vec::new();
 
     for id in &drive_ids {
         let drive_config = match config.drive_backend {
@@ -140,9 +126,6 @@ pub fn bootstrap(
             .device_certificate()
             .verify_signature()
             .map_err(|e| PesosError::Bootstrap(format!("device certificate invalid: {e}")))?;
-        device_certificates.push(pesos_crypto::hex_encode(
-            &drive.device_certificate().fingerprint(),
-        ));
 
         // Connect with the factory account and replace ALL accounts with the
         // single Pesos administrative identity.
@@ -178,21 +161,14 @@ pub fn bootstrap(
         clients.push(Arc::new(session));
     }
 
-    let report = BootstrapReport {
-        measurement: enclave.measurement().to_hex(),
-        drives: drive_ids,
-        device_certificates,
-        encryption_enabled: config.encrypt_objects,
-    };
-
-    Ok(BootstrapOutcome {
-        enclave,
-        asyscall,
-        secrets,
+    Ok(PesosStore::new(
         drives,
         clients,
-        report,
-    })
+        ObjectCrypter::new(&secrets.storage_master_key, config.encrypt_objects),
+        StoreOptions::from_config(config),
+        asyscall,
+        enclave,
+    ))
 }
 
 #[cfg(test)]
@@ -202,21 +178,19 @@ mod tests {
     #[test]
     fn bootstrap_takes_exclusive_control() {
         let config = ControllerConfig::native_simulator(2);
-        let outcome = bootstrap(&config, &HostPool::new(config.syscall_slots())).unwrap();
-        assert_eq!(outcome.drives.len(), 2);
-        assert_eq!(outcome.clients.len(), 2);
-        assert_eq!(outcome.report.drives.len(), 2);
-        assert_eq!(outcome.report.device_certificates.len(), 2);
+        let store = bootstrap(&config, &HostPool::new(config.syscall_slots())).unwrap();
+        assert_eq!(store.drives().len(), 2);
+        assert_eq!(store.report().device_certificates.len(), 2);
 
         // The factory account no longer works on any drive.
-        for drive in outcome.drives.iter() {
+        for drive in store.drives().iter() {
             assert!(
                 KineticClient::connect(Arc::clone(drive), ClientConfig::factory_default()).is_err()
             );
         }
-        // The admin sessions do.
-        for client in &outcome.clients {
-            client.noop().unwrap();
+        // The store's admin sessions do.
+        for index in 0..2 {
+            store.drive_keys(index).unwrap();
         }
     }
 

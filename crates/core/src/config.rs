@@ -21,9 +21,6 @@ pub struct ControllerConfig {
     pub policy_cache_capacity: usize,
     /// Budget of the object cache in bytes (paper: bounded well below EPC).
     pub object_cache_bytes: usize,
-    /// Number of committed-transaction outcomes retained for the cluster's
-    /// `check_results`; the oldest are evicted beyond this bound.
-    pub tx_outcome_capacity: usize,
     /// Untrusted system-call service threads.
     pub syscall_threads: usize,
     /// Lock shards for the in-enclave metadata map and object cache (and
@@ -45,7 +42,6 @@ impl Default for ControllerConfig {
             encrypt_objects: true,
             policy_cache_capacity: 50_000,
             object_cache_bytes: 16 * 1024 * 1024,
-            tx_outcome_capacity: 2048,
             syscall_threads: 4,
             lock_shards: 16,
         }

@@ -26,7 +26,6 @@ use rand::RngCore;
 
 use crate::bootstrap::{bootstrap, BootstrapReport};
 use crate::config::ControllerConfig;
-use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
 use crate::metadata::ObjectMetadata;
 use crate::metrics::ControllerMetrics;
@@ -38,19 +37,6 @@ use crate::transaction::{TransactionManager, TxOutcome, TxWrite};
 
 /// Suffix used to derive an object's associated log key for MAL policies.
 pub const LOG_SUFFIX: &str = ".log";
-
-/// Sharded, bounded map of committed-transaction outcomes
-/// ([`crate::sharded::ShardedFifoMap`]): transaction identifiers are dense
-/// sequence numbers, so the identity shard-index function spreads
-/// concurrent committers evenly without any hashing — one global mutex
-/// here was among the last request-rate locks left from the ROADMAP.
-///
-/// Outcomes hold full copies of every value the transaction read, so
-/// retention is bounded like the async result buffer: each shard keeps its
-/// most recent commits and evicts the oldest beyond its share of the
-/// capacity. A client asking the cluster's `check_results` for an evicted
-/// transaction gets the same not-found error as for an unknown one.
-type ShardedTxOutcomes = crate::sharded::ShardedFifoMap<TxOutcome>;
 
 /// One write of a prepared transaction, with everything the commit phase
 /// needs precomputed during prepare (so commit re-hashes nothing).
@@ -234,13 +220,10 @@ pub struct PesosController {
     /// Shared with the workers that run deferred writes.
     metrics: Arc<ControllerMetrics>,
     clock: AtomicU64,
-    report: BootstrapReport,
-    tx_outcomes: ShardedTxOutcomes,
     /// Simulated crash flag. While set, every sessioned operation is
     /// refused with the retryable [`PesosError::Unavailable`] so a cluster
-    /// layer can fail over to a backup; direct store access (replication
-    /// appliers, recovery tooling) is unaffected; a deferred write does
-    /// not run.
+    /// layer can fail over to a backup store; direct store access
+    /// (recovery tooling) is unaffected; a deferred write does not run.
     failed: Arc<AtomicBool>,
     /// Runtime switch for per-operation latency recording: on from the
     /// start, flipped without a restart via
@@ -259,22 +242,20 @@ impl PesosController {
 
     /// Like [`PesosController::new`], but the enclave submits its I/O to
     /// `pool`, which it joins with its own service threads and slots. A
-    /// cluster builds every controller it runs on one pool, so one hot
-    /// service thread serves them all (`pesos_sgx::asyscall`, "One host
-    /// pool"); each controller still charges its own cost model.
+    /// cluster builds every store it runs on one pool, so one hot service
+    /// thread serves them all (`pesos_sgx::asyscall`, "One host pool");
+    /// each store still charges its own cost model.
     pub fn with_pool(config: ControllerConfig, pool: &Arc<HostPool>) -> Result<Self, PesosError> {
-        let outcome = bootstrap(&config, pool)?;
-        let crypter =
-            ObjectCrypter::new(&outcome.secrets.storage_master_key, config.encrypt_objects);
-        let store = Arc::new(PesosStore::new(
-            outcome.drives,
-            outcome.clients,
-            crypter,
-            crate::store::StoreOptions::from_config(&config),
-            outcome.asyscall,
-            outcome.enclave,
-        ));
-        Ok(PesosController {
+        let store = bootstrap(&config, pool)?;
+        Ok(Self::with_store(config, Arc::new(store)))
+    }
+
+    /// Builds the controller of `store`, which was bootstrapped from
+    /// `config`: sessions, transactions, the async result buffer and the
+    /// enclave worker threads. A cluster builds a backup as a bare store
+    /// and its controller only when it promotes it.
+    pub fn with_store(config: ControllerConfig, store: Arc<PesosStore>) -> Self {
+        PesosController {
             sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, config.lock_shards),
             transactions: TransactionManager::new(),
             results: Arc::new(ResultBuffer::new(
@@ -284,18 +265,17 @@ impl PesosController {
             scheduler: UserScheduler::new(WORKER_THREADS),
             metrics: Arc::default(),
             clock: AtomicU64::new(1),
-            report: outcome.report,
-            tx_outcomes: ShardedTxOutcomes::new(config.lock_shards, config.tx_outcome_capacity),
             failed: Arc::default(),
             telemetry_enabled: AtomicBool::new(true),
             store,
             config,
-        })
+        }
     }
 
-    /// The bootstrap report (measurement, drives, device certificates).
-    pub fn report(&self) -> &BootstrapReport {
-        &self.report
+    /// The bootstrap report of the store (measurement, drives, device
+    /// certificates).
+    pub fn report(&self) -> BootstrapReport {
+        self.store.report()
     }
 
     /// The controller configuration.
@@ -722,7 +702,7 @@ impl PesosController {
     /// Phase two of a two-phase commit: applies the prepared writes under
     /// the locks taken in phase one, releases the locks and returns the
     /// branch's outcome. Filing it is the coordinator's business
-    /// ([`PesosController::record_tx_outcome`]): only the merged outcome is
+    /// ([`PesosStore::record_tx_outcome`]): only the merged outcome is
     /// one a client can ask for.
     ///
     /// A failure here is a backend failure (validation already passed in
@@ -756,21 +736,6 @@ impl PesosController {
     pub fn abort_prepared(&self, prepared: PreparedCommit<'_>) {
         self.metrics.tx_aborted.add(1);
         drop(prepared);
-    }
-
-    /// Files `outcome` under `tx_id` in the bounded outcome map (see
-    /// [`ShardedTxOutcomes`]). The cluster coordinator files a
-    /// transaction's merged outcome on every participant, and a backup
-    /// files it again when it applies the replicated record, so any router
-    /// can answer `check_results` for it.
-    pub fn record_tx_outcome(&self, tx_id: u64, outcome: TxOutcome) {
-        self.tx_outcomes.insert(tx_id, outcome);
-    }
-
-    /// The retained outcome for `tx_id`, if any. Session-less: the cluster
-    /// enforces its own session check first.
-    pub fn tx_outcome(&self, tx_id: u64) -> Option<TxOutcome> {
-        self.tx_outcomes.get(tx_id)
     }
 
     // ------------------------------------------------------------------
@@ -1239,26 +1204,6 @@ mod tests {
         assert_eq!(&**value, b"50");
         assert_eq!(c.metrics().tx_committed, 1);
         assert!(c.metrics().tx_aborted >= 1);
-    }
-
-    #[test]
-    fn tx_outcomes_are_bounded() {
-        let mut config = ControllerConfig::native_simulator(1);
-        config.tx_outcome_capacity = 8;
-        config.lock_shards = 2;
-        let c = PesosController::new(config).unwrap();
-        c.register_client("alice");
-        for i in 0..40u64 {
-            let prepared = c
-                .prepare_commit("alice", Vec::new(), vec![write(&format!("k{i}"), b"v")])
-                .unwrap();
-            let outcome = c.commit_prepared(prepared).unwrap();
-            c.record_tx_outcome(i, outcome);
-        }
-        // Recent outcomes are retrievable; the oldest were evicted to keep
-        // retention bounded (4 per shard here).
-        assert_eq!(c.tx_outcome(39).unwrap().write_versions, [0]);
-        assert!(c.tx_outcome(0).is_none());
     }
 
     #[test]

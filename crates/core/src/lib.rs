@@ -48,7 +48,9 @@ pub use request::{parse_policy_id, ClientRequest, ClientResponse};
 pub use result_buffer::{AsyncResult, ResultBuffer};
 pub use session::{SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};
-pub use store::{BatchLog, CreateStats, ObjectExport, PesosStore, StoreOptions};
+pub use store::{
+    BatchLog, CreateStats, ObjectExport, PesosStore, StoreOptions, TX_OUTCOME_CAPACITY,
+};
 pub use transaction::{PreparedTransaction, TransactionManager, TxOutcome, TxWrite};
 
 pub use pesos_kinetic::{DriveConfig, DriveSet, KineticDrive};

@@ -57,7 +57,9 @@
 //! check, hashing, sealing, metadata or cache update — so its map stays
 //! empty and a promoted backup is a *cold* store over drives equal to its
 //! primary's: a key its map does not hold is written compare-on-absent
-//! (next section), which is what makes that safe.
+//! (next section), which is what makes that safe. A backup is nothing but
+//! this store until it is promoted: the controller that serves the
+//! partition is built over it then.
 //!
 //! Replicated reads race the replicas through the same scatter-gather
 //! machinery and return the first successful completion, leaving the
@@ -157,6 +159,7 @@ use pesos_kinetic::{
 use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, ViewFault};
 use pesos_sgx::{AsyscallInterface, Enclave};
 
+use crate::bootstrap::BootstrapReport;
 use crate::config::ControllerConfig;
 use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
@@ -166,7 +169,12 @@ use crate::metadata::{
 };
 use crate::object_cache::ObjectCache;
 use crate::placement::{placement_available, HashedKey};
-use crate::sharded::Sharded;
+use crate::sharded::{Sharded, ShardedFifoMap};
+use crate::transaction::TxOutcome;
+
+/// Committed-transaction outcomes a store retains for the cluster's
+/// `check_results`; the oldest are evicted beyond this bound.
+pub const TX_OUTCOME_CAPACITY: usize = 2048;
 
 /// Sizing and behaviour options for one [`PesosStore`].
 #[derive(Debug, Clone)]
@@ -296,6 +304,12 @@ pub struct PesosStore {
     /// The log of the partition this store is primary of, set once. Weak:
     /// the routing table owns a log, not the controller writing to it.
     log: OnceLock<Weak<dyn BatchLog>>,
+    /// Outcomes of the committed cluster transactions this partition took
+    /// part in, bounded like the async result buffer ([`TX_OUTCOME_CAPACITY`]):
+    /// each holds full copies of the values its transaction read.
+    /// Transaction identifiers are dense sequence numbers, so the identity
+    /// shard index spreads concurrent committers evenly without hashing.
+    tx_outcomes: ShardedFifoMap<TxOutcome>,
 }
 
 impl PesosStore {
@@ -326,6 +340,22 @@ impl PesosStore {
             asyscall,
             enclave,
             log: OnceLock::new(),
+            tx_outcomes: ShardedFifoMap::new(options.lock_shards, TX_OUTCOME_CAPACITY),
+        }
+    }
+
+    /// What the store runs on: its enclave's measurement, its drives and
+    /// their device certificates, and whether it seals objects.
+    pub fn report(&self) -> BootstrapReport {
+        BootstrapReport {
+            measurement: self.enclave.measurement().to_hex(),
+            drives: self.drives.iter().map(|d| d.id().to_string()).collect(),
+            device_certificates: self
+                .drives
+                .iter()
+                .map(|d| pesos_crypto::hex_encode(&d.device_certificate().fingerprint()))
+                .collect(),
+            encryption_enabled: self.crypter.is_enabled(),
         }
     }
 
@@ -372,6 +402,21 @@ impl PesosStore {
     /// deployment reads per-partition SGX cost from here.
     pub fn epc_stats(&self) -> pesos_sgx::EpcStats {
         self.enclave.epc_stats()
+    }
+
+    /// Files `outcome` under `tx_id`, evicting the oldest outcome of its
+    /// shard beyond the bound. The cluster coordinator files a
+    /// transaction's merged outcome on every participant, and a backup
+    /// files it again when it applies the replicated record, so any router
+    /// can answer `check_results` for it.
+    pub fn record_tx_outcome(&self, tx_id: u64, outcome: TxOutcome) {
+        self.tx_outcomes.insert(tx_id, outcome);
+    }
+
+    /// The retained outcome for `tx_id`, if any. Session-less: the cluster
+    /// enforces its own session check first.
+    pub fn tx_outcome(&self, tx_id: u64) -> Option<TxOutcome> {
+        self.tx_outcomes.get(tx_id)
     }
 
     /// The sessions to the online placement targets of `key`, in placement
@@ -2209,5 +2254,28 @@ mod tests {
             "versions must be distinct and contiguous"
         );
         assert_eq!(s.get_metadata("contended").unwrap().latest_version, 39);
+    }
+
+    #[test]
+    fn tx_outcomes_are_bounded() {
+        // One shard: the store keeps exactly the last TX_OUTCOME_CAPACITY.
+        let config = ControllerConfig {
+            lock_shards: 1,
+            ..ControllerConfig::native_simulator(1)
+        };
+        let pool = pesos_sgx::HostPool::new(config.syscall_slots());
+        let s = crate::bootstrap::bootstrap(&config, &pool).unwrap();
+        let outcome = |tx: u64| TxOutcome {
+            write_versions: vec![tx],
+            read_values: Vec::new(),
+        };
+        let total = TX_OUTCOME_CAPACITY as u64 + 1;
+        for tx in 0..total {
+            s.record_tx_outcome(tx, outcome(tx));
+        }
+        assert_eq!(s.tx_outcome(0), None, "the oldest outcome is evicted");
+        for tx in 1..total {
+            assert_eq!(s.tx_outcome(tx), Some(outcome(tx)));
+        }
     }
 }
