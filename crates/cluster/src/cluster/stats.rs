@@ -52,6 +52,10 @@ pub struct PartitionTelemetry {
     pub requests: u64,
     /// Replication gauges, when the partition has a replica set.
     pub replication: Option<ReplicationStats>,
+    /// The primary's system-call counters: its calls are the ones it
+    /// handed to the host pool (`submitted`) plus the ones it ran itself
+    /// as enclave exits (`exits`).
+    pub asyscall: AsyscallStats,
 }
 
 /// Point-in-time view of one in-flight migration, as served under
@@ -131,6 +135,7 @@ impl ControllerCluster {
                 resident_objects: p.controller.store().resident_object_count(),
                 requests: loads.get(i).map(|l| l.requests).unwrap_or(0),
                 replication: p.log.as_ref().map(|log| log.stats()),
+                asyscall: p.controller.store().asyscall_stats(),
             })
             .collect();
         // One MIGRATION_STATE-ranked guard per statement: taken as
@@ -207,6 +212,10 @@ impl ControllerCluster {
                         .with(
                             "backup_asyscalls_submitted",
                             StatsNode::leaf(backups(|a| a.submitted)),
+                        )
+                        .with(
+                            "backup_asyscall_exits",
+                            StatsNode::leaf(backups(|a| a.exits)),
                         )
                         .with(
                             "backup_asyscall_batches",

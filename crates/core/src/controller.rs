@@ -786,6 +786,7 @@ impl PesosController {
             .with("epc_peak_bytes", StatsNode::leaf(epc.peak_bytes))
             .with("epc_page_faults", StatsNode::leaf(epc.page_faults))
             .with("asyscalls_submitted", StatsNode::leaf(asyscall.submitted))
+            .with("asyscall_exits", StatsNode::leaf(asyscall.exits))
             .with("asyscall_slot_waits", StatsNode::leaf(asyscall.slot_waits))
             .with("asyscall_parks", StatsNode::leaf(asyscall.parks))
             .with("asyscall_spin_hits", StatsNode::leaf(asyscall.spin_hits))

@@ -42,6 +42,7 @@
 
 use pesos_crypto::aead::synthetic_nonce;
 use pesos_crypto::{AeadKey, CryptoError, Digest, HmacKey, NONCE_LEN, TAG_LEN};
+use pesos_kinetic::Payload;
 
 /// Marker of an object stored in the clear.
 const PLAINTEXT: u8 = 0;
@@ -82,32 +83,51 @@ impl ObjectCrypter {
         aad
     }
 
+    /// Hands `f` the associated data of `object_key` at `version`, built
+    /// on the stack unless the key is longer than any this store expects.
+    fn with_aad<T>(object_key: &str, version: u64, f: impl FnOnce(&[u8]) -> T) -> T {
+        let mut stack = [0u8; 256];
+        match stack.get_mut(..object_key.len() + 8) {
+            Some(aad) => {
+                let (key, version_bytes) = aad.split_at_mut(object_key.len());
+                key.copy_from_slice(object_key.as_bytes());
+                version_bytes.copy_from_slice(&version.to_be_bytes());
+                f(aad)
+            }
+            None => f(&Self::aad(object_key, version)),
+        }
+    }
+
     /// Encrypts `plaintext` for storage as `object_key` at `version`.
     ///
-    /// The stored layout (module docs) is built in one buffer: the
-    /// plaintext is copied once and encrypted where it lies. When
-    /// encryption is disabled the plaintext is passed through behind a
-    /// zero marker so that [`ObjectCrypter::unseal`] stays symmetric.
+    /// When encryption is disabled the plaintext is passed through behind
+    /// a zero marker so that [`ObjectCrypter::unseal`] stays symmetric.
     pub fn seal(&self, object_key: &str, version: u64, plaintext: &[u8]) -> Vec<u8> {
         self.seal_hashed(object_key, version, plaintext, None)
+            .to_vec()
     }
 
     /// [`ObjectCrypter::seal`] with the plaintext's SHA-256 supplied by the
     /// store, which computed it for the version record; `None` computes it
-    /// here. Crate-private because the digest is trusted: one that does not
-    /// match the plaintext could give two contents the same nonce.
+    /// here. The stored layout (module docs) is built in the shared buffer
+    /// the drives receive: the plaintext is copied once, into it, and
+    /// encrypted where it lies. Crate-private because the digest is
+    /// trusted: one that does not match the plaintext could give two
+    /// contents the same nonce.
     pub(crate) fn seal_hashed(
         &self,
         object_key: &str,
         version: u64,
         plaintext: &[u8],
         content_hash: Option<&Digest>,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + NONCE_LEN + TAG_LEN + plaintext.len());
+    ) -> Payload {
         if !self.enabled {
-            out.push(PLAINTEXT);
-            out.extend_from_slice(plaintext);
-            return out;
+            return Payload::from_fn(1 + plaintext.len(), |out| {
+                if let Some((marker, body)) = out.split_first_mut() {
+                    *marker = PLAINTEXT;
+                    body.copy_from_slice(plaintext);
+                }
+            });
         }
         let content_hash = content_hash
             .copied()
@@ -116,10 +136,15 @@ impl ObjectCrypter {
             &self.nonce_key,
             &[object_key.as_bytes(), &version.to_be_bytes(), &content_hash],
         );
-        out.push(AES_GCM);
-        self.key
-            .seal_into(&mut out, &nonce, &Self::aad(object_key, version), plaintext);
-        out
+        Self::with_aad(object_key, version, |aad| {
+            Payload::from_fn(1 + NONCE_LEN + TAG_LEN + plaintext.len(), |out| {
+                if let Some((marker, sealed)) = out.split_first_mut() {
+                    *marker = AES_GCM;
+                    let sized = self.key.seal_to_slice(sealed, &nonce, aad, plaintext);
+                    debug_assert!(sized, "the payload is sized for the sealed layout");
+                }
+            })
+        })
     }
 
     /// Decrypts a stored payload.
@@ -131,9 +156,9 @@ impl ObjectCrypter {
     ) -> Result<Vec<u8>, CryptoError> {
         match stored.split_first() {
             Some((&PLAINTEXT, plain)) => Ok(plain.to_vec()),
-            Some((&AES_GCM, sealed)) => self
-                .key
-                .open_from_bytes(sealed, &Self::aad(object_key, version)),
+            Some((&AES_GCM, sealed)) => Self::with_aad(object_key, version, |aad| {
+                self.key.open_from_bytes(sealed, aad)
+            }),
             Some((&RETIRED_STAND_IN, _)) => Err(CryptoError::InvalidEncoding(
                 "object sealed by the retired SHA-256 stand-in cipher (marker 1)".into(),
             )),

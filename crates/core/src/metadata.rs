@@ -185,11 +185,13 @@ pub struct HistoryChange {
     pub trimmed: Vec<u64>,
 }
 
-/// The metadata record for one object key.
+/// The metadata record for one object key. A copy costs reference-count
+/// bumps: the key and both halves of the history are shared.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectMetadata {
-    /// The object key.
-    pub key: String,
+    /// The object key (the in-enclave map files the record under this
+    /// same buffer).
+    pub key: Arc<str>,
     /// The latest stored version.
     pub latest_version: u64,
     /// Identifier of the associated policy, if any.
@@ -201,7 +203,7 @@ pub struct ObjectMetadata {
 
 impl ObjectMetadata {
     /// Creates metadata for a new object.
-    pub fn new(key: impl Into<String>) -> Self {
+    pub fn new(key: impl Into<Arc<str>>) -> Self {
         ObjectMetadata {
             key: key.into(),
             ..ObjectMetadata::default()
@@ -337,7 +339,7 @@ impl MetadataHead {
         let fields = Fields::parse(data)?;
         Ok(MetadataHead {
             record: ObjectMetadata {
-                key: fields.key,
+                key: fields.key.into(),
                 latest_version: fields.latest_version,
                 policy_id: fields.policy_id,
                 versions: History {
@@ -380,7 +382,7 @@ impl MetadataHead {
             .zip(segments)
             .map(|(&start, bytes)| {
                 let segment = Fields::parse(bytes.as_ref())?;
-                if segment.key != record.key {
+                if *segment.key != *record.key {
                     return Err(corrupt("a segment of another key"));
                 }
                 if segment.facts.len() < SEGMENT_LEN {
@@ -520,7 +522,7 @@ fn decode_fact(data: &[u8]) -> Result<VersionMeta, PesosError> {
 /// [`crate::sharded::Sharded`] container; `RwLock` cells keep the warm
 /// read path (`get`) shared.
 pub struct ShardedMetadata {
-    shards: Sharded<RwLock<HashMap<String, ObjectMetadata>>>,
+    shards: Sharded<RwLock<HashMap<Arc<str>, ObjectMetadata>>>,
 }
 
 use crate::placement::HashedKey;
@@ -545,14 +547,24 @@ impl ShardedMetadata {
         self.shards.shard_count()
     }
 
-    fn shard(&self, key: &HashedKey<'_>) -> &RwLock<HashMap<String, ObjectMetadata>> {
+    fn shard(&self, key: &HashedKey<'_>) -> &RwLock<HashMap<Arc<str>, ObjectMetadata>> {
         self.shards.get(key)
     }
 
-    /// Returns a clone of the metadata for `key`, if cached.
+    /// Returns a copy of the metadata for `key`, if cached.
     pub fn get<'a>(&self, key: impl Into<HashedKey<'a>>) -> Option<ObjectMetadata> {
         let key = key.into();
         self.shard(&key).read().get(key.key()).cloned()
+    }
+
+    /// Runs `f` on the metadata for `key` under its shard's read lock: no
+    /// insert or removal of `key` can land until `f` returns.
+    pub(crate) fn with<T>(
+        &self,
+        key: &HashedKey<'_>,
+        f: impl FnOnce(Option<&ObjectMetadata>) -> T,
+    ) -> T {
+        f(self.shard(key).read().get(key.key()))
     }
 
     /// Inserts (or replaces) the metadata for `meta.key`; `key` should be
@@ -562,8 +574,8 @@ impl ShardedMetadata {
     /// where lookups will find it, instead of becoming unreachable.
     pub fn insert<'a>(&self, key: impl Into<HashedKey<'a>>, meta: ObjectMetadata) {
         let key = key.into();
-        debug_assert_eq!(key.key(), meta.key, "hashed key does not match record");
-        let shard = if key.key() == meta.key {
+        debug_assert_eq!(key.key(), &*meta.key, "hashed key does not match record");
+        let shard = if key.key() == &*meta.key {
             self.shard(&key)
         } else {
             self.shard(&HashedKey::new(&meta.key))
@@ -589,7 +601,7 @@ impl ShardedMetadata {
     pub fn keys(&self) -> Vec<String> {
         self.shards
             .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
+            .flat_map(|s| s.read().keys().map(|k| k.to_string()).collect::<Vec<_>>())
             .collect()
     }
 
@@ -599,25 +611,64 @@ impl ShardedMetadata {
     }
 }
 
+/// The first byte of every backend key: the namespace it lives in.
+pub(crate) mod namespace {
+    /// An object's sealed data for one version.
+    pub const DATA: u8 = b'o';
+    /// An object's metadata record (its head).
+    pub const META: u8 = b'm';
+    /// A sealed history segment.
+    pub const SEGMENT: u8 = b'h';
+    /// A compiled policy.
+    pub const POLICY: u8 = b'p';
+}
+
 /// Backend key under which an object's data for `version` is stored.
 pub fn data_key(key: &str, version: u64) -> Vec<u8> {
-    format!("o/{key}/{version:020}").into_bytes()
+    backend_key(namespace::DATA, key, Some(version))
 }
 
 /// Backend key under which an object's metadata record is stored.
 pub fn meta_key(key: &str) -> Vec<u8> {
-    format!("m/{key}").into_bytes()
+    backend_key(namespace::META, key, None)
 }
 
 /// Backend key under which the sealed history segment of `key` whose first
 /// fact is `first_version` is stored.
 pub fn segment_key(key: &str, first_version: u64) -> Vec<u8> {
-    format!("h/{key}/{first_version:020}").into_bytes()
+    backend_key(namespace::SEGMENT, key, Some(first_version))
 }
 
 /// Backend key under which a compiled policy is stored.
 pub fn policy_key(id_hex: &str) -> Vec<u8> {
-    format!("p/{id_hex}").into_bytes()
+    backend_key(namespace::POLICY, id_hex, None)
+}
+
+/// `<namespace>/<name>`, then `/<version>` zero-padded to 20 digits (every
+/// `u64` fits, so versions sort numerically) when there is one. Collected
+/// from an iterator of known length, so a `Vec<u8>` or an `Arc<[u8]>` is
+/// one allocation of its final size.
+pub(crate) fn backend_key<B: FromIterator<u8>>(
+    namespace: u8,
+    name: &str,
+    version: Option<u64>,
+) -> B {
+    let mut suffix = [b'/'; 21];
+    let suffix = match (version, suffix.split_first_mut()) {
+        (Some(mut version), Some((_, digits))) => {
+            for digit in digits.iter_mut().rev() {
+                *digit = b'0' + (version % 10) as u8;
+                version /= 10;
+            }
+            &suffix[..]
+        }
+        _ => &[],
+    };
+    [namespace, b'/']
+        .into_iter()
+        .chain(name.bytes())
+        .chain(suffix.iter().copied())
+        .collect()
 }
 
 #[cfg(test)]
@@ -878,6 +929,14 @@ mod tests {
             .starts_with("p/"));
         // Zero-padded versions sort correctly as byte strings.
         assert!(data_key("a", 2) < data_key("a", 10));
+        // The widest version fills the padding exactly, and a shared key
+        // is the same bytes.
+        assert_eq!(
+            data_key("a", u64::MAX),
+            format!("o/a/{:020}", u64::MAX).into_bytes()
+        );
+        let shared: Arc<[u8]> = backend_key(namespace::DATA, "a", Some(3));
+        assert_eq!(*shared, *data_key("a", 3));
     }
 
     proptest! {

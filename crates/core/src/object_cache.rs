@@ -47,7 +47,9 @@ struct Entry {
 
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<String, Entry>,
+    /// Keyed by shared names: eviction and replacement move them around
+    /// without copying.
+    entries: HashMap<Arc<str>, Entry>,
     used_bytes: u64,
     hits: u64,
     misses: u64,
@@ -126,23 +128,51 @@ impl ObjectCache {
     ///
     /// Values larger than the whole shard budget are not cached.
     pub fn put<'a>(&self, key: impl Into<HashedKey<'a>>, value: Arc<Vec<u8>>, version: u64) {
-        let hashed = key.into();
+        let key = key.into();
+        self.insert(&key, || Arc::from(key.key()), value, version);
+    }
+
+    /// [`ObjectCache::put`] for a caller that holds `key`'s name as a
+    /// shared buffer already (a metadata record's): a new entry is filed
+    /// under that buffer instead of a copy of the name.
+    pub(crate) fn put_named(
+        &self,
+        key: &HashedKey<'_>,
+        name: &Arc<str>,
+        value: Arc<Vec<u8>>,
+        version: u64,
+    ) {
+        debug_assert_eq!(key.key(), &**name, "hashed key does not match its name");
+        self.insert(key, || Arc::clone(name), value, version);
+    }
+
+    fn insert(
+        &self,
+        hashed: &HashedKey<'_>,
+        name: impl FnOnce() -> Arc<str>,
+        value: Arc<Vec<u8>>,
+        version: u64,
+    ) {
         let key = hashed.key();
         let size = value.len() as u64 + key.len() as u64;
         if size > self.shard_budget_bytes {
             return;
         }
-        let mut inner = self.shard(&hashed).lock();
-        if let Some(old) = inner.entries.remove(key) {
-            inner.used_bytes -= old.value.len() as u64 + key.len() as u64;
-        }
+        let mut inner = self.shard(hashed).lock();
+        let name = match inner.entries.remove_entry(key) {
+            Some((name, old)) => {
+                inner.used_bytes -= old.value.len() as u64 + key.len() as u64;
+                name
+            }
+            None => name(),
+        };
         // Evict until the new entry fits.
         while inner.used_bytes + size > self.shard_budget_bytes {
             let victim = inner
                 .entries
                 .iter()
-                .min_by_key(|(k, e)| (e.frequency, k.as_str()))
-                .map(|(k, _)| k.clone());
+                .min_by_key(|(k, e)| (e.frequency, &**k))
+                .map(|(k, _)| Arc::clone(k));
             match victim {
                 Some(k) => {
                     if let Some(e) = inner.entries.remove(&k) {
@@ -155,7 +185,7 @@ impl ObjectCache {
         }
         inner.used_bytes += size;
         inner.entries.insert(
-            key.to_string(),
+            name,
             Entry {
                 value,
                 version,

@@ -211,16 +211,30 @@ pub fn placement_available<'a>(
     replication_factor: usize,
     is_online: impl Fn(usize) -> bool,
 ) -> Vec<usize> {
-    if drive_count == 0 {
-        return Vec::new();
-    }
-    let factor = replication_factor.clamp(1, drive_count);
-    let primary = (key.into().hash() % drive_count as u64) as usize;
+    probe_available(
+        key.into().hash(),
+        drive_count,
+        replication_factor,
+        is_online,
+    )
+    .collect()
+}
+
+/// [`placement_available`]'s indices for the key of placement hash `hash`,
+/// yielded as they are probed: a caller that maps them to its own targets
+/// builds the only list.
+pub(crate) fn probe_available(
+    hash: u64,
+    drive_count: usize,
+    replication_factor: usize,
+    is_online: impl Fn(usize) -> bool,
+) -> impl Iterator<Item = usize> {
+    let factor = replication_factor.clamp(1, drive_count.max(1));
+    let primary = (hash % drive_count.max(1) as u64) as usize;
     (0..drive_count)
-        .map(|offset| (primary + offset) % drive_count)
-        .filter(|&index| is_online(index))
+        .map(move |offset| (primary + offset) % drive_count)
+        .filter(move |&index| is_online(index))
         .take(factor)
-        .collect()
 }
 
 #[cfg(test)]

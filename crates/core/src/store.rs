@@ -20,10 +20,12 @@
 //! history bound trimmed together with the data of each version it listed.
 //! The largest, a put that seals one segment and trims another, is 12
 //! sub-operations, within [`MAX_BATCH_OPS`]. The per-replica batches go
-//! out as one [`AsyscallInterface::submit_batch`] that is joined once
+//! out as one [`AsyscallInterface::submit_joined`], joined at once
 //! (`PesosStore::batch_on` keeps each replica's own answer; every path but
 //! a create reads them first error wins). A put therefore costs one
-//! asyscall hand-off and one drive round trip per replica, and a
+//! asyscall call and one drive round trip per replica — handed to a
+//! service thread, or, for the first replica when no service thread is
+//! free, run on the calling thread as one enclave exit — and a
 //! replication factor of N costs that one round trip, not N sequential
 //! ones.
 //!
@@ -164,13 +166,16 @@ use crate::config::ControllerConfig;
 use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
 use crate::metadata::{
-    data_key, meta_key, policy_key, segment_key, MetadataHead, ObjectMetadata, ShardedMetadata,
-    VersionMeta,
+    backend_key, data_key, meta_key, namespace, policy_key, segment_key, MetadataHead,
+    ObjectMetadata, ShardedMetadata, VersionMeta,
 };
 use crate::object_cache::ObjectCache;
-use crate::placement::{placement_available, HashedKey};
+use crate::placement::{probe_available, HashedKey};
 use crate::sharded::{Sharded, ShardedFifoMap};
 use crate::transaction::TxOutcome;
+
+/// One replica's answer to a batch, with the session that gave it.
+type ReplicaAnswer = (Arc<KineticClient>, Result<(), KineticError>);
 
 /// Committed-transaction outcomes a store retains for the cluster's
 /// `check_results`; the oldest are evicted beyond this bound.
@@ -231,15 +236,16 @@ impl KeyLocks {
         self.shards.get(key)
     }
 
+    /// The write lock of `key`, registered on first use; a key already
+    /// registered costs a lookup, not an allocation.
     fn lock_for(&self, key: &HashedKey<'_>) -> Arc<Mutex<()>> {
-        Arc::clone(
-            self.shard(key)
-                .lock()
-                .entry(key.key().to_string())
-                .or_insert_with(|| {
-                    Arc::new(Mutex::with_rank(parking_lot::lock_order::KEY_LOCK, ()))
-                }),
-        )
+        let mut shard = self.shard(key).lock();
+        if let Some(lock) = shard.get(key.key()) {
+            return Arc::clone(lock);
+        }
+        let lock = Arc::new(Mutex::with_rank(parking_lot::lock_order::KEY_LOCK, ()));
+        shard.insert(key.key().to_string(), Arc::clone(&lock));
+        lock
     }
 
     /// Drops `key`'s registry entry if `held` (the caller's clone) and the
@@ -420,23 +426,26 @@ impl PesosStore {
     }
 
     /// The sessions to the online placement targets of `key`, in placement
-    /// order and never none: with every drive offline there is nobody to
-    /// ask. The placement function is sized by the client list; were the
-    /// two ever to disagree, that is a backend fault, not an index panic.
-    fn targets_for(&self, key: &HashedKey<'_>) -> Result<Vec<&Arc<KineticClient>>, PesosError> {
+    /// order, yielded as they are probed, and never none: with every drive
+    /// offline there is nobody to ask. The placement function is sized by
+    /// the session list, so every index it yields has a session.
+    fn targets_for(
+        &self,
+        key: &HashedKey<'_>,
+    ) -> Result<impl Iterator<Item = &Arc<KineticClient>>, PesosError> {
         let is_online = |index| self.drives.get(index).is_some_and(|d| d.is_online());
-        let targets =
-            placement_available(key, self.clients.len(), self.replication_factor, is_online);
-        if targets.is_empty() {
+        let mut targets = probe_available(
+            key.hash(),
+            self.clients.len(),
+            self.replication_factor,
+            is_online,
+        )
+        .filter_map(|index| self.clients.get(index))
+        .peekable();
+        if targets.peek().is_none() {
             return Err(PesosError::Backend("no online drives".into()));
         }
-        targets
-            .into_iter()
-            .map(|index| {
-                let missing = || PesosError::Backend(format!("no session for drive index {index}"));
-                self.clients.get(index).ok_or_else(missing)
-            })
-            .collect()
+        Ok(targets)
     }
 
     /// Applies `ops` as one atomic Kinetic batch on every placement target
@@ -448,7 +457,7 @@ impl PesosStore {
         placement_key: &HashedKey<'_>,
         ops: Arc<[BatchOp]>,
     ) -> Result<(), PesosError> {
-        for result in self.batch_on(&self.targets_for(placement_key)?, Arc::clone(&ops))? {
+        for (_, result) in self.batch_on(self.targets_for(placement_key)?, Arc::clone(&ops))? {
             result?;
         }
         self.append(placement_key, &ops);
@@ -479,23 +488,25 @@ impl PesosStore {
 
     /// Applies `ops` as one atomic Kinetic batch on each of the drives
     /// `targets` — the single write primitive every mutation path is built
-    /// on — and returns each drive's own answer, in `targets` order.
+    /// on — and returns each drive's session with its own answer, in
+    /// `targets` order.
     ///
-    /// The per-replica batches are enqueued as one scatter-gather
-    /// submission and joined once; payloads are shared
-    /// buffers, so each replica costs reference-count bumps, not copies —
-    /// the vectored kinetic frames keep it that way all the way into the
-    /// drive engine. The simulated enclave-boundary copy is charged here,
+    /// The per-replica batches are enqueued as one joined scatter-gather
+    /// submission; payloads are shared buffers — the sealed object is
+    /// written by the seal straight into the buffer the drives receive — so
+    /// each replica costs reference-count bumps, not copies, and the
+    /// vectored kinetic frames keep it that way all the way into the drive
+    /// engine. The simulated enclave-boundary copy is charged here,
     /// over every payload byte and once per replica, because the cost model
     /// still pays for the bytes leaving the enclave even though the
     /// in-process simulation elides the physical copy. The list itself is
     /// shared too: every replica's command holds the same `Arc`. `ops` must
     /// respect [`MAX_BATCH_OPS`]; the drive rejects longer lists.
-    fn batch_on(
+    fn batch_on<'c>(
         &self,
-        targets: &[&Arc<KineticClient>],
+        targets: impl Iterator<Item = &'c Arc<KineticClient>>,
         ops: Arc<[BatchOp]>,
-    ) -> Result<Vec<Result<(), KineticError>>, PesosError> {
+    ) -> Result<Vec<ReplicaAnswer>, PesosError> {
         let payload_bytes: usize = ops
             .iter()
             .map(|op| match op {
@@ -503,13 +514,13 @@ impl PesosStore {
                 BatchOp::Delete { .. } => 0,
             })
             .sum();
-        for _ in targets {
+        let set = self.asyscall.submit_joined(targets.map(|client| {
             self.enclave.charge_boundary_copy(payload_bytes);
-        }
-        let set = self.asyscall.submit_batch(targets.iter().map(|&client| {
-            let client = Arc::clone(client);
-            let ops = Arc::clone(&ops);
-            move || client.batch(ops)
+            let (client, ops) = (Arc::clone(client), Arc::clone(&ops));
+            move || {
+                let answer = client.batch(ops);
+                (client, answer)
+            }
         }))?;
         Ok(set.join()?)
     }
@@ -558,7 +569,7 @@ impl PesosStore {
         read: impl Fn(&KineticClient) -> Result<T, KineticError> + Clone + Send + 'static,
     ) -> Result<T, PesosError> {
         let targets = self.targets_for(placement_key)?;
-        let mut set = self.asyscall.submit_batch(targets.iter().map(|&client| {
+        let mut set = self.asyscall.submit_joined(targets.map(|client| {
             let client = Arc::clone(client);
             let read = read.clone();
             move || read(&client)
@@ -609,7 +620,10 @@ impl PesosStore {
         }
         let hex = id.to_hex();
         let bytes = self
-            .replicated_get(&HashedKey::new(&hex), Arc::from(policy_key(&hex)))
+            .replicated_get(
+                &HashedKey::new(&hex),
+                backend_key(namespace::POLICY, &hex, None),
+            )
             .map_err(|_| PesosError::PolicyNotFound(id.to_hex()))?;
         let policy = Arc::new(CompiledPolicy::from_bytes(&bytes)?);
         if policy.id() != *id {
@@ -676,7 +690,7 @@ impl PesosStore {
         if let Some(m) = self.metadata.get(key) {
             return Ok(Some(m));
         }
-        let head = match self.replicated_get(key, Arc::from(meta_key(key.key()))) {
+        let head = match self.replicated_get(key, backend_key(namespace::META, key.key(), None)) {
             Ok(bytes) => bytes,
             Err(PesosError::ObjectNotFound(_)) => return Ok(None),
             Err(e) => return Err(e),
@@ -806,10 +820,11 @@ impl PesosStore {
             value_hash,
             stored,
         );
-        self.replicated_batch(&key, ops.into())?;
+        self.replicated_batch(&key, ops)?;
+        let name = Arc::clone(&meta.key);
         self.metadata.insert(&key, meta);
         self.object_cache
-            .put(key, Arc::new(value.to_vec()), new_version);
+            .put_named(&key, &name, Arc::new(value.to_vec()), new_version);
         Ok(new_version)
     }
 
@@ -858,26 +873,25 @@ impl PesosStore {
         }
 
         let mut meta = ObjectMetadata::new(key.key());
-        let ops: Arc<[BatchOp]> = self
-            .version_ops(
-                key,
-                &mut meta,
-                0,
-                value,
-                policy_id,
-                value_hash,
-                stored_if_absent,
-            )
-            .into();
-        let targets = self.targets_for(key)?;
-        let results = self.batch_on(&targets, Arc::clone(&ops))?;
+        let ops = self.version_ops(
+            key,
+            &mut meta,
+            0,
+            value,
+            policy_id,
+            value_hash,
+            stored_if_absent,
+        );
+        let results = self.batch_on(self.targets_for(key)?, Arc::clone(&ops))?;
 
         let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
-        let errors = || results.iter().filter_map(|r| r.as_ref().err());
+        let errors = || results.iter().filter_map(|(_, r)| r.as_ref().err());
         if errors().next().is_none() {
             self.append(key, &ops);
+            let name = Arc::clone(&meta.key);
             self.metadata.insert(key, meta);
-            self.object_cache.put(key, Arc::new(value.to_vec()), 0);
+            self.object_cache
+                .put_named(key, &name, Arc::new(value.to_vec()), 0);
             return Ok(Ok(()));
         }
 
@@ -888,18 +902,16 @@ impl PesosStore {
         // testimony that it held nothing there, so the undo is exact. A
         // replica that faulted may or may not hold it, on top of a record
         // or not, so it is left as it is.
-        let accepted: Vec<&Arc<KineticClient>> = targets
+        let accepted = results
             .iter()
-            .zip(&results)
-            .filter_map(|(&drive, result)| result.is_ok().then_some(drive))
-            .collect();
-        if !accepted.is_empty() {
+            .filter_map(|(drive, result)| result.is_ok().then_some(drive));
+        if accepted.clone().next().is_some() {
             self.create_rollbacks.fetch_add(1, Ordering::Relaxed);
             let undo = ops
                 .iter()
                 .map(|op| BatchOp::delete_forced(op.key().to_vec()))
                 .collect();
-            for result in self.batch_on(&accepted, undo)? {
+            for (_, result) in self.batch_on(accepted, undo)? {
                 result?;
             }
         }
@@ -929,8 +941,8 @@ impl PesosStore {
         value: &[u8],
         policy_id: Option<PolicyId>,
         value_hash: pesos_crypto::Digest,
-        put: fn(Vec<u8>, Vec<u8>) -> BatchOp,
-    ) -> Vec<BatchOp> {
+        put: fn(Vec<u8>, Payload) -> BatchOp,
+    ) -> Arc<[BatchOp]> {
         let sealed = self
             .crypter
             .seal_hashed(key.key(), version, value, Some(&value_hash));
@@ -947,29 +959,26 @@ impl PesosStore {
             value_hash: value_hash.into(),
             policy_hash,
         });
-        let mut ops = vec![
+        let written = change
+            .written
+            .as_deref()
+            .and_then(|segment| segment_put(meta, segment, put));
+        let dropped = change
+            .dropped
+            .map(|first| BatchOp::delete_forced(segment_key(key.key(), first)));
+        let trimmed = change
+            .trimmed
+            .iter()
+            .map(|&old| BatchOp::delete_forced(data_key(key.key(), old)));
+        [
             put(data_key(key.key(), version), sealed),
-            put(meta_key(key.key()), meta.to_bytes()),
-        ];
-        ops.extend(
-            change
-                .written
-                .as_deref()
-                .and_then(|segment| segment_put(meta, segment, put)),
-        );
-        ops.extend(
-            change
-                .dropped
-                .into_iter()
-                .map(|first| BatchOp::delete_forced(segment_key(key.key(), first))),
-        );
-        ops.extend(
-            change
-                .trimmed
-                .into_iter()
-                .map(|old| BatchOp::delete_forced(data_key(key.key(), old))),
-        );
-        ops
+            put(meta_key(key.key()), meta.to_bytes().into()),
+        ]
+        .into_iter()
+        .chain(written)
+        .chain(dropped)
+        .chain(trimmed)
+        .collect()
     }
 
     /// Retrieves the latest version of `key`.
@@ -987,28 +996,28 @@ impl PesosStore {
         let version = meta.latest_version;
         let value = self.get_object_version(&key, version)?;
         let value = Arc::new(value);
-        // Fill the cache under the key lock, and only if what we read from
-        // the drives is still the latest content: without the re-check, a
-        // delete or a newer write completing between our drive read and
-        // this insert would be shadowed by the stale value indefinitely.
-        // The hash comparison also covers delete-and-recreate, where the
-        // version numbers restart and can collide.
-        {
-            // Hash outside the lock: the value is immutable and SHA-256 is
-            // the expensive part; only the metadata comparison needs the
-            // lock.
-            let value_hash = pesos_crypto::sha256(&value);
-            self.key_locks.locked_then_released(&key, || {
-                let still_latest = self.metadata.get(&key).is_some_and(|m| {
-                    m.latest_version == version
-                        && m.version(version)
-                            .is_some_and(|v| v.value_hash.as_slice() == value_hash)
-                });
-                if still_latest {
-                    self.object_cache.put(&key, Arc::clone(&value), version);
-                }
+        // Fill the cache only if what we read from the drives is still the
+        // latest content, checked and filled under the metadata shard's
+        // read lock: a delete or a newer write changes the map under its
+        // write lock *before* it touches the cache, so it either fails this
+        // check or replaces the fill afterwards. Without the re-check, one
+        // completing between our drive read and this insert would be
+        // shadowed by the stale value indefinitely. The hash comparison
+        // also covers delete-and-recreate, where the version numbers
+        // restart and can collide. Hash first: the value is immutable and
+        // SHA-256 is the expensive part.
+        let value_hash = pesos_crypto::sha256(&value);
+        self.metadata.with(&key, |current| {
+            let still_latest = current.filter(|m| {
+                m.latest_version == version
+                    && m.version(version)
+                        .is_some_and(|v| v.value_hash.as_slice() == value_hash)
             });
-        }
+            if let Some(m) = still_latest {
+                self.object_cache
+                    .put_named(&key, &m.key, Arc::clone(&value), version);
+            }
+        });
         Ok((value, version))
     }
 
@@ -1020,7 +1029,8 @@ impl PesosStore {
         version: u64,
     ) -> Result<Vec<u8>, PesosError> {
         let key = key.into();
-        let stored = self.replicated_get(&key, Arc::from(data_key(key.key(), version)))?;
+        let data = backend_key(namespace::DATA, key.key(), Some(version));
+        let stored = self.replicated_get(&key, data)?;
         self.crypter
             .unseal(key.key(), version, &stored)
             .map_err(|e| PesosError::Backend(format!("decryption failed: {e}")))
@@ -1202,7 +1212,8 @@ impl PesosStore {
             let (client, range_start, range_end) = (Arc::clone(client), start, end.to_vec());
             let page = self
                 .asyscall
-                .submit(move || client.key_range(&range_start, &range_end, PAGE))?
+                .submit_joined([move || client.key_range(&range_start, &range_end, PAGE)])?
+                .wait_single()?
                 .map_err(|e| PesosError::Backend(e.to_string()))?;
             let full = page.len() == PAGE as usize;
             // The next page starts just after the last key seen.
@@ -1270,7 +1281,7 @@ impl PesosStore {
                 .map(|(version, plain)| {
                     stored(
                         data_key(key.key(), *version),
-                        self.crypter.seal(key.key(), *version, plain),
+                        self.crypter.seal_hashed(key.key(), *version, plain, None),
                     )
                 })
                 .chain(
@@ -1313,12 +1324,12 @@ fn stored_if_absent(backend_key: Vec<u8>, value: impl Into<Payload>) -> BatchOp 
 fn segment_put(
     meta: &ObjectMetadata,
     segment: &[VersionMeta],
-    put: fn(Vec<u8>, Vec<u8>) -> BatchOp,
+    put: fn(Vec<u8>, Payload) -> BatchOp,
 ) -> Option<BatchOp> {
     let first = segment.first()?.version;
     Some(put(
         segment_key(&meta.key, first),
-        meta.segment_bytes(segment),
+        meta.segment_bytes(segment).into(),
     ))
 }
 
@@ -1380,7 +1391,7 @@ impl StoreView<'_> {
         let mut seen = self.seen.borrow_mut();
         let mut fresh = None;
         let known = seen.iter().find(|seen| match &seen.record {
-            Ok(meta) => meta.key == key,
+            Ok(meta) => &*meta.key == key,
             Err(absent) => absent == key,
         });
         let entry = match known {
@@ -1653,7 +1664,10 @@ mod tests {
             s.put_object("batched", value, None).unwrap();
             let after = (s.asyscall_stats(), drive_ops(&s));
             assert_eq!(after.0.batches, before.0.batches + 1);
-            assert_eq!(after.0.submitted, before.0.submitted + 3);
+            // One call per replica: handed to the pool, or run on the
+            // caller when no service thread was free to take it.
+            let calls = |stats: &pesos_sgx::AsyscallStats| stats.submitted + stats.exits;
+            assert_eq!(calls(&after.0), calls(&before.0) + 3);
             assert_eq!(after.1, (before.1 .0 + 3, before.1 .1, before.1 .2));
         }
         for d in s.drives().iter() {
@@ -1979,7 +1993,7 @@ mod tests {
         src.attach_policy("moved", policy).unwrap();
 
         let export = src.export_object("moved").unwrap().expect("object exists");
-        assert_eq!(export.meta.key, "moved");
+        assert_eq!(&*export.meta.key, "moved");
         assert_eq!(export.meta.policy_id, Some(policy));
         assert_eq!(
             export.versions,
@@ -2178,7 +2192,7 @@ mod tests {
                 .collect()
         };
         let targets = || -> Result<Vec<*const KineticClient>, PesosError> {
-            Ok(s.targets_for(&key)?.into_iter().map(Arc::as_ptr).collect())
+            Ok(s.targets_for(&key)?.map(Arc::as_ptr).collect())
         };
         // All online: the sessions of `placement()`, in order.
         let home = crate::placement::placement(&key, 4, 2);

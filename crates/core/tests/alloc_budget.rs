@@ -1,0 +1,126 @@
+//! Heap allocations per request, counted.
+//!
+//! The counter is process-wide (a `#[global_allocator]`), so it sees the
+//! allocations of every thread an operation touches: the caller, the
+//! asyscall service threads and the drive. The checks live in a test binary
+//! of their own with a single test function, so nothing else allocates
+//! while a delta is being read.
+//!
+//! One client, one controller on `ControllerConfig::sgx_simulator(1)` (one
+//! drive, no replication) with an object cache of one lock shard sized for
+//! a single 1 KiB object: reading two keys in turn makes every read a miss
+//! that fills the cache and evicts the other key, as a larger-than-cache
+//! workload does, and reading one key twice makes the second a hit.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pesos_core::{ControllerConfig, PesosController};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; counting touches only an atomic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are the system allocator's own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+const VALUE: usize = 1024;
+const ROUNDS: usize = 32;
+
+/// The most allocations any one of `counts` made, after printing them.
+fn worst(what: &str, counts: &[u64]) -> u64 {
+    println!("{what}: {counts:?}");
+    counts.iter().copied().max().unwrap_or(0)
+}
+
+#[test]
+fn a_request_allocates_within_its_budget() {
+    let config = ControllerConfig {
+        lock_shards: 1,
+        object_cache_bytes: VALUE + VALUE / 2,
+        ..ControllerConfig::sgx_simulator(1)
+    };
+    let c = PesosController::new(config).unwrap();
+    let client = c.register_client("budget");
+    let value = |round: usize| vec![round as u8; VALUE];
+    // Warm every lazily built structure (session, shards, drive tables).
+    for key in ["warm/a", "warm/b"] {
+        c.put(&client, key, value(0), None, None, &[]).unwrap();
+        c.put(&client, key, value(1), None, None, &[]).unwrap();
+        c.get(&client, key, &[]).unwrap();
+    }
+
+    let (mut creates, mut updates, mut misses, mut hits) = (vec![], vec![], vec![], vec![]);
+    for round in 0..ROUNDS {
+        let key = format!("obj/{round}");
+        let v = value(round);
+        let (version, n) = allocations(|| c.put(&client, &*key, &v, None, None, &[]));
+        assert_eq!(version.unwrap(), 0);
+        creates.push(n);
+        let v = value(round);
+        let (version, n) = allocations(|| c.put(&client, &*key, &v, None, None, &[]));
+        assert_eq!(version.unwrap(), 1);
+        updates.push(n);
+        // The cache holds one object: `warm/a` and `warm/b` evict each other.
+        for warm in ["warm/a", "warm/b"] {
+            let (read, n) = allocations(|| c.get(&client, warm, &[]));
+            assert_eq!(read.unwrap().0.len(), VALUE);
+            misses.push(n);
+        }
+        let (read, n) = allocations(|| c.get(&client, "warm/b", &[]));
+        assert_eq!(read.unwrap().1, 1);
+        hits.push(n);
+    }
+    let stats = c.store().object_cache_stats();
+    assert!(stats.misses >= 2 * ROUNDS as u64 && stats.hits >= ROUNDS as u64);
+    let calls = c.store().asyscall_stats();
+    println!("handed off: {}, exits: {}", calls.submitted, calls.exits);
+
+    let create = worst("create", &creates);
+    let update = worst("update", &updates);
+    let miss = worst("cache-miss get", &misses);
+    let hit = worst("cache-hit get", &hits);
+    assert!(
+        create <= 25,
+        "a create made {create} allocations (budget 25)"
+    );
+    assert!(
+        update <= 25,
+        "an update made {update} allocations (budget 25)"
+    );
+    assert!(
+        miss <= 15,
+        "a cache-miss get made {miss} allocations (budget 15)"
+    );
+    assert!(
+        hit <= 1,
+        "a cache-hit get made {hit} allocations (budget 1)"
+    );
+}

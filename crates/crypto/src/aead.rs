@@ -96,12 +96,10 @@ impl AeadKey {
     }
 
     /// Encrypts `plaintext` and appends the wire encoding
-    /// `nonce || tag || ciphertext` to `out`.
-    ///
-    /// The layout is built in place — the plaintext is copied once, behind
-    /// whatever header the caller already wrote to `out`, and encrypted
-    /// and hashed where it lies — and is byte-identical to
-    /// [`AeadKey::seal`] followed by [`SealedBox::to_bytes`].
+    /// `nonce || tag || ciphertext` to `out`, behind whatever header the
+    /// caller already wrote there, as [`AeadKey::seal_to_slice`] lays it
+    /// out. Byte-identical to [`AeadKey::seal`] followed by
+    /// [`SealedBox::to_bytes`].
     pub fn seal_into(
         &self,
         out: &mut Vec<u8>,
@@ -110,12 +108,33 @@ impl AeadKey {
         plaintext: &[u8],
     ) {
         let start = out.len();
-        out.reserve(BODY_AT + plaintext.len());
-        out.extend_from_slice(nonce);
-        out.extend_from_slice(&[0u8; TAG_LEN]);
-        out.extend_from_slice(plaintext);
-        let (header, body) = out[start..].split_at_mut(BODY_AT);
-        header[NONCE_LEN..].copy_from_slice(&self.gcm.encrypt(nonce, aad, body));
+        out.resize(start + BODY_AT + plaintext.len(), 0);
+        if let Some(sealed) = out.get_mut(start..) {
+            self.seal_to_slice(sealed, nonce, aad, plaintext);
+        }
+    }
+
+    /// Encrypts `plaintext` into a buffer the caller sized to exactly
+    /// `NONCE_LEN + TAG_LEN + plaintext.len()` bytes, which receives
+    /// `nonce || tag || ciphertext`: the plaintext is copied once and
+    /// encrypted and hashed where it lies. A buffer of any other size is
+    /// left as it is and `false` returned.
+    pub fn seal_to_slice(
+        &self,
+        out: &mut [u8],
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+    ) -> bool {
+        if out.len() != BODY_AT + plaintext.len() {
+            return false;
+        }
+        let (header, body) = out.split_at_mut(BODY_AT);
+        body.copy_from_slice(plaintext);
+        let (nonce_out, tag_out) = header.split_at_mut(NONCE_LEN);
+        nonce_out.copy_from_slice(nonce);
+        tag_out.copy_from_slice(&self.gcm.encrypt(nonce, aad, body));
+        true
     }
 
     /// Convenience: encrypt and return the wire encoding.
@@ -317,6 +336,23 @@ mod tests {
             assert_eq!(in_place[1..], boxed[..], "len {len}");
             assert_eq!(k.seal_to_bytes(&nonce, b"name", &plaintext), boxed);
             assert_eq!(k.open_from_bytes(&boxed, b"name").unwrap(), plaintext);
+        }
+    }
+
+    #[test]
+    fn a_caller_sized_buffer_gets_the_boxed_layout() {
+        let k = key();
+        for (seq, len) in LENGTHS.into_iter().enumerate() {
+            let nonce = counter_nonce(5, seq as u64);
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let boxed = k.seal(&nonce, b"name", &plaintext).to_bytes();
+            let mut sized = vec![0; NONCE_LEN + TAG_LEN + len];
+            assert!(k.seal_to_slice(&mut sized, &nonce, b"name", &plaintext));
+            assert_eq!(sized, boxed, "len {len}");
+            // A buffer of another size is refused untouched.
+            let mut wrong = vec![0xee; NONCE_LEN + TAG_LEN + len + 1];
+            assert!(!k.seal_to_slice(&mut wrong, &nonce, b"name", &plaintext));
+            assert!(wrong.iter().all(|&b| b == 0xee));
         }
     }
 

@@ -597,7 +597,7 @@ impl KineticDrive {
                 let mut resp = Command::response_to(command, StatusCode::Success, "");
                 resp.body.key = command.body.key.clone();
                 resp.body.value = value;
-                resp.body.db_version = version;
+                resp.body.db_version = version.to_vec();
                 resp
             }
             Err(e) => {

@@ -11,15 +11,57 @@
 use std::collections::BTreeMap;
 
 use crate::error::KineticError;
-use crate::protocol::{BatchOp, Payload};
+use crate::protocol::{BatchOp, Payload, MAX_BATCH_OPS};
 
 /// A stored entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredEntry {
     /// The value bytes (shared, immutable).
     pub value: Payload,
-    /// The entry version (opaque bytes chosen by the writer).
-    pub version: Vec<u8>,
+    /// The entry version (opaque bytes chosen by the writer; shared, as
+    /// writers tend to give every entry the same one).
+    pub version: Payload,
+}
+
+/// What a batch replaced so far, newest last: on the stack for a list the
+/// drive accepts ([`MAX_BATCH_OPS`] sub-operations), spilling to the heap
+/// beyond.
+struct UndoLog<'a> {
+    inline: [Option<Undo<'a>>; MAX_BATCH_OPS],
+    len: usize,
+    spill: Vec<Undo<'a>>,
+}
+
+/// A key a batch touched and the entry it held before (none if it held
+/// nothing).
+type Undo<'a> = (&'a [u8], Option<StoredEntry>);
+
+impl<'a> UndoLog<'a> {
+    fn new() -> Self {
+        UndoLog {
+            inline: [const { None }; MAX_BATCH_OPS],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, undo: Undo<'a>) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = Some(undo);
+                self.len += 1;
+            }
+            None => self.spill.push(undo),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Undo<'a>> {
+        if let Some(record) = self.spill.pop() {
+            return Some(record);
+        }
+        self.len = self.len.checked_sub(1)?;
+        self.inline.get_mut(self.len)?.take()
+    }
 }
 
 /// Counters describing engine activity.
@@ -51,6 +93,9 @@ pub struct EngineStats {
 #[derive(Debug)]
 pub struct DriveEngine {
     entries: BTreeMap<Vec<u8>, StoredEntry>,
+    /// The version the last entry was written at: the next entry written
+    /// at the same one shares this buffer instead of copying it.
+    last_version: Payload,
     capacity_bytes: u64,
     used_bytes: u64,
     stats: EngineStats,
@@ -61,6 +106,7 @@ impl DriveEngine {
     pub fn new(capacity_bytes: u64) -> Self {
         DriveEngine {
             entries: BTreeMap::new(),
+            last_version: Payload::new(),
             capacity_bytes,
             used_bytes: 0,
             stats: EngineStats::default(),
@@ -108,6 +154,15 @@ impl DriveEngine {
         (key.len() + value.len()) as u64
     }
 
+    /// `version` as a shared buffer, the last one handed out if it is the
+    /// same.
+    fn shared_version(&mut self, version: &[u8]) -> Payload {
+        if *self.last_version != *version {
+            self.last_version = Payload::from(version);
+        }
+        self.last_version.clone()
+    }
+
     /// Stores `value` under `key`.
     ///
     /// Unless `force` is true the currently stored version must equal
@@ -122,23 +177,25 @@ impl DriveEngine {
         force: bool,
     ) -> Result<(), KineticError> {
         self.stats.puts += 1;
-        self.apply_put(key, value.into(), expected_version, new_version, force)
+        self.apply_put(key, value.into(), expected_version, &new_version, force)
             .map(|_| ())
     }
 
     /// The PUT itself, without the served-operation tally; returns the
-    /// entry it replaced so a batch can undo it.
+    /// entry it replaced so a batch can undo it. An entry that exists is
+    /// overwritten where it lies, keeping its key.
     fn apply_put(
         &mut self,
         key: &[u8],
         value: Payload,
         expected_version: &[u8],
-        new_version: Vec<u8>,
+        new_version: &[u8],
         force: bool,
     ) -> Result<Option<StoredEntry>, KineticError> {
-        let existing = self.entries.get(key);
+        let new_version = self.shared_version(new_version);
+        let existing = self.entries.get_mut(key);
         if !force {
-            let actual = existing.map(|e| e.version.as_slice()).unwrap_or(&[]);
+            let actual = existing.as_ref().map_or(&[][..], |e| &e.version[..]);
             if actual != expected_version {
                 return Err(KineticError::VersionMismatch {
                     expected: expected_version.to_vec(),
@@ -149,21 +206,25 @@ impl DriveEngine {
 
         let new_size = Self::entry_size(key, &value);
         let old_size = existing
-            .map(|e| Self::entry_size(key, &e.value))
-            .unwrap_or(0);
+            .as_ref()
+            .map_or(0, |e| Self::entry_size(key, &e.value));
         let projected = self.used_bytes - old_size + new_size;
         if projected > self.capacity_bytes {
             return Err(KineticError::NoSpace);
         }
 
         self.used_bytes = projected;
-        Ok(self.entries.insert(
-            key.to_vec(),
-            StoredEntry {
-                value,
-                version: new_version,
-            },
-        ))
+        let entry = StoredEntry {
+            value,
+            version: new_version,
+        };
+        Ok(match existing {
+            Some(slot) => Some(std::mem::replace(slot, entry)),
+            None => {
+                self.entries.insert(key.to_vec(), entry);
+                None
+            }
+        })
     }
 
     /// Retrieves the entry stored under `key`.
@@ -195,7 +256,7 @@ impl DriveEngine {
         if !force && existing.version != expected_version {
             return Err(KineticError::VersionMismatch {
                 expected: expected_version.to_vec(),
-                actual: existing.version.clone(),
+                actual: existing.version.to_vec(),
             });
         }
         let removed = self.entries.remove(key).ok_or(KineticError::NotFound)?;
@@ -221,7 +282,7 @@ impl DriveEngine {
         self.stats.batched_ops += ops.len() as u64;
 
         let used_before = self.used_bytes;
-        let mut undo: Vec<(&[u8], Option<StoredEntry>)> = Vec::with_capacity(ops.len());
+        let mut undo = UndoLog::new();
         for (index, op) in ops.iter().enumerate() {
             let replaced = match op {
                 BatchOp::Put {
@@ -230,7 +291,7 @@ impl DriveEngine {
                     db_version,
                     new_version,
                     force,
-                } => self.apply_put(key, value.clone(), db_version, new_version.clone(), *force),
+                } => self.apply_put(key, value.clone(), db_version, new_version, *force),
                 BatchOp::Delete {
                     key,
                     db_version,
@@ -244,7 +305,7 @@ impl DriveEngine {
             match replaced {
                 Ok(replaced) => undo.push((op.key(), replaced)),
                 Err(e) => {
-                    for (key, replaced) in undo.into_iter().rev() {
+                    while let Some((key, replaced)) = undo.pop() {
                         match replaced {
                             Some(entry) => self.entries.insert(key.to_vec(), entry),
                             None => self.entries.remove(key),
@@ -453,7 +514,7 @@ mod tests {
         let keep = e.get(b"keep").unwrap();
         assert_eq!(
             (keep.value, keep.version),
-            (b"original".into(), b"1".to_vec())
+            (b"original".into(), b"1".into())
         );
         assert_eq!(e.get(b"gone").unwrap().value, b"doomed");
         assert_eq!(e.used_bytes(), used);

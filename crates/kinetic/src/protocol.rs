@@ -98,7 +98,7 @@ use std::sync::Arc;
 
 use pesos_crypto::hmac::HmacKey;
 use pesos_crypto::Digest;
-use pesos_wire::codec::{write_varint, FieldReader, FieldWriter};
+use pesos_wire::codec::{varint_len, write_varint, zigzag_encode, FieldReader, FieldWriter};
 
 use crate::error::KineticError;
 
@@ -276,6 +276,17 @@ impl Payload {
     /// Copies the payload into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.to_vec()
+    }
+
+    /// A payload of `len` bytes that `fill` writes into the shared buffer
+    /// itself (handed to it zeroed), so bytes produced for a payload are
+    /// never copied out of a temporary vector.
+    pub fn from_fn(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        if let Some(buffer) = Arc::get_mut(&mut bytes) {
+            fill(buffer);
+        }
+        Payload(bytes)
     }
 }
 
@@ -812,6 +823,11 @@ impl Command {
     /// interleaved with the *borrowed* payloads — the body value and every
     /// batch PUT's value ([`Payload`] reference-count bumps, no copies).
     ///
+    /// Every length, nested ones included, is computed arithmetically
+    /// first, so the owned runs are written straight into one buffer of
+    /// their final size, in frame order: a frame costs that buffer, plus
+    /// one list of splice points when it carries a payload.
+    ///
     /// The concatenation of the chunks is byte-identical to the monolithic
     /// `Command::encode`, which is kept under `cfg(test)` as an independent
     /// implementation so the property tests can use it as the equivalence
@@ -819,184 +835,226 @@ impl Command {
     /// rather than sharing helpers with it, so a bug cannot hide in code
     /// common to both.
     pub fn encode_vectored(&self) -> VectoredCommand {
-        let mut header = FieldWriter::new();
-        header
-            .uint64(1, self.connection_id)
-            .uint64(2, self.sequence)
-            .uint64(3, self.message_type.to_u64())
-            .uint64(4, self.cluster_version)
-            .uint64(5, self.ack_sequence);
-
         let b = &self.body;
-        // Body fields that precede the value (field 2).
-        let mut body_head = FieldWriter::new();
-        if !b.key.is_empty() {
-            body_head.bytes(1, &b.key);
+        let header = [
+            self.connection_id,
+            self.sequence,
+            self.message_type.to_u64(),
+            self.cluster_version,
+            self.ack_sequence,
+        ];
+        let header_len: usize = (1..).zip(header).map(|(f, v)| varint_field_len(f, v)).sum();
+        let puts = || {
+            b.batch.iter().filter_map(|op| match op {
+                BatchOp::Put { value, .. } => Some(value),
+                BatchOp::Delete { .. } => None,
+            })
+        };
+        let body_len = optional_bytes_len(1, &b.key)
+            + bytes_field_len(2, b.value.len())
+            + bytes_field_len(3, b.db_version.len())
+            + bytes_field_len(4, b.new_version.len())
+            + if b.force { varint_field_len(5, 1) } else { 0 }
+            + optional_bytes_len(6, &b.range_start)
+            + optional_bytes_len(7, &b.range_end)
+            + varint_field_len(8, u64::from(b.max_returned))
+            + optional_bytes_len(9, b.p2p_target.as_bytes())
+            + b.setup_new_cluster_version
+                .map_or(0, |v| varint_field_len(10, v))
+            + if b.setup_erase {
+                varint_field_len(11, 1)
+            } else {
+                0
+            }
+            + optional_bytes_len(12, b.log_type.as_bytes())
+            + b.security_accounts
+                .iter()
+                .map(|a| bytes_field_len(13, account_len(a)))
+                .sum::<usize>()
+            + b.batch
+                .iter()
+                .map(|op| bytes_field_len(14, op_len(op)))
+                .sum::<usize>();
+        let status_len = varint_field_len(1, self.status.code.to_u64())
+            + optional_bytes_len(2, self.status.message.as_bytes());
+        let frame_len = bytes_field_len(1, header_len)
+            + bytes_field_len(2, body_len)
+            + bytes_field_len(3, status_len);
+        let payload_len = b.value.len() + puts().map(|v| v.len()).sum::<usize>();
+        let splices = usize::from(!b.value.is_empty()) + puts().filter(|v| !v.is_empty()).count();
+
+        let mut out = FrameWriter {
+            owned: Vec::with_capacity(frame_len - payload_len),
+            shared: Vec::with_capacity(splices),
+        };
+        out.open(1, header_len);
+        for (field, value) in (1..).zip(header) {
+            out.varint(field, value);
         }
-        // Body fields between the value and the batch list, in field order
-        // (value, versions and the page limit are emitted even when
-        // empty/zero; see the module docs on field presence).
-        let mut body_mid = FieldWriter::new();
-        body_mid.bytes(3, &b.db_version).bytes(4, &b.new_version);
+        // value, db_version, new_version and max_returned are emitted even
+        // when empty/zero (module docs, "Field presence").
+        out.open(2, body_len);
+        out.optional_bytes(1, &b.key);
+        out.payload(2, &b.value);
+        out.bytes(3, &b.db_version);
+        out.bytes(4, &b.new_version);
         if b.force {
-            body_mid.boolean(5, true);
+            out.varint(5, 1);
         }
-        if !b.range_start.is_empty() {
-            body_mid.bytes(6, &b.range_start);
-        }
-        if !b.range_end.is_empty() {
-            body_mid.bytes(7, &b.range_end);
-        }
-        body_mid.uint64(8, b.max_returned as u64);
-        if !b.p2p_target.is_empty() {
-            body_mid.string(9, &b.p2p_target);
-        }
-        if let Some(v) = b.setup_new_cluster_version {
-            body_mid.uint64(10, v);
+        out.optional_bytes(6, &b.range_start);
+        out.optional_bytes(7, &b.range_end);
+        out.varint(8, u64::from(b.max_returned));
+        out.optional_bytes(9, b.p2p_target.as_bytes());
+        if let Some(version) = b.setup_new_cluster_version {
+            out.varint(10, version);
         }
         if b.setup_erase {
-            body_mid.boolean(11, true);
+            out.varint(11, 1);
         }
-        if !b.log_type.is_empty() {
-            body_mid.string(12, &b.log_type);
-        }
+        out.optional_bytes(12, b.log_type.as_bytes());
         for account in &b.security_accounts {
-            let mut acc = FieldWriter::new();
-            acc.sint64(1, account.identity)
-                .bytes(2, &account.secret)
-                .uint64(3, account.permissions as u64);
-            body_mid.message(13, &acc);
+            out.open(13, account_len(account));
+            out.varint(1, zigzag_encode(account.identity));
+            out.bytes(2, &account.secret);
+            out.varint(3, u64::from(account.permissions));
         }
-        // Each batch sub-operation as the owned bytes around its value:
-        // `before` opens with the sub-message's own tag and (arithmetically
-        // computed) length and ends with the value field's tag and length
-        // prefix, so the borrowed payload is exactly the bytes in between.
-        let batch: Vec<(Vec<u8>, Option<&Payload>, Vec<u8>)> = b
-            .batch
-            .iter()
-            .map(|op| {
-                let (mut before, mut after) = (FieldWriter::new(), FieldWriter::new());
-                let (value, force) = match op {
-                    BatchOp::Put {
-                        key,
-                        value,
-                        db_version,
-                        new_version,
-                        force,
-                    } => {
-                        before.uint64(1, BatchOp::KIND_PUT).bytes(2, key);
-                        after.bytes(4, db_version).bytes(5, new_version);
-                        (Some(value), *force)
+        for op in b.batch.iter() {
+            out.open(14, op_len(op));
+            match op {
+                BatchOp::Put {
+                    key,
+                    value,
+                    db_version,
+                    new_version,
+                    force,
+                } => {
+                    out.varint(1, BatchOp::KIND_PUT);
+                    out.bytes(2, key);
+                    out.payload(3, value);
+                    out.bytes(4, db_version);
+                    out.bytes(5, new_version);
+                    if *force {
+                        out.varint(6, 1);
                     }
-                    BatchOp::Delete {
-                        key,
-                        db_version,
-                        force,
-                    } => {
-                        before.uint64(1, BatchOp::KIND_DELETE).bytes(2, key);
-                        after.bytes(4, db_version);
-                        (None, *force)
+                }
+                BatchOp::Delete {
+                    key,
+                    db_version,
+                    force,
+                } => {
+                    out.varint(1, BatchOp::KIND_DELETE);
+                    out.bytes(2, key);
+                    out.bytes(4, db_version);
+                    if *force {
+                        out.varint(6, 1);
                     }
-                };
-                if force {
-                    after.boolean(6, true);
                 }
-                let mut fields = before.finish();
-                if let Some(value) = value {
-                    length_delimited_tag(&mut fields, 3, value.len());
-                }
-                let value_len = value.map_or(0, |v| v.len());
-                let mut before = Vec::with_capacity(fields.len() + 8);
-                length_delimited_tag(&mut before, 14, fields.len() + value_len + after.len());
-                before.extend_from_slice(&fields);
-                (before, value, after.finish())
-            })
-            .collect();
-
-        let mut status = FieldWriter::new();
-        status.uint64(1, self.status.code.to_u64());
-        if !self.status.message.is_empty() {
-            status.string(2, &self.status.message);
-        }
-
-        // The body length, like each sub-message's, is computed
-        // arithmetically; nothing here touches payload bytes.
-        let mut value_prefix = Vec::with_capacity(8);
-        length_delimited_tag(&mut value_prefix, 2, b.value.len());
-        let batch_len: usize = batch
-            .iter()
-            .map(|(before, value, after)| before.len() + value.map_or(0, |v| v.len()) + after.len())
-            .sum();
-        let body_len =
-            body_head.len() + value_prefix.len() + b.value.len() + body_mid.len() + batch_len;
-
-        let mut out = ChunkWriter::default();
-        length_delimited_tag(&mut out.pending, 1, header.len());
-        out.pending.extend_from_slice(header.as_bytes());
-        length_delimited_tag(&mut out.pending, 2, body_len);
-        out.pending.extend_from_slice(body_head.as_bytes());
-        out.pending.extend_from_slice(&value_prefix);
-        out.shared(&b.value);
-        out.pending.extend_from_slice(body_mid.as_bytes());
-        for (before, value, after) in &batch {
-            out.pending.extend_from_slice(before);
-            if let Some(value) = value {
-                out.shared(value);
             }
-            out.pending.extend_from_slice(after);
         }
-        length_delimited_tag(&mut out.pending, 3, status.len());
-        out.pending.extend_from_slice(status.as_bytes());
+        out.open(3, status_len);
+        out.varint(1, self.status.code.to_u64());
+        out.optional_bytes(2, self.status.message.as_bytes());
+        debug_assert_eq!(out.owned.len() + payload_len, frame_len);
         VectoredCommand {
-            chunks: out.finish(),
+            owned: out.owned,
+            shared: out.shared,
         }
     }
 }
 
-/// One run of a [`VectoredCommand`]: bytes the encoder produced, or a
-/// payload it only borrowed.
-#[derive(Debug, Clone)]
-enum Chunk {
-    Owned(Vec<u8>),
-    Shared(Payload),
+/// Bytes of the varint field `field` carrying `value`.
+fn varint_field_len(field: u32, value: u64) -> usize {
+    varint_len(u64::from(field) << 3) + varint_len(value)
 }
 
-impl Chunk {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Chunk::Owned(bytes) => bytes,
-            Chunk::Shared(payload) => payload,
+/// Bytes of the length-delimited field `field` carrying `len` bytes.
+fn bytes_field_len(field: u32, len: usize) -> usize {
+    varint_len(u64::from(field) << 3 | 2) + varint_len(len as u64) + len
+}
+
+/// Bytes of a length-delimited field that is left out when empty.
+fn optional_bytes_len(field: u32, bytes: &[u8]) -> usize {
+    if bytes.is_empty() {
+        0
+    } else {
+        bytes_field_len(field, bytes.len())
+    }
+}
+
+/// Bytes of an account's sub-message, without its own tag and length.
+fn account_len(account: &AccountSpec) -> usize {
+    varint_field_len(1, zigzag_encode(account.identity))
+        + bytes_field_len(2, account.secret.len())
+        + varint_field_len(3, u64::from(account.permissions))
+}
+
+/// Bytes of a batch sub-operation's sub-message, without its own tag and
+/// length.
+fn op_len(op: &BatchOp) -> usize {
+    let force = |force: bool| if force { varint_field_len(6, 1) } else { 0 };
+    match op {
+        BatchOp::Put {
+            key,
+            value,
+            db_version,
+            new_version,
+            force: f,
+        } => {
+            varint_field_len(1, BatchOp::KIND_PUT)
+                + bytes_field_len(2, key.len())
+                + bytes_field_len(3, value.len())
+                + bytes_field_len(4, db_version.len())
+                + bytes_field_len(5, new_version.len())
+                + force(*f)
+        }
+        BatchOp::Delete {
+            key,
+            db_version,
+            force: f,
+        } => {
+            varint_field_len(1, BatchOp::KIND_DELETE)
+                + bytes_field_len(2, key.len())
+                + bytes_field_len(4, db_version.len())
+                + force(*f)
         }
     }
 }
 
-/// Accumulates owned bytes into `pending` and closes the run whenever a
-/// shared payload is spliced in.
-#[derive(Default)]
-struct ChunkWriter {
-    chunks: Vec<Chunk>,
-    pending: Vec<u8>,
+/// The owned bytes of a command being encoded, and where its payloads go.
+struct FrameWriter {
+    owned: Vec<u8>,
+    shared: Vec<(usize, Payload)>,
 }
 
-impl ChunkWriter {
-    fn shared(&mut self, payload: &Payload) {
-        // An empty payload contributes no bytes; keeping the run open saves
-        // a chunk on every payload-free command.
-        if payload.is_empty() {
-            return;
-        }
-        if !self.pending.is_empty() {
-            self.chunks
-                .push(Chunk::Owned(std::mem::take(&mut self.pending)));
-        }
-        self.chunks.push(Chunk::Shared(payload.clone()));
+impl FrameWriter {
+    fn varint(&mut self, field: u32, value: u64) {
+        write_varint(&mut self.owned, u64::from(field) << 3);
+        write_varint(&mut self.owned, value);
     }
 
-    fn finish(mut self) -> Vec<Chunk> {
-        if !self.pending.is_empty() {
-            self.chunks.push(Chunk::Owned(self.pending));
+    /// The tag and length of a nested message whose fields follow.
+    fn open(&mut self, field: u32, len: usize) {
+        length_delimited_tag(&mut self.owned, field, len);
+    }
+
+    fn bytes(&mut self, field: u32, bytes: &[u8]) {
+        length_delimited_tag(&mut self.owned, field, bytes.len());
+        self.owned.extend_from_slice(bytes);
+    }
+
+    fn optional_bytes(&mut self, field: u32, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            self.bytes(field, bytes);
         }
-        self.chunks
+    }
+
+    /// A payload field: its tag and length are owned, its bytes borrowed.
+    /// An empty payload contributes no bytes and so no splice.
+    fn payload(&mut self, field: u32, payload: &Payload) {
+        length_delimited_tag(&mut self.owned, field, payload.len());
+        if !payload.is_empty() {
+            self.shared.push((self.owned.len(), payload.clone()));
+        }
     }
 }
 
@@ -1004,31 +1062,39 @@ impl ChunkWriter {
 ///
 /// The concatenation of the chunks is the command's wire encoding; every
 /// non-empty payload (the body value, each batch PUT's value) is its own
-/// chunk holding the shared [`Payload`] buffer, never a copy. Produced by
+/// chunk holding the shared [`Payload`] buffer, never a copy, and the
+/// bytes between them are runs of one owned buffer. Produced by
 /// [`Command::encode_vectored`].
 #[derive(Debug, Clone)]
 pub struct VectoredCommand {
-    chunks: Vec<Chunk>,
+    /// Every byte the encoder wrote, in frame order, the payloads left out.
+    owned: Vec<u8>,
+    /// Each non-empty payload, after the offset into `owned` it follows.
+    shared: Vec<(usize, Payload)>,
 }
 
 impl VectoredCommand {
     /// The chunk sequence, in frame order.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(Chunk::as_slice)
+        let run = |from: usize, to: usize| self.owned.get(from..to).unwrap_or_default();
+        let starts = std::iter::once(0).chain(self.shared.iter().map(|(at, _)| *at));
+        let tail = self.shared.last().map_or(0, |(at, _)| *at);
+        starts
+            .zip(&self.shared)
+            .flat_map(move |(from, (at, payload))| [run(from, *at), &payload[..]])
+            .chain(std::iter::once(run(tail, self.owned.len())))
+            .filter(|chunk| !chunk.is_empty())
     }
 
     /// The borrowed payload buffers among the chunks, in frame order.
     #[cfg(test)]
     fn shared_payloads(&self) -> impl Iterator<Item = &Payload> {
-        self.chunks.iter().filter_map(|chunk| match chunk {
-            Chunk::Shared(payload) => Some(payload),
-            Chunk::Owned(_) => None,
-        })
+        self.shared.iter().map(|(_, payload)| payload)
     }
 
     /// Total encoded length of the command.
     pub fn encoded_len(&self) -> usize {
-        self.chunks().map(<[u8]>::len).sum()
+        self.owned.len() + self.shared.iter().map(|(_, p)| p.len()).sum::<usize>()
     }
 
     /// Materializes the contiguous command encoding (one copy of every

@@ -71,7 +71,7 @@
 //! inside each constructing file's module (see [`in_scope`]).
 //! [`lint_source`] reads the constructors of its one file. A receiver the
 //! table does not name is unchecked here; if its lock is ranked all the
-//! same (the per-key locks `KeyLocks::lock_for` builds in a closure) the
+//! same (the per-key locks `KeyLocks::lock_for` builds on first use) the
 //! runtime checker still witnesses it when the `lock_order` feature is
 //! on.
 
@@ -650,7 +650,13 @@ fn matching_open(sig: &[usize], tokens: &[Token], close: usize) -> usize {
 }
 
 /// Method names that submit drive I/O and park on completion.
-const IO_CALLS: &[&str] = &["submit", "submit_batch", "handle_envelope", "exchange"];
+const IO_CALLS: &[&str] = &[
+    "submit",
+    "submit_batch",
+    "submit_joined",
+    "handle_envelope",
+    "exchange",
+];
 
 // ---------------------------------------------------------------------------
 // Analysis
@@ -1701,8 +1707,8 @@ mod tests {
         }
         assert!(findings.is_empty(), "{findings:?}");
         // A ranked lock rebuilt with plain `new` drops out of this list.
-        // `KEY_LOCK` is built in `KeyLocks::lock_for`'s closure and
-        // initializes no field; only the runtime checker sees it.
+        // `KEY_LOCK` is built in `KeyLocks::lock_for` and initializes no
+        // field; only the runtime checker sees it.
         let unread: Vec<&str> = NAMES
             .iter()
             .filter(|&&(rank, _)| {

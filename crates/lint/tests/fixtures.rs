@@ -73,6 +73,17 @@ fn guard_across_io_fixture() {
 }
 
 #[test]
+fn joined_submission_fixture() {
+    let findings = lint_fixture("joined_io.rs", false);
+    assert_eq!(
+        as_pass_lines(&findings),
+        vec![(Pass::GuardAcrossIo, 10)],
+        "{findings:#?}"
+    );
+    assert!(findings[0].message.contains("OPS_GATE"));
+}
+
+#[test]
 fn panic_freedom_fixture() {
     let findings = lint_fixture("panic_freedom.rs", true);
     assert_eq!(

@@ -16,7 +16,8 @@
 //! # Slots and the submission ring
 //!
 //! The slot table is preallocated and bounds the calls in flight. Each slot
-//! is a `Handoff`: one atomic state word and the parked body.
+//! is a `Handoff`: one atomic state word and the parked call (its batch and
+//! lane; the body waits in the batch).
 //!
 //! ```text
 //! FREE --claim--> CLAIMED --body written--> QUEUED --taken--> RUNNING --body returned--> FREE
@@ -53,20 +54,26 @@
 //! which is what gives [`CompletionSet::next_completed`] completion order,
 //! first-success races and a first-error-wins `join` without a queue.
 //!
-//! There are two entry points and one handle:
+//! There are three entry points and one handle:
 //!
 //! * [`AsyscallInterface::submit`]: the synchronous wrapper Scone exposes
 //!   to the application; a batch of one, joined at once.
 //! * [`AsyscallInterface::submit_batch`]: the scatter-gather path: N
 //!   bodies are enqueued back-to-back and a [`CompletionSet`] hands back
-//!   results in completion order, so callers can join all of them
-//!   (replicated writes), take the first success and leave the rest to
-//!   finish in the background (raced replicated reads), keep a call in
-//!   flight while they do something else (a batch of one, joined later),
-//!   or drop the set and let the calls run unobserved.
+//!   results in completion order, so callers can join all of them, take
+//!   the first success and leave the rest to finish in the background,
+//!   keep a call in flight while they do something else (a batch of one,
+//!   joined later), or drop the set and let the calls run unobserved.
+//! * [`AsyscallInterface::submit_joined`]: the same set, for a caller that
+//!   reads it at once (replicated writes and raced replicated reads): its
+//!   first call may run on the caller (below, "When nobody is free: the
+//!   exit").
 //!
-//! The only allocations per submission are its `Batch` and the boxed
-//! bodies.
+//! A submission allocates its `Batch` and nothing else: the batch holds
+//! the bodies as well as the result cells, and a slot holds a reference
+//! to it and a lane number. That is one allocation for a single call
+//! (lane 0 is inline) and three for more (the other lanes' cells and
+//! bodies).
 //!
 //! # The two park protocols
 //!
@@ -172,6 +179,48 @@
 //! is never taken, so every push signals, and the protocols above are
 //! otherwise unchanged.
 //!
+//! # When nobody is free: the exit
+//!
+//! A hand-off pays only while a service thread is free to take the call.
+//! When every awake service thread is inside a body, or none is awake, a
+//! call handed over waits for a body to end or for a wake-up, and so does
+//! its caller. Intel's SGX SDK takes the plain way out for its switchless
+//! calls (Tian et al., "Switchless Calls Made Practical in Intel SGX",
+//! SysTEX 2018): the caller leaves the enclave and makes the call itself.
+//! [`AsyscallInterface::submit_joined`] does the same. It hands its lanes
+//! after the first over as usual, then reads the pool's counters the way
+//! the rules above do, so nothing is configured: if no awake service
+//! thread is idle (`active ≥ threads − sleepers − waking`), lane 0 runs on
+//! the calling thread, charged as one [`CostEvent::EnclaveTransition`]
+//! instead of a [`CostEvent::AsyncSyscall`] and counted in
+//! [`AsyscallStats::exits`]; otherwise it is handed over too. The calling
+//! thread contains the body as a service thread does: a panic abandons the
+//! call, which reads as [`SgxError::SyscallInterfaceClosed`], and the
+//! thread carries on.
+//!
+//! Only joined calls qualify. [`AsyscallInterface::submit_batch`] returns
+//! once its bodies are handed over, so that its caller can overlap work
+//! with them or drop the set and let them run unobserved; running one of
+//! them first would take both away. A joined caller has nothing to
+//! overlap: it waits in any case, and with no thread free it would wait
+//! for a body or a wake-up (up to `WAKE_COST`, tens of microseconds)
+//! where the exit costs one transition (3 µs in the default cost model).
+//! One lane at most exits, after the others are handed over, so a
+//! replicated write still reaches its replicas in parallel: the caller's
+//! lane beside the service threads'.
+//!
+//! An exit never touches a slot, the ring or either park protocol, so
+//! none of them changes, and it wakes nobody. With one CPU every service
+//! thread sleeps between calls, so every joined call exits where it used
+//! to sleep and be woken. On more cores the same holds once every service
+//! thread has gone to sleep: only a call that is handed over (a second
+//! replica's lane, a `submit_batch`) wakes one again. On the 2-vCPU
+//! reference host, two clients of a one-drive controller then run every
+//! joined call as an exit (0.88 exits and no hand-off per operation of a
+//! 95/5 read/write mix), while with two replicas each write and each raced
+//! read hands its second lane over and keeps the pool awake (0.55 exits
+//! and 1.2 hand-offs per operation).
+//!
 //! # One host pool
 //!
 //! Everything above (slots, ring, service threads, both park protocols) is
@@ -224,8 +273,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::cost::{CostEvent, ModeCost};
 use crate::error::SgxError;
 
-type SyscallBody = Box<dyn FnOnce() + Send + 'static>;
-
 /// About what one sleep/wake pair costs across cores on the reference
 /// host. Bounds every active wait (a submitter's hand-over, a waiter's
 /// spin on its completion, a service thread's poll of an empty ring) and
@@ -249,7 +296,8 @@ pub struct AsyscallStats {
     pub completed: u64,
     /// Times a submitter had to wait because all slots were busy.
     pub slot_waits: u64,
-    /// Scatter-gather batches submitted via `submit_batch`.
+    /// Scatter-gather batches submitted via `submit_batch` or
+    /// `submit_joined`.
     pub batches: u64,
     /// Highest number of call bodies ever executing concurrently in the
     /// host pool.
@@ -261,6 +309,11 @@ pub struct AsyscallStats {
     /// Submitter waits that ended while the thread was still spinning, and
     /// so cost no sleep.
     pub spin_hits: u64,
+    /// Calls of joined submissions that no service thread was free to take
+    /// and that ran on their caller, each charged as one enclave transition
+    /// (module docs, "When nobody is free: the exit"). Not in `submitted`:
+    /// a member's calls are its `submitted` plus its `exits`.
+    pub exits: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -490,36 +543,169 @@ struct Lane<T> {
 }
 
 /// What one submission (a single call or a scatter-gather batch) reports
-/// into: a result cell per call and the order in which calls finished.
-struct Batch<T> {
-    /// Entries published so far; each filler claims the next.
+/// into: a result cell per call and the order in which calls finished,
+/// and, in `bodies`, the calls themselves until each is taken to run. A
+/// [`CompletionSet`] sees the bodies erased (`B` unsized); a slot sees the
+/// whole batch as a [`Run`].
+struct Batch<T, B: ?Sized = dyn Send + Sync> {
+    /// Entries published so far; each call claims the next.
     finished: AtomicU32,
-    lanes: Box<[Lane<T>]>,
+    /// How many calls the submission made.
+    calls: usize,
+    /// Lane 0, kept inline so that a single call's batch is one allocation.
+    first: Lane<T>,
+    /// Lanes `1..calls` (none, and so nothing allocated, for one call).
+    rest: Box<[Lane<T>]>,
     /// Slow path only: the waiter sleeps here after it set [`PARKED`].
     park: Mutex<()>,
     done: Condvar,
+    bodies: B,
 }
 
-impl<T> Batch<T> {
-    fn new(calls: usize) -> Arc<Self> {
+impl<T> Lane<T> {
+    fn new() -> Self {
+        Lane {
+            entry: AtomicU32::new(0),
+            cell: Handoff::new(),
+        }
+    }
+}
+
+/// The bodies of a submission's calls, one cell per lane, laid out as the
+/// lanes are. Whoever takes a body (a service thread, the exit, or a close
+/// that drops it) owns it from then on.
+struct Bodies<F> {
+    first: Handoff<F>,
+    rest: Box<[Handoff<F>]>,
+}
+
+impl<F> Bodies<F> {
+    fn get(&self, lane: u32) -> Option<&Handoff<F>> {
+        match (lane as usize).checked_sub(1) {
+            None => Some(&self.first),
+            Some(rest) => self.rest.get(rest),
+        }
+    }
+}
+
+/// A cell holding `value`.
+fn filled<V>(value: V) -> Handoff<V> {
+    let cell = Handoff::new();
+    // A new cell is free.
+    let _ = cell.put(value);
+    cell
+}
+
+impl<T, F> Batch<T, Bodies<F>> {
+    /// A batch of `bodies`, each parked in its lane's cell.
+    fn new(bodies: impl Iterator<Item = F>) -> Arc<Self> {
+        let mut bodies = bodies.map(filled);
+        let first = bodies.next();
+        let rest: Box<[Handoff<F>]> = bodies.collect();
+        let calls = usize::from(first.is_some()) + rest.len();
         Arc::new(Batch {
             finished: AtomicU32::new(0),
-            lanes: (0..calls)
-                .map(|_| Lane {
-                    entry: AtomicU32::new(0),
-                    cell: Handoff::new(),
-                })
-                .collect(),
+            calls,
+            first: Lane::new(),
+            rest: rest.iter().map(|_| Lane::new()).collect(),
             park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, ()),
             done: Condvar::new(),
+            bodies: Bodies {
+                first: first.unwrap_or_else(Handoff::new),
+                rest,
+            },
         })
+    }
+}
+
+/// One lane of a submission as a slot holds it: whoever takes the slot
+/// runs the lane.
+trait Run: Send + Sync {
+    /// Runs lane `lane`'s body unless somebody took it already, and
+    /// publishes the lane: with its result, or with its cell empty if the
+    /// body unwinds.
+    fn run(&self, lane: u32);
+
+    /// Drops lane `lane`'s body unrun unless somebody took it already, and
+    /// publishes the lane with its cell empty.
+    fn abandon(&self, lane: u32);
+}
+
+impl<T, F> Run for Batch<T, Bodies<F>>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    fn run(&self, lane: u32) {
+        let Some((body, _running)) = self.bodies.get(lane).and_then(Handoff::take) else {
+            return;
+        };
+        // Publishes on the way out, unwinding or not.
+        let _publish = Publish { batch: self, lane };
+        let value = body();
+        if let Some(cell) = self.lane(lane as usize).map(|l| &l.cell) {
+            // The cell is empty: only the holder of the body fills it.
+            let _ = cell.put(value);
+        }
+    }
+
+    fn abandon(&self, lane: u32) {
+        if let Some((body, _running)) = self.bodies.get(lane).and_then(Handoff::take) {
+            drop(body);
+            self.publish(lane);
+        }
+    }
+}
+
+/// Publishes a lane when dropped.
+struct Publish<'a, T, B: ?Sized> {
+    batch: &'a Batch<T, B>,
+    lane: u32,
+}
+
+impl<T, B: ?Sized> Drop for Publish<'_, T, B> {
+    fn drop(&mut self) {
+        self.batch.publish(self.lane);
+    }
+}
+
+/// A call in a slot: the batch it belongs to and its lane. One dropped
+/// without having run (a pool that closes drops what is queued) abandons
+/// its lane, so its waiter sees [`SgxError::SyscallInterfaceClosed`].
+struct QueuedCall {
+    batch: Arc<dyn Run>,
+    lane: u32,
+}
+
+impl QueuedCall {
+    fn run(&self) {
+        self.batch.run(self.lane);
+    }
+}
+
+impl Drop for QueuedCall {
+    fn drop(&mut self) {
+        self.batch.abandon(self.lane);
+    }
+}
+
+impl<T, B: ?Sized> Batch<T, B> {
+    /// Lane `index`, if the submission made that many calls.
+    fn lane(&self, index: usize) -> Option<&Lane<T>> {
+        if index >= self.calls {
+            return None;
+        }
+        match index.checked_sub(1) {
+            None => Some(&self.first),
+            Some(rest) => self.rest.get(rest),
+        }
     }
 
     /// Publishes call `index` as the next one finished and wakes the
     /// waiter if it sleeps on that entry.
     fn publish(&self, index: u32) {
         let position = self.finished.fetch_add(1, Ordering::SeqCst);
-        let Some(lane) = self.lanes.get(position as usize) else {
+        let Some(lane) = self.lane(position as usize) else {
             return;
         };
         if lane.entry.swap(index + 1, Ordering::SeqCst) & PARKED != 0 {
@@ -536,7 +722,7 @@ impl<T> Batch<T> {
     /// says a spin can pay, then asleep. The waits are `submitter`'s.
     fn await_entry(&self, position: usize, submitter: &Submitter) -> Option<usize> {
         let shared = &*submitter.shared;
-        let entry = &self.lanes.get(position)?.entry;
+        let entry = &self.lane(position)?.entry;
         let finished = |word: u32| (word & !PARKED).checked_sub(1).map(|index| index as usize);
         if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
             return Some(index);
@@ -578,30 +764,6 @@ fn relax() -> bool {
     start.elapsed() > YIELD_CONTENDED
 }
 
-/// Writes a body's result into its cell and publishes the call as
-/// finished; publishes it with the cell empty if the body is dropped
-/// without running or unwinds.
-struct CompletionFiller<T> {
-    batch: Arc<Batch<T>>,
-    index: u32,
-}
-
-impl<T> CompletionFiller<T> {
-    fn fill(self, value: T) {
-        if let Some(lane) = self.batch.lanes.get(self.index as usize) {
-            // The cell is empty: there is one filler per lane.
-            let _ = lane.cell.put(value);
-        }
-        // Dropping `self` publishes.
-    }
-}
-
-impl<T> Drop for CompletionFiller<T> {
-    fn drop(&mut self) {
-        self.batch.publish(self.index);
-    }
-}
-
 /// A joinable set of completions produced by one submission.
 ///
 /// A set dropped before every result was delivered (a raced read that
@@ -617,12 +779,12 @@ pub struct CompletionSet<T> {
 impl<T> CompletionSet<T> {
     /// Number of calls in the batch.
     pub fn len(&self) -> usize {
-        self.batch.lanes.len()
+        self.batch.calls
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.batch.lanes.is_empty()
+        self.batch.calls == 0
     }
 
     /// Blocks until the next not-yet-delivered call finishes, returning its
@@ -637,8 +799,7 @@ impl<T> CompletionSet<T> {
         self.delivered += 1;
         let result = self
             .batch
-            .lanes
-            .get(index)
+            .lane(index)
             .and_then(|lane| lane.cell.take())
             .map(|(value, _)| value)
             .ok_or(SgxError::SyscallInterfaceClosed);
@@ -662,7 +823,7 @@ impl<T> CompletionSet<T> {
     }
 
     /// The single result of a one-call set.
-    fn wait_single(mut self) -> Result<T, SgxError> {
+    pub fn wait_single(mut self) -> Result<T, SgxError> {
         match self.next_completed() {
             Some((_, result)) => result,
             None => Err(SgxError::SyscallInterfaceClosed),
@@ -701,7 +862,7 @@ struct Shared {
     /// body from submission until a service thread takes it, and stays
     /// occupied until the body has run. Allocated at the pool's capacity;
     /// only the first `slot_count` are in use.
-    slots: Box<[Handoff<SyscallBody>]>,
+    slots: Box<[Handoff<QueuedCall>]>,
     /// Slots the members have brought so far (at most `slots.len()`).
     slot_count: AtomicUsize,
     ring: Ring,
@@ -738,9 +899,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Parks `body` in the first free slot from a rotating start, handing
+    /// Parks `call` in the first free slot from a rotating start, handing
     /// it back if the whole table is occupied.
-    fn try_claim(&self, mut body: SyscallBody) -> Result<usize, SyscallBody> {
+    fn try_claim(&self, mut call: QueuedCall) -> Result<usize, QueuedCall> {
         let start = self.claim_from.fetch_add(1, Ordering::Relaxed);
         let count = self.slot_count.load(Ordering::SeqCst);
         for step in 0..count {
@@ -748,12 +909,12 @@ impl Shared {
             let Some(slot) = self.slots.get(index) else {
                 continue;
             };
-            match slot.put(body) {
+            match slot.put(call) {
                 Ok(()) => return Ok(index),
-                Err(returned) => body = returned,
+                Err(returned) => call = returned,
             }
         }
-        Err(body)
+        Err(call)
     }
 
     /// Issues a wake ticket to one sleeping service thread, if there is
@@ -930,18 +1091,19 @@ impl Shared {
         }
     }
 
-    /// Runs the body parked in slot `index` and frees the slot.
+    /// Runs the call parked in slot `index` and frees the slot.
     fn run(&self, index: usize) {
-        let Some((body, occupied)) = self.slots.get(index).and_then(Handoff::take) else {
+        let Some((call, occupied)) = self.slots.get(index).and_then(Handoff::take) else {
             return;
         };
         let active = self.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         self.max_concurrency.fetch_max(active, Ordering::SeqCst);
         let start = Instant::now();
-        // Contain a panicking body: its completion filler is dropped during
-        // the unwind (waiters see the call as abandoned), and the slot and
-        // this service thread both survive instead of leaking.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        // Contain a panicking body: its lane is published during the unwind
+        // with the cell empty (waiters see the call as abandoned), and the
+        // slot and this service thread both survive instead of leaking.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call.run()));
+        drop(call);
         let run_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // mean += (sample - mean) / 8; a lost update between two service
         // threads loses one sample of a statistic.
@@ -999,6 +1161,16 @@ impl Shared {
     /// have lately been short enough to be worth waiting out.
     fn spin_can_pay(&self) -> bool {
         self.spin && self.one_thread_suffices(1)
+    }
+
+    /// Whether no awake service thread is idle: every one that is awake is
+    /// inside a body, or none is awake (all asleep, or signalled and not
+    /// yet resumed). A call handed over now would wait for a body to end
+    /// or for a wake-up; the joined path runs it on its caller instead.
+    fn nobody_free(&self) -> bool {
+        let asleep = self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst);
+        let awake = self.threads.load(Ordering::SeqCst).saturating_sub(asleep);
+        self.active.load(Ordering::SeqCst) >= awake
     }
 
     /// Whether some service thread is awake to make a waiter's spin end:
@@ -1139,6 +1311,7 @@ impl HostPool {
                 slot_waits: AtomicU64::new(0),
                 parks: AtomicU64::new(0),
                 spin_hits: AtomicU64::new(0),
+                exits: AtomicU64::new(0),
             }),
             cost,
         }
@@ -1187,25 +1360,27 @@ struct Submitter {
     parks: AtomicU64,
     /// This enclave's waits that ended while it was still spinning.
     spin_hits: AtomicU64,
+    /// Calls that ran on their caller (`AsyscallStats::exits`).
+    exits: AtomicU64,
 }
 
 impl Submitter {
-    /// Parks `body` in a slot, sleeping while the table is full. The wait
+    /// Parks `call` in a slot, sleeping while the table is full. The wait
     /// is counted when the submitter finds no free slot, so `slot_waits`
     /// is exact under contention.
-    fn claim(&self, body: SyscallBody) -> usize {
+    fn claim(&self, call: QueuedCall) -> usize {
         let shared = &*self.shared;
-        let mut body = match shared.try_claim(body) {
+        let mut call = match shared.try_claim(call) {
             Ok(index) => return index,
-            Err(body) => body,
+            Err(call) => call,
         };
         self.slot_waits.fetch_add(1, Ordering::Relaxed);
         shared.slot_waiters.fetch_add(1, Ordering::SeqCst);
         let mut guard = shared.park.lock();
         let index = loop {
-            match shared.try_claim(body) {
+            match shared.try_claim(call) {
                 Ok(index) => break index,
-                Err(returned) => body = returned,
+                Err(returned) => call = returned,
             }
             self.parks.fetch_add(1, Ordering::Relaxed);
             shared.slot_freed.wait(&mut guard);
@@ -1271,34 +1446,56 @@ impl AsyscallInterface {
         self.pool.stats().slots
     }
 
-    fn enqueue(&self, body: SyscallBody) {
+    fn enqueue(&self, call: QueuedCall) {
         self.cost.charge(CostEvent::AsyncSyscall);
         let submitter = &*self.submitter;
         submitter.submitted.fetch_add(1, Ordering::Relaxed);
-        let index = submitter.claim(body);
+        let index = submitter.claim(call);
         let position = submitter.shared.ring.push(index);
         submitter.hand_over(position);
     }
 
     /// Enqueues `bodies` as one submission reporting into one set of
-    /// cells.
-    fn submit_set<T, F>(&self, bodies: impl ExactSizeIterator<Item = F>) -> CompletionSet<T>
+    /// cells. With `exit` set, lane 0 runs on the calling thread instead
+    /// if, once the other lanes are handed over, no service thread is free
+    /// to take it.
+    fn submit_set<T, F>(&self, bodies: impl Iterator<Item = F>, exit: bool) -> CompletionSet<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let batch = Batch::new(bodies.len());
-        for (index, body) in bodies.enumerate() {
-            let filler = CompletionFiller {
-                batch: Arc::clone(&batch),
-                index: index as u32,
-            };
-            self.enqueue(Box::new(move || filler.fill(body())));
+        let batch = Batch::new(bodies);
+        let call = |lane: usize| QueuedCall {
+            batch: Arc::clone(&batch) as Arc<dyn Run>,
+            lane: lane as u32,
+        };
+        let kept = usize::from(exit && batch.calls > 0);
+        for lane in kept..batch.calls {
+            self.enqueue(call(lane));
+        }
+        if kept == 1 {
+            if self.submitter.shared.nobody_free() {
+                self.exit(&*batch);
+            } else {
+                self.enqueue(call(0));
+            }
         }
         CompletionSet {
             batch,
             delivered: 0,
             submitter: Arc::clone(&self.submitter),
+        }
+    }
+
+    /// Runs lane 0 of `batch` on the calling thread: one synchronous
+    /// enclave exit, contained as [`Shared::run`] contains a service
+    /// thread's call, so a panic publishes the lane abandoned.
+    fn exit(&self, batch: &dyn Run) {
+        self.cost.charge(CostEvent::EnclaveTransition);
+        self.submitter.exits.fetch_add(1, Ordering::Relaxed);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.run(0)));
+        if outcome.is_err() {
+            eprintln!("asyscall: system-call body panicked on its caller; call abandoned");
         }
     }
 
@@ -1313,7 +1510,7 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_set(std::iter::once(body)).wait_single()
+        self.submit_set(std::iter::once(body), false).wait_single()
     }
 
     /// Submits N call bodies as one scatter-gather batch and returns the
@@ -1330,9 +1527,27 @@ impl AsyscallInterface {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
         I: IntoIterator<Item = F>,
-        I::IntoIter: ExactSizeIterator,
     {
-        let set = self.submit_set(bodies.into_iter());
+        let set = self.submit_set(bodies.into_iter(), false);
+        self.submitter.batches.fetch_add(1, Ordering::Relaxed);
+        Ok(set)
+    }
+
+    /// Submits N call bodies as one batch whose caller joins it at once:
+    /// it reads the set straight away and has nothing to overlap with the
+    /// calls. Lanes `1..N` are handed over as by
+    /// [`AsyscallInterface::submit_batch`]; lane 0 is too, unless no
+    /// service thread is free to take it, in which case it runs on the
+    /// calling thread as one charged enclave exit (module docs, "When
+    /// nobody is free: the exit"). Its result reaches the set like any
+    /// other.
+    pub fn submit_joined<T, F, I>(&self, bodies: I) -> Result<CompletionSet<T>, SgxError>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+        I: IntoIterator<Item = F>,
+    {
+        let set = self.submit_set(bodies.into_iter(), true);
         self.submitter.batches.fetch_add(1, Ordering::Relaxed);
         Ok(set)
     }
@@ -1350,6 +1565,7 @@ impl AsyscallInterface {
             max_concurrency: pool.max_concurrency,
             parks: submitter.parks.load(Ordering::Relaxed),
             spin_hits: submitter.spin_hits.load(Ordering::Relaxed),
+            exits: submitter.exits.load(Ordering::Relaxed),
         }
     }
 

@@ -36,8 +36,10 @@ impl ExecutionMode {
 /// The chargeable event classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostEvent {
-    /// A synchronous enclave transition (ecall/ocall round trip). Only
-    /// charged when the asynchronous interface is bypassed.
+    /// A synchronous enclave transition (ecall/ocall round trip), charged
+    /// when the asynchronous interface is bypassed: a joined call that no
+    /// service thread is free to take runs on its caller instead
+    /// (`asyscall` module docs, "When nobody is free: the exit").
     EnclaveTransition,
     /// Submitting a system call through the asynchronous interface and
     /// collecting its result.

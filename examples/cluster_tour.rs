@@ -76,11 +76,13 @@ fn main() {
     };
     for i in 0..partitions {
         println!(
-            "/stats/partitions/{i}: range from {}, {} requests, {} syscalls ({} hand-off sleeps)",
+            "/stats/partitions/{i}: range from {}, {} requests, {} syscalls handed off \
+             ({} hand-off sleeps), {} run as exits",
             stat(format!("partitions/{i}/range/start")),
             stat(format!("partitions/{i}/requests")),
             stat(format!("partitions/{i}/sgx/asyscalls_submitted")),
             stat(format!("partitions/{i}/sgx/asyscall_parks")),
+            stat(format!("partitions/{i}/sgx/asyscall_exits")),
         );
     }
 }
