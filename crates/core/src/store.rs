@@ -529,10 +529,12 @@ impl PesosStore {
     ///
     /// All reachable replicas are raced through one scatter-gather batch;
     /// the first successful completion wins and the remaining reads drain
-    /// in the background. `ObjectNotFound` is the answer only when *every*
-    /// replica answered that it holds nothing: a replica that faulted may
-    /// be the one that holds the entry, so a fault beside a `NotFound` is
-    /// the fault.
+    /// in the background. When no service thread is free, the first
+    /// replica's read runs on the calling thread (an exit), and the race
+    /// cannot end before that read does. `ObjectNotFound` is the answer
+    /// only when *every* replica answered that it holds nothing: a replica
+    /// that faulted may be the one that holds the entry, so a fault beside
+    /// a `NotFound` is the fault.
     fn replicated_get(
         &self,
         placement_key: &HashedKey<'_>,
