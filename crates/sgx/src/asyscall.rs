@@ -203,8 +203,9 @@
 //! with them or drop the set and let them run unobserved; running one of
 //! them first would take both away. A joined caller has nothing to
 //! overlap: it waits in any case, and with no thread free it would wait
-//! for a body or a wake-up (up to `WAKE_COST`, tens of microseconds)
-//! where the exit costs one transition (3 µs in the default cost model).
+//! for a running body to end or for a wake-up (about `WAKE_COST`, tens of
+//! microseconds) where the exit costs one transition (3 µs in the default
+//! cost model).
 //! One lane at most exits, after the others are handed over, so a
 //! replicated write still reaches its replicas in parallel: the caller's
 //! lane beside the service threads'.
