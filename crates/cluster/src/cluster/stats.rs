@@ -224,6 +224,10 @@ impl ControllerCluster {
                         .with(
                             "backup_asyscall_parks",
                             StatsNode::leaf(backups(|a| a.parks)),
+                        )
+                        .with(
+                            "backup_drive_batches",
+                            StatsNode::leaf(r.backup_drive_batches.iter().sum::<u64>()),
                         ),
                 );
             }

@@ -353,8 +353,9 @@ fn torn_batch_reply_fails_the_put_and_the_next_request_converges() {
     assert_eq!(latest_on_drive(&c, "new"), Some(1));
 }
 
-/// A backup writes the batch its primary's drives accepted: replication
-/// costs each backup drive one batch per create and not one read, and
+/// A backup writes the batches its primary's drives accepted: replication
+/// costs each backup drive at most one batch per create (a shipper packs
+/// the records of one wake-up into shared batches) and not one read, and
 /// nothing is refused while the primaries serve. A promoted backup is a
 /// cold controller over those drives: its first write of each key is
 /// refused as a create, re-reads the record and continues at latest + 1.
@@ -397,7 +398,14 @@ fn backups_create_without_asking_and_a_promotion_continues_over_them() {
     assert!(promoted
         .iter()
         .all(|p| primaries.iter().all(|old| !Arc::ptr_eq(p, old))));
-    assert_eq!(drive_ops(&promoted), (before.0, before.1 + KEYS as u64));
+    // The backups never read, and packed the creates into shared batches
+    // of whole records: at least one drive batch, at most one per create.
+    let (gets, batches) = drive_ops(&promoted);
+    assert_eq!(gets, before.0);
+    assert!(
+        (before.1 + 1..=before.1 + KEYS as u64).contains(&batches),
+        "{batches} batches for {KEYS} creates"
+    );
     assert_eq!(refusals(&primaries) + refusals(&promoted), 0);
 
     for i in 0..KEYS {

@@ -105,6 +105,19 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
     let appended = leaf(&cluster, "partitions/0/replication/appended");
     assert!(leaf(&cluster, "partitions/0/replication/lag") <= appended);
     assert_eq!(leaf(&cluster, "partitions/0/replication/backups"), 1);
+    // Caught up, the backup's drives served at most one batch per record
+    // (a wake-up's records share batches), and some once there were any.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while leaf(&cluster, "partitions/0/replication/lag") > 0 {
+        assert!(std::time::Instant::now() < deadline, "the backup stalled");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let batches = leaf(&cluster, "partitions/0/replication/backup_drive_batches");
+    assert!(
+        batches <= appended,
+        "{batches} batches for {appended} records"
+    );
+    assert_eq!(batches == 0, appended == 0);
 
     // Grow: the new partition appears, no index is stale, and lifetime
     // counters never move backwards.

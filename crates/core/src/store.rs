@@ -12,9 +12,12 @@
 //!
 //! Every mutation — put, import, delete, policy install or attach, a
 //! backup's apply — reaches the drives through one function,
-//! `PesosStore::replicated_batch`: the sub-operations the mutation needs
-//! travel as *one* Kinetic batch per replica. A put writes what changed
-//! (`metadata` module docs, "A head plus sealed segments"): the sealed
+//! `PesosStore::batch_on`, which sends each drive a list of atomic Kinetic
+//! batches in one joined submission. A primary's mutation sends every
+//! replica a list of one (`PesosStore::replicated_batch`): the
+//! sub-operations the mutation needs travel as *one* Kinetic batch per
+//! replica. A put writes what changed (`metadata` module docs, "A head
+//! plus sealed segments"): the sealed
 //! object and the small metadata head always, the history segment the
 //! version filled when there is one, and the DELETE of a segment the
 //! history bound trimmed together with the data of each version it listed.
@@ -54,14 +57,16 @@
 //! replica accepted is appended to it, under the key lock its caller
 //! already holds, so one key's records are in its write order. A create's
 //! rollback and a batch some replica failed were never acknowledged and
-//! are never appended. A backup's store applies each record with
-//! [`PesosStore::apply_batch`] — every sub-operation forced, no policy
-//! check, hashing, sealing, metadata or cache update — so its map stays
-//! empty and a promoted backup is a *cold* store over drives equal to its
-//! primary's: a key its map does not hold is written compare-on-absent
-//! (next section), which is what makes that safe. A backup is nothing but
-//! this store until it is promoted: the controller that serves the
-//! partition is built over it then.
+//! are never appended. A backup's store applies the records a run at a
+//! time with [`PesosStore::apply_run`] — every sub-operation forced, no
+//! policy check, hashing, sealing, metadata or cache update; each drive's
+//! share of the run packed into batches of whole records, one joined
+//! submission per run — so its map stays empty and a promoted backup is a
+//! *cold* store over drives equal to its primary's: a key its map does
+//! not hold is written compare-on-absent (next section), which is what
+//! makes that safe. A backup is nothing but this store until it is
+//! promoted: the controller that serves the partition is built over it
+//! then.
 //!
 //! Replicated reads race the replicas through the same scatter-gather
 //! machinery and return the first successful completion, leaving the
@@ -174,8 +179,48 @@ use crate::placement::{probe_available, HashedKey};
 use crate::sharded::{Sharded, ShardedFifoMap};
 use crate::transaction::TxOutcome;
 
-/// One replica's answer to a batch, with the session that gave it.
-type ReplicaAnswer = (Arc<KineticClient>, Result<(), KineticError>);
+/// One drive's answer to its lane of batches, with the session that gave
+/// it: how many of the lane's batches landed, and the failure that stopped
+/// the rest.
+type LaneAnswer = (Arc<KineticClient>, usize, Result<(), KineticError>);
+
+/// One drive's share of a backup's run ([`PesosStore::apply_run`]): its
+/// records' forced sub-operations cut into batches of whole records, and
+/// the run index of the first record of each batch.
+struct RunLane<'c> {
+    client: &'c Arc<KineticClient>,
+    batches: Vec<Vec<BatchOp>>,
+    starts: Vec<usize>,
+}
+
+impl<'c> RunLane<'c> {
+    fn new(client: &'c Arc<KineticClient>) -> Self {
+        RunLane {
+            client,
+            batches: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Adds record `index`'s sub-operations, forced, to the open batch, or
+    /// opens a new one when they would take it past [`MAX_BATCH_OPS`].
+    fn push(&mut self, index: usize, ops: &[BatchOp]) {
+        let fits = self
+            .batches
+            .last()
+            .is_some_and(|batch| batch.len() + ops.len() <= MAX_BATCH_OPS);
+        if !fits {
+            self.batches.push(Vec::with_capacity(MAX_BATCH_OPS));
+            self.starts.push(index);
+        }
+        if let Some(batch) = self.batches.last_mut() {
+            batch.extend(ops.iter().map(|op| match op {
+                BatchOp::Put { key, value, .. } => stored(key.clone(), value.clone()),
+                BatchOp::Delete { key, .. } => BatchOp::delete_forced(key.clone()),
+            }));
+        }
+    }
+}
 
 /// Committed-transaction outcomes a store retains for the cluster's
 /// `check_results`; the oldest are evicted beyond this bound.
@@ -457,7 +502,8 @@ impl PesosStore {
         placement_key: &HashedKey<'_>,
         ops: Arc<[BatchOp]>,
     ) -> Result<(), PesosError> {
-        for (_, result) in self.batch_on(self.targets_for(placement_key)?, Arc::clone(&ops))? {
+        let targets = self.targets_for(placement_key)?;
+        for (_, _, result) in self.batch_on(targets.map(|client| (client, [Arc::clone(&ops)])))? {
             result?;
         }
         self.append(placement_key, &ops);
@@ -472,54 +518,121 @@ impl PesosStore {
         }
     }
 
-    /// Applies a batch a primary's store appended to its log, every
-    /// sub-operation forced (module docs, "A backup writes what its primary
-    /// wrote"): a replayed tail or a retry writes the same bytes again.
-    pub fn apply_batch(&self, placement_key: &str, ops: &[BatchOp]) -> Result<(), PesosError> {
-        let forced = ops
-            .iter()
-            .map(|op| match op {
-                BatchOp::Put { key, value, .. } => stored(key.clone(), value.clone()),
-                BatchOp::Delete { key, .. } => BatchOp::delete_forced(key.clone()),
-            })
-            .collect();
-        self.replicated_batch(&HashedKey::new(placement_key), forced)
+    /// Applies a run of records a primary's store appended to its log —
+    /// `(placement key, sub-operations)` in log order — every sub-operation
+    /// forced (module docs, "A backup writes what its primary wrote"): a
+    /// replayed tail or a retry writes the same bytes again.
+    ///
+    /// Each record is placed as the primary placed it. Every drive the run
+    /// touches gets one lane: its records' sub-operations in log order, cut
+    /// into atomic batches of whole records, each at most
+    /// [`MAX_BATCH_OPS`] sub-operations. The lanes go out as one joined
+    /// submission ([`PesosStore::batch_on`]), and each sends its batches in
+    /// order and stops at its first failure. A run therefore costs one
+    /// asyscall call and about one drive round trip per drive per
+    /// [`MAX_BATCH_OPS`] sub-operations, however many records it holds.
+    ///
+    /// `Ok(())` means every record landed on every replica. Otherwise
+    /// `Err((landed, error))`: the first `landed` records are on every
+    /// replica, and `error` stopped the next one (no online replica, or its
+    /// batch failed on some drive). Later records may have landed on some
+    /// drives; re-applying the run from `landed` on writes them again and
+    /// ends where applying the whole run once would.
+    pub fn apply_run<K, O>(&self, run: &[(K, O)]) -> Result<(), (usize, PesosError)>
+    where
+        K: AsRef<str>,
+        O: AsRef<[BatchOp]>,
+    {
+        let mut lanes: Vec<RunLane<'_>> = self.clients.iter().map(RunLane::new).collect();
+        let mut stopped = None;
+        for (index, (placement_key, ops)) in run.iter().enumerate() {
+            let (placement_key, ops) = (placement_key.as_ref(), ops.as_ref());
+            let targets = match self.targets_for(&HashedKey::new(placement_key)) {
+                Ok(targets) => targets,
+                Err(e) => {
+                    stopped = Some((index, e));
+                    break;
+                }
+            };
+            for client in targets {
+                if let Some(lane) = lanes.iter_mut().find(|l| Arc::ptr_eq(l.client, client)) {
+                    lane.push(index, ops);
+                }
+            }
+        }
+        lanes.retain(|lane| !lane.starts.is_empty());
+        let (mut landed, mut error) = match stopped {
+            Some((index, e)) => (index, Some(e)),
+            None => (run.len(), None),
+        };
+        if !lanes.is_empty() {
+            let answers = self
+                .batch_on(lanes.iter_mut().map(|lane| {
+                    let batches: Vec<Arc<[BatchOp]>> =
+                        lane.batches.drain(..).map(Arc::from).collect();
+                    (lane.client, batches)
+                }))
+                .map_err(|e| (0, e))?;
+            for (lane, (_, sent, result)) in lanes.iter().zip(answers) {
+                if let (Err(e), Some(&first)) = (result, lane.starts.get(sent)) {
+                    if first < landed {
+                        (landed, error) = (first, Some(e.into()));
+                    }
+                }
+            }
+        }
+        match error {
+            None => Ok(()),
+            Some(e) => Err((landed, e)),
+        }
     }
 
-    /// Applies `ops` as one atomic Kinetic batch on each of the drives
-    /// `targets` — the single write primitive every mutation path is built
-    /// on — and returns each drive's session with its own answer, in
-    /// `targets` order.
+    /// Applies lists of atomic Kinetic batches, one list per drive — the
+    /// single write primitive every mutation path is built on: a primary's
+    /// write sends every replica a list of one, the same batch; a backup's
+    /// run sends each drive its own list ([`PesosStore::apply_run`]).
+    /// Returns each drive's session with how many of its batches landed
+    /// and the failure that stopped the rest (a lane sends its batches in
+    /// order and stops at its first failure), in lane order.
     ///
-    /// The per-replica batches are enqueued as one joined scatter-gather
-    /// submission; payloads are shared buffers — the sealed object is
-    /// written by the seal straight into the buffer the drives receive — so
-    /// each replica costs reference-count bumps, not copies, and the
-    /// vectored kinetic frames keep it that way all the way into the drive
-    /// engine. The simulated enclave-boundary copy is charged here,
-    /// over every payload byte and once per replica, because the cost model
-    /// still pays for the bytes leaving the enclave even though the
-    /// in-process simulation elides the physical copy. The list itself is
-    /// shared too: every replica's command holds the same `Arc`. `ops` must
-    /// respect [`MAX_BATCH_OPS`]; the drive rejects longer lists.
-    fn batch_on<'c>(
+    /// The lanes are enqueued as one joined scatter-gather submission;
+    /// payloads are shared buffers — the sealed object is written by the
+    /// seal straight into the buffer the drives receive — so each replica
+    /// costs reference-count bumps, not copies, and the vectored kinetic
+    /// frames keep it that way all the way into the drive engine. The
+    /// simulated enclave-boundary copy is charged here, over every payload
+    /// byte of each lane, because the cost model still pays for the bytes
+    /// leaving the enclave even though the in-process simulation elides
+    /// the physical copy. A primary's list is shared too: every replica's
+    /// command holds the same `Arc`. Each batch must respect
+    /// [`MAX_BATCH_OPS`]; the drive rejects longer lists.
+    fn batch_on<'c, L>(
         &self,
-        targets: impl Iterator<Item = &'c Arc<KineticClient>>,
-        ops: Arc<[BatchOp]>,
-    ) -> Result<Vec<ReplicaAnswer>, PesosError> {
-        let payload_bytes: usize = ops
-            .iter()
-            .map(|op| match op {
-                BatchOp::Put { value, .. } => value.len(),
-                BatchOp::Delete { .. } => 0,
-            })
-            .sum();
-        let set = self.asyscall.submit_joined(targets.map(|client| {
+        lanes: impl Iterator<Item = (&'c Arc<KineticClient>, L)>,
+    ) -> Result<Vec<LaneAnswer>, PesosError>
+    where
+        L: AsRef<[Arc<[BatchOp]>]> + Send + 'static,
+    {
+        let set = self.asyscall.submit_joined(lanes.map(|(client, batches)| {
+            let payload_bytes = batches
+                .as_ref()
+                .iter()
+                .flat_map(|batch| batch.iter())
+                .map(|op| match op {
+                    BatchOp::Put { value, .. } => value.len(),
+                    BatchOp::Delete { .. } => 0,
+                })
+                .sum();
             self.enclave.charge_boundary_copy(payload_bytes);
-            let (client, ops) = (Arc::clone(client), Arc::clone(&ops));
+            let client = Arc::clone(client);
             move || {
-                let answer = client.batch(ops);
-                (client, answer)
+                let mut sent = 0;
+                let result = batches.as_ref().iter().try_for_each(|batch| {
+                    client.batch(Arc::clone(batch))?;
+                    sent += 1;
+                    Ok(())
+                });
+                (client, sent, result)
             }
         }))?;
         Ok(set.join()?)
@@ -884,10 +997,11 @@ impl PesosStore {
             value_hash,
             stored_if_absent,
         );
-        let results = self.batch_on(self.targets_for(key)?, Arc::clone(&ops))?;
+        let targets = self.targets_for(key)?;
+        let results = self.batch_on(targets.map(|client| (client, [Arc::clone(&ops)])))?;
 
         let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
-        let errors = || results.iter().filter_map(|(_, r)| r.as_ref().err());
+        let errors = || results.iter().filter_map(|(_, _, r)| r.as_ref().err());
         if errors().next().is_none() {
             self.append(key, &ops);
             let name = Arc::clone(&meta.key);
@@ -906,14 +1020,16 @@ impl PesosStore {
         // or not, so it is left as it is.
         let accepted = results
             .iter()
-            .filter_map(|(drive, result)| result.is_ok().then_some(drive));
+            .filter_map(|(drive, _, result)| result.is_ok().then_some(drive));
         if accepted.clone().next().is_some() {
             self.create_rollbacks.fetch_add(1, Ordering::Relaxed);
-            let undo = ops
+            let undo: Arc<[BatchOp]> = ops
                 .iter()
                 .map(|op| BatchOp::delete_forced(op.key().to_vec()))
                 .collect();
-            for (_, result) in self.batch_on(accepted, undo)? {
+            for (_, _, result) in
+                self.batch_on(accepted.map(|drive| (drive, [Arc::clone(&undo)])))?
+            {
                 result?;
             }
         }
@@ -1568,13 +1684,13 @@ mod tests {
         // it, and decides, seals and caches nothing.
         let backup = store(3, 2);
         for (key, ops) in &records {
-            backup.apply_batch(key, ops).unwrap();
+            backup.apply_run(&[(key, ops)]).unwrap();
         }
         assert_same_drives(&primary, &backup);
         assert_eq!(backup.resident_object_count(), 0);
         // Replaying the log is a no-op, not a second history.
         for (key, ops) in &records {
-            backup.apply_batch(key, ops).unwrap();
+            backup.apply_run(&[(key, ops)]).unwrap();
         }
         assert_same_drives(&primary, &backup);
         // Read cold, the backup serves the primary's record.

@@ -316,7 +316,7 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
 
     let drives = drives(2);
     let backup = cold_store(&drives, 2);
-    backup.apply_batch(key, ops).unwrap();
+    backup.apply_run(&[(key, ops)]).unwrap();
     let mut model = Model::new(2);
     let v0 = sealed("k", 0, b"v0");
     for drive in &mut model.0 {
@@ -324,9 +324,9 @@ fn replaying_an_applied_create_on_a_cold_backup_is_a_no_op() {
         drive.insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
     }
     model.assert_matches(&drives);
-    backup.apply_batch(key, ops).unwrap();
+    backup.apply_run(&[(key, ops)]).unwrap();
     let restarted = cold_store(&drives, 2);
-    restarted.apply_batch(key, ops).unwrap();
+    restarted.apply_run(&[(key, ops)]).unwrap();
     for store in [&backup, &restarted] {
         assert_eq!(store.create_stats(), CreateStats::default());
         assert_eq!(store.resident_object_count(), 0);
