@@ -100,6 +100,29 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
     let digests_before = leaf(&cluster, "digests/compressions");
     assert!(digests_before > 0);
 
+    // Each partition serves its store's caches. The twelve objects fit, so
+    // the gets hit what the puts cached: nothing missed, was evicted or
+    // lost admission.
+    let cache_total = |name: &str| -> u64 {
+        (0..cluster.partition_count())
+            .map(|i| {
+                leaf(
+                    &cluster,
+                    &format!("partitions/{i}/store/object_cache/{name}"),
+                )
+            })
+            .sum()
+    };
+    assert_eq!(cache_total("hits"), 12);
+    assert_eq!(cache_total("entries"), 12);
+    for name in ["misses", "evictions", "refused"] {
+        assert_eq!(cache_total(name), 0, "object_cache/{name}");
+    }
+    assert!(cache_total("used_bytes") >= 12 * "churn0.obj-v".len() as u64);
+    for name in ["hits", "misses", "evictions", "entries"] {
+        leaf(&cluster, &format!("partitions/0/store/policy_cache/{name}"));
+    }
+
     // Replication gauges exist with one backup per partition, and lag is
     // bounded by what was appended.
     let appended = leaf(&cluster, "partitions/0/replication/appended");

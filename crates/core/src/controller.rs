@@ -796,9 +796,27 @@ impl PesosController {
         // rollback on a healthy cluster means replicas disagree on whether
         // a key exists.
         let creates = self.store.create_stats();
+        // The caches: `refused` counts fills the object cache's admission
+        // turned away, each saving a copy (and on a read, a hash).
+        let objects = self.store.object_cache_stats();
+        let object_cache = StatsNode::dir()
+            .with("hits", StatsNode::leaf(objects.hits))
+            .with("misses", StatsNode::leaf(objects.misses))
+            .with("evictions", StatsNode::leaf(objects.evictions))
+            .with("refused", StatsNode::leaf(objects.refused))
+            .with("entries", StatsNode::leaf(objects.entries))
+            .with("used_bytes", StatsNode::leaf(objects.used_bytes));
+        let policies = self.store.policy_cache_stats();
+        let policy_cache = StatsNode::dir()
+            .with("hits", StatsNode::leaf(policies.hits))
+            .with("misses", StatsNode::leaf(policies.misses))
+            .with("evictions", StatsNode::leaf(policies.evictions))
+            .with("entries", StatsNode::leaf(policies.entries));
         let store = StatsNode::dir()
             .with("create_refusals", StatsNode::leaf(creates.refusals))
-            .with("create_rollbacks", StatsNode::leaf(creates.rollbacks));
+            .with("create_rollbacks", StatsNode::leaf(creates.rollbacks))
+            .with("object_cache", object_cache)
+            .with("policy_cache", policy_cache);
         StatsNode::dir()
             .with(
                 "resident_objects",

@@ -938,8 +938,7 @@ impl PesosStore {
         self.replicated_batch(&key, ops)?;
         let name = Arc::clone(&meta.key);
         self.metadata.insert(&key, meta);
-        self.object_cache
-            .put_named(&key, &name, Arc::new(value.to_vec()), new_version);
+        self.fill_written(&key, &name, value, new_version);
         Ok(new_version)
     }
 
@@ -1006,8 +1005,7 @@ impl PesosStore {
             self.append(key, &ops);
             let name = Arc::clone(&meta.key);
             self.metadata.insert(key, meta);
-            self.object_cache
-                .put_named(key, &name, Arc::new(value.to_vec()), 0);
+            self.fill_written(key, &name, value, 0);
             return Ok(Ok(()));
         }
 
@@ -1042,6 +1040,17 @@ impl PesosStore {
                 "a drive refused to create {:?} but none holds a record for it",
                 key.key()
             ))),
+        }
+    }
+
+    /// Caches `value` as `key`'s `version`, just written and filed in the
+    /// map, if the fill wins the cache's admission; a refused fill copies
+    /// nothing. Asked after the map holds the version, so no read of an
+    /// older one can fill the cache after this refusal (`get_object`).
+    fn fill_written(&self, key: &HashedKey<'_>, name: &Arc<str>, value: &[u8], version: u64) {
+        if self.object_cache.admits_write(key, value.len()) {
+            self.object_cache
+                .put_named(key, name, Arc::new(value.to_vec()), version);
         }
     }
 
@@ -1114,28 +1123,32 @@ impl PesosStore {
         let version = meta.latest_version;
         let value = self.get_object_version(&key, version)?;
         let value = Arc::new(value);
-        // Fill the cache only if what we read from the drives is still the
-        // latest content, checked and filled under the metadata shard's
-        // read lock: a delete or a newer write changes the map under its
-        // write lock *before* it touches the cache, so it either fails this
-        // check or replaces the fill afterwards. Without the re-check, one
-        // completing between our drive read and this insert would be
-        // shadowed by the stale value indefinitely. The hash comparison
-        // also covers delete-and-recreate, where the version numbers
-        // restart and can collide. Hash first: the value is immutable and
-        // SHA-256 is the expensive part.
-        let value_hash = pesos_crypto::sha256(&value);
-        self.metadata.with(&key, |current| {
-            let still_latest = current.filter(|m| {
-                m.latest_version == version
-                    && m.version(version)
-                        .is_some_and(|v| v.value_hash.as_slice() == value_hash)
+        // Fill the cache only if the fill wins admission, asked under the
+        // cache shard's lock alone: revalidation below is paid only by
+        // fills that won it. And fill it only if what we read from the
+        // drives is still the latest content, checked and filled under the
+        // metadata shard's read lock: a delete or a newer write changes
+        // the map under its write lock *before* it touches the cache, so it
+        // either fails this check or replaces the fill afterwards. Without
+        // the re-check, one completing between our drive read and this
+        // insert would be shadowed by the stale value indefinitely. The
+        // hash comparison also covers delete-and-recreate, where the
+        // version numbers restart and can collide. Hash first: the value is
+        // immutable and SHA-256 is the expensive part.
+        if self.object_cache.admits_read(&key, value.len()) {
+            let value_hash = pesos_crypto::sha256(&value);
+            self.metadata.with(&key, |current| {
+                let still_latest = current.filter(|m| {
+                    m.latest_version == version
+                        && m.version(version)
+                            .is_some_and(|v| v.value_hash.as_slice() == value_hash)
+                });
+                if let Some(m) = still_latest {
+                    self.object_cache
+                        .put_named(&key, &m.key, Arc::clone(&value), version);
+                }
             });
-            if let Some(m) = still_latest {
-                self.object_cache
-                    .put_named(&key, &m.key, Arc::clone(&value), version);
-            }
-        });
+        }
         Ok((value, version))
     }
 
@@ -1601,6 +1614,15 @@ mod tests {
     use pesos_sgx::{EnclaveConfig, ExecutionMode, SgxCostModel};
 
     fn store(drive_count: usize, replication: usize) -> PesosStore {
+        store_caching(drive_count, replication, 1024 * 1024)
+    }
+
+    /// A store whose object cache holds `object_cache_bytes`.
+    fn store_caching(
+        drive_count: usize,
+        replication: usize,
+        object_cache_bytes: usize,
+    ) -> PesosStore {
         let drives: Vec<Arc<KineticDrive>> = (0..drive_count)
             .map(|i| Arc::new(KineticDrive::new(DriveConfig::simulator(format!("kd-{i}")))))
             .collect();
@@ -1620,7 +1642,7 @@ mod tests {
             clients,
             ObjectCrypter::new(&[1u8; 32], true),
             StoreOptions {
-                object_cache_bytes: 1024 * 1024,
+                object_cache_bytes,
                 policy_cache_capacity: 128,
                 replication_factor: replication,
                 lock_shards: 8,
@@ -1643,6 +1665,53 @@ mod tests {
             s.get_object("missing"),
             Err(PesosError::ObjectNotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_cache_smaller_than_its_data_refuses_and_admits_fills() {
+        // Eight shards of 1 KiB, about five objects each, for 200 objects
+        // of slightly different sizes.
+        let s = store_caching(1, 1, 8 * 1024);
+        let key = |k: usize| format!("obj/{k:03}");
+        let value = |k: usize, v: u8| vec![v; 200 + k % 7];
+        for k in 0..200 {
+            s.put_object(&*key(k), &value(k, 0), None).unwrap();
+        }
+        assert!(
+            s.object_cache_stats().refused > 0,
+            "creates past the budget lose admission"
+        );
+
+        // A key read again and again outranks what its fill would evict:
+        // the fill lands and the next read hits.
+        let hot = key(7);
+        for attempt in 0.. {
+            assert!(attempt < 8, "{hot}'s fill never won admission");
+            let before = s.object_cache_stats();
+            let (read, version) = s.get_object(&*hot).unwrap();
+            assert_eq!((&*read, version), (&value(7, 0), 0));
+            if s.object_cache_stats().hits > before.hits {
+                break;
+            }
+        }
+
+        // Whether or not a write's fill lands, every read returns the
+        // latest version.
+        for k in 0..200 {
+            assert_eq!(s.put_object(&*key(k), &value(k, 1), None).unwrap(), 1);
+        }
+        let written = s.object_cache_stats();
+        for round in 0..3 {
+            for k in 0..200 {
+                let (read, version) = s.get_object(&*key(k)).unwrap();
+                assert_eq!((&*read, version), (&value(k, 1), 1), "round {round}");
+            }
+        }
+        let stats = s.object_cache_stats();
+        assert!(stats.refused > written.refused, "reads lose admission");
+        assert!(stats.evictions > written.evictions, "reads win it");
+        assert!(stats.hits > written.hits, "{stats:?}");
+        assert!(stats.used_bytes <= 8 * 1024);
     }
 
     /// Asserts `a`'s drives hold exactly `b`'s entries, byte for byte.

@@ -6,7 +6,10 @@
 //! throughput collapse once the number of unique policies exceeds the cache
 //! capacity). Eviction approximates least-frequently-used: each entry keeps
 //! a hit counter, counters are halved periodically so stale popularity
-//! decays, and the entry with the lowest counter is evicted.
+//! decays, and the entry with the lowest counter is evicted, ties going to
+//! the smallest [`PolicyId`] so the victim — and with it which later
+//! lookups miss — is a function of the request sequence alone, not of
+//! hash-map iteration order.
 //!
 //! The cache is split over N independently locked LFU shards (selected by
 //! the leading bytes of the [`PolicyId`], which is already a content hash)
@@ -127,7 +130,7 @@ impl PolicyCache {
     }
 
     /// Inserts a policy, evicting the least-frequently-used entry of its
-    /// shard if that shard is full.
+    /// shard (the smallest identifier among equals) if that shard is full.
     pub fn insert(&self, policy: Arc<CompiledPolicy>) -> PolicyId {
         let id = policy.id();
         let mut inner = self.shards.get(&id).lock();
@@ -138,8 +141,8 @@ impl PolicyCache {
             if let Some(victim) = inner
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.frequency)
-                .map(|(k, _)| *k)
+                .min_by_key(|(id, e)| (e.frequency, *id))
+                .map(|(id, _)| *id)
             {
                 inner.entries.remove(&victim);
                 inner.evictions += 1;
@@ -228,6 +231,29 @@ mod tests {
         assert!(cache.get(&cold1).is_none());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn equal_frequency_victims_are_chosen_by_id() {
+        // Six equally cold policies fill the cache; a seventh must evict
+        // the smallest identifier, whatever order the map iterates in.
+        let mut policies: Vec<Arc<CompiledPolicy>> = (0..6).map(policy).collect();
+        policies.sort_by_key(|p| p.id());
+        let smallest = policies[0].id();
+        for round in 0..6 {
+            let cache = PolicyCache::new(6);
+            let mut order = policies.clone();
+            // Insertion order varies per round; the victim must not.
+            order.rotate_left(round);
+            for p in order {
+                cache.insert(p);
+            }
+            cache.insert(policy(6));
+            assert!(cache.get(&smallest).is_none(), "round {round}");
+            for p in &policies[1..] {
+                assert!(cache.get(&p.id()).is_some(), "round {round}");
+            }
+        }
     }
 
     #[test]
