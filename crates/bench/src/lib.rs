@@ -463,9 +463,10 @@ fn print_delta(label: &str, single: &Summary, sharded: &Summary) {
 }
 
 /// Contention micro-benchmark: multi-threaded YCSB-A put/get throughput
-/// with the metadata map, object cache and key-lock registry split over
-/// the default lock shards against the same path on one global lock shard
-/// (`lock_shards = 1`), on a replicated deployment. The write path is the
+/// with the metadata map, object cache and key-lock stripes split over
+/// the default lock shards against the same path on one lock shard
+/// (`lock_shards = 1`, so one metadata and one cache lock and 256 key-lock
+/// stripes), on a replicated deployment. The write path is the
 /// same in both columns — one atomic batch per replica per put.
 ///
 /// Both backends are swept: on the disk model replica service times

@@ -48,9 +48,9 @@ pub mod lock_order {
     //!   client and policy registries — a partition's replication log is
     //!   not registered anywhere but rides in its routing-table entry;
     //! * demand-pulls take a migration stripe (`MIGRATION_STRIPE`) and then
-    //!   operate on stores, which serialize per key (`KEY_REGISTRY` →
-    //!   `KEY_LOCK`) before touching the sharded metadata/cache/session
-    //!   maps;
+    //!   operate on stores, which serialize per key (`KEY_LOCK`, one
+    //!   stripe at a time: no path holds two stripes of one store) before
+    //!   touching the sharded metadata/cache/session maps;
     //! * the replication log mutex (`REPLICATION_LOG`) is taken *after*
     //!   store state (acked ⇒ logged appends run at the tail of a
     //!   mutation, with no store locks released yet) and before any of the
@@ -77,9 +77,7 @@ pub mod lock_order {
     pub const MIGRATION_STRIPE: u16 = 40;
     /// Migration bookkeeping (moved/pending-delete sets).
     pub const MIGRATION_STATE: u16 = 45;
-    /// Key-lock registry shards (sharded, index = shard).
-    pub const KEY_REGISTRY: u16 = 50;
-    /// Per-key write locks.
+    /// Per-key write-lock stripes (sharded, index = stripe).
     pub const KEY_LOCK: u16 = 55;
     /// Store metadata shards (sharded, index = shard).
     pub const METADATA_SHARD: u16 = 60;
@@ -130,7 +128,6 @@ pub mod lock_order {
         (RETRY_RNG, "RETRY_RNG"),
         (MIGRATION_STRIPE, "MIGRATION_STRIPE"),
         (MIGRATION_STATE, "MIGRATION_STATE"),
-        (KEY_REGISTRY, "KEY_REGISTRY"),
         (KEY_LOCK, "KEY_LOCK"),
         (METADATA_SHARD, "METADATA_SHARD"),
         (OBJECT_CACHE_SHARD, "OBJECT_CACHE_SHARD"),
@@ -325,8 +322,10 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        // Checked before blocking: retaking a lock this thread holds
+        // panics under `lock_order` instead of deadlocking.
         lock_order::acquired(self.tag);
+        let guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         MutexGuard {
             tag: self.tag,
             inner: Some(guard),
@@ -437,8 +436,8 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires a shared read lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let guard = self.inner.read().unwrap_or_else(|e| e.into_inner());
         lock_order::acquired(self.tag);
+        let guard = self.inner.read().unwrap_or_else(|e| e.into_inner());
         RwLockReadGuard {
             tag: self.tag,
             inner: guard,
@@ -447,8 +446,8 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquires an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
         lock_order::acquired(self.tag);
+        let guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
         RwLockWriteGuard {
             tag: self.tag,
             inner: guard,
@@ -701,6 +700,14 @@ mod tests {
             let s3 = Mutex::with_rank_indexed(lock_order::MIGRATION_STRIPE, 3, ());
             let _g3 = s3.lock();
             let _g0 = s0.lock();
+        }
+
+        #[test]
+        #[should_panic(expected = "lock-rank inversion")]
+        fn retaking_a_held_stripe_panics_instead_of_deadlocking() {
+            let stripe = Mutex::with_rank_indexed(lock_order::KEY_LOCK, 5, ());
+            let _held = stripe.lock();
+            let _again = stripe.lock();
         }
 
         #[test]

@@ -28,7 +28,9 @@ pub struct ControllerConfig {
     /// buffer). Sessions operating on keys that hash to different shards never
     /// contend; 1 reproduces the old single-global-lock behaviour. The
     /// object cache splits its byte budget across shards, so the largest
-    /// cacheable object is `object_cache_bytes / lock_shards`.
+    /// cacheable object is `object_cache_bytes / lock_shards`. The store's
+    /// per-key write locks are `lock_shards × 256` stripes, derived from
+    /// this value (`store` module docs, "Key locks are striped").
     pub lock_shards: usize,
 }
 

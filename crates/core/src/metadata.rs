@@ -41,7 +41,7 @@
 //! says — is as corrupt as one that does not decode: a put over it would be
 //! assigned a version the record already lists and overwrite its bytes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -521,8 +521,64 @@ fn decode_fact(data: &[u8]) -> Result<VersionMeta, PesosError> {
 /// not a fresh SHA-256 of the key. Built on the generic
 /// [`crate::sharded::Sharded`] container; `RwLock` cells keep the warm
 /// read path (`get`) shared.
+///
+/// The map never evicts, so what one key costs it is what the enclave pays
+/// per object. An entry is 64 bytes: the name once, as the map key, the
+/// latest version, the history's two pointers, and the policy id as a
+/// pointer to one copy its shard shares among the records naming it.
+/// [`ObjectMetadata`] is assembled on the way out, by reference-count bumps
+/// and a copy of the id, without allocating.
 pub struct ShardedMetadata {
-    shards: Sharded<RwLock<HashMap<Arc<str>, ObjectMetadata>>>,
+    shards: Sharded<RwLock<Shard>>,
+}
+
+/// One lock shard of [`ShardedMetadata`].
+#[derive(Default)]
+struct Shard {
+    records: HashMap<Arc<str>, Entry>,
+    /// One copy of each policy id a record of this shard names, dropped
+    /// with the last record naming it.
+    policies: HashSet<Arc<PolicyId>>,
+}
+
+/// A record as the map files it under its name.
+struct Entry {
+    latest_version: u64,
+    policy_id: Option<Arc<PolicyId>>,
+    versions: History,
+}
+
+impl Entry {
+    fn record(&self, key: &Arc<str>) -> ObjectMetadata {
+        ObjectMetadata {
+            key: Arc::clone(key),
+            latest_version: self.latest_version,
+            policy_id: self.policy_id.as_deref().copied(),
+            versions: self.versions.clone(),
+        }
+    }
+}
+
+impl Shard {
+    /// The shard's copy of `id`, made on its first use.
+    fn intern(&mut self, id: PolicyId) -> Arc<PolicyId> {
+        if let Some(shared) = self.policies.get(&id) {
+            return Arc::clone(shared);
+        }
+        let shared = Arc::new(id);
+        self.policies.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Drops `entry`, and its policy id's copy if no other record names
+    /// it: entries are the only holders besides the set.
+    fn release(&mut self, entry: Entry) {
+        if let Some(id) = entry.policy_id {
+            if Arc::strong_count(&id) == 2 {
+                self.policies.remove(&*id);
+            }
+        }
+    }
 }
 
 use crate::placement::HashedKey;
@@ -536,7 +592,7 @@ impl ShardedMetadata {
                 RwLock::with_rank_indexed(
                     parking_lot::lock_order::METADATA_SHARD,
                     i,
-                    HashMap::new(),
+                    Shard::default(),
                 )
             }),
         }
@@ -547,14 +603,16 @@ impl ShardedMetadata {
         self.shards.shard_count()
     }
 
-    fn shard(&self, key: &HashedKey<'_>) -> &RwLock<HashMap<Arc<str>, ObjectMetadata>> {
+    fn shard(&self, key: &HashedKey<'_>) -> &RwLock<Shard> {
         self.shards.get(key)
     }
 
     /// Returns a copy of the metadata for `key`, if cached.
     pub fn get<'a>(&self, key: impl Into<HashedKey<'a>>) -> Option<ObjectMetadata> {
         let key = key.into();
-        self.shard(&key).read().get(key.key()).cloned()
+        let shard = self.shard(&key).read();
+        let (name, entry) = shard.records.get_key_value(key.key())?;
+        Some(entry.record(name))
     }
 
     /// Runs `f` on the metadata for `key` under its shard's read lock: no
@@ -564,7 +622,12 @@ impl ShardedMetadata {
         key: &HashedKey<'_>,
         f: impl FnOnce(Option<&ObjectMetadata>) -> T,
     ) -> T {
-        f(self.shard(key).read().get(key.key()))
+        let shard = self.shard(key).read();
+        let record = shard
+            .records
+            .get_key_value(key.key())
+            .map(|(name, entry)| entry.record(name));
+        f(record.as_ref())
     }
 
     /// Inserts (or replaces) the metadata for `meta.key`; `key` should be
@@ -580,18 +643,29 @@ impl ShardedMetadata {
         } else {
             self.shard(&HashedKey::new(&meta.key))
         };
-        shard.write().insert(meta.key.clone(), meta);
+        let mut shard = shard.write();
+        let entry = Entry {
+            latest_version: meta.latest_version,
+            policy_id: meta.policy_id.map(|id| shard.intern(id)),
+            versions: meta.versions,
+        };
+        if let Some(replaced) = shard.records.insert(meta.key, entry) {
+            shard.release(replaced);
+        }
     }
 
     /// Removes the metadata for `key`.
     pub fn remove<'a>(&self, key: impl Into<HashedKey<'a>>) {
         let key = key.into();
-        self.shard(&key).write().remove(key.key());
+        let mut shard = self.shard(&key).write();
+        if let Some(removed) = shard.records.remove(key.key()) {
+            shard.release(removed);
+        }
     }
 
     /// Total number of cached metadata records across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().records.len()).sum()
     }
 
     /// The names of every cached record, in no particular order. Used by
@@ -601,7 +675,13 @@ impl ShardedMetadata {
     pub fn keys(&self) -> Vec<String> {
         self.shards
             .iter()
-            .flat_map(|s| s.read().keys().map(|k| k.to_string()).collect::<Vec<_>>())
+            .flat_map(|s| {
+                s.read()
+                    .records
+                    .keys()
+                    .map(|k| k.to_string())
+                    .collect::<Vec<_>>()
+            })
             .collect()
     }
 
@@ -898,6 +978,42 @@ mod tests {
         ] {
             assert!(matches!(head().assemble(&bad), Err(PesosError::Backend(_))));
         }
+    }
+
+    #[test]
+    fn a_map_entry_is_64_bytes_and_its_shard_shares_policy_ids() {
+        assert_eq!(std::mem::size_of::<(Arc<str>, Entry)>(), 64);
+        let map = ShardedMetadata::new(1);
+        let shared = |map: &ShardedMetadata| {
+            let shard = map.shards.get(&HashedKey::new("a")).read();
+            let ids: Vec<_> = shard
+                .records
+                .values()
+                .filter_map(|e| e.policy_id.clone())
+                .collect();
+            (shard.policies.len(), ids)
+        };
+        let mut records = Vec::new();
+        for name in ["a", "b", "c"] {
+            let mut m = sample();
+            m.key = name.into();
+            m.policy_id = (name != "c").then_some(PolicyId([7; 32]));
+            map.insert(name, m.clone());
+            records.push(m);
+        }
+        for m in &records {
+            assert_eq!(map.get(&*m.key).as_ref(), Some(m));
+        }
+        let (copies, ids) = shared(&map);
+        assert_eq!((copies, ids.len()), (1, 2));
+        assert!(Arc::ptr_eq(&ids[0], &ids[1]));
+        drop(ids);
+        // The copy goes with the last record that names it.
+        map.remove("a");
+        assert_eq!(shared(&map).0, 1);
+        map.insert("b", ObjectMetadata::new("b"));
+        assert_eq!(shared(&map).0, 0);
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

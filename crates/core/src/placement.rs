@@ -57,7 +57,7 @@ pub fn routing_hash(key: &str, delimiter: Option<char>) -> u64 {
 /// An object key bundled with its [`key_hash`], computed exactly once.
 ///
 /// One request consults several hash-keyed structures — drive placement,
-/// the metadata map shard, the object-cache shard, the key-lock registry —
+/// the metadata map shard, the object-cache shard, the key-lock stripe —
 /// and each of them used to recompute the SHA-256 key hash from scratch.
 /// The controller now builds a `HashedKey` when the request enters and
 /// threads it through every layer, so the digest is paid once per request
@@ -144,7 +144,7 @@ impl<'a> HashedKey<'a> {
     /// Maps this key to one of `shards` lock-shard indices.
     ///
     /// Every sharded structure (metadata map, object cache, key-lock
-    /// registry) selects shards through this one function so their shard
+    /// stripes) selects shards through this one function so their shard
     /// choice can never drift apart.
     pub fn shard(&self, shards: usize) -> usize {
         if shards <= 1 {

@@ -138,16 +138,32 @@
 //! Hot shared state is lock-sharded: the metadata map and the object cache
 //! split their entries over N independently locked shards selected by the
 //! same key hash replica placement uses, and writers serialize per key (not
-//! globally) through a sharded key-lock registry, so concurrent sessions on
+//! globally) through the key locks below, so concurrent sessions on
 //! different keys proceed without contention while writes to one key stay
 //! linearizable.
+//!
+//! # Key locks are striped
+//!
+//! A key's write lock is one of a fixed array of stripes, `lock_shards ×
+//! 256` of them (4 096 by default), picked by the placement hash the
+//! request's [`HashedKey`] already carries. A key costs the enclave no lock
+//! state of its own: nothing is registered on first use, and nothing is
+//! left to release when the writer is done. Two keys that share a stripe
+//! serialize their writes, which is correct and, at 4 096 stripes, rare.
+//! It rests on one invariant: **no path holds two key locks of one
+//! store** — every path above takes its key's stripe once and drops it
+//! before it could take another, so a shared stripe can never be taken by
+//! the thread that holds it. The runtime lock-rank checker enforces it
+//! (`parking_lot::lock_order`: the stripes are one indexed family, and a
+//! stripe's index is not above its own), and so does `pesos-lint`, which
+//! reads the stripes' rank from the field that builds them.
 //!
 //! # The digest pipeline
 //!
 //! Every hash on the request path is computed exactly once. The controller
 //! builds a [`HashedKey`] when a request enters and threads it through
 //! placement, the metadata shard, the cache shard and the key-lock
-//! registry, so the SHA-256 placement hash is paid once per request rather
+//! stripe, so the SHA-256 placement hash is paid once per request rather
 //! than once per structure. Put payloads arrive with the content digest the
 //! controller already computed for the policy check (the crate-private
 //! `put_object_full`), so the version metadata never hashes the same bytes
@@ -155,7 +171,6 @@
 //! these invariants.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -257,64 +272,9 @@ impl StoreOptions {
     }
 }
 
-/// Sharded registry of per-key write locks.
-///
-/// A writer holds its key's lock across version assignment, replica I/O,
-/// metadata persistence and cache update, which linearizes writes per key
-/// without serializing unrelated keys. Entries are dropped again when a
-/// delete leaves no other holder, so the registry tracks live keys rather
-/// than every key ever written.
-struct KeyLocks {
-    shards: Sharded<Mutex<HashMap<String, Arc<Mutex<()>>>>>,
-}
-
-impl KeyLocks {
-    fn new(shards: usize) -> Self {
-        KeyLocks {
-            shards: Sharded::new_indexed(shards, |i| {
-                Mutex::with_rank_indexed(parking_lot::lock_order::KEY_REGISTRY, i, HashMap::new())
-            }),
-        }
-    }
-
-    fn shard(&self, key: &HashedKey<'_>) -> &Mutex<HashMap<String, Arc<Mutex<()>>>> {
-        self.shards.get(key)
-    }
-
-    /// The write lock of `key`, registered on first use; a key already
-    /// registered costs a lookup, not an allocation.
-    fn lock_for(&self, key: &HashedKey<'_>) -> Arc<Mutex<()>> {
-        let mut shard = self.shard(key).lock();
-        if let Some(lock) = shard.get(key.key()) {
-            return Arc::clone(lock);
-        }
-        let lock = Arc::new(Mutex::with_rank(parking_lot::lock_order::KEY_LOCK, ()));
-        shard.insert(key.key().to_string(), Arc::clone(&lock));
-        lock
-    }
-
-    /// Drops `key`'s registry entry if `held` (the caller's clone) and the
-    /// registry itself are the only holders. New clones are only handed
-    /// out under the shard lock, so the count cannot grow concurrently.
-    fn release_if_unused(&self, key: &HashedKey<'_>, held: &Arc<Mutex<()>>) {
-        let mut shard = self.shard(key).lock();
-        if Arc::strong_count(held) == 2 {
-            shard.remove(key.key());
-        }
-    }
-
-    /// Runs `body` under `key`'s write lock and afterwards drops the key's
-    /// registry entry if nobody else holds it. `body` computes the whole
-    /// outcome, so there is no exit that skips the release.
-    fn locked_then_released<T>(&self, key: &HashedKey<'_>, body: impl FnOnce() -> T) -> T {
-        let key_lock = self.lock_for(key);
-        let guard = key_lock.lock();
-        let out = body();
-        drop(guard);
-        self.release_if_unused(key, &key_lock);
-        out
-    }
-}
+/// Key-lock stripes per lock shard: a store has `lock_shards` times this
+/// many, 4 096 by default (module docs, "Key locks are striped").
+const KEY_LOCK_STRIPES_PER_SHARD: usize = 256;
 
 /// How often the drives contradicted the in-enclave map about a key's
 /// absence (module docs, "A first write is compare-on-absent").
@@ -345,7 +305,9 @@ pub struct PesosStore {
     object_cache: ObjectCache,
     policy_cache: PolicyCache,
     metadata: ShardedMetadata,
-    key_locks: KeyLocks,
+    /// Per-key write locks: a key takes the stripe its placement hash
+    /// selects (module docs, "Key locks are striped").
+    key_locks: Sharded<Mutex<()>>,
     replication_factor: usize,
     /// [`CreateStats`] counters (statistics only, hence relaxed).
     create_refusals: AtomicU64,
@@ -384,7 +346,10 @@ impl PesosStore {
                 options.lock_shards,
             ),
             metadata: ShardedMetadata::new(options.lock_shards),
-            key_locks: KeyLocks::new(options.lock_shards),
+            key_locks: Sharded::new_indexed(
+                options.lock_shards * KEY_LOCK_STRIPES_PER_SHARD,
+                |i| Mutex::with_rank_indexed(parking_lot::lock_order::KEY_LOCK, i, ()),
+            ),
             replication_factor: options.replication_factor,
             create_refusals: AtomicU64::new(0),
             create_rollbacks: AtomicU64::new(0),
@@ -784,8 +749,8 @@ impl PesosStore {
         if let Some(m) = self.metadata.get(&key) {
             return Ok(Some(m));
         }
-        self.key_locks
-            .locked_then_released(&key, || self.load_metadata_checked(&key))
+        let _write_guard = self.key_locks.get(&key).lock();
+        self.load_metadata_checked(&key)
     }
 
     /// The read-through body of [`PesosStore::lookup`]; the caller must
@@ -901,8 +866,7 @@ impl PesosStore {
         value_hash: Option<pesos_crypto::Digest>,
     ) -> Result<u64, PesosError> {
         let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let _write_guard = key_lock.lock();
+        let _write_guard = self.key_locks.get(&key).lock();
 
         let value_hash = value_hash.unwrap_or_else(|| pesos_crypto::sha256(value));
         let mut meta = match self.metadata.get(&key) {
@@ -955,8 +919,7 @@ impl PesosStore {
         expected_version: Option<u64>,
         value_hash: pesos_crypto::Digest,
     ) -> Result<Result<u64, ObjectMetadata>, PesosError> {
-        let key_lock = self.key_locks.lock_for(key);
-        let _write_guard = key_lock.lock();
+        let _write_guard = self.key_locks.get(key).lock();
         if let Some(meta) = self.metadata.get(key) {
             return Ok(Err(meta));
         }
@@ -1193,27 +1156,26 @@ impl PesosStore {
     /// at 0.
     pub fn delete_object<'a>(&self, key: impl Into<HashedKey<'a>>) -> Result<(), PesosError> {
         let key = key.into();
-        self.key_locks.locked_then_released(&key, || {
-            let meta = self
-                .load_metadata_checked(&key)?
-                .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
-            let segments = meta.versions.segments().filter_map(|s| s.first());
-            let ops: Vec<BatchOp> = std::iter::once(meta_key(key.key()))
-                .chain(segments.map(|f| segment_key(key.key(), f.version)))
-                .chain(meta.versions.iter().map(|v| data_key(key.key(), v.version)))
-                .map(BatchOp::delete_forced)
-                .collect();
-            let mut outcome = Ok(());
-            for chunk in ops.chunks(MAX_BATCH_OPS) {
-                let deleted = self.replicated_batch(&key, chunk.into());
-                if outcome.is_ok() {
-                    outcome = deleted;
-                }
+        let _write_guard = self.key_locks.get(&key).lock();
+        let meta = self
+            .load_metadata_checked(&key)?
+            .ok_or_else(|| PesosError::ObjectNotFound(key.key().to_string()))?;
+        let segments = meta.versions.segments().filter_map(|s| s.first());
+        let ops: Vec<BatchOp> = std::iter::once(meta_key(key.key()))
+            .chain(segments.map(|f| segment_key(key.key(), f.version)))
+            .chain(meta.versions.iter().map(|v| data_key(key.key(), v.version)))
+            .map(BatchOp::delete_forced)
+            .collect();
+        let mut outcome = Ok(());
+        for chunk in ops.chunks(MAX_BATCH_OPS) {
+            let deleted = self.replicated_batch(&key, chunk.into());
+            if outcome.is_ok() {
+                outcome = deleted;
             }
-            self.metadata.remove(&key);
-            self.object_cache.invalidate(&key);
-            outcome
-        })
+        }
+        self.metadata.remove(&key);
+        self.object_cache.invalidate(&key);
+        outcome
     }
 
     /// Associates `policy_id` with an existing object without changing its
@@ -1224,8 +1186,7 @@ impl PesosStore {
         policy_id: PolicyId,
     ) -> Result<(), PesosError> {
         let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let _write_guard = key_lock.lock();
+        let _write_guard = self.key_locks.get(&key).lock();
 
         let mut meta = self
             .load_metadata_checked(&key)?
@@ -1375,21 +1336,20 @@ impl PesosStore {
         key: impl Into<HashedKey<'a>>,
     ) -> Result<Option<ObjectExport>, PesosError> {
         let key = key.into();
-        self.key_locks.locked_then_released(&key, || {
-            // `None` is the drives' answer that there is genuinely nothing
-            // to export. A drive *fault* stays an error — reporting it as
-            // "never existed" would let a migration pull settle a key whose
-            // record simply could not be read.
-            let Some(meta) = self.load_metadata_checked(&key)? else {
-                return Ok(None);
-            };
-            let versions = meta
-                .versions
-                .iter()
-                .map(|v| Ok((v.version, self.get_object_version(&key, v.version)?)))
-                .collect::<Result<_, PesosError>>()?;
-            Ok(Some(ObjectExport { meta, versions }))
-        })
+        let _write_guard = self.key_locks.get(&key).lock();
+        // `None` is the drives' answer that there is genuinely nothing to
+        // export. A drive *fault* stays an error — reporting it as "never
+        // existed" would let a migration pull settle a key whose record
+        // simply could not be read.
+        let Some(meta) = self.load_metadata_checked(&key)? else {
+            return Ok(None);
+        };
+        let versions = meta
+            .versions
+            .iter()
+            .map(|v| Ok((v.version, self.get_object_version(&key, v.version)?)))
+            .collect::<Result<_, PesosError>>()?;
+        Ok(Some(ObjectExport { meta, versions }))
     }
 
     /// Applies an [`ObjectExport`] produced by another store: re-seals every
@@ -1404,33 +1364,32 @@ impl PesosStore {
     /// object with versions missing.
     pub fn import_object(&self, export: &ObjectExport) -> Result<(), PesosError> {
         let key = HashedKey::new(&export.meta.key);
-        self.key_locks.locked_then_released(&key, || {
-            let meta = &export.meta;
-            let ops: Vec<BatchOp> = export
-                .versions
-                .iter()
-                .map(|(version, plain)| {
-                    stored(
-                        data_key(key.key(), *version),
-                        self.crypter.seal_hashed(key.key(), *version, plain, None),
-                    )
-                })
-                .chain(
-                    meta.versions
-                        .segments()
-                        .filter_map(|s| segment_put(meta, s, stored)),
+        let _write_guard = self.key_locks.get(&key).lock();
+        let meta = &export.meta;
+        let ops: Vec<BatchOp> = export
+            .versions
+            .iter()
+            .map(|(version, plain)| {
+                stored(
+                    data_key(key.key(), *version),
+                    self.crypter.seal_hashed(key.key(), *version, plain, None),
                 )
-                .chain(std::iter::once(stored(
-                    meta_key(key.key()),
-                    meta.to_bytes(),
-                )))
-                .collect();
-            for chunk in ops.chunks(MAX_BATCH_OPS) {
-                self.replicated_batch(&key, chunk.into())?;
-            }
-            self.metadata.insert(&key, export.meta.clone());
-            Ok(())
-        })
+            })
+            .chain(
+                meta.versions
+                    .segments()
+                    .filter_map(|s| segment_put(meta, s, stored)),
+            )
+            .chain(std::iter::once(stored(
+                meta_key(key.key()),
+                meta.to_bytes(),
+            )))
+            .collect();
+        for chunk in ops.chunks(MAX_BATCH_OPS) {
+            self.replicated_batch(&key, chunk.into())?;
+        }
+        self.metadata.insert(&key, export.meta.clone());
+        Ok(())
     }
 }
 
@@ -1610,6 +1569,8 @@ impl BatchLog for CapturedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use pesos_kinetic::{ClientConfig, DriveConfig, KineticDrive};
     use pesos_sgx::{EnclaveConfig, ExecutionMode, SgxCostModel};
 
@@ -2335,37 +2296,62 @@ mod tests {
     }
 
     #[test]
-    fn faulted_export_and_import_leave_no_key_lock_behind() {
-        use pesos_kinetic::FaultPlan;
-        let registry_is_empty = |s: &PesosStore| {
-            s.key_locks
-                .shard(&HashedKey::new("moved"))
-                .lock()
-                .is_empty()
-        };
-        let src = store(1, 1);
-        src.put_object("moved", b"v0", None).unwrap();
-        // A put keeps its key registered; an export that worked does not.
-        let export = src.export_object("moved").unwrap().unwrap();
-        assert!(registry_is_empty(&src));
-        // The record comes from the map, the version read faults.
-        src.drives()
-            .get(0)
-            .unwrap()
-            .inject_faults(FaultPlan::errors(7, 1.0));
-        assert!(matches!(
-            src.export_object("moved"),
-            Err(PesosError::Backend(_))
+    fn two_keys_that_share_a_stripe_run_every_locked_path_concurrently() {
+        // Two keys whose placement hashes select one key-lock stripe. Each
+        // path takes its key's stripe once and drops it before anything
+        // could take another, so both keys' writers finish; one that took
+        // the stripe it holds would hang here, and under the `lock_order`
+        // feature it panics instead (a stripe index is not above itself).
+        let src = Arc::new(store(2, 2));
+        let dst = Arc::new(store(1, 1));
+        let stripes = src.key_locks.shard_count();
+        assert_eq!(stripes, 8 * KEY_LOCK_STRIPES_PER_SHARD);
+        let stripe = |key: &str| HashedKey::new(key).shard(stripes);
+        let first = "striped/0".to_string();
+        let second = (1..)
+            .map(|i| format!("striped/{i}"))
+            .find(|key| stripe(key) == stripe(&first))
+            .unwrap();
+        assert!(std::ptr::eq(
+            src.key_locks.get(&HashedKey::new(&first)),
+            src.key_locks.get(&HashedKey::new(&second))
         ));
-        assert!(registry_is_empty(&src));
-
-        let dst = store(1, 1);
-        dst.drives()
-            .get(0)
-            .unwrap()
-            .inject_faults(FaultPlan::errors(7, 1.0));
-        assert!(dst.import_object(&export).is_err());
-        assert!(registry_is_empty(&dst));
+        let policy = src.put_policy("read :- sessionKeyIs(\"alice\")").unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = [first, second]
+            .into_iter()
+            .map(|key| {
+                let (src, dst, barrier) =
+                    (Arc::clone(&src), Arc::clone(&dst), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for round in 0..16u8 {
+                        let value = [round; 64];
+                        assert_eq!(src.put_object(&key, &value, None).unwrap(), 0);
+                        assert_eq!(src.put_object(&key, &value, None).unwrap(), 1);
+                        // Cold: the read goes through to the drives under
+                        // the stripe.
+                        src.metadata.remove(&key);
+                        src.object_cache.invalidate(&key);
+                        assert_eq!(src.get_object(&key).unwrap(), (Arc::new(value.to_vec()), 1));
+                        src.attach_policy(&key, policy).unwrap();
+                        let export = src.export_object(&key).unwrap().unwrap();
+                        assert_eq!(export.meta.policy_id, Some(policy));
+                        dst.import_object(&export).unwrap();
+                        assert_eq!(dst.get_metadata(&key), Some(export.meta));
+                        src.delete_object(&key).unwrap();
+                        dst.delete_object(&key).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        for s in [&src, &dst] {
+            assert_eq!(s.resident_object_count(), 0);
+            assert_eq!(s.list_keys().unwrap(), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -125,8 +125,8 @@ fn a_request_allocates_within_its_budget() {
     let refused = worst("cache-miss get refused a fill", &refusals);
     let hit = worst("cache-hit get", &hits);
     assert!(
-        create <= 25,
-        "a create made {create} allocations (budget 25)"
+        create <= 22,
+        "a create made {create} allocations (budget 22)"
     );
     assert!(
         update <= 25,

@@ -70,10 +70,7 @@
 //! ranks (`shards` in `core` and in `policy`): then it resolves only
 //! inside each constructing file's module (see [`in_scope`]).
 //! [`lint_source`] reads the constructors of its one file. A receiver the
-//! table does not name is unchecked here; if its lock is ranked all the
-//! same (the per-key locks `KeyLocks::lock_for` builds on first use) the
-//! runtime checker still witnesses it when the `lock_order` feature is
-//! on.
+//! table does not name is unchecked here.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -1686,7 +1683,7 @@ mod tests {
                 )
             })
             .collect();
-        // The per-key lock initializes no field: skipped.
+        // A lock built in a method body initializes no field: skipped.
         assert_eq!(
             sites,
             [
@@ -1697,7 +1694,7 @@ mod tests {
     }
 
     #[test]
-    fn every_rank_but_the_per_key_lock_is_read_from_a_field() {
+    fn every_rank_is_read_from_a_field() {
         let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(manifest).expect("workspace root");
         let mut findings = Vec::new();
@@ -1707,14 +1704,9 @@ mod tests {
         }
         assert!(findings.is_empty(), "{findings:?}");
         // A ranked lock rebuilt with plain `new` drops out of this list.
-        // `KEY_LOCK` is built in `KeyLocks::lock_for` and initializes no
-        // field; only the runtime checker sees it.
         let unread: Vec<&str> = NAMES
             .iter()
-            .filter(|&&(rank, _)| {
-                rank != parking_lot::lock_order::KEY_LOCK
-                    && !table.sites.iter().any(|site| site.family.rank == rank)
-            })
+            .filter(|&&(rank, _)| !table.sites.iter().any(|site| site.family.rank == rank))
             .map(|&(_, name)| name)
             .collect();
         assert!(unread.is_empty(), "no constructor ranks a field {unread:?}");

@@ -56,7 +56,7 @@ fn lock_ranks_are_read_from_constructors() {
     let message = |i: usize| findings[i].message.as_str();
     assert!(message(0).contains("OPS_GATE") && message(0).contains("ROUTING_STATE"));
     assert!(message(1).contains("NOT_A_RANK"));
-    assert!(message(2).contains("KEY_REGISTRY") && message(2).contains("OBJECT_CACHE_SHARD"));
+    assert!(message(2).contains("KEY_LOCK") && message(2).contains("OBJECT_CACHE_SHARD"));
     assert!(message(3).contains("two METADATA_SHARD locks"));
 }
 

@@ -5,6 +5,6 @@
 impl Cache {
     fn inverted(&self, map: &Map) {
         let _s = self.shards.get(&1).lock();
-        let _r = map.registry.lock(); // line 8: KEY_REGISTRY under OBJECT_CACHE_SHARD
+        let _r = map.registry.lock(); // line 8: KEY_LOCK under OBJECT_CACHE_SHARD
     }
 }

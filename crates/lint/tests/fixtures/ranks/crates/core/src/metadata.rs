@@ -8,7 +8,7 @@ impl Map {
             shards: Sharded::new_indexed(n, |i| {
                 RwLock::with_rank_indexed(lock_order::METADATA_SHARD, i, ())
             }),
-            registry: Mutex::with_rank(lock_order::KEY_REGISTRY, ()),
+            registry: Mutex::with_rank(lock_order::KEY_LOCK, ()),
         }
     }
 
