@@ -313,8 +313,7 @@ impl ControllerCluster {
                         "max_concurrency",
                         StatsNode::leaf(snapshot.host_pool.max_concurrency),
                     )
-                    .with("parks", StatsNode::leaf(snapshot.host_pool.parks))
-                    .with("spin_hits", StatsNode::leaf(snapshot.host_pool.spin_hits)),
+                    .with("parks", StatsNode::leaf(snapshot.host_pool.parks)),
             )
             .with(
                 "digests",

@@ -1287,9 +1287,9 @@ fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
-    // A member's calls are the ones it handed to the pool plus the ones no
-    // service thread was free to take, which ran on their caller as exits;
-    // only the former reach the pool's `completed` (the identity above).
+    // A member's calls are the ones it handed to the pool plus the first
+    // lanes of its joined calls, which ran on their caller as exits; only
+    // the former reach the pool's `completed` (the identity above).
     let calls = |a: &pesos_sgx::AsyscallStats| a.submitted + a.exits;
     let snapshot = c.telemetry_snapshot(0);
     let mut modes = Vec::new();

@@ -789,7 +789,6 @@ impl PesosController {
             .with("asyscall_exits", StatsNode::leaf(asyscall.exits))
             .with("asyscall_slot_waits", StatsNode::leaf(asyscall.slot_waits))
             .with("asyscall_parks", StatsNode::leaf(asyscall.parks))
-            .with("asyscall_spin_hits", StatsNode::leaf(asyscall.spin_hits))
             .with("asyscall_batches", StatsNode::leaf(asyscall.batches));
         // Creates the drives contradicted (`PesosStore::create_stats`): a
         // restart is a burst of refusals that decays as the map fills; a

@@ -26,9 +26,9 @@
 //! out as one [`AsyscallInterface::submit_joined`], joined at once
 //! (`PesosStore::batch_on` keeps each replica's own answer; every path but
 //! a create reads them first error wins). A put therefore costs one
-//! asyscall call and one drive round trip per replica — handed to a
-//! service thread, or, for the first replica when no service thread is
-//! free, run on the calling thread as one enclave exit — and a
+//! asyscall call and one drive round trip per replica — the first
+//! replica's run on the calling thread as one enclave exit, the others
+//! handed to service threads unless the caller gets to them first — and a
 //! replication factor of N costs that one round trip, not N sequential
 //! ones.
 //!
@@ -607,12 +607,11 @@ impl PesosStore {
     ///
     /// All reachable replicas are raced through one scatter-gather batch;
     /// the first successful completion wins and the remaining reads drain
-    /// in the background. When no service thread is free, the first
-    /// replica's read runs on the calling thread (an exit), and the race
-    /// cannot end before that read does. `ObjectNotFound` is the answer
-    /// only when *every* replica answered that it holds nothing: a replica
-    /// that faulted may be the one that holds the entry, so a fault beside
-    /// a `NotFound` is the fault.
+    /// in the background. The first replica's read runs on the calling
+    /// thread (an exit), so the race cannot end before that read does.
+    /// `ObjectNotFound` is the answer only when *every* replica answered
+    /// that it holds nothing: a replica that faulted may be the one that
+    /// holds the entry, so a fault beside a `NotFound` is the fault.
     fn replicated_get(
         &self,
         placement_key: &HashedKey<'_>,

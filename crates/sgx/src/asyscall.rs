@@ -5,15 +5,15 @@
 //! therefore Pesos, instead places system-call arguments into shared-memory
 //! *slots*, enqueues the slot index on a *submission queue*, and lets
 //! untrusted *service threads* outside the enclave execute the call and push
-//! the result onto a *return queue* (paper §4.6, "I/O interface"). The point
-//! of the design is that neither side pays a kernel transition per call: the
-//! service threads *poll* the submission queue and the enclave thread picks
-//! the result off the return queue. This module keeps that property: on the
-//! fast path a hand-off takes no lock and makes no system call, and a thread
-//! goes to sleep only after the other side has stayed silent for about as
-//! long as the sleep itself would cost.
+//! the result onto a *return queue* (paper §4.6, "I/O interface"). A call
+//! handed over that way costs its submitter no transition, but it costs a
+//! hand-off: a slot, a place in the queue, usually a wake-up of a sleeping
+//! service thread, and a wait for the result. A caller that waits for its
+//! calls at once has nothing to overlap with them, and for it one exit is
+//! the cheaper way: the first call of a joined submission always runs on
+//! its caller (below, "The caller's lanes").
 //!
-//! # Slots and the submission ring
+//! # Slots and the submission queue
 //!
 //! The slot table is preallocated and bounds the calls in flight. Each slot
 //! is a `Handoff`: one atomic state word and the parked call (its batch and
@@ -31,10 +31,10 @@
 //! no slot is `FREE` it counts one `slot_waits` and sleeps until a service
 //! thread frees one.
 //!
-//! The index of a `QUEUED` slot travels to the service threads through a
-//! bounded multi-producer multi-consumer `Ring` (per-cell sequence
-//! numbers, after Vyukov) with at least as many cells as there are slots,
-//! so it never holds more indices than it has cells.
+//! The index of a `QUEUED` slot travels to the service threads through the
+//! submission queue, kept under the pool's park mutex with the sleepers it
+//! wakes. It is allocated at the slot capacity, which bounds it, so a push
+//! never allocates.
 //!
 //! # Completions
 //!
@@ -65,9 +65,8 @@
 //!   keep a call in flight while they do something else (a batch of one,
 //!   joined later), or drop the set and let the calls run unobserved.
 //! * [`AsyscallInterface::submit_joined`]: the same set, for a caller that
-//!   reads it at once (replicated writes and raced replicated reads): its
-//!   first call may run on the caller (below, "When nobody is free: the
-//!   exit").
+//!   reads it at once (replicated writes, raced replicated reads and
+//!   key-range pages): its first call runs on the caller.
 //!
 //! A submission allocates its `Batch` and nothing else: the batch holds
 //! the bodies as well as the result cells, and a slot holds a reference
@@ -77,214 +76,137 @@
 //!
 //! # The two park protocols
 //!
-//! Both are the same announce-then-recheck handshake, and every word they
-//! use is read and written `SeqCst`, so all of these accesses fall into one
-//! total order that both threads agree on.
+//! *Waiter and filler* (one entry word, read and written `SeqCst`). The
+//! filler writes the result, swaps `index + 1` into the entry and looks at
+//! what it displaced: only if the `PARKED` bit was there does it take the
+//! batch's park mutex and signal the condvar. A waiter that finds its entry
+//! pending takes the park mutex first, then sets `PARKED` with a `fetch_or`
+//! and looks at what *it* displaced: if the entry was already `DONE` it does
+//! not sleep. The swap and the `fetch_or` are ordered one way or the other.
+//! Swap first: the waiter sees `DONE`. `fetch_or` first: the filler sees
+//! `PARKED`, and because the waiter holds the mutex from before the
+//! `fetch_or` until the condvar wait releases it, the filler's signal
+//! cannot fall into the gap before the sleep.
 //!
-//! *Waiter and filler* (one entry word). The filler writes the result,
-//! swaps `index + 1` into the entry and looks at what it displaced: only if
-//! the `PARKED` bit was there does it take the batch's park mutex and
-//! signal the condvar. The waiter, when it gives up spinning, takes the
-//! park mutex first, then sets `PARKED` with a `fetch_or` and looks at what
-//! *it* displaced: if the entry was already `DONE` it does not sleep. The
-//! swap and the `fetch_or` are ordered one way or the other. Swap first:
-//! the waiter sees `DONE`. `fetch_or` first: the filler sees `PARKED`, and
-//! because the waiter holds the mutex from before the `fetch_or` until the
-//! condvar wait releases it, the filler's signal cannot fall into the gap
-//! before the sleep.
+//! *Submitter and service threads* (the queue, the sleeper count and the
+//! wake tickets, all under the pool's park mutex). A service thread that
+//! finds the queue empty adds itself to the sleeper count and waits, in
+//! one critical section. It resumes when it can take a *wake ticket*, so a
+//! spurious wake-up cannot consume a signal meant for someone else. A
+//! submitter pushes its index and, in the same critical section, issues a
+//! ticket to a sleeper (taking it off the count) if fewer tickets are out
+//! than calls are queued; it notifies once it has let go of the mutex.
 //!
-//! *Submitter and service threads* (the ring, the poller token, the sleeper
-//! count and the wake tickets). A service thread that finds the ring empty
-//! either takes the *poller token* and polls for a bounded time, or goes to
-//! sleep: it gives the token back if it held it, takes the pool's
-//! park mutex, adds itself to the sleeper count, pops the ring once more,
-//! and only then waits. A sleeper resumes when it can take a *wake
-//! ticket*, issued under the same mutex (so a spurious wake-up cannot
-//! consume a signal meant for someone else); from issue to resumption the
-//! sleeper counts as `waking`.
+//! So the queue never holds more calls than there are tickets out unless
+//! no service thread sleeps. A ticket holder takes a queued call before
+//! anything else (one it finds gone was taken by a thread that was awake),
+//! and a thread that is not asleep is inside a body, and looks at the
+//! queue when the body returns, or is about to look. Hence no queued call
+//! ever depends on a running body coming to an end while a service thread
+//! sleeps: bodies that wait for one another get a thread each, whether or
+//! not anyone waits on their completions.
 //!
-//! A submitter pushes its index and then *hands the call over*: it does not
-//! return to its caller before one of these holds.
+//! Table-full submitters wait on the same mutex: each announces itself
+//! under it before its last try for a slot, and a service thread, which
+//! takes the mutex for its next call after it frees a slot, signals one if
+//! any announced.
 //!
-//! * The call was taken (the ring's head passed the push's position). This
-//!   is what the submitter waits for while some thread holds the token,
-//!   for at most `WAKE_COST`: the holder is awake, polling or inside a
-//!   short body, and comes back to the ring.
-//! * The token was free, was given back, or the wait ran out, and the
-//!   submitter *signalled*: it read the `waking` count and, if that
-//!   promised too few threads, the sleeper count, and issued a ticket to a
-//!   sleeper if there was one. The token holder is never counted here: it
-//!   may be inside a body that does not end.
+//! Nobody spins or polls. A service thread looks at the queue only after a
+//! body or a wake-up, and a waiter whose entry is pending parks at once.
+//! With the first lane of every joined call on its caller, the request
+//! path hands almost nothing over (the table below): a thread kept polling
+//! the queue, or a waiter spinning through a cross-core wake-up, would have
+//! nothing to win.
 //!
-//! So a queued call whose submitter has left has a ticket holder coming
-//! for the ring, or no service thread was asleep. In the second case each
-//! of them is running a body and pops when it returns, or is about to
-//! announce itself, and its re-check pop comes after the announcement,
-//! which comes after the submitter's read of the count, which comes after
-//! the push. A holder that gives the token back does so *before* the
-//! re-check pop of its sleep, so a submitter that saw the token held and
-//! then free is ordered before that pop as well. A thread that comes for
-//! the ring may take an older call and leave this one: it then signals in
-//! its turn before it runs the body, unless it held the token when it
-//! popped. (Calls queued under a held token still have their submitters
-//! watching; those queued before were signalled for, and the ticket holder
-//! on its way signals when it arrives.) Hence no queued call ever depends
-//! on a running body coming to an end while a service thread sleeps:
-//! bodies that wait for one another get a thread each, whether or not
-//! anyone waits on their completions.
+//! # The caller's lanes
 //!
-//! Table-full submitters use the same handshake on a waiter count: a
-//! service thread frees the slot, then reads the count, and signals only
-//! if someone announced.
+//! [`AsyscallInterface::submit_joined`] hands lanes `1..` over as
+//! [`AsyscallInterface::submit_batch`] does, so that they start on the
+//! pool, and then runs lane 0 on the calling thread, whatever the pool is
+//! doing: one synchronous exit, charged as one
+//! [`CostEvent::EnclaveTransition`] instead of a
+//! [`CostEvent::AsyncSyscall`] and counted in [`AsyscallStats::exits`], not
+//! in `submitted`. Intel's SGX SDK falls back the same way for its
+//! switchless calls (Tian et al., "Switchless Calls Made Practical in Intel
+//! SGX", SysTEX 2018): the caller leaves the enclave and makes the call
+//! itself. The calling thread contains the body as a service thread does:
+//! a panic abandons the call, which reads as
+//! [`SgxError::SyscallInterfaceClosed`], and the thread carries on.
 //!
-//! # Who is woken, who polls, who spins
+//! When the caller then waits for a result that has not been published, it
+//! first runs, in lane order, any of its lanes that no service thread has
+//! taken yet, and parks only for the rest. They run in the same exit and
+//! cost no second transition; they stay counted in `submitted` (they were
+//! handed over, and the service thread that later takes their slot finds
+//! the body gone and frees it). A raced read that stops at its first
+//! success leaves its other lanes to the pool, and a replicated write
+//! still reaches its replicas in parallel: the caller's lane beside the
+//! service threads'.
 //!
-//! Sleeping and being woken costs a thread two kernel entries and, when
-//! the waker sits on another core, the latency of bringing a halted core
-//! back: tens of microseconds on the virtual hosts this runs on
-//! (`WAKE_COST`), against call bodies that are often a tenth of that.
-//! The service threads measure every body they run and keep a running
-//! mean; everything below is decided from that mean, the length of the
-//! ring, and what the waits themselves observe. Nothing is configured.
+//! Only joined calls run on their caller. [`AsyscallInterface::submit_batch`]
+//! returns once its bodies are handed over, so that its caller can overlap
+//! work with them or drop the set and let them run unobserved; running one
+//! of them first would take both away.
 //!
-//! * **One hot thread for short bodies.** While the mean says one thread
-//!   clears what is queued sooner than a sleeper could wake up
-//!   (`queued × mean ≤ WAKE_COST`), one ticket at a time is enough, and a
-//!   thread that holds the token, or finds it free when it takes work,
-//!   keeps it through the body it runs: submitters wait for it instead of
-//!   waking a second thread, so two clients keep one service thread hot
-//!   rather than waking two in turn. Once bodies are long, every queued
-//!   call wants a thread of its own, as through a channel: the holder lets
-//!   go of the token before it runs a body and each push wakes a sleeper.
-//! * **Pollers.** A service thread polls only while the mean is below
-//!   `WAKE_COST`, and for at most that long.
-//! * **Spinning waiters.** A waiter spins only while the mean is below
-//!   `WAKE_COST` (a workload of long calls, a disk-model drive or a
-//!   64 KiB write, parks at once instead of paying a spin per call first),
-//!   only while a service thread is awake (if all sleep, its call waits
-//!   for a wake-up anyway), and for at most `WAKE_COST`, so it never
-//!   loses more than it could have won.
-//! * **Every active wait gives way.** A hand-over, a waiter's spin and a
-//!   poll all yield the core between two checks, so that on a busy host
-//!   the thread being waited for can run; with a core to spare a yield
-//!   returns in a fraction of a microsecond. A yield that took long
-//!   (`YIELD_CONTENDED`) means the core went to somebody else. A waiter or
-//!   poller then checks once more and sleeps, because a sleeper is woken
-//!   ahead of a thread that keeps yielding; a hand-over just looks again,
-//!   since the thread that got the core is most likely the holder.
+//! A one-lane joined call touches no slot, no queue and neither park
+//! protocol, and wakes nobody. Five of the benchmark's six workloads run
+//! one-drive controllers, so their request paths hand nothing over; only
+//! `disk_mix_1k`, with two replicas, hands each write's and each raced
+//! read's second lane to the pool. Per operation of one set-up (load and
+//! warm-up, two clients, seeds 5101–5110, the 2-vCPU reference host):
 //!
-//! With `available_parallelism() == 1` neither side spins: the thread being
-//! waited for can only run once the waiting thread gets off the core, so
-//! every hand-off sleeps at once, as it would through a channel. The token
-//! is never taken, so every push signals, and the protocols above are
-//! otherwise unchanged.
-//!
-//! # When nobody is free: the exit
-//!
-//! A hand-off pays only while a service thread is free to take the call.
-//! When every awake service thread is inside a body, or none is awake, a
-//! call handed over waits for a body to end or for a wake-up, and so does
-//! its caller. Intel's SGX SDK takes the plain way out for its switchless
-//! calls (Tian et al., "Switchless Calls Made Practical in Intel SGX",
-//! SysTEX 2018): the caller leaves the enclave and makes the call itself.
-//! [`AsyscallInterface::submit_joined`] does the same. It hands its lanes
-//! after the first over as usual, then reads the pool's counters the way
-//! the rules above do, so nothing is configured: if no awake service
-//! thread is idle (`active ≥ threads − sleepers − waking`), lane 0 runs on
-//! the calling thread, charged as one [`CostEvent::EnclaveTransition`]
-//! instead of a [`CostEvent::AsyncSyscall`] and counted in
-//! [`AsyscallStats::exits`]; otherwise it is handed over too. The calling
-//! thread contains the body as a service thread does: a panic abandons the
-//! call, which reads as [`SgxError::SyscallInterfaceClosed`], and the
-//! thread carries on.
-//!
-//! Only joined calls qualify. [`AsyscallInterface::submit_batch`] returns
-//! once its bodies are handed over, so that its caller can overlap work
-//! with them or drop the set and let them run unobserved; running one of
-//! them first would take both away. A joined caller has nothing to
-//! overlap: it waits in any case, and with no thread free it would wait
-//! for a running body to end or for a wake-up (about `WAKE_COST`, tens of
-//! microseconds) where the exit costs one transition (3 µs in the default
-//! cost model).
-//! One lane at most exits, after the others are handed over, so a
-//! replicated write still reaches its replicas in parallel: the caller's
-//! lane beside the service threads'.
-//!
-//! An exit never touches a slot, the ring or either park protocol, so
-//! none of them changes, and it wakes nobody. With one CPU every service
-//! thread sleeps between calls, so every joined call exits where it used
-//! to sleep and be woken. On more cores the same holds once every service
-//! thread has gone to sleep: only a call that is handed over (a second
-//! replica's lane, a `submit_batch`) wakes one again. On the 2-vCPU
-//! reference host, two clients of a one-drive controller then run every
-//! joined call as an exit (0.88 exits and no hand-off per operation of a
-//! 95/5 read/write mix), while with two replicas each write and each raced
-//! read hands its second lane over and keeps the pool awake (0.55 exits
-//! and 1.2 hand-offs per operation).
+//! | workload | exits | hand-offs |
+//! |---|---:|---:|
+//! | `hot_mix_1k` | 0.58 | 0 |
+//! | `cold_read_1k` | 0.92 | 0 |
+//! | `large_put_64k` | 0.93 | 0 |
+//! | `policy_read_1k` | 0.15 | 0 |
+//! | `cluster_repl_1k` (primaries; backups 0.02 exits) | 0.76 | 0 |
+//! | `disk_mix_1k` | 0.77 | 0.77 |
 //!
 //! # One host pool
 //!
-//! Everything above (slots, ring, service threads, both park protocols) is
-//! the host side, a [`HostPool`]. An enclave's [`AsyscallInterface`] is its
-//! submission side of one: the enclave's cost model and its own counters
-//! (`submitted`, `batches`, `slot_waits`, and its submitters' parks and
-//! spin hits). A single controller builds a pool of its own
-//! ([`AsyscallInterface::new`]). A cluster builds one pool for every
-//! controller it runs, primaries and backups alike, and each
+//! Everything above but the caller's lanes (slots, queue, service threads,
+//! both park protocols) is the host side, a [`HostPool`]. An enclave's
+//! [`AsyscallInterface`] is its submission side of one: the enclave's cost
+//! model and its own counters (`submitted`, `batches`, `slot_waits`,
+//! `exits` and its submitters' parks). A single controller builds a pool of
+//! its own ([`AsyscallInterface::new`]). A cluster builds one pool for
+//! every controller it runs, primaries and backups alike, and each
 //! [joins](HostPool::join) it with its own service threads and slots, so
 //! the pool has as many of both as the private pools would have had
-//! together (up to the slot capacity the pool was built with).
+//! together (up to the slot capacity the pool was built with), and a call
+//! of one member may run on a thread another brought.
 //!
-//! The reason is the premise of this module: a service thread is cheap only
-//! while it is hot, and it stays hot only while calls arrive within
-//! `WAKE_COST` of each other. Eight enclaves with a pool each see a call
-//! every ~100 µs apiece and park between calls, paying a cross-core wake-up
-//! per hand-off; one pool sees all of their calls and keeps one thread
-//! polling. Each member still charges its own cost model, so a native
-//! member of a cluster of SGX members charges nothing. The pool's own
-//! counters ([`PoolStats`]: completions, peak concurrency, service-thread
-//! parks and poll hits) are pool-wide. A member that leaves (its interface
-//! dropped) gives its service threads back: that many threads exit instead
-//! of taking more work, though never the pool's last, so a cluster that
-//! adds and removes controllers does not gain threads. A retiring thread
-//! signals for what is queued before it exits, as any thread about to stop
-//! looking at the ring does, so the hand-over rules above still hold for
-//! the threads that remain. Its slots stay in the table, which the pool's
-//! capacity bounds. On a shared 2-vCPU host one set-up of the benchmark's
-//! four-partition replicated cluster went from 30–36 k voluntary context
-//! switches to 2–4 k with one pool (and shippers that wake per batch of
-//! records, `pesos_cluster::replication`).
+//! Each member still charges its own cost model, so a native member of a
+//! cluster of SGX members charges nothing. The pool's own counters
+//! ([`PoolStats`]: completions, peak concurrency, service-thread parks) are
+//! pool-wide. A member that leaves (its interface dropped) gives its
+//! service threads back: that many threads exit once they find the queue
+//! empty, though never the pool's last, so a cluster that adds and removes
+//! controllers does not gain threads. Its slots stay in the table, which
+//! the pool's capacity bounds.
 //!
 //! Sharing keeps the rule every pool already had: a call body must never
 //! wait on another call of its own pool, whose service threads may all be
 //! running bodies that wait the same way. The cluster's migration drain,
 //! whose bodies do store I/O, has a pool of its own for that reason.
 //!
-//! The calling thread would normally switch to another user-level thread
-//! while waiting; that interleaving is provided by
-//! [`crate::scheduler::UserScheduler`].
+//! A waiting caller runs nothing but its own lanes and then parks its
+//! thread: no other task runs on it meanwhile.
+//! ([`crate::scheduler::UserScheduler`] runs only the deferred `put_async`
+//! bodies, on threads of its own.)
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::cost::{CostEvent, ModeCost};
 use crate::error::SgxError;
-
-/// About what one sleep/wake pair costs across cores on the reference
-/// host. Bounds every active wait (a submitter's hand-over, a waiter's
-/// spin on its completion, a service thread's poll of an empty ring) and
-/// the backlog one service thread is left to clear alone, and is the mean
-/// body run time above which nobody waits actively at all: waiting out a
-/// body costs less than a wake-up only while the body is the shorter of
-/// the two.
-const WAKE_COST: Duration = Duration::from_micros(40);
-/// A yield that takes longer than this gave the core to somebody: the
-/// host has no core to spare for spinning right now.
-const YIELD_CONTENDED: Duration = Duration::from_micros(3);
 
 /// Counters describing one interface's activity. Everything is counted on
 /// the submitting enclave's side except `completed` and `max_concurrency`,
@@ -303,17 +225,14 @@ pub struct AsyscallStats {
     /// Highest number of call bodies ever executing concurrently in the
     /// host pool.
     pub max_concurrency: u64,
-    /// Times a submitter went to sleep in the hand-off, waiting for a
-    /// completion or a free slot. The service threads' sleeps are the
-    /// pool's ([`PoolStats::parks`]).
+    /// Times a submitter went to sleep, waiting for a completion or a free
+    /// slot. The service threads' sleeps are the pool's
+    /// ([`PoolStats::parks`]).
     pub parks: u64,
-    /// Submitter waits that ended while the thread was still spinning, and
-    /// so cost no sleep.
-    pub spin_hits: u64,
-    /// Calls of joined submissions that no service thread was free to take
-    /// and that ran on their caller, each charged as one enclave transition
-    /// (module docs, "When nobody is free: the exit"). Not in `submitted`:
-    /// a member's calls are its `submitted` plus its `exits`.
+    /// Joined submissions whose first call ran on their caller, each
+    /// charged as one enclave transition (module docs, "The caller's
+    /// lanes"). Not in `submitted`: a member's calls are its `submitted`
+    /// plus its `exits`.
     pub exits: u64,
 }
 
@@ -404,132 +323,6 @@ mod handoff {
 use handoff::Handoff;
 
 // ---------------------------------------------------------------------------
-// Ring: the submission queue of slot indices
-// ---------------------------------------------------------------------------
-
-/// Keeps the two ends of the ring off each other's cache line.
-#[repr(align(64))]
-struct Padded<T>(T);
-
-struct RingCell {
-    /// `position` when the cell is free for the push at `position`,
-    /// `position + 1` once that push has stored `index`, and
-    /// `position + capacity` after the matching pop.
-    sequence: AtomicUsize,
-    index: AtomicUsize,
-}
-
-/// Bounded multi-producer multi-consumer queue of slot indices.
-struct Ring {
-    cells: Box<[RingCell]>,
-    mask: usize,
-    head: Padded<AtomicUsize>,
-    tail: Padded<AtomicUsize>,
-}
-
-impl Ring {
-    /// A ring with room for at least `capacity` indices.
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2).next_power_of_two();
-        Ring {
-            cells: (0..capacity)
-                .map(|position| RingCell {
-                    sequence: AtomicUsize::new(position),
-                    index: AtomicUsize::new(0),
-                })
-                .collect(),
-            mask: capacity - 1,
-            head: Padded(AtomicUsize::new(0)),
-            tail: Padded(AtomicUsize::new(0)),
-        }
-    }
-
-    fn cell(&self, position: usize) -> &RingCell {
-        // pesos-lint: allow(panic_freedom, "cells.len() is mask + 1, a power of two, so position & mask is in range")
-        &self.cells[position & self.mask]
-    }
-
-    /// Appends `index` and returns its position in the queue. The slot
-    /// table admits no more calls than the ring has cells, so a full ring
-    /// only means a pop of an earlier lap has claimed its cell and not yet
-    /// released it; the push waits that out.
-    fn push(&self, index: usize) -> usize {
-        let mut position = self.tail.0.load(Ordering::SeqCst);
-        loop {
-            let cell = self.cell(position);
-            let sequence = cell.sequence.load(Ordering::SeqCst);
-            if sequence == position {
-                match self.tail.0.compare_exchange_weak(
-                    position,
-                    position.wrapping_add(1),
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => {
-                        cell.index.store(index, Ordering::SeqCst);
-                        cell.sequence
-                            .store(position.wrapping_add(1), Ordering::SeqCst);
-                        return position;
-                    }
-                    Err(current) => position = current,
-                }
-            } else {
-                if (sequence.wrapping_sub(position) as isize) < 0 {
-                    std::thread::yield_now();
-                }
-                position = self.tail.0.load(Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Removes the oldest index, if any push has completed.
-    fn pop(&self) -> Option<usize> {
-        let mut position = self.head.0.load(Ordering::SeqCst);
-        loop {
-            let cell = self.cell(position);
-            let sequence = cell.sequence.load(Ordering::SeqCst);
-            let ready = position.wrapping_add(1);
-            if sequence == ready {
-                match self.head.0.compare_exchange_weak(
-                    position,
-                    ready,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => {
-                        let index = cell.index.load(Ordering::SeqCst);
-                        cell.sequence.store(
-                            position.wrapping_add(self.mask).wrapping_add(1),
-                            Ordering::SeqCst,
-                        );
-                        return Some(index);
-                    }
-                    Err(current) => position = current,
-                }
-            } else if (sequence.wrapping_sub(ready) as isize) < 0 {
-                return None;
-            } else {
-                position = self.head.0.load(Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Whether the index pushed at `position` has been popped. The queue
-    /// is first-in first-out, so everything pushed before it has been too.
-    fn taken(&self, position: usize) -> bool {
-        (self.head.0.load(Ordering::SeqCst).wrapping_sub(position) as isize) > 0
-    }
-
-    /// How many indices are queued, give or take pushes and pops in
-    /// progress: good for a scheduling decision, never for a wake-up
-    /// argument (those re-check with `pop`).
-    fn len(&self) -> usize {
-        let head = self.head.0.load(Ordering::SeqCst);
-        self.tail.0.load(Ordering::SeqCst).wrapping_sub(head)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Batches: result cells and completion-order entries
 // ---------------------------------------------------------------------------
 
@@ -546,8 +339,8 @@ struct Lane<T> {
 /// What one submission (a single call or a scatter-gather batch) reports
 /// into: a result cell per call and the order in which calls finished,
 /// and, in `bodies`, the calls themselves until each is taken to run. A
-/// [`CompletionSet`] sees the bodies erased (`B` unsized); a slot sees the
-/// whole batch as a [`Run`].
+/// [`CompletionSet`] sees the bodies erased (`B` unsized); a slot, and the
+/// caller of a joined set, see the whole batch as a [`Run`].
 struct Batch<T, B: ?Sized = dyn Send + Sync> {
     /// Entries published so far; each call claims the next.
     finished: AtomicU32,
@@ -573,8 +366,8 @@ impl<T> Lane<T> {
 }
 
 /// The bodies of a submission's calls, one cell per lane, laid out as the
-/// lanes are. Whoever takes a body (a service thread, the exit, or a close
-/// that drops it) owns it from then on.
+/// lanes are. Whoever takes a body (a service thread, the caller of a
+/// joined set, or a close that drops it) owns it from then on.
 struct Bodies<F> {
     first: Handoff<F>,
     rest: Box<[Handoff<F>]>,
@@ -670,6 +463,16 @@ impl<T, B: ?Sized> Drop for Publish<'_, T, B> {
     }
 }
 
+/// Runs a call body with its panic contained, on a service thread or on
+/// the caller (`on`): the lane was published during the unwind with its
+/// cell empty, so its waiter sees the call abandoned, and the thread
+/// carries on.
+fn contained(run: impl FnOnce(), on: &str) {
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+        eprintln!("asyscall: system-call body panicked{on}; call abandoned");
+    }
+}
+
 /// A call in a slot: the batch it belongs to and its lane. One dropped
 /// without having run (a pool that closes drops what is queued) abandons
 /// its lane, so its waiter sees [`SgxError::SyscallInterfaceClosed`].
@@ -718,28 +521,13 @@ impl<T, B: ?Sized> Batch<T, B> {
         }
     }
 
-    /// Waits until entry `position` is published and returns the index of
-    /// the call that finished there: spinning first while the host pool
-    /// says a spin can pay, then asleep. The waits are `submitter`'s.
-    fn await_entry(&self, position: usize, submitter: &Submitter) -> Option<usize> {
-        let shared = &*submitter.shared;
-        let entry = &self.lane(position)?.entry;
+    /// Waits until `entry`, one of this batch's, is published and returns
+    /// the index of the call that finished there. The sleep is
+    /// `submitter`'s.
+    fn await_entry(&self, entry: &AtomicU32, submitter: &Submitter) -> usize {
         let finished = |word: u32| (word & !PARKED).checked_sub(1).map(|index| index as usize);
         if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
-            return Some(index);
-        }
-        if shared.spin_can_pay() {
-            let start = Instant::now();
-            while shared.service_awake() && start.elapsed() < WAKE_COST {
-                let contended = relax();
-                if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
-                    submitter.spin_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(index);
-                }
-                if contended {
-                    break;
-                }
-            }
+            return index;
         }
         let mut guard = self.park.lock();
         let mut word = entry.fetch_or(PARKED, Ordering::SeqCst);
@@ -748,21 +536,12 @@ impl<T, B: ?Sized> Batch<T, B> {
         }
         loop {
             if let Some(index) = finished(word) {
-                return Some(index);
+                return index;
             }
             self.done.wait(&mut guard);
             word = entry.load(Ordering::SeqCst);
         }
     }
-}
-
-/// One step of an active wait: yields the core, so that a thread being
-/// waited for can run if the two share one. Returns whether the yield
-/// found the core contended.
-fn relax() -> bool {
-    let start = Instant::now();
-    std::thread::yield_now();
-    start.elapsed() > YIELD_CONTENDED
 }
 
 /// A joinable set of completions produced by one submission.
@@ -774,6 +553,9 @@ fn relax() -> bool {
 pub struct CompletionSet<T> {
     batch: Arc<Batch<T>>,
     delivered: usize,
+    /// A joined set's batch and the lanes its caller has not tried to run
+    /// yet (module docs, "The caller's lanes").
+    own: Option<(Arc<dyn Run>, Range<u32>)>,
     submitter: Arc<Submitter>,
 }
 
@@ -796,7 +578,17 @@ impl<T> CompletionSet<T> {
     /// race a batch and stop at the first usable result.
     pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
         // No lane past the last call: `None` once all are delivered.
-        let index = self.batch.await_entry(self.delivered, &self.submitter)?;
+        let entry = &self.batch.lane(self.delivered)?.entry;
+        if let Some((batch, untried)) = &mut self.own {
+            // Rather than park, the caller runs its lanes nobody has taken.
+            while entry.load(Ordering::SeqCst) == 0 {
+                let Some(lane) = untried.next() else {
+                    break;
+                };
+                contained(|| batch.run(lane), " on its caller");
+            }
+        }
+        let index = self.batch.await_entry(entry, &self.submitter);
         self.delivered += 1;
         let result = self
             .batch
@@ -833,31 +625,49 @@ impl<T> CompletionSet<T> {
 }
 
 // ---------------------------------------------------------------------------
-// The interface
+// The host pool
 // ---------------------------------------------------------------------------
 
-/// What the host pool's park mutex guards: the service threads asleep, the
-/// wake tickets issued to them and not yet taken, the service threads that
-/// members which left have given back and that have not exited yet, and
-/// the handles of the service threads, for [`HostPool`]'s shutdown.
+/// What the host pool's park mutex guards: the submission queue, the
+/// service threads and the wake tickets issued to them, the submitters
+/// waiting for a slot, and the handles of the service threads, for
+/// [`HostPool`]'s shutdown.
 #[derive(Default)]
 struct Parking {
+    /// Indices of `QUEUED` slots, oldest first.
+    queue: VecDeque<usize>,
+    /// Service threads asleep that hold no ticket.
     sleeping: usize,
+    /// Wake tickets issued and not yet taken.
     tickets: usize,
+    /// Service threads running: those the members brought, less those
+    /// given back that have exited.
+    threads: usize,
+    /// Service threads that members which left have given back and that
+    /// have not exited yet.
     retiring: usize,
+    /// Submitters asleep (or about to be) because the slot table is full.
+    slot_waiters: usize,
+    /// Times a service thread went to sleep with no work.
+    parks: u64,
+    closed: bool,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// How a service thread's sleep ended.
-enum Woken {
-    /// The re-check before sleeping found this slot index.
-    Work(usize),
-    /// Somebody issued this sleeper a wake ticket because work is queued.
-    Signalled,
-    Closed,
+impl Parking {
+    /// Issues a wake ticket to one sleeping service thread, if there is
+    /// one; the caller notifies once it has let go of the mutex.
+    fn issue_ticket(&mut self) -> bool {
+        if self.sleeping == 0 {
+            return false;
+        }
+        self.sleeping -= 1;
+        self.tickets += 1;
+        true
+    }
 }
 
-/// The host side: slots, ring, service threads and the park protocol.
+/// The host side: slots, queue, service threads and the park protocol.
 struct Shared {
     /// The shared-memory system-call slots: each holds the parked call
     /// body from submission until a service thread takes it, and stays
@@ -866,37 +676,16 @@ struct Shared {
     slots: Box<[Handoff<QueuedCall>]>,
     /// Slots the members have brought so far (at most `slots.len()`).
     slot_count: AtomicUsize,
-    ring: Ring,
     /// Where the next claim starts its scan of the slot table.
     claim_from: AtomicUsize,
-    /// Whether this host has a second core for a waiting thread to spin on.
-    spin: bool,
-    /// The poller token: set while one service thread holds it, polling
-    /// the ring or running a short body it took while polling.
-    token: AtomicBool,
-    /// Mirrors `Parking::sleeping` for the lock-free check in `signal_work`.
-    sleepers: AtomicUsize,
-    /// How many service threads there are.
-    threads: AtomicUsize,
-    /// Mirrors `Parking::retiring` for the lock-free check in `next_work`.
-    retiring: AtomicUsize,
-    /// Sleepers that hold a wake ticket and have not resumed yet.
-    waking: AtomicUsize,
-    /// Submitters asleep (or about to be) because the slot table is full.
-    slot_waiters: AtomicUsize,
     park: Mutex<Parking>,
+    /// Service threads sleep here for a wake ticket or the close.
     work: Condvar,
+    /// Submitters sleep here for a free slot.
     slot_freed: Condvar,
-    closed: AtomicBool,
-    /// Running mean of body run times in nanoseconds.
-    mean_run_ns: AtomicU64,
     completed: AtomicU64,
     active: AtomicUsize,
     max_concurrency: AtomicU64,
-    /// Times a service thread went to sleep with no work.
-    parks: AtomicU64,
-    /// Polls of the ring that found work.
-    spin_hits: AtomicU64,
 }
 
 impl Shared {
@@ -918,176 +707,52 @@ impl Shared {
         Err(call)
     }
 
-    /// Issues a wake ticket to one sleeping service thread, if there is
-    /// one. From here until it resumes that thread counts as `waking`.
-    fn wake_sleeper(&self) {
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
+    /// Queues slot `index` for the service threads, and wakes a sleeper
+    /// unless every queued call has a ticket holder on its way already.
+    fn hand_over(&self, index: usize) {
         let mut parking = self.park.lock();
-        if parking.sleeping == 0 {
-            return;
-        }
-        parking.sleeping -= 1;
-        parking.tickets += 1;
-        self.sleepers.store(parking.sleeping, Ordering::SeqCst);
-        self.waking.fetch_add(1, Ordering::SeqCst);
+        parking.queue.push_back(index);
+        let wake = parking.queue.len() > parking.tickets && parking.issue_ticket();
         drop(parking);
-        self.work.notify_one();
-    }
-
-    /// Whether one service thread clears `queued` calls sooner than a
-    /// sleeper could wake up to help, going by the mean body run time.
-    fn one_thread_suffices(&self, queued: usize) -> bool {
-        self.mean_run_ns
-            .load(Ordering::Relaxed)
-            .saturating_mul(queued as u64)
-            <= WAKE_COST.as_nanos() as u64
-    }
-
-    /// Wakes a sleeper unless enough of them hold a ticket and are on
-    /// their way already: one while bodies are short, one per queued call
-    /// once they are not. The token holder is not counted. Whoever calls
-    /// this is about to stop looking at the ring, and the holder may be
-    /// inside a body that never ends.
-    fn signal_work(&self) {
-        let queued = self.ring.len();
-        if queued == 0 {
-            return;
+        if wake {
+            self.work.notify_one();
         }
-        let wanted = if self.one_thread_suffices(queued) {
-            1
-        } else {
-            queued
-        };
-        if self.waking.load(Ordering::SeqCst) < wanted {
-            self.wake_sleeper();
-        }
-    }
-
-    /// Called by a service thread that has just taken work, with `holding`
-    /// saying whether it held the token when it did. A thread that holds
-    /// it, or finds it free, keeps it through the body it is about to run
-    /// if it expects to be back polling, queue cleared, sooner than a woken
-    /// sleeper could be here; otherwise it lets go.
-    ///
-    /// Calls queued under a held token are watched by their submitters
-    /// (`hand_over`). The rest were left to whoever was awake or waking,
-    /// which may be this thread, now about to stop looking: unless it was
-    /// the holder all along, it signals for what it leaves queued.
-    fn settle_token(&self, holding: &mut bool) {
-        let held = *holding;
-        let queued = self.ring.len();
-        let have = held || self.take_token();
-        *holding = have && self.one_thread_suffices(queued + 1);
-        if have && !*holding {
-            self.token.store(false, Ordering::SeqCst);
-        }
-        if !held {
-            self.signal_work();
-        }
-    }
-
-    /// Polls the ring, token in hand, until work arrives, the budget runs
-    /// out, a yield shows that somebody else wants the core, or the
-    /// interface closes.
-    fn poll(&self) -> Option<usize> {
-        let start = Instant::now();
-        let mut contended = false;
-        while !self.closed.load(Ordering::SeqCst) {
-            if let Some(index) = self.ring.pop() {
-                self.spin_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(index);
-            }
-            if contended || start.elapsed() >= WAKE_COST {
-                return None;
-            }
-            contended = relax();
-        }
-        None
-    }
-
-    /// Goes to sleep until issued a wake ticket: announces itself,
-    /// re-checks the ring and the closed flag, and only then waits.
-    fn sleep(&self) -> Woken {
-        let mut parking = self.park.lock();
-        parking.sleeping += 1;
-        self.sleepers.store(parking.sleeping, Ordering::SeqCst);
-        let early = match self.ring.pop() {
-            Some(index) => Some(Woken::Work(index)),
-            None if self.closed.load(Ordering::SeqCst) => Some(Woken::Closed),
-            None => None,
-        };
-        if let Some(early) = early {
-            parking.sleeping -= 1;
-            self.sleepers.store(parking.sleeping, Ordering::SeqCst);
-            return early;
-        }
-        self.parks.fetch_add(1, Ordering::Relaxed);
-        loop {
-            self.work.wait(&mut parking);
-            if parking.tickets > 0 {
-                parking.tickets -= 1;
-                self.waking.fetch_sub(1, Ordering::SeqCst);
-                return Woken::Signalled;
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                parking.sleeping -= 1;
-                self.sleepers.store(parking.sleeping, Ordering::SeqCst);
-                return Woken::Closed;
-            }
-        }
-    }
-
-    /// Takes the poller token if it is free and this host spins at all.
-    fn take_token(&self) -> bool {
-        self.spin
-            && !self.token.load(Ordering::SeqCst)
-            && self
-                .token
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
     }
 
     /// The next slot index for a service thread to run, or `None` once the
-    /// interface is closed. `holding` is whether this thread holds the
-    /// poller token, on entry and on return.
-    fn next_work(&self, holding: &mut bool) -> Option<usize> {
+    /// pool is closed or this thread was given back. Called after every
+    /// body, it first passes the slot that body freed on to a submitter
+    /// waiting for one.
+    fn next_work(&self) -> Option<usize> {
+        let mut parking = self.park.lock();
+        if parking.slot_waiters > 0 {
+            self.slot_freed.notify_one();
+        }
         loop {
-            let closed = self.closed.load(Ordering::SeqCst);
-            if closed || self.retire() {
-                if std::mem::take(holding) {
-                    self.token.store(false, Ordering::SeqCst);
-                }
-                if !closed {
-                    // This thread stops looking at the ring for good.
-                    self.signal_work();
-                }
+            if parking.closed {
                 return None;
             }
-            let mut found = self.ring.pop();
-            if found.is_none() && self.spin_can_pay() {
-                *holding = *holding || self.take_token();
-                if *holding {
-                    found = self.poll();
-                }
-            }
-            if let Some(index) = found {
-                self.settle_token(holding);
+            if let Some(index) = parking.queue.pop_front() {
                 return Some(index);
             }
-            if std::mem::take(holding) {
-                // Give the token back before the sleep's re-check, so a
-                // submitter that saw it held is covered by that re-check.
-                self.token.store(false, Ordering::SeqCst);
+            if parking.retiring > 0 && parking.threads > 1 {
+                // Given back by a member that left. With the queue empty,
+                // no call waits for this thread.
+                parking.retiring -= 1;
+                parking.threads -= 1;
+                return None;
             }
-            match self.sleep() {
-                Woken::Work(index) => {
-                    self.settle_token(holding);
-                    return Some(index);
+            parking.sleeping += 1;
+            parking.parks += 1;
+            loop {
+                self.work.wait(&mut parking);
+                if parking.closed {
+                    return None;
                 }
-                Woken::Signalled => {}
-                Woken::Closed => return None,
+                if parking.tickets > 0 {
+                    parking.tickets -= 1;
+                    break;
+                }
             }
         }
     }
@@ -1099,105 +764,46 @@ impl Shared {
         };
         let active = self.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         self.max_concurrency.fetch_max(active, Ordering::SeqCst);
-        let start = Instant::now();
-        // Contain a panicking body: its lane is published during the unwind
-        // with the cell empty (waiters see the call as abandoned), and the
-        // slot and this service thread both survive instead of leaking.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call.run()));
+        contained(|| call.run(), "");
         drop(call);
-        let run_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // mean += (sample - mean) / 8; a lost update between two service
-        // threads loses one sample of a statistic.
-        let mean = self.mean_run_ns.load(Ordering::Relaxed);
-        self.mean_run_ns
-            .store(mean - mean / 8 + run_ns / 8, Ordering::Relaxed);
         self.active.fetch_sub(1, Ordering::SeqCst);
         self.completed.fetch_add(1, Ordering::Relaxed);
         // The slot stayed occupied for the call's whole lifetime, like the
         // real shared-memory slot.
         drop(occupied);
-        if self.slot_waiters.load(Ordering::SeqCst) > 0 {
-            drop(self.park.lock());
-            self.slot_freed.notify_one();
-        }
-        if outcome.is_err() {
-            eprintln!("asyscall: system-call body panicked; call abandoned");
-        }
     }
 
-    /// Gives back `threads` service threads: as many threads as are awake
-    /// or woken here exit instead of taking more work, but never the last
+    /// Gives back `threads` service threads: as many threads exit once they
+    /// find the queue empty, sleepers woken for it, but never the last
     /// one. What the last one would owe is forgiven, so a member that joins
     /// later keeps every thread it brings.
     fn give_back(&self, threads: usize) {
         let mut parking = self.park.lock();
-        let running = self.threads.load(Ordering::SeqCst);
-        parking.retiring = (parking.retiring + threads).min(running.saturating_sub(1));
-        self.retiring.store(parking.retiring, Ordering::SeqCst);
+        parking.retiring = (parking.retiring + threads).min(parking.threads.saturating_sub(1));
+        let woken = (0..threads).filter(|_| parking.issue_ticket()).count();
         drop(parking);
-        for _ in 0..threads {
-            self.wake_sleeper();
+        for _ in 0..woken {
+            self.work.notify_one();
         }
-    }
-
-    /// Whether the calling service thread is to exit, given back by a
-    /// member that left; it then no longer counts among the threads. A
-    /// pool keeps at least one thread, so calls a departed member left
-    /// queued still run.
-    fn retire(&self) -> bool {
-        if self.retiring.load(Ordering::SeqCst) == 0 {
-            return false;
-        }
-        let mut parking = self.park.lock();
-        if parking.retiring == 0 || self.threads.load(Ordering::SeqCst) <= 1 {
-            return false;
-        }
-        parking.retiring -= 1;
-        self.retiring.store(parking.retiring, Ordering::SeqCst);
-        self.threads.fetch_sub(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Whether a waiter may spin at all: a second core exists and bodies
-    /// have lately been short enough to be worth waiting out.
-    fn spin_can_pay(&self) -> bool {
-        self.spin && self.one_thread_suffices(1)
-    }
-
-    /// Whether no awake service thread is idle: every one that is awake is
-    /// inside a body, or none is awake (all asleep, or signalled and not
-    /// yet resumed). A call handed over now would wait for a body to end
-    /// or for a wake-up; the joined path runs it on its caller instead.
-    fn nobody_free(&self) -> bool {
-        let asleep = self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst);
-        let awake = self.threads.load(Ordering::SeqCst).saturating_sub(asleep);
-        self.active.load(Ordering::SeqCst) >= awake
-    }
-
-    /// Whether some service thread is awake to make a waiter's spin end:
-    /// polling, running a body, or on its way between the two. A sleeper
-    /// that was signalled but has not resumed does not count: waiting for
-    /// it is waiting for a wake-up.
-    fn service_awake(&self) -> bool {
-        self.sleepers.load(Ordering::SeqCst) + self.waking.load(Ordering::SeqCst)
-            < self.threads.load(Ordering::SeqCst)
     }
 
     /// Closes the pool: service threads exit after the body they are
     /// running, and bodies still queued are dropped unrun, which abandons
     /// their waiters.
     fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        while let Some(index) = self.ring.pop() {
+        let mut parking = self.park.lock();
+        parking.closed = true;
+        let queued = std::mem::take(&mut parking.queue);
+        drop(parking);
+        self.work.notify_all();
+        for index in queued {
             drop(self.slots.get(index).and_then(Handoff::take));
         }
-        drop(self.park.lock());
-        self.work.notify_all();
     }
 }
 
 /// The host side of the interface: the untrusted service threads, the slot
-/// table and the submission ring that any number of enclaves submit to.
+/// table and the submission queue that any number of enclaves submit to.
 ///
 /// A pool starts with no service threads and no slots; each member that
 /// [joins](HostPool::join) brings its own. A member that leaves gives its
@@ -1223,8 +829,6 @@ pub struct PoolStats {
     pub max_concurrency: u64,
     /// Times a service thread went to sleep with no work.
     pub parks: u64,
-    /// Polls of an empty ring that ended with work, and so cost no sleep.
-    pub spin_hits: u64,
 }
 
 impl HostPool {
@@ -1232,29 +836,22 @@ impl HostPool {
     /// joining once the table is full bring service threads only.
     pub fn new(capacity: usize) -> Arc<HostPool> {
         let capacity = capacity.max(1);
+        let parking = Parking {
+            // The slot table bounds the queue: a push never allocates.
+            queue: VecDeque::with_capacity(capacity),
+            ..Parking::default()
+        };
         Arc::new(HostPool {
             shared: Arc::new(Shared {
                 slots: (0..capacity).map(|_| Handoff::new()).collect(),
                 slot_count: AtomicUsize::new(0),
-                ring: Ring::new(capacity),
                 claim_from: AtomicUsize::new(0),
-                spin: std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1),
-                token: AtomicBool::new(false),
-                sleepers: AtomicUsize::new(0),
-                threads: AtomicUsize::new(0),
-                retiring: AtomicUsize::new(0),
-                waking: AtomicUsize::new(0),
-                slot_waiters: AtomicUsize::new(0),
-                park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, Parking::default()),
+                park: Mutex::with_rank(parking_lot::lock_order::ASYSCALL_PARK, parking),
                 work: Condvar::new(),
                 slot_freed: Condvar::new(),
-                closed: AtomicBool::new(false),
-                mean_run_ns: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
                 active: AtomicUsize::new(0),
                 max_concurrency: AtomicU64::new(0),
-                parks: AtomicU64::new(0),
-                spin_hits: AtomicU64::new(0),
             }),
         })
     }
@@ -1269,49 +866,44 @@ impl HostPool {
         cost: ModeCost,
     ) -> AsyscallInterface {
         let shared = &self.shared;
+        let threads = service_threads.max(1);
         let capacity = shared.slots.len();
         let _ = shared
             .slot_count
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |count| {
                 Some((count + slots.max(1)).min(capacity))
             });
-        if shared.slot_waiters.load(Ordering::SeqCst) > 0 {
-            drop(shared.park.lock());
+        let mut parking = shared.park.lock();
+        if parking.slot_waiters > 0 {
             shared.slot_freed.notify_all();
         }
-        let mut workers = Vec::new();
-        for _ in 0..service_threads.max(1) {
-            // Counted before it starts: a new thread is awake until it
-            // first sleeps.
-            let index = shared.threads.fetch_add(1, Ordering::SeqCst);
+        // Threads given back have exited or will: their handles detach.
+        parking.workers.retain(|worker| !worker.is_finished());
+        for _ in 0..threads {
+            let index = parking.threads;
+            parking.threads += 1;
             let shared = Arc::clone(shared);
             let handle = std::thread::Builder::new()
                 .name(format!("asyscall-{index}"))
                 .spawn(move || {
-                    let mut holding = false;
-                    while let Some(index) = shared.next_work(&mut holding) {
+                    while let Some(index) = shared.next_work() {
                         shared.run(index);
                     }
                 })
                 // pesos-lint: allow(panic_freedom, "service-thread spawn failure at construction is fatal initialization")
                 .expect("spawn asyscall service thread");
-            workers.push(handle);
+            parking.workers.push(handle);
         }
-        let mut parking = shared.park.lock();
-        // Threads given back have exited or will: their handles detach.
-        parking.workers.retain(|worker| !worker.is_finished());
-        parking.workers.extend(workers);
         drop(parking);
         AsyscallInterface {
             pool: Arc::clone(self),
-            threads: service_threads.max(1),
+            threads,
             submitter: Arc::new(Submitter {
                 shared: Arc::clone(shared),
                 submitted: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 slot_waits: AtomicU64::new(0),
                 parks: AtomicU64::new(0),
-                spin_hits: AtomicU64::new(0),
                 exits: AtomicU64::new(0),
             }),
             cost,
@@ -1321,13 +913,13 @@ impl HostPool {
     /// Returns the service side's counters.
     pub fn stats(&self) -> PoolStats {
         let shared = &self.shared;
+        let parking = shared.park.lock();
         PoolStats {
-            threads: shared.threads.load(Ordering::SeqCst),
+            threads: parking.threads,
             slots: shared.slot_count.load(Ordering::SeqCst),
             completed: shared.completed.load(Ordering::Relaxed),
             max_concurrency: shared.max_concurrency.load(Ordering::SeqCst),
-            parks: shared.parks.load(Ordering::Relaxed),
-            spin_hits: shared.spin_hits.load(Ordering::Relaxed),
+            parks: parking.parks,
         }
     }
 
@@ -1350,6 +942,10 @@ impl Drop for HostPool {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The interface
+// ---------------------------------------------------------------------------
+
 /// One enclave's submission side: its counters, and the pool it submits to.
 struct Submitter {
     shared: Arc<Shared>,
@@ -1359,9 +955,8 @@ struct Submitter {
     /// Times one of this enclave's threads slept waiting for a completion
     /// or a free slot.
     parks: AtomicU64,
-    /// This enclave's waits that ended while it was still spinning.
-    spin_hits: AtomicU64,
-    /// Calls that ran on their caller (`AsyscallStats::exits`).
+    /// Joined submissions whose first call ran on their caller
+    /// (`AsyscallStats::exits`).
     exits: AtomicU64,
 }
 
@@ -1376,46 +971,18 @@ impl Submitter {
             Err(call) => call,
         };
         self.slot_waits.fetch_add(1, Ordering::Relaxed);
-        shared.slot_waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = shared.park.lock();
+        let mut parking = shared.park.lock();
+        parking.slot_waiters += 1;
         let index = loop {
             match shared.try_claim(call) {
                 Ok(index) => break index,
                 Err(returned) => call = returned,
             }
             self.parks.fetch_add(1, Ordering::Relaxed);
-            shared.slot_freed.wait(&mut guard);
+            shared.slot_freed.wait(&mut parking);
         };
-        shared.slot_waiters.fetch_sub(1, Ordering::SeqCst);
+        parking.slot_waiters -= 1;
         index
-    }
-
-    /// Sees the call queued at `position` into the hands of a service
-    /// thread. A token holder is awake and comes back to the ring after at
-    /// most the short body it is inside, so the submitter gives it as long
-    /// as a wake-up would cost to take the call; failing that, or with no
-    /// holder, it signals. On return the call has been taken, or a sleeper
-    /// is on its way, or every service thread is awake.
-    fn hand_over(&self, position: usize) {
-        let shared = &*self.shared;
-        if shared.token.load(Ordering::SeqCst) {
-            let start = Instant::now();
-            let mut waited = false;
-            while !shared.ring.taken(position) {
-                if !shared.token.load(Ordering::SeqCst) || start.elapsed() >= WAKE_COST {
-                    return shared.signal_work();
-                }
-                // A yield that found the core wanted most likely gave it
-                // to the holder: look again rather than give up.
-                relax();
-                waited = true;
-            }
-            if waited {
-                self.spin_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        shared.signal_work();
     }
 }
 
@@ -1444,7 +1011,7 @@ impl AsyscallInterface {
 
     /// Number of system-call slots in the host pool.
     pub fn slots(&self) -> usize {
-        self.pool.stats().slots
+        self.pool.shared.slot_count.load(Ordering::SeqCst)
     }
 
     fn enqueue(&self, call: QueuedCall) {
@@ -1452,52 +1019,46 @@ impl AsyscallInterface {
         let submitter = &*self.submitter;
         submitter.submitted.fetch_add(1, Ordering::Relaxed);
         let index = submitter.claim(call);
-        let position = submitter.shared.ring.push(index);
-        submitter.hand_over(position);
+        submitter.shared.hand_over(index);
     }
 
     /// Enqueues `bodies` as one submission reporting into one set of
-    /// cells. With `exit` set, lane 0 runs on the calling thread instead
-    /// if, once the other lanes are handed over, no service thread is free
-    /// to take it.
-    fn submit_set<T, F>(&self, bodies: impl Iterator<Item = F>, exit: bool) -> CompletionSet<T>
+    /// cells. A `joined` submission keeps lane 0 and runs it on the
+    /// calling thread once the other lanes are handed over.
+    fn submit_set<T, F>(&self, bodies: impl Iterator<Item = F>, joined: bool) -> CompletionSet<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let batch = Batch::new(bodies);
-        let call = |lane: usize| QueuedCall {
-            batch: Arc::clone(&batch) as Arc<dyn Run>,
-            lane: lane as u32,
-        };
-        let kept = usize::from(exit && batch.calls > 0);
-        for lane in kept..batch.calls {
-            self.enqueue(call(lane));
+        let calls = batch.calls as u32;
+        let kept = u32::from(joined).min(calls);
+        for lane in kept..calls {
+            self.enqueue(QueuedCall {
+                batch: Arc::clone(&batch) as Arc<dyn Run>,
+                lane,
+            });
         }
-        if kept == 1 {
-            if self.submitter.shared.nobody_free() {
-                self.exit(&*batch);
-            } else {
-                self.enqueue(call(0));
-            }
-        }
+        let own = (kept == 1).then(|| {
+            let own: Arc<dyn Run> = Arc::clone(&batch) as Arc<dyn Run>;
+            self.exit(&*own);
+            (own, 1..calls)
+        });
         CompletionSet {
             batch,
             delivered: 0,
+            own,
             submitter: Arc::clone(&self.submitter),
         }
     }
 
     /// Runs lane 0 of `batch` on the calling thread: one synchronous
     /// enclave exit, contained as [`Shared::run`] contains a service
-    /// thread's call, so a panic publishes the lane abandoned.
+    /// thread's call.
     fn exit(&self, batch: &dyn Run) {
         self.cost.charge(CostEvent::EnclaveTransition);
         self.submitter.exits.fetch_add(1, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.run(0)));
-        if outcome.is_err() {
-            eprintln!("asyscall: system-call body panicked on its caller; call abandoned");
-        }
+        contained(|| batch.run(0), " on its caller");
     }
 
     /// Submits a "system call" and blocks until its result is available.
@@ -1537,11 +1098,11 @@ impl AsyscallInterface {
     /// Submits N call bodies as one batch whose caller joins it at once:
     /// it reads the set straight away and has nothing to overlap with the
     /// calls. Lanes `1..N` are handed over as by
-    /// [`AsyscallInterface::submit_batch`]; lane 0 is too, unless no
-    /// service thread is free to take it, in which case it runs on the
-    /// calling thread as one charged enclave exit (module docs, "When
-    /// nobody is free: the exit"). Its result reaches the set like any
-    /// other.
+    /// [`AsyscallInterface::submit_batch`]; lane 0 then runs on the calling
+    /// thread as one charged enclave exit, and while the caller waits on
+    /// the set it runs any of its lanes no service thread has taken yet
+    /// (module docs, "The caller's lanes"). Every result reaches the set
+    /// like any other.
     pub fn submit_joined<T, F, I>(&self, bodies: I) -> Result<CompletionSet<T>, SgxError>
     where
         T: Send + 'static,
@@ -1557,15 +1118,14 @@ impl AsyscallInterface {
     /// `max_concurrency` are the host pool's.
     pub fn stats(&self) -> AsyscallStats {
         let submitter = &*self.submitter;
-        let pool = self.pool.stats();
+        let shared = &*submitter.shared;
         AsyscallStats {
             submitted: submitter.submitted.load(Ordering::Relaxed),
-            completed: pool.completed,
+            completed: shared.completed.load(Ordering::Relaxed),
             slot_waits: submitter.slot_waits.load(Ordering::Relaxed),
             batches: submitter.batches.load(Ordering::Relaxed),
-            max_concurrency: pool.max_concurrency,
+            max_concurrency: shared.max_concurrency.load(Ordering::SeqCst),
             parks: submitter.parks.load(Ordering::Relaxed),
-            spin_hits: submitter.spin_hits.load(Ordering::Relaxed),
             exits: submitter.exits.load(Ordering::Relaxed),
         }
     }

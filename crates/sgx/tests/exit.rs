@@ -1,6 +1,7 @@
-//! The exit: a joined call that no service thread is free to take runs on
-//! its caller, charged as one enclave transition, while a call whose set is
-//! joined later still waits for the pool.
+//! The caller's lanes: the first call of a joined submission runs on its
+//! caller, charged as one enclave transition, however busy or idle the
+//! pool is; the caller runs the lanes no service thread has taken before it
+//! parks; a call whose set is joined later still waits for the pool.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -193,5 +194,62 @@ fn a_body_on_a_caller_holding_a_key_lock_takes_drive_locks_in_rank_order() {
 
         release.send(()).unwrap();
         assert_eq!(finish(), 7);
+    });
+}
+
+#[test]
+fn every_one_lane_joined_call_runs_on_its_caller_right_after_a_burst() {
+    alone(|| {
+        let iface = AsyscallInterface::new(
+            2,
+            8,
+            ModeCost::new(ExecutionMode::Sgx, SgxCostModel::zero()),
+        );
+        // Short bodies on both service threads, back to back: the pool is
+        // as awake as it gets when the joined calls arrive.
+        for _ in 0..100 {
+            let set = iface.submit_batch((0..4u32).map(|k| move || k)).unwrap();
+            assert_eq!(set.join().unwrap(), vec![0, 1, 2, 3]);
+        }
+        let before = iface.stats();
+        for k in 0..1_000u32 {
+            let ran = iface
+                .submit_joined([move || (k, this_thread())])
+                .unwrap()
+                .wait_single()
+                .unwrap();
+            assert_eq!(ran, (k, this_thread()), "call {k} was handed over");
+        }
+        let after = iface.stats();
+        assert_eq!(after.exits - before.exits, 1_000);
+        assert_eq!(after.submitted, before.submitted, "a call was handed over");
+    });
+}
+
+#[test]
+fn a_joined_call_runs_the_lanes_nobody_took_on_its_caller() {
+    alone(|| {
+        let (iface, release, finish) = with_its_only_thread_blocked();
+        let before = iface.stats();
+        let ran_on = iface
+            .submit_joined([this_thread, this_thread])
+            .unwrap()
+            .join()
+            .unwrap();
+        let after = iface.stats();
+        assert_eq!(ran_on, vec![this_thread(); 2], "a lane ran on the pool");
+        // Lane 1 was handed over, then taken back: one exit, no sleep.
+        assert_eq!(after.exits, before.exits + 1);
+        assert_eq!(after.submitted, before.submitted + 1);
+        assert_eq!(after.parks, before.parks, "the caller slept");
+
+        // The service thread, once back, frees lane 1's slot.
+        release.send(()).unwrap();
+        assert_eq!(finish(), 7);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while iface.stats().completed < after.submitted {
+            assert!(Instant::now() < deadline, "lane 1's slot was never freed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     });
 }
