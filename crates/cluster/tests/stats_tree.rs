@@ -122,6 +122,11 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
     for name in ["hits", "misses", "evictions", "entries"] {
         leaf(&cluster, &format!("partitions/0/store/policy_cache/{name}"));
     }
+    // No object has a policy, so nothing was evaluated or remembered.
+    for name in ["evaluations", "hits", "stale", "entries"] {
+        let path = format!("partitions/0/store/policy_cache/decisions/{name}");
+        assert_eq!(leaf(&cluster, &path), 0, "{path}");
+    }
 
     // Replication gauges exist with one backup per partition, and lag is
     // bounded by what was appended.
@@ -353,4 +358,49 @@ fn telemetry_toggle_pauses_and_resumes_recording() {
     cluster.get(CLIENT, "tog0.obj", &[]).unwrap();
     assert_eq!(leaf(&cluster, "ops/get/count"), 1);
     assert!(leaf(&cluster, "groups/total_ops") > group_ops);
+}
+
+/// `/stats/partitions/<i>/store/policy_cache/decisions/*`: a repeated
+/// policy-checked read is answered by the decision its first read left
+/// beside the policy, until a write to the log it read makes it stale.
+#[test]
+fn remembered_read_decisions_are_counted() {
+    let cluster = build(1, 0);
+    let policy = cluster
+        .put_policy(
+            CLIENT,
+            "read :- sessionKeyIs(U) and objSays(LOG, V, 'grant'(U))\n\
+             update :- sessionKeyIs(\"alice\")",
+        )
+        .unwrap();
+    let log = |grant: &str| format!("grant(\"{grant}\")").into_bytes();
+    cluster
+        .put(CLIENT, "doc.log", log(CLIENT), None, None, &[])
+        .unwrap();
+    cluster
+        .put(CLIENT, "doc", b"text", Some(policy), None, &[])
+        .unwrap();
+    let decisions = |name: &str| {
+        leaf(
+            &cluster,
+            &format!("partitions/0/store/policy_cache/decisions/{name}"),
+        )
+    };
+    let lookups = || leaf(&cluster, "partitions/0/store/policy_cache/hits");
+    let lookups_before = lookups();
+    for _ in 0..3 {
+        cluster.get(CLIENT, "doc", &[]).unwrap();
+    }
+    assert_eq!(decisions("evaluations"), 1);
+    assert_eq!(decisions("hits"), 2);
+    cluster
+        .put(CLIENT, "doc.log", log(CLIENT), None, None, &[])
+        .unwrap();
+    for _ in 0..2 {
+        cluster.get(CLIENT, "doc", &[]).unwrap();
+    }
+    let counts = ["evaluations", "hits", "stale", "entries"].map(decisions);
+    assert_eq!(counts, [2, 3, 1, 1]);
+    // Every read still looked its policy up in the cache.
+    assert_eq!(lookups() - lookups_before, 5);
 }

@@ -101,10 +101,12 @@ pub mod lock_order {
     pub const REPLICATION_WORKERS: u16 = 82;
     /// Submission scheduler / thread-pool internals.
     pub const SCHEDULER: u16 = 85;
-    /// Asyscall slow-path park mutexes (service sleepers, table-full
-    /// submitters and service-thread handles per host pool, the waiter per
-    /// batch). The hand-off itself runs on atomics; these are taken only to
-    /// sleep, to wake a sleeper or to add a member's threads, never nested.
+    /// Asyscall park mutexes: per host pool, the one that guards the
+    /// submission queue with its sleeper count and wake tickets, the
+    /// table-full submitters and the service-thread handles; per batch, the
+    /// waiter's. A hand-off takes the pool's to push a queued slot index,
+    /// and a service thread to take one. A slot's own state word stays a
+    /// compare-and-swap. None of them is ever nested.
     pub const ASYSCALL_PARK: u16 = 92;
     /// Drive fault injector (its generator and counters sit behind this
     /// one mutex).

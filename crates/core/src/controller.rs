@@ -95,29 +95,31 @@ impl Requester<'_> {
         let Some(policy_id) = meta.policy_id else {
             return Ok(None);
         };
-        let policy = store.load_policy(&policy_id)?;
-
-        // The request as the evaluator sees it, borrowed from what this
-        // call already holds; the log's name is only built for a policy
-        // that mentions the `LOG` handle.
-        let key = key.key();
-        let log_key = policy.log_slot.map(|_| format!("{key}{LOG_SUFFIX}"));
-        let request = Request {
-            session_key: Some(&self.client_id),
-            certificates: &self.certificates,
-            now: self.now,
-            freshness_nonce: self.nonce.as_deref(),
-            next_version,
-            new_object_hash: new_object_hash.map(|hash| hash.as_slice()),
-            this: Some(ValueRef::Str(key)),
-            log: log_key.as_deref().map(ValueRef::Str),
-            bindings: &[],
-        };
-        // A lookup the drives could not answer is no decision at all:
-        // neither a grant nor a denial, the backend's failure.
-        let decision = policy
-            .evaluate_request(operation, &request, &store.view())
-            .map_err(|fault| PesosError::Backend(format!("policy check: {fault}")))?;
+        // A read that presents no certificate depends on nothing but the
+        // policy, the principal, the key and the records it looks up, so
+        // the store may answer it from memory (`store` module docs, "Read
+        // decisions are remembered").
+        let pure_read = operation == Operation::Read && self.certificates.is_empty();
+        let reader = pure_read.then_some(&*self.client_id);
+        let (policy, decision) = store.decide(&policy_id, key, reader, |policy, view| {
+            // The request as the evaluator sees it, borrowed from what this
+            // call already holds; the log's name is only built for a policy
+            // that mentions the `LOG` handle.
+            let key = key.key();
+            let log_key = policy.log_slot.map(|_| format!("{key}{LOG_SUFFIX}"));
+            let request = Request {
+                session_key: Some(&self.client_id),
+                certificates: &self.certificates,
+                now: self.now,
+                freshness_nonce: self.nonce.as_deref(),
+                next_version,
+                new_object_hash: new_object_hash.map(|hash| hash.as_slice()),
+                this: Some(ValueRef::Str(key)),
+                log: log_key.as_deref().map(ValueRef::Str),
+                bindings: &[],
+            };
+            policy.evaluate_request(operation, &request, view)
+        })?;
         if decision.allowed {
             Ok(Some(policy))
         } else {
@@ -805,12 +807,22 @@ impl PesosController {
             .with("refused", StatsNode::leaf(objects.refused))
             .with("entries", StatsNode::leaf(objects.entries))
             .with("used_bytes", StatsNode::leaf(objects.used_bytes));
+        // `decisions`: evaluations run, and remembered read decisions that
+        // answered a read or were found stale (`store` module docs, "Read
+        // decisions are remembered"); `entries` is how many are held.
         let policies = self.store.policy_cache_stats();
+        let decided = self.store.decision_stats();
+        let decisions = StatsNode::dir()
+            .with("evaluations", StatsNode::leaf(decided.evaluations))
+            .with("hits", StatsNode::leaf(decided.hits))
+            .with("stale", StatsNode::leaf(decided.stale))
+            .with("entries", StatsNode::leaf(policies.decisions));
         let policy_cache = StatsNode::dir()
             .with("hits", StatsNode::leaf(policies.hits))
             .with("misses", StatsNode::leaf(policies.misses))
             .with("evictions", StatsNode::leaf(policies.evictions))
-            .with("entries", StatsNode::leaf(policies.entries));
+            .with("entries", StatsNode::leaf(policies.entries))
+            .with("decisions", decisions);
         let store = StatsNode::dir()
             .with("create_refusals", StatsNode::leaf(creates.refusals))
             .with("create_rollbacks", StatsNode::leaf(creates.rollbacks))

@@ -49,7 +49,8 @@ pub use result_buffer::{AsyncResult, ResultBuffer};
 pub use session::{SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};
 pub use store::{
-    BatchLog, CreateStats, ObjectExport, PesosStore, StoreOptions, TX_OUTCOME_CAPACITY,
+    BatchLog, CreateStats, DecisionStats, ObjectExport, PesosStore, StoreOptions,
+    TX_OUTCOME_CAPACITY,
 };
 pub use transaction::{PreparedTransaction, TransactionManager, TxOutcome, TxWrite};
 

@@ -43,7 +43,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use pesos_policy::PolicyId;
@@ -528,9 +529,28 @@ fn decode_fact(data: &[u8]) -> Result<VersionMeta, PesosError> {
 /// pointer to one copy its shard shares among the records naming it.
 /// [`ObjectMetadata`] is assembled on the way out, by reference-count bumps
 /// and a copy of the id, without allocating.
+///
+/// Beside the records the map keeps a fixed array of *write generations*,
+/// `GENERATION_SLOTS_PER_SHARD` per lock shard, indexed by placement
+/// hash. Every insert and removal bumps its key's slot under the shard's
+/// write lock, and every change to a record passes through the map, so a
+/// slot that reads the same before a lookup and later says that no record
+/// of its keys changed in between. A remembered read decision is checked
+/// this way (`store` module docs, "Read decisions are remembered"); keys
+/// that share a slot only make each other's decisions look stale. The
+/// array is allocated by the first lookup that reads a generation, so a
+/// store that never evaluates a policy over its records (a backup, or one
+/// whose objects carry no policy) pays nothing for it; until then no
+/// decision depends on a generation, and a change has nothing to bump.
 pub struct ShardedMetadata {
     shards: Sharded<RwLock<Shard>>,
+    generations: OnceLock<Box<[AtomicU64]>>,
+    generation_slots: usize,
 }
+
+/// Write-generation slots per lock shard of [`ShardedMetadata`]: 4 096
+/// slots, 32 KiB, at the default 16 shards.
+const GENERATION_SLOTS_PER_SHARD: usize = 256;
 
 /// One lock shard of [`ShardedMetadata`].
 #[derive(Default)]
@@ -595,6 +615,48 @@ impl ShardedMetadata {
                     Shard::default(),
                 )
             }),
+            generations: OnceLock::new(),
+            generation_slots: shards.max(1) * GENERATION_SLOTS_PER_SHARD,
+        }
+    }
+
+    /// `key`'s write-generation slot.
+    fn slot(&self, key: &HashedKey<'_>) -> u32 {
+        (key.hash() % self.generation_slots as u64) as u32
+    }
+
+    /// The write generation of `key`'s slot, as `(slot, generation)`. Read
+    /// it before looking the record up: if the slot still holds the same
+    /// generation later ([`ShardedMetadata::generations_hold`]), the record
+    /// has not changed since.
+    pub(crate) fn generation(&self, key: &HashedKey<'_>) -> (u32, u64) {
+        let generations = self.generations.get_or_init(|| {
+            (0..self.generation_slots)
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        });
+        let slot = self.slot(key);
+        let generation = generations.get(slot as usize);
+        (slot, generation.map_or(0, |g| g.load(Ordering::Acquire)))
+    }
+
+    /// True if every `(slot, generation)` pair still holds. Takes no lock.
+    pub(crate) fn generations_hold(&self, held: &[(u32, u64)]) -> bool {
+        let generations = self.generations.get().map_or(&[][..], |g| &g[..]);
+        held.iter().all(|&(slot, generation)| {
+            generations
+                .get(slot as usize)
+                .is_some_and(|g| g.load(Ordering::Acquire) == generation)
+        })
+    }
+
+    /// Bumps `key`'s slot; called under the shard's write lock by each
+    /// change to the records, so a lookup that allocated the array before
+    /// taking the shard's lock is seen by every change after it.
+    fn bump(&self, key: &HashedKey<'_>) {
+        let slot = self.slot(key) as usize;
+        if let Some(generation) = self.generations.get().and_then(|g| g.get(slot)) {
+            generation.fetch_add(1, Ordering::AcqRel);
         }
     }
 
@@ -638,17 +700,20 @@ impl ShardedMetadata {
     pub fn insert<'a>(&self, key: impl Into<HashedKey<'a>>, meta: ObjectMetadata) {
         let key = key.into();
         debug_assert_eq!(key.key(), &*meta.key, "hashed key does not match record");
-        let shard = if key.key() == &*meta.key {
-            self.shard(&key)
+        let rehashed;
+        let key = if key.key() == &*meta.key {
+            &key
         } else {
-            self.shard(&HashedKey::new(&meta.key))
+            rehashed = HashedKey::new(&meta.key);
+            &rehashed
         };
-        let mut shard = shard.write();
+        let mut shard = self.shard(key).write();
         let entry = Entry {
             latest_version: meta.latest_version,
             policy_id: meta.policy_id.map(|id| shard.intern(id)),
             versions: meta.versions,
         };
+        self.bump(key);
         if let Some(replaced) = shard.records.insert(meta.key, entry) {
             shard.release(replaced);
         }
@@ -658,6 +723,7 @@ impl ShardedMetadata {
     pub fn remove<'a>(&self, key: impl Into<HashedKey<'a>>) {
         let key = key.into();
         let mut shard = self.shard(&key).write();
+        self.bump(&key);
         if let Some(removed) = shard.records.remove(key.key()) {
             shard.release(removed);
         }
@@ -1014,6 +1080,34 @@ mod tests {
         map.insert("b", ObjectMetadata::new("b"));
         assert_eq!(shared(&map).0, 0);
         assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn every_change_to_a_record_bumps_its_write_generation() {
+        let map = ShardedMetadata::new(2);
+        // Nothing is allocated, or bumped, before a generation is read.
+        map.insert("a", ObjectMetadata::new("a"));
+        assert!(map.generations.get().is_none());
+        let a = HashedKey::new("a");
+        let b = HashedKey::new("b");
+        let seen = [map.generation(&a), map.generation(&b)];
+        assert_eq!(seen.map(|(_, generation)| generation), [0, 0]);
+        assert!(map.generations_hold(&seen));
+        // Reads leave it; a replacement, a removal and an insert each move
+        // it.
+        assert!(map.get("a").is_some());
+        assert!(map.generations_hold(&seen));
+        for change in 0..3 {
+            let before = [map.generation(&a)];
+            match change {
+                1 => map.remove("a"),
+                _ => map.insert("a", ObjectMetadata::new("a")),
+            }
+            assert!(!map.generations_hold(&before), "change {change}");
+            assert!(!map.generations_hold(&seen[..1]));
+        }
+        // The other key's slot is its own unless the two share one.
+        assert_eq!(map.generations_hold(&seen[1..]), seen[0].0 != seen[1].0);
     }
 
     #[test]

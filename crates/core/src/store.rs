@@ -158,6 +158,42 @@
 //! stripe's index is not above its own), and so does `pesos-lint`, which
 //! reads the stripes' rank from the field that builds them.
 //!
+//! # Read decisions are remembered
+//!
+//! A read that presents no certificate is decided by four things: the
+//! policy, the principal (its session key), the object key, and the
+//! records the evaluation looked up through its [`StoreView`]. The
+//! request's time and freshness nonce are read only by `certificateSays`,
+//! which has nothing to check without certificates; a read carries no next
+//! version, no incoming hash and no other bindings. So
+//! `PesosStore::decide` keeps each such decision beside its policy in the
+//! policy cache (`pesos_policy::cache`, "Remembered read decisions"), with
+//! what it depended on: for every key the view looked up, its write
+//! generation, read before the lookup (`ShardedMetadata`: a fixed array of
+//! generations that every insert into and removal from the map bumps, and
+//! every change to a record passes through the map). The next read of that
+//! object by that principal under that policy takes the remembered
+//! decision if every generation still holds, checked without a lock, and
+//! evaluates again otherwise. A generation read before its lookup can only
+//! be older than what the lookup saw, so a write that races the evaluation
+//! makes the decision look stale, never current. A read with certificates,
+//! and every update and delete, is evaluated each time.
+//!
+//! Two kinds of decision are not remembered. One that looked no record up
+//! (`sessionKeyIs` alone, say) costs less to evaluate again than to file.
+//! One that read object contents from the drives rather than the object
+//! cache rests on bytes nothing in the enclave pins (a replica may hold a
+//! divergent copy of the same version, which the AEAD tag alone accepts),
+//! and a drive that faults there must leave the next check without an
+//! answer, so it is evaluated again each time. A record read through from
+//! the drives is filed in the map, which bumps its generation: the decision
+//! that needed it is evaluated once more, then remembered.
+//!
+//! The decision comes after the record lookup that finds the object's
+//! policy, so a read of an object without one pays nothing for this. A
+//! remembered decision still counts as a policy-cache lookup; what it saves
+//! is counted by [`PesosStore::decision_stats`].
+//!
 //! # The digest pipeline
 //!
 //! Every hash on the request path is computed exactly once. The controller
@@ -170,7 +206,7 @@
 //! twice. The compression-count budgets in `tests/digest_budget.rs` pin
 //! these invariants.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -178,7 +214,9 @@ use parking_lot::Mutex;
 use pesos_kinetic::{
     BatchOp, DriveSet, KineticClient, KineticError, Payload, StatusCode, MAX_BATCH_OPS,
 };
-use pesos_policy::{CompiledPolicy, ObjectStoreView, PolicyCache, PolicyId, ViewFault};
+use pesos_policy::{
+    CompiledPolicy, Decision, ObjectStoreView, PolicyCache, PolicyId, ReadMemo, ViewFault,
+};
 use pesos_sgx::{AsyscallInterface, Enclave};
 
 use crate::bootstrap::BootstrapReport;
@@ -288,6 +326,18 @@ pub struct CreateStats {
     pub rollbacks: u64,
 }
 
+/// How the store's policy decisions were reached (module docs, "Read
+/// decisions are remembered").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecisionStats {
+    /// Policy evaluations run, for every operation.
+    pub evaluations: u64,
+    /// Reads answered by a remembered decision, with no evaluation.
+    pub hits: u64,
+    /// Remembered decisions found stale, each followed by an evaluation.
+    pub stale: u64,
+}
+
 /// Where a partition primary's store appends every batch all its replicas
 /// accepted (module docs, "A backup writes what its primary wrote"). The
 /// cluster's replication log implements it.
@@ -312,6 +362,10 @@ pub struct PesosStore {
     /// [`CreateStats`] counters (statistics only, hence relaxed).
     create_refusals: AtomicU64,
     create_rollbacks: AtomicU64,
+    /// [`DecisionStats`] counters (statistics only, hence relaxed).
+    decision_evaluations: AtomicU64,
+    decision_hits: AtomicU64,
+    decision_stale: AtomicU64,
     asyscall: Arc<AsyscallInterface>,
     enclave: Arc<Enclave>,
     /// The log of the partition this store is primary of, set once. Weak:
@@ -353,6 +407,9 @@ impl PesosStore {
             replication_factor: options.replication_factor,
             create_refusals: AtomicU64::new(0),
             create_rollbacks: AtomicU64::new(0),
+            decision_evaluations: AtomicU64::new(0),
+            decision_hits: AtomicU64::new(0),
+            decision_stale: AtomicU64::new(0),
             asyscall,
             enclave,
             log: OnceLock::new(),
@@ -410,6 +467,16 @@ impl PesosStore {
         CreateStats {
             refusals: self.create_refusals.load(Ordering::Relaxed),
             rollbacks: self.create_rollbacks.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Policy evaluations run, and remembered read decisions used or found
+    /// stale, so far.
+    pub fn decision_stats(&self) -> DecisionStats {
+        DecisionStats {
+            evaluations: self.decision_evaluations.load(Ordering::Relaxed),
+            hits: self.decision_hits.load(Ordering::Relaxed),
+            stale: self.decision_stale.load(Ordering::Relaxed),
         }
     }
 
@@ -694,9 +761,14 @@ impl PesosStore {
     /// Loads a policy by identifier, consulting the cache first and falling
     /// back to the drives.
     pub fn load_policy(&self, id: &PolicyId) -> Result<Arc<CompiledPolicy>, PesosError> {
-        if let Some(p) = self.policy_cache.get(id) {
-            return Ok(p);
+        match self.policy_cache.get(id) {
+            Some(policy) => Ok(policy),
+            None => self.fetch_policy(id),
         }
+    }
+
+    /// Reads a policy the cache does not hold from the drives and caches it.
+    fn fetch_policy(&self, id: &PolicyId) -> Result<Arc<CompiledPolicy>, PesosError> {
         let hex = id.to_hex();
         let bytes = self
             .replicated_get(
@@ -710,6 +782,52 @@ impl PesosStore {
         }
         self.policy_cache.insert(Arc::clone(&policy));
         Ok(policy)
+    }
+
+    /// Decides policy `id` of `key` for one request: `evaluate` runs it over
+    /// a view of this store, unless `reader` names the principal of a read
+    /// that a remembered decision still answers (module docs, "Read
+    /// decisions are remembered"). The caller passes a reader only for a
+    /// read that presents no certificate. Returns the policy with its
+    /// decision; a lookup the drives could not answer is no decision at
+    /// all, the backend's failure.
+    pub(crate) fn decide(
+        &self,
+        id: &PolicyId,
+        key: &HashedKey<'_>,
+        reader: Option<&str>,
+        evaluate: impl FnOnce(&CompiledPolicy, &StoreView<'_>) -> Result<Decision, ViewFault>,
+    ) -> Result<(Arc<CompiledPolicy>, Decision), PesosError> {
+        let (policy, memo) = match reader {
+            Some(reader) => {
+                match self
+                    .policy_cache
+                    .get_with_read(id, reader, key.key(), key.hash())
+                {
+                    Some(found) => found,
+                    None => (self.fetch_policy(id)?, None),
+                }
+            }
+            None => (self.load_policy(id)?, None),
+        };
+        if let Some(memo) = memo {
+            if self.metadata.generations_hold(memo.generations()) {
+                self.decision_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((policy, memo.decision().clone()));
+            }
+            self.decision_stale.fetch_add(1, Ordering::Relaxed);
+        }
+        self.decision_evaluations.fetch_add(1, Ordering::Relaxed);
+        let view = self.view();
+        let decision = evaluate(&policy, &view)
+            .map_err(|fault| PesosError::Backend(format!("policy check: {fault}")))?;
+        let generations = view.generations();
+        let inside = !generations.is_empty() && !view.read_drive_data.get();
+        if let Some(reader) = reader.filter(|_| inside) {
+            let memo = ReadMemo::new(reader, key.key(), generations, decision.clone());
+            self.policy_cache.remember_read(id, key.hash(), memo);
+        }
+        Ok((policy, decision))
     }
 
     // ------------------------------------------------------------------
@@ -1201,6 +1319,7 @@ impl PesosStore {
         StoreView {
             store: self,
             seen: RefCell::new(Vec::new()),
+            read_drive_data: Cell::new(false),
         }
     }
 
@@ -1445,19 +1564,27 @@ pub struct ObjectExport {
 /// Every fact of a key is answered from one metadata lookup: the view
 /// remembers the records (and the absences) it has looked up, so an
 /// evaluation sees each key as it was when first asked and pays for it
-/// once. That is also why a view must not outlive its evaluation.
+/// once. That is also why a view must not outlive its evaluation. Before
+/// each lookup it reads the key's write generation, so what the
+/// evaluation depended on can be checked later (module docs, "Read
+/// decisions are remembered").
 ///
 /// A lookup the drives could not answer is a [`ViewFault`], never an
 /// absence: a fault under an `objSays` must not read as "no such tuple".
 pub struct StoreView<'a> {
     store: &'a PesosStore,
     seen: RefCell<Vec<Seen>>,
+    /// Whether some object's contents came from the drives rather than
+    /// the object cache.
+    read_drive_data: Cell<bool>,
 }
 
 /// What a view has learnt about one key.
 struct Seen {
     /// The key's placement hash, computed once for the lookups that follow.
     hash: u64,
+    /// The key's write generation, read before the lookup.
+    generation: (u32, u64),
     /// The record, or the key the drives answered they hold none for.
     record: Result<ObjectMetadata, String>,
 }
@@ -1470,6 +1597,16 @@ fn view_fault(error: PesosError) -> ViewFault {
 }
 
 impl StoreView<'_> {
+    /// The write generation of every key looked up so far, as `(slot,
+    /// generation)` pairs: while they all hold, the records are as seen.
+    fn generations(&self) -> Box<[(u32, u64)]> {
+        self.seen
+            .borrow()
+            .iter()
+            .map(|seen| seen.generation)
+            .collect()
+    }
+
     /// Reads from the record of `key` (`None` if there is none), looking it
     /// up on first use.
     fn record<T>(
@@ -1487,9 +1624,11 @@ impl StoreView<'_> {
             Some(entry) => entry,
             None => {
                 let hashed = HashedKey::new(key);
+                let generation = self.store.metadata.generation(&hashed);
                 let record = self.store.lookup(&hashed).map_err(view_fault)?;
                 &*fresh.insert(Seen {
                     hash: hashed.hash(),
+                    generation,
                     record: record.ok_or_else(|| key.to_string()),
                 })
             }
@@ -1542,6 +1681,7 @@ impl ObjectStoreView for StoreView<'_> {
                     return Ok(Some(cached));
                 }
             }
+            self.read_drive_data.set(true);
             match self.store.get_object_version(key, version) {
                 Ok(contents) => Ok(Some(Arc::new(contents))),
                 Err(PesosError::ObjectNotFound(_)) => Ok(None),

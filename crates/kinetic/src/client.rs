@@ -384,6 +384,15 @@ mod tests {
         assert!(client.key_range(b"z", b"zz", 10).unwrap().is_empty());
         // A zero limit means "no results", never the drive's default page.
         assert!(client.key_range(b"p/", b"p/~", 0).unwrap().is_empty());
+        // A range that starts after it ends is refused, and the drive
+        // serves on.
+        match client.key_range(b"p/~", b"p/", 10) {
+            Err(KineticError::Rejected { code, .. }) => {
+                assert_eq!(code, StatusCode::InvalidRequest)
+            }
+            other => panic!("reversed range answered {other:?}"),
+        }
+        assert_eq!(client.key_range(b"p/", b"p/~", 100).unwrap().len(), 2);
     }
 
     #[test]

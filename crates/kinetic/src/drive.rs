@@ -668,10 +668,15 @@ impl KineticDrive {
         // zero limit can no longer decode as "absent" and silently become
         // a default page size.
         let max = command.body.max_returned as usize;
-        let keys =
-            self.engine
-                .lock()
-                .key_range(&command.body.range_start, &command.body.range_end, max);
+        let (start, end) = (&command.body.range_start, &command.body.range_end);
+        if start > end {
+            return Command::response_to(
+                command,
+                StatusCode::InvalidRequest,
+                "key range starts after it ends",
+            );
+        }
+        let keys = self.engine.lock().key_range(start, end, max);
         self.backend
             .charge_io(keys.iter().map(|k| k.len()).sum::<usize>());
         let mut resp = Command::response_to(command, StatusCode::Success, "");
@@ -870,6 +875,30 @@ mod tests {
         let env = Envelope::decode(&d.handle_frame(&frame)).unwrap();
         let resp = Command::decode(&env.command_bytes).unwrap();
         assert_eq!(resp.status.code, StatusCode::NotAuthorized);
+    }
+
+    #[test]
+    fn a_reversed_key_range_is_an_invalid_request() {
+        let d = drive();
+        let mut put = Command::request(MessageType::Put);
+        put.body.key = b"m".to_vec();
+        put.body.value = b"v".into();
+        put.body.new_version = b"1".to_vec();
+        assert_eq!(roundtrip(&d, &put).status.code, StatusCode::Success);
+
+        let mut range = Command::request(MessageType::GetKeyRange);
+        range.body.range_start = b"z".to_vec();
+        range.body.range_end = b"a".to_vec();
+        range.body.max_returned = 10;
+        assert_eq!(
+            roundtrip(&d, &range).status.code,
+            StatusCode::InvalidRequest
+        );
+        // The drive serves on: an ordered range over the same keys lists them.
+        std::mem::swap(&mut range.body.range_start, &mut range.body.range_end);
+        let resp = roundtrip(&d, &range);
+        assert_eq!(resp.status.code, StatusCode::Success);
+        assert_eq!(resp.body.value, b"\0\0\0\x01m");
     }
 
     #[test]

@@ -319,9 +319,13 @@ impl DriveEngine {
         Ok(())
     }
 
-    /// Returns up to `max` keys in `[start, end]` (inclusive), in order.
+    /// Returns up to `max` keys in `[start, end]` (inclusive), in order; a
+    /// range that starts after it ends holds none.
     pub fn key_range(&mut self, start: &[u8], end: &[u8], max: usize) -> Vec<Vec<u8>> {
         self.stats.scans += 1;
+        if start > end {
+            return Vec::new();
+        }
         self.entries
             .range(start.to_vec()..=end.to_vec())
             .take(max)
@@ -444,6 +448,7 @@ mod tests {
         );
         assert_eq!(e.key_range(b"a", b"e", 2).len(), 2);
         assert!(e.key_range(b"x", b"z", 10).is_empty());
+        assert!(e.key_range(b"d", b"b", 10).is_empty());
     }
 
     #[test]

@@ -18,6 +18,21 @@
 //! mutex — this was the last single-lock structure on the request hot path.
 //! Capacity and decay are per shard; like the object cache, independent
 //! per-shard eviction is the price of independent locking.
+//!
+//! # Remembered read decisions
+//!
+//! An entry also keeps the read decisions its policy made
+//! ([`PolicyCache::get_with_read`], [`PolicyCache::remember_read`]), so
+//! evicting a policy evicts its decisions and no other table holds them.
+//! The cache only files and returns them: what a [`ReadMemo`] depends on,
+//! and whether that still holds, is its caller's business (the store's
+//! write generations). A shard keeps at most as many decisions as it may
+//! keep policies, `capacity / shards`, on top of its policies; the shard
+//! that reaches that bound drops every decision it holds and starts again,
+//! since each costs one evaluation to rebuild and tracking their recency
+//! would cost every lookup. Decisions never displace a policy, so which
+//! policies are cached, and with it the hit rate Figure 8 plots, is what it
+//! was without them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +40,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::compiler::{CompiledPolicy, PolicyId};
-use crate::sharded::Sharded;
+use crate::interpreter::Decision;
+use crate::sharded::{ShardKey, Sharded};
 
 /// Cache hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,6 +54,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Current number of cached policies.
     pub entries: usize,
+    /// Current number of remembered read decisions.
+    pub decisions: usize,
 }
 
 impl CacheStats {
@@ -51,18 +69,115 @@ impl CacheStats {
     }
 }
 
+/// A read decision its policy made for one principal on one object, kept
+/// beside the policy (module docs, "Remembered read decisions").
+#[derive(Debug)]
+pub struct ReadMemo {
+    /// The principal (session key) the decision was made for, then the
+    /// object it asked to read, in one allocation.
+    subject: Box<str>,
+    /// Where the principal ends in `subject`.
+    principal_len: usize,
+    generations: Box<[(u32, u64)]>,
+    decision: Decision,
+}
+
+impl ReadMemo {
+    /// The `decision` `principal` got on reading `key`, computed under
+    /// `generations`: `(slot, generation)` pairs whose meaning belongs to
+    /// the caller; the cache only keeps them.
+    pub fn new(
+        principal: &str,
+        key: &str,
+        generations: Box<[(u32, u64)]>,
+        decision: Decision,
+    ) -> Self {
+        ReadMemo {
+            subject: [principal, key].concat().into(),
+            principal_len: principal.len(),
+            generations,
+            decision,
+        }
+    }
+
+    /// What the decision was computed under.
+    pub fn generations(&self) -> &[(u32, u64)] {
+        &self.generations
+    }
+
+    /// The decision.
+    pub fn decision(&self) -> &Decision {
+        &self.decision
+    }
+
+    fn principal(&self) -> &str {
+        self.subject.get(..self.principal_len).unwrap_or_default()
+    }
+
+    /// True if this is `principal`'s decision on `key`.
+    fn is_for(&self, principal: &str, key: &str) -> bool {
+        self.subject.split_at_checked(self.principal_len) == Some((principal, key))
+    }
+
+    /// The tag a memo is filed under within its policy's entry. `key_hash`
+    /// is the caller's hash of the object key; equal tags are told apart
+    /// by [`ReadMemo::is_for`].
+    fn tag(principal: &str, key_hash: u64) -> u64 {
+        principal.shard_hint().rotate_left(32) ^ key_hash
+    }
+}
+
 struct Entry {
     policy: Arc<CompiledPolicy>,
     frequency: u64,
+    decisions: HashMap<u64, Arc<ReadMemo>>,
 }
 
 #[derive(Default)]
 struct Inner {
     entries: HashMap<PolicyId, Entry>,
+    /// Read decisions held by this shard's entries, together.
+    decisions: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
     lookups_since_decay: u64,
+}
+
+impl Inner {
+    /// Removes the entry of `id` with its decisions.
+    fn remove(&mut self, id: &PolicyId) -> bool {
+        match self.entries.remove(id) {
+            Some(entry) => {
+                self.decisions -= entry.decisions.len();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Finds `id`'s entry as a lookup does: decays frequencies when due,
+    /// bumps the entry's on a hit and counts the hit or the miss.
+    fn lookup(&mut self, id: &PolicyId, per_shard_capacity: usize) -> Option<&Entry> {
+        self.lookups_since_decay += 1;
+        if self.lookups_since_decay > 4 * per_shard_capacity as u64 {
+            self.lookups_since_decay = 0;
+            for entry in self.entries.values_mut() {
+                entry.frequency /= 2;
+            }
+        }
+        match self.entries.get_mut(id) {
+            Some(entry) => {
+                entry.frequency += 1;
+                self.hits += 1;
+                Some(entry)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
 }
 
 /// A bounded, approximately-LFU, lock-sharded policy cache.
@@ -108,23 +223,50 @@ impl PolicyCache {
     /// Looks up a policy, bumping its frequency on a hit.
     pub fn get(&self, id: &PolicyId) -> Option<Arc<CompiledPolicy>> {
         let mut inner = self.shards.get(id).lock();
-        inner.lookups_since_decay += 1;
-        if inner.lookups_since_decay > 4 * self.per_shard_capacity as u64 {
-            inner.lookups_since_decay = 0;
-            for entry in inner.entries.values_mut() {
-                entry.frequency /= 2;
-            }
+        let entry = inner.lookup(id, self.per_shard_capacity)?;
+        Some(Arc::clone(&entry.policy))
+    }
+
+    /// Looks up a policy as [`PolicyCache::get`] does (one lookup, counted
+    /// alike), and with it the read decision remembered for `principal` on
+    /// `key`, whose hash the caller passes as `key_hash`.
+    pub fn get_with_read(
+        &self,
+        id: &PolicyId,
+        principal: &str,
+        key: &str,
+        key_hash: u64,
+    ) -> Option<(Arc<CompiledPolicy>, Option<Arc<ReadMemo>>)> {
+        let mut inner = self.shards.get(id).lock();
+        let entry = inner.lookup(id, self.per_shard_capacity)?;
+        let memo = if entry.decisions.is_empty() {
+            None
+        } else {
+            let memo = entry.decisions.get(&ReadMemo::tag(principal, key_hash));
+            memo.filter(|memo| memo.is_for(principal, key)).cloned()
+        };
+        Some((Arc::clone(&entry.policy), memo))
+    }
+
+    /// Remembers a read decision of policy `id`, replacing any it held for
+    /// the same principal and key (`key_hash` as for
+    /// [`PolicyCache::get_with_read`]). A policy no longer cached keeps
+    /// nothing.
+    pub fn remember_read(&self, id: &PolicyId, key_hash: u64, memo: ReadMemo) {
+        let tag = ReadMemo::tag(memo.principal(), key_hash);
+        let mut inner = self.shards.get(id).lock();
+        if !inner.entries.contains_key(id) {
+            return;
         }
-        match inner.entries.get_mut(id) {
-            Some(entry) => {
-                entry.frequency += 1;
-                let policy = Arc::clone(&entry.policy);
-                inner.hits += 1;
-                Some(policy)
+        if inner.decisions >= self.per_shard_capacity {
+            for entry in inner.entries.values_mut() {
+                entry.decisions.clear();
             }
-            None => {
-                inner.misses += 1;
-                None
+            inner.decisions = 0;
+        }
+        if let Some(entry) = inner.entries.get_mut(id) {
+            if entry.decisions.insert(tag, Arc::new(memo)).is_none() {
+                inner.decisions += 1;
             }
         }
     }
@@ -144,7 +286,7 @@ impl PolicyCache {
                 .min_by_key(|(id, e)| (e.frequency, *id))
                 .map(|(id, _)| *id)
             {
-                inner.entries.remove(&victim);
+                inner.remove(&victim);
                 inner.evictions += 1;
             }
         }
@@ -153,20 +295,24 @@ impl PolicyCache {
             Entry {
                 policy,
                 frequency: 1,
+                decisions: HashMap::new(),
             },
         );
         id
     }
 
-    /// Removes a policy from the cache (e.g. after it is superseded).
+    /// Removes a policy, and the decisions it made, from the cache (e.g.
+    /// after it is superseded).
     pub fn invalidate(&self, id: &PolicyId) -> bool {
-        self.shards.get(id).lock().entries.remove(id).is_some()
+        self.shards.get(id).lock().remove(id)
     }
 
     /// Empties the cache.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().entries.clear();
+            let mut inner = shard.lock();
+            inner.entries.clear();
+            inner.decisions = 0;
         }
     }
 
@@ -179,6 +325,7 @@ impl PolicyCache {
             stats.misses += inner.misses;
             stats.evictions += inner.evictions;
             stats.entries += inner.entries.len();
+            stats.decisions += inner.decisions;
         }
         stats
     }
@@ -306,6 +453,88 @@ mod tests {
         }
         cache.insert(policy(3));
         assert!(cache.get(&newcomer).is_some());
+    }
+
+    fn memo(principal: &str, key: &str) -> ReadMemo {
+        ReadMemo::new(principal, key, Box::new([(0, 1)]), Decision::allow(0))
+    }
+
+    #[test]
+    fn a_read_decision_is_kept_beside_its_policy() {
+        let cache = PolicyCache::new(4);
+        let id = cache.insert(policy(1));
+        // Nothing remembered yet; the lookup counts as a `get` does.
+        let (found, none) = cache.get_with_read(&id, "alice", "obj", 7).unwrap();
+        assert_eq!(found.id(), id);
+        assert!(none.is_none());
+        cache.remember_read(&id, 7, memo("alice", "obj"));
+        let (_, kept) = cache.get_with_read(&id, "alice", "obj", 7).unwrap();
+        let kept = kept.unwrap();
+        assert_eq!(kept.decision(), &Decision::allow(0));
+        assert_eq!(kept.generations(), &[(0, 1)]);
+        // Another principal or another key under the same tag is a miss,
+        // and so is the same name split differently.
+        assert!(cache
+            .get_with_read(&id, "bob", "obj", 7)
+            .unwrap()
+            .1
+            .is_none());
+        assert!(cache
+            .get_with_read(&id, "aliceo", "bj", 7)
+            .unwrap()
+            .1
+            .is_none());
+        let (_, other) = cache.get_with_read(&id, "alice", "other", 7).unwrap();
+        assert!(other.is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.decisions), (5, 0, 1));
+        // Remembering again replaces; an unknown policy keeps nothing.
+        cache.remember_read(&id, 7, memo("alice", "obj"));
+        cache.remember_read(&policy(2).id(), 7, memo("alice", "obj"));
+        assert_eq!(cache.stats().decisions, 1);
+        assert!(cache.get_with_read(&policy(2).id(), "a", "b", 0).is_none());
+    }
+
+    #[test]
+    fn evicting_a_policy_evicts_its_decisions() {
+        let cache = PolicyCache::new(1);
+        let first = cache.insert(policy(1));
+        cache.remember_read(&first, 1, memo("alice", "a"));
+        cache.remember_read(&first, 2, memo("alice", "b"));
+        assert_eq!(cache.stats().decisions, 1, "bounded by the capacity");
+        cache.insert(policy(2));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.decisions, stats.evictions), (1, 0, 1));
+        let second = cache.insert(policy(3));
+        cache.remember_read(&second, 1, memo("alice", "a"));
+        assert!(cache.invalidate(&second));
+        assert_eq!(cache.stats().decisions, 0);
+    }
+
+    #[test]
+    fn a_shard_at_its_decision_bound_starts_again() {
+        let cache = PolicyCache::new(3);
+        let ids: Vec<PolicyId> = (0..3).map(|n| cache.insert(policy(n))).collect();
+        for (n, id) in ids.iter().enumerate() {
+            cache.remember_read(id, n as u64, memo("alice", &n.to_string()));
+        }
+        assert_eq!(cache.stats().decisions, 3);
+        // The fourth drops all three and is kept alone; no policy goes.
+        cache.remember_read(&ids[0], 9, memo("bob", "9"));
+        let stats = cache.stats();
+        assert_eq!((stats.decisions, stats.entries), (1, 3));
+        assert!(cache
+            .get_with_read(&ids[0], "bob", "9", 9)
+            .unwrap()
+            .1
+            .is_some());
+        assert!(cache
+            .get_with_read(&ids[1], "alice", "1", 1)
+            .unwrap()
+            .1
+            .is_none());
+        cache.clear();
+        assert_eq!(cache.stats().decisions, 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! ([`compiler`]) that is cached and stored on the Kinetic drives, and
 //! evaluated against a request by the evaluator ([`interpreter`]). The
 //! [`cache`] module provides the least-frequently-used policy cache whose
-//! behaviour Figure 8 measures.
+//! behaviour Figure 8 measures; each of its entries also keeps the read
+//! decisions its policy made ([`ReadMemo`]), which the store answers a
+//! repeated read from while the records they consulted are unchanged.
 //!
 //! # Evaluation model
 //!
@@ -98,7 +100,7 @@ pub mod sharded;
 pub mod value;
 
 pub use ast::{Condition, Conjunction, Expr, PolicyAst, PredicateCall};
-pub use cache::{CacheStats, PolicyCache};
+pub use cache::{CacheStats, PolicyCache, ReadMemo};
 pub use compiler::{compile, CompiledPolicy, PolicyId};
 pub use context::{ObjectFacts, Operation, Request, RequestContext, StaticObjectView};
 pub use error::{PolicyError, Span, ViewFault};

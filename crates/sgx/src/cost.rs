@@ -37,9 +37,10 @@ impl ExecutionMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostEvent {
     /// A synchronous enclave transition (ecall/ocall round trip), charged
-    /// when the asynchronous interface is bypassed: a joined call that no
-    /// service thread is free to take runs on its caller instead
-    /// (`asyscall` module docs, "When nobody is free: the exit").
+    /// when the asynchronous interface is bypassed: lane 0 of every joined
+    /// call runs on its caller as one exit, and so do the lanes no service
+    /// thread took before the caller waits (`asyscall` module docs, "The
+    /// caller's lanes").
     EnclaveTransition,
     /// Submitting a system call through the asynchronous interface and
     /// collecting its result.
@@ -158,7 +159,7 @@ impl ModeCost {
     }
 }
 
-/// Busy-waits for `d`, yielding occasionally to stay scheduler friendly.
+/// Busy-waits for `d` on the calling thread; it never yields or sleeps.
 pub fn spin_for(d: Duration) {
     let start = Instant::now();
     while start.elapsed() < d {
