@@ -314,11 +314,12 @@ impl PartitionLoad {
 /// [`ControllerCluster::remove_controller`] merges a partition into its
 /// lighter neighbour. Both install the new routing state (table + migration
 /// record, atomically) while holding the ops gate's write side, so no
-/// request straddles the swap; the source's scheduled asynchronous writes
-/// are flushed under that same write hold, so an accepted `put_async` can
-/// never land (and log) after a demand pull has already moved its key. The
-/// moved range then drains one placement group per drain slot
-/// ([`ClusterConfig::drain_concurrency`] in flight): each object is
+/// request straddles the swap; the source's deferred asynchronous writes
+/// (host-pool calls) are flushed under that same write hold, so an
+/// accepted `put_async` can never land (and log) after a demand pull has
+/// already moved its key. The moved range then drains on the cluster's
+/// host pool, up to [`ClusterConfig::drain_concurrency`] placement groups
+/// in flight: each object is
 /// exported from the source, imported at the destination and only then
 /// deleted at the source (all under per-key write locks and a striped
 /// migration lock), so a failed import can never lose an object;
@@ -334,8 +335,8 @@ pub struct ControllerCluster {
     /// Serializes topology changes.
     rebalance: Mutex<()>,
     /// Striped per-key locks serializing demand pulls and the drain loop
-    /// during a migration. Arc'd so drain bodies can carry the
-    /// stripes into the scatter-gather asyscall closures.
+    /// during a migration. Arc'd so the drain's lanes can carry the
+    /// stripes into their asyscall closures.
     migration_locks: Arc<Sharded<Mutex<()>>>,
     /// Width of the drain (see [`ClusterConfig::drain_concurrency`]).
     drain_concurrency: usize,
@@ -343,13 +344,6 @@ pub struct ControllerCluster {
     /// primaries, their backups and joiners alike, so one hot service
     /// thread serves them all (`pesos_sgx::asyscall`, "One host pool").
     pool: Arc<HostPool>,
-    /// Dedicated asynchronous-syscall interface driving the migration
-    /// drain's scatter-gather batches, created lazily on the first drain
-    /// (a cluster that never rebalances spawns no extra threads).
-    /// Deliberately *not* the source store's interface: drain bodies issue
-    /// nested store I/O, and running them on the same service threads
-    /// those submissions need would be a starvation deadlock.
-    drain: std::sync::OnceLock<Arc<pesos_sgx::AsyscallInterface>>,
     /// Every client registered through the cluster, for re-homing sessions
     /// onto joining controllers.
     clients: Mutex<BTreeSet<String>>,
@@ -414,7 +408,6 @@ impl ControllerCluster {
             })),
             drain_concurrency: config.drain_concurrency,
             pool,
-            drain: std::sync::OnceLock::new(),
             clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
             tx: ClusterTxManager::new(),

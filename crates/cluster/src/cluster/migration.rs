@@ -5,7 +5,7 @@
 //! or observed half-moved.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{lock_order, Mutex};
@@ -244,22 +244,6 @@ impl ControllerCluster {
         self.telemetry.hot.reset_window();
     }
 
-    /// The drain's dedicated scatter-gather interface, created (with its
-    /// `drain_concurrency` service threads and slots) on first use and
-    /// reused by every later drain.
-    fn drain_interface(&self) -> &Arc<pesos_sgx::AsyscallInterface> {
-        self.drain.get_or_init(|| {
-            Arc::new(pesos_sgx::AsyscallInterface::new(
-                self.drain_concurrency,
-                self.drain_concurrency,
-                pesos_sgx::cost::ModeCost::new(
-                    self.template.mode,
-                    pesos_sgx::SgxCostModel::default(),
-                ),
-            ))
-        })
-    }
-
     /// The split target for a joining controller: the partition with the
     /// highest load weight (resident objects + served requests), tie-broken
     /// toward the widest hash range. Partitions whose range is a single
@@ -488,8 +472,8 @@ impl ControllerCluster {
         // (table + migration record together), so a demand pull can
         // never race a write still executing against the old owner.
         let _quiesced = self.ops_gate.write();
-        // Acknowledged put_asyncs execute on the source's scheduler
-        // workers *outside* the gate; flush them before the swap makes
+        // Acknowledged put_asyncs execute as the source's host-pool calls
+        // *outside* the gate; flush them before the swap makes
         // demand pulls possible, or a pull could export stale state,
         // move it, and let the late write recreate the key at a source
         // the router no longer consults — losing a write already
@@ -605,15 +589,18 @@ impl ControllerCluster {
     /// Each listed key is hashed exactly once — the full-key hash and (for
     /// suffixed keys) the routing-prefix hash — and both the range check
     /// and the pull reuse that work; `tests/digest_budget.rs` in
-    /// `pesos-core` pins the drain's per-key digest budget. The pulls are
-    /// batched through the cluster's dedicated scatter-gather asyscall
-    /// interface, so up to [`ClusterConfig::drain_concurrency`] placement
-    /// groups are in flight at once (the slot table is the admission
-    /// control); each in-flight pull still serializes with demand pulls of
-    /// the same key through the striped migration locks, so every drain
-    /// invariant — export under the source's key lock, delete only after a
-    /// successful import, `moved_pending_delete` settlement — is exactly a
-    /// demand pull's.
+    /// `pesos-core` pins the drain's per-key digest budget. The pulls run
+    /// as one joined call on the source store's interface, of
+    /// `min(`[`ClusterConfig::drain_concurrency`]`, groups)` lanes, each of
+    /// which takes placement groups from a shared cursor until none is
+    /// left: lane 0 on the calling thread, the others on the cluster's host
+    /// pool, or on the caller too when no slot is free, so the drain never
+    /// waits on a queued call of the pool its pulls submit to
+    /// (`pesos_sgx::asyscall`, "One host pool"). Each in-flight pull still
+    /// serializes with demand pulls of the same key through the striped
+    /// migration locks, so every drain invariant — export under the
+    /// source's key lock, delete only after a successful import,
+    /// `moved_pending_delete` settlement — is exactly a demand pull's.
     ///
     /// The drain checkpoints group by group into the migration's
     /// settled-group memo: a group whose members all pulled cleanly (and
@@ -696,34 +683,48 @@ impl ControllerCluster {
             self.telemetry.drain_group_skips.add(settled.len() as u64);
         }
 
-        // One body per placement group, fanned out through the drain
-        // interface. Submission itself is bounded by the interface's slot
-        // table, so at most `drain_concurrency` groups are in flight;
-        // every body runs to completion even after an error (a pull is
-        // idempotent and identical to a demand pull), and the first error
-        // is reported so the migration record stays active for a retry —
-        // with every *completed* group checkpointed, so the retry
-        // re-drives only the interrupted ones.
-        let mut set = self
-            .drain_interface()
-            .submit_batch(groups.into_iter().map(|(prefix, members)| {
+        // `drain_concurrency` lanes at most, each pulling group after group
+        // from the shared cursor. Every lane runs to the end of the list
+        // even after an error (a pull is idempotent and identical to a
+        // demand pull), and the first error is reported so the migration
+        // record stays active for a retry — with every *completed* group
+        // checkpointed, so the retry re-drives only the interrupted ones.
+        let groups: Arc<[_]> = groups.into_iter().collect();
+        let cursor = Arc::new(AtomicUsize::new(0));
+        let lanes = self.drain_concurrency.min(groups.len());
+        let mut set = migration
+            .src
+            .controller
+            .store()
+            .asyscall()
+            .submit_joined((0..lanes).map(|_| {
+                let (groups, cursor) = (Arc::clone(&groups), Arc::clone(&cursor));
                 let migration = Arc::clone(migration);
                 let locks = Arc::clone(&self.migration_locks);
-                move || -> Result<(), PesosError> {
-                    for (key, hash) in &members {
-                        let hashed = HashedKey::from_parts(key, *hash);
-                        Self::pull_key(&locks, &migration, &hashed)?;
+                move || -> Option<PesosError> {
+                    let mut first_error = None;
+                    while let Some((prefix, members)) =
+                        groups.get(cursor.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let pulled = members.iter().try_for_each(|(key, hash)| {
+                            Self::pull_key(&locks, &migration, &HashedKey::from_parts(key, *hash))
+                        });
+                        match pulled {
+                            Ok(()) => Self::checkpoint_group(&migration, prefix),
+                            Err(e) => {
+                                first_error.get_or_insert(e);
+                            }
+                        }
                     }
-                    Self::checkpoint_group(&migration, &prefix);
-                    Ok(())
+                    first_error
                 }
             }))
             .map_err(|e| PesosError::Backend(e.to_string()))?;
         let mut first_error = None;
         while let Some((_, result)) = set.next_completed() {
             match result {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
+                Ok(None) => {}
+                Ok(Some(e)) => {
                     first_error.get_or_insert(e);
                 }
                 Err(e) => {

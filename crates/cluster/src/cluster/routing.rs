@@ -251,8 +251,8 @@ impl ControllerCluster {
         // Times acceptance (the synchronous half of the async put), like
         // the controller's own put_async histogram.
         let _timer = self.observe(OpKind::PutAsync, &key);
-        // Shared, not copied: the accepting owner's scheduler keeps one
-        // reference, and a retried attempt offers the same buffer again.
+        // Shared, not copied: the accepting owner's deferred write keeps
+        // one reference, and a retried attempt offers the same buffer again.
         let value = Arc::new(value);
         self.with_owner(&key, |routing, owner| {
             if let Some(id) = &policy_id {
@@ -342,7 +342,8 @@ impl ControllerCluster {
         })
     }
 
-    /// Waits for all scheduled asynchronous work on every controller.
+    /// Parks until every controller has run the `put_async` bodies it
+    /// handed to the host pool (see [`pesos_core::PesosController::drain_async`]).
     pub fn drain_async(&self) {
         for partition in self.routing.read().table.partitions() {
             partition.controller.drain_async();

@@ -1057,7 +1057,7 @@ fn a_joined_partition_fails_over_with_every_acknowledged_write() {
     // on the other participant.
     assert_eq!(promoted.store().tx_outcome(tx), Some(outcome.clone()));
     assert_eq!(c.check_results("alice", tx).unwrap(), outcome);
-    // The promoted controller is whole: its scheduler runs an async put.
+    // The promoted controller is whole: it runs an async put.
     let op = c
         .put_async("alice", &async_key, b"promoted".to_vec(), None, None, &[])
         .unwrap();

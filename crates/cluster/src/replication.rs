@@ -6,7 +6,7 @@
 //! ordered log of what the primary acknowledged, shipped to one or more
 //! backup stores by dedicated shipper threads. A backup is a bare
 //! [`PesosStore`] — enclave, drives and its share of the host pool, no
-//! sessions, scheduler or result buffer — until a promotion builds the
+//! sessions or result buffer — until a promotion builds the
 //! controller that serves the partition over it. Everything the
 //! primary's store writes is already sealed and authenticated when it
 //! reaches a drive, so the log carries the drive batches themselves: the
@@ -35,6 +35,13 @@
 //!   bounded in time ([`APPEND_STALL_CAP`]) so a dead backup degrades to an
 //!   unbounded tail rather than wedging the write path (and with it the
 //!   ops gate a failover needs).
+//! * **Shippers are threads, not pool calls.** An append blocked on that
+//!   backpressure waits for a shipper. Run as a host-pool call, the
+//!   shipper could sit queued behind the very put and drain bodies that
+//!   wait for it, which breaks the pool's rule that a body never waits on
+//!   a queued call of its own pool (`pesos_sgx::asyscall`, "One host
+//!   pool"). So each backup keeps one shipper thread of its own; the
+//!   backup's drive I/O still runs on the pool.
 //! * **Frames, not calls.** A batch record travels as an authenticated
 //!   [`VectoredEnvelope`] frame holding a Kinetic `Batch` command: its
 //!   sub-operations are the list the primary's drives received (shared by

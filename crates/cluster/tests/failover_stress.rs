@@ -137,7 +137,7 @@ fn kill_and_promote_loses_no_acknowledged_write_under_faulty_mixed_traffic() {
             let mut round = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 // One in-flight op per key per round: the poll below keeps
-                // two writes to one key from racing in the scheduler.
+                // two writes to one key from racing on the host pool.
                 let mut ops = Vec::with_capacity(KEYS_PER_WRITER);
                 for k in 0..KEYS_PER_WRITER {
                     let key = format!("fstress/a{w}/k{k}");
@@ -331,15 +331,15 @@ fn settled(cluster: &ControllerCluster, client: &str, op: u64) -> Option<AsyncRe
 }
 
 /// A sync writer and an async writer share keys, scheduled so that the
-/// async put is accepted before the sync put and runs after it: the
-/// scheduler's workers are busy with slow puts on other keys when the async
-/// put is queued, and the sync put takes the key lock first. After
+/// async put is accepted before the sync put and runs after it: every
+/// service thread of the host pool is busy with a slow put on another key
+/// when the async put is queued, and the sync put takes the key lock first. After
 /// kill-and-promote every acknowledged (version, value) reads back at its
 /// version, and no key's latest version is below an acknowledged one.
 #[test]
 fn a_sync_and_an_async_writer_on_one_key_keep_their_acknowledged_versions() {
-    const WORKERS: usize = 4;
     let cluster = replicated(1, 1);
+    let threads = cluster.host_pool_stats().threads;
     cluster.register_client("sync");
     cluster.register_client("async");
     let keys: Vec<String> = (0..3).map(|k| format!("shared/k{k}")).collect();
@@ -348,7 +348,7 @@ fn a_sync_and_an_async_writer_on_one_key_keep_their_acknowledged_versions() {
     // on a drive.
     for (k, key) in keys.iter().enumerate() {
         cluster.put("sync", key, b"seed", None, None, &[]).unwrap();
-        for i in 0..WORKERS {
+        for i in 0..threads {
             cluster
                 .put("async", &filler(k, i), b"seed", None, None, &[])
                 .unwrap();
@@ -358,7 +358,7 @@ fn a_sync_and_an_async_writer_on_one_key_keep_their_acknowledged_versions() {
 
     let mut acked: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); keys.len()];
     for (k, key) in keys.iter().enumerate() {
-        let fillers: Vec<u64> = (0..WORKERS)
+        let fillers: Vec<u64> = (0..threads)
             .map(|i| {
                 cluster
                     .put_async("async", &filler(k, i), b"busy".to_vec(), None, None, &[])
@@ -410,7 +410,7 @@ fn a_sync_and_an_async_writer_on_one_key_keep_their_acknowledged_versions() {
     }
 }
 
-/// A primary killed with accepted async puts still queued on its scheduler:
+/// A primary killed with accepted async puts still queued on the host pool:
 /// every poll settles (`Completed` or `Failed`, never `Pending`), every
 /// completed write is on the promoted owner, and no failed write is.
 #[test]
@@ -418,6 +418,9 @@ fn a_kill_with_queued_async_puts_settles_every_poll() {
     let cluster = replicated(1, 1);
     cluster.register_client("alice");
     slow_primary(&cluster, Duration::from_millis(50));
+    // Counted before the failover, which gives the failed primary's
+    // threads back.
+    let threads = cluster.host_pool_stats().threads;
     let keys: Vec<String> = (0..12).map(|i| format!("queued/k{i}")).collect();
     let ops: Vec<u64> = keys
         .iter()
@@ -452,9 +455,9 @@ fn a_kill_with_queued_async_puts_settles_every_poll() {
             other => panic!("{key}: poll answered {other:?} after failover"),
         }
     }
-    // Four workers took four writes; the rest were still queued and never
-    // ran, failing with the crash.
-    assert!(failed >= keys.len() - 4, "only {failed} failed");
+    // Each service thread took one write at most; the rest were still
+    // queued and never ran, failing with the crash.
+    assert!(failed >= keys.len() - threads, "only {failed} failed");
     let queued = cluster.poll_result("alice", *ops.last().unwrap());
     assert!(
         matches!(&queued, Some(AsyncResult::Failed { reason }) if reason.starts_with(&unavailable)),

@@ -276,7 +276,7 @@ fn latest_version_never_reports_existing_keys_missing_mid_migration() {
 }
 
 /// Same churn, asynchronous writes: `put_async` acknowledges before the
-/// drive write executes on a scheduler worker, so a topology swap must
+/// drive write executes as a host-pool call, so a topology swap must
 /// flush the source's pending writes before any demand pull can export a
 /// key — otherwise the late write recreates the key at the old owner and
 /// a write reported `Completed` is silently lost. Every operation the
@@ -301,7 +301,7 @@ fn rebalance_never_loses_acknowledged_async_writes() {
             for round in 0..ROUNDS {
                 // One asynchronous put per key, then poll every operation
                 // to a terminal state before the next round, so two writes
-                // to the same key never race each other in the scheduler.
+                // to the same key never race each other on the host pool.
                 let mut ops = Vec::with_capacity(KEYS_PER_WRITER);
                 for k in 0..KEYS_PER_WRITER {
                     let key = format!("astress/w{w}/k{k}");

@@ -99,8 +99,9 @@ pub mod lock_order {
     pub const REPLICATION_LOG: u16 = 80;
     /// Replication shipper worker-handle registry.
     pub const REPLICATION_WORKERS: u16 = 82;
-    /// Submission scheduler / thread-pool internals.
-    pub const SCHEDULER: u16 = 85;
+    /// A controller's count of deferred `put_async` bodies handed to the
+    /// host pool and not yet run; `drain_async` waits on it.
+    pub const DEFERRED_PUTS: u16 = 85;
     /// Asyscall park mutexes: per host pool, the one that guards the
     /// submission queue with its sleeper count and wake tickets, the
     /// table-full submitters and the service-thread handles; per batch, the
@@ -140,7 +141,7 @@ pub mod lock_order {
         (CLUSTER_TX, "CLUSTER_TX"),
         (REPLICATION_LOG, "REPLICATION_LOG"),
         (REPLICATION_WORKERS, "REPLICATION_WORKERS"),
-        (SCHEDULER, "SCHEDULER"),
+        (DEFERRED_PUTS, "DEFERRED_PUTS"),
         (ASYSCALL_PARK, "ASYSCALL_PARK"),
         (DRIVE_FAULT, "DRIVE_FAULT"),
         (DRIVE_ENGINE, "DRIVE_ENGINE"),

@@ -5,8 +5,9 @@
 //! object's associated policy is fetched (policy cache → drive), the policy
 //! interpreter decides, and only then is the storage layer invoked — the
 //! single enforcement layer the paper argues for. An asynchronous put is the
-//! synchronous put decided at acceptance and written later on an enclave
-//! worker thread; its result lands in the bounded result buffer.
+//! synchronous put decided at acceptance and written later by a host-pool
+//! service thread that enters the enclave to run it; its result lands in
+//! the bounded result buffer.
 //!
 //! Transactions reach a controller as one branch at a time, already
 //! buffered: [`PesosController::prepare_commit`] locks and validates it,
@@ -18,9 +19,10 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::{Condvar, Mutex};
 use pesos_crypto::Certificate;
 use pesos_policy::{Operation, PolicyId, Request, ValueRef};
-use pesos_sgx::{HostPool, UserScheduler};
+use pesos_sgx::HostPool;
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
 use rand::RngCore;
 
@@ -61,8 +63,8 @@ pub struct PreparedCommit<'a> {
 }
 
 /// Who asks, and when, as a policy sees it, read once when the session
-/// admits the request. `put_async` owns it, so the worker that runs its
-/// write can decide again without the controller.
+/// admits the request. `put_async` owns it, so the pool call that runs
+/// its write can decide again without the controller.
 struct Requester<'r> {
     client_id: Cow<'r, str>,
     certificates: Cow<'r, [Certificate]>,
@@ -131,7 +133,7 @@ impl Requester<'_> {
 
 /// One put between its decision and its write. [`PesosController::put`]
 /// runs both halves at once; [`PesosController::put_async`] decides when it
-/// accepts and hands the write, refusal loop included, to a worker.
+/// accepts and hands the write, refusal loop included, to the host pool.
 struct PutRequest<'r> {
     requester: Requester<'r>,
     policy_id: Option<PolicyId>,
@@ -206,10 +208,36 @@ fn crashed() -> PesosError {
 
 /// Asynchronous results retained per controller (paper: 2048).
 const RESULT_BUFFER_CAPACITY: usize = 2048;
-/// Enclave hardware threads that run `put_async` bodies.
-const WORKER_THREADS: usize = 4;
 /// Session soft-state expiry in seconds.
 const SESSION_EXPIRY_SECS: u64 = 600;
+
+/// The `put_async` bodies a controller has handed to the host pool and
+/// that have not finished, for [`PesosController::drain_async`].
+struct Deferred {
+    pending: Mutex<u64>,
+    idle: Condvar,
+}
+
+/// One of them, counted from acceptance until dropped: after its body
+/// ran, or with the body, unrun.
+struct DeferredPut(Arc<Deferred>);
+
+impl DeferredPut {
+    fn new(deferred: &Arc<Deferred>) -> Self {
+        *deferred.pending.lock() += 1;
+        DeferredPut(Arc::clone(deferred))
+    }
+}
+
+impl Drop for DeferredPut {
+    fn drop(&mut self) {
+        let mut pending = self.0.pending.lock();
+        *pending -= 1;
+        if *pending == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
 
 /// The Pesos controller.
 pub struct PesosController {
@@ -218,8 +246,8 @@ pub struct PesosController {
     sessions: SessionManager,
     transactions: TransactionManager,
     results: Arc<ResultBuffer>,
-    scheduler: UserScheduler,
-    /// Shared with the workers that run deferred writes.
+    deferred: Arc<Deferred>,
+    /// Shared with the pool calls that run deferred writes.
     metrics: Arc<ControllerMetrics>,
     clock: AtomicU64,
     /// Simulated crash flag. While set, every sessioned operation is
@@ -253,9 +281,9 @@ impl PesosController {
     }
 
     /// Builds the controller of `store`, which was bootstrapped from
-    /// `config`: sessions, transactions, the async result buffer and the
-    /// enclave worker threads. A cluster builds a backup as a bare store
-    /// and its controller only when it promotes it.
+    /// `config`: sessions, transactions and the async result buffer; it
+    /// starts no thread. A cluster builds a backup as a bare store and its
+    /// controller only when it promotes it.
     pub fn with_store(config: ControllerConfig, store: Arc<PesosStore>) -> Self {
         PesosController {
             sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, config.lock_shards),
@@ -264,7 +292,10 @@ impl PesosController {
                 config.lock_shards,
                 RESULT_BUFFER_CAPACITY,
             )),
-            scheduler: UserScheduler::new(WORKER_THREADS),
+            deferred: Arc::new(Deferred {
+                pending: Mutex::with_rank(parking_lot::lock_order::DEFERRED_PUTS, 0),
+                idle: Condvar::new(),
+            }),
             metrics: Arc::default(),
             clock: AtomicU64::new(1),
             failed: Arc::default(),
@@ -476,8 +507,8 @@ impl PesosController {
     }
 
     /// Stores an object asynchronously: [`PesosController::put`], decided
-    /// now (the map only, no drive read) and written later on a scheduler
-    /// worker. Returns the operation identifier the client polls. On a
+    /// now (the map only, no drive read) and written later by a host-pool
+    /// call nobody waits on. Returns the operation identifier the client polls. On a
     /// partition primary the write's batch is appended to the partition's
     /// log before the result is filed, so a poll that reads `Completed`
     /// reads a logged write.
@@ -505,21 +536,23 @@ impl PesosController {
         let requester = self.require_session(client_id.to_string(), certificates.to_vec())?;
         self.metrics.requests.add(1);
         self.metrics.writes.add(1);
-        self.metrics.async_accepted.add(1);
 
         let key = key.into();
         let value: Arc<Vec<u8>> = value.into();
         let (put, decision) =
             self.decide_put(requester, &key, &value, policy_id, expected_version)?;
         let op_id = self.results.register(client_id);
+        self.metrics.async_accepted.add(1);
         let store = Arc::clone(&self.store);
         let metrics = Arc::clone(&self.metrics);
         let results = Arc::clone(&self.results);
         let failed = Arc::clone(&self.failed);
-        // Only the raw parts can move into the worker closure; the key hash
+        let pending = DeferredPut::new(&self.deferred);
+        // Only the raw parts can move into the pool call; the key hash
         // travels with them so the store does not recompute it.
         let (key_hash, key) = (key.hash(), key.key().to_string());
-        self.scheduler.spawn(move || {
+        self.store.defer(move || {
+            let _pending = pending;
             let key = HashedKey::from_parts(&key, key_hash);
             let written = if failed.load(Ordering::SeqCst) {
                 Err(crashed())
@@ -535,7 +568,7 @@ impl PesosController {
                 },
             };
             results.complete(op_id, outcome);
-        });
+        })?;
         Ok(op_id)
     }
 
@@ -613,10 +646,16 @@ impl PesosController {
         self.results.poll(client_id, operation_id)
     }
 
-    /// Waits (bounded) for all scheduled asynchronous work to finish; used
-    /// by benchmarks to drain before measuring.
+    /// Parks until every `put_async` body this controller has handed to
+    /// the host pool has run. The wait has no bound: a body blocked on a
+    /// drive holds it up. Failover and topology changes call it so that no
+    /// accepted write lands after them; benchmarks and tests call it to
+    /// settle before they read.
     pub fn drain_async(&self) {
-        self.scheduler.wait_idle();
+        let mut pending = self.deferred.pending.lock();
+        while *pending > 0 {
+            self.deferred.idle.wait(&mut pending);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1164,10 +1203,12 @@ mod tests {
             latency: Some(std::time::Duration::from_millis(100)),
             ..FaultPlan::errors(1, 0.0)
         });
-        // Every worker is busy with a slow write (or, if it had not started
-        // yet, finds the controller failed), so the last put is still
-        // queued when the controller fails.
-        let ops: Vec<u64> = (0..=WORKER_THREADS)
+        // Every service thread of the controller's pool is busy with a
+        // slow write (or, if it had not started yet, finds the controller
+        // failed), so the last put is still queued when the controller
+        // fails.
+        let threads = c.store().asyscall().pool().stats().threads;
+        let ops: Vec<u64> = (0..=threads)
             .map(|i| {
                 c.put_async("alice", format!("k{i}").as_str(), vec![1], None, None, &[])
                     .unwrap()
@@ -1178,7 +1219,7 @@ mod tests {
         c.drain_async();
         let unavailable = crashed().to_string();
         assert_eq!(
-            c.poll_result("alice", ops[WORKER_THREADS]),
+            c.poll_result("alice", ops[threads]),
             Some(AsyncResult::Failed {
                 reason: unavailable.clone()
             })
@@ -1191,13 +1232,50 @@ mod tests {
             }
         }
         // Only writes that had started before the failure reached the drive.
-        assert!(drive.info().stats.puts - puts <= WORKER_THREADS as u64);
+        assert!(drive.info().stats.puts - puts <= threads as u64);
         drive.clear_faults();
         c.set_failed(false);
         assert!(matches!(
-            c.get("alice", format!("k{WORKER_THREADS}").as_str(), &[]),
+            c.get("alice", format!("k{threads}").as_str(), &[]),
             Err(PesosError::ObjectNotFound(_))
         ));
+    }
+
+    #[test]
+    fn only_an_accepted_async_put_is_counted_accepted() {
+        let c = controller();
+        c.register_client("alice");
+        c.register_client("bob");
+        // Alice alone may update, one version at a time.
+        let policy = c
+            .put_policy(
+                "alice",
+                "update :- sessionKeyIs(\"alice\") and objId(this, O) and \
+                 currVersion(O, CV) and nextVersion(CV + 1)",
+            )
+            .unwrap();
+        c.put("alice", "doc", b"v0", Some(policy), None, &[])
+            .unwrap();
+        let accepted = || c.metrics().async_accepted;
+        let before = accepted();
+        // Refused for the principal, then for a version that skips ahead:
+        // neither registers an operation, and neither is counted.
+        for (client, version) in [("bob", None), ("alice", Some(7))] {
+            assert!(matches!(
+                c.put_async(client, "doc", b"x".to_vec(), None, version, &[]),
+                Err(PesosError::PolicyDenied(_))
+            ));
+        }
+        assert_eq!(accepted(), before);
+        let op = c
+            .put_async("alice", "doc", b"v1".to_vec(), None, Some(1), &[])
+            .unwrap();
+        assert_eq!(accepted(), before + 1);
+        c.drain_async();
+        assert_eq!(
+            c.poll_result("alice", op),
+            Some(AsyncResult::Completed { version: Some(1) })
+        );
     }
 
     #[test]

@@ -76,7 +76,10 @@ pub trait RequestEndpoint: Send + Sync {
     /// exactly as for any unsynchronized reader.
     fn latest_version(&self, key: &str) -> Option<u64>;
 
-    /// Waits (bounded) for all scheduled asynchronous work to finish.
+    /// Parks until every accepted `put_async` has run, with no bound on
+    /// the wait. Failover and topology changes call it so that no accepted
+    /// write lands after them, and benchmarks call it to settle before
+    /// they measure.
     fn drain_async(&self);
 }
 

@@ -217,7 +217,7 @@ use pesos_kinetic::{
 use pesos_policy::{
     CompiledPolicy, Decision, ObjectStoreView, PolicyCache, PolicyId, ReadMemo, ViewFault,
 };
-use pesos_sgx::{AsyscallInterface, Enclave};
+use pesos_sgx::{AsyscallInterface, CostEvent, Enclave};
 
 use crate::bootstrap::BootstrapReport;
 use crate::config::ControllerConfig;
@@ -460,6 +460,23 @@ impl PesosStore {
     /// peak I/O concurrency reached.
     pub fn asyscall_stats(&self) -> pesos_sgx::AsyscallStats {
         self.asyscall.stats()
+    }
+
+    /// The interface the store submits its drive I/O to, and the cluster
+    /// its migration drain (`pesos_sgx::asyscall`, "One host pool").
+    pub fn asyscall(&self) -> &AsyscallInterface {
+        &self.asyscall
+    }
+
+    /// Runs `body` later on a host-pool service thread, unobserved. The
+    /// thread enters the enclave to run it: one charged transition.
+    pub(crate) fn defer(&self, body: impl FnOnce() + Send + 'static) -> Result<(), PesosError> {
+        let cost = *self.enclave.cost();
+        self.asyscall.submit_batch([move || {
+            cost.charge(CostEvent::EnclaveTransition);
+            body();
+        }])?;
+        Ok(())
     }
 
     /// Refused and rolled-back creates so far.
@@ -1203,33 +1220,38 @@ impl PesosStore {
         let version = meta.latest_version;
         let value = self.get_object_version(&key, version)?;
         let value = Arc::new(value);
-        // Fill the cache only if the fill wins admission, asked under the
-        // cache shard's lock alone: revalidation below is paid only by
-        // fills that won it. And fill it only if what we read from the
-        // drives is still the latest content, checked and filled under the
-        // metadata shard's read lock: a delete or a newer write changes
-        // the map under its write lock *before* it touches the cache, so it
-        // either fails this check or replaces the fill afterwards. Without
-        // the re-check, one completing between our drive read and this
-        // insert would be shadowed by the stale value indefinitely. The
-        // hash comparison also covers delete-and-recreate, where the
-        // version numbers restart and can collide. Hash first: the value is
-        // immutable and SHA-256 is the expensive part.
-        if self.object_cache.admits_read(&key, value.len()) {
-            let value_hash = pesos_crypto::sha256(&value);
-            self.metadata.with(&key, |current| {
-                let still_latest = current.filter(|m| {
-                    m.latest_version == version
-                        && m.version(version)
-                            .is_some_and(|v| v.value_hash.as_slice() == value_hash)
-                });
-                if let Some(m) = still_latest {
-                    self.object_cache
-                        .put_named(&key, &m.key, Arc::clone(&value), version);
-                }
-            });
-        }
+        self.fill_if_latest(&key, &value, version);
         Ok((value, version))
+    }
+
+    /// Caches `value`, version `version` of `key` as read from the drives,
+    /// if the fill wins admission (asked under the cache shard's lock
+    /// alone, so only fills that won it pay the revalidation) and that
+    /// version is still the key's latest content, checked and filled under
+    /// the metadata shard's read lock: a delete or a newer write changes
+    /// the map under its write lock *before* it touches the cache, so it
+    /// either fails this check or replaces the fill afterwards. Without the
+    /// re-check, one completing between the drive read and this insert
+    /// would be shadowed by the stale value indefinitely. The hash
+    /// comparison also covers delete-and-recreate, where the version
+    /// numbers restart and can collide. Hash first: the value is immutable
+    /// and SHA-256 is the expensive part.
+    fn fill_if_latest(&self, key: &HashedKey<'_>, value: &Arc<Vec<u8>>, version: u64) {
+        if !self.object_cache.admits_read(key, value.len()) {
+            return;
+        }
+        let value_hash = pesos_crypto::sha256(value);
+        self.metadata.with(key, |current| {
+            let still_latest = current.filter(|m| {
+                m.latest_version == version
+                    && m.version(version)
+                        .is_some_and(|v| v.value_hash.as_slice() == value_hash)
+            });
+            if let Some(m) = still_latest {
+                self.object_cache
+                    .put_named(key, &m.key, Arc::clone(value), version);
+            }
+        });
     }
 
     /// Retrieves a specific stored version of `key` (used by versioned-store
@@ -1683,7 +1705,14 @@ impl ObjectStoreView for StoreView<'_> {
             }
             self.read_drive_data.set(true);
             match self.store.get_object_version(key, version) {
-                Ok(contents) => Ok(Some(Arc::new(contents))),
+                Ok(contents) => {
+                    let contents = Arc::new(contents);
+                    // Cached as a read caches it; older versions are not.
+                    if meta.is_some_and(|m| m.latest_version == version) {
+                        self.store.fill_if_latest(key, &contents, version);
+                    }
+                    Ok(Some(contents))
+                }
                 Err(PesosError::ObjectNotFound(_)) => Ok(None),
                 Err(fault) => Err(view_fault(fault)),
             }

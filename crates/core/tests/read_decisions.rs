@@ -324,3 +324,35 @@ fn a_decision_that_looked_nothing_up_is_evaluated_each_time() {
     assert_eq!((stats.evaluations, stats.hits), (6, 0));
     assert_eq!(c.store().policy_cache_stats().decisions, 0);
 }
+
+#[test]
+fn a_check_that_reads_the_latest_log_version_caches_it_and_is_remembered() {
+    let drives = drives(1);
+    let c = controller(&drives);
+    let policy = c.put_policy(ADMIN, &policy_source(READS[1])).unwrap();
+    c.put(ADMIN, "doc.log", log_contents(0b001), None, None, &[])
+        .unwrap();
+    c.put(ADMIN, "doc", b"text", Some(policy), None, &[])
+        .unwrap();
+    // A cold restart over the same drives: empty map, empty caches.
+    let c = controller(&drives);
+    let gets = || drives[0].info().stats.gets;
+    let before = gets();
+    for _ in 0..5 {
+        assert_eq!(served(&c, "alice", "doc"), Answer::Granted);
+    }
+    // The first check reads the log's latest version from the drives and
+    // caches it, as a read of the log would; so the second check reads no
+    // drive and its decision is remembered for the other three. Five drive
+    // GETs in all: the policy, both heads, the log's data once and the
+    // object's once.
+    assert_eq!(
+        decision_stats(&c),
+        DecisionStats {
+            evaluations: 2,
+            hits: 3,
+            stale: 0
+        }
+    );
+    assert_eq!(gets() - before, 5);
+}

@@ -55,10 +55,10 @@
 //!
 //! Ranks live in `parking_lot::lock_order` (ascending = outermost to
 //! innermost): cluster topology → ops gate → routing state → cluster
-//! client/policy registries → migration stripes/state → key registry/key locks → the
+//! client/policy registries → migration stripes/state → key locks → the
 //! sharded metadata/cache/session maps → the VLL lock table and the
 //! open-transaction table → the
-//! replication log → scheduler/asyscall internals → drive
+//! replication log → the deferred-put count → asyscall internals → drive
 //! internals → backend actuator. The lint keeps no table of its own:
 //! [`lint_workspace`] first lexes every linted file and reads each
 //! non-test `with_rank(…)` or `with_rank_indexed(…)` call. The

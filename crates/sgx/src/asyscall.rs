@@ -29,7 +29,8 @@
 //! `RUNNING` for the call's whole execution, like the real shared-memory
 //! slot. A submitter claims by scanning the table from a rotating start; if
 //! no slot is `FREE` it counts one `slot_waits` and sleeps until a service
-//! thread frees one.
+//! thread frees one. A lane of a joined call does not sleep (below, "The
+//! caller's lanes").
 //!
 //! The index of a `QUEUED` slot travels to the service threads through the
 //! submission queue, kept under the pool's park mutex with the sleepers it
@@ -139,9 +140,16 @@
 //! cost no second transition; they stay counted in `submitted` (they were
 //! handed over, and the service thread that later takes their slot finds
 //! the body gone and frees it). A raced read that stops at its first
-//! success leaves its other lanes to the pool, and a replicated write
-//! still reaches its replicas in parallel: the caller's lane beside the
-//! service threads'.
+//! success leaves its other handed-over lanes to the pool, and a
+//! replicated write still reaches its replicas in parallel: the caller's
+//! lane beside the service threads'.
+//!
+//! A lane that finds the slot table full is not handed over: it stays in
+//! the batch, untaken, for its caller, and counts in neither `submitted`
+//! nor `slot_waits`. So a joined call never waits for a slot or for a
+//! queued call: each lane runs on its caller unless a service thread took
+//! it. That is what lets a pool body issue joined store I/O while every
+//! service thread is busy and the table is full (below, "One host pool").
 //!
 //! Only joined calls run on their caller. [`AsyscallInterface::submit_batch`]
 //! returns once its bodies are handed over, so that its caller can overlap
@@ -188,14 +196,22 @@
 //! the pool's capacity bounds.
 //!
 //! Sharing keeps the rule every pool already had: a call body must never
-//! wait on another call of its own pool, whose service threads may all be
-//! running bodies that wait the same way. The cluster's migration drain,
-//! whose bodies do store I/O, has a pool of its own for that reason.
+//! wait on a queued call of its own pool, whose service threads may all
+//! be running bodies that wait the same way. Joined calls keep it by
+//! construction, so bodies that do store I/O run on the pool: a
+//! controller's `put_async` bodies (a [`AsyscallInterface::submit_batch`]
+//! nobody waits on, charged as one [`CostEvent::EnclaveTransition`]
+//! because a host thread enters the enclave to run it) and the cluster's
+//! migration drain (one joined call). A replication shipper, which an
+//! append blocked on backpressure waits for, keeps a thread of its own
+//! (`pesos_cluster::replication`).
 //!
-//! A waiting caller runs nothing but its own lanes and then parks its
-//! thread: no other task runs on it meanwhile.
-//! ([`crate::scheduler::UserScheduler`] runs only the deferred `put_async`
-//! bodies, on threads of its own.)
+//! The paper multiplexes user-level threads over a fixed set of enclave
+//! threads (§4.6, "Multithreading support"), so that a thread waiting for
+//! a system call yields its enclave thread to another. This reproduction
+//! gives that up: a waiting caller runs its own lanes and then parks its
+//! thread. The table above says what that costs: on five of the six
+//! workloads nothing is handed over, so no caller parks for a hand-off.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -213,11 +229,12 @@ use crate::error::SgxError;
 /// which are the host pool's ([`PoolStats`]) and so cover every member.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyscallStats {
-    /// Calls submitted by this enclave's threads.
+    /// Calls this enclave's threads handed over to the host pool.
     pub submitted: u64,
     /// Calls completed by the host pool's service threads, for any member.
     pub completed: u64,
-    /// Times a submitter had to wait because all slots were busy.
+    /// Times a `submit` or `submit_batch` caller had to wait because all
+    /// slots were busy (a joined lane never waits for one).
     pub slot_waits: u64,
     /// Scatter-gather batches submitted via `submit_batch` or
     /// `submit_joined`.
@@ -473,9 +490,10 @@ fn contained(run: impl FnOnce(), on: &str) {
     }
 }
 
-/// A call in a slot: the batch it belongs to and its lane. One dropped
-/// without having run (a pool that closes drops what is queued) abandons
-/// its lane, so its waiter sees [`SgxError::SyscallInterfaceClosed`].
+/// A call in a slot: the batch it belongs to and its lane. Dropping one
+/// leaves its body in the batch: a pool that closes abandons what is
+/// queued ([`Shared::close`]), and a joined lane that found no free slot
+/// is left to its caller.
 struct QueuedCall {
     batch: Arc<dyn Run>,
     lane: u32,
@@ -485,10 +503,10 @@ impl QueuedCall {
     fn run(&self) {
         self.batch.run(self.lane);
     }
-}
 
-impl Drop for QueuedCall {
-    fn drop(&mut self) {
+    /// Drops the call's body unrun, so its waiter sees
+    /// [`SgxError::SyscallInterfaceClosed`].
+    fn abandon(&self) {
         self.batch.abandon(self.lane);
     }
 }
@@ -765,7 +783,6 @@ impl Shared {
         let active = self.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         self.max_concurrency.fetch_max(active, Ordering::SeqCst);
         contained(|| call.run(), "");
-        drop(call);
         self.active.fetch_sub(1, Ordering::SeqCst);
         self.completed.fetch_add(1, Ordering::Relaxed);
         // The slot stayed occupied for the call's whole lifetime, like the
@@ -797,7 +814,9 @@ impl Shared {
         drop(parking);
         self.work.notify_all();
         for index in queued {
-            drop(self.slots.get(index).and_then(Handoff::take));
+            if let Some((call, _occupied)) = self.slots.get(index).and_then(Handoff::take) {
+                call.abandon();
+            }
         }
     }
 }
@@ -961,13 +980,15 @@ struct Submitter {
 }
 
 impl Submitter {
-    /// Parks `call` in a slot, sleeping while the table is full. The wait
-    /// is counted when the submitter finds no free slot, so `slot_waits`
-    /// is exact under contention.
-    fn claim(&self, call: QueuedCall) -> usize {
+    /// Parks `call` in a slot, sleeping while the table is full; a
+    /// `joined` lane does not sleep and is dropped instead, its body left
+    /// in the batch for its caller. The wait is counted when the submitter
+    /// finds no free slot, so `slot_waits` is exact under contention.
+    fn claim(&self, call: QueuedCall, joined: bool) -> Option<usize> {
         let shared = &*self.shared;
         let mut call = match shared.try_claim(call) {
-            Ok(index) => return index,
+            Ok(index) => return Some(index),
+            Err(_) if joined => return None,
             Err(call) => call,
         };
         self.slot_waits.fetch_add(1, Ordering::Relaxed);
@@ -982,7 +1003,7 @@ impl Submitter {
             shared.slot_freed.wait(&mut parking);
         };
         parking.slot_waiters -= 1;
-        index
+        Some(index)
     }
 }
 
@@ -1014,11 +1035,15 @@ impl AsyscallInterface {
         self.pool.shared.slot_count.load(Ordering::SeqCst)
     }
 
-    fn enqueue(&self, call: QueuedCall) {
-        self.cost.charge(CostEvent::AsyncSyscall);
+    /// Hands `call` over to the service threads, unless it is a `joined`
+    /// lane that found no free slot (module docs, "The caller's lanes").
+    fn enqueue(&self, call: QueuedCall, joined: bool) {
         let submitter = &*self.submitter;
+        let Some(index) = submitter.claim(call, joined) else {
+            return;
+        };
+        self.cost.charge(CostEvent::AsyncSyscall);
         submitter.submitted.fetch_add(1, Ordering::Relaxed);
-        let index = submitter.claim(call);
         submitter.shared.hand_over(index);
     }
 
@@ -1034,10 +1059,8 @@ impl AsyscallInterface {
         let calls = batch.calls as u32;
         let kept = u32::from(joined).min(calls);
         for lane in kept..calls {
-            self.enqueue(QueuedCall {
-                batch: Arc::clone(&batch) as Arc<dyn Run>,
-                lane,
-            });
+            let batch = Arc::clone(&batch) as Arc<dyn Run>;
+            self.enqueue(QueuedCall { batch, lane }, joined);
         }
         let own = (kept == 1).then(|| {
             let own: Arc<dyn Run> = Arc::clone(&batch) as Arc<dyn Run>;

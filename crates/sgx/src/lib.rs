@@ -19,26 +19,24 @@
 //!   evaluation.
 //! * [`asyscall`] — the FlexSC-style asynchronous system-call interface
 //!   (slots + submission/return queues + untrusted service threads).
-//! * [`scheduler`] — user-level task scheduling on a bounded number of
-//!   enclave threads.
 //! * [`attestation`] — enclave quotes, the attestation service and secret
 //!   provisioning used during the Pesos bootstrap.
 //!
 //! Unmodelled: Scone's file shield and its in-enclave bitmap `mmap`
 //! allocator. The controller keeps its state in Rust collections and seals
 //! objects itself before they reach a drive, so nothing on the request path
-//! crossed either.
+//! crossed either. Scone's user-level threads are not modelled either: a
+//! waiting caller parks its own thread, and background work runs as host
+//! pool calls ([`asyscall`], "One host pool").
 
 pub mod asyscall;
 pub mod attestation;
 pub mod cost;
 pub mod enclave;
 pub mod error;
-pub mod scheduler;
 
 pub use asyscall::{AsyscallInterface, AsyscallStats, HostPool, PoolStats};
 pub use attestation::{AttestationService, EnclaveQuote, ProvisionedSecrets};
 pub use cost::{CostEvent, ExecutionMode, SgxCostModel};
 pub use enclave::{Enclave, EnclaveConfig, EnclaveMeasurement, EpcStats};
 pub use error::SgxError;
-pub use scheduler::UserScheduler;

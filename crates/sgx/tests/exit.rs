@@ -253,3 +253,37 @@ fn a_joined_call_runs_the_lanes_nobody_took_on_its_caller() {
         }
     });
 }
+
+#[test]
+fn a_body_holding_the_only_thread_and_slot_runs_its_joined_lanes_itself() {
+    alone(|| {
+        // One service thread and one slot, both held by the body below for
+        // as long as it runs: a lane it hands over could never be taken.
+        let iface = Arc::new(AsyscallInterface::new(
+            1,
+            1,
+            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
+        ));
+        let inner = Arc::clone(&iface);
+        let (done_tx, done_rx) = channel();
+        let outer = iface
+            .submit_batch([move || {
+                let lanes = inner
+                    .submit_joined([this_thread, this_thread])
+                    .unwrap()
+                    .join()
+                    .unwrap();
+                let _ = done_tx.send((this_thread(), lanes, inner.stats()));
+            }])
+            .unwrap();
+        let (body, lanes, stats) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a joined call on a full table never completed");
+        assert_eq!(lanes, vec![body; 2], "a lane ran off the body's thread");
+        // Lane 1 found no free slot and was never handed over: the body's
+        // own call is the only hand-off, and nobody waited for a slot.
+        assert_eq!((stats.submitted, stats.exits), (1, 1));
+        assert_eq!(stats.slot_waits, 0);
+        assert_eq!(outer.wait_single(), Ok(()));
+    });
+}
