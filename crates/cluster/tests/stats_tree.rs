@@ -119,9 +119,12 @@ fn stats_paths_stay_valid_and_monotone_across_churn() {
         assert_eq!(cache_total(name), 0, "object_cache/{name}");
     }
     assert!(cache_total("used_bytes") >= 12 * "churn0.obj-v".len() as u64);
-    for name in ["hits", "misses", "evictions", "entries"] {
+    // The policy cache's subtree has the object cache's leaves, bytes
+    // aside; with no policy read back, no fill lost admission.
+    for name in ["hits", "misses", "evictions", "refused", "entries"] {
         leaf(&cluster, &format!("partitions/0/store/policy_cache/{name}"));
     }
+    assert_eq!(leaf(&cluster, "partitions/0/store/policy_cache/refused"), 0);
     // No object has a policy, so nothing was evaluated or remembered.
     for name in ["evaluations", "hits", "stale", "entries"] {
         let path = format!("partitions/0/store/policy_cache/decisions/{name}");

@@ -17,18 +17,25 @@ pub struct ControllerConfig {
     pub replication_factor: usize,
     /// Encrypt object payloads before writing them to the drives.
     pub encrypt_objects: bool,
-    /// Capacity of the policy cache in entries (paper: 50 000).
+    /// Capacity of the policy cache in entries (paper: 50 000), split
+    /// evenly over `lock_shards` shards (at least one entry each). The
+    /// policy and object caches are one LFU table (`pesos_core::lfu`): a
+    /// full shard evicts its least-hit entry, and a policy read back after
+    /// a miss lands only if its recent lookups outnumber its victim's.
     pub policy_cache_capacity: usize,
-    /// Budget of the object cache in bytes (paper: bounded well below EPC).
+    /// Budget of the object cache in bytes (paper: bounded well below EPC),
+    /// each entry weighing its value's bytes plus its name's.
     pub object_cache_bytes: usize,
     /// Untrusted system-call service threads.
     pub syscall_threads: usize,
-    /// Lock shards for the in-enclave metadata map and object cache (and
-    /// the session table, the transaction-outcome map and the async result
-    /// buffer). Sessions operating on keys that hash to different shards never
-    /// contend; 1 reproduces the old single-global-lock behaviour. The
-    /// object cache splits its byte budget across shards, so the largest
-    /// cacheable object is `object_cache_bytes / lock_shards`. The store's
+    /// Lock shards for the in-enclave metadata map, the object cache and
+    /// the policy cache (and the session table, the transaction-outcome map
+    /// and the async result buffer). Sessions operating on keys that hash to
+    /// different shards never contend; 1 reproduces the old
+    /// single-global-lock behaviour. Each cache splits its budget evenly
+    /// across its shards and evicts and admits per shard, so the largest
+    /// cacheable object is `object_cache_bytes / lock_shards` and a shard
+    /// holds `policy_cache_capacity / lock_shards` policies. The store's
     /// per-key write locks are `lock_shards × 256` stripes, derived from
     /// this value (`store` module docs, "Key locks are striped").
     pub lock_shards: usize,

@@ -29,6 +29,7 @@ use rand::RngCore;
 use crate::bootstrap::{bootstrap, BootstrapReport};
 use crate::config::ControllerConfig;
 use crate::error::PesosError;
+use crate::lfu::CacheStats;
 use crate::metadata::ObjectMetadata;
 use crate::metrics::ControllerMetrics;
 use crate::placement::HashedKey;
@@ -204,6 +205,18 @@ impl PutRequest<'_> {
 /// The error every sessioned operation of a failed controller answers.
 fn crashed() -> PesosError {
     PesosError::Unavailable("controller failed (simulated crash)".to_string())
+}
+
+/// One cache's subtree of `/stats/.../store`: `refused` counts fills the
+/// cache's admission turned away, each saving a copy (and on an object
+/// read, a hash; on a policy read-back, a parse).
+fn cache_node(stats: &CacheStats) -> StatsNode {
+    StatsNode::dir()
+        .with("hits", StatsNode::leaf(stats.hits))
+        .with("misses", StatsNode::leaf(stats.misses))
+        .with("evictions", StatsNode::leaf(stats.evictions))
+        .with("refused", StatsNode::leaf(stats.refused))
+        .with("entries", StatsNode::leaf(stats.entries))
 }
 
 /// Asynchronous results retained per controller (paper: 2048).
@@ -836,16 +849,10 @@ impl PesosController {
         // rollback on a healthy cluster means replicas disagree on whether
         // a key exists.
         let creates = self.store.create_stats();
-        // The caches: `refused` counts fills the object cache's admission
-        // turned away, each saving a copy (and on a read, a hash).
+        // The caches (`cache_node`), the object cache's with its bytes.
         let objects = self.store.object_cache_stats();
-        let object_cache = StatsNode::dir()
-            .with("hits", StatsNode::leaf(objects.hits))
-            .with("misses", StatsNode::leaf(objects.misses))
-            .with("evictions", StatsNode::leaf(objects.evictions))
-            .with("refused", StatsNode::leaf(objects.refused))
-            .with("entries", StatsNode::leaf(objects.entries))
-            .with("used_bytes", StatsNode::leaf(objects.used_bytes));
+        let object_cache =
+            cache_node(&objects).with("used_bytes", StatsNode::leaf(objects.used_bytes));
         // `decisions`: evaluations run, and remembered read decisions that
         // answered a read or were found stale (`store` module docs, "Read
         // decisions are remembered"); `entries` is how many are held.
@@ -856,12 +863,7 @@ impl PesosController {
             .with("hits", StatsNode::leaf(decided.hits))
             .with("stale", StatsNode::leaf(decided.stale))
             .with("entries", StatsNode::leaf(policies.decisions));
-        let policy_cache = StatsNode::dir()
-            .with("hits", StatsNode::leaf(policies.hits))
-            .with("misses", StatsNode::leaf(policies.misses))
-            .with("evictions", StatsNode::leaf(policies.evictions))
-            .with("entries", StatsNode::leaf(policies.entries))
-            .with("decisions", decisions);
+        let policy_cache = cache_node(&policies).with("decisions", decisions);
         let store = StatsNode::dir()
             .with("create_refusals", StatsNode::leaf(creates.refusals))
             .with("create_rollbacks", StatsNode::leaf(creates.rollbacks))
@@ -1195,18 +1197,13 @@ mod tests {
 
     #[test]
     fn a_deferred_write_of_a_failed_controller_never_runs() {
-        use pesos_kinetic::FaultPlan;
         let c = controller();
         c.register_client("alice");
         let drive = Arc::clone(c.store().drives().get(0).unwrap());
-        drive.inject_faults(FaultPlan {
-            latency: Some(std::time::Duration::from_millis(100)),
-            ..FaultPlan::errors(1, 0.0)
-        });
-        // Every service thread of the controller's pool is busy with a
-        // slow write (or, if it had not started yet, finds the controller
-        // failed), so the last put is still queued when the controller
-        // fails.
+        // Every service thread of the controller's pool takes one put and
+        // is held inside its drive write, so the last put is still queued
+        // when the controller fails; the gate opens only after that.
+        let gate = drive.hold_exchanges();
         let threads = c.store().asyscall().pool().stats().threads;
         let ops: Vec<u64> = (0..=threads)
             .map(|i| {
@@ -1214,25 +1211,34 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while gate.waiting() < threads {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{threads} writes never started"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         let puts = drive.info().stats.puts;
         c.set_failed(true);
+        gate.open();
         c.drain_async();
-        let unavailable = crashed().to_string();
         assert_eq!(
             c.poll_result("alice", ops[threads]),
             Some(AsyncResult::Failed {
-                reason: unavailable.clone()
+                reason: crashed().to_string()
             })
         );
-        for op in &ops {
-            match c.poll_result("alice", *op) {
-                Some(AsyncResult::Completed { .. }) => {}
-                Some(AsyncResult::Failed { reason }) => assert_eq!(reason, unavailable),
-                other => panic!("{other:?}"),
-            }
+        for op in &ops[..threads] {
+            let result = c.poll_result("alice", *op);
+            assert!(
+                matches!(result, Some(AsyncResult::Completed { .. })),
+                "{result:?}"
+            );
         }
-        // Only writes that had started before the failure reached the drive.
-        assert!(drive.info().stats.puts - puts <= threads as u64);
+        // Exactly the writes that had started before the failure reached
+        // the drive, one put each.
+        assert_eq!(drive.info().stats.puts - puts, threads as u64);
         drive.clear_faults();
         c.set_failed(false);
         assert!(matches!(

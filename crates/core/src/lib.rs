@@ -18,6 +18,11 @@ pub mod controller;
 pub mod encryption;
 pub mod endpoint;
 pub mod error;
+/// The LFU table both in-enclave caches run on (canonical re-export; the
+/// definition lives in `pesos-policy` beside `Sharded`).
+pub mod lfu {
+    pub use pesos_policy::lfu::{CacheStats, LfuShard, LfuTable};
+}
 pub mod metadata;
 pub mod metrics;
 pub mod object_cache;
@@ -40,6 +45,7 @@ pub use controller::{PesosController, PreparedCommit};
 pub use encryption::ObjectCrypter;
 pub use endpoint::RequestEndpoint;
 pub use error::PesosError;
+pub use lfu::CacheStats;
 pub use metadata::{MetadataHead, ObjectMetadata, ShardedMetadata, VersionMeta};
 pub use metrics::ControllerMetrics;
 pub use object_cache::ObjectCache;

@@ -1,262 +1,26 @@
 //! The in-enclave object cache.
 //!
-//! A global in-memory structure that serves recently written or read objects
-//! without a disk round trip and supports content-based policy checks
-//! (`objSays`) with fast lookups (paper §3.1, §4.2). The cache is bounded by
-//! a byte budget chosen to stay inside the EPC: LFU eviction behind a
-//! TinyLFU admission filter (Einziger, Friedman & Manes, ACM TOS 2017).
-//!
-//! The byte budget is split across N independently locked LFU shards
-//! (selected with [`crate::placement::key_hash`], the same hash replica
-//! placement uses) so concurrent sessions touching different keys never
-//! serialize on one global mutex. Eviction is per shard: a hot entry can
-//! only be displaced by traffic hashing to its own shard, which approximates
-//! global LFU closely under the uniform key hashing the placement function
-//! provides.
-//!
-//! # Eviction
-//!
-//! The victim is the entry with the smallest `(frequency, name)`: the
-//! frequency counts the entry's hits since it landed, and ties go to the
-//! smaller key, so the victim — and with it which later reads miss — is a
-//! function of the request sequence alone, not of hash-map iteration order.
-//! Each shard memoises its current victim, so asking who would go next
-//! does not rescan the shard; the memo is dropped when the victim is hit,
-//! replaced or removed, and moves to a newcomer that lands below it.
-//!
-//! # Admission
-//!
-//! Eviction alone lets a stream larger than the cache (every key read about
-//! as often as every other) displace an entry on every miss, and each such
-//! fill pays a copy of the value and, on a read, the revalidation hash, for
-//! an entry that will be gone before it is read again. So a fill that would
-//! evict must first win admission: a key that is not cached is admitted
-//! into a full shard only if a frequency sketch rates it above each victim
-//! it would displace; otherwise the fill is refused
-//! ([`ObjectCacheStats::refused`]). A replacement of a cached key, and a
-//! fill that fits, are always admitted. Callers ask before they pay
-//! ([`ObjectCache::admits_read`], [`ObjectCache::admits_write`]), so a
-//! refused fill costs neither the copy nor the hash.
-//!
-//! The sketch is a count-min sketch of a shard's recent accesses: 4 rows of
-//! one-byte counters saturating at 15, each row 4 counters wide per entry
-//! the shard held when it first had to evict, indexed from the placement
-//! hash the shard was chosen by (no further digest). A key's estimate is
-//! its smallest counter. Every access counts once: a lookup, hit or miss,
-//! and a write's fill. After 10 recorded accesses per such entry every
-//! counter is halved, so popularity that has passed fades (TinyLFU's
-//! reset). A shard builds its sketch the first time it must evict: a cache
-//! that never fills carries none and pays one branch per access. The
-//! sketch costs 16 bytes per entry, only in shards that filled; each entry
-//! also keeps its 8-byte hash, to be rated as a victim. Counter indices are
-//! fixed mixes of the key's hash and there is no randomness anywhere, so
-//! admissions, like victims, follow from the request sequence alone.
+//! Serves recently written or read objects without a disk round trip and
+//! supports content-based policy checks (`objSays`) with fast lookups
+//! (paper §3.1, §4.2). It is an [`LfuTable`] ([`crate::lfu`]): an entry
+//! weighs its value's bytes plus its name's, shards are selected, and the
+//! sketch indexed, by [`crate::placement::key_hash`]. A miss does not imply
+//! a fill: callers ask [`ObjectCache::admits_read`] or
+//! [`ObjectCache::admits_write`] before they copy or hash, then land an
+//! admitted fill with [`ObjectCache::put_named`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::lfu::{CacheStats, LfuTable};
 use crate::placement::HashedKey;
-use crate::sharded::Sharded;
-
-/// Counters describing cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObjectCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted for space.
-    pub evictions: u64,
-    /// Fills into a full shard that lost admission to the entries they
-    /// would have evicted.
-    pub refused: u64,
-    /// Bytes currently cached.
-    pub used_bytes: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-}
-
-/// Rows of the frequency sketch; an estimate is the smallest of a key's
-/// counters, one per row.
-const SKETCH_ROWS: usize = 4;
-/// Counters per sketch row for each entry the shard held when it first had
-/// to evict.
-const SKETCH_WIDTH_PER_ENTRY: usize = 4;
-/// Recorded accesses per such entry between two halvings of every counter.
-const SKETCH_AGING_PER_ENTRY: u64 = 10;
-/// A sketch counter saturates here (TinyLFU's 4-bit counters).
-const COUNTER_MAX: u8 = 15;
-/// Per-row odd multipliers that derive a row's counter index from the key's
-/// placement hash.
-const ROW_MIX: [u64; SKETCH_ROWS] = [
-    0x9e37_79b9_7f4a_7c15,
-    0xbf58_476d_1ce4_e5b9,
-    0x94d0_49bb_1331_11eb,
-    0xd6e8_feb8_6659_fd93,
-];
-
-/// A count-min sketch of a shard's recent accesses.
-struct Sketch {
-    /// `SKETCH_ROWS` rows of `width` counters, row after row.
-    counters: Box<[u8]>,
-    width: usize,
-    /// Accesses recorded since the last halving.
-    recorded: u64,
-    /// Accesses between two halvings.
-    period: u64,
-}
-
-impl Sketch {
-    fn new(entries: usize) -> Self {
-        let entries = entries.max(1);
-        let width = SKETCH_WIDTH_PER_ENTRY * entries;
-        Sketch {
-            counters: vec![0; SKETCH_ROWS * width].into_boxed_slice(),
-            width,
-            recorded: 0,
-            period: SKETCH_AGING_PER_ENTRY * entries as u64,
-        }
-    }
-
-    /// The index of `hash`'s counter in `row`, whose multiplier is `mix`.
-    fn slot(&self, row: usize, mix: u64, hash: u64) -> usize {
-        let mixed = (hash ^ (hash >> 29)).wrapping_mul(mix);
-        // The mixed hash's top 32 bits, scaled onto the row.
-        let column = ((mixed >> 32) * self.width as u64) >> 32;
-        row * self.width + column as usize
-    }
-
-    fn record(&mut self, hash: u64) {
-        for (row, mix) in ROW_MIX.iter().enumerate() {
-            let slot = self.slot(row, *mix, hash);
-            if let Some(counter) = self.counters.get_mut(slot) {
-                *counter = (*counter + 1).min(COUNTER_MAX);
-            }
-        }
-        self.recorded += 1;
-        if self.recorded >= self.period {
-            self.recorded = 0;
-            for counter in self.counters.iter_mut() {
-                *counter /= 2;
-            }
-        }
-    }
-
-    fn estimate(&self, hash: u64) -> u8 {
-        ROW_MIX
-            .iter()
-            .enumerate()
-            .filter_map(|(row, mix)| self.counters.get(self.slot(row, *mix, hash)).copied())
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-struct Entry {
-    value: Arc<Vec<u8>>,
-    version: u64,
-    frequency: u64,
-    /// The key's placement hash, which indexes the sketch.
-    hash: u64,
-}
-
-impl Entry {
-    fn bytes(&self, name: &str) -> u64 {
-        self.value.len() as u64 + name.len() as u64
-    }
-}
-
-#[derive(Default)]
-struct Inner {
-    /// Keyed by shared names: eviction and replacement move them around
-    /// without copying.
-    entries: HashMap<Arc<str>, Entry>,
-    used_bytes: u64,
-    /// The entry eviction takes next, when known (module docs).
-    victim: Option<Arc<str>>,
-    /// Built the first time this shard must evict.
-    sketch: Option<Sketch>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    refused: u64,
-}
-
-impl Inner {
-    fn record(&mut self, hash: u64) {
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(hash);
-        }
-    }
-
-    /// The smallest `(frequency, name)`: memoised, scanned for when not.
-    fn victim(&mut self) -> Option<Arc<str>> {
-        if self.victim.is_none() {
-            self.victim = self
-                .entries
-                .iter()
-                .min_by_key(|(name, e)| (e.frequency, &**name))
-                .map(|(name, _)| Arc::clone(name));
-        }
-        self.victim.clone()
-    }
-
-    /// Forgets the memoised victim if it is `name`.
-    fn unmemo(&mut self, name: &str) {
-        if self.victim.as_deref() == Some(name) {
-            self.victim = None;
-        }
-    }
-
-    fn remove(&mut self, name: &str) -> Option<(Arc<str>, Entry)> {
-        let (name, entry) = self.entries.remove_entry(name)?;
-        self.used_bytes -= entry.bytes(&name);
-        self.unmemo(&name);
-        Some((name, entry))
-    }
-
-    /// Whether a fill of `size` bytes under the uncached `hash` may evict
-    /// what it must to fit in `budget`: the sketch rates it above every
-    /// victim in eviction order until enough bytes are free.
-    fn wins_admission(&mut self, hash: u64, size: u64, budget: u64) -> bool {
-        let needed = (self.used_bytes + size).saturating_sub(budget);
-        let Some(first) = self.victim() else {
-            return true;
-        };
-        let Some(sketch) = &self.sketch else {
-            return true;
-        };
-        let newcomer = sketch.estimate(hash);
-        let Some(entry) = self.entries.get(&first) else {
-            return true;
-        };
-        if entry.bytes(&first) >= needed {
-            return newcomer > sketch.estimate(entry.hash);
-        }
-        // More than one victim: walk them in eviction order.
-        let mut order: Vec<(&Arc<str>, &Entry)> = self.entries.iter().collect();
-        order.sort_unstable_by(|(a, x), (b, y)| (x.frequency, &**a).cmp(&(y.frequency, &**b)));
-        let mut freed = 0;
-        for (name, entry) in order {
-            if freed >= needed {
-                break;
-            }
-            if newcomer <= sketch.estimate(entry.hash) {
-                return false;
-            }
-            freed += entry.bytes(name);
-        }
-        true
-    }
-}
 
 /// A byte-bounded, LFU-evicting, TinyLFU-admitting, lock-sharded object
-/// cache (built on the generic [`Sharded`] container).
+/// cache.
 pub struct ObjectCache {
-    shard_budget_bytes: u64,
-    shards: Sharded<Mutex<Inner>>,
+    /// Each key's value and version.
+    table: LfuTable<str, (Arc<Vec<u8>>, u64)>,
 }
 
 impl ObjectCache {
@@ -267,66 +31,40 @@ impl ObjectCache {
     }
 
     /// Creates a cache whose byte budget is split evenly across `shards`
-    /// independently locked LFU shards.
-    ///
-    /// Note the admission bound this implies: a single object can occupy at
-    /// most one shard's budget (`budget_bytes / shards`), not the whole
-    /// budget — the slab-style price of independent per-shard eviction.
-    /// Deployments caching objects near the total budget should lower
-    /// `lock_shards`.
+    /// independently locked shards, so a single object can occupy at most
+    /// `budget_bytes / shards`. Deployments caching objects near the total
+    /// budget should lower `lock_shards`.
     pub fn with_shards(budget_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         ObjectCache {
-            shard_budget_bytes: (budget_bytes / shards).max(1) as u64,
-            shards: Sharded::new_indexed(shards, |i| {
-                Mutex::with_rank_indexed(
-                    parking_lot::lock_order::OBJECT_CACHE_SHARD,
-                    i,
-                    Inner::default(),
-                )
+            table: LfuTable::new(budget_bytes as u64, shards, |i, shard| {
+                Mutex::with_rank_indexed(parking_lot::lock_order::OBJECT_CACHE_SHARD, i, shard)
             }),
         }
     }
 
     /// The configured byte budget (summed over all shards).
     pub fn budget_bytes(&self) -> u64 {
-        self.shard_budget_bytes * self.shards.shard_count() as u64
+        self.table.budget()
     }
 
     /// Number of lock shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
-    }
-
-    fn shard(&self, key: &HashedKey<'_>) -> &Mutex<Inner> {
-        self.shards.get(key)
+        self.table.shard_count()
     }
 
     /// Looks up the latest cached value and version for `key`, counting
     /// the access.
     pub fn get<'a>(&self, key: impl Into<HashedKey<'a>>) -> Option<(Arc<Vec<u8>>, u64)> {
         let key = key.into();
-        let mut inner = self.shard(&key).lock();
-        inner.record(key.hash());
-        match inner.entries.get_mut(key.key()) {
-            Some(e) => {
-                e.frequency += 1;
-                let out = (Arc::clone(&e.value), e.version);
-                inner.hits += 1;
-                inner.unmemo(key.key());
-                Some(out)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let mut shard = self.table.shard(key.hash());
+        let (value, version) = shard.lookup(key.key(), key.hash())?;
+        Some((Arc::clone(value), *version))
     }
 
     /// Whether a fill of a `value_len`-byte value for `key`, read after a
     /// [`ObjectCache::get`] of it missed (which counted the access), is
-    /// admitted (module docs). A refused fill is counted; an admitted one
-    /// is made with [`ObjectCache::put_named`].
+    /// admitted. A refused fill is counted; an admitted one is made with
+    /// [`ObjectCache::put_named`].
     pub(crate) fn admits_read(&self, key: &HashedKey<'_>, value_len: usize) -> bool {
         self.admits(key, value_len, false)
     }
@@ -338,31 +76,9 @@ impl ObjectCache {
     }
 
     fn admits(&self, key: &HashedKey<'_>, value_len: usize, record: bool) -> bool {
-        let size = value_len as u64 + key.key().len() as u64;
-        let budget = self.shard_budget_bytes;
-        let mut inner = self.shard(key).lock();
-        let must_evict = size <= budget
-            && !inner.entries.contains_key(key.key())
-            && inner.used_bytes + size > budget;
-        if must_evict && inner.sketch.is_none() {
-            inner.sketch = Some(Sketch::new(inner.entries.len()));
-        }
-        if record {
-            inner.record(key.hash());
-        }
-        if size > budget {
-            // Never cached, and what the key held is no longer its value.
-            inner.remove(key.key());
-            return false;
-        }
-        if !must_evict {
-            return true;
-        }
-        let admitted = inner.wins_admission(key.hash(), size, budget);
-        if !admitted {
-            inner.refused += 1;
-        }
-        admitted
+        let weight = value_len as u64 + key.key().len() as u64;
+        let mut shard = self.table.shard(key.hash());
+        shard.admits(key.key(), key.hash(), weight, record)
     }
 
     /// Inserts (or replaces) the cached value for `key` if the fill wins
@@ -372,7 +88,7 @@ impl ObjectCache {
     pub fn put<'a>(&self, key: impl Into<HashedKey<'a>>, value: Arc<Vec<u8>>, version: u64) {
         let key = key.into();
         if self.admits_write(&key, value.len()) {
-            self.insert(&key, || Arc::from(key.key()), value, version);
+            self.put_named(&key, &Arc::from(key.key()), value, version);
         }
     }
 
@@ -388,83 +104,27 @@ impl ObjectCache {
         version: u64,
     ) {
         debug_assert_eq!(key.key(), &**name, "hashed key does not match its name");
-        self.insert(key, || Arc::clone(name), value, version);
-    }
-
-    fn insert(
-        &self,
-        hashed: &HashedKey<'_>,
-        name: impl FnOnce() -> Arc<str>,
-        value: Arc<Vec<u8>>,
-        version: u64,
-    ) {
-        let key = hashed.key();
-        let size = value.len() as u64 + key.len() as u64;
-        if size > self.shard_budget_bytes {
-            return;
-        }
-        let mut inner = self.shard(hashed).lock();
-        let name = match inner.remove(key) {
-            Some((name, _)) => name,
-            None => name(),
-        };
-        // Evict until the new entry fits.
-        while inner.used_bytes + size > self.shard_budget_bytes {
-            let Some(victim) = inner.victim() else {
-                break;
-            };
-            if inner.remove(&victim).is_some() {
-                inner.evictions += 1;
-            }
-        }
-        inner.used_bytes += size;
-        // The newcomer lands at frequency 1: below the memoised victim, it
-        // is the next one.
-        let below_victim = match inner.victim.as_ref() {
-            Some(victim) => inner
-                .entries
-                .get(victim)
-                .is_some_and(|v| (1, &*name) < (v.frequency, &**victim)),
-            None => false,
-        };
-        if below_victim {
-            inner.victim = Some(Arc::clone(&name));
-        }
-        inner.entries.insert(
-            name,
-            Entry {
-                value,
-                version,
-                frequency: 1,
-                hash: hashed.hash(),
-            },
-        );
+        let weight = value.len() as u64 + key.key().len() as u64;
+        let mut shard = self.table.shard(key.hash());
+        shard.insert(name, key.hash(), (value, version), weight);
     }
 
     /// Removes a key from the cache (e.g. on delete).
     pub fn invalidate<'a>(&self, key: impl Into<HashedKey<'a>>) {
         let key = key.into();
-        self.shard(&key).lock().remove(key.key());
+        self.table.shard(key.hash()).remove(key.key());
     }
 
     /// Returns counters aggregated over all shards.
-    pub fn stats(&self) -> ObjectCacheStats {
-        let mut stats = ObjectCacheStats::default();
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.evictions += inner.evictions;
-            stats.refused += inner.refused;
-            stats.used_bytes += inner.used_bytes;
-            stats.entries += inner.entries.len();
-        }
-        stats
+    pub fn stats(&self) -> CacheStats {
+        self.table.stats(|_| 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn value(len: usize) -> Arc<Vec<u8>> {
@@ -652,33 +312,6 @@ mod tests {
                 items.swap(i, self.below(i + 1));
             }
         }
-    }
-
-    #[test]
-    fn the_memoised_victim_is_the_one_a_scan_finds() {
-        let mut rng = Rng(7);
-        let cache = ObjectCache::new(8 * 40);
-        let names: Vec<String> = (0..24).map(|i| format!("key{i:02}")).collect();
-        for step in 0..5000 {
-            let name = names[rng.below(names.len())].as_str();
-            match rng.below(8) {
-                0 => cache.invalidate(name),
-                1..=3 => cache.put(name, value(20 + rng.below(30)), step),
-                _ => {
-                    if cache.get(name).is_none() && cache.admits_read(&name.into(), 30) {
-                        cache.put_named(&name.into(), &Arc::from(name), value(30), step);
-                    }
-                }
-            }
-            let mut inner = cache.shards.iter().next().unwrap().lock();
-            let memo = inner.victim.clone();
-            inner.victim = None;
-            assert!(memo.is_none() || memo == inner.victim(), "step {step}");
-            inner.victim = memo;
-            assert!(inner.used_bytes <= cache.shard_budget_bytes);
-        }
-        let s = cache.stats();
-        assert!(s.evictions > 0 && s.refused > 0, "{s:?}");
     }
 
     /// An oracle shard: `(frequency, bytes)` by name, and the bytes used.

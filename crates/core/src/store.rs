@@ -446,12 +446,12 @@ impl PesosStore {
     }
 
     /// Object-cache statistics.
-    pub fn object_cache_stats(&self) -> crate::object_cache::ObjectCacheStats {
+    pub fn object_cache_stats(&self) -> crate::lfu::CacheStats {
         self.object_cache.stats()
     }
 
     /// Policy-cache statistics.
-    pub fn policy_cache_stats(&self) -> pesos_policy::CacheStats {
+    pub fn policy_cache_stats(&self) -> crate::lfu::CacheStats {
         self.policy_cache.stats()
     }
 
@@ -784,7 +784,8 @@ impl PesosStore {
         }
     }
 
-    /// Reads a policy the cache does not hold from the drives and caches it.
+    /// Reads a policy a cache lookup missed from the drives, and fills the
+    /// cache with it if the fill wins admission.
     fn fetch_policy(&self, id: &PolicyId) -> Result<Arc<CompiledPolicy>, PesosError> {
         let hex = id.to_hex();
         let bytes = self
@@ -797,7 +798,7 @@ impl PesosStore {
         if policy.id() != *id {
             return Err(PesosError::Backend("stored policy hash mismatch".into()));
         }
-        self.policy_cache.insert(Arc::clone(&policy));
+        self.policy_cache.fill(Arc::clone(&policy));
         Ok(policy)
     }
 

@@ -27,7 +27,7 @@ use pesos_crypto::{Certificate, CertificateBuilder, KeyPair};
 use crate::backend::{BackendKind, DriveBackend, HddModel};
 use crate::engine::{DriveEngine, EngineStats, StoredEntry};
 use crate::error::KineticError;
-use crate::fault::{FaultCounts, FaultDecision, FaultInjector, FaultPlan};
+use crate::fault::{ExchangeGate, FaultCounts, FaultDecision, FaultInjector, FaultPlan};
 use crate::protocol::{
     AccountSpec, BatchOp, Command, Envelope, MessageType, ResponseStatus, StatusCode,
     VectoredEnvelope, MAX_BATCH_OPS,
@@ -406,6 +406,19 @@ impl KineticDrive {
         *self.fault.lock() = Some(FaultInjector::new(plan));
     }
 
+    /// Holds every later exchange at a new, closed gate, after its fault
+    /// draw and before it runs, until the returned gate opens (`fault`
+    /// module docs). A later [`KineticDrive::inject_faults`] or
+    /// [`KineticDrive::clear_faults`] detaches it.
+    pub fn hold_exchanges(&self) -> Arc<ExchangeGate> {
+        let gate = Arc::new(ExchangeGate::default());
+        self.fault
+            .lock()
+            .get_or_insert_with(|| FaultInjector::new(FaultPlan::errors(0, 0.0)))
+            .hold(Arc::clone(&gate));
+        gate
+    }
+
     /// Removes any active fault plan.
     pub fn clear_faults(&self) {
         *self.fault.lock() = None;
@@ -423,14 +436,18 @@ impl KineticDrive {
     /// The one fault draw of an exchange. The decision is drawn and counted
     /// under the injector's lock, in arrival order; the plan's latency is
     /// slept after the lock is released, so a slow drive delays each
-    /// exchange by `latency` instead of queueing them behind one sleeper.
+    /// exchange by `latency` instead of queueing them behind one sleeper;
+    /// an attached gate is waited at after it.
     fn fault_decision(&self) -> FaultDecision {
-        let (decision, latency) = match self.fault.lock().as_mut() {
-            Some(injector) => (injector.decide(), injector.plan().latency),
+        let (decision, latency, gate) = match self.fault.lock().as_mut() {
+            Some(injector) => (injector.decide(), injector.plan().latency, injector.gate()),
             None => return FaultDecision::Pass,
         };
         if let Some(latency) = latency {
             std::thread::sleep(latency);
+        }
+        if let Some(gate) = gate {
+            gate.pass();
         }
         decision
     }

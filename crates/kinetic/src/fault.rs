@@ -20,13 +20,21 @@
 //!   exchange, outside the injector's lock, so concurrent exchanges are
 //!   each delayed rather than queued behind one another.
 //!
+//! Beside the plan, a test can hold a drive's exchanges at an
+//! [`ExchangeGate`] (`KineticDrive::hold_exchanges`): each waits there,
+//! after its fault draw and before it runs, until the gate opens, and the
+//! gate counts the exchanges it holds — so a test knows that work has
+//! entered the drive without timing it.
+//!
 //! The injector sits at the drive's authenticated-frame entry points, after
 //! the online check and before account lookup, so it covers every operation
 //! the controller can issue (data path, range scans, export/import reads,
 //! admin traffic) through one choke point.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,6 +93,7 @@ pub struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
     injected: FaultCounts,
+    gate: Option<Arc<ExchangeGate>>,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -112,7 +121,18 @@ impl FaultInjector {
             rng: StdRng::seed_from_u64(plan.seed),
             injected: FaultCounts::default(),
             plan,
+            gate: None,
         }
+    }
+
+    /// Holds every later exchange at `gate` until it opens.
+    pub fn hold(&mut self, gate: Arc<ExchangeGate>) {
+        self.gate = Some(gate);
+    }
+
+    /// The gate exchanges wait at, if one is attached.
+    pub fn gate(&self) -> Option<Arc<ExchangeGate>> {
+        self.gate.clone()
     }
 
     /// The active plan.
@@ -143,6 +163,39 @@ impl FaultInjector {
         } else {
             FaultDecision::Pass
         }
+    }
+}
+
+/// Holds a drive's exchanges until it opens, counting those it holds
+/// (module docs). A new gate is closed.
+#[derive(Default)]
+pub struct ExchangeGate {
+    /// Exchanges waiting, and whether the gate is open.
+    state: Mutex<(usize, bool)>,
+    opened: Condvar,
+}
+
+impl ExchangeGate {
+    /// Exchanges waiting at the gate.
+    pub fn waiting(&self) -> usize {
+        self.state.lock().0
+    }
+
+    /// Opens the gate for good: the exchanges it holds, and later ones,
+    /// run.
+    pub fn open(&self) {
+        self.state.lock().1 = true;
+        self.opened.notify_all();
+    }
+
+    /// Waits until the gate is open.
+    pub fn pass(&self) {
+        let mut state = self.state.lock();
+        state.0 += 1;
+        while !state.1 {
+            self.opened.wait(&mut state);
+        }
+        state.0 -= 1;
     }
 }
 

@@ -64,7 +64,7 @@ pub use cluster::DriveSet;
 pub use drive::{AccessControl, Account, DriveConfig, KineticDrive, Permission};
 pub use engine::{DriveEngine, EngineStats, StoredEntry};
 pub use error::KineticError;
-pub use fault::{FaultCounts, FaultDecision, FaultInjector, FaultPlan};
+pub use fault::{ExchangeGate, FaultCounts, FaultDecision, FaultInjector, FaultPlan};
 pub use protocol::{
     AccountSpec, BatchOp, Command, CommandBody, Envelope, MessageType, Payload, ResponseStatus,
     StatusCode, VectoredCommand, VectoredEnvelope, MAX_BATCH_OPS,

@@ -1,23 +1,17 @@
 //! The policy cache.
 //!
-//! Recently compiled policies are held in an in-enclave cache so that the
-//! common case — many objects sharing few policies — avoids both
-//! recompilation and a disk round trip (paper §4.2; Figure 8 measures the
-//! throughput collapse once the number of unique policies exceeds the cache
-//! capacity). Eviction approximates least-frequently-used: each entry keeps
-//! a hit counter, counters are halved periodically so stale popularity
-//! decays, and the entry with the lowest counter is evicted, ties going to
-//! the smallest [`PolicyId`] so the victim — and with it which later
-//! lookups miss — is a function of the request sequence alone, not of
-//! hash-map iteration order.
-//!
-//! The cache is split over N independently locked LFU shards (selected by
-//! the leading bytes of the [`PolicyId`], which is already a content hash)
-//! through the generic [`Sharded`] structure, so concurrent sessions whose
-//! objects reference different policies no longer serialize on one global
-//! mutex — this was the last single-lock structure on the request hot path.
-//! Capacity and decay are per shard; like the object cache, independent
-//! per-shard eviction is the price of independent locking.
+//! Compiled policies are cached in the enclave so that the common case —
+//! many objects sharing few policies — avoids both recompilation and a
+//! disk round trip (paper §4.2; Figure 8 measures the throughput collapse
+//! once the unique policies outnumber the cache). It is an [`LfuTable`]
+//! ([`crate::lfu`]): every policy weighs one against `capacity`, and
+//! [`PolicyId::shard_hint`] (the id is a content hash already) selects the
+//! shard and indexes the sketch. A policy the store installs
+//! ([`PolicyCache::insert`]) is cached unconditionally, since the objects
+//! written under it will use it; one read back after a lookup missed
+//! ([`PolicyCache::fill`]) must win admission, so a working set larger
+//! than the cache reads its cold policies back without displacing its hot
+//! ones.
 //!
 //! # Remembered read decisions
 //!
@@ -26,13 +20,14 @@
 //! evicting a policy evicts its decisions and no other table holds them.
 //! The cache only files and returns them: what a [`ReadMemo`] depends on,
 //! and whether that still holds, is its caller's business (the store's
-//! write generations). A shard keeps at most as many decisions as it may
-//! keep policies, `capacity / shards`, on top of its policies; the shard
-//! that reaches that bound drops every decision it holds and starts again,
-//! since each costs one evaluation to rebuild and tracking their recency
-//! would cost every lookup. Decisions never displace a policy, so which
-//! policies are cached, and with it the hit rate Figure 8 plots, is what it
-//! was without them.
+//! write generations). A shard bounds its decisions by the policies it may
+//! keep, `capacity / shards`: once it has filed that many since it last
+//! started afresh, it drops every decision it holds and starts again.
+//! Each costs one evaluation to rebuild, tracking their recency would cost
+//! every lookup, and counting filings rather than holdings needs nothing
+//! from eviction. Decisions never displace a policy, so which policies are
+//! cached, and with it the hit rate Figure 8 plots, is what it was without
+//! them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,33 +36,8 @@ use parking_lot::Mutex;
 
 use crate::compiler::{CompiledPolicy, PolicyId};
 use crate::interpreter::Decision;
-use crate::sharded::{ShardKey, Sharded};
-
-/// Cache hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the policy in the cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Current number of cached policies.
-    pub entries: usize,
-    /// Current number of remembered read decisions.
-    pub decisions: usize,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero when no lookups have happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
+use crate::lfu::{CacheStats, LfuTable};
+use crate::sharded::ShardKey;
 
 /// A read decision its policy made for one principal on one object, kept
 /// beside the policy (module docs, "Remembered read decisions").
@@ -129,61 +99,14 @@ impl ReadMemo {
 
 struct Entry {
     policy: Arc<CompiledPolicy>,
-    frequency: u64,
     decisions: HashMap<u64, Arc<ReadMemo>>,
 }
 
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<PolicyId, Entry>,
-    /// Read decisions held by this shard's entries, together.
-    decisions: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    lookups_since_decay: u64,
-}
-
-impl Inner {
-    /// Removes the entry of `id` with its decisions.
-    fn remove(&mut self, id: &PolicyId) -> bool {
-        match self.entries.remove(id) {
-            Some(entry) => {
-                self.decisions -= entry.decisions.len();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Finds `id`'s entry as a lookup does: decays frequencies when due,
-    /// bumps the entry's on a hit and counts the hit or the miss.
-    fn lookup(&mut self, id: &PolicyId, per_shard_capacity: usize) -> Option<&Entry> {
-        self.lookups_since_decay += 1;
-        if self.lookups_since_decay > 4 * per_shard_capacity as u64 {
-            self.lookups_since_decay = 0;
-            for entry in self.entries.values_mut() {
-                entry.frequency /= 2;
-            }
-        }
-        match self.entries.get_mut(id) {
-            Some(entry) => {
-                entry.frequency += 1;
-                self.hits += 1;
-                Some(entry)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-}
-
-/// A bounded, approximately-LFU, lock-sharded policy cache.
+/// A bounded, LFU-evicting, TinyLFU-admitting, lock-sharded policy cache.
 pub struct PolicyCache {
-    per_shard_capacity: usize,
-    shards: Sharded<Mutex<Inner>>,
+    /// Each shard's own count is of the decisions it filed since it last
+    /// dropped them all.
+    table: LfuTable<PolicyId, Entry, usize>,
 }
 
 impl PolicyCache {
@@ -195,36 +118,30 @@ impl PolicyCache {
     }
 
     /// Creates a cache whose capacity is split evenly over `shards`
-    /// independently locked LFU shards (at least one entry per shard).
+    /// independently locked shards (at least one entry per shard).
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         PolicyCache {
-            per_shard_capacity: (capacity / shards).max(1),
-            shards: Sharded::new_indexed(shards, |i| {
-                Mutex::with_rank_indexed(
-                    parking_lot::lock_order::POLICY_CACHE_SHARD,
-                    i,
-                    Inner::default(),
-                )
+            table: LfuTable::new(capacity as u64, shards, |i, shard| {
+                Mutex::with_rank_indexed(parking_lot::lock_order::POLICY_CACHE_SHARD, i, shard)
             }),
         }
     }
 
     /// The configured capacity (summed over all shards).
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.shard_count()
+        self.table.budget() as usize
     }
 
     /// Number of lock shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
+        self.table.shard_count()
     }
 
-    /// Looks up a policy, bumping its frequency on a hit.
+    /// Looks up a policy, counting the access.
     pub fn get(&self, id: &PolicyId) -> Option<Arc<CompiledPolicy>> {
-        let mut inner = self.shards.get(id).lock();
-        let entry = inner.lookup(id, self.per_shard_capacity)?;
-        Some(Arc::clone(&entry.policy))
+        let hash = id.shard_hint();
+        let mut shard = self.table.shard(hash);
+        Some(Arc::clone(&shard.lookup(id, hash)?.policy))
     }
 
     /// Looks up a policy as [`PolicyCache::get`] does (one lookup, counted
@@ -237,8 +154,9 @@ impl PolicyCache {
         key: &str,
         key_hash: u64,
     ) -> Option<(Arc<CompiledPolicy>, Option<Arc<ReadMemo>>)> {
-        let mut inner = self.shards.get(id).lock();
-        let entry = inner.lookup(id, self.per_shard_capacity)?;
+        let hash = id.shard_hint();
+        let mut shard = self.table.shard(hash);
+        let entry = shard.lookup(id, hash)?;
         let memo = if entry.decisions.is_empty() {
             None
         } else {
@@ -254,80 +172,66 @@ impl PolicyCache {
     /// nothing.
     pub fn remember_read(&self, id: &PolicyId, key_hash: u64, memo: ReadMemo) {
         let tag = ReadMemo::tag(memo.principal(), key_hash);
-        let mut inner = self.shards.get(id).lock();
-        if !inner.entries.contains_key(id) {
-            return;
-        }
-        if inner.decisions >= self.per_shard_capacity {
-            for entry in inner.entries.values_mut() {
+        let bound = self.table.shard_budget() as usize;
+        let mut shard = self.table.shard(id.shard_hint());
+        if shard.get_mut(id).is_some() && shard.extra >= bound {
+            for entry in shard.values_mut() {
                 entry.decisions.clear();
             }
-            inner.decisions = 0;
+            shard.extra = 0;
         }
-        if let Some(entry) = inner.entries.get_mut(id) {
-            if entry.decisions.insert(tag, Arc::new(memo)).is_none() {
-                inner.decisions += 1;
-            }
+        let entry = shard.get_mut(id);
+        if entry.is_some_and(|entry| entry.decisions.insert(tag, Arc::new(memo)).is_none()) {
+            shard.extra += 1;
         }
     }
 
-    /// Inserts a policy, evicting the least-frequently-used entry of its
+    /// Installs a policy, evicting the least-frequently-used entry of its
     /// shard (the smallest identifier among equals) if that shard is full.
+    /// A policy already cached stays as it is.
     pub fn insert(&self, policy: Arc<CompiledPolicy>) -> PolicyId {
+        self.land(policy, false)
+    }
+
+    /// Caches a policy read back after a lookup of it missed (which counted
+    /// the access), if it wins admission (module docs).
+    pub fn fill(&self, policy: Arc<CompiledPolicy>) {
+        self.land(policy, true);
+    }
+
+    fn land(&self, policy: Arc<CompiledPolicy>, admit: bool) -> PolicyId {
         let id = policy.id();
-        let mut inner = self.shards.get(&id).lock();
-        if inner.entries.contains_key(&id) {
-            return id;
-        }
-        if inner.entries.len() >= self.per_shard_capacity {
-            if let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(id, e)| (e.frequency, *id))
-                .map(|(id, _)| *id)
-            {
-                inner.remove(&victim);
-                inner.evictions += 1;
-            }
-        }
-        inner.entries.insert(
-            id,
-            Entry {
+        let hash = id.shard_hint();
+        let mut shard = self.table.shard(hash);
+        if shard.get_mut(&id).is_none() && (!admit || shard.admits(&id, hash, 1, false)) {
+            let entry = Entry {
                 policy,
-                frequency: 1,
                 decisions: HashMap::new(),
-            },
-        );
+            };
+            shard.insert(&Arc::new(id), hash, entry, 1);
+        }
         id
     }
 
     /// Removes a policy, and the decisions it made, from the cache (e.g.
     /// after it is superseded).
     pub fn invalidate(&self, id: &PolicyId) -> bool {
-        self.shards.get(id).lock().remove(id)
+        self.table.shard(id.shard_hint()).remove(id).is_some()
     }
 
     /// Empties the cache.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.lock();
-            inner.entries.clear();
-            inner.decisions = 0;
+        for shard in self.table.shards() {
+            let mut shard = shard.lock();
+            shard.clear();
+            shard.extra = 0;
         }
     }
 
     /// Returns counters aggregated over all shards.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            let inner = shard.lock();
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.evictions += inner.evictions;
-            stats.entries += inner.entries.len();
-            stats.decisions += inner.decisions;
-        }
-        stats
+        self.table
+            .stats(|shard| shard.values_mut().map(|entry| entry.decisions.len()).sum())
     }
 }
 
@@ -556,5 +460,58 @@ mod tests {
         // Per-shard capacity floors at one entry.
         let tiny = PolicyCache::with_shards(2, 8);
         assert_eq!(tiny.capacity(), 8);
+    }
+
+    /// `len` Zipf(θ 0.99) draws over ranks `0..n`, from a fixed splitmix64
+    /// stream.
+    fn zipfian(n: usize, len: usize) -> Vec<usize> {
+        let mut cdf: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(0.99)).collect();
+        let mut total = 0.0;
+        for p in cdf.iter_mut() {
+            total += *p;
+            *p = total;
+        }
+        let mut state = 2017u64;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 * total;
+                cdf.partition_point(|&c| c < u).min(n - 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_zipfian_stream_twice_the_capacity_keeps_its_hot_policies() {
+        // Figure 8 past capacity: 16 shards with room for 500 policies,
+        // 1 000 policies looked up Zipf 0.99, each miss read back and
+        // offered as a fill; 200 000 lookups, the first 50 000 warm up.
+        const CAPACITY: usize = 500;
+        let policies: Vec<Arc<CompiledPolicy>> = (0..2 * CAPACITY).map(policy).collect();
+        let cache = PolicyCache::with_shards(CAPACITY, 16);
+        let mut warm = CacheStats::default();
+        for (step, rank) in zipfian(policies.len(), 200_000).into_iter().enumerate() {
+            if step == 50_000 {
+                warm = cache.stats();
+            }
+            let policy = &policies[rank];
+            if cache.get(&policy.id()).is_none() {
+                cache.fill(Arc::clone(policy));
+            }
+        }
+        let end = cache.stats();
+        let (hits, misses) = (end.hits - warm.hits, end.misses - warm.misses);
+        let evictions = end.evictions - warm.evictions;
+        let rate = hits as f64 / (hits + misses) as f64;
+        println!("hit rate {rate:.4}, {evictions} evictions, {misses} misses");
+        // A fill-always LFU evicts on every miss once full.
+        assert!(rate >= 0.87, "hit rate {rate}");
+        assert!(
+            evictions * 4 <= misses,
+            "{evictions} evictions for {misses} misses"
+        );
     }
 }

@@ -14,10 +14,11 @@
 //! ([`parser`]), compiled into a compact binary representation
 //! ([`compiler`]) that is cached and stored on the Kinetic drives, and
 //! evaluated against a request by the evaluator ([`interpreter`]). The
-//! [`cache`] module provides the least-frequently-used policy cache whose
-//! behaviour Figure 8 measures; each of its entries also keeps the read
-//! decisions its policy made ([`ReadMemo`]), which the store answers a
-//! repeated read from while the records they consulted are unchanged.
+//! [`cache`] module provides the policy cache whose behaviour Figure 8
+//! measures, an instance of the [`lfu`] table the object cache also runs
+//! on; each of its entries also keeps the read decisions its policy made
+//! ([`ReadMemo`]), which the store answers a repeated read from while the
+//! records they consulted are unchanged.
 //!
 //! # Evaluation model
 //!
@@ -92,6 +93,7 @@ pub mod context;
 pub mod error;
 pub mod interpreter;
 pub mod lexer;
+pub mod lfu;
 mod oracle;
 pub mod parser;
 pub mod predicates;
@@ -100,11 +102,12 @@ pub mod sharded;
 pub mod value;
 
 pub use ast::{Condition, Conjunction, Expr, PolicyAst, PredicateCall};
-pub use cache::{CacheStats, PolicyCache, ReadMemo};
+pub use cache::{PolicyCache, ReadMemo};
 pub use compiler::{compile, CompiledPolicy, PolicyId};
 pub use context::{ObjectFacts, Operation, Request, RequestContext, StaticObjectView};
 pub use error::{PolicyError, Span, ViewFault};
 pub use interpreter::{Decision, ObjectStoreView};
+pub use lfu::CacheStats;
 pub use predicates::Predicate;
 pub use sharded::{ShardKey, Sharded};
 pub use value::{Tuple, TupleText, Value, ValueRef};

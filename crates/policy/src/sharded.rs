@@ -62,17 +62,18 @@ impl ShardKey for crate::PolicyId {
 ///
 /// `L` is the per-shard lock cell (e.g. `Mutex<HashMap<…>>`); `Sharded`
 /// itself never locks, it only selects, so readers and writers use whatever
-/// guard API the cell provides.
+/// guard API the cell provides. There is always at least one shard: the
+/// first is a field of its own, so selection never has to handle an empty
+/// list.
 pub struct Sharded<L> {
-    shards: Vec<L>,
+    first: L,
+    rest: Vec<L>,
 }
 
 impl<L> Sharded<L> {
     /// Creates `shards` cells (at least one), each initialised by `init`.
     pub fn new(shards: usize, mut init: impl FnMut() -> L) -> Self {
-        Sharded {
-            shards: (0..shards.max(1)).map(|_| init()).collect(),
-        }
+        Sharded::new_indexed(shards, |_| init())
     }
 
     /// Creates `shards` cells (at least one), passing each its index —
@@ -81,13 +82,14 @@ impl<L> Sharded<L> {
     /// (see `parking_lot::lock_order`).
     pub fn new_indexed(shards: usize, mut init: impl FnMut(u32) -> L) -> Self {
         Sharded {
-            shards: (0..shards.max(1)).map(|i| init(i as u32)).collect(),
+            first: init(0),
+            rest: (1..shards.max(1)).map(|i| init(i as u32)).collect(),
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        1 + self.rest.len()
     }
 
     /// The shard owning `key`, selected through `key`'s shard-index
@@ -96,26 +98,18 @@ impl<L> Sharded<L> {
     /// A single-shard structure skips the hint computation entirely, which
     /// keeps the degenerate configuration as cheap as an unsharded lock.
     pub fn get<K: ShardKey + ?Sized>(&self, key: &K) -> &L {
-        if self.shards.len() == 1 {
-            // pesos-lint: allow(panic_freedom, "Sharded always holds at least one shard")
-            return &self.shards[0];
+        if self.rest.is_empty() {
+            return &self.first;
         }
-        // pesos-lint: allow(panic_freedom, "modulo of the shard count is always in bounds")
-        &self.shards[(key.shard_hint() % self.shards.len() as u64) as usize]
+        let index = (key.shard_hint() % self.shard_count() as u64) as usize;
+        // Shard `i > 0` is `rest[i - 1]`; shard 0 wraps past the end.
+        self.rest.get(index.wrapping_sub(1)).unwrap_or(&self.first)
     }
 
-    /// Iterates over every shard (aggregate statistics, sweeps).
-    pub fn iter(&self) -> std::slice::Iter<'_, L> {
-        self.shards.iter()
-    }
-}
-
-impl<'a, L> IntoIterator for &'a Sharded<L> {
-    type Item = &'a L;
-    type IntoIter = std::slice::Iter<'a, L>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.shards.iter()
+    /// Iterates over every shard in index order (aggregate statistics,
+    /// sweeps).
+    pub fn iter(&self) -> impl Iterator<Item = &L> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 }
 
