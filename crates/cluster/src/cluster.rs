@@ -160,17 +160,6 @@ struct RoutingState {
     migrations: Vec<Arc<Migration>>,
 }
 
-/// Partition `index` of `table`, or the typed refusal for an index the
-/// table does not have.
-fn partition_at(table: &PartitionTable, index: usize) -> Result<&Partition, PesosError> {
-    table.partition(index).ok_or_else(|| {
-        PesosError::BadRequest(format!(
-            "no partition {index} (cluster has {})",
-            table.len()
-        ))
-    })
-}
-
 /// Bounded map from cluster-level async operation ids to the controller
 /// that accepted the operation and its local id — the same bounded
 /// dense-id retention pattern as the transaction-outcome map, so it shares
@@ -397,7 +386,7 @@ impl ControllerCluster {
             routing: RwLock::with_rank(
                 lock_order::ROUTING_STATE,
                 Arc::new(RoutingState {
-                    table: PartitionTable::even_with_logs(owners),
+                    table: PartitionTable::even_with_logs(owners)?,
                     migrations: Vec::new(),
                 }),
             ),
@@ -447,7 +436,6 @@ impl ControllerCluster {
             .read()
             .table
             .partitions()
-            .iter()
             .map(|p| Arc::clone(&p.controller))
             .collect()
     }
@@ -563,7 +551,7 @@ impl Drop for ControllerCluster {
         // migration record.
         let routing = self.routing.get_mut();
         let migrating = routing.migrations.iter().map(|m| &m.src);
-        for partition in routing.table.partitions().iter().chain(migrating) {
+        for partition in routing.table.partitions().chain(migrating) {
             partition.stop_log();
         }
     }

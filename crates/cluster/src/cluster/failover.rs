@@ -13,7 +13,7 @@ use pesos_core::bootstrap::bootstrap;
 use pesos_core::{ControllerConfig, PesosController, PesosError};
 use pesos_sgx::HostPool;
 
-use super::{partition_at, ControllerCluster, RoutingState};
+use super::{ControllerCluster, RoutingState};
 use crate::replication::{Promotion, ReplicaSet};
 use crate::router::Partition;
 
@@ -59,7 +59,7 @@ impl ControllerCluster {
     /// [`ControllerCluster::fail_controller`] promotes a backup.
     pub fn kill_controller(&self, index: usize) -> Result<(), PesosError> {
         let routing = self.routing.read().clone();
-        let controller = &partition_at(&routing.table, index)?.controller;
+        let controller = &routing.table.partition_at(index)?.controller;
         controller.set_failed(true);
         for drive in controller.store().drives().iter() {
             drive.set_online(false);
@@ -103,7 +103,7 @@ impl ControllerCluster {
         let _topology = self.rebalance.lock();
         let failed = {
             let routing = self.routing.read();
-            let failed = partition_at(&routing.table, index)?.clone();
+            let failed = routing.table.partition_at(index)?.clone();
             for migration in &routing.migrations {
                 let moves_out = Arc::ptr_eq(&migration.src.controller, &failed.controller);
                 if moves_out || Arc::ptr_eq(&migration.dst.controller, &failed.controller) {
@@ -181,7 +181,7 @@ impl ControllerCluster {
             let old = routing.clone();
             let table = old
                 .table
-                .with_controller(index, promoted.controller, promoted.log);
+                .with_controller(index, promoted.controller, promoted.log)?;
             // New owner, new load window — same rule as every other
             // topology change.
             self.reset_request_baseline(&table);

@@ -13,7 +13,7 @@ use pesos_core::sharded::Sharded;
 use pesos_core::{ControllerConfig, HashedKey, PesosController, PesosError};
 
 use super::routing::ROUTING_DELIMITER;
-use super::{partition_at, ControllerCluster, Migration, PartitionLoad, RoutingState};
+use super::{ControllerCluster, Migration, PartitionLoad, RoutingState};
 use crate::router::{HashRange, Partition, PartitionTable};
 
 impl ControllerCluster {
@@ -221,7 +221,6 @@ impl ControllerCluster {
     pub(super) fn loads_of(&self, table: &PartitionTable) -> Vec<PartitionLoad> {
         table
             .partitions()
-            .iter()
             .map(|p| PartitionLoad {
                 resident_objects: p.controller.store().resident_object_count(),
                 requests: p.controller.request_load().windowed(),
@@ -247,20 +246,23 @@ impl ControllerCluster {
     /// The split target for a joining controller: the partition with the
     /// highest load weight (resident objects + served requests), tie-broken
     /// toward the widest hash range. Partitions whose range is a single
-    /// hash cannot split and are skipped.
-    fn most_loaded_splittable(&self, table: &PartitionTable) -> Result<usize, PesosError> {
+    /// hash cannot split and are skipped. Returns the index and its range.
+    fn most_loaded_splittable(
+        &self,
+        table: &PartitionTable,
+    ) -> Result<(usize, HashRange), PesosError> {
         self.loads_of(table)
             .iter()
+            .zip(table.ranges())
             .enumerate()
-            .map(|(i, load)| (i, load.weight(), table.range(i).width()))
-            .filter(|&(_, _, width)| width >= 2)
-            .max_by_key(|&(_, weight, width)| (weight, width))
-            .map(|(i, _, _)| i)
+            .filter(|(_, (_, range))| range.width() >= 2)
+            .max_by_key(|(_, (load, range))| (load.weight(), range.width()))
+            .map(|(i, (_, range))| (i, range))
             // Every partition owning a single hash would need 2^64 of them.
             .ok_or_else(|| PesosError::Backend("no partition left to split".into()))
     }
 
-    /// The weighted split point for partition `index`: the op-weighted
+    /// The weighted split point for a partition owning `range`: the op-weighted
     /// median routing hash of the source's resident keys, so roughly half
     /// the partition's *demand* (not half the hash space) moves to the
     /// joiner. Each placement group weighs its resident keys plus the
@@ -271,13 +273,7 @@ impl ControllerCluster {
     /// on one side. Falls back to the range midpoint when the partition
     /// holds too few keys to weigh (or the median degenerates onto the
     /// range start).
-    fn weighted_split_point(
-        &self,
-        table: &PartitionTable,
-        index: usize,
-        src: &Arc<PesosController>,
-    ) -> u64 {
-        let range = table.range(index);
+    fn weighted_split_point(&self, range: HashRange, src: &Arc<PesosController>) -> u64 {
         let midpoint = range.start + ((range.end - range.start) / 2) + 1;
         let mut hashes: Vec<u64> = src
             .store()
@@ -358,9 +354,9 @@ impl ControllerCluster {
         // balance quality, never correctness.)
         let (target, src, split_start) = {
             let routing = self.routing.read();
-            let target = self.most_loaded_splittable(&routing.table)?;
-            let src = partition_at(&routing.table, target)?.clone();
-            let split_start = self.weighted_split_point(&routing.table, target, &src.controller);
+            let (target, range) = self.most_loaded_splittable(&routing.table)?;
+            let src = routing.table.partition_at(target)?.clone();
+            let split_start = self.weighted_split_point(range, &src.controller);
             (target, src, split_start)
         };
         // The joiner gets its own backups before it can accept traffic, so
@@ -381,8 +377,8 @@ impl ControllerCluster {
             .rehome(&joiner)
             .and_then(|()| {
                 self.install_migration(&src, |table| {
-                    let (table, moved) = table.split_at(target, joiner.clone());
-                    (table, moved, target + 1)
+                    let (table, moved) = table.split_at(target, joiner.clone())?;
+                    Ok((table, moved, target + 1))
                 })
             })
             .inspect_err(|_| joiner.stop_log())?;
@@ -417,7 +413,7 @@ impl ControllerCluster {
                         .into(),
                 ));
             }
-            partition_at(&routing.table, index)?;
+            routing.table.partition_at(index)?;
         }
         // Settle any migration an earlier topology change left unsettled
         // (see add_controller_with); removing a pending migration's
@@ -437,7 +433,7 @@ impl ControllerCluster {
                 Some(below) if weight(below) <= weight(index + 1) => below,
                 _ => index + 1,
             };
-            (partition_at(&routing.table, index)?.clone(), neighbour)
+            (routing.table.partition_at(index)?.clone(), neighbour)
         };
         let migration = self.install_migration(&src, |table| table.merge_into(index, neighbour))?;
         self.settle_migration(&migration)
@@ -461,7 +457,7 @@ impl ControllerCluster {
     fn install_migration(
         &self,
         src: &Partition,
-        retable: impl FnOnce(&PartitionTable) -> (PartitionTable, HashRange, usize),
+        retable: impl FnOnce(&PartitionTable) -> Result<(PartitionTable, HashRange, usize), PesosError>,
     ) -> Result<Arc<Migration>, PesosError> {
         // Pre-flush the source's scheduled asynchronous writes outside the
         // gate so the race-closing flush under it (below) is short.
@@ -482,8 +478,8 @@ impl ControllerCluster {
         // writes go to the destination, so this flush is complete.
         src.controller.drain_async();
         let mut routing = self.routing.write();
-        let (table, moved, absorbed_by) = retable(&routing.table);
-        let dst = partition_at(&table, absorbed_by)?.clone();
+        let (table, moved, absorbed_by) = retable(&routing.table)?;
+        let dst = table.partition_at(absorbed_by)?.clone();
         let migration = Arc::new(Migration {
             range: moved,
             src: src.clone(),
@@ -574,7 +570,7 @@ impl ControllerCluster {
         drop(routing);
         let src = &migration.src;
         let stays = |p: &Partition| Arc::ptr_eq(&p.controller, &src.controller);
-        if !old.table.partitions().iter().any(stays) {
+        if !old.table.partitions().any(stays) {
             src.stop_log();
         }
         Ok(())

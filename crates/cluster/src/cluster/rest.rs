@@ -38,12 +38,12 @@ impl ControllerCluster {
             RestMethod::Status => {
                 // Healthy only if every partition's primary is up.
                 let routing = self.routing.read().clone();
-                let partitions = routing.table.partitions();
-                if let Some(down) = partitions.iter().position(|p| p.controller.is_failed()) {
+                let table = &routing.table;
+                if let Some(down) = table.partitions().position(|p| p.controller.is_failed()) {
                     return Err(PesosError::Unavailable(format!("partition {down} is down")));
                 }
                 Ok(RestResponse::ok(
-                    format!("pesos cluster: ok ({} partitions)", partitions.len()).into_bytes(),
+                    format!("pesos cluster: ok ({} partitions)", table.len()).into_bytes(),
                 ))
             }
             RestMethod::PutPolicy => {

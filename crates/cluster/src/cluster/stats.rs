@@ -127,11 +127,11 @@ impl ControllerCluster {
         let partitions = routing
             .table
             .partitions()
-            .iter()
+            .zip(routing.table.ranges())
             .enumerate()
-            .map(|(i, p)| PartitionTelemetry {
+            .map(|(i, (p, range))| PartitionTelemetry {
                 partition: i,
-                range: routing.table.range(i),
+                range,
                 resident_objects: p.controller.store().resident_object_count(),
                 requests: loads.get(i).map(|l| l.requests).unwrap_or(0),
                 replication: p.log.as_ref().map(|log| log.stats()),

@@ -1165,7 +1165,11 @@ fn fail_controller_refuses_while_a_migration_involves_the_partition() {
     }
     // Strand a migration: break the source drive mid-removal.
     let controllers = c.controllers();
-    let removed_log = c.routing.read().table.partitions()[0]
+    let removed_log = c
+        .routing
+        .read()
+        .table
+        .first()
         .log
         .clone()
         .expect("replicated partition has a log");

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use pesos_core::{HashedKey, PesosError, PreparedCommit, TxOutcome, TxWrite};
 use pesos_telemetry::OpKind;
 
-use super::{partition_at, ControllerCluster};
+use super::ControllerCluster;
 use crate::replication::LogRecord;
 use crate::router::Partition;
 
@@ -118,7 +118,7 @@ impl ControllerCluster {
             write_positions: Vec<usize>,
         }
         let prepare = |partition: usize, branch: Branch| {
-            let partition = partition_at(&routing.table, partition)?;
+            let partition = routing.table.partition_at(partition)?;
             partition
                 .controller
                 .prepare_commit(client_id, branch.reads, branch.writes)

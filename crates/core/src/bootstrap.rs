@@ -70,7 +70,7 @@ pub fn bootstrap(
 
     // 1. Load the enclave and compute its measurement.
     let enclave = Arc::new(Enclave::create(EnclaveConfig::default(), cost)?);
-    let asyscall = Arc::new(pool.join(config.syscall_threads, config.syscall_slots(), cost));
+    let asyscall = Arc::new(pool.join(config.syscall_threads, config.syscall_slots(), cost)?);
 
     // 2. Remote attestation against the attestation service, which holds the
     //    runtime secrets. In this reproduction the service is instantiated

@@ -23,8 +23,8 @@ pub type Digest = [u8; 32];
 
 /// Process-wide compression-function counter.
 ///
-/// Every 64-byte compression anywhere in the process is tallied in one
-/// relaxed atomic. Tests put a hard budget on the number of SHA-256
+/// Every 64-byte compression anywhere in the process is tallied in relaxed
+/// atomics. Tests put a hard budget on the number of SHA-256
 /// compressions an operation is allowed to spend, so digest-count
 /// regressions (hashing the same bytes twice, redoing an HMAC key schedule)
 /// fail CI instead of silently costing microseconds — and the cluster's
@@ -36,25 +36,43 @@ pub type Digest = [u8; 32];
 /// cache line is no longer noise — two clients hashing on two cores bounce
 /// the line between them and it shows up as a third of a large put's crypto
 /// time. One add per run of blocks keeps the line quiet and the total
-/// identical.
+/// identical. Each thread adds to a slot of its own (16, dealt
+/// round-robin), each alone on its cache line and the one a prefetcher
+/// pairs with it, so threads hashing at once share no line; a read sums.
 pub mod ops {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    static COMPRESSIONS: AtomicU64 = AtomicU64::new(0);
+    const SLOTS: usize = 16;
+
+    #[repr(align(128))]
+    struct Slot(AtomicU64);
+
+    static COUNTS: [Slot; SLOTS] = [const { Slot(AtomicU64::new(0)) }; SLOTS];
+    static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+    thread_local! {
+        static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SLOTS;
+    }
 
     pub(super) fn add(blocks: usize) {
-        COMPRESSIONS.fetch_add(blocks as u64, Ordering::Relaxed);
+        // A destructor hashing after its thread's locals are gone: slot 0.
+        let slot = SLOT.try_with(|slot| *slot).unwrap_or(0);
+        if let Some(count) = COUNTS.get(slot) {
+            count.0.fetch_add(blocks as u64, Ordering::Relaxed);
+        }
     }
 
     /// Total compressions executed since process start (or the last
     /// [`reset`]).
     pub fn compressions() -> u64 {
-        COMPRESSIONS.load(Ordering::Relaxed)
+        COUNTS.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 
     /// Resets the counter to zero.
     pub fn reset() {
-        COMPRESSIONS.store(0, Ordering::Relaxed);
+        for count in &COUNTS {
+            count.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 

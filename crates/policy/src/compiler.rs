@@ -14,18 +14,19 @@
 //! stored bytes — the mode analysis (`program.rs`) turns that stored form
 //! into the typed instructions the evaluator runs. The instructions are
 //! derived, never stored: bytes and identifiers depend only on the form
-//! above.
+//! above. A loaded policy keeps its bytes and identifier, not the decoded
+//! tree: the tree lives only while the policy loads.
 
 use std::collections::BTreeMap;
 
-use pesos_wire::codec::{FieldReader, FieldWriter};
+use pesos_wire::codec::{Field, FieldReader, FieldWriter};
 
 use crate::ast::{Expr, PolicyAst};
 use crate::context::Operation;
 use crate::error::{PolicyError, Span};
 use crate::parser::{parse, LOG_VAR, THIS_VAR};
 use crate::predicates::Predicate;
-use crate::program::{self, Program};
+use crate::program::{self, Instr, Program};
 use crate::value::{Tuple, Value};
 
 /// Identifier of a compiled policy: the SHA-256 of its binary encoding.
@@ -41,12 +42,7 @@ impl PolicyId {
     /// Parses the hex form.
     pub fn from_hex(s: &str) -> Option<Self> {
         let bytes = pesos_crypto::hex_decode(s).ok()?;
-        if bytes.len() != 32 {
-            return None;
-        }
-        let mut id = [0u8; 32];
-        id.copy_from_slice(&bytes);
-        Some(PolicyId(id))
+        bytes.try_into().ok().map(PolicyId)
     }
 }
 
@@ -92,28 +88,27 @@ pub(crate) type Permissions = BTreeMap<Operation, CompiledCondition>;
 /// A fully compiled policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledPolicy {
-    /// Conditions per operation.
-    pub permissions: Permissions,
+    /// The stored form, as the drives hold it.
+    bytes: Vec<u8>,
+    /// The SHA-256 of `bytes`.
+    id: PolicyId,
     /// Interned variable names; index = variable slot.
     pub variables: Vec<String>,
     /// Slot of the `THIS` handle, if referenced.
     pub this_slot: Option<u16>,
     /// Slot of the `LOG` handle, if referenced.
     pub log_slot: Option<u16>,
-    /// What the evaluator runs: `permissions` after mode analysis.
+    /// The operations whose condition references `nextVersion`.
+    versioned: Vec<Operation>,
+    /// What the evaluator runs: the stored conditions after mode analysis.
     pub(crate) program: Program,
 }
 
 /// Compiles policy source text.
 pub fn compile(source: &str) -> Result<CompiledPolicy, PolicyError> {
-    let ast = parse(source)?;
-    compile_ast(&ast)
-}
-
-/// Compiles an already parsed policy.
-pub fn compile_ast(ast: &PolicyAst) -> Result<CompiledPolicy, PolicyError> {
-    let (permissions, variables, spans) = intern(ast)?;
-    CompiledPolicy::load(permissions, variables, &spans)
+    let (permissions, variables, spans) = intern(&parse(source)?)?;
+    let bytes = encode(&permissions, &variables);
+    CompiledPolicy::load(bytes, &permissions, variables, &spans)
 }
 
 /// The stored form of `ast` — predicate names resolved, arities checked,
@@ -176,10 +171,12 @@ fn intern_expr(expr: &Expr, variables: &mut Vec<String>) -> CompiledExpr {
 }
 
 impl CompiledPolicy {
-    /// A policy from its stored form: locates the handles and runs the mode
+    /// A policy from its stored form, `bytes` and the tree they encode:
+    /// hashes the identifier, locates the handles and runs the mode
     /// analysis, which refuses a conjunction that could never hold.
     fn load(
-        permissions: Permissions,
+        bytes: Vec<u8>,
+        permissions: &Permissions,
         variables: Vec<String>,
         spans: &[Span],
     ) -> Result<Self, PolicyError> {
@@ -191,12 +188,24 @@ impl CompiledPolicy {
         };
         let this_slot = slot_of(THIS_VAR);
         let log_slot = slot_of(LOG_VAR);
-        let program = program::analyse(&permissions, &variables, [this_slot, log_slot], spans)?;
+        let program = program::analyse(permissions, &variables, [this_slot, log_slot], spans)?;
+        let versioned = program
+            .iter()
+            .filter(|(_, conjunctions)| {
+                conjunctions
+                    .iter()
+                    .flatten()
+                    .any(|instr| matches!(instr, Instr::NextVersion(_)))
+            })
+            .map(|(operation, _)| *operation)
+            .collect();
         Ok(CompiledPolicy {
-            permissions,
+            id: PolicyId(pesos_crypto::sha256(&bytes)),
+            bytes,
             variables,
             this_slot,
             log_slot,
+            versioned,
             program,
         })
     }
@@ -208,7 +217,7 @@ impl CompiledPolicy {
 
     /// The policy identifier (hash of the binary encoding).
     pub fn id(&self) -> PolicyId {
-        PolicyId(pesos_crypto::sha256(&self.to_bytes()))
+        self.id
     }
 
     /// Whether the condition for `operation` constrains the version being
@@ -216,116 +225,115 @@ impl CompiledPolicy {
     /// if the version a policy approved must also be re-validated
     /// atomically at write time.
     pub fn constrains_version(&self, operation: Operation) -> bool {
-        self.permissions
-            .get(&operation)
-            .map(|condition| {
-                condition.conjunctions.iter().any(|conjunction| {
-                    conjunction
-                        .predicates
-                        .iter()
-                        .any(|p| p.predicate == Predicate::NextVersion)
-                })
-            })
-            .unwrap_or(false)
+        self.versioned.contains(&operation)
     }
 
-    /// Serializes the compiled policy.
+    /// The stored form of the policy.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = FieldWriter::new();
-        for name in &self.variables {
-            w.string(1, name);
-        }
-        for (op, condition) in &self.permissions {
-            let mut cond_w = FieldWriter::new();
-            cond_w.uint64(
-                1,
-                match op {
-                    Operation::Read => 1,
-                    Operation::Update => 2,
-                    Operation::Delete => 3,
-                },
-            );
-            for conjunction in &condition.conjunctions {
-                let mut conj_w = FieldWriter::new();
-                for predicate in &conjunction.predicates {
-                    let mut pred_w = FieldWriter::new();
-                    pred_w.uint64(1, predicate.predicate.code() as u64);
-                    for arg in &predicate.args {
-                        let mut expr_w = FieldWriter::new();
-                        encode_expr(arg, &mut expr_w);
-                        pred_w.message(2, &expr_w);
-                    }
-                    conj_w.message(1, &pred_w);
-                }
-                cond_w.message(2, &conj_w);
-            }
-            w.message(2, &cond_w);
-        }
-        w.finish()
+        self.bytes.clone()
     }
 
     /// Parses a serialized compiled policy.
     pub fn from_bytes(data: &[u8]) -> Result<Self, PolicyError> {
-        let corrupt = |msg: &str| PolicyError::CorruptBinary(msg.to_string());
-        let fields = FieldReader::new(data)
-            .collect_fields()
-            .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?;
-
-        let mut variables = Vec::new();
-        let mut permissions = BTreeMap::new();
-
-        for field in fields {
-            match field.number {
-                1 => variables.push(
-                    field
-                        .as_str()
-                        .map_err(|_| corrupt("variable name not UTF-8"))?
-                        .to_string(),
-                ),
-                2 => {
-                    let mut op = None;
-                    let mut condition = CompiledCondition::default();
-                    for f in FieldReader::new(field.data)
-                        .collect_fields()
-                        .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?
-                    {
-                        match f.number {
-                            1 => {
-                                op = Some(match f.value {
-                                    1 => Operation::Read,
-                                    2 => Operation::Update,
-                                    3 => Operation::Delete,
-                                    other => {
-                                        return Err(corrupt(&format!(
-                                            "unknown operation code {other}"
-                                        )))
-                                    }
-                                })
-                            }
-                            2 => {
-                                let mut conjunction = CompiledConjunction::default();
-                                for pf in FieldReader::new(f.data)
-                                    .collect_fields()
-                                    .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?
-                                {
-                                    if pf.number == 1 {
-                                        conjunction.predicates.push(decode_predicate(pf.data)?);
-                                    }
-                                }
-                                condition.conjunctions.push(conjunction);
-                            }
-                            _ => {}
-                        }
-                    }
-                    let op = op.ok_or_else(|| corrupt("condition missing operation"))?;
-                    permissions.insert(op, condition);
-                }
-                _ => {}
-            }
-        }
-
-        CompiledPolicy::load(permissions, variables, &[])
+        let (permissions, variables) = decode(data)?;
+        CompiledPolicy::load(data.to_vec(), &permissions, variables, &[])
     }
+}
+
+/// The stored form of `permissions` over `variables`.
+fn encode(permissions: &Permissions, variables: &[String]) -> Vec<u8> {
+    let mut w = FieldWriter::new();
+    for name in variables {
+        w.string(1, name);
+    }
+    for (op, condition) in permissions {
+        let mut cond_w = FieldWriter::new();
+        cond_w.uint64(
+            1,
+            match op {
+                Operation::Read => 1,
+                Operation::Update => 2,
+                Operation::Delete => 3,
+            },
+        );
+        for conjunction in &condition.conjunctions {
+            let mut conj_w = FieldWriter::new();
+            for predicate in &conjunction.predicates {
+                let mut pred_w = FieldWriter::new();
+                pred_w.uint64(1, predicate.predicate.code() as u64);
+                for arg in &predicate.args {
+                    let mut expr_w = FieldWriter::new();
+                    encode_expr(arg, &mut expr_w);
+                    pred_w.message(2, &expr_w);
+                }
+                conj_w.message(1, &pred_w);
+            }
+            cond_w.message(2, &conj_w);
+        }
+        w.message(2, &cond_w);
+    }
+    w.finish()
+}
+
+/// The fields of one stored message.
+fn fields_of(data: &[u8]) -> Result<Vec<Field<'_>>, PolicyError> {
+    FieldReader::new(data)
+        .collect_fields()
+        .map_err(|e| PolicyError::CorruptBinary(e.to_string()))
+}
+
+/// A string field, `what` naming it in the error.
+fn text(field: &Field<'_>, what: &str) -> Result<String, PolicyError> {
+    let utf8 = field.as_str().map(str::to_string);
+    utf8.map_err(|_| PolicyError::CorruptBinary(format!("{what} not UTF-8")))
+}
+
+/// The tree and variable names a stored form encodes.
+pub(crate) fn decode(data: &[u8]) -> Result<(Permissions, Vec<String>), PolicyError> {
+    let corrupt = |msg: &str| PolicyError::CorruptBinary(msg.to_string());
+    let fields = fields_of(data)?;
+
+    let mut variables = Vec::new();
+    let mut permissions = BTreeMap::new();
+
+    for field in fields {
+        match field.number {
+            1 => variables.push(text(&field, "variable name")?),
+            2 => {
+                let mut op = None;
+                let mut condition = CompiledCondition::default();
+                for f in fields_of(field.data)? {
+                    match f.number {
+                        1 => {
+                            op = Some(match f.value {
+                                1 => Operation::Read,
+                                2 => Operation::Update,
+                                3 => Operation::Delete,
+                                other => {
+                                    return Err(corrupt(&format!("unknown operation code {other}")))
+                                }
+                            })
+                        }
+                        2 => {
+                            let mut conjunction = CompiledConjunction::default();
+                            for pf in fields_of(f.data)? {
+                                if pf.number == 1 {
+                                    conjunction.predicates.push(decode_predicate(pf.data)?);
+                                }
+                            }
+                            condition.conjunctions.push(conjunction);
+                        }
+                        _ => {}
+                    }
+                }
+                let op = op.ok_or_else(|| corrupt("condition missing operation"))?;
+                permissions.insert(op, condition);
+            }
+            _ => {}
+        }
+    }
+
+    Ok((permissions, variables))
 }
 
 fn encode_expr(expr: &CompiledExpr, w: &mut FieldWriter) {
@@ -358,9 +366,7 @@ fn encode_expr(expr: &CompiledExpr, w: &mut FieldWriter) {
 }
 
 fn decode_expr(data: &[u8]) -> Result<CompiledExpr, PolicyError> {
-    let fields = FieldReader::new(data)
-        .collect_fields()
-        .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?;
+    let fields = fields_of(data)?;
     let mut add_lhs = None;
     let mut add_rhs = None;
     let mut tuple_name: Option<String> = None;
@@ -378,13 +384,7 @@ fn decode_expr(data: &[u8]) -> Result<CompiledExpr, PolicyError> {
             }
             3 => add_lhs = Some(decode_expr(f.data)?),
             4 => add_rhs = Some(decode_expr(f.data)?),
-            5 => {
-                tuple_name = Some(
-                    f.as_str()
-                        .map_err(|_| PolicyError::CorruptBinary("tuple name not UTF-8".into()))?
-                        .to_string(),
-                )
-            }
+            5 => tuple_name = Some(text(f, "tuple name")?),
             6 => tuple_args.push(decode_expr(f.data)?),
             _ => {}
         }
@@ -399,9 +399,7 @@ fn decode_expr(data: &[u8]) -> Result<CompiledExpr, PolicyError> {
 }
 
 fn decode_predicate(data: &[u8]) -> Result<CompiledPredicate, PolicyError> {
-    let fields = FieldReader::new(data)
-        .collect_fields()
-        .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?;
+    let fields = fields_of(data)?;
     let mut predicate = None;
     let mut args = Vec::new();
     for f in fields {
@@ -448,44 +446,20 @@ fn encode_value(value: &Value, w: &mut FieldWriter) {
 }
 
 fn decode_value(data: &[u8]) -> Result<Value, PolicyError> {
-    let fields = FieldReader::new(data)
-        .collect_fields()
-        .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?;
+    let fields = fields_of(data)?;
     for f in &fields {
         match f.number {
             1 => return Ok(Value::Int(f.as_sint64())),
-            2 => {
-                return Ok(Value::Str(
-                    f.as_str()
-                        .map_err(|_| PolicyError::CorruptBinary("string not UTF-8".into()))?
-                        .to_string(),
-                ))
-            }
+            2 => return text(f, "string").map(Value::Str),
             3 => return Ok(Value::Hash(f.data.to_vec())),
-            4 => {
-                return Ok(Value::PubKey(
-                    f.as_str()
-                        .map_err(|_| PolicyError::CorruptBinary("key not UTF-8".into()))?
-                        .to_string(),
-                ))
-            }
+            4 => return text(f, "key").map(Value::PubKey),
             5 => return Ok(Value::Null),
             6 => {
                 let mut name = String::new();
                 let mut args = Vec::new();
-                for tf in FieldReader::new(f.data)
-                    .collect_fields()
-                    .map_err(|e| PolicyError::CorruptBinary(e.to_string()))?
-                {
+                for tf in fields_of(f.data)? {
                     match tf.number {
-                        1 => {
-                            name = tf
-                                .as_str()
-                                .map_err(|_| {
-                                    PolicyError::CorruptBinary("tuple name not UTF-8".into())
-                                })?
-                                .to_string()
-                        }
+                        1 => name = text(&tf, "tuple name")?,
                         2 => args.push(decode_value(tf.data)?),
                         _ => {}
                     }

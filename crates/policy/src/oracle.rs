@@ -11,7 +11,7 @@
 use pesos_crypto::Certificate;
 
 use crate::compiler::{
-    CompiledConjunction, CompiledExpr, CompiledPolicy, CompiledPredicate, Permissions,
+    decode, CompiledConjunction, CompiledExpr, CompiledPolicy, CompiledPredicate, Permissions,
 };
 use crate::context::{Operation, RequestContext};
 use crate::interpreter::{Decision, ObjectStoreView};
@@ -65,16 +65,19 @@ impl<V: ObjectStoreView> Infallible<'_, V> {
 
 /// The reference evaluator over one policy's stored form (which it can
 /// also run when the mode analysis refuses the policy).
-pub(crate) struct Oracle<'p> {
-    pub permissions: &'p Permissions,
-    pub variables: &'p [String],
+pub(crate) struct Oracle {
+    pub permissions: Permissions,
+    pub variables: Vec<String>,
 }
 
-impl<'p> Oracle<'p> {
-    pub fn of(policy: &'p CompiledPolicy) -> Self {
+impl Oracle {
+    /// The oracle of `policy`, over the tree its stored bytes decode to.
+    pub fn of(policy: &CompiledPolicy) -> Self {
+        let (permissions, variables) =
+            decode(&policy.to_bytes()).expect("a loaded policy's bytes decode");
         Oracle {
-            permissions: &policy.permissions,
-            variables: &policy.variables,
+            permissions,
+            variables,
         }
     }
 
@@ -896,7 +899,7 @@ mod differential {
                                 continue;
                             }
                             let (permissions, variables, _) = intern(&parse(&text).unwrap()).unwrap();
-                            let oracle = Oracle { permissions: &permissions, variables: &variables };
+                            let oracle = Oracle { permissions, variables };
                             for ctx in &contexts {
                                 let (decision, _) = oracle.evaluate(operation, ctx, &view);
                                 prop_assert!(!decision.allowed, "refused at install, granted by the oracle: {text}");

@@ -729,6 +729,11 @@ impl Shared {
     /// unless every queued call has a ticket holder on its way already.
     fn hand_over(&self, index: usize) {
         let mut parking = self.park.lock();
+        if parking.closed {
+            drop(parking);
+            self.abandon(index);
+            return;
+        }
         parking.queue.push_back(index);
         let wake = parking.queue.len() > parking.tickets && parking.issue_ticket();
         drop(parking);
@@ -814,9 +819,15 @@ impl Shared {
         drop(parking);
         self.work.notify_all();
         for index in queued {
-            if let Some((call, _occupied)) = self.slots.get(index).and_then(Handoff::take) {
-                call.abandon();
-            }
+            self.abandon(index);
+        }
+    }
+
+    /// Drops the call parked in slot `index` unrun, which abandons its
+    /// waiter.
+    fn abandon(&self, index: usize) {
+        if let Some((call, _occupied)) = self.slots.get(index).and_then(Handoff::take) {
+            call.abandon();
         }
     }
 }
@@ -877,13 +888,14 @@ impl HostPool {
 
     /// Adds a member: grows the pool by `service_threads` threads and
     /// `slots` slots, and returns the member's submission side, which
-    /// charges the member's own `cost`.
+    /// charges the member's own `cost`. A service thread that cannot start
+    /// is [`SgxError::ServiceThreadSpawn`], and those started are given back.
     pub fn join(
         self: &Arc<Self>,
         service_threads: usize,
         slots: usize,
         cost: ModeCost,
-    ) -> AsyscallInterface {
+    ) -> Result<AsyscallInterface, SgxError> {
         let shared = &self.shared;
         let threads = service_threads.max(1);
         let capacity = shared.slots.len();
@@ -898,22 +910,34 @@ impl HostPool {
         }
         // Threads given back have exited or will: their handles detach.
         parking.workers.retain(|worker| !worker.is_finished());
-        for _ in 0..threads {
-            let index = parking.threads;
-            parking.threads += 1;
-            let shared = Arc::clone(shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("asyscall-{index}"))
+        for started in 0..threads {
+            let worker = Arc::clone(shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("asyscall-{}", parking.threads))
                 .spawn(move || {
-                    while let Some(index) = shared.next_work() {
-                        shared.run(index);
+                    while let Some(index) = worker.next_work() {
+                        worker.run(index);
                     }
-                })
-                // pesos-lint: allow(panic_freedom, "service-thread spawn failure at construction is fatal initialization")
-                .expect("spawn asyscall service thread");
-            parking.workers.push(handle);
+                });
+            match spawned {
+                Ok(handle) => {
+                    parking.threads += 1;
+                    parking.workers.push(handle);
+                }
+                Err(e) => {
+                    drop(parking);
+                    shared.give_back(started);
+                    return Err(SgxError::ServiceThreadSpawn(e.to_string()));
+                }
+            }
         }
         drop(parking);
+        Ok(self.member(threads, cost))
+    }
+
+    /// A submission side that brought `threads` service threads.
+    fn member(self: &Arc<Self>, threads: usize, cost: ModeCost) -> AsyscallInterface {
+        let shared = &self.shared;
         AsyscallInterface {
             pool: Arc::clone(self),
             threads,
@@ -1020,19 +1044,20 @@ pub struct AsyscallInterface {
 impl AsyscallInterface {
     /// Creates the interface on a pool of its own, with `service_threads`
     /// untrusted worker threads and `slots` system-call slots (the maximum
-    /// number of in-flight calls).
+    /// number of in-flight calls). If a service thread cannot start, the
+    /// pool is closed: what is handed over fails with
+    /// [`SgxError::SyscallInterfaceClosed`].
     pub fn new(service_threads: usize, slots: usize, cost: ModeCost) -> Self {
-        HostPool::new(slots).join(service_threads, slots, cost)
+        let pool = HostPool::new(slots);
+        pool.join(service_threads, slots, cost).unwrap_or_else(|_| {
+            pool.shared.close();
+            pool.member(0, cost)
+        })
     }
 
     /// The host pool this interface submits to.
     pub fn pool(&self) -> &Arc<HostPool> {
         &self.pool
-    }
-
-    /// Number of system-call slots in the host pool.
-    pub fn slots(&self) -> usize {
-        self.pool.shared.slot_count.load(Ordering::SeqCst)
     }
 
     /// Hands `call` over to the service threads, unless it is a `joined`
@@ -1259,7 +1284,7 @@ mod tests {
             16,
             ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
         );
-        assert_eq!(i.slots(), 16);
+        assert_eq!(i.pool().stats().slots, 16);
     }
 
     #[test]
@@ -1399,16 +1424,20 @@ mod tests {
     #[test]
     fn members_share_the_pool_and_count_their_own_submissions() {
         let pool = HostPool::new(64);
-        let sgx = pool.join(
-            2,
-            16,
-            ModeCost::new(ExecutionMode::Sgx, SgxCostModel::default()),
-        );
-        let native = pool.join(
-            1,
-            8,
-            ModeCost::new(ExecutionMode::Native, SgxCostModel::default()),
-        );
+        let sgx = pool
+            .join(
+                2,
+                16,
+                ModeCost::new(ExecutionMode::Sgx, SgxCostModel::default()),
+            )
+            .unwrap();
+        let native = pool
+            .join(
+                1,
+                8,
+                ModeCost::new(ExecutionMode::Native, SgxCostModel::default()),
+            )
+            .unwrap();
         assert_eq!((pool.stats().threads, pool.stats().slots), (3, 24));
         for k in 0..10u64 {
             assert_eq!(sgx.submit(move || k).unwrap(), k);
@@ -1439,12 +1468,14 @@ mod tests {
         };
         threads_become(1);
         // Slots stop at the capacity and stay when a member leaves.
-        let big = pool.join(
-            1,
-            100,
-            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
-        );
-        assert_eq!((pool.stats().threads, big.slots()), (2, 64));
+        let big = pool
+            .join(
+                1,
+                100,
+                ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
+            )
+            .unwrap();
+        assert_eq!((pool.stats().threads, big.pool().stats().slots), (2, 64));
         // Once every member has left, one thread stays for calls they left
         // queued.
         let late = big.submit_batch((0..8u32).map(|k| move || k)).unwrap();
@@ -1453,14 +1484,37 @@ mod tests {
         threads_become(1);
         // The thread that stayed owes nothing: a later member keeps all of
         // its own.
-        let next = pool.join(
-            2,
-            8,
-            ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
-        );
+        let next = pool
+            .join(
+                2,
+                8,
+                ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
+            )
+            .unwrap();
         assert_eq!(next.submit(|| 6).unwrap(), 6);
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(pool.stats().threads, 3);
+    }
+
+    #[test]
+    fn a_closed_pool_abandons_what_is_handed_over() {
+        // What `AsyscallInterface::new` hands out when no service thread
+        // starts: a member whose slots joined a pool that is then closed.
+        let pool = HostPool::new(8);
+        let cost = ModeCost::new(ExecutionMode::Sgx, SgxCostModel::zero());
+        let member = pool.join(1, 8, cost).unwrap();
+        pool.shared.close();
+        assert_eq!(member.submit(|| 1), Err(SgxError::SyscallInterfaceClosed));
+        let set = member.submit_batch((0..3u32).map(|k| move || k)).unwrap();
+        assert_eq!(set.join(), Err(SgxError::SyscallInterfaceClosed));
+        // A joined call's own lane still runs on its caller.
+        let mut set = member.submit_joined((0..2u32).map(|k| move || k)).unwrap();
+        let mut results: Vec<_> = std::iter::from_fn(|| set.next_completed()).collect();
+        results.sort_by_key(|(lane, _)| *lane);
+        assert_eq!(
+            results,
+            vec![(0, Ok(0)), (1, Err(SgxError::SyscallInterfaceClosed))]
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@ pub enum SgxError {
     InvalidConfig(String),
     /// The asynchronous system-call interface was shut down.
     SyscallInterfaceClosed,
+    /// The host could not start a system-call service thread.
+    ServiceThreadSpawn(String),
     /// A sealed blob failed to unseal (wrong enclave identity or tampering).
     UnsealFailed,
 }
@@ -30,6 +32,7 @@ impl fmt::Display for SgxError {
             SgxError::AttestationFailed(msg) => write!(f, "attestation failed: {msg}"),
             SgxError::InvalidConfig(msg) => write!(f, "invalid enclave config: {msg}"),
             SgxError::SyscallInterfaceClosed => write!(f, "syscall interface closed"),
+            SgxError::ServiceThreadSpawn(msg) => write!(f, "cannot start a service thread: {msg}"),
             SgxError::UnsealFailed => write!(f, "unseal failed"),
         }
     }
