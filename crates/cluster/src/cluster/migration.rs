@@ -688,7 +688,7 @@ impl ControllerCluster {
         let groups: Arc<[_]> = groups.into_iter().collect();
         let cursor = Arc::new(AtomicUsize::new(0));
         let lanes = self.drain_concurrency.min(groups.len());
-        let mut set = migration
+        let set = migration
             .src
             .controller
             .store()
@@ -717,7 +717,7 @@ impl ControllerCluster {
             }))
             .map_err(|e| PesosError::Backend(e.to_string()))?;
         let mut first_error = None;
-        while let Some((_, result)) = set.next_completed() {
+        for result in set {
             match result {
                 Ok(None) => {}
                 Ok(Some(e)) => {

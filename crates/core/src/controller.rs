@@ -919,7 +919,7 @@ mod tests {
 
     #[test]
     fn a_create_asks_the_drives_nothing() {
-        // One drive, so one raced metadata read is one drive GET and one
+        // One drive, so one metadata read is one drive GET and one
         // batch is one drive PUT. A synchronous create consults the map
         // only; its existence check rides in the batch.
         let c = PesosController::new(ControllerConfig::native_simulator(1)).unwrap();

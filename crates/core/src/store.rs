@@ -41,7 +41,7 @@
 //! or deleting an object with a long history) are cut into several batches
 //! with the head placed so the object is never half-visible: last on
 //! import, first on delete. A cold read-through reads the head, then every
-//! segment it lists in one more scatter-gather submission; a listed segment
+//! segment it lists in one more call per replica asked; a listed segment
 //! that is missing or unreadable makes the record unreadable. What it does
 //! not buy is atomicity *across* replicas —
 //! a drive fault can land a put on a subset of them; the put then reports
@@ -68,9 +68,12 @@
 //! promoted: the controller that serves the partition is built over it
 //! then.
 //!
-//! Replicated reads race the replicas through the same scatter-gather
-//! machinery and return the first successful completion, leaving the
-//! stragglers to finish in the background. Object payloads travel as shared
+//! A replicated read asks the replicas one at a time, in placement order,
+//! each as a one-lane joined call: the primary answers a healthy read with
+//! one drive GET at any replication factor, and the next replica is asked
+//! only after a `NotFound` or a fault (`PesosStore::replicated_get`). A
+//! key's absence is the answer only when every home replica was asked and
+//! said so. Object payloads travel as shared
 //! [`Payload`] buffers and the kinetic wire path underneath is vectored
 //! (`Command::encode_vectored` / `VectoredEnvelope`), so each replica's
 //! frame borrows the same buffers end to end: the sealed object the crypter
@@ -519,6 +522,11 @@ impl PesosStore {
         self.tx_outcomes.get(tx_id)
     }
 
+    /// Whether drive `index` is online.
+    fn is_online(&self, index: usize) -> bool {
+        self.drives.get(index).is_some_and(|d| d.is_online())
+    }
+
     /// The sessions to the online placement targets of `key`, in placement
     /// order, yielded as they are probed, and never none: with every drive
     /// offline there is nobody to ask. The placement function is sized by
@@ -527,12 +535,11 @@ impl PesosStore {
         &self,
         key: &HashedKey<'_>,
     ) -> Result<impl Iterator<Item = &Arc<KineticClient>>, PesosError> {
-        let is_online = |index| self.drives.get(index).is_some_and(|d| d.is_online());
         let mut targets = probe_available(
             key.hash(),
             self.clients.len(),
             self.replication_factor,
-            is_online,
+            |index| self.is_online(index),
         )
         .filter_map(|index| self.clients.get(index))
         .peekable();
@@ -689,13 +696,19 @@ impl PesosStore {
 
     /// Reads `backend_key` from the replicas of `placement_key`.
     ///
-    /// All reachable replicas are raced through one scatter-gather batch;
-    /// the first successful completion wins and the remaining reads drain
-    /// in the background. The first replica's read runs on the calling
-    /// thread (an exit), so the race cannot end before that read does.
-    /// `ObjectNotFound` is the answer only when *every* replica answered
-    /// that it holds nothing: a replica that faulted may be the one that
-    /// holds the entry, so a fault beside a `NotFound` is the fault.
+    /// The replicas are asked one at a time, in placement order, each as a
+    /// one-lane joined call (one enclave exit, nothing handed over): the
+    /// first success is the answer, and the next replica is asked only
+    /// after a `NotFound` or a fault. A healthy read is therefore one drive
+    /// GET at any replication factor, from the primary, as the paper's
+    /// placement rule has it (`placement` module docs).
+    ///
+    /// `ObjectNotFound` is the answer only when *every* replica asked
+    /// answered that it holds nothing and every home replica of the key
+    /// was among them: a replica that faulted may be the one that holds the
+    /// entry, so a fault beside a `NotFound` is the fault, and a substitute
+    /// asked in place of an offline home replica never held the key, so
+    /// its `NotFound` beside an offline home replica is a backend fault.
     fn replicated_get(
         &self,
         placement_key: &HashedKey<'_>,
@@ -707,9 +720,9 @@ impl PesosStore {
     }
 
     /// Reads every one of `backend_keys` from one replica of
-    /// `placement_key`: the same race as [`PesosStore::replicated_get`], in
-    /// one scatter-gather submission, where each replica's call reads the
-    /// keys in turn and the first replica to produce all of them wins.
+    /// `placement_key`, under the rule of [`PesosStore::replicated_get`]:
+    /// each replica's call reads the keys in turn, and the first replica
+    /// to produce all of them is the answer.
     fn replicated_get_all(
         &self,
         placement_key: &HashedKey<'_>,
@@ -724,29 +737,43 @@ impl PesosStore {
         })
     }
 
-    /// Races `read` over the replicas of `placement_key` (see
-    /// [`PesosStore::replicated_get`]).
+    /// Asks the replicas of `placement_key` with `read`, one at a time in
+    /// placement order (see [`PesosStore::replicated_get`]).
     fn replicated_read<T: Send + 'static>(
         &self,
         placement_key: &HashedKey<'_>,
         read: impl Fn(&KineticClient) -> Result<T, KineticError> + Clone + Send + 'static,
     ) -> Result<T, PesosError> {
-        let targets = self.targets_for(placement_key)?;
-        let mut set = self.asyscall.submit_joined(targets.map(|client| {
-            let client = Arc::clone(client);
-            let read = read.clone();
-            move || read(&client)
-        }))?;
         let mut fault = None;
-        while let Some((_index, result)) = set.next_completed() {
-            match result {
+        for client in self.targets_for(placement_key)? {
+            let (client, read) = (Arc::clone(client), read.clone());
+            let answer = self
+                .asyscall
+                .submit_joined([move || read(&client)])?
+                .wait_single();
+            match answer {
                 Ok(Ok(value)) => return Ok(value),
                 Ok(Err(KineticError::NotFound)) => {}
                 Ok(Err(e)) => fault = Some(PesosError::Backend(e.to_string())),
                 Err(e) => fault = Some(PesosError::Backend(e.to_string())),
             }
         }
-        Err(fault.unwrap_or_else(|| PesosError::ObjectNotFound(placement_key.key().to_string())))
+        let home_offline = || {
+            probe_available(
+                placement_key.hash(),
+                self.clients.len(),
+                self.replication_factor,
+                |_| true,
+            )
+            .any(|index| !self.is_online(index))
+        };
+        match fault {
+            Some(fault) => Err(fault),
+            None if home_offline() => Err(PesosError::Backend(
+                "a home replica is offline; absence is unknown".into(),
+            )),
+            None => Err(PesosError::ObjectNotFound(placement_key.key().to_string())),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -785,7 +812,9 @@ impl PesosStore {
     }
 
     /// Reads a policy a cache lookup missed from the drives, and fills the
-    /// cache with it if the fill wins admission.
+    /// cache with it if the fill wins admission. Only the drives' answer
+    /// that they hold no such policy is `PolicyNotFound`; a fault stays a
+    /// fault.
     fn fetch_policy(&self, id: &PolicyId) -> Result<Arc<CompiledPolicy>, PesosError> {
         let hex = id.to_hex();
         let bytes = self
@@ -793,7 +822,10 @@ impl PesosStore {
                 &HashedKey::new(&hex),
                 backend_key(namespace::POLICY, &hex, None),
             )
-            .map_err(|_| PesosError::PolicyNotFound(id.to_hex()))?;
+            .map_err(|e| match e {
+                PesosError::ObjectNotFound(_) => PesosError::PolicyNotFound(id.to_hex()),
+                fault => fault,
+            })?;
         let policy = Arc::new(CompiledPolicy::from_bytes(&bytes)?);
         if policy.id() != *id {
             return Err(PesosError::Backend("stored policy hash mismatch".into()));
@@ -924,7 +956,7 @@ impl PesosStore {
             .ok()
             .filter(|head| head.key() == key.key())
             .ok_or_else(unreadable)?;
-        // The sealed segments the head lists, all in one submission; one
+        // The sealed segments the head lists, all from one replica; one
         // the drives answer they do not hold is as unreadable as the head.
         let segments = match head.segments() {
             [] => Vec::new(),
@@ -2462,6 +2494,106 @@ mod tests {
         assert_eq!(s.lookup("acked").unwrap().unwrap().latest_version, 0);
         // Absence is still absence when every replica says so.
         assert!(matches!(s.lookup("never-written"), Ok(None)));
+    }
+
+    #[test]
+    fn a_missed_read_asks_one_replica_at_any_factor() {
+        // Four drives and no object cache, so every read goes to the
+        // drives: a healthy read is one GET, from the primary, and one
+        // exit, whatever the replication factor, and nothing is handed to
+        // the pool.
+        for factor in 1..=4 {
+            let s = store_caching(4, factor, 0);
+            let keys: Vec<String> = (0..64).map(|i| format!("missed/{i}")).collect();
+            for key in &keys {
+                s.put_object(key, key.as_bytes(), None).unwrap();
+            }
+            let (before, gets) = (s.asyscall_stats(), drive_ops(&s).1);
+            for key in &keys {
+                assert_eq!(&**s.get_object(key).unwrap().0, key.as_bytes());
+            }
+            let after = s.asyscall_stats();
+            assert_eq!(drive_ops(&s).1 - gets, 64, "GETs at RF {factor}");
+            assert_eq!(after.exits - before.exits, 64, "exits at RF {factor}");
+            assert_eq!(
+                after.submitted, before.submitted,
+                "hand-offs at RF {factor}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_asks_the_next_replica_after_not_found_or_a_fault() {
+        use pesos_kinetic::FaultPlan;
+        let s = store_caching(3, 2, 0);
+        let gets = || -> Vec<u64> { s.drives().iter().map(|d| d.info().stats.gets).collect() };
+        // With the primary away the put lands on the second home replica
+        // and the third drive; back online, the primary answers NotFound
+        // and the second replica serves the read.
+        let home = crate::placement::placement("moved", 3, 2);
+        s.drives().get(home[0]).unwrap().set_online(false);
+        s.put_object("moved", b"v0", None).unwrap();
+        s.drives().get(home[0]).unwrap().set_online(true);
+        let before = gets();
+        assert_eq!(&**s.get_object("moved").unwrap().0, b"v0");
+        let served: Vec<u64> = gets().iter().zip(&before).map(|(a, b)| a - b).collect();
+        let mut expected = vec![0; 3];
+        expected[home[0]] = 1;
+        expected[home[1]] = 1;
+        assert_eq!(served, expected, "GETs per drive");
+        // A primary that faults: its request is dropped before the media
+        // is read, and the second replica serves the read.
+        let home = crate::placement::placement("faulted", 3, 2);
+        s.put_object("faulted", b"v0", None).unwrap();
+        let primary = s.drives().get(home[0]).unwrap();
+        primary.inject_faults(FaultPlan::errors(7, 1.0));
+        let before = gets();
+        assert_eq!(&**s.get_object("faulted").unwrap().0, b"v0");
+        assert_eq!(primary.fault_counts().dropped, 1);
+        let served: Vec<u64> = gets().iter().zip(&before).map(|(a, b)| a - b).collect();
+        let mut expected = vec![0; 3];
+        expected[home[1]] = 1;
+        assert_eq!(served, expected, "GETs per drive");
+        primary.clear_faults();
+    }
+
+    #[test]
+    fn absence_needs_every_home_replica() {
+        // Two drives, one replica: with the key's home drive offline the
+        // read asks the other drive, which never held the key. Its
+        // NotFound is no answer about the key.
+        let s = store(2, 1);
+        s.put_object("doc", b"v0", None).unwrap();
+        // A cold controller: the map and the cache have forgotten the key.
+        s.metadata.remove("doc");
+        s.object_cache.invalidate("doc");
+        let home = s
+            .drives()
+            .get(crate::placement::placement("doc", 2, 1)[0])
+            .unwrap();
+        home.set_online(false);
+        assert!(matches!(s.lookup("doc"), Err(PesosError::Backend(_))));
+        assert!(matches!(s.get_object("doc"), Err(PesosError::Backend(_))));
+        assert!(matches!(
+            s.export_object("doc"),
+            Err(PesosError::Backend(_))
+        ));
+        home.set_online(true);
+        assert_eq!(&**s.get_object("doc").unwrap().0, b"v0");
+        assert!(matches!(s.lookup("never-written"), Ok(None)));
+    }
+
+    #[test]
+    fn a_drive_fault_on_a_policy_fetch_is_not_no_such_policy() {
+        use pesos_kinetic::FaultPlan;
+        let s = store(1, 1);
+        let id = s.put_policy("read :- sessionKeyIs(\"alice\")").unwrap();
+        s.policy_cache.clear();
+        let drive = s.drives().get(0).unwrap();
+        drive.inject_faults(FaultPlan::errors(7, 1.0));
+        assert!(matches!(s.load_policy(&id), Err(PesosError::Backend(_))));
+        drive.clear_faults();
+        assert_eq!(s.load_policy(&id).unwrap().id(), id);
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn rebalance_drain_compression_budget() {
     );
     // Measured ~37/key (~40 with the SHA-256 stand-in cipher, ~50 before
     // imports and deletes became one atomic batch each): the object move
-    // itself (export's raced metadata+data reads and unseal, import's
+    // itself (export's metadata+data reads and unseal, import's
     // re-seal — content hash and nonce HMAC — and its single batch of data +
     // metadata, the source-side delete batch — each drive exchange at the
     // pinned ≤ 7 compressions plus the batch's few extra frame blocks)

@@ -15,7 +15,7 @@
 //!    one sharded family without ordered indices.
 //! 2. **guard-across-I/O** (`guard_across_io`) — no lock guard may be
 //!    lexically live across a drive-I/O submission
-//!    (`submit`/`submit_batch` or a drive
+//!    (`submit`/`submit_batch`/`submit_joined` or a drive
 //!    `exchange`/`handle_envelope`): the submission parks the thread on a
 //!    completion, so a held guard turns drive latency into lock hold
 //!    time (or a deadlock when the service path needs the same lock).

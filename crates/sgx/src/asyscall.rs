@@ -40,20 +40,22 @@
 //! # Completions
 //!
 //! Every submission, single or scatter-gather, reports into one `Batch`:
-//! `n` lanes, each a result cell (again a `Handoff`) and an *entry word*.
-//! Entries record completion order: the `i`-th call to finish writes its
-//! result into its own cell and then publishes its index in entry `i`.
+//! `n` lanes, each a result cell (again a `Handoff`) and an *entry word*
+//! that says whether the lane's call has finished. The call writes its
+//! result into its cell and then sets its entry `DONE`.
 //!
 //! ```text
-//! entry:  PENDING (0) --filler swaps in index + 1--> DONE          [| PARKED, set by the waiter]
+//! entry:  PENDING --filler sets DONE--> DONE          [| PARKED, set by the waiter]
 //! ```
 //!
 //! A call whose body was dropped unrun or panicked publishes the same way
 //! with its cell left empty: `DONE` over an empty cell reads as
-//! [`SgxError::SyscallInterfaceClosed`]. The waiter owns the set, reads
-//! entries in order and takes each result out of the cell the entry names,
-//! which is what gives [`CompletionSet::next_completed`] completion order,
-//! first-success races and a first-error-wins `join` without a queue.
+//! [`SgxError::SyscallInterfaceClosed`]. The waiter owns the set and reads
+//! it in *lane order*: it waits on lane 0's entry, takes lane 0's result,
+//! then lane 1's, and so on. A [`CompletionSet`] is that iterator;
+//! `join` collects it, first error in lane order wins, and `wait_single`
+//! takes the one result of a one-call set. Nothing is delivered in
+//! completion order: every reader of a set wants all of its results.
 //!
 //! There are three entry points and one handle:
 //!
@@ -61,13 +63,12 @@
 //!   to the application; a batch of one, joined at once.
 //! * [`AsyscallInterface::submit_batch`]: the scatter-gather path: N
 //!   bodies are enqueued back-to-back and a [`CompletionSet`] hands back
-//!   results in completion order, so callers can join all of them, take
-//!   the first success and leave the rest to finish in the background,
-//!   keep a call in flight while they do something else (a batch of one,
-//!   joined later), or drop the set and let the calls run unobserved.
+//!   their results, so callers can join all of them, keep a call in
+//!   flight while they do something else (a batch of one, joined later),
+//!   or drop the set and let the calls run unobserved.
 //! * [`AsyscallInterface::submit_joined`]: the same set, for a caller that
-//!   reads it at once (replicated writes, raced replicated reads and
-//!   key-range pages): its first call runs on the caller.
+//!   reads it at once (replicated writes, replicated reads, key-range pages
+//!   and the migration drain): its first call runs on the caller.
 //!
 //! A submission allocates its `Batch` and nothing else: the batch holds
 //! the bodies as well as the result cells, and a slot holds a reference
@@ -77,15 +78,15 @@
 //!
 //! # The two park protocols
 //!
-//! *Waiter and filler* (one entry word, read and written `SeqCst`). The
-//! filler writes the result, swaps `index + 1` into the entry and looks at
-//! what it displaced: only if the `PARKED` bit was there does it take the
-//! batch's park mutex and signal the condvar. A waiter that finds its entry
-//! pending takes the park mutex first, then sets `PARKED` with a `fetch_or`
-//! and looks at what *it* displaced: if the entry was already `DONE` it does
-//! not sleep. The swap and the `fetch_or` are ordered one way or the other.
-//! Swap first: the waiter sees `DONE`. `fetch_or` first: the filler sees
-//! `PARKED`, and because the waiter holds the mutex from before the
+//! *Waiter and filler* (one lane's entry word, read and written `SeqCst`).
+//! The filler writes the result, sets `DONE` with a `fetch_or` and looks at
+//! what was there: only if the `PARKED` bit was does it take the batch's
+//! park mutex and signal the condvar. A waiter that finds its entry pending
+//! takes the park mutex first, then sets `PARKED` with a `fetch_or` and
+//! looks at what was there: if the entry was already `DONE` it does not
+//! sleep. The two `fetch_or`s are ordered one way or the other. The
+//! filler's first: the waiter sees `DONE`. The waiter's first: the filler
+//! sees `PARKED`, and because the waiter holds the mutex from before its
 //! `fetch_or` until the condvar wait releases it, the filler's signal
 //! cannot fall into the gap before the sleep.
 //!
@@ -139,10 +140,10 @@
 //! taken yet, and parks only for the rest. They run in the same exit and
 //! cost no second transition; they stay counted in `submitted` (they were
 //! handed over, and the service thread that later takes their slot finds
-//! the body gone and frees it). A raced read that stops at its first
-//! success leaves its other handed-over lanes to the pool, and a
-//! replicated write still reaches its replicas in parallel: the caller's
-//! lane beside the service threads'.
+//! the body gone and frees it). A replicated write still reaches its
+//! replicas in parallel: the caller's lane beside the service threads'. A
+//! replicated read is one lane per replica it asks, one joined call after
+//! another, so it hands nothing over.
 //!
 //! A lane that finds the slot table full is not handed over: it stays in
 //! the batch, untaken, for its caller, and counts in neither `submitted`
@@ -159,9 +160,9 @@
 //! A one-lane joined call touches no slot, no queue and neither park
 //! protocol, and wakes nobody. Five of the benchmark's six workloads run
 //! one-drive controllers, so their request paths hand nothing over; only
-//! `disk_mix_1k`, with two replicas, hands each write's and each raced
-//! read's second lane to the pool. Per operation of one set-up (load and
-//! warm-up, two clients, seeds 5101–5110, the 2-vCPU reference host):
+//! `disk_mix_1k`, with two replicas, hands each write's second lane to the
+//! pool (its reads hit the object cache). Per operation of one set-up (load
+//! and warm-up, two clients, seeds 5101–5110, the 2-vCPU reference host):
 //!
 //! | workload | exits | hand-offs |
 //! |---|---:|---:|
@@ -215,7 +216,7 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -340,27 +341,27 @@ mod handoff {
 use handoff::Handoff;
 
 // ---------------------------------------------------------------------------
-// Batches: result cells and completion-order entries
+// Batches: result cells and their entry words
 // ---------------------------------------------------------------------------
 
+/// Set in an entry by the call's filler once its cell holds what it will.
+const DONE: u8 = 1;
 /// Set in an entry by a waiter that is about to sleep on it.
-const PARKED: u32 = 1 << 31;
+const PARKED: u8 = 2;
 
 struct Lane<T> {
-    /// `0` while pending, then the finished call's index plus one;
-    /// [`PARKED`] may be set on top by the waiter.
-    entry: AtomicU32,
+    /// `0` while pending, then [`DONE`]; [`PARKED`] may be set beside
+    /// either by the waiter.
+    entry: AtomicU8,
     cell: Handoff<T>,
 }
 
 /// What one submission (a single call or a scatter-gather batch) reports
-/// into: a result cell per call and the order in which calls finished,
-/// and, in `bodies`, the calls themselves until each is taken to run. A
-/// [`CompletionSet`] sees the bodies erased (`B` unsized); a slot, and the
-/// caller of a joined set, see the whole batch as a [`Run`].
+/// into: a result cell and an entry word per call, and, in `bodies`, the
+/// calls themselves until each is taken to run. A [`CompletionSet`] sees
+/// the bodies erased (`B` unsized); a slot, and the caller of a joined
+/// set, see the whole batch as a [`Run`].
 struct Batch<T, B: ?Sized = dyn Send + Sync> {
-    /// Entries published so far; each call claims the next.
-    finished: AtomicU32,
     /// How many calls the submission made.
     calls: usize,
     /// Lane 0, kept inline so that a single call's batch is one allocation.
@@ -376,7 +377,7 @@ struct Batch<T, B: ?Sized = dyn Send + Sync> {
 impl<T> Lane<T> {
     fn new() -> Self {
         Lane {
-            entry: AtomicU32::new(0),
+            entry: AtomicU8::new(0),
             cell: Handoff::new(),
         }
     }
@@ -415,7 +416,6 @@ impl<T, F> Batch<T, Bodies<F>> {
         let rest: Box<[Handoff<F>]> = bodies.collect();
         let calls = usize::from(first.is_some()) + rest.len();
         Arc::new(Batch {
-            finished: AtomicU32::new(0),
             calls,
             first: Lane::new(),
             rest: rest.iter().map(|_| Lane::new()).collect(),
@@ -523,14 +523,13 @@ impl<T, B: ?Sized> Batch<T, B> {
         }
     }
 
-    /// Publishes call `index` as the next one finished and wakes the
-    /// waiter if it sleeps on that entry.
+    /// Publishes lane `index` as finished and wakes the waiter if it
+    /// sleeps on that lane.
     fn publish(&self, index: u32) {
-        let position = self.finished.fetch_add(1, Ordering::SeqCst);
-        let Some(lane) = self.lane(position as usize) else {
+        let Some(lane) = self.lane(index as usize) else {
             return;
         };
-        if lane.entry.swap(index + 1, Ordering::SeqCst) & PARKED != 0 {
+        if lane.entry.fetch_or(DONE, Ordering::SeqCst) & PARKED != 0 {
             // The waiter set PARKED under this mutex and holds it until its
             // condvar wait begins; passing through it puts the signal after
             // that point.
@@ -539,37 +538,33 @@ impl<T, B: ?Sized> Batch<T, B> {
         }
     }
 
-    /// Waits until `entry`, one of this batch's, is published and returns
-    /// the index of the call that finished there. The sleep is
-    /// `submitter`'s.
-    fn await_entry(&self, entry: &AtomicU32, submitter: &Submitter) -> usize {
-        let finished = |word: u32| (word & !PARKED).checked_sub(1).map(|index| index as usize);
-        if let Some(index) = finished(entry.load(Ordering::SeqCst)) {
-            return index;
+    /// Waits until `entry`, one of this batch's, is published. The sleep
+    /// is `submitter`'s.
+    fn await_entry(&self, entry: &AtomicU8, submitter: &Submitter) {
+        if entry.load(Ordering::SeqCst) & DONE != 0 {
+            return;
         }
         let mut guard = self.park.lock();
-        let mut word = entry.fetch_or(PARKED, Ordering::SeqCst);
-        if finished(word).is_none() {
-            submitter.parks.fetch_add(1, Ordering::Relaxed);
+        if entry.fetch_or(PARKED, Ordering::SeqCst) & DONE != 0 {
+            return;
         }
-        loop {
-            if let Some(index) = finished(word) {
-                return index;
-            }
+        submitter.parks.fetch_add(1, Ordering::Relaxed);
+        while entry.load(Ordering::SeqCst) & DONE == 0 {
             self.done.wait(&mut guard);
-            word = entry.load(Ordering::SeqCst);
         }
     }
 }
 
-/// A joinable set of completions produced by one submission.
+/// A joinable set of completions produced by one submission: an iterator
+/// over the calls' results in lane (submission) order, each result
+/// delivered once its call has finished.
 ///
-/// A set dropped before every result was delivered (a raced read that
-/// stopped at the first success, a call nobody waits on) leaves its calls
-/// running: they write into cells the set's `Batch` keeps alive until the
-/// last of them has published.
+/// A set dropped before every result was delivered (a call nobody waits
+/// on) leaves its handed-over calls running: they write into cells the
+/// set's `Batch` keeps alive until the last of them has published.
 pub struct CompletionSet<T> {
     batch: Arc<Batch<T>>,
+    /// The next lane to deliver.
     delivered: usize,
     /// A joined set's batch and the lanes its caller has not tried to run
     /// yet (module docs, "The caller's lanes").
@@ -588,57 +583,44 @@ impl<T> CompletionSet<T> {
         self.batch.calls == 0
     }
 
-    /// Blocks until the next not-yet-delivered call finishes, returning its
-    /// submission index and result. Returns `None` once every call has been
-    /// delivered.
-    ///
-    /// Results come back in *completion order*, which is what lets callers
-    /// race a batch and stop at the first usable result.
-    pub fn next_completed(&mut self) -> Option<(usize, Result<T, SgxError>)> {
-        // No lane past the last call: `None` once all are delivered.
-        let entry = &self.batch.lane(self.delivered)?.entry;
-        if let Some((batch, untried)) = &mut self.own {
-            // Rather than park, the caller runs its lanes nobody has taken.
-            while entry.load(Ordering::SeqCst) == 0 {
-                let Some(lane) = untried.next() else {
-                    break;
-                };
-                contained(|| batch.run(lane), " on its caller");
-            }
-        }
-        let index = self.batch.await_entry(entry, &self.submitter);
-        self.delivered += 1;
-        let result = self
-            .batch
-            .lane(index)
-            .and_then(|lane| lane.cell.take())
-            .map(|(value, _)| value)
-            .ok_or(SgxError::SyscallInterfaceClosed);
-        Some((index, result))
-    }
-
     /// Joins the whole batch, returning results in submission order.
     ///
     /// The first abandoned call (interface shut down mid-batch) aborts the
-    /// join: first error wins.
-    pub fn join(mut self) -> Result<Vec<T>, SgxError> {
-        let mut out: Vec<Option<T>> = (0..self.len()).map(|_| None).collect();
-        while let Some((index, result)) = self.next_completed() {
-            if let Some(place) = out.get_mut(index) {
-                *place = Some(result?);
-            }
-        }
-        out.into_iter()
-            .collect::<Option<Vec<T>>>()
-            .ok_or(SgxError::SyscallInterfaceClosed)
+    /// join: first error in lane order wins.
+    pub fn join(self) -> Result<Vec<T>, SgxError> {
+        self.collect()
     }
 
     /// The single result of a one-call set.
     pub fn wait_single(mut self) -> Result<T, SgxError> {
-        match self.next_completed() {
-            Some((_, result)) => result,
-            None => Err(SgxError::SyscallInterfaceClosed),
+        self.next().unwrap_or(Err(SgxError::SyscallInterfaceClosed))
+    }
+}
+
+impl<T> Iterator for CompletionSet<T> {
+    type Item = Result<T, SgxError>;
+
+    /// Blocks until the next lane's call has finished and returns its
+    /// result; `None` once every lane has been delivered.
+    fn next(&mut self) -> Option<Self::Item> {
+        let lane = self.batch.lane(self.delivered)?;
+        if let Some((batch, untried)) = &mut self.own {
+            // Rather than park, the caller runs its lanes nobody has taken.
+            while lane.entry.load(Ordering::SeqCst) & DONE == 0 {
+                let Some(untaken) = untried.next() else {
+                    break;
+                };
+                contained(|| batch.run(untaken), " on its caller");
+            }
         }
+        self.batch.await_entry(&lane.entry, &self.submitter);
+        self.delivered += 1;
+        Some(
+            lane.cell
+                .take()
+                .map(|(value, _)| value)
+                .ok_or(SgxError::SyscallInterfaceClosed),
+        )
     }
 }
 
@@ -1335,30 +1317,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_completion_order_allows_racing() {
+    fn batch_delivers_in_lane_order_whatever_finishes_first() {
         let i = AsyscallInterface::new(
             2,
             8,
             ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
         );
-        // Body 0 blocks until released; body 1 finishes immediately. The
-        // first delivered completion must be index 1.
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&gate);
+        // Body 0 blocks until body 1 has finished: lane 0 is still
+        // delivered first.
+        let (finished_tx, finished_rx) = std::sync::mpsc::channel();
         let bodies: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
             Box::new(move || {
-                g.wait();
+                finished_rx.recv().unwrap();
                 0
             }),
-            Box::new(|| 1),
+            Box::new(move || {
+                finished_tx.send(()).unwrap();
+                1
+            }),
         ];
-        let mut set = i.submit_batch(bodies).unwrap();
-        let (index, value) = set.next_completed().unwrap();
-        assert_eq!((index, value.unwrap()), (1, 1));
-        gate.wait();
-        let (index, value) = set.next_completed().unwrap();
-        assert_eq!((index, value.unwrap()), (0, 0));
-        assert!(set.next_completed().is_none());
+        let set = i.submit_batch(bodies).unwrap();
+        assert_eq!(set.collect::<Vec<_>>(), vec![Ok(0), Ok(1)]);
     }
 
     #[test]
@@ -1508,12 +1487,10 @@ mod tests {
         let set = member.submit_batch((0..3u32).map(|k| move || k)).unwrap();
         assert_eq!(set.join(), Err(SgxError::SyscallInterfaceClosed));
         // A joined call's own lane still runs on its caller.
-        let mut set = member.submit_joined((0..2u32).map(|k| move || k)).unwrap();
-        let mut results: Vec<_> = std::iter::from_fn(|| set.next_completed()).collect();
-        results.sort_by_key(|(lane, _)| *lane);
+        let set = member.submit_joined((0..2u32).map(|k| move || k)).unwrap();
         assert_eq!(
-            results,
-            vec![(0, Ok(0)), (1, Err(SgxError::SyscallInterfaceClosed))]
+            set.collect::<Vec<_>>(),
+            vec![Ok(0), Err(SgxError::SyscallInterfaceClosed)]
         );
     }
 

@@ -43,10 +43,7 @@ fn with_its_only_thread_blocked() -> (AsyscallInterface, Sender<()>, impl FnOnce
         .submit_batch([blocker(started_tx, release_rx)])
         .unwrap();
     started_rx.recv().unwrap();
-    let finish = move || {
-        let (_, result) = { running }.next_completed().expect("one call");
-        result.unwrap()
-    };
+    let finish = move || running.wait_single().unwrap();
     (iface, release_tx, finish)
 }
 

@@ -7,7 +7,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use pesos_sgx::asyscall::{AsyscallInterface, CompletionSet};
+use pesos_sgx::asyscall::AsyscallInterface;
 use pesos_sgx::cost::ModeCost;
 use pesos_sgx::{ExecutionMode, SgxCostModel, SgxError};
 
@@ -17,13 +17,6 @@ fn interface(threads: usize, slots: usize) -> AsyscallInterface {
         slots,
         ModeCost::new(ExecutionMode::Native, SgxCostModel::zero()),
     )
-}
-
-/// Waits for the one call of a set that `submit_batch` was given one body
-/// for: a call kept in flight while its submitter does something else.
-fn wait_one<T>(mut pending: CompletionSet<T>) -> Result<T, SgxError> {
-    let (_, result) = pending.next_completed().expect("a set of one call");
-    result
 }
 
 /// SplitMix64: seeded think-times without a dependency.
@@ -119,7 +112,7 @@ fn no_wakeup_is_lost_under_mixed_load() {
                                     }])
                                     .unwrap();
                                 busy(rng.pause());
-                                sum += wait_one(pending).unwrap();
+                                sum += pending.wait_single().unwrap();
                             }
                             _ => {
                                 let set = iface
@@ -240,7 +233,7 @@ fn calls_nobody_waits_on_never_depend_on_a_running_body() {
                 assert_eq!(set.join().unwrap(), vec![round, round]);
             }
             for call in pending {
-                assert_eq!(wait_one(call), Ok(round));
+                assert_eq!(call.wait_single(), Ok(round));
             }
         }
     });
@@ -284,7 +277,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
         let waiters: Vec<_> = queued
             .by_ref()
             .take(2)
-            .map(|pending| std::thread::spawn(move || wait_one(pending)))
+            .map(|pending| std::thread::spawn(move || pending.wait_single()))
             .collect();
         let deadline = Instant::now() + Duration::from_secs(5);
         while iface.stats().parks < parks_before + 2 && Instant::now() < deadline {
@@ -300,7 +293,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
         }
         // Calls nobody was waiting on yet were abandoned all the same.
         for pending in queued {
-            assert_eq!(wait_one(pending), Err(SgxError::SyscallInterfaceClosed));
+            assert_eq!(pending.wait_single(), Err(SgxError::SyscallInterfaceClosed));
         }
         assert_eq!(
             ran.load(Ordering::SeqCst),
@@ -310,7 +303,7 @@ fn close_abandons_queued_calls_and_reaches_every_waiter() {
 
         // The call that was running finishes normally.
         release_tx.send(()).unwrap();
-        assert_eq!(wait_one(running), Ok(7));
+        assert_eq!(running.wait_single(), Ok(7));
     });
 }
 
@@ -329,7 +322,7 @@ fn close_while_a_waiter_is_about_to_park() {
             let (waiting_tx, waiting_rx) = channel();
             let waiter = std::thread::spawn(move || {
                 let _ = waiting_tx.send(());
-                wait_one(queued)
+                queued.wait_single()
             });
             // Close right as the waiter looks at its entry and parks: the
             // close lands before, between or after, as the scheduler
@@ -341,7 +334,7 @@ fn close_while_a_waiter_is_about_to_park() {
                 Err(SgxError::SyscallInterfaceClosed)
             );
             release_tx.send(()).unwrap();
-            assert_eq!(wait_one(running), Ok(7));
+            assert_eq!(running.wait_single(), Ok(7));
         }
     });
 }
@@ -353,18 +346,10 @@ fn panicking_body_frees_its_slot_and_abandons_its_waiter() {
         let iface = interface(1, 1);
         let bodies: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
-        let mut set = iface.submit_batch(bodies).unwrap();
-        let mut seen = Vec::new();
-        while let Some((index, result)) = set.next_completed() {
-            seen.push((index, result));
-        }
+        let set = iface.submit_batch(bodies).unwrap();
         assert_eq!(
-            seen,
-            vec![
-                (0, Ok(1)),
-                (1, Err(SgxError::SyscallInterfaceClosed)),
-                (2, Ok(3))
-            ]
+            set.collect::<Vec<_>>(),
+            vec![Ok(1), Err(SgxError::SyscallInterfaceClosed), Ok(3)]
         );
         // Slot and service thread both survived the panic.
         let set = iface.submit_batch((0..3u32).map(|k| move || k)).unwrap();
@@ -374,17 +359,17 @@ fn panicking_body_frees_its_slot_and_abandons_its_waiter() {
 }
 
 #[test]
-fn full_table_counts_each_wait_once_and_delivers_in_completion_order() {
+fn full_table_counts_each_wait_once_and_delivers_in_lane_order() {
     under_watchdog(Duration::from_secs(60), || {
         let iface = Arc::new(interface(2, 2));
         let (started_tx, started_rx) = channel();
         let (release_first_tx, release_first_rx) = channel();
         let (release_second_tx, release_second_rx) = channel();
-        let bodies = vec![
-            blocker(started_tx.clone(), release_first_rx),
-            blocker(started_tx, release_second_rx),
-        ];
-        let mut set = iface.submit_batch(bodies).unwrap();
+        let first = blocker(started_tx.clone(), release_first_rx);
+        let second = blocker(started_tx, release_second_rx);
+        let bodies: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+            vec![Box::new(first), Box::new(move || second() + 1)];
+        let set = iface.submit_batch(bodies).unwrap();
         started_rx.recv().unwrap();
         started_rx.recv().unwrap();
 
@@ -402,18 +387,15 @@ fn full_table_counts_each_wait_once_and_delivers_in_completion_order() {
         }
         assert_eq!(iface.stats().slot_waits, 3, "late submitters never blocked");
 
-        // The second body finishes first and is delivered first.
+        // The second body finishes first; its slot serves the three late
+        // calls one after another.
         release_second_tx.send(()).unwrap();
-        let (index, value) = set.next_completed().unwrap();
-        assert_eq!((index, value), (1, Ok(7)));
-        // Its slot serves the three late calls one after another.
         let mut values: Vec<u32> = late.into_iter().map(|l| l.join().unwrap()).collect();
         values.sort_unstable();
         assert_eq!(values, vec![0, 1, 2]);
+        // The set still delivers the first lane first.
         release_first_tx.send(()).unwrap();
-        let (index, value) = set.next_completed().unwrap();
-        assert_eq!((index, value), (0, Ok(7)));
-        assert!(set.next_completed().is_none());
+        assert_eq!(set.collect::<Vec<_>>(), vec![Ok(7), Ok(8)]);
         // Waiting again for the same slot is not counted again.
         assert_eq!(iface.stats().slot_waits, 3);
     });
