@@ -3,9 +3,9 @@
 //!
 //! This file holds the data model — configuration, the routing snapshot,
 //! migration records, telemetry counters and [`ControllerCluster`] itself —
-//! with its constructor, topology accessors and session mirroring. The
-//! behaviour lives in one sub-module per lock-rank band, each owning one
-//! invariant:
+//! with its constructor, topology accessors and the clients' state its
+//! controllers share (`pesos_core::ClientState`). The behaviour lives in
+//! one sub-module per lock-rank band, each owning one invariant:
 //!
 //! * `routing` (ops gate and routing state, ranks 20–36) — every routed
 //!   operation runs entirely under one topology, retried with capped
@@ -23,12 +23,12 @@
 //! * [`stats`] — the `/stats` observability surface.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::{lock_order, Mutex, RwLock};
-use pesos_core::sharded::{Sharded, ShardedFifoMap};
-use pesos_core::{ControllerConfig, HashedKey, PesosController, PesosError};
+use pesos_core::sharded::Sharded;
+use pesos_core::{ClientState, ControllerConfig, HashedKey, PesosController, PesosError};
 use pesos_policy::PolicyId;
 use pesos_sgx::{HostPool, PoolStats};
 use pesos_telemetry::{HotKeyTracker, OpHistograms, WindowedCounter};
@@ -160,14 +160,6 @@ struct RoutingState {
     migrations: Vec<Arc<Migration>>,
 }
 
-/// Bounded map from cluster-level async operation ids to the controller
-/// that accepted the operation and its local id — the same bounded
-/// dense-id retention pattern as the transaction-outcome map, so it shares
-/// [`ShardedFifoMap`].
-type AsyncOps = ShardedFifoMap<(Arc<PesosController>, u64)>;
-/// Ids retained: what one controller's result buffer holds (paper: 2048).
-const ASYNC_OPS_CAPACITY: usize = 2048;
-
 /// Cluster-wide counters of the capped-exponential retry paths, read
 /// through [`ControllerCluster::telemetry_snapshot`] and `/stats/retries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -216,24 +208,15 @@ impl RetryCounters {
 /// histograms time only the owner's work), windowed hot-group counters
 /// feeding the weighted split point and `/stats/groups/hot`, and drain
 /// checkpoint gauges. Atomics only: recording on the request path takes
-/// no lock.
+/// no lock. Recording follows the clients' telemetry switch
+/// ([`ControllerCluster::set_telemetry_enabled`]).
 struct ClusterTelemetry {
-    /// Runtime off-switch: on from the start, flipped without a restart
-    /// via [`ControllerCluster::set_telemetry_enabled`]; the overhead
-    /// benchmark's "off" side.
-    enabled: AtomicBool,
     ops: OpHistograms,
     hot: HotKeyTracker,
     /// Placement groups a drain did not have to re-drain because the
     /// migration's settled-group memo already proved them gone from the
     /// source (counted at the start of each drain pass).
     drain_group_skips: WindowedCounter,
-}
-
-impl ClusterTelemetry {
-    fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
 }
 
 /// Slots in the hot-group tracker. Per-group accounting, so this bounds
@@ -275,9 +258,10 @@ impl PartitionLoad {
 /// routes by that same hash — the digest the single controller already
 /// pays for placement is reused for partition selection, so the cluster
 /// layer adds zero digests to the request path. Each controller is a
-/// complete Pesos instance (own enclave, own drives, own caches); client
-/// sessions are mirrored onto every controller so any partition can serve
-/// any authenticated client.
+/// complete Pesos instance (own enclave, own drives, own caches); they
+/// share one [`ClientState`] — sessions, clock, telemetry switch and async
+/// results — so any partition serves any registered client, and an async
+/// operation id polls through the cluster whichever controller issued it.
 ///
 /// # Cross-partition transactions
 ///
@@ -333,17 +317,14 @@ pub struct ControllerCluster {
     /// primaries, their backups and joiners alike, so one hot service
     /// thread serves them all (`pesos_sgx::asyscall`, "One host pool").
     pool: Arc<HostPool>,
-    /// Every client registered through the cluster, for re-homing sessions
-    /// onto joining controllers.
-    clients: Mutex<BTreeSet<String>>,
+    /// The clients' state every controller of the cluster holds.
+    clients: Arc<ClientState>,
     /// Every policy installed through the cluster, for copying the full
     /// set onto joining controllers (policies broadcast on install would
     /// otherwise exist only on the partitions present at install time, and
     /// removing the last original holder would lose them).
     policies: Mutex<BTreeSet<PolicyId>>,
     tx: ClusterTxManager,
-    async_ops: AsyncOps,
-    next_async_id: AtomicU64,
     template: ControllerConfig,
     /// Backups a joining partition's log is spawned with (see
     /// [`ClusterConfig::backups_per_partition`]); read nowhere else.
@@ -366,11 +347,14 @@ impl ControllerCluster {
         // theirs too.
         let members = config.controllers * (1 + config.backups_per_partition);
         let pool = HostPool::new(2 * members * config.controller.syscall_slots());
+        let shards = config.controller.lock_shards;
+        let clients = Arc::new(ClientState::new(shards));
         let owners = (0..config.controllers)
             .map(|_| {
                 let controller = Arc::new(PesosController::with_pool(
                     config.controller.clone(),
                     &pool,
+                    &clients,
                 )?);
                 let log = Self::spawn_log(
                     &controller,
@@ -381,7 +365,6 @@ impl ControllerCluster {
                 Ok((controller, log))
             })
             .collect::<Result<Vec<_>, PesosError>>()?;
-        let shards = config.controller.lock_shards;
         Ok(ControllerCluster {
             routing: RwLock::with_rank(
                 lock_order::ROUTING_STATE,
@@ -397,11 +380,9 @@ impl ControllerCluster {
             })),
             drain_concurrency: config.drain_concurrency,
             pool,
-            clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
+            clients,
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
             tx: ClusterTxManager::new(),
-            async_ops: AsyncOps::new(shards, ASYNC_OPS_CAPACITY),
-            next_async_id: AtomicU64::new(1),
             template: config.controller,
             backups_per_partition: config.backups_per_partition,
             retry_rng: Mutex::with_rank(
@@ -410,7 +391,6 @@ impl ControllerCluster {
             ),
             retries: RetryCounters::default(),
             telemetry: ClusterTelemetry {
-                enabled: AtomicBool::new(true),
                 ops: OpHistograms::new(),
                 hot: HotKeyTracker::new(HOT_GROUP_SLOTS),
                 drain_group_skips: WindowedCounter::new(),
@@ -469,72 +449,37 @@ impl ControllerCluster {
     }
 
     /// Switches telemetry recording (latency histograms, hot-group
-    /// counters) on or off cluster-wide at runtime — the cluster flag and
-    /// every current partition controller flip together, without a
+    /// counters) on or off at runtime for the cluster and every controller
+    /// it runs, joiners included: they share one switch, flipped without a
     /// restart or a request-path lock. Counters keep their values across
-    /// an off/on cycle; controllers that join later start out recording.
+    /// an off/on cycle.
     pub fn set_telemetry_enabled(&self, on: bool) {
-        self.telemetry.enabled.store(on, Ordering::Relaxed);
-        for partition in self.routing.read().table.partitions() {
-            partition.controller.set_telemetry_enabled(on);
-        }
+        self.clients.set_telemetry_enabled(on);
     }
 
-    /// Registers a client on every controller (sessions are mirrored so any
-    /// partition can serve the client) and remembers it for re-homing onto
-    /// controllers that join later.
+    /// Registers a client; every controller of the cluster serves it.
     pub fn register_client(&self, client_id: &str) -> String {
-        let _gate = self.ops_gate.read();
-        for partition in self.routing.read().table.partitions() {
-            partition.controller.register_client(client_id);
-        }
-        // Record the id only after its sessions exist: a concurrent
-        // expire_sessions prunes the set against partition 0's live
-        // sessions, and recording first would let that prune silently
-        // unregister a client whose registration just succeeded. (A
-        // topology change cannot miss the id either way — its quiesce
-        // waits out this whole gate-read section before re-homing.)
-        self.clients.lock().insert(client_id.to_string());
+        self.clients.connect(client_id, client_id);
         client_id.to_string()
     }
 
-    /// Sets the logical time on every controller.
+    /// Sets the logical time of the cluster's clients.
     pub fn set_time(&self, now: u64) {
-        for partition in self.routing.read().table.partitions() {
-            partition.controller.set_time(now);
-        }
+        self.clients.set_time(now);
     }
 
-    /// The cluster's logical time (partition 0's clock; all clocks are set
-    /// together through [`ControllerCluster::set_time`]).
+    /// The logical time of the cluster's clients.
     pub fn now(&self) -> u64 {
-        self.routing.read().table.first().controller.now()
+        self.clients.now()
     }
 
-    /// Expires idle sessions on every controller; returns the count from
-    /// the first partition (sessions are mirrored, so each partition
-    /// expires the same set).
+    /// Expires idle sessions; returns how many were dropped.
     pub fn expire_sessions(&self) -> usize {
-        let _gate = self.ops_gate.read();
-        let routing = self.routing.read().clone();
-        let mut first = None;
-        for partition in routing.table.partitions() {
-            let expired = partition.controller.expire_sessions();
-            first.get_or_insert(expired);
-        }
-        // Prune the re-homing set to the sessions that survived: an id
-        // with no session on partition 0 is expired everywhere (sessions
-        // are mirrored and clocks set together). Keeping it would admit
-        // the client at the cluster layer forever and resurrect its
-        // session on the next joining controller — authenticated on one
-        // partition, rejected on all others.
-        let probe = &routing.table.first().controller;
-        self.clients.lock().retain(|id| probe.has_session(id));
-        first.unwrap_or(0)
+        self.clients.expire()
     }
 
     fn require_client(&self, client_id: &str) -> Result<(), PesosError> {
-        if self.clients.lock().contains(client_id) {
+        if self.clients.sessions.contains(client_id) {
             Ok(())
         } else {
             Err(PesosError::NoSession(client_id.to_string()))

@@ -141,13 +141,14 @@ impl ControllerCluster {
             let _quiesced = self.ops_gate.write();
             failed.controller.drain_async();
             let promotion = log.promote()?;
-            // The promoted primary's new log is seeded from the backups
-            // that also caught up during promotion. With no survivor the
-            // partition runs unreplicated until the operator adds
-            // capacity: its entry carries no log.
+            // The promoted primary serves the cluster's clients; its new
+            // log is seeded from the backups that also caught up during
+            // promotion. With no survivor the partition runs unreplicated
+            // until the operator adds capacity: its entry carries no log.
             let controller = PesosController::with_store(
                 failed.controller.config().clone(),
                 Arc::clone(&promotion.promoted),
+                &self.clients,
             );
             let promoted = Partition {
                 start: failed.start,
@@ -160,20 +161,17 @@ impl ControllerCluster {
                     )
                 }),
             };
-            // Re-home what the log does not carry: sessions, any policy
-            // installed before this partition had its backups (none today,
-            // but re-homing is idempotent and cheap), and the logical clock
-            // (set together on every partition, the failed one included).
-            // Nothing routes to the new log before the swap below: on a
-            // failed re-home stop it rather than leave its shippers running
-            // behind no partition.
-            promoted.controller.set_time(failed.controller.now());
-            self.rehome(&promoted)
+            // Copy what the log does not carry: any policy installed before
+            // this partition had its backups (none today, but the copy is
+            // idempotent and cheap). Nothing routes to the new log before
+            // the swap below: on a failed copy stop it rather than leave
+            // its shippers running behind no partition.
+            self.copy_policies_to(&promoted)
                 .inspect_err(|_| promoted.stop_log())?;
             // Attached only now: a store keeps the first log attached to
-            // it, so a failed re-home must leave it without one for the
-            // retried failover's log. What the re-home wrote (a policy the
-            // backup lacked) is re-homed again by any later promotion.
+            // it, so a failed copy must leave it without one for the
+            // retried failover's log. What the copy wrote (a policy the
+            // backup lacked) is copied again by any later promotion.
             if let Some(log) = &promoted.log {
                 promoted.controller.store().attach_log(log);
             }

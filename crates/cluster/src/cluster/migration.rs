@@ -295,7 +295,7 @@ impl ControllerCluster {
                 _ => groups.push((hash, 1)),
             }
         }
-        if self.telemetry.enabled() {
+        if self.clients.telemetry_enabled() {
             for (hash, weight) in groups.iter_mut() {
                 *weight = weight.saturating_add(self.telemetry.hot.ops_for(*hash));
             }
@@ -359,22 +359,24 @@ impl ControllerCluster {
             let split_start = self.weighted_split_point(range, &src.controller);
             (target, src, split_start)
         };
-        // The joiner gets its own backups before it can accept traffic, so
-        // every write it acknowledges is covered by its log from the
-        // first request.
-        let controller = Arc::new(PesosController::with_pool(config.clone(), &self.pool)?);
+        // The joiner serves the cluster's clients, and gets its own backups
+        // before it can accept traffic, so every write it acknowledges is
+        // covered by its log from the first request.
+        let controller = Arc::new(PesosController::with_pool(
+            config.clone(),
+            &self.pool,
+            &self.clients,
+        )?);
         let joiner = Partition {
             start: split_start,
             log: Self::spawn_log(&controller, &config, self.backups_per_partition, &self.pool)?,
             controller,
         };
-        // Re-home sessions, policies and the logical clock before any
-        // traffic can route to the new partition.
-        joiner.controller.set_time(self.now());
-        // A joiner that never enters the table stops its log, whose
-        // shippers would otherwise outlive the cluster.
+        // Copy the installed policies before any traffic can route to the
+        // new partition. A joiner that never enters the table stops its
+        // log, whose shippers would otherwise outlive the cluster.
         let migration = self
-            .rehome(&joiner)
+            .copy_policies_to(&joiner)
             .and_then(|()| {
                 self.install_migration(&src, |table| {
                     let (table, moved) = table.split_at(target, joiner.clone())?;
@@ -382,11 +384,11 @@ impl ControllerCluster {
                 })
             })
             .inspect_err(|_| joiner.stop_log())?;
-        // Second re-homing pass: a register_client or put_policy that
-        // raced the first pass iterated the old table (without the joiner)
-        // but finished before the quiesce with its entry recorded;
-        // re-homing again here is idempotent and closes that gap.
-        self.rehome(&joiner)?;
+        // Second pass: a put_policy that raced the first iterated the old
+        // table (without the joiner) but finished before the quiesce with
+        // its id recorded; copying again here is idempotent and closes
+        // that gap.
+        self.copy_policies_to(&joiner)?;
         self.settle_migration(&migration)?;
         Ok(self.partition_count())
     }
@@ -437,16 +439,6 @@ impl ControllerCluster {
         };
         let migration = self.install_migration(&src, |table| table.merge_into(index, neighbour))?;
         self.settle_migration(&migration)
-    }
-
-    /// Registers every cluster client and copies every installed policy
-    /// onto `joiner` — a partition about to take over a range (a split's
-    /// new half or a promoted backup). Idempotent.
-    pub(super) fn rehome(&self, joiner: &Partition) -> Result<(), PesosError> {
-        for client in self.clients.lock().iter() {
-            joiner.controller.register_client(client);
-        }
-        self.copy_policies_to(joiner)
     }
 
     /// The routing-swap half of every topology change: quiesce, flush the

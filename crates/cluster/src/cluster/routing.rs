@@ -5,7 +5,6 @@
 //! finds its partition unavailable retries with capped backoff, releasing
 //! the gate across each pause.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,13 +53,14 @@ impl ControllerCluster {
     /// records into the cluster histogram (routing + pulls + retries
     /// included) when the returned guard drops.
     fn observe(&self, kind: OpKind, key: &HashedKey<'_>) -> OpTimer<'_> {
-        if self.telemetry.enabled() {
+        let enabled = self.clients.telemetry_enabled();
+        if enabled {
             self.telemetry.hot.record(
                 Self::routing_hash(key),
                 pesos_core::routing_prefix(key.key(), ROUTING_DELIMITER),
             );
         }
-        self.telemetry.ops.timer(kind, self.telemetry.enabled())
+        self.telemetry.ops.timer(kind, enabled)
     }
 
     /// Routes `key` to its owning partition under a consistent routing
@@ -161,10 +161,11 @@ impl ControllerCluster {
     }
 
     /// Copies every cluster-installed policy onto `to`, loading each from
-    /// whichever partition still holds it. Used when a controller joins:
-    /// policies are broadcast at install time, so a joiner must catch up
-    /// on the ones installed before it existed — otherwise removing the
-    /// last original holder would lose them.
+    /// whichever partition still holds it; idempotent. Used when a
+    /// partition is about to take over a range (a split's new half or a
+    /// promoted backup): policies are broadcast at install time, so a
+    /// joiner must catch up on the ones installed before it existed —
+    /// otherwise removing the last original holder would lose them.
     pub(super) fn copy_policies_to(&self, to: &Partition) -> Result<(), PesosError> {
         let routing = self.routing.read().clone();
         // Snapshot the id set rather than iterating under the registry
@@ -189,7 +190,7 @@ impl ControllerCluster {
         let _timer = self
             .telemetry
             .ops
-            .timer(OpKind::PutPolicy, self.telemetry.enabled());
+            .timer(OpKind::PutPolicy, self.clients.telemetry_enabled());
         let _gate = self.ops_gate.read();
         let routing = self.routing.read().clone();
         let mut id = None;
@@ -231,10 +232,11 @@ impl ControllerCluster {
         })
     }
 
-    /// Stores an object asynchronously on its owning partition; the
-    /// returned operation id is cluster-scoped and pollable through
-    /// [`ControllerCluster::poll_result`] regardless of later topology
-    /// changes (the mapping pins the accepting controller).
+    /// Stores an object asynchronously on its owning partition and returns
+    /// the owner's operation id. Every controller of the cluster files its
+    /// results in the clients' one buffer, so the id polls through
+    /// [`ControllerCluster::poll_result`] after any later topology change,
+    /// and nothing of the owner outlives it there.
     /// The write is the owner's put, run later and logged when it completes:
     /// the id acknowledges a queued write, and one the owner had not run
     /// when it failed polls `Failed`.
@@ -258,25 +260,20 @@ impl ControllerCluster {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
             }
-            let local_op = owner.controller.put_async(
+            owner.controller.put_async(
                 client_id,
                 &key,
                 Arc::clone(&value),
                 policy_id,
                 expected_version,
                 certificates,
-            )?;
-            let cluster_op = self.next_async_id.fetch_add(1, Ordering::SeqCst);
-            self.async_ops
-                .insert(cluster_op, (Arc::clone(&owner.controller), local_op));
-            Ok(cluster_op)
+            )
         })
     }
 
-    /// Polls the result of a cluster-scoped asynchronous operation.
+    /// Polls the result of an asynchronous operation.
     pub fn poll_result(&self, client_id: &str, operation_id: u64) -> Option<AsyncResult> {
-        let (controller, local_op) = self.async_ops.get(operation_id)?;
-        controller.poll_result(client_id, local_op)
+        self.clients.results.poll(client_id, operation_id)
     }
 
     /// Retrieves the latest version of an object from its owning partition.

@@ -153,7 +153,7 @@ impl ControllerCluster {
             });
         }
         TelemetrySnapshot {
-            enabled: self.telemetry.enabled(),
+            enabled: self.clients.telemetry_enabled(),
             partitions,
             ops: self.telemetry.ops.snapshots(),
             hot_groups: self.telemetry.hot.top(top),

@@ -271,6 +271,99 @@ fn async_puts_poll_through_cluster_scoped_ids() {
     assert_eq!(&**c.get("alice", "async/1", &[]).unwrap().0, b"payload");
 }
 
+/// The first key `<prefix>/<i>` (`i < 64`) that routes to `partition`.
+fn key_on(c: &ControllerCluster, prefix: &str, partition: usize) -> String {
+    (0..64)
+        .map(|i| format!("{prefix}/{i}"))
+        .find(|key| c.partition_of(key) == partition)
+        .expect("a key on the partition")
+}
+
+/// Waits (at most ten seconds) for the host pool to run `threads` threads.
+fn pool_settles_at(c: &ControllerCluster, threads: usize) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while c.host_pool_stats().threads != threads {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pool kept {} threads, expected {threads}",
+            c.host_pool_stats().threads
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+/// A session ages on the requests of every partition: a get on partition
+/// 0 keeps alice's session alive for partition 1 too.
+#[test]
+fn a_request_on_one_partition_keeps_the_session_alive_on_all() {
+    let c = cluster(2);
+    c.register_client("alice");
+    let (first, second) = (key_on(&c, "alive", 0), key_on(&c, "alive", 1));
+    for key in [&first, &second] {
+        c.put("alice", key, b"v", None, None, &[]).unwrap();
+    }
+    c.set_time(500);
+    c.get("alice", &first, &[]).unwrap();
+    c.set_time(700);
+    assert_eq!(c.expire_sessions(), 0);
+    assert_eq!(&**c.get("alice", &second, &[]).unwrap().0, b"v");
+}
+
+/// An async result outlives the controller that filed it, and holds
+/// nothing of it: once a member leaves, the pool gives its threads back.
+#[test]
+fn an_async_result_polls_after_its_controller_leaves_and_pins_nothing() {
+    let c = ControllerCluster::new(ClusterConfig::sgx_simulator(1, 1)).unwrap();
+    let start = c.host_pool_stats().threads;
+    c.register_client("alice");
+    c.add_controller().unwrap();
+    let ops: Vec<u64> = (0..64)
+        .map(|i| format!("k{i}"))
+        .filter(|key| c.partition_of(key) == 1)
+        .map(|key| {
+            c.put_async("alice", &key, b"v".to_vec(), None, None, &[])
+                .unwrap()
+        })
+        .collect();
+    assert!(!ops.is_empty());
+    c.drain_async();
+    c.remove_controller(1).unwrap();
+    pool_settles_at(&c, start);
+    assert!(matches!(
+        c.poll_result("alice", ops[0]),
+        Some(AsyncResult::Completed { .. })
+    ));
+}
+
+/// A promotion brings nothing of the clients' state across: the promoted
+/// controller already holds it. The clock stands, a client registered
+/// before the failure is served, an async op the failed primary accepted
+/// polls its end, and the failed member's threads go back to the pool.
+#[test]
+fn a_promotion_keeps_the_clock_sessions_and_async_results() {
+    let mut config = ClusterConfig::sgx_simulator(2, 1);
+    config.backups_per_partition = 1;
+    let per_member = config.controller.syscall_threads;
+    let c = ControllerCluster::new(config).unwrap();
+    let start = c.host_pool_stats().threads;
+    c.register_client("alice");
+    c.set_time(500);
+    let key = key_on(&c, "promoted", 0);
+    let op = c
+        .put_async("alice", &key, b"v0".to_vec(), None, None, &[])
+        .unwrap();
+    c.kill_controller(0).unwrap();
+    c.fail_controller(0).unwrap();
+    assert_eq!(c.now(), 500);
+    assert!(matches!(
+        c.poll_result("alice", op),
+        Some(AsyncResult::Completed { .. } | AsyncResult::Failed { .. })
+    ));
+    c.put("alice", &key, b"v1", None, None, &[]).unwrap();
+    assert_eq!(&**c.get("alice", &key, &[]).unwrap().0, b"v1");
+    pool_settles_at(&c, start - per_member);
+}
+
 #[test]
 fn add_controller_splits_and_migrates_only_the_moved_range() {
     let c = cluster(2);
@@ -348,12 +441,12 @@ fn remove_controller_merges_and_loses_nothing() {
 }
 
 #[test]
-fn expired_clients_are_pruned_and_not_rehomed_onto_joiners() {
+fn an_expired_client_is_refused_on_every_partition_joiners_included() {
     let c = cluster(2);
     c.register_client("alice");
     c.set_time(0);
     c.put("alice", "pre/expiry", b"x", None, None, &[]).unwrap();
-    // Advance past the session expiry and expire everywhere.
+    // Advance past the session expiry and expire.
     c.set_time(100_000);
     assert_eq!(c.expire_sessions(), 1);
     // The cluster layer no longer admits the expired client...
@@ -361,9 +454,9 @@ fn expired_clients_are_pruned_and_not_rehomed_onto_joiners() {
         c.create_tx("alice"),
         Err(PesosError::NoSession(_))
     ));
-    // ...and a joining controller must not resurrect the session: the
-    // expired id was pruned from the re-homing set, so every
-    // partition (old and new alike) rejects it until re-registration.
+    // ...and neither does any partition, old or new: a joining controller
+    // holds the cluster's one session table, so it rejects the client
+    // too until re-registration.
     c.add_controller().unwrap();
     for i in 0..32 {
         assert!(matches!(
@@ -412,14 +505,14 @@ fn policies_survive_removal_of_every_original_holder() {
 }
 
 #[test]
-fn sessions_are_rehomed_onto_joining_controllers() {
+fn a_joining_controller_serves_registered_clients_at_the_cluster_clock() {
     let c = cluster(1);
     c.register_client("alice");
     c.set_time(500);
     c.add_controller().unwrap();
     assert_eq!(c.now(), 500);
     // Alice can operate on keys owned by the new partition without
-    // re-registering: her session was mirrored during the join.
+    // re-registering: the joiner holds the cluster's session table.
     for i in 0..32 {
         c.put("alice", &format!("post-join/{i}"), b"x", None, None, &[])
             .unwrap();
@@ -479,7 +572,7 @@ fn rest_dispatch_routes_through_the_cluster() {
     let resp = c.handle("eve", ClientRequest::new(RestRequest::get("users/alice")));
     assert_eq!(resp.status, RestStatus::PolicyDenied);
 
-    // Async put + poll through the cluster-scoped operation id.
+    // Async put + poll through the cluster.
     let resp = c.handle(
         "alice",
         ClientRequest::new(RestRequest::put("users/alice", b"v2".to_vec()).asynchronous()),

@@ -67,7 +67,7 @@ impl ControllerCluster {
         let _timer = self
             .telemetry
             .ops
-            .timer(OpKind::CommitTx, self.telemetry.enabled());
+            .timer(OpKind::CommitTx, self.clients.telemetry_enabled());
         self.require_client(client_id)?;
         let _gate = self.ops_gate.read();
         let tx = self.tx.take(tx_id, client_id)?;

@@ -26,7 +26,8 @@
 //! * [`twopc`] — the workspace's one open-transaction table and its dense
 //!   transaction ids.
 //! * [`cluster`] — the cluster itself: configuration, the routing snapshot
-//!   and [`ControllerCluster`] with its constructor and session mirroring,
+//!   and [`ControllerCluster`] with its constructor and the clients' state
+//!   its controllers share,
 //!   and one private sub-module per lock-rank band:
 //!   * `cluster::routing` — the ops gate and routing snapshot every
 //!     routed operation (put, get, delete, policy attach/install) runs

@@ -363,6 +363,26 @@ fn telemetry_toggle_pauses_and_resumes_recording() {
     assert!(leaf(&cluster, "groups/total_ops") > group_ops);
 }
 
+/// A controller that joins while recording is off records nothing: the
+/// cluster and its controllers share one switch.
+#[test]
+fn a_joiner_records_nothing_while_the_cluster_is_off() {
+    let cluster = build(1, 0);
+    cluster.set_telemetry_enabled(false);
+    cluster.add_controller().unwrap();
+    for i in 0..64 {
+        put(&cluster, &format!("k{i}"));
+    }
+    assert!(leaf(&cluster, "partitions/1/metrics/writes") > 0);
+    for partition in 0..2 {
+        let recorded = leaf(
+            &cluster,
+            &format!("partitions/{partition}/latency/put/count"),
+        );
+        assert_eq!(recorded, 0, "partition {partition} recorded while off");
+    }
+}
+
 /// `/stats/partitions/<i>/store/policy_cache/decisions/*`: a repeated
 /// policy-checked read is answered by the decision its first read left
 /// beside the policy, until a write to the log it read makes it stale.

@@ -2,7 +2,7 @@
 //!
 //! The runner drives the cluster through the same [`RequestEndpoint`]
 //! surface it drives a bare controller through, so these runs exercise
-//! routing, session mirroring and per-partition enforcement under every
+//! routing, shared sessions and per-partition enforcement under every
 //! workload mix the paper reports (A: 50/50, B: 95/5, C: read-only,
 //! D: read-latest with inserts).
 

@@ -45,7 +45,7 @@ pub mod lock_order {
     //!   anything else (`CLUSTER_TOPOLOGY`);
     //! * every request holds the ops-gate read side (`OPS_GATE`), under
     //!   which it may consult routing (`ROUTING_STATE`) and the cluster's
-    //!   client and policy registries — a partition's replication log is
+    //!   policy registry — a partition's replication log is
     //!   not registered anywhere but rides in its routing-table entry;
     //! * demand-pulls take a migration stripe (`MIGRATION_STRIPE`) and then
     //!   operate on stores, which serialize per key (`KEY_LOCK`, one
@@ -67,8 +67,6 @@ pub mod lock_order {
     pub const OPS_GATE: u16 = 20;
     /// Routing table `RwLock<Arc<RoutingState>>`.
     pub const ROUTING_STATE: u16 = 30;
-    /// Cluster client registry.
-    pub const CLUSTER_CLIENTS: u16 = 32;
     /// Cluster-wide policy id registry.
     pub const CLUSTER_POLICIES: u16 = 33;
     /// Retry/backoff RNG.
@@ -87,8 +85,8 @@ pub mod lock_order {
     pub const POLICY_CACHE_SHARD: u16 = 64;
     /// Session-table shards (sharded, index = shard).
     pub const SESSION_SHARD: u16 = 66;
-    /// Generic sharded FIFO maps: transaction outcomes, async results,
-    /// cluster async-op routes (sharded, index = shard).
+    /// Generic sharded FIFO maps: transaction outcomes and async results
+    /// (sharded, index = shard).
     pub const FIFO_SHARD: u16 = 68;
     /// Controller VLL lock table (`TransactionManager::locks`).
     pub const TX_LOCKS: u16 = 72;
@@ -126,7 +124,6 @@ pub mod lock_order {
         (CLUSTER_TOPOLOGY, "CLUSTER_TOPOLOGY"),
         (OPS_GATE, "OPS_GATE"),
         (ROUTING_STATE, "ROUTING_STATE"),
-        (CLUSTER_CLIENTS, "CLUSTER_CLIENTS"),
         (CLUSTER_POLICIES, "CLUSTER_POLICIES"),
         (RETRY_RNG, "RETRY_RNG"),
         (MIGRATION_STRIPE, "MIGRATION_STRIPE"),

@@ -19,7 +19,7 @@ use pesos_sgx::{Enclave, EnclaveConfig, HostPool, SgxCostModel};
 use crate::config::ControllerConfig;
 use crate::encryption::ObjectCrypter;
 use crate::error::PesosError;
-use crate::store::{PesosStore, StoreOptions};
+use crate::store::PesosStore;
 
 /// The Pesos administrative identity installed on every drive.
 pub const PESOS_ADMIN_IDENTITY: i64 = 100;
@@ -165,7 +165,7 @@ pub fn bootstrap(
         drives,
         clients,
         ObjectCrypter::new(&secrets.storage_master_key, config.encrypt_objects),
-        StoreOptions::from_config(config),
+        config,
         asyscall,
         enclave,
     ))

@@ -16,7 +16,7 @@
 //! single controller uses a one-partition `ControllerCluster`.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -33,8 +33,8 @@ use crate::lfu::CacheStats;
 use crate::metadata::ObjectMetadata;
 use crate::metrics::ControllerMetrics;
 use crate::placement::HashedKey;
-use crate::result_buffer::{AsyncResult, ResultBuffer};
-use crate::session::SessionManager;
+use crate::result_buffer::AsyncResult;
+use crate::session::ClientState;
 use crate::store::PesosStore;
 use crate::transaction::{TransactionManager, TxOutcome, TxWrite};
 
@@ -219,11 +219,6 @@ fn cache_node(stats: &CacheStats) -> StatsNode {
         .with("entries", StatsNode::leaf(stats.entries))
 }
 
-/// Asynchronous results retained per controller (paper: 2048).
-const RESULT_BUFFER_CAPACITY: usize = 2048;
-/// Session soft-state expiry in seconds.
-const SESSION_EXPIRY_SECS: u64 = 600;
-
 /// The `put_async` bodies a controller has handed to the host pool and
 /// that have not finished, for [`PesosController::drain_async`].
 struct Deferred {
@@ -256,63 +251,65 @@ impl Drop for DeferredPut {
 pub struct PesosController {
     config: ControllerConfig,
     store: Arc<PesosStore>,
-    sessions: SessionManager,
+    /// Sessions, clock, telemetry switch and async results: the
+    /// controller's own, or its cluster's, shared by every member.
+    clients: Arc<ClientState>,
     transactions: TransactionManager,
-    results: Arc<ResultBuffer>,
     deferred: Arc<Deferred>,
     /// Shared with the pool calls that run deferred writes.
     metrics: Arc<ControllerMetrics>,
-    clock: AtomicU64,
     /// Simulated crash flag. While set, every sessioned operation is
     /// refused with the retryable [`PesosError::Unavailable`] so a cluster
     /// layer can fail over to a backup store; direct store access
     /// (recovery tooling) is unaffected; a deferred write does not run.
     failed: Arc<AtomicBool>,
-    /// Runtime switch for per-operation latency recording: on from the
-    /// start, flipped without a restart via
-    /// [`PesosController::set_telemetry_enabled`].
-    telemetry_enabled: AtomicBool,
 }
 
 impl PesosController {
     /// Bootstraps a controller: attestation, secret provisioning, exclusive
     /// drive takeover, cache construction. The controller is the only
-    /// member of a host I/O pool of its own.
+    /// member of a host I/O pool of its own, and keeps its clients' state
+    /// to itself.
     pub fn new(config: ControllerConfig) -> Result<Self, PesosError> {
         let pool = HostPool::new(config.syscall_slots());
-        Self::with_pool(config, &pool)
+        let clients = Arc::new(ClientState::new(config.lock_shards));
+        Self::with_pool(config, &pool, &clients)
     }
 
     /// Like [`PesosController::new`], but the enclave submits its I/O to
-    /// `pool`, which it joins with its own service threads and slots. A
-    /// cluster builds every store it runs on one pool, so one hot service
-    /// thread serves them all (`pesos_sgx::asyscall`, "One host pool");
-    /// each store still charges its own cost model.
-    pub fn with_pool(config: ControllerConfig, pool: &Arc<HostPool>) -> Result<Self, PesosError> {
+    /// `pool`, which it joins with its own service threads and slots, and
+    /// the controller serves the clients of `clients`. A cluster builds
+    /// every store it runs on one pool, so one hot service thread serves
+    /// them all (`pesos_sgx::asyscall`, "One host pool"), and hands every
+    /// controller its one [`ClientState`]; each store still charges its
+    /// own cost model.
+    pub fn with_pool(
+        config: ControllerConfig,
+        pool: &Arc<HostPool>,
+        clients: &Arc<ClientState>,
+    ) -> Result<Self, PesosError> {
         let store = bootstrap(&config, pool)?;
-        Ok(Self::with_store(config, Arc::new(store)))
+        Ok(Self::with_store(config, Arc::new(store), clients))
     }
 
     /// Builds the controller of `store`, which was bootstrapped from
-    /// `config`: sessions, transactions and the async result buffer; it
-    /// starts no thread. A cluster builds a backup as a bare store and its
-    /// controller only when it promotes it.
-    pub fn with_store(config: ControllerConfig, store: Arc<PesosStore>) -> Self {
+    /// `config`, serving the clients of `clients`; it starts no thread. A
+    /// cluster builds a backup as a bare store and its controller only
+    /// when it promotes it.
+    pub fn with_store(
+        config: ControllerConfig,
+        store: Arc<PesosStore>,
+        clients: &Arc<ClientState>,
+    ) -> Self {
         PesosController {
-            sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, config.lock_shards),
+            clients: Arc::clone(clients),
             transactions: TransactionManager::new(),
-            results: Arc::new(ResultBuffer::new(
-                config.lock_shards,
-                RESULT_BUFFER_CAPACITY,
-            )),
             deferred: Arc::new(Deferred {
                 pending: Mutex::with_rank(parking_lot::lock_order::DEFERRED_PUTS, 0),
                 idle: Condvar::new(),
             }),
             metrics: Arc::default(),
-            clock: AtomicU64::new(1),
             failed: Arc::default(),
-            telemetry_enabled: AtomicBool::new(true),
             store,
             config,
         }
@@ -345,16 +342,16 @@ impl PesosController {
         &self.metrics.requests
     }
 
-    /// Sets the controller's logical time (seconds). Time-based policies and
-    /// session expiry use this clock so tests and examples are
-    /// deterministic.
+    /// Sets the logical time (seconds) of the controller's clients.
+    /// Time-based policies and session expiry use this clock so tests and
+    /// examples are deterministic.
     pub fn set_time(&self, now: u64) {
-        self.clock.store(now, Ordering::SeqCst);
+        self.clients.set_time(now);
     }
 
-    /// The controller's current logical time.
+    /// The current logical time of the controller's clients.
     pub fn now(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
+        self.clients.now()
     }
 
     // ------------------------------------------------------------------
@@ -364,7 +361,7 @@ impl PesosController {
     /// Registers a client by a stable identifier (e.g. a user name in tests
     /// or the certificate fingerprint in production) and opens its session.
     pub fn register_client(&self, client_id: &str) -> String {
-        self.sessions.connect(client_id, client_id, self.now());
+        self.clients.connect(client_id, client_id);
         client_id.to_string()
     }
 
@@ -378,7 +375,7 @@ impl PesosController {
         cert.verify_signature()
             .map_err(|e| PesosError::NoSession(format!("invalid client certificate: {e}")))?;
         let id = pesos_crypto::hex_encode(&cert.subject_key.to_bytes());
-        self.sessions.connect(&id, &cert.subject, self.now());
+        self.clients.connect(&id, &cert.subject);
         Ok(id)
     }
 
@@ -386,7 +383,7 @@ impl PesosController {
     pub fn issue_nonce(&self, client_id: &str) -> Result<Vec<u8>, PesosError> {
         let mut nonce = vec![0u8; 16];
         rand::thread_rng().fill_bytes(&mut nonce);
-        if self.sessions.issue_nonce(client_id, nonce.clone()) {
+        if self.clients.sessions.issue_nonce(client_id, nonce.clone()) {
             Ok(nonce)
         } else {
             Err(PesosError::NoSession(client_id.to_string()))
@@ -395,13 +392,7 @@ impl PesosController {
 
     /// Expires idle sessions; returns the number dropped.
     pub fn expire_sessions(&self) -> usize {
-        self.sessions.expire(self.now())
-    }
-
-    /// Whether `client_id` currently holds a session (without touching its
-    /// idle timer).
-    pub fn has_session(&self, client_id: &str) -> bool {
-        self.sessions.contains(client_id)
+        self.clients.expire()
     }
 
     /// Marks the controller as crashed (or recovered). A failed controller
@@ -430,6 +421,7 @@ impl PesosController {
         let client_id = client_id.into();
         let now = self.now();
         let nonce = self
+            .clients
             .sessions
             .touch(&client_id, now)
             .ok_or_else(|| PesosError::NoSession(client_id.to_string()))?;
@@ -554,11 +546,11 @@ impl PesosController {
         let value: Arc<Vec<u8>> = value.into();
         let (put, decision) =
             self.decide_put(requester, &key, &value, policy_id, expected_version)?;
-        let op_id = self.results.register(client_id);
+        let op_id = self.clients.results.register(client_id);
         self.metrics.async_accepted.add(1);
         let store = Arc::clone(&self.store);
         let metrics = Arc::clone(&self.metrics);
-        let results = Arc::clone(&self.results);
+        let clients = Arc::clone(&self.clients);
         let failed = Arc::clone(&self.failed);
         let pending = DeferredPut::new(&self.deferred);
         // Only the raw parts can move into the pool call; the key hash
@@ -580,7 +572,7 @@ impl PesosController {
                     reason: e.to_string(),
                 },
             };
-            results.complete(op_id, outcome);
+            clients.results.complete(op_id, outcome);
         })?;
         Ok(op_id)
     }
@@ -656,7 +648,7 @@ impl PesosController {
 
     /// Polls the result of an asynchronous operation.
     pub fn poll_result(&self, client_id: &str, operation_id: u64) -> Option<AsyncResult> {
-        self.results.poll(client_id, operation_id)
+        self.clients.results.poll(client_id, operation_id)
     }
 
     /// Parks until every `put_async` body this controller has handed to
@@ -797,25 +789,12 @@ impl PesosController {
     // ------------------------------------------------------------------
 
     /// Starts the latency timer for one typed operation (records into the
-    /// controller's per-op histogram when dropped; a no-op while telemetry
-    /// recording is switched off).
+    /// controller's per-op histogram when dropped; a no-op while its
+    /// clients' telemetry switch is off).
     fn op_timer(&self, kind: OpKind) -> OpTimer<'_> {
         self.metrics
             .ops
-            .timer(kind, self.telemetry_enabled.load(Ordering::Relaxed))
-    }
-
-    /// Whether per-operation latency recording is currently on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Switches per-operation latency recording on or off at runtime —
-    /// no restart, no lock; in-flight timers finish under the setting
-    /// they started with. Counters keep their values across an off/on
-    /// cycle, so flipping telemetry back on resumes the same windows.
-    pub fn set_telemetry_enabled(&self, on: bool) {
-        self.telemetry_enabled.store(on, Ordering::Relaxed);
+            .timer(kind, self.clients.telemetry_enabled())
     }
 
     /// This controller's stats subtree: request counters, per-operation
@@ -1060,16 +1039,11 @@ mod tests {
             .unwrap();
         let drives = c.store().drives();
         let home = crate::placement::placement("acked", 3, 2);
-        // Acknowledged with the second replica away: the object lives on
-        // the first drive and on the third.
-        drives.get(home[1]).unwrap().set_online(false);
-        c.put("alice", "acked", b"v0", Some(policy), None, &[])
-            .unwrap();
-        // A cold controller (a delete that reached no drive forgets the
-        // key), every drive back.
-        drives.iter().for_each(|d| d.set_online(false));
-        assert!(c.store().delete_object("acked").is_err());
-        drives.iter().for_each(|d| d.set_online(true));
+        // The object on its first home replica alone, and not in the map:
+        // what a create that reached only that replica left behind on a
+        // cold controller. Forced there, since a create with the second
+        // replica away is refused.
+        c.store().seed_v0_on(home[0], "acked", b"v0", Some(policy));
         let on_drives = || -> Vec<_> {
             drives
                 .iter()

@@ -52,11 +52,10 @@ pub use object_cache::ObjectCache;
 pub use placement::{key_hash, placement, routing_hash, routing_prefix, HashedKey};
 pub use request::{parse_policy_id, ClientRequest, ClientResponse};
 pub use result_buffer::{AsyncResult, ResultBuffer};
-pub use session::{SessionContext, SessionManager};
+pub use session::{ClientState, SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};
 pub use store::{
-    BatchLog, CreateStats, DecisionStats, ObjectExport, PesosStore, StoreOptions,
-    TX_OUTCOME_CAPACITY,
+    BatchLog, CreateStats, DecisionStats, ObjectExport, PesosStore, TX_OUTCOME_CAPACITY,
 };
 pub use transaction::{PreparedTransaction, TransactionManager, TxOutcome, TxWrite};
 

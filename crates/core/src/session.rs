@@ -5,12 +5,84 @@
 //! as asynchronous-request bookkeeping and policy-related metadata. The
 //! session survives a disconnect and expires only after a grace period; a
 //! reconnecting client with the same certificate reuses it (paper §3.1).
+//!
+//! A deployment keeps its clients' state once ([`ClientState`]): a single
+//! controller builds its own; a cluster builds one that every controller
+//! it runs holds, so a client registered once is known to every
+//! partition, and an operation id any of them issued polls through the
+//! cluster.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::result_buffer::ResultBuffer;
 use crate::sharded::Sharded;
+
+/// Asynchronous results a deployment retains (paper: 2048).
+const RESULT_BUFFER_CAPACITY: usize = 2048;
+/// Session soft-state expiry in seconds.
+const SESSION_EXPIRY_SECS: u64 = 600;
+
+/// What a deployment keeps of its clients (module docs): their sessions,
+/// the results of their asynchronous operations, the logical clock
+/// (seconds) that ages the sessions and that time-based policies read, and
+/// the switch for per-operation latency recording.
+pub struct ClientState {
+    /// The session table.
+    pub sessions: SessionManager,
+    /// The async result buffer.
+    pub results: ResultBuffer,
+    clock: AtomicU64,
+    /// On from the start; in-flight timers finish under the setting they
+    /// started with.
+    telemetry: AtomicBool,
+}
+
+impl ClientState {
+    /// No sessions and no results, each over `lock_shards` lock shards, at
+    /// time 1, recording.
+    pub fn new(lock_shards: usize) -> Self {
+        ClientState {
+            sessions: SessionManager::with_shards(SESSION_EXPIRY_SECS, lock_shards),
+            results: ResultBuffer::new(lock_shards, RESULT_BUFFER_CAPACITY),
+            clock: AtomicU64::new(1),
+            telemetry: AtomicBool::new(true),
+        }
+    }
+
+    /// Opens (or reuses) `client_id`'s session now.
+    pub fn connect(&self, client_id: &str, subject: &str) {
+        self.sessions.connect(client_id, subject, self.now());
+    }
+
+    /// Drops the sessions idle past the expiry window now; returns how
+    /// many expired.
+    pub fn expire(&self) -> usize {
+        self.sessions.expire(self.now())
+    }
+
+    /// Sets the logical time.
+    pub fn set_time(&self, now: u64) {
+        self.clock.store(now, Ordering::SeqCst);
+    }
+
+    /// The logical time.
+    pub fn now(&self) -> u64 {
+        self.clock.load(Ordering::SeqCst)
+    }
+
+    /// Whether per-operation latency recording is on.
+    pub fn telemetry_enabled(&self) -> bool {
+        self.telemetry.load(Ordering::Relaxed)
+    }
+
+    /// Switches per-operation latency recording on or off.
+    pub fn set_telemetry_enabled(&self, on: bool) {
+        self.telemetry.store(on, Ordering::Relaxed);
+    }
+}
 
 /// Per-client soft state.
 #[derive(Debug, Clone)]
@@ -215,6 +287,19 @@ mod tests {
         for i in 0..8 {
             assert_eq!(mgr.get(&format!("t-{i}")).unwrap().requests, 100);
         }
+    }
+
+    #[test]
+    fn client_state_ages_sessions_on_its_own_clock() {
+        let clients = ClientState::new(4);
+        clients.set_time(10);
+        clients.connect("alice", "alice");
+        assert_eq!(clients.sessions.get("alice").unwrap().created_at, 10);
+        clients.set_time(10 + SESSION_EXPIRY_SECS);
+        assert_eq!(clients.expire(), 0);
+        clients.set_time(11 + SESSION_EXPIRY_SECS);
+        assert_eq!(clients.expire(), 1);
+        assert!(!clients.sessions.contains("alice"));
     }
 
     #[test]

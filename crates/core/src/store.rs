@@ -97,7 +97,11 @@
 //! travel as [`BatchOp::put_if_absent`] sub-operations of the usual one
 //! batch per replica, and each drive makes the existence check atomically
 //! with the write. A create therefore costs what an update costs: one hand-off, one
-//! actuator service per replica, no read.
+//! actuator service per replica, no read. A create is refused (`Backend`)
+//! while a home replica of the key is offline: a substitute drive asked in
+//! its place never held the key, so its acceptance witnesses nothing —
+//! the absence rule of a read. An update of a key the map holds may still
+//! land with a replica away.
 //!
 //! * **Every replica accepts.** The create is done; the map is advanced.
 //! * **A replica refuses** (`VersionMismatch`: it holds something under
@@ -282,37 +286,6 @@ impl<'c> RunLane<'c> {
 /// `check_results`; the oldest are evicted beyond this bound.
 pub const TX_OUTCOME_CAPACITY: usize = 2048;
 
-/// Sizing and behaviour options for one [`PesosStore`].
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// Byte budget of the object cache.
-    pub object_cache_bytes: usize,
-    /// Entry capacity of the policy cache.
-    pub policy_cache_capacity: usize,
-    /// Replication factor (1 = no replication).
-    pub replication_factor: usize,
-    /// Lock shards for metadata, cache and key-lock structures.
-    pub lock_shards: usize,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions::from_config(&ControllerConfig::default())
-    }
-}
-
-impl StoreOptions {
-    /// Extracts the store-relevant options from a controller configuration.
-    pub fn from_config(config: &ControllerConfig) -> Self {
-        StoreOptions {
-            object_cache_bytes: config.object_cache_bytes,
-            policy_cache_capacity: config.policy_cache_capacity,
-            replication_factor: config.replication_factor,
-            lock_shards: config.lock_shards,
-        }
-    }
-}
-
 /// Key-lock stripes per lock shard: a store has `lock_shards` times this
 /// many, 4 096 by default (module docs, "Key locks are striped").
 const KEY_LOCK_STRIPES_PER_SHARD: usize = 256;
@@ -384,30 +357,28 @@ pub struct PesosStore {
 
 impl PesosStore {
     /// Creates the store over an already bootstrapped set of drives and
-    /// authenticated clients (one per drive, in drive order).
+    /// authenticated clients (one per drive, in drive order), sized and
+    /// replicated as `config` says.
     pub fn new(
         drives: DriveSet,
         clients: Vec<Arc<KineticClient>>,
         crypter: ObjectCrypter,
-        options: StoreOptions,
+        config: &ControllerConfig,
         asyscall: Arc<AsyscallInterface>,
         enclave: Arc<Enclave>,
     ) -> Self {
+        let shards = config.lock_shards;
         PesosStore {
             drives,
             clients,
             crypter,
-            object_cache: ObjectCache::with_shards(options.object_cache_bytes, options.lock_shards),
-            policy_cache: PolicyCache::with_shards(
-                options.policy_cache_capacity,
-                options.lock_shards,
-            ),
-            metadata: ShardedMetadata::new(options.lock_shards),
-            key_locks: Sharded::new_indexed(
-                options.lock_shards * KEY_LOCK_STRIPES_PER_SHARD,
-                |i| Mutex::with_rank_indexed(parking_lot::lock_order::KEY_LOCK, i, ()),
-            ),
-            replication_factor: options.replication_factor,
+            object_cache: ObjectCache::with_shards(config.object_cache_bytes, shards),
+            policy_cache: PolicyCache::with_shards(config.policy_cache_capacity, shards),
+            metadata: ShardedMetadata::new(shards),
+            key_locks: Sharded::new_indexed(shards * KEY_LOCK_STRIPES_PER_SHARD, |i| {
+                Mutex::with_rank_indexed(parking_lot::lock_order::KEY_LOCK, i, ())
+            }),
+            replication_factor: config.replication_factor,
             create_refusals: AtomicU64::new(0),
             create_rollbacks: AtomicU64::new(0),
             decision_evaluations: AtomicU64::new(0),
@@ -416,7 +387,7 @@ impl PesosStore {
             asyscall,
             enclave,
             log: OnceLock::new(),
-            tx_outcomes: ShardedFifoMap::new(options.lock_shards, TX_OUTCOME_CAPACITY),
+            tx_outcomes: ShardedFifoMap::new(shards, TX_OUTCOME_CAPACITY),
         }
     }
 
@@ -525,6 +496,19 @@ impl PesosStore {
     /// Whether drive `index` is online.
     fn is_online(&self, index: usize) -> bool {
         self.drives.get(index).is_some_and(|d| d.is_online())
+    }
+
+    /// Whether a home replica of `key` (its full placement) is offline.
+    /// The drives then cannot witness the key's absence: a substitute
+    /// answers for a replica that may hold the key, and never held it.
+    fn home_offline(&self, key: &HashedKey<'_>) -> bool {
+        probe_available(
+            key.hash(),
+            self.clients.len(),
+            self.replication_factor,
+            |_| true,
+        )
+        .any(|index| !self.is_online(index))
     }
 
     /// The sessions to the online placement targets of `key`, in placement
@@ -758,18 +742,9 @@ impl PesosStore {
                 Err(e) => fault = Some(PesosError::Backend(e.to_string())),
             }
         }
-        let home_offline = || {
-            probe_available(
-                placement_key.hash(),
-                self.clients.len(),
-                self.replication_factor,
-                |_| true,
-            )
-            .any(|index| !self.is_online(index))
-        };
         match fault {
             Some(fault) => Err(fault),
-            None if home_offline() => Err(PesosError::Backend(
+            None if self.home_offline(placement_key) => Err(PesosError::Backend(
                 "a home replica is offline; absence is unknown".into(),
             )),
             None => Err(PesosError::ObjectNotFound(placement_key.key().to_string())),
@@ -1115,7 +1090,14 @@ impl PesosStore {
                 .map(Err)
                 .ok_or(PesosError::VersionConflict { expected, got: 0 });
         }
-
+        let targets = self.targets_for(key)?;
+        // Acceptance is the drives' testimony that the key is absent, so
+        // every home replica must give it (module docs).
+        if self.home_offline(key) {
+            return Err(PesosError::Backend(
+                "a home replica is offline; a create cannot confirm absence".into(),
+            ));
+        }
         let mut meta = ObjectMetadata::new(key.key());
         let ops = self.version_ops(
             key,
@@ -1126,7 +1108,6 @@ impl PesosStore {
             value_hash,
             stored_if_absent,
         );
-        let targets = self.targets_for(key)?;
         let results = self.batch_on(targets.map(|client| (client, [Arc::clone(&ops)])))?;
 
         let is_refusal = |e: &KineticError| e.status_code() == StatusCode::VersionMismatch;
@@ -1768,6 +1749,27 @@ impl BatchLog for CapturedLog {
 }
 
 #[cfg(test)]
+impl PesosStore {
+    /// Writes `key` at version 0 on drive `index` alone, forced, and
+    /// leaves the map as it was: the record a create that reached that
+    /// replica only left behind. A store refuses a create while a home
+    /// replica is away, so a test seeds such a record this way.
+    pub(crate) fn seed_v0_on(
+        &self,
+        index: usize,
+        key: &str,
+        value: &[u8],
+        policy: Option<PolicyId>,
+    ) {
+        let key = HashedKey::new(key);
+        let mut meta = ObjectMetadata::new(key.key());
+        let hash = pesos_crypto::sha256(value);
+        let ops = self.version_ops(&key, &mut meta, 0, value, policy, hash, stored);
+        self.clients[index].batch(ops).unwrap();
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
@@ -1803,11 +1805,12 @@ mod tests {
             DriveSet::from_drives(drives),
             clients,
             ObjectCrypter::new(&[1u8; 32], true),
-            StoreOptions {
+            &ControllerConfig {
                 object_cache_bytes,
                 policy_cache_capacity: 128,
                 replication_factor: replication,
                 lock_shards: 8,
+                ..ControllerConfig::native_simulator(drive_count)
             },
             asyscall,
             enclave,
@@ -2472,16 +2475,13 @@ mod tests {
         use pesos_kinetic::FaultPlan;
         let s = store(3, 2);
         let home = crate::placement::placement("acked", 3, 2);
-        // With the second replica offline the probe extends to the third
-        // drive: the acknowledged put lands on the first and the third.
-        s.drives().get(home[1]).unwrap().set_online(false);
-        assert_eq!(s.put_object("acked", b"v0", None).unwrap(), 0);
-        s.drives().get(home[1]).unwrap().set_online(true);
-        // A cold controller: the map and the cache have forgotten the key.
-        s.metadata.remove("acked");
-        s.object_cache.invalidate("acked");
-        // The targets are the first two again. The one that holds the
-        // record faults; the other answers, truthfully, that it has none.
+        // The record on the first home replica alone, as a create that
+        // reached only it left it: forced there, since a store refuses a
+        // create with the second replica away. The map does not hold it,
+        // as on a cold controller.
+        s.seed_v0_on(home[0], "acked", b"v0", None);
+        // The one replica that holds the record faults; the other
+        // answers, truthfully, that it has none.
         let holder = s.drives().get(home[0]).unwrap();
         holder.inject_faults(FaultPlan::errors(7, 1.0));
         assert!(matches!(s.lookup("acked"), Err(PesosError::Backend(_))));
@@ -2527,15 +2527,17 @@ mod tests {
         use pesos_kinetic::FaultPlan;
         let s = store_caching(3, 2, 0);
         let gets = || -> Vec<u64> { s.drives().iter().map(|d| d.info().stats.gets).collect() };
-        // With the primary away the put lands on the second home replica
-        // and the third drive; back online, the primary answers NotFound
-        // and the second replica serves the read.
+        // With the primary away an update (a create would be refused)
+        // lands on the second home replica and the third drive; back
+        // online, the primary answers NotFound for v1 and the second
+        // replica serves the read.
         let home = crate::placement::placement("moved", 3, 2);
-        s.drives().get(home[0]).unwrap().set_online(false);
         s.put_object("moved", b"v0", None).unwrap();
+        s.drives().get(home[0]).unwrap().set_online(false);
+        s.put_object("moved", b"v1", None).unwrap();
         s.drives().get(home[0]).unwrap().set_online(true);
         let before = gets();
-        assert_eq!(&**s.get_object("moved").unwrap().0, b"v0");
+        assert_eq!(&**s.get_object("moved").unwrap().0, b"v1");
         let served: Vec<u64> = gets().iter().zip(&before).map(|(a, b)| a - b).collect();
         let mut expected = vec![0; 3];
         expected[home[0]] = 1;

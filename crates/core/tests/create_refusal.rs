@@ -18,7 +18,7 @@ use std::sync::Arc;
 use pesos_core::metadata::{data_key, meta_key, policy_key, segment_key};
 use pesos_core::{
     placement, AsyncResult, BatchLog, ControllerConfig, CreateStats, ObjectCrypter, ObjectMetadata,
-    PesosController, PesosError, PesosStore, StoreOptions, TxWrite, VersionMeta,
+    PesosController, PesosError, PesosStore, TxWrite, VersionMeta,
 };
 use pesos_kinetic::{
     BatchOp, ClientConfig, DriveConfig, DriveSet, FaultPlan, KineticClient, KineticDrive,
@@ -47,11 +47,12 @@ fn cold_store(drives: &[Arc<KineticDrive>], replication: usize) -> PesosStore {
         DriveSet::from_drives(drives.to_vec()),
         drives.iter().map(|d| Arc::new(admin(d))).collect(),
         ObjectCrypter::new(&MASTER_KEY, true),
-        StoreOptions {
+        &ControllerConfig {
             object_cache_bytes: 1024 * 1024,
             policy_cache_capacity: 16,
             replication_factor: replication,
             lock_shards: 4,
+            ..ControllerConfig::native_simulator(drives.len())
         },
         Arc::new(AsyscallInterface::new(2, 16, cost)),
         Arc::new(Enclave::create(EnclaveConfig::default(), cost).unwrap()),
@@ -163,6 +164,21 @@ fn deletes_served(drive: &KineticDrive) -> u64 {
     drive.info().stats.deletes
 }
 
+/// `k` at v0 on drive 0 of two alone, and the model of it: the record a
+/// create that reached only drive 0 left behind. Written forced, since a
+/// store refuses a create while a home replica is away.
+fn v0_on_drive_0_only(drives: &[Arc<KineticDrive>]) -> Model {
+    let mut model = Model::new(2);
+    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
+    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+    let drive = admin(&drives[0]);
+    for (key, bytes) in &model.0[0] {
+        drive.put(key, bytes.clone(), b"", b"pesos", true).unwrap();
+    }
+    model.assert_matches(drives);
+    model
+}
+
 const ONE_REFUSAL: CreateStats = CreateStats {
     refusals: 1,
     rollbacks: 0,
@@ -175,16 +191,7 @@ const ONE_REFUSAL: CreateStats = CreateStats {
 #[test]
 fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
     let drives = drives(2);
-    let mut model = Model::new(2);
-
-    // v0 lands on drive 0 alone: drive 1 is away.
-    let first = cold_store(&drives, 2);
-    drives[1].set_online(false);
-    assert_eq!(first.put_object("k", b"v0", None).unwrap(), 0);
-    drives[1].set_online(true);
-    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
-    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
-    model.assert_matches(&drives);
+    let mut model = v0_on_drive_0_only(&drives);
 
     // A restarted store creates "k": drive 0 refuses, drive 1 accepts and
     // is rolled back — one forced DELETE batch there, none on drive 0 —
@@ -214,13 +221,7 @@ fn a_record_on_one_replica_only_restores_the_other_exactly_then_updates_both() {
 #[test]
 fn a_fault_beside_a_refusal_fails_the_request_and_deletes_nothing() {
     let drives = drives(2);
-    let first = cold_store(&drives, 2);
-    drives[1].set_online(false);
-    first.put_object("k", b"v0", None).unwrap();
-    drives[1].set_online(true);
-    let mut model = Model::new(2);
-    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
-    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+    let model = v0_on_drive_0_only(&drives);
 
     // Drive 0 refuses; drive 1 drops every request. A dropped request may
     // sit on a genuine record, so nothing is undone anywhere.
@@ -244,13 +245,7 @@ fn a_fault_beside_a_refusal_fails_the_request_and_deletes_nothing() {
 #[test]
 fn a_fault_beside_an_acceptance_rolls_the_acceptance_back() {
     let drives = drives(2);
-    let first = cold_store(&drives, 2);
-    drives[1].set_online(false);
-    first.put_object("k", b"v0", None).unwrap();
-    drives[1].set_online(true);
-    let mut model = Model::new(2);
-    model.0[0].insert(data_key("k", 0), sealed("k", 0, b"v0"));
-    model.0[0].insert(meta_key("k"), Model::record("k", &[(0, b"v0")], None));
+    let model = v0_on_drive_0_only(&drives);
 
     // Drive 0, which holds the record, drops every request; drive 1 holds
     // nothing and accepts. Its copy would be a record that never saw v0,
@@ -538,6 +533,34 @@ fn forget(c: &PesosController, key: &str) {
     for drive in c.store().drives().iter() {
         drive.set_online(true);
     }
+}
+
+/// A create is refused while a home replica of its key is away: the drive
+/// asked in its place never held the key, so its acceptance is no witness
+/// that the key is absent, and a cold controller would hand the key to the
+/// first writer past the policy of the record the home drive keeps.
+#[test]
+fn a_create_is_refused_while_a_home_replica_is_away() {
+    let c = PesosController::new(ControllerConfig::native_simulator(2)).unwrap();
+    c.register_client("alice");
+    c.register_client("eve");
+    let acl = c.put_policy("alice", ACL).unwrap();
+    c.put("alice", "doc", b"mine", Some(acl), None, &[])
+        .unwrap();
+    forget(&c, "doc");
+    let home = placement("doc", 2, 1)[0];
+    let drives: Vec<_> = c.store().drives().iter().cloned().collect();
+    drives[home].set_online(false);
+    assert!(matches!(
+        c.put("eve", "doc", b"stolen", None, None, &[]),
+        Err(PesosError::Backend(_))
+    ));
+    drives[home].set_online(true);
+    assert_eq!(&**c.get("alice", "doc", &[]).unwrap().0, b"mine");
+    let holders: Vec<usize> = (0..2)
+        .filter(|&i| drives[i].peek(&meta_key("doc")).is_some())
+        .collect();
+    assert_eq!(holders, [home]);
 }
 
 #[test]

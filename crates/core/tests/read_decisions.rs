@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use pesos_core::{
-    ControllerConfig, DecisionStats, ObjectCrypter, PesosController, PesosError, PesosStore,
-    StoreOptions,
+    ClientState, ControllerConfig, DecisionStats, ObjectCrypter, PesosController, PesosError,
+    PesosStore,
 };
 use pesos_crypto::{CertificateBuilder, KeyPair};
 use pesos_kinetic::{ClientConfig, DriveConfig, DriveSet, KineticClient, KineticDrive};
@@ -64,21 +64,23 @@ fn controller(drives: &[Arc<KineticDrive>]) -> PesosController {
     let clients = drives.iter().map(|d| {
         Arc::new(KineticClient::connect(Arc::clone(d), ClientConfig::factory_default()).unwrap())
     });
+    let config = ControllerConfig {
+        object_cache_bytes: 1024 * 1024,
+        policy_cache_capacity: 16,
+        replication_factor: drives.len(),
+        lock_shards: 1,
+        ..ControllerConfig::native_simulator(drives.len())
+    };
     let store = PesosStore::new(
         DriveSet::from_drives(drives.to_vec()),
         clients.collect(),
         ObjectCrypter::new(&MASTER_KEY, true),
-        StoreOptions {
-            object_cache_bytes: 1024 * 1024,
-            policy_cache_capacity: 16,
-            replication_factor: drives.len(),
-            lock_shards: 1,
-        },
+        &config,
         Arc::new(AsyscallInterface::new(2, 16, cost)),
         Arc::new(Enclave::create(EnclaveConfig::default(), cost).unwrap()),
     );
-    let config = ControllerConfig::native_simulator(drives.len());
-    let c = PesosController::with_store(config, Arc::new(store));
+    let clients = Arc::new(ClientState::new(config.lock_shards));
+    let c = PesosController::with_store(config, Arc::new(store), &clients);
     for client in READERS.iter().chain([&ADMIN]) {
         c.register_client(client);
     }
