@@ -20,7 +20,8 @@
 //!   routed a write is also how the write reaches its log.
 //! * `rest` — REST dispatch and the [`pesos_core::RequestEndpoint`]
 //!   surface over the operations above.
-//! * [`stats`] — the `/stats` observability surface.
+//! * `stats` — the `/stats` readout: one ordered list of groups, each
+//!   rendered by the owner of its counters.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::AtomicU64;
@@ -30,7 +31,7 @@ use parking_lot::{lock_order, Mutex, RwLock};
 use pesos_core::sharded::Sharded;
 use pesos_core::{ClientState, ControllerConfig, HashedKey, PesosController, PesosError};
 use pesos_policy::PolicyId;
-use pesos_sgx::{HostPool, PoolStats};
+use pesos_sgx::HostPool;
 use pesos_telemetry::{HotKeyTracker, OpHistograms, WindowedCounter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +43,7 @@ mod failover;
 mod migration;
 mod rest;
 mod routing;
-pub mod stats;
+mod stats;
 #[cfg(test)]
 mod tests;
 mod tx;
@@ -160,46 +161,36 @@ struct RoutingState {
     migrations: Vec<Arc<Migration>>,
 }
 
-/// Cluster-wide counters of the capped-exponential retry paths, read
-/// through [`ControllerCluster::telemetry_snapshot`] and `/stats/retries`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Demand pulls attempted (first tries included).
-    pub demand_pull_attempts: u64,
-    /// Demand pulls that needed at least one retry.
-    pub demand_pull_retries: u64,
-    /// Migration-settle attempts that were retried after a drain error.
-    pub settle_retries: u64,
-    /// Requests re-routed after hitting an unavailable controller.
-    pub request_retries: u64,
-}
-
-/// Interior-mutable accumulator behind [`RetryStats`]. Windowed so
-/// `/stats/reset` restarts the reported counts without losing the
-/// lifetime totals.
+/// Cluster-wide counters of the capped-exponential retry paths, served
+/// under `/stats/retries`. Windowed so `/stats/reset` restarts the
+/// reported counts without losing the lifetime totals.
 #[derive(Default)]
 struct RetryCounters {
+    /// Demand pulls attempted (first tries included).
     demand_pull_attempts: WindowedCounter,
+    /// Demand pulls that needed at least one retry.
     demand_pull_retries: WindowedCounter,
+    /// Migration-settle attempts that were retried after a drain error.
     settle_retries: WindowedCounter,
+    /// Requests re-routed after hitting an unavailable controller.
     request_retries: WindowedCounter,
 }
 
 impl RetryCounters {
-    fn snapshot(&self) -> RetryStats {
-        RetryStats {
-            demand_pull_attempts: self.demand_pull_attempts.windowed(),
-            demand_pull_retries: self.demand_pull_retries.windowed(),
-            settle_retries: self.settle_retries.windowed(),
-            request_retries: self.request_retries.windowed(),
-        }
+    /// Each counter under its `/stats/retries` name.
+    fn named(&self) -> [(&'static str, &WindowedCounter); 4] {
+        [
+            ("demand_pull_attempts", &self.demand_pull_attempts),
+            ("demand_pull_retries", &self.demand_pull_retries),
+            ("settle_retries", &self.settle_retries),
+            ("request_retries", &self.request_retries),
+        ]
     }
 
     fn reset_window(&self) {
-        self.demand_pull_attempts.reset_window();
-        self.demand_pull_retries.reset_window();
-        self.settle_retries.reset_window();
-        self.request_retries.reset_window();
+        for (_, counter) in self.named() {
+            counter.reset_window();
+        }
     }
 }
 
@@ -396,13 +387,6 @@ impl ControllerCluster {
                 drain_group_skips: WindowedCounter::new(),
             },
         })
-    }
-
-    /// The counters of the host I/O pool every controller of the cluster
-    /// submits to (each controller's own submissions are in its
-    /// `asyscall_stats`).
-    pub fn host_pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Number of partitions (= controller instances) in the current table.

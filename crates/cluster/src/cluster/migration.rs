@@ -216,8 +216,9 @@ impl ControllerCluster {
 
     /// Per-partition load (resident objects + request counters) under
     /// `table` — the accounting [`ControllerCluster::add_controller`] and
-    /// [`ControllerCluster::remove_controller`] rebalance by, served per
-    /// partition by [`ControllerCluster::telemetry_snapshot`].
+    /// [`ControllerCluster::remove_controller`] rebalance by; `/stats`
+    /// serves the same counters as `partitions/<i>/{resident_objects,
+    /// requests}`.
     pub(super) fn loads_of(&self, table: &PartitionTable) -> Vec<PartitionLoad> {
         table
             .partitions()

@@ -158,11 +158,22 @@ impl ControllerCluster {
                     self.reset_window();
                     return Ok(RestResponse::ok_empty());
                 }
-                let top = pesos_telemetry::query_param(query, "top")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(stats::DEFAULT_TOP_GROUPS);
-                let flat = pesos_telemetry::query_param(query, "flat").is_some();
-                pesos_telemetry::serve(&self.stats_tree(top), path, flat)
+                let top = match pesos_telemetry::query_param(query, "top") {
+                    None => stats::DEFAULT_TOP_GROUPS,
+                    Some(n) => n.parse().map_err(|_| {
+                        PesosError::BadRequest(format!("stats query top={n:?} is not a number"))
+                    })?,
+                };
+                let flat = match pesos_telemetry::query_param(query, "flat") {
+                    None | Some("0") => false,
+                    Some("" | "1") => true,
+                    Some(v) => {
+                        return Err(PesosError::BadRequest(format!(
+                            "stats query flat={v:?} is neither 0 nor 1"
+                        )))
+                    }
+                };
+                self.serve_stats(path, top, flat)
                     .map(|body| RestResponse::ok(body.into_bytes()))
                     .ok_or_else(|| PesosError::ObjectNotFound(format!("stats path {path:?}")))
             }

@@ -31,9 +31,25 @@ fn keys_on_two_partitions(c: &ControllerCluster, prefix: &str) -> (String, Strin
     (first, other)
 }
 
-/// The rebalancer's load weight, from the snapshot the operator reads.
-fn weight(partition: &stats::PartitionTelemetry) -> u64 {
-    partition.resident_objects as u64 + partition.requests
+/// The numeric leaf at `/stats/<path>`.
+fn stat(c: &ControllerCluster, path: &str) -> u64 {
+    c.stats_tree(0)
+        .u64_at(path)
+        .unwrap_or_else(|| panic!("no numeric leaf at {path}"))
+}
+
+/// `partitions/<i>/<name>` for every partition, in partition order.
+fn per_partition(c: &ControllerCluster, name: &str) -> Vec<u64> {
+    (0..c.partition_count())
+        .map(|i| stat(c, &format!("partitions/{i}/{name}")))
+        .collect()
+}
+
+/// The rebalancer's load weight of partition `i`, from the paths the
+/// operator reads.
+fn weight(c: &ControllerCluster, i: usize) -> u64 {
+    stat(c, &format!("partitions/{i}/resident_objects"))
+        + stat(c, &format!("partitions/{i}/requests"))
 }
 
 #[test]
@@ -192,21 +208,21 @@ fn load_window_restarts_at_every_topology_change() {
         c.put("alice", &format!("win/{i}"), b"x", None, None, &[])
             .unwrap();
     }
-    let loads = || c.telemetry_snapshot(0).partitions;
-    assert!(loads().iter().any(|l| l.requests > 0));
+    let requests = || per_partition(&c, "requests");
+    assert!(requests().iter().any(|&r| r > 0));
     // A topology change snapshots the counters: the next decision must
     // weigh traffic served after it, not lifetime history (a long-idle
     // but formerly hot partition would otherwise attract every split).
     c.add_controller().unwrap();
     assert!(
-        loads().iter().all(|l| l.requests == 0),
+        requests().iter().all(|&r| r == 0),
         "request window did not restart at the topology change"
     );
     // Fresh traffic counts again, against the new baseline.
     let (_, _) = c.get("alice", "win/0", &[]).unwrap();
-    assert!(loads().iter().any(|l| l.requests > 0));
+    assert!(requests().iter().any(|&r| r > 0));
     // Resident counts are unaffected by the windowing.
-    let resident: usize = loads().iter().map(|l| l.resident_objects).sum();
+    let resident: u64 = per_partition(&c, "resident_objects").iter().sum();
     assert_eq!(resident, 24);
 }
 
@@ -282,11 +298,11 @@ fn key_on(c: &ControllerCluster, prefix: &str, partition: usize) -> String {
 /// Waits (at most ten seconds) for the host pool to run `threads` threads.
 fn pool_settles_at(c: &ControllerCluster, threads: usize) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while c.host_pool_stats().threads != threads {
+    while stat(c, "host_pool/threads") != threads as u64 {
         assert!(
             std::time::Instant::now() < deadline,
             "pool kept {} threads, expected {threads}",
-            c.host_pool_stats().threads
+            stat(c, "host_pool/threads")
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -314,7 +330,7 @@ fn a_request_on_one_partition_keeps_the_session_alive_on_all() {
 #[test]
 fn an_async_result_polls_after_its_controller_leaves_and_pins_nothing() {
     let c = ControllerCluster::new(ClusterConfig::sgx_simulator(1, 1)).unwrap();
-    let start = c.host_pool_stats().threads;
+    let start = stat(&c, "host_pool/threads") as usize;
     c.register_client("alice");
     c.add_controller().unwrap();
     let ops: Vec<u64> = (0..64)
@@ -345,7 +361,7 @@ fn a_promotion_keeps_the_clock_sessions_and_async_results() {
     config.backups_per_partition = 1;
     let per_member = config.controller.syscall_threads;
     let c = ControllerCluster::new(config).unwrap();
-    let start = c.host_pool_stats().threads;
+    let start = stat(&c, "host_pool/threads") as usize;
     c.register_client("alice");
     c.set_time(500);
     let key = key_on(&c, "promoted", 0);
@@ -759,19 +775,18 @@ fn add_controller_splits_the_most_loaded_partition_at_a_weighted_point() {
     for key in heavy_keys.iter().chain(&light_keys) {
         c.put("alice", key, b"x", None, None, &[]).unwrap();
     }
-    let before = c.telemetry_snapshot(0).partitions;
-    assert!(weight(&before[0]) > weight(&before[1]));
-    assert_eq!(before[0].resident_objects, 120);
+    assert!(weight(&c, 0) > weight(&c, 1));
+    assert_eq!(stat(&c, "partitions/0/resident_objects"), 120);
 
     c.add_controller().unwrap();
-    let after = c.telemetry_snapshot(0).partitions;
+    let after = per_partition(&c, "resident_objects");
     assert_eq!(after.len(), 3);
     // The joiner split partition 0 (the heavy one): it was inserted
     // right after it, partition 1's (old light partition, now index 2)
     // population is untouched, and the weighted split point divided
     // the 120 resident keys roughly in half — not the hash space.
-    assert_eq!(after[2].resident_objects, 8, "light partition disturbed");
-    let (kept, moved) = (after[0].resident_objects, after[1].resident_objects);
+    assert_eq!(after[2], 8, "light partition disturbed");
+    let (kept, moved) = (after[0], after[1]);
     assert_eq!(kept + moved, 120, "keys lost or duplicated by the split");
     assert!(
         (48..=72).contains(&moved),
@@ -798,24 +813,23 @@ fn remove_controller_merges_into_the_lighter_neighbour() {
             c.put("alice", &key, b"x", None, None, &[]).unwrap();
         }
     }
-    let before = c.telemetry_snapshot(0).partitions;
-    assert!(weight(&before[2]) < weight(&before[0]));
+    assert!(weight(&c, 2) < weight(&c, 0));
     c.remove_controller(1).unwrap();
-    let after = c.telemetry_snapshot(0).partitions;
+    let after = per_partition(&c, "resident_objects");
     assert_eq!(after.len(), 2);
     assert_eq!(
-        after[0].resident_objects, counts[0],
+        after[0], counts[0] as u64,
         "heavy neighbour should not have absorbed the merge"
     );
     assert_eq!(
-        after[1].resident_objects,
-        counts[1] + counts[2],
+        after[1],
+        (counts[1] + counts[2]) as u64,
         "lighter neighbour should hold its keys plus the removed partition's"
     );
 }
 
 #[test]
-fn telemetry_snapshot_covers_every_partition() {
+fn the_stats_tree_covers_every_partition() {
     let c = cluster(3);
     c.register_client("alice");
     for i in 0..12 {
@@ -829,23 +843,30 @@ fn telemetry_snapshot_covers_every_partition() {
         )
         .unwrap();
     }
-    let partitions = c.telemetry_snapshot(0).partitions;
-    assert_eq!(partitions.len(), 3);
+    assert_eq!(stat(&c, "cluster/partitions"), 3);
     // The ranges tile the hash space.
-    let total: u128 = partitions.iter().map(|p| p.range.width()).sum();
+    let (starts, ends) = (
+        per_partition(&c, "range/start"),
+        per_partition(&c, "range/end"),
+    );
+    let total: u128 = starts
+        .iter()
+        .zip(&ends)
+        .map(|(&start, &end)| HashRange { start, end }.width())
+        .sum();
     assert_eq!(total, u64::MAX as u128 + 1);
-    for pair in partitions.windows(2) {
-        assert_eq!(pair[0].range.end + 1, pair[1].range.start);
+    for i in 1..3 {
+        assert_eq!(ends[i - 1] + 1, starts[i]);
     }
     // The request counters across partitions account for the traffic.
-    let requests: u64 = partitions.iter().map(|p| p.requests).sum();
+    let requests: u64 = per_partition(&c, "requests").iter().sum();
     assert!(requests >= 12);
-    let resident: usize = partitions.iter().map(|p| p.resident_objects).sum();
+    let resident: u64 = per_partition(&c, "resident_objects").iter().sum();
     assert_eq!(resident, 12);
     // Each partition's enclave costs are served beside them.
     let tree = c.stats_tree(0);
-    for p in &partitions {
-        let path = format!("partitions/{}/sgx/epc_peak_bytes", p.partition);
+    for i in 0..3 {
+        let path = format!("partitions/{i}/sgx/epc_peak_bytes");
         assert!(pesos_telemetry::serve(&tree, &path, false).is_some());
     }
 }
@@ -877,7 +898,7 @@ fn killed_partition_is_unavailable_until_promoted() {
         Err(PesosError::Unavailable(_))
     ));
     c.get("alice", &alive, &[]).unwrap();
-    let retried = c.telemetry_snapshot(0).retries.request_retries;
+    let retried = stat(&c, "retries/request_retries");
     assert!(retried > 0, "unavailable range should have retried");
     // Promotion brings the range back with every acknowledged write.
     let promotion = c.fail_controller(0).unwrap();
@@ -915,7 +936,7 @@ fn killed_partition_without_backups_is_unavailable_for_every_op() {
         );
         done += 1;
         assert_eq!(
-            c.telemetry_snapshot(0).retries.request_retries,
+            stat(&c, "retries/request_retries"),
             done * u64::from(RETRY_ATTEMPTS - 1),
             "{name} did not run the capped retry schedule"
         );
@@ -1223,7 +1244,7 @@ fn remove_controller_refuses_on_an_unsettleable_migration_with_a_typed_error() {
         other => panic!("expected MigrationPending, got {other:?}"),
     }
     assert!(
-        c.telemetry_snapshot(0).retries.settle_retries > 0,
+        stat(&c, "retries/settle_retries") > 0,
         "settle never retried"
     );
     // Repair the drive: the operator settle path drains and the
@@ -1295,7 +1316,7 @@ fn fail_controller_refuses_while_a_migration_involves_the_partition() {
 }
 
 #[test]
-fn retry_counters_ride_the_telemetry_snapshot() {
+fn retry_counters_are_served_under_stats_retries() {
     let c = replicated_cluster(2, 1);
     c.register_client("alice");
     let key = (0..64)
@@ -1303,18 +1324,26 @@ fn retry_counters_ride_the_telemetry_snapshot() {
         .find(|k| c.partition_of(k) == 0)
         .expect("some key routes to partition 0");
     c.put("alice", &key, b"v", None, None, &[]).unwrap();
-    assert_eq!(c.telemetry_snapshot(0).retries, RetryStats::default());
+    let retries = || {
+        let names = [
+            "demand_pull_attempts",
+            "demand_pull_retries",
+            "settle_retries",
+            "request_retries",
+        ];
+        names.map(|name| stat(&c, &format!("retries/{name}")))
+    };
+    assert_eq!(retries(), [0; 4]);
     c.kill_controller(0).unwrap();
     let _ = c.get("alice", &key, &[]);
     c.fail_controller(0).unwrap();
-    let retries = c.telemetry_snapshot(0).retries;
-    assert!(retries.request_retries > 0);
-    // `/stats/retries` serves the same reading.
-    let served = pesos_telemetry::serve(&c.stats_tree(0), "retries/request_retries", false);
-    assert_eq!(
-        served.as_deref().map(str::trim),
-        Some(retries.request_retries.to_string().as_str())
-    );
+    let request_retries = retries()[3];
+    assert!(request_retries > 0);
+    // REST dispatch, which renders the `retries` group alone, serves the
+    // same reading.
+    let request = RestRequest::new(RestMethod::Stats, "retries/request_retries");
+    let served = c.handle("alice", ClientRequest::new(request));
+    assert_eq!(served.value, format!("{request_retries}\n").into_bytes());
 }
 
 /// Every controller of a cluster, backups and a native joiner included,
@@ -1326,9 +1355,8 @@ fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
     let mut config = ClusterConfig::sgx_simulator(2, 1);
     config.backups_per_partition = 1;
     let c = ControllerCluster::new(config).unwrap();
-    let pool = c.host_pool_stats();
     assert_eq!(
-        pool.threads,
+        stat(&c, "host_pool/threads"),
         4 * 4,
         "two primaries and two backups, 4 threads each"
     );
@@ -1338,7 +1366,7 @@ fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
         3
     );
     assert_eq!(
-        c.host_pool_stats().threads,
+        stat(&c, "host_pool/threads"),
         6 * 4,
         "the joiner and its backup"
     );
@@ -1354,32 +1382,26 @@ fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
         );
     }
     let caught_up = || {
-        c.telemetry_snapshot(0)
-            .partitions
+        per_partition(&c, "replication/lag")
             .iter()
-            .filter_map(|p| p.replication.as_ref())
-            .all(|r| r.max_lag() == 0)
+            .all(|&lag| lag == 0)
     };
     // Every member's submissions, primaries first, then their backups.
     let submitted = || -> u64 {
-        let snapshot = c.telemetry_snapshot(0);
         let primaries: u64 = c
             .controllers()
             .iter()
             .map(|p| p.store().asyscall_stats().submitted)
             .sum();
-        let backups: u64 = snapshot
-            .partitions
+        let backups: u64 = per_partition(&c, "replication/backup_asyscalls_submitted")
             .iter()
-            .filter_map(|p| p.replication.as_ref())
-            .flat_map(|r| r.backup_asyscalls.iter().map(|a| a.submitted))
             .sum();
         primaries + backups
     };
     // Replicated reads leave their losing replicas to finish behind them,
     // and the backups apply on their own schedule: wait for both to settle.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while !(caught_up() && c.host_pool_stats().completed == submitted()) {
+    while !(caught_up() && stat(&c, "host_pool/completed") == submitted()) {
         assert!(std::time::Instant::now() < deadline, "pool never settled");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -1388,15 +1410,31 @@ fn one_host_pool_serves_every_member_and_each_keeps_its_own_mode() {
     // lanes of its joined calls, which ran on their caller as exits; only
     // the former reach the pool's `completed` (the identity above).
     let calls = |a: &pesos_sgx::AsyscallStats| a.submitted + a.exits;
-    let snapshot = c.telemetry_snapshot(0);
     let mut modes = Vec::new();
-    for (partition, controller) in snapshot.partitions.iter().zip(c.controllers()) {
-        assert!(calls(&controller.store().asyscall_stats()) > 0);
-        assert_eq!(partition.asyscall, controller.store().asyscall_stats());
-        // A partition's backups are built from its primary's config.
-        for backup in &partition.replication.as_ref().unwrap().backup_asyscalls {
-            assert!(calls(backup) > 0);
-        }
+    for (i, controller) in c.controllers().iter().enumerate() {
+        let own = controller.store().asyscall_stats();
+        assert!(calls(&own) > 0);
+        let served = [
+            "asyscalls_submitted",
+            "asyscall_exits",
+            "asyscall_slot_waits",
+            "asyscall_parks",
+            "asyscall_batches",
+        ]
+        .map(|name| stat(&c, &format!("partitions/{i}/sgx/{name}")));
+        assert_eq!(
+            served,
+            [
+                own.submitted,
+                own.exits,
+                own.slot_waits,
+                own.parks,
+                own.batches
+            ]
+        );
+        // A partition's backup is built from its primary's config.
+        let backup = |name: &str| stat(&c, &format!("partitions/{i}/replication/{name}"));
+        assert!(backup("backup_asyscalls_submitted") + backup("backup_asyscall_exits") > 0);
         modes.push(controller.config().mode);
     }
     use pesos_core::ExecutionMode::{Native, Sgx};
@@ -1412,7 +1450,7 @@ fn the_host_pool_gives_back_the_threads_of_members_that_leave() {
     config.backups_per_partition = 1;
     let per_member = config.controller.syscall_threads;
     let c = ControllerCluster::new(config).unwrap();
-    let start = c.host_pool_stats().threads;
+    let start = stat(&c, "host_pool/threads") as usize;
     assert_eq!(start, 4 * per_member);
     c.register_client("alice");
     for round in 0..6 {
@@ -1423,11 +1461,11 @@ fn the_host_pool_gives_back_the_threads_of_members_that_leave() {
     }
     let settles_at = |threads: usize| {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while c.host_pool_stats().threads != threads {
+        while stat(&c, "host_pool/threads") != threads as u64 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "pool kept {} threads, expected {threads}",
-                c.host_pool_stats().threads
+                stat(&c, "host_pool/threads")
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }

@@ -50,11 +50,12 @@
 //!   * `cluster::rest` — the one REST dispatcher (a single controller
 //!     serves REST as a one-partition cluster) and the
 //!     [`pesos_core::RequestEndpoint`] implementation.
-//! * [`cluster::stats`] — the `/stats` observability surface: cluster and
-//!   per-partition latency histograms, windowed hot-group counters (which
-//!   also feed the hot-key-weighted split point), replication and
-//!   migration gauges, served as a hierarchical attribute tree over the
-//!   REST dispatch and as the [`TelemetrySnapshot`] API.
+//! * `cluster::stats` — the `/stats` readout: cluster and per-partition
+//!   latency histograms, windowed hot-group counters (which also feed the
+//!   hot-key-weighted split point), replication and migration gauges,
+//!   each group rendered by the owner of its counters into the
+//!   hierarchical attribute tree that REST dispatch serves and
+//!   [`ControllerCluster::stats_tree`] returns.
 //! * [`replication`] — primary/backup partitions: each primary's store
 //!   streams the drive batches it writes to backup stores over the
 //!   vectored frame encode with bounded-lag backpressure, and
@@ -67,7 +68,6 @@ pub mod replication;
 pub mod router;
 pub mod twopc;
 
-pub use cluster::stats::{MigrationTelemetry, PartitionTelemetry, TelemetrySnapshot};
-pub use cluster::{ClusterConfig, ControllerCluster, RetryStats};
+pub use cluster::{ClusterConfig, ControllerCluster};
 pub use replication::{LogRecord, Promotion, ReplicaSet, ReplicationStats};
 pub use router::{HashRange, Partition, PartitionTable};

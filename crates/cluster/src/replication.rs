@@ -90,6 +90,7 @@ use pesos_core::{BatchLog, PesosError, PesosStore, TxOutcome};
 use pesos_crypto::hmac::HmacKey;
 use pesos_kinetic::{BatchOp, Command, Envelope, MessageType, VectoredEnvelope};
 use pesos_sgx::AsyscallStats;
+use pesos_telemetry::StatsNode;
 use pesos_wire::{FieldReader, FieldWriter};
 
 /// Identity stamped on replication frames (not an account: the log channel
@@ -347,6 +348,46 @@ impl ReplicaSet {
                 .map(|b| drive_batches(&b.store))
                 .collect(),
         }
+    }
+
+    /// The `replication/` group of the partition's `/stats` subtree: the
+    /// gauges of [`ReplicaSet::stats`], each backup's applied count, and
+    /// the backups' asyscall and drive-batch counts summed.
+    pub(crate) fn stats_node(&self) -> StatsNode {
+        let r = self.stats();
+        let mut applied = StatsNode::dir();
+        for (j, a) in r.applied.iter().enumerate() {
+            applied.insert(j.to_string(), StatsNode::leaf(a));
+        }
+        let backups = |count: fn(&AsyscallStats) -> u64| -> u64 {
+            r.backup_asyscalls.iter().map(count).sum()
+        };
+        StatsNode::dir()
+            .with("backups", StatsNode::leaf(r.applied.len()))
+            .with("appended", StatsNode::leaf(r.appended))
+            .with("lag", StatsNode::leaf(r.max_lag()))
+            .with("stalls", StatsNode::leaf(r.stalls))
+            .with("applied", applied)
+            .with(
+                "backup_asyscalls_submitted",
+                StatsNode::leaf(backups(|a| a.submitted)),
+            )
+            .with(
+                "backup_asyscall_exits",
+                StatsNode::leaf(backups(|a| a.exits)),
+            )
+            .with(
+                "backup_asyscall_batches",
+                StatsNode::leaf(backups(|a| a.batches)),
+            )
+            .with(
+                "backup_asyscall_parks",
+                StatsNode::leaf(backups(|a| a.parks)),
+            )
+            .with(
+                "backup_drive_batches",
+                StatsNode::leaf(r.backup_drive_batches.iter().sum::<u64>()),
+            )
     }
 
     /// The lowest applied count across backups.

@@ -261,7 +261,8 @@ fn kill_and_promote_loses_no_acknowledged_write_under_faulty_mixed_traffic() {
     assert_eq!(&*b, b"tx-b");
 
     // The failover retried requests and the counters surfaced it.
-    assert!(cluster.telemetry_snapshot(0).retries.request_retries > 0);
+    let retries = cluster.stats_tree(0).u64_at("retries/request_retries");
+    assert!(retries.unwrap() > 0);
 }
 
 /// Replication degrades gracefully: with two backups, two successive
@@ -339,7 +340,7 @@ fn settled(cluster: &ControllerCluster, client: &str, op: u64) -> Option<AsyncRe
 #[test]
 fn a_sync_and_an_async_writer_on_one_key_keep_their_acknowledged_versions() {
     let cluster = replicated(1, 1);
-    let threads = cluster.host_pool_stats().threads;
+    let threads = cluster.stats_tree(0).u64_at("host_pool/threads").unwrap() as usize;
     cluster.register_client("sync");
     cluster.register_client("async");
     let keys: Vec<String> = (0..3).map(|k| format!("shared/k{k}")).collect();
@@ -420,7 +421,7 @@ fn a_kill_with_queued_async_puts_settles_every_poll() {
     slow_primary(&cluster, Duration::from_millis(50));
     // Counted before the failover, which gives the failed primary's
     // threads back.
-    let threads = cluster.host_pool_stats().threads;
+    let threads = cluster.stats_tree(0).u64_at("host_pool/threads").unwrap() as usize;
     let keys: Vec<String> = (0..12).map(|i| format!("queued/k{i}")).collect();
     let ops: Vec<u64> = keys
         .iter()

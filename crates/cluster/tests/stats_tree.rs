@@ -45,6 +45,13 @@ fn leaf(cluster: &ControllerCluster, path: &str) -> u64 {
         .unwrap_or_else(|e| panic!("stats path {path:?} is not a numeric leaf: {e}"))
 }
 
+/// Every partition's `resident_objects`, in partition order.
+fn resident_objects(cluster: &ControllerCluster) -> Vec<u64> {
+    (0..cluster.partition_count())
+        .map(|i| leaf(cluster, &format!("partitions/{i}/resident_objects")))
+        .collect()
+}
+
 fn put(cluster: &ControllerCluster, key: &str) {
     cluster
         .put(
@@ -243,21 +250,16 @@ fn hot_key_weight_moves_the_split_point() {
     }
     cluster.add_controller().unwrap();
 
-    let snapshot = cluster.telemetry_snapshot(4);
-    let mut residents: Vec<usize> = snapshot
-        .partitions
-        .iter()
-        .map(|p| p.resident_objects)
-        .collect();
+    let mut residents = resident_objects(&cluster);
     residents.sort_unstable();
-    assert_eq!(residents.iter().sum::<usize>(), 20);
+    assert_eq!(residents.iter().sum::<u64>(), 20);
     assert!(
         residents[0] <= 5,
         "split ignored the hot minority: residents {residents:?}"
     );
     // The hot window was consumed by the split and then reset with the
     // rest of the request baseline.
-    assert_eq!(snapshot.hot_total_ops, 0);
+    assert_eq!(leaf(&cluster, "groups/total_ops"), 0);
 
     // Control: identical keys with uniform traffic split at the resident
     // median — an even spread, not a hot-side carve-out.
@@ -266,12 +268,7 @@ fn hot_key_weight_moves_the_split_point() {
         put(&uniform, key);
     }
     uniform.add_controller().unwrap();
-    let snapshot = uniform.telemetry_snapshot(4);
-    let mut residents: Vec<usize> = snapshot
-        .partitions
-        .iter()
-        .map(|p| p.resident_objects)
-        .collect();
+    let mut residents = resident_objects(&uniform);
     residents.sort_unstable();
     assert!(
         residents[0] >= 8,
@@ -426,4 +423,121 @@ fn remembered_read_decisions_are_counted() {
     assert_eq!(counts, [2, 3, 1, 1]);
     // Every read still looked its policy up in the cache.
     assert_eq!(lookups() - lookups_before, 5);
+}
+
+/// A hot group's name is its clients' key prefix, so it may hold a `/` or
+/// a space. Listed escaped, each name is one path segment: a flat line
+/// keeps its two fields, and the name resolves back through REST.
+#[test]
+fn every_listed_hot_group_resolves_back() {
+    let cluster = build(1, 0);
+    for key in ["a/b.x", "c d.x"] {
+        put(&cluster, key);
+    }
+    let listing = stats(&cluster, "groups/hot?flat").unwrap();
+    let mut names = Vec::new();
+    for line in listing.lines() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        let [name, ops] = fields[..] else {
+            panic!("{line:?} is not one `name value` pair");
+        };
+        let served = stats(&cluster, &format!("groups/hot/{name}"));
+        assert_eq!(served, Some(format!("{ops}\n")), "groups/hot/{name}");
+        names.push(name);
+    }
+    names.sort_unstable();
+    assert_eq!(names, ["a%2Fb", "c%20d"]);
+}
+
+/// `flat` alone and `flat=1` render flat, `flat=0` renders the tree, and
+/// any other `flat`, or a `top` that is not a number, is a bad request.
+#[test]
+fn stats_queries_are_parsed_strictly() {
+    let cluster = build(1, 0);
+    put(&cluster, "q.obj");
+    let tree = stats(&cluster, "ops/put").unwrap();
+    assert!(tree.contains("count = 1\n"), "{tree}");
+    assert_eq!(stats(&cluster, "ops/put?flat=0").unwrap(), tree);
+    let flat = stats(&cluster, "ops/put?flat").unwrap();
+    assert!(flat.contains("count 1\n"), "{flat}");
+    assert_eq!(stats(&cluster, "ops/put?flat=1").unwrap(), flat);
+    assert_eq!(stats(&cluster, "groups/hot?top=16&flat").unwrap(), "q 1\n");
+    for query in ["top=abc", "top=", "top=-1", "flat=2", "flat=true"] {
+        let response = cluster.handle(
+            CLIENT,
+            ClientRequest::new(RestRequest::new(
+                RestMethod::Stats,
+                format!("groups/hot?{query}"),
+            )),
+        );
+        assert_eq!(response.status, RestStatus::BadRequest, "?{query}");
+    }
+}
+
+/// The paths the benchmark's trace reads through a reader that turns a
+/// missing path into 0 stay numeric leaves, and on a quiescent cluster
+/// REST dispatch, which renders only the group a path's first segment
+/// names, serves every leaf of the whole tree with the tree's value. The
+/// shape is the benchmark's `cluster_repl_1k` (4 controllers, one backup
+/// each) with one migration in flight.
+#[test]
+fn the_benchmarks_paths_resolve_and_rest_serves_every_leaf() {
+    let mut config = ClusterConfig::sgx_simulator(4, 1);
+    config.backups_per_partition = 1;
+    let cluster = ControllerCluster::new(config).unwrap();
+    cluster.register_client(CLIENT);
+    for i in 0..64 {
+        put(&cluster, &format!("pin{i}.obj"));
+    }
+    // Strand a migration: with every primary's drive offline, the split's
+    // drain cannot settle and its record stays in flight.
+    for controller in cluster.controllers() {
+        for drive in controller.store().drives().iter() {
+            drive.set_online(false);
+        }
+    }
+    assert!(cluster.add_controller().is_err());
+    assert_eq!(leaf(&cluster, "migrations/active"), 1);
+
+    // (a) Each path the trace reads is a numeric leaf, in the tree and
+    // through REST.
+    let tree = cluster.stats_tree(0);
+    let mut paths: Vec<String> = (0..cluster.partition_count())
+        .flat_map(|i| {
+            ["appended", "stalls", "lag"].map(|n| format!("partitions/{i}/replication/{n}"))
+        })
+        .collect();
+    paths.extend(
+        ["demand_pull_retries", "settle_retries", "request_retries"]
+            .map(|n| format!("retries/{n}")),
+    );
+    for path in &paths {
+        assert!(tree.u64_at(path).is_some(), "{path} is not a numeric leaf");
+        leaf(&cluster, path);
+    }
+
+    // (b) Quiescent: every backup caught up, and two renders agree.
+    // `digests/compressions` is process-wide (this binary's other tests
+    // hash beside this one), so it is left out.
+    let varies = |path: &str| path == "digests/compressions";
+    let settled = || -> Vec<String> {
+        let flat = cluster.stats_tree(0).render_flat();
+        flat.lines()
+            .filter(|line| !varies(line.split_once(' ').unwrap().0))
+            .map(str::to_string)
+            .collect()
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let lagging = |i| leaf(&cluster, &format!("partitions/{i}/replication/lag")) > 0;
+    while (0..cluster.partition_count()).any(lagging) || settled() != settled() {
+        assert!(std::time::Instant::now() < deadline, "never quiescent");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let leaves = settled();
+    assert!(leaves.len() > 200, "{} leaves", leaves.len());
+    for line in &leaves {
+        let (path, value) = line.split_once(' ').unwrap();
+        let served = stats(&cluster, path).unwrap_or_else(|| panic!("{path} did not resolve"));
+        assert_eq!(served, format!("{value}\n"), "{path}");
+    }
 }

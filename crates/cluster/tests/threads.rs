@@ -32,7 +32,7 @@ fn a_deployment_starts_its_pool_and_shippers_and_nothing_else() {
     let before = threads();
     let cluster = ControllerCluster::new(config.clone()).unwrap();
     let added = threads() - before;
-    let pool = cluster.host_pool_stats().threads;
+    let pool = cluster.stats_tree(0).u64_at("host_pool/threads").unwrap() as usize;
     // Primaries and backups each bring their service threads to the pool.
     assert_eq!(
         pool,

@@ -53,7 +53,7 @@ fn full_workload_suite_passes_on_a_four_controller_cluster() {
         let busy = cluster
             .controllers()
             .iter()
-            .filter(|c| c.metrics().requests > 0)
+            .filter(|c| c.stats_tree().u64_at("metrics/requests") > Some(0))
             .count();
         assert!(
             busy >= 2,

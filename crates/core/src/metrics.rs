@@ -1,6 +1,6 @@
 //! Controller-level metrics.
 
-use pesos_telemetry::{OpHistograms, WindowedCounter};
+use pesos_telemetry::{OpHistograms, StatsNode, WindowedCounter};
 
 /// Counters describing controller activity, always on. Reports read the
 /// lifetime totals; only `requests` has its window used.
@@ -27,40 +27,25 @@ pub struct ControllerMetrics {
     pub ops: OpHistograms,
 }
 
-/// A plain-data snapshot of [`ControllerMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Total requests handled.
-    pub requests: u64,
-    /// Read operations.
-    pub reads: u64,
-    /// Write operations.
-    pub writes: u64,
-    /// Delete operations.
-    pub deletes: u64,
-    /// Policy denials.
-    pub policy_denials: u64,
-    /// Async operations accepted.
-    pub async_accepted: u64,
-    /// Transactions committed.
-    pub tx_committed: u64,
-    /// Transactions aborted.
-    pub tx_aborted: u64,
-}
-
 impl ControllerMetrics {
-    /// Takes a consistent-enough snapshot of the lifetime totals.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.lifetime(),
-            reads: self.reads.lifetime(),
-            writes: self.writes.lifetime(),
-            deletes: self.deletes.lifetime(),
-            policy_denials: self.policy_denials.lifetime(),
-            async_accepted: self.async_accepted.lifetime(),
-            tx_committed: self.tx_committed.lifetime(),
-            tx_aborted: self.tx_aborted.lifetime(),
+    /// The `metrics/` group of the controller's `/stats` subtree: each
+    /// counter's lifetime total, read from its atomic.
+    pub(crate) fn stats_node(&self) -> StatsNode {
+        let counters = [
+            ("requests", &self.requests),
+            ("reads", &self.reads),
+            ("writes", &self.writes),
+            ("deletes", &self.deletes),
+            ("policy_denials", &self.policy_denials),
+            ("async_accepted", &self.async_accepted),
+            ("tx_committed", &self.tx_committed),
+            ("tx_aborted", &self.tx_aborted),
+        ];
+        let mut node = StatsNode::dir();
+        for (name, counter) in counters {
+            node.insert(name, StatsNode::leaf(counter.lifetime()));
         }
+        node
     }
 }
 
@@ -74,9 +59,9 @@ mod tests {
         m.requests.add(1);
         m.requests.add(1);
         m.policy_denials.add(1);
-        let s = m.snapshot();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.policy_denials, 1);
-        assert_eq!(s.writes, 0);
+        let s = m.stats_node();
+        assert_eq!(s.u64_at("requests"), Some(2));
+        assert_eq!(s.u64_at("policy_denials"), Some(1));
+        assert_eq!(s.u64_at("writes"), Some(0));
     }
 }

@@ -224,7 +224,10 @@ fn rebalance_drain_compression_budget() {
         };
         cluster.put("budget", &key, b"v", None, None, &[]).unwrap();
     }
-    let moved = cluster.telemetry_snapshot(0).partitions[1].resident_objects;
+    let moved = cluster
+        .stats_tree(0)
+        .u64_at("partitions/1/resident_objects")
+        .unwrap();
     assert!(moved > 0, "no keys landed on the drained partition");
 
     let (_, drained) = measured(|| cluster.remove_controller(1).unwrap());

@@ -26,11 +26,16 @@
 //! ```text
 //! stats-path := segment ("/" segment)* ("?" query)?
 //! segment    := attribute or directory name ([a-z0-9_] and partition
-//!               or migration indexes)
+//!               or migration indexes), or a listed name escaped by
+//!               `escape_name` (`groups/hot/tour%2F3` for group "tour/3")
 //! query      := param ("&" param)*
-//! param      := "top=" N      (groups/hot: number of groups, default 16)
-//!             | "flat=1"      (render a directory as flat "path value"
+//! param      := "top=" N      (groups/hot: number of groups, default 16;
+//!                              anything but a number is refused)
+//!             | "flat" | "flat=1"
+//!                             (render a directory as flat "path value"
 //!                              lines instead of the tree listing)
+//!             | "flat=0"      (the tree listing; any other value of
+//!                              flat is refused)
 //! ```
 //!
 //! Resolving a *leaf* returns its bare value; resolving a *directory*
@@ -53,7 +58,7 @@ mod tree;
 
 pub use hist::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use hotkey::{HotGroup, HotKeyTracker};
-pub use tree::{query_param, serve, split_query, StatsNode};
+pub use tree::{escape_name, query_param, serve, split_query, StatsNode};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -165,14 +170,6 @@ impl OpHistograms {
             .unwrap_or_default()
     }
 
-    /// Snapshots of every kind's current window, in display order.
-    pub fn snapshots(&self) -> Vec<(OpKind, HistogramSnapshot)> {
-        OpKind::ALL
-            .iter()
-            .map(|&kind| (kind, self.snapshot(kind)))
-            .collect()
-    }
-
     /// Starts a new window on every histogram.
     pub fn reset_window(&self) {
         for hist in self.hists.iter() {
@@ -211,8 +208,8 @@ pub fn histogram_node(s: &HistogramSnapshot) -> StatsNode {
 /// [`histogram_node`] per operation, in display order.
 pub fn ops_node(ops: &OpHistograms) -> StatsNode {
     let mut dir = StatsNode::dir();
-    for (kind, snapshot) in ops.snapshots() {
-        dir.insert(kind.as_str(), histogram_node(&snapshot));
+    for kind in OpKind::ALL {
+        dir.insert(kind.as_str(), histogram_node(&ops.snapshot(kind)));
     }
     dir
 }

@@ -2,10 +2,11 @@
 //!
 //! Telemetry is exposed as a directory tree of named attributes (the
 //! sysfs `AttributeGroup` idiom): inner nodes are directories, leaves are
-//! single values. A snapshot of the live counters is rendered into a
-//! [`StatsNode`] and then served by path — resolving a leaf returns its
-//! value, resolving a directory returns a listing (tree-shaped by
-//! default, flat `path value` lines on request).
+//! single values. The owner of a group of counters renders it from its
+//! live atomics into a [`StatsNode`], which is then served by path —
+//! resolving a leaf returns its value, resolving a directory returns a
+//! listing (tree-shaped by default, flat `path value` lines on request).
+//! A name that is not the tree's own goes in through [`escape_name`].
 
 /// One node of the stats tree: a directory of named children (insertion
 /// order preserved) or a single rendered value.
@@ -62,6 +63,15 @@ impl StatsNode {
             }
         }
         Some(node)
+    }
+
+    /// The numeric leaf at `path`; `None` when the path does not resolve
+    /// to a leaf holding an unsigned integer.
+    pub fn u64_at(&self, path: &str) -> Option<u64> {
+        match self.resolve(path)? {
+            StatsNode::Leaf(value) => value.parse().ok(),
+            StatsNode::Dir(_) => None,
+        }
     }
 
     /// Flat listing: one `path value` line per leaf under this node,
@@ -130,6 +140,25 @@ impl StatsNode {
     }
 }
 
+/// A name as one path segment: `%`, `/`, `?`, `&`, `=`, whitespace and
+/// control characters are percent-encoded (each UTF-8 byte as `%XX`), so
+/// a name read from a listing resolves back as the same segment and
+/// keeps a flat `path value` line to two fields. Names that are not the
+/// tree's own (a client's placement group) are listed through this.
+pub fn escape_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        if "%/?&=".contains(c) || c.is_whitespace() || c.is_control() {
+            for byte in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push_str(&format!("%{byte:02X}"));
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
 /// Splits a stats path into its path and optional query parts
 /// (`"groups/hot?top=4"` → `("groups/hot", Some("top=4"))`).
 pub fn split_query(path: &str) -> (&str, Option<&str>) {
@@ -157,13 +186,8 @@ pub fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
 pub fn serve(tree: &StatsNode, path: &str, flat: bool) -> Option<String> {
     let node = tree.resolve(path)?;
     Some(match node {
-        StatsNode::Leaf(value) => {
-            let mut s = value.clone();
-            s.push('\n');
-            s
-        }
         StatsNode::Dir(_) if flat => node.render_flat(),
-        StatsNode::Dir(_) => node.render_tree(),
+        _ => node.render_tree(),
     })
 }
 
@@ -232,6 +256,18 @@ mod tests {
         assert_eq!(query_param(Some("top=4&flat=1"), "flat"), Some("1"));
         assert_eq!(query_param(Some("top=4"), "missing"), None);
         assert_eq!(query_param(None, "top"), None);
+    }
+
+    #[test]
+    fn escaped_names_are_one_segment() {
+        assert_eq!(escape_name("tour/3"), "tour%2F3");
+        assert_eq!(escape_name("c d\n%?&=x"), "c%20d%0A%25%3F%26%3Dx");
+        assert_eq!(escape_name("caf\u{e9}\u{2028}"), "caf\u{e9}%E2%80%A8");
+        let tree = StatsNode::dir().with(escape_name("a/b c"), StatsNode::leaf(7));
+        let flat = tree.render_flat();
+        let (name, value) = flat.trim_end().split_once(' ').unwrap();
+        assert_eq!(tree.u64_at(name), Some(7));
+        assert_eq!(value, "7");
     }
 
     #[test]

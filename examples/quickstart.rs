@@ -53,5 +53,8 @@ fn main() {
     let denied = controller.put(&bob, "greetings/hello", b"defaced", None, None, &[]);
     println!("bob update denied   : {}", denied.is_err());
 
-    println!("metrics             : {:?}", controller.metrics());
+    // The controller's request counters, as `/stats` serves them.
+    let stats = controller.stats_tree();
+    let metrics = stats.resolve("metrics").expect("a metrics group");
+    print!("metrics             :\n{}", metrics.render_tree());
 }

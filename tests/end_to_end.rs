@@ -125,7 +125,10 @@ fn transactions_are_atomic_across_objects_and_threads() {
     let (_, vb) = c.get(&alice, "bank/b", &[]).unwrap();
     assert_eq!(va, 4);
     assert_eq!(vb, 4);
-    assert_eq!(c.controllers()[0].metrics().tx_committed, 4);
+    let committed = c.controllers()[0]
+        .stats_tree()
+        .u64_at("metrics/tx_committed");
+    assert_eq!(committed, Some(4));
 }
 
 #[test]
